@@ -28,11 +28,12 @@
 //! first argument, default `BENCH_interp.json` in the working directory,
 //! and exits nonzero when either gate fails.
 
-use criterion::{black_box, measure, Measurement};
+use pdo_bench::{measure, Measurement};
 use pdo_events::Runtime;
 use pdo_ir::interp::{call, BasicEnv};
 use pdo_ir::{BinOp, EventId, FuncId, FunctionBuilder, Module, RaiseMode, Value};
 use pdo_passes::fuse_module;
+use std::hint::black_box;
 
 /// Minimum fused-over-unfused speedup required on at least one workload.
 const GATE: f64 = 1.5;
@@ -43,7 +44,7 @@ const OVERHEAD_GATE: f64 = 1.05;
 /// Interleaved measurement rounds per side (median taken across them).
 const ROUNDS: usize = 9;
 
-/// Batch-average samples per round (passed to the criterion shim).
+/// Batch-average samples per round (passed to [`measure`]).
 const SAMPLES: usize = 10;
 
 /// Straight-line repetitions of the inner-loop pattern per handler body.

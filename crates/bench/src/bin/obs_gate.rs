@@ -15,11 +15,12 @@
 //! argument, default `BENCH_dispatch.json` in the working directory, and
 //! exits nonzero when the gate fails.
 
-use criterion::{black_box, measure, Measurement};
 use pdo::{optimize, OptimizeOptions};
+use pdo_bench::{measure, Measurement};
 use pdo_events::{Runtime, TraceConfig};
 use pdo_ir::{BinOp, EventId, FuncId, FunctionBuilder, Module, RaiseMode, Value};
 use pdo_profile::Profile;
+use std::hint::black_box;
 
 /// Maximum tolerated metrics-on/metrics-off ratio.
 const GATE: f64 = 1.05;
@@ -27,7 +28,7 @@ const GATE: f64 = 1.05;
 /// Interleaved measurement rounds per side (median taken across them).
 const ROUNDS: usize = 9;
 
-/// Batch-average samples per round (passed to the criterion shim).
+/// Batch-average samples per round (passed to [`measure`]).
 const SAMPLES: usize = 10;
 
 fn build_module(handlers: usize) -> (Module, EventId, Vec<FuncId>) {

@@ -66,8 +66,7 @@ fn session_module() -> (Module, EventId, Vec<(EventId, FuncId, i32)>) {
     (m, e, binds)
 }
 
-/// Steady-state adaptation config shared by every grid cell (identical to
-/// the `server` criterion bench's adaptive fleet).
+/// Steady-state adaptation config shared by every grid cell.
 fn steady_adapt() -> AdaptConfig {
     AdaptConfig {
         epoch_ns: 100_000,

@@ -17,12 +17,13 @@
 //! first argument, default `BENCH_trace.json` in the working directory,
 //! and exits nonzero when either gate fails.
 
-use criterion::{black_box, measure, Measurement};
 use pdo::{optimize, OptimizeOptions};
+use pdo_bench::{measure, Measurement};
 use pdo_events::{Runtime, TraceConfig};
 use pdo_ir::{BinOp, EventId, FuncId, FunctionBuilder, Module, RaiseMode, Value};
 use pdo_obs::trace::TraceStore;
 use pdo_profile::Profile;
+use std::hint::black_box;
 
 /// Maximum tolerated attached-but-disabled / no-store ratio.
 const GATE_OFF: f64 = 1.02;
@@ -33,7 +34,7 @@ const GATE_ON: f64 = 1.10;
 /// Interleaved measurement rounds per side (median taken across them).
 const ROUNDS: usize = 9;
 
-/// Batch-average samples per round (passed to the criterion shim).
+/// Batch-average samples per round (passed to [`measure`]).
 const SAMPLES: usize = 10;
 
 fn build_module(handlers: usize) -> (Module, EventId, Vec<FuncId>) {

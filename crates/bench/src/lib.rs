@@ -12,7 +12,7 @@
 //! | [`ablate`]| ablations over the optimizer's design choices (§3.2/§5) |
 //!
 //! The `report` binary prints each table with the paper's reference numbers
-//! alongside; the Criterion benches measure the same paths statistically.
+//! alongside; the gate binaries time their own paths with [`measure`].
 
 pub mod ablate;
 pub mod paper;
@@ -21,6 +21,7 @@ pub mod sizes;
 pub mod video;
 pub mod xcli;
 
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Measures the average wall-clock nanoseconds of `op` over `iters`
@@ -45,6 +46,49 @@ pub fn avg_ns(warmup: u32, iters: u32, mut op: impl FnMut()) -> f64 {
         }
     }
     best
+}
+
+/// Summary statistics of one [`measure`] call's batch averages.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct Measurement {
+    /// Minimum batch average (ns/iter) — the headline number, robust
+    /// against scheduler noise on a shared machine.
+    pub min_ns: f64,
+    /// Mean of the batch averages (ns/iter).
+    pub mean_ns: f64,
+    /// Half-width of the 95% confidence interval of the mean (normal
+    /// approximation: `1.96 * stddev / sqrt(batches)`).
+    pub ci95_ns: f64,
+}
+
+/// Runs `f` repeatedly — three warm-up calls, then `samples` (clamped to
+/// 3..=10) batches of 16 — and summarizes the batch averages. The timing
+/// discipline the overhead gates (`obs_gate`, `trace_gate`, `interp_gate`)
+/// share.
+pub fn measure<O>(mut f: impl FnMut() -> O, samples: usize) -> Measurement {
+    for _ in 0..3 {
+        black_box(f());
+    }
+    let batches = samples.clamp(3, 10);
+    let mut avgs = Vec::with_capacity(batches);
+    for _ in 0..batches {
+        let batch = 16u32;
+        let start = Instant::now();
+        for _ in 0..batch {
+            black_box(f());
+        }
+        avgs.push(start.elapsed().as_nanos() as f64 / f64::from(batch));
+    }
+    let min_ns = avgs.iter().copied().fold(f64::INFINITY, f64::min);
+    let n = avgs.len() as f64;
+    let mean_ns = avgs.iter().sum::<f64>() / n;
+    let var = avgs.iter().map(|a| (a - mean_ns).powi(2)).sum::<f64>() / (n - 1.0);
+    let ci95_ns = 1.96 * (var / n).sqrt();
+    Measurement {
+        min_ns,
+        mean_ns,
+        ci95_ns,
+    }
 }
 
 /// Formats a ratio as the paper's `(%)` columns: optimized as a percentage

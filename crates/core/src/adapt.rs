@@ -279,6 +279,19 @@ pub struct AdaptStats {
     pub cache_invalidations: u64,
 }
 
+pdo_snap::codec_struct!(AdaptStats {
+    epochs,
+    sampled_epochs,
+    reprofiles,
+    chains_installed,
+    chains_dropped,
+    despecialized,
+    cache_hits,
+    cache_misses,
+    cache_evictions,
+    cache_invalidations,
+});
+
 impl AdaptStats {
     /// Field-wise sum of `other` into `self` — the one place that knows
     /// every counter, so shard/server rollups can't silently drop a field
@@ -332,6 +345,13 @@ pub struct EngineSnapshot {
     /// Per-event quarantine entries in id order.
     pub quarantine: Vec<(EventId, QuarantineEntry)>,
 }
+
+pdo_snap::codec_struct!(EngineSnapshot {
+    profile,
+    stats,
+    sleep_remaining,
+    quarantine,
+});
 
 /// Per-session state of the adaptive-specialization daemon.
 #[derive(Debug)]
@@ -1373,6 +1393,9 @@ mod tests {
             .expect("A quarantined");
         let snap = engine.borrow().snapshot();
         assert!(snap.stats.epochs > 0);
+        // Profile, counters and a live quarantine entry: the durable form
+        // round-trips and rejects every corruption.
+        pdo_snap::hostile::check(&snap);
         assert_eq!(
             snap.quarantine
                 .iter()

@@ -68,6 +68,13 @@ pub struct QuarantineEntry {
     pub until_ns: Option<u64>,
 }
 
+pdo_snap::codec_struct!(QuarantineEntry {
+    faults,
+    guard_misses,
+    strikes,
+    until_ns,
+});
+
 /// Per-event quarantine state. Feed it one [`RuntimeStats`] delta per epoch
 /// via [`Quarantine::observe`]; query with [`Quarantine::is_quarantined`].
 #[derive(Debug, Clone)]

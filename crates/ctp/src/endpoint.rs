@@ -35,6 +35,13 @@ pub struct CtpParams {
     pub max_retries: u32,
 }
 
+pdo_snap::codec_struct!(CtpParams {
+    ack_drop_every,
+    clk_period_ns,
+    link_faults,
+    max_retries,
+});
+
 impl Default for CtpParams {
     fn default() -> Self {
         CtpParams {
@@ -202,6 +209,22 @@ pub struct CtpLinkState {
     /// Arrivals rejected by the parity check.
     pub rx_corrupt_dropped: u64,
 }
+
+pdo_snap::codec_struct!(CtpLinkState {
+    unacked,
+    wire,
+    retransmissions,
+    sends_since_sample,
+    ack_drop_every,
+    link,
+    outcome,
+    max_retries,
+    retries,
+    timeout_base_ns,
+    unreachable,
+    rx,
+    rx_corrupt_dropped,
+});
 
 /// Statistics snapshot of an endpoint.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -1114,6 +1137,13 @@ mod tests {
             let sched = victim.runtime().export_sched();
             let clock = victim.runtime().clock_ns();
             let link = victim.export_link();
+            if i == 5 {
+                // Mid-conversation — unacked segments, retry counters, the
+                // faulty link's RNG cursor: the durable form round-trips
+                // and rejects every corruption.
+                pdo_snap::hostile::check(&link);
+                pdo_snap::hostile::check(&params);
+            }
             drop(victim);
 
             victim = CtpEndpoint::new(&program, params).unwrap();

@@ -56,6 +56,12 @@ pub enum FaultPolicy {
     Despecialize,
 }
 
+pdo_snap::codec_enum!(FaultPolicy {
+    0 => Abort,
+    1 => SkipEvent,
+    2 => Despecialize,
+});
+
 /// The kinds of fault the injector can produce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FaultKind {
@@ -85,6 +91,15 @@ pub enum FaultKind {
     /// Never appears in plans; recorded in stats and traces.
     HandlerTrap,
 }
+
+pdo_snap::codec_enum!(FaultKind {
+    0 => TrapDispatch,
+    1 => CorruptArg { index },
+    2 => ExhaustFuel,
+    3 => DropTimed,
+    4 => DelayTimed { extra_ns },
+    5 => HandlerTrap,
+});
 
 impl FaultKind {
     /// True for kinds that target the timed-raise counter rather than the
@@ -176,6 +191,13 @@ pub struct FaultInjectorState {
     /// Timed raises counted so far, per event.
     pub timed_counts: Vec<(EventId, u64)>,
 }
+
+pdo_snap::codec_struct!(FaultInjectorState {
+    dispatch_plan,
+    timed_plan,
+    dispatch_counts,
+    timed_counts,
+});
 
 /// A seeded, deterministic fault plan with per-event occurrence counters.
 ///
@@ -420,5 +442,34 @@ mod tests {
             kind: FaultKind::HandlerTrap,
         }]);
         assert_eq!(fi.pending(), 0);
+    }
+
+    #[test]
+    fn codecs_survive_the_hostile_sweep() {
+        let kinds = [
+            FaultKind::TrapDispatch,
+            FaultKind::CorruptArg { index: u16::MAX },
+            FaultKind::ExhaustFuel,
+            FaultKind::DropTimed,
+            FaultKind::DelayTimed { extra_ns: 7_000 },
+            FaultKind::HandlerTrap,
+        ];
+        let plan: Vec<_> = (0u64..)
+            .zip(kinds)
+            .map(|(n, k)| (EventId(3), n, k))
+            .collect();
+        pdo_snap::hostile::check(&FaultInjectorState {
+            dispatch_plan: plan.clone(),
+            timed_plan: plan[3..5].to_vec(),
+            dispatch_counts: vec![(EventId(0), 4), (EventId(3), 1)],
+            timed_counts: vec![],
+        });
+        for policy in [
+            FaultPolicy::Abort,
+            FaultPolicy::SkipEvent,
+            FaultPolicy::Despecialize,
+        ] {
+            pdo_snap::hostile::check(&policy);
+        }
     }
 }

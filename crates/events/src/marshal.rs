@@ -10,61 +10,13 @@
 //! dispatch path skips both.
 
 use pdo_ir::Value;
+use pdo_snap::{Codec, SnapReader, SnapWriter, SnapshotError, Via};
 
-/// A type tag recorded for each marshaled argument.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Tag {
-    /// No payload.
-    Unit,
-    /// `i64` payload.
-    Int,
-    /// Boolean payload.
-    Bool,
-    /// Byte-buffer payload.
-    Bytes,
-    /// String payload.
-    Str,
-}
-
-impl Tag {
-    /// The tag describing `v`.
-    pub fn of(v: &Value) -> Tag {
-        match v {
-            Value::Unit => Tag::Unit,
-            Value::Int(_) => Tag::Int,
-            Value::Bool(_) => Tag::Bool,
-            Value::Bytes(_) => Tag::Bytes,
-            Value::Str(_) => Tag::Str,
-        }
-    }
-
-    /// The wire byte for this tag. This is the shared marshaling
-    /// vocabulary: `pdo-snap` images and the `pdo-ingress` wire protocol
-    /// both carry tagged values with these bytes, so a payload marshaled
-    /// for generic dispatch encodes with the same tags it travels under.
-    pub fn to_byte(self) -> u8 {
-        match self {
-            Tag::Unit => 0,
-            Tag::Int => 1,
-            Tag::Bool => 2,
-            Tag::Bytes => 3,
-            Tag::Str => 4,
-        }
-    }
-
-    /// Decodes a wire byte back into a tag. `None` for unknown bytes —
-    /// wire decoders surface that as their typed malformed-input error.
-    pub fn from_byte(b: u8) -> Option<Tag> {
-        match b {
-            0 => Some(Tag::Unit),
-            1 => Some(Tag::Int),
-            2 => Some(Tag::Bool),
-            3 => Some(Tag::Bytes),
-            4 => Some(Tag::Str),
-            _ => None,
-        }
-    }
-}
+/// The type tag recorded for each marshaled argument: the shared
+/// value-tag vocabulary, declared once in `pdo-snap` so a payload
+/// marshaled for generic dispatch travels (on the ingress wire, in a
+/// durable image) under the same tag bytes it was packed with.
+pub use pdo_snap::Tag;
 
 /// Arguments packed for generic handler invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,6 +36,48 @@ impl Marshaled {
     /// True when no arguments were packed.
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
+    }
+}
+
+/// The marshal layout on the wire — one count, the tag vector, then the
+/// value bodies — exactly the shape [`marshal`] packs. Hand-written
+/// because that tags-then-bodies shape is the point: a field table would
+/// interleave each tag with its body.
+impl Codec for Marshaled {
+    fn put(&self, w: &mut SnapWriter) {
+        w.len_prefix(self.len());
+        for t in self.tags.iter() {
+            t.put(w);
+        }
+        for v in self.values.iter() {
+            Tag::put_body(v, w);
+        }
+    }
+
+    fn take(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let tags = Vec::<Tag>::take(r)?;
+        let mut values = Vec::with_capacity(tags.len());
+        for t in &tags {
+            values.push(t.take_body(r)?);
+        }
+        Ok(Marshaled {
+            values: values.into_boxed_slice(),
+            tags: tags.into_boxed_slice(),
+        })
+    }
+}
+
+/// An argument list declared `args as Marshaled` travels in the marshal
+/// layout: packed with [`marshal`] on encode and put through the same
+/// [`unmarshal`] validation walk the generic dispatch path pays on decode
+/// (by construction it passes; its cost is the point).
+impl Via<Marshaled> for Vec<Value> {
+    fn to_wire(&self) -> Marshaled {
+        marshal(self)
+    }
+
+    fn from_wire(wire: Marshaled) -> Result<Self, SnapshotError> {
+        unmarshal(&wire).map_err(SnapshotError::Malformed)
     }
 }
 
@@ -159,12 +153,26 @@ mod tests {
     }
 
     #[test]
-    fn tag_bytes_round_trip() {
-        for tag in [Tag::Unit, Tag::Int, Tag::Bool, Tag::Bytes, Tag::Str] {
-            assert_eq!(Tag::from_byte(tag.to_byte()), Some(tag));
+    fn marshal_layout_is_count_tags_bodies_and_survives_the_sweep() {
+        let m = marshal(&[
+            Value::Int(7),
+            Value::Unit,
+            Value::bytes(vec![9, 9]),
+            Value::Bool(true),
+            Value::str("s"),
+        ]);
+        pdo_snap::hostile::check(&m);
+
+        let mut w = SnapWriter::new();
+        w.u64(5);
+        for tag in [1, 0, 3, 2, 4] {
+            w.u8(tag);
         }
-        assert_eq!(Tag::from_byte(5), None);
-        assert_eq!(Tag::from_byte(0xFF), None);
+        w.i64(7);
+        w.bytes(&[9, 9]);
+        w.bool(true);
+        w.str("s");
+        assert_eq!(w.finish(), pdo_snap::encode(&m));
     }
 
     #[test]

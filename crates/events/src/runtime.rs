@@ -93,6 +93,13 @@ pub struct RuntimeConfig {
     pub fault_policy: FaultPolicy,
 }
 
+pdo_snap::codec_struct!(RuntimeConfig {
+    max_sync_depth,
+    max_steps,
+    fuel,
+    fault_policy,
+});
+
 impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
@@ -2582,5 +2589,16 @@ mod tests {
                 .copied(),
             Some(3)
         );
+    }
+
+    #[test]
+    fn config_codec_survives_the_hostile_sweep() {
+        pdo_snap::hostile::check(&RuntimeConfig::default());
+        pdo_snap::hostile::check(&RuntimeConfig {
+            max_sync_depth: 3,
+            max_steps: 99,
+            fuel: Some(1_000),
+            fault_policy: FaultPolicy::Despecialize,
+        });
     }
 }

@@ -64,6 +64,10 @@ pub struct Pending {
     pub trace: Option<QueuedTrace>,
 }
 
+// `trace` is an in-memory diagnostic rider: it is not encoded, so traces
+// do not survive a snapshot/restore cycle.
+pdo_snap::codec_struct!(Pending { event, args } skip { trace });
+
 // Equality is logical state only: the trace context is a diagnostic
 // rider and must not make two otherwise-identical schedulers diverge
 // (the chaos oracle compares reference vs optimized runtimes whose
@@ -88,6 +92,8 @@ pub struct TimerEntry {
     /// Causal-trace context of the scheduling raise, if tracing.
     pub trace: Option<QueuedTrace>,
 }
+
+pdo_snap::codec_struct!(TimerEntry { deadline_ns, seq, event, args } skip { trace });
 
 // Same contract as [`Pending`]: trace context is excluded.
 impl PartialEq for TimerEntry {
@@ -132,6 +138,8 @@ pub struct SchedulerState {
     /// Next insertion sequence number.
     pub seq: u64,
 }
+
+pdo_snap::codec_struct!(SchedulerState { queue, timers, seq });
 
 /// FIFO queue plus timer heap.
 #[derive(Debug, Default)]
@@ -360,5 +368,27 @@ mod tests {
         let mut s = Scheduler::new();
         s.push_timed(u64::MAX - 1, 100, EventId(0), vec![]);
         assert_eq!(s.next_deadline(), Some(u64::MAX));
+    }
+
+    #[test]
+    fn codec_survives_the_hostile_sweep_and_drops_trace_riders() {
+        let mut s = Scheduler::new();
+        s.push_async(EventId(1), vec![Value::Int(5), Value::str("x")]);
+        s.push_async(EventId(2), vec![]);
+        s.push_timed(10, 90, EventId(3), vec![Value::bytes(vec![1, 2])]);
+        s.push_timed(10, 20, EventId(4), vec![Value::Unit, Value::Bool(true)]);
+        let state = s.export_state();
+        pdo_snap::hostile::check(&state);
+
+        // A `Pending` is its event then its args; nothing of `trace`.
+        let queued = Pending {
+            event: EventId(9),
+            args: vec![Value::Int(1)],
+            trace: None,
+        };
+        assert_eq!(
+            pdo_snap::encode(&queued),
+            pdo_snap::encode(&(EventId(9), vec![Value::Int(1)]))
+        );
     }
 }

@@ -35,6 +35,14 @@ pub struct WireFaults {
     pub seed: u64,
 }
 
+pdo_snap::codec_struct!(WireFaults {
+    drop_per_mille,
+    dup_per_mille,
+    reorder_per_mille,
+    corrupt_per_mille,
+    seed,
+});
+
 impl WireFaults {
     /// True when every fault probability is zero (a perfect wire).
     pub fn is_perfect(&self) -> bool {
@@ -57,6 +65,13 @@ pub struct WireStats {
     /// Transmissions corrupted.
     pub corrupted: u64,
 }
+
+pdo_snap::codec_struct!(WireStats {
+    dropped,
+    duplicated,
+    reordered,
+    corrupted,
+});
 
 impl WireStats {
     /// Exports the four fault counters into `snap` as
@@ -130,6 +145,8 @@ pub struct WireState<T> {
     /// Fault counters so far.
     pub stats: WireStats,
 }
+
+pdo_snap::codec_struct!(WireState<T> { faults, rng, held, stats });
 
 /// A seeded lossy/duplicating/reordering/corrupting wire for frames of
 /// type `T`.
@@ -306,6 +323,13 @@ pub struct ReceiverState<T> {
     /// Duplicate arrivals discarded.
     pub duplicates: u64,
 }
+
+pdo_snap::codec_struct!(ReceiverState<T> {
+    next,
+    buffer,
+    delivered,
+    duplicates,
+});
 
 /// Receiver-side companion to [`FaultyWire`] for sequence-numbered frames:
 /// deduplicates by sequence number, buffers out-of-order arrivals, and
@@ -598,5 +622,36 @@ mod tests {
             assert_eq!(*seq, i as i64);
             assert_eq!(*payload, seq * 10);
         }
+    }
+
+    #[test]
+    fn codecs_survive_the_hostile_sweep() {
+        let faults = WireFaults {
+            drop_per_mille: 1,
+            dup_per_mille: 20,
+            reorder_per_mille: 300,
+            corrupt_per_mille: 1000,
+            seed: 0xFEED,
+        };
+        let stats = WireStats {
+            dropped: 1,
+            duplicated: 2,
+            reordered: 3,
+            corrupted: 4,
+        };
+        for held in [None, Some(((7i64, vec![1u8, 2, 3]), 2u32))] {
+            pdo_snap::hostile::check(&WireState {
+                faults,
+                rng: u64::MAX,
+                held,
+                stats,
+            });
+        }
+        pdo_snap::hostile::check(&ReceiverState {
+            next: -3,
+            buffer: vec![(5i64, vec![5u8]), (9, vec![])],
+            delivered: vec![(1, b"one".to_vec())],
+            duplicates: 6,
+        });
     }
 }

@@ -67,14 +67,6 @@ struct Conn {
     out_pos: usize,
 }
 
-/// splitmix64 finalizer — the same mix the server's placement uses.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Power-of-two-choices shard for a new connection: two deterministic
 /// candidates from the connection id, pick the one with fewer live
 /// connections, queue depth breaking ties.
@@ -83,7 +75,7 @@ fn pick_shard(shared: &Shared, conn_id: u64) -> usize {
     if n == 1 {
         return 0;
     }
-    let h = splitmix64(conn_id);
+    let h = pdo_server::splitmix64(conn_id);
     let a = (h as usize) % n;
     let b = ((h >> 32) as usize) % n;
     let load = |s: usize| {

@@ -9,12 +9,13 @@
 //! order, because a `Shed` reply can overtake queued work) followed by a
 //! command or reply body.
 //!
-//! Raise arguments travel in the `pdo-events` marshaling layout — a tag
-//! vector then the value bodies, exactly how [`pdo_events::marshal`]
-//! packs arguments for generic dispatch — and the decoder runs the same
-//! tag/value validation walk ([`unmarshal`]) the generic path pays. The
-//! tag bytes are the shared vocabulary pinned by
-//! [`pdo_events::marshal::Tag::to_byte`].
+//! Every payload type declares its layout once, as the `pdo_snap::Codec`
+//! field table next to it; encode and decode are both derived from that
+//! table. Raise arguments travel `as Marshaled`: the `pdo-events`
+//! marshaling layout — a tag vector then the value bodies, exactly how
+//! [`pdo_events::marshal`] packs arguments for generic dispatch — and the
+//! decoder runs the same tag/value validation walk (`unmarshal`) the
+//! generic path pays.
 //!
 //! Error classification matters more than error detail here: a frame that
 //! fails *framing* (bad magic, bad version, bad checksum, impossible
@@ -25,9 +26,9 @@
 //! encodes that split.
 
 use crate::IngressError;
-use pdo_events::marshal::{marshal, unmarshal, Marshaled, Tag};
+use pdo_events::marshal::Marshaled;
 use pdo_ir::{Module, Value};
-use pdo_snap::{peek_frame_len, SnapReader, SnapWriter, SnapshotError};
+use pdo_snap::{codec_enum, codec_struct, peek_frame_len, Codec, SnapReader, SnapWriter};
 
 /// Leading bytes of every ingress frame. Distinct from the `pdo-snap`
 /// durable-image magic so a wire frame can never be mistaken for a
@@ -41,36 +42,6 @@ pub const WIRE_VERSION: u32 = 1;
 /// rejects larger declarations before buffering them, so a hostile
 /// length field cannot balloon memory.
 pub const MAX_FRAME_LEN: usize = 1 << 20;
-
-const REQ_OPEN: u8 = 1;
-const REQ_RAISE: u8 = 2;
-const REQ_QUERY: u8 = 3;
-const REQ_CLOSE: u8 = 4;
-const REQ_METRICS: u8 = 5;
-const REQ_TRACE_DUMP: u8 = 6;
-
-const OPEN_PLAIN: u8 = 0;
-const OPEN_CTP: u8 = 1;
-const OPEN_SECCOMM: u8 = 2;
-
-const MODE_SYNC: u8 = 0;
-const MODE_ASYNC: u8 = 1;
-const MODE_TIMED: u8 = 2;
-
-const REP_OPENED: u8 = 1;
-const REP_DONE: u8 = 2;
-const REP_STATS: u8 = 3;
-const REP_CLOSED: u8 = 4;
-const REP_SHED: u8 = 5;
-const REP_ERROR: u8 = 6;
-const REP_METRICS_TEXT: u8 = 7;
-const REP_TRACE: u8 = 8;
-
-const TRACE_SEL_LAST: u8 = 0;
-const TRACE_SEL_ID: u8 = 1;
-
-const TRACE_FMT_LINES: u8 = 0;
-const TRACE_FMT_CHROME: u8 = 1;
 
 /// What kind of session an `Open` creates on the connection's shard.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,6 +60,12 @@ pub enum OpenKind {
     SecComm,
 }
 
+codec_enum!(OpenKind {
+    0 => Plain { module, bindings },
+    1 => Ctp,
+    2 => SecComm,
+});
+
 /// Raise mode on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireMode {
@@ -103,6 +80,12 @@ pub enum WireMode {
         delay_ns: u64,
     },
 }
+
+codec_enum!(WireMode {
+    0 => Sync,
+    1 => Async,
+    2 => Timed { delay_ns },
+});
 
 /// A decoded client command.
 #[derive(Debug, Clone, PartialEq)]
@@ -143,6 +126,15 @@ pub enum Request {
     },
 }
 
+codec_enum!(Request {
+    1 => Open(kind),
+    2 => Raise { session, event, mode, args as Marshaled },
+    3 => Query { session },
+    4 => Close { session },
+    5 => MetricsScrape,
+    6 => TraceDump { selector, format },
+});
+
 /// Which traces a [`Request::TraceDump`] pulls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceSelector {
@@ -153,6 +145,11 @@ pub enum TraceSelector {
     Id(u64),
 }
 
+codec_enum!(TraceSelector {
+    0 => LastN(n),
+    1 => Id(id),
+});
+
 /// Export encoding of a [`Reply::Trace`] body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceFormat {
@@ -161,6 +158,11 @@ pub enum TraceFormat {
     /// Chrome trace-event JSON (load in `about:tracing` or Perfetto).
     Chrome,
 }
+
+codec_enum!(TraceFormat {
+    0 => Lines,
+    1 => Chrome,
+});
 
 /// One session's counters, as returned by `Query`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -185,6 +187,18 @@ pub struct SessionStats {
     pub timers: u64,
 }
 
+codec_struct!(SessionStats {
+    session,
+    shard,
+    clock_ns,
+    dispatched,
+    fastpath_hits,
+    guard_misses,
+    chains_live,
+    queued,
+    timers,
+});
+
 /// Why a request was refused, in machine-readable form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCode {
@@ -202,32 +216,14 @@ pub enum ErrorCode {
     Internal,
 }
 
-impl ErrorCode {
-    /// Wire byte for this code.
-    pub fn to_byte(self) -> u8 {
-        match self {
-            ErrorCode::UnknownSession => 1,
-            ErrorCode::WrongKind => 2,
-            ErrorCode::Runtime => 3,
-            ErrorCode::Quiesced => 4,
-            ErrorCode::Malformed => 5,
-            ErrorCode::Internal => 6,
-        }
-    }
-
-    /// Decode a wire byte.
-    pub fn from_byte(b: u8) -> Option<ErrorCode> {
-        match b {
-            1 => Some(ErrorCode::UnknownSession),
-            2 => Some(ErrorCode::WrongKind),
-            3 => Some(ErrorCode::Runtime),
-            4 => Some(ErrorCode::Quiesced),
-            5 => Some(ErrorCode::Malformed),
-            6 => Some(ErrorCode::Internal),
-            _ => None,
-        }
-    }
-}
+codec_enum!(ErrorCode {
+    1 => UnknownSession,
+    2 => WrongKind,
+    3 => Runtime,
+    4 => Quiesced,
+    5 => Malformed,
+    6 => Internal,
+});
 
 /// A decoded server reply.
 #[derive(Debug, Clone, PartialEq)]
@@ -272,139 +268,35 @@ pub enum Reply {
     },
 }
 
-fn malformed<T>(why: impl Into<String>) -> Result<T, SnapshotError> {
-    Err(SnapshotError::Malformed(why.into()))
+codec_enum!(Reply {
+    1 => Opened { session },
+    2 => Done,
+    3 => Stats(stats),
+    4 => Closed { existed },
+    5 => Shed { retry_after_ns },
+    6 => Error { code, message },
+    7 => MetricsText { text },
+    8 => Trace { body },
+});
+
+/// One frame: `req_id`, then the command or reply body.
+fn encode<T: Codec>(req_id: u64, body: &T) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    w.u64(req_id);
+    body.put(&mut w);
+    w.finish_frame(&WIRE_MAGIC, WIRE_VERSION)
+}
+
+fn decode<T: Codec>(frame: &[u8]) -> Result<(u64, T), IngressError> {
+    SnapReader::framed(frame, &WIRE_MAGIC, WIRE_VERSION)
+        .map_err(IngressError::Frame)?
+        .finish_as()
+        .map_err(IngressError::Payload)
 }
 
 /// Encodes one request under `req_id` into a complete wire frame.
 pub fn encode_request(req_id: u64, req: &Request) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    w.u64(req_id);
-    match req {
-        Request::Open(kind) => {
-            w.u8(REQ_OPEN);
-            match kind {
-                OpenKind::Plain { module, bindings } => {
-                    w.u8(OPEN_PLAIN);
-                    w.module(module);
-                    w.u64(bindings.len() as u64);
-                    for &(event, func, order) in bindings {
-                        w.u32(event);
-                        w.u32(func);
-                        w.i64(i64::from(order));
-                    }
-                }
-                OpenKind::Ctp => w.u8(OPEN_CTP),
-                OpenKind::SecComm => w.u8(OPEN_SECCOMM),
-            }
-        }
-        Request::Raise {
-            session,
-            event,
-            mode,
-            args,
-        } => {
-            w.u8(REQ_RAISE);
-            w.u64(*session);
-            w.u32(*event);
-            match mode {
-                WireMode::Sync => w.u8(MODE_SYNC),
-                WireMode::Async => w.u8(MODE_ASYNC),
-                WireMode::Timed { delay_ns } => {
-                    w.u8(MODE_TIMED);
-                    w.u64(*delay_ns);
-                }
-            }
-            // The marshal layout: pack exactly as the generic dispatch
-            // path would, then emit the tag vector followed by the bodies.
-            let m = marshal(args);
-            w.u64(m.len() as u64);
-            for t in m.tags.iter() {
-                w.u8(t.to_byte());
-            }
-            for v in m.values.iter() {
-                value_body(&mut w, v);
-            }
-        }
-        Request::Query { session } => {
-            w.u8(REQ_QUERY);
-            w.u64(*session);
-        }
-        Request::Close { session } => {
-            w.u8(REQ_CLOSE);
-            w.u64(*session);
-        }
-        Request::MetricsScrape => w.u8(REQ_METRICS),
-        Request::TraceDump { selector, format } => {
-            w.u8(REQ_TRACE_DUMP);
-            match selector {
-                TraceSelector::LastN(n) => {
-                    w.u8(TRACE_SEL_LAST);
-                    w.u64(*n);
-                }
-                TraceSelector::Id(id) => {
-                    w.u8(TRACE_SEL_ID);
-                    w.u64(*id);
-                }
-            }
-            w.u8(match format {
-                TraceFormat::Lines => TRACE_FMT_LINES,
-                TraceFormat::Chrome => TRACE_FMT_CHROME,
-            });
-        }
-    }
-    w.finish_frame(&WIRE_MAGIC, WIRE_VERSION)
-}
-
-fn value_body(w: &mut SnapWriter, v: &Value) {
-    match v {
-        Value::Unit => {}
-        Value::Int(i) => w.i64(*i),
-        Value::Bool(b) => w.bool(*b),
-        Value::Bytes(b) => w.bytes(b),
-        Value::Str(s) => w.str(s),
-    }
-}
-
-fn take_value_body(r: &mut SnapReader<'_>, tag: Tag) -> Result<Value, SnapshotError> {
-    Ok(match tag {
-        Tag::Unit => Value::Unit,
-        Tag::Int => Value::Int(r.take_i64()?),
-        Tag::Bool => Value::Bool(r.take_bool()?),
-        Tag::Bytes => Value::bytes(r.take_bytes()?),
-        Tag::Str => Value::Str(r.take_str()?.into()),
-    })
-}
-
-fn take_args(r: &mut SnapReader<'_>) -> Result<Vec<Value>, SnapshotError> {
-    let argc = r.take_u64()? as usize;
-    // Each argument costs at least one tag byte, so a count larger than
-    // the remaining payload is provably a lie — reject before allocating.
-    if argc > r.remaining() {
-        return malformed(format!(
-            "argument count {argc} exceeds remaining payload ({} bytes)",
-            r.remaining()
-        ));
-    }
-    let mut tags = Vec::with_capacity(argc);
-    for _ in 0..argc {
-        let b = r.take_u8()?;
-        match Tag::from_byte(b) {
-            Some(t) => tags.push(t),
-            None => return malformed(format!("unknown argument tag byte {b:#04x}")),
-        }
-    }
-    let mut values = Vec::with_capacity(argc);
-    for &t in &tags {
-        values.push(take_value_body(r, t)?);
-    }
-    // Run the same tag/value validation walk the generic dispatch path
-    // performs; by construction it passes, and its cost is the point.
-    let m = Marshaled {
-        values: values.into_boxed_slice(),
-        tags: tags.into_boxed_slice(),
-    };
-    unmarshal(&m).map_err(SnapshotError::Malformed)
+    encode(req_id, req)
 }
 
 /// Decodes a complete request frame into `(req_id, request)`.
@@ -414,139 +306,16 @@ fn take_args(r: &mut SnapReader<'_>) -> Result<Vec<Value>, SnapshotError> {
 /// [`IngressError::Frame`] when the framing itself (magic, version,
 /// checksum, length) is wrong — the byte stream is unreliable and the
 /// connection must close. [`IngressError::Payload`] when the frame
-/// verified but its body grammar is wrong — reply with a typed error and
-/// keep the connection.
+/// verified but its body grammar is wrong (including trailing bytes: the
+/// sender speaks a different grammar) — reply with a typed error and keep
+/// the connection.
 pub fn decode_request(frame: &[u8]) -> Result<(u64, Request), IngressError> {
-    let mut r =
-        SnapReader::framed(frame, &WIRE_MAGIC, WIRE_VERSION).map_err(IngressError::Frame)?;
-    request_body(&mut r).map_err(IngressError::Payload)
-}
-
-fn request_body(r: &mut SnapReader<'_>) -> Result<(u64, Request), SnapshotError> {
-    let req_id = r.take_u64()?;
-    let tag = r.take_u8()?;
-    let req = match tag {
-        REQ_OPEN => {
-            let kind = match r.take_u8()? {
-                OPEN_PLAIN => {
-                    let module = r.take_module()?;
-                    let n = r.take_u64()? as usize;
-                    if n > r.remaining() {
-                        return malformed(format!(
-                            "binding count {n} exceeds remaining payload ({} bytes)",
-                            r.remaining()
-                        ));
-                    }
-                    let mut bindings = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        let event = r.take_u32()?;
-                        let func = r.take_u32()?;
-                        let order = r.take_i64()?;
-                        let order = i32::try_from(order).map_err(|_| {
-                            SnapshotError::Malformed(format!("binding order {order} overflows i32"))
-                        })?;
-                        bindings.push((event, func, order));
-                    }
-                    OpenKind::Plain { module, bindings }
-                }
-                OPEN_CTP => OpenKind::Ctp,
-                OPEN_SECCOMM => OpenKind::SecComm,
-                b => return malformed(format!("unknown open kind byte {b:#04x}")),
-            };
-            Request::Open(kind)
-        }
-        REQ_RAISE => {
-            let session = r.take_u64()?;
-            let event = r.take_u32()?;
-            let mode = match r.take_u8()? {
-                MODE_SYNC => WireMode::Sync,
-                MODE_ASYNC => WireMode::Async,
-                MODE_TIMED => WireMode::Timed {
-                    delay_ns: r.take_u64()?,
-                },
-                b => return malformed(format!("unknown raise mode byte {b:#04x}")),
-            };
-            let args = take_args(r)?;
-            Request::Raise {
-                session,
-                event,
-                mode,
-                args,
-            }
-        }
-        REQ_QUERY => Request::Query {
-            session: r.take_u64()?,
-        },
-        REQ_CLOSE => Request::Close {
-            session: r.take_u64()?,
-        },
-        REQ_METRICS => Request::MetricsScrape,
-        REQ_TRACE_DUMP => {
-            let selector = match r.take_u8()? {
-                TRACE_SEL_LAST => TraceSelector::LastN(r.take_u64()?),
-                TRACE_SEL_ID => TraceSelector::Id(r.take_u64()?),
-                b => return malformed(format!("unknown trace selector byte {b:#04x}")),
-            };
-            let format = match r.take_u8()? {
-                TRACE_FMT_LINES => TraceFormat::Lines,
-                TRACE_FMT_CHROME => TraceFormat::Chrome,
-                b => return malformed(format!("unknown trace format byte {b:#04x}")),
-            };
-            Request::TraceDump { selector, format }
-        }
-        b => return malformed(format!("unknown request tag byte {b:#04x}")),
-    };
-    // Consume-everything check: trailing bytes in a checksum-valid frame
-    // mean the sender speaks a different grammar.
-    take_finish(r)?;
-    Ok((req_id, req))
+    decode(frame)
 }
 
 /// Encodes one reply under `req_id` into a complete wire frame.
 pub fn encode_reply(req_id: u64, reply: &Reply) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    w.u64(req_id);
-    match reply {
-        Reply::Opened { session } => {
-            w.u8(REP_OPENED);
-            w.u64(*session);
-        }
-        Reply::Done => w.u8(REP_DONE),
-        Reply::Stats(s) => {
-            w.u8(REP_STATS);
-            w.u64(s.session);
-            w.u32(s.shard);
-            w.u64(s.clock_ns);
-            w.u64(s.dispatched);
-            w.u64(s.fastpath_hits);
-            w.u64(s.guard_misses);
-            w.u64(s.chains_live);
-            w.u64(s.queued);
-            w.u64(s.timers);
-        }
-        Reply::Closed { existed } => {
-            w.u8(REP_CLOSED);
-            w.bool(*existed);
-        }
-        Reply::Shed { retry_after_ns } => {
-            w.u8(REP_SHED);
-            w.u64(*retry_after_ns);
-        }
-        Reply::Error { code, message } => {
-            w.u8(REP_ERROR);
-            w.u8(code.to_byte());
-            w.str(message);
-        }
-        Reply::MetricsText { text } => {
-            w.u8(REP_METRICS_TEXT);
-            w.str(text);
-        }
-        Reply::Trace { body } => {
-            w.u8(REP_TRACE);
-            w.str(body);
-        }
-    }
-    w.finish_frame(&WIRE_MAGIC, WIRE_VERSION)
+    encode(req_id, reply)
 }
 
 /// Decodes a complete reply frame into `(req_id, reply)`.
@@ -555,62 +324,7 @@ pub fn encode_reply(req_id: u64, reply: &Reply) -> Vec<u8> {
 ///
 /// As [`decode_request`].
 pub fn decode_reply(frame: &[u8]) -> Result<(u64, Reply), IngressError> {
-    let mut r =
-        SnapReader::framed(frame, &WIRE_MAGIC, WIRE_VERSION).map_err(IngressError::Frame)?;
-    reply_body(&mut r).map_err(IngressError::Payload)
-}
-
-fn reply_body(r: &mut SnapReader<'_>) -> Result<(u64, Reply), SnapshotError> {
-    let req_id = r.take_u64()?;
-    let tag = r.take_u8()?;
-    let reply = match tag {
-        REP_OPENED => Reply::Opened {
-            session: r.take_u64()?,
-        },
-        REP_DONE => Reply::Done,
-        REP_STATS => Reply::Stats(SessionStats {
-            session: r.take_u64()?,
-            shard: r.take_u32()?,
-            clock_ns: r.take_u64()?,
-            dispatched: r.take_u64()?,
-            fastpath_hits: r.take_u64()?,
-            guard_misses: r.take_u64()?,
-            chains_live: r.take_u64()?,
-            queued: r.take_u64()?,
-            timers: r.take_u64()?,
-        }),
-        REP_CLOSED => Reply::Closed {
-            existed: r.take_bool()?,
-        },
-        REP_SHED => Reply::Shed {
-            retry_after_ns: r.take_u64()?,
-        },
-        REP_ERROR => {
-            let b = r.take_u8()?;
-            let code = ErrorCode::from_byte(b)
-                .ok_or_else(|| SnapshotError::Malformed(format!("unknown error code {b:#04x}")))?;
-            Reply::Error {
-                code,
-                message: r.take_str()?,
-            }
-        }
-        REP_METRICS_TEXT => Reply::MetricsText {
-            text: r.take_str()?,
-        },
-        REP_TRACE => Reply::Trace {
-            body: r.take_str()?,
-        },
-        b => return malformed(format!("unknown reply tag byte {b:#04x}")),
-    };
-    take_finish(r)?;
-    Ok((req_id, reply))
-}
-
-fn take_finish(r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-    if r.remaining() != 0 {
-        return Err(SnapshotError::TrailingBytes);
-    }
-    Ok(())
+    decode(frame)
 }
 
 /// Best-effort extraction of the `req_id` from a frame whose payload
@@ -685,6 +399,16 @@ impl FrameBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdo_snap::{hostile, SnapshotError};
+
+    /// Corruption of a frame is caught by the framing — stream-fatal —
+    /// never left to the payload grammar.
+    fn framing_error<T>(decoded: Result<T, IngressError>) -> Result<T, SnapshotError> {
+        decoded.map_err(|e| match e {
+            IngressError::Frame(e) => e,
+            other => panic!("a corrupt frame must be stream-fatal, got {other}"),
+        })
+    }
 
     #[test]
     fn request_frames_round_trip() {
@@ -717,7 +441,7 @@ mod tests {
         ];
         for (i, req) in reqs.iter().enumerate() {
             let frame = encode_request(i as u64, req);
-            let (id, back) = decode_request(&frame).unwrap();
+            let (id, back) = hostile::sweep(&frame, |b| framing_error(decode_request(b)));
             assert_eq!(id, i as u64);
             assert_eq!(&back, req);
         }
@@ -756,7 +480,7 @@ mod tests {
         ];
         for (i, rep) in reps.iter().enumerate() {
             let frame = encode_reply(1000 + i as u64, rep);
-            let (id, back) = decode_reply(&frame).unwrap();
+            let (id, back) = hostile::sweep(&frame, |b| framing_error(decode_reply(b)));
             assert_eq!(id, 1000 + i as u64);
             assert_eq!(&back, rep);
         }
@@ -818,6 +542,35 @@ mod tests {
         let err = decode_request(&frame).unwrap_err();
         assert!(!err.is_stream_fatal(), "bad body must keep the stream");
         assert_eq!(frame_req_id(&frame), Some(42));
+
+        // Valid checksum, a collection count the rest of the payload
+        // cannot hold (raise arguments, open bindings): refused as a
+        // payload error before anything is allocated for it.
+        let lying_count = |head: &dyn Fn(&mut SnapWriter)| {
+            let mut w = SnapWriter::new();
+            w.u64(42);
+            head(&mut w);
+            w.u64(u64::MAX >> 1);
+            w.u64(0);
+            decode_request(&w.finish_frame(&WIRE_MAGIC, WIRE_VERSION)).unwrap_err()
+        };
+        let raise = lying_count(&|w| {
+            w.u8(2);
+            w.u64(7); // session
+            w.u32(3); // event
+            w.u8(0); // sync
+        });
+        let open = lying_count(&|w| {
+            w.u8(1);
+            w.u8(0); // plain
+            w.str("");
+        });
+        for err in [raise, open] {
+            assert!(
+                matches!(err, IngressError::Payload(SnapshotError::Malformed(_))),
+                "{err}"
+            );
+        }
     }
 
     #[test]

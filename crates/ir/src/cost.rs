@@ -4,8 +4,8 @@
 //! calls, argument marshaling, state maintenance (locking), and redundant
 //! work across handlers. The interpreter and the event runtime increment
 //! these counters so tests and the report harness can attribute savings to
-//! each source deterministically (wall-clock benches measure the same paths
-//! with Criterion).
+//! each source deterministically (the `pdo-bench` gates and `benchmark/`
+//! measure the same paths in wall-clock time).
 
 use std::fmt;
 use std::ops::{Add, AddAssign};

@@ -38,6 +38,13 @@ pub struct BuilderState {
     pub fresh: u64,
 }
 
+pdo_snap::codec_struct!(BuilderState {
+    event_graph,
+    handler_graph,
+    prev_raise,
+    fresh,
+});
+
 /// Accumulates trace windows into a decaying profile.
 #[derive(Debug, Clone, Default)]
 pub struct ProfileBuilder {
@@ -242,6 +249,7 @@ impl ProfileBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::EdgeData;
     use pdo_ir::FuncId;
 
     fn raise(event: u32) -> TraceRecord {
@@ -404,5 +412,37 @@ mod tests {
         let r = p.reduced();
         assert!(r.edges.contains_key(&(EventId(0), EventId(1))));
         assert!(!r.nodes.contains_key(&EventId(2)));
+    }
+
+    #[test]
+    fn state_codec_survives_the_hostile_sweep() {
+        let (a, b) = (EventId(0), EventId(2));
+        let edge = EdgeData {
+            weight: 9,
+            sync: 7,
+            asynchronous: 2,
+        };
+        let seq = |handlers: &[u32], count| HandlerSeq {
+            handlers: handlers.iter().map(|&h| FuncId(h)).collect(),
+            count,
+        };
+        let nested = NestedRaise {
+            parent_event: a,
+            handler: FuncId(1),
+            child_event: b,
+        };
+        pdo_snap::hostile::check(&BuilderState {
+            event_graph: EventGraph {
+                nodes: [(a, 10), (b, 9)].into(),
+                edges: [((a, b), edge), ((b, a), EdgeData::default())].into(),
+            },
+            handler_graph: HandlerGraph {
+                sequences: [(a, vec![seq(&[1, 4], 8), seq(&[], 2)]), (b, vec![])].into(),
+                nested: [(nested, 5)].into(),
+            },
+            prev_raise: Some(b),
+            fresh: 19,
+        });
+        pdo_snap::hostile::check(&BuilderState::default());
     }
 }

@@ -27,6 +27,12 @@ pub struct EdgeData {
     pub asynchronous: u64,
 }
 
+pdo_snap::codec_struct!(EdgeData {
+    weight,
+    sync,
+    asynchronous,
+});
+
 impl EdgeData {
     /// The edge's activation classification.
     pub fn mode(&self) -> EdgeMode {
@@ -55,6 +61,8 @@ pub struct EventGraph {
     /// Edge data keyed by `(from, to)`.
     pub edges: BTreeMap<(EventId, EventId), EdgeData>,
 }
+
+pdo_snap::codec_struct!(EventGraph { nodes, edges });
 
 impl EventGraph {
     /// An empty graph.

@@ -24,6 +24,8 @@ pub struct HandlerSeq {
     pub count: u64,
 }
 
+pdo_snap::codec_struct!(HandlerSeq { handlers, count });
+
 /// A synchronous raise observed inside a handler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct NestedRaise {
@@ -35,6 +37,12 @@ pub struct NestedRaise {
     pub child_event: EventId,
 }
 
+pdo_snap::codec_struct!(NestedRaise {
+    parent_event,
+    handler,
+    child_event,
+});
+
 /// Per-event handler observations.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct HandlerGraph {
@@ -43,6 +51,8 @@ pub struct HandlerGraph {
     /// Counts of synchronous raises nested within handlers.
     pub nested: BTreeMap<NestedRaise, u64>,
 }
+
+pdo_snap::codec_struct!(HandlerGraph { sequences, nested });
 
 impl HandlerGraph {
     /// An empty handler graph.

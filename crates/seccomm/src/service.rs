@@ -34,6 +34,8 @@ pub struct Keys {
     pub mac: Vec<u8>,
 }
 
+pdo_snap::codec_struct!(Keys { des, xor, mac });
+
 impl Default for Keys {
     fn default() -> Self {
         Keys {
@@ -222,6 +224,13 @@ pub struct SecWireState {
     /// Packets dropped because KeyedMD5 verification failed.
     pub mac_failures: u64,
 }
+
+pdo_snap::codec_struct!(SecWireState {
+    outbox,
+    delivered,
+    decode_ok,
+    mac_failures,
+});
 
 impl Default for SecWireState {
     fn default() -> Self {
@@ -923,6 +932,20 @@ mod tests {
         let mut fresh = Endpoint::new(&program, &Keys::default()).unwrap();
         fresh.restore_wire(state.clone());
         assert_eq!(fresh.export_wire(), state);
+
+        // The durable forms round-trip and reject every corruption; a DES
+        // key of the wrong length is a typed error, not a panic.
+        pdo_snap::hostile::check(&tx.export_wire());
+        pdo_snap::hostile::check(&state);
+        pdo_snap::hostile::check(&Keys::default());
+        let mut short = pdo_snap::SnapWriter::new();
+        short.bytes(b"7 bytes");
+        short.bytes(b"xor");
+        short.bytes(b"mac");
+        assert!(matches!(
+            pdo_snap::decode::<Keys>(&short.finish()),
+            Err(pdo_snap::SnapshotError::Malformed(_))
+        ));
 
         // The restored endpoint keeps working and keeps counting from the
         // carried totals.

@@ -66,7 +66,7 @@ use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
 mod snapshot;
-use snapshot::{KindSnapshot, SessionSnapshot};
+use snapshot::{Image, KindSnapshot, SessionSnapshot};
 
 const WORKER_ALIVE: &str = "shard worker lives until Server::drop closes the channel";
 const WORKER_REPLIES: &str = "shard worker replies to every command before exiting";
@@ -75,6 +75,15 @@ const SHARD_OWNED: &str = "commands are routed to the worker that owns the shard
 /// Identifies one session for the lifetime of the server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SessionId(pub u64);
+
+impl pdo_snap::Codec for SessionId {
+    fn put(&self, w: &mut pdo_snap::SnapWriter) {
+        w.u64(self.0);
+    }
+    fn take(r: &mut pdo_snap::SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(SessionId(r.take_u64()?))
+    }
+}
 
 impl fmt::Display for SessionId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -332,8 +341,9 @@ impl ServerReport {
 // instead of a second hand-rolled one.
 
 /// Finalizer of splitmix64; the standard 64-bit mix used to derive the
-/// two deterministic placement candidates from a session id.
-fn splitmix64(mut x: u64) -> u64 {
+/// two deterministic placement candidates from a session id (and, by the
+/// ingress, a connection's shard from its id).
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -1871,12 +1881,12 @@ impl Server {
     /// byte-identical images.
     pub fn snapshot_to_bytes(&mut self) -> Vec<u8> {
         let started = Instant::now();
-        let mut sessions: Vec<(SessionId, usize, SessionSnapshot)> = Vec::new();
+        let mut sessions = BTreeMap::new();
         match &mut self.mode {
             Mode::Inline(states) => {
                 for state in states.iter() {
                     for (id, snap) in state.snapshot_all() {
-                        sessions.push((id, state.index, snap));
+                        sessions.insert(id, (state.index, snap));
                     }
                 }
             }
@@ -1892,19 +1902,22 @@ impl Server {
                     .collect();
                 for (shard, rx) in receivers.into_iter().enumerate() {
                     for (id, snap) in rx.recv().expect(WORKER_REPLIES) {
-                        sessions.push((id, shard, snap));
+                        sessions.insert(id, (shard, snap));
                     }
                 }
             }
         }
-        sessions.sort_by_key(|(id, _, _)| *id);
-        let bytes = snapshot::encode_image(self.next_id, &sessions);
+        let image = Image {
+            next_id: self.next_id,
+            sessions,
+        };
+        let bytes = pdo_snap::encode(&image);
         self.snapshots_total += 1;
         self.snapshot_bytes.record(bytes.len() as u64);
         self.encode_wall_ns
             .record(started.elapsed().as_nanos() as u64);
         self.obs_record(ObsKind::SnapshotPersisted {
-            sessions: sessions.len() as u32,
+            sessions: image.sessions.len() as u32,
             bytes: bytes.len() as u64,
         });
         bytes
@@ -1924,8 +1937,8 @@ impl Server {
     /// before any session from the image is opened.
     pub fn restore_from_bytes(&mut self, bytes: &[u8]) -> Result<Vec<SessionId>, ServerError> {
         let started = Instant::now();
-        let (next_id, sessions) = snapshot::decode_image(bytes).map_err(ServerError::Snapshot)?;
-        for (id, _, _) in &sessions {
+        let Image { next_id, sessions } = pdo_snap::decode(bytes).map_err(ServerError::Snapshot)?;
+        for id in sessions.keys() {
             if self.placement.contains_key(id) {
                 return Err(ServerError::Snapshot(SnapshotError::Malformed(format!(
                     "image session {id} is already open on this server"
@@ -1934,7 +1947,7 @@ impl Server {
         }
         let mut restored = Vec::with_capacity(sessions.len());
         let count = sessions.len() as u32;
-        for (id, shard, snap) in sessions {
+        for (id, (shard, snap)) in sessions {
             let shard = shard % self.shards();
             let result = match &mut self.mode {
                 Mode::Inline(states) => {

@@ -1,32 +1,29 @@
-//! The durable session/server snapshot codec.
+//! The durable session/server snapshot types.
 //!
 //! [`SessionSnapshot`] is the complete migratable state of one session —
 //! base module, runtime limits, bindings, globals, virtual clock,
-//! scheduler queue and timer wheel, pending fault plan, the adaptation
+//! scheduler queue and timer heap, pending fault plan, the adaptation
 //! daemon's [`EngineSnapshot`], and the protocol endpoint's link or wire
 //! state — everything a fresh shard (or a fresh process) needs to resume
 //! the session instead of cold-starting it. In-memory migration ships the
-//! struct across the shard channel; durable persistence runs it through
-//! [`encode_image`]/[`decode_image`] over the `pdo-snap` frame.
+//! struct across the shard channel; durable persistence runs an [`Image`]
+//! through `pdo_snap::{encode, decode}`.
 //!
-//! Every encoder destructures its struct exhaustively, so adding a field
-//! to any captured state type is a compile error here rather than a
-//! silently incomplete snapshot. Collections iterate in key order
-//! (`BTreeMap`s, seq-sorted vectors), so encoding is deterministic:
+//! The byte layout is the field tables below plus the table next to each
+//! captured state type in its own crate (`pdo_snap::Codec`). Every table
+//! destructures its struct exhaustively, so adding a field to any captured
+//! state type is a compile error rather than a silently incomplete
+//! snapshot. Collections encode in key order and decode only in key order
+//! (`BTreeMap`s, seq-sorted vectors), so every state has one encoding:
 //! snapshot → restore → snapshot is byte-identical.
 
-use pdo::{EngineSnapshot, QuarantineEntry};
+use pdo::EngineSnapshot;
 use pdo_ctp::{CtpLinkState, CtpParams};
-use pdo_events::wire::{ReceiverState, WireFaults, WireState, WireStats};
-use pdo_events::{
-    FaultInjectorState, FaultKind, FaultPolicy, Pending, RuntimeConfig, SchedulerState, TimerEntry,
-};
+use pdo_events::{FaultInjectorState, RuntimeConfig, SchedulerState};
 use pdo_ir::{EventId, FuncId, Module, Value};
-use pdo_profile::graph::{EdgeData, EventGraph};
-use pdo_profile::handlers::{HandlerGraph, HandlerSeq, NestedRaise};
-use pdo_profile::BuilderState;
 use pdo_seccomm::{Keys, SecWireState};
-use pdo_snap::{SnapReader, SnapWriter, SnapshotError};
+use pdo_snap::{codec_enum, codec_struct};
+use std::collections::BTreeMap;
 
 use crate::SessionId;
 
@@ -35,6 +32,7 @@ use crate::SessionId;
 /// epoch's undrained stats delta are the only state *not* captured —
 /// both are empty at epoch boundaries, which is where snapshots are
 /// taken.
+#[derive(Debug, PartialEq)]
 pub(crate) struct SessionSnapshot {
     pub module: Module,
     pub config: RuntimeConfig,
@@ -47,8 +45,21 @@ pub(crate) struct SessionSnapshot {
     pub kind: KindSnapshot,
 }
 
+codec_struct!(SessionSnapshot {
+    module,
+    config,
+    bindings,
+    globals,
+    clock_ns,
+    sched,
+    injector,
+    engine,
+    kind,
+});
+
 /// Protocol-endpoint state riding along with a session snapshot, plus
 /// the recipe (params/keys) needed to rebuild the endpoint's natives.
+#[derive(Debug, PartialEq)]
 pub(crate) enum KindSnapshot {
     Plain,
     Ctp {
@@ -61,875 +72,177 @@ pub(crate) enum KindSnapshot {
     },
 }
 
-// --- primitive helpers ---------------------------------------------------
+codec_enum!(KindSnapshot {
+    0 => Plain,
+    1 => Ctp { params, link },
+    2 => SecComm { keys, wire },
+});
 
-fn put_event(w: &mut SnapWriter, e: EventId) {
-    w.u32(e.index() as u32);
+/// A whole server image: the id allocator plus every session's recorded
+/// shard and full snapshot, keyed (and therefore encoded) by session id.
+#[derive(Debug, PartialEq)]
+pub(crate) struct Image {
+    pub next_id: u64,
+    pub sessions: BTreeMap<SessionId, (usize, SessionSnapshot)>,
 }
 
-fn take_event(r: &mut SnapReader<'_>) -> Result<EventId, SnapshotError> {
-    Ok(EventId::from_index(r.take_u32()? as usize))
-}
+codec_struct!(Image { next_id, sessions });
 
-fn put_func(w: &mut SnapWriter, f: FuncId) {
-    w.u32(f.index() as u32);
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Server, ServerConfig};
+    use pdo_ctp::ctp_program;
+    use pdo_ir::{BinOp, FunctionBuilder, RaiseMode};
+    use pdo_seccomm::{seccomm_protocol, CONFIG_FULL};
+    use pdo_snap::{decode, encode, hostile, Codec, SnapWriter, SnapshotError};
 
-fn take_func(r: &mut SnapReader<'_>) -> Result<FuncId, SnapshotError> {
-    Ok(FuncId::from_index(r.take_u32()? as usize))
-}
-
-fn put_len(w: &mut SnapWriter, n: usize) {
-    w.u64(n as u64);
-}
-
-fn take_len(r: &mut SnapReader<'_>) -> Result<usize, SnapshotError> {
-    usize::try_from(r.take_u64()?)
-        .map_err(|_| SnapshotError::Malformed("collection length overflows usize".into()))
-}
-
-fn put_opt_u64(w: &mut SnapWriter, v: Option<u64>) {
-    match v {
-        Some(x) => {
-            w.bool(true);
-            w.u64(x);
-        }
-        None => w.bool(false),
-    }
-}
-
-fn take_opt_u64(r: &mut SnapReader<'_>) -> Result<Option<u64>, SnapshotError> {
-    Ok(if r.take_bool()? {
-        Some(r.take_u64()?)
-    } else {
-        None
-    })
-}
-
-// --- runtime config ------------------------------------------------------
-
-fn put_config(w: &mut SnapWriter, c: &RuntimeConfig) {
-    let RuntimeConfig {
-        max_sync_depth,
-        max_steps,
-        fuel,
-        fault_policy,
-    } = *c;
-    w.u32(max_sync_depth);
-    w.u64(max_steps);
-    put_opt_u64(w, fuel);
-    w.u8(match fault_policy {
-        FaultPolicy::Abort => 0,
-        FaultPolicy::SkipEvent => 1,
-        FaultPolicy::Despecialize => 2,
-    });
-}
-
-fn take_config(r: &mut SnapReader<'_>) -> Result<RuntimeConfig, SnapshotError> {
-    Ok(RuntimeConfig {
-        max_sync_depth: r.take_u32()?,
-        max_steps: r.take_u64()?,
-        fuel: take_opt_u64(r)?,
-        fault_policy: match r.take_u8()? {
-            0 => FaultPolicy::Abort,
-            1 => FaultPolicy::SkipEvent,
-            2 => FaultPolicy::Despecialize,
-            t => {
-                return Err(SnapshotError::Malformed(format!(
-                    "unknown fault policy tag {t}"
-                )))
-            }
-        },
-    })
-}
-
-// --- scheduler -----------------------------------------------------------
-
-fn put_args(w: &mut SnapWriter, args: &[Value]) {
-    put_len(w, args.len());
-    for a in args {
-        w.value(a);
-    }
-}
-
-fn take_args(r: &mut SnapReader<'_>) -> Result<Vec<Value>, SnapshotError> {
-    let n = take_len(r)?;
-    let mut out = Vec::new();
-    for _ in 0..n {
-        out.push(r.take_value()?);
-    }
-    Ok(out)
-}
-
-fn put_sched(w: &mut SnapWriter, s: &SchedulerState) {
-    let SchedulerState { queue, timers, seq } = s;
-    put_len(w, queue.len());
-    // `trace` is an in-memory diagnostic rider (causal trace context);
-    // it is deliberately not encoded, keeping the byte format — pinned
-    // by the golden fixture — unchanged. Traces do not survive a
-    // snapshot/restore cycle.
-    for Pending {
-        event,
-        args,
-        trace: _,
-    } in queue
-    {
-        put_event(w, *event);
-        put_args(w, args);
-    }
-    put_len(w, timers.len());
-    for TimerEntry {
-        deadline_ns,
-        seq,
-        event,
-        args,
-        trace: _,
-    } in timers
-    {
-        w.u64(*deadline_ns);
-        w.u64(*seq);
-        put_event(w, *event);
-        put_args(w, args);
-    }
-    w.u64(*seq);
-}
-
-fn take_sched(r: &mut SnapReader<'_>) -> Result<SchedulerState, SnapshotError> {
-    let mut queue = Vec::new();
-    for _ in 0..take_len(r)? {
-        queue.push(Pending {
-            event: take_event(r)?,
-            args: take_args(r)?,
-            trace: None,
-        });
-    }
-    let mut timers = Vec::new();
-    for _ in 0..take_len(r)? {
-        timers.push(TimerEntry {
-            deadline_ns: r.take_u64()?,
-            seq: r.take_u64()?,
-            event: take_event(r)?,
-            args: take_args(r)?,
-            trace: None,
-        });
-    }
-    Ok(SchedulerState {
-        queue,
-        timers,
-        seq: r.take_u64()?,
-    })
-}
-
-// --- fault injector ------------------------------------------------------
-
-fn put_fault_kind(w: &mut SnapWriter, k: FaultKind) {
-    match k {
-        FaultKind::TrapDispatch => w.u8(0),
-        FaultKind::CorruptArg { index } => {
-            w.u8(1);
-            w.u32(u32::from(index));
-        }
-        FaultKind::ExhaustFuel => w.u8(2),
-        FaultKind::DropTimed => w.u8(3),
-        FaultKind::DelayTimed { extra_ns } => {
-            w.u8(4);
-            w.u64(extra_ns);
-        }
-        FaultKind::HandlerTrap => w.u8(5),
-    }
-}
-
-fn take_fault_kind(r: &mut SnapReader<'_>) -> Result<FaultKind, SnapshotError> {
-    Ok(match r.take_u8()? {
-        0 => FaultKind::TrapDispatch,
-        1 => FaultKind::CorruptArg {
-            index: u16::try_from(r.take_u32()?)
-                .map_err(|_| SnapshotError::Malformed("corrupt-arg index overflows u16".into()))?,
-        },
-        2 => FaultKind::ExhaustFuel,
-        3 => FaultKind::DropTimed,
-        4 => FaultKind::DelayTimed {
-            extra_ns: r.take_u64()?,
-        },
-        5 => FaultKind::HandlerTrap,
-        t => {
-            return Err(SnapshotError::Malformed(format!(
-                "unknown fault kind tag {t}"
-            )))
-        }
-    })
-}
-
-fn put_plan(w: &mut SnapWriter, plan: &[(EventId, u64, FaultKind)]) {
-    put_len(w, plan.len());
-    for &(event, occurrence, kind) in plan {
-        put_event(w, event);
-        w.u64(occurrence);
-        put_fault_kind(w, kind);
-    }
-}
-
-fn take_plan(r: &mut SnapReader<'_>) -> Result<Vec<(EventId, u64, FaultKind)>, SnapshotError> {
-    let mut out = Vec::new();
-    for _ in 0..take_len(r)? {
-        out.push((take_event(r)?, r.take_u64()?, take_fault_kind(r)?));
-    }
-    Ok(out)
-}
-
-fn put_counts(w: &mut SnapWriter, counts: &[(EventId, u64)]) {
-    put_len(w, counts.len());
-    for &(event, n) in counts {
-        put_event(w, event);
-        w.u64(n);
-    }
-}
-
-fn take_counts(r: &mut SnapReader<'_>) -> Result<Vec<(EventId, u64)>, SnapshotError> {
-    let mut out = Vec::new();
-    for _ in 0..take_len(r)? {
-        out.push((take_event(r)?, r.take_u64()?));
-    }
-    Ok(out)
-}
-
-fn put_injector(w: &mut SnapWriter, s: &FaultInjectorState) {
-    let FaultInjectorState {
-        dispatch_plan,
-        timed_plan,
-        dispatch_counts,
-        timed_counts,
-    } = s;
-    put_plan(w, dispatch_plan);
-    put_plan(w, timed_plan);
-    put_counts(w, dispatch_counts);
-    put_counts(w, timed_counts);
-}
-
-fn take_injector(r: &mut SnapReader<'_>) -> Result<FaultInjectorState, SnapshotError> {
-    Ok(FaultInjectorState {
-        dispatch_plan: take_plan(r)?,
-        timed_plan: take_plan(r)?,
-        dispatch_counts: take_counts(r)?,
-        timed_counts: take_counts(r)?,
-    })
-}
-
-// --- adaptation engine ---------------------------------------------------
-
-fn put_engine(w: &mut SnapWriter, e: &EngineSnapshot) {
-    let EngineSnapshot {
-        profile,
-        stats,
-        sleep_remaining,
-        quarantine,
-    } = e;
-
-    let BuilderState {
-        event_graph,
-        handler_graph,
-        prev_raise,
-        fresh,
-    } = profile;
-    let EventGraph { nodes, edges } = event_graph;
-    put_len(w, nodes.len());
-    for (&event, &count) in nodes {
-        put_event(w, event);
-        w.u64(count);
-    }
-    put_len(w, edges.len());
-    for (&(from, to), data) in edges {
-        let EdgeData {
-            weight,
-            sync,
-            asynchronous,
-        } = *data;
-        put_event(w, from);
-        put_event(w, to);
-        w.u64(weight);
-        w.u64(sync);
-        w.u64(asynchronous);
-    }
-    let HandlerGraph { sequences, nested } = handler_graph;
-    put_len(w, sequences.len());
-    for (&event, seqs) in sequences {
-        put_event(w, event);
-        put_len(w, seqs.len());
-        for HandlerSeq { handlers, count } in seqs {
-            put_len(w, handlers.len());
-            for &h in handlers {
-                put_func(w, h);
-            }
-            w.u64(*count);
-        }
-    }
-    put_len(w, nested.len());
-    for (raise, &count) in nested {
-        let NestedRaise {
-            parent_event,
-            handler,
-            child_event,
-        } = *raise;
-        put_event(w, parent_event);
-        put_func(w, handler);
-        put_event(w, child_event);
-        w.u64(count);
-    }
-    match prev_raise {
-        Some(e) => {
-            w.bool(true);
-            put_event(w, *e);
-        }
-        None => w.bool(false),
-    }
-    w.u64(*fresh);
-
-    let pdo::AdaptStats {
-        epochs,
-        sampled_epochs,
-        reprofiles,
-        chains_installed,
-        chains_dropped,
-        despecialized,
-        cache_hits,
-        cache_misses,
-        cache_evictions,
-        cache_invalidations,
-    } = *stats;
-    for v in [
-        epochs,
-        sampled_epochs,
-        reprofiles,
-        chains_installed,
-        chains_dropped,
-        despecialized,
-        cache_hits,
-        cache_misses,
-        cache_evictions,
-        cache_invalidations,
-    ] {
-        w.u64(v);
-    }
-
-    w.u32(*sleep_remaining);
-
-    put_len(w, quarantine.len());
-    for &(event, entry) in quarantine {
-        let QuarantineEntry {
-            faults,
-            guard_misses,
-            strikes,
-            until_ns,
-        } = entry;
-        put_event(w, event);
-        w.u64(faults);
-        w.u64(guard_misses);
-        w.u32(strikes);
-        put_opt_u64(w, until_ns);
-    }
-}
-
-fn take_engine(r: &mut SnapReader<'_>) -> Result<EngineSnapshot, SnapshotError> {
-    let mut event_graph = EventGraph::new();
-    for _ in 0..take_len(r)? {
-        let event = take_event(r)?;
-        event_graph.nodes.insert(event, r.take_u64()?);
-    }
-    for _ in 0..take_len(r)? {
-        let from = take_event(r)?;
-        let to = take_event(r)?;
-        event_graph.edges.insert(
-            (from, to),
-            EdgeData {
-                weight: r.take_u64()?,
-                sync: r.take_u64()?,
-                asynchronous: r.take_u64()?,
+    /// One session of every kind, each with state worth carrying: a
+    /// profiled plain counter with a queued raise and pending timers, a
+    /// CTP endpoint mid-conversation, a SecComm endpoint with traffic.
+    fn fleet_image() -> Image {
+        let mut server = Server::new(ServerConfig {
+            shards: 2,
+            adapt: pdo::AdaptConfig {
+                epoch_ns: 1_000,
+                ..Default::default()
             },
-        );
-    }
-    let mut handler_graph = HandlerGraph::new();
-    for _ in 0..take_len(r)? {
-        let event = take_event(r)?;
-        let mut seqs = Vec::new();
-        for _ in 0..take_len(r)? {
-            let mut handlers = Vec::new();
-            for _ in 0..take_len(r)? {
-                handlers.push(take_func(r)?);
-            }
-            seqs.push(HandlerSeq {
-                handlers,
-                count: r.take_u64()?,
-            });
+            ..Default::default()
+        });
+        let mut m = Module::new();
+        let tick = m.add_event("Tick");
+        let g = m.add_global("count", Value::Int(0));
+        let mut fb = FunctionBuilder::new("bump", 0);
+        let v = fb.load_global(g);
+        let one = fb.const_int(1);
+        let sum = fb.bin(BinOp::Add, v, one);
+        fb.store_global(g, sum);
+        fb.ret(None);
+        let bump = m.add_function(fb.finish());
+        let plain = server
+            .open_session(m, RuntimeConfig::default(), &[(tick, bump, 0)])
+            .unwrap();
+        // Ten raises per 1 µs epoch: the decaying profile stays non-empty,
+        // and the last ten timers are still pending in the image.
+        for i in 0..30u64 {
+            server.submit(plain, tick, 1 + i * 100, &[]).unwrap();
         }
-        handler_graph.sequences.insert(event, seqs);
+        server.run_until(2_000).unwrap();
+        server
+            .with_runtime(plain, move |rt| {
+                rt.raise(tick, RaiseMode::Async, &[]).unwrap();
+            })
+            .unwrap();
+        let ctp = server
+            .open_ctp_session(&ctp_program(), CtpParams::default())
+            .unwrap();
+        server
+            .with_ctp(ctp, |ep| ep.send(&[7u8; 200]))
+            .unwrap()
+            .unwrap();
+        let sec = seccomm_protocol().instantiate(CONFIG_FULL).unwrap();
+        let tx = server.open_seccomm_session(&sec, &Keys::default()).unwrap();
+        server
+            .with_seccomm(tx, |ep| ep.push(b"payload"))
+            .unwrap()
+            .unwrap();
+        decode(&server.snapshot_to_bytes()).expect("own image decodes")
     }
-    for _ in 0..take_len(r)? {
-        let raise = NestedRaise {
-            parent_event: take_event(r)?,
-            handler: take_func(r)?,
-            child_event: take_event(r)?,
+
+    #[test]
+    fn image_codec_survives_the_hostile_sweep() {
+        let image = fleet_image();
+        assert_eq!(image.sessions.len(), 3);
+        hostile::check(&image);
+    }
+
+    fn is_malformed(w: SnapWriter) -> bool {
+        matches!(
+            decode::<Image>(&w.finish()),
+            Err(SnapshotError::Malformed(_))
+        )
+    }
+
+    /// A checksum-valid image whose session ids are not strictly
+    /// increasing is not one `snapshot_to_bytes` writes: rejected, rather
+    /// than decoded to a state that re-encodes differently.
+    #[test]
+    fn out_of_order_or_repeated_session_ids_are_malformed() {
+        let image = fleet_image();
+        let mut entries = image.sessions.iter();
+        let (first, second) = (entries.next().unwrap(), entries.next().unwrap());
+        for order in [[second, first], [first, first]] {
+            let mut w = SnapWriter::new();
+            image.next_id.put(&mut w);
+            w.len_prefix(order.len());
+            for (id, entry) in order {
+                id.put(&mut w);
+                entry.put(&mut w);
+            }
+            assert!(is_malformed(w));
+        }
+    }
+
+    /// The same for an interior map: a repeated or out-of-order key in
+    /// the carried profile used to decode silently (last wins).
+    #[test]
+    fn duplicate_profile_map_keys_are_malformed() {
+        let image = fleet_image();
+        let (id, (shard, session)) = image.sessions.iter().next().unwrap();
+        let nodes = &session.engine.profile.event_graph.nodes;
+        assert!(!nodes.is_empty(), "the plain session carries a profile");
+        let canonical: Vec<(EventId, u64)> = nodes.iter().map(|(&e, &n)| (e, n)).collect();
+        let (event, count) = canonical[0];
+
+        // The image, spelled out down to the event-graph node map, which
+        // is written as a plain list: same bytes, but any key order.
+        let image_with_nodes = |nodes: &Vec<(EventId, u64)>| {
+            let mut w = SnapWriter::new();
+            image.next_id.put(&mut w);
+            w.len_prefix(1);
+            id.put(&mut w);
+            shard.put(&mut w);
+            let s = session;
+            s.module.put(&mut w);
+            s.config.put(&mut w);
+            s.bindings.put(&mut w);
+            s.globals.put(&mut w);
+            s.clock_ns.put(&mut w);
+            s.sched.put(&mut w);
+            s.injector.put(&mut w);
+            nodes.put(&mut w);
+            s.engine.profile.event_graph.edges.put(&mut w);
+            s.engine.profile.handler_graph.put(&mut w);
+            s.engine.profile.prev_raise.put(&mut w);
+            s.engine.profile.fresh.put(&mut w);
+            s.engine.stats.put(&mut w);
+            s.engine.sleep_remaining.put(&mut w);
+            s.engine.quarantine.put(&mut w);
+            s.kind.put(&mut w);
+            w
         };
-        handler_graph.nested.insert(raise, r.take_u64()?);
-    }
-    let prev_raise = if r.take_bool()? {
-        Some(take_event(r)?)
-    } else {
-        None
-    };
-    let fresh = r.take_u64()?;
-    let profile = BuilderState {
-        event_graph,
-        handler_graph,
-        prev_raise,
-        fresh,
-    };
-
-    let stats = pdo::AdaptStats {
-        epochs: r.take_u64()?,
-        sampled_epochs: r.take_u64()?,
-        reprofiles: r.take_u64()?,
-        chains_installed: r.take_u64()?,
-        chains_dropped: r.take_u64()?,
-        despecialized: r.take_u64()?,
-        cache_hits: r.take_u64()?,
-        cache_misses: r.take_u64()?,
-        cache_evictions: r.take_u64()?,
-        cache_invalidations: r.take_u64()?,
-    };
-
-    let sleep_remaining = r.take_u32()?;
-
-    let mut quarantine = Vec::new();
-    for _ in 0..take_len(r)? {
-        let event = take_event(r)?;
-        quarantine.push((
-            event,
-            QuarantineEntry {
-                faults: r.take_u64()?,
-                guard_misses: r.take_u64()?,
-                strikes: r.take_u32()?,
-                until_ns: take_opt_u64(r)?,
-            },
-        ));
+        let mut single = BTreeMap::new();
+        single.insert(*id, (*shard, decode_session(session)));
+        assert_eq!(
+            image_with_nodes(&canonical).finish(),
+            encode(&Image {
+                next_id: image.next_id,
+                sessions: single,
+            }),
+            "the spelled-out layout is the real one"
+        );
+        assert!(is_malformed(image_with_nodes(&vec![
+            (event, count),
+            (event, count + 1)
+        ])));
+        assert!(is_malformed(image_with_nodes(&vec![
+            (EventId(event.0 + 1), 1),
+            (event, count)
+        ])));
     }
 
-    Ok(EngineSnapshot {
-        profile,
-        stats,
-        sleep_remaining,
-        quarantine,
-    })
-}
-
-// --- protocol endpoints --------------------------------------------------
-
-fn put_wire_faults(w: &mut SnapWriter, f: &WireFaults) {
-    let WireFaults {
-        drop_per_mille,
-        dup_per_mille,
-        reorder_per_mille,
-        corrupt_per_mille,
-        seed,
-    } = *f;
-    w.u32(u32::from(drop_per_mille));
-    w.u32(u32::from(dup_per_mille));
-    w.u32(u32::from(reorder_per_mille));
-    w.u32(u32::from(corrupt_per_mille));
-    w.u64(seed);
-}
-
-fn take_wire_faults(r: &mut SnapReader<'_>) -> Result<WireFaults, SnapshotError> {
-    let mut per_mille = || -> Result<u16, SnapshotError> {
-        u16::try_from(r.take_u32()?)
-            .map_err(|_| SnapshotError::Malformed("per-mille rate overflows u16".into()))
-    };
-    Ok(WireFaults {
-        drop_per_mille: per_mille()?,
-        dup_per_mille: per_mille()?,
-        reorder_per_mille: per_mille()?,
-        corrupt_per_mille: per_mille()?,
-        seed: r.take_u64()?,
-    })
-}
-
-fn put_seq_frames(w: &mut SnapWriter, frames: &[(i64, Vec<u8>)]) {
-    put_len(w, frames.len());
-    for (seq, payload) in frames {
-        w.i64(*seq);
-        w.bytes(payload);
+    /// An owned copy of a borrowed snapshot, by way of its own codec.
+    fn decode_session(s: &SessionSnapshot) -> SessionSnapshot {
+        decode(&encode(s)).expect("own encoding decodes")
     }
-}
-
-fn take_seq_frames(r: &mut SnapReader<'_>) -> Result<Vec<(i64, Vec<u8>)>, SnapshotError> {
-    let mut out = Vec::new();
-    for _ in 0..take_len(r)? {
-        out.push((r.take_i64()?, r.take_bytes()?));
-    }
-    Ok(out)
-}
-
-fn put_ctp(w: &mut SnapWriter, params: &CtpParams, link: &CtpLinkState) {
-    let CtpParams {
-        ack_drop_every,
-        clk_period_ns,
-        link_faults,
-        max_retries,
-    } = *params;
-    w.u64(ack_drop_every);
-    w.u64(clk_period_ns);
-    put_wire_faults(w, &link_faults);
-    w.u32(max_retries);
-
-    let CtpLinkState {
-        unacked,
-        wire,
-        retransmissions,
-        sends_since_sample,
-        ack_drop_every,
-        link,
-        outcome,
-        max_retries,
-        retries,
-        timeout_base_ns,
-        unreachable,
-        rx,
-        rx_corrupt_dropped,
-    } = link;
-    put_seq_frames(w, unacked);
-    put_seq_frames(w, wire);
-    w.u64(*retransmissions);
-    w.i64(*sends_since_sample);
-    w.u64(*ack_drop_every);
-
-    let WireState {
-        faults,
-        rng,
-        held,
-        stats,
-    } = link;
-    put_wire_faults(w, faults);
-    w.u64(*rng);
-    match held {
-        Some(((seq, payload), copies)) => {
-            w.bool(true);
-            w.i64(*seq);
-            w.bytes(payload);
-            w.u32(*copies);
-        }
-        None => w.bool(false),
-    }
-    let WireStats {
-        dropped,
-        duplicated,
-        reordered,
-        corrupted,
-    } = *stats;
-    w.u64(dropped);
-    w.u64(duplicated);
-    w.u64(reordered);
-    w.u64(corrupted);
-
-    put_len(w, outcome.len());
-    for &(seq, delivered) in outcome {
-        w.i64(seq);
-        w.bool(delivered);
-    }
-    w.u32(*max_retries);
-    put_len(w, retries.len());
-    for &(seq, n) in retries {
-        w.i64(seq);
-        w.u32(n);
-    }
-    w.i64(*timeout_base_ns);
-    w.bool(*unreachable);
-
-    let ReceiverState {
-        next,
-        buffer,
-        delivered,
-        duplicates,
-    } = rx;
-    w.i64(*next);
-    put_seq_frames(w, buffer);
-    put_seq_frames(w, delivered);
-    w.u64(*duplicates);
-
-    w.u64(*rx_corrupt_dropped);
-}
-
-fn take_ctp(r: &mut SnapReader<'_>) -> Result<(CtpParams, CtpLinkState), SnapshotError> {
-    let params = CtpParams {
-        ack_drop_every: r.take_u64()?,
-        clk_period_ns: r.take_u64()?,
-        link_faults: take_wire_faults(r)?,
-        max_retries: r.take_u32()?,
-    };
-
-    let unacked = take_seq_frames(r)?;
-    let wire = take_seq_frames(r)?;
-    let retransmissions = r.take_u64()?;
-    let sends_since_sample = r.take_i64()?;
-    let ack_drop_every = r.take_u64()?;
-
-    let faults = take_wire_faults(r)?;
-    let rng = r.take_u64()?;
-    let held = if r.take_bool()? {
-        let seq = r.take_i64()?;
-        let payload = r.take_bytes()?;
-        Some(((seq, payload), r.take_u32()?))
-    } else {
-        None
-    };
-    let stats = WireStats {
-        dropped: r.take_u64()?,
-        duplicated: r.take_u64()?,
-        reordered: r.take_u64()?,
-        corrupted: r.take_u64()?,
-    };
-    let link = WireState {
-        faults,
-        rng,
-        held,
-        stats,
-    };
-
-    let mut outcome = Vec::new();
-    for _ in 0..take_len(r)? {
-        outcome.push((r.take_i64()?, r.take_bool()?));
-    }
-    let max_retries = r.take_u32()?;
-    let mut retries = Vec::new();
-    for _ in 0..take_len(r)? {
-        retries.push((r.take_i64()?, r.take_u32()?));
-    }
-    let timeout_base_ns = r.take_i64()?;
-    let unreachable = r.take_bool()?;
-
-    let rx = ReceiverState {
-        next: r.take_i64()?,
-        buffer: take_seq_frames(r)?,
-        delivered: take_seq_frames(r)?,
-        duplicates: r.take_u64()?,
-    };
-    let rx_corrupt_dropped = r.take_u64()?;
-
-    Ok((
-        params,
-        CtpLinkState {
-            unacked,
-            wire,
-            retransmissions,
-            sends_since_sample,
-            ack_drop_every,
-            link,
-            outcome,
-            max_retries,
-            retries,
-            timeout_base_ns,
-            unreachable,
-            rx,
-            rx_corrupt_dropped,
-        },
-    ))
-}
-
-fn put_seccomm(w: &mut SnapWriter, keys: &Keys, wire: &SecWireState) {
-    let Keys { des, xor, mac } = keys;
-    w.bytes(des);
-    w.bytes(xor);
-    w.bytes(mac);
-
-    let SecWireState {
-        outbox,
-        delivered,
-        decode_ok,
-        mac_failures,
-    } = wire;
-    put_len(w, outbox.len());
-    for m in outbox {
-        w.bytes(m);
-    }
-    put_len(w, delivered.len());
-    for m in delivered {
-        w.bytes(m);
-    }
-    w.bool(*decode_ok);
-    w.u64(*mac_failures);
-}
-
-fn take_seccomm(r: &mut SnapReader<'_>) -> Result<(Keys, SecWireState), SnapshotError> {
-    let des: [u8; 8] = r
-        .take_bytes()?
-        .try_into()
-        .map_err(|_| SnapshotError::Malformed("DES key is not 8 bytes".into()))?;
-    let keys = Keys {
-        des,
-        xor: r.take_bytes()?,
-        mac: r.take_bytes()?,
-    };
-    let mut outbox = Vec::new();
-    for _ in 0..take_len(r)? {
-        outbox.push(r.take_bytes()?);
-    }
-    let mut delivered = Vec::new();
-    for _ in 0..take_len(r)? {
-        delivered.push(r.take_bytes()?);
-    }
-    Ok((
-        keys,
-        SecWireState {
-            outbox,
-            delivered,
-            decode_ok: r.take_bool()?,
-            mac_failures: r.take_u64()?,
-        },
-    ))
-}
-
-// --- session + image -----------------------------------------------------
-
-pub(crate) fn encode_session(w: &mut SnapWriter, s: &SessionSnapshot) {
-    let SessionSnapshot {
-        module,
-        config,
-        bindings,
-        globals,
-        clock_ns,
-        sched,
-        injector,
-        engine,
-        kind,
-    } = s;
-    w.module(module);
-    put_config(w, config);
-    put_len(w, bindings.len());
-    for &(event, handler, order) in bindings {
-        put_event(w, event);
-        put_func(w, handler);
-        w.i64(i64::from(order));
-    }
-    put_len(w, globals.len());
-    for g in globals {
-        w.value(g);
-    }
-    w.u64(*clock_ns);
-    put_sched(w, sched);
-    match injector {
-        Some(state) => {
-            w.bool(true);
-            put_injector(w, state);
-        }
-        None => w.bool(false),
-    }
-    put_engine(w, engine);
-    match kind {
-        KindSnapshot::Plain => w.u8(0),
-        KindSnapshot::Ctp { params, link } => {
-            w.u8(1);
-            put_ctp(w, params, link);
-        }
-        KindSnapshot::SecComm { keys, wire } => {
-            w.u8(2);
-            put_seccomm(w, keys, wire);
-        }
-    }
-}
-
-pub(crate) fn decode_session(r: &mut SnapReader<'_>) -> Result<SessionSnapshot, SnapshotError> {
-    let module = r.take_module()?;
-    let config = take_config(r)?;
-    let mut bindings = Vec::new();
-    for _ in 0..take_len(r)? {
-        let event = take_event(r)?;
-        let handler = take_func(r)?;
-        let order = i32::try_from(r.take_i64()?)
-            .map_err(|_| SnapshotError::Malformed("binding order overflows i32".into()))?;
-        bindings.push((event, handler, order));
-    }
-    let mut globals = Vec::new();
-    for _ in 0..take_len(r)? {
-        globals.push(r.take_value()?);
-    }
-    let clock_ns = r.take_u64()?;
-    let sched = take_sched(r)?;
-    let injector = if r.take_bool()? {
-        Some(take_injector(r)?)
-    } else {
-        None
-    };
-    let engine = take_engine(r)?;
-    let kind = match r.take_u8()? {
-        0 => KindSnapshot::Plain,
-        1 => {
-            let (params, link) = take_ctp(r)?;
-            KindSnapshot::Ctp {
-                params,
-                link: Box::new(link),
-            }
-        }
-        2 => {
-            let (keys, wire) = take_seccomm(r)?;
-            KindSnapshot::SecComm {
-                keys,
-                wire: Box::new(wire),
-            }
-        }
-        t => {
-            return Err(SnapshotError::Malformed(format!(
-                "unknown session kind tag {t}"
-            )))
-        }
-    };
-    Ok(SessionSnapshot {
-        module,
-        config,
-        bindings,
-        globals,
-        clock_ns,
-        sched,
-        injector,
-        engine,
-        kind,
-    })
-}
-
-/// Encodes a whole server image: the id allocator plus every session
-/// with its shard placement, in session-id order.
-pub(crate) fn encode_image(
-    next_id: u64,
-    sessions: &[(SessionId, usize, SessionSnapshot)],
-) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    w.u64(next_id);
-    put_len(&mut w, sessions.len());
-    for (id, shard, snap) in sessions {
-        w.u64(id.0);
-        w.u64(*shard as u64);
-        encode_session(&mut w, snap);
-    }
-    w.finish()
-}
-
-/// A decoded server image: the id allocator plus each session's id,
-/// recorded shard, and full snapshot.
-pub(crate) type DecodedImage = (u64, Vec<(SessionId, usize, SessionSnapshot)>);
-
-/// Decodes a server image produced by [`encode_image`].
-pub(crate) fn decode_image(bytes: &[u8]) -> Result<DecodedImage, SnapshotError> {
-    let mut r = SnapReader::new(bytes)?;
-    let next_id = r.take_u64()?;
-    let count = take_len(&mut r)?;
-    let mut sessions: Vec<(SessionId, usize, SessionSnapshot)> = Vec::new();
-    for _ in 0..count {
-        let id = SessionId(r.take_u64()?);
-        let shard = take_len(&mut r)?;
-        if sessions.iter().any(|(other, _, _)| *other == id) {
-            return Err(SnapshotError::Malformed(format!(
-                "duplicate session id {id} in image"
-            )));
-        }
-        sessions.push((id, shard, decode_session(&mut r)?));
-    }
-    r.finish()?;
-    Ok((next_id, sessions))
 }

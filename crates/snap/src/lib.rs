@@ -17,9 +17,20 @@
 //! [`SnapWriter`] and [`SnapReader`] provide the primitive vocabulary
 //! (fixed-width little-endian integers, length-prefixed byte strings,
 //! tagged [`Value`]s, and whole [`Module`]s carried as IR text, which
-//! round-trips exactly). [`write_atomic`] persists a frame with the
-//! write-temp-then-rename discipline so a crash mid-write leaves either
-//! the old file or the new one, never a torn hybrid.
+//! round-trips exactly). Everything larger is a [`Codec`]: each encoded
+//! type declares its layout once — a [`codec_struct!`] or [`codec_enum!`]
+//! field table next to the type — and both directions are derived from
+//! that one table, so encode and decode cannot drift. [`encode`] and
+//! [`decode`] frame a whole `Codec` value; [`hostile`] is the one
+//! corruption sweep every encoded type is tested with. [`write_atomic`]
+//! persists a frame with the write-temp-then-rename discipline so a crash
+//! mid-write leaves either the old file or the new one, never a torn
+//! hybrid.
+
+mod codec;
+pub mod hostile;
+
+pub use codec::{Codec, Tag, Via};
 
 use pdo_ir::{display::print_module, parse::parse_module, Module, Value};
 use std::fmt;
@@ -111,13 +122,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-// Value tag bytes (mirrors the marshaling vocabulary in pdo-events).
-const TAG_UNIT: u8 = 0;
-const TAG_INT: u8 = 1;
-const TAG_BOOL: u8 = 2;
-const TAG_BYTES: u8 = 3;
-const TAG_STR: u8 = 4;
-
 /// Builds a snapshot payload and frames it.
 #[derive(Debug, Default)]
 pub struct SnapWriter {
@@ -155,9 +159,15 @@ impl SnapWriter {
         self.buf.push(u8::from(v));
     }
 
+    /// Appends a collection length (the count every sequence and map
+    /// starts with).
+    pub fn len_prefix(&mut self, n: usize) {
+        self.u64(n as u64);
+    }
+
     /// Appends a length-prefixed byte string.
     pub fn bytes(&mut self, v: &[u8]) {
-        self.u64(v.len() as u64);
+        self.len_prefix(v.len());
         self.buf.extend_from_slice(v);
     }
 
@@ -166,27 +176,9 @@ impl SnapWriter {
         self.bytes(v.as_bytes());
     }
 
-    /// Appends a tagged [`Value`].
+    /// Appends a tagged [`Value`]: its [`Tag`] byte, then its body.
     pub fn value(&mut self, v: &Value) {
-        match v {
-            Value::Unit => self.u8(TAG_UNIT),
-            Value::Int(i) => {
-                self.u8(TAG_INT);
-                self.i64(*i);
-            }
-            Value::Bool(b) => {
-                self.u8(TAG_BOOL);
-                self.bool(*b);
-            }
-            Value::Bytes(b) => {
-                self.u8(TAG_BYTES);
-                self.bytes(b);
-            }
-            Value::Str(s) => {
-                self.u8(TAG_STR);
-                self.str(s);
-            }
-        }
+        v.put(self);
     }
 
     /// Appends a whole [`Module`] as its IR text (which parses back to an
@@ -406,15 +398,34 @@ impl<'a> SnapReader<'a> {
         }
     }
 
+    /// Reads a collection length — the single length-prefix policy for
+    /// every sequence, map and byte string in both the snapshot and the
+    /// wire decoders. Every encoded element occupies at least one byte,
+    /// so a count larger than the remaining payload is provably a lie and
+    /// is rejected here, before the caller allocates anything for it.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Malformed`] on a count that exceeds the remaining
+    /// payload, plus truncation.
+    pub fn take_len(&mut self) -> Result<usize, SnapshotError> {
+        let declared = self.take_u64()?;
+        match usize::try_from(declared) {
+            Ok(n) if n <= self.remaining() => Ok(n),
+            _ => Err(SnapshotError::Malformed(format!(
+                "declared length {declared} exceeds remaining payload ({} bytes)",
+                self.remaining()
+            ))),
+        }
+    }
+
     /// Reads a length-prefixed byte string.
     ///
     /// # Errors
     ///
-    /// See [`SnapReader::take_u8`].
+    /// See [`SnapReader::take_len`].
     pub fn take_bytes(&mut self) -> Result<Vec<u8>, SnapshotError> {
-        let len = self.take_u64()?;
-        let len = usize::try_from(len)
-            .map_err(|_| SnapshotError::Malformed("byte-string length overflows usize".into()))?;
+        let len = self.take_len()?;
         Ok(self.take(len)?.to_vec())
     }
 
@@ -422,7 +433,8 @@ impl<'a> SnapReader<'a> {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Malformed`] on invalid UTF-8, plus truncation.
+    /// [`SnapshotError::Malformed`] on invalid UTF-8, plus
+    /// [`SnapReader::take_len`]'s.
     pub fn take_str(&mut self) -> Result<String, SnapshotError> {
         String::from_utf8(self.take_bytes()?)
             .map_err(|e| SnapshotError::Malformed(format!("invalid UTF-8 string: {e}")))
@@ -434,16 +446,7 @@ impl<'a> SnapReader<'a> {
     ///
     /// [`SnapshotError::Malformed`] on an unknown tag, plus truncation.
     pub fn take_value(&mut self) -> Result<Value, SnapshotError> {
-        match self.take_u8()? {
-            TAG_UNIT => Ok(Value::Unit),
-            TAG_INT => Ok(Value::Int(self.take_i64()?)),
-            TAG_BOOL => Ok(Value::Bool(self.take_bool()?)),
-            TAG_BYTES => Ok(Value::Bytes(self.take_bytes()?.into())),
-            TAG_STR => Ok(Value::Str(self.take_str()?.into())),
-            t => Err(SnapshotError::Malformed(format!(
-                "unknown value tag {t:#04x}"
-            ))),
-        }
+        Value::take(self)
     }
 
     /// Reads a [`Module`] from its IR text.
@@ -475,6 +478,36 @@ impl<'a> SnapReader<'a> {
             Err(SnapshotError::TrailingBytes)
         }
     }
+
+    /// Decodes the whole remaining payload as one `T`.
+    ///
+    /// # Errors
+    ///
+    /// `T`'s decode errors, and [`SnapshotError::TrailingBytes`] if bytes
+    /// remain after it — a checksum-valid frame with trailing bytes means
+    /// the sender speaks a different grammar.
+    pub fn finish_as<T: Codec>(mut self) -> Result<T, SnapshotError> {
+        let value = T::take(&mut self)?;
+        self.finish()?;
+        Ok(value)
+    }
+}
+
+/// Encodes `value` as one complete snapshot frame.
+pub fn encode<T: Codec>(value: &T) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    value.put(&mut w);
+    w.finish()
+}
+
+/// Decodes a frame produced by [`encode`].
+///
+/// # Errors
+///
+/// Framing errors as [`SnapReader::new`], then `T`'s decode errors as
+/// [`SnapReader::finish_as`].
+pub fn decode<T: Codec>(bytes: &[u8]) -> Result<T, SnapshotError> {
+    SnapReader::new(bytes)?.finish_as()
 }
 
 /// Persists `bytes` at `path` atomically: writes a sibling temp file,
@@ -519,7 +552,8 @@ pub fn read(path: &Path) -> Result<Vec<u8>, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdo_ir::{FunctionBuilder, RaiseMode};
+    use pdo_ir::{EventId, FuncId, FunctionBuilder, RaiseMode};
+    use std::collections::BTreeMap;
 
     fn sample_frame() -> Vec<u8> {
         let mut w = SnapWriter::new();
@@ -579,67 +613,170 @@ mod tests {
         r.finish().unwrap();
     }
 
+    /// A value touching every built-in impl, and local types through both
+    /// macros: a generic struct with a skipped rider and a `Via` field, and
+    /// an enum with unit, struct and tuple variants.
+    #[derive(Debug, Default, PartialEq)]
+    struct Rider(u32);
+
+    #[derive(Debug, PartialEq)]
+    struct Sample<T> {
+        small: u16,
+        signed: i32,
+        size: usize,
+        payload: T,
+        parity: Parity,
+        rider: Rider,
+    }
+    codec_struct!(Sample<T> { small, signed, size, payload, parity as bool } skip { rider });
+
+    #[derive(Debug, PartialEq)]
+    enum Parity {
+        Even,
+        Odd,
+    }
+    impl Via<bool> for Parity {
+        fn to_wire(&self) -> bool {
+            *self == Parity::Odd
+        }
+        fn from_wire(odd: bool) -> Result<Self, SnapshotError> {
+            Ok(if odd { Parity::Odd } else { Parity::Even })
+        }
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Shape {
+        Empty,
+        Named { key: [u8; 4], text: String },
+        Pair(u8, Option<Box<i64>>),
+    }
+    codec_enum!(Shape {
+        0 => Empty,
+        3 => Named { key, text },
+        7 => Pair(a, b),
+    });
+
+    type Payload = (Vec<Value>, BTreeMap<(EventId, FuncId), Vec<u8>>, Vec<Shape>);
+
+    fn sample() -> Sample<Payload> {
+        Sample {
+            small: u16::MAX,
+            signed: i32::MIN,
+            size: 12,
+            payload: (
+                vec![
+                    Value::Unit,
+                    Value::Int(-7),
+                    Value::Bool(false),
+                    Value::bytes(vec![1, 2, 3]),
+                    Value::str("hello"),
+                ],
+                BTreeMap::from([
+                    ((EventId(0), FuncId(9)), vec![]),
+                    ((EventId(1), FuncId(0)), vec![0xFF; 5]),
+                ]),
+                vec![
+                    Shape::Empty,
+                    Shape::Named {
+                        key: *b"abcd",
+                        text: "a string".into(),
+                    },
+                    Shape::Pair(7, Some(Box::new(-42))),
+                    Shape::Pair(0, None),
+                ],
+            ),
+            parity: Parity::Odd,
+            rider: Rider::default(),
+        }
+    }
+
+    /// Round trip, canonical re-encoding, every truncation, a bit flip in
+    /// every byte, and a trailing byte — for the primitive frame and for
+    /// the macro-derived types.
     #[test]
-    fn every_truncation_is_a_typed_error() {
-        let frame = sample_frame();
-        for len in 0..frame.len() {
-            let err = match SnapReader::new(&frame[..len]) {
-                Err(e) => e,
-                Ok(mut r) => loop {
-                    // A prefix that still frames (impossible here, but keep
-                    // the loop total): drain fields until one fails.
-                    match r.take_u8() {
-                        Ok(_) => {}
-                        Err(e) => break e,
-                    }
-                },
+    fn codecs_survive_the_hostile_sweep() {
+        hostile::check(&sample());
+        hostile::sweep(&sample_frame(), |b| SnapReader::new(b).map(|_| ()));
+    }
+
+    #[test]
+    fn derived_layout_is_table_order_and_skips_riders() {
+        let mut value = sample();
+        value.rider = Rider(99); // not encoded; decodes to its Default
+        let frame = encode(&value);
+        let mut r = SnapReader::new(&frame).unwrap();
+        assert_eq!(r.take_u32().unwrap(), u32::from(u16::MAX));
+        assert_eq!(r.take_i64().unwrap(), i64::from(i32::MIN));
+        assert_eq!(r.take_u64().unwrap(), 12);
+        assert_eq!(decode::<Sample<Payload>>(&frame).unwrap(), sample());
+
+        // An enum is its tag byte then the variant's fields in table order.
+        let mut w = SnapWriter::new();
+        w.u8(3);
+        w.bytes(b"abcd");
+        w.str("x");
+        let named = Shape::Named {
+            key: *b"abcd",
+            text: "x".into(),
+        };
+        assert_eq!(w.finish(), encode(&named));
+    }
+
+    fn decode_payload<T: Codec>(build: impl FnOnce(&mut SnapWriter)) -> Result<T, SnapshotError> {
+        let mut w = SnapWriter::new();
+        build(&mut w);
+        decode(&w.finish())
+    }
+
+    fn is_malformed<T>(result: Result<T, SnapshotError>) -> bool {
+        matches!(result, Err(SnapshotError::Malformed(_)))
+    }
+
+    /// One policy for every collection: a count the remaining payload
+    /// cannot hold is `Malformed` before anything is allocated for it.
+    #[test]
+    fn oversized_length_prefixes_are_rejected_before_allocation() {
+        for declared in [9, u64::MAX] {
+            let lie = |w: &mut SnapWriter| {
+                w.u64(declared);
+                w.u64(0); // 8 bytes remain: fewer than any declared count
             };
-            assert!(
-                matches!(
-                    err,
-                    SnapshotError::Truncated { .. } | SnapshotError::ChecksumMismatch { .. }
-                ),
-                "prefix of {len} bytes gave {err}"
-            );
+            assert!(is_malformed(decode_payload::<Vec<u64>>(lie)));
+            assert!(is_malformed(decode_payload::<Vec<u8>>(lie)));
+            assert!(is_malformed(decode_payload::<String>(lie)));
+            assert!(is_malformed(decode_payload::<BTreeMap<u64, u64>>(lie)));
         }
     }
 
+    /// A repeated or out-of-order map key would decode (last wins) to a
+    /// state that re-encodes differently: not an image this format writes.
     #[test]
-    fn every_single_bit_flip_is_detected() {
-        let frame = sample_frame();
-        for byte in 0..frame.len() {
-            let mut bad = frame.clone();
-            bad[byte] ^= 1 << (byte % 8);
-            let err = SnapReader::new(&bad).expect_err("flip must be rejected");
-            match byte {
-                0..=7 => assert!(matches!(err, SnapshotError::BadMagic), "byte {byte}: {err}"),
-                8..=11 => assert!(
-                    matches!(err, SnapshotError::UnsupportedVersion(_)),
-                    "byte {byte}: {err}"
-                ),
-                12..=19 => assert!(
-                    matches!(
-                        err,
-                        SnapshotError::Truncated { .. } | SnapshotError::TrailingBytes
-                    ),
-                    "byte {byte}: {err}"
-                ),
-                _ => assert!(
-                    matches!(err, SnapshotError::ChecksumMismatch { .. }),
-                    "byte {byte}: {err}"
-                ),
-            }
-        }
+    fn non_canonical_maps_are_rejected() {
+        let map_of = |keys: &'static [u64]| {
+            decode_payload::<BTreeMap<u64, bool>>(move |w| {
+                w.len_prefix(keys.len());
+                for &k in keys {
+                    w.u64(k);
+                    w.bool(true);
+                }
+            })
+        };
+        assert_eq!(map_of(&[1, 2, 5]).unwrap().len(), 3);
+        assert!(is_malformed(map_of(&[1, 2, 2])));
+        assert!(is_malformed(map_of(&[1, 5, 2])));
     }
 
     #[test]
-    fn trailing_bytes_are_rejected() {
-        let mut frame = sample_frame();
-        frame.push(0);
-        assert!(matches!(
-            SnapReader::new(&frame),
-            Err(SnapshotError::TrailingBytes)
-        ));
+    fn invalid_field_values_are_malformed() {
+        assert!(is_malformed(decode_payload::<u16>(|w| w.u32(1 << 16))));
+        assert!(is_malformed(decode_payload::<i32>(|w| w.i64(1 << 31))));
+        assert!(is_malformed(decode_payload::<[u8; 4]>(|w| w.bytes(b"abc"))));
+        assert!(is_malformed(decode_payload::<Shape>(|w| w.u8(1))));
+        assert!(is_malformed(decode_payload::<Value>(|w| w.u8(5))));
+        assert!(is_malformed(decode_payload::<Tag>(|w| w.u8(0xFF))));
+        for tag in [Tag::Unit, Tag::Int, Tag::Bool, Tag::Bytes, Tag::Str] {
+            assert_eq!(decode::<Tag>(&encode(&tag)).unwrap(), tag);
+        }
     }
 
     #[test]

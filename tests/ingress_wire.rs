@@ -1,8 +1,9 @@
 //! Ingress wire-format properties (DESIGN.md §15), mirroring the durable
 //! image's corruption discipline in `snap_roundtrip.rs`: for arbitrary
 //! requests and replies of every frame type, encode → decode is
-//! identity; and no corruption — every truncation prefix, seeded bit
-//! flips, garbage — ever panics or wedges anything: it is a typed
+//! identity; and no corruption — every truncation prefix, a flipped bit
+//! in every byte, a trailing byte (the shared `pdo_snap::hostile` sweep),
+//! garbage — ever panics or wedges anything: it is a typed
 //! [`IngressError`], and a live server behind a real socket keeps
 //! serving other connections afterwards.
 
@@ -17,6 +18,7 @@ use pdo_ingress::{
 };
 use pdo_ir::{BinOp, EventId, FunctionBuilder, Module, Value};
 use pdo_server::{Server, ServerConfig};
+use pdo_snap::hostile;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -119,8 +121,15 @@ fn arb_reply() -> impl Strategy<Value = Reply> {
         }),
         any::<bool>().prop_map(|existed| Reply::Closed { existed }),
         any::<u64>().prop_map(|retry_after_ns| Reply::Shed { retry_after_ns }),
-        ("[ -~]{0,40}", (1u8..7)).prop_map(|(message, c)| Reply::Error {
-            code: ErrorCode::from_byte(c).unwrap(),
+        ("[ -~]{0,40}", (0usize..6)).prop_map(|(message, c)| Reply::Error {
+            code: [
+                ErrorCode::UnknownSession,
+                ErrorCode::WrongKind,
+                ErrorCode::Runtime,
+                ErrorCode::Quiesced,
+                ErrorCode::Malformed,
+                ErrorCode::Internal,
+            ][c],
             message,
         }),
         // Scrape and trace bodies are free-form text on the wire; throw
@@ -152,41 +161,31 @@ proptest! {
         prop_assert_eq!(back, rep);
     }
 
-    /// Every truncation prefix of a valid frame is either "need more
-    /// bytes" through the stream reassembler — never a spurious frame —
-    /// and a typed error through the direct decoder. Seeded bit flips
-    /// are always typed errors: the checksum (or the framing fields it
-    /// protects) catches every one.
+    /// Every truncation prefix of a valid frame is "need more bytes"
+    /// through the stream reassembler — never a spurious frame — and a
+    /// typed, stream-fatal error through the direct decoder. So is a
+    /// flipped bit in any byte (the checksum, or the framing fields it
+    /// protects, catches every one) and a trailing byte.
     #[test]
     fn corrupt_frames_are_typed_errors(req in arb_request(), seed in any::<u64>()) {
         let frame = encode_request(7, &req);
-
-        // Every prefix: the reassembler asks for more; the decoder fails
-        // typed with a stream-fatal classification.
-        for cut in 0..frame.len() {
-            let mut fb = FrameBuffer::new();
-            fb.extend(&frame[..cut]);
-            match fb.next_frame(MAX_FRAME_LEN) {
-                Ok(None) => {}
-                other => prop_assert!(false, "prefix {} must want more, got {:?}", cut, other),
+        let intact = hostile::sweep(&frame, |bytes| {
+            if bytes.len() < frame.len() {
+                let mut fb = FrameBuffer::new();
+                fb.extend(bytes);
+                match fb.next_frame(MAX_FRAME_LEN) {
+                    Ok(None) => {}
+                    other => panic!("prefix {} must want more, got {other:?}", bytes.len()),
+                }
             }
-            match decode_request(&frame[..cut]) {
-                Err(e) => prop_assert!(e.is_stream_fatal(), "prefix {} classifies fatal", cut),
-                Ok(v) => prop_assert!(false, "prefix {} must fail, got {:?}", cut, v),
-            }
-        }
+            decode_request(bytes).map_err(|e| match e {
+                IngressError::Frame(e) => e,
+                other => panic!("corruption must classify stream-fatal, got {other:?}"),
+            })
+        });
+        prop_assert_eq!(intact, (7, req));
 
-        // Seeded bit-flip sweep.
         let mut rng = SplitMix::new(seed ^ 0x1461_55E5);
-        for _ in 0..64 {
-            let pos = rng.below((frame.len() * 8) as u64) as usize;
-            let mut bad = frame.clone();
-            bad[pos / 8] ^= 1 << (pos % 8);
-            match decode_request(&bad) {
-                Err(IngressError::Frame(_) | IngressError::Payload(_)) => {}
-                other => prop_assert!(false, "flip {} must fail typed, got {:?}", pos, other),
-            }
-        }
 
         // Garbage of assorted sizes through the reassembler: typed error
         // or more-bytes, never a panic, never a decoded frame.

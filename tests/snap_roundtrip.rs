@@ -3,7 +3,8 @@
 //! `restore_from_bytes` → `snapshot_to_bytes` reproduces the image byte
 //! for byte — the format has one canonical encoding per state, and a
 //! restore loses nothing the format carries. And no corruption — every
-//! truncation prefix, seeded bit flips, garbage — ever panics or
+//! truncation prefix, a flipped bit in every byte, a trailing byte (the
+//! shared `pdo_snap::hostile` sweep), garbage — ever panics or
 //! half-restores: it is a typed `ServerError::Snapshot` with the server
 //! left empty.
 
@@ -17,6 +18,7 @@ use pdo_events::RuntimeConfig;
 use pdo_ir::{BinOp, EventId, FuncId, FunctionBuilder, Module, Value};
 use pdo_seccomm::{seccomm_protocol, Keys, CONFIG_FULL};
 use pdo_server::{Server, ServerConfig, ServerError};
+use pdo_snap::hostile;
 use proptest::prelude::*;
 
 fn two_chain_module() -> (Module, [EventId; 2]) {
@@ -155,34 +157,29 @@ proptest! {
         }
     }
 
-    /// Every truncation prefix and a seeded sweep of bit flips yield a
-    /// typed error and an untouched (still empty) server — never a panic,
-    /// never a partial restore.
+    /// Every truncation prefix, a flipped bit in every byte and a
+    /// trailing byte yield a typed error and an untouched (still empty)
+    /// server — never a panic, never a partial restore.
     #[test]
     fn corrupt_images_are_typed_errors(seed in 0u64..1_000_000) {
         let mut server = seeded_server(seed, 0);
         let bytes = server.snapshot_to_bytes();
-        for cut in 0..bytes.len() {
+        let restored = hostile::sweep(&bytes, |image| {
             let mut fresh = Server::new(config());
-            match fresh.restore_from_bytes(&bytes[..cut]) {
-                Err(ServerError::Snapshot(_)) => {}
-                other => prop_assert!(false, "prefix {} must fail typed, got {:?}", cut, other),
+            match fresh.restore_from_bytes(image) {
+                Ok(ids) => Ok(ids),
+                Err(ServerError::Snapshot(e)) => {
+                    assert!(fresh.sessions().is_empty(), "failed restore opens nothing");
+                    Err(e)
+                }
+                Err(other) => panic!("corruption must fail typed, got {other:?}"),
             }
-            prop_assert!(fresh.sessions().is_empty());
-        }
-        let mut rng = SplitMix::new(seed ^ 0x0B17_F11B);
-        for _ in 0..128 {
-            let pos = rng.below((bytes.len() * 8) as u64) as usize;
-            let mut bad = bytes.clone();
-            bad[pos / 8] ^= 1 << (pos % 8);
-            let mut fresh = Server::new(config());
-            match fresh.restore_from_bytes(&bad) {
-                Err(ServerError::Snapshot(_)) => {}
-                other => prop_assert!(false, "flip {} must fail typed, got {:?}", pos, other),
-            }
-            prop_assert!(fresh.sessions().is_empty());
-        }
+        });
+        let mut expected = server.sessions();
+        expected.sort();
+        prop_assert_eq!(restored, expected, "the intact image restores every session");
         // Arbitrary garbage of assorted sizes.
+        let mut rng = SplitMix::new(seed ^ 0x0B17_F11B);
         for len in [0usize, 1, 7, 19, 20, 64, 1024] {
             let garbage: Vec<u8> = (0..len).map(|_| rng.below(256) as u8).collect();
             let mut fresh = Server::new(config());
