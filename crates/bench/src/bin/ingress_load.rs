@@ -32,6 +32,7 @@
 //! for ~10 s with the same gates.
 
 use pdo::AdaptConfig;
+use pdo_bench::mean_ci;
 use pdo_ingress::proto::{self, Reply, Request, WireMode};
 use pdo_ingress::{Client, Ingress, IngressConfig, OpenKind};
 use pdo_ir::{BinOp, EventId, FunctionBuilder, Module, Value};
@@ -391,17 +392,6 @@ fn classify(reply: Reply, arrival_ns: u64, start: &Instant, hist: &mut Histogram
         Reply::Shed { .. } => t.shed += 1,
         _ => t.errors += 1,
     }
-}
-
-/// Mean and normal-approximation 95% CI half-width.
-fn mean_ci(xs: &[f64]) -> (f64, f64) {
-    let n = xs.len() as f64;
-    let mean = xs.iter().sum::<f64>() / n;
-    if xs.len() < 2 {
-        return (mean, 0.0);
-    }
-    let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
-    (mean, 1.96 * (var / n).sqrt())
 }
 
 struct Point {

@@ -28,7 +28,7 @@
 //! first argument, default `BENCH_interp.json` in the working directory,
 //! and exits nonzero when either gate fails.
 
-use pdo_bench::{measure, Measurement};
+use pdo_bench::{measure, Side};
 use pdo_events::Runtime;
 use pdo_ir::interp::{call, BasicEnv};
 use pdo_ir::{BinOp, EventId, FuncId, FunctionBuilder, Module, RaiseMode, Value};
@@ -118,66 +118,13 @@ fn fused_twin(m: &Module, workload: &str) -> Module {
     fused
 }
 
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let n = xs.len();
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
-    }
-}
-
-/// Mean and normal-approximation 95% CI half-width over `xs`.
-fn mean_ci(xs: &[f64]) -> (f64, f64) {
-    let n = xs.len() as f64;
-    let mean = xs.iter().sum::<f64>() / n;
-    let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
-    (mean, 1.96 * (var / n).sqrt())
-}
-
-fn json_side(mins: &[f64], means: &[f64]) -> String {
-    let mut mins = mins.to_vec();
-    let (mean, ci95) = mean_ci(means);
-    format!(
-        "{{ \"median_min_ns\": {:.2}, \"mean_ns\": {:.2}, \"ci95_ns\": {:.2} }}",
-        median(&mut mins),
-        mean,
-        ci95
-    )
-}
-
-struct Side {
-    mins: Vec<f64>,
-    means: Vec<f64>,
-}
-
-impl Side {
-    fn new() -> Side {
-        Side {
-            mins: Vec::new(),
-            means: Vec::new(),
-        }
-    }
-    fn push(&mut self, m: Measurement) {
-        self.mins.push(m.min_ns);
-        self.means.push(m.mean_ns);
-    }
-    fn median_min(&self) -> f64 {
-        median(&mut self.mins.clone())
-    }
-    fn json(&self) -> String {
-        json_side(&self.mins, &self.means)
-    }
-}
-
 /// Interleaved A/B rounds of `call` on two variants of one handler.
 fn ab_rounds(a_mod: &Module, b_mod: &Module) -> (Side, Side) {
     let fa = FuncId(0);
     let mut env_a = BasicEnv::new(a_mod);
     let mut env_b = BasicEnv::new(b_mod);
-    let mut a = Side::new();
-    let mut b = Side::new();
+    let mut a = Side::default();
+    let mut b = Side::default();
     for i in 0..ROUNDS {
         // Alternate order each round so slow drift (thermal, scheduler)
         // cancels instead of biasing one side.
@@ -265,8 +212,8 @@ fn main() {
     // Opcode-profile sampling overhead on the full dispatch path.
     let (mut off_rt, e) = dispatch_runtime(false);
     let (mut on_rt, _) = dispatch_runtime(true);
-    let mut off = Side::new();
-    let mut on = Side::new();
+    let mut off = Side::default();
+    let mut on = Side::default();
     for i in 0..ROUNDS {
         let (first, second): (&mut Runtime, &mut Runtime) = if i % 2 == 0 {
             (&mut off_rt, &mut on_rt)

@@ -16,7 +16,7 @@
 //! exits nonzero when the gate fails.
 
 use pdo::{optimize, OptimizeOptions};
-use pdo_bench::{measure, Measurement};
+use pdo_bench::{measure, Measurement, Side};
 use pdo_events::{Runtime, TraceConfig};
 use pdo_ir::{BinOp, EventId, FuncId, FunctionBuilder, Module, RaiseMode, Value};
 use pdo_profile::Profile;
@@ -78,24 +78,6 @@ fn fastpath_runtime(metrics: bool) -> (Runtime, EventId) {
     (rt, e)
 }
 
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let n = xs.len();
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
-    }
-}
-
-/// Mean and normal-approximation 95% CI half-width over `xs`.
-fn mean_ci(xs: &[f64]) -> (f64, f64) {
-    let n = xs.len() as f64;
-    let mean = xs.iter().sum::<f64>() / n;
-    let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
-    (mean, 1.96 * (var / n).sqrt())
-}
-
 fn round(rt: &mut Runtime, e: EventId) -> Measurement {
     measure(
         || {
@@ -103,17 +85,6 @@ fn round(rt: &mut Runtime, e: EventId) -> Measurement {
                 .unwrap()
         },
         SAMPLES,
-    )
-}
-
-fn json_side(mins: &[f64], means: &[f64]) -> String {
-    let mut mins = mins.to_vec();
-    let (mean, ci95) = mean_ci(means);
-    format!(
-        "{{ \"median_min_ns\": {:.2}, \"mean_ns\": {:.2}, \"ci95_ns\": {:.2} }}",
-        median(&mut mins),
-        mean,
-        ci95
     )
 }
 
@@ -130,8 +101,7 @@ fn main() {
     );
     assert!(on_rt.obs().is_some(), "metrics-on runtime must have a hub");
 
-    let (mut off_min, mut off_mean) = (Vec::new(), Vec::new());
-    let (mut on_min, mut on_mean) = (Vec::new(), Vec::new());
+    let (mut off_side, mut on_side) = (Side::default(), Side::default());
     for i in 0..ROUNDS {
         // Alternate the order within each round so slow drift (thermal,
         // scheduler) cancels instead of biasing one side.
@@ -143,15 +113,12 @@ fn main() {
         let a = round(first, e);
         let b = round(second, e);
         let (off, on) = if i % 2 == 0 { (a, b) } else { (b, a) };
-        off_min.push(off.min_ns);
-        off_mean.push(off.mean_ns);
-        on_min.push(on.min_ns);
-        on_mean.push(on.mean_ns);
+        off_side.push(off);
+        on_side.push(on);
     }
 
-    let off_json = json_side(&off_min, &off_mean);
-    let on_json = json_side(&on_min, &on_mean);
-    let ratio = median(&mut on_min.clone()) / median(&mut off_min.clone());
+    let (off_json, on_json) = (off_side.json(), on_side.json());
+    let ratio = on_side.median_min() / off_side.median_min();
     let pass = ratio <= GATE;
     let json = format!(
         "{{\n  \"bench\": \"dispatch/fastpath/6\",\n  \"rounds\": {ROUNDS},\n  \

@@ -27,6 +27,7 @@
 //! uncached (medians). Exits nonzero if either gate fails.
 
 use pdo::{AdaptConfig, OptimizeOptions};
+use pdo_bench::{mean_ci, median};
 use pdo_events::RuntimeConfig;
 use pdo_ir::{BinOp, EventId, FuncId, FunctionBuilder, Module, Value};
 use pdo_server::{Server, ServerConfig, SessionId};
@@ -85,24 +86,6 @@ fn drive(server: &mut Server, sids: &[SessionId], e: EventId) {
         server.submit_batch(sid, e, &delays).unwrap();
     }
     server.run_until(start + BURST * SPACING + 1).unwrap();
-}
-
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    let n = xs.len();
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
-    }
-}
-
-/// Mean and normal-approximation 95% CI half-width over `xs`.
-fn mean_ci(xs: &[f64]) -> (f64, f64) {
-    let n = xs.len() as f64;
-    let mean = xs.iter().sum::<f64>() / n;
-    let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
-    (mean, 1.96 * (var / n).sqrt())
 }
 
 struct Cell {

@@ -18,7 +18,7 @@
 //! and exits nonzero when either gate fails.
 
 use pdo::{optimize, OptimizeOptions};
-use pdo_bench::{measure, Measurement};
+use pdo_bench::{measure, Measurement, Side};
 use pdo_events::{Runtime, TraceConfig};
 use pdo_ir::{BinOp, EventId, FuncId, FunctionBuilder, Module, RaiseMode, Value};
 use pdo_obs::trace::TraceStore;
@@ -105,24 +105,6 @@ fn fastpath_runtime(tracing: Tracing) -> (Runtime, EventId) {
     (rt, e)
 }
 
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let n = xs.len();
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
-    }
-}
-
-/// Mean and normal-approximation 95% CI half-width over `xs`.
-fn mean_ci(xs: &[f64]) -> (f64, f64) {
-    let n = xs.len() as f64;
-    let mean = xs.iter().sum::<f64>() / n;
-    let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
-    (mean, 1.96 * (var / n).sqrt())
-}
-
 fn round(rt: &mut Runtime, e: EventId) -> Measurement {
     measure(
         || {
@@ -131,29 +113,6 @@ fn round(rt: &mut Runtime, e: EventId) -> Measurement {
         },
         SAMPLES,
     )
-}
-
-#[derive(Default)]
-struct Side {
-    mins: Vec<f64>,
-    means: Vec<f64>,
-}
-
-impl Side {
-    fn json(&self) -> String {
-        let mut mins = self.mins.clone();
-        let (mean, ci95) = mean_ci(&self.means);
-        format!(
-            "{{ \"median_min_ns\": {:.2}, \"mean_ns\": {:.2}, \"ci95_ns\": {:.2} }}",
-            median(&mut mins),
-            mean,
-            ci95
-        )
-    }
-
-    fn median_min(&self) -> f64 {
-        median(&mut self.mins.clone())
-    }
 }
 
 fn main() {
@@ -185,9 +144,7 @@ fn main() {
                 1 => &mut off_rt,
                 _ => &mut on_rt,
             };
-            let m = round(rt, e);
-            sides[which].mins.push(m.min_ns);
-            sides[which].means.push(m.mean_ns);
+            sides[which].push(round(rt, e));
         }
     }
 

@@ -80,14 +80,67 @@ pub fn measure<O>(mut f: impl FnMut() -> O, samples: usize) -> Measurement {
         avgs.push(start.elapsed().as_nanos() as f64 / f64::from(batch));
     }
     let min_ns = avgs.iter().copied().fold(f64::INFINITY, f64::min);
-    let n = avgs.len() as f64;
-    let mean_ns = avgs.iter().sum::<f64>() / n;
-    let var = avgs.iter().map(|a| (a - mean_ns).powi(2)).sum::<f64>() / (n - 1.0);
-    let ci95_ns = 1.96 * (var / n).sqrt();
+    let (mean_ns, ci95_ns) = mean_ci(&avgs);
     Measurement {
         min_ns,
         mean_ns,
         ci95_ns,
+    }
+}
+
+/// Median of `xs` (sorted in place).
+pub fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let n = xs.len();
+    if n % 2 == 1 {
+        xs[n / 2]
+    } else {
+        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
+    }
+}
+
+/// Mean and normal-approximation 95% CI half-width over `xs` (zero width
+/// for fewer than two samples).
+pub fn mean_ci(xs: &[f64]) -> (f64, f64) {
+    let n = xs.len() as f64;
+    let mean = xs.iter().sum::<f64>() / n;
+    if xs.len() < 2 {
+        return (mean, 0.0);
+    }
+    let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
+    (mean, 1.96 * (var / n).sqrt())
+}
+
+/// One side of an interleaved comparison: the per-round [`Measurement`]s
+/// of one configuration. The gates compare sides by [`Side::median_min`].
+#[derive(Debug, Default)]
+pub struct Side {
+    mins: Vec<f64>,
+    means: Vec<f64>,
+}
+
+impl Side {
+    /// Adds one round's measurement.
+    pub fn push(&mut self, m: Measurement) {
+        self.mins.push(m.min_ns);
+        self.means.push(m.mean_ns);
+    }
+
+    /// Median across rounds of the per-round minimum batch average — the
+    /// headline statistic, robust against scheduler noise.
+    pub fn median_min(&self) -> f64 {
+        median(&mut self.mins.clone())
+    }
+
+    /// The side as the JSON object every `BENCH_*.json` gate artifact uses.
+    pub fn json(&self) -> String {
+        let (mean, ci95) = mean_ci(&self.means);
+        format!(
+            "{{ \"median_min_ns\": {:.2}, \"mean_ns\": {:.2}, \"ci95_ns\": {:.2} }}",
+            self.median_min(),
+            mean,
+            ci95
+        )
     }
 }
 
@@ -109,6 +162,26 @@ mod tests {
     fn percent_basics() {
         assert!((percent(50.0, 100.0) - 50.0).abs() < 1e-9);
         assert_eq!(percent(1.0, 0.0), 100.0);
+    }
+
+    #[test]
+    fn side_summarizes_rounds() {
+        let mut side = Side::default();
+        for min_ns in [30.0, 10.0, 20.0] {
+            side.push(Measurement {
+                min_ns,
+                mean_ns: min_ns + 1.0,
+                ci95_ns: 0.0,
+            });
+        }
+        assert_eq!(side.median_min(), 20.0);
+        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 2.5);
+        assert_eq!(mean_ci(&[5.0]), (5.0, 0.0));
+        let (mean, ci) = mean_ci(&[11.0, 21.0, 31.0]);
+        assert!((mean - 21.0).abs() < 1e-9 && ci > 0.0);
+        assert!(side
+            .json()
+            .starts_with("{ \"median_min_ns\": 20.00, \"mean_ns\": 21.00,"));
     }
 
     #[test]

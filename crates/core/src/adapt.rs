@@ -353,6 +353,33 @@ pdo_snap::codec_struct!(EngineSnapshot {
     quarantine,
 });
 
+/// The engine's one emission point. A decision lands in the flight
+/// recorder (`record`, when a hub is attached) and in the causal trace as
+/// a `ChainAudit` span (`span`: the event concerned and the action, when a
+/// store is attached and enabled) from a single call, so the two books
+/// cannot drift apart. The span joins the trace whose dispatch drove the
+/// decision. `why` runs only if a span is actually recorded.
+fn audit(
+    rt: &Runtime,
+    record: Option<ObsKind>,
+    span: Option<(Option<EventId>, AuditAction)>,
+    why: impl FnOnce() -> String,
+) {
+    let now = rt.clock_ns();
+    if let (Some(obs), Some(kind)) = (rt.obs(), record) {
+        obs.record(now, kind);
+    }
+    let tracer = rt.tracer().filter(|t| t.enabled());
+    if let (Some(t), Some((event, action))) = (tracer, span) {
+        let kind = SpanKind::ChainAudit {
+            event: event.map(|e| e.0),
+            action,
+            why: why(),
+        };
+        t.record_under(rt.last_trace_ctx(), now, now, kind);
+    }
+}
+
 /// Per-session state of the adaptive-specialization daemon.
 #[derive(Debug)]
 pub struct AdaptiveEngine {
@@ -554,33 +581,18 @@ impl AdaptiveEngine {
         let stale = match self.healer.as_mut() {
             Some(h) => {
                 let report = h.heal(rt, &delta);
-                if let Some(obs) = rt.obs() {
-                    for &(event, until_ns) in &report.quarantined {
-                        obs.record(
-                            rt.clock_ns(),
-                            ObsKind::Quarantined {
-                                event: event.0,
-                                until_ns,
-                            },
-                        );
-                    }
-                }
-                if let Some(t) = rt.tracer() {
-                    // Audit spans: each quarantine decision joins the
-                    // trace whose dispatch exposed the fault.
-                    let now = rt.clock_ns();
-                    for &(event, until_ns) in &report.quarantined {
-                        t.record_under(
-                            rt.last_trace_ctx(),
-                            now,
-                            now,
-                            SpanKind::ChainAudit {
-                                event: Some(event.0),
-                                action: AuditAction::Quarantine,
-                                why: format!("faults exceeded quarantine threshold; backoff until t={until_ns}ns"),
-                            },
-                        );
-                    }
+                for &(event, until_ns) in &report.quarantined {
+                    audit(
+                        rt,
+                        Some(ObsKind::Quarantined {
+                            event: event.0,
+                            until_ns,
+                        }),
+                        Some((Some(event), AuditAction::Quarantine)),
+                        || {
+                            format!("faults exceeded quarantine threshold; backoff until t={until_ns}ns")
+                        },
+                    );
                 }
                 !report.stale.is_empty()
             }
@@ -640,56 +652,37 @@ impl AdaptiveEngine {
         };
         self.stats.reprofiles += 1;
         // The auditable "why" every decision span below carries: the
-        // profile evidence that triggered this pass.
-        let evidence = format!(
-            "fresh_events={fresh} min_fresh={} threshold={} stale={stale} cache={} chains={}",
-            self.config.min_fresh_events,
-            self.config.opts.threshold,
-            if cache_hit { "hit" } else { "miss" },
-            opt.chains.len(),
-        );
-        let audit = |rt: &Runtime, event: Option<u32>, action: AuditAction, extra: &str| {
-            if let Some(t) = rt.tracer() {
-                let now = rt.clock_ns();
-                t.record_under(
-                    rt.last_trace_ctx(),
-                    now,
-                    now,
-                    SpanKind::ChainAudit {
-                        event,
-                        action,
-                        why: if extra.is_empty() {
-                            evidence.clone()
-                        } else {
-                            format!("{extra}; {evidence}")
-                        },
-                    },
-                );
-            }
+        // profile evidence that triggered this pass, formatted only when a
+        // span is actually recorded.
+        let (min_fresh, threshold) = (self.config.min_fresh_events, self.config.opts.threshold);
+        let cache = if cache_hit { "hit" } else { "miss" };
+        let chains = opt.chains.len();
+        let evidence = || {
+            format!(
+                "fresh_events={fresh} min_fresh={min_fresh} threshold={threshold} stale={stale} \
+                 cache={cache} chains={chains}"
+            )
         };
-        audit(rt, None, AuditAction::Reprofile, "");
-        // Fusion flight record: which sequences fused where, with the
-        // pair-frequency evidence that justified each rewrite.
+        let because = |what: &str| format!("{what}; {}", evidence());
+        audit(rt, None, Some((None, AuditAction::Reprofile)), evidence);
+        // Fusion: which sequences fused where, with the pair-frequency
+        // evidence that justified each rewrite.
         for r in &fused {
-            if let Some(obs) = rt.obs() {
-                obs.record(
-                    rt.clock_ns(),
-                    ObsKind::SequenceFused {
-                        func: r.func.0,
-                        pattern: r.pattern,
-                        sites: u32::try_from(r.sites).unwrap_or(u32::MAX),
-                        evidence: r.evidence,
-                    },
-                );
-            }
             audit(
                 rt,
-                None,
-                AuditAction::Install,
-                &format!(
-                    "superinstruction fusion: func={} pattern={} sites={} pair_evidence={}",
-                    r.func.0, r.pattern, r.sites, r.evidence
-                ),
+                Some(ObsKind::SequenceFused {
+                    func: r.func.0,
+                    pattern: r.pattern,
+                    sites: u32::try_from(r.sites).unwrap_or(u32::MAX),
+                    evidence: r.evidence,
+                }),
+                Some((None, AuditAction::Install)),
+                || {
+                    because(&format!(
+                        "superinstruction fusion: func={} pattern={} sites={} pair_evidence={}",
+                        r.func.0, r.pattern, r.sites, r.evidence
+                    ))
+                },
             );
         }
         if opt.chains.is_empty() {
@@ -708,14 +701,11 @@ impl AdaptiveEngine {
             rt.remove_chain(event);
             if !new_heads.contains(&event) {
                 self.stats.chains_dropped += 1;
-                if let Some(obs) = rt.obs() {
-                    obs.record(rt.clock_ns(), ObsKind::ChainDropped { event: event.0 });
-                }
                 audit(
                     rt,
-                    Some(event.0),
-                    AuditAction::Drop,
-                    "chain not reproduced by new profile",
+                    Some(ObsKind::ChainDropped { event: event.0 }),
+                    Some((Some(event), AuditAction::Drop)),
+                    || because("chain not reproduced by new profile"),
                 );
             }
         }
@@ -744,27 +734,21 @@ impl AdaptiveEngine {
             if quarantined {
                 audit(
                     rt,
-                    Some(chain.head.0),
-                    AuditAction::Quarantine,
-                    "install skipped: event under quarantine backoff",
+                    None,
+                    Some((Some(chain.head), AuditAction::Quarantine)),
+                    || because("install skipped: event under quarantine backoff"),
                 );
                 continue; // the healer re-installs it after backoff
             }
             rt.install_chain(chain.clone());
             self.stats.chains_installed += 1;
-            if let Some(obs) = rt.obs() {
-                obs.record(
-                    rt.clock_ns(),
-                    ObsKind::ChainInstalled {
-                        event: chain.head.0,
-                    },
-                );
-            }
             audit(
                 rt,
-                Some(chain.head.0),
-                AuditAction::Install,
-                "hot chain from profile snapshot",
+                Some(ObsKind::ChainInstalled {
+                    event: chain.head.0,
+                }),
+                Some((Some(chain.head), AuditAction::Install)),
+                || because("hot chain from profile snapshot"),
             );
         }
         self.note_reprofile(rt, started, opt.chains.len() as u32);
@@ -808,15 +792,11 @@ impl AdaptiveEngine {
     fn note_reprofile(&mut self, rt: &Runtime, started: Instant, chains: u32) {
         let duration_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.reprofile_wall_ns.record(duration_ns);
-        if let Some(obs) = rt.obs() {
-            obs.record(
-                rt.clock_ns(),
-                ObsKind::Reprofile {
-                    chains,
-                    duration_ns,
-                },
-            );
-        }
+        let record = ObsKind::Reprofile {
+            chains,
+            duration_ns,
+        };
+        audit(rt, Some(record), None, String::new);
     }
 
     /// Exports the adaptation loop's counters, gauges, and reprofile
@@ -1101,6 +1081,133 @@ mod tests {
         // Every dispatch (faulted ones included, via generic fallback)
         // added its 3.
         assert_eq!(rt.global(ga), &Value::Int(183 * 3));
+    }
+
+    /// One adaptive run in which chains are installed (A, then B), dropped
+    /// (A, when the workload shifts to B) and quarantined (A, under three
+    /// injected traps), with a hub and `store` attached.
+    fn audited_run(store: &pdo_obs::TraceStore) -> (pdo_obs::ObsHub, Rc<RefCell<AdaptiveEngine>>) {
+        let (m, [a, b], _) = two_chain_module();
+        let mut rt = Runtime::with_config(
+            m.clone(),
+            RuntimeConfig {
+                fault_policy: FaultPolicy::Despecialize,
+                ..Default::default()
+            },
+        );
+        bind_all(&mut rt, &m, a, b);
+        let hub = rt.enable_observability();
+        rt.set_tracer(store.clone());
+        let engine = AdaptiveEngine::attach_new(
+            &mut rt,
+            AdaptConfig {
+                quarantine: QuarantineConfig {
+                    fault_threshold: 2,
+                    base_backoff_ns: 2_000,
+                    ..Default::default()
+                },
+                ..config()
+            },
+        );
+        drive(&mut rt, a, 60);
+        rt.set_fault_injector(FaultInjector::from_plan((0..3).map(|i| FaultSpec {
+            event: a,
+            occurrence: i,
+            kind: FaultKind::TrapDispatch,
+        })));
+        drive(&mut rt, a, 3);
+        drive(&mut rt, a, 120);
+        assert!(rt.spec().get(a).is_some(), "chain healed");
+        drive(&mut rt, b, 200);
+        assert!(rt.spec().get(a).is_none(), "A dropped after the shift");
+        (hub, engine)
+    }
+
+    #[test]
+    fn one_audit_call_keeps_flight_records_spans_and_counters_in_step() {
+        let store = pdo_obs::TraceStore::default();
+        let (hub, engine) = audited_run(&store);
+        let records = hub.tail(usize::MAX);
+        let records = |pred: fn(&ObsKind) -> bool| records.iter().filter(|r| pred(&r.kind)).count();
+        let spans = store.spans();
+        assert_eq!(spans.len() as u64, store.recorded(), "ring must not wrap");
+        // Decision spans (event set) by action; `reason` narrows Quarantine
+        // to the healer's decisions — a skipped install is audited under
+        // the same action but is not a new quarantine.
+        let spans = |want: AuditAction, reason: &str| {
+            spans
+                .iter()
+                .filter(|s| {
+                    matches!(&s.kind, SpanKind::ChainAudit { event: Some(_), action, why }
+                        if *action == want && why.starts_with(reason))
+                })
+                .count()
+        };
+        let stats = engine.borrow().stats();
+        let installed = records(|k| matches!(k, ObsKind::ChainInstalled { .. }));
+        assert!(installed >= 2, "A and B were both installed");
+        assert_eq!(installed, spans(AuditAction::Install, ""));
+        assert_eq!(installed as u64, stats.chains_installed);
+
+        let dropped = records(|k| matches!(k, ObsKind::ChainDropped { .. }));
+        assert!(dropped >= 1);
+        assert_eq!(dropped, spans(AuditAction::Drop, ""));
+        assert_eq!(dropped as u64, stats.chains_dropped);
+
+        let quarantined = records(|k| matches!(k, ObsKind::Quarantined { .. }));
+        assert!(quarantined >= 1);
+        assert_eq!(
+            quarantined,
+            spans(AuditAction::Quarantine, "faults exceeded")
+        );
+        let engine = engine.borrow();
+        let q = engine.healer().expect("chains deployed").quarantine();
+        let strikes: u32 = q.export_entries().iter().map(|(_, e)| e.strikes).sum();
+        assert_eq!(quarantined as u32, strikes);
+    }
+
+    #[test]
+    fn disabled_trace_store_records_no_spans_but_flight_records_still_land() {
+        let store = pdo_obs::TraceStore::default();
+        store.set_enabled(false);
+        let (hub, engine) = audited_run(&store);
+        assert_eq!(store.recorded(), 0);
+        let stats = engine.borrow().stats();
+        let count = |pred: fn(&ObsKind) -> bool| {
+            hub.tail(usize::MAX)
+                .iter()
+                .filter(|r| pred(&r.kind))
+                .count() as u64
+        };
+        assert!(stats.chains_installed >= 2 && stats.chains_dropped >= 1);
+        assert_eq!(
+            count(|k| matches!(k, ObsKind::ChainInstalled { .. })),
+            stats.chains_installed
+        );
+        assert_eq!(
+            count(|k| matches!(k, ObsKind::ChainDropped { .. })),
+            stats.chains_dropped
+        );
+        assert!(count(|k| matches!(k, ObsKind::Quarantined { .. })) >= 1);
+        assert_eq!(
+            count(|k| matches!(k, ObsKind::Reprofile { .. })),
+            stats.reprofiles
+        );
+    }
+
+    #[test]
+    fn audit_formats_the_why_only_when_a_span_is_recorded() {
+        let (m, _, _) = two_chain_module();
+        let mut rt = Runtime::new(m);
+        let span = Some((None, AuditAction::Reprofile));
+        audit(&rt, None, span, || unreachable!("no store attached"));
+        let store = rt.enable_tracing();
+        store.set_enabled(false);
+        audit(&rt, None, span, || unreachable!("store disabled"));
+        store.set_enabled(true);
+        audit(&rt, None, None, || unreachable!("no span asked for"));
+        audit(&rt, None, span, || "evidence".into());
+        assert_eq!(store.recorded(), 1);
     }
 
     /// Module for the sleeping-tracer regression: `A` is the initially hot

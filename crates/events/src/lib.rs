@@ -52,6 +52,7 @@
 
 pub mod fault;
 pub mod marshal;
+mod observe;
 pub mod registry;
 pub mod runtime;
 pub mod sched;

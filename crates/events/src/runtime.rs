@@ -2,17 +2,16 @@
 
 use crate::fault::{corrupt_value, FaultInjector, FaultKind, FaultPolicy, EXHAUST_FUEL_BUDGET};
 use crate::marshal::{marshal, unmarshal};
+use crate::observe::Observers;
 use crate::registry::Registry;
-use crate::sched::{QueuedTrace, Scheduler, SchedulerState, VirtualClock};
+use crate::sched::{Scheduler, SchedulerState, VirtualClock};
 use crate::spec::{CompiledChain, SpecTable};
-use crate::trace::{Trace, TraceConfig, TraceRecord};
+use crate::trace::{Trace, TraceConfig};
 use pdo_ir::interp::{call, Env, ExecError};
 use pdo_ir::{
     CostCounter, EventId, FuncId, GlobalId, Module, NativeId, OpcodeProfile, RaiseMode, Value,
 };
-use pdo_obs::{
-    DispatchSrc, MetricsSnapshot, ObsHub, ObsKind, RaiseKind, Span, SpanKind, TraceCtx, TraceStore,
-};
+use pdo_obs::{DispatchSrc, MetricsSnapshot, ObsHub, TraceCtx, TraceStore};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -257,9 +256,6 @@ pub struct Runtime {
     spec: SpecTable,
     sched: Scheduler,
     clock: VirtualClock,
-    trace: Trace,
-    trace_config: Option<TraceConfig>,
-    trace_window: Option<usize>,
     sync_depth: u32,
     dispatch_seq: u64,
     fuel: Option<u64>,
@@ -269,35 +265,9 @@ pub struct Runtime {
     epoch_hook: Option<EpochHook>,
     config: RuntimeConfig,
     faults: Option<FaultInjector>,
-    dispatch_accounting: bool,
-    /// Open handler frames (event, handler) — maintained only while
-    /// dispatch accounting is on, so nested synchronous raises can be
-    /// attributed to the frame that issued them without tracing.
-    frame_stack: Vec<(EventId, FuncId)>,
-    /// Observability hub: `None` means metrics are off and every hot path
-    /// pays exactly one `Option` check (see [`Runtime::enable_obs`]).
-    obs: Option<ObsHub>,
-    /// Causal trace store: `None` means tracing is detached and every
-    /// instrumentation site pays one `Option` check; attached-but-
-    /// disabled adds one `Cell` load (see [`Runtime::set_tracer`]).
-    tracer: Option<TraceStore>,
-    /// Ambient causal context: the span currently executing, which
-    /// nested raises, guard misses, and despecializations parent to.
-    cur_tctx: Option<TraceCtx>,
-    /// The most recent top-level dispatch's span, retained so the epoch
-    /// hook (adaptive engine) and the wire layer can parent audit and
-    /// wire spans into the trace that drove them.
-    last_tctx: Option<TraceCtx>,
-    /// Trace context of a just-popped queue/timer entry, consumed by the
-    /// next dispatch (set only inside [`Runtime::run_until`]).
-    queued_tctx: Option<(QueuedTrace, DispatchSrc)>,
-    /// Opcode/pair frequency profile fed by the interpreter. `None` until
-    /// profiling is first enabled; retained (counts intact) while sampling
-    /// is paused so duty-cycled windows accumulate into one profile.
-    opcode_prof: Option<Box<OpcodeProfile>>,
-    /// Whether the interpreter records into `opcode_prof` right now.
-    opcode_sampling: bool,
-    stats: RuntimeStats,
+    /// Every observation sink (profile trace, stats, metrics hub, causal
+    /// trace store, opcode profile) behind one method per runtime event.
+    sinks: Observers,
     /// Cost counters charged by dispatch and handler execution.
     pub cost: CostCounter,
 }
@@ -352,9 +322,6 @@ impl Runtime {
             spec: SpecTable::new(),
             sched: Scheduler::new(),
             clock: VirtualClock::new(),
-            trace: Trace::new(),
-            trace_config: None,
-            trace_window: None,
             sync_depth: 0,
             dispatch_seq: 0,
             fuel: config.fuel,
@@ -363,16 +330,7 @@ impl Runtime {
             next_epoch_ns: u64::MAX,
             epoch_hook: None,
             faults: None,
-            dispatch_accounting: false,
-            frame_stack: Vec::new(),
-            obs: None,
-            tracer: None,
-            cur_tctx: None,
-            last_tctx: None,
-            queued_tctx: None,
-            opcode_prof: None,
-            opcode_sampling: false,
-            stats: RuntimeStats::default(),
+            sinks: Observers::new(),
             cost: CostCounter::new(),
             reserved,
             config,
@@ -480,26 +438,7 @@ impl Runtime {
     /// Long-running sessions sample their trace in windows on epoch
     /// boundaries; the cap bounds memory if an epoch runs long.
     pub fn set_trace_window(&mut self, max_records: Option<usize>) {
-        self.trace_window = max_records;
-        self.enforce_trace_window();
-    }
-
-    /// Appends a trace record, enforcing the window cap.
-    fn trace_push(&mut self, record: TraceRecord) {
-        self.trace.records.push(record);
-        self.enforce_trace_window();
-    }
-
-    fn enforce_trace_window(&mut self) {
-        if let Some(max) = self.trace_window {
-            let len = self.trace.records.len();
-            if len > max {
-                // Drop the oldest quarter-window in one pass so the cost
-                // amortizes to O(1) per record.
-                let drop = (len - max).max(max / 4).min(len);
-                self.trace.records.drain(..drop);
-            }
-        }
+        self.sinks.set_trace_window(max_records);
     }
 
     /// The binding registry (read-only; mutate through [`Runtime::bind`]).
@@ -580,15 +519,10 @@ impl Runtime {
         &self.spec
     }
 
-    /// Enables tracing with the given configuration (clears prior records).
+    /// Sets the profile-trace configuration and clears prior records
+    /// ([`TraceConfig::off`], the initial state, records nothing).
     pub fn set_trace_config(&mut self, config: TraceConfig) {
-        self.trace_config = Some(config);
-        self.trace = Trace::new();
-    }
-
-    /// Disables tracing.
-    pub fn disable_tracing(&mut self) {
-        self.trace_config = None;
+        self.sinks.set_trace_config(config);
     }
 
     /// Enables (or disables) per-event generic-dispatch accounting in
@@ -596,35 +530,24 @@ impl Runtime {
     /// counter costs one map update per *generic* dispatch, which only an
     /// adaptive daemon using it as a sleep-mode hotness signal should pay.
     pub fn set_dispatch_accounting(&mut self, on: bool) {
-        self.dispatch_accounting = on;
+        self.sinks.dispatch_accounting = on;
     }
 
-    /// Attaches an observability hub (see `pdo-obs`): dispatches start
-    /// feeding per-event fast/slow latency histograms and the flight
-    /// recorder, and raises, guard misses, and faults are recorded. The
-    /// same hub may be shared with an adaptive engine or a test oracle —
-    /// it is a cheap `Rc` handle. When no hub is attached (the default)
+    /// Attaches a fresh default-capacity observability hub (see `pdo-obs`)
+    /// and returns a handle to it: dispatches start feeding per-event
+    /// fast/slow latency histograms, and guard misses and faults land in
+    /// the flight recorder. The handle is a cheap `Rc` the adaptive engine
+    /// or a test oracle may share. When no hub is attached (the default)
     /// every instrumentation site is a single `Option` check.
-    pub fn enable_obs(&mut self, hub: ObsHub) {
-        self.obs = Some(hub);
-    }
-
-    /// Attaches a fresh default-capacity hub and returns a handle to it.
     pub fn enable_observability(&mut self) -> ObsHub {
         let hub = ObsHub::default();
-        self.obs = Some(hub.clone());
+        self.sinks.obs = Some(hub.clone());
         hub
     }
 
     /// The attached observability hub, if any.
     pub fn obs(&self) -> Option<&ObsHub> {
-        self.obs.as_ref()
-    }
-
-    /// Detaches the observability hub (instrumentation back to one
-    /// `Option` check, histograms survive in the returned handle).
-    pub fn take_obs(&mut self) -> Option<ObsHub> {
-        self.obs.take()
+        self.sinks.obs.as_ref()
     }
 
     /// Attaches a causal trace store (see `pdo-obs::trace`, DESIGN.md
@@ -633,28 +556,24 @@ impl Runtime {
     /// no ambient or caller-supplied context mints a fresh [`TraceId`] —
     /// it is an external stimulus and becomes the trace root. The same
     /// store may be shared with the adaptive engine and the server shard
-    /// that owns this runtime; it is a cheap `Rc` handle.
+    /// that owns this runtime; it is a cheap `Rc` handle. Detached (the
+    /// default) every site pays one `Option` check; attached-but-disabled
+    /// adds one `Cell` load.
     pub fn set_tracer(&mut self, store: TraceStore) {
-        self.tracer = Some(store);
+        self.sinks.tracer = Some(store);
     }
 
     /// Attaches a fresh default-capacity trace store and returns a
     /// handle to it.
     pub fn enable_tracing(&mut self) -> TraceStore {
         let store = TraceStore::default();
-        self.tracer = Some(store.clone());
+        self.sinks.tracer = Some(store.clone());
         store
     }
 
     /// The attached causal trace store, if any.
     pub fn tracer(&self) -> Option<&TraceStore> {
-        self.tracer.as_ref()
-    }
-
-    /// Detaches the causal trace store (spans survive in the returned
-    /// handle).
-    pub fn take_tracer(&mut self) -> Option<TraceStore> {
-        self.tracer.take()
+        self.sinks.tracer.as_ref()
     }
 
     /// Turns interpreter opcode/pair profiling on or off. Off by default.
@@ -663,27 +582,27 @@ impl Runtime {
     /// its trace windows and still aggregate one profile per reprofile
     /// interval.
     pub fn set_opcode_profiling(&mut self, on: bool) {
-        if on && self.opcode_prof.is_none() {
-            self.opcode_prof = Some(Box::new(OpcodeProfile::new()));
+        if on && self.sinks.opcode_prof.is_none() {
+            self.sinks.opcode_prof = Some(Box::new(OpcodeProfile::new()));
         }
-        self.opcode_sampling = on;
+        self.sinks.opcode_sampling = on;
     }
 
     /// Whether the interpreter is currently recording opcode frequencies.
     pub fn opcode_profiling(&self) -> bool {
-        self.opcode_sampling
+        self.sinks.opcode_sampling
     }
 
     /// The accumulated opcode profile, if profiling was ever enabled.
     pub fn opcode_profile_data(&self) -> Option<&OpcodeProfile> {
-        self.opcode_prof.as_deref()
+        self.sinks.opcode_prof.as_deref()
     }
 
     /// Takes the accumulated opcode profile, leaving a zeroed one behind
     /// (sampling state unchanged). Returns `None` when profiling was never
     /// enabled.
     pub fn take_opcode_profile(&mut self) -> Option<OpcodeProfile> {
-        self.opcode_prof.as_deref_mut().map(|p| {
+        self.sinks.opcode_prof.as_deref_mut().map(|p| {
             let taken = p.clone();
             p.reset();
             taken
@@ -695,7 +614,7 @@ impl Runtime {
     /// wire layer its segment spans, so cross-layer actions join the
     /// trace that causally drove them.
     pub fn last_trace_ctx(&self) -> Option<TraceCtx> {
-        self.last_tctx
+        self.sinks.last_tctx
     }
 
     /// Exports the runtime's counters and (when a hub is attached) its
@@ -720,68 +639,7 @@ impl Runtime {
             extra,
             self.cost.registry_lookups,
         );
-        snap.counter(
-            "pdo_faults_injected_total",
-            "Injected faults that fired",
-            extra,
-            self.stats.injected_faults,
-        );
-        snap.counter(
-            "pdo_faults_handler_trap_total",
-            "Organic handler traps contained by the fault policy",
-            extra,
-            self.stats.handler_traps,
-        );
-        snap.counter(
-            "pdo_dispatch_skipped_total",
-            "Dispatches skipped (entirely or partially) by containment",
-            extra,
-            self.stats.skipped_dispatches,
-        );
-        snap.counter(
-            "pdo_timed_dropped_total",
-            "Timed raises dropped by fault injection",
-            extra,
-            self.stats.dropped_timed,
-        );
-        snap.counter(
-            "pdo_timed_delayed_total",
-            "Timed raises delayed by fault injection",
-            extra,
-            self.stats.delayed_timed,
-        );
-        for (event, n) in &self.stats.faults_by_event {
-            let ev = event.0.to_string();
-            let mut labels: Vec<(&str, &str)> = vec![("event", &ev)];
-            labels.extend_from_slice(extra);
-            snap.counter(
-                "pdo_faults_by_event_total",
-                "Faults recorded per event (injected and contained-organic)",
-                &labels,
-                *n,
-            );
-        }
-        if let Some(prof) = self.opcode_prof.as_deref() {
-            for (op, n) in prof.counts() {
-                let mut labels: Vec<(&str, &str)> = vec![("op", op.name())];
-                labels.extend_from_slice(extra);
-                snap.counter(
-                    "pdo_interp_opcode_total",
-                    "Interpreter instructions executed per opcode (sampled windows)",
-                    &labels,
-                    n,
-                );
-            }
-            snap.counter(
-                "pdo_interp_fused_total",
-                "Interpreter superinstructions executed (sampled windows)",
-                extra,
-                prof.fused_total(),
-            );
-        }
-        if let Some(obs) = &self.obs {
-            obs.export_dispatch(snap, extra);
-        }
+        self.sinks.export_metrics(snap, extra);
     }
 
     /// Installs a fault injector (replacing any previous one; occurrence
@@ -802,22 +660,22 @@ impl Runtime {
 
     /// Robustness counters recorded so far.
     pub fn stats(&self) -> &RuntimeStats {
-        &self.stats
+        &self.sinks.stats
     }
 
     /// Takes the robustness counters, leaving zeroed ones.
     pub fn take_stats(&mut self) -> RuntimeStats {
-        std::mem::take(&mut self.stats)
+        std::mem::take(&mut self.sinks.stats)
     }
 
     /// Takes the recorded trace, leaving an empty one.
     pub fn take_trace(&mut self) -> Trace {
-        std::mem::take(&mut self.trace)
+        std::mem::take(&mut self.sinks.trace)
     }
 
     /// The recorded trace so far.
     pub fn trace(&self) -> &Trace {
-        &self.trace
+        &self.sinks.trace
     }
 
     /// Current value of a global cell.
@@ -916,8 +774,10 @@ impl Runtime {
 
     /// As [`Runtime::raise`], but joining the caller-supplied causal
     /// trace context instead of minting a fresh trace — how the ingress
-    /// front door extends its root span into the runtime. Ignored when
-    /// no trace store is attached.
+    /// front door extends its root span into the runtime: `ctx` is the
+    /// ambient span for the duration of the raise, so the raise and
+    /// everything nested in it parent there. Without an attached,
+    /// enabled trace store it has no effect.
     ///
     /// # Errors
     ///
@@ -930,7 +790,10 @@ impl Runtime {
         ctx: Option<TraceCtx>,
     ) -> Result<(), RuntimeError> {
         let module = self.module_arc();
-        self.raise_inner(&module, event, mode, args, ctx)
+        let displaced = self.sinks.adopt_ctx(ctx);
+        let r = self.raise_inner(&module, event, mode, args);
+        self.sinks.restore_ctx(displaced);
+        r
     }
 
     /// Raises an event looked up by name.
@@ -957,108 +820,23 @@ impl Runtime {
         event: EventId,
         mode: RaiseMode,
         args: &[Value],
-        ctx: Option<TraceCtx>,
     ) -> Result<(), RuntimeError> {
         self.check_event(event)?;
-        if self.trace_config.as_ref().is_some_and(|c| c.events) {
-            self.trace_push(TraceRecord::Raise {
-                event,
-                mode,
-                depth: self.sync_depth,
-                at: self.clock.now_ns(),
-            });
-        }
-        if let Some(obs) = &self.obs {
-            if obs.trace_dispatch() {
-                let kind = match mode {
-                    RaiseMode::Sync => RaiseKind::Sync,
-                    RaiseMode::Async => RaiseKind::Async,
-                    RaiseMode::Timed => RaiseKind::Timed,
-                };
-                obs.record(
-                    self.clock.now_ns(),
-                    ObsKind::Raise {
-                        event: event.0,
-                        mode: kind,
-                    },
-                );
-            }
-        }
-        // Causal tracing: a queued raise records an instant `Raise`
-        // span — the enqueue half of the queue/timer happens-before
-        // edge; the popped dispatch parents to it and charges the wait
-        // to `queued_ns`. A *sync* raise IS its dispatch, so it records
-        // no span of its own: the dispatch span represents both,
-        // keeping the specialization-critical hot path at one ring
-        // write per dispatch. Either way an explicit `ctx` (wire
-        // caller) wins, then the ambient span; with neither, the raise
-        // is an external stimulus and the span roots a fresh trace.
-        let traise: Option<TraceCtx> = match &self.tracer {
-            Some(t) if t.enabled() => match mode {
-                RaiseMode::Sync => ctx.or(self.cur_tctx),
-                RaiseMode::Async | RaiseMode::Timed => {
-                    let now = self.clock.now_ns();
-                    let src = if matches!(mode, RaiseMode::Async) {
-                        DispatchSrc::Queue
-                    } else {
-                        DispatchSrc::Timer
-                    };
-                    t.record_under(
-                        ctx.or(self.cur_tctx),
-                        now,
-                        now,
-                        SpanKind::Raise {
-                            event: event.0,
-                            mode: src,
-                        },
-                    )
-                }
-            },
-            _ => None,
-        };
+        let now = self.clock.now_ns();
+        let queued = self.sinks.raise(event, mode, self.sync_depth, now);
         match mode {
             RaiseMode::Sync => {
                 if self.sync_depth >= self.config.max_sync_depth {
                     return Err(RuntimeError::SyncDepthExceeded);
                 }
-                // Tracing-free nested-raise accounting: a synchronous raise
-                // issued from inside a handler frame is exactly the
-                // subsumption evidence the optimizer wants, and while a
-                // duty-cycled tracer sleeps this counter is the only place
-                // it is recorded (mirroring `generic_dispatches_by_event`).
-                if self.dispatch_accounting {
-                    if let Some(&(parent, handler)) = self.frame_stack.last() {
-                        *self
-                            .stats
-                            .nested_sync_by_event
-                            .entry((parent, handler, event))
-                            .or_insert(0) += 1;
-                    }
-                }
+                self.sinks.nested_sync(event);
                 self.sync_depth += 1;
-                let saved_tctx = self.cur_tctx;
-                if traise.is_some() {
-                    // The synchronous dispatch (and everything nested in
-                    // it) parents to the caller's context — the wire
-                    // span for ingress-originated raises.
-                    self.cur_tctx = traise;
-                }
                 let r = self.dispatch_now(module, event, args);
-                if traise.is_some() {
-                    self.cur_tctx = saved_tctx;
-                }
                 self.sync_depth -= 1;
                 r
             }
             RaiseMode::Async => {
-                self.sched.push_async_traced(
-                    event,
-                    args.to_vec(),
-                    traise.map(|c| QueuedTrace {
-                        ctx: c,
-                        enqueued_ns: self.clock.now_ns(),
-                    }),
-                );
+                self.sched.push_async_traced(event, args.to_vec(), queued);
                 Ok(())
             }
             RaiseMode::Timed => {
@@ -1073,86 +851,38 @@ impl Runtime {
                 // which count only top-level occurrences).
                 match self.faults.as_mut().and_then(|f| f.on_timed(event)) {
                     Some(kind @ FaultKind::DropTimed) => {
-                        self.note_fault(event, kind);
-                        self.stats.dropped_timed += 1;
+                        self.sinks.fault(event, kind, now);
                         return Ok(());
                     }
                     Some(kind @ FaultKind::DelayTimed { extra_ns }) => {
-                        self.note_fault(event, kind);
-                        self.stats.delayed_timed += 1;
+                        self.sinks.fault(event, kind, now);
                         delay = delay.saturating_add(extra_ns);
                     }
                     _ => {}
                 }
-                self.sched.push_timed_traced(
-                    self.clock.now_ns(),
-                    delay,
-                    event,
-                    args[1..].to_vec(),
-                    traise.map(|c| QueuedTrace {
-                        ctx: c,
-                        enqueued_ns: self.clock.now_ns(),
-                    }),
-                );
+                self.sched
+                    .push_timed_traced(now, delay, event, args[1..].to_vec(), queued);
                 Ok(())
             }
         }
     }
 
-    /// Records one fault occurrence in stats and (when event tracing is on)
-    /// in the trace.
-    fn note_fault(&mut self, event: EventId, kind: FaultKind) {
-        *self.stats.faults_by_event.entry(event).or_insert(0) += 1;
-        if kind == FaultKind::HandlerTrap {
-            self.stats.handler_traps += 1;
-        } else {
-            self.stats.injected_faults += 1;
-        }
-        if let Some(obs) = &self.obs {
-            obs.record(
-                self.clock.now_ns(),
-                ObsKind::Fault {
-                    event: event.0,
-                    kind: kind.label(),
-                },
-            );
-        }
-        if self.trace_config.as_ref().is_some_and(|c| c.events) {
-            self.trace_push(TraceRecord::Fault {
-                event,
-                kind,
-                at: self.clock.now_ns(),
-            });
-        }
-    }
-
-    /// Removes `event`'s compiled chain as a containment action, updating
-    /// despecialization stats. No-op when no chain is installed, which is
-    /// what makes [`FaultPolicy::Despecialize`] equivalence-safe: the
-    /// original (chain-less) run takes the same generic path afterwards.
+    /// Removes `event`'s compiled chain as a containment action. No-op
+    /// when no chain is installed, which is what makes
+    /// [`FaultPolicy::Despecialize`] equivalence-safe: the original
+    /// (chain-less) run takes the same generic path afterwards.
     fn despecialize(&mut self, event: EventId) {
         if self.spec.remove(event).is_some() {
-            self.stats.chains_removed += 1;
-            *self.stats.despecialized_by_event.entry(event).or_insert(0) += 1;
-            if let Some(t) = &self.tracer {
-                let now = self.clock.now_ns();
-                t.record_under(
-                    self.cur_tctx,
-                    now,
-                    now,
-                    SpanKind::Despecialize { event: event.0 },
-                );
-            }
+            self.sinks.despecialized(event, self.clock.now_ns());
         }
     }
 
-    /// Records an organic handler trap (unless it is the fuel exhaustion we
-    /// injected ourselves, which was already noted at injection time).
-    fn note_trap(&mut self, event: EventId, err: &ExecError, injected_fuel: bool) {
-        if injected_fuel && matches!(err, ExecError::OutOfFuel) {
-            return;
-        }
-        self.note_fault(event, FaultKind::HandlerTrap);
+    /// Containment skipped the rest of a dispatch after a handler trap.
+    /// The trap is recorded as a fault unless it is the fuel exhaustion we
+    /// injected ourselves, which was already noted at injection time.
+    fn contain_trap(&mut self, event: EventId, err: &ExecError, injected_fuel: bool) {
+        let organic = !(injected_fuel && matches!(err, ExecError::OutOfFuel));
+        self.sinks.contained(event, organic, self.clock.now_ns());
     }
 
     /// Dispatches the handlers of `event` immediately: guarded fast path
@@ -1177,12 +907,12 @@ impl Runtime {
         let Some(kind) = injected else {
             return self.dispatch_handlers(module, event, args, false, false);
         };
-        self.note_fault(event, kind);
+        self.sinks.fault(event, kind, self.clock.now_ns());
         match kind {
             FaultKind::TrapDispatch => match self.config.fault_policy {
                 FaultPolicy::Abort => Err(RuntimeError::Fault { event, kind }),
                 FaultPolicy::SkipEvent => {
-                    self.stats.skipped_dispatches += 1;
+                    self.sinks.contained(event, false, self.clock.now_ns());
                     Ok(())
                 }
                 FaultPolicy::Despecialize => {
@@ -1224,11 +954,10 @@ impl Runtime {
         }
     }
 
-    /// Observability wrapper around the dispatch body: with no hub
-    /// attached this is one `Option` check and a tail call; with a hub it
-    /// brackets the dispatch with virtual-clock reads and feeds the
-    /// per-event fast/slow latency histogram and (optionally) the flight
-    /// recorder.
+    /// The one observation bracket around a dispatch: the sinks see it
+    /// open, the body runs and reports which lane it took, and the sinks
+    /// see it close with that lane (latency histogram sample, `Dispatch`
+    /// span). With every sink off the bracket is one branch per sink.
     fn dispatch_handlers(
         &mut self,
         module: &Module,
@@ -1237,101 +966,40 @@ impl Runtime {
         force_generic: bool,
         injected_fuel: bool,
     ) -> Result<(), RuntimeError> {
-        // Causal tracing bracket: with no store this is one `Option`
-        // check (plus the `queued_tctx` take, a plain field move). The
-        // span's parent is the popped queue/timer entry's raise (with
-        // its queue wait), or the ambient span for sync dispatch.
-        let queued = self.queued_tctx.take();
-        let tspan = match &self.tracer {
-            Some(t) if t.enabled() => {
-                let t0 = self.clock.now_ns();
-                let (src, parent_ctx, queued_ns) = match queued {
-                    Some((qt, src)) => (src, Some(qt.ctx), t0.saturating_sub(qt.enqueued_ns)),
-                    None => (DispatchSrc::Sync, self.cur_tctx, 0),
-                };
-                let (trace, parent, id) = t.begin(parent_ctx);
-                Some((trace, parent, id, t0, queued_ns, src))
-            }
-            _ => None,
-        };
-        let saved_tctx = self.cur_tctx;
-        if let Some((trace, _, id, ..)) = tspan {
-            self.cur_tctx = Some(TraceCtx { trace, parent: id });
-        }
-        let r = self.dispatch_handlers_obs(module, event, args, force_generic, injected_fuel);
-        if let Some((trace, parent, id, t0, queued_ns, src)) = tspan {
-            self.cur_tctx = saved_tctx;
-            let ctx = TraceCtx { trace, parent: id };
-            self.last_tctx = Some(ctx);
-            // An aborting dispatch has no lane; attribute it slow, like
-            // the metrics path does.
-            let fast = *r.as_ref().unwrap_or(&false);
-            let end = self.clock.now_ns();
-            if let Some(t) = &self.tracer {
-                t.record(Span {
-                    id,
-                    trace,
-                    parent,
-                    start_ns: t0,
-                    end_ns: end,
-                    kind: SpanKind::Dispatch {
-                        event: event.0,
-                        fast,
-                        src,
-                        queued_ns,
-                    },
-                });
-            }
-        }
+        let scope = self.sinks.dispatch_begin(self.clock.now_ns());
+        let r = self.dispatch_body(module, event, args, force_generic, injected_fuel);
+        // An aborting dispatch has no lane to attribute; count it as slow.
+        let fast = *r.as_ref().unwrap_or(&false);
+        self.sinks
+            .dispatch_end(scope, event, fast, self.clock.now_ns());
         r.map(|_fast| ())
     }
 
-    /// Observability (metrics) wrapper — see [`Runtime::dispatch_handlers`]
-    /// for the tracing layer above it. Returns the lane like the body.
-    fn dispatch_handlers_obs(
+    /// Runs one handler inside its enter/exit observation bracket — the
+    /// single invocation point both dispatch lanes share.
+    fn call_handler(
         &mut self,
         module: &Module,
         event: EventId,
+        handler: FuncId,
+        dispatch: u64,
         args: &[Value],
-        force_generic: bool,
-        injected_fuel: bool,
-    ) -> Result<bool, RuntimeError> {
-        let Some(obs) = self.obs.clone() else {
-            return self.dispatch_handlers_inner(module, event, args, force_generic, injected_fuel);
-        };
-        let t0 = self.clock.now_ns();
-        if obs.trace_dispatch() {
-            // Only the (debug-oriented) per-dispatch trace needs the lane
-            // up front; it replicates the body's fast-path condition, which
-            // is read-only and safe to evaluate twice.
-            let fast = !force_generic
-                && self.spec.get(event).is_some_and(|chain| {
-                    usize::from(chain.params) == args.len() && chain.guards_hold(&self.registry)
-                });
-            obs.record(
-                t0,
-                ObsKind::DispatchBegin {
-                    event: event.0,
-                    fast,
-                },
-            );
-        }
-        let r = self.dispatch_handlers_inner(module, event, args, force_generic, injected_fuel);
-        let t1 = self.clock.now_ns();
-        // The body reports which lane it entered, so the metrics-on hot
-        // path pays no second guard evaluation. An aborting dispatch has
-        // no lane to attribute; count it as slow.
-        let fast = *r.as_ref().unwrap_or(&false);
-        obs.dispatch_end(t1, event.0, fast, t1 - t0);
-        r
+    ) -> Result<Value, ExecError> {
+        let traced = self
+            .sinks
+            .handler_enter(event, handler, dispatch, self.clock.now_ns());
+        let result = call(module, self, handler, args);
+        self.sinks
+            .handler_exit(traced, event, handler, dispatch, self.clock.now_ns());
+        result
     }
 
     /// The actual fast-path / generic dispatch, with per-call trap
     /// containment according to the configured [`FaultPolicy`]. Returns
     /// `true` when the dispatch entered a compiled chain (even if it then
     /// trapped and was contained), `false` for the generic path — the lane
-    /// the observability wrapper attributes its latency sample to.
-    fn dispatch_handlers_inner(
+    /// [`Runtime::dispatch_handlers`] reports to the sinks.
+    fn dispatch_body(
         &mut self,
         module: &Module,
         event: EventId,
@@ -1346,39 +1014,9 @@ impl Runtime {
                     let func = chain.func;
                     self.cost.fastpath_hits += 1;
                     self.cost.direct_handler_calls += 1;
-                    let trace_handlers = self
-                        .trace_config
-                        .as_ref()
-                        .is_some_and(|c| c.handlers.traces(event));
                     let dispatch = self.dispatch_seq;
                     self.dispatch_seq += 1;
-                    if trace_handlers {
-                        self.trace_push(TraceRecord::HandlerEnter {
-                            event,
-                            handler: func,
-                            dispatch,
-                            at: self.clock.now_ns(),
-                        });
-                    }
-                    let track_frames = self.dispatch_accounting;
-                    if track_frames {
-                        self.frame_stack.push((event, func));
-                    }
-                    let result = call(module, self, func, args);
-                    if track_frames {
-                        self.frame_stack.pop();
-                    }
-                    if trace_handlers {
-                        // Pushed even on a trap so handler-profile stacks
-                        // stay balanced under containment.
-                        self.trace_push(TraceRecord::HandlerExit {
-                            event,
-                            handler: func,
-                            dispatch,
-                            at: self.clock.now_ns(),
-                        });
-                    }
-                    return match result {
+                    return match self.call_handler(module, event, func, dispatch, args) {
                         Ok(_) => Ok(true),
                         Err(err) => {
                             if self.boundary_fuel.is_some()
@@ -1394,13 +1032,11 @@ impl Runtime {
                             match self.config.fault_policy {
                                 FaultPolicy::Abort => Err(RuntimeError::Exec(err)),
                                 FaultPolicy::SkipEvent => {
-                                    self.note_trap(event, &err, injected_fuel);
-                                    self.stats.skipped_dispatches += 1;
+                                    self.contain_trap(event, &err, injected_fuel);
                                     Ok(true)
                                 }
                                 FaultPolicy::Despecialize => {
-                                    self.note_trap(event, &err, injected_fuel);
-                                    self.stats.skipped_dispatches += 1;
+                                    self.contain_trap(event, &err, injected_fuel);
                                     self.despecialize(event);
                                     if injected_fuel {
                                         // Injected exhaustion stops the
@@ -1421,32 +1057,14 @@ impl Runtime {
                     };
                 }
                 self.cost.fastpath_misses += 1;
-                *self.stats.guard_misses_by_event.entry(event).or_insert(0) += 1;
-                if let Some(obs) = &self.obs {
-                    obs.record(self.clock.now_ns(), ObsKind::GuardMiss { event: event.0 });
-                }
-                if let Some(t) = &self.tracer {
-                    let now = self.clock.now_ns();
-                    t.record_under(
-                        self.cur_tctx,
-                        now,
-                        now,
-                        SpanKind::GuardMiss { event: event.0 },
-                    );
-                }
+                self.sinks.guard_miss(event, self.clock.now_ns());
             }
         }
 
         // Generic path: registry lookup, snapshot, marshal per handler,
         // indirect invocation.
         self.cost.registry_lookups += 1;
-        if self.dispatch_accounting {
-            *self
-                .stats
-                .generic_dispatches_by_event
-                .entry(event)
-                .or_insert(0) += 1;
-        }
+        self.sinks.generic_dispatch(event);
         let dispatch = self.dispatch_seq;
         self.dispatch_seq += 1;
         let bindings = self.registry.snapshot(event);
@@ -1466,8 +1084,7 @@ impl Runtime {
                     match self.config.fault_policy {
                         FaultPolicy::Abort => return Err(RuntimeError::Exec(err)),
                         policy => {
-                            self.note_trap(event, &err, injected_fuel);
-                            self.stats.skipped_dispatches += 1;
+                            self.contain_trap(event, &err, injected_fuel);
                             if policy == FaultPolicy::Despecialize {
                                 self.despecialize(event);
                             }
@@ -1481,34 +1098,7 @@ impl Runtime {
             self.cost.marshaled_values += args.len() as u64;
             let packed = marshal(args);
             let unpacked = unmarshal(&packed).map_err(RuntimeError::Marshal)?;
-            let trace_handlers = self
-                .trace_config
-                .as_ref()
-                .is_some_and(|c| c.handlers.traces(event));
-            if trace_handlers {
-                self.trace_push(TraceRecord::HandlerEnter {
-                    event,
-                    handler: binding.handler,
-                    dispatch,
-                    at: self.clock.now_ns(),
-                });
-            }
-            let track_frames = self.dispatch_accounting;
-            if track_frames {
-                self.frame_stack.push((event, binding.handler));
-            }
-            let result = call(module, self, binding.handler, &unpacked);
-            if track_frames {
-                self.frame_stack.pop();
-            }
-            if trace_handlers {
-                self.trace_push(TraceRecord::HandlerExit {
-                    event,
-                    handler: binding.handler,
-                    dispatch,
-                    at: self.clock.now_ns(),
-                });
-            }
+            let result = self.call_handler(module, event, binding.handler, dispatch, &unpacked);
             if let Err(err) = result {
                 if self.boundary_fuel.is_some()
                     && !injected_fuel
@@ -1522,8 +1112,7 @@ impl Runtime {
                     FaultPolicy::Abort => return Err(RuntimeError::Exec(err)),
                     policy => {
                         // Contain: record, skip the rest of this dispatch.
-                        self.note_trap(event, &err, injected_fuel);
-                        self.stats.skipped_dispatches += 1;
+                        self.contain_trap(event, &err, injected_fuel);
                         if policy == FaultPolicy::Despecialize {
                             self.despecialize(event); // stale chain, if any
                         }
@@ -1562,7 +1151,7 @@ impl Runtime {
                     return Err(RuntimeError::StepLimit);
                 }
                 let p = self.sched.pop_async().expect("queue non-empty");
-                self.queued_tctx = p.trace.map(|qt| (qt, DispatchSrc::Queue));
+                self.sinks.popped(p.trace, DispatchSrc::Queue);
                 self.dispatch_now(&module, p.event, &p.args)?;
                 steps += 1;
                 if self.poll_epoch() {
@@ -1581,7 +1170,7 @@ impl Runtime {
                         .sched
                         .pop_due_timer(self.clock.now_ns())
                         .expect("deadline was due");
-                    self.queued_tctx = t.trace.map(|qt| (qt, DispatchSrc::Timer));
+                    self.sinks.popped(t.trace, DispatchSrc::Timer);
                     self.dispatch_now(&module, t.event, &t.args)?;
                     steps += 1;
                     if self.poll_epoch() {
@@ -1714,7 +1303,7 @@ impl Env for Runtime {
     ) -> Result<(), ExecError> {
         // Nested raise from handler IR: the ambient span (the dispatch
         // executing this handler) is the causal parent.
-        self.raise_inner(module, event, mode, args, None)
+        self.raise_inner(module, event, mode, args)
             .map_err(|e| match e {
                 RuntimeError::Exec(inner) => inner,
                 other => ExecError::Raise(other.to_string()),
@@ -1730,8 +1319,8 @@ impl Env for Runtime {
     }
 
     fn opcode_profile(&mut self) -> Option<&mut OpcodeProfile> {
-        if self.opcode_sampling {
-            self.opcode_prof.as_deref_mut()
+        if self.sinks.opcode_sampling {
+            self.sinks.opcode_prof.as_deref_mut()
         } else {
             None
         }
@@ -1742,6 +1331,7 @@ impl Env for Runtime {
 mod tests {
     use super::*;
     use crate::spec::Guard;
+    use crate::trace::TraceRecord;
     use pdo_ir::{BinOp, FunctionBuilder};
 
     /// Module with one event `E` and two handlers that append 1 / 2 to a

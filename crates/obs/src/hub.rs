@@ -10,7 +10,7 @@
 //! `u32`s; per-event histograms live in a lazily-grown dense `Vec` so
 //! the dispatch path never hashes.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::hist::Histogram;
@@ -29,20 +29,12 @@ struct Inner {
     recorder: FlightRecorder,
 }
 
-#[derive(Debug)]
-struct Shared {
-    /// Outside the `RefCell` so the per-dispatch enabled-check is a
-    /// plain load, not a borrow.
-    trace_dispatch: Cell<bool>,
-    inner: RefCell<Inner>,
-}
-
 /// Shared observability handle: per-event dispatch histograms plus the
 /// flight recorder, behind `Rc<RefCell<…>>` (runtimes are
 /// single-threaded and `!Send`).
 #[derive(Debug, Clone)]
 pub struct ObsHub {
-    shared: Rc<Shared>,
+    inner: Rc<RefCell<Inner>>,
 }
 
 impl Default for ObsHub {
@@ -53,42 +45,32 @@ impl Default for ObsHub {
 
 impl ObsHub {
     /// A hub whose flight recorder retains `recorder_capacity` records.
-    /// Per-dispatch tracing starts off (see [`ObsHub::set_trace_dispatch`])
-    /// so the default hub costs one histogram write per dispatch and the
-    /// recorder keeps only the rare, interesting records.
+    /// A dispatch costs one histogram write and never touches the
+    /// recorder, which keeps only the rare, interesting records (faults,
+    /// reprofiles, quarantines, guard misses) — one noisy event cannot
+    /// evict that tail. Per-dispatch detail lives in the causal trace's
+    /// `Dispatch`/`Raise` spans.
     pub fn new(recorder_capacity: usize) -> ObsHub {
         ObsHub {
-            shared: Rc::new(Shared {
-                trace_dispatch: Cell::new(false),
-                inner: RefCell::new(Inner {
-                    fast: Vec::new(),
-                    slow: Vec::new(),
-                    recorder: FlightRecorder::new(recorder_capacity),
-                }),
-            }),
+            inner: Rc::new(RefCell::new(Inner {
+                fast: Vec::new(),
+                slow: Vec::new(),
+                recorder: FlightRecorder::new(recorder_capacity),
+            })),
         }
-    }
-
-    /// When true, every dispatch also appends begin/end records (and raise
-    /// records) to the flight recorder — a debugging mode. When false (the
-    /// default) histograms still update and rarer records (faults,
-    /// reprofiles, quarantines, guard misses) always land, keeping one
-    /// noisy event from evicting the interesting tail.
-    pub fn set_trace_dispatch(&self, on: bool) {
-        self.shared.trace_dispatch.set(on);
     }
 
     /// Appends one flight-recorder entry.
     #[inline]
     pub fn record(&self, at_ns: u64, kind: ObsKind) {
-        self.shared.inner.borrow_mut().recorder.record(at_ns, kind);
+        self.inner.borrow_mut().recorder.record(at_ns, kind);
     }
 
-    /// Dispatch completion: updates the per-event fast/slow latency
-    /// histogram and (when dispatch tracing is on) the flight recorder.
+    /// Dispatch completion: one sample into the per-event fast/slow
+    /// latency histogram.
     #[inline]
-    pub fn dispatch_end(&self, at_ns: u64, event: u32, fast: bool, latency_ns: u64) {
-        let mut inner = self.shared.inner.borrow_mut();
+    pub fn dispatch_end(&self, event: u32, fast: bool, latency_ns: u64) {
+        let mut inner = self.inner.borrow_mut();
         let lane = if fast {
             &mut inner.fast
         } else {
@@ -101,44 +83,28 @@ impl ObsHub {
         lane[idx]
             .get_or_insert_with(|| Box::new(Histogram::new()))
             .record(latency_ns);
-        if self.shared.trace_dispatch.get() {
-            inner.recorder.record(
-                at_ns,
-                ObsKind::DispatchEnd {
-                    event,
-                    fast,
-                    latency_ns,
-                },
-            );
-        }
-    }
-
-    /// True when per-dispatch flight-recorder tracing is on.
-    #[inline]
-    pub fn trace_dispatch(&self) -> bool {
-        self.shared.trace_dispatch.get()
     }
 
     /// The last `n` flight-recorder entries, oldest first.
     pub fn tail(&self, n: usize) -> Vec<ObsRecord> {
-        self.shared.inner.borrow().recorder.tail(n)
+        self.inner.borrow().recorder.tail(n)
     }
 
     /// The last `n` flight-recorder entries rendered one per line.
     pub fn dump(&self, n: usize) -> String {
-        self.shared.inner.borrow().recorder.dump(n)
+        self.inner.borrow().recorder.dump(n)
     }
 
     /// Total flight-recorder entries ever appended.
     pub fn recorded(&self) -> u64 {
-        self.shared.inner.borrow().recorder.recorded()
+        self.inner.borrow().recorder.recorded()
     }
 
     /// Exports the per-event dispatch-latency histograms into `snap`
     /// under `pdo_dispatch_latency_ns{event="…",path="fast|slow",…}`,
     /// with `extra` labels (e.g. `shard`) appended to every series.
     pub fn export_dispatch(&self, snap: &mut MetricsSnapshot, extra: &[(&str, &str)]) {
-        let inner = self.shared.inner.borrow();
+        let inner = self.inner.borrow();
         for (lane, path) in [(&inner.fast, "fast"), (&inner.slow, "slow")] {
             for (event, h) in lane.iter().enumerate() {
                 let Some(h) = h else { continue };
@@ -163,10 +129,9 @@ mod tests {
     #[test]
     fn dispatch_end_builds_per_event_lane_histograms() {
         let hub = ObsHub::new(16);
-        hub.set_trace_dispatch(true);
-        hub.dispatch_end(100, 3, true, 40);
-        hub.dispatch_end(200, 3, true, 60);
-        hub.dispatch_end(300, 3, false, 900);
+        hub.dispatch_end(3, true, 40);
+        hub.dispatch_end(3, true, 60);
+        hub.dispatch_end(3, false, 900);
         let mut snap = MetricsSnapshot::new();
         hub.export_dispatch(&mut snap, &[("shard", "0")]);
         let fast = snap
@@ -184,23 +149,47 @@ mod tests {
             )
             .unwrap();
         assert_eq!(slow.count(), 1);
-        assert_eq!(hub.tail(10).len(), 3);
-    }
-
-    #[test]
-    fn dispatch_tracing_can_be_silenced_without_losing_histograms() {
-        let hub = ObsHub::new(16);
-        hub.set_trace_dispatch(false);
-        hub.dispatch_end(100, 1, true, 5);
-        hub.record(150, ObsKind::GuardMiss { event: 1 });
-        assert_eq!(hub.recorded(), 1);
+        assert_eq!(slow.sum(), 900);
+        // A lane that saw no dispatch exports no series.
+        hub.dispatch_end(4, false, 7);
         let mut snap = MetricsSnapshot::new();
         hub.export_dispatch(&mut snap, &[]);
         assert!(snap
             .histogram_value(
                 "pdo_dispatch_latency_ns",
-                &[("event", "1"), ("path", "fast")]
+                &[("event", "4"), ("path", "fast")]
             )
-            .is_some());
+            .is_none());
+    }
+
+    #[test]
+    fn rare_records_always_land_and_dispatches_never_evict_them() {
+        let hub = ObsHub::new(2);
+        hub.record(150, ObsKind::GuardMiss { event: 1 });
+        hub.record(
+            160,
+            ObsKind::Fault {
+                event: 1,
+                kind: "trap_dispatch",
+            },
+        );
+        // Far more dispatches than the ring holds: histograms grow, the
+        // recorder is untouched.
+        for _ in 0..64 {
+            hub.dispatch_end(1, true, 5);
+        }
+        assert_eq!(hub.recorded(), 2);
+        let dump = hub.dump(8);
+        assert!(dump.contains("guard-miss e1"));
+        assert!(dump.contains("fault e1 kind=trap_dispatch"));
+        let mut snap = MetricsSnapshot::new();
+        hub.export_dispatch(&mut snap, &[]);
+        let fast = snap
+            .histogram_value(
+                "pdo_dispatch_latency_ns",
+                &[("event", "1"), ("path", "fast")],
+            )
+            .unwrap();
+        assert_eq!(fast.count(), 64);
     }
 }

@@ -13,8 +13,8 @@
 //!   gauges, histograms) with Prometheus-style text exposition via
 //!   [`MetricsSnapshot::render`] and snapshot-level [`MetricsSnapshot::merge`].
 //! * [`FlightRecorder`] / [`ObsHub`] — a bounded ring buffer of
-//!   structured runtime records (dispatch, raise, guard miss, fault,
-//!   reprofile, chain install/drop, quarantine) dumped post-mortem when
+//!   structured runtime records (guard miss, fault, reprofile, chain
+//!   install/drop, quarantine) dumped post-mortem when
 //!   a fault or chaos-oracle mismatch needs explaining.
 //! * [`TraceStore`] / [`Span`] — causal trace graphs: a [`TraceId`]
 //!   minted per external stimulus, spans with parent edges across
@@ -37,7 +37,7 @@ pub mod trace;
 
 pub use hist::{Histogram, BUCKETS};
 pub use hub::{ObsHub, DEFAULT_RECORDER_CAPACITY};
-pub use recorder::{FlightRecorder, ObsKind, ObsRecord, RaiseKind};
+pub use recorder::{FlightRecorder, ObsKind, ObsRecord};
 pub use snapshot::{Labels, MetricsSnapshot};
 pub use trace::{
     AuditAction, DispatchSrc, Span, SpanId, SpanKind, TraceCtx, TraceId, TraceStore,

@@ -9,55 +9,11 @@
 
 use std::fmt;
 
-/// Raise mode, mirrored here so the recorder stays dependency-free.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RaiseKind {
-    /// Handlers run before the raiser continues.
-    Sync,
-    /// Enqueued for the event loop.
-    Async,
-    /// Enqueued with a virtual-clock delay.
-    Timed,
-}
-
-impl fmt::Display for RaiseKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            RaiseKind::Sync => "sync",
-            RaiseKind::Async => "async",
-            RaiseKind::Timed => "timed",
-        })
-    }
-}
-
 /// One structured flight-recorder entry. Event ids are raw `u32`s (the
 /// recorder cannot depend on `pdo-ir`); the owning runtime knows the
 /// names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObsKind {
-    /// A dispatch started (fast = guarded compiled chain).
-    DispatchBegin {
-        /// Raw event id.
-        event: u32,
-        /// Fast (compiled chain) vs slow (generic registry walk) path.
-        fast: bool,
-    },
-    /// A dispatch finished; `latency_ns` is the virtual-clock delta.
-    DispatchEnd {
-        /// Raw event id.
-        event: u32,
-        /// Fast vs slow path.
-        fast: bool,
-        /// Virtual-clock time the dispatch consumed.
-        latency_ns: u64,
-    },
-    /// An event was raised.
-    Raise {
-        /// Raw event id.
-        event: u32,
-        /// Raise mode.
-        mode: RaiseKind,
-    },
     /// An installed chain failed its guards and fell back.
     GuardMiss {
         /// Raw event id.
@@ -167,19 +123,6 @@ pub enum ObsKind {
 impl fmt::Display for ObsKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ObsKind::DispatchBegin { event, fast } => {
-                write!(f, "dispatch-begin e{event} path={}", path(*fast))
-            }
-            ObsKind::DispatchEnd {
-                event,
-                fast,
-                latency_ns,
-            } => write!(
-                f,
-                "dispatch-end e{event} path={} latency={latency_ns}ns",
-                path(*fast)
-            ),
-            ObsKind::Raise { event, mode } => write!(f, "raise e{event} mode={mode}"),
             ObsKind::GuardMiss { event } => write!(f, "guard-miss e{event}"),
             ObsKind::Fault { event, kind } => write!(f, "fault e{event} kind={kind}"),
             ObsKind::Reprofile {
@@ -222,14 +165,6 @@ impl fmt::Display for ObsKind {
                 "sequence-fused f{func} pattern={pattern} sites={sites} evidence={evidence}"
             ),
         }
-    }
-}
-
-fn path(fast: bool) -> &'static str {
-    if fast {
-        "fast"
-    } else {
-        "slow"
     }
 }
 
@@ -341,13 +276,7 @@ mod tests {
     #[test]
     fn dump_renders_one_line_per_record() {
         let mut r = FlightRecorder::new(8);
-        r.record(
-            5,
-            ObsKind::DispatchBegin {
-                event: 1,
-                fast: true,
-            },
-        );
+        r.record(5, ObsKind::GuardMiss { event: 1 });
         r.record(
             7,
             ObsKind::Fault {
@@ -357,7 +286,7 @@ mod tests {
         );
         let dump = r.dump(8);
         assert_eq!(dump.lines().count(), 2);
-        assert!(dump.contains("dispatch-begin e1 path=fast"));
+        assert!(dump.contains("guard-miss e1"));
         assert!(dump.contains("fault e1 kind=trap_dispatch"));
     }
 

@@ -255,7 +255,7 @@ impl Ring {
 #[derive(Debug)]
 struct StoreShared {
     /// Outside the `RefCell` so the per-dispatch enabled-check is a
-    /// plain load, not a borrow — same contract as `ObsHub`.
+    /// plain load, not a borrow.
     enabled: Cell<bool>,
     tag: u16,
     next_trace: Cell<u64>,

@@ -657,7 +657,7 @@ impl ShardState {
 
     /// Why this session cannot migrate right now, or `None` if it is
     /// quiescent. Timers are *not* a refusal: the scheduler snapshot
-    /// carries the timer wheel, so a session parked on perpetual timers
+    /// carries the timer heap, so a session parked on perpetual timers
     /// (every protocol endpoint) still migrates cleanly.
     fn refusal_of(session: &Session) -> Option<MigrateRefusal> {
         let rt = session.runtime();

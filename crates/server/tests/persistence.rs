@@ -411,7 +411,7 @@ fn quiesce_drains_before_save_and_restore_resumes() {
         server.with_runtime(id, |rt| rt.queued_len()).unwrap(),
         0,
         "quiesce drains the FIFO (future timers stay armed — the \
-         snapshot carries the timer wheel)"
+         snapshot carries the timer heap)"
     );
     assert_eq!(
         server

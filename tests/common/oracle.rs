@@ -322,7 +322,7 @@ pub struct SessionCapture {
 }
 
 /// Captures a session: every global, the virtual clock, the scheduler's
-/// queue and timer wheel, the remaining dispatch-fault plan (with fired
+/// queue and timer heap, the remaining dispatch-fault plan (with fired
 /// occurrence counts, so restored sessions don't re-fire spent faults),
 /// and the adaptation daemon's snapshot.
 pub fn capture_session(
