@@ -21,19 +21,24 @@
 //! workload speeds up by [`GATE`] (1.5×) or more. A second, independent
 //! check times a full generic-dispatch runtime with opcode-profile
 //! sampling on vs off and fails if sampling costs more than
-//! [`OVERHEAD_GATE`] (5%).
+//! [`OVERHEAD_GATE`] (5%). A third counts heap allocations per call beside
+//! every timing: none of the three bodies builds a byte buffer, so the
+//! interpreter must run them, fused and unfused, without allocating at all.
 //!
-//! Writes `BENCH_interp.json` (per-workload mean, 95% CI, and speedups —
-//! the machine-readable artifact CI checks in) to the path given as the
-//! first argument, default `BENCH_interp.json` in the working directory,
-//! and exits nonzero when either gate fails.
+//! Writes `BENCH_interp.json` (per-workload mean, 95% CI, allocations per
+//! call, and speedups — the machine-readable artifact CI checks in) to the
+//! path given as the first argument, default `BENCH_interp.json` in the
+//! working directory, and exits nonzero when any gate fails.
 
-use pdo_bench::{measure, Side};
+use pdo_bench::{allocs_per_call, measure, CountingAlloc, Side};
 use pdo_events::Runtime;
 use pdo_ir::interp::{call, BasicEnv};
 use pdo_ir::{BinOp, EventId, FuncId, FunctionBuilder, Module, RaiseMode, Value};
 use pdo_passes::fuse_module;
 use std::hint::black_box;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Minimum fused-over-unfused speedup required on at least one workload.
 const GATE: f64 = 1.5;
@@ -118,6 +123,21 @@ fn fused_twin(m: &Module, workload: &str) -> Module {
     fused
 }
 
+/// One timed row of the artifact: the ns figures and, beside them, the heap
+/// allocations one call makes.
+fn row(side: &Side, allocs: f64) -> String {
+    format!(
+        "{{ {}, \"allocs_per_call\": {allocs:.2} }}",
+        side.json_fields()
+    )
+}
+
+/// Heap allocations one `call` of the kernel in `m` makes.
+fn kernel_allocs(m: &Module) -> f64 {
+    let mut env = BasicEnv::new(m);
+    allocs_per_call(|| call(black_box(m), &mut env, FuncId(0), &[]).unwrap())
+}
+
 /// Interleaved A/B rounds of `call` on two variants of one handler.
 fn ab_rounds(a_mod: &Module, b_mod: &Module) -> (Side, Side) {
     let fa = FuncId(0);
@@ -188,6 +208,7 @@ fn main() {
     // Fused-vs-unfused inner loops.
     let mut workloads_json = Vec::new();
     let mut best = ("", 0.0f64);
+    let mut allocs_sum = 0.0f64;
     for (name, module) in [
         ("video", video_module()),
         ("seccomm", seccomm_module()),
@@ -195,6 +216,8 @@ fn main() {
     ] {
         let fused = fused_twin(&module, name);
         let (unfused_side, fused_side) = ab_rounds(&module, &fused);
+        let (unfused_allocs, fused_allocs) = (kernel_allocs(&module), kernel_allocs(&fused));
+        allocs_sum += unfused_allocs + fused_allocs;
         let speedup = unfused_side.median_min() / fused_side.median_min();
         if speedup > best.1 {
             best = (name, speedup);
@@ -204,8 +227,8 @@ fn main() {
              \"unfused\": {},\n      \"fused\": {},\n      \"speedup\": {speedup:.4}\n    }}",
             module.instr_count(),
             fused.instr_count(),
-            unfused_side.json(),
-            fused_side.json(),
+            row(&unfused_side, unfused_allocs),
+            row(&fused_side, fused_allocs),
         ));
     }
 
@@ -236,23 +259,27 @@ fn main() {
         on_rt.opcode_profile_data().is_some_and(|p| p.total() > 0),
         "profiling runtime must actually record opcodes"
     );
+    let off_allocs = allocs_per_call(|| off_rt.raise(black_box(e), RaiseMode::Sync, &[]).unwrap());
+    let on_allocs = allocs_per_call(|| on_rt.raise(black_box(e), RaiseMode::Sync, &[]).unwrap());
     let overhead = on.median_min() / off.median_min();
     let overhead_pass = overhead <= OVERHEAD_GATE;
 
     let speedup_pass = best.1 >= GATE;
-    let pass = speedup_pass && overhead_pass;
+    let alloc_pass = allocs_sum == 0.0;
+    let pass = speedup_pass && overhead_pass && alloc_pass;
     let json = format!(
         "{{\n  \"bench\": \"interp/superinstructions\",\n  \"rounds\": {ROUNDS},\n  \
          \"workloads\": {{\n{}\n  }},\n  \
          \"best_workload\": \"{}\",\n  \"best_speedup\": {:.4},\n  \"gate\": {GATE},\n  \
          \"profiling_off\": {},\n  \"profiling_on\": {},\n  \
          \"profiling_overhead_ratio\": {overhead:.4},\n  \"overhead_gate\": {OVERHEAD_GATE},\n  \
+         \"kernel_allocs_per_call_gate\": 0,\n  \
          \"pass\": {pass}\n}}\n",
         workloads_json.join(",\n"),
         best.0,
         best.1,
-        off.json(),
-        on.json(),
+        row(&off, off_allocs),
+        row(&on, on_allocs),
     );
     std::fs::write(&out, &json).expect("write BENCH_interp.json");
     print!("{json}");
@@ -262,11 +289,17 @@ fn main() {
     if !overhead_pass {
         eprintln!("interp gate FAILED: sampling overhead {overhead:.4} > {OVERHEAD_GATE}");
     }
+    if !alloc_pass {
+        eprintln!(
+            "interp gate FAILED: the kernels build no byte buffer yet allocate \
+             (sum over rows {allocs_sum:.2} per call, must be 0)"
+        );
+    }
     if !pass {
         std::process::exit(1);
     }
     println!(
-        "interp gate passed: {} sped up {:.2}x (gate {GATE}), sampling overhead {overhead:.4} (gate {OVERHEAD_GATE})",
+        "interp gate passed: {} sped up {:.2}x (gate {GATE}), sampling overhead {overhead:.4} (gate {OVERHEAD_GATE}), kernels allocate nothing",
         best.0, best.1
     );
 }

@@ -21,8 +21,69 @@ pub mod sizes;
 pub mod video;
 pub mod xcli;
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::hint::black_box;
 use std::time::Instant;
+
+thread_local! {
+    // Const-initialised and destructor-free, so bumping it from inside the
+    // allocator can neither allocate nor observe a torn-down key.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// The system allocator with a per-thread count of the blocks it hands out.
+/// A gate binary that reports [`allocs_per_call`] installs it with
+/// `#[global_allocator]`; without it the count stays zero.
+pub struct CountingAlloc;
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged and returns its result unchanged; the bookkeeping is one add on
+// a thread-local `Cell`, which neither allocates nor unwinds.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_alloc();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for `layout`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_alloc();
+        // SAFETY: as `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by this allocator (hence by `System`)
+        // for this `layout`, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_alloc();
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+/// Heap allocations (and reallocations) the calling thread makes per call
+/// of `f`, averaged over 64 calls after three unmeasured ones. Needs
+/// [`CountingAlloc`] installed.
+pub fn allocs_per_call<O>(mut f: impl FnMut() -> O) -> f64 {
+    const CALLS: u64 = 64;
+    for _ in 0..3 {
+        black_box(f());
+    }
+    let before = ALLOCS.get();
+    for _ in 0..CALLS {
+        black_box(f());
+    }
+    (ALLOCS.get() - before) as f64 / CALLS as f64
+}
 
 /// Measures the average wall-clock nanoseconds of `op` over `iters`
 /// iterations (after `warmup` unmeasured ones). The measurement is the
@@ -134,9 +195,15 @@ impl Side {
 
     /// The side as the JSON object every `BENCH_*.json` gate artifact uses.
     pub fn json(&self) -> String {
+        format!("{{ {} }}", self.json_fields())
+    }
+
+    /// The members of [`Side::json`] without the braces, for a gate that
+    /// adds its own beside them.
+    pub fn json_fields(&self) -> String {
         let (mean, ci95) = mean_ci(&self.means);
         format!(
-            "{{ \"median_min_ns\": {:.2}, \"mean_ns\": {:.2}, \"ci95_ns\": {:.2} }}",
+            "\"median_min_ns\": {:.2}, \"mean_ns\": {:.2}, \"ci95_ns\": {:.2}",
             self.median_min(),
             mean,
             ci95
@@ -157,6 +224,16 @@ pub fn percent(optimized: f64, original: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[global_allocator]
+    static ALLOC: CountingAlloc = CountingAlloc;
+
+    #[test]
+    fn allocs_per_call_counts_this_threads_blocks() {
+        assert_eq!(allocs_per_call(|| Box::new(7u64)), 1.0);
+        assert_eq!(allocs_per_call(|| vec![Box::new(1u8), Box::new(2u8)]), 3.0);
+        assert_eq!(allocs_per_call(|| 7u64), 0.0);
+    }
 
     #[test]
     fn percent_basics() {

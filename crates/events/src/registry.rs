@@ -8,6 +8,7 @@
 
 use pdo_ir::{EventId, FuncId};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One handler bound to an event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,9 +20,11 @@ pub struct Binding {
     pub order: i32,
 }
 
+/// The binding list is shared, not owned: generic dispatch takes a clone of
+/// the `Arc` per dispatch, and the (rare) mutations build a new list.
 #[derive(Debug, Clone, Default)]
 struct EventEntry {
-    bindings: Vec<Binding>,
+    bindings: Arc<[Binding]>,
     version: u64,
 }
 
@@ -53,7 +56,13 @@ impl Registry {
             .rposition(|b| b.order <= order)
             .map(|p| p + 1)
             .unwrap_or(0);
-        entry.bindings.insert(pos, binding);
+        let (before, after) = entry.bindings.split_at(pos);
+        entry.bindings = before
+            .iter()
+            .chain(std::iter::once(&binding))
+            .chain(after)
+            .copied()
+            .collect();
         entry.version += 1;
     }
 
@@ -66,7 +75,8 @@ impl Registry {
         let Some(pos) = entry.bindings.iter().position(|b| b.handler == handler) else {
             return false;
         };
-        entry.bindings.remove(pos);
+        let (before, after) = entry.bindings.split_at(pos);
+        entry.bindings = before.iter().chain(&after[1..]).copied().collect();
         entry.version += 1;
         true
     }
@@ -75,7 +85,7 @@ impl Registry {
     pub fn unbind_all(&mut self, event: EventId) {
         if let Some(entry) = self.entries.get_mut(&event) {
             if !entry.bindings.is_empty() {
-                entry.bindings.clear();
+                entry.bindings = Arc::default();
                 entry.version += 1;
             }
         }
@@ -87,7 +97,7 @@ impl Registry {
     pub fn bindings(&self, event: EventId) -> &[Binding] {
         self.entries
             .get(&event)
-            .map(|e| e.bindings.as_slice())
+            .map(|e| &*e.bindings)
             .unwrap_or(&[])
     }
 
@@ -96,10 +106,14 @@ impl Registry {
         self.entries.get(&event).map(|e| e.version).unwrap_or(0)
     }
 
-    /// Clones the binding list, as generic dispatch must (bindings may
-    /// change while the handlers run).
-    pub fn snapshot(&self, event: EventId) -> Vec<Binding> {
-        self.bindings(event).to_vec()
+    /// The binding list as it stands now, as generic dispatch must hold it
+    /// (bindings may change while the handlers run): a new reference to the
+    /// shared list, which later mutations replace rather than edit.
+    pub fn snapshot(&self, event: EventId) -> Arc<[Binding]> {
+        self.entries
+            .get(&event)
+            .map(|e| Arc::clone(&e.bindings))
+            .unwrap_or_default()
     }
 
     /// Number of events with at least one binding.
@@ -192,5 +206,17 @@ mod tests {
         r.unbind(E, FuncId(1));
         assert_eq!(snap.len(), 1);
         assert!(r.bindings(E).is_empty());
+    }
+
+    #[test]
+    fn snapshot_shares_the_list_until_the_next_mutation() {
+        let mut r = Registry::new();
+        r.bind(E, FuncId(1), 0);
+        let first = r.snapshot(E);
+        assert!(Arc::ptr_eq(&first, &r.snapshot(E)));
+        r.bind(E, FuncId(2), 0);
+        assert!(!Arc::ptr_eq(&first, &r.snapshot(E)));
+        assert_eq!(first.len(), 1);
+        assert!(r.snapshot(EventId(42)).is_empty());
     }
 }

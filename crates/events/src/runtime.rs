@@ -1068,7 +1068,7 @@ impl Runtime {
         let dispatch = self.dispatch_seq;
         self.dispatch_seq += 1;
         let bindings = self.registry.snapshot(event);
-        for binding in bindings {
+        for binding in bindings.iter() {
             // Boundary-fuel metering: one unit per pre-merge handler
             // invocation, charged *before* the body runs — the same points
             // where super-handlers compiled with `fuel_boundaries` place
@@ -1364,6 +1364,49 @@ mod tests {
         rt.bind(e, h2, 1).unwrap();
         rt.raise(e, RaiseMode::Sync, &[Value::Unit]).unwrap();
         assert_eq!(rt.global(g), &Value::Int(12));
+    }
+
+    #[test]
+    fn nested_sync_raises_leave_outer_frames_untouched() {
+        // A -> call -> raise B -> call -> raise C, all synchronous: three
+        // interpreter activations of `call` stacked through the runtime,
+        // each reading its own registers again after the inner ones ran.
+        let mut m = Module::new();
+        let events = [m.add_event("A"), m.add_event("B"), m.add_event("C")];
+        let globals = [
+            m.add_global("ga", Value::Int(0)),
+            m.add_global("gb", Value::Int(0)),
+            m.add_global("gc", Value::Int(0)),
+        ];
+        let mut handlers = Vec::new();
+        for level in 0..3 {
+            // helper(p): raise the next level's event with p, return p * 10.
+            let mut h = FunctionBuilder::new(format!("helper{level}"), 1);
+            if level < 2 {
+                h.raise(events[level + 1], RaiseMode::Sync, &[h.param(0)]);
+            }
+            let ten = h.const_int(10);
+            let scaled = h.bin(BinOp::Mul, h.param(0), ten);
+            h.ret(Some(scaled));
+            let helper = m.add_function(h.finish());
+            // handler(x): v = x + 1; g = helper(v) + v.
+            let mut b = FunctionBuilder::new(format!("handler{level}"), 1);
+            let one = b.const_int(1);
+            let v = b.bin(BinOp::Add, b.param(0), one);
+            let r = b.call(helper, &[v]);
+            let out = b.bin(BinOp::Add, r, v);
+            b.store_global(globals[level], out);
+            b.ret(None);
+            handlers.push(m.add_function(b.finish()));
+        }
+        let mut rt = Runtime::new(m);
+        for (e, h) in events.iter().zip(&handlers) {
+            rt.bind(*e, *h, 0).unwrap();
+        }
+        rt.raise(events[0], RaiseMode::Sync, &[Value::Int(1)])
+            .unwrap();
+        let got: Vec<&Value> = globals.iter().map(|g| rt.global(*g)).collect();
+        assert_eq!(got, [&Value::Int(22), &Value::Int(33), &Value::Int(44)]);
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //! what unit tests and the optimizer's equivalence checks need.
 
 use crate::cost::{CostCounter, OpcodeProfile};
-use crate::func::Module;
-use crate::ids::{EventId, FuncId, GlobalId, NativeId};
+use crate::func::{Function, Module};
+use crate::ids::{EventId, FuncId, GlobalId, NativeId, Reg};
 use crate::instr::{EvalError, Instr, RaiseMode, Terminator};
 use crate::value::Value;
+use std::cell::RefCell;
 use std::fmt;
 use std::sync::Arc;
 
@@ -47,6 +48,13 @@ pub enum ExecError {
     },
     /// A negative length/index where a non-negative value was required.
     NegativeSize(i64),
+    /// A `bslice` whose (non-negative) start lies past its end.
+    InvertedRange {
+        /// Slice start.
+        start: i64,
+        /// Slice end.
+        end: i64,
+    },
     /// The instruction budget was exhausted (guards against non-termination
     /// in generated code).
     OutOfFuel,
@@ -81,6 +89,9 @@ impl fmt::Display for ExecError {
                 write!(f, "byte index {index} out of bounds for length {len}")
             }
             ExecError::NegativeSize(n) => write!(f, "negative size or index {n}"),
+            ExecError::InvertedRange { start, end } => {
+                write!(f, "slice start {start} is past its end {end}")
+            }
             ExecError::OutOfFuel => write!(f, "instruction budget exhausted"),
             ExecError::DepthExceeded => write!(f, "call depth exceeded"),
             ExecError::GlobalOutOfRange(g) => write!(f, "global {g} out of range"),
@@ -175,6 +186,46 @@ pub trait Env {
     }
 }
 
+/// Arguments a `callnative` or `raise` passes through a buffer on the
+/// interpreter's own stack; a longer list spills to the heap.
+const INLINE_ARGS: usize = 8;
+
+thread_local! {
+    /// Register buffers of finished activations, emptied and waiting for the
+    /// next call on this thread: at most one per nesting level reached.
+    static FRAME_POOL: RefCell<Vec<Vec<Value>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The registers of one activation.
+///
+/// The buffer is taken *out of* the pool, so the activation owns it: an
+/// `env.raise` that re-enters [`call`] takes a different buffer and the two
+/// never alias. Dropping the frame — on return, `?`, or unwinding — drops
+/// every register before the buffer goes back, so no `Value` outlives its
+/// call (a leftover `Arc` clone would turn a later `bytes_mut` into a copy).
+struct Frame(Vec<Value>);
+
+impl Frame {
+    /// A frame of `reg_count` registers, all reading `Unit`.
+    fn new(reg_count: usize) -> Frame {
+        let mut regs = FRAME_POOL
+            .with(|pool| pool.borrow_mut().pop())
+            .unwrap_or_default();
+        regs.resize(reg_count, Value::Unit);
+        Frame(regs)
+    }
+}
+
+impl Drop for Frame {
+    fn drop(&mut self) {
+        self.0.clear();
+        let regs = std::mem::take(&mut self.0);
+        // During thread teardown the pool may already be gone; the buffer is
+        // then simply freed.
+        let _ = FRAME_POOL.try_with(|pool| pool.borrow_mut().push(regs));
+    }
+}
+
 /// Calls IR function `func` with `args` under environment `env`.
 ///
 /// This is the single entry point the event runtime uses to run handlers.
@@ -188,16 +239,19 @@ pub fn call<E: Env + ?Sized>(
     func: FuncId,
     args: &[Value],
 ) -> Result<Value, ExecError> {
-    call_at_depth(module, env, func, args, 0)
+    let (f, mut frame) = enter(module, func, args.len(), 0)?;
+    frame.0[..args.len()].clone_from_slice(args);
+    run(module, env, f, frame, 0)
 }
 
-fn call_at_depth<E: Env + ?Sized>(
+/// Checks a call — depth, function id, arity — and returns the callee with
+/// a fresh frame whose first `argc` registers the caller fills in.
+fn enter(
     module: &Module,
-    env: &mut E,
     func: FuncId,
-    args: &[Value],
+    argc: usize,
     depth: usize,
-) -> Result<Value, ExecError> {
+) -> Result<(&Function, Frame), ExecError> {
     if depth > MAX_CALL_DEPTH {
         return Err(ExecError::DepthExceeded);
     }
@@ -205,15 +259,25 @@ fn call_at_depth<E: Env + ?Sized>(
         .functions
         .get(func.index())
         .ok_or(ExecError::UnknownFunction(func))?;
-    if args.len() != usize::from(f.params) {
+    if argc != usize::from(f.params) {
         return Err(ExecError::BadArgCount {
             func: f.name.clone(),
             expected: f.params,
-            got: args.len(),
+            got: argc,
         });
     }
-    let mut regs: Vec<Value> = vec![Value::Unit; usize::from(f.reg_count)];
-    regs[..args.len()].clone_from_slice(args);
+    Ok((f, Frame::new(usize::from(f.reg_count))))
+}
+
+/// Runs `f`'s body in `frame`, whose parameter registers are already set.
+fn run<E: Env + ?Sized>(
+    module: &Module,
+    env: &mut E,
+    f: &Function,
+    mut frame: Frame,
+    depth: usize,
+) -> Result<Value, ExecError> {
+    let regs = frame.0.as_mut_slice();
 
     // A fresh function body starts a fresh pair chain: pairs never span a
     // call boundary the fusion pass could not rewrite.
@@ -232,13 +296,17 @@ fn call_at_depth<E: Env + ?Sized>(
             // Direct calls recurse from this frame rather than through
             // `step`, keeping `step`'s many-armed frame (every arm's locals
             // are allocated up front in unoptimized builds) off the
-            // recursion path.
+            // recursion path. Arguments are cloned straight into the
+            // callee's registers.
             if let Instr::Call { dst, func, args } = instr {
                 env.cost().calls += 1;
-                let argv: Vec<Value> = args.iter().map(|r| regs[r.index()].clone()).collect();
-                regs[dst.index()] = call_at_depth(module, env, *func, &argv, depth + 1)?;
+                let (callee, mut callee_frame) = enter(module, *func, args.len(), depth + 1)?;
+                for (slot, r) in callee_frame.0[..args.len()].iter_mut().zip(args) {
+                    *slot = regs[r.index()].clone();
+                }
+                regs[dst.index()] = run(module, env, callee, callee_frame, depth + 1)?;
             } else {
-                step(module, env, &mut regs, instr, depth)?;
+                step(module, env, regs, instr)?;
             }
             // Nested execution (callee bodies, sync-dispatched handlers)
             // recorded in between; don't pair across the return.
@@ -271,11 +339,26 @@ fn call_at_depth<E: Env + ?Sized>(
             }
             Terminator::Ret(v) => {
                 return Ok(match v {
-                    Some(r) => regs[r.index()].clone(),
+                    Some(r) => std::mem::take(&mut regs[r.index()]),
                     None => Value::Unit,
                 });
             }
         }
+    }
+}
+
+/// Hands `f` the values of `args` as one slice: built in a stack buffer up
+/// to [`INLINE_ARGS`] values, in a `Vec` beyond that.
+fn with_argv<R>(regs: &[Value], args: &[Reg], f: impl FnOnce(&[Value]) -> R) -> R {
+    if args.len() <= INLINE_ARGS {
+        let mut buf = [const { Value::Unit }; INLINE_ARGS];
+        for (slot, r) in buf.iter_mut().zip(args) {
+            *slot = regs[r.index()].clone();
+        }
+        f(&buf[..args.len()])
+    } else {
+        let spilled: Vec<Value> = args.iter().map(|r| regs[r.index()].clone()).collect();
+        f(&spilled)
     }
 }
 
@@ -317,10 +400,15 @@ fn negative_size(n: i64) -> ExecError {
     ExecError::NegativeSize(n)
 }
 
-fn index_of(v: &Value, len: usize, op: &'static str) -> Result<usize, ExecError> {
-    let i = match v.as_int() {
-        Some(i) => i,
-        None => return Err(bytes_type_error(op)),
+#[cold]
+#[inline(never)]
+fn inverted_range(start: i64, end: i64) -> ExecError {
+    ExecError::InvertedRange { start, end }
+}
+
+fn index_of(v: Option<i64>, len: usize, op: &'static str) -> Result<usize, ExecError> {
+    let Some(i) = v else {
+        return Err(bytes_type_error(op));
     };
     if i < 0 {
         return Err(negative_size(i));
@@ -337,7 +425,6 @@ fn step<E: Env + ?Sized>(
     env: &mut E,
     regs: &mut [Value],
     instr: &Instr,
-    depth: usize,
 ) -> Result<(), ExecError> {
     // Arms are ordered by measured opcode frequency on the video/SecComm/X
     // inner loops (const/bin/load/store and the fused forms dominate);
@@ -390,23 +477,17 @@ fn step<E: Env + ?Sized>(
             env.cost().lock_ops += 1;
             env.unlock(*global)?;
         }
-        Instr::Call { dst, func, args } => {
-            env.cost().calls += 1;
-            let argv: Vec<Value> = args.iter().map(|r| regs[r.index()].clone()).collect();
-            regs[dst.index()] = call_at_depth(module, env, *func, &argv, depth + 1)?;
-        }
+        Instr::Call { .. } => unreachable!("`run` executes direct calls itself"),
         Instr::CallNative { dst, native, args } => {
             env.cost().native_calls += 1;
-            let argv: Vec<Value> = args.iter().map(|r| regs[r.index()].clone()).collect();
-            regs[dst.index()] = env.call_native(*native, &argv)?;
+            regs[dst.index()] = with_argv(regs, args, |argv| env.call_native(*native, argv))?;
         }
         Instr::Raise { event, mode, args } => {
             match mode {
                 RaiseMode::Sync => env.cost().raises_sync += 1,
                 RaiseMode::Async | RaiseMode::Timed => env.cost().raises_async += 1,
             }
-            let argv: Vec<Value> = args.iter().map(|r| regs[r.index()].clone()).collect();
-            env.raise(module, *event, *mode, &argv)?;
+            with_argv(regs, args, |argv| env.raise(module, *event, *mode, argv))?;
         }
         Instr::BytesNew { dst, len } => {
             let n = regs[len.index()]
@@ -427,7 +508,7 @@ fn step<E: Env + ?Sized>(
             let b = regs[bytes.index()]
                 .as_bytes()
                 .ok_or_else(|| bytes_type_error("bget"))?;
-            let i = index_of(&regs[index.index()], b.len(), "bget")?;
+            let i = index_of(regs[index.index()].as_int(), b.len(), "bget")?;
             regs[dst.index()] = Value::Int(i64::from(b[i]));
         }
         Instr::BytesSet {
@@ -438,11 +519,11 @@ fn step<E: Env + ?Sized>(
             let v = regs[value.index()]
                 .as_int()
                 .ok_or_else(|| bytes_type_error("bset"))?;
-            let idx = regs[index.index()].clone();
+            let idx = regs[index.index()].as_int();
             let buf = regs[bytes.index()]
                 .bytes_mut()
                 .ok_or_else(|| bytes_type_error("bset"))?;
-            let i = index_of(&idx, buf.len(), "bset")?;
+            let i = index_of(idx, buf.len(), "bset")?;
             buf[i] = v as u8;
         }
         Instr::BytesConcat { dst, lhs, rhs } => {
@@ -472,8 +553,11 @@ fn step<E: Env + ?Sized>(
             let e = regs[end.index()]
                 .as_int()
                 .ok_or_else(|| bytes_type_error("bslice"))?;
-            if s < 0 || e < s {
+            if s < 0 || e < 0 {
                 return Err(negative_size(s.min(e)));
+            }
+            if e < s {
+                return Err(inverted_range(s, e));
             }
             if e as usize > b.len() {
                 return Err(out_of_bounds(e, b.len()));
@@ -1131,6 +1215,197 @@ mod tests {
         let f = m.add_function(b.finish());
         let mut env = BasicEnv::new(&m);
         assert_eq!(call(&m, &mut env, f, &[]), Err(ExecError::DepthExceeded));
+    }
+
+    #[test]
+    fn bslice_reports_negative_and_inverted_ranges_apart() {
+        let mut m = Module::new();
+        let mut b = FunctionBuilder::new("f", 2);
+        let eight = b.const_int(8);
+        let buf = b.bytes_new(eight);
+        let _ = b.bytes_slice(buf, b.param(0), b.param(1));
+        b.ret(None);
+        m.add_function(b.finish());
+        let slice = |s, e| run(&m, "f", &[Value::Int(s), Value::Int(e)]);
+        assert_eq!(
+            slice(5, 3),
+            Err(ExecError::InvertedRange { start: 5, end: 3 })
+        );
+        assert_eq!(
+            slice(5, 3).unwrap_err().to_string(),
+            "slice start 5 is past its end 3"
+        );
+        assert_eq!(slice(-2, 3), Err(ExecError::NegativeSize(-2)));
+        assert_eq!(slice(2, -3), Err(ExecError::NegativeSize(-3)));
+        assert_eq!(slice(3, 3), Ok(Value::Unit));
+    }
+
+    /// `f` with no parameters, `regs` registers, returning its last
+    /// register without ever writing it.
+    fn add_peek(m: &mut Module, regs: u16) -> FuncId {
+        let mut b = FunctionBuilder::new("peek", 0);
+        b.ret(None);
+        let f = m.add_function(b.finish());
+        m.functions[f.index()].reg_count = regs;
+        m.functions[f.index()].blocks[0].term = Terminator::Ret(Some(Reg(regs - 1)));
+        f
+    }
+
+    #[test]
+    fn fresh_registers_read_unit_in_a_reused_frame() {
+        let mut m = Module::new();
+        let mut b = FunctionBuilder::new("fill", 1);
+        let mut last = b.param(0);
+        for _ in 0..12 {
+            last = b.mov(last);
+        }
+        b.ret(Some(last));
+        let fill = m.add_function(b.finish());
+        let peek = add_peek(&mut m, 12);
+
+        let mut env = BasicEnv::new(&m);
+        assert_eq!(
+            call(&m, &mut env, fill, &[Value::Int(7)]),
+            Ok(Value::Int(7))
+        );
+        // Same thread, same nesting level: `peek` runs in the buffer `fill`
+        // just left.
+        assert_eq!(call(&m, &mut env, peek, &[]), Ok(Value::Unit));
+    }
+
+    #[test]
+    fn no_register_outlives_its_call() {
+        let mut m = Module::new();
+        let n = m.add_native("len");
+        // hold(b, d): copies `b` around, passes it to a native and to a
+        // callee, then divides by `d` (a trap when d == 0).
+        let mut inner = FunctionBuilder::new("inner", 1);
+        let c = inner.mov(inner.param(0));
+        inner.ret(Some(c));
+        let inner_id = m.add_function(inner.finish());
+        let mut b = FunctionBuilder::new("hold", 2);
+        let c1 = b.mov(b.param(0));
+        let c2 = b.mov(c1);
+        let len = b.call_native(n, &[c2]);
+        let _ = b.call(inner_id, &[c1]);
+        let q = b.bin(BinOp::Div, len, b.param(1));
+        b.ret(Some(q));
+        let hold = m.add_function(b.finish());
+        // rec(b): passes `b` down until the depth limit trips.
+        let rec_id = FuncId(m.functions.len() as u32);
+        let mut r = FunctionBuilder::new("rec", 1);
+        let keep = r.mov(r.param(0));
+        let v = r.call(rec_id, &[keep]);
+        r.ret(Some(v));
+        assert_eq!(m.add_function(r.finish()), rec_id);
+
+        let payload = Arc::new(vec![1u8, 2, 3]);
+        let arg = Value::Bytes(Arc::clone(&payload));
+        let before = Arc::strong_count(&payload);
+        let mut env = BasicEnv::new(&m);
+        env.bind_native(n, |args| {
+            Ok(Value::Int(
+                args[0].as_bytes().ok_or("not bytes")?.len() as i64
+            ))
+        });
+
+        let ok = call(&m, &mut env, hold, &[arg.clone(), Value::Int(1)]);
+        assert_eq!(ok, Ok(Value::Int(3)));
+        assert_eq!(Arc::strong_count(&payload), before, "after Ok");
+
+        let trap = call(&m, &mut env, hold, &[arg.clone(), Value::Int(0)]);
+        assert_eq!(trap, Err(ExecError::Eval(EvalError::DivisionByZero)));
+        assert_eq!(Arc::strong_count(&payload), before, "after a trap");
+
+        // Enough fuel to make the copies and enter the callee, not to finish.
+        env.fuel = Some(5);
+        let starved = call(&m, &mut env, hold, &[arg.clone(), Value::Int(1)]);
+        assert_eq!(starved, Err(ExecError::OutOfFuel));
+        assert_eq!(Arc::strong_count(&payload), before, "after OutOfFuel");
+        env.fuel = None;
+
+        let deep = call(&m, &mut env, rec_id, std::slice::from_ref(&arg));
+        assert_eq!(deep, Err(ExecError::DepthExceeded));
+        assert_eq!(Arc::strong_count(&payload), before, "after DepthExceeded");
+    }
+
+    #[test]
+    fn arity_above_the_inline_buffer_spills_and_agrees() {
+        const WIDE: u16 = INLINE_ARGS as u16 + 4;
+        let mut m = Module::new();
+        let sum = m.add_native("sum");
+        let e = m.add_event("E");
+        // add_all(p0..pk) = p0 + .. + pk, at both widths.
+        let mut add_all = |k: u16| {
+            let mut b = FunctionBuilder::new(format!("add{k}"), k);
+            let mut acc = b.param(0);
+            for i in 1..k {
+                acc = b.bin(BinOp::Add, acc, b.param(i));
+            }
+            b.ret(Some(acc));
+            m.add_function(b.finish())
+        };
+        let (add3, add_wide) = (add_all(3), add_all(WIDE));
+        // f(a, b, c): a call, a native and a raise of `width` arguments,
+        // the ones past the third all zero.
+        let mut caller = |width: u16, callee: FuncId| {
+            let mut b = FunctionBuilder::new(format!("f{width}"), 3);
+            let mut args = vec![b.param(0), b.param(1), b.param(2)];
+            let zero = b.const_int(0);
+            args.resize(usize::from(width), zero);
+            let called = b.call(callee, &args);
+            let native = b.call_native(sum, &args);
+            b.raise(e, RaiseMode::Sync, &args);
+            let both = b.bin(BinOp::Mul, called, native);
+            b.ret(Some(both));
+            m.add_function(b.finish())
+        };
+        let (small, wide) = (caller(3, add3), caller(WIDE, add_wide));
+
+        let mut env = BasicEnv::new(&m);
+        env.bind_native(sum, |args| {
+            Ok(Value::Int(args.iter().filter_map(Value::as_int).sum()))
+        });
+        let abc = [Value::Int(2), Value::Int(3), Value::Int(5)];
+        let r_small = call(&m, &mut env, small, &abc).unwrap();
+        let r_wide = call(&m, &mut env, wide, &abc).unwrap();
+        assert_eq!(r_small, Value::Int(100));
+        assert_eq!(r_wide, r_small);
+        let (raised_small, raised_wide) = (&env.raised[0].2, &env.raised[1].2);
+        assert_eq!(raised_small.as_slice(), &abc);
+        assert_eq!(raised_wide.len(), usize::from(WIDE));
+        assert_eq!(&raised_wide[..3], &abc);
+        assert!(raised_wide[3..].iter().all(|v| v == &Value::Int(0)));
+    }
+
+    #[test]
+    fn frame_survives_a_panicking_native() {
+        let mut m = Module::new();
+        let boom = m.add_native("boom");
+        let mut b = FunctionBuilder::new("f", 1);
+        let mut last = b.param(0);
+        for _ in 0..6 {
+            last = b.mov(last);
+        }
+        let r = b.call_native(boom, &[last]);
+        b.ret(Some(r));
+        let f = m.add_function(b.finish());
+        let peek = add_peek(&mut m, 6);
+
+        let payload = Arc::new(vec![9u8; 4]);
+        let arg = Value::Bytes(Arc::clone(&payload));
+        let mut env = BasicEnv::new(&m);
+        env.bind_native(boom, |_| panic!("native blew up"));
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            call(&m, &mut env, f, std::slice::from_ref(&arg))
+        }));
+        assert!(unwound.is_err());
+        // Unwinding dropped the registers and the inline argv...
+        assert_eq!(Arc::strong_count(&payload), 2);
+        // ...and the next calls on this thread see clean frames.
+        assert_eq!(call(&m, &mut env, peek, &[]), Ok(Value::Unit));
+        env.bind_native(boom, |args| Ok(args[0].clone()));
+        assert_eq!(call(&m, &mut env, f, std::slice::from_ref(&arg)), Ok(arg));
     }
 
     #[test]
