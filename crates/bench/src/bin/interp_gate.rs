@@ -30,7 +30,7 @@
 //! path given as the first argument, default `BENCH_interp.json` in the
 //! working directory, and exits nonzero when any gate fails.
 
-use pdo_bench::{allocs_per_call, measure, CountingAlloc, Side};
+use pdo_bench::{ab_rounds, allocs_per_call, CountingAlloc, Side};
 use pdo_events::Runtime;
 use pdo_ir::interp::{call, BasicEnv};
 use pdo_ir::{BinOp, EventId, FuncId, FunctionBuilder, Module, RaiseMode, Value};
@@ -139,36 +139,16 @@ fn kernel_allocs(m: &Module) -> f64 {
 }
 
 /// Interleaved A/B rounds of `call` on two variants of one handler.
-fn ab_rounds(a_mod: &Module, b_mod: &Module) -> (Side, Side) {
+fn kernel_rounds(a_mod: &Module, b_mod: &Module) -> (Side, Side) {
     let fa = FuncId(0);
     let mut env_a = BasicEnv::new(a_mod);
     let mut env_b = BasicEnv::new(b_mod);
-    let mut a = Side::default();
-    let mut b = Side::default();
-    for i in 0..ROUNDS {
-        // Alternate order each round so slow drift (thermal, scheduler)
-        // cancels instead of biasing one side.
-        if i % 2 == 0 {
-            a.push(measure(
-                || call(black_box(a_mod), &mut env_a, fa, &[]).unwrap(),
-                SAMPLES,
-            ));
-            b.push(measure(
-                || call(black_box(b_mod), &mut env_b, fa, &[]).unwrap(),
-                SAMPLES,
-            ));
-        } else {
-            b.push(measure(
-                || call(black_box(b_mod), &mut env_b, fa, &[]).unwrap(),
-                SAMPLES,
-            ));
-            a.push(measure(
-                || call(black_box(a_mod), &mut env_a, fa, &[]).unwrap(),
-                SAMPLES,
-            ));
-        }
-    }
-    (a, b)
+    ab_rounds(
+        ROUNDS,
+        SAMPLES,
+        || call(black_box(a_mod), &mut env_a, fa, &[]).unwrap(),
+        || call(black_box(b_mod), &mut env_b, fa, &[]).unwrap(),
+    )
 }
 
 /// A generic-dispatch runtime for the sampling overhead check: one event
@@ -215,7 +195,7 @@ fn main() {
         ("x", x_module()),
     ] {
         let fused = fused_twin(&module, name);
-        let (unfused_side, fused_side) = ab_rounds(&module, &fused);
+        let (unfused_side, fused_side) = kernel_rounds(&module, &fused);
         let (unfused_allocs, fused_allocs) = (kernel_allocs(&module), kernel_allocs(&fused));
         allocs_sum += unfused_allocs + fused_allocs;
         let speedup = unfused_side.median_min() / fused_side.median_min();
@@ -235,26 +215,12 @@ fn main() {
     // Opcode-profile sampling overhead on the full dispatch path.
     let (mut off_rt, e) = dispatch_runtime(false);
     let (mut on_rt, _) = dispatch_runtime(true);
-    let mut off = Side::default();
-    let mut on = Side::default();
-    for i in 0..ROUNDS {
-        let (first, second): (&mut Runtime, &mut Runtime) = if i % 2 == 0 {
-            (&mut off_rt, &mut on_rt)
-        } else {
-            (&mut on_rt, &mut off_rt)
-        };
-        let a = measure(
-            || first.raise(black_box(e), RaiseMode::Sync, &[]).unwrap(),
-            SAMPLES,
-        );
-        let b = measure(
-            || second.raise(black_box(e), RaiseMode::Sync, &[]).unwrap(),
-            SAMPLES,
-        );
-        let (o, n) = if i % 2 == 0 { (a, b) } else { (b, a) };
-        off.push(o);
-        on.push(n);
-    }
+    let (off, on) = ab_rounds(
+        ROUNDS,
+        SAMPLES,
+        || off_rt.raise(black_box(e), RaiseMode::Sync, &[]).unwrap(),
+        || on_rt.raise(black_box(e), RaiseMode::Sync, &[]).unwrap(),
+    );
     assert!(
         on_rt.opcode_profile_data().is_some_and(|p| p.total() > 0),
         "profiling runtime must actually record opcodes"

@@ -18,13 +18,15 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let iters: u32 = if quick { 200 } else { 2000 };
     let frames: u32 = if quick { 100 } else { video::SESSION_FRAMES };
+    // Interleaved orig/opt rounds per Fig 12 cell.
+    let rounds: usize = if quick { 5 } else { 101 };
 
     match what {
         "fig5" => fig5(),
         "fig6" => fig6(),
         "fig10" => fig10(frames),
         "fig11" => fig11(iters),
-        "fig12" => fig12(iters),
+        "fig12" => fig12(rounds),
         "fig13" => fig13(iters),
         "codesize" => codesize(),
         "ablation" => ablation(iters),
@@ -33,7 +35,7 @@ fn main() {
             fig6();
             fig10(frames);
             fig11(iters);
-            fig12(iters);
+            fig12(rounds);
             fig13(iters);
             codesize();
             ablation(iters);
@@ -131,10 +133,10 @@ fn fig11(iters: u32) {
     }
 }
 
-fn fig12(iters: u32) {
+fn fig12(rounds: usize) {
     header("Figure 12: impact of optimization in SecComm");
     let lab = secc::SecLab::prepare(50);
-    let rows = secc::fig12_rows(&lab, iters);
+    let rows = secc::fig12_rows(&lab, rounds);
     println!(
         "{:>6}  {:>11} {:>11} {:>6}  {:>11} {:>11} {:>6}   | paper: push%  pop%",
         "size", "push orig", "push opt", "(%)", "pop orig", "pop opt", "(%)"
@@ -157,6 +159,8 @@ fn fig12(iters: u32) {
             p.4 * 100.0 / p.3,
         );
     }
+    let (des_ns, md5_ns) = secc::kernel_floor();
+    println!("kernel floor: DES {des_ns:.0} ns/block, keyed MD5 {md5_ns:.0} ns/KiB");
 }
 
 fn fig13(iters: u32) {

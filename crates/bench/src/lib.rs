@@ -211,6 +211,28 @@ impl Side {
     }
 }
 
+/// Measures `a` and `b` in `rounds` interleaved rounds of [`measure`],
+/// alternating which goes first so slow drift (thermal, scheduler) cancels
+/// instead of biasing one side.
+pub fn ab_rounds<A, B>(
+    rounds: usize,
+    samples: usize,
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+) -> (Side, Side) {
+    let (mut side_a, mut side_b) = (Side::default(), Side::default());
+    for i in 0..rounds {
+        if i % 2 == 0 {
+            side_a.push(measure(&mut a, samples));
+            side_b.push(measure(&mut b, samples));
+        } else {
+            side_b.push(measure(&mut b, samples));
+            side_a.push(measure(&mut a, samples));
+        }
+    }
+    (side_a, side_b)
+}
+
 /// Formats a ratio as the paper's `(%)` columns: optimized as a percentage
 /// of original.
 pub fn percent(optimized: f64, original: f64) -> f64 {

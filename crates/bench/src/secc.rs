@@ -4,7 +4,9 @@ use pdo::{optimize, Optimization, OptimizeOptions};
 use pdo_cactus::EventProgram;
 use pdo_events::TraceConfig;
 use pdo_profile::Profile;
+use pdo_seccomm::crypto::{des_encrypt, keyed_md5, DesKey};
 use pdo_seccomm::{seccomm_protocol, Endpoint, Keys, CONFIG_PAPER};
+use std::hint::black_box;
 
 /// The Fig 12 packet sizes.
 pub const SIZES: [usize; 6] = [64, 128, 256, 512, 1024, 2048];
@@ -97,40 +99,58 @@ pub struct Fig12Row {
     pub pop_opt_ns: f64,
 }
 
-/// Runs the Fig 12 sweep: average push and pop times per packet size.
+/// [`crate::measure`] batches per round of a Fig 12 cell.
+const SAMPLES: usize = 10;
+
+/// Runs the Fig 12 sweep: push and pop times per packet size, original and
+/// optimized measured in `rounds` interleaved rounds ([`crate::ab_rounds`])
+/// and reported as `median_min`, as the gates do — so host drift lands on
+/// both sides of each ratio instead of in it.
 ///
 /// # Panics
 ///
 /// Panics on substrate misconfiguration.
-pub fn fig12_rows(lab: &SecLab, iters: u32) -> Vec<Fig12Row> {
+pub fn fig12_rows(lab: &SecLab, rounds: usize) -> Vec<Fig12Row> {
     let mut rows = Vec::new();
     for size in SIZES {
         let msg = vec![0x3Cu8; size];
-        let time_push = |optimized: bool| {
-            let mut ep = lab.endpoint(optimized);
-            let _ = ep.push(&msg).expect("warm push");
-            crate::avg_ns(iters / 10, iters, || {
-                let _ = ep.push(&msg).expect("push");
-            })
-        };
-        let time_pop = |optimized: bool| {
-            let mut sender = lab.endpoint(false);
-            let wire = sender.push(&msg).expect("wire build");
-            let mut ep = lab.endpoint(optimized);
-            let _ = ep.pop(&wire).expect("warm pop");
-            crate::avg_ns(iters / 10, iters, || {
-                let _ = ep.pop(&wire).expect("pop");
-            })
-        };
+        let wire = lab.endpoint(false).push(&msg).expect("wire build");
+        let (mut orig, mut opt) = (lab.endpoint(false), lab.endpoint(true));
+        let (push_orig, push_opt) = crate::ab_rounds(
+            rounds,
+            SAMPLES,
+            || orig.push(&msg).expect("push"),
+            || opt.push(&msg).expect("push"),
+        );
+        let (pop_orig, pop_opt) = crate::ab_rounds(
+            rounds,
+            SAMPLES,
+            || orig.pop(&wire).expect("pop"),
+            || opt.pop(&wire).expect("pop"),
+        );
         rows.push(Fig12Row {
             size,
-            push_orig_ns: time_push(false),
-            push_opt_ns: time_push(true),
-            pop_orig_ns: time_pop(false),
-            pop_opt_ns: time_pop(true),
+            push_orig_ns: push_orig.median_min(),
+            push_opt_ns: push_opt.median_min(),
+            pop_orig_ns: pop_orig.median_min(),
+            pop_opt_ns: pop_opt.median_min(),
         });
     }
     rows
+}
+
+/// The crypto kernels under every Fig 12 cell, timed alone: DES ns per
+/// 8-byte block (ECB over 1 KiB) and keyed MD5 ns per KiB. The floor no
+/// dispatch optimization can go below.
+pub fn kernel_floor() -> (f64, f64) {
+    let keys = Keys::default();
+    let des = DesKey::new(&keys.des);
+    let buf = vec![0x3Cu8; 1024];
+    // 1 KiB of payload plus the PKCS#7 block.
+    let blocks = (buf.len() / 8 + 1) as f64;
+    let des_ns = crate::measure(|| des_encrypt(&des, black_box(&buf)), SAMPLES).min_ns / blocks;
+    let md5_ns = crate::measure(|| keyed_md5(&keys.mac, black_box(&buf)), SAMPLES).min_ns;
+    (des_ns, md5_ns)
 }
 
 #[cfg(test)]

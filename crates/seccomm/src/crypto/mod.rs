@@ -6,5 +6,5 @@ pub mod md5;
 pub mod xorcipher;
 
 pub use des::{decrypt as des_decrypt, encrypt as des_encrypt, DesKey};
-pub use md5::{digest_hex, keyed_md5, md5};
+pub use md5::{digest_hex, keyed_md5, md5, Md5};
 pub use xorcipher::xor_cipher;

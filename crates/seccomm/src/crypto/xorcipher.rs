@@ -4,13 +4,18 @@
 
 /// XORs `data` with `key` repeated cyclically. Self-inverse.
 pub fn xor_cipher(key: &[u8], data: &[u8]) -> Vec<u8> {
+    let mut out = data.to_vec();
     if key.is_empty() {
-        return data.to_vec();
+        return out;
     }
-    data.iter()
-        .zip(key.iter().cycle())
-        .map(|(d, k)| d ^ k)
-        .collect()
+    // One key-length piece at a time: the inner loop is a plain zip of two
+    // slices, with no per-byte wrap-around check.
+    for piece in out.chunks_mut(key.len()) {
+        for (b, k) in piece.iter_mut().zip(key) {
+            *b ^= k;
+        }
+    }
+    out
 }
 
 #[cfg(test)]

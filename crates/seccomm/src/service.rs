@@ -24,7 +24,7 @@ pub const CONFIG_FULL: &[&str] = &[
 ];
 
 /// Session keys for the micro-protocols.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Keys {
     /// 8-byte DES key.
     pub des: [u8; 8],
@@ -35,6 +35,17 @@ pub struct Keys {
 }
 
 pdo_snap::codec_struct!(Keys { des, xor, mac });
+
+/// Key material never reaches a log line: each field shows as its length.
+impl fmt::Debug for Keys {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Keys")
+            .field("des", &self.des.len())
+            .field("xor", &self.xor.len())
+            .field("mac", &self.mac.len())
+            .finish()
+    }
+}
 
 impl Default for Keys {
     fn default() -> Self {
@@ -322,12 +333,11 @@ impl Endpoint {
         keys: &Keys,
         wire: &Rc<RefCell<Wire>>,
     ) -> Result<(), SecCommError> {
-        let bytes_arg = |args: &[Value]| -> Result<Vec<u8>, String> {
+        fn bytes_arg(args: &[Value]) -> Result<&[u8], String> {
             args.first()
                 .and_then(Value::as_bytes)
-                .map(<[u8]>::to_vec)
                 .ok_or_else(|| "expected a bytes argument".to_string())
-        };
+        }
 
         let des = DesKey::new(&keys.des);
         let des2 = des.clone();
@@ -340,24 +350,25 @@ impl Endpoint {
         let del_wire = Rc::clone(wire);
 
         rt.bind_native_by_name("des_encrypt", move |args| {
-            Ok(Value::bytes(des_encrypt(&des, &bytes_arg(args)?)))
+            Ok(Value::bytes(des_encrypt(&des, bytes_arg(args)?)))
         })
         .and_then(|()| {
             rt.bind_native_by_name("des_decrypt", move |args| {
-                des_decrypt(&des2, &bytes_arg(args)?).map(Value::bytes)
+                des_decrypt(&des2, bytes_arg(args)?).map(Value::bytes)
             })
         })
         .and_then(|()| {
             rt.bind_native_by_name("xor_apply", move |args| {
-                Ok(Value::bytes(xor_cipher(&xor_key, &bytes_arg(args)?)))
+                Ok(Value::bytes(xor_cipher(&xor_key, bytes_arg(args)?)))
             })
         })
         .and_then(|()| {
             rt.bind_native_by_name("mac_append", move |args| {
-                let mut data = bytes_arg(args)?;
-                let mac = keyed_md5(&mac_key, &data);
-                data.extend_from_slice(&mac);
-                Ok(Value::bytes(data))
+                let data = bytes_arg(args)?;
+                let mut out = Vec::with_capacity(data.len() + 16);
+                out.extend_from_slice(data);
+                out.extend_from_slice(&keyed_md5(&mac_key, data));
+                Ok(Value::bytes(out))
             })
         })
         .and_then(|()| {
@@ -366,17 +377,18 @@ impl Endpoint {
             // chain to skip it.
             rt.bind_native_by_name("mac_verify_strip", move |args| {
                 let data = bytes_arg(args)?;
-                let verified = data.len() >= 16 && {
-                    let (body, mac) = data.split_at(data.len() - 16);
-                    keyed_md5(&mac_key2, body) == *mac
-                };
-                if verified {
-                    Ok(Value::bytes(data[..data.len() - 16].to_vec()))
-                } else {
-                    let mut w = mac_wire.borrow_mut();
-                    w.decode_ok = false;
-                    w.mac_failures += 1;
-                    Ok(Value::bytes(data))
+                match data.split_last_chunk::<16>() {
+                    Some((body, mac)) if keyed_md5(&mac_key2, body) == *mac => {
+                        Ok(Value::bytes(body))
+                    }
+                    _ => {
+                        let mut w = mac_wire.borrow_mut();
+                        w.decode_ok = false;
+                        w.mac_failures += 1;
+                        // The dropped packet goes back as it came: a
+                        // reference, not a copy.
+                        Ok(args[0].clone())
+                    }
                 }
             })
         })
@@ -387,7 +399,7 @@ impl Endpoint {
         })
         .and_then(|()| {
             rt.bind_native_by_name("net_send", move |args| {
-                let data = bytes_arg(args)?;
+                let data = bytes_arg(args)?.to_vec();
                 let mut w = out_wire.borrow_mut();
                 w.outbox.push_back(data);
                 w.frames_sent += 1;
@@ -396,7 +408,7 @@ impl Endpoint {
         })
         .and_then(|()| {
             rt.bind_native_by_name("deliver", move |args| {
-                let data = bytes_arg(args)?;
+                let data = bytes_arg(args)?.to_vec();
                 del_wire.borrow_mut().delivered.push_back(data);
                 Ok(Value::Unit)
             })
@@ -753,6 +765,27 @@ mod tests {
         let wire = tx.push(b"secret").unwrap();
         if let Ok(plain) = rx.pop(&wire) {
             assert_ne!(plain, b"secret".to_vec())
+        }
+    }
+
+    #[test]
+    fn debug_redacts_key_material() {
+        let keys = Keys::default();
+        let shown = format!("{keys:?} {keys:#?}");
+        assert!(
+            shown.contains("xor: 9") && shown.contains("mac: 13"),
+            "{shown}"
+        );
+        for secret in [&keys.des[..], &keys.xor, &keys.mac] {
+            // Neither as text nor as the derived `[b0, b1, ..]` byte list.
+            assert!(
+                !shown.contains(&*String::from_utf8_lossy(secret)),
+                "{shown}"
+            );
+            for pair in secret.windows(2) {
+                let run = format!("{}, {}", pair[0], pair[1]);
+                assert!(!shown.contains(&run), "{shown} shows `{run}`");
+            }
         }
     }
 
