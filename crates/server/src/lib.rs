@@ -13,10 +13,10 @@
 //!   Instead, with [`ServerConfig::threads`] > 1 each shard — including
 //!   its runtimes and [`AdaptiveEngine`]s — is **constructed, driven,
 //!   and dropped entirely inside one worker thread**; the coordinator
-//!   talks to it over a per-shard `mpsc` command channel carrying only
-//!   `Send` data (session specs, event batches, deadlines, report and
-//!   metrics snapshots). With `threads = 1` the identical shard code
-//!   runs inline with no threads at all, which is why parallelism is
+//!   reaches it by shipping a `Send` closure over a per-shard `mpsc`
+//!   channel, which the worker runs against the shard and answers with
+//!   a `Send` result. With `threads = 1` the same closure is called
+//!   directly with no threads at all, which is why parallelism is
 //!   observationally invisible: both modes execute the same
 //!   [`ShardState`] methods in the same per-shard order.
 //! - New sessions are placed by **power-of-two-choices** over reported
@@ -40,10 +40,9 @@
 //!   [`Server::metrics`] scrapes every layer into one
 //!   [`MetricsSnapshot`], including per-shard queue-depth and busy-ns
 //!   load series. Because shard-interior state never crosses the channel
-//!   boundary, the borrow-style accessors of the single-threaded design
-//!   (`runtime()`, `engine()`, `ctp_mut()`) are replaced by the
-//!   closure-shipping [`Server::with_session`] family and the
-//!   snapshot-returning [`Server::engine_stats`].
+//!   boundary, callers reach a session through the closure-shipping
+//!   [`Server::with_session`] family and the snapshot-returning
+//!   [`Server::engine_stats`], never through a borrow.
 
 use pdo::{AdaptConfig, AdaptStats, AdaptiveEngine};
 use pdo_cactus::EventProgram;
@@ -69,8 +68,8 @@ mod snapshot;
 use snapshot::{Image, KindSnapshot, SessionSnapshot};
 
 const WORKER_ALIVE: &str = "shard worker lives until Server::drop closes the channel";
-const WORKER_REPLIES: &str = "shard worker replies to every command before exiting";
-const SHARD_OWNED: &str = "commands are routed to the worker that owns the shard";
+const WORKER_REPLIES: &str = "shard worker runs every job it received before exiting";
+const SHARD_OWNED: &str = "jobs are routed to the worker that owns the shard";
 
 /// Identifies one session for the lifetime of the server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -161,6 +160,11 @@ impl fmt::Display for ServerError {
 
 impl std::error::Error for ServerError {}
 
+/// A decoded image that is not one this server could have written.
+fn malformed(why: String) -> ServerError {
+    ServerError::Snapshot(SnapshotError::Malformed(why))
+}
+
 /// What lives inside a session: a plain event program or a protocol
 /// endpoint built through the server. Protocol variants carry their
 /// rebuild recipe (params/keys) so any session kind can be snapshotted
@@ -202,9 +206,9 @@ fn kind_runtime_mut(kind: &mut SessionKind) -> &mut Runtime {
     }
 }
 
-/// Everything needed to (re)build a session on a shard. This is the
-/// `Send` payload that crosses the coordinator→worker channel; the
-/// `!Send` runtime is constructed from it on the owning thread.
+/// Everything needed to build a new session on a shard: plain `Send`
+/// data, from which the `!Send` runtime is constructed on the owning
+/// thread.
 enum SessionSpec {
     Plain {
         module: Module,
@@ -219,13 +223,6 @@ enum SessionSpec {
         program: EventProgram,
         keys: Keys,
     },
-    /// A session drained from another shard or decoded from a durable
-    /// image (see [`Server::rebalance`] and
-    /// [`Server::restore_from_bytes`]). Carries complete state: sched
-    /// queue/timers, fault plan, endpoint link/wire state, and the
-    /// adaptation daemon's profile so the session *resumes*
-    /// specialization instead of cold-starting.
-    Restore(Box<SessionSnapshot>),
 }
 
 /// Why [`Server::rebalance`] refused to migrate a session. Surfaced per
@@ -410,7 +407,6 @@ impl ShardState {
                     .map_err(|e| ServerError::SecComm(id, e))?,
                 keys,
             },
-            SessionSpec::Restore(snap) => return self.restore(id, *snap),
         };
         let rt = kind_runtime_mut(&mut kind);
         if self.observability {
@@ -473,6 +469,13 @@ impl ShardState {
             }
         };
         let rt = kind_runtime_mut(&mut kind);
+        if globals.len() != module.globals.len() {
+            return Err(malformed(format!(
+                "session {id} carries {} globals for a module declaring {}",
+                globals.len(),
+                module.globals.len()
+            )));
+        }
         for (idx, value) in globals.into_iter().enumerate() {
             rt.set_global(GlobalId::from_index(idx), value);
         }
@@ -831,180 +834,65 @@ impl ShardState {
     }
 }
 
-/// A closure shipped to a shard's owning thread; receives the session
-/// (with its shard index) if it exists, `None` otherwise.
-type SessionFn = Box<dyn FnOnce(Option<(&mut Session, usize)>) + Send>;
-
-/// The coordinator→worker command protocol. Every payload is `Send`;
-/// replies come back on per-command `mpsc` channels so the coordinator
-/// can interleave commands to many shards and collect replies in shard
-/// order (which keeps aggregation deterministic).
-enum Cmd {
-    Open {
-        shard: usize,
-        id: SessionId,
-        spec: SessionSpec,
-        reply: Sender<Result<(), ServerError>>,
-    },
-    Close {
-        shard: usize,
-        id: SessionId,
-        reply: Sender<bool>,
-    },
-    Raise {
-        shard: usize,
-        id: SessionId,
-        event: EventId,
-        mode: RaiseMode,
-        args: Vec<Value>,
-        ctx: Option<TraceCtx>,
-        reply: Sender<Result<(), ServerError>>,
-    },
-    Batch {
-        shard: usize,
-        id: SessionId,
-        event: EventId,
-        delays: Vec<u64>,
-        reply: Sender<Result<(), ServerError>>,
-    },
-    RunUntil {
-        shard: usize,
-        deadline_ns: u64,
-        reply: Sender<(Result<(), ServerError>, ShardLoad)>,
-    },
-    Load {
-        shard: usize,
-        reply: Sender<ShardLoad>,
-    },
-    Metrics {
-        shard: usize,
-        reply: Sender<MetricsSnapshot>,
-    },
-    Report {
-        shard: usize,
-        reply: Sender<(ShardReport, Vec<SessionReport>)>,
-    },
-    Dump {
-        shard: usize,
-        n: usize,
-        reply: Sender<Vec<(SessionId, String)>>,
-    },
-    Drain {
-        shard: usize,
-        reply: Sender<Option<(SessionId, SessionSnapshot)>>,
-    },
-    SnapshotAll {
-        shard: usize,
-        reply: Sender<Vec<(SessionId, SessionSnapshot)>>,
-    },
-    Traces {
-        shard: usize,
-        reply: Sender<Vec<Span>>,
-    },
-    With {
-        shard: usize,
-        id: SessionId,
-        f: SessionFn,
-    },
-}
+/// The one message of the coordinator→worker channel: a closure and the
+/// shard it runs against. The closure owns everything it needs (it is
+/// `Send + 'static`) including the reply sender for its result, so the
+/// `!Send` shard state never leaves its thread — work travels to it.
+type Job = (usize, Box<dyn FnOnce(&mut ShardState) + Send>);
 
 /// Worker thread body: builds its shards *here* (so every `!Send`
-/// runtime is born on this thread), serves commands until the channel
-/// closes, then drops the shards (still on this thread).
-fn worker_main(rx: Receiver<Cmd>, shard_ids: Vec<usize>, adapt: AdaptConfig, observability: bool) {
+/// runtime is born on this thread), runs jobs until the channel closes,
+/// then drops the shards (still on this thread).
+fn worker_main(rx: Receiver<Job>, shard_ids: Vec<usize>, adapt: AdaptConfig, observability: bool) {
     let mut shards: BTreeMap<usize, ShardState> = shard_ids
         .into_iter()
         .map(|i| (i, ShardState::new(i, adapt, observability)))
         .collect();
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            Cmd::Open {
-                shard,
-                id,
-                spec,
-                reply,
-            } => {
-                let _ = reply.send(shards.get_mut(&shard).expect(SHARD_OWNED).open(id, spec));
-            }
-            Cmd::Close { shard, id, reply } => {
-                let _ = reply.send(shards.get_mut(&shard).expect(SHARD_OWNED).close(id));
-            }
-            Cmd::Raise {
-                shard,
-                id,
-                event,
-                mode,
-                args,
-                ctx,
-                reply,
-            } => {
-                let _ = reply.send(
-                    shards
-                        .get_mut(&shard)
-                        .expect(SHARD_OWNED)
-                        .raise(id, event, mode, &args, ctx),
-                );
-            }
-            Cmd::Batch {
-                shard,
-                id,
-                event,
-                delays,
-                reply,
-            } => {
-                let _ = reply.send(
-                    shards
-                        .get_mut(&shard)
-                        .expect(SHARD_OWNED)
-                        .batch(id, event, &delays),
-                );
-            }
-            Cmd::RunUntil {
-                shard,
-                deadline_ns,
-                reply,
-            } => {
-                let state = shards.get_mut(&shard).expect(SHARD_OWNED);
-                let result = state.run_until(deadline_ns);
-                let _ = reply.send((result, state.load()));
-            }
-            Cmd::Load { shard, reply } => {
-                let _ = reply.send(shards.get(&shard).expect(SHARD_OWNED).load());
-            }
-            Cmd::Metrics { shard, reply } => {
-                let _ = reply.send(shards.get(&shard).expect(SHARD_OWNED).metrics());
-            }
-            Cmd::Report { shard, reply } => {
-                let _ = reply.send(shards.get(&shard).expect(SHARD_OWNED).report());
-            }
-            Cmd::Dump { shard, n, reply } => {
-                let _ = reply.send(shards.get(&shard).expect(SHARD_OWNED).dump(n));
-            }
-            Cmd::Drain { shard, reply } => {
-                let _ = reply.send(shards.get_mut(&shard).expect(SHARD_OWNED).drain_quiescent());
-            }
-            Cmd::SnapshotAll { shard, reply } => {
-                let _ = reply.send(shards.get(&shard).expect(SHARD_OWNED).snapshot_all());
-            }
-            Cmd::Traces { shard, reply } => {
-                let _ = reply.send(shards.get(&shard).expect(SHARD_OWNED).trace_spans());
-            }
-            Cmd::With { shard, id, f } => {
-                let state = shards.get_mut(&shard).expect(SHARD_OWNED);
-                let index = state.index;
-                f(state.sessions.get_mut(&id).map(|s| (s, index)));
-            }
-        }
+    while let Ok((shard, job)) = rx.recv() {
+        job(shards.get_mut(&shard).expect(SHARD_OWNED));
     }
 }
 
+/// Ships `f` to the worker owning `shard`; the returned receiver yields
+/// its result once the worker has run it.
+fn ship<R, F>(txs: &[Sender<Job>], shard: usize, f: F) -> Receiver<R>
+where
+    R: Send + 'static,
+    F: FnOnce(&mut ShardState) -> R + Send + 'static,
+{
+    let (reply, rx) = mpsc::channel();
+    let job = Box::new(move |state: &mut ShardState| {
+        let _ = reply.send(f(state));
+    });
+    txs[shard].send((shard, job)).expect(WORKER_ALIVE);
+    rx
+}
+
+/// Ships a copy of `f` to every shard so the workers run concurrently,
+/// then collects the results **in shard order** — which is what keeps
+/// every aggregate (reports, merged metrics, dumps, images) identical
+/// to the inline mode's sequential walk.
+fn fan_out<R, F>(txs: &[Sender<Job>], f: F) -> Vec<R>
+where
+    R: Send + 'static,
+    F: Fn(&mut ShardState) -> R + Clone + Send + 'static,
+{
+    let receivers: Vec<Receiver<R>> = (0..txs.len())
+        .map(|shard| ship(txs, shard, f.clone()))
+        .collect();
+    receivers
+        .into_iter()
+        .map(|rx| rx.recv().expect(WORKER_REPLIES))
+        .collect()
+}
+
 /// How the coordinator reaches its shards: direct calls (inline) or
-/// per-shard command channels into worker threads. `txs[i]` is a clone
-/// of the owning worker's sender, so routing is just an index.
+/// per-shard job channels into worker threads. `txs[i]` is a clone of
+/// the owning worker's sender, so routing is just an index.
 enum Mode {
     Inline(Vec<ShardState>),
     Threaded {
-        txs: Vec<Sender<Cmd>>,
+        txs: Vec<Sender<Job>>,
         handles: Vec<JoinHandle<()>>,
     },
 }
@@ -1118,7 +1006,7 @@ impl Server {
             )
         } else {
             let workers = threads.min(shards);
-            let mut txs: Vec<Option<Sender<Cmd>>> = (0..shards).map(|_| None).collect();
+            let mut txs: Vec<Option<Sender<Job>>> = (0..shards).map(|_| None).collect();
             let mut handles = Vec::with_capacity(workers);
             for w in 0..workers {
                 let (tx, rx) = mpsc::channel();
@@ -1190,8 +1078,7 @@ impl Server {
     /// # Panics
     ///
     /// If the session is not open (placement is only defined for live
-    /// sessions — unlike the old hash-based scheme, a closed or unknown
-    /// id has no shard).
+    /// sessions — a closed or unknown id has no shard).
     pub fn shard_of(&self, id: SessionId) -> usize {
         *self
             .placement
@@ -1224,8 +1111,63 @@ impl Server {
         }
     }
 
-    fn open(&mut self, spec: SessionSpec) -> Result<SessionId, ServerError> {
-        self.open_at(spec, None)
+    /// Runs `f` against shard `shard` and returns its result: a direct
+    /// call inline, a shipped job on the shard's owning thread otherwise.
+    /// `arg` is the one borrowed input a job may take — inline it is
+    /// passed straight through; it is copied (`to_owned`) only when the
+    /// job actually has to cross the channel.
+    fn on_shard_with<A, R, F>(&mut self, shard: usize, arg: &A, f: F) -> R
+    where
+        A: ToOwned + ?Sized,
+        A::Owned: Send + 'static,
+        R: Send + 'static,
+        F: FnOnce(&mut ShardState, &A) -> R + Send + 'static,
+    {
+        match &mut self.mode {
+            Mode::Inline(states) => f(&mut states[shard], arg),
+            Mode::Threaded { txs, .. } => {
+                let owned = arg.to_owned();
+                ship(txs, shard, move |state| {
+                    f(state, std::borrow::Borrow::borrow(&owned))
+                })
+                .recv()
+                .expect(WORKER_REPLIES)
+            }
+        }
+    }
+
+    /// [`Self::on_shard_with`] for jobs that borrow nothing.
+    fn on_shard<R, F>(&mut self, shard: usize, f: F) -> R
+    where
+        R: Send + 'static,
+        F: FnOnce(&mut ShardState) -> R + Send + 'static,
+    {
+        self.on_shard_with(shard, &(), move |state, ()| f(state))
+    }
+
+    /// Runs `f` against every shard (read-only) and returns the results
+    /// in shard order.
+    fn each_shard<R, F>(&self, f: F) -> Vec<R>
+    where
+        R: Send + 'static,
+        F: Fn(&ShardState) -> R + Clone + Send + 'static,
+    {
+        match &self.mode {
+            Mode::Inline(states) => states.iter().map(f).collect(),
+            Mode::Threaded { txs, .. } => fan_out(txs, move |state| f(state)),
+        }
+    }
+
+    /// As [`Self::each_shard`], with mutable access.
+    fn each_shard_mut<R, F>(&mut self, f: F) -> Vec<R>
+    where
+        R: Send + 'static,
+        F: Fn(&mut ShardState) -> R + Clone + Send + 'static,
+    {
+        match &mut self.mode {
+            Mode::Inline(states) => states.iter_mut().map(f).collect(),
+            Mode::Threaded { txs, .. } => fan_out(txs, f),
+        }
     }
 
     /// Opens a session on `pin` when given (wrapped modulo the shard
@@ -1240,22 +1182,7 @@ impl Server {
             Some(s) => s % self.shards(),
             None => self.pick_shard(id),
         };
-        let result = match &mut self.mode {
-            Mode::Inline(states) => states[shard].open(id, spec),
-            Mode::Threaded { txs, .. } => {
-                let (reply, rx) = mpsc::channel();
-                txs[shard]
-                    .send(Cmd::Open {
-                        shard,
-                        id,
-                        spec,
-                        reply,
-                    })
-                    .expect(WORKER_ALIVE);
-                rx.recv().expect(WORKER_REPLIES)
-            }
-        };
-        result?;
+        self.on_shard(shard, move |state| state.open(id, spec))?;
         self.next_id += 1;
         self.placement.insert(id, shard);
         self.loads[shard].sessions += 1;
@@ -1276,11 +1203,14 @@ impl Server {
         config: RuntimeConfig,
         bindings: &[(EventId, FuncId, i32)],
     ) -> Result<SessionId, ServerError> {
-        self.open(SessionSpec::Plain {
-            module,
-            config,
-            bindings: bindings.to_vec(),
-        })
+        self.open_at(
+            SessionSpec::Plain {
+                module,
+                config,
+                bindings: bindings.to_vec(),
+            },
+            None,
+        )
     }
 
     /// Opens a shard-resident CTP session over `program` and opens the
@@ -1294,10 +1224,13 @@ impl Server {
         program: &EventProgram,
         params: CtpParams,
     ) -> Result<SessionId, ServerError> {
-        self.open(SessionSpec::Ctp {
-            program: program.clone(),
-            params,
-        })
+        self.open_at(
+            SessionSpec::Ctp {
+                program: program.clone(),
+                params,
+            },
+            None,
+        )
     }
 
     /// Opens a shard-resident SecComm session over `program` with `keys`.
@@ -1310,10 +1243,13 @@ impl Server {
         program: &EventProgram,
         keys: &Keys,
     ) -> Result<SessionId, ServerError> {
-        self.open(SessionSpec::SecComm {
-            program: program.clone(),
-            keys: keys.clone(),
-        })
+        self.open_at(
+            SessionSpec::SecComm {
+                program: program.clone(),
+                keys: keys.clone(),
+            },
+            None,
+        )
     }
 
     /// As [`Server::open_session`], but pinned onto shard `shard`
@@ -1387,16 +1323,7 @@ impl Server {
         let Some(&shard) = self.placement.get(&id) else {
             return false;
         };
-        let existed = match &mut self.mode {
-            Mode::Inline(states) => states[shard].close(id),
-            Mode::Threaded { txs, .. } => {
-                let (reply, rx) = mpsc::channel();
-                txs[shard]
-                    .send(Cmd::Close { shard, id, reply })
-                    .expect(WORKER_ALIVE);
-                rx.recv().expect(WORKER_REPLIES)
-            }
-        };
+        let existed = self.on_shard(shard, move |state| state.close(id));
         if existed {
             self.placement.remove(&id);
             self.loads[shard].sessions = self.loads[shard].sessions.saturating_sub(1);
@@ -1442,24 +1369,9 @@ impl Server {
             .placement
             .get(&id)
             .ok_or(ServerError::UnknownSession(id))?;
-        match &mut self.mode {
-            Mode::Inline(states) => states[shard].raise(id, event, mode, args, ctx),
-            Mode::Threaded { txs, .. } => {
-                let (reply, rx) = mpsc::channel();
-                txs[shard]
-                    .send(Cmd::Raise {
-                        shard,
-                        id,
-                        event,
-                        mode,
-                        args: args.to_vec(),
-                        ctx,
-                        reply,
-                    })
-                    .expect(WORKER_ALIVE);
-                rx.recv().expect(WORKER_REPLIES)
-            }
-        }
+        self.on_shard_with(shard, args, move |state, args| {
+            state.raise(id, event, mode, args, ctx)
+        })
     }
 
     /// Raises `event` synchronously on session `id` (dispatches now).
@@ -1535,22 +1447,9 @@ impl Server {
             .placement
             .get(&id)
             .ok_or(ServerError::UnknownSession(id))?;
-        match &mut self.mode {
-            Mode::Inline(states) => states[shard].batch(id, event, delays),
-            Mode::Threaded { txs, .. } => {
-                let (reply, rx) = mpsc::channel();
-                txs[shard]
-                    .send(Cmd::Batch {
-                        shard,
-                        id,
-                        event,
-                        delays: delays.to_vec(),
-                        reply,
-                    })
-                    .expect(WORKER_ALIVE);
-                rx.recv().expect(WORKER_REPLIES)
-            }
-        }
+        self.on_shard_with(shard, delays, move |state, delays| {
+            state.batch(id, event, delays)
+        })
     }
 
     /// Advances every session on every shard to `deadline_ns`: dispatches
@@ -1568,31 +1467,8 @@ impl Server {
     /// The lowest-indexed shard's first session failure (tagged with its
     /// session id).
     pub fn run_until(&mut self, deadline_ns: u64) -> Result<(), ServerError> {
-        let outcomes: Vec<(Result<(), ServerError>, ShardLoad)> = match &mut self.mode {
-            Mode::Inline(states) => states
-                .iter_mut()
-                .map(|s| (s.run_until(deadline_ns), s.load()))
-                .collect(),
-            Mode::Threaded { txs, .. } => {
-                let receivers: Vec<Receiver<(Result<(), ServerError>, ShardLoad)>> = (0..txs.len())
-                    .map(|shard| {
-                        let (reply, rx) = mpsc::channel();
-                        txs[shard]
-                            .send(Cmd::RunUntil {
-                                shard,
-                                deadline_ns,
-                                reply,
-                            })
-                            .expect(WORKER_ALIVE);
-                        rx
-                    })
-                    .collect();
-                receivers
-                    .into_iter()
-                    .map(|rx| rx.recv().expect(WORKER_REPLIES))
-                    .collect()
-            }
-        };
+        let outcomes =
+            self.each_shard_mut(move |state| (state.run_until(deadline_ns), state.load()));
         let mut first_err = None;
         for (result, load) in outcomes {
             self.loads[load.shard] = load;
@@ -1609,9 +1485,8 @@ impl Server {
     }
 
     /// Ships `f` to session `id`'s owning thread and runs it there with
-    /// a [`SessionCtx`] borrow. This replaces the single-threaded
-    /// design's `runtime()` / `engine()` accessors: the closure crosses
-    /// the channel (it is `Send`), the `!Send` session never does.
+    /// a [`SessionCtx`] borrow: the closure crosses the channel (it is
+    /// `Send`), the `!Send` session never does.
     ///
     /// # Errors
     ///
@@ -1625,30 +1500,11 @@ impl Server {
             .placement
             .get(&id)
             .ok_or(ServerError::UnknownSession(id))?;
-        match &mut self.mode {
-            Mode::Inline(states) => match states[shard].sessions.get_mut(&id) {
-                Some(session) => Ok(f(&mut SessionCtx { id, shard, session })),
-                None => Err(ServerError::UnknownSession(id)),
-            },
-            Mode::Threaded { txs, .. } => {
-                let (reply, rx) = mpsc::channel::<Option<R>>();
-                let shipped: SessionFn = Box::new(move |found| {
-                    let _ = reply.send(
-                        found.map(|(session, shard)| f(&mut SessionCtx { id, shard, session })),
-                    );
-                });
-                txs[shard]
-                    .send(Cmd::With {
-                        shard,
-                        id,
-                        f: shipped,
-                    })
-                    .expect(WORKER_ALIVE);
-                rx.recv()
-                    .expect(WORKER_REPLIES)
-                    .ok_or(ServerError::UnknownSession(id))
-            }
-        }
+        self.on_shard(shard, move |state| {
+            let session = state.sessions.get_mut(&id)?;
+            Some(f(&mut SessionCtx { id, shard, session }))
+        })
+        .ok_or(ServerError::UnknownSession(id))
     }
 
     /// Runs `f` against session `id`'s runtime on its owning thread.
@@ -1665,8 +1521,7 @@ impl Server {
     }
 
     /// Runs `f` against session `id`'s adaptation daemon on its owning
-    /// thread. Replaces the old `engine()` accessor, which leaked the
-    /// daemon's `Rc<RefCell<…>>` across the shard boundary.
+    /// thread.
     ///
     /// # Errors
     ///
@@ -1727,24 +1582,7 @@ impl Server {
     /// Fresh per-shard load readings (also refreshes the cache p2c
     /// placement reads).
     pub fn shard_loads(&mut self) -> Vec<ShardLoad> {
-        let loads: Vec<ShardLoad> = match &mut self.mode {
-            Mode::Inline(states) => states.iter().map(|s| s.load()).collect(),
-            Mode::Threaded { txs, .. } => {
-                let receivers: Vec<Receiver<ShardLoad>> = (0..txs.len())
-                    .map(|shard| {
-                        let (reply, rx) = mpsc::channel();
-                        txs[shard]
-                            .send(Cmd::Load { shard, reply })
-                            .expect(WORKER_ALIVE);
-                        rx
-                    })
-                    .collect();
-                receivers
-                    .into_iter()
-                    .map(|rx| rx.recv().expect(WORKER_REPLIES))
-                    .collect()
-            }
-        };
+        let loads = self.each_shard(ShardState::load);
         self.loads.clone_from(&loads);
         loads
     }
@@ -1787,37 +1625,12 @@ impl Server {
         if hot == cool || loads[hot].sessions <= loads[cool].sessions {
             return Ok(None);
         }
-        let drained = match &mut self.mode {
-            Mode::Inline(states) => states[hot].drain_quiescent(),
-            Mode::Threaded { txs, .. } => {
-                let (reply, rx) = mpsc::channel();
-                txs[hot]
-                    .send(Cmd::Drain { shard: hot, reply })
-                    .expect(WORKER_ALIVE);
-                rx.recv().expect(WORKER_REPLIES)
-            }
-        };
-        let Some((id, snap)) = drained else {
+        let Some((id, snap)) = self.on_shard(hot, ShardState::drain_quiescent) else {
             return Ok(None);
         };
         self.placement.remove(&id);
         self.loads[hot].sessions = self.loads[hot].sessions.saturating_sub(1);
-        let restored = match &mut self.mode {
-            Mode::Inline(states) => states[cool].open(id, SessionSpec::Restore(Box::new(snap))),
-            Mode::Threaded { txs, .. } => {
-                let (reply, rx) = mpsc::channel();
-                txs[cool]
-                    .send(Cmd::Open {
-                        shard: cool,
-                        id,
-                        spec: SessionSpec::Restore(Box::new(snap)),
-                        reply,
-                    })
-                    .expect(WORKER_ALIVE);
-                rx.recv().expect(WORKER_REPLIES)
-            }
-        };
-        restored?;
+        self.on_shard(cool, move |state| state.restore(id, snap))?;
         self.placement.insert(id, cool);
         self.loads[cool].sessions += 1;
         self.obs_record(ObsKind::SessionMigrated {
@@ -1882,29 +1695,13 @@ impl Server {
     pub fn snapshot_to_bytes(&mut self) -> Vec<u8> {
         let started = Instant::now();
         let mut sessions = BTreeMap::new();
-        match &mut self.mode {
-            Mode::Inline(states) => {
-                for state in states.iter() {
-                    for (id, snap) in state.snapshot_all() {
-                        sessions.insert(id, (state.index, snap));
-                    }
-                }
-            }
-            Mode::Threaded { txs, .. } => {
-                let receivers: Vec<Receiver<Vec<(SessionId, SessionSnapshot)>>> = (0..txs.len())
-                    .map(|shard| {
-                        let (reply, rx) = mpsc::channel();
-                        txs[shard]
-                            .send(Cmd::SnapshotAll { shard, reply })
-                            .expect(WORKER_ALIVE);
-                        rx
-                    })
-                    .collect();
-                for (shard, rx) in receivers.into_iter().enumerate() {
-                    for (id, snap) in rx.recv().expect(WORKER_REPLIES) {
-                        sessions.insert(id, (shard, snap));
-                    }
-                }
+        for (shard, snaps) in self
+            .each_shard(ShardState::snapshot_all)
+            .into_iter()
+            .enumerate()
+        {
+            for (id, snap) in snaps {
+                sessions.insert(id, (shard, snap));
             }
         }
         let image = Image {
@@ -1933,40 +1730,34 @@ impl Server {
     ///
     /// A corrupt, truncated, or version-skewed image yields
     /// [`ServerError::Snapshot`] — never a panic. An image session id
-    /// that is already open on this server is rejected the same way,
+    /// that is already open on this server, or an id allocator that is
+    /// not past the image's own sessions, is rejected the same way,
     /// before any session from the image is opened.
     pub fn restore_from_bytes(&mut self, bytes: &[u8]) -> Result<Vec<SessionId>, ServerError> {
         let started = Instant::now();
         let Image { next_id, sessions } = pdo_snap::decode(bytes).map_err(ServerError::Snapshot)?;
-        for id in sessions.keys() {
-            if self.placement.contains_key(id) {
-                return Err(ServerError::Snapshot(SnapshotError::Malformed(format!(
-                    "image session {id} is already open on this server"
-                ))));
+        if let Some(last) = sessions.keys().next_back() {
+            if next_id <= last.0 {
+                return Err(malformed(format!(
+                    "image id allocator {next_id} is not past its session {last}"
+                )));
             }
         }
+        for id in sessions.keys() {
+            if self.placement.contains_key(id) {
+                return Err(malformed(format!(
+                    "image session {id} is already open on this server"
+                )));
+            }
+        }
+        // Before the loop: a session failing mid-restore must not leave
+        // already-restored ids ahead of the allocator.
+        self.next_id = self.next_id.max(next_id);
         let mut restored = Vec::with_capacity(sessions.len());
         let count = sessions.len() as u32;
         for (id, (shard, snap)) in sessions {
             let shard = shard % self.shards();
-            let result = match &mut self.mode {
-                Mode::Inline(states) => {
-                    states[shard].open(id, SessionSpec::Restore(Box::new(snap)))
-                }
-                Mode::Threaded { txs, .. } => {
-                    let (reply, rx) = mpsc::channel();
-                    txs[shard]
-                        .send(Cmd::Open {
-                            shard,
-                            id,
-                            spec: SessionSpec::Restore(Box::new(snap)),
-                            reply,
-                        })
-                        .expect(WORKER_ALIVE);
-                    rx.recv().expect(WORKER_REPLIES)
-                }
-            };
-            result?;
+            self.on_shard(shard, move |state| state.restore(id, snap))?;
             self.placement.insert(id, shard);
             self.loads[shard].sessions += 1;
             self.obs_record(ObsKind::SessionRestored {
@@ -1975,7 +1766,6 @@ impl Server {
             });
             restored.push(id);
         }
-        self.next_id = self.next_id.max(next_id);
         self.restores_total += 1;
         self.decode_wall_ns
             .record(started.elapsed().as_nanos() as u64);
@@ -2024,26 +1814,8 @@ impl Server {
     /// the wall-clock families, which `retain_families` can strip).
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
-        match &self.mode {
-            Mode::Inline(states) => {
-                for state in states {
-                    snap.merge(&state.metrics());
-                }
-            }
-            Mode::Threaded { txs, .. } => {
-                let receivers: Vec<Receiver<MetricsSnapshot>> = (0..txs.len())
-                    .map(|shard| {
-                        let (reply, rx) = mpsc::channel();
-                        txs[shard]
-                            .send(Cmd::Metrics { shard, reply })
-                            .expect(WORKER_ALIVE);
-                        rx
-                    })
-                    .collect();
-                for rx in receivers {
-                    snap.merge(&rx.recv().expect(WORKER_REPLIES));
-                }
-            }
+        for shard in self.each_shard(ShardState::metrics) {
+            snap.merge(&shard);
         }
         snap.counter(
             "pdo_server_snapshots_total",
@@ -2084,24 +1856,11 @@ impl Server {
     /// across runs and thread counts — the post-mortem companion to
     /// [`Server::metrics`].
     pub fn dump_flight_recorders(&self, n: usize) -> String {
-        let mut dumps: Vec<(SessionId, String)> = match &self.mode {
-            Mode::Inline(states) => states.iter().flat_map(|s| s.dump(n)).collect(),
-            Mode::Threaded { txs, .. } => {
-                let receivers: Vec<Receiver<Vec<(SessionId, String)>>> = (0..txs.len())
-                    .map(|shard| {
-                        let (reply, rx) = mpsc::channel();
-                        txs[shard]
-                            .send(Cmd::Dump { shard, n, reply })
-                            .expect(WORKER_ALIVE);
-                        rx
-                    })
-                    .collect();
-                receivers
-                    .into_iter()
-                    .flat_map(|rx| rx.recv().expect(WORKER_REPLIES))
-                    .collect()
-            }
-        };
+        let mut dumps: Vec<(SessionId, String)> = self
+            .each_shard(move |state| state.dump(n))
+            .into_iter()
+            .flatten()
+            .collect();
         dumps.sort_by_key(|(id, _)| *id);
         let mut out = String::new();
         let coord = self.obs.dump(n);
@@ -2123,24 +1882,10 @@ impl Server {
     /// the full cross-layer causal DAG, ready for
     /// [`pdo_obs::trace::export_chrome`] / `export_lines`.
     pub fn trace_spans(&self) -> Vec<Span> {
-        match &self.mode {
-            Mode::Inline(states) => states.iter().flat_map(|s| s.trace_spans()).collect(),
-            Mode::Threaded { txs, .. } => {
-                let receivers: Vec<Receiver<Vec<Span>>> = (0..txs.len())
-                    .map(|shard| {
-                        let (reply, rx) = mpsc::channel();
-                        txs[shard]
-                            .send(Cmd::Traces { shard, reply })
-                            .expect(WORKER_ALIVE);
-                        rx
-                    })
-                    .collect();
-                receivers
-                    .into_iter()
-                    .flat_map(|rx| rx.recv().expect(WORKER_REPLIES))
-                    .collect()
-            }
-        }
+        self.each_shard(ShardState::trace_spans)
+            .into_iter()
+            .flatten()
+            .collect()
     }
 
     /// A point-in-time snapshot of per-shard and per-session counters.
@@ -2148,26 +1893,8 @@ impl Server {
     /// so two servers that executed the same workload produce equal
     /// reports regardless of thread count.
     pub fn report(&self) -> ServerReport {
-        let per_shard: Vec<(ShardReport, Vec<SessionReport>)> = match &self.mode {
-            Mode::Inline(states) => states.iter().map(|s| s.report()).collect(),
-            Mode::Threaded { txs, .. } => {
-                let receivers: Vec<Receiver<(ShardReport, Vec<SessionReport>)>> = (0..txs.len())
-                    .map(|shard| {
-                        let (reply, rx) = mpsc::channel();
-                        txs[shard]
-                            .send(Cmd::Report { shard, reply })
-                            .expect(WORKER_ALIVE);
-                        rx
-                    })
-                    .collect();
-                receivers
-                    .into_iter()
-                    .map(|rx| rx.recv().expect(WORKER_REPLIES))
-                    .collect()
-            }
-        };
         let mut report = ServerReport::default();
-        for (shard, sessions) in per_shard {
+        for (shard, sessions) in self.each_shard(ShardState::report) {
             report.shards.push(shard);
             report.sessions.extend(sessions);
         }

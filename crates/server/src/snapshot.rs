@@ -91,7 +91,7 @@ codec_struct!(Image { next_id, sessions });
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Server, ServerConfig};
+    use crate::{Server, ServerConfig, ServerError};
     use pdo_ctp::ctp_program;
     use pdo_ir::{BinOp, FunctionBuilder, RaiseMode};
     use pdo_seccomm::{seccomm_protocol, CONFIG_FULL};
@@ -239,6 +239,56 @@ mod tests {
             (EventId(event.0 + 1), 1),
             (event, count)
         ])));
+    }
+
+    fn restore(server: &mut Server, image: &Image) -> Result<Vec<SessionId>, ServerError> {
+        server.restore_from_bytes(&encode(image))
+    }
+
+    fn is_malformed_restore(result: Result<Vec<SessionId>, ServerError>) -> bool {
+        matches!(
+            result,
+            Err(ServerError::Snapshot(SnapshotError::Malformed(_)))
+        )
+    }
+
+    /// An image whose id allocator is not past its own sessions would
+    /// make the next `open_*` mint an id that is already resident:
+    /// rejected before any session is opened.
+    #[test]
+    fn id_allocator_behind_its_sessions_is_malformed() {
+        let mut image = fleet_image();
+        let last = *image.sessions.keys().next_back().unwrap();
+        image.next_id = last.0;
+        let mut server = Server::new(ServerConfig::default());
+        assert!(is_malformed_restore(restore(&mut server, &image)));
+        assert!(server.sessions().is_empty(), "nothing was opened");
+
+        image.next_id = last.0 + 1;
+        assert_eq!(restore(&mut server, &image).unwrap().len(), 3);
+        let fresh = server
+            .open_session(Module::new(), RuntimeConfig::default(), &[])
+            .unwrap();
+        assert!(fresh > last, "the allocator resumes past the image");
+    }
+
+    /// More globals than the module declares is an error, not an
+    /// out-of-bounds `set_global`; and the sessions restored before the
+    /// bad one stay behind the allocator.
+    #[test]
+    fn globals_longer_than_the_module_table_are_malformed() {
+        let mut image = fleet_image();
+        let mut entries = image.sessions.iter_mut();
+        let (&first, _) = entries.next().unwrap();
+        let (_, (_, second)) = entries.next().unwrap();
+        second.globals.push(Value::Int(7));
+        let mut server = Server::new(ServerConfig::default());
+        assert!(is_malformed_restore(restore(&mut server, &image)));
+        assert_eq!(server.sessions(), vec![first], "restored up to the bad one");
+        let fresh = server
+            .open_session(Module::new(), RuntimeConfig::default(), &[])
+            .unwrap();
+        assert!(fresh.0 >= image.next_id, "restored ids stay allocated");
     }
 
     /// An owned copy of a borrowed snapshot, by way of its own codec.

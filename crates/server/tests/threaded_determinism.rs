@@ -1,8 +1,10 @@
 //! Shard confinement makes parallelism observationally invisible: a
 //! seeded workload driven through the threaded server must yield an
-//! aggregate `ServerReport`, a merged `MetricsSnapshot`, and a
-//! flight-recorder dump identical to the single-thread (`threads = 1`)
-//! path. The only series allowed to differ are the two wall-clock
+//! aggregate `ServerReport`, a merged `MetricsSnapshot`, a
+//! flight-recorder dump, session globals, trace spans, and a durable
+//! image identical to the single-thread (`threads = 1`) path — between
+//! them the drive crosses the shard boundary with every coordinator
+//! operation. The only series allowed to differ are the two wall-clock
 //! families (`pdo_adapt_reprofile_wall_ns`, the daemon's host-time
 //! profiling histogram, and `pdo_server_shard_busy_ns_total`, the shard
 //! busy gauge), which `MetricsSnapshot::retain_families` strips before
@@ -10,19 +12,20 @@
 
 use pdo::{AdaptConfig, OptimizeOptions};
 use pdo_events::RuntimeConfig;
-use pdo_ir::{BinOp, EventId, FuncId, FunctionBuilder, Module, Value};
+use pdo_ir::{BinOp, EventId, FuncId, FunctionBuilder, GlobalId, Module, RaiseMode, Value};
+use pdo_obs::Span;
 use pdo_server::{Server, ServerConfig, ServerReport, SessionId};
 use proptest::prelude::*;
 
 /// Two independent events; handler `k` of each adds `k` to its event's
 /// accumulator, so one dispatch of [h1, h2] adds 3.
-fn two_chain_module() -> (Module, [EventId; 2]) {
+fn two_chain_module() -> (Module, [EventId; 2], [GlobalId; 2]) {
     let mut m = Module::new();
     let a = m.add_event("A");
     let b = m.add_event("B");
     let ga = m.add_global("acc_a", Value::Int(0));
     let gb = m.add_global("acc_b", Value::Int(0));
-    let adder = |m: &mut Module, name: &str, g: pdo_ir::GlobalId, d: i64| {
+    let adder = |m: &mut Module, name: &str, g: GlobalId, d: i64| {
         let mut fb = FunctionBuilder::new(name, 0);
         let v = fb.load_global(g);
         let dd = fb.const_int(d);
@@ -35,7 +38,7 @@ fn two_chain_module() -> (Module, [EventId; 2]) {
     adder(&mut m, "a2", ga, 2);
     adder(&mut m, "b1", gb, 1);
     adder(&mut m, "b2", gb, 2);
-    (m, [a, b])
+    (m, [a, b], [ga, gb])
 }
 
 fn bindings(m: &Module, a: EventId, b: EventId) -> Vec<(EventId, FuncId, i32)> {
@@ -58,15 +61,17 @@ fn fast_adapt() -> AdaptConfig {
 
 /// One seeded workload: per-session event choice and burst size, shared
 /// spacing, a number of phases (the event flips each phase so the
-/// adaptation loop re-specializes), and whether to close a session at
-/// the end. Everything the drive does is derived from this data, so
-/// both servers replay it bit-for-bit.
+/// adaptation loop re-specializes), whether to close a session at the
+/// end, and which session (modulo the count) also takes one sync and
+/// one async raise per phase. Everything the drive does is derived from
+/// this data, so both servers replay it bit-for-bit.
 #[derive(Debug, Clone)]
 struct Case {
     sessions: Vec<(bool, u64)>,
     spacing: u64,
     phases: usize,
     close_one: bool,
+    probe: usize,
 }
 
 /// Flight-recorder timestamps are virtual, but reprofile records carry
@@ -90,10 +95,21 @@ fn scrub_wall_ns(dump: &str) -> String {
 }
 
 /// The full observable surface after driving `case` on `threads`
-/// workers: the aggregate report, the (wall-clock-stripped) metrics
-/// exposition, and the flight-recorder dump.
-fn drive(threads: usize, case: &Case) -> (ServerReport, String, String) {
-    let (m, [a, b]) = two_chain_module();
+/// workers.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    report: ServerReport,
+    /// The metrics exposition, wall-clock families stripped.
+    metrics: String,
+    dump: String,
+    /// Both accumulators of every session still open, read on its shard.
+    globals: Vec<(Value, Value)>,
+    spans: Vec<Span>,
+    image: Vec<u8>,
+}
+
+fn drive(threads: usize, case: &Case) -> Observed {
+    let (m, [a, b], [ga, gb]) = two_chain_module();
     let mut server = Server::new(ServerConfig {
         shards: 4,
         threads,
@@ -119,6 +135,9 @@ fn drive(threads: usize, case: &Case) -> (ServerReport, String, String) {
             server.submit_batch(sids[k], event, &delays).unwrap();
             phase_end = phase_end.max(deadline + burst * case.spacing + 1);
         }
+        let probe = sids[case.probe % sids.len()];
+        server.raise_sync(probe, a, &[]).unwrap();
+        server.raise(probe, b, RaiseMode::Async, &[]).unwrap();
         deadline = phase_end;
         server.run_until(deadline).unwrap();
         // Epoch-boundary rebalancing is part of the observable surface:
@@ -134,11 +153,27 @@ fn drive(threads: usize, case: &Case) -> (ServerReport, String, String) {
     snap.retain_families(|name| {
         name != "pdo_adapt_reprofile_wall_ns" && name != "pdo_server_shard_busy_ns_total"
     });
-    (
+    let globals = server
+        .sessions()
+        .into_iter()
+        .map(|sid| {
+            server
+                .with_runtime(sid, move |rt| {
+                    (rt.global(ga).clone(), rt.global(gb).clone())
+                })
+                .unwrap()
+        })
+        .collect();
+    let spans = server.trace_spans();
+    let image = server.snapshot_to_bytes();
+    Observed {
         report,
-        snap.render(),
-        scrub_wall_ns(&server.dump_flight_recorders(8)),
-    )
+        metrics: snap.render(),
+        dump: scrub_wall_ns(&server.dump_flight_recorders(8)),
+        globals,
+        spans,
+        image,
+    }
 }
 
 proptest! {
@@ -150,12 +185,17 @@ proptest! {
         spacing in prop_oneof![Just(50u64), Just(100), Just(150)],
         phases in 1usize..3,
         close_one in any::<bool>(),
+        probe in 0usize..6,
     ) {
-        let case = Case { sessions, spacing, phases, close_one };
-        let (inline_report, inline_metrics, inline_dump) = drive(1, &case);
-        let (threaded_report, threaded_metrics, threaded_dump) = drive(4, &case);
-        prop_assert_eq!(inline_report, threaded_report, "aggregate reports differ");
-        prop_assert_eq!(inline_metrics, threaded_metrics, "merged metrics differ");
-        prop_assert_eq!(inline_dump, threaded_dump, "flight-recorder dumps differ");
+        let case = Case { sessions, spacing, phases, close_one, probe };
+        let inline = drive(1, &case);
+        let threaded = drive(4, &case);
+        prop_assert_eq!(inline.report, threaded.report, "aggregate reports differ");
+        prop_assert_eq!(inline.metrics, threaded.metrics, "merged metrics differ");
+        prop_assert_eq!(inline.dump, threaded.dump, "flight-recorder dumps differ");
+        prop_assert_eq!(inline.globals, threaded.globals, "session globals differ");
+        prop_assert!(!inline.spans.is_empty(), "tracing is on, so spans exist to compare");
+        prop_assert_eq!(inline.spans, threaded.spans, "trace spans differ");
+        prop_assert_eq!(inline.image, threaded.image, "durable images differ");
     }
 }
