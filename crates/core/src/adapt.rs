@@ -7,15 +7,24 @@
 //! caller-driven `after_epoch`), each epoch it:
 //!
 //! 1. drains the session's trace window into an incremental
-//!    [`ProfileBuilder`] (O(window), not O(everything ever traced));
+//!    [`ProfileBuilder`] (O(window), not O(everything ever traced)). The
+//!    profile only ever describes the *program*: a dispatch that took the
+//!    fast lane is credited with the handler sequences and nested raises
+//!    its super-handler was compiled from ([`SuperHandlers`]) — the fast
+//!    lane shows the tracer one merged frame and none of the raises it
+//!    subsumed, and a profile of that would be a profile of the optimizer;
 //! 2. feeds the runtime's stats delta to the [`SelfHealer`] so faulting
 //!    chains quarantine, back off, and re-install exactly as in the
 //!    caller-driven workflow;
 //! 3. when enough fresh events accumulated — or the healer reports a
-//!    chain *stale* (bindings genuinely changed) — re-runs
-//!    [`optimize`](crate::optimize) against the **original base module**
-//!    and the live registry, hot-swaps the module, and installs the new
-//!    chains under fresh binding-version guards;
+//!    chain *stale* (bindings genuinely changed) — works out the [`Plan`]:
+//!    what [`optimize`] would build from *what is hot* and *what is
+//!    bound*, by content. If that is the deployed plan, the epoch is over:
+//!    a stationary workload reaches this fixed point after one deploy.
+//!    Only a changed plan redeploys — from the [`ChainCache`] when the
+//!    plan has been built before (an oscillating workload replays by
+//!    pointer), else by running `optimize` against the **original base
+//!    module** — hot-swapping the module and installing the new chains;
 //! 4. decays the accumulated profile, so hotness observed `k` epochs ago
 //!    weighs `1/2^k`: a workload shift from chain A to chain B ends with
 //!    B specialized and A despecialized;
@@ -30,22 +39,37 @@
 //!    workload shift is still caught within a couple of epochs. Healing
 //!    (stats-based) keeps running every epoch regardless.
 //!
+//! The decision in step 3 is a function of the profile and the registry
+//! alone, never of the previous decision, which is what makes it settle.
+//! Two things keep the profile itself from reacting to the decision. A
+//! live chain's compile-time evidence stays in force through step 1 for as
+//! long as its guards hold and its head keeps being raised; without that,
+//! a deployed parent would be re-planned without the children it subsumed
+//! as soon as their raise records stopped appearing. And when a deployed
+//! chain's guards fail, the observed sequences of the rebound events are
+//! forgotten at once, so the list now bound is stable after one window
+//! rather than after the old one has decayed away.
+//!
 //! Re-optimizing against the base module (not the previously optimized
 //! one) keeps the module from growing a `__super_*` generation per
-//! re-profile; existing function/global/native ids are stable because the
+//! redeploy; existing function/global/native ids are stable because the
 //! optimizer only appends, so [`Runtime::replace_module`] preserves all
 //! session state.
 
 use crate::heal::SelfHealer;
 use crate::quarantine::{QuarantineConfig, QuarantineEntry};
-use crate::{optimize, Optimization, OptimizeOptions};
-use pdo_events::{Registry, Runtime, TraceConfig};
+use crate::{candidates, mergeable, optimize, subsume_evidence};
+use crate::{MergeSkip, Optimization, OptimizeOptions};
+use pdo_events::{Binding, CompiledChain, Registry, Runtime, TraceConfig};
 use pdo_ir::{EventId, Module};
 use pdo_obs::{AuditAction, Histogram, MetricsSnapshot, ObsKind, SpanKind};
-use pdo_profile::{BuilderState, Profile, ProfileBuilder};
+use pdo_profile::{
+    BuilderState, EventGraph, HandlerGraph, ProfileBuilder, SuperHandler, SuperHandlers,
+};
 use std::cell::RefCell;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Tuning for one session's adaptation loop.
@@ -82,7 +106,7 @@ pub struct AdaptConfig {
     /// reaches `min_pair` (when no profile was sampled, every structural
     /// match fuses). Enabling this also duty-cycles opcode profiling
     /// alongside the tracer. Fused super-handlers install under the same
-    /// binding-version guards as the chains that carry them.
+    /// guards as the chains that carry them.
     pub fuse_min_pair: Option<u64>,
 }
 
@@ -101,54 +125,123 @@ impl Default for AdaptConfig {
     }
 }
 
-/// Cache key identifying one workload phase against one registry
-/// configuration: the canonical [`Profile::shape_hash`] (structure of the
-/// reduced event graph and its handler sequences, weights excluded) plus
-/// the binding version of every reduced-graph node at optimize time. Two
-/// epochs in the same phase with unchanged bindings produce equal keys;
-/// any rebind of a hot event bumps its version and forces a miss.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct ChainCacheKey {
-    /// Canonical profile-shape hash.
-    pub shape: u64,
-    /// `(event, registry version)` for every node of the reduced graph,
-    /// in event order.
-    pub versions: Vec<(EventId, u64)>,
+/// What [`optimize`] would build right now, named by everything it reads
+/// from the profile and the registry: the engine's decision, the
+/// [`ChainCache`] key, and — compared with the deployed one — the test for
+/// "nothing to do". Two plans are equal exactly when `optimize` over the
+/// same base module would be handed the same inputs, however many times
+/// the bindings were taken apart and put back in between.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Plan {
+    /// The optimizer configuration.
+    pub opts: OptimizeOptions,
+    /// Every event with a mergeable handler sequence that is a candidate
+    /// or reachable from one through subsumption evidence, with the
+    /// binding list that would be merged; in event order.
+    pub events: Vec<(EventId, Arc<[Binding]>)>,
+    /// `(parent, child)` for every two planned events with evidence that
+    /// the parent's handlers raise the child synchronously; in order.
+    pub subsumes: Vec<(EventId, EventId)>,
 }
 
-impl ChainCacheKey {
-    /// The key for `profile` against the live `registry`.
-    pub fn of(profile: &Profile, registry: &Registry) -> ChainCacheKey {
-        ChainCacheKey {
-            shape: profile.shape_hash(),
-            versions: profile
-                .reduced()
-                .nodes
-                .keys()
-                .map(|&e| (e, registry.version(e)))
-                .collect(),
+impl Plan {
+    /// The plan for the accumulated `events`/`handlers` profile against
+    /// the live `registry`. `declined` hears of every event that is hot
+    /// (or raised by one that is) but cannot be merged, and why.
+    pub fn wanted(
+        events: &EventGraph,
+        handlers: &HandlerGraph,
+        registry: &Registry,
+        opts: &OptimizeOptions,
+        mut declined: impl FnMut(EventId, MergeSkip),
+    ) -> Plan {
+        let mut plan = Plan {
+            opts: *opts,
+            events: Vec::new(),
+            subsumes: Vec::new(),
+        };
+        let mut pending: Vec<EventId> = candidates(events, handlers, opts).into_iter().collect();
+        let mut seen = BTreeSet::new();
+        while let Some(event) = pending.pop() {
+            if !seen.insert(event) {
+                continue;
+            }
+            if let Err(why) = mergeable(handlers, registry, event) {
+                if let Some(why) = why {
+                    declined(event, why);
+                }
+                continue;
+            }
+            plan.events.push((event, registry.snapshot(event)));
+            if opts.subsume {
+                // Looked for among the profiled events: one never seen
+                // dispatching is not mergeable anyway. (Under
+                // `speculative` each of them is a child — whether a raise
+                // site for it turns up takes building the body to know.)
+                let children = handlers
+                    .sequences
+                    .keys()
+                    .filter(|&&child| subsume_evidence(handlers, opts, event, child));
+                for &child in children {
+                    plan.subsumes.push((event, child));
+                    pending.push(child);
+                }
+            }
+        }
+        plan.events.sort_unstable_by_key(|&(event, _)| event);
+        let planned = |event: &EventId| {
+            plan.events
+                .binary_search_by_key(event, |&(planned, _)| planned)
+                .is_ok()
+        };
+        plan.subsumes.retain(|(_, child)| planned(child));
+        plan.subsumes.sort_unstable();
+        plan
+    }
+}
+
+/// What one deploy puts into a runtime: the extended module, shared so a
+/// redeploy is a pointer swap, and the guarded chains that enter it.
+#[derive(Debug, Clone)]
+pub struct Deployable {
+    /// Base module plus the generated super-handlers.
+    pub module: Arc<Module>,
+    /// Compiled chains, one per optimized event, in head-event order.
+    pub chains: Vec<CompiledChain>,
+}
+
+impl From<Optimization> for Deployable {
+    fn from(mut opt: Optimization) -> Self {
+        // The module now lives as long as a cache entry does: give back
+        // the growth slack the optimizer's pushes left in it.
+        opt.module.functions.shrink_to_fit();
+        for function in &mut opt.module.functions {
+            function.blocks.shrink_to_fit();
+            for block in &mut function.blocks {
+                block.instrs.shrink_to_fit();
+            }
+        }
+        Deployable {
+            module: Arc::new(opt.module),
+            chains: opt.chains,
         }
     }
 }
 
-/// A bounded LRU of previously built [`Optimization`]s, keyed by
-/// [`ChainCacheKey`].
+/// A bounded LRU of previously built optimizations, keyed by the [`Plan`]
+/// they were built for.
 ///
-/// Correctness does not rest on the key: before a hit is returned, every
-/// cached chain is re-checked with
-/// [`guards_hold`](pdo_events::CompiledChain::guards_hold) against the
-/// *live* registry — the key's version vector only covers reduced-graph
-/// nodes, while a chain may also guard subsumed child events. A cached
-/// entry whose guards no longer hold is invalidated and reported as a
-/// miss, so a cached install can never resurrect a stale binding-version
-/// guard. Entries are likewise invalidated when the runtime despecializes
-/// one of their events for containment (the healer's quarantine, not the
-/// cache, decides when that chain may return).
+/// Equal plans mean equal inputs to `optimize`, so a hit is the
+/// optimization a rebuild would produce, guards included: they carry the
+/// same binding lists the key does. (Correctness does not rest on that —
+/// every dispatch checks its chain's guards against the live registry.)
+/// Entries are dropped when the runtime despecializes one of their events
+/// for containment: a chain that trapped is rebuilt, not replayed.
 #[derive(Debug, Default)]
 pub struct ChainCache {
     cap: usize,
     /// Most-recently-used last; linear scans are fine at LRU capacities.
-    entries: Vec<(ChainCacheKey, Optimization)>,
+    entries: Vec<(Plan, Deployable)>,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -164,23 +257,16 @@ impl ChainCache {
         }
     }
 
-    /// The cached optimization for `key`, if present and still valid
-    /// against `registry`. Counts a hit or a miss; a guard-stale entry is
-    /// dropped (invalidation + miss).
-    pub fn lookup(&mut self, key: &ChainCacheKey, registry: &Registry) -> Option<Optimization> {
-        match self.entries.iter().position(|(k, _)| k == key) {
+    /// The cached optimization for `plan`, if present. Counts a hit or a
+    /// miss.
+    pub fn lookup(&mut self, plan: &Plan) -> Option<Deployable> {
+        match self.entries.iter().position(|(k, _)| k == plan) {
             Some(idx) => {
+                self.hits += 1;
                 let entry = self.entries.remove(idx);
-                if entry.1.chains.iter().all(|c| c.guards_hold(registry)) {
-                    self.hits += 1;
-                    let opt = entry.1.clone();
-                    self.entries.push(entry);
-                    Some(opt)
-                } else {
-                    self.invalidations += 1;
-                    self.misses += 1;
-                    None
-                }
+                let hit = entry.1.clone();
+                self.entries.push(entry);
+                Some(hit)
             }
             None => {
                 self.misses += 1;
@@ -189,28 +275,28 @@ impl ChainCache {
         }
     }
 
-    /// Caches `opt` under `key`, evicting the least-recently-used entry
+    /// Caches `built` under `plan`, evicting the least-recently-used entry
     /// when full. Empty optimizations are not cached (nothing to replay).
-    pub fn insert(&mut self, key: ChainCacheKey, opt: &Optimization) {
-        if self.cap == 0 || opt.chains.is_empty() {
+    pub fn insert(&mut self, plan: Plan, built: &Deployable) {
+        if self.cap == 0 || built.chains.is_empty() {
             return;
         }
-        self.entries.retain(|(k, _)| k != &key);
+        self.entries.retain(|(k, _)| k != &plan);
         if self.entries.len() >= self.cap {
             self.entries.remove(0);
             self.evictions += 1;
         }
-        self.entries.push((key, opt.clone()));
+        self.entries.push((plan, built.clone()));
     }
 
     /// Drops every entry containing a chain that dispatches or guards
     /// `event`, returning how many were dropped. Called when the runtime
-    /// despecializes `event` for containment: the quarantine owns the
-    /// decision of when that chain may come back.
+    /// despecializes `event` for containment.
     pub fn invalidate_event(&mut self, event: EventId) -> usize {
         let before = self.entries.len();
-        self.entries.retain(|(_, opt)| {
-            !opt.chains
+        self.entries.retain(|(_, built)| {
+            !built
+                .chains
                 .iter()
                 .any(|c| c.head == event || c.guards.iter().any(|g| g.event == event))
         });
@@ -234,7 +320,7 @@ impl ChainCache {
         self.hits
     }
 
-    /// Cache misses so far (guard-stale lookups included).
+    /// Cache misses so far.
     pub fn misses(&self) -> u64 {
         self.misses
     }
@@ -244,7 +330,7 @@ impl ChainCache {
         self.evictions
     }
 
-    /// Entries dropped for staleness (guard mismatch or despecialization).
+    /// Entries dropped because one of their events was despecialized.
     pub fn invalidations(&self) -> u64 {
         self.invalidations
     }
@@ -258,24 +344,25 @@ pub struct AdaptStats {
     /// Epochs whose span ran with full handler instrumentation (equals
     /// `epochs` unless a trace duty cycle is configured).
     pub sampled_epochs: u64,
-    /// Full profile-and-optimize passes run.
+    /// Re-profile passes run: the plan was worked out and compared with
+    /// the deployed one. Most find it deployed already; those that do not
+    /// redeploy, and each redeploy is one cache hit or one cache miss.
     pub reprofiles: u64,
-    /// Chains installed by re-profiles (cumulative).
+    /// Chains installed by redeploys (cumulative).
     pub chains_installed: u64,
-    /// Previously installed chains *not* reproduced by a later re-profile
-    /// (the workload shifted away from them).
+    /// Installed chains a changed plan no longer wanted (the workload
+    /// shifted away from them, or their bindings changed).
     pub chains_dropped: u64,
     /// Chains the runtime removed for containment (`Despecialize` policy),
     /// accumulated from the per-epoch stats deltas.
     pub despecialized: u64,
-    /// Re-profiles served from the [`ChainCache`] (no `optimize` run).
+    /// Redeploys served from the [`ChainCache`] (no `optimize` run).
     pub cache_hits: u64,
-    /// Re-profiles that had to run `optimize` (cold, evicted, or stale).
+    /// Redeploys that had to run `optimize` (plan not seen, or evicted).
     pub cache_misses: u64,
     /// Cache entries evicted by the LRU bound.
     pub cache_evictions: u64,
-    /// Cache entries dropped for staleness (guard mismatch on lookup, or
-    /// despecialization of one of their events).
+    /// Cache entries dropped because one of their events was despecialized.
     pub cache_invalidations: u64,
 }
 
@@ -380,28 +467,91 @@ fn audit(
     }
 }
 
+/// Why a hot event is running generically. Audited when the answer
+/// changes, not every epoch it stays the same.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum WhyNot {
+    /// The plan could not include it.
+    Unmergeable(MergeSkip),
+    /// It is planned and built, but barred by the quarantine.
+    Quarantined { until_ns: u64 },
+    /// It was deployed and has since cooled below the threshold.
+    BelowThreshold,
+    /// Its bindings changed under a deployed chain; what was observed of
+    /// it has been forgotten and is being observed afresh.
+    BindingsChanged,
+}
+
+impl WhyNot {
+    fn label(&self) -> &'static str {
+        match self {
+            WhyNot::Unmergeable(MergeSkip::UnstableSequence) => "unstable-sequence",
+            WhyNot::Unmergeable(MergeSkip::RegistryDrift) => "registry-drift",
+            WhyNot::Unmergeable(MergeSkip::ArityMismatch) => "arity-mismatch",
+            WhyNot::Unmergeable(MergeSkip::NoHandlers) => "no-handlers",
+            WhyNot::Quarantined { .. } => "quarantined",
+            WhyNot::BelowThreshold => "below-threshold",
+            WhyNot::BindingsChanged => "bindings-changed",
+        }
+    }
+}
+
+/// Audits `why` for `event` unless it is the answer already on record.
+fn note_why_not(
+    rt: &Runtime,
+    on_record: &mut BTreeMap<EventId, WhyNot>,
+    event: EventId,
+    why: WhyNot,
+) {
+    if on_record.get(&event) == Some(&why) {
+        return;
+    }
+    audit(
+        rt,
+        Some(ObsKind::Declined {
+            event: event.0,
+            why: why.label(),
+        }),
+        Some((Some(event), AuditAction::Decline)),
+        || match why {
+            WhyNot::Quarantined { until_ns } => format!("quarantined until t={until_ns}ns"),
+            _ => why.label().to_string(),
+        },
+    );
+    on_record.insert(event, why);
+}
+
 /// Per-session state of the adaptive-specialization daemon.
 #[derive(Debug)]
 pub struct AdaptiveEngine {
     base: Module,
     config: AdaptConfig,
     builder: ProfileBuilder,
+    /// Owns the deployed chains (installed, quarantined, or stale) once
+    /// the first deploy has happened.
     healer: Option<SelfHealer>,
+    /// The plan those chains were built for.
+    deployed: Option<Plan>,
+    /// The deployed chains' super-handlers as the window fold needs to
+    /// know them, in the healer's chain order.
+    supers: SuperHandlers,
+    /// The last audited answer per hot-but-generic event.
+    why_not: BTreeMap<EventId, WhyNot>,
     stats: AdaptStats,
     /// Epochs left before the trace duty cycle re-enables instrumentation
     /// (0 = currently sampling).
     sleep_remaining: u32,
-    /// Wall-clock duration of each profile-and-optimize pass. Wall time —
-    /// not virtual time — because the pass is daemon work the workload
-    /// never sees on the virtual clock; consequently the histogram is
+    /// Wall-clock duration of each re-profile pass. Wall time — not
+    /// virtual time — because the pass is daemon work the workload never
+    /// sees on the virtual clock; consequently the histogram is
     /// nondeterministic and excluded from exact snapshot pins.
     reprofile_wall_ns: Histogram,
-    /// Previously built optimizations, keyed by profile shape and binding
-    /// versions, so oscillating phases skip `optimize`.
+    /// Previously built optimizations by plan, so oscillating phases skip
+    /// `optimize`.
     cache: ChainCache,
     /// Quarantine entries carried across a snapshot/restore cycle, adopted
     /// by the healer the next time chains deploy (the healer itself only
-    /// exists once a re-profile has run).
+    /// exists once a deploy has happened).
     restored_quarantine: Option<Vec<(EventId, QuarantineEntry)>>,
 }
 
@@ -409,17 +559,7 @@ impl AdaptiveEngine {
     /// An engine re-optimizing against `base` (the session's original,
     /// unspecialized module).
     pub fn new(base: Module, config: AdaptConfig) -> Self {
-        AdaptiveEngine {
-            base,
-            config,
-            builder: ProfileBuilder::new(),
-            healer: None,
-            stats: AdaptStats::default(),
-            sleep_remaining: 0,
-            reprofile_wall_ns: Histogram::new(),
-            cache: ChainCache::new(config.chain_cache),
-            restored_quarantine: None,
-        }
+        Self::from_snapshot(base, config, EngineSnapshot::default())
     }
 
     /// Hooks `engine` into `rt`: enables full tracing (bounded by the
@@ -476,13 +616,26 @@ impl AdaptiveEngine {
 
     /// Rebuilds an engine from a snapshot: profile accumulators, counters,
     /// duty-cycle position, and quarantine entries resume; chains and the
-    /// cache rebuild at the next re-profile.
+    /// cache rebuild at the next re-profile. The image is outside input:
+    /// observations naming a function `base` does not have (the
+    /// `__super_*` ids images written before the profile stopped recording
+    /// them can hold, or anything a hostile one invents) are dropped, as
+    /// they would otherwise pin their event at "registry drift" until they
+    /// decayed.
     pub fn from_snapshot(base: Module, config: AdaptConfig, snap: EngineSnapshot) -> Self {
+        let mut builder = ProfileBuilder::from_state(snap.profile);
+        builder.retain_program_handlers(base.functions.len());
         AdaptiveEngine {
+            supers: SuperHandlers {
+                base_functions: base.functions.len(),
+                deployed: Vec::new(),
+            },
             base,
             config,
-            builder: ProfileBuilder::from_state(snap.profile),
+            builder,
             healer: None,
+            deployed: None,
+            why_not: BTreeMap::new(),
             stats: snap.stats,
             sleep_remaining: snap.sleep_remaining,
             reprofile_wall_ns: Histogram::new(),
@@ -522,7 +675,7 @@ impl AdaptiveEngine {
         }
     }
 
-    /// The embedded healer, once the first re-profile deployed chains.
+    /// The embedded healer, once the first deploy has happened.
     pub fn healer(&self) -> Option<&SelfHealer> {
         self.healer.as_ref()
     }
@@ -534,9 +687,9 @@ impl AdaptiveEngine {
         &self.base
     }
 
-    /// Wall-clock durations of every profile-and-optimize pass so far
-    /// (cache hits included — a hit's pass is the lookup plus the
-    /// install).
+    /// Wall-clock durations of every re-profile pass so far: working out
+    /// the plan, and — when it changed — the cache lookup or `optimize`
+    /// run plus the install.
     pub fn reprofile_wall_ns(&self) -> &Histogram {
         &self.reprofile_wall_ns
     }
@@ -544,17 +697,18 @@ impl AdaptiveEngine {
     /// Runs one epoch boundary (normally invoked by the epoch hook).
     pub fn on_epoch(&mut self, rt: &mut Runtime) {
         self.stats.epochs += 1;
+        self.check_deployed_guards(rt);
         let sampling = self.sleep_remaining == 0;
         if sampling {
             self.stats.sampled_epochs += 1;
             let window = rt.take_trace();
-            self.builder.observe(&window);
+            self.builder.observe(&window, &self.supers);
+            rt.recycle_trace(window);
         }
         let delta = rt.take_stats();
         self.stats.despecialized += delta.chains_removed;
-        // Containment removed a chain: any cached optimization touching
-        // that event must not short-circuit the quarantine by re-entering
-        // through a cache hit.
+        // Containment removed a chain: the quarantine, not a cache hit,
+        // decides when it comes back.
         for &event in delta.despecialized_by_event.keys() {
             self.cache.invalidate_event(event);
         }
@@ -574,7 +728,8 @@ impl AdaptiveEngine {
         // re-specialize the parent as a flat chain, never folding the
         // child in (`handler_graph.nested` is invisible during trace-off
         // epochs).
-        self.builder.observe_nested(&delta.nested_sync_by_event);
+        self.builder
+            .observe_nested(&delta.nested_sync_by_event, &self.supers);
         // Healing runs every epoch: it needs only the stats delta, not the
         // trace, so quarantine/backoff latency is unaffected by the duty
         // cycle.
@@ -600,7 +755,7 @@ impl AdaptiveEngine {
         };
         // Re-profiles are pinned to sampled epochs: that is when the
         // handler graph holds an undecayed sequence for whatever the event
-        // graph says is hot, so the optimizer can actually build chains.
+        // graph says is hot, so the plan can actually name it.
         if stale || (sampling && self.builder.fresh_events() >= self.config.min_fresh_events) {
             self.reprofile(rt, stale);
         }
@@ -629,42 +784,100 @@ impl AdaptiveEngine {
         }
     }
 
-    /// One full profile-and-optimize pass against the base module, followed
-    /// by a hot swap of module and chains.
+    /// Asks every deployed chain whether its guards still hold, before the
+    /// window is folded: a chain's compile-time evidence stands in for its
+    /// fast-lane dispatches only while they do, and the events whose
+    /// bindings changed under it start their observations over.
+    fn check_deployed_guards(&mut self, rt: &Runtime) {
+        let Some(healer) = &self.healer else { return };
+        let registry = rt.registry();
+        for (chain, merged) in healer.chains().zip(&mut self.supers.deployed) {
+            merged.live = chain.guards_hold(registry);
+            if merged.live {
+                continue;
+            }
+            for guard in chain.guards.iter().filter(|g| !g.holds(registry)) {
+                self.builder.forget_sequences(guard.event);
+                note_why_not(rt, &mut self.why_not, guard.event, WhyNot::BindingsChanged);
+            }
+        }
+    }
+
+    /// One re-profile pass: works out the plan and, if it is not the
+    /// deployed one, deploys it.
     fn reprofile(&mut self, rt: &mut Runtime, stale: bool) {
         let started = Instant::now();
         let fresh = self.builder.take_fresh();
-        let profile = self.builder.snapshot(self.config.opts.threshold);
-        let key = ChainCacheKey::of(&profile, rt.registry());
-        let mut cache_hit = true;
+        self.stats.reprofiles += 1;
+        // Why each hot event that stays generic does, as of this pass;
+        // audited below where it differs from the answer on record.
+        let mut reasons = BTreeMap::new();
+        let wanted = Plan::wanted(
+            self.builder.event_graph(),
+            self.builder.handler_graph(),
+            rt.registry(),
+            &self.config.opts,
+            |event, why| {
+                reasons.insert(event, WhyNot::Unmergeable(why));
+            },
+        );
+        let now = rt.clock_ns();
+        let quarantine = self.healer.as_ref().map(SelfHealer::quarantine);
+        let barred = |event: EventId| {
+            quarantine
+                .filter(|q| q.is_quarantined(event, now))
+                .and_then(|q| q.quarantined_until(event))
+        };
+        for &(event, _) in &wanted.events {
+            if let Some(until_ns) = barred(event) {
+                reasons.insert(event, WhyNot::Quarantined { until_ns });
+            }
+        }
+        for (&event, why) in &reasons {
+            note_why_not(rt, &mut self.why_not, event, why.clone());
+        }
+        self.why_not.retain(|event, _| reasons.contains_key(event));
+
+        // The auditable "why" every decision span below carries: the
+        // profile evidence behind this pass, formatted only when a span is
+        // actually recorded.
+        let (min_fresh, threshold) = (self.config.min_fresh_events, self.config.opts.threshold);
+        let planned = wanted.events.len();
+        let evidence = |outcome: &str| {
+            format!(
+                "fresh_events={fresh} min_fresh={min_fresh} threshold={threshold} stale={stale} \
+                 planned={planned} outcome={outcome}"
+            )
+        };
+
+        // Same plan, every chain where it should be: the fixed point.
+        let settled = self.deployed.as_ref() == Some(&wanted)
+            && self.healer.as_ref().is_some_and(|h| {
+                h.chains()
+                    .all(|c| rt.spec().get(c.head).is_some() || barred(c.head).is_some())
+            });
+        if settled {
+            self.note_reprofile(rt, started, rt.spec().len(), || evidence("settled"));
+            return;
+        }
+
         let mut fused: Vec<pdo_passes::FusionRecord> = Vec::new();
-        let opt = match self.cache.lookup(&key, rt.registry()) {
-            Some(cached) => cached,
+        let (built, cache) = match self.cache.lookup(&wanted) {
+            Some(hit) => (hit, "hit"),
             None => {
-                cache_hit = false;
+                let profile = self.builder.snapshot(threshold);
                 let mut opt = optimize(&self.base, rt.registry(), &profile, &self.config.opts);
                 // Fusion happens before the cache insert, so a later hit
                 // replays the already-fused optimization.
                 fused = self.fuse_super_handlers(rt, &mut opt);
-                self.cache.insert(key, &opt);
-                opt
+                let built = Deployable::from(opt);
+                self.cache.insert(wanted.clone(), &built);
+                (built, "miss")
             }
         };
-        self.stats.reprofiles += 1;
-        // The auditable "why" every decision span below carries: the
-        // profile evidence that triggered this pass, formatted only when a
-        // span is actually recorded.
-        let (min_fresh, threshold) = (self.config.min_fresh_events, self.config.opts.threshold);
-        let cache = if cache_hit { "hit" } else { "miss" };
-        let chains = opt.chains.len();
-        let evidence = || {
-            format!(
-                "fresh_events={fresh} min_fresh={min_fresh} threshold={threshold} stale={stale} \
-                 cache={cache} chains={chains}"
-            )
-        };
-        let because = |what: &str| format!("{what}; {}", evidence());
-        audit(rt, None, Some((None, AuditAction::Reprofile)), evidence);
+        let chains = built.chains.len();
+        let redeploy = || evidence(&format!("redeploy cache={cache} chains={chains}"));
+        let because = |what: &str| format!("{what}; {}", redeploy());
         // Fusion: which sequences fused where, with the pair-frequency
         // evidence that justified each rewrite.
         for r in &fused {
@@ -685,53 +898,74 @@ impl AdaptiveEngine {
                 },
             );
         }
-        if opt.chains.is_empty() {
-            // Nothing is hot enough right now; keep the deployed chains
-            // (they are still guard-correct) rather than thrashing.
-            self.note_reprofile(rt, started, 0);
+        if built.chains.is_empty() {
+            // Nothing hot enough to build: no evidence is not evidence of
+            // nothing, so the deployed chains (still guard-correct) stay
+            // rather than thrash.
+            self.note_reprofile(rt, started, 0, || evidence("nothing-built"));
             return;
         }
 
         // Every installed chain references the *current* module's function
         // ids, which the swap invalidates: remove them all first, counting
-        // the ones the new optimization no longer covers as dropped.
-        let new_heads: BTreeSet<EventId> = opt.chains.iter().map(|c| c.head).collect();
+        // the ones the new plan no longer wants as dropped.
         let old_heads: Vec<EventId> = rt.spec().iter().map(|c| c.head).collect();
         for event in old_heads {
             rt.remove_chain(event);
-            if !new_heads.contains(&event) {
+            if !built.chains.iter().any(|c| c.head == event) {
                 self.stats.chains_dropped += 1;
                 audit(
                     rt,
                     Some(ObsKind::ChainDropped { event: event.0 }),
                     Some((Some(event), AuditAction::Drop)),
-                    || because("chain not reproduced by new profile"),
+                    || because("chain not wanted by the new plan"),
                 );
+                if !self.why_not.contains_key(&event) {
+                    note_why_not(rt, &mut self.why_not, event, WhyNot::BelowThreshold);
+                }
             }
         }
-        rt.replace_module(opt.module.clone());
+        rt.replace_module(Arc::clone(&built.module));
 
-        // The healer (re)binds before the install loop so the quarantine
-        // check below sees every entry — including strikes and backoffs
-        // carried across a snapshot/restore cycle, adopted here on the
-        // first deploy of a restored session.
-        match self.healer.as_mut() {
-            Some(h) => h.rebind(&opt, rt.registry()),
+        // The healer takes the new chains before the install loop so the
+        // quarantine check below sees every entry — including strikes and
+        // backoffs carried across a snapshot/restore cycle, adopted here
+        // on the first deploy of a restored session.
+        let healer = match self.healer.as_mut() {
+            Some(h) => {
+                h.rebind(&built.chains);
+                h
+            }
             None => {
-                let mut h = SelfHealer::new(self.config.quarantine, &opt, rt.registry());
+                let mut h = SelfHealer::new(self.config.quarantine, &built.chains);
                 if let Some(entries) = self.restored_quarantine.take() {
                     h.quarantine_mut().restore_entries(entries);
                 }
-                self.healer = Some(h);
+                self.healer.insert(h)
             }
-        }
-        let now = rt.clock_ns();
-        for chain in &opt.chains {
-            let quarantined = self
-                .healer
-                .as_ref()
-                .is_some_and(|h| h.quarantine().is_quarantined(chain.head, now));
-            if quarantined {
+        };
+        let nested = &self.builder.handler_graph().nested;
+        self.supers.deployed.clear();
+        for chain in healer.chains() {
+            // What a fast-lane dispatch of this chain will stand for in
+            // the profile: the lists its guards carry, and the raises
+            // between them that are now direct calls.
+            let guarded = |event: EventId| chain.guards.iter().any(|g| g.event == event);
+            self.supers.deployed.push(SuperHandler {
+                func: chain.func,
+                live: true,
+                sequences: chain
+                    .guards
+                    .iter()
+                    .map(|g| (g.event, g.bindings().iter().map(|b| b.handler).collect()))
+                    .collect(),
+                nested: nested
+                    .keys()
+                    .filter(|k| guarded(k.parent_event) && guarded(k.child_event))
+                    .copied()
+                    .collect(),
+            });
+            if healer.quarantine().is_quarantined(chain.head, now) {
                 audit(
                     rt,
                     None,
@@ -751,7 +985,8 @@ impl AdaptiveEngine {
                 || because("hot chain from profile snapshot"),
             );
         }
-        self.note_reprofile(rt, started, opt.chains.len() as u32);
+        self.deployed = Some(wanted);
+        self.note_reprofile(rt, started, chains, redeploy);
     }
 
     /// Fuses hot instruction sequences in the freshly built super-handlers
@@ -759,7 +994,7 @@ impl AdaptiveEngine {
     /// the opcode/pair profile the interpreter sampled since the last
     /// reprofile. Base functions are never rewritten — the hot-swap
     /// contract only appends — so the fused module installs under the
-    /// same binding-version guards as the chains that reference it.
+    /// same guards as the chains that reference it.
     fn fuse_super_handlers(
         &self,
         rt: &mut Runtime,
@@ -787,16 +1022,23 @@ impl AdaptiveEngine {
         records
     }
 
-    /// Closes out one reprofile pass: wall-clock duration into the
-    /// engine's histogram plus a flight-recorder entry.
-    fn note_reprofile(&mut self, rt: &Runtime, started: Instant, chains: u32) {
+    /// Closes out one re-profile pass: wall-clock duration into the
+    /// engine's histogram, a flight-recorder entry, and the pass-level
+    /// audit span carrying `why`.
+    fn note_reprofile(
+        &mut self,
+        rt: &Runtime,
+        started: Instant,
+        chains: usize,
+        why: impl FnOnce() -> String,
+    ) {
         let duration_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.reprofile_wall_ns.record(duration_ns);
         let record = ObsKind::Reprofile {
-            chains,
+            chains: u32::try_from(chains).unwrap_or(u32::MAX),
             duration_ns,
         };
-        audit(rt, Some(record), None, String::new);
+        audit(rt, Some(record), Some((None, AuditAction::Reprofile)), why);
     }
 
     /// Exports the adaptation loop's counters, gauges, and reprofile
@@ -812,13 +1054,13 @@ impl AdaptiveEngine {
         );
         snap.counter(
             "pdo_adapt_cache_hits_total",
-            "Re-profiles served from the specialization cache",
+            "Redeploys served from the specialization cache",
             extra,
             self.stats.cache_hits + self.cache.hits(),
         );
         snap.counter(
             "pdo_adapt_cache_misses_total",
-            "Re-profiles that had to run the optimizer",
+            "Redeploys that had to run the optimizer",
             extra,
             self.stats.cache_misses + self.cache.misses(),
         );
@@ -830,7 +1072,7 @@ impl AdaptiveEngine {
         );
         snap.counter(
             "pdo_adapt_cache_invalidations_total",
-            "Specialization-cache entries dropped for staleness",
+            "Specialization-cache entries dropped on despecialization",
             extra,
             self.stats.cache_invalidations + self.cache.invalidations(),
         );
@@ -842,19 +1084,26 @@ impl AdaptiveEngine {
         );
         snap.counter(
             "pdo_adapt_reprofiles_total",
-            "Full profile-and-optimize passes run",
+            "Re-profile passes run (the plan was worked out)",
             extra,
             self.stats.reprofiles,
         );
+        let stats = self.stats();
+        snap.counter(
+            "pdo_adapt_redeploys_total",
+            "Re-profile passes whose plan was not the deployed one",
+            extra,
+            stats.cache_hits + stats.cache_misses,
+        );
         snap.counter(
             "pdo_adapt_chains_installed_total",
-            "Compiled chains installed by re-profiles (cumulative)",
+            "Compiled chains installed by redeploys (cumulative)",
             extra,
             self.stats.chains_installed,
         );
         snap.counter(
             "pdo_adapt_chains_dropped_total",
-            "Previously installed chains not reproduced by a later re-profile",
+            "Installed chains a changed plan no longer wanted",
             extra,
             self.stats.chains_dropped,
         );
@@ -879,7 +1128,7 @@ impl AdaptiveEngine {
         if self.reprofile_wall_ns.count() > 0 {
             snap.histogram(
                 "pdo_adapt_reprofile_wall_ns",
-                "Wall-clock duration of each profile-and-optimize pass",
+                "Wall-clock duration of each re-profile pass",
                 extra,
                 &self.reprofile_wall_ns,
             );
@@ -1549,15 +1798,207 @@ mod tests {
         );
     }
 
-    /// Builds a real `Optimization` for `event` from a synthetic trace, as
-    /// the cache unit tests need genuine guard-bearing chains.
-    fn opt_for(rt: &Runtime, base: &Module, event: EventId) -> (Profile, Optimization) {
+    /// `n` independent events with two adder handlers each, every dispatch
+    /// adding 3 to its event's accumulator.
+    fn n_chain_module(n: usize) -> (Module, Vec<EventId>, Vec<pdo_ir::GlobalId>) {
+        let mut m = Module::new();
+        let (mut events, mut globals) = (Vec::new(), Vec::new());
+        for i in 0..n {
+            let e = m.add_event(format!("E{i}"));
+            let g = m.add_global(format!("g{i}"), Value::Int(0));
+            for d in 1..=2 {
+                let mut fb = FunctionBuilder::new(format!("h{i}_{d}"), 0);
+                let v = fb.load_global(g);
+                let dd = fb.const_int(d);
+                let o = fb.bin(BinOp::Add, v, dd);
+                fb.store_global(g, o);
+                fb.ret(None);
+                m.add_function(fb.finish());
+            }
+            events.push(e);
+            globals.push(g);
+        }
+        (m, events, globals)
+    }
+
+    #[test]
+    fn stationary_workload_reaches_a_fixed_point_after_one_deploy() {
+        let (m, events, globals) = n_chain_module(4);
+        let mut rt = Runtime::new(m.clone());
+        for (i, &e) in events.iter().enumerate() {
+            for d in 1..=2 {
+                let h = m.function_by_name(&format!("h{i}_{d}")).unwrap();
+                rt.bind(e, h, d).unwrap();
+            }
+        }
+        // 100 raises an epoch, round-robin: every edge e_i -> e_i+1 weighs
+        // 25 in its first window against a threshold of 10, so all four
+        // events are hot at once and none hovers.
+        let engine = AdaptiveEngine::attach_new(
+            &mut rt,
+            AdaptConfig {
+                epoch_ns: 10_000,
+                ..config()
+            },
+        );
+        let epoch = |rt: &mut Runtime| {
+            let start = rt.clock_ns();
+            for i in 0..100u64 {
+                let delay = Value::Int((i * 100 + 100) as i64);
+                rt.raise(events[(i % 4) as usize], RaiseMode::Timed, &[delay])
+                    .unwrap();
+            }
+            rt.run_until(start + 10_000).unwrap();
+        };
+        for _ in 0..32 {
+            epoch(&mut rt);
+        }
+        let warm = engine.borrow().stats();
+        assert_eq!(warm.chains_installed, 4, "{warm:?}");
+        assert_eq!(warm.chains_dropped, 0, "{warm:?}");
+        assert_eq!((warm.cache_misses, warm.cache_hits), (1, 0), "{warm:?}");
+        let module = rt.module_arc();
+        let generic = rt.cost.registry_lookups;
+        let fast = rt.cost.fastpath_hits;
+        for _ in 0..32 {
+            epoch(&mut rt);
+            assert!(Arc::ptr_eq(&module, &rt.module_arc()), "module swapped");
+        }
+        let settled = engine.borrow().stats();
+        assert_eq!(settled.reprofiles, warm.reprofiles + 32, "passes still run");
+        assert_eq!(
+            AdaptStats {
+                epochs: warm.epochs,
+                sampled_epochs: warm.sampled_epochs,
+                reprofiles: warm.reprofiles,
+                ..settled
+            },
+            warm,
+            "and decide nothing"
+        );
+        assert_eq!(rt.cost.registry_lookups, generic, "every event stays fast");
+        assert_eq!(rt.cost.fastpath_hits, fast + 32 * 100);
+        for &g in &globals {
+            assert_eq!(rt.global(g), &Value::Int(64 * 25 * 3));
+        }
+        // What the profile now holds is the program, not the optimizer.
+        let base_functions = m.functions.len();
+        let profile = engine.borrow().snapshot().profile;
+        for (i, &e) in events.iter().enumerate() {
+            let seq = profile.handler_graph.stable_sequence(e).expect("stable");
+            assert!(seq.iter().all(|f| f.index() < base_functions));
+            assert_eq!(seq.len(), 2, "event {i} credited with its own handlers");
+        }
+    }
+
+    #[test]
+    fn oscillating_bindings_compile_each_configuration_once() {
+        let (m, [a, b], [ga, gb]) = two_chain_module();
+        let mut rt = Runtime::new(m.clone());
+        bind_all(&mut rt, &m, a, b);
+        let engine = AdaptiveEngine::attach_new(&mut rt, config());
+        let (a2, b1) = (
+            m.function_by_name("a2").unwrap(),
+            m.function_by_name("b1").unwrap(),
+        );
+        // Configuration B runs [a1, b1] for event A instead of [a1, a2].
+        let swap = |rt: &mut Runtime, to_b: bool| {
+            let (from, to) = if to_b { (a2, b1) } else { (b1, a2) };
+            assert!(rt.unbind(a, from));
+            rt.bind(a, to, 1).unwrap();
+        };
+        drive(&mut rt, a, 60);
+        assert!(rt.spec().get(a).is_some());
+        let compiled = |engine: &Rc<RefCell<AdaptiveEngine>>| {
+            let stats = engine.borrow().stats();
+            (stats.cache_misses, stats.cache_hits)
+        };
+        assert_eq!(compiled(&engine), (1, 0));
+        for (round, to_b) in [true, false, true, false].into_iter().enumerate() {
+            swap(&mut rt, to_b);
+            // The epoch the swap falls in, and a few settled ones.
+            drive(&mut rt, a, 40);
+            let chain = rt.spec().get(a).expect("respecialized");
+            assert!(chain.guards_hold(rt.registry()), "round {round}");
+            let fast = rt.cost.fastpath_hits;
+            drive(&mut rt, a, 10);
+            assert_eq!(rt.cost.fastpath_hits, fast + 10, "round {round}");
+        }
+        // B was compiled once, on the first swap; every later swap found
+        // its plan in the cache.
+        assert_eq!(compiled(&engine), (2, 3));
+        let engine = engine.borrow();
+        let quarantine = engine.healer().expect("deployed").quarantine();
+        assert_eq!(quarantine.strikes(a), 0);
+        assert_eq!(quarantine.quarantined_until(a), None);
+        // 60 + 2 * 50 dispatches under A add 1 + 2; 2 * 50 under B add 1
+        // to A's accumulator and 1 to B's.
+        assert_eq!(rt.global(ga), &Value::Int(160 * 3 + 100));
+        assert_eq!(rt.global(gb), &Value::Int(100));
+    }
+
+    #[test]
+    fn restored_profile_naming_foreign_functions_does_not_pin_the_event() {
+        use pdo_profile::{EdgeData, EventGraph, HandlerGraph, HandlerSeq, NestedRaise};
+        let (m, [a, b], _) = two_chain_module();
+        // What an image written while a `__super_*` chain was live could
+        // hold: the hot event's only sequence is a function the base
+        // module does not have.
+        let foreign = pdo_ir::FuncId::from_index(m.functions.len());
+        let edge = EdgeData {
+            weight: 40,
+            sync: 40,
+            asynchronous: 0,
+        };
+        let nested = NestedRaise {
+            parent_event: a,
+            handler: foreign,
+            child_event: b,
+        };
+        let snap = EngineSnapshot {
+            profile: BuilderState {
+                event_graph: EventGraph {
+                    nodes: [(a, 40)].into(),
+                    edges: [((a, a), edge)].into(),
+                },
+                handler_graph: HandlerGraph {
+                    sequences: [(
+                        a,
+                        vec![HandlerSeq {
+                            handlers: vec![foreign],
+                            count: 40,
+                        }],
+                    )]
+                    .into(),
+                    nested: [(nested, 3)].into(),
+                },
+                prev_raise: Some(a),
+                fresh: 20,
+            },
+            ..EngineSnapshot::default()
+        };
+        let mut rt = Runtime::new(m.clone());
+        bind_all(&mut rt, &m, a, b);
+        let engine = AdaptiveEngine::attach_restored(&mut rt, m.clone(), config(), snap);
+        let kept = engine.borrow().snapshot().profile;
+        assert!(kept.handler_graph.sequences.is_empty());
+        assert!(kept.handler_graph.nested.is_empty());
+        assert_eq!(kept.event_graph.nodes[&a], 40, "hotness is kept");
+        drive(&mut rt, a, 20); // two epochs
+        assert!(rt.spec().get(a).is_some(), "{:?}", engine.borrow().stats());
+    }
+
+    /// Builds a real optimization for `event` from a synthetic trace of
+    /// its bound handlers, with the plan it is the answer to, as the cache
+    /// unit tests need genuine guard-bearing chains.
+    fn opt_for(rt: &Runtime, base: &Module, event: EventId) -> (Plan, Deployable) {
         use pdo_events::{Trace, TraceRecord};
-        let prefix = if event == EventId(0) { "a" } else { "b" };
-        let handlers = [
-            base.function_by_name(&format!("{prefix}1")).unwrap(),
-            base.function_by_name(&format!("{prefix}2")).unwrap(),
-        ];
+        let handlers: Vec<_> = rt
+            .registry()
+            .bindings(event)
+            .iter()
+            .map(|b| b.handler)
+            .collect();
         let mut records = Vec::new();
         for d in 0..30u64 {
             records.push(TraceRecord::Raise {
@@ -1566,7 +2007,7 @@ mod tests {
                 depth: 0,
                 at: d,
             });
-            for handler in handlers {
+            for &handler in &handlers {
                 records.push(TraceRecord::HandlerEnter {
                     event,
                     handler,
@@ -1581,10 +2022,18 @@ mod tests {
                 });
             }
         }
-        let profile = Profile::from_trace(&Trace { records }, 10);
-        let opt = optimize(base, rt.registry(), &profile, &OptimizeOptions::new(10));
+        let profile = pdo_profile::Profile::from_trace(&Trace { records }, 10);
+        let opts = OptimizeOptions::new(10);
+        let plan = Plan::wanted(
+            &profile.event_graph,
+            &profile.handler_graph,
+            rt.registry(),
+            &opts,
+            |e, why| panic!("{e:?} declined: {why}"),
+        );
+        let opt = optimize(base, rt.registry(), &profile, &opts);
         assert!(!opt.chains.is_empty(), "synthetic profile must specialize");
-        (profile, opt)
+        (plan, opt.into())
     }
 
     #[test]
@@ -1592,36 +2041,44 @@ mod tests {
         let (m, [a, b], _) = two_chain_module();
         let mut rt = Runtime::new(m.clone());
         bind_all(&mut rt, &m, a, b);
-        let (profile_a, opt_a) = opt_for(&rt, &m, a);
-        let (profile_b, opt_b) = opt_for(&rt, &m, b);
+        let (plan_a, opt_a) = opt_for(&rt, &m, a);
+        let (plan_b, opt_b) = opt_for(&rt, &m, b);
 
         let mut cache = ChainCache::new(1);
-        let key_a = ChainCacheKey::of(&profile_a, rt.registry());
-        assert!(cache.lookup(&key_a, rt.registry()).is_none());
+        assert!(cache.lookup(&plan_a).is_none());
         assert_eq!(cache.misses(), 1);
 
-        cache.insert(key_a.clone(), &opt_a);
-        let hit = cache.lookup(&key_a, rt.registry()).expect("cached");
-        assert_eq!(hit.chains.len(), opt_a.chains.len());
+        cache.insert(plan_a.clone(), &opt_a);
+        let hit = cache.lookup(&plan_a).expect("cached");
+        assert_eq!(hit.chains, opt_a.chains);
+        assert!(
+            Arc::ptr_eq(&hit.module, &opt_a.module),
+            "a hit is a pointer"
+        );
         assert_eq!(cache.hits(), 1);
 
         // Capacity 1: caching B's phase evicts A's.
-        let key_b = ChainCacheKey::of(&profile_b, rt.registry());
-        assert_ne!(key_a, key_b, "distinct phases must key differently");
-        cache.insert(key_b.clone(), &opt_b);
+        assert_ne!(plan_a, plan_b, "distinct phases must key differently");
+        cache.insert(plan_b.clone(), &opt_b);
         assert_eq!(cache.evictions(), 1);
         assert_eq!(cache.len(), 1);
-        assert!(cache.lookup(&key_a, rt.registry()).is_none());
+        assert!(cache.lookup(&plan_a).is_none());
 
-        // A rebind bumps B's version: the stale entry is dropped on
-        // lookup, never returned.
-        rt.bind(b, m.function_by_name("a1").unwrap(), 7).unwrap();
-        assert!(
-            cache.lookup(&key_b, rt.registry()).is_none(),
-            "guard-stale entry must not hit"
-        );
-        assert_eq!(cache.invalidations(), 1);
-        assert!(cache.is_empty());
+        // The key is binding content. A rebind of B changes the plan, so
+        // the entry built for the old bindings cannot be reached...
+        let extra = m.function_by_name("a1").unwrap();
+        rt.bind(b, extra, 7).unwrap();
+        let (rebound, _) = opt_for(&rt, &m, b);
+        assert_ne!(rebound, plan_b);
+        assert!(cache.lookup(&rebound).is_none(), "stale entry must not hit");
+        // ...and taking the rebind back reaches it again, under a version
+        // number the entry has never seen, with guards that hold.
+        assert!(rt.unbind(b, extra));
+        let (returned, _) = opt_for(&rt, &m, b);
+        assert_eq!(returned, plan_b);
+        let hit = cache.lookup(&returned).expect("same content, same key");
+        assert!(hit.chains.iter().all(|c| c.guards_hold(rt.registry())));
+        assert_eq!(cache.invalidations(), 0);
     }
 
     #[test]
@@ -1629,11 +2086,11 @@ mod tests {
         let (m, [a, b], _) = two_chain_module();
         let mut rt = Runtime::new(m.clone());
         bind_all(&mut rt, &m, a, b);
-        let (profile_a, opt_a) = opt_for(&rt, &m, a);
-        let (profile_b, opt_b) = opt_for(&rt, &m, b);
+        let (plan_a, opt_a) = opt_for(&rt, &m, a);
+        let (plan_b, opt_b) = opt_for(&rt, &m, b);
         let mut cache = ChainCache::new(4);
-        cache.insert(ChainCacheKey::of(&profile_a, rt.registry()), &opt_a);
-        cache.insert(ChainCacheKey::of(&profile_b, rt.registry()), &opt_b);
+        cache.insert(plan_a, &opt_a);
+        cache.insert(plan_b, &opt_b);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.invalidate_event(a), 1);
         assert_eq!(cache.len(), 1, "only A's entry is dropped");

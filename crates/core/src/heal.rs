@@ -10,27 +10,18 @@
 //! re-installs a chain once its event's backoff has expired **and** the
 //! registry still matches what the chain was compiled for.
 //!
-//! "Still matches" is checked structurally, not by version number: a chain
-//! compiled for handler sequence `[h1, h2]` is valid whenever the live
-//! bindings are exactly `[h1, h2]`, even if the version counter moved
-//! through an unbind/re-bind cycle in between. In that case the healer
-//! refreshes the guard versions in place — the §3.3 guard mechanism plus a
-//! recovery path. If the sequence genuinely changed, the chain is reported
+//! "Still matches" is the chain's own guards' answer
+//! ([`CompiledChain::guards_hold`]): they carry the binding lists the chain
+//! was compiled against, so a chain compiled for `[h1, h2]` may come back
+//! whenever the live bindings are exactly `[h1, h2]` again, whatever the
+//! version counter did in between — the §3.3 guard mechanism plus a
+//! recovery path. If the lists genuinely changed, the chain is reported
 //! stale; producing a new one needs a fresh profile-and-optimize pass.
 
 use crate::quarantine::{Quarantine, QuarantineConfig};
-use crate::Optimization;
-use pdo_events::{CompiledChain, Registry, Runtime, RuntimeStats};
-use pdo_ir::{EventId, FuncId};
+use pdo_events::{CompiledChain, Runtime, RuntimeStats};
+use pdo_ir::EventId;
 use std::collections::BTreeMap;
-
-/// A chain plus the handler sequences (per guard event) it was compiled
-/// against, captured at deploy time.
-#[derive(Debug, Clone)]
-struct ChainRecord {
-    chain: CompiledChain,
-    sequences: BTreeMap<EventId, Vec<FuncId>>,
-}
 
 /// What one [`SelfHealer::heal`] pass did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -39,8 +30,7 @@ pub struct HealReport {
     pub quarantined: Vec<(EventId, u64)>,
     /// Chains removed from the runtime because their event was quarantined.
     pub removed: Vec<EventId>,
-    /// Chains (re-)installed: backoff expired and the registry still
-    /// matches the compiled handler sequences.
+    /// Chains (re-)installed: backoff expired and their guards hold.
     pub reinstalled: Vec<EventId>,
     /// Events whose backoff expired but whose bindings changed since
     /// compile time; they need a fresh profile-and-optimize pass.
@@ -61,54 +51,32 @@ impl HealReport {
 #[derive(Debug, Clone)]
 pub struct SelfHealer {
     quarantine: Quarantine,
-    records: BTreeMap<EventId, ChainRecord>,
+    /// The deployed chains by head event.
+    chains: BTreeMap<EventId, CompiledChain>,
 }
 
 impl SelfHealer {
-    /// Captures the chains of `optimization` together with the handler
-    /// sequences currently live in `registry` (call this at deploy time,
-    /// when guards are valid by construction).
-    pub fn new(config: QuarantineConfig, optimization: &Optimization, registry: &Registry) -> Self {
-        SelfHealer {
+    /// Tracks the deployed `chains` under a fresh quarantine.
+    pub fn new(config: QuarantineConfig, chains: &[CompiledChain]) -> Self {
+        let mut healer = SelfHealer {
             quarantine: Quarantine::new(config),
-            records: Self::capture(optimization, registry),
-        }
+            chains: BTreeMap::new(),
+        };
+        healer.rebind(chains);
+        healer
     }
 
-    /// Replaces the tracked chains with those of a *fresh* optimization
-    /// (the adaptive daemon re-profiled and rebuilt them), preserving the
-    /// quarantine so a misbehaving event keeps its backoff across
-    /// re-profiles.
-    pub fn rebind(&mut self, optimization: &Optimization, registry: &Registry) {
-        self.records = Self::capture(optimization, registry);
+    /// Replaces the tracked chains with those of a *fresh* deployment (the
+    /// adaptive daemon changed its plan), preserving the quarantine so a
+    /// misbehaving event keeps its backoff across redeploys.
+    pub fn rebind(&mut self, chains: &[CompiledChain]) {
+        self.chains = chains.iter().map(|c| (c.head, c.clone())).collect();
     }
 
-    fn capture(optimization: &Optimization, registry: &Registry) -> BTreeMap<EventId, ChainRecord> {
-        optimization
-            .chains
-            .iter()
-            .map(|chain| {
-                let sequences = chain
-                    .guards
-                    .iter()
-                    .map(|g| {
-                        let seq = registry
-                            .bindings(g.event)
-                            .iter()
-                            .map(|b| b.handler)
-                            .collect();
-                        (g.event, seq)
-                    })
-                    .collect();
-                (
-                    chain.head,
-                    ChainRecord {
-                        chain: chain.clone(),
-                        sequences,
-                    },
-                )
-            })
-            .collect()
+    /// The deployed chains, in head-event order — installed, quarantined
+    /// or waiting for their bindings to return.
+    pub fn chains(&self) -> impl Iterator<Item = &CompiledChain> {
+        self.chains.values()
     }
 
     /// The quarantine state (for reports and tests).
@@ -146,20 +114,12 @@ impl SelfHealer {
             report.quarantined.push((event, until));
         }
 
-        for (&event, record) in self.records.iter_mut() {
+        for (&event, chain) in &self.chains {
             if runtime.spec().get(event).is_some() || self.quarantine.is_quarantined(event, now) {
                 continue;
             }
-            let matches = record.sequences.iter().all(|(&guard_event, compiled)| {
-                let live = runtime.registry().bindings(guard_event);
-                live.len() == compiled.len()
-                    && live.iter().map(|b| b.handler).eq(compiled.iter().copied())
-            });
-            if matches {
-                for guard in &mut record.chain.guards {
-                    guard.version = runtime.registry().version(guard.event);
-                }
-                runtime.install_chain(record.chain.clone());
+            if chain.guards_hold(runtime.registry()) {
+                runtime.install_chain(chain.clone());
                 report.reinstalled.push(event);
             } else {
                 report.stale.push(event);
@@ -176,7 +136,7 @@ mod tests {
     use pdo_events::{
         FaultInjector, FaultKind, FaultPolicy, FaultSpec, RuntimeConfig, TraceConfig,
     };
-    use pdo_ir::{BinOp, FunctionBuilder, Module, RaiseMode, Value};
+    use pdo_ir::{BinOp, FuncId, FunctionBuilder, Module, RaiseMode, Value};
 
     fn counting_module() -> (Module, EventId, pdo_ir::GlobalId, FuncId) {
         let mut m = Module::new();
@@ -220,8 +180,7 @@ mod tests {
                 base_backoff_ns: 1_000,
                 max_backoff_ns: 8_000,
             },
-            &opt,
-            fast.registry(),
+            &opt.chains,
         );
         (fast, healer, e, g)
     }
@@ -284,25 +243,43 @@ mod tests {
 
     #[test]
     fn guard_churn_quarantines_without_any_fault() {
-        let (mut rt, mut healer, e, _) = deploy(FaultPolicy::Abort);
-        // Rebinding invalidates the guard; every raise is then a miss.
+        let (mut rt, mut healer, e, g) = deploy(FaultPolicy::Abort);
         let h = rt.registry().bindings(e)[0].handler;
+        // Taking the handler off and putting it back is not churn: the
+        // binding list is the one the chain was compiled for.
         rt.unbind(e, h);
         rt.bind(e, h, 0).unwrap();
+        rt.raise(e, RaiseMode::Sync, &[]).unwrap();
+        assert_eq!(rt.cost.fastpath_hits, 1);
+        assert_eq!(rt.stats().guard_misses(e), 0);
+        // Five rebinds inside one epoch, each to a list the chain was not
+        // compiled for: one guard miss apiece however many raises follow.
         for _ in 0..5 {
-            rt.raise(e, RaiseMode::Sync, &[]).unwrap();
+            rt.bind(e, h, 1).unwrap();
+            for _ in 0..3 {
+                rt.raise(e, RaiseMode::Sync, &[]).unwrap();
+            }
         }
         assert_eq!(rt.stats().guard_misses(e), 5); // churn_threshold = 4
+        assert_eq!(rt.cost.fastpath_misses, 15);
         let report = healer.after_epoch(&mut rt);
         assert_eq!(report.quarantined.len(), 1);
         assert_eq!(report.removed, vec![e]); // healer removed the stale chain
-                                             // After backoff the sequence still matches [h], so the healer
-                                             // refreshes the guard to the *current* version and re-installs.
+                                             // After backoff the bindings are still not the compiled ones: the
+                                             // chain is stale, not re-installed.
         rt.advance_clock(1_000);
         let report = healer.heal(&mut rt, &RuntimeStats::default());
+        assert_eq!(report.stale, vec![e]);
+        // Once they are, it comes back as it is — the guard re-stamps
+        // itself at the next dispatch.
+        while rt.unbind(e, h) {}
+        rt.bind(e, h, 0).unwrap();
+        let report = healer.heal(&mut rt, &RuntimeStats::default());
         assert_eq!(report.reinstalled, vec![e]);
+        let before = rt.global(g).as_int().unwrap();
         rt.raise(e, RaiseMode::Sync, &[]).unwrap();
-        assert_eq!(rt.cost.fastpath_hits, 1, "refreshed guard must hold");
+        assert_eq!(rt.cost.fastpath_hits, 2, "returned bindings must hold");
+        assert_eq!(rt.global(g).as_int(), Some(before + 1));
     }
 
     #[test]
@@ -417,8 +394,7 @@ mod tests {
                 base_backoff_ns: 1_000,
                 max_backoff_ns: 8_000,
             },
-            &opt,
-            fast.registry(),
+            &opt.chains,
         );
 
         // Fault only the child segment: the extra binding invalidates the

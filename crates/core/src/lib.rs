@@ -78,7 +78,7 @@ pub mod subsume;
 pub mod workflow;
 
 pub use adapt::{
-    AdaptConfig, AdaptStats, AdaptiveEngine, ChainCache, ChainCacheKey, EngineSnapshot,
+    AdaptConfig, AdaptStats, AdaptiveEngine, ChainCache, Deployable, EngineSnapshot, Plan,
 };
 pub use heal::{HealReport, SelfHealer};
 pub use merge::{build_super_handler, build_super_handler_metered, MergeSkip};
@@ -90,7 +90,7 @@ pub use workflow::{profile_and_optimize, Deployed, WorkflowError};
 use pdo_events::{CompiledChain, Guard, Registry, Runtime};
 use pdo_ir::{EventId, FuncId, Module, NativeId};
 use pdo_passes::optimize_single_function;
-use pdo_profile::Profile;
+use pdo_profile::{EventGraph, HandlerGraph, Profile};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Tuning knobs for [`optimize`]. Start from [`OptimizeOptions::new`] and
@@ -210,16 +210,7 @@ pub fn optimize(
         builder.fuel_native = Some(id);
     }
 
-    // Candidate events: nodes of the reduced graph, or every profiled event
-    // under `merge_all`.
-    let reduced = profile.event_graph.reduce(opts.threshold);
-    let candidates: BTreeSet<EventId> = if opts.merge_all {
-        profile.handler_graph.sequences.keys().copied().collect()
-    } else {
-        reduced.nodes.keys().copied().collect()
-    };
-
-    for &event in &candidates {
+    for event in candidates(&profile.event_graph, &profile.handler_graph, opts) {
         builder.build(event);
     }
 
@@ -230,6 +221,70 @@ pub fn optimize(
         chains,
         report: builder.report,
     }
+}
+
+/// The events [`optimize`] starts from: the nodes of the graph reduced at
+/// the threshold (every event touching an edge that heavy), or every
+/// profiled event under `merge_all`.
+pub(crate) fn candidates(
+    events: &EventGraph,
+    handlers: &HandlerGraph,
+    opts: &OptimizeOptions,
+) -> BTreeSet<EventId> {
+    if opts.merge_all {
+        return handlers.sequences.keys().copied().collect();
+    }
+    events
+        .edges
+        .iter()
+        .filter(|(_, data)| data.weight >= opts.threshold)
+        .flat_map(|(&(from, to), _)| [from, to])
+        .collect()
+}
+
+/// The handler sequence [`optimize`] would merge for `event`: the one the
+/// profile saw, if it saw only one and it is what is bound now. Otherwise
+/// the reason to report, if there is one — an event never seen
+/// dispatching, or bound to nothing, is simply not merged.
+pub(crate) fn mergeable<'p>(
+    handlers: &'p HandlerGraph,
+    registry: &Registry,
+    event: EventId,
+) -> Result<&'p [FuncId], Option<MergeSkip>> {
+    let Some(seq) = handlers.stable_sequence(event) else {
+        let seen = handlers.sequences.contains_key(&event);
+        return Err(seen.then_some(MergeSkip::UnstableSequence));
+    };
+    if !registry
+        .bindings(event)
+        .iter()
+        .map(|b| b.handler)
+        .eq(seq.iter().copied())
+    {
+        return Err(Some(MergeSkip::RegistryDrift));
+    }
+    if seq.is_empty() {
+        return Err(None);
+    }
+    Ok(seq)
+}
+
+/// Does the profile justify folding `child` into `parent`'s body?
+///
+/// Always-correct guard semantics make the evidence requirement purely a
+/// cost/benefit heuristic: without [`OptimizeOptions::speculative`], we
+/// require an observed nested synchronous raise (Fig 8 pattern).
+pub(crate) fn subsume_evidence(
+    handlers: &HandlerGraph,
+    opts: &OptimizeOptions,
+    parent: EventId,
+    child: EventId,
+) -> bool {
+    opts.speculative
+        || handlers
+            .nested
+            .iter()
+            .any(|(k, &count)| k.parent_event == parent && k.child_event == child && count > 0)
 }
 
 /// A built super-handler and what it covers.
@@ -264,29 +319,16 @@ impl Builder<'_> {
         }
 
         // The profiled sequence must be stable *and* still current.
-        let Some(seq) = self.profile.handler_graph.stable_sequence(event) else {
-            if self.profile.handler_graph.sequences.contains_key(&event) {
-                self.report.skip(event, MergeSkip::UnstableSequence);
+        let seq: Vec<FuncId> = match mergeable(&self.profile.handler_graph, self.registry, event) {
+            Ok(seq) => seq.to_vec(),
+            Err(why) => {
+                if let Some(why) = why {
+                    self.report.skip(event, why);
+                }
+                self.memo.insert(event, None);
+                return None;
             }
-            self.memo.insert(event, None);
-            return None;
         };
-        let seq: Vec<FuncId> = seq.to_vec();
-        let live: Vec<FuncId> = self
-            .registry
-            .bindings(event)
-            .iter()
-            .map(|b| b.handler)
-            .collect();
-        if live != seq {
-            self.report.skip(event, MergeSkip::RegistryDrift);
-            self.memo.insert(event, None);
-            return None;
-        }
-        if seq.is_empty() {
-            self.memo.insert(event, None);
-            return None;
-        }
 
         self.in_progress.insert(event);
         let name = format!("__super_{}", self.out.event_name(event));
@@ -329,7 +371,12 @@ impl Builder<'_> {
                     .filter(|s| {
                         !refused.contains(&s.event)
                             && (!self.opts.partitioned || !guarded.contains(&s.event))
-                            && self.subsume_evidence(event, s.event)
+                            && subsume_evidence(
+                                &self.profile.handler_graph,
+                                self.opts,
+                                event,
+                                s.event,
+                            )
                     })
                     .collect();
                 if sites.is_empty() {
@@ -391,22 +438,6 @@ impl Builder<'_> {
         Some(built)
     }
 
-    /// Does the profile justify folding `child` into `parent`'s body?
-    ///
-    /// Always-correct guard semantics make the evidence requirement purely
-    /// a cost/benefit heuristic: without [`OptimizeOptions::speculative`],
-    /// we require an observed nested synchronous raise (Fig 8 pattern).
-    fn subsume_evidence(&self, parent: EventId, child: EventId) -> bool {
-        if self.opts.speculative {
-            return true;
-        }
-        self.profile
-            .handler_graph
-            .nested
-            .iter()
-            .any(|(k, &count)| k.parent_event == parent && k.child_event == child && count > 0)
-    }
-
     /// Applies inlining / compiler passes to one super-handler according to
     /// the options.
     fn cleanup(&mut self, func: FuncId) {
@@ -429,10 +460,7 @@ impl Builder<'_> {
                 head: event,
                 guards: guard_events
                     .into_iter()
-                    .map(|e| Guard {
-                        event: e,
-                        version: self.registry.version(e),
-                    })
+                    .map(|e| Guard::capture(self.registry, e))
                     .collect(),
                 func: built.func,
                 params: built.params,

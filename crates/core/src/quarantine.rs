@@ -1,13 +1,21 @@
 //! Specialization quarantine with exponential backoff.
 //!
-//! A compiled chain that keeps faulting (or whose guards keep failing
-//! because the program re-binds handlers at a high rate) is worse than
-//! generic dispatch: every occurrence pays the guard check, the containment
-//! bookkeeping, or both. The quarantine tracks per-event fault and
+//! A compiled chain that keeps faulting, or that the program keeps
+//! re-binding out from under, is worse than generic dispatch: every
+//! occurrence pays the containment bookkeeping, and every rebind pays a
+//! replan and a redeploy. The quarantine tracks per-event fault and
 //! guard-churn counters from [`pdo_events::RuntimeStats`] deltas and, once a
 //! counter crosses its threshold, bars the event from specialization for an
 //! exponentially growing window of *virtual* time (the runtime's clock, so
 //! tests and simulations stay deterministic).
+//!
+//! A *guard miss* in those deltas is one rebind that invalidated an
+//! installed chain — the runtime reports it once, at the first dispatch
+//! that finds the chain's guards refuted, however many raises fall back
+//! before the chain is replaced, and not at all when the bindings were
+//! taken apart and put back as they were. `churn_threshold` therefore
+//! counts what it was written for: how often the program re-binds under a
+//! chain, not how busy the event happened to be until the next epoch.
 //!
 //! The counters are per-epoch accumulators with a forgiveness rule: an
 //! epoch in which a tracked event records neither faults nor guard misses
@@ -25,8 +33,9 @@ pub struct QuarantineConfig {
     /// Accumulated faults (injected or contained traps) above which an
     /// event is quarantined. The comparison is strict (`> fault_threshold`).
     pub fault_threshold: u64,
-    /// Accumulated guard misses above which an event is quarantined
-    /// (strict comparison), catching re-binding churn.
+    /// Accumulated guard misses — rebinds that invalidated an installed
+    /// chain — above which an event is quarantined (strict comparison),
+    /// catching re-binding churn.
     pub churn_threshold: u64,
     /// Backoff after the first quarantine, in virtual ns; doubles with
     /// every strike.

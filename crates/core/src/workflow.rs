@@ -61,11 +61,11 @@ impl fmt::Debug for Deployed {
 }
 
 impl Deployed {
-    /// A [`SelfHealer`] for this deployment: captures the chains and the
-    /// current (guard-valid) binding state so the re-optimization loop can
-    /// quarantine faulting chains and re-install them after backoff.
+    /// A [`SelfHealer`] for this deployment's chains, so the
+    /// re-optimization loop can quarantine faulting ones and re-install
+    /// them after backoff.
     pub fn self_healer(&self, config: QuarantineConfig) -> SelfHealer {
-        SelfHealer::new(config, &self.optimization, self.runtime.registry())
+        SelfHealer::new(config, &self.optimization.chains)
     }
 }
 
@@ -73,7 +73,7 @@ impl Deployed {
 ///
 /// * `bindings` — the `(event, handler, order)` plan, applied identically
 ///   to the instrumented and the deployed runtime (identical plans yield
-///   identical binding versions, which is what validates the guards).
+///   identical binding lists, which is what the guards check).
 /// * `install_natives` — called on **each** runtime to bind native
 ///   implementations; capture state via `Rc<RefCell<…>>` as usual.
 /// * `drive` — the representative workload, executed once on the

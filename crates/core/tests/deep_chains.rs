@@ -142,9 +142,14 @@ fn reoptimization_after_rebinding_restores_the_fast_path() {
     let mut fast = bound_runtime(&opt.module, &events, &funcs);
     opt.install_chains(&mut fast);
 
-    // Invalidate by re-binding the middle event.
-    fast.unbind(events[1], funcs[1]);
-    fast.bind(events[1], funcs[1], 0).unwrap();
+    // Invalidate by re-binding the middle event — under another order key:
+    // putting back the very binding that was taken off would leave the
+    // list the chains were compiled for, and the guards would hold.
+    let rebind = |rt: &mut Runtime| {
+        rt.unbind(events[1], funcs[1]);
+        rt.bind(events[1], funcs[1], 7).unwrap();
+    };
+    rebind(&mut fast);
     fast.raise(events[0], RaiseMode::Sync, &[]).unwrap();
     // The head chain misses, and the generic path's nested raise of E1
     // misses E1's own stale chain too.
@@ -157,6 +162,7 @@ fn reoptimization_after_rebinding_restores_the_fast_path() {
     // module is immutable, so re-optimization always ships as a new
     // deployment.
     let mut rt2 = bound_runtime(&m, &events, &funcs);
+    rebind(&mut rt2);
     rt2.set_trace_config(TraceConfig::full());
     for _ in 0..30 {
         rt2.raise(events[0], RaiseMode::Sync, &[]).unwrap();
@@ -165,6 +171,7 @@ fn reoptimization_after_rebinding_restores_the_fast_path() {
     let opt2 = optimize(&m, rt2.registry(), &profile2, &OptimizeOptions::new(15));
 
     let mut fast2 = bound_runtime(&opt2.module, &events, &funcs);
+    rebind(&mut fast2);
     opt2.install_chains(&mut fast2);
     fast2.raise(events[0], RaiseMode::Sync, &[]).unwrap();
     assert_eq!(fast2.cost.fastpath_hits, 1, "fast path restored");

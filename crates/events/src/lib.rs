@@ -21,11 +21,11 @@
 //!   atomic read-modify-write operations on per-global lock words.
 //!
 //! The optimizer in the `pdo` crate installs [`spec::CompiledChain`]s: a
-//! guarded fast path that, when an event's binding versions still match the
-//! profile-time versions, invokes one merged super-handler directly with no
-//! lookup and no marshaling. On a guard miss the raise falls back to the
-//! generic path, preserving semantics under dynamic re-binding (§3.2.1,
-//! §3.3).
+//! guarded fast path that, while the binding lists the chain was compiled
+//! against are still the live ones, invokes one merged super-handler
+//! directly with no lookup and no marshaling. Otherwise the raise falls back
+//! to the generic path, preserving semantics under dynamic re-binding
+//! (§3.2.1, §3.3).
 //!
 //! ```
 //! use pdo_ir::{Module, FunctionBuilder, Value, RaiseMode};

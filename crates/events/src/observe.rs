@@ -324,7 +324,8 @@ impl Observers {
         }
     }
 
-    /// An installed chain failed its guards and dispatch fell back.
+    /// A rebind invalidated an installed chain: reported once, by the
+    /// first dispatch to find its guards refuted.
     pub(crate) fn guard_miss(&mut self, event: EventId, now: u64) {
         *self.stats.guard_misses_by_event.entry(event).or_insert(0) += 1;
         if let Some(obs) = &self.obs {

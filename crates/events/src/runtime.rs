@@ -5,7 +5,7 @@ use crate::marshal::{marshal, unmarshal};
 use crate::observe::Observers;
 use crate::registry::Registry;
 use crate::sched::{Scheduler, SchedulerState, VirtualClock};
-use crate::spec::{CompiledChain, SpecTable};
+use crate::spec::{CompiledChain, GuardCheck, SpecTable};
 use crate::trace::{Trace, TraceConfig};
 use pdo_ir::interp::{call, Env, ExecError};
 use pdo_ir::{
@@ -136,8 +136,11 @@ pub struct RuntimeStats {
     pub chains_removed: u64,
     /// Despecializations per event (chains actually removed).
     pub despecialized_by_event: BTreeMap<EventId, u64>,
-    /// Guard misses per event (chain installed but stale), for
-    /// quarantine-churn accounting in the optimizer's workflow loop.
+    /// Guard misses per event: rebinds that invalidated an installed
+    /// chain, each counted once — at the first dispatch that finds the
+    /// guards refuted — however many dispatches then fall back (those are
+    /// `cost.fastpath_misses`). For quarantine-churn accounting in the
+    /// optimizer's workflow loop.
     pub guard_misses_by_event: BTreeMap<EventId, u64>,
     /// Generic (registry-path) dispatches per event, recorded only when
     /// [`Runtime::set_dispatch_accounting`] is on. An adaptive daemon uses
@@ -673,6 +676,20 @@ impl Runtime {
         std::mem::take(&mut self.sinks.trace)
     }
 
+    /// Hands a drained trace back so the next window records into its
+    /// buffer instead of growing a new one from nothing. Room for twice
+    /// the window just drained is kept and no more, so one burst does not
+    /// pin its peak for the rest of the session. A no-op once recording
+    /// has begun again.
+    pub fn recycle_trace(&mut self, mut trace: Trace) {
+        if self.sinks.trace.records.capacity() == 0 {
+            let keep = 2 * trace.records.len();
+            trace.records.clear();
+            trace.records.shrink_to(keep);
+            self.sinks.trace = trace;
+        }
+    }
+
     /// The recorded trace so far.
     pub fn trace(&self) -> &Trace {
         &self.sinks.trace
@@ -1009,8 +1026,13 @@ impl Runtime {
     ) -> Result<bool, RuntimeError> {
         // Fast path: compiled chain with matching guards.
         if !force_generic {
-            if let Some(chain) = self.spec.get(event) {
-                if usize::from(chain.params) == args.len() && chain.guards_hold(&self.registry) {
+            if let Some(chain) = self.spec.get_mut(event) {
+                let check = if usize::from(chain.params) == args.len() {
+                    chain.revalidate(&self.registry)
+                } else {
+                    GuardCheck::Stale
+                };
+                if check == GuardCheck::Holds {
                     let func = chain.func;
                     self.cost.fastpath_hits += 1;
                     self.cost.direct_handler_calls += 1;
@@ -1056,8 +1078,12 @@ impl Runtime {
                         }
                     };
                 }
+                // Every fallen-back dispatch is charged; the sinks hear of
+                // a miss once per rebind that invalidated the chain.
                 self.cost.fastpath_misses += 1;
-                self.sinks.guard_miss(event, self.clock.now_ns());
+                if check == GuardCheck::Invalidated {
+                    self.sinks.guard_miss(event, self.clock.now_ns());
+                }
             }
         }
 
@@ -1619,10 +1645,7 @@ mod tests {
         rt.bind(e, h2, 1).unwrap();
         rt.install_chain(CompiledChain {
             head: e,
-            guards: vec![Guard {
-                event: e,
-                version: rt.registry().version(e),
-            }],
+            guards: vec![Guard::capture(rt.registry(), e)],
             func: sup,
             params: 1,
             partitioned: false,
@@ -1641,10 +1664,7 @@ mod tests {
         rt.bind(e, h1, 0).unwrap();
         rt.install_chain(CompiledChain {
             head: e,
-            guards: vec![Guard {
-                event: e,
-                version: rt.registry().version(e),
-            }],
+            guards: vec![Guard::capture(rt.registry(), e)],
             func: h1, // "merged" = just h1 at this point
             params: 1,
             partitioned: false,
@@ -1656,6 +1676,42 @@ mod tests {
         assert_eq!(rt.cost.fastpath_hits, 0);
         // Generic path ran both current handlers.
         assert_eq!(rt.global(g), &Value::Int(12));
+    }
+
+    #[test]
+    fn guard_follows_binding_content_and_one_rebind_is_one_miss() {
+        let (m, e, _, h1, h2) = two_handler_module();
+        let mut rt = Runtime::new(m);
+        rt.bind(e, h1, 0).unwrap();
+        rt.install_chain(CompiledChain {
+            head: e,
+            guards: vec![Guard::capture(rt.registry(), e)],
+            func: h1, // "merged" = just h1
+            params: 1,
+            partitioned: false,
+        });
+        // Same content under new version numbers: the fast lane is kept.
+        for round in 1..=3u64 {
+            assert!(rt.unbind(e, h1));
+            rt.bind(e, h1, 0).unwrap();
+            rt.raise(e, RaiseMode::Sync, &[Value::Unit]).unwrap();
+            assert_eq!(rt.cost.fastpath_hits, round);
+        }
+        assert_eq!(rt.stats().guard_misses(e), 0);
+        assert_eq!(rt.cost.fastpath_misses, 0);
+        // A real rebind: every raise falls back, the sinks hear of it once.
+        rt.bind(e, h2, 1).unwrap();
+        for _ in 0..100 {
+            rt.raise(e, RaiseMode::Sync, &[Value::Unit]).unwrap();
+        }
+        assert_eq!(rt.stats().guard_misses(e), 1);
+        assert_eq!(rt.cost.fastpath_misses, 100);
+        assert_eq!(rt.cost.fastpath_hits, 3);
+        // The bindings return: the installed chain revalidates by itself.
+        assert!(rt.unbind(e, h2));
+        rt.raise(e, RaiseMode::Sync, &[Value::Unit]).unwrap();
+        assert_eq!(rt.cost.fastpath_hits, 4);
+        assert_eq!(rt.stats().guard_misses(e), 1);
     }
 
     #[test]
@@ -1848,10 +1904,7 @@ mod tests {
         // generic dispatch — we only check it is *removed* on fault.
         rt.install_chain(CompiledChain {
             head: e,
-            guards: vec![Guard {
-                event: e,
-                version: rt.registry().version(e),
-            }],
+            guards: vec![Guard::capture(rt.registry(), e)],
             func: h1,
             params: 1,
             partitioned: false,
@@ -2201,10 +2254,9 @@ mod tests {
         let chain_fn = m.add_function(b.finish());
         let mut rt = Runtime::new(m);
         rt.bind(c, hc, 0).unwrap();
-        let version = rt.registry().version(p);
         rt.install_chain(CompiledChain {
             head: p,
-            guards: vec![Guard { event: p, version }],
+            guards: vec![Guard::capture(rt.registry(), p)],
             func: chain_fn,
             params: 0,
             partitioned: false,

@@ -1,25 +1,99 @@
 //! Specialization table: guarded super-handler fast paths.
 //!
 //! The optimizer registers one [`CompiledChain`] per optimized event. A
-//! synchronous raise of that event first compares the recorded binding
-//! versions ([`Guard`]s) against the live registry; on a match the runtime
-//! invokes the super-handler directly — no registry walk, no marshaling, one
-//! call instead of N. On a mismatch it falls back to generic dispatch
-//! ("checking whether any changes have been made to the list of handlers
-//! bound to an event when it is raised, and then dropping back into the
-//! original unoptimized code if a change is detected", §3.2.1).
+//! synchronous raise of that event first checks the chain's [`Guard`]s
+//! against the live registry; when they hold the runtime invokes the
+//! super-handler directly — no registry walk, no marshaling, one call
+//! instead of N. Otherwise it falls back to generic dispatch ("checking
+//! whether any changes have been made to the list of handlers bound to an
+//! event when it is raised, and then dropping back into the original
+//! unoptimized code if a change is detected", §3.2.1).
+//!
+//! A guard is the binding list the chain was compiled against, by content,
+//! with the registry version it was last confirmed at as a one-compare
+//! cache of that fact. The version alone cannot say whether a chain is
+//! valid: it only ever grows, so an `unbind`+`bind` of the same handler,
+//! or an A→B→A swap, returns to the exact list the chain was built for
+//! under a new number. On a version mismatch the guard therefore compares
+//! the lists once, re-stamps itself when they are equal (the chain keeps
+//! or regains its fast lane at that very dispatch, with nobody's help) and
+//! remembers the refuting version when they are not, so a stale chain
+//! costs two integer compares per dispatch until it is replaced and its
+//! bindings' return is noticed the moment it happens.
 
-use crate::registry::Registry;
+use crate::registry::{Binding, Registry};
 use pdo_ir::{EventId, FuncId};
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// One binding-version expectation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The binding list of one event, as a chain was compiled against it.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Guard {
     /// Event whose bindings the chain depends on.
     pub event: EventId,
-    /// Registry version recorded at optimization time.
-    pub version: u64,
+    /// The list folded into the super-handler.
+    bindings: Arc<[Binding]>,
+    /// Registry version at which `bindings` was last seen to be live.
+    version: u64,
+    /// Registry version at which `bindings` was last seen *not* to be live.
+    refuted: Option<u64>,
+}
+
+/// What [`CompiledChain::revalidate`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum GuardCheck {
+    /// Every required guard matches the live registry.
+    Holds,
+    /// A guard fails, as an earlier check already established.
+    Stale,
+    /// A guard fails against a registry version not checked before: a
+    /// rebind invalidated the chain since the last dispatch.
+    Invalidated,
+}
+
+impl Guard {
+    /// A guard on `event`'s bindings as they stand in `registry`.
+    pub fn capture(registry: &Registry, event: EventId) -> Guard {
+        Guard {
+            event,
+            bindings: registry.snapshot(event),
+            version: registry.version(event),
+            refuted: None,
+        }
+    }
+
+    /// The binding list the guard protects.
+    pub fn bindings(&self) -> &Arc<[Binding]> {
+        &self.bindings
+    }
+
+    /// Is the guarded list the live one? Side-effect free: the version
+    /// answers when it matches, the lists themselves otherwise.
+    pub fn holds(&self, registry: &Registry) -> bool {
+        registry.version(self.event) == self.version
+            || *registry.bindings(self.event) == *self.bindings
+    }
+
+    /// As [`Guard::holds`] for the dispatch path: one version compare
+    /// while nothing was rebound, and one list compare per registry
+    /// version otherwise, its outcome stamped into the guard.
+    #[inline]
+    fn revalidate(&mut self, registry: &Registry) -> GuardCheck {
+        let live = registry.version(self.event);
+        if live == self.version {
+            return GuardCheck::Holds;
+        }
+        if self.refuted == Some(live) {
+            return GuardCheck::Stale;
+        }
+        if *registry.bindings(self.event) == *self.bindings {
+            self.version = live;
+            GuardCheck::Holds
+        } else {
+            self.refuted = Some(live);
+            GuardCheck::Invalidated
+        }
+    }
 }
 
 /// A compiled, guarded super-handler for one head event.
@@ -41,22 +115,41 @@ pub struct CompiledChain {
 }
 
 impl CompiledChain {
-    /// Checks the guards against the live registry.
+    /// Checks the guards against the live registry without touching them:
+    /// "may this chain run (again)".
     ///
     /// A partitioned chain only requires its head guard (segment guards are
-    /// compiled into the body); a monolithic chain requires every guard.
+    /// compiled into the body, as version constants); a monolithic chain
+    /// requires every guard.
     pub fn guards_hold(&self, registry: &Registry) -> bool {
         if self.partitioned {
             self.guards
                 .iter()
                 .find(|g| g.event == self.head)
-                .map(|g| registry.version(g.event) == g.version)
-                .unwrap_or(false)
+                .is_some_and(|g| g.holds(registry))
         } else {
-            self.guards
-                .iter()
-                .all(|g| registry.version(g.event) == g.version)
+            self.guards.iter().all(|g| g.holds(registry))
         }
+    }
+
+    /// The dispatch-path form of [`CompiledChain::guards_hold`] (see
+    /// [`Guard`]): stops at the first guard that fails.
+    #[inline]
+    pub(crate) fn revalidate(&mut self, registry: &Registry) -> GuardCheck {
+        if self.partitioned {
+            let head = self.head;
+            return match self.guards.iter_mut().find(|g| g.event == head) {
+                Some(guard) => guard.revalidate(registry),
+                None => GuardCheck::Stale,
+            };
+        }
+        for guard in &mut self.guards {
+            match guard.revalidate(registry) {
+                GuardCheck::Holds => {}
+                failed => return failed,
+            }
+        }
+        GuardCheck::Holds
     }
 }
 
@@ -87,6 +180,11 @@ impl SpecTable {
         self.chains.get(&event)
     }
 
+    /// The chain for `event`, for the dispatch path to revalidate.
+    pub(crate) fn get_mut(&mut self, event: EventId) -> Option<&mut CompiledChain> {
+        self.chains.get_mut(&event)
+    }
+
     /// Number of installed chains.
     pub fn len(&self) -> usize {
         self.chains.len()
@@ -107,15 +205,13 @@ impl SpecTable {
 mod tests {
     use super::*;
 
-    fn chain(head: u32, guards: &[(u32, u64)], partitioned: bool) -> CompiledChain {
+    /// A chain guarding `guards` as they stand in `reg`.
+    fn chain(reg: &Registry, head: u32, guards: &[u32], partitioned: bool) -> CompiledChain {
         CompiledChain {
             head: EventId(head),
             guards: guards
                 .iter()
-                .map(|&(e, v)| Guard {
-                    event: EventId(e),
-                    version: v,
-                })
+                .map(|&e| Guard::capture(reg, EventId(e)))
                 .collect(),
             func: FuncId(0),
             params: 1,
@@ -123,23 +219,26 @@ mod tests {
         }
     }
 
+    fn two_events() -> Registry {
+        let mut reg = Registry::new();
+        reg.bind(EventId(0), FuncId(1), 0);
+        reg.bind(EventId(1), FuncId(2), 0);
+        reg
+    }
+
     #[test]
     fn monolithic_guard_requires_all() {
-        let mut reg = Registry::new();
-        reg.bind(EventId(0), FuncId(1), 0); // version 1
-        reg.bind(EventId(1), FuncId(2), 0); // version 1
-        let c = chain(0, &[(0, 1), (1, 1)], false);
+        let mut reg = two_events();
+        let c = chain(&reg, 0, &[0, 1], false);
         assert!(c.guards_hold(&reg));
-        reg.bind(EventId(1), FuncId(3), 0); // bump event 1
+        reg.bind(EventId(1), FuncId(3), 0); // event 1 now runs [2, 3]
         assert!(!c.guards_hold(&reg));
     }
 
     #[test]
     fn partitioned_guard_requires_head_only() {
-        let mut reg = Registry::new();
-        reg.bind(EventId(0), FuncId(1), 0);
-        reg.bind(EventId(1), FuncId(2), 0);
-        let c = chain(0, &[(0, 1), (1, 1)], true);
+        let mut reg = two_events();
+        let c = chain(&reg, 0, &[0, 1], true);
         reg.bind(EventId(1), FuncId(3), 0); // non-head change
         assert!(c.guards_hold(&reg));
         reg.bind(EventId(0), FuncId(4), 0); // head change
@@ -149,16 +248,60 @@ mod tests {
     #[test]
     fn partitioned_without_head_guard_never_holds() {
         let reg = Registry::new();
-        let c = chain(0, &[(1, 0)], true);
+        let mut c = chain(&reg, 0, &[1], true);
+        assert!(!c.guards_hold(&reg));
+        assert_eq!(c.revalidate(&reg), GuardCheck::Stale);
+    }
+
+    #[test]
+    fn same_content_under_a_new_version_restamps() {
+        let mut reg = two_events();
+        let mut c = chain(&reg, 0, &[0, 1], false);
+        // unbind + bind of the same handler: two version bumps, same list.
+        reg.unbind(EventId(1), FuncId(2));
+        reg.bind(EventId(1), FuncId(2), 0);
+        assert!(c.guards_hold(&reg));
+        assert_eq!(c.revalidate(&reg), GuardCheck::Holds);
+        // Re-stamped: the guard now answers by version alone.
+        assert_eq!(c.guards[1].version, reg.version(EventId(1)));
+    }
+
+    #[test]
+    fn a_rebind_invalidates_once_and_the_return_revalidates() {
+        let mut reg = two_events();
+        let mut c = chain(&reg, 0, &[0, 1], false);
+        reg.unbind(EventId(0), FuncId(1));
+        reg.bind(EventId(0), FuncId(9), 0); // A -> B
+        assert_eq!(c.revalidate(&reg), GuardCheck::Invalidated);
+        for _ in 0..3 {
+            assert_eq!(c.revalidate(&reg), GuardCheck::Stale);
+        }
+        reg.bind(EventId(0), FuncId(8), 1); // B -> C: another invalidation
+        assert_eq!(c.revalidate(&reg), GuardCheck::Invalidated);
+        assert_eq!(c.revalidate(&reg), GuardCheck::Stale);
+        reg.unbind(EventId(0), FuncId(8));
+        reg.unbind(EventId(0), FuncId(9));
+        reg.bind(EventId(0), FuncId(1), 0); // back to A
+        assert_eq!(c.revalidate(&reg), GuardCheck::Holds);
+        assert!(c.guards_hold(&reg));
+    }
+
+    #[test]
+    fn order_keys_are_part_of_the_content() {
+        let mut reg = two_events();
+        let c = chain(&reg, 0, &[0], false);
+        reg.unbind(EventId(0), FuncId(1));
+        reg.bind(EventId(0), FuncId(1), 5); // same handler, other order key
         assert!(!c.guards_hold(&reg));
     }
 
     #[test]
     fn table_install_and_lookup() {
+        let reg = two_events();
         let mut t = SpecTable::new();
         assert!(t.is_empty());
-        t.install(chain(0, &[(0, 1)], false));
-        t.install(chain(1, &[(1, 1)], false));
+        t.install(chain(&reg, 0, &[0], false));
+        t.install(chain(&reg, 1, &[1], false));
         assert_eq!(t.len(), 2);
         assert!(t.get(EventId(0)).is_some());
         assert!(t.get(EventId(9)).is_none());
@@ -168,11 +311,12 @@ mod tests {
 
     #[test]
     fn reinstall_replaces() {
+        let reg = two_events();
         let mut t = SpecTable::new();
-        t.install(chain(0, &[(0, 1)], false));
+        t.install(chain(&reg, 0, &[0], false));
         t.install(CompiledChain {
             func: FuncId(9),
-            ..chain(0, &[(0, 2)], false)
+            ..chain(&reg, 0, &[0], false)
         });
         assert_eq!(t.get(EventId(0)).unwrap().func, FuncId(9));
         assert_eq!(t.len(), 1);

@@ -14,7 +14,8 @@ use std::fmt;
 /// names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObsKind {
-    /// An installed chain failed its guards and fell back.
+    /// A rebind invalidated an installed chain (once per such rebind,
+    /// not per dispatch that fell back).
     GuardMiss {
         /// Raw event id.
         event: u32,
@@ -43,6 +44,13 @@ pub enum ObsKind {
     ChainDropped {
         /// Raw event id.
         event: u32,
+    },
+    /// The adaptation loop left hot `event` running generically.
+    Declined {
+        /// Raw event id.
+        event: u32,
+        /// Short static name of the reason.
+        why: &'static str,
     },
     /// `event` entered quarantine until `until_ns` on the virtual clock.
     Quarantined {
@@ -131,6 +139,7 @@ impl fmt::Display for ObsKind {
             } => write!(f, "reprofile chains={chains} took={duration_ns}ns"),
             ObsKind::ChainInstalled { event } => write!(f, "chain-installed e{event}"),
             ObsKind::ChainDropped { event } => write!(f, "chain-dropped e{event}"),
+            ObsKind::Declined { event, why } => write!(f, "declined e{event} {why}"),
             ObsKind::Quarantined { event, until_ns } => {
                 write!(f, "quarantined e{event} until={until_ns}ns")
             }

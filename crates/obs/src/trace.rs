@@ -74,6 +74,8 @@ pub enum AuditAction {
     Quarantine,
     /// A reprofile ran; the `why` field carries the evidence summary.
     Reprofile,
+    /// A hot event was left running generically; `why` says why not.
+    Decline,
 }
 
 /// What a span describes. Each variant belongs to one layer — see
@@ -111,8 +113,9 @@ pub enum SpanKind {
         /// (zero for sync dispatches).
         queued_ns: u64,
     },
-    /// A specialized chain's guard failed and dispatch fell back to the
-    /// generic path.
+    /// A rebind invalidated a specialized chain: its guards were found
+    /// refuted and dispatch fell back to the generic path (recorded once
+    /// per such rebind, by the first dispatch to notice).
     GuardMiss {
         /// Raw event id.
         event: u32,
@@ -193,6 +196,7 @@ impl fmt::Display for AuditAction {
             AuditAction::Despecialize => "despecialize",
             AuditAction::Quarantine => "quarantine",
             AuditAction::Reprofile => "reprofile",
+            AuditAction::Decline => "decline",
         })
     }
 }
@@ -605,6 +609,7 @@ fn parse_line(line: &str) -> Option<Span> {
                 "despecialize" => AuditAction::Despecialize,
                 "quarantine" => AuditAction::Quarantine,
                 "reprofile" => AuditAction::Reprofile,
+                "decline" => AuditAction::Decline,
                 _ => return None,
             },
             why: why.unwrap_or_default(),

@@ -17,7 +17,7 @@
 //! occurrences.
 
 use crate::graph::EventGraph;
-use crate::handlers::{HandlerGraph, HandlerSeq, NestedRaise};
+use crate::handlers::{FoldScratch, HandlerGraph, SuperHandlers};
 use crate::Profile;
 use pdo_events::{Trace, TraceRecord};
 use pdo_ir::{EventId, FuncId, RaiseMode};
@@ -55,6 +55,8 @@ pub struct ProfileBuilder {
     prev_raise: Option<EventId>,
     /// Raise records observed since the last [`ProfileBuilder::take_fresh`].
     fresh: u64,
+    /// Working storage of the window fold, kept for its capacity.
+    scratch: FoldScratch,
 }
 
 impl ProfileBuilder {
@@ -64,13 +66,18 @@ impl ProfileBuilder {
     }
 
     /// Merges one trace window into the accumulators. Cost is linear in the
-    /// window, independent of how much has been observed before.
+    /// window, independent of how much has been observed before, and the
+    /// fold allocates only for a sequence or nesting not seen before.
+    ///
+    /// `supers` says which functions are the optimizer's output and what
+    /// they stand for, so the accumulators only ever name program handlers
+    /// (see [`SuperHandlers`]).
     ///
     /// Windows are expected to end *between* dispatches (the epoch hook in
     /// [`pdo_events::Runtime::run_until`] fires there): a window cut inside
     /// an open handler frame loses the nesting attribution of raises whose
     /// `HandlerEnter` fell in the previous window.
-    pub fn observe(&mut self, window: &Trace) {
+    pub fn observe(&mut self, window: &Trace, supers: &SuperHandlers) {
         // Event graph: same walk as `EventGraph::from_trace`, but `prev`
         // persists across windows.
         for record in &window.records {
@@ -90,25 +97,22 @@ impl ProfileBuilder {
             self.prev_raise = Some(*event);
         }
 
-        // Handler graph: fold the window's graph into the accumulator.
-        // Dispatch ids are globally monotonic per runtime, so windows never
-        // alias each other's dispatches.
-        let win = HandlerGraph::from_trace(window);
-        for (event, seqs) in win.sequences {
-            let acc = self.handler_graph.sequences.entry(event).or_default();
-            for seq in seqs {
-                match acc.iter_mut().find(|s| s.handlers == seq.handlers) {
-                    Some(s) => s.count += seq.count,
-                    None => acc.push(HandlerSeq {
-                        handlers: seq.handlers,
-                        count: seq.count,
-                    }),
-                }
-            }
-        }
-        for (key, count) in win.nested {
-            *self.handler_graph.nested.entry(key).or_insert(0) += count;
-        }
+        // Handler graph: dispatch ids are globally monotonic per runtime,
+        // so windows never alias each other's dispatches.
+        self.handler_graph.fold(window, supers, &mut self.scratch);
+    }
+
+    /// Forgets what was observed of `event`'s own dispatches — its handler
+    /// sequences and the raises nested in them — because its bindings have
+    /// changed and those observations describe the old ones. Its hotness
+    /// (the event graph) is untouched, so the sequence now bound is stable
+    /// as soon as one window has shown it, not once the old one has
+    /// decayed away.
+    pub fn forget_sequences(&mut self, event: EventId) {
+        self.handler_graph.sequences.remove(&event);
+        self.handler_graph
+            .nested
+            .retain(|k, _| k.parent_event != event);
     }
 
     /// Ends an adaptation epoch: halves every accumulated weight and drops
@@ -173,24 +177,18 @@ impl ProfileBuilder {
     /// child chain in. Does not touch the event graph or the fresh-raise
     /// counter: the child dispatches behind these raises are already folded
     /// in by [`ProfileBuilder::observe_dispatches`] (nested synchronous
-    /// dispatches take the generic path too while unspecialized).
+    /// dispatches take the generic path too while unspecialized). A raise
+    /// counted inside a super-handler frame is named as `supers` directs.
     pub fn observe_nested<'a>(
         &mut self,
         counts: impl IntoIterator<Item = (&'a (EventId, FuncId, EventId), &'a u64)>,
+        supers: &SuperHandlers,
     ) {
         for (&(parent_event, handler, child_event), &n) in counts {
-            if n == 0 {
-                continue;
+            if n > 0 {
+                self.handler_graph
+                    .count_nested(parent_event, handler, child_event, n, supers);
             }
-            *self
-                .handler_graph
-                .nested
-                .entry(NestedRaise {
-                    parent_event,
-                    handler,
-                    child_event,
-                })
-                .or_insert(0) += n;
         }
     }
 
@@ -224,6 +222,19 @@ impl ProfileBuilder {
         &self.handler_graph
     }
 
+    /// Drops every handler sequence and nested raise naming a function at
+    /// or past `base_functions`: such an id is some optimizer's output, not
+    /// a program handler, and means nothing outside the deployment that
+    /// produced it (a restored image has none).
+    pub fn retain_program_handlers(&mut self, base_functions: usize) {
+        let program = |f: &FuncId| f.index() < base_functions;
+        for seqs in self.handler_graph.sequences.values_mut() {
+            seqs.retain(|s| s.handlers.iter().all(program));
+        }
+        self.handler_graph.sequences.retain(|_, s| !s.is_empty());
+        self.handler_graph.nested.retain(|k, _| program(&k.handler));
+    }
+
     /// Exports the builder's complete state for snapshotting.
     pub fn export_state(&self) -> BuilderState {
         BuilderState {
@@ -242,6 +253,7 @@ impl ProfileBuilder {
             handler_graph: state.handler_graph,
             prev_raise: state.prev_raise,
             fresh: state.fresh,
+            scratch: FoldScratch::default(),
         }
     }
 }
@@ -250,6 +262,7 @@ impl ProfileBuilder {
 mod tests {
     use super::*;
     use crate::graph::EdgeData;
+    use crate::handlers::{HandlerSeq, NestedRaise, SuperHandler};
     use pdo_ir::FuncId;
 
     fn raise(event: u32) -> TraceRecord {
@@ -282,12 +295,18 @@ mod tests {
     #[test]
     fn windows_merge_and_carry_the_boundary_edge() {
         let mut b = ProfileBuilder::new();
-        b.observe(&Trace {
-            records: vec![raise(0), raise(1)],
-        });
-        b.observe(&Trace {
-            records: vec![raise(0), raise(1)],
-        });
+        b.observe(
+            &Trace {
+                records: vec![raise(0), raise(1)],
+            },
+            &SuperHandlers::none(),
+        );
+        b.observe(
+            &Trace {
+                records: vec![raise(0), raise(1)],
+            },
+            &SuperHandlers::none(),
+        );
         let g = b.event_graph();
         assert_eq!(g.edges[&(EventId(0), EventId(1))].weight, 2);
         // The 1 -> 0 edge spans the window boundary.
@@ -312,13 +331,185 @@ mod tests {
         // Windows cut at dispatch boundaries (4 records per dispatch here),
         // matching how the epoch hook samples between dispatches.
         for chunk in records.chunks(12) {
-            b.observe(&Trace {
-                records: chunk.to_vec(),
-            });
+            b.observe(
+                &Trace {
+                    records: chunk.to_vec(),
+                },
+                &SuperHandlers::none(),
+            );
         }
         let windowed = b.snapshot(5);
         assert_eq!(windowed.event_graph, offline.event_graph);
         assert_eq!(windowed.handler_graph, offline.handler_graph);
+    }
+
+    /// Event 0 runs [1, 2]; handler 1 raises event 3, which runs [4]. The
+    /// optimizer merged all of it into function 9 of a 9-function module.
+    fn merged_into_f9(live: bool) -> SuperHandlers {
+        SuperHandlers {
+            base_functions: 9,
+            deployed: vec![SuperHandler {
+                func: FuncId(9),
+                live,
+                sequences: vec![
+                    (EventId(0), vec![FuncId(1), FuncId(2)]),
+                    (EventId(3), vec![FuncId(4)]),
+                ],
+                nested: vec![NestedRaise {
+                    parent_event: EventId(0),
+                    handler: FuncId(1),
+                    child_event: EventId(3),
+                }],
+            }],
+        }
+    }
+
+    #[test]
+    fn fast_lane_dispatches_fold_to_what_a_generic_run_would_show() {
+        // The same three raises of event 0, dispatched generically...
+        let generic: Vec<TraceRecord> = (0..3u64)
+            .flat_map(|d| {
+                vec![
+                    raise(0),
+                    enter(0, 1, 2 * d),
+                    raise(3),
+                    enter(3, 4, 2 * d + 1),
+                    exit(3, 4, 2 * d + 1),
+                    exit(0, 1, 2 * d),
+                    enter(0, 2, 2 * d),
+                    exit(0, 2, 2 * d),
+                ]
+            })
+            .collect();
+        // ...and through the super-handler, which shows one frame and no
+        // nested raise.
+        let fast: Vec<TraceRecord> = (0..3u64)
+            .flat_map(|d| vec![raise(0), enter(0, 9, d), exit(0, 9, d)])
+            .collect();
+        let mut slow_lane = ProfileBuilder::new();
+        slow_lane.observe(&Trace { records: generic }, &merged_into_f9(true));
+        let mut fast_lane = ProfileBuilder::new();
+        fast_lane.observe(&Trace { records: fast }, &merged_into_f9(true));
+        assert_eq!(fast_lane.handler_graph(), slow_lane.handler_graph());
+        // Hotness is not credited: only the raises that really happened.
+        assert_eq!(fast_lane.event_graph().nodes[&EventId(0)], 3);
+        assert!(!fast_lane.event_graph().nodes.contains_key(&EventId(3)));
+    }
+
+    #[test]
+    fn a_raise_left_in_a_super_handler_is_named_after_a_program_handler() {
+        // Event 5 was not subsumed: it is raised, and dispatched
+        // generically, from inside the merged frame.
+        let records = vec![
+            raise(0),
+            enter(0, 9, 0),
+            raise(5),
+            enter(5, 6, 1),
+            exit(5, 6, 1),
+            exit(0, 9, 0),
+        ];
+        let mut b = ProfileBuilder::new();
+        b.observe(&Trace { records }, &merged_into_f9(true));
+        let counts =
+            std::collections::BTreeMap::from([((EventId(0), FuncId(9), EventId(5)), 2u64)]);
+        b.observe_nested(&counts, &merged_into_f9(true));
+        assert_eq!(
+            b.handler_graph()
+                .nested_count(EventId(0), FuncId(1), EventId(5)),
+            3
+        );
+        assert_eq!(
+            b.handler_graph().stable_sequence(EventId(5)),
+            Some(&[FuncId(6)][..])
+        );
+        assert!(b
+            .export_state()
+            .handler_graph
+            .nested
+            .keys()
+            .all(|k| k.handler.0 < 9));
+    }
+
+    #[test]
+    fn a_super_handler_that_is_not_live_is_not_credited() {
+        let records = vec![raise(0), enter(0, 9, 0), raise(5), exit(0, 9, 0)];
+        for supers in [
+            merged_into_f9(false),
+            SuperHandlers {
+                base_functions: 9,
+                deployed: Vec::new(),
+            },
+        ] {
+            let mut b = ProfileBuilder::new();
+            b.observe(
+                &Trace {
+                    records: records.clone(),
+                },
+                &supers,
+            );
+            assert_eq!(b.handler_graph(), &HandlerGraph::new());
+            assert_eq!(b.event_graph().nodes[&EventId(0)], 1, "the raise happened");
+        }
+    }
+
+    #[test]
+    fn forgetting_an_event_keeps_its_hotness_and_everyone_elses_sequences() {
+        let mut b = ProfileBuilder::new();
+        b.observe(
+            &Trace {
+                records: vec![
+                    raise(0),
+                    enter(0, 1, 0),
+                    raise(3),
+                    enter(3, 4, 1),
+                    exit(3, 4, 1),
+                    exit(0, 1, 0),
+                ],
+            },
+            &SuperHandlers::none(),
+        );
+        let hot = b.event_graph().clone();
+        b.forget_sequences(EventId(0));
+        assert_eq!(b.handler_graph().stable_sequence(EventId(0)), None);
+        assert!(
+            b.handler_graph().nested.is_empty(),
+            "raised under the old bindings"
+        );
+        assert_eq!(
+            b.handler_graph().stable_sequence(EventId(3)),
+            Some(&[FuncId(4)][..])
+        );
+        assert_eq!(b.event_graph(), &hot);
+    }
+
+    #[test]
+    fn retain_program_handlers_drops_what_names_no_program_function() {
+        let mut b = ProfileBuilder::new();
+        b.observe(
+            &Trace {
+                records: vec![
+                    enter(0, 9, 0),
+                    raise(3),
+                    exit(0, 9, 0),
+                    enter(3, 4, 1),
+                    exit(3, 4, 1),
+                    enter(0, 1, 2),
+                    exit(0, 1, 2),
+                ],
+            },
+            &SuperHandlers::none(),
+        );
+        assert_eq!(b.handler_graph().sequences[&EventId(0)].len(), 2);
+        b.retain_program_handlers(9);
+        assert_eq!(
+            b.handler_graph().stable_sequence(EventId(0)),
+            Some(&[FuncId(1)][..])
+        );
+        assert_eq!(
+            b.handler_graph().stable_sequence(EventId(3)),
+            Some(&[FuncId(4)][..])
+        );
+        assert!(b.handler_graph().nested.is_empty());
     }
 
     #[test]
@@ -330,7 +521,7 @@ mod tests {
             records.push(raise(0));
             records.push(raise(1));
         }
-        b.observe(&Trace { records });
+        b.observe(&Trace { records }, &SuperHandlers::none());
         assert!(b.event_graph().edges[&(EventId(0), EventId(1))].weight >= 39);
         for _ in 0..7 {
             b.end_epoch();
@@ -345,9 +536,12 @@ mod tests {
     #[test]
     fn fresh_counter_resets_on_take() {
         let mut b = ProfileBuilder::new();
-        b.observe(&Trace {
-            records: vec![raise(0), raise(1), raise(0)],
-        });
+        b.observe(
+            &Trace {
+                records: vec![raise(0), raise(1), raise(0)],
+            },
+            &SuperHandlers::none(),
+        );
         assert_eq!(b.take_fresh(), 3);
         assert_eq!(b.fresh_events(), 0);
     }
@@ -357,8 +551,8 @@ mod tests {
         let mut b = ProfileBuilder::new();
         let key = (EventId(3), FuncId(7), EventId(4));
         let counts = std::collections::BTreeMap::from([(key, 6u64)]);
-        b.observe_nested(&counts);
-        b.observe_nested(&counts);
+        b.observe_nested(&counts, &SuperHandlers::none());
+        b.observe_nested(&counts, &SuperHandlers::none());
         let nested_key = NestedRaise {
             parent_event: EventId(3),
             handler: FuncId(7),
@@ -379,9 +573,12 @@ mod tests {
     #[test]
     fn export_restore_round_trips_and_continues_identically() {
         let mut a = ProfileBuilder::new();
-        a.observe(&Trace {
-            records: vec![raise(0), enter(0, 7, 0), raise(1), exit(0, 7, 0)],
-        });
+        a.observe(
+            &Trace {
+                records: vec![raise(0), enter(0, 7, 0), raise(1), exit(0, 7, 0)],
+            },
+            &SuperHandlers::none(),
+        );
         a.end_epoch();
         let state = a.export_state();
         let mut b = ProfileBuilder::from_state(state.clone());
@@ -391,8 +588,8 @@ mod tests {
         let window = Trace {
             records: vec![raise(0), raise(1)],
         };
-        a.observe(&window);
-        b.observe(&window);
+        a.observe(&window, &SuperHandlers::none());
+        b.observe(&window, &SuperHandlers::none());
         assert_eq!(a.export_state(), b.export_state());
         assert_eq!(a.fresh_events(), b.fresh_events());
         assert_eq!(a.snapshot(1).reduced().nodes, b.snapshot(1).reduced().nodes);
@@ -407,7 +604,7 @@ mod tests {
             records.push(raise(1));
         }
         records.push(raise(2));
-        b.observe(&Trace { records });
+        b.observe(&Trace { records }, &SuperHandlers::none());
         let p = b.snapshot(10);
         let r = p.reduced();
         assert!(r.edges.contains_key(&(EventId(0), EventId(1))));

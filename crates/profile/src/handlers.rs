@@ -54,6 +54,91 @@ pub struct HandlerGraph {
 
 pdo_snap::codec_struct!(HandlerGraph { sequences, nested });
 
+/// One super-handler the optimizer deployed, as the fold needs to know it:
+/// what a dispatch through it stands for in terms of program handlers.
+///
+/// A fast-lane dispatch shows the profiler a single frame — the merged
+/// function — and none of the raises it subsumed, because those became
+/// direct calls. Folding that as observed would make the profile describe
+/// the optimizer instead of the program. The fold therefore credits each
+/// such dispatch with the evidence the super-handler was compiled from,
+/// for as long as it is `live`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SuperHandler {
+    /// The merged function.
+    pub func: FuncId,
+    /// Whether its guards still hold. Dispatches through a super-handler
+    /// that is not live are dropped: what they were compiled from no
+    /// longer describes the program.
+    pub live: bool,
+    /// The handler sequence of the head event, then of every subsumed
+    /// event, as merged.
+    pub sequences: Vec<(EventId, Vec<FuncId>)>,
+    /// The nested raises that were folded into direct calls.
+    pub nested: Vec<NestedRaise>,
+}
+
+/// How a fold tells program handlers from the optimizer's output.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SuperHandlers {
+    /// Function count of the base module: ids at or past it are
+    /// super-handlers, never program handlers.
+    pub base_functions: usize,
+    /// The deployed super-handlers (a handful; looked up linearly). One
+    /// that is not listed is treated as not live.
+    pub deployed: Vec<SuperHandler>,
+}
+
+impl SuperHandlers {
+    /// No optimizer output in sight: every function is a program handler
+    /// (offline profiling of an unoptimized run).
+    pub fn none() -> Self {
+        SuperHandlers {
+            base_functions: usize::MAX,
+            deployed: Vec::new(),
+        }
+    }
+
+    /// `handler` as the profile may name it: itself when it is a program
+    /// handler; for a live super-handler the first handler it merged — the
+    /// merged frame cannot say which of them raised, and `optimize` reads
+    /// nested evidence by `(parent, child)` only; `None` otherwise.
+    fn raiser(&self, handler: FuncId) -> Option<FuncId> {
+        if handler.index() < self.base_functions {
+            return Some(handler);
+        }
+        let (_, head) = self.live(handler)?.sequences.first()?;
+        head.first().copied()
+    }
+
+    fn live(&self, func: FuncId) -> Option<&SuperHandler> {
+        self.deployed.iter().find(|s| s.func == func && s.live)
+    }
+}
+
+/// Reusable working storage of [`HandlerGraph::fold`], so folding a window
+/// allocates only when it meets a sequence or nesting it has not seen.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FoldScratch {
+    /// Open handler frames.
+    frames: Vec<(EventId, FuncId)>,
+    /// Open dispatches, innermost last.
+    open: Vec<OpenDispatch>,
+    /// Handlers of the open dispatches, back to back: dispatches nest, so
+    /// the innermost one's are always at the tail.
+    handlers: Vec<FuncId>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct OpenDispatch {
+    dispatch: u64,
+    event: EventId,
+    /// Frames open when its first handler entered.
+    depth: usize,
+    /// Where its handlers start in `FoldScratch::handlers`.
+    start: usize,
+}
+
 impl HandlerGraph {
     /// An empty handler graph.
     pub fn new() -> Self {
@@ -63,57 +148,114 @@ impl HandlerGraph {
     /// Builds the handler graph from a trace containing handler records.
     pub fn from_trace(trace: &Trace) -> Self {
         let mut graph = HandlerGraph::new();
-        // Collect per-dispatch sequences.
-        let mut dispatches: BTreeMap<u64, (EventId, Vec<FuncId>)> = BTreeMap::new();
-        // Stack of currently-open handler frames.
-        let mut stack: Vec<(EventId, FuncId)> = Vec::new();
+        graph.fold(trace, &SuperHandlers::none(), &mut FoldScratch::default());
+        graph
+    }
 
+    /// Folds `trace` into the graph. Dispatch ids grow with time and the
+    /// handlers of one dispatch all enter at the same frame depth, so a
+    /// handler entering at the depth of the innermost open dispatch under
+    /// another id — or at a shallower depth — means that dispatch is over.
+    pub(crate) fn fold(&mut self, trace: &Trace, supers: &SuperHandlers, s: &mut FoldScratch) {
         for record in &trace.records {
-            match record {
+            match *record {
                 TraceRecord::HandlerEnter {
                     event,
                     handler,
                     dispatch,
                     ..
                 } => {
-                    dispatches
-                        .entry(*dispatch)
-                        .or_insert_with(|| (*event, Vec::new()))
-                        .1
-                        .push(*handler);
-                    stack.push((*event, *handler));
+                    let depth = s.frames.len();
+                    while let Some(top) = s.open.last() {
+                        if top.depth < depth || (top.depth == depth && top.dispatch == dispatch) {
+                            break;
+                        }
+                        self.close(supers, s);
+                    }
+                    if s.open.last().is_none_or(|top| top.depth < depth) {
+                        s.open.push(OpenDispatch {
+                            dispatch,
+                            event,
+                            depth,
+                            start: s.handlers.len(),
+                        });
+                    }
+                    s.handlers.push(handler);
+                    s.frames.push((event, handler));
                 }
                 TraceRecord::HandlerExit { .. } => {
-                    stack.pop();
+                    s.frames.pop();
                 }
-                TraceRecord::Raise { event, mode, .. } => {
-                    if *mode == RaiseMode::Sync {
-                        if let Some(&(parent_event, handler)) = stack.last() {
-                            *graph
-                                .nested
-                                .entry(NestedRaise {
-                                    parent_event,
-                                    handler,
-                                    child_event: *event,
-                                })
-                                .or_insert(0) += 1;
-                        }
+                TraceRecord::Raise {
+                    event: child_event,
+                    mode: RaiseMode::Sync,
+                    ..
+                } => {
+                    if let Some(&(parent_event, handler)) = s.frames.last() {
+                        self.count_nested(parent_event, handler, child_event, 1, supers);
                     }
                 }
-                // Fault records carry no handler-nesting information.
-                TraceRecord::Fault { .. } => {}
+                // Queued raises and fault records carry no handler-nesting
+                // information.
+                TraceRecord::Raise { .. } | TraceRecord::Fault { .. } => {}
             }
         }
+        while !s.open.is_empty() {
+            self.close(supers, s);
+        }
+        s.frames.clear();
+    }
 
-        // Fold dispatches into distinct sequences per event.
-        for (_, (event, handlers)) in dispatches {
-            let seqs = graph.sequences.entry(event).or_default();
-            match seqs.iter_mut().find(|s| s.handlers == handlers) {
-                Some(s) => s.count += 1,
-                None => seqs.push(HandlerSeq { handlers, count: 1 }),
+    /// The innermost open dispatch is over: count its handler sequence.
+    fn close(&mut self, supers: &SuperHandlers, s: &mut FoldScratch) {
+        let top = s.open.pop().expect("caller checked");
+        let handlers = &s.handlers[top.start..];
+        match handlers.iter().find(|h| h.index() >= supers.base_functions) {
+            None => self.count_sequence(top.event, handlers),
+            Some(&func) => {
+                if let Some(merged) = supers.live(func) {
+                    for (event, sequence) in &merged.sequences {
+                        self.count_sequence(*event, sequence);
+                    }
+                    for nested in &merged.nested {
+                        *self.nested.entry(*nested).or_insert(0) += 1;
+                    }
+                }
             }
         }
-        graph
+        s.handlers.truncate(top.start);
+    }
+
+    fn count_sequence(&mut self, event: EventId, handlers: &[FuncId]) {
+        let seqs = self.sequences.entry(event).or_default();
+        match seqs.iter_mut().find(|s| s.handlers == handlers) {
+            Some(s) => s.count += 1,
+            None => seqs.push(HandlerSeq {
+                handlers: handlers.to_vec(),
+                count: 1,
+            }),
+        }
+    }
+
+    /// Counts `n` synchronous raises of `child_event` from inside `handler`
+    /// running for `parent_event`, naming the handler as
+    /// [`SuperHandlers`] says the profile may.
+    pub(crate) fn count_nested(
+        &mut self,
+        parent_event: EventId,
+        handler: FuncId,
+        child_event: EventId,
+        n: u64,
+        supers: &SuperHandlers,
+    ) {
+        if let Some(handler) = supers.raiser(handler) {
+            let key = NestedRaise {
+                parent_event,
+                handler,
+                child_event,
+            };
+            *self.nested.entry(key).or_insert(0) += n;
+        }
     }
 
     /// The unique stable handler sequence for `event`, if every observed

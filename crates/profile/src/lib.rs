@@ -29,7 +29,7 @@ pub mod store;
 pub use builder::{BuilderState, ProfileBuilder};
 pub use chains::{event_chains, event_paths, hot_events};
 pub use graph::{EdgeData, EdgeMode, EventGraph};
-pub use handlers::{HandlerGraph, HandlerSeq, NestedRaise};
+pub use handlers::{HandlerGraph, HandlerSeq, NestedRaise, SuperHandler, SuperHandlers};
 pub use store::{load_profile, save_profile, StoreError};
 
 use pdo_events::Trace;
@@ -65,177 +65,5 @@ impl Profile {
     /// Event chains in the reduced graph (candidates for chain merging).
     pub fn chains(&self) -> Vec<Vec<EventId>> {
         event_chains(&self.reduced())
-    }
-
-    /// A canonical hash of the profile's *shape*: the structure that
-    /// determines what `optimize` produces, with absolute weights left
-    /// out so a workload phase hashes the same no matter how long it ran.
-    ///
-    /// Covers: the reduction threshold, the reduced graph's node set and
-    /// edge set (with each edge's activation mode — mode flips change
-    /// chain eligibility), the distinct handler sequences of every
-    /// reduced node (sorted, counts excluded), and the presence of each
-    /// nested-raise key rooted at a reduced node (subsumption structure).
-    ///
-    /// The hash is deliberately approximate: two profiles with equal
-    /// shape hashes may still differ in weights, but any optimization
-    /// cached under the hash was built from the same base module against
-    /// a structurally identical profile, so replaying it is
-    /// behavior-preserving — guard validity is always re-checked against
-    /// the live registry at install time.
-    pub fn shape_hash(&self) -> u64 {
-        let reduced = self.reduced();
-        let mut h = Fnv64::new();
-        h.u64(self.threshold);
-        h.u64(reduced.nodes.len() as u64);
-        for &event in reduced.nodes.keys() {
-            h.u64(u64::from(event.0));
-        }
-        h.u64(reduced.edges.len() as u64);
-        for (&(from, to), data) in &reduced.edges {
-            h.u64(u64::from(from.0));
-            h.u64(u64::from(to.0));
-            h.u64(match data.mode() {
-                EdgeMode::Sync => 0,
-                EdgeMode::Async => 1,
-                EdgeMode::Mixed => 2,
-            });
-        }
-        for &event in reduced.nodes.keys() {
-            let mut seqs: Vec<&[pdo_ir::FuncId]> = self
-                .handler_graph
-                .sequences
-                .get(&event)
-                .map(|s| s.iter().map(|seq| seq.handlers.as_slice()).collect())
-                .unwrap_or_default();
-            seqs.sort();
-            h.u64(u64::from(event.0));
-            h.u64(seqs.len() as u64);
-            for seq in seqs {
-                h.u64(seq.len() as u64);
-                for &f in seq {
-                    h.u64(u64::from(f.0));
-                }
-            }
-        }
-        for key in self.handler_graph.nested.keys() {
-            if reduced.nodes.contains_key(&key.parent_event) {
-                h.u64(u64::from(key.parent_event.0));
-                h.u64(u64::from(key.handler.0));
-                h.u64(u64::from(key.child_event.0));
-            }
-        }
-        h.finish()
-    }
-}
-
-/// FNV-1a, 64-bit: tiny, dependency-free, and stable across platforms —
-/// exactly what a cache key needs (`DefaultHasher` is allowed to change
-/// between Rust releases).
-struct Fnv64(u64);
-
-impl Fnv64 {
-    fn new() -> Fnv64 {
-        Fnv64(0xcbf2_9ce4_8422_2325)
-    }
-    fn u64(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-#[cfg(test)]
-mod shape_tests {
-    use super::*;
-    use pdo_events::TraceRecord;
-    use pdo_ir::RaiseMode;
-
-    fn raise(event: u32, mode: RaiseMode) -> TraceRecord {
-        TraceRecord::Raise {
-            event: EventId(event),
-            mode,
-            depth: 0,
-            at: 0,
-        }
-    }
-
-    fn phase_trace(reps: usize) -> Trace {
-        let mut records = Vec::new();
-        for _ in 0..reps {
-            records.push(raise(0, RaiseMode::Sync));
-            records.push(raise(1, RaiseMode::Sync));
-        }
-        Trace { records }
-    }
-
-    #[test]
-    fn shape_hash_ignores_absolute_weights() {
-        let short = Profile::from_trace(&phase_trace(10), 5);
-        let long = Profile::from_trace(&phase_trace(1000), 5);
-        assert_eq!(short.shape_hash(), long.shape_hash());
-    }
-
-    #[test]
-    fn shape_hash_sees_edge_mode_and_structure() {
-        let sync = Profile::from_trace(&phase_trace(10), 5);
-        let mut async_records = Vec::new();
-        for _ in 0..10 {
-            async_records.push(raise(0, RaiseMode::Sync));
-            async_records.push(raise(1, RaiseMode::Async));
-        }
-        let asynchronous = Profile::from_trace(
-            &Trace {
-                records: async_records,
-            },
-            5,
-        );
-        assert_ne!(sync.shape_hash(), asynchronous.shape_hash());
-
-        let mut third = Vec::new();
-        for _ in 0..10 {
-            third.push(raise(0, RaiseMode::Sync));
-            third.push(raise(1, RaiseMode::Sync));
-            third.push(raise(2, RaiseMode::Sync));
-        }
-        let wider = Profile::from_trace(&Trace { records: third }, 5);
-        assert_ne!(sync.shape_hash(), wider.shape_hash());
-    }
-
-    #[test]
-    fn shape_hash_sees_handler_sequences() {
-        use pdo_ir::FuncId;
-        let base = phase_trace(10);
-        let plain = Profile::from_trace(&base, 5);
-        let mut with_handlers = base.clone();
-        for d in 0..10u64 {
-            with_handlers.records.push(TraceRecord::HandlerEnter {
-                event: EventId(0),
-                handler: FuncId(7),
-                dispatch: d,
-                at: 0,
-            });
-            with_handlers.records.push(TraceRecord::HandlerExit {
-                event: EventId(0),
-                handler: FuncId(7),
-                dispatch: d,
-                at: 0,
-            });
-        }
-        let seq = Profile::from_trace(&with_handlers, 5);
-        assert_ne!(plain.shape_hash(), seq.shape_hash());
-    }
-
-    #[test]
-    fn shape_hash_sees_threshold() {
-        let t = phase_trace(10);
-        assert_ne!(
-            Profile::from_trace(&t, 5).shape_hash(),
-            Profile::from_trace(&t, 6).shape_hash()
-        );
     }
 }

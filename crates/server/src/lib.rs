@@ -30,9 +30,10 @@
 //!   daemon samples the session's live trace window on virtual-clock
 //!   epoch boundaries *inside* `Runtime::run_until`, re-profiles when
 //!   enough fresh events accumulate (or a healed chain reports stale),
-//!   and hot-swaps compiled chains under binding-version guards — no
-//!   caller involvement anywhere. Repeated workload phases are served
-//!   from the engine's `ChainCache` instead of re-running `optimize`.
+//!   and — only when what is hot or what is bound changed — hot-swaps
+//!   compiled chains under binding-content guards, with no caller
+//!   involvement anywhere. Repeated workload phases are served from the
+//!   engine's `ChainCache` instead of re-running `optimize`.
 //! - Protocol endpoints ([`CtpEndpoint`], SecComm [`Endpoint`]) are
 //!   constructed *through* the server, so protocol sessions are
 //!   shard-resident and adapt exactly like plain ones.

@@ -64,7 +64,11 @@ fn fast_adapt() -> AdaptConfig {
 /// adaptation loop re-specializes), whether to close a session at the
 /// end, and which session (modulo the count) also takes one sync and
 /// one async raise per phase. Everything the drive does is derived from
-/// this data, so both servers replay it bit-for-bit.
+/// this data, so both servers replay it bit-for-bit. Afterwards one
+/// session (modulo the count), if any, has event A's second handler
+/// swapped for another and back — A/B/A, a burst of A after each swap —
+/// so guard invalidation, replanning and the cached return cross the
+/// shard boundary too.
 #[derive(Debug, Clone)]
 struct Case {
     sessions: Vec<(bool, u64)>,
@@ -72,6 +76,7 @@ struct Case {
     phases: usize,
     close_one: bool,
     probe: usize,
+    rebind: Option<usize>,
 }
 
 /// Flight-recorder timestamps are virtual, but reprofile records carry
@@ -145,6 +150,25 @@ fn drive(threads: usize, case: &Case) -> Observed {
         // regardless of thread count.
         server.rebalance().unwrap();
     }
+    if let Some(k) = case.rebind {
+        let sid = sids[k % sids.len()];
+        let (a2, b1) = (
+            m.function_by_name("a2").unwrap(),
+            m.function_by_name("b1").unwrap(),
+        );
+        for (from, to) in [(a2, b1), (b1, a2)] {
+            server
+                .with_runtime(sid, move |rt| {
+                    assert!(rt.unbind(a, from));
+                    rt.bind(a, to, 1).unwrap();
+                })
+                .unwrap();
+            let delays: Vec<u64> = (0..40).map(|i| i * case.spacing + 1).collect();
+            server.submit_batch(sid, a, &delays).unwrap();
+            deadline += 40 * case.spacing + 1;
+            server.run_until(deadline).unwrap();
+        }
+    }
     if case.close_one && sids.len() > 1 {
         assert!(server.close_session(sids[0]));
     }
@@ -186,8 +210,9 @@ proptest! {
         phases in 1usize..3,
         close_one in any::<bool>(),
         probe in 0usize..6,
+        rebind in prop::option::of(0usize..6),
     ) {
-        let case = Case { sessions, spacing, phases, close_one, probe };
+        let case = Case { sessions, spacing, phases, close_one, probe, rebind };
         let inline = drive(1, &case);
         let threaded = drive(4, &case);
         prop_assert_eq!(inline.report, threaded.report, "aggregate reports differ");

@@ -148,8 +148,7 @@ fn despecialize_and_heal() {
             base_backoff_ns: 1_000_000,
             ..Default::default()
         },
-        &opt,
-        fast.registry(),
+        &opt.chains,
     )));
     let log: Rc<RefCell<Vec<(u64, pdo::HealReport)>>> = Rc::default();
     {

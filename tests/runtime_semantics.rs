@@ -81,10 +81,7 @@ fn chain_with_wrong_arity_never_fires() {
     let (mut rt, ids, g, funcs) = setup(1);
     rt.install_chain(CompiledChain {
         head: ids[0],
-        guards: vec![Guard {
-            event: ids[0],
-            version: rt.registry().version(ids[0]),
-        }],
+        guards: vec![Guard::capture(rt.registry(), ids[0])],
         func: funcs[0],
         params: 3, // wrong: handler takes 0
         partitioned: false,
@@ -100,10 +97,7 @@ fn removing_a_chain_restores_generic_dispatch() {
     let (mut rt, ids, g, funcs) = setup(1);
     rt.install_chain(CompiledChain {
         head: ids[0],
-        guards: vec![Guard {
-            event: ids[0],
-            version: rt.registry().version(ids[0]),
-        }],
+        guards: vec![Guard::capture(rt.registry(), ids[0])],
         func: funcs[0],
         params: 0,
         partitioned: false,
