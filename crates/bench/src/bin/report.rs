@@ -225,12 +225,12 @@ fn ablation(iters: u32) {
     header("Ablation: SecComm push chain under partial optimizations");
     let rows = ablate::ablation_rows(50, iters);
     println!(
-        "{:<28} {:>12} {:>16} {:>14}",
+        "{:<32} {:>12} {:>16} {:>14}",
         "configuration", "push (ns)", "abstract cost", "super instrs"
     );
     for row in rows {
         println!(
-            "{:<28} {:>12.0} {:>16} {:>14}",
+            "{:<32} {:>12.0} {:>16} {:>14}",
             row.name, row.push_ns, row.weighted_cost, row.super_instrs
         );
     }

@@ -108,7 +108,6 @@ fn measure_cell(shards: usize, threads: usize) -> Cell {
         shards,
         threads,
         adapt: steady_adapt(),
-        ..Default::default()
     });
     let sids: Vec<SessionId> = (0..SESSIONS)
         .map(|_| {
@@ -216,7 +215,6 @@ fn measure_cache(capacity: usize) -> CacheRun {
             chain_cache: capacity,
             ..Default::default()
         },
-        ..Default::default()
     });
     let sid = server
         .open_session(m, RuntimeConfig::default(), &binds)

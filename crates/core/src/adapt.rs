@@ -84,9 +84,6 @@ pub struct AdaptConfig {
     pub opts: OptimizeOptions,
     /// Quarantine/backoff policy for the embedded [`SelfHealer`].
     pub quarantine: QuarantineConfig,
-    /// Trace-window cap installed on the runtime (bounds memory between
-    /// epochs; `None` keeps the trace unbounded).
-    pub trace_window: Option<usize>,
     /// Trace duty cycle: once chains are deployed, instrumentation sleeps
     /// this many epochs between one-epoch sampling windows, with per-event
     /// generic-dispatch counters standing in as the (tracing-free) hotness
@@ -117,13 +114,16 @@ impl Default for AdaptConfig {
             min_fresh_events: 64,
             opts: OptimizeOptions::new(16),
             quarantine: QuarantineConfig::default(),
-            trace_window: Some(8192),
             trace_sleep_epochs: 0,
             chain_cache: 8,
             fuse_min_pair: Some(0),
         }
     }
 }
+
+/// Trace-window cap an attached engine installs on its runtime: bounds the
+/// records held between epochs.
+const TRACE_WINDOW: usize = 8192;
 
 /// What [`optimize`] would build right now, named by everything it reads
 /// from the profile and the registry: the engine's decision, the
@@ -568,16 +568,12 @@ impl AdaptiveEngine {
     /// adapts with no further caller involvement. The engine handle stays
     /// shared so callers can read [`AdaptiveEngine::stats`].
     pub fn attach(engine: Rc<RefCell<Self>>, rt: &mut Runtime) {
-        let (epoch_ns, window, fusing) = {
+        let (epoch_ns, fusing) = {
             let e = engine.borrow();
-            (
-                e.config.epoch_ns,
-                e.config.trace_window,
-                e.config.fuse_min_pair.is_some(),
-            )
+            (e.config.epoch_ns, e.config.fuse_min_pair.is_some())
         };
         rt.set_trace_config(TraceConfig::full());
-        rt.set_trace_window(window);
+        rt.set_trace_window(Some(TRACE_WINDOW));
         rt.set_dispatch_accounting(true);
         // Opcode profiling rides the same duty cycle as the tracer: on
         // while sampling, off while asleep.
@@ -908,8 +904,11 @@ impl AdaptiveEngine {
 
         // Every installed chain references the *current* module's function
         // ids, which the swap invalidates: remove them all first, counting
-        // the ones the new plan no longer wants as dropped.
-        let old_heads: Vec<EventId> = rt.spec().iter().map(|c| c.head).collect();
+        // the ones the new plan no longer wants as dropped — in event
+        // order, not the table's hash order, so the audit reads the same
+        // run to run.
+        let mut old_heads: Vec<EventId> = rt.spec().iter().map(|c| c.head).collect();
+        old_heads.sort_unstable();
         for event in old_heads {
             rt.remove_chain(event);
             if !built.chains.iter().any(|c| c.head == event) {
@@ -1821,9 +1820,8 @@ mod tests {
         (m, events, globals)
     }
 
-    #[test]
-    fn stationary_workload_reaches_a_fixed_point_after_one_deploy() {
-        let (m, events, globals) = n_chain_module(4);
+    /// A runtime over [`n_chain_module`]'s module with every handler bound.
+    fn n_chain_runtime(m: &Module, events: &[EventId]) -> Runtime {
         let mut rt = Runtime::new(m.clone());
         for (i, &e) in events.iter().enumerate() {
             for d in 1..=2 {
@@ -1831,6 +1829,13 @@ mod tests {
                 rt.bind(e, h, d).unwrap();
             }
         }
+        rt
+    }
+
+    #[test]
+    fn stationary_workload_reaches_a_fixed_point_after_one_deploy() {
+        let (m, events, globals) = n_chain_module(4);
+        let mut rt = n_chain_runtime(&m, &events);
         // 100 raises an epoch, round-robin: every edge e_i -> e_i+1 weighs
         // 25 in its first window against a threshold of 10, so all four
         // events are hot at once and none hovers.
@@ -1889,6 +1894,57 @@ mod tests {
             assert!(seq.iter().all(|f| f.index() < base_functions));
             assert_eq!(seq.len(), 2, "event {i} credited with its own handlers");
         }
+    }
+
+    #[test]
+    fn one_redeploy_audits_its_dropped_chains_in_event_order() {
+        // Six events hot, then idle, then only the seventh: one redeploy
+        // drops six chains at once. Which order they are audited in must
+        // not depend on the spec table's hash seed, which differs between
+        // two runtimes of one process.
+        let dropped_in_order = || {
+            let (m, events, _) = n_chain_module(7);
+            let mut rt = n_chain_runtime(&m, &events);
+            let hub = rt.enable_observability();
+            let engine = AdaptiveEngine::attach_new(
+                &mut rt,
+                AdaptConfig {
+                    epoch_ns: 12_000,
+                    ..config()
+                },
+            );
+            for _ in 0..4 {
+                let start = rt.clock_ns();
+                for i in 0..120u64 {
+                    let delay = Value::Int((i * 100 + 100) as i64);
+                    rt.raise(events[(i % 6) as usize], RaiseMode::Timed, &[delay])
+                        .unwrap();
+                }
+                rt.run_until(start + 12_000).unwrap();
+            }
+            assert_eq!(rt.spec().len(), 6, "six chains deployed");
+            // Near-idle epochs (one raise each keeps the virtual clock
+            // moving) decay the six below the threshold; nothing is dropped
+            // until something else is hot enough to plan for.
+            for _ in 0..8 {
+                rt.raise(events[6], RaiseMode::Timed, &[Value::Int(12_000)])
+                    .unwrap();
+                rt.run_until_idle().unwrap();
+            }
+            assert_eq!(engine.borrow().stats().chains_dropped, 0);
+            drive(&mut rt, events[6], 240);
+            assert_eq!(engine.borrow().stats().chains_dropped, 6);
+            hub.tail(usize::MAX)
+                .iter()
+                .filter_map(|r| match r.kind {
+                    ObsKind::ChainDropped { event } => Some(event),
+                    _ => None,
+                })
+                .collect::<Vec<u32>>()
+        };
+        let first = dropped_in_order();
+        assert_eq!(first, dropped_in_order(), "two identical runs");
+        assert_eq!(first, vec![0, 1, 2, 3, 4, 5]);
     }
 
     #[test]

@@ -332,10 +332,11 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_chain_quarantines_only_the_faulting_segments_event() {
-        // Fig 14 shape: Head's handler synchronously raises Child.
-        // Partitioned optimization compiles both chains; the head chain
-        // enters on its own guard and re-checks Child's version in-body.
+    fn per_event_chains_quarantine_only_the_faulting_segments_event() {
+        // Fig 14 shape: Head's handler synchronously raises Child. With
+        // subsumption off each event gets its own chain under its own
+        // guard; the head's super-handler raises Child, whose chain (or,
+        // once re-bound, generic dispatch) runs the segment.
         let mut m = Module::new();
         let head = m.add_event("Head");
         let child = m.add_event("Child");
@@ -372,10 +373,13 @@ mod tests {
         }
         let profile = pdo_profile::Profile::from_trace(&rt.take_trace(), 20);
         let mut opts = OptimizeOptions::new(20);
-        opts.partitioned = true;
+        opts.subsume = false;
         let opt = optimize(&m, rt.registry(), &profile, &opts);
         assert_eq!(opt.chains.len(), 2);
-        assert!(opt.chains.iter().all(|c| c.partitioned));
+        assert!(opt
+            .chains
+            .iter()
+            .all(|c| c.guards.len() == 1 && c.guards[0].event == c.head));
 
         let mut fast = Runtime::with_config(
             opt.module.clone(),
@@ -398,7 +402,7 @@ mod tests {
         );
 
         // Fault only the child segment: the extra binding invalidates the
-        // segment guard, and the fallback generic dispatch of Child traps.
+        // child's own guard, and its fallback generic dispatch traps.
         fast.bind(child, h_trap, 10).unwrap();
         for _ in 0..3 {
             fast.raise(head, RaiseMode::Sync, &[]).unwrap();

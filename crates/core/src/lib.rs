@@ -11,11 +11,13 @@
 //!   merged bodies are replaced by direct calls to the child event's
 //!   super-handler, collapsing whole chains into one function;
 //! * **guarded fast paths** (§3.2.1/§3.3): every specialization carries the
-//!   binding versions it assumed; dynamic re-binding makes the dispatch
-//!   fall back to generic code;
-//! * **partitioned super-handlers** (Fig 14, §5 extension): per-segment
-//!   guards compiled into the body, so a re-binding of one chained event
-//!   degrades only that segment;
+//!   binding lists it assumed, and holds iff every one of them is still
+//!   live; dynamic re-binding makes the dispatch fall back to generic code;
+//! * **segment-only fallback** (Fig 14, §5 extension) is the same mechanism
+//!   with [`OptimizeOptions::subsume`] off: one guarded chain per event, a
+//!   parent's super-handler raises its child and the child's own chain
+//!   takes the fast lane under its own guard, so a re-binding of one
+//!   chained event degrades only that event;
 //!
 //! — followed by the **compiler optimizations** of §3.2.2 (inlining,
 //! constant propagation, CSE, DCE, lock coalescing, redundant-load
@@ -84,7 +86,7 @@ pub use heal::{HealReport, SelfHealer};
 pub use merge::{build_super_handler, build_super_handler_metered, MergeSkip};
 pub use quarantine::{Quarantine, QuarantineConfig, QuarantineEntry};
 pub use report::{EventReport, OptReport};
-pub use subsume::{subsume_direct, subsume_partitioned, sync_raise_sites, RaiseSite};
+pub use subsume::{subsume_direct, sync_raise_sites, RaiseSite};
 pub use workflow::{profile_and_optimize, Deployed, WorkflowError};
 
 use pdo_events::{CompiledChain, Guard, Registry, Runtime};
@@ -100,11 +102,13 @@ pub struct OptimizeOptions {
     /// Edge-weight threshold for graph reduction (the paper's `T`).
     pub threshold: u64,
     /// Replace synchronous raises inside super-handlers with direct calls
-    /// to the child's super-handler (Figs 8/9). Default on.
+    /// to the child's super-handler (Figs 8/9), collapsing a chain into one
+    /// function under one guard set. Default on. Off gives the paper's
+    /// partitioned form (Fig 14): every hot event keeps its own chain under
+    /// its own guard, nested raises stay raises, and a re-binding of a
+    /// child sends only the child to generic dispatch while its parents
+    /// stay on the fast lane.
     pub subsume: bool,
-    /// Compile per-segment version guards into the super-handler (Fig 14)
-    /// instead of guarding the whole chain. Default off.
-    pub partitioned: bool,
     /// Merge *every* event with a stable handler sequence, not only hot
     /// ones (§5 "simple extension"). Default off.
     pub merge_all: bool,
@@ -115,8 +119,6 @@ pub struct OptimizeOptions {
     pub inline: bool,
     /// Run the §3.2.2 compiler passes on super-handlers. Default on.
     pub compiler_passes: bool,
-    /// Inline size ceiling for handler bodies.
-    pub inline_threshold: usize,
     /// Emit a `__pdo_fuel_boundary` marker before each merged handler
     /// segment so [`pdo_events::FaultKind::ExhaustFuel`] trips at the same
     /// pre-merge handler boundaries as generic dispatch. Default off: the
@@ -127,18 +129,19 @@ pub struct OptimizeOptions {
     pub fuel_boundaries: bool,
 }
 
+/// Inline size ceiling for handler bodies spliced into a super-handler.
+const INLINE_THRESHOLD: usize = 4096;
+
 impl OptimizeOptions {
     /// Defaults matching the paper's main configuration at threshold `t`.
     pub fn new(threshold: u64) -> Self {
         OptimizeOptions {
             threshold,
             subsume: true,
-            partitioned: false,
             merge_all: false,
             speculative: false,
             inline: true,
             compiler_passes: true,
-            inline_threshold: 4096,
             fuel_boundaries: false,
         }
     }
@@ -185,7 +188,6 @@ pub fn optimize(
         registry,
         profile,
         opts,
-        version_native: None,
         fuel_native: None,
         memo: BTreeMap::new(),
         in_progress: BTreeSet::new(),
@@ -195,13 +197,6 @@ pub fn optimize(
         },
     };
 
-    if opts.partitioned {
-        let id = builder
-            .out
-            .native_by_name(Runtime::NATIVE_BINDING_VERSION)
-            .unwrap_or_else(|| builder.out.add_native(Runtime::NATIVE_BINDING_VERSION));
-        builder.version_native = Some(id);
-    }
     if opts.fuel_boundaries {
         let id = builder
             .out
@@ -301,7 +296,6 @@ struct Builder<'a> {
     registry: &'a Registry,
     profile: &'a Profile,
     opts: &'a OptimizeOptions,
-    version_native: Option<NativeId>,
     fuel_native: Option<NativeId>,
     memo: BTreeMap<EventId, Option<Built>>,
     in_progress: BTreeSet<EventId>,
@@ -358,19 +352,15 @@ impl Builder<'_> {
         // rounds: each round collects the current sites up front and
         // rewrites them in reverse order (so earlier positions stay valid),
         // then inlining may expose new sites from spliced child bodies.
-        // Events already given a partitioned guard are excluded in later
-        // rounds — their remaining raise is the slow-arm fallback itself.
         let mut subsumed: BTreeSet<EventId> = BTreeSet::new();
         let mut subsume_count = 0usize;
         if self.opts.subsume {
             let mut refused: BTreeSet<EventId> = BTreeSet::new();
-            let mut guarded: BTreeSet<EventId> = BTreeSet::new();
             for _round in 0..4 {
                 let sites: Vec<RaiseSite> = sync_raise_sites(&self.out.functions[shell.index()])
                     .into_iter()
                     .filter(|s| {
                         !refused.contains(&s.event)
-                            && (!self.opts.partitioned || !guarded.contains(&s.event))
                             && subsume_evidence(
                                 &self.profile.handler_graph,
                                 self.opts,
@@ -392,20 +382,7 @@ impl Builder<'_> {
                         refused.insert(site.event);
                         continue;
                     }
-                    if self.opts.partitioned {
-                        let vn = self.version_native.expect("declared above");
-                        let expected = self.registry.version(site.event);
-                        subsume_partitioned(
-                            &mut self.out.functions[shell.index()],
-                            site,
-                            child.func,
-                            vn,
-                            expected,
-                        );
-                        guarded.insert(site.event);
-                    } else {
-                        subsume_direct(&mut self.out.functions[shell.index()], site, child.func);
-                    }
+                    subsume_direct(&mut self.out.functions[shell.index()], site, child.func);
                     subsumed.insert(site.event);
                     subsumed.extend(child.subsumed.iter().copied());
                     subsume_count += 1;
@@ -441,7 +418,7 @@ impl Builder<'_> {
     /// Applies inlining / compiler passes to one super-handler according to
     /// the options.
     fn cleanup(&mut self, func: FuncId) {
-        let inline = self.opts.inline.then_some(self.opts.inline_threshold);
+        let inline = self.opts.inline.then_some(INLINE_THRESHOLD);
         if self.opts.compiler_passes {
             optimize_single_function(&mut self.out, func, inline);
         } else if let Some(th) = inline {
@@ -464,7 +441,6 @@ impl Builder<'_> {
                     .collect(),
                 func: built.func,
                 params: built.params,
-                partitioned: self.opts.partitioned,
             });
         }
         chains
@@ -627,13 +603,13 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_chain_survives_child_rebinding() {
+    fn per_event_chains_survive_child_rebinding() {
         let (m, sfu, s2n, h_sfu, h_s2n) = chain_module();
         let g = m.global_by_name("log").unwrap();
         let mut rt = setup_runtime(&m, sfu, s2n, &h_sfu, &h_s2n).unwrap();
         let profile = profile_run(&mut rt, sfu, 100);
         let mut opts = OptimizeOptions::new(50);
-        opts.partitioned = true;
+        opts.subsume = false;
         let opt = optimize(&m, rt.registry(), &profile, &opts);
 
         let mut fast = setup_runtime(&opt.module, sfu, s2n, &h_sfu, &h_s2n).unwrap();
@@ -648,6 +624,43 @@ mod tests {
         // Head guard still holds: the fast path is taken; only the Seg2Net
         // segment fell back (Fig 14).
         assert_eq!(fast.cost.fastpath_hits, 1);
+    }
+
+    #[test]
+    fn per_event_child_returns_to_the_fast_lane_when_its_bindings_return() {
+        let (m, sfu, s2n, h_sfu, h_s2n) = chain_module();
+        let mut rt = setup_runtime(&m, sfu, s2n, &h_sfu, &h_s2n).unwrap();
+        let profile = profile_run(&mut rt, sfu, 100);
+        let mut opts = OptimizeOptions::new(50);
+        opts.subsume = false;
+        let opt = optimize(&m, rt.registry(), &profile, &opts);
+
+        let mut fast = setup_runtime(&opt.module, sfu, s2n, &h_sfu, &h_s2n).unwrap();
+        opt.install_chains(&mut fast);
+        let dispatch = |fast: &mut Runtime| {
+            let before = fast.cost;
+            fast.raise(sfu, RaiseMode::Sync, &[Value::Unit]).unwrap();
+            (
+                fast.cost.fastpath_hits - before.fastpath_hits,
+                fast.cost.marshaled_values - before.marshaled_values,
+            )
+        };
+        // A: head and child both on the fast lane.
+        assert_eq!(dispatch(&mut fast), (2, 0));
+        // A -> B on the child: the head still hits at every dispatch, the
+        // child runs generically (and marshals) while B is bound.
+        assert!(fast.unbind(s2n, h_s2n[1]));
+        for _ in 0..3 {
+            let (hits, marshaled) = dispatch(&mut fast);
+            assert_eq!(hits, 1, "head only");
+            assert!(marshaled > 0, "child is generic");
+        }
+        // B -> A: the child's own content guard re-stamps itself at the
+        // very first dispatch, with nobody's help.
+        fast.bind(s2n, h_s2n[1], 1).unwrap();
+        assert_eq!(dispatch(&mut fast), (2, 0));
+        assert_eq!(fast.stats().guard_misses(s2n), 1);
+        assert_eq!(fast.stats().guard_misses(sfu), 0);
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Subsumption: rewriting synchronous raises into direct super-handler
-//! calls (paper §3.2.1, Figs 8/9; partitioned form Fig 14).
+//! calls (paper §3.2.1, Figs 8/9).
 
-use pdo_ir::{
-    Block, BlockId, EventId, FuncId, Function, Instr, NativeId, RaiseMode, Terminator, Value,
-};
+use pdo_ir::{EventId, FuncId, Function, Instr, RaiseMode};
 
 /// A synchronous raise site found in a function body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,8 +41,8 @@ pub fn sync_raise_sites(f: &Function) -> Vec<RaiseSite> {
 
 /// Replaces the raise at `site` with a **direct call** to `target` (the
 /// child event's super-handler). Valid only under a chain-level guard on
-/// the child's binding version: if the child re-binds, the whole chain must
-/// fall back (§3.2.1).
+/// the child's bindings: if the child re-binds, the whole chain must fall
+/// back (§3.2.1).
 ///
 /// # Panics
 ///
@@ -68,118 +66,16 @@ pub fn subsume_direct(f: &mut Function, site: RaiseSite, target: FuncId) {
     };
 }
 
-/// Replaces the raise at `site` with the **partitioned** guarded form of
-/// Fig 14:
-///
-/// ```text
-/// if binding_version(child) == expected { call super_child(args) }
-/// else                                  { raise sync child(args) }
-/// ```
-///
-/// The chain containing this site then only needs its *head* guard — a
-/// re-binding of the child degrades exactly this segment, not the whole
-/// chain.
-///
-/// # Panics
-///
-/// Panics if `site` does not address a synchronous raise.
-pub fn subsume_partitioned(
-    f: &mut Function,
-    site: RaiseSite,
-    target: FuncId,
-    version_native: NativeId,
-    expected_version: u64,
-) {
-    let block = site.block;
-    let pos = site.pos;
-    let Instr::Raise {
-        event,
-        mode: RaiseMode::Sync,
-        args,
-    } = f.blocks[block].instrs[pos].clone()
-    else {
-        panic!("subsume_partitioned: site is not a synchronous raise");
-    };
-
-    // Split: prefix stays in `block`; suffix moves to a continuation block.
-    let tail: Vec<Instr> = f.blocks[block].instrs.split_off(pos + 1);
-    f.blocks[block].instrs.pop(); // the raise itself
-
-    let cont_id = BlockId::from_index(f.blocks.len());
-    let fast_id = BlockId::from_index(f.blocks.len() + 1);
-    let slow_id = BlockId::from_index(f.blocks.len() + 2);
-
-    // Guard computation appended to the prefix block.
-    let ev_reg = f.new_reg();
-    let ver_reg = f.new_reg();
-    let exp_reg = f.new_reg();
-    let ok_reg = f.new_reg();
-    let call_dst = f.new_reg();
-    let prefix_term = std::mem::replace(
-        &mut f.blocks[block].term,
-        Terminator::Branch {
-            cond: ok_reg,
-            then_blk: fast_id,
-            else_blk: slow_id,
-        },
-    );
-    let prefix = &mut f.blocks[block].instrs;
-    prefix.push(Instr::Const {
-        dst: ev_reg,
-        value: Value::Int(i64::from(event.0)),
-    });
-    prefix.push(Instr::CallNative {
-        dst: ver_reg,
-        native: version_native,
-        args: vec![ev_reg],
-    });
-    prefix.push(Instr::Const {
-        dst: exp_reg,
-        value: Value::Int(expected_version as i64),
-    });
-    prefix.push(Instr::Bin {
-        op: pdo_ir::BinOp::Eq,
-        dst: ok_reg,
-        lhs: ver_reg,
-        rhs: exp_reg,
-    });
-
-    // Continuation with the original suffix and terminator.
-    f.blocks.push(Block {
-        instrs: tail,
-        term: prefix_term,
-    });
-    // Fast arm: direct call to the child's super-handler.
-    f.blocks.push(Block {
-        instrs: vec![Instr::Call {
-            dst: call_dst,
-            func: target,
-            args: args.clone(),
-        }],
-        term: Terminator::Jump(cont_id),
-    });
-    // Slow arm: the original generic raise.
-    f.blocks.push(Block {
-        instrs: vec![Instr::Raise {
-            event,
-            mode: RaiseMode::Sync,
-            args,
-        }],
-        term: Terminator::Jump(cont_id),
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pdo_ir::interp::{call, BasicEnv};
     use pdo_ir::parse::parse_module;
-    use pdo_ir::{verify_module, Module};
+    use pdo_ir::{verify_module, Module, Value};
 
     fn module_with_raise() -> Module {
         parse_module(
             "event Child\n\
-             native __pdo_binding_version\n\
              func @parent(1) {\n\
              b0:\n\
                r1 = const int 5\n\
@@ -235,45 +131,5 @@ mod tests {
         assert_eq!(r, Value::Int(8));
         assert!(env.raised.is_empty(), "raise was replaced");
         assert_eq!(env.cost.calls, 1);
-    }
-
-    #[test]
-    fn partitioned_subsumption_builds_guard() {
-        let mut m = module_with_raise();
-        let site = sync_raise_sites(&m.functions[0])[0];
-        let target = m.function_by_name("child_super").unwrap();
-        let nv = m.native_by_name("__pdo_binding_version").unwrap();
-        subsume_partitioned(&mut m.functions[0], site, target, nv, 7);
-        verify_module(&m).unwrap();
-
-        // Guard matches: direct call, no raise.
-        let parent = m.function_by_name("parent").unwrap();
-        let mut env = BasicEnv::new(&m);
-        env.bind_native(nv, |_| Ok(Value::Int(7)));
-        let r = call(&m, &mut env, parent, &[Value::Int(3)]).unwrap();
-        assert_eq!(r, Value::Int(8));
-        assert!(env.raised.is_empty());
-
-        // Guard fails: falls back to the generic raise.
-        let mut env2 = BasicEnv::new(&m);
-        env2.bind_native(nv, |_| Ok(Value::Int(99)));
-        let r2 = call(&m, &mut env2, parent, &[Value::Int(3)]).unwrap();
-        assert_eq!(r2, Value::Int(8));
-        assert_eq!(env2.raised.len(), 1);
-        assert_eq!(env2.raised[0].0, EventId(0));
-    }
-
-    #[test]
-    fn partitioned_subsumption_preserves_suffix() {
-        // The instructions after the raise must execute on both arms.
-        let mut m = module_with_raise();
-        let site = sync_raise_sites(&m.functions[0])[0];
-        let target = m.function_by_name("child_super").unwrap();
-        let nv = m.native_by_name("__pdo_binding_version").unwrap();
-        subsume_partitioned(&mut m.functions[0], site, target, nv, 0);
-        // `r2 = add r0, r1; ret r2` must live in the continuation block.
-        let cont = &m.functions[0].blocks[1];
-        assert_eq!(cont.instrs.len(), 1);
-        assert!(matches!(cont.term, Terminator::Ret(Some(_))));
     }
 }

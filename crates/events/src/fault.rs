@@ -240,13 +240,7 @@ impl FaultInjector {
     /// occurrence indices below `occurrences`. Deterministic in `seed`.
     pub fn random(seed: u64, events: &[EventId], occurrences: u64, count: usize) -> Self {
         let mut state = seed ^ 0x6A09_E667_F3BC_C908;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        let mut next = move || crate::splitmix64_next(&mut state);
         let mut plan = Vec::with_capacity(count);
         if events.is_empty() || occurrences == 0 {
             return Self::from_plan(plan);

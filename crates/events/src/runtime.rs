@@ -215,7 +215,6 @@ pub struct ObservableStats {
 /// the module's native declarations by name.
 #[derive(Debug, Clone, Copy, Default)]
 struct ReservedNatives {
-    binding_version: Option<NativeId>,
     bind: Option<NativeId>,
     unbind: Option<NativeId>,
     cancel_timer: Option<NativeId>,
@@ -227,7 +226,6 @@ struct ReservedNatives {
 impl ReservedNatives {
     fn resolve(module: &Module) -> Self {
         ReservedNatives {
-            binding_version: module.native_by_name(Runtime::NATIVE_BINDING_VERSION),
             bind: module.native_by_name(Runtime::NATIVE_BIND),
             unbind: module.native_by_name(Runtime::NATIVE_UNBIND),
             cancel_timer: module.native_by_name(Runtime::NATIVE_CANCEL_TIMER),
@@ -287,8 +285,6 @@ impl fmt::Debug for Runtime {
 }
 
 impl Runtime {
-    /// Reserved native name: `(event:int) -> int` current binding version.
-    pub const NATIVE_BINDING_VERSION: &'static str = "__pdo_binding_version";
     /// Reserved native name: `(event:int, func:int, order:int) -> unit`.
     pub const NATIVE_BIND: &'static str = "__pdo_bind";
     /// Reserved native name: `(event:int, func:int) -> bool`.
@@ -1218,11 +1214,6 @@ impl Runtime {
                 .and_then(Value::as_int)
                 .ok_or_else(|| ExecError::Native("reserved native: bad argument".into()))
         };
-        if Some(native) == self.reserved.binding_version {
-            return Some(
-                arg_int(0).map(|e| Value::Int(self.registry.version(EventId(e as u32)) as i64)),
-            );
-        }
         if Some(native) == self.reserved.bind {
             return Some((|| {
                 let (e, f, o) = (arg_int(0)?, arg_int(1)?, arg_int(2)?);
@@ -1648,7 +1639,6 @@ mod tests {
             guards: vec![Guard::capture(rt.registry(), e)],
             func: sup,
             params: 1,
-            partitioned: false,
         });
         rt.raise(e, RaiseMode::Sync, &[Value::Unit]).unwrap();
         assert_eq!(rt.global(g), &Value::Int(12));
@@ -1667,7 +1657,6 @@ mod tests {
             guards: vec![Guard::capture(rt.registry(), e)],
             func: h1, // "merged" = just h1 at this point
             params: 1,
-            partitioned: false,
         });
         // Re-bind: guard version no longer matches.
         rt.bind(e, h2, 1).unwrap();
@@ -1688,7 +1677,6 @@ mod tests {
             guards: vec![Guard::capture(rt.registry(), e)],
             func: h1, // "merged" = just h1
             params: 1,
-            partitioned: false,
         });
         // Same content under new version numbers: the fast lane is kept.
         for round in 1..=3u64 {
@@ -1715,11 +1703,10 @@ mod tests {
     }
 
     #[test]
-    fn reserved_natives_bind_and_version() {
+    fn reserved_native_bind_bumps_the_binding_version() {
         let mut m = Module::new();
         let e = m.add_event("E");
         let g = m.add_global("acc", Value::Int(0));
-        let nv = m.add_native(Runtime::NATIVE_BINDING_VERSION);
         let nb = m.add_native(Runtime::NATIVE_BIND);
 
         // target handler: acc += 1
@@ -1731,23 +1718,21 @@ mod tests {
         tb.ret(None);
         let target_id_placeholder = 1u32; // will be function index 1
 
-        // driver: binds `target` to E via reserved native, then returns the
-        // binding version of E.
+        // driver: binds `target` to E via the reserved native.
         let mut db = FunctionBuilder::new("driver", 0);
         let ev = db.const_int(e.0 as i64);
         let fv = db.const_int(target_id_placeholder as i64);
         let ord = db.const_int(0);
         let _ = db.call_native(nb, &[ev, fv, ord]);
-        let ver = db.call_native(nv, &[ev]);
-        db.ret(Some(ver));
+        db.ret(None);
         let driver = m.add_function(db.finish());
         let target = m.add_function(tb.finish());
         assert_eq!(target.0, target_id_placeholder);
 
         let mut rt = Runtime::new(m);
         let module = rt.module_arc();
-        let ver = call(&module, &mut rt, driver, &[]).unwrap();
-        assert_eq!(ver, Value::Int(1));
+        call(&module, &mut rt, driver, &[]).unwrap();
+        assert_eq!(rt.registry().version(e), 1);
         rt.raise(e, RaiseMode::Sync, &[]).unwrap();
         assert_eq!(rt.global(g), &Value::Int(1));
     }
@@ -1907,7 +1892,6 @@ mod tests {
             guards: vec![Guard::capture(rt.registry(), e)],
             func: h1,
             params: 1,
-            partitioned: false,
         });
         rt.set_fault_injector(trap_on_second(e));
         rt.raise(e, RaiseMode::Sync, &[Value::Unit]).unwrap();
@@ -2259,7 +2243,6 @@ mod tests {
             guards: vec![Guard::capture(rt.registry(), p)],
             func: chain_fn,
             params: 0,
-            partitioned: false,
         });
         rt.set_dispatch_accounting(true);
         for _ in 0..3 {

@@ -42,7 +42,7 @@ pub struct Guard {
 /// What [`CompiledChain::revalidate`] found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum GuardCheck {
-    /// Every required guard matches the live registry.
+    /// Every guard matches the live registry.
     Holds,
     /// A guard fails, as an earlier check already established.
     Stale,
@@ -108,41 +108,21 @@ pub struct CompiledChain {
     pub func: FuncId,
     /// Arity the super-handler expects (must match the head event's raise).
     pub params: u16,
-    /// True when the super-handler carries internal per-event guards
-    /// (partitioned form, paper Fig 14) and therefore only the *head*
-    /// guard must hold for entry.
-    pub partitioned: bool,
 }
 
 impl CompiledChain {
     /// Checks the guards against the live registry without touching them:
-    /// "may this chain run (again)".
-    ///
-    /// A partitioned chain only requires its head guard (segment guards are
-    /// compiled into the body, as version constants); a monolithic chain
-    /// requires every guard.
+    /// "may this chain run (again)". A chain holds iff every guard it
+    /// carries holds — the one rule dispatch, healing, the chain cache and
+    /// the adaptive engine share.
     pub fn guards_hold(&self, registry: &Registry) -> bool {
-        if self.partitioned {
-            self.guards
-                .iter()
-                .find(|g| g.event == self.head)
-                .is_some_and(|g| g.holds(registry))
-        } else {
-            self.guards.iter().all(|g| g.holds(registry))
-        }
+        self.guards.iter().all(|g| g.holds(registry))
     }
 
     /// The dispatch-path form of [`CompiledChain::guards_hold`] (see
     /// [`Guard`]): stops at the first guard that fails.
     #[inline]
     pub(crate) fn revalidate(&mut self, registry: &Registry) -> GuardCheck {
-        if self.partitioned {
-            let head = self.head;
-            return match self.guards.iter_mut().find(|g| g.event == head) {
-                Some(guard) => guard.revalidate(registry),
-                None => GuardCheck::Stale,
-            };
-        }
         for guard in &mut self.guards {
             match guard.revalidate(registry) {
                 GuardCheck::Holds => {}
@@ -206,7 +186,7 @@ mod tests {
     use super::*;
 
     /// A chain guarding `guards` as they stand in `reg`.
-    fn chain(reg: &Registry, head: u32, guards: &[u32], partitioned: bool) -> CompiledChain {
+    fn chain(reg: &Registry, head: u32, guards: &[u32]) -> CompiledChain {
         CompiledChain {
             head: EventId(head),
             guards: guards
@@ -215,7 +195,6 @@ mod tests {
                 .collect(),
             func: FuncId(0),
             params: 1,
-            partitioned,
         }
     }
 
@@ -229,34 +208,16 @@ mod tests {
     #[test]
     fn monolithic_guard_requires_all() {
         let mut reg = two_events();
-        let c = chain(&reg, 0, &[0, 1], false);
+        let c = chain(&reg, 0, &[0, 1]);
         assert!(c.guards_hold(&reg));
         reg.bind(EventId(1), FuncId(3), 0); // event 1 now runs [2, 3]
         assert!(!c.guards_hold(&reg));
     }
 
     #[test]
-    fn partitioned_guard_requires_head_only() {
-        let mut reg = two_events();
-        let c = chain(&reg, 0, &[0, 1], true);
-        reg.bind(EventId(1), FuncId(3), 0); // non-head change
-        assert!(c.guards_hold(&reg));
-        reg.bind(EventId(0), FuncId(4), 0); // head change
-        assert!(!c.guards_hold(&reg));
-    }
-
-    #[test]
-    fn partitioned_without_head_guard_never_holds() {
-        let reg = Registry::new();
-        let mut c = chain(&reg, 0, &[1], true);
-        assert!(!c.guards_hold(&reg));
-        assert_eq!(c.revalidate(&reg), GuardCheck::Stale);
-    }
-
-    #[test]
     fn same_content_under_a_new_version_restamps() {
         let mut reg = two_events();
-        let mut c = chain(&reg, 0, &[0, 1], false);
+        let mut c = chain(&reg, 0, &[0, 1]);
         // unbind + bind of the same handler: two version bumps, same list.
         reg.unbind(EventId(1), FuncId(2));
         reg.bind(EventId(1), FuncId(2), 0);
@@ -269,7 +230,7 @@ mod tests {
     #[test]
     fn a_rebind_invalidates_once_and_the_return_revalidates() {
         let mut reg = two_events();
-        let mut c = chain(&reg, 0, &[0, 1], false);
+        let mut c = chain(&reg, 0, &[0, 1]);
         reg.unbind(EventId(0), FuncId(1));
         reg.bind(EventId(0), FuncId(9), 0); // A -> B
         assert_eq!(c.revalidate(&reg), GuardCheck::Invalidated);
@@ -289,7 +250,7 @@ mod tests {
     #[test]
     fn order_keys_are_part_of_the_content() {
         let mut reg = two_events();
-        let c = chain(&reg, 0, &[0], false);
+        let c = chain(&reg, 0, &[0]);
         reg.unbind(EventId(0), FuncId(1));
         reg.bind(EventId(0), FuncId(1), 5); // same handler, other order key
         assert!(!c.guards_hold(&reg));
@@ -300,8 +261,8 @@ mod tests {
         let reg = two_events();
         let mut t = SpecTable::new();
         assert!(t.is_empty());
-        t.install(chain(&reg, 0, &[0], false));
-        t.install(chain(&reg, 1, &[1], false));
+        t.install(chain(&reg, 0, &[0]));
+        t.install(chain(&reg, 1, &[1]));
         assert_eq!(t.len(), 2);
         assert!(t.get(EventId(0)).is_some());
         assert!(t.get(EventId(9)).is_none());
@@ -313,10 +274,10 @@ mod tests {
     fn reinstall_replaces() {
         let reg = two_events();
         let mut t = SpecTable::new();
-        t.install(chain(&reg, 0, &[0], false));
+        t.install(chain(&reg, 0, &[0]));
         t.install(CompiledChain {
             func: FuncId(9),
-            ..chain(&reg, 0, &[0], false)
+            ..chain(&reg, 0, &[0])
         });
         assert_eq!(t.get(EventId(0)).unwrap().func, FuncId(9));
         assert_eq!(t.len(), 1);

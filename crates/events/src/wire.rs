@@ -180,11 +180,7 @@ impl<T: Clone> FaultyWire<T> {
     }
 
     fn next_roll(&mut self) -> u64 {
-        self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        crate::splitmix64_next(&mut self.rng)
     }
 
     fn roll(&mut self, per_mille: u16) -> bool {

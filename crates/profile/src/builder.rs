@@ -19,8 +19,8 @@
 use crate::graph::EventGraph;
 use crate::handlers::{FoldScratch, HandlerGraph, SuperHandlers};
 use crate::Profile;
-use pdo_events::{Trace, TraceRecord};
-use pdo_ir::{EventId, FuncId, RaiseMode};
+use pdo_events::Trace;
+use pdo_ir::{EventId, FuncId};
 
 /// The complete externally serializable state of a [`ProfileBuilder`]:
 /// the decaying accumulators, the cross-window boundary raise, and the
@@ -78,24 +78,8 @@ impl ProfileBuilder {
     /// an open handler frame loses the nesting attribution of raises whose
     /// `HandlerEnter` fell in the previous window.
     pub fn observe(&mut self, window: &Trace, supers: &SuperHandlers) {
-        // Event graph: same walk as `EventGraph::from_trace`, but `prev`
-        // persists across windows.
-        for record in &window.records {
-            let TraceRecord::Raise { event, mode, .. } = record else {
-                continue;
-            };
-            self.fresh += 1;
-            *self.event_graph.nodes.entry(*event).or_insert(0) += 1;
-            if let Some(p) = self.prev_raise {
-                let data = self.event_graph.edges.entry((p, *event)).or_default();
-                data.weight += 1;
-                match mode {
-                    RaiseMode::Sync => data.sync += 1,
-                    RaiseMode::Async | RaiseMode::Timed => data.asynchronous += 1,
-                }
-            }
-            self.prev_raise = Some(*event);
-        }
+        // Event graph: `prev_raise` persists across windows.
+        self.fresh += self.event_graph.fold(window, &mut self.prev_raise);
 
         // Handler graph: dispatch ids are globally monotonic per runtime,
         // so windows never alias each other's dispatches.
@@ -263,7 +247,8 @@ mod tests {
     use super::*;
     use crate::graph::EdgeData;
     use crate::handlers::{HandlerSeq, NestedRaise, SuperHandler};
-    use pdo_ir::FuncId;
+    use pdo_events::TraceRecord;
+    use pdo_ir::RaiseMode;
 
     fn raise(event: u32) -> TraceRecord {
         TraceRecord::Raise {

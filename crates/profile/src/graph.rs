@@ -73,23 +73,34 @@ impl EventGraph {
     /// Runs the Fig 4 `GraphBuilder` over a trace's raise records.
     pub fn from_trace(trace: &Trace) -> Self {
         let mut g = EventGraph::new();
-        let mut prev: Option<EventId> = None;
+        g.fold(trace, &mut None);
+        g
+    }
+
+    /// The Fig 4 walk, folded into the graph: a node occurrence per raise
+    /// record and an edge from the raise before it. `prev` is the last
+    /// raise already folded and is left at the last one of `trace`, so a
+    /// trace cut into windows folds to the graph of the whole. Returns the
+    /// number of raises folded.
+    pub(crate) fn fold(&mut self, trace: &Trace, prev: &mut Option<EventId>) -> u64 {
+        let mut raises = 0;
         for record in &trace.records {
             let TraceRecord::Raise { event, mode, .. } = record else {
                 continue;
             };
-            *g.nodes.entry(*event).or_insert(0) += 1;
-            if let Some(p) = prev {
-                let data = g.edges.entry((p, *event)).or_default();
+            raises += 1;
+            *self.nodes.entry(*event).or_insert(0) += 1;
+            if let Some(p) = *prev {
+                let data = self.edges.entry((p, *event)).or_default();
                 data.weight += 1;
                 match mode {
                     RaiseMode::Sync => data.sync += 1,
                     RaiseMode::Async | RaiseMode::Timed => data.asynchronous += 1,
                 }
             }
-            prev = Some(*event);
+            *prev = Some(*event);
         }
-        g
+        raises
     }
 
     /// The reduced graph: edges with `weight >= threshold` and the nodes

@@ -48,6 +48,9 @@
 use pdo::{AdaptConfig, AdaptStats, AdaptiveEngine};
 use pdo_cactus::EventProgram;
 use pdo_ctp::{CtpEndpoint, CtpError, CtpParams};
+/// The mix behind placement: two deterministic shard candidates from a
+/// session id here, a connection's shard from its id in the ingress.
+pub use pdo_events::splitmix64;
 use pdo_events::{FaultInjector, Runtime, RuntimeConfig, RuntimeError};
 use pdo_ir::{EventId, FuncId, GlobalId, Module, RaiseMode, Value};
 use pdo_obs::{
@@ -106,11 +109,6 @@ pub struct ServerConfig {
     /// Adaptation-loop configuration applied to every session opened
     /// through this server.
     pub adapt: AdaptConfig,
-    /// Attach a `pdo-obs` hub to every session's runtime so
-    /// [`Server::metrics`] can expose per-event dispatch latency
-    /// histograms and flight-recorder dumps (on by default; dispatch
-    /// counters are exported regardless).
-    pub observability: bool,
 }
 
 impl Default for ServerConfig {
@@ -119,7 +117,6 @@ impl Default for ServerConfig {
             shards: 4,
             threads: 1,
             adapt: AdaptConfig::default(),
-            observability: true,
         }
     }
 }
@@ -338,16 +335,6 @@ impl ServerReport {
 // which exposes the same counters (and more) in one standard text format
 // instead of a second hand-rolled one.
 
-/// Finalizer of splitmix64; the standard 64-bit mix used to derive the
-/// two deterministic placement candidates from a session id (and, by the
-/// ingress, a connection's shard from its id).
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// One shard's complete state and behavior. **This is the single
 /// implementation both execution modes run**: inline mode calls these
 /// methods on the coordinator thread, threaded mode calls the very same
@@ -356,7 +343,6 @@ pub fn splitmix64(mut x: u64) -> u64 {
 struct ShardState {
     index: usize,
     adapt: AdaptConfig,
-    observability: bool,
     sessions: BTreeMap<SessionId, Session>,
     /// Cumulative wall-clock ns spent in `run_until` (obs only).
     busy_ns: u64,
@@ -368,16 +354,13 @@ struct ShardState {
 }
 
 impl ShardState {
-    fn new(index: usize, adapt: AdaptConfig, observability: bool) -> ShardState {
-        let tracer = TraceStore::new((index as u16).wrapping_add(1));
-        tracer.set_enabled(observability);
+    fn new(index: usize, adapt: AdaptConfig) -> ShardState {
         ShardState {
             index,
             adapt,
-            observability,
             sessions: BTreeMap::new(),
             busy_ns: 0,
-            tracer,
+            tracer: TraceStore::new((index as u16).wrapping_add(1)),
         }
     }
 
@@ -410,10 +393,8 @@ impl ShardState {
             },
         };
         let rt = kind_runtime_mut(&mut kind);
-        if self.observability {
-            rt.enable_observability();
-            rt.set_tracer(self.tracer.clone());
-        }
+        rt.enable_observability();
+        rt.set_tracer(self.tracer.clone());
         let engine = AdaptiveEngine::attach_new(rt, self.adapt);
         self.sessions.insert(id, Session { kind, engine });
         Ok(())
@@ -490,10 +471,8 @@ impl ShardState {
         if clock_ns > 0 {
             rt.advance_clock(clock_ns);
         }
-        if self.observability {
-            rt.enable_observability();
-            rt.set_tracer(self.tracer.clone());
-        }
+        rt.enable_observability();
+        rt.set_tracer(self.tracer.clone());
         let engine = AdaptiveEngine::attach_restored(rt, module, self.adapt, engine);
         self.sessions.insert(id, Session { kind, engine });
         Ok(())
@@ -844,10 +823,10 @@ type Job = (usize, Box<dyn FnOnce(&mut ShardState) + Send>);
 /// Worker thread body: builds its shards *here* (so every `!Send`
 /// runtime is born on this thread), runs jobs until the channel closes,
 /// then drops the shards (still on this thread).
-fn worker_main(rx: Receiver<Job>, shard_ids: Vec<usize>, adapt: AdaptConfig, observability: bool) {
+fn worker_main(rx: Receiver<Job>, shard_ids: Vec<usize>, adapt: AdaptConfig) {
     let mut shards: BTreeMap<usize, ShardState> = shard_ids
         .into_iter()
-        .map(|i| (i, ShardState::new(i, adapt, observability)))
+        .map(|i| (i, ShardState::new(i, adapt)))
         .collect();
     while let Ok((shard, job)) = rx.recv() {
         job(shards.get_mut(&shard).expect(SHARD_OWNED));
@@ -1002,7 +981,7 @@ impl Server {
         let mode = if threads == 1 {
             Mode::Inline(
                 (0..shards)
-                    .map(|i| ShardState::new(i, config.adapt, config.observability))
+                    .map(|i| ShardState::new(i, config.adapt))
                     .collect(),
             )
         } else {
@@ -1016,11 +995,10 @@ impl Server {
                     txs[i] = Some(tx.clone());
                 }
                 let adapt = config.adapt;
-                let observability = config.observability;
                 handles.push(
                     thread::Builder::new()
                         .name(format!("pdo-shard-worker-{w}"))
-                        .spawn(move || worker_main(rx, owned, adapt, observability))
+                        .spawn(move || worker_main(rx, owned, adapt))
                         .expect("spawn shard worker"),
                 );
             }
@@ -1972,7 +1950,6 @@ mod tests {
                 shards: 4,
                 threads,
                 adapt: fast_adapt(),
-                ..Default::default()
             });
             let mut shards = Vec::new();
             for _ in 0..16 {
@@ -2157,7 +2134,6 @@ mod tests {
                 shards: 4,
                 threads,
                 adapt: fast_adapt(),
-                ..Default::default()
             });
             let mut ids = Vec::new();
             for _ in 0..8 {
@@ -2186,7 +2162,6 @@ mod tests {
                 shards: 2,
                 threads,
                 adapt: fast_adapt(),
-                ..Default::default()
             });
             let binds = bindings(&m, a, b);
             let s1 = server

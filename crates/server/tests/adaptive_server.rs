@@ -179,7 +179,6 @@ fn ctp_sessions_are_shard_resident_and_adapt() {
             opts: OptimizeOptions::new(10),
             ..Default::default()
         },
-        ..Default::default()
     });
     let sid = server
         .open_ctp_session(&program, CtpParams::default())
@@ -234,7 +233,6 @@ fn seccomm_sessions_roundtrip_across_adaptation() {
             opts: OptimizeOptions::new(4),
             ..Default::default()
         },
-        ..Default::default()
     });
     let tx = server.open_seccomm_session(&program, &keys).unwrap();
     let rx = server.open_seccomm_session(&program, &keys).unwrap();
@@ -290,7 +288,6 @@ fn mixed_fleet_report_is_consistent() {
         shards: 3,
         threads: 3,
         adapt: fast_adapt(),
-        ..Default::default()
     });
     let binds = bindings(&m, a, b);
     let plain: Vec<_> = (0..4)

@@ -512,7 +512,6 @@ fn restore_works_across_thread_counts() {
         shards: 4,
         threads: 4,
         adapt: fast_adapt(),
-        ..Default::default()
     });
     let restored = threaded.restore_from_bytes(&bytes).unwrap();
     assert_eq!(restored, ids);

@@ -119,7 +119,6 @@ fn drive(threads: usize, case: &Case) -> Observed {
         shards: 4,
         threads,
         adapt: fast_adapt(),
-        ..Default::default()
     });
     let sids: Vec<SessionId> = case
         .sessions

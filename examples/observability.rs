@@ -61,7 +61,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             opts: pdo::OptimizeOptions::new(10),
             ..Default::default()
         },
-        ..Default::default()
     });
 
     // Plain session: hammer one event until a chain installs.

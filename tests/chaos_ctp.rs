@@ -1,7 +1,7 @@
 //! Chaos conformance on the real CTP stack: for any seeded case of wire
 //! faults (drop/duplicate/reorder/corrupt, under the endpoint's FEC +
 //! retransmission machinery) and equivalence-safe dispatch faults, a video
-//! transfer through an optimized endpoint — monolithic chains, partitioned
+//! transfer through an optimized endpoint — monolithic chains, per-event
 //! chains, or a live adaptation engine hot-swapping chains mid-session —
 //! must be observationally identical to the plain endpoint: same delivered
 //! payload, same link statistics, same final globals, same fault sequence
@@ -60,7 +60,7 @@ fn case_payloads(case_seed: u64) -> Vec<Vec<u8>> {
 
 /// Profiles the happy-path video workload and optimizes, as the end-to-end
 /// suite does; `fuel_boundaries` keeps fuel exhaustion equivalence-safe.
-fn optimized(program: &EventProgram, partitioned: bool) -> Optimization {
+fn optimized(program: &EventProgram, subsume: bool) -> Optimization {
     let params = CtpParams {
         clk_period_ns: 40_000_000,
         ..CtpParams::default()
@@ -73,7 +73,7 @@ fn optimized(program: &EventProgram, partitioned: bool) -> Optimization {
     let mut e = player.into_endpoint();
     let profile = Profile::from_trace(&e.runtime_mut().take_trace(), 90);
     let mut opts = OptimizeOptions::new(90);
-    opts.partitioned = partitioned;
+    opts.subsume = subsume;
     opts.fuel_boundaries = true;
     let opt = optimize(&program.module, e.runtime().registry(), &profile, &opts);
     assert!(!opt.chains.is_empty(), "CTP must produce compiled chains");
@@ -152,22 +152,15 @@ fn ctp_chaos_conformance_static_chains() {
     let program = ctp_program();
     let base_globals = program.module.globals.len();
     let events = fault_events(&program);
-    let forms: Vec<(&str, Optimization, EventProgram)> = [false, true]
-        .into_iter()
-        .map(|partitioned| {
-            let opt = optimized(&program, partitioned);
-            let opt_program = program.with_module(opt.module.clone());
-            (
-                if partitioned {
-                    "partitioned"
-                } else {
-                    "monolithic"
-                },
-                opt,
-                opt_program,
-            )
-        })
-        .collect();
+    let forms: Vec<(&str, Optimization, EventProgram)> =
+        [("monolithic", true), ("per-event", false)]
+            .into_iter()
+            .map(|(form, subsume)| {
+                let opt = optimized(&program, subsume);
+                let opt_program = program.with_module(opt.module.clone());
+                (form, opt, opt_program)
+            })
+            .collect();
 
     let base = chaos_seed();
     for i in 0..chaos_cases() {

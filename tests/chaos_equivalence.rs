@@ -5,7 +5,7 @@
 //! For any seeded plan of equivalence-safe faults (dispatch traps,
 //! argument corruption, dropped/delayed timers, fuel exhaustion) and
 //! either containment policy, the optimized program — monolithic or
-//! partitioned chains — must be observationally identical to the
+//! per-event chains — must be observationally identical to the
 //! original: same global state, same emitted packets in the same order,
 //! same recorded fault sequence, same robustness counters. Faults key on
 //! *top-level* occurrences precisely so this property is well defined
@@ -185,9 +185,9 @@ fn run(
     (observed, rt)
 }
 
-/// Profiles the happy path and optimizes; `partitioned` picks Fig 14
-/// per-segment guards over one monolithic guard set.
-fn optimized(p: &Pipeline, partitioned: bool) -> Optimization {
+/// Profiles the happy path and optimizes; `subsume` picks one monolithic
+/// guard set per chain over Fig 14's per-event chains.
+fn optimized(p: &Pipeline, subsume: bool) -> Optimization {
     let (_, mut rt) = run(p, &p.module, None, FaultPolicy::Abort, &[]);
     rt.set_trace_config(TraceConfig::full());
     for i in 0..FRAMES {
@@ -197,7 +197,7 @@ fn optimized(p: &Pipeline, partitioned: bool) -> Optimization {
     rt.run_until_idle().expect("profiling drain");
     let profile = Profile::from_trace(&rt.take_trace(), 10);
     let mut opts = OptimizeOptions::new(10);
-    opts.partitioned = partitioned;
+    opts.subsume = subsume;
     // Boundary markers make ExhaustFuel trip at the same program points in
     // merged code as in generic dispatch.
     opts.fuel_boundaries = true;
@@ -211,14 +211,14 @@ fn optimized(p: &Pipeline, partitioned: bool) -> Optimization {
 
 /// The capstone property: for any seeded fault plan and either
 /// containment policy, original and optimized runs (monolithic and
-/// partitioned) observe identical behavior.
+/// per-event) observe identical behavior.
 #[test]
 fn optimized_program_is_observationally_identical_under_faults() {
     let p = pipeline();
     let events = [p.frame, p.ack];
     let forms = [
-        ("monolithic", optimized(&p, false)),
-        ("partitioned", optimized(&p, true)),
+        ("monolithic", optimized(&p, true)),
+        ("per-event", optimized(&p, false)),
     ];
 
     let base = chaos_seed();
@@ -243,7 +243,7 @@ fn optimized_program_is_observationally_identical_under_faults() {
 #[test]
 fn harness_is_meaningful_fastpath_used_when_unfaulted() {
     let p = pipeline();
-    let opt = optimized(&p, false);
+    let opt = optimized(&p, true);
     let (reference, _) = run(&p, &p.module, None, FaultPolicy::SkipEvent, &[]);
     let (observed, rt) = run(&p, &opt.module, Some(&opt), FaultPolicy::SkipEvent, &[]);
     assert_eq!(observed, reference);
@@ -257,7 +257,7 @@ fn harness_is_meaningful_fastpath_used_when_unfaulted() {
 #[test]
 fn despecialize_removes_chain_but_preserves_behavior() {
     let p = pipeline();
-    let opt = optimized(&p, false);
+    let opt = optimized(&p, true);
     let plan = [FaultSpec {
         event: p.frame,
         occurrence: 2,

@@ -3,7 +3,7 @@
 //! corruption that must land as counted MAC-failure drops, never handler
 //! faults), with equivalence-safe dispatch faults injected on both the
 //! sender's and receiver's coordinator events. Optimized endpoints —
-//! monolithic, partitioned, or hot-swapped by a live adaptation engine —
+//! monolithic, per-event, or hot-swapped by a live adaptation engine —
 //! must deliver byte-identical plaintexts, the same drop counts, the same
 //! error outcomes, and (for static chains) the same fault sequence and
 //! robustness counters as the plain endpoints.
@@ -50,7 +50,7 @@ fn case_payloads(case_seed: u64) -> Vec<Vec<u8>> {
 
 /// Profiles happy-path round-trips and optimizes, as the end-to-end suite
 /// does; `fuel_boundaries` keeps fuel exhaustion equivalence-safe.
-fn optimized(program: &EventProgram, keys: &Keys, partitioned: bool) -> Optimization {
+fn optimized(program: &EventProgram, keys: &Keys, subsume: bool) -> Optimization {
     let mut ep = Endpoint::new(program, keys).expect("profiling endpoint");
     ep.runtime_mut().set_trace_config(TraceConfig::full());
     let mut wires = Vec::new();
@@ -62,7 +62,7 @@ fn optimized(program: &EventProgram, keys: &Keys, partitioned: bool) -> Optimiza
     }
     let profile = Profile::from_trace(&ep.runtime_mut().take_trace(), 30);
     let mut opts = OptimizeOptions::new(30);
-    opts.partitioned = partitioned;
+    opts.subsume = subsume;
     opts.fuel_boundaries = true;
     let opt = optimize(&program.module, ep.runtime().registry(), &profile, &opts);
     assert!(
@@ -181,22 +181,15 @@ fn seccomm_chaos_conformance_static_chains() {
     let base_globals = program.module.globals.len();
     let events = fault_events(&program);
     let keys = Keys::default();
-    let forms: Vec<(&str, Optimization, EventProgram)> = [false, true]
-        .into_iter()
-        .map(|partitioned| {
-            let opt = optimized(&program, &keys, partitioned);
-            let opt_program = program.with_module(opt.module.clone());
-            (
-                if partitioned {
-                    "partitioned"
-                } else {
-                    "monolithic"
-                },
-                opt,
-                opt_program,
-            )
-        })
-        .collect();
+    let forms: Vec<(&str, Optimization, EventProgram)> =
+        [("monolithic", true), ("per-event", false)]
+            .into_iter()
+            .map(|(form, subsume)| {
+                let opt = optimized(&program, &keys, subsume);
+                let opt_program = program.with_module(opt.module.clone());
+                (form, opt, opt_program)
+            })
+            .collect();
 
     let base = chaos_seed();
     for i in 0..chaos_cases() {

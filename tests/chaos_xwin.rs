@@ -2,7 +2,7 @@
 //! scroll gestures, plain clicks) delivered over a faulty server
 //! connection that can lose, duplicate, reorder, and garble X events,
 //! plus equivalence-safe dispatch faults on the X protocol events. An
-//! optimized client — monolithic chains, partitioned chains, or a live
+//! optimized client — monolithic chains, per-event chains, or a live
 //! adaptation engine — must end with the identical display state, the
 //! identical widget globals, and (for static chains) the identical fault
 //! sequence and robustness counters as the plain client.
@@ -61,7 +61,7 @@ fn fault_events(program: &EventProgram) -> Vec<EventId> {
 
 /// Profiles the happy-path GUI workload and optimizes, as the end-to-end
 /// suite does; `fuel_boundaries` keeps fuel exhaustion equivalence-safe.
-fn optimized(program: &EventProgram, partitioned: bool) -> Optimization {
+fn optimized(program: &EventProgram, subsume: bool) -> Optimization {
     let mut client = XClient::new(program).expect("profiling client");
     client.runtime_mut().set_trace_config(TraceConfig::full());
     for i in 0..250 {
@@ -70,7 +70,7 @@ fn optimized(program: &EventProgram, partitioned: bool) -> Optimization {
     }
     let profile = Profile::from_trace(&client.runtime_mut().take_trace(), 100);
     let mut opts = OptimizeOptions::new(100);
-    opts.partitioned = partitioned;
+    opts.subsume = subsume;
     opts.fuel_boundaries = true;
     let opt = optimize(
         &program.module,
@@ -163,22 +163,15 @@ fn xwin_chaos_conformance_static_chains() {
     let program = x_client_program();
     let base_globals = program.module.globals.len();
     let events = fault_events(&program);
-    let forms: Vec<(&str, Optimization, EventProgram)> = [false, true]
-        .into_iter()
-        .map(|partitioned| {
-            let opt = optimized(&program, partitioned);
-            let opt_program = program.with_module(opt.module.clone());
-            (
-                if partitioned {
-                    "partitioned"
-                } else {
-                    "monolithic"
-                },
-                opt,
-                opt_program,
-            )
-        })
-        .collect();
+    let forms: Vec<(&str, Optimization, EventProgram)> =
+        [("monolithic", true), ("per-event", false)]
+            .into_iter()
+            .map(|(form, subsume)| {
+                let opt = optimized(&program, subsume);
+                let opt_program = program.with_module(opt.module.clone());
+                (form, opt, opt_program)
+            })
+            .collect();
 
     let base = chaos_seed();
     for i in 0..chaos_cases() {

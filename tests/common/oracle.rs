@@ -239,7 +239,7 @@ pub fn observe_external<S>(rt: &Runtime, base_globals: usize, substrate: S) -> O
 pub struct CaseContext<'a> {
     /// Substrate name, matching the test binary (`chaos_<substrate>`).
     pub substrate: &'a str,
-    /// Chain form under test: `"monolithic"`, `"partitioned"`,
+    /// Chain form under test: `"monolithic"`, `"per-event"`,
     /// `"adaptive"`, …
     pub chain_form: &'a str,
     /// Containment policy both sessions ran under.

@@ -119,10 +119,10 @@ fn video_player_wire_identical_and_faster_in_abstract_cost() {
 }
 
 #[test]
-fn xclient_partitioned_guards_keep_other_segments_fast() {
+fn xclient_per_event_guards_keep_other_segments_fast() {
     let program = x_client_program();
     let mut opts = OptimizeOptions::new(100);
-    opts.partitioned = true;
+    opts.subsume = false;
 
     let mut client = XClient::new(&program).expect("client");
     client.runtime_mut().set_trace_config(TraceConfig::full());
@@ -142,8 +142,8 @@ fn xclient_partitioned_guards_keep_other_segments_fast() {
     let mut fast = XClient::new(&opt_program).expect("fast client");
     opt.install_chains(fast.runtime_mut());
 
-    // Unbind one popup motion callback: under partitioned guards only that
-    // segment degrades; head chains still hit the fast path.
+    // Unbind one popup motion callback: with per-event chains only that
+    // event degrades; head chains still hit the fast path.
     let cb_event = opt_program
         .module
         .event_by_name("PopupMotionCallback")

@@ -109,7 +109,6 @@ fn live_server_scrape_covers_every_layer() {
             opts: pdo::OptimizeOptions::new(10),
             ..Default::default()
         },
-        ..Default::default()
     });
 
     // Plain session: hammer both events so the engine installs chains

@@ -46,7 +46,7 @@ struct ProgramSpec {
     workload: Vec<(u32, bool)>,
     /// Optimizer configuration toggles.
     threshold: u64,
-    partitioned: bool,
+    subsume: bool,
     merge_all: bool,
     speculative: bool,
     inline: bool,
@@ -75,7 +75,7 @@ fn spec_strategy() -> impl Strategy<Value = ProgramSpec> {
                 events,
                 workload,
                 threshold,
-                partitioned,
+                subsume,
                 merge_all,
                 speculative,
                 inline,
@@ -85,7 +85,7 @@ fn spec_strategy() -> impl Strategy<Value = ProgramSpec> {
                 events,
                 workload,
                 threshold,
-                partitioned,
+                subsume,
                 merge_all,
                 speculative,
                 inline,
@@ -230,7 +230,7 @@ proptest! {
 
         // Optimize.
         let mut opts = OptimizeOptions::new(spec.threshold);
-        opts.partitioned = spec.partitioned;
+        opts.subsume = spec.subsume;
         opts.merge_all = spec.merge_all;
         opts.speculative = spec.speculative;
         opts.inline = spec.inline;

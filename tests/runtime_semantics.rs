@@ -84,7 +84,6 @@ fn chain_with_wrong_arity_never_fires() {
         guards: vec![Guard::capture(rt.registry(), ids[0])],
         func: funcs[0],
         params: 3, // wrong: handler takes 0
-        partitioned: false,
     });
     rt.raise(ids[0], RaiseMode::Sync, &[]).unwrap();
     // Fast path skipped (arity mismatch counts as a miss), generic ran.
@@ -100,7 +99,6 @@ fn removing_a_chain_restores_generic_dispatch() {
         guards: vec![Guard::capture(rt.registry(), ids[0])],
         func: funcs[0],
         params: 0,
-        partitioned: false,
     });
     rt.raise(ids[0], RaiseMode::Sync, &[]).unwrap();
     assert_eq!(rt.cost.fastpath_hits, 1);

@@ -196,7 +196,6 @@ fn one_trace_links_ingress_runtime_adapt_and_wire() {
             opts: pdo::OptimizeOptions::new(10),
             ..Default::default()
         },
-        ..Default::default()
     });
     let ingress = Ingress::bind(
         IngressConfig {
