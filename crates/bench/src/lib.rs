@@ -257,6 +257,46 @@ mod tests {
         assert_eq!(allocs_per_call(|| 7u64), 0.0);
     }
 
+    /// The module memo of the snapshot codec (DESIGN.md §14) helps fleets
+    /// whose sessions share programs. This is the other fleet: 48 plain
+    /// sessions over 48 *distinct* modules, where every lookup misses. One
+    /// snapshot + restore into a fresh server must allocate no more than it
+    /// did before the memo existed (PR 18: 3 702 per cycle, measured with
+    /// this test on that commit; EXPERIMENTS.md "Control plane in half").
+    #[test]
+    fn distinct_module_fleet_pays_nothing_for_the_module_memo() {
+        use pdo_events::RuntimeConfig;
+        use pdo_ir::{BinOp, FunctionBuilder, Module, RaiseMode, Value};
+        use pdo_server::{Server, ServerConfig};
+
+        const ALLOCS_BEFORE_THE_MEMO: f64 = 3702.0;
+        let mut server = Server::new(ServerConfig::default());
+        for step in 1..=48 {
+            let mut m = Module::new();
+            let tick = m.add_event("Tick");
+            let g = m.add_global("count", Value::Int(0));
+            let mut fb = FunctionBuilder::new("bump", 0);
+            let v = fb.load_global(g);
+            let k = fb.const_int(step);
+            let sum = fb.bin(BinOp::Add, v, k);
+            fb.store_global(g, sum);
+            fb.ret(None);
+            let bump = m.add_function(fb.finish());
+            let id = server
+                .open_session(m, RuntimeConfig::default(), &[(tick, bump, 0)])
+                .unwrap();
+            server.raise(id, tick, RaiseMode::Sync, &[]).unwrap();
+        }
+        let allocs = allocs_per_call(|| {
+            let image = server.snapshot_to_bytes();
+            let mut fresh = Server::new(ServerConfig::default());
+            assert_eq!(fresh.restore_from_bytes(&image).unwrap().len(), 48);
+            image.len()
+        });
+        println!("distinct-module fleet: {allocs} allocations per snapshot + restore");
+        assert!(allocs <= ALLOCS_BEFORE_THE_MEMO, "{allocs} allocations");
+    }
+
     #[test]
     fn percent_basics() {
         assert!((percent(50.0, 100.0) - 50.0).abs() < 1e-9);

@@ -25,6 +25,7 @@ pub mod program;
 pub use program::EventProgram;
 
 use pdo_ir::{EventId, FuncId, FunctionBuilder, GlobalId, Module, NativeId, Value};
+use std::sync::Arc;
 
 /// One micro-protocol: a named set of handler bindings.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,7 +85,7 @@ impl CompositeProtocol {
             bindings.extend(mp.bindings.iter().copied());
         }
         Ok(EventProgram {
-            module: self.module.clone(),
+            module: Arc::new(self.module.clone()),
             bindings,
         })
     }

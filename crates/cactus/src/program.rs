@@ -2,6 +2,7 @@
 
 use pdo_events::{Runtime, RuntimeConfig, RuntimeError};
 use pdo_ir::{EventId, FuncId, Module};
+use std::sync::Arc;
 
 /// A configured program: the IR module and the handler bindings to apply.
 ///
@@ -11,8 +12,9 @@ use pdo_ir::{EventId, FuncId, Module};
 /// versions).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventProgram {
-    /// The IR module (shared by all sessions of this program).
-    pub module: Module,
+    /// The IR module, shared by all sessions of this program: every
+    /// runtime built from it holds this allocation, not a copy.
+    pub module: Arc<Module>,
     /// `(event, handler, order)` bindings in application order.
     pub bindings: Vec<(EventId, FuncId, i32)>,
 }
@@ -34,7 +36,7 @@ impl EventProgram {
     ///
     /// Propagates binding failures.
     pub fn runtime_with_config(&self, config: RuntimeConfig) -> Result<Runtime, RuntimeError> {
-        let mut rt = Runtime::with_config(self.module.clone(), config);
+        let mut rt = Runtime::with_config(Arc::clone(&self.module), config);
         self.apply_bindings(&mut rt)?;
         Ok(rt)
     }
@@ -55,9 +57,9 @@ impl EventProgram {
 
     /// A copy of this program executing `module` instead (e.g. the module
     /// produced by the optimizer, which extends the original).
-    pub fn with_module(&self, module: Module) -> EventProgram {
+    pub fn with_module(&self, module: impl Into<Arc<Module>>) -> EventProgram {
         EventProgram {
-            module,
+            module: module.into(),
             bindings: self.bindings.clone(),
         }
     }
@@ -81,7 +83,7 @@ mod tests {
         let h = m.add_function(fb.finish());
         (
             EventProgram {
-                module: m,
+                module: Arc::new(m),
                 bindings: vec![(e, h, 0)],
             },
             e,
@@ -115,7 +117,7 @@ mod tests {
     #[test]
     fn with_module_keeps_bindings() {
         let (prog, e, g) = program();
-        let extended = prog.with_module(prog.module.clone());
+        let extended = prog.with_module(Module::clone(&prog.module));
         let mut rt = extended.runtime().unwrap();
         rt.raise(e, RaiseMode::Sync, &[]).unwrap();
         assert_eq!(rt.global(g), &Value::Int(1));

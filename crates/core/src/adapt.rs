@@ -524,7 +524,7 @@ fn note_why_not(
 /// Per-session state of the adaptive-specialization daemon.
 #[derive(Debug)]
 pub struct AdaptiveEngine {
-    base: Module,
+    base: Arc<Module>,
     config: AdaptConfig,
     builder: ProfileBuilder,
     /// Owns the deployed chains (installed, quarantined, or stale) once
@@ -558,7 +558,7 @@ pub struct AdaptiveEngine {
 impl AdaptiveEngine {
     /// An engine re-optimizing against `base` (the session's original,
     /// unspecialized module).
-    pub fn new(base: Module, config: AdaptConfig) -> Self {
+    pub fn new(base: impl Into<Arc<Module>>, config: AdaptConfig) -> Self {
         Self::from_snapshot(base, config, EngineSnapshot::default())
     }
 
@@ -584,12 +584,10 @@ impl AdaptiveEngine {
     }
 
     /// Convenience: builds an engine over the runtime's current module
-    /// (which must be the unoptimized base) and attaches it.
+    /// (which must be the unoptimized base; the engine shares it) and
+    /// attaches it.
     pub fn attach_new(rt: &mut Runtime, config: AdaptConfig) -> Rc<RefCell<Self>> {
-        let engine = Rc::new(RefCell::new(AdaptiveEngine::new(
-            rt.module().clone(),
-            config,
-        )));
+        let engine = Rc::new(RefCell::new(AdaptiveEngine::new(rt.module_arc(), config)));
         Self::attach(Rc::clone(&engine), rt);
         engine
     }
@@ -618,7 +616,12 @@ impl AdaptiveEngine {
     /// them can hold, or anything a hostile one invents) are dropped, as
     /// they would otherwise pin their event at "registry drift" until they
     /// decayed.
-    pub fn from_snapshot(base: Module, config: AdaptConfig, snap: EngineSnapshot) -> Self {
+    pub fn from_snapshot(
+        base: impl Into<Arc<Module>>,
+        config: AdaptConfig,
+        snap: EngineSnapshot,
+    ) -> Self {
+        let base = base.into();
         let mut builder = ProfileBuilder::from_state(snap.profile);
         builder.retain_program_handlers(base.functions.len());
         AdaptiveEngine {
@@ -645,7 +648,7 @@ impl AdaptiveEngine {
     /// sleep count runs out).
     pub fn attach_restored(
         rt: &mut Runtime,
-        base: Module,
+        base: impl Into<Arc<Module>>,
         config: AdaptConfig,
         snap: EngineSnapshot,
     ) -> Rc<RefCell<Self>> {
@@ -677,9 +680,10 @@ impl AdaptiveEngine {
     }
 
     /// The session's original, unspecialized module — what every
-    /// re-profile optimizes against. Migration uses it to reconstruct the
-    /// session on another shard.
-    pub fn base(&self) -> &Module {
+    /// re-profile optimizes against, shared with every other session of
+    /// the program. Migration uses it to reconstruct the session on
+    /// another shard.
+    pub fn base(&self) -> &Arc<Module> {
         &self.base
     }
 

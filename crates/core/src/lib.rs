@@ -395,7 +395,7 @@ impl Builder<'_> {
             }
         }
 
-        self.cleanup(shell);
+        // Every path to here ran `cleanup` after the last edit to `shell`.
         self.in_progress.remove(&event);
 
         let built = Built {

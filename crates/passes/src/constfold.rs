@@ -5,9 +5,17 @@
 //! replaced with `const`; algebraic identities with one constant operand
 //! are simplified; branches on constant conditions become jumps (enabling
 //! [`crate::Cleanup`] to drop the dead arm).
+//!
+//! One canonical form for repeated constants, shared with [`crate::Cse`]:
+//! the first `const v` of a block materialises, later equal ones are `mov`s
+//! from it. So `rD = mov rS` is left alone exactly when `rS` still holds
+//! what a `const` earlier in the same block put there — folding it would
+//! produce the `const` that CSE turns straight back into this `mov`, and
+//! the pipeline would never reach its fixed point. A `mov` of a constant
+//! that arrives from another block still folds.
 
 use crate::analysis::{
-    const_states, const_transfer, type_states, type_step, ConstState, Tag, TyState,
+    const_states, const_transfer, type_states, type_step, ConstState, RegSet, Tag, TyState,
 };
 use crate::Pass;
 use pdo_ir::{BinOp, Function, Instr, Module, Terminator, Value};
@@ -37,13 +45,32 @@ pub(crate) fn fold_function(f: &mut Function) -> bool {
     for (b, block) in f.blocks.iter_mut().enumerate() {
         let mut state: ConstState = in_states[b].clone();
         let mut tys: TyState = ty_in[b].clone();
+        // Registers holding what a `const` of this block put there: not
+        // redefined and not `bset` since (the condition under which CSE
+        // offers the register for an equal later `const`).
+        let mut materialised = RegSet::new(f.reg_count);
         for instr in &mut block.instrs {
-            if let Some(replacement) = simplify(instr, &state, &tys) {
-                *instr = replacement;
-                changed = true;
+            let canonical_mov =
+                matches!(instr, Instr::Mov { src, .. } if materialised.contains(*src));
+            if !canonical_mov {
+                if let Some(replacement) = simplify(instr, &state, &tys) {
+                    *instr = replacement;
+                    changed = true;
+                }
             }
             const_transfer(&mut state, instr);
             type_step(&mut tys, instr);
+            match instr {
+                Instr::Const { dst, .. } => {
+                    materialised.insert(*dst);
+                }
+                Instr::BytesSet { bytes, .. } => materialised.remove(*bytes),
+                other => {
+                    if let Some(d) = other.def() {
+                        materialised.remove(d);
+                    }
+                }
+            }
         }
         if let Terminator::Branch {
             cond,

@@ -28,78 +28,81 @@ impl Pass for CopyProp {
 
 pub(crate) fn propagate_function(f: &mut Function) -> bool {
     let mut changed = false;
+    // copy_of[d] = Some(s) means registers d and s currently hold the same
+    // value and s is the preferred (older) name; `copies` lists the d that
+    // have one, so invalidation looks at the live relations only.
+    let mut copy_of: Vec<Option<Reg>> = vec![None; usize::from(f.reg_count)];
+    let mut copies: Vec<Reg> = Vec::new();
+
+    // Chase chains (a=mov b; c=mov a) with a small bound to stay robust
+    // against accidental cycles.
+    fn resolve(copy_of: &[Option<Reg>], mut r: Reg, changed: &mut bool) -> Reg {
+        for _ in 0..copy_of.len() {
+            match copy_of[r.index()] {
+                Some(next) => {
+                    r = next;
+                    *changed = true;
+                }
+                None => break,
+            }
+        }
+        r
+    }
+
+    // Invalidate any copy relation involving `r` (as source or dest).
+    fn kill(copy_of: &mut [Option<Reg>], copies: &mut Vec<Reg>, r: Reg) {
+        copy_of[r.index()] = None;
+        copies.retain(|d| {
+            let live = copy_of[d.index()].is_some_and(|s| s != r);
+            if !live {
+                copy_of[d.index()] = None;
+            }
+            live
+        });
+    }
+
     for block in &mut f.blocks {
-        // copy_of[d] = Some(s) means registers d and s currently hold the
-        // same value and s is the preferred (older) name.
-        let mut copy_of: Vec<Option<Reg>> = vec![None; usize::from(f.reg_count)];
-
-        let resolve = |copy_of: &[Option<Reg>], mut r: Reg| -> Reg {
-            // Chase chains (a=mov b; c=mov a) with a small bound to stay
-            // robust against accidental cycles.
-            for _ in 0..copy_of.len() {
-                match copy_of[r.index()] {
-                    Some(next) => r = next,
-                    None => break,
-                }
-            }
-            r
-        };
-
-        // Invalidate any copy relation involving `r` (as source or dest).
-        let kill = |copy_of: &mut Vec<Option<Reg>>, r: Reg| {
-            copy_of[r.index()] = None;
-            for slot in copy_of.iter_mut() {
-                if *slot == Some(r) {
-                    *slot = None;
-                }
-            }
-        };
+        for d in copies.drain(..) {
+            copy_of[d.index()] = None;
+        }
 
         for instr in &mut block.instrs {
             // Rewrite uses first. `bset` is special: its *bytes* operand is
             // mutated in place, so renaming it to the copy source would
             // redirect the mutation to a different register — only its
             // index/value operands may be rewritten.
-            let before = instr.clone();
             if let Instr::BytesSet { index, value, .. } = instr {
-                *index = resolve(&copy_of, *index);
-                *value = resolve(&copy_of, *value);
+                *index = resolve(&copy_of, *index, &mut changed);
+                *value = resolve(&copy_of, *value, &mut changed);
             } else {
-                instr.map_uses(|r| resolve(&copy_of, r));
-            }
-            if *instr != before {
-                changed = true;
+                instr.map_uses(|r| resolve(&copy_of, r, &mut changed));
             }
 
             // `bset` mutates the buffer named by its bytes register in
             // place; any alias relation involving it is stale.
             if let Instr::BytesSet { bytes, .. } = instr {
-                let b = *bytes;
-                kill(&mut copy_of, b);
+                kill(&mut copy_of, &mut copies, *bytes);
             }
 
             match instr {
                 Instr::Mov { dst, src } if dst != src => {
                     let (d, s) = (*dst, *src);
-                    kill(&mut copy_of, d);
+                    kill(&mut copy_of, &mut copies, d);
                     copy_of[d.index()] = Some(s);
+                    copies.push(d);
                 }
                 other => {
                     if let Some(d) = other.def() {
-                        kill(&mut copy_of, d);
+                        kill(&mut copy_of, &mut copies, d);
                     }
                 }
             }
         }
 
-        let before = block.term.clone();
         match &mut block.term {
-            Terminator::Branch { cond, .. } => *cond = resolve(&copy_of, *cond),
-            Terminator::Ret(Some(r)) => *r = resolve(&copy_of, *r),
+            Terminator::Branch { cond, .. } => *cond = resolve(&copy_of, *cond, &mut changed),
+            Terminator::Ret(Some(r)) => *r = resolve(&copy_of, *r, &mut changed),
             _ => {}
-        }
-        if block.term != before {
-            changed = true;
         }
     }
     changed

@@ -39,7 +39,9 @@ impl Pass for Cse {
 enum ExprKey {
     /// A constant materialization — deduplicating these lets copy
     /// propagation unify downstream expressions that differ only in which
-    /// register holds an identical literal.
+    /// register holds an identical literal. Constant folding leaves the
+    /// resulting `mov` alone under exactly the availability rule below
+    /// (see [`crate::constfold`]); the two must change together.
     Const(Value),
     Bin(BinOp, Reg, Reg),
     Un(UnOp, Reg),

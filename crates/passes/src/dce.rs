@@ -32,16 +32,17 @@ pub(crate) fn dce_function(f: &mut Function) -> bool {
     let ty_in = type_states(f);
     let mut changed = false;
     for (b, block) in f.blocks.iter_mut().enumerate() {
-        // Forward pass: the type state *before* each instruction, used to
-        // prove an instruction cannot fault.
+        // Forward pass: which instructions may go if their result is dead
+        // — no side effect, and proven unable to fault by the type state
+        // before them.
         let mut ty = ty_in[b].clone();
-        let pre_types: Vec<_> = block
+        let removable: Vec<bool> = block
             .instrs
             .iter()
             .map(|instr| {
-                let snapshot = ty.clone();
+                let removable = !instr.has_side_effect() && cannot_fault(instr, &ty);
                 type_step(&mut ty, instr);
-                snapshot
+                removable
             })
             .collect();
 
@@ -63,7 +64,7 @@ pub(crate) fn dce_function(f: &mut Function) -> bool {
                 Some(d) => !live.contains(d),
                 None => false,
             };
-            if dead && !instr.has_side_effect() && cannot_fault(instr, &pre_types[i]) {
+            if dead && removable[i] {
                 keep[i] = false;
                 changed = true;
                 continue;

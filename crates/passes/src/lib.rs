@@ -21,7 +21,11 @@
 //!
 //! Passes implement [`Pass`] and run under a [`PassManager`], which iterates
 //! the pipeline to a fixed point and verifies the module after every
-//! mutation in debug builds.
+//! mutation in debug builds. The fixed point exists because passes agree on
+//! canonical forms (see [`constfold`] for repeated constants); debug builds
+//! also panic when an iteration ends in a state an earlier one ended in,
+//! so two passes undoing each other fail a test instead of spinning to the
+//! iteration cap.
 //!
 //! ```
 //! use pdo_ir::{parse::parse_module, interp::{BasicEnv, call}, Value, FuncId};
@@ -64,7 +68,7 @@ pub use fuse::{fuse_function, fuse_module, Fuse, FusionRecord};
 pub use inline::Inline;
 pub use locks::{LockCoalesce, RedundantLoadElim};
 
-use pdo_ir::Module;
+use pdo_ir::{Function, Module};
 
 /// A module-level transformation.
 pub trait Pass {
@@ -86,6 +90,54 @@ pub struct PipelineReport {
     pub pass_changes: Vec<(&'static str, usize)>,
     /// Fixed-point iterations executed.
     pub iterations: usize,
+    /// The last iteration changed nothing: the result is a fixed point of
+    /// the pipeline. `false` means the iteration cap stopped it first.
+    pub converged: bool,
+}
+
+/// Iterations [`optimize_single_function`] and a default [`PassManager`]
+/// allow themselves.
+const MAX_ITERATIONS: usize = 8;
+
+/// Runs `round` — one trip through a pipeline, returning whether anything
+/// changed — until a trip changes nothing or `cap` trips have run, and
+/// records in `report` how many ran and which of the two ended them.
+///
+/// # Panics
+///
+/// In debug builds, when a trip that reported a change leaves the module
+/// in a state one of the previous two trips (or the input) left it in:
+/// passes are undoing each other and no number of trips would converge. A
+/// long run that keeps reaching new states is legal.
+fn run_to_fixed_point(
+    module: &mut Module,
+    cap: usize,
+    report: &mut PipelineReport,
+    mut round: impl FnMut(&mut Module, &mut PipelineReport) -> bool,
+) {
+    #[cfg(debug_assertions)]
+    let mut ended_in = vec![module.clone()];
+    for _ in 0..cap {
+        report.iterations += 1;
+        if !round(module, report) {
+            report.converged = true;
+            break;
+        }
+        #[cfg(debug_assertions)]
+        {
+            assert!(
+                !ended_in.contains(module),
+                "pass pipeline oscillates: iteration {} reported a change and ended in a state \
+                 an earlier iteration ended in (changes so far: {:?})",
+                report.iterations,
+                report.pass_changes
+            );
+            if ended_in.len() == 2 {
+                ended_in.remove(0);
+            }
+            ended_in.push(module.clone());
+        }
+    }
 }
 
 /// Runs a sequence of passes to a fixed point.
@@ -111,7 +163,7 @@ impl PassManager {
     pub fn new() -> Self {
         PassManager {
             passes: Vec::new(),
-            max_iterations: 8,
+            max_iterations: MAX_ITERATIONS,
         }
     }
 
@@ -155,41 +207,59 @@ impl PassManager {
         self
     }
 
-    /// Runs the pipeline to a fixed point (or the iteration cap).
+    /// Runs the pipeline to a fixed point (or the iteration cap;
+    /// [`PipelineReport::converged`] says which).
     ///
     /// # Panics
     ///
     /// In debug builds, panics if a pass produces a module that fails
-    /// [`pdo_ir::verify_module`].
+    /// [`pdo_ir::verify_module`], or if the pipeline oscillates (an
+    /// iteration ends in a state an earlier one ended in).
     pub fn run(&self, module: &mut Module) -> PipelineReport {
         let mut report = PipelineReport {
             instrs_before: module.instr_count(),
             pass_changes: self.passes.iter().map(|p| (p.name(), 0)).collect(),
             ..Default::default()
         };
-        for _ in 0..self.max_iterations {
-            report.iterations += 1;
-            let mut changed = false;
-            for (i, pass) in self.passes.iter().enumerate() {
-                if pass.run(module) {
-                    changed = true;
-                    report.pass_changes[i].1 += 1;
-                    debug_assert!(
-                        pdo_ir::verify_module(module).is_ok(),
-                        "pass `{}` broke the module: {:?}",
-                        pass.name(),
-                        pdo_ir::verify_module(module)
-                    );
+        run_to_fixed_point(
+            module,
+            self.max_iterations,
+            &mut report,
+            |module, report| {
+                let mut changed = false;
+                for (i, pass) in self.passes.iter().enumerate() {
+                    if pass.run(module) {
+                        changed = true;
+                        report.pass_changes[i].1 += 1;
+                        debug_assert!(
+                            pdo_ir::verify_module(module).is_ok(),
+                            "pass `{}` broke the module: {:?}",
+                            pass.name(),
+                            pdo_ir::verify_module(module)
+                        );
+                    }
                 }
-            }
-            if !changed {
-                break;
-            }
-        }
+                changed
+            },
+        );
         report.instrs_after = module.instr_count();
         report
     }
 }
+
+type FunctionPass = fn(&mut Function) -> bool;
+
+/// The scalar and CFG passes of [`PassManager::standard`], in its order, as
+/// they apply to one function.
+const FUNCTION_PASSES: [(&str, FunctionPass); 7] = [
+    ("copyprop", copyprop::propagate_function),
+    ("constfold", constfold::fold_function),
+    ("cse", cse::cse_function),
+    ("redundantload", locks::forward_function),
+    ("lockcoalesce", locks::coalesce_function),
+    ("dce", dce::dce_function),
+    ("cleanup", cleanup::cleanup_function),
+];
 
 /// Runs the scalar and CFG pipeline on **one** function, optionally
 /// inlining call sites within it first (`inline_threshold`). All other
@@ -197,37 +267,49 @@ impl PassManager {
 /// cleans up freshly built super-handlers without perturbing the original
 /// handler bodies whose generic dispatch path must remain intact.
 ///
-/// Returns `true` if the function changed.
+/// The report counts that function's instructions; its first
+/// `pass_changes` entry is `inline` (never changed without a threshold).
+///
+/// # Panics
+///
+/// As [`PassManager::run`], in debug builds.
 pub fn optimize_single_function(
     module: &mut Module,
     func: pdo_ir::FuncId,
     inline_threshold: Option<usize>,
-) -> bool {
-    let mut any = false;
-    for _ in 0..8 {
+) -> PipelineReport {
+    let mut report = PipelineReport {
+        instrs_before: module.functions[func.index()].instr_count(),
+        pass_changes: std::iter::once("inline")
+            .chain(FUNCTION_PASSES.iter().map(|(name, _)| *name))
+            .map(|name| (name, 0))
+            .collect(),
+        ..Default::default()
+    };
+    run_to_fixed_point(module, MAX_ITERATIONS, &mut report, |module, report| {
         let mut changed = false;
         if let Some(th) = inline_threshold {
-            changed |= inline::inline_into(module, func.index(), th);
+            if inline::inline_into(module, func.index(), th) {
+                changed = true;
+                report.pass_changes[0].1 += 1;
+            }
         }
         let f = &mut module.functions[func.index()];
-        changed |= copyprop::propagate_function(f);
-        changed |= constfold::fold_function(f);
-        changed |= cse::cse_function(f);
-        changed |= locks::forward_function(f);
-        changed |= locks::coalesce_function(f);
-        changed |= dce::dce_function(f);
-        changed |= cleanup::cleanup_function(f);
-        if !changed {
-            break;
+        for (i, (_, pass)) in FUNCTION_PASSES.iter().enumerate() {
+            if pass(f) {
+                changed = true;
+                report.pass_changes[i + 1].1 += 1;
+            }
         }
-        any = true;
         debug_assert!(
-            pdo_ir::verify_module(module).is_ok(),
+            !changed || pdo_ir::verify_module(module).is_ok(),
             "optimize_single_function broke the module: {:?}",
             pdo_ir::verify_module(module)
         );
-    }
-    any
+        changed
+    });
+    report.instrs_after = module.functions[func.index()].instr_count();
+    report
 }
 
 impl Default for PassManager {

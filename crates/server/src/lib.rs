@@ -58,13 +58,14 @@ use pdo_obs::{
     DEFAULT_RECORDER_CAPACITY,
 };
 use pdo_seccomm::{Endpoint as SecCommEndpoint, Keys, SecCommError};
-use pdo_snap::SnapshotError;
+use pdo_snap::{Codec, SnapWriter, SnapshotError};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 use std::rc::Rc;
 use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
@@ -209,7 +210,7 @@ fn kind_runtime_mut(kind: &mut SessionKind) -> &mut Runtime {
 /// thread.
 enum SessionSpec {
     Plain {
-        module: Module,
+        module: Arc<Module>,
         config: RuntimeConfig,
         bindings: Vec<(EventId, FuncId, i32)>,
     },
@@ -420,7 +421,7 @@ impl ShardState {
         } = snap;
         let mut kind = match kind {
             KindSnapshot::Plain => {
-                let mut rt = Runtime::with_config(module.clone(), config);
+                let mut rt = Runtime::with_config(Arc::clone(&module), config);
                 for &(event, handler, order) in &bindings {
                     rt.bind(event, handler, order)
                         .map_err(|e| ServerError::Runtime(id, e))?;
@@ -429,8 +430,8 @@ impl ShardState {
             }
             KindSnapshot::Ctp { params, link } => {
                 let program = EventProgram {
-                    module: module.clone(),
-                    bindings: bindings.clone(),
+                    module: Arc::clone(&module),
+                    bindings,
                 };
                 // No `open()`: a restored session resumes, it does not
                 // re-run session setup.
@@ -441,8 +442,8 @@ impl ShardState {
             }
             KindSnapshot::SecComm { keys, wire } => {
                 let program = EventProgram {
-                    module: module.clone(),
-                    bindings: bindings.clone(),
+                    module: Arc::clone(&module),
+                    bindings,
                 };
                 let mut ep = SecCommEndpoint::new(&program, &keys)
                     .map_err(|e| ServerError::SecComm(id, e))?;
@@ -658,7 +659,7 @@ impl ShardState {
     /// adaptation daemon's profile/quarantine, and (for protocol kinds)
     /// the endpoint's link or wire state plus its rebuild recipe.
     fn snapshot_session(session: &Session) -> SessionSnapshot {
-        let module = session.engine.borrow().base().clone();
+        let module = Arc::clone(session.engine.borrow().base());
         let rt = session.runtime();
         let mut bindings = Vec::new();
         for idx in 0..module.events.len() {
@@ -957,6 +958,9 @@ pub struct Server {
     snapshots_total: u64,
     restores_total: u64,
     snapshot_bytes: Histogram,
+    /// Payload length of the previous image: the next one's encode buffer
+    /// starts at this size instead of growing to it by doubling.
+    last_payload_len: usize,
     encode_wall_ns: Histogram,
     decode_wall_ns: Histogram,
 }
@@ -1026,6 +1030,7 @@ impl Server {
             snapshots_total: 0,
             restores_total: 0,
             snapshot_bytes: Histogram::new(),
+            last_payload_len: 0,
             encode_wall_ns: Histogram::new(),
             decode_wall_ns: Histogram::new(),
         }
@@ -1178,13 +1183,13 @@ impl Server {
     /// Propagates binding failures.
     pub fn open_session(
         &mut self,
-        module: Module,
+        module: impl Into<Arc<Module>>,
         config: RuntimeConfig,
         bindings: &[(EventId, FuncId, i32)],
     ) -> Result<SessionId, ServerError> {
         self.open_at(
             SessionSpec::Plain {
-                module,
+                module: module.into(),
                 config,
                 bindings: bindings.to_vec(),
             },
@@ -1243,13 +1248,13 @@ impl Server {
     pub fn open_session_on(
         &mut self,
         shard: usize,
-        module: Module,
+        module: impl Into<Arc<Module>>,
         config: RuntimeConfig,
         bindings: &[(EventId, FuncId, i32)],
     ) -> Result<SessionId, ServerError> {
         self.open_at(
             SessionSpec::Plain {
-                module,
+                module: module.into(),
                 config,
                 bindings: bindings.to_vec(),
             },
@@ -1687,7 +1692,10 @@ impl Server {
             next_id: self.next_id,
             sessions,
         };
-        let bytes = pdo_snap::encode(&image);
+        let mut w = SnapWriter::with_capacity(self.last_payload_len);
+        image.put(&mut w);
+        self.last_payload_len = w.len();
+        let bytes = w.finish();
         self.snapshots_total += 1;
         self.snapshot_bytes.record(bytes.len() as u64);
         self.encode_wall_ns
@@ -1753,6 +1761,28 @@ impl Server {
             bytes: bytes.len() as u64,
         });
         Ok(restored)
+    }
+
+    /// Every session's base module and the module its runtime executes,
+    /// by id: what the sharing tests compare allocations of.
+    #[cfg(test)]
+    fn base_modules(&self) -> Vec<(SessionId, Arc<Module>, Arc<Module>)> {
+        let mut all: Vec<_> = self
+            .each_shard(|state| {
+                state
+                    .sessions
+                    .iter()
+                    .map(|(&id, s)| {
+                        let base = Arc::clone(s.engine.borrow().base());
+                        (id, base, s.runtime().module_arc())
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+        all.sort_by_key(|(id, ..)| *id);
+        all
     }
 
     /// Persists [`Server::snapshot_to_bytes`] to `path` atomically:

@@ -24,6 +24,7 @@ use pdo_ir::{EventId, FuncId, Module, Value};
 use pdo_seccomm::{Keys, SecWireState};
 use pdo_snap::{codec_enum, codec_struct};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::SessionId;
 
@@ -34,7 +35,9 @@ use crate::SessionId;
 /// taken.
 #[derive(Debug, PartialEq)]
 pub(crate) struct SessionSnapshot {
-    pub module: Module,
+    /// Shared with the session it was taken from (and, in a decoded image,
+    /// with every other session carrying the same module text).
+    pub module: Arc<Module>,
     pub config: RuntimeConfig,
     pub bindings: Vec<(EventId, FuncId, i32)>,
     pub globals: Vec<Value>,
@@ -97,10 +100,11 @@ mod tests {
     use pdo_seccomm::{seccomm_protocol, CONFIG_FULL};
     use pdo_snap::{decode, encode, hostile, Codec, SnapWriter, SnapshotError};
 
-    /// One session of every kind, each with state worth carrying: a
-    /// profiled plain counter with a queued raise and pending timers, a
-    /// CTP endpoint mid-conversation, a SecComm endpoint with traffic.
-    fn fleet_image() -> Image {
+    /// Two sessions of every kind, each pair opened from one program, each
+    /// session with state worth carrying: profiled plain counters with a
+    /// queued raise and pending timers, CTP endpoints mid-conversation,
+    /// SecComm endpoints with traffic.
+    fn fleet_server() -> Server {
         let mut server = Server::new(ServerConfig {
             shards: 2,
             adapt: pdo::AdaptConfig {
@@ -119,41 +123,94 @@ mod tests {
         fb.store_global(g, sum);
         fb.ret(None);
         let bump = m.add_function(fb.finish());
-        let plain = server
-            .open_session(m, RuntimeConfig::default(), &[(tick, bump, 0)])
-            .unwrap();
-        // Ten raises per 1 µs epoch: the decaying profile stays non-empty,
-        // and the last ten timers are still pending in the image.
-        for i in 0..30u64 {
-            server.submit(plain, tick, 1 + i * 100, &[]).unwrap();
-        }
-        server.run_until(2_000).unwrap();
-        server
-            .with_runtime(plain, move |rt| {
-                rt.raise(tick, RaiseMode::Async, &[]).unwrap();
-            })
-            .unwrap();
-        let ctp = server
-            .open_ctp_session(&ctp_program(), CtpParams::default())
-            .unwrap();
-        server
-            .with_ctp(ctp, |ep| ep.send(&[7u8; 200]))
-            .unwrap()
-            .unwrap();
+        let m = Arc::new(m);
+        let ctp_program = ctp_program();
         let sec = seccomm_protocol().instantiate(CONFIG_FULL).unwrap();
-        let tx = server.open_seccomm_session(&sec, &Keys::default()).unwrap();
+        for k in 0..SESSIONS_PER_KIND as u64 {
+            let plain = server
+                .open_session(Arc::clone(&m), RuntimeConfig::default(), &[(tick, bump, 0)])
+                .unwrap();
+            // Ten raises per 1 µs epoch: the decaying profile stays
+            // non-empty, and the last ten timers are still pending in the
+            // image.
+            for i in 0..30u64 {
+                server.submit(plain, tick, 1 + k + i * 100, &[]).unwrap();
+            }
+            server.run_until(2_000).unwrap();
+            server
+                .with_runtime(plain, move |rt| {
+                    rt.raise(tick, RaiseMode::Async, &[]).unwrap();
+                })
+                .unwrap();
+        }
+        for k in 0..SESSIONS_PER_KIND as u8 {
+            let ctp = server
+                .open_ctp_session(&ctp_program, CtpParams::default())
+                .unwrap();
+            server
+                .with_ctp(ctp, move |ep| ep.send(&[7 + k; 200]))
+                .unwrap()
+                .unwrap();
+            let tx = server.open_seccomm_session(&sec, &Keys::default()).unwrap();
+            server
+                .with_seccomm(tx, move |ep| ep.push(&[b'p' + k; 7]))
+                .unwrap()
+                .unwrap();
+        }
         server
-            .with_seccomm(tx, |ep| ep.push(b"payload"))
-            .unwrap()
-            .unwrap();
-        decode(&server.snapshot_to_bytes()).expect("own image decodes")
     }
 
+    const SESSIONS_PER_KIND: usize = 2;
+    const KINDS: usize = 3;
+
+    fn fleet_image() -> Image {
+        decode(&fleet_server().snapshot_to_bytes()).expect("own image decodes")
+    }
+
+    /// The image repeats every module (two sessions per program), so the
+    /// sweep also covers the writer's and the reader's module memo.
     #[test]
     fn image_codec_survives_the_hostile_sweep() {
         let image = fleet_image();
-        assert_eq!(image.sessions.len(), 3);
+        assert_eq!(image.sessions.len(), KINDS * SESSIONS_PER_KIND);
         hostile::check(&image);
+    }
+
+    /// Sessions of one program share one module allocation — at open and
+    /// again after a restore, where the image's repeated module text
+    /// parses once — in the runtime and in the engine's base alike; and
+    /// the image a restored fleet writes is the image it was restored from.
+    #[test]
+    fn sessions_of_one_program_share_one_module_allocation() {
+        let mut original = fleet_server();
+        let image = original.snapshot_to_bytes();
+        let mut restored = Server::new(ServerConfig {
+            shards: 2,
+            ..Default::default()
+        });
+        restored.restore_from_bytes(&image).unwrap();
+        assert_eq!(restored.snapshot_to_bytes(), image);
+
+        for server in [&mut original, &mut restored] {
+            let bases = server.base_modules();
+            assert_eq!(bases.len(), KINDS * SESSIONS_PER_KIND);
+            for (id, base, executing) in &bases {
+                let sharers = bases
+                    .iter()
+                    .filter(|(_, b, _)| Arc::ptr_eq(b, base))
+                    .count();
+                assert_eq!(sharers, SESSIONS_PER_KIND, "session {id}");
+                // Each sharer holds it twice: the engine's base and (no
+                // chain deployed on these short runs) the runtime. `bases`
+                // itself holds as many again.
+                assert!(Arc::ptr_eq(base, executing), "session {id}");
+                let in_server = Arc::strong_count(base) - 2 * SESSIONS_PER_KIND;
+                assert!(
+                    in_server >= 2 * SESSIONS_PER_KIND,
+                    "session {id}: {in_server} holders"
+                );
+            }
+        }
     }
 
     fn is_malformed(w: SnapWriter) -> bool {
@@ -265,7 +322,10 @@ mod tests {
         assert!(server.sessions().is_empty(), "nothing was opened");
 
         image.next_id = last.0 + 1;
-        assert_eq!(restore(&mut server, &image).unwrap().len(), 3);
+        assert_eq!(
+            restore(&mut server, &image).unwrap().len(),
+            KINDS * SESSIONS_PER_KIND
+        );
         let fresh = server
             .open_session(Module::new(), RuntimeConfig::default(), &[])
             .unwrap();

@@ -15,7 +15,7 @@
 //! | `u16`, `u32`, `EventId`, `FuncId` | 4 (`u16` travels widened; narrowing is checked on decode) |
 //! | `i32`, `i64`, `u64`, `usize` | 8 (`i32`/`usize` travel widened; narrowing is checked on decode) |
 //! | `Vec<T>`, `BTreeMap<K, V>` | `u64` count, then the elements / `(key, value)` pairs in order |
-//! | `Vec<u8>`, `[u8; N]`, `String`, `Module` | `u64` length, then the bytes (UTF-8 / IR text) |
+//! | `Vec<u8>`, `[u8; N]`, `String`, `Module`, `Arc<Module>` | `u64` length, then the bytes (UTF-8 / IR text) |
 //! | `Option<T>` | `bool`, then `T` when true |
 //! | tuples, `Box<T>` | the parts in order, no header |
 //! | `Value` | [`Tag`] byte, then the body |
@@ -27,6 +27,7 @@
 use crate::{SnapReader, SnapWriter, SnapshotError};
 use pdo_ir::{EventId, FuncId, Module, Value};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A type with one declared byte layout. Every value encodes to at least
 /// one byte (the length-prefix policy relies on it).
@@ -155,6 +156,19 @@ impl Codec for Module {
     }
     fn take(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
         r.take_module()
+    }
+}
+
+/// The bytes of [`Module`]'s encoding; what differs is the work. A frame
+/// holding the same allocation many times (sessions of one program) prints
+/// it once, and decoding hands every occurrence of one text the same
+/// allocation.
+impl Codec for Arc<Module> {
+    fn put(&self, w: &mut SnapWriter) {
+        w.shared_module(self);
+    }
+    fn take(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        r.take_shared_module()
     }
 }
 

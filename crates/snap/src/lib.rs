@@ -17,15 +17,16 @@
 //! [`SnapWriter`] and [`SnapReader`] provide the primitive vocabulary
 //! (fixed-width little-endian integers, length-prefixed byte strings,
 //! tagged [`Value`]s, and whole [`Module`]s carried as IR text, which
-//! round-trips exactly). Everything larger is a [`Codec`]: each encoded
-//! type declares its layout once — a [`codec_struct!`] or [`codec_enum!`]
-//! field table next to the type — and both directions are derived from
-//! that one table, so encode and decode cannot drift. [`encode`] and
-//! [`decode`] frame a whole `Codec` value; [`hostile`] is the one
-//! corruption sweep every encoded type is tested with. [`write_atomic`]
-//! persists a frame with the write-temp-then-rename discipline so a crash
-//! mid-write leaves either the old file or the new one, never a torn
-//! hybrid.
+//! round-trips exactly; a shared `Arc<Module>` is printed and parsed once
+//! per frame however often it occurs, with the same bytes). Everything
+//! larger is a [`Codec`]: each encoded type declares its layout once — a
+//! [`codec_struct!`] or [`codec_enum!`] field table next to the type — and
+//! both directions are derived from that one table, so encode and decode
+//! cannot drift. [`encode`] and [`decode`] frame a whole `Codec` value;
+//! [`hostile`] is the one corruption sweep every encoded type is tested
+//! with. [`write_atomic`] persists a frame with the write-temp-then-rename
+//! discipline so a crash mid-write leaves either the old file or the new
+//! one, never a torn hybrid.
 
 mod codec;
 pub mod hostile;
@@ -33,10 +34,13 @@ pub mod hostile;
 pub use codec::{Codec, Tag, Via};
 
 use pdo_ir::{display::print_module, parse::parse_module, Module, Value};
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
+use std::ops::Range;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Leading bytes of every snapshot frame.
 pub const MAGIC: [u8; 8] = *b"PDOSNAP\0";
@@ -122,16 +126,44 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// Bytes before the payload: magic, version, payload length.
+const HEADER_LEN: usize = MAGIC.len() + 4 + 8;
+
 /// Builds a snapshot payload and frames it.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SnapWriter {
+    /// The frame under construction: [`HEADER_LEN`] reserved bytes that
+    /// [`SnapWriter::finish_frame`] fills in, then the payload.
     buf: Vec<u8>,
+    /// Where each shared module written so far was first encoded, by the
+    /// address of its allocation. The entry holds the `Arc`, so the
+    /// address cannot be reused while the frame is being written.
+    modules: HashMap<usize, (Arc<Module>, Range<usize>)>,
+}
+
+impl Default for SnapWriter {
+    fn default() -> Self {
+        SnapWriter::new()
+    }
 }
 
 impl SnapWriter {
-    /// An empty writer.
+    /// An empty writer. It starts with one 64-byte block, which holds a
+    /// whole wire request or reply that carries no bulk argument.
     pub fn new() -> SnapWriter {
-        SnapWriter::default()
+        SnapWriter::with_capacity(64 - HEADER_LEN - 8)
+    }
+
+    /// An empty writer with room for `payload_bytes` of payload (plus the
+    /// frame around it), for callers that know roughly how large the frame
+    /// will be — a server's previous image, say.
+    pub fn with_capacity(payload_bytes: usize) -> SnapWriter {
+        let mut buf = Vec::with_capacity(HEADER_LEN + payload_bytes + 8);
+        buf.resize(HEADER_LEN, 0);
+        SnapWriter {
+            buf,
+            modules: HashMap::new(),
+        }
     }
 
     /// Appends one byte.
@@ -187,14 +219,29 @@ impl SnapWriter {
         self.str(&print_module(m));
     }
 
+    /// Appends a shared module: printed the first time this allocation is
+    /// written to the frame, copied from that first encoding afterwards.
+    /// The bytes are those of [`SnapWriter::module`] either way.
+    pub(crate) fn shared_module(&mut self, m: &Arc<Module>) {
+        let address = Arc::as_ptr(m) as usize;
+        if let Some((_, first)) = self.modules.get(&address) {
+            self.buf.extend_from_within(first.clone());
+            return;
+        }
+        let start = self.buf.len();
+        self.module(m);
+        self.modules
+            .insert(address, (Arc::clone(m), start..self.buf.len()));
+    }
+
     /// Payload bytes written so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - HEADER_LEN
     }
 
     /// True if nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
     /// Frames the payload: magic, version, length, payload, checksum.
@@ -207,12 +254,15 @@ impl SnapWriter {
     /// (the `pdo-ingress` wire protocol frames with its own magic so a
     /// network peer can never confuse a wire frame with a durable image).
     pub fn finish_frame(self, magic: &[u8; 8], version: u32) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.buf.len() + 28);
-        out.extend_from_slice(magic);
-        out.extend_from_slice(&version.to_le_bytes());
-        out.extend_from_slice(&(self.buf.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.buf);
+        let payload_len = self.len() as u64;
+        let mut out = self.buf;
+        out[..8].copy_from_slice(magic);
+        out[8..12].copy_from_slice(&version.to_le_bytes());
+        out[12..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
         let sum = fnv1a64(&out);
+        // Exactly: a buffer a bulk field grew to fit must not double for
+        // the last eight bytes.
+        out.reserve_exact(8);
         out.extend_from_slice(&sum.to_le_bytes());
         out
     }
@@ -236,7 +286,7 @@ pub fn peek_frame_len(bytes: &[u8], magic: &[u8; 8]) -> Result<Option<usize>, Sn
     if bytes[..probe] != magic[..probe] {
         return Err(SnapshotError::BadMagic);
     }
-    let header = magic.len() + 4 + 8;
+    let header = HEADER_LEN;
     if bytes.len() < header {
         return Ok(None);
     }
@@ -256,6 +306,8 @@ pub fn peek_frame_len(bytes: &[u8], magic: &[u8; 8]) -> Result<Option<usize>, Sn
 pub struct SnapReader<'a> {
     payload: &'a [u8],
     pos: usize,
+    /// Shared modules decoded so far, by their text in the payload.
+    modules: HashMap<&'a [u8], Arc<Module>>,
 }
 
 impl<'a> SnapReader<'a> {
@@ -284,7 +336,7 @@ impl<'a> SnapReader<'a> {
         magic: &[u8; 8],
         expect_version: u32,
     ) -> Result<SnapReader<'a>, SnapshotError> {
-        let header = magic.len() + 4 + 8;
+        let header = HEADER_LEN;
         if bytes.len() < header {
             return Err(SnapshotError::Truncated {
                 needed: header,
@@ -323,6 +375,7 @@ impl<'a> SnapReader<'a> {
         Ok(SnapReader {
             payload: &bytes[header..framed - 8],
             pos: 0,
+            modules: HashMap::new(),
         })
     }
 
@@ -425,8 +478,13 @@ impl<'a> SnapReader<'a> {
     ///
     /// See [`SnapReader::take_len`].
     pub fn take_bytes(&mut self) -> Result<Vec<u8>, SnapshotError> {
+        Ok(self.take_prefixed()?.to_vec())
+    }
+
+    /// A length-prefixed byte string, borrowed from the payload.
+    fn take_prefixed(&mut self) -> Result<&'a [u8], SnapshotError> {
         let len = self.take_len()?;
-        Ok(self.take(len)?.to_vec())
+        self.take(len)
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -456,9 +514,17 @@ impl<'a> SnapReader<'a> {
     /// [`SnapshotError::Malformed`] when the text does not parse, plus
     /// truncation.
     pub fn take_module(&mut self) -> Result<Module, SnapshotError> {
-        let text = self.take_str()?;
-        parse_module(&text)
-            .map_err(|e| SnapshotError::Malformed(format!("module does not parse: {e}")))
+        parse_module_text(self.take_prefixed()?)
+    }
+
+    /// Reads a shared module: parsed the first time its text occurs in the
+    /// frame, the same allocation every time after.
+    pub(crate) fn take_shared_module(&mut self) -> Result<Arc<Module>, SnapshotError> {
+        let text = self.take_prefixed()?;
+        Ok(match self.modules.entry(text) {
+            Entry::Occupied(seen) => Arc::clone(seen.get()),
+            Entry::Vacant(first) => Arc::clone(first.insert(Arc::new(parse_module_text(text)?))),
+        })
     }
 
     /// Payload bytes not yet consumed.
@@ -491,6 +557,12 @@ impl<'a> SnapReader<'a> {
         self.finish()?;
         Ok(value)
     }
+}
+
+fn parse_module_text(text: &[u8]) -> Result<Module, SnapshotError> {
+    let text = std::str::from_utf8(text)
+        .map_err(|e| SnapshotError::Malformed(format!("invalid UTF-8 string: {e}")))?;
+    parse_module(text).map_err(|e| SnapshotError::Malformed(format!("module does not parse: {e}")))
 }
 
 /// Encodes `value` as one complete snapshot frame.
@@ -611,6 +683,100 @@ mod tests {
         let mut r = SnapReader::new(&frame).unwrap();
         assert_eq!(r.take_module().unwrap(), m);
         r.finish().unwrap();
+    }
+
+    fn counter_module(step: i64) -> Module {
+        let mut m = Module::new();
+        let g = m.add_global("count", Value::Int(0));
+        let mut f = FunctionBuilder::new("bump", 0);
+        let c = f.load_global(g);
+        let k = f.const_int(step);
+        let sum = f.bin(pdo_ir::BinOp::Add, c, k);
+        f.store_global(g, sum);
+        f.ret(None);
+        m.add_function(f.finish());
+        m
+    }
+
+    /// Sharing changes the work, not the bytes: N clones of one
+    /// `Arc<Module>` encode exactly as N separately built equal modules do
+    /// (and as N plain `Module`s), and decoding either frame hands every
+    /// occurrence the same allocation.
+    #[test]
+    fn shared_modules_encode_to_the_same_bytes_and_decode_to_one_allocation() {
+        let one = Arc::new(counter_module(1));
+        let shared: Vec<(u64, Arc<Module>)> = (0..4).map(|i| (i, Arc::clone(&one))).collect();
+        let separate: Vec<(u64, Arc<Module>)> =
+            (0..4).map(|i| (i, Arc::new(counter_module(1)))).collect();
+        let plain: Vec<(u64, Module)> = (0..4).map(|i| (i, counter_module(1))).collect();
+        let frame = encode(&shared);
+        assert_eq!(frame, encode(&separate));
+        assert_eq!(frame, encode(&plain));
+
+        let decoded: Vec<(u64, Arc<Module>)> = decode(&frame).unwrap();
+        assert_eq!(decoded, shared);
+        assert!(decoded.iter().all(|(_, m)| Arc::ptr_eq(m, &decoded[0].1)));
+        assert_eq!(
+            Arc::strong_count(&decoded[0].1),
+            4,
+            "the reader's memo is gone"
+        );
+        hostile::check(&shared);
+    }
+
+    /// The memo is keyed by the whole text (decode) and by the allocation
+    /// (encode): a module that merely shares a prefix with another — one
+    /// literal edited, or a function appended — is its own module in both
+    /// directions, in either order.
+    #[test]
+    fn modules_sharing_a_textual_prefix_are_not_conflated() {
+        let base = Arc::new(counter_module(1));
+        let edited = Arc::new(counter_module(10));
+        let extended = {
+            let mut m = counter_module(1);
+            let mut f = FunctionBuilder::new("noop", 0);
+            f.ret(None);
+            m.add_function(f.finish());
+            Arc::new(m)
+        };
+        let base_text = print_module(&base);
+        assert!(print_module(&extended).starts_with(&base_text));
+        assert_eq!(print_module(&edited).len(), base_text.len() + 1);
+
+        for order in [
+            [&base, &edited, &extended, &base, &extended, &edited],
+            [&extended, &edited, &base, &edited, &base, &extended],
+        ] {
+            let value: Vec<Arc<Module>> = order.into_iter().cloned().collect();
+            let decoded: Vec<Arc<Module>> = decode(&encode(&value)).unwrap();
+            assert_eq!(decoded, value);
+            for (i, a) in decoded.iter().enumerate() {
+                for (j, b) in decoded.iter().enumerate() {
+                    assert_eq!(
+                        Arc::ptr_eq(a, b),
+                        Arc::ptr_eq(&value[i], &value[j]),
+                        "occurrences {i} and {j}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The header is reserved in place: `len` counts payload only, and the
+    /// frame is the same whatever capacity the writer started with.
+    #[test]
+    fn writer_len_counts_payload_only() {
+        let mut w = SnapWriter::with_capacity(1 << 12);
+        assert!(w.is_empty());
+        w.u32(7);
+        w.str("abc");
+        assert_eq!(w.len(), 4 + 8 + 3);
+        let mut small = SnapWriter::new();
+        small.u32(7);
+        small.str("abc");
+        let frame = w.finish();
+        assert_eq!(frame, small.finish());
+        assert_eq!(frame.len(), HEADER_LEN + 15 + 8);
     }
 
     /// A value touching every built-in impl, and local types through both

@@ -244,7 +244,7 @@ pub fn x_client_program() -> EventProgram {
     }
 
     EventProgram {
-        module: m,
+        module: m.into(),
         bindings,
     }
 }

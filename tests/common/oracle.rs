@@ -348,7 +348,7 @@ pub fn capture_session(
 /// — the session resumes specialization instead of cold-starting.
 pub fn restore_session(
     rt: &mut Runtime,
-    base: Module,
+    base: impl Into<std::sync::Arc<Module>>,
     config: AdaptConfig,
     policy: FaultPolicy,
     cap: SessionCapture,

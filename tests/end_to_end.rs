@@ -9,6 +9,23 @@ use pdo_profile::Profile;
 use pdo_seccomm::{seccomm_protocol, Endpoint, Keys, CONFIG_FULL, CONFIG_PAPER};
 use pdo_xwin::{x_client_program, XClient};
 
+/// `optimize` left every super-handler at a fixed point of the pipeline it
+/// ran on it (each ran until nothing changed, none to the iteration cap):
+/// the same pipeline over its output finds nothing to do.
+fn assert_super_handlers_are_fixed_points(opt: &pdo::Optimization) {
+    let mut again = opt.module.clone();
+    for built in &opt.report.events {
+        // 4096 is `optimize`'s own inline ceiling.
+        let report = pdo_passes::optimize_single_function(&mut again, built.func, Some(4096));
+        assert!(
+            report.converged && report.iterations == 1,
+            "{}: {report:?}",
+            opt.module.function(built.func).name
+        );
+    }
+    assert_eq!(again, opt.module);
+}
+
 #[test]
 fn seccomm_full_config_roundtrips_after_optimization() {
     let proto = seccomm_protocol();
@@ -32,6 +49,7 @@ fn seccomm_full_config_roundtrips_after_optimization() {
         &profile,
         &OptimizeOptions::new(30),
     );
+    assert_super_handlers_are_fixed_points(&opt);
     let opt_program = program.with_module(opt.module.clone());
 
     let mut orig = Endpoint::new(&program, &keys).expect("orig");
@@ -92,6 +110,7 @@ fn video_player_wire_identical_and_faster_in_abstract_cost() {
         &OptimizeOptions::new(90),
     );
     assert!(opt.report.events.len() >= 4, "{}", opt.report);
+    assert_super_handlers_are_fixed_points(&opt);
     let opt_program = program.with_module(opt.module.clone());
 
     let run = |prog: &EventProgram, install: bool| {
@@ -137,6 +156,7 @@ fn xclient_per_event_guards_keep_other_segments_fast() {
         &profile,
         &opts,
     );
+    assert_super_handlers_are_fixed_points(&opt);
     let opt_program = program.with_module(opt.module.clone());
 
     let mut fast = XClient::new(&opt_program).expect("fast client");

@@ -34,8 +34,18 @@ proptest! {
         pdo_ir::verify_module(&original).expect("generated module verifies");
 
         let mut optimized = original.clone();
-        PassManager::standard().run(&mut optimized);
+        let report = PassManager::standard().run(&mut optimized);
         pdo_ir::verify_module(&optimized).expect("optimized module verifies");
+
+        // The output is a fixed point of the pipeline: it stopped because
+        // nothing changed, and a second run finds nothing to do.
+        prop_assert!(report.converged, "stopped on the iteration cap: {report:?}");
+        let mut again = optimized.clone();
+        let second = PassManager::standard().run(&mut again);
+        prop_assert!(
+            second.iterations == 1 && again == optimized,
+            "a second run changed the module: {second:?}"
+        );
 
         let args: Vec<Value> = (0..f.params)
             .map(|i| Value::Int(arg_vals.get(usize::from(i)).copied().unwrap_or(1)))
