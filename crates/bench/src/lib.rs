@@ -297,6 +297,74 @@ mod tests {
         assert!(allocs <= ALLOCS_BEFORE_THE_MEMO, "{allocs} allocations");
     }
 
+    /// One payload, one block (DESIGN.md §17 "Byte values and payload
+    /// sharing"). Counts per operation after warm-up, with what each read
+    /// before payloads were shared (PR 19, this test on that commit) — a
+    /// `to_vec()` or a `Value::bytes(<Vec>)` creeping back onto a
+    /// per-event path shows up here as a whole number.
+    #[test]
+    fn payloads_cost_one_block_and_queued_raises_none() {
+        use pdo_events::{CompiledChain, Guard, Runtime};
+        use pdo_ir::{FunctionBuilder, Module, RaiseMode, Value};
+        use pdo_seccomm::{seccomm_protocol, Endpoint, Keys, CONFIG_FULL};
+
+        // A video frame on an optimized endpoint: one controller period of
+        // timers, then `send`. What is left is `send`'s copy of the
+        // caller's slice and the parity byte's `bnew` + `bcat`. 17.3 before.
+        let lab = video::VideoLab::prepare(video::THRESHOLD);
+        let mut e = lab.endpoint(true);
+        let period = video::video_params().clk_period_ns;
+        let frame = vec![0xA5u8; 470];
+        let mut now = e.clock_ns();
+        let per_frame = allocs_per_call(|| {
+            now += period;
+            e.run_until(now).expect("timers");
+            e.send(&frame).expect("send");
+        });
+        println!("video frame: {per_frame} allocations");
+        assert!(per_frame <= 5.0, "{per_frame} allocations per frame");
+
+        // A 1 KiB SecComm push, full configuration, generic lane: the
+        // argument, its marshaled copy, one block per transform (DES, XOR,
+        // MAC) and the `Vec` handed back to the caller. 12 before.
+        let full = seccomm_protocol()
+            .instantiate(CONFIG_FULL)
+            .expect("full config");
+        let mut ep = Endpoint::new(&full, &Keys::default()).expect("endpoint");
+        let msg = vec![0x3Cu8; 1024];
+        let per_push = allocs_per_call(|| ep.push(&msg).expect("push"));
+        println!("1 KiB push: {per_push} allocations");
+        assert!(per_push <= 12.0 - 4.0, "{per_push} allocations per push");
+
+        // A queued and a timed raise of one integer through a compiled
+        // chain: the argument lists come from the scheduler's spares. 2
+        // before.
+        let mut m = Module::new();
+        let tick = m.add_event("Tick");
+        let g = m.add_global("last", Value::Int(0));
+        let mut fb = FunctionBuilder::new("keep", 1);
+        fb.store_global(g, fb.param(0));
+        fb.ret(None);
+        let keep = m.add_function(fb.finish());
+        let mut rt = Runtime::new(m);
+        rt.bind(tick, keep, 0).expect("bind");
+        rt.install_chain(CompiledChain {
+            head: tick,
+            guards: vec![Guard::capture(rt.registry(), tick)],
+            func: keep,
+            params: 1,
+        });
+        let per_pair = allocs_per_call(|| {
+            rt.raise(tick, RaiseMode::Async, &[Value::Int(1)])
+                .expect("async raise");
+            rt.raise(tick, RaiseMode::Timed, &[Value::Int(10), Value::Int(2)])
+                .expect("timed raise");
+            rt.run_until_idle().expect("dispatch")
+        });
+        assert_eq!(rt.global(g), &Value::Int(2));
+        assert_eq!(per_pair, 0.0, "allocations per async + timed raise");
+    }
+
     #[test]
     fn percent_basics() {
         assert!((percent(50.0, 100.0) - 50.0).abs() < 1e-9);

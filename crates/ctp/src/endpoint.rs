@@ -8,6 +8,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Seeded fault model for the simulated link — the shared
 /// [`pdo_events::wire::WireFaults`] model (this crate's original
@@ -87,15 +88,19 @@ impl From<RuntimeError> for CtpError {
 
 /// Mutable native-side state shared with the runtime's natives: the
 /// sender's positive-ack unit plus the simulated link and its receiver.
+///
+/// A payload is one block from the handler's value on: the retransmit
+/// buffer, the wire log, the link and the receiver each hold a reference to
+/// it, never a copy.
 #[derive(Debug)]
 struct LinkState {
-    unacked: HashMap<i64, Vec<u8>>,
-    wire: Vec<(i64, Vec<u8>)>,
+    unacked: HashMap<i64, Arc<[u8]>>,
+    wire: Vec<(i64, Arc<[u8]>)>,
     retransmissions: u64,
     sends_since_sample: i64,
     ack_drop_every: u64,
     // Link fault model (shared faulty-wire layer).
-    link: FaultyWire<(i64, Vec<u8>)>,
+    link: FaultyWire<(i64, Arc<[u8]>)>,
     outcome: HashMap<i64, bool>,
     // Retry/backoff bookkeeping.
     max_retries: u32,
@@ -103,7 +108,7 @@ struct LinkState {
     timeout_base_ns: i64,
     unreachable: bool,
     // Receiver: parity check + dedup + in-order release.
-    rx: SequencedReceiver<Vec<u8>>,
+    rx: SequencedReceiver<Arc<[u8]>>,
     rx_corrupt_dropped: u64,
 }
 
@@ -137,17 +142,22 @@ impl LinkState {
 
     /// One transmission over the faulty link. Returns whether the segment
     /// reaches the receiver intact (i.e. whether an ack will come back).
-    fn transmit(&mut self, seq: i64, data: Vec<u8>) -> bool {
-        self.wire.push((seq, data.clone()));
-        let t = self
-            .link
-            .transmit((seq, data), |(_, payload)| match payload.first_mut() {
-                Some(b) => *b ^= 0xFF,
-                None => payload.push(0xFF),
-            });
-        self.outcome.insert(seq, t.ok());
+    fn transmit(&mut self, seq: i64, data: Arc<[u8]>) -> bool {
+        // Logged before it is sent: the log (and the retransmit buffer)
+        // share the clean block, so flipping a byte in transit copies it
+        // first (copy-on-write) — when, and only when, the corruption roll
+        // fires — and the log keeps what was sent.
+        self.wire.push((seq, Arc::clone(&data)));
+        let t = self.link.transmit((seq, data), |(_, payload)| {
+            if payload.is_empty() {
+                *payload = Arc::from([0xFF]);
+            } else {
+                Arc::make_mut(payload)[0] ^= 0xFF;
+            }
+        });
         let ok = t.ok();
-        for arrival in t.arrivals {
+        self.outcome.insert(seq, ok);
+        for arrival in t.arrivals.into_iter().flatten() {
             self.receive(arrival);
         }
         ok
@@ -155,7 +165,7 @@ impl LinkState {
 
     /// Delivers a transmission the reordering stage parked earlier.
     fn flush_held(&mut self) {
-        for arrival in self.link.flush() {
+        for arrival in self.link.flush().into_iter().flatten() {
             self.receive(arrival);
         }
     }
@@ -163,7 +173,7 @@ impl LinkState {
     /// Receiver intake: parity-check each arrival, then deduplicate by
     /// sequence number, buffer out-of-order arrivals, release
     /// consecutively.
-    fn receive(&mut self, arrival: Arrival<(i64, Vec<u8>)>) {
+    fn receive(&mut self, arrival: Arrival<(i64, Arc<[u8]>)>) {
         let (seq, payload) = arrival.item;
         if !parity_ok(&payload) {
             self.rx_corrupt_dropped += 1;
@@ -183,9 +193,9 @@ impl LinkState {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CtpLinkState {
     /// Unacknowledged segments, seq-sorted.
-    pub unacked: Vec<(i64, Vec<u8>)>,
+    pub unacked: Vec<(i64, Arc<[u8]>)>,
     /// Every wire transmission so far, in first-transmission order.
-    pub wire: Vec<(i64, Vec<u8>)>,
+    pub wire: Vec<(i64, Arc<[u8]>)>,
     /// Retransmissions performed.
     pub retransmissions: u64,
     /// Sends since the controller last sampled.
@@ -193,7 +203,7 @@ pub struct CtpLinkState {
     /// Legacy deterministic ack-drop period.
     pub ack_drop_every: u64,
     /// Faulty-link layer (fault rates, RNG position, parked frame, stats).
-    pub link: WireState<(i64, Vec<u8>)>,
+    pub link: WireState<(i64, Arc<[u8]>)>,
     /// Delivery outcome per first transmission, seq-sorted.
     pub outcome: Vec<(i64, bool)>,
     /// Retransmission budget per segment.
@@ -205,7 +215,7 @@ pub struct CtpLinkState {
     /// True once any segment exhausted its retry budget.
     pub unreachable: bool,
     /// Receiver dedup/gap-buffer state.
-    pub rx: ReceiverState<Vec<u8>>,
+    pub rx: ReceiverState<Arc<[u8]>>,
     /// Arrivals rejected by the parity check.
     pub rx_corrupt_dropped: u64,
 }
@@ -423,11 +433,8 @@ impl CtpEndpoint {
     ///
     /// Propagates handler faults.
     pub fn send(&mut self, payload: &[u8]) -> Result<(), CtpError> {
-        self.rt.raise(
-            self.ev_send,
-            RaiseMode::Sync,
-            &[Value::bytes(payload.to_vec())],
-        )?;
+        self.rt
+            .raise(self.ev_send, RaiseMode::Sync, &[Value::bytes(payload)])?;
         self.link_check()
     }
 
@@ -551,18 +558,16 @@ impl CtpEndpoint {
 
     /// Exports the native-side protocol state (retransmit queues, retry
     /// counters, faulty-link layer, receiver buffers) for snapshotting.
-    /// The runtime's state is exported separately by the caller.
+    /// The runtime's state is exported separately by the caller. Payloads
+    /// are shared with the live endpoint, not copied.
     pub fn export_link(&self) -> CtpLinkState {
-        let st = self.state.borrow();
-        let sorted = |m: &HashMap<i64, Vec<u8>>| {
-            let mut v: Vec<(i64, Vec<u8>)> = m.iter().map(|(&k, d)| (k, d.clone())).collect();
+        /// A hash map's entries as a key-sorted vector.
+        fn sorted<V: Clone>(m: &HashMap<i64, V>) -> Vec<(i64, V)> {
+            let mut v: Vec<(i64, V)> = m.iter().map(|(&k, d)| (k, d.clone())).collect();
             v.sort_by_key(|&(k, _)| k);
             v
-        };
-        let mut outcome: Vec<(i64, bool)> = st.outcome.iter().map(|(&k, &v)| (k, v)).collect();
-        outcome.sort_by_key(|&(k, _)| k);
-        let mut retries: Vec<(i64, u32)> = st.retries.iter().map(|(&k, &v)| (k, v)).collect();
-        retries.sort_by_key(|&(k, _)| k);
+        }
+        let st = self.state.borrow();
         CtpLinkState {
             unacked: sorted(&st.unacked),
             wire: st.wire.clone(),
@@ -570,9 +575,9 @@ impl CtpEndpoint {
             sends_since_sample: st.sends_since_sample,
             ack_drop_every: st.ack_drop_every,
             link: st.link.export_state(),
-            outcome,
+            outcome: sorted(&st.outcome),
             max_retries: st.max_retries,
-            retries,
+            retries: sorted(&st.retries),
             timeout_base_ns: st.timeout_base_ns,
             unreachable: st.unreachable,
             rx: st.rx.export_state(),
@@ -608,16 +613,20 @@ fn install_natives(rt: &mut Runtime, state: &Rc<RefCell<LinkState>>) -> Result<(
             .and_then(Value::as_int)
             .ok_or_else(|| format!("expected int argument {i}"))
     };
+    // The segment a native keeps: a reference to the handler's block.
+    let segment_arg = |args: &[Value]| -> Result<Arc<[u8]>, String> {
+        match args.get(1) {
+            Some(Value::Bytes(block)) => Ok(Arc::clone(block)),
+            _ => Err("expected bytes".to_string()),
+        }
+    };
 
     let s = Rc::clone(state);
     rt.bind_native_by_name("net_send", move |args| {
         let seq = int_arg(args, 0)?;
-        let data = args
-            .get(1)
-            .and_then(Value::as_bytes)
-            .ok_or("expected bytes")?;
+        let data = segment_arg(args)?;
         let mut st = s.borrow_mut();
-        st.transmit(seq, data.to_vec());
+        st.transmit(seq, data);
         st.sends_since_sample += 1;
         Ok(Value::Unit)
     })
@@ -626,11 +635,8 @@ fn install_natives(rt: &mut Runtime, state: &Rc<RefCell<LinkState>>) -> Result<(
     let s = Rc::clone(state);
     rt.bind_native_by_name("pau_register", move |args| {
         let seq = int_arg(args, 0)?;
-        let data = args
-            .get(1)
-            .and_then(Value::as_bytes)
-            .ok_or("expected bytes")?;
-        s.borrow_mut().unacked.insert(seq, data.to_vec());
+        let data = segment_arg(args)?;
+        s.borrow_mut().unacked.insert(seq, data);
         Ok(Value::Unit)
     })
     .map_err(CtpError::Runtime)?;
@@ -659,9 +665,10 @@ fn install_natives(rt: &mut Runtime, state: &Rc<RefCell<LinkState>>) -> Result<(
     rt.bind_native_by_name("retransmit", move |args| {
         let seq = int_arg(args, 0)?;
         let mut st = s.borrow_mut();
-        if let Some(mut data) = st.unacked.get(&seq).cloned() {
-            let parity = data.iter().fold(0u8, |a, b| a ^ b);
-            data.push(parity);
+        if let Some(raw) = st.unacked.get(&seq) {
+            let parity = raw.iter().fold(0u8, |a, b| a ^ b);
+            // Raw fragment + parity, built as the one block the wire keeps.
+            let data = raw.iter().copied().chain([parity]).collect();
             st.retransmissions += 1;
             let ok = st.transmit(seq, data);
             Ok(Value::Bool(ok))
@@ -1087,7 +1094,18 @@ mod tests {
         };
         let mut e = faulty_endpoint(faults, 8);
         e.send(&[42u8; 100]).unwrap();
+        // The receiver saw the flipped byte; the wire log and the
+        // retransmit buffer, which share the segment's block with the
+        // link, still hold what was sent.
+        assert_eq!(e.stats().rx_corrupt_dropped, 1, "garbage arrived");
+        let link = e.export_link();
+        assert_eq!(link.unacked, [(1, Arc::from([42u8; 100]))]);
+        assert_eq!(link.wire.len(), 1);
+        assert!(parity_ok(&link.wire[0].1), "the log is what was sent");
+        assert_eq!(e.wire_payload(), vec![42u8; 100]);
+
         e.drain(2_000_000_000).unwrap();
+        assert_eq!(e.wire_payload(), vec![42u8; 200], "both copies clean");
         let stats = e.stats();
         assert_eq!(stats.link_corrupted, 1);
         assert_eq!(stats.rx_corrupt_dropped, 1, "parity rejected the garbage");

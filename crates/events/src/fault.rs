@@ -164,14 +164,11 @@ pub fn corrupt_value(v: &Value) -> Value {
         Value::Unit => Value::Int(-1),
         Value::Int(n) => Value::Int(!n),
         Value::Bool(b) => Value::Bool(!b),
-        Value::Bytes(bs) => {
-            let mut out = bs.as_ref().clone();
-            match out.first_mut() {
-                Some(b) => *b ^= 0xFF,
-                None => out.push(0xFF),
-            }
-            Value::bytes(out)
-        }
+        Value::Bytes(bs) if bs.is_empty() => Value::bytes([0xFF]),
+        Value::Bytes(bs) => Value::bytes_with(bs.len(), |out| {
+            out.copy_from_slice(bs);
+            out[0] ^= 0xFF;
+        }),
         Value::Str(s) => Value::str(format!("\u{fffd}{s}")),
     }
 }

@@ -849,7 +849,8 @@ impl Runtime {
                 r
             }
             RaiseMode::Async => {
-                self.sched.push_async_traced(event, args.to_vec(), queued);
+                let args = self.sched.args_from(args);
+                self.sched.push_async_traced(event, args, queued);
                 Ok(())
             }
             RaiseMode::Timed => {
@@ -873,8 +874,9 @@ impl Runtime {
                     }
                     _ => {}
                 }
+                let args = self.sched.args_from(&args[1..]);
                 self.sched
-                    .push_timed_traced(now, delay, event, args[1..].to_vec(), queued);
+                    .push_timed_traced(now, delay, event, args, queued);
                 Ok(())
             }
         }
@@ -1174,7 +1176,9 @@ impl Runtime {
                 }
                 let p = self.sched.pop_async().expect("queue non-empty");
                 self.sinks.popped(p.trace, DispatchSrc::Queue);
-                self.dispatch_now(&module, p.event, &p.args)?;
+                let dispatched = self.dispatch_now(&module, p.event, &p.args);
+                self.sched.recycle_args(p.args);
+                dispatched?;
                 steps += 1;
                 if self.poll_epoch() {
                     // The hook may have hot-swapped the module.
@@ -1193,7 +1197,9 @@ impl Runtime {
                         .pop_due_timer(self.clock.now_ns())
                         .expect("deadline was due");
                     self.sinks.popped(t.trace, DispatchSrc::Timer);
-                    self.dispatch_now(&module, t.event, &t.args)?;
+                    let dispatched = self.dispatch_now(&module, t.event, &t.args);
+                    self.sched.recycle_args(t.args);
+                    dispatched?;
                     steps += 1;
                     if self.poll_epoch() {
                         module = self.module_arc();
@@ -1460,6 +1466,38 @@ mod tests {
         rt.run_until_idle().unwrap();
         assert_eq!(rt.clock_ns(), 5_000);
         assert_eq!(rt.global(g), &Value::Int(1));
+    }
+
+    #[test]
+    fn recycled_argument_buffers_hold_no_values() {
+        // h(b, d) = 100 / d: a trap when d == 0, fatal under the default
+        // `FaultPolicy::Abort`.
+        let mut m = Module::new();
+        let e = m.add_event("E");
+        let mut b = FunctionBuilder::new("h", 2);
+        let hundred = b.const_int(100);
+        let _ = b.bin(BinOp::Div, hundred, b.param(1));
+        b.ret(None);
+        let h = m.add_function(b.finish());
+        let mut rt = Runtime::new(m);
+        rt.bind(e, h, 0).unwrap();
+
+        let payload: std::sync::Arc<[u8]> = std::sync::Arc::from([1u8, 2, 3]);
+        let holders = || std::sync::Arc::strong_count(&payload);
+        for (mode, delay) in [
+            (RaiseMode::Async, None),
+            (RaiseMode::Timed, Some(Value::Int(5))),
+        ] {
+            for d in [1, 0, 1] {
+                let mut args: Vec<Value> = delay.iter().cloned().collect();
+                args.extend([Value::Bytes(payload.clone()), Value::Int(d)]);
+                rt.raise(e, mode, &args).unwrap();
+                drop(args);
+                assert_eq!(holders(), 2, "the queued entry holds the payload");
+                assert_eq!(rt.run_until_idle().is_err(), d == 0);
+                assert_eq!(holders(), 1, "{mode:?}, d = {d}: nothing kept it");
+            }
+        }
     }
 
     #[test]

@@ -107,6 +107,13 @@ impl PartialEq for TimerEntry {
 
 impl Eq for TimerEntry {}
 
+// A scheduler holding 100 000 timers sifts these through a binary heap, so
+// an entry stays a few words: its arguments live behind the `Vec` (recycled
+// by the scheduler, below), not inline — eight inline 24-byte values would
+// make every entry ~250 bytes.
+const _: () = assert!(std::mem::size_of::<TimerEntry>() <= 80);
+const _: () = assert!(std::mem::size_of::<Value>() == 24);
+
 impl Ord for TimerEntry {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse ordering: BinaryHeap is a max-heap, we want the earliest
@@ -141,12 +148,22 @@ pub struct SchedulerState {
 
 pdo_snap::codec_struct!(SchedulerState { queue, timers, seq });
 
+/// How many emptied argument lists a scheduler keeps for its next raises.
+/// A dispatch hands one back and the handlers it runs take a few, so a
+/// steady session finds one waiting with far fewer than this; the bound is
+/// only what an idle scheduler may retain after a burst (sixteen empty
+/// buffers of a few values each), which is why it is a constant and not a
+/// setting.
+const SPARE_ARG_LISTS: usize = 16;
+
 /// FIFO queue plus timer heap.
 #[derive(Debug, Default)]
 pub struct Scheduler {
     queue: VecDeque<Pending>,
     timers: BinaryHeap<TimerEntry>,
     seq: u64,
+    /// Argument lists of dispatched entries, emptied, awaiting reuse.
+    spare_args: Vec<Vec<Value>>,
 }
 
 impl Scheduler {
@@ -193,6 +210,28 @@ impl Scheduler {
             args,
             trace,
         });
+    }
+
+    /// An owned copy of `args` for an entry about to be queued, built in a
+    /// recycled list when one is waiting. An empty list owns no heap block
+    /// and never touches the pool.
+    pub(crate) fn args_from(&mut self, args: &[Value]) -> Vec<Value> {
+        if args.is_empty() {
+            return Vec::new();
+        }
+        let mut list = self.spare_args.pop().unwrap_or_default();
+        list.extend_from_slice(args);
+        list
+    }
+
+    /// Takes back the argument list of a popped entry once its dispatch has
+    /// returned. The list is emptied first, so no [`Value`] outlives the
+    /// dispatch it was an argument of.
+    pub(crate) fn recycle_args(&mut self, mut args: Vec<Value>) {
+        args.clear();
+        if args.capacity() > 0 && self.spare_args.len() < SPARE_ARG_LISTS {
+            self.spare_args.push(args);
+        }
     }
 
     /// Removes every scheduled timer for `event` (Cactus's "canceling a

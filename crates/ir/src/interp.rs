@@ -14,7 +14,6 @@ use crate::instr::{EvalError, Instr, RaiseMode, Terminator};
 use crate::value::Value;
 use std::cell::RefCell;
 use std::fmt;
-use std::sync::Arc;
 
 /// Maximum depth of nested IR `call` instructions within one entry call.
 pub const MAX_CALL_DEPTH: usize = 256;
@@ -496,7 +495,7 @@ fn step<E: Env + ?Sized>(
             if n < 0 {
                 return Err(negative_size(n));
             }
-            regs[dst.index()] = Value::Bytes(Arc::new(vec![0u8; n as usize]));
+            regs[dst.index()] = Value::bytes_with(n as usize, |_| {});
         }
         Instr::BytesLen { dst, bytes } => {
             let b = regs[bytes.index()]
@@ -533,10 +532,11 @@ fn step<E: Env + ?Sized>(
             let b = regs[rhs.index()]
                 .as_bytes()
                 .ok_or_else(|| bytes_type_error("bcat"))?;
-            let mut out = Vec::with_capacity(a.len() + b.len());
-            out.extend_from_slice(a);
-            out.extend_from_slice(b);
-            regs[dst.index()] = Value::Bytes(Arc::new(out));
+            regs[dst.index()] = Value::bytes_with(a.len() + b.len(), |out| {
+                let (head, tail) = out.split_at_mut(a.len());
+                head.copy_from_slice(a);
+                tail.copy_from_slice(b);
+            });
         }
         Instr::BytesSlice {
             dst,
@@ -562,7 +562,15 @@ fn step<E: Env + ?Sized>(
             if e as usize > b.len() {
                 return Err(out_of_bounds(e, b.len()));
             }
-            regs[dst.index()] = Value::Bytes(Arc::new(b[s as usize..e as usize].to_vec()));
+            // The whole buffer is the same value: share the block (a later
+            // `bset` through either register copies first, so it cannot be
+            // told from a copy). A fragmenter slicing a message that fits
+            // one segment takes this arm every time.
+            regs[dst.index()] = if s == 0 && e as usize == b.len() {
+                regs[bytes.index()].clone()
+            } else {
+                Value::bytes(&b[s as usize..e as usize])
+            };
         }
     }
     Ok(())
@@ -959,6 +967,7 @@ mod tests {
     use crate::builder::FunctionBuilder;
     use crate::cost::Opcode;
     use crate::instr::BinOp;
+    use std::sync::Arc;
 
     fn run(module: &Module, name: &str, args: &[Value]) -> Result<Value, ExecError> {
         let mut env = BasicEnv::new(module);
@@ -1137,6 +1146,61 @@ mod tests {
     }
 
     #[test]
+    fn whole_buffer_bslice_shares_and_still_copies_on_write() {
+        let mut m = Module::new();
+        let mut b = FunctionBuilder::new("slice", 3);
+        let sl = b.bytes_slice(b.param(0), b.param(1), b.param(2));
+        b.ret(Some(sl));
+        m.add_function(b.finish());
+        // Slice the whole of `buf`, write through one of the two values,
+        // return the other.
+        for (name, write_slice) in [("poke_slice", true), ("poke_source", false)] {
+            let mut b = FunctionBuilder::new(name, 1);
+            let zero = b.const_int(0);
+            let nine = b.const_int(9);
+            let len = b.bytes_len(b.param(0));
+            let whole = b.bytes_slice(b.param(0), zero, len);
+            let (written, kept) = if write_slice {
+                (whole, b.param(0))
+            } else {
+                (b.param(0), whole)
+            };
+            b.bytes_set(written, zero, nine);
+            b.ret(Some(kept));
+            m.add_function(b.finish());
+        }
+
+        let payload: Arc<[u8]> = Arc::from([1u8, 2, 3]);
+        let arg = Value::Bytes(Arc::clone(&payload));
+        let slice = |s, e| run(&m, "slice", &[arg.clone(), Value::Int(s), Value::Int(e)]);
+        let Ok(Value::Bytes(whole)) = slice(0, 3) else {
+            panic!("bslice [0, len) returns bytes");
+        };
+        assert!(Arc::ptr_eq(&whole, &payload), "the whole buffer is shared");
+        for name in ["poke_slice", "poke_source"] {
+            let kept = run(&m, name, std::slice::from_ref(&arg));
+            assert_eq!(kept, Ok(Value::bytes([1u8, 2, 3])), "{name}");
+        }
+        assert_eq!(&payload[..], [1, 2, 3], "the caller's block is untouched");
+
+        // Everything but the whole buffer is what it always was.
+        assert_eq!(slice(1, 3), Ok(Value::bytes([2u8, 3])));
+        assert_eq!(slice(0, 2), Ok(Value::bytes([1u8, 2])));
+        assert_eq!(slice(2, 2), Ok(Value::bytes([])));
+        assert_eq!(
+            slice(3, 1),
+            Err(ExecError::InvertedRange { start: 3, end: 1 })
+        );
+        assert_eq!(
+            slice(0, 4),
+            Err(ExecError::OutOfBounds { index: 4, len: 3 })
+        );
+        assert_eq!(slice(-1, 3), Err(ExecError::NegativeSize(-1)));
+        let empty = [Value::bytes([]), Value::Int(0), Value::Int(0)];
+        assert_eq!(run(&m, "slice", &empty), Ok(Value::bytes([])));
+    }
+
+    #[test]
     fn bytes_out_of_bounds_faults() {
         let mut m = Module::new();
         let mut b = FunctionBuilder::new("f", 1);
@@ -1299,7 +1363,7 @@ mod tests {
         r.ret(Some(v));
         assert_eq!(m.add_function(r.finish()), rec_id);
 
-        let payload = Arc::new(vec![1u8, 2, 3]);
+        let payload: Arc<[u8]> = Arc::from([1u8, 2, 3]);
         let arg = Value::Bytes(Arc::clone(&payload));
         let before = Arc::strong_count(&payload);
         let mut env = BasicEnv::new(&m);
@@ -1392,7 +1456,7 @@ mod tests {
         let f = m.add_function(b.finish());
         let peek = add_peek(&mut m, 6);
 
-        let payload = Arc::new(vec![9u8; 4]);
+        let payload: Arc<[u8]> = Arc::from([9u8; 4]);
         let arg = Value::Bytes(Arc::clone(&payload));
         let mut env = BasicEnv::new(&m);
         env.bind_native(boom, |_| panic!("native blew up"));

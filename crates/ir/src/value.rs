@@ -5,9 +5,13 @@ use std::sync::Arc;
 
 /// A dynamically-typed runtime value.
 ///
-/// Values are cheap to clone: byte buffers and strings are reference-counted.
-/// Byte buffers use copy-on-write semantics (see [`Value::bytes_mut`]) so a
-/// handler mutating a packet does not disturb other holders of the buffer.
+/// Values are cheap to clone: a byte buffer is one reference-counted block
+/// (`Arc<[u8]>`: counts, then the bytes — no `Vec` behind the `Arc`), a
+/// string likewise, so a clone is a refcount bump and every holder of a
+/// payload — registers, globals, queued argument lists, a transport's wire
+/// log — shares the same block. Byte buffers use copy-on-write semantics
+/// (see [`Value::bytes_mut`]) so a handler mutating a packet does not
+/// disturb other holders of the buffer.
 #[derive(Debug, Clone, Default)]
 pub enum Value {
     /// The unit value, produced by instructions without a meaningful result.
@@ -18,15 +22,29 @@ pub enum Value {
     /// A boolean.
     Bool(bool),
     /// A shared byte buffer (packet payloads, keys, frames).
-    Bytes(Arc<Vec<u8>>),
+    Bytes(Arc<[u8]>),
     /// A shared immutable string (names, diagnostic payloads).
     Str(Arc<str>),
 }
 
 impl Value {
-    /// Builds a byte-buffer value from anything convertible to `Vec<u8>`.
-    pub fn bytes(data: impl Into<Vec<u8>>) -> Self {
-        Value::Bytes(Arc::new(data.into()))
+    /// Builds a byte-buffer value from existing bytes.
+    ///
+    /// What it costs depends on the input. `&[u8]` (and an array): one
+    /// block, one copy. `Vec<u8>`: the vector's block cannot become the
+    /// `Arc`'s, so this allocates a *second* block of the same size, copies,
+    /// and frees the first — code that produces bytes builds them in place
+    /// with [`Value::bytes_with`] instead. An `Arc<[u8]>` is taken as is.
+    pub fn bytes(data: impl Into<Arc<[u8]>>) -> Self {
+        Value::Bytes(data.into())
+    }
+
+    /// Builds a byte buffer of `len` bytes in place: one zero-filled block,
+    /// handed to `fill` before anyone else can see it.
+    pub fn bytes_with(len: usize, fill: impl FnOnce(&mut [u8])) -> Self {
+        let mut block: Arc<[u8]> = std::iter::repeat_n(0u8, len).collect();
+        fill(Arc::get_mut(&mut block).expect("a fresh block has one owner"));
+        Value::Bytes(block)
     }
 
     /// Builds a string value.
@@ -53,7 +71,7 @@ impl Value {
     /// Returns a view of the byte payload, if this is a [`Value::Bytes`].
     pub fn as_bytes(&self) -> Option<&[u8]> {
         match self {
-            Value::Bytes(b) => Some(b.as_slice()),
+            Value::Bytes(b) => Some(b),
             _ => None,
         }
     }
@@ -68,9 +86,9 @@ impl Value {
 
     /// Copy-on-write mutable access to a byte buffer.
     ///
-    /// Returns `None` for non-byte values. If the buffer is shared, it is
-    /// cloned first so the mutation is local to this value.
-    pub fn bytes_mut(&mut self) -> Option<&mut Vec<u8>> {
+    /// Returns `None` for non-byte values. If the block is shared, it is
+    /// copied first so the mutation is local to this value.
+    pub fn bytes_mut(&mut self) -> Option<&mut [u8]> {
         match self {
             Value::Bytes(b) => Some(Arc::make_mut(b)),
             _ => None,
@@ -138,7 +156,7 @@ impl From<bool> for Value {
 
 impl From<Vec<u8>> for Value {
     fn from(v: Vec<u8>) -> Self {
-        Value::Bytes(Arc::new(v))
+        Value::bytes(v)
     }
 }
 
@@ -192,6 +210,19 @@ mod tests {
         copy.bytes_mut().unwrap()[0] = 9;
         assert_eq!(original.as_bytes().unwrap(), &[1, 2, 3]);
         assert_eq!(copy.as_bytes().unwrap(), &[9, 2, 3]);
+    }
+
+    #[test]
+    fn bytes_with_builds_one_block() {
+        let mut v = Value::bytes_with(4, |b| b[1..3].copy_from_slice(&[7, 8]));
+        assert_eq!(v.as_bytes().unwrap(), &[0, 7, 8, 0]);
+        // Sole owner: a write lands in the block the value was built in.
+        let built = v.as_bytes().unwrap().as_ptr();
+        v.bytes_mut().unwrap()[0] = 1;
+        assert_eq!(v.as_bytes().unwrap().as_ptr(), built);
+        assert_eq!(v.as_bytes().unwrap(), &[1, 7, 8, 0]);
+        let empty = Value::bytes_with(0, |b| assert!(b.is_empty()));
+        assert_eq!(empty.as_bytes(), Some(&[][..]));
     }
 
     #[test]

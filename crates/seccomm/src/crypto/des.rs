@@ -232,15 +232,27 @@ impl DesKey {
 
 /// Encrypts `data` under `key`, PKCS#7-padded, ECB mode.
 pub fn encrypt(key: &DesKey, data: &[u8]) -> Vec<u8> {
-    let pad = 8 - data.len() % 8;
-    let mut buf = Vec::with_capacity(data.len() + pad);
-    buf.extend_from_slice(data);
-    buf.extend(std::iter::repeat_n(pad as u8, pad));
-    for chunk in buf.chunks_mut(8) {
-        let block = u64::from_be_bytes(chunk.try_into().expect("8-byte chunk"));
+    let mut out = vec![0; encrypted_len(data.len())];
+    encrypt_into(key, data, &mut out);
+    out
+}
+
+/// Length of [`encrypt`]'s output for `len` bytes of input: padded up to
+/// the next whole block, a full block of padding when already whole.
+pub(crate) fn encrypted_len(len: usize) -> usize {
+    len + 8 - len % 8
+}
+
+/// [`encrypt`] into a buffer the caller owns, of
+/// [`encrypted_len`]`(data.len())` bytes.
+pub(crate) fn encrypt_into(key: &DesKey, data: &[u8], out: &mut [u8]) {
+    let (body, padding) = out.split_at_mut(data.len());
+    body.copy_from_slice(data);
+    padding.fill(padding.len() as u8);
+    for chunk in out.chunks_exact_mut(8) {
+        let block = u64::from_be_bytes((&*chunk).try_into().expect("8-byte chunk"));
         chunk.copy_from_slice(&key.encrypt_block(block).to_be_bytes());
     }
-    buf
 }
 
 /// Decrypts `data` (as produced by [`encrypt`]) and strips the padding.
@@ -250,26 +262,43 @@ pub fn encrypt(key: &DesKey, data: &[u8]) -> Vec<u8> {
 /// Returns a description when the input length or padding is invalid —
 /// i.e. the ciphertext was not produced by [`encrypt`] under this key.
 pub fn decrypt(key: &DesKey, data: &[u8]) -> Result<Vec<u8>, String> {
+    let mut out = vec![0; decrypted_len(key, data)?];
+    decrypt_into(key, data, &mut out);
+    Ok(out)
+}
+
+/// Length of the plaintext in `data`, read off its last block (the padding
+/// never spans more than one), so the output can be sized before it is
+/// built.
+///
+/// # Errors
+///
+/// As [`decrypt`]: every check it makes is made here.
+pub(crate) fn decrypted_len(key: &DesKey, data: &[u8]) -> Result<usize, String> {
     if data.is_empty() || !data.len().is_multiple_of(8) {
         return Err(format!(
             "ciphertext length {} not a positive multiple of 8",
             data.len()
         ));
     }
-    let mut buf = data.to_vec();
-    for chunk in buf.chunks_mut(8) {
+    let last = data.last_chunk::<8>().expect("at least one whole block");
+    let last = key.decrypt_block(u64::from_be_bytes(*last)).to_be_bytes();
+    let pad = usize::from(last[7]);
+    if pad == 0 || pad > 8 || last[8 - pad..].iter().any(|&b| usize::from(b) != pad) {
+        return Err("invalid padding".to_string());
+    }
+    Ok(data.len() - pad)
+}
+
+/// [`decrypt`] into a buffer the caller owns, of
+/// [`decrypted_len`]`(key, data)` bytes.
+pub(crate) fn decrypt_into(key: &DesKey, data: &[u8], out: &mut [u8]) {
+    // `out` ends inside (or just before) the last block: the zip stops
+    // there and the short chunk takes the block's leading bytes.
+    for (plain, chunk) in out.chunks_mut(8).zip(data.chunks_exact(8)) {
         let block = u64::from_be_bytes(chunk.try_into().expect("8-byte chunk"));
-        chunk.copy_from_slice(&key.decrypt_block(block).to_be_bytes());
+        plain.copy_from_slice(&key.decrypt_block(block).to_be_bytes()[..plain.len()]);
     }
-    let pad = *buf.last().expect("nonempty") as usize;
-    if pad == 0 || pad > 8 || pad > buf.len() {
-        return Err("invalid padding".to_string());
-    }
-    if buf[buf.len() - pad..].iter().any(|&b| b as usize != pad) {
-        return Err("invalid padding".to_string());
-    }
-    buf.truncate(buf.len() - pad);
-    Ok(buf)
 }
 
 #[cfg(test)]
@@ -504,5 +533,11 @@ mod tests {
         let key = DesKey::new(b"8bytekey");
         assert!(decrypt(&key, &[]).is_err());
         assert!(decrypt(&key, &[1, 2, 3]).is_err());
+        // A last block whose padding byte is zero, longer than a block, or
+        // not repeated.
+        for last in [*b"abcdefg\x00", *b"abcdefg\x09", *b"abcde\x02\x03\x03"] {
+            let ct = key.encrypt_block(u64::from_be_bytes(last)).to_be_bytes();
+            assert_eq!(decrypt(&key, &ct), Err("invalid padding".to_string()));
+        }
     }
 }

@@ -4,9 +4,16 @@
 
 /// XORs `data` with `key` repeated cyclically. Self-inverse.
 pub fn xor_cipher(key: &[u8], data: &[u8]) -> Vec<u8> {
-    let mut out = data.to_vec();
+    let mut out = vec![0; data.len()];
+    xor_into(key, data, &mut out);
+    out
+}
+
+/// [`xor_cipher`] into a buffer the caller owns, of `data`'s length.
+pub(crate) fn xor_into(key: &[u8], data: &[u8], out: &mut [u8]) {
+    out.copy_from_slice(data);
     if key.is_empty() {
-        return out;
+        return;
     }
     // One key-length piece at a time: the inner loop is a plain zip of two
     // slices, with no per-byte wrap-around check.
@@ -15,7 +22,6 @@ pub fn xor_cipher(key: &[u8], data: &[u8]) -> Vec<u8> {
             *b ^= k;
         }
     }
-    out
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The SecComm composite protocol and its runnable endpoints.
 
-use crate::crypto::{des_decrypt, des_encrypt, keyed_md5, xor_cipher, DesKey};
+use crate::crypto::{des, keyed_md5, xorcipher::xor_into, DesKey};
 use pdo_cactus::{CompositeBuilder, CompositeProtocol, EventProgram};
 use pdo_events::wire::{Arrival, FaultyWire, WireFaults, WireStats};
 use pdo_events::{Runtime, RuntimeError};
@@ -9,6 +9,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// The configuration measured in the paper's Fig 12: DES + XOR + the
 /// coordinator.
@@ -223,7 +224,10 @@ pub fn seccomm_protocol() -> CompositeProtocol {
 /// delivery queues, the decode verdict for any in-flight packet, and the
 /// MAC-failure counter. Exported with [`Endpoint::export_wire`] and applied
 /// with [`Endpoint::restore_wire`] so a rebuilt endpoint resumes exactly
-/// where the killed one stopped.
+/// where the killed one stopped. The queues are plain vectors a caller can
+/// build from [`Endpoint::push`]'s returns and compare; the live endpoint
+/// shares blocks with its handlers, so export and restore copy at this
+/// edge.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SecWireState {
     /// Wire messages produced by the encode chain, not yet taken.
@@ -254,11 +258,12 @@ impl Default for SecWireState {
     }
 }
 
-/// Shared state of one endpoint's natives.
+/// Shared state of one endpoint's natives. The queues hold the blocks the
+/// chains produced — references to the handlers' values, not copies.
 #[derive(Debug)]
 struct Wire {
-    outbox: VecDeque<Vec<u8>>,
-    delivered: VecDeque<Vec<u8>>,
+    outbox: VecDeque<Arc<[u8]>>,
+    delivered: VecDeque<Arc<[u8]>>,
     /// Integrity verdict for the packet currently in the decode chain;
     /// reset to `true` at the top of each `pop`.
     decode_ok: bool,
@@ -333,10 +338,14 @@ impl Endpoint {
         keys: &Keys,
         wire: &Rc<RefCell<Wire>>,
     ) -> Result<(), SecCommError> {
+        fn block_arg(args: &[Value]) -> Result<&Arc<[u8]>, String> {
+            match args.first() {
+                Some(Value::Bytes(block)) => Ok(block),
+                _ => Err("expected a bytes argument".to_string()),
+            }
+        }
         fn bytes_arg(args: &[Value]) -> Result<&[u8], String> {
-            args.first()
-                .and_then(Value::as_bytes)
-                .ok_or_else(|| "expected a bytes argument".to_string())
+            block_arg(args).map(|block| &block[..])
         }
 
         let des = DesKey::new(&keys.des);
@@ -349,26 +358,40 @@ impl Endpoint {
         let out_wire = Rc::clone(wire);
         let del_wire = Rc::clone(wire);
 
+        // Each transform sizes its output first and builds it in the
+        // value's own block (`Value::bytes` of a finished `Vec` would
+        // allocate and copy a second time).
         rt.bind_native_by_name("des_encrypt", move |args| {
-            Ok(Value::bytes(des_encrypt(&des, bytes_arg(args)?)))
+            let data = bytes_arg(args)?;
+            Ok(Value::bytes_with(des::encrypted_len(data.len()), |out| {
+                des::encrypt_into(&des, data, out);
+            }))
         })
         .and_then(|()| {
             rt.bind_native_by_name("des_decrypt", move |args| {
-                des_decrypt(&des2, bytes_arg(args)?).map(Value::bytes)
+                let data = bytes_arg(args)?;
+                let len = des::decrypted_len(&des2, data)?;
+                Ok(Value::bytes_with(len, |out| {
+                    des::decrypt_into(&des2, data, out);
+                }))
             })
         })
         .and_then(|()| {
             rt.bind_native_by_name("xor_apply", move |args| {
-                Ok(Value::bytes(xor_cipher(&xor_key, bytes_arg(args)?)))
+                let data = bytes_arg(args)?;
+                Ok(Value::bytes_with(data.len(), |out| {
+                    xor_into(&xor_key, data, out);
+                }))
             })
         })
         .and_then(|()| {
             rt.bind_native_by_name("mac_append", move |args| {
                 let data = bytes_arg(args)?;
-                let mut out = Vec::with_capacity(data.len() + 16);
-                out.extend_from_slice(data);
-                out.extend_from_slice(&keyed_md5(&mac_key, data));
-                Ok(Value::bytes(out))
+                Ok(Value::bytes_with(data.len() + 16, |out| {
+                    let (body, mac) = out.split_at_mut(data.len());
+                    body.copy_from_slice(data);
+                    mac.copy_from_slice(&keyed_md5(&mac_key, data));
+                }))
             })
         })
         .and_then(|()| {
@@ -399,7 +422,7 @@ impl Endpoint {
         })
         .and_then(|()| {
             rt.bind_native_by_name("net_send", move |args| {
-                let data = bytes_arg(args)?.to_vec();
+                let data = Arc::clone(block_arg(args)?);
                 let mut w = out_wire.borrow_mut();
                 w.outbox.push_back(data);
                 w.frames_sent += 1;
@@ -408,7 +431,7 @@ impl Endpoint {
         })
         .and_then(|()| {
             rt.bind_native_by_name("deliver", move |args| {
-                let data = bytes_arg(args)?.to_vec();
+                let data = Arc::clone(block_arg(args)?);
                 del_wire.borrow_mut().delivered.push_back(data);
                 Ok(Value::Unit)
             })
@@ -427,12 +450,11 @@ impl Endpoint {
         self.rt.raise(
             self.msg_from_user,
             RaiseMode::Sync,
-            &[Value::bytes(payload.to_vec())],
+            &[Value::bytes(payload)],
         )?;
-        self.wire
-            .borrow_mut()
-            .outbox
-            .pop_front()
+        // The one copy out: the caller gets bytes it owns.
+        let sent = self.wire.borrow_mut().outbox.pop_front();
+        sent.map(|block| block.to_vec())
             .ok_or(SecCommError::NoOutput)
     }
 
@@ -449,13 +471,16 @@ impl Endpoint {
         self.rt.raise(
             self.msg_from_net,
             RaiseMode::Sync,
-            &[Value::bytes(wire_msg.to_vec())],
+            &[Value::bytes(wire_msg)],
         )?;
         let mut w = self.wire.borrow_mut();
         if !w.decode_ok {
             return Err(SecCommError::IntegrityFailure);
         }
-        w.delivered.pop_front().ok_or(SecCommError::NoOutput)
+        let plain = w.delivered.pop_front();
+        plain
+            .map(|block| block.to_vec())
+            .ok_or(SecCommError::NoOutput)
     }
 
     /// Advances the endpoint's virtual clock by `delta_ns`. SecComm itself
@@ -483,8 +508,8 @@ impl Endpoint {
     pub fn export_wire(&self) -> SecWireState {
         let w = self.wire.borrow();
         SecWireState {
-            outbox: w.outbox.iter().cloned().collect(),
-            delivered: w.delivered.iter().cloned().collect(),
+            outbox: w.outbox.iter().map(|block| block.to_vec()).collect(),
+            delivered: w.delivered.iter().map(|block| block.to_vec()).collect(),
             decode_ok: w.decode_ok,
             mac_failures: w.mac_failures,
         }
@@ -494,8 +519,8 @@ impl Endpoint {
     /// (freshly built) endpoint.
     pub fn restore_wire(&mut self, state: SecWireState) {
         let mut w = self.wire.borrow_mut();
-        w.outbox = state.outbox.into();
-        w.delivered = state.delivered.into();
+        w.outbox = state.outbox.into_iter().map(Arc::from).collect();
+        w.delivered = state.delivered.into_iter().map(Arc::from).collect();
         w.decode_ok = state.decode_ok;
         w.mac_failures = state.mac_failures;
     }
@@ -573,7 +598,7 @@ impl LossyChannel {
             Some(b) => *b ^= 0x80,
             None => m.push(0x80),
         });
-        for arrival in t.arrivals {
+        for arrival in t.arrivals.into_iter().flatten() {
             self.receive(arrival)?;
         }
         Ok(())
@@ -585,7 +610,7 @@ impl LossyChannel {
     ///
     /// Propagates decode chain faults, as in [`LossyChannel::send`].
     pub fn settle(&mut self) -> Result<(), SecCommError> {
-        for arrival in self.wire.flush() {
+        for arrival in self.wire.flush().into_iter().flatten() {
             self.receive(arrival)?;
         }
         Ok(())
@@ -668,6 +693,7 @@ impl LossyChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crypto::xor_cipher;
     use pdo_events::TraceConfig;
 
     fn endpoints(config: &[&str]) -> (Endpoint, Endpoint) {

@@ -15,7 +15,7 @@
 //! | `u16`, `u32`, `EventId`, `FuncId` | 4 (`u16` travels widened; narrowing is checked on decode) |
 //! | `i32`, `i64`, `u64`, `usize` | 8 (`i32`/`usize` travel widened; narrowing is checked on decode) |
 //! | `Vec<T>`, `BTreeMap<K, V>` | `u64` count, then the elements / `(key, value)` pairs in order |
-//! | `Vec<u8>`, `[u8; N]`, `String`, `Module`, `Arc<Module>` | `u64` length, then the bytes (UTF-8 / IR text) |
+//! | `Vec<u8>`, `Arc<[u8]>`, `[u8; N]`, `String`, `Module`, `Arc<Module>` | `u64` length, then the bytes (UTF-8 / IR text) |
 //! | `Option<T>` | `bool`, then `T` when true |
 //! | tuples, `Box<T>` | the parts in order, no header |
 //! | `Value` | [`Tag`] byte, then the body |
@@ -138,6 +138,18 @@ impl<const N: usize> Codec for [u8; N] {
         r.take(len)?.try_into().map_err(|_| {
             SnapshotError::Malformed(format!("byte array of {len} bytes, expected {N}"))
         })
+    }
+}
+
+/// The bytes of `Vec<u8>`'s encoding, decoded into one shared block —
+/// the representation of [`Value::Bytes`] and of the payloads transports
+/// keep (wire logs, retransmit buffers, receive queues).
+impl Codec for Arc<[u8]> {
+    fn put(&self, w: &mut SnapWriter) {
+        w.bytes(self);
+    }
+    fn take(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Arc::from(r.take_prefixed()?))
     }
 }
 
@@ -330,7 +342,7 @@ impl Tag {
             Tag::Unit => Value::Unit,
             Tag::Int => Value::Int(r.take_i64()?),
             Tag::Bool => Value::Bool(r.take_bool()?),
-            Tag::Bytes => Value::Bytes(r.take_bytes()?.into()),
+            Tag::Bytes => Value::Bytes(Codec::take(r)?),
             Tag::Str => Value::Str(r.take_str()?.into()),
         })
     }

@@ -865,6 +865,28 @@ mod tests {
         hostile::sweep(&sample_frame(), |b| SnapReader::new(b).map(|_| ()));
     }
 
+    /// A shared byte block is a byte string: the same bytes as the equal
+    /// `Vec<u8>`, alone and inside the structures payloads travel in.
+    #[test]
+    fn shared_byte_blocks_encode_as_the_equal_vec() {
+        for bytes in [vec![], vec![0u8], (0..=255u8).collect::<Vec<u8>>()] {
+            let block: Arc<[u8]> = Arc::from(&bytes[..]);
+            assert_eq!(encode(&block), encode(&bytes));
+            assert_eq!(decode::<Arc<[u8]>>(&encode(&bytes)).unwrap(), block);
+            assert_eq!(
+                encode(&Value::Bytes(Arc::clone(&block))),
+                encode(&(3u8, bytes.clone())),
+                "a bytes value is its tag, then the byte string"
+            );
+            let log = vec![(7i64, Arc::clone(&block)), (8, block)];
+            assert_eq!(
+                encode(&log),
+                encode(&vec![(7i64, bytes.clone()), (8, bytes)])
+            );
+            hostile::check(&log);
+        }
+    }
+
     #[test]
     fn derived_layout_is_table_order_and_skips_riders() {
         let mut value = sample();
@@ -909,6 +931,7 @@ mod tests {
             };
             assert!(is_malformed(decode_payload::<Vec<u64>>(lie)));
             assert!(is_malformed(decode_payload::<Vec<u8>>(lie)));
+            assert!(is_malformed(decode_payload::<Arc<[u8]>>(lie)));
             assert!(is_malformed(decode_payload::<String>(lie)));
             assert!(is_malformed(decode_payload::<BTreeMap<u64, u64>>(lie)));
         }

@@ -430,7 +430,7 @@ impl FaultyXSession {
     /// Propagates handler faults from dispatched arrivals.
     pub fn deliver(&mut self, ev: XEvent) -> Result<(), XError> {
         let t = self.wire.transmit(ev, corrupt_event);
-        for arrival in t.arrivals {
+        for arrival in t.arrivals.into_iter().flatten() {
             self.client.deliver(&arrival.item)?;
         }
         Ok(())
@@ -481,7 +481,7 @@ impl FaultyXSession {
     ///
     /// Propagates handler faults.
     pub fn settle(&mut self) -> Result<(), XError> {
-        for arrival in self.wire.flush() {
+        for arrival in self.wire.flush().into_iter().flatten() {
             self.client.deliver(&arrival.item)?;
         }
         Ok(())
