@@ -13,10 +13,9 @@
 //! - **Acceptor** ([`net`], one I/O thread): accepts TCP and Unix-socket
 //!   connections, maps each onto a shard by power-of-two-choices over
 //!   live connection count and queue depth, reassembles frames, and
-//!   forwards decoded commands over bounded per-shard channels. There is
-//!   no new threading model: the `!Send` sessions never leave their
-//!   shard, and the engine half of the ingress runs on whatever thread
-//!   owns the [`Server`] ([`Ingress::drive`] / [`Ingress::serve`]).
+//!   forwards decoded commands over bounded per-shard channels. The
+//!   engine half of the ingress runs on the one thread that owns the
+//!   `!Send` [`Server`] ([`Ingress::drive`] / [`Ingress::serve`]).
 //! - **Admission control**: a fixed [`Limiter`] permit pool plus the
 //!   bounded per-shard queues. A request over either bound is *shed* —
 //!   it gets a typed `Shed{retry_after}` reply immediately instead of
@@ -174,7 +173,7 @@ impl Default for IngressConfig {
 }
 
 /// One admitted command in flight from acceptor to engine. Everything in
-/// here is `Send`; the `!Send` session state stays on its shard.
+/// here is `Send`; the `!Send` session state stays with the server.
 pub(crate) struct Work {
     pub conn: u64,
     pub req_id: u64,

@@ -9,8 +9,9 @@
 //! with no store attached pays one `Option` check; an attached-but-
 //! disabled store pays one extra `Cell` load (see `BENCH_trace.json`);
 //! only an enabled store borrows the ring and appends. Spans are plain
-//! `Send` data so shard threads can ship them to the coordinator, while
-//! the store handle itself is a single-threaded `Rc` like `ObsHub`.
+//! `Send` data so a collected `Vec<Span>` can leave the server's thread
+//! (the ingress ships one to a `TraceDump` client), while the store
+//! handle itself is a single-threaded `Rc` like `ObsHub`.
 //!
 //! Two exporters ship with the module: [`export_chrome`] emits Chrome
 //! trace-event JSON loadable in `about:tracing`/Perfetto, and
@@ -201,8 +202,8 @@ impl fmt::Display for AuditAction {
     }
 }
 
-/// One node of a trace's happens-before DAG. Plain `Send` data: shard
-/// threads record spans locally and ship clones to the coordinator for
+/// One node of a trace's happens-before DAG. Plain `Send` data: each
+/// shard's store records spans locally and the server merges clones for
 /// a wire-level `TraceDump`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {

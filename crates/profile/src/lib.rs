@@ -14,7 +14,7 @@
 //!    structure that reveals subsumable synchronous raises (Fig 8).
 //!
 //! The assembled [`Profile`] is a serializable artifact: produce it once,
-//! save it as JSON, and feed it to the optimizer offline — the workflow the
+//! [save it](save_profile), and feed it to the optimizer offline — the workflow the
 //! paper describes ("the analysis and optimizations are currently performed
 //! manually off-line after the program … has been executed enough times to
 //! develop an adequate profile").
@@ -23,14 +23,13 @@ pub mod builder;
 pub mod chains;
 pub mod graph;
 pub mod handlers;
-pub mod json;
 pub mod store;
 
 pub use builder::{BuilderState, ProfileBuilder};
 pub use chains::{event_chains, event_paths, hot_events};
 pub use graph::{EdgeData, EdgeMode, EventGraph};
 pub use handlers::{HandlerGraph, HandlerSeq, NestedRaise, SuperHandler, SuperHandlers};
-pub use store::{load_profile, save_profile, StoreError};
+pub use store::{load_profile, save_profile};
 
 use pdo_events::Trace;
 use pdo_ir::EventId;
@@ -45,6 +44,12 @@ pub struct Profile {
     /// Threshold used when reducing (recorded for reports).
     pub threshold: u64,
 }
+
+pdo_snap::codec_struct!(Profile {
+    event_graph,
+    handler_graph,
+    threshold
+});
 
 impl Profile {
     /// Builds a profile from a single fully-instrumented trace (both event

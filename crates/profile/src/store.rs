@@ -1,269 +1,41 @@
-//! Saving and loading profiles as JSON artifacts.
+//! Saving and loading profiles as durable artifacts.
 //!
 //! The paper's workflow is offline: run the instrumented program, persist
-//! the profile, then optimize a fresh build against it. These helpers give
-//! that persistence a concrete format, using the in-repo [`crate::json`]
-//! codec (the build environment has no registry access, see EXPERIMENTS.md).
-//!
-//! Format (schema version 1):
-//!
-//! ```json
-//! {
-//!   "version": 1,
-//!   "threshold": 3,
-//!   "event_graph": {
-//!     "nodes": [[event, count], …],
-//!     "edges": [[from, to, weight, sync, async], …]
-//!   },
-//!   "handler_graph": {
-//!     "sequences": [[event, [[[handler, …], count], …]], …],
-//!     "nested": [[parent_event, handler, child_event, count], …]
-//!   }
-//! }
-//! ```
+//! the profile, then optimize a fresh build against it. A profile file is
+//! one `pdo-snap` frame (magic, version, length, FNV-1a checksum) around
+//! [`Profile`]'s `Codec` table — the same framing, atomic write and typed
+//! errors as a server image, so a torn or bit-flipped file never loads.
+//! The human-readable view of a profile is [`crate::EventGraph::to_dot`].
 
-use crate::graph::{EdgeData, EventGraph};
-use crate::handlers::{HandlerGraph, HandlerSeq, NestedRaise};
-use crate::json::{self, Json};
 use crate::Profile;
-use pdo_ir::{EventId, FuncId};
-use std::collections::BTreeMap;
-use std::fmt;
-use std::fs;
+use pdo_snap::SnapshotError;
 use std::path::Path;
 
-/// Failure to save or load a profile.
-#[derive(Debug)]
-pub enum StoreError {
-    /// Filesystem failure.
-    Io(std::io::Error),
-    /// Encoding or decoding failure.
-    Json(json::ParseError),
-}
-
-impl fmt::Display for StoreError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StoreError::Io(e) => write!(f, "profile i/o failed: {e}"),
-            StoreError::Json(e) => write!(f, "profile encoding failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for StoreError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            StoreError::Io(e) => Some(e),
-            StoreError::Json(e) => Some(e),
-        }
-    }
-}
-
-impl From<std::io::Error> for StoreError {
-    fn from(e: std::io::Error) -> Self {
-        StoreError::Io(e)
-    }
-}
-
-impl From<json::ParseError> for StoreError {
-    fn from(e: json::ParseError) -> Self {
-        StoreError::Json(e)
-    }
-}
-
-const VERSION: u64 = 1;
-
-fn uint_pair(a: u64, b: u64) -> Json {
-    Json::Arr(vec![Json::UInt(a), Json::UInt(b)])
-}
-
-fn encode(profile: &Profile) -> Json {
-    let eg = &profile.event_graph;
-    let nodes = eg
-        .nodes
-        .iter()
-        .map(|(e, c)| uint_pair(u64::from(e.0), *c))
-        .collect();
-    let edges = eg
-        .edges
-        .iter()
-        .map(|(&(from, to), d)| {
-            Json::Arr(vec![
-                Json::UInt(u64::from(from.0)),
-                Json::UInt(u64::from(to.0)),
-                Json::UInt(d.weight),
-                Json::UInt(d.sync),
-                Json::UInt(d.asynchronous),
-            ])
-        })
-        .collect();
-
-    let hg = &profile.handler_graph;
-    let sequences = hg
-        .sequences
-        .iter()
-        .map(|(event, seqs)| {
-            let seqs = seqs
-                .iter()
-                .map(|s| {
-                    let handlers = Json::Arr(
-                        s.handlers
-                            .iter()
-                            .map(|h| Json::UInt(u64::from(h.0)))
-                            .collect(),
-                    );
-                    Json::Arr(vec![handlers, Json::UInt(s.count)])
-                })
-                .collect();
-            Json::Arr(vec![Json::UInt(u64::from(event.0)), Json::Arr(seqs)])
-        })
-        .collect();
-    let nested = hg
-        .nested
-        .iter()
-        .map(|(k, &count)| {
-            Json::Arr(vec![
-                Json::UInt(u64::from(k.parent_event.0)),
-                Json::UInt(u64::from(k.handler.0)),
-                Json::UInt(u64::from(k.child_event.0)),
-                Json::UInt(count),
-            ])
-        })
-        .collect();
-
-    let mut event_graph = BTreeMap::new();
-    event_graph.insert("nodes".to_string(), Json::Arr(nodes));
-    event_graph.insert("edges".to_string(), Json::Arr(edges));
-
-    let mut handler_graph = BTreeMap::new();
-    handler_graph.insert("sequences".to_string(), Json::Arr(sequences));
-    handler_graph.insert("nested".to_string(), Json::Arr(nested));
-
-    let mut root = BTreeMap::new();
-    root.insert("version".to_string(), Json::UInt(VERSION));
-    root.insert("threshold".to_string(), Json::UInt(profile.threshold));
-    root.insert("event_graph".to_string(), Json::Obj(event_graph));
-    root.insert("handler_graph".to_string(), Json::Obj(handler_graph));
-    Json::Obj(root)
-}
-
-fn schema_err(msg: &str) -> json::ParseError {
-    json::ParseError {
-        at: 0,
-        msg: msg.to_string(),
-    }
-}
-
-fn event_id(v: &Json) -> Result<EventId, json::ParseError> {
-    let n = v.as_u64()?;
-    u32::try_from(n)
-        .map(EventId)
-        .map_err(|_| schema_err("event id out of range"))
-}
-
-fn func_id(v: &Json) -> Result<FuncId, json::ParseError> {
-    let n = v.as_u64()?;
-    u32::try_from(n)
-        .map(FuncId)
-        .map_err(|_| schema_err("function id out of range"))
-}
-
-fn fixed<const N: usize>(v: &Json) -> Result<&[Json; N], json::ParseError> {
-    let arr = v.as_arr()?;
-    arr.try_into()
-        .map_err(|_| schema_err("wrong tuple arity in profile"))
-}
-
-fn decode(root: &Json) -> Result<Profile, json::ParseError> {
-    let version = root.get("version")?.as_u64()?;
-    if version != VERSION {
-        return Err(schema_err("unsupported profile version"));
-    }
-    let threshold = root.get("threshold")?.as_u64()?;
-
-    let eg = root.get("event_graph")?;
-    let mut event_graph = EventGraph::new();
-    for node in eg.get("nodes")?.as_arr()? {
-        let [event, count] = fixed::<2>(node)?;
-        event_graph.nodes.insert(event_id(event)?, count.as_u64()?);
-    }
-    for edge in eg.get("edges")?.as_arr()? {
-        let [from, to, weight, sync, asynchronous] = fixed::<5>(edge)?;
-        event_graph.edges.insert(
-            (event_id(from)?, event_id(to)?),
-            EdgeData {
-                weight: weight.as_u64()?,
-                sync: sync.as_u64()?,
-                asynchronous: asynchronous.as_u64()?,
-            },
-        );
-    }
-
-    let hg = root.get("handler_graph")?;
-    let mut handler_graph = HandlerGraph::new();
-    for entry in hg.get("sequences")?.as_arr()? {
-        let [event, seqs] = fixed::<2>(entry)?;
-        let mut out = Vec::new();
-        for seq in seqs.as_arr()? {
-            let [handlers, count] = fixed::<2>(seq)?;
-            let handlers = handlers
-                .as_arr()?
-                .iter()
-                .map(func_id)
-                .collect::<Result<Vec<_>, _>>()?;
-            out.push(HandlerSeq {
-                handlers,
-                count: count.as_u64()?,
-            });
-        }
-        handler_graph.sequences.insert(event_id(event)?, out);
-    }
-    for entry in hg.get("nested")?.as_arr()? {
-        let [parent, handler, child, count] = fixed::<4>(entry)?;
-        handler_graph.nested.insert(
-            NestedRaise {
-                parent_event: event_id(parent)?,
-                handler: func_id(handler)?,
-                child_event: event_id(child)?,
-            },
-            count.as_u64()?,
-        );
-    }
-
-    Ok(Profile {
-        event_graph,
-        handler_graph,
-        threshold,
-    })
-}
-
-/// Writes `profile` to `path` as pretty-printed JSON.
+/// Writes `profile` to `path` atomically (temp file, sync, rename).
 ///
 /// # Errors
 ///
-/// Returns [`StoreError`] on filesystem failure.
-pub fn save_profile(profile: &Profile, path: impl AsRef<Path>) -> Result<(), StoreError> {
-    let mut text = encode(profile).pretty();
-    text.push('\n');
-    fs::write(path, text)?;
-    Ok(())
+/// [`SnapshotError::Io`] on filesystem failure.
+pub fn save_profile(profile: &Profile, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
+    pdo_snap::write_atomic(path.as_ref(), &pdo_snap::encode(profile))
 }
 
 /// Reads a profile previously written by [`save_profile`].
 ///
 /// # Errors
 ///
-/// Returns [`StoreError`] on filesystem or decoding failure.
-pub fn load_profile(path: impl AsRef<Path>) -> Result<Profile, StoreError> {
-    let text = fs::read_to_string(path)?;
-    Ok(decode(&json::parse(&text)?)?)
+/// [`SnapshotError::Io`] on filesystem failure; any other
+/// [`SnapshotError`] for a file that is not an intact profile frame.
+pub fn load_profile(path: impl AsRef<Path>) -> Result<Profile, SnapshotError> {
+    pdo_snap::decode(&pdo_snap::read(path.as_ref())?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::{EdgeData, EventGraph};
-    use pdo_ir::EventId;
+    use crate::handlers::{HandlerGraph, HandlerSeq, NestedRaise};
+    use pdo_ir::{EventId, FuncId};
 
     fn sample_profile() -> Profile {
         let mut g = EventGraph::new();
@@ -303,7 +75,7 @@ mod tests {
     fn roundtrip_via_tempfile() {
         let p = sample_profile();
         let path =
-            std::env::temp_dir().join(format!("pdo-profile-test-{}.json", std::process::id()));
+            std::env::temp_dir().join(format!("pdo-profile-test-{}.pdosnap", std::process::id()));
         save_profile(&p, &path).unwrap();
         let back = load_profile(&path).unwrap();
         let _ = std::fs::remove_file(&path);
@@ -311,31 +83,14 @@ mod tests {
     }
 
     #[test]
+    fn profile_codec_survives_the_hostile_sweep() {
+        pdo_snap::hostile::check(&sample_profile());
+        pdo_snap::hostile::check(&Profile::default());
+    }
+
+    #[test]
     fn load_missing_file_errors() {
-        let err = load_profile("/nonexistent/definitely/missing.json").unwrap_err();
-        assert!(matches!(err, StoreError::Io(_)));
-        assert!(err.to_string().contains("i/o"));
-    }
-
-    #[test]
-    fn load_malformed_json_errors() {
-        let path =
-            std::env::temp_dir().join(format!("pdo-profile-bad-{}.json", std::process::id()));
-        std::fs::write(&path, "{ not json").unwrap();
-        let err = load_profile(&path).unwrap_err();
-        let _ = std::fs::remove_file(&path);
-        assert!(matches!(err, StoreError::Json(_)));
-    }
-
-    #[test]
-    fn rejects_wrong_version() {
-        let path =
-            std::env::temp_dir().join(format!("pdo-profile-ver-{}.json", std::process::id()));
-        let mut text = encode(&sample_profile()).pretty();
-        text = text.replace("\"version\": 1", "\"version\": 999");
-        std::fs::write(&path, text).unwrap();
-        let err = load_profile(&path).unwrap_err();
-        let _ = std::fs::remove_file(&path);
-        assert!(err.to_string().contains("version"));
+        let err = load_profile("/nonexistent/definitely/missing.pdosnap").unwrap_err();
+        assert!(matches!(err, SnapshotError::Io(_)), "got {err}");
     }
 }

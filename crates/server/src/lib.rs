@@ -1,28 +1,23 @@
 //! `pdo-server`: a sharded multi-session event server with an online
-//! adaptive-specialization loop and thread-per-shard parallel execution.
+//! adaptive-specialization loop.
 //!
 //! The paper's workflow is per-program and offline: trace one run,
 //! optimize, redeploy. A realistic event server hosts *many* independent
 //! sessions — transport connections, secure channels, plain event
 //! programs — each with its own hot paths that shift over time. This
-//! crate puts the whole pipeline online, multi-tenant, and parallel:
+//! crate puts the whole pipeline online and multi-tenant:
 //!
-//! - A [`Server`] owns `N` [shards](ServerConfig::shards). `Runtime` is
-//!   `!Send` (handlers are boxed native closures over unsynchronized
-//!   module state), so the server never moves a runtime between threads.
-//!   Instead, with [`ServerConfig::threads`] > 1 each shard — including
-//!   its runtimes and [`AdaptiveEngine`]s — is **constructed, driven,
-//!   and dropped entirely inside one worker thread**; the coordinator
-//!   reaches it by shipping a `Send` closure over a per-shard `mpsc`
-//!   channel, which the worker runs against the shard and answers with
-//!   a `Send` result. With `threads = 1` the same closure is called
-//!   directly with no threads at all, which is why parallelism is
-//!   observationally invisible: both modes execute the same
-//!   [`ShardState`] methods in the same per-shard order.
+//! - A [`Server`] owns `N` [shards](ServerConfig::shards) and is **one
+//!   thread**: `Runtime` is `!Send` (handlers are boxed native closures
+//!   over unsynchronized module state) and the paper's programs are
+//!   event loops — one handler runs at a time. Every operation is a
+//!   direct call on the shard that holds the session; scale-out is more
+//!   servers behind the ingress. Shards are the unit of placement,
+//!   migration, admission queues, metric labels and trace-id tags.
 //! - New sessions are placed by **power-of-two-choices** over reported
 //!   shard load (resident sessions, then cumulative dispatches) with
 //!   splitmix64 supplying the two deterministic candidates, and the
-//!   coordinator can [`rebalance`](Server::rebalance) by draining an
+//!   server can [`rebalance`](Server::rebalance) by draining an
 //!   idle session's spec from the hottest shard and restoring it on the
 //!   coolest — all deterministic, no wall-clock input.
 //! - Every session gets a per-session adaptive-specialization daemon (an
@@ -40,10 +35,10 @@
 //! - [`Server::report`] snapshots per-shard and per-session counters;
 //!   [`Server::metrics`] scrapes every layer into one
 //!   [`MetricsSnapshot`], including per-shard queue-depth and busy-ns
-//!   load series. Because shard-interior state never crosses the channel
-//!   boundary, callers reach a session through the closure-shipping
+//!   load series. Callers reach a session through the closure-taking
 //!   [`Server::with_session`] family and the snapshot-returning
-//!   [`Server::engine_stats`], never through a borrow.
+//!   [`Server::engine_stats`]; the server keeps ownership, so placement
+//!   and migration never invalidate a caller's borrow.
 
 use pdo::{AdaptConfig, AdaptStats, AdaptiveEngine};
 use pdo_cactus::EventProgram;
@@ -64,17 +59,11 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 use std::rc::Rc;
-use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
 mod snapshot;
 use snapshot::{Image, KindSnapshot, SessionSnapshot};
-
-const WORKER_ALIVE: &str = "shard worker lives until Server::drop closes the channel";
-const WORKER_REPLIES: &str = "shard worker runs every job it received before exiting";
-const SHARD_OWNED: &str = "jobs are routed to the worker that owns the shard";
 
 /// Identifies one session for the lifetime of the server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -100,13 +89,6 @@ impl fmt::Display for SessionId {
 pub struct ServerConfig {
     /// Number of shards sessions are placed onto (min 1).
     pub shards: usize,
-    /// Number of worker threads driving the shards. `1` (the default)
-    /// runs every shard inline on the caller's thread; larger values
-    /// spawn `min(threads, shards)` workers and distribute shards
-    /// round-robin (shard `i` → worker `i % workers`). Shard state is
-    /// created and dropped on its owning thread — no `unsafe`, no
-    /// `Send` bound on `Runtime`.
-    pub threads: usize,
     /// Adaptation-loop configuration applied to every session opened
     /// through this server.
     pub adapt: AdaptConfig,
@@ -116,7 +98,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             shards: 4,
-            threads: 1,
             adapt: AdaptConfig::default(),
         }
     }
@@ -175,9 +156,8 @@ enum SessionKind {
 }
 
 /// One resident session: its runtime (possibly wrapped in a protocol
-/// endpoint) plus the adaptation daemon attached to it. Lives entirely
-/// on the shard's owning thread; only accessed across the channel
-/// boundary through shipped closures ([`Server::with_session`]).
+/// endpoint) plus the adaptation daemon attached to it. Callers reach it
+/// through [`Server::with_session`] closures.
 struct Session {
     kind: SessionKind,
     engine: Rc<RefCell<AdaptiveEngine>>,
@@ -205,9 +185,7 @@ fn kind_runtime_mut(kind: &mut SessionKind) -> &mut Runtime {
     }
 }
 
-/// Everything needed to build a new session on a shard: plain `Send`
-/// data, from which the `!Send` runtime is constructed on the owning
-/// thread.
+/// Everything needed to build a new session on a shard.
 enum SessionSpec {
     Plain {
         module: Arc<Module>,
@@ -315,7 +293,7 @@ pub struct ServerReport {
     /// One entry per shard (index = shard number).
     pub shards: Vec<ShardReport>,
     /// One entry per session, sorted by [`SessionId`] so the report is
-    /// byte-stable regardless of shard layout or thread count.
+    /// byte-stable regardless of shard layout.
     pub sessions: Vec<SessionReport>,
 }
 
@@ -336,11 +314,9 @@ impl ServerReport {
 // which exposes the same counters (and more) in one standard text format
 // instead of a second hand-rolled one.
 
-/// One shard's complete state and behavior. **This is the single
-/// implementation both execution modes run**: inline mode calls these
-/// methods on the coordinator thread, threaded mode calls the very same
-/// methods from the shard's worker thread — which is the whole argument
-/// for why `threads = N` is observationally identical to `threads = 1`.
+/// One shard's complete state and behavior: the sessions placed on it,
+/// the trace store they share, and its load gauges. [`Server`] calls
+/// these methods directly.
 struct ShardState {
     index: usize,
     adapt: AdaptConfig,
@@ -350,7 +326,7 @@ struct ShardState {
     /// The shard's causal trace store, shared with every resident
     /// runtime. Tagged `index + 1` so span/trace ids minted by
     /// different shards (and by the ingress, tag `0xFFFF`) never
-    /// collide when the coordinator merges them.
+    /// collide when the server merges them.
     tracer: TraceStore,
 }
 
@@ -365,8 +341,8 @@ impl ShardState {
         }
     }
 
-    /// Builds the session described by `spec` on this thread and attaches
-    /// its adaptation daemon.
+    /// Builds the session described by `spec` and attaches its
+    /// adaptation daemon.
     fn open(&mut self, id: SessionId, spec: SessionSpec) -> Result<(), ServerError> {
         let mut kind = match spec {
             SessionSpec::Plain {
@@ -561,8 +537,7 @@ impl ShardState {
         self.tracer.spans()
     }
 
-    /// Submits a batch of timed raises of `event`, one per delay, in one
-    /// channel round trip.
+    /// Submits a batch of timed raises of `event`, one per delay.
     fn batch(&mut self, id: SessionId, event: EventId, delays: &[u64]) -> Result<(), ServerError> {
         let rt = self
             .sessions
@@ -815,73 +790,8 @@ impl ShardState {
     }
 }
 
-/// The one message of the coordinator→worker channel: a closure and the
-/// shard it runs against. The closure owns everything it needs (it is
-/// `Send + 'static`) including the reply sender for its result, so the
-/// `!Send` shard state never leaves its thread — work travels to it.
-type Job = (usize, Box<dyn FnOnce(&mut ShardState) + Send>);
-
-/// Worker thread body: builds its shards *here* (so every `!Send`
-/// runtime is born on this thread), runs jobs until the channel closes,
-/// then drops the shards (still on this thread).
-fn worker_main(rx: Receiver<Job>, shard_ids: Vec<usize>, adapt: AdaptConfig) {
-    let mut shards: BTreeMap<usize, ShardState> = shard_ids
-        .into_iter()
-        .map(|i| (i, ShardState::new(i, adapt)))
-        .collect();
-    while let Ok((shard, job)) = rx.recv() {
-        job(shards.get_mut(&shard).expect(SHARD_OWNED));
-    }
-}
-
-/// Ships `f` to the worker owning `shard`; the returned receiver yields
-/// its result once the worker has run it.
-fn ship<R, F>(txs: &[Sender<Job>], shard: usize, f: F) -> Receiver<R>
-where
-    R: Send + 'static,
-    F: FnOnce(&mut ShardState) -> R + Send + 'static,
-{
-    let (reply, rx) = mpsc::channel();
-    let job = Box::new(move |state: &mut ShardState| {
-        let _ = reply.send(f(state));
-    });
-    txs[shard].send((shard, job)).expect(WORKER_ALIVE);
-    rx
-}
-
-/// Ships a copy of `f` to every shard so the workers run concurrently,
-/// then collects the results **in shard order** — which is what keeps
-/// every aggregate (reports, merged metrics, dumps, images) identical
-/// to the inline mode's sequential walk.
-fn fan_out<R, F>(txs: &[Sender<Job>], f: F) -> Vec<R>
-where
-    R: Send + 'static,
-    F: Fn(&mut ShardState) -> R + Clone + Send + 'static,
-{
-    let receivers: Vec<Receiver<R>> = (0..txs.len())
-        .map(|shard| ship(txs, shard, f.clone()))
-        .collect();
-    receivers
-        .into_iter()
-        .map(|rx| rx.recv().expect(WORKER_REPLIES))
-        .collect()
-}
-
-/// How the coordinator reaches its shards: direct calls (inline) or
-/// per-shard job channels into worker threads. `txs[i]` is a clone of
-/// the owning worker's sender, so routing is just an index.
-enum Mode {
-    Inline(Vec<ShardState>),
-    Threaded {
-        txs: Vec<Sender<Job>>,
-        handles: Vec<JoinHandle<()>>,
-    },
-}
-
 /// A borrow of one session, delivered to [`Server::with_session`]
-/// closures *on the shard's owning thread*. This is the only way
-/// shard-interior state is touched: the closure travels to the state,
-/// never the state to the closure's thread.
+/// closures: the only way callers touch shard-interior state.
 pub struct SessionCtx<'a> {
     id: SessionId,
     shard: usize,
@@ -938,13 +848,12 @@ impl SessionCtx<'_> {
 
 /// The sharded multi-session server.
 pub struct Server {
-    mode: Mode,
+    shards: Vec<ShardState>,
     next_id: u64,
     /// False after [`Server::quiesce`]: opens and raises are refused with
     /// [`ServerError::Quiesced`] until [`Server::resume_admission`].
     admitting: bool,
-    /// Where every open session lives. The coordinator is the only
-    /// writer, so this never races with the workers.
+    /// Where every open session lives.
     placement: BTreeMap<SessionId, usize>,
     /// Last observed per-shard load (index = shard). `sessions` is
     /// maintained synchronously on open/close; the rest refreshes on
@@ -968,54 +877,20 @@ pub struct Server {
 impl fmt::Debug for Server {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Server")
-            .field("shards", &self.loads.len())
-            .field("threads", &self.threads())
+            .field("shards", &self.shards.len())
             .field("sessions", &self.placement.len())
             .finish()
     }
 }
 
 impl Server {
-    /// An empty server with `config.shards` shards (at least one). With
-    /// `config.threads > 1`, spawns `min(threads, shards)` workers and
-    /// builds each shard inside its owning thread.
+    /// An empty server with `config.shards` shards (at least one).
     pub fn new(config: ServerConfig) -> Self {
         let shards = config.shards.max(1);
-        let threads = config.threads.max(1);
-        let mode = if threads == 1 {
-            Mode::Inline(
-                (0..shards)
-                    .map(|i| ShardState::new(i, config.adapt))
-                    .collect(),
-            )
-        } else {
-            let workers = threads.min(shards);
-            let mut txs: Vec<Option<Sender<Job>>> = (0..shards).map(|_| None).collect();
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let (tx, rx) = mpsc::channel();
-                let owned: Vec<usize> = (0..shards).filter(|i| i % workers == w).collect();
-                for &i in &owned {
-                    txs[i] = Some(tx.clone());
-                }
-                let adapt = config.adapt;
-                handles.push(
-                    thread::Builder::new()
-                        .name(format!("pdo-shard-worker-{w}"))
-                        .spawn(move || worker_main(rx, owned, adapt))
-                        .expect("spawn shard worker"),
-                );
-            }
-            Mode::Threaded {
-                txs: txs
-                    .into_iter()
-                    .map(|tx| tx.expect("every shard owned"))
-                    .collect(),
-                handles,
-            }
-        };
         Server {
-            mode,
+            shards: (0..shards)
+                .map(|i| ShardState::new(i, config.adapt))
+                .collect(),
             next_id: 1,
             admitting: true,
             placement: BTreeMap::new(),
@@ -1046,15 +921,7 @@ impl Server {
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.loads.len()
-    }
-
-    /// Number of worker threads driving the shards (1 = inline).
-    pub fn threads(&self) -> usize {
-        match &self.mode {
-            Mode::Inline(_) => 1,
-            Mode::Threaded { handles, .. } => handles.len(),
-        }
+        self.shards.len()
     }
 
     /// The shard session `id` resides on.
@@ -1070,6 +937,14 @@ impl Server {
             .unwrap_or_else(|| panic!("session {id} is not open"))
     }
 
+    /// The shard session `id` resides on, or `UnknownSession`.
+    fn placed(&self, id: SessionId) -> Result<usize, ServerError> {
+        self.placement
+            .get(&id)
+            .copied()
+            .ok_or(ServerError::UnknownSession(id))
+    }
+
     /// All open session ids, ordered by shard then id.
     pub fn sessions(&self) -> Vec<SessionId> {
         let mut by_shard: Vec<(usize, SessionId)> =
@@ -1081,8 +956,7 @@ impl Server {
     /// Power-of-two-choices placement: two deterministic candidates from
     /// splitmix64, pick the one with fewer sessions (then fewer
     /// cumulative dispatches, then the lower index). Every input is
-    /// deterministic, so placement is reproducible run to run and
-    /// identical across thread counts.
+    /// deterministic, so placement is reproducible run to run.
     fn pick_shard(&self, id: SessionId) -> usize {
         let n = self.loads.len() as u64;
         let c1 = (splitmix64(id.0) % n) as usize;
@@ -1092,65 +966,6 @@ impl Server {
             c2
         } else {
             c1
-        }
-    }
-
-    /// Runs `f` against shard `shard` and returns its result: a direct
-    /// call inline, a shipped job on the shard's owning thread otherwise.
-    /// `arg` is the one borrowed input a job may take — inline it is
-    /// passed straight through; it is copied (`to_owned`) only when the
-    /// job actually has to cross the channel.
-    fn on_shard_with<A, R, F>(&mut self, shard: usize, arg: &A, f: F) -> R
-    where
-        A: ToOwned + ?Sized,
-        A::Owned: Send + 'static,
-        R: Send + 'static,
-        F: FnOnce(&mut ShardState, &A) -> R + Send + 'static,
-    {
-        match &mut self.mode {
-            Mode::Inline(states) => f(&mut states[shard], arg),
-            Mode::Threaded { txs, .. } => {
-                let owned = arg.to_owned();
-                ship(txs, shard, move |state| {
-                    f(state, std::borrow::Borrow::borrow(&owned))
-                })
-                .recv()
-                .expect(WORKER_REPLIES)
-            }
-        }
-    }
-
-    /// [`Self::on_shard_with`] for jobs that borrow nothing.
-    fn on_shard<R, F>(&mut self, shard: usize, f: F) -> R
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut ShardState) -> R + Send + 'static,
-    {
-        self.on_shard_with(shard, &(), move |state, ()| f(state))
-    }
-
-    /// Runs `f` against every shard (read-only) and returns the results
-    /// in shard order.
-    fn each_shard<R, F>(&self, f: F) -> Vec<R>
-    where
-        R: Send + 'static,
-        F: Fn(&ShardState) -> R + Clone + Send + 'static,
-    {
-        match &self.mode {
-            Mode::Inline(states) => states.iter().map(f).collect(),
-            Mode::Threaded { txs, .. } => fan_out(txs, move |state| f(state)),
-        }
-    }
-
-    /// As [`Self::each_shard`], with mutable access.
-    fn each_shard_mut<R, F>(&mut self, f: F) -> Vec<R>
-    where
-        R: Send + 'static,
-        F: Fn(&mut ShardState) -> R + Clone + Send + 'static,
-    {
-        match &mut self.mode {
-            Mode::Inline(states) => states.iter_mut().map(f).collect(),
-            Mode::Threaded { txs, .. } => fan_out(txs, f),
         }
     }
 
@@ -1166,7 +981,7 @@ impl Server {
             Some(s) => s % self.shards(),
             None => self.pick_shard(id),
         };
-        self.on_shard(shard, move |state| state.open(id, spec))?;
+        self.shards[shard].open(id, spec)?;
         self.next_id += 1;
         self.placement.insert(id, shard);
         self.loads[shard].sessions += 1;
@@ -1174,9 +989,8 @@ impl Server {
     }
 
     /// Opens a plain event-program session: builds a [`Runtime`] over
-    /// `module` on the owning shard's thread, applies `bindings`
-    /// (event, handler, order), and attaches the adaptive-specialization
-    /// daemon.
+    /// `module` on the chosen shard, applies `bindings` (event, handler,
+    /// order), and attaches the adaptive-specialization daemon.
     ///
     /// # Errors
     ///
@@ -1307,7 +1121,7 @@ impl Server {
         let Some(&shard) = self.placement.get(&id) else {
             return false;
         };
-        let existed = self.on_shard(shard, move |state| state.close(id));
+        let existed = self.shards[shard].close(id);
         if existed {
             self.placement.remove(&id);
             self.loads[shard].sessions = self.loads[shard].sessions.saturating_sub(1);
@@ -1349,13 +1163,8 @@ impl Server {
         if !self.admitting {
             return Err(ServerError::Quiesced);
         }
-        let shard = *self
-            .placement
-            .get(&id)
-            .ok_or(ServerError::UnknownSession(id))?;
-        self.on_shard_with(shard, args, move |state, args| {
-            state.raise(id, event, mode, args, ctx)
-        })
+        let shard = self.placed(id)?;
+        self.shards[shard].raise(id, event, mode, args, ctx)
     }
 
     /// Raises `event` synchronously on session `id` (dispatches now).
@@ -1411,9 +1220,8 @@ impl Server {
     }
 
     /// Submits one timed raise of `event` (no extra args) per delay in
-    /// `delays` — a whole workload's injections in a single channel
-    /// round trip, which is what keeps the threaded server's command
-    /// overhead off the benchmark's critical path.
+    /// `delays` — a whole workload's injections behind one placement
+    /// lookup.
     ///
     /// # Errors
     ///
@@ -1427,95 +1235,75 @@ impl Server {
         if !self.admitting {
             return Err(ServerError::Quiesced);
         }
-        let shard = *self
-            .placement
-            .get(&id)
-            .ok_or(ServerError::UnknownSession(id))?;
-        self.on_shard_with(shard, delays, move |state, delays| {
-            state.batch(id, event, delays)
-        })
+        let shard = self.placed(id)?;
+        self.shards[shard].batch(id, event, delays)
     }
 
     /// Advances every session on every shard to `deadline_ns`: dispatches
     /// all due queued/timed work, then pads each session's clock to the
-    /// deadline so adaptation epochs fire even on idle sessions. In
-    /// threaded mode all shards run **concurrently** — the command fans
-    /// out, then replies are collected in shard order; inline mode runs
-    /// the same shard code sequentially. Either way every shard always
-    /// runs to the deadline, and on failure the error of the
-    /// lowest-indexed failing shard is reported (a shard stops at its
-    /// first failing session).
+    /// deadline so adaptation epochs fire even on idle sessions. Shards
+    /// run in index order and every shard always runs to the deadline;
+    /// on failure the error of the lowest-indexed failing shard is
+    /// reported (a shard stops at its first failing session).
     ///
     /// # Errors
     ///
     /// The lowest-indexed shard's first session failure (tagged with its
     /// session id).
     pub fn run_until(&mut self, deadline_ns: u64) -> Result<(), ServerError> {
-        let outcomes =
-            self.each_shard_mut(move |state| (state.run_until(deadline_ns), state.load()));
-        let mut first_err = None;
-        for (result, load) in outcomes {
-            self.loads[load.shard] = load;
-            if first_err.is_none() {
-                if let Err(e) = result {
-                    first_err = Some(e);
-                }
+        let mut first = Ok(());
+        for (state, load) in self.shards.iter_mut().zip(&mut self.loads) {
+            let result = state.run_until(deadline_ns);
+            *load = state.load();
+            if first.is_ok() {
+                first = result;
             }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        first
     }
 
-    /// Ships `f` to session `id`'s owning thread and runs it there with
-    /// a [`SessionCtx`] borrow: the closure crosses the channel (it is
-    /// `Send`), the `!Send` session never does.
+    /// Runs `f` with a [`SessionCtx`] borrow of session `id`.
     ///
     /// # Errors
     ///
     /// [`ServerError::UnknownSession`].
-    pub fn with_session<R, F>(&mut self, id: SessionId, f: F) -> Result<R, ServerError>
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut SessionCtx<'_>) -> R + Send + 'static,
-    {
-        let shard = *self
-            .placement
-            .get(&id)
+    pub fn with_session<R>(
+        &mut self,
+        id: SessionId,
+        f: impl FnOnce(&mut SessionCtx<'_>) -> R,
+    ) -> Result<R, ServerError> {
+        let shard = self.placed(id)?;
+        let session = self.shards[shard]
+            .sessions
+            .get_mut(&id)
             .ok_or(ServerError::UnknownSession(id))?;
-        self.on_shard(shard, move |state| {
-            let session = state.sessions.get_mut(&id)?;
-            Some(f(&mut SessionCtx { id, shard, session }))
-        })
-        .ok_or(ServerError::UnknownSession(id))
+        Ok(f(&mut SessionCtx { id, shard, session }))
     }
 
-    /// Runs `f` against session `id`'s runtime on its owning thread.
+    /// Runs `f` against session `id`'s runtime.
     ///
     /// # Errors
     ///
     /// [`ServerError::UnknownSession`].
-    pub fn with_runtime<R, F>(&mut self, id: SessionId, f: F) -> Result<R, ServerError>
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut Runtime) -> R + Send + 'static,
-    {
-        self.with_session(id, move |ctx| f(ctx.runtime_mut()))
+    pub fn with_runtime<R>(
+        &mut self,
+        id: SessionId,
+        f: impl FnOnce(&mut Runtime) -> R,
+    ) -> Result<R, ServerError> {
+        self.with_session(id, |ctx| f(ctx.runtime_mut()))
     }
 
-    /// Runs `f` against session `id`'s adaptation daemon on its owning
-    /// thread.
+    /// Runs `f` against session `id`'s adaptation daemon.
     ///
     /// # Errors
     ///
     /// [`ServerError::UnknownSession`].
-    pub fn with_engine<R, F>(&mut self, id: SessionId, f: F) -> Result<R, ServerError>
-    where
-        R: Send + 'static,
-        F: FnOnce(&AdaptiveEngine) -> R + Send + 'static,
-    {
-        self.with_session(id, move |ctx| ctx.engine(f))
+    pub fn with_engine<R>(
+        &mut self,
+        id: SessionId,
+        f: impl FnOnce(&AdaptiveEngine) -> R,
+    ) -> Result<R, ServerError> {
+        self.with_session(id, |ctx| ctx.engine(f))
     }
 
     /// A snapshot of session `id`'s adaptation counters.
@@ -1527,48 +1315,41 @@ impl Server {
         self.with_engine(id, |e| e.stats())
     }
 
-    /// Runs `f` against a CTP session's endpoint (send, drain, stats) on
-    /// its owning thread.
+    /// Runs `f` against a CTP session's endpoint (send, drain, stats).
     ///
     /// # Errors
     ///
     /// [`ServerError::UnknownSession`]; [`ServerError::WrongKind`] for a
     /// non-CTP session.
-    pub fn with_ctp<R, F>(&mut self, id: SessionId, f: F) -> Result<R, ServerError>
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut CtpEndpoint) -> R + Send + 'static,
-    {
-        match self.with_session(id, move |ctx| ctx.ctp().map(f))? {
-            Some(r) => Ok(r),
-            None => Err(ServerError::WrongKind(id)),
-        }
+    pub fn with_ctp<R>(
+        &mut self,
+        id: SessionId,
+        f: impl FnOnce(&mut CtpEndpoint) -> R,
+    ) -> Result<R, ServerError> {
+        self.with_session(id, |ctx| ctx.ctp().map(f))?
+            .ok_or(ServerError::WrongKind(id))
     }
 
-    /// Runs `f` against a SecComm session's endpoint (push, pop) on its
-    /// owning thread.
+    /// Runs `f` against a SecComm session's endpoint (push, pop).
     ///
     /// # Errors
     ///
     /// [`ServerError::UnknownSession`]; [`ServerError::WrongKind`] for a
     /// non-SecComm session.
-    pub fn with_seccomm<R, F>(&mut self, id: SessionId, f: F) -> Result<R, ServerError>
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut SecCommEndpoint) -> R + Send + 'static,
-    {
-        match self.with_session(id, move |ctx| ctx.seccomm().map(f))? {
-            Some(r) => Ok(r),
-            None => Err(ServerError::WrongKind(id)),
-        }
+    pub fn with_seccomm<R>(
+        &mut self,
+        id: SessionId,
+        f: impl FnOnce(&mut SecCommEndpoint) -> R,
+    ) -> Result<R, ServerError> {
+        self.with_session(id, |ctx| ctx.seccomm().map(f))?
+            .ok_or(ServerError::WrongKind(id))
     }
 
     /// Fresh per-shard load readings (also refreshes the cache p2c
     /// placement reads).
     pub fn shard_loads(&mut self) -> Vec<ShardLoad> {
-        let loads = self.each_shard(ShardState::load);
-        self.loads.clone_from(&loads);
-        loads
+        self.loads = self.shards.iter().map(ShardState::load).collect();
+        self.loads.clone()
     }
 
     /// One placement-rebalancing step, intended for epoch boundaries:
@@ -1609,12 +1390,12 @@ impl Server {
         if hot == cool || loads[hot].sessions <= loads[cool].sessions {
             return Ok(None);
         }
-        let Some((id, snap)) = self.on_shard(hot, ShardState::drain_quiescent) else {
+        let Some((id, snap)) = self.shards[hot].drain_quiescent() else {
             return Ok(None);
         };
         self.placement.remove(&id);
         self.loads[hot].sessions = self.loads[hot].sessions.saturating_sub(1);
-        self.on_shard(cool, move |state| state.restore(id, snap))?;
+        self.shards[cool].restore(id, snap)?;
         self.placement.insert(id, cool);
         self.loads[cool].sessions += 1;
         self.obs_record(ObsKind::SessionMigrated {
@@ -1628,11 +1409,9 @@ impl Server {
     /// Graceful-shutdown drain: stops admitting (every subsequent open,
     /// raise, or submit returns [`ServerError::Quiesced`] until
     /// [`Server::resume_admission`]), then advances every shard to the
-    /// fleet's furthest session clock. The load refresh is a barrier
-    /// through every per-shard command channel, so all previously
-    /// submitted work is resident before the drain; `run_until` then
-    /// dispatches every queued async event and every timer due by the
-    /// drain deadline, and pads the stragglers' clocks to it. Afterwards
+    /// fleet's furthest session clock: `run_until` dispatches every
+    /// queued async event and every timer due by the drain deadline, and
+    /// pads the stragglers' clocks to it. Afterwards
     /// each session's FIFO is empty and all clocks agree — the fleet is
     /// idle in exactly the state [`Server::save`] assumes, instead of
     /// snapshotting mid-flight work and hoping the image carries it.
@@ -1679,12 +1458,8 @@ impl Server {
     pub fn snapshot_to_bytes(&mut self) -> Vec<u8> {
         let started = Instant::now();
         let mut sessions = BTreeMap::new();
-        for (shard, snaps) in self
-            .each_shard(ShardState::snapshot_all)
-            .into_iter()
-            .enumerate()
-        {
-            for (id, snap) in snaps {
+        for (shard, state) in self.shards.iter().enumerate() {
+            for (id, snap) in state.snapshot_all() {
                 sessions.insert(id, (shard, snap));
             }
         }
@@ -1744,7 +1519,7 @@ impl Server {
         let count = sessions.len() as u32;
         for (id, (shard, snap)) in sessions {
             let shard = shard % self.shards();
-            self.on_shard(shard, move |state| state.restore(id, snap))?;
+            self.shards[shard].restore(id, snap)?;
             self.placement.insert(id, shard);
             self.loads[shard].sessions += 1;
             self.obs_record(ObsKind::SessionRestored {
@@ -1768,18 +1543,13 @@ impl Server {
     #[cfg(test)]
     fn base_modules(&self) -> Vec<(SessionId, Arc<Module>, Arc<Module>)> {
         let mut all: Vec<_> = self
-            .each_shard(|state| {
-                state
-                    .sessions
-                    .iter()
-                    .map(|(&id, s)| {
-                        let base = Arc::clone(s.engine.borrow().base());
-                        (id, base, s.runtime().module_arc())
-                    })
-                    .collect::<Vec<_>>()
+            .shards
+            .iter()
+            .flat_map(|state| &state.sessions)
+            .map(|(&id, s)| {
+                let base = Arc::clone(s.engine.borrow().base());
+                (id, base, s.runtime().module_arc())
             })
-            .into_iter()
-            .flatten()
             .collect();
         all.sort_by_key(|(id, ..)| *id);
         all
@@ -1819,12 +1589,12 @@ impl Server {
     /// by construction — counters add and histograms merge — so this
     /// *is* the per-shard rollup, and `MetricsSnapshot::merge` rolls
     /// servers up the same way. Shards are scraped and merged in index
-    /// order, so the result is identical across thread counts (modulo
-    /// the wall-clock families, which `retain_families` can strip).
+    /// order, so the result is identical run to run (modulo the
+    /// wall-clock families, which `retain_families` can strip).
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
-        for shard in self.each_shard(ShardState::metrics) {
-            snap.merge(&shard);
+        for state in &self.shards {
+            snap.merge(&state.metrics());
         }
         snap.counter(
             "pdo_server_snapshots_total",
@@ -1862,14 +1632,10 @@ impl Server {
     /// Dumps the last `n` flight-recorder entries of every session that
     /// has a hub attached, labelled by session id and **sorted by
     /// session id** (not shard layout), so the dump is byte-stable
-    /// across runs and thread counts — the post-mortem companion to
-    /// [`Server::metrics`].
+    /// across runs — the post-mortem companion to [`Server::metrics`].
     pub fn dump_flight_recorders(&self, n: usize) -> String {
-        let mut dumps: Vec<(SessionId, String)> = self
-            .each_shard(move |state| state.dump(n))
-            .into_iter()
-            .flatten()
-            .collect();
+        let mut dumps: Vec<(SessionId, String)> =
+            self.shards.iter().flat_map(|state| state.dump(n)).collect();
         dumps.sort_by_key(|(id, _)| *id);
         let mut out = String::new();
         let coord = self.obs.dump(n);
@@ -1891,37 +1657,25 @@ impl Server {
     /// the full cross-layer causal DAG, ready for
     /// [`pdo_obs::trace::export_chrome`] / `export_lines`.
     pub fn trace_spans(&self) -> Vec<Span> {
-        self.each_shard(ShardState::trace_spans)
-            .into_iter()
-            .flatten()
+        self.shards
+            .iter()
+            .flat_map(ShardState::trace_spans)
             .collect()
     }
 
     /// A point-in-time snapshot of per-shard and per-session counters.
     /// Shards are collected in index order and sessions sorted by id,
     /// so two servers that executed the same workload produce equal
-    /// reports regardless of thread count.
+    /// reports.
     pub fn report(&self) -> ServerReport {
         let mut report = ServerReport::default();
-        for (shard, sessions) in self.each_shard(ShardState::report) {
+        for state in &self.shards {
+            let (shard, sessions) = state.report();
             report.shards.push(shard);
             report.sessions.extend(sessions);
         }
         report.sessions.sort_by_key(|row| row.session);
         report
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        if let Mode::Threaded { txs, handles } = &mut self.mode {
-            // Closing every sender ends each worker's recv loop; the
-            // worker then drops its shards on its own thread.
-            txs.clear();
-            for handle in handles.drain(..) {
-                let _ = handle.join();
-            }
-        }
     }
 }
 
@@ -1975,10 +1729,9 @@ mod tests {
     #[test]
     fn p2c_placement_is_deterministic_and_spread() {
         let (m, [a, b], _) = two_chain_module();
-        let open_all = |threads: usize| {
+        let open_all = || {
             let mut server = Server::new(ServerConfig {
                 shards: 4,
-                threads,
                 adapt: fast_adapt(),
             });
             let mut shards = Vec::new();
@@ -1990,11 +1743,10 @@ mod tests {
             }
             shards
         };
-        let inline = open_all(1);
-        let threaded = open_all(4);
-        assert_eq!(inline, threaded, "placement is thread-count independent");
+        let placed = open_all();
+        assert_eq!(placed, open_all(), "placement is reproducible run to run");
         let mut seen = [0usize; 4];
-        for &s in &inline {
+        for &s in &placed {
             seen[s] += 1;
         }
         // P2c over session counts keeps the spread tight: every shard is
@@ -2009,7 +1761,6 @@ mod tests {
         let mut server = Server::new(ServerConfig {
             shards: 3,
             adapt: fast_adapt(),
-            ..Default::default()
         });
         let mut ids = Vec::new();
         for _ in 0..9 {
@@ -2043,7 +1794,6 @@ mod tests {
         let mut server = Server::new(ServerConfig {
             shards: 2,
             adapt: fast_adapt(),
-            ..Default::default()
         });
         let binds = bindings(&m, a, b);
         let s1 = server
@@ -2129,7 +1879,6 @@ mod tests {
         let mut server = Server::new(ServerConfig {
             shards: 1,
             adapt: fast_adapt(),
-            ..Default::default()
         });
         let sid = server
             .open_session(m.clone(), RuntimeConfig::default(), &bindings(&m, a, b))
@@ -2157,93 +1906,80 @@ mod tests {
     }
 
     #[test]
-    fn threaded_mode_matches_inline_report() {
-        let (m, [a, b], _) = two_chain_module();
-        let run = |threads: usize| {
-            let mut server = Server::new(ServerConfig {
-                shards: 4,
-                threads,
-                adapt: fast_adapt(),
-            });
-            let mut ids = Vec::new();
-            for _ in 0..8 {
-                ids.push(
-                    server
-                        .open_session(m.clone(), RuntimeConfig::default(), &bindings(&m, a, b))
-                        .unwrap(),
-                );
-            }
-            for (k, &id) in ids.iter().enumerate() {
-                let event = if k % 2 == 0 { a } else { b };
-                let delays: Vec<u64> = (0..60u64).map(|i| i * 50 + 50).collect();
-                server.submit_batch(id, event, &delays).unwrap();
-            }
-            server.run_until(60 * 50 + 1).unwrap();
-            server.report()
-        };
-        assert_eq!(run(1), run(4), "threads are observationally invisible");
+    fn session_closures_may_borrow_the_caller() {
+        let (m, [a, b], [ga, gb]) = two_chain_module();
+        let mut server = Server::new(ServerConfig::default());
+        let sid = server
+            .open_session(m.clone(), RuntimeConfig::default(), &bindings(&m, a, b))
+            .unwrap();
+        server.raise_sync(sid, a, &[]).unwrap();
+        let mut seen: Vec<Value> = Vec::new();
+        server
+            .with_runtime(sid, |rt| {
+                seen.push(rt.global(ga).clone());
+                seen.push(rt.global(gb).clone());
+            })
+            .unwrap();
+        assert_eq!(seen, [Value::Int(3), Value::Int(0)]);
     }
 
     #[test]
     fn quiesce_drains_queues_and_stops_admission() {
         let (m, [a, b], [ga, _]) = two_chain_module();
-        for threads in [1usize, 2] {
-            let mut server = Server::new(ServerConfig {
-                shards: 2,
-                threads,
-                adapt: fast_adapt(),
-            });
-            let binds = bindings(&m, a, b);
-            let s1 = server
-                .open_session(m.clone(), RuntimeConfig::default(), &binds)
-                .unwrap();
-            let s2 = server
-                .open_session_on(0, m.clone(), RuntimeConfig::default(), &binds)
-                .unwrap();
-            assert_eq!(server.shard_of(s2), 0, "pinned open lands on its shard");
-            // Async raises queue in the FIFO; one session's clock runs ahead.
-            for _ in 0..5 {
-                server.raise(s1, a, RaiseMode::Async, &[]).unwrap();
-                server.raise(s2, a, RaiseMode::Async, &[]).unwrap();
-            }
-            server
-                .with_runtime(s1, |rt| rt.advance_clock(7_777))
-                .unwrap();
-
-            let drained_to = server.quiesce().unwrap();
-            assert_eq!(drained_to, 7_777, "drained to the furthest clock");
-            for &sid in &[s1, s2] {
-                let (queued, clock) = server
-                    .with_runtime(sid, |rt| (rt.queued_len(), rt.clock_ns()))
-                    .unwrap();
-                assert_eq!(queued, 0, "FIFO drained");
-                assert_eq!(clock, drained_to, "clocks aligned");
-            }
-            assert_eq!(
-                server
-                    .with_runtime(s1, move |rt| rt.global(ga).clone())
-                    .unwrap(),
-                Value::Int(5 * 3),
-                "queued work dispatched, not dropped"
-            );
-
-            // Quiesced: no new sessions, no new work — typed refusals.
-            assert!(!server.is_admitting());
-            assert!(matches!(
-                server.raise_sync(s1, a, &[]),
-                Err(ServerError::Quiesced)
-            ));
-            assert!(matches!(
-                server.submit_batch(s1, a, &[1, 2]),
-                Err(ServerError::Quiesced)
-            ));
-            assert!(matches!(
-                server.open_session(m.clone(), RuntimeConfig::default(), &binds),
-                Err(ServerError::Quiesced)
-            ));
-            server.resume_admission();
-            server.raise_sync(s1, a, &[]).unwrap();
+        let mut server = Server::new(ServerConfig {
+            shards: 2,
+            adapt: fast_adapt(),
+        });
+        let binds = bindings(&m, a, b);
+        let s1 = server
+            .open_session(m.clone(), RuntimeConfig::default(), &binds)
+            .unwrap();
+        let s2 = server
+            .open_session_on(0, m.clone(), RuntimeConfig::default(), &binds)
+            .unwrap();
+        assert_eq!(server.shard_of(s2), 0, "pinned open lands on its shard");
+        // Async raises queue in the FIFO; one session's clock runs ahead.
+        for _ in 0..5 {
+            server.raise(s1, a, RaiseMode::Async, &[]).unwrap();
+            server.raise(s2, a, RaiseMode::Async, &[]).unwrap();
         }
+        server
+            .with_runtime(s1, |rt| rt.advance_clock(7_777))
+            .unwrap();
+
+        let drained_to = server.quiesce().unwrap();
+        assert_eq!(drained_to, 7_777, "drained to the furthest clock");
+        for &sid in &[s1, s2] {
+            let (queued, clock) = server
+                .with_runtime(sid, |rt| (rt.queued_len(), rt.clock_ns()))
+                .unwrap();
+            assert_eq!(queued, 0, "FIFO drained");
+            assert_eq!(clock, drained_to, "clocks aligned");
+        }
+        assert_eq!(
+            server
+                .with_runtime(s1, move |rt| rt.global(ga).clone())
+                .unwrap(),
+            Value::Int(5 * 3),
+            "queued work dispatched, not dropped"
+        );
+
+        // Quiesced: no new sessions, no new work — typed refusals.
+        assert!(!server.is_admitting());
+        assert!(matches!(
+            server.raise_sync(s1, a, &[]),
+            Err(ServerError::Quiesced)
+        ));
+        assert!(matches!(
+            server.submit_batch(s1, a, &[1, 2]),
+            Err(ServerError::Quiesced)
+        ));
+        assert!(matches!(
+            server.open_session(m.clone(), RuntimeConfig::default(), &binds),
+            Err(ServerError::Quiesced)
+        ));
+        server.resume_admission();
+        server.raise_sync(s1, a, &[]).unwrap();
     }
 
     #[test]
@@ -2252,7 +1988,6 @@ mod tests {
         let mut server = Server::new(ServerConfig {
             shards: 2,
             adapt: fast_adapt(),
-            ..Default::default()
         });
         let binds = bindings(&m, a, b);
         let mut ids = Vec::new();

@@ -111,7 +111,6 @@ mod tests {
                 epoch_ns: 1_000,
                 ..Default::default()
             },
-            ..Default::default()
         });
         let mut m = Module::new();
         let tick = m.add_event("Tick");

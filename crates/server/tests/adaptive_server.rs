@@ -99,7 +99,6 @@ proptest! {
         let mut server = Server::new(ServerConfig {
             shards: 2,
             adapt: fast_adapt(),
-            ..Default::default()
         });
         let sid = server
             .open_session(m.clone(), RuntimeConfig::default(), &binds)
@@ -168,11 +167,8 @@ proptest! {
 #[test]
 fn ctp_sessions_are_shard_resident_and_adapt() {
     let program = ctp_program();
-    // Threaded on purpose: the protocol endpoint lives on a worker
-    // thread and every interaction below crosses the command channel.
     let mut server = Server::new(ServerConfig {
         shards: 2,
-        threads: 2,
         adapt: AdaptConfig {
             epoch_ns: 50_000_000,
             min_fresh_events: 40,
@@ -223,7 +219,6 @@ fn seccomm_sessions_roundtrip_across_adaptation() {
     let keys = Keys::default();
     let mut server = Server::new(ServerConfig {
         shards: 2,
-        threads: 2,
         adapt: AdaptConfig {
             epoch_ns: 1_000,
             min_fresh_events: 30,
@@ -286,7 +281,6 @@ fn mixed_fleet_report_is_consistent() {
     let program = ctp_program();
     let mut server = Server::new(ServerConfig {
         shards: 3,
-        threads: 3,
         adapt: fast_adapt(),
     });
     let binds = bindings(&m, a, b);

@@ -48,7 +48,6 @@ fn golden_server() -> Server {
             opts: OptimizeOptions::new(10),
             ..AdaptConfig::default()
         },
-        ..Default::default()
     });
 
     let (m, tick) = counter_module();
@@ -136,7 +135,6 @@ fn golden_image_restores_and_resumes() {
             opts: OptimizeOptions::new(10),
             ..AdaptConfig::default()
         },
-        ..Default::default()
     });
     let ids = server.restore_from_bytes(&golden).unwrap();
     assert_eq!(ids.len(), 4, "plain + ctp + seccomm tx/rx");

@@ -65,7 +65,6 @@ fn rebalance_refuses_busy_sessions_and_reports_why() {
     let mut server = Server::new(ServerConfig {
         shards: 2,
         adapt: fast_adapt(),
-        ..Default::default()
     });
     let binds = bindings(&m, a, b);
     let mut ids = Vec::new();
@@ -148,7 +147,6 @@ fn rebalance_migrates_protocol_sessions() {
             opts: OptimizeOptions::new(10),
             ..Default::default()
         },
-        ..Default::default()
     });
     let mut ids = Vec::new();
     for _ in 0..3 {
@@ -221,7 +219,6 @@ fn snapshot_restore_resumes_every_session_kind() {
     let config = || ServerConfig {
         shards: 2,
         adapt: fast_adapt(),
-        ..Default::default()
     };
 
     let mut server = Server::new(config());
@@ -382,7 +379,6 @@ fn quiesce_drains_before_save_and_restore_resumes() {
     let config = || ServerConfig {
         shards: 2,
         adapt: fast_adapt(),
-        ..Default::default()
     };
     let mut server = Server::new(config());
     let id = server
@@ -479,16 +475,15 @@ fn quiesce_drains_before_save_and_restore_resumes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Images restore onto threaded servers too, and placement follows the
-/// recorded shard (mod the shard count of the receiving server).
+/// Placement follows the image's recorded shard (mod the shard count of
+/// the receiving server).
 #[test]
-fn restore_works_across_thread_counts() {
+fn restore_carries_placement() {
     let (m, [a, b], [ga, _]) = two_chain_module();
     let binds = bindings(&m, a, b);
     let mut server = Server::new(ServerConfig {
         shards: 4,
         adapt: fast_adapt(),
-        ..Default::default()
     });
     let mut ids = Vec::new();
     for _ in 0..6 {
@@ -508,19 +503,18 @@ fn restore_works_across_thread_counts() {
     let expect: Vec<_> = ids.iter().map(|&id| server.shard_of(id)).collect();
     drop(server);
 
-    let mut threaded = Server::new(ServerConfig {
+    let mut fresh = Server::new(ServerConfig {
         shards: 4,
-        threads: 4,
         adapt: fast_adapt(),
     });
-    let restored = threaded.restore_from_bytes(&bytes).unwrap();
+    let restored = fresh.restore_from_bytes(&bytes).unwrap();
     assert_eq!(restored, ids);
     for (&id, &shard) in ids.iter().zip(&expect) {
-        assert_eq!(threaded.shard_of(id), shard, "placement carried");
+        assert_eq!(fresh.shard_of(id), shard, "placement carried");
     }
     for &id in &ids {
         assert_eq!(
-            threaded
+            fresh
                 .with_runtime(id, move |rt| rt.global(ga).clone())
                 .unwrap(),
             Value::Int(30 * 3)
@@ -537,7 +531,6 @@ fn corrupt_images_yield_typed_errors() {
     let config = || ServerConfig {
         shards: 2,
         adapt: fast_adapt(),
-        ..Default::default()
     };
     let mut server = Server::new(config());
     let id = server

@@ -1,14 +1,14 @@
-//! Shard confinement makes parallelism observationally invisible: a
-//! seeded workload driven through the threaded server must yield an
-//! aggregate `ServerReport`, a merged `MetricsSnapshot`, a
-//! flight-recorder dump, session globals, trace spans, and a durable
-//! image identical to the single-thread (`threads = 1`) path — between
-//! them the drive crosses the shard boundary with every coordinator
-//! operation. The only series allowed to differ are the two wall-clock
-//! families (`pdo_adapt_reprofile_wall_ns`, the daemon's host-time
-//! profiling histogram, and `pdo_server_shard_busy_ns_total`, the shard
-//! busy gauge), which `MetricsSnapshot::retain_families` strips before
-//! comparison — everything the virtual clock governs must agree.
+//! Run-to-run determinism of the whole observable surface: one seeded
+//! fleet workload driven through two fresh servers must yield the same
+//! aggregate `ServerReport`, merged `MetricsSnapshot`, flight-recorder
+//! dump, session globals, trace spans, and durable image — between them
+//! the drive uses every server operation. This is what catches
+//! `RandomState` iteration order (the spec table is a `HashMap`) leaking
+//! into anything observable. The only series allowed to differ are the
+//! two wall-clock families (`pdo_adapt_reprofile_wall_ns`, the daemon's
+//! host-time profiling histogram, and `pdo_server_shard_busy_ns_total`,
+//! the shard busy gauge), which `MetricsSnapshot::retain_families` strips
+//! before comparison — everything the virtual clock governs must agree.
 
 use pdo::{AdaptConfig, OptimizeOptions};
 use pdo_events::RuntimeConfig;
@@ -67,8 +67,8 @@ fn fast_adapt() -> AdaptConfig {
 /// this data, so both servers replay it bit-for-bit. Afterwards one
 /// session (modulo the count), if any, has event A's second handler
 /// swapped for another and back — A/B/A, a burst of A after each swap —
-/// so guard invalidation, replanning and the cached return cross the
-/// shard boundary too.
+/// so guard invalidation, replanning and the cached return are compared
+/// too.
 #[derive(Debug, Clone)]
 struct Case {
     sessions: Vec<(bool, u64)>,
@@ -81,7 +81,7 @@ struct Case {
 
 /// Flight-recorder timestamps are virtual, but reprofile records carry
 /// their wall-clock duration (`took=…ns`) inline; blank it so dumps
-/// compare byte-for-byte across thread counts.
+/// compare byte-for-byte across runs.
 fn scrub_wall_ns(dump: &str) -> String {
     let mut out = String::with_capacity(dump.len());
     for line in dump.lines() {
@@ -99,25 +99,23 @@ fn scrub_wall_ns(dump: &str) -> String {
     out
 }
 
-/// The full observable surface after driving `case` on `threads`
-/// workers.
+/// The full observable surface after driving `case` on a fresh server.
 #[derive(Debug, PartialEq)]
 struct Observed {
     report: ServerReport,
     /// The metrics exposition, wall-clock families stripped.
     metrics: String,
     dump: String,
-    /// Both accumulators of every session still open, read on its shard.
+    /// Both accumulators of every session still open.
     globals: Vec<(Value, Value)>,
     spans: Vec<Span>,
     image: Vec<u8>,
 }
 
-fn drive(threads: usize, case: &Case) -> Observed {
+fn drive(case: &Case) -> Observed {
     let (m, [a, b], [ga, gb]) = two_chain_module();
     let mut server = Server::new(ServerConfig {
         shards: 4,
-        threads,
         adapt: fast_adapt(),
     });
     let sids: Vec<SessionId> = case
@@ -146,7 +144,7 @@ fn drive(threads: usize, case: &Case) -> Observed {
         server.run_until(deadline).unwrap();
         // Epoch-boundary rebalancing is part of the observable surface:
         // it must pick the same shard pair and migrate the same session
-        // regardless of thread count.
+        // on every run.
         server.rebalance().unwrap();
     }
     if let Some(k) = case.rebind {
@@ -203,7 +201,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn threaded_server_is_observationally_identical_to_inline(
+    fn two_runs_of_one_case_are_observationally_identical(
         sessions in prop::collection::vec((any::<bool>(), 30u64..70), 2..6),
         spacing in prop_oneof![Just(50u64), Just(100), Just(150)],
         phases in 1usize..3,
@@ -212,14 +210,14 @@ proptest! {
         rebind in prop::option::of(0usize..6),
     ) {
         let case = Case { sessions, spacing, phases, close_one, probe, rebind };
-        let inline = drive(1, &case);
-        let threaded = drive(4, &case);
-        prop_assert_eq!(inline.report, threaded.report, "aggregate reports differ");
-        prop_assert_eq!(inline.metrics, threaded.metrics, "merged metrics differ");
-        prop_assert_eq!(inline.dump, threaded.dump, "flight-recorder dumps differ");
-        prop_assert_eq!(inline.globals, threaded.globals, "session globals differ");
-        prop_assert!(!inline.spans.is_empty(), "tracing is on, so spans exist to compare");
-        prop_assert_eq!(inline.spans, threaded.spans, "trace spans differ");
-        prop_assert_eq!(inline.image, threaded.image, "durable images differ");
+        let first = drive(&case);
+        let second = drive(&case);
+        prop_assert_eq!(first.report, second.report, "aggregate reports differ");
+        prop_assert_eq!(first.metrics, second.metrics, "merged metrics differ");
+        prop_assert_eq!(first.dump, second.dump, "flight-recorder dumps differ");
+        prop_assert_eq!(first.globals, second.globals, "session globals differ");
+        prop_assert!(!first.spans.is_empty(), "tracing is on, so spans exist to compare");
+        prop_assert_eq!(first.spans, second.spans, "trace spans differ");
+        prop_assert_eq!(first.image, second.image, "durable images differ");
     }
 }

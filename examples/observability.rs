@@ -49,12 +49,10 @@ fn hot_module() -> (Module, EventId, Vec<(EventId, FuncId, i32)>) {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Two shards on two worker threads: every runtime below is built and
-    // driven on a shard-owned thread; this coordinator only ships
-    // commands and closures over the per-shard channels.
+    // Two shards: sessions are placed by power-of-two-choices and every
+    // series below carries its shard label.
     let mut server = Server::new(ServerConfig {
         shards: 2,
-        threads: 2,
         adapt: AdaptConfig {
             epoch_ns: 1_000,
             min_fresh_events: 20,

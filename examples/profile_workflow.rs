@@ -1,6 +1,6 @@
 //! The offline profiling workflow (paper §3.1): run instrumented, save the
-//! profile as a JSON artifact, reload it, optimize against it — the two
-//! phases can happen in different processes.
+//! profile as a checksummed `pdo-snap` frame, reload it, optimize against
+//! it — the two phases can happen in different processes.
 //!
 //! ```text
 //! cargo run --example profile_workflow
@@ -15,7 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let proto = seccomm_protocol();
     let program = proto.instantiate(CONFIG_PAPER)?;
     let keys = Keys::default();
-    let path = std::env::temp_dir().join("pdo-seccomm-profile.json");
+    let path = std::env::temp_dir().join("pdo-seccomm-profile.pdosnap");
 
     // ---- Phase 1: the instrumented run (could be its own process). ------
     {

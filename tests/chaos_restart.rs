@@ -142,7 +142,6 @@ fn run_server(
     let config = || ServerConfig {
         shards: 2,
         adapt: server_adapt(),
-        ..Default::default()
     };
     let mut server = Server::new(config());
     let binds = bindings(m, events[0], events[1]);

@@ -185,7 +185,7 @@ fn xclient_per_event_guards_keep_other_segments_fast() {
 }
 
 #[test]
-fn profiles_survive_json_roundtrip_and_still_optimize() {
+fn profiles_survive_a_save_and_load_and_still_optimize() {
     let program = x_client_program();
     let mut client = XClient::new(&program).expect("client");
     client.runtime_mut().set_trace_config(TraceConfig::full());
@@ -194,7 +194,7 @@ fn profiles_survive_json_roundtrip_and_still_optimize() {
     }
     let profile = Profile::from_trace(&client.runtime_mut().take_trace(), 100);
 
-    let path = std::env::temp_dir().join(format!("pdo-e2e-{}.json", std::process::id()));
+    let path = std::env::temp_dir().join(format!("pdo-e2e-{}.pdosnap", std::process::id()));
     pdo_profile::save_profile(&profile, &path).expect("save");
     let reloaded = pdo_profile::load_profile(&path).expect("load");
     let _ = std::fs::remove_file(&path);

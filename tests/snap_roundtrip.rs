@@ -61,7 +61,6 @@ fn config() -> ServerConfig {
             opts: OptimizeOptions::new(10),
             ..AdaptConfig::default()
         },
-        ..Default::default()
     }
 }
 
@@ -189,4 +188,37 @@ proptest! {
             ));
         }
     }
+}
+
+/// Profiles and server images share the `pdo-snap` frame, so the frame
+/// checks pass for either file; the payload decoders are what tell them
+/// apart, with a typed error and nothing restored.
+#[test]
+fn profile_frames_and_server_images_do_not_load_as_each_other() {
+    use pdo_snap::SnapshotError::{Malformed, TrailingBytes, Truncated};
+    let dir = std::env::temp_dir().join(format!("pdo-snap-kinds-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+
+    let image_path = dir.join("fleet.pdosnap");
+    seeded_server(1, 3).save(&image_path).unwrap();
+    let err = pdo_profile::load_profile(&image_path).unwrap_err();
+    assert!(
+        matches!(err, Malformed(_) | TrailingBytes | Truncated { .. }),
+        "a server image loaded as a profile gave {err}"
+    );
+
+    let mut profile = pdo_profile::Profile {
+        threshold: 7,
+        ..Default::default()
+    };
+    profile.event_graph.nodes.insert(EventId(0), 5);
+    let profile_path = dir.join("profile.pdosnap");
+    pdo_profile::save_profile(&profile, &profile_path).unwrap();
+    let mut fresh = Server::new(config());
+    match fresh.restore_from_file(&profile_path) {
+        Err(ServerError::Snapshot(Malformed(_) | TrailingBytes | Truncated { .. })) => {}
+        other => panic!("a profile restored as a server image gave {other:?}"),
+    }
+    assert!(fresh.sessions().is_empty(), "failed restore opens nothing");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -189,7 +189,6 @@ fn json_is_balanced(s: &str) -> bool {
 fn one_trace_links_ingress_runtime_adapt_and_wire() {
     let server = Server::new(ServerConfig {
         shards: 2,
-        threads: 2,
         adapt: AdaptConfig {
             epoch_ns: 1_000,
             min_fresh_events: 16,
