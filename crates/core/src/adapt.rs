@@ -909,10 +909,9 @@ impl AdaptiveEngine {
         // Every installed chain references the *current* module's function
         // ids, which the swap invalidates: remove them all first, counting
         // the ones the new plan no longer wants as dropped — in event
-        // order, not the table's hash order, so the audit reads the same
-        // run to run.
-        let mut old_heads: Vec<EventId> = rt.spec().iter().map(|c| c.head).collect();
-        old_heads.sort_unstable();
+        // order, which is the table's, so the audit reads the same run to
+        // run.
+        let old_heads: Vec<EventId> = rt.spec().iter().map(|c| c.head).collect();
         for event in old_heads {
             rt.remove_chain(event);
             if !built.chains.iter().any(|c| c.head == event) {

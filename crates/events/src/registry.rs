@@ -28,20 +28,45 @@ struct EventEntry {
     version: u64,
 }
 
+/// Events below this id keep a copy of their binding version in
+/// [`Registry`]'s dense index. Ids index `Module::events`, so every event a
+/// module declares is far below it; an id above it can only be minted by
+/// `__pdo_bind` with a made-up argument, and is answered from the map
+/// rather than by growing a vector to reach it.
+const DENSE_EVENTS: usize = 1 << 12;
+
 /// The registry mapping events to ordered handler lists.
 ///
 /// Implemented as a hash map keyed by event — the "shared data structure
 /// like the table shown in the figure" of §2.1 — so generic dispatch pays a
-/// genuine lookup cost.
+/// genuine lookup cost. Beside it sits a dense copy of the binding
+/// versions, indexed by event id: a guard check on the fast lane, whose
+/// whole point is to skip the table, reads one vector element.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     entries: HashMap<EventId, EventEntry>,
+    /// `entries[e].version` for every `e` below [`DENSE_EVENTS`] that was
+    /// ever mutated (0, like the map, for the rest).
+    versions: Vec<u64>,
 }
 
 impl Registry {
     /// An empty registry.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Bumps `entry`'s binding version — the one step every mutation ends
+    /// with — and its copy in the dense index.
+    fn bump(versions: &mut Vec<u64>, event: EventId, entry: &mut EventEntry) {
+        entry.version += 1;
+        let i = event.index();
+        if i < DENSE_EVENTS {
+            if versions.len() <= i {
+                versions.resize(i + 1, 0);
+            }
+            versions[i] = entry.version;
+        }
     }
 
     /// Binds `handler` to `event` with the given order key and bumps the
@@ -63,7 +88,7 @@ impl Registry {
             .chain(after)
             .copied()
             .collect();
-        entry.version += 1;
+        Self::bump(&mut self.versions, event, entry);
     }
 
     /// Removes the first binding of `handler` to `event`. Returns `true`
@@ -77,7 +102,7 @@ impl Registry {
         };
         let (before, after) = entry.bindings.split_at(pos);
         entry.bindings = before.iter().chain(&after[1..]).copied().collect();
-        entry.version += 1;
+        Self::bump(&mut self.versions, event, entry);
         true
     }
 
@@ -86,7 +111,7 @@ impl Registry {
         if let Some(entry) = self.entries.get_mut(&event) {
             if !entry.bindings.is_empty() {
                 entry.bindings = Arc::default();
-                entry.version += 1;
+                Self::bump(&mut self.versions, event, entry);
             }
         }
     }
@@ -102,8 +127,14 @@ impl Registry {
     }
 
     /// The event's binding version. Events never bound have version 0.
+    #[inline]
     pub fn version(&self, event: EventId) -> u64 {
-        self.entries.get(&event).map(|e| e.version).unwrap_or(0)
+        let i = event.index();
+        if i < DENSE_EVENTS {
+            self.versions.get(i).copied().unwrap_or(0)
+        } else {
+            self.entries.get(&event).map_or(0, |e| e.version)
+        }
     }
 
     /// The binding list as it stands now, as generic dispatch must hold it
@@ -167,6 +198,40 @@ mod tests {
         assert_eq!(r.version(E), 4);
         r.unbind_all(E); // already empty: no bump
         assert_eq!(r.version(E), 4);
+    }
+
+    #[test]
+    fn dense_versions_agree_with_the_map_at_both_ends_of_the_id_range() {
+        let mut r = Registry::new();
+        let ends = [
+            EventId(0),
+            EventId(DENSE_EVENTS as u32 - 1),
+            EventId(DENSE_EVENTS as u32),
+            EventId(u32::MAX),
+        ];
+        let check = |r: &Registry, want: u64| {
+            for e in ends {
+                assert_eq!(r.version(e), want, "{e}");
+                assert_eq!(r.entries.get(&e).map_or(0, |x| x.version), want, "{e}");
+            }
+        };
+        check(&r, 0);
+        for (step, e) in ends.iter().enumerate() {
+            r.bind(*e, FuncId(step as u32), 0);
+        }
+        check(&r, 1);
+        for e in ends {
+            r.bind(e, FuncId(9), 1);
+            assert!(r.unbind(e, FuncId(9)));
+            assert!(!r.unbind(e, FuncId(9)));
+        }
+        check(&r, 3);
+        for e in ends {
+            r.unbind_all(e);
+            r.unbind_all(e);
+        }
+        check(&r, 4);
+        assert!(r.versions.len() <= DENSE_EVENTS, "the index stays bounded");
     }
 
     #[test]

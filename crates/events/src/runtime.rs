@@ -211,28 +211,44 @@ pub struct ObservableStats {
     pub delayed_timed: u64,
 }
 
-/// Ids of the runtime-implemented ("reserved") native slots, resolved from
-/// the module's native declarations by name.
-#[derive(Debug, Clone, Copy, Default)]
+/// What a native slot is: bound by the embedder, or one of the
+/// runtime-implemented ("reserved") natives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum NativeKind {
+    /// [`Runtime::bind_native`] supplies the implementation.
+    User,
+    Bind,
+    Unbind,
+    CancelTimer,
+    Clock,
+    AdvanceClock,
+    FuelBoundary,
+}
+
+/// The kind of every native slot of the module, resolved once from the
+/// declarations by name so a call indexes it.
+#[derive(Debug, Clone, Default)]
 struct ReservedNatives {
-    bind: Option<NativeId>,
-    unbind: Option<NativeId>,
-    cancel_timer: Option<NativeId>,
-    clock: Option<NativeId>,
-    advance_clock: Option<NativeId>,
-    fuel_boundary: Option<NativeId>,
+    kinds: Vec<NativeKind>,
 }
 
 impl ReservedNatives {
     fn resolve(module: &Module) -> Self {
-        ReservedNatives {
-            bind: module.native_by_name(Runtime::NATIVE_BIND),
-            unbind: module.native_by_name(Runtime::NATIVE_UNBIND),
-            cancel_timer: module.native_by_name(Runtime::NATIVE_CANCEL_TIMER),
-            clock: module.native_by_name(Runtime::NATIVE_CLOCK),
-            advance_clock: module.native_by_name(Runtime::NATIVE_ADVANCE_CLOCK),
-            fuel_boundary: module.native_by_name(Runtime::NATIVE_FUEL_BOUNDARY),
+        let mut kinds = vec![NativeKind::User; module.natives.len()];
+        for (name, kind) in [
+            (Runtime::NATIVE_BIND, NativeKind::Bind),
+            (Runtime::NATIVE_UNBIND, NativeKind::Unbind),
+            (Runtime::NATIVE_CANCEL_TIMER, NativeKind::CancelTimer),
+            (Runtime::NATIVE_CLOCK, NativeKind::Clock),
+            (Runtime::NATIVE_ADVANCE_CLOCK, NativeKind::AdvanceClock),
+            (Runtime::NATIVE_FUEL_BOUNDARY, NativeKind::FuelBoundary),
+        ] {
+            // The first slot declared under the name is the reserved one.
+            if let Some(slot) = module.native_by_name(name) {
+                kinds[slot.index()] = kind;
+            }
         }
+        ReservedNatives { kinds }
     }
 }
 
@@ -1210,81 +1226,65 @@ impl Runtime {
         }
     }
 
-    fn reserved_native(
-        &mut self,
-        native: NativeId,
-        args: &[Value],
-    ) -> Option<Result<Value, ExecError>> {
+    /// A runtime-implemented native (any `kind` but [`NativeKind::User`]).
+    fn reserved_native(&mut self, kind: NativeKind, args: &[Value]) -> Result<Value, ExecError> {
         let arg_int = |i: usize| -> Result<i64, ExecError> {
             args.get(i)
                 .and_then(Value::as_int)
                 .ok_or_else(|| ExecError::Native("reserved native: bad argument".into()))
         };
-        if Some(native) == self.reserved.bind {
-            return Some((|| {
+        match kind {
+            NativeKind::User => unreachable!("user natives are called through their slot"),
+            NativeKind::Bind => {
                 let (e, f, o) = (arg_int(0)?, arg_int(1)?, arg_int(2)?);
                 self.registry
                     .bind(EventId(e as u32), FuncId(f as u32), o as i32);
                 Ok(Value::Unit)
-            })());
-        }
-        if Some(native) == self.reserved.unbind {
-            return Some((|| {
+            }
+            NativeKind::Unbind => {
                 let (e, f) = (arg_int(0)?, arg_int(1)?);
                 Ok(Value::Bool(
                     self.registry.unbind(EventId(e as u32), FuncId(f as u32)),
                 ))
-            })());
-        }
-        if Some(native) == self.reserved.cancel_timer {
-            return Some(
-                arg_int(0).map(|e| Value::Int(self.sched.cancel_timers(EventId(e as u32)) as i64)),
-            );
-        }
-        if Some(native) == self.reserved.clock {
-            return Some(Ok(Value::Int(self.clock.now_ns() as i64)));
-        }
-        if Some(native) == self.reserved.advance_clock {
-            return Some(arg_int(0).map(|ns| {
+            }
+            NativeKind::CancelTimer => {
+                arg_int(0).map(|e| Value::Int(self.sched.cancel_timers(EventId(e as u32)) as i64))
+            }
+            NativeKind::Clock => Ok(Value::Int(self.clock.now_ns() as i64)),
+            NativeKind::AdvanceClock => arg_int(0).map(|ns| {
                 self.clock.advance_by(ns.max(0) as u64);
                 Value::Unit
-            }));
-        }
-        if Some(native) == self.reserved.fuel_boundary {
+            }),
             // Marker emitted by the optimizer before each merged handler
             // segment: charges the same boundary unit the generic dispatcher
             // charges before each pre-merge handler call.
-            return Some(match self.boundary_fuel {
+            NativeKind::FuelBoundary => match self.boundary_fuel {
                 Some(0) => Err(ExecError::OutOfFuel),
                 Some(n) => {
                     self.boundary_fuel = Some(n - 1);
                     Ok(Value::Unit)
                 }
                 None => Ok(Value::Unit),
-            });
+            },
         }
-        None
     }
 }
 
+// The small methods are `#[inline]`: the dispatch loop is instantiated for
+// `Runtime` in this crate, and each of these is a field access it should
+// see through.
 impl Env for Runtime {
-    fn load_global(&mut self, global: GlobalId) -> Result<Value, ExecError> {
-        self.globals
-            .get(global.index())
-            .cloned()
-            .ok_or(ExecError::GlobalOutOfRange(global))
+    #[inline]
+    fn global_slot(&self, global: GlobalId) -> Option<&Value> {
+        self.globals.get(global.index())
     }
 
-    fn store_global(&mut self, global: GlobalId, value: Value) -> Result<(), ExecError> {
-        match self.globals.get_mut(global.index()) {
-            Some(slot) => {
-                *slot = value;
-                Ok(())
-            }
-            None => Err(ExecError::GlobalOutOfRange(global)),
-        }
+    #[inline]
+    fn global_slot_mut(&mut self, global: GlobalId) -> Option<&mut Value> {
+        self.globals.get_mut(global.index())
     }
 
+    #[inline]
     fn lock(&mut self, global: GlobalId) -> Result<(), ExecError> {
         match self.lock_words.get(global.index()) {
             Some(w) => {
@@ -1297,6 +1297,7 @@ impl Env for Runtime {
         }
     }
 
+    #[inline]
     fn unlock(&mut self, global: GlobalId) -> Result<(), ExecError> {
         match self.lock_words.get(global.index()) {
             Some(w) => {
@@ -1307,14 +1308,22 @@ impl Env for Runtime {
         }
     }
 
-    fn call_native(&mut self, native: NativeId, args: &[Value]) -> Result<Value, ExecError> {
-        if let Some(result) = self.reserved_native(native, args) {
-            return result;
-        }
-        match self.natives.get_mut(native.index()) {
-            Some(Some(f)) => f(args).map_err(ExecError::Native),
-            Some(None) | None => Err(ExecError::UnboundNative(native)),
-        }
+    fn call_native(
+        &mut self,
+        native: NativeId,
+        args: &[Value],
+        dst: &mut Value,
+    ) -> Result<(), ExecError> {
+        let slot = native.index();
+        *dst = match self.reserved.kinds.get(slot) {
+            Some(NativeKind::User) => match &mut self.natives[slot] {
+                Some(f) => f(args).map_err(ExecError::Native)?,
+                None => return Err(ExecError::UnboundNative(native)),
+            },
+            Some(&kind) => self.reserved_native(kind, args)?,
+            None => return Err(ExecError::UnboundNative(native)),
+        };
+        Ok(())
     }
 
     fn raise(
@@ -1333,14 +1342,17 @@ impl Env for Runtime {
             })
     }
 
+    #[inline]
     fn cost(&mut self) -> &mut CostCounter {
         &mut self.cost
     }
 
+    #[inline]
     fn fuel(&mut self) -> Option<&mut u64> {
         self.fuel.as_mut()
     }
 
+    #[inline]
     fn opcode_profile(&mut self) -> Option<&mut OpcodeProfile> {
         if self.sinks.opcode_sampling {
             self.sinks.opcode_prof.as_deref_mut()
@@ -1773,6 +1785,98 @@ mod tests {
         assert_eq!(rt.registry().version(e), 1);
         rt.raise(e, RaiseMode::Sync, &[]).unwrap();
         assert_eq!(rt.global(g), &Value::Int(1));
+    }
+
+    #[test]
+    fn guard_tables_follow_rebinds() {
+        // Five events; the ones at the two ends of the module's id range are
+        // rebound every way there is, and so is an id no module declares.
+        let mut m = Module::new();
+        let events: Vec<EventId> = (0..5).map(|i| m.add_event(format!("E{i}"))).collect();
+        let (first, last) = (events[0], events[4]);
+        let g = m.add_global("acc", Value::Int(0));
+        let nb = m.add_native(Runtime::NATIVE_BIND);
+        let nu = m.add_native(Runtime::NATIVE_UNBIND);
+        let mut hb = FunctionBuilder::new("bump", 0);
+        let v = hb.load_global(g);
+        let one = hb.const_int(1);
+        let out = hb.bin(BinOp::Add, v, one);
+        hb.store_global(g, out);
+        hb.ret(None);
+        let bump = m.add_function(hb.finish());
+        // rebind(e): bind `bump` to `e` through the reserved native.
+        let mut rb = FunctionBuilder::new("rebind", 1);
+        let f = rb.const_int(i64::from(bump.0));
+        let ord = rb.const_int(0);
+        let _ = rb.call_native(nb, &[rb.param(0), f, ord]);
+        rb.ret(None);
+        let rebind = m.add_function(rb.finish());
+        let mut ub = FunctionBuilder::new("unbind", 1);
+        let f = ub.const_int(i64::from(bump.0));
+        let gone = ub.call_native(nu, &[ub.param(0), f]);
+        ub.ret(Some(gone));
+        let unbind = m.add_function(ub.finish());
+
+        let mut rt = Runtime::new(m);
+        let module = rt.module_arc();
+        let foreign = EventId(u32::MAX);
+        let mut model = std::collections::BTreeMap::new();
+        for e in [first, last, foreign] {
+            let id = [Value::Int(i64::from(e.0))];
+            let mut mutations = 0u64;
+            assert_eq!(rt.registry().version(e), 0);
+            if e != foreign {
+                rt.bind(e, bump, 0).unwrap();
+                assert!(rt.unbind(e, bump));
+                assert!(!rt.unbind(e, bump));
+                mutations += 2;
+            }
+            call(&module, &mut rt, rebind, &id).unwrap();
+            call(&module, &mut rt, rebind, &id).unwrap();
+            assert_eq!(call(&module, &mut rt, unbind, &id), Ok(Value::Bool(true)));
+            mutations += 3;
+            assert_eq!(rt.registry().version(e), mutations, "{e}");
+            assert_eq!(rt.registry().bindings(e).len(), 1, "{e}");
+            model.insert(e, mutations);
+        }
+        for (e, mutations) in &model {
+            assert_eq!(
+                rt.registry().version(*e),
+                *mutations,
+                "{e}, after the others"
+            );
+        }
+        assert_eq!(rt.registry().version(events[2]), 0, "untouched in between");
+
+        // A chain for the highest event id is found and taken, at both ends.
+        for e in [last, first] {
+            rt.install_chain(CompiledChain {
+                head: e,
+                guards: vec![Guard::capture(rt.registry(), e)],
+                func: bump,
+                params: 0,
+            });
+        }
+        assert_eq!(rt.spec().len(), 2);
+        let before = rt.global(g).as_int().unwrap();
+        rt.raise(last, RaiseMode::Sync, &[]).unwrap();
+        rt.raise(first, RaiseMode::Sync, &[]).unwrap();
+        assert_eq!(rt.cost.fastpath_hits, 2);
+        assert_eq!(rt.global(g), &Value::Int(before + 2));
+        // A rebind through the native is seen by the very next guard check,
+        // and so is the unbind that puts the guarded list back.
+        let id = [Value::Int(i64::from(last.0))];
+        call(&module, &mut rt, rebind, &id).unwrap();
+        rt.raise(last, RaiseMode::Sync, &[]).unwrap();
+        assert_eq!((rt.cost.fastpath_hits, rt.cost.fastpath_misses), (2, 1));
+        assert_eq!(call(&module, &mut rt, unbind, &id), Ok(Value::Bool(true)));
+        rt.raise(last, RaiseMode::Sync, &[]).unwrap();
+        assert_eq!(rt.cost.fastpath_hits, 3, "back to the guarded list");
+        assert!(rt.remove_chain(last).is_some());
+        assert_eq!(
+            rt.spec().iter().map(|c| c.head).collect::<Vec<_>>(),
+            [first]
+        );
     }
 
     #[test]

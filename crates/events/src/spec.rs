@@ -23,7 +23,6 @@
 
 use crate::registry::{Binding, Registry};
 use pdo_ir::{EventId, FuncId};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The binding list of one event, as a chain was compiled against it.
@@ -133,11 +132,23 @@ impl CompiledChain {
     }
 }
 
-/// All installed chains, keyed by head event.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// All installed chains, indexed by head event: a dispatch finds its chain
+/// with one vector access. The table grows to the highest head installed —
+/// heads are events the optimizer compiled, so ids into `Module::events`.
+#[derive(Debug, Clone, Default)]
 pub struct SpecTable {
-    chains: HashMap<EventId, CompiledChain>,
+    chains: Vec<Option<CompiledChain>>,
 }
+
+/// Tables are equal when they hold the same chains, whatever slots a
+/// removed chain left empty behind it.
+impl PartialEq for SpecTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for SpecTable {}
 
 impl SpecTable {
     /// An empty table.
@@ -147,37 +158,42 @@ impl SpecTable {
 
     /// Installs (or replaces) the chain for its head event.
     pub fn install(&mut self, chain: CompiledChain) {
-        self.chains.insert(chain.head, chain);
+        let i = chain.head.index();
+        if self.chains.len() <= i {
+            self.chains.resize_with(i + 1, || None);
+        }
+        self.chains[i] = Some(chain);
     }
 
     /// Removes the chain for `event`, returning it if present.
     pub fn remove(&mut self, event: EventId) -> Option<CompiledChain> {
-        self.chains.remove(&event)
+        self.chains.get_mut(event.index())?.take()
     }
 
     /// The chain for `event`, if installed.
     pub fn get(&self, event: EventId) -> Option<&CompiledChain> {
-        self.chains.get(&event)
+        self.chains.get(event.index())?.as_ref()
     }
 
     /// The chain for `event`, for the dispatch path to revalidate.
+    #[inline]
     pub(crate) fn get_mut(&mut self, event: EventId) -> Option<&mut CompiledChain> {
-        self.chains.get_mut(&event)
+        self.chains.get_mut(event.index())?.as_mut()
     }
 
     /// Number of installed chains.
     pub fn len(&self) -> usize {
-        self.chains.len()
+        self.iter().count()
     }
 
     /// True when no chains are installed.
     pub fn is_empty(&self) -> bool {
-        self.chains.is_empty()
+        self.iter().next().is_none()
     }
 
-    /// Iterates over installed chains.
+    /// Iterates over installed chains, in ascending order of head event.
     pub fn iter(&self) -> impl Iterator<Item = &CompiledChain> {
-        self.chains.values()
+        self.chains.iter().flatten()
     }
 }
 
@@ -268,6 +284,35 @@ mod tests {
         assert!(t.get(EventId(9)).is_none());
         assert!(t.remove(EventId(0)).is_some());
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn table_is_dense_ordered_and_equal_by_content() {
+        let reg = two_events();
+        let mut t = SpecTable::new();
+        for head in [7, 0, 3] {
+            t.install(chain(&reg, head, &[0]));
+        }
+        let heads: Vec<u32> = t.iter().map(|c| c.head.0).collect();
+        assert_eq!(heads, [0, 3, 7], "ascending event order");
+        assert!(t.get_mut(EventId(7)).is_some(), "the highest head is found");
+        assert!(t.get(EventId(8)).is_none() && t.remove(EventId(8)).is_none());
+        assert!(t.get(EventId(u32::MAX)).is_none());
+
+        // Removing the highest head leaves an empty slot, not a difference.
+        let mut low = SpecTable::new();
+        low.install(chain(&reg, 0, &[0]));
+        low.install(chain(&reg, 3, &[0]));
+        assert_ne!(t, low);
+        assert!(t.remove(EventId(7)).is_some());
+        assert!(t.remove(EventId(7)).is_none());
+        assert_eq!(t.len(), 2);
+        assert_eq!(t, low);
+        for head in [0, 3] {
+            t.remove(EventId(head));
+        }
+        assert!(t.is_empty());
+        assert_eq!(t, SpecTable::new());
     }
 
     #[test]

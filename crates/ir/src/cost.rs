@@ -263,21 +263,29 @@ impl fmt::Display for Opcode {
     }
 }
 
+/// Row of [`OpcodeProfile`]'s matrix that counts the opcodes *starting* a
+/// straight-line run: the "previous opcode" of an instruction that has none.
+pub(crate) const RUN_START: usize = OPCODE_COUNT;
+
 /// Per-opcode and adjacent-pair frequency counters.
 ///
-/// `record` is a pair of array increments — cheap enough to leave in the
-/// interpreter loop behind an `Option` that monomorphizes away when the
-/// environment never supplies a profile. The pair matrix only counts pairs
-/// that are adjacent *within a straight-line run*: block boundaries, calls
-/// into other functions, and dispatch boundaries call [`break_chain`] so a
-/// pair never spans a point the fusion pass could not rewrite.
+/// One matrix holds both: `follows[prev][op]` counts executions of `op`
+/// right after `prev` in the same straight-line run, with one more row for
+/// the opcodes that started a run. `record` is therefore a single increment
+/// — cheap enough for the dispatch loop's recording instance to do per
+/// instruction — and an opcode's total is the sum of its column. The matrix
+/// only pairs opcodes that are adjacent *within a straight-line run*: block
+/// boundaries, calls into other functions, and dispatch boundaries call
+/// [`break_chain`] so a pair never spans a point the fusion pass could not
+/// rewrite.
 ///
 /// [`break_chain`]: OpcodeProfile::break_chain
 #[derive(Debug, Clone)]
 pub struct OpcodeProfile {
-    ops: [u64; OPCODE_COUNT],
-    pairs: [u64; OPCODE_COUNT * OPCODE_COUNT],
-    last: Option<Opcode>,
+    follows: [u64; (OPCODE_COUNT + 1) * OPCODE_COUNT],
+    /// Row of the previous opcode of the current run ([`RUN_START`] when
+    /// the next opcode starts one).
+    last: usize,
 }
 
 impl Default for OpcodeProfile {
@@ -290,9 +298,8 @@ impl OpcodeProfile {
     /// A zeroed profile.
     pub fn new() -> Self {
         Self {
-            ops: [0; OPCODE_COUNT],
-            pairs: [0; OPCODE_COUNT * OPCODE_COUNT],
-            last: None,
+            follows: [0; (OPCODE_COUNT + 1) * OPCODE_COUNT],
+            last: RUN_START,
         }
     }
 
@@ -300,18 +307,23 @@ impl OpcodeProfile {
     /// previous instruction in the same straight-line run).
     #[inline]
     pub fn record(&mut self, op: Opcode) {
-        self.ops[op.index()] += 1;
-        if let Some(prev) = self.last {
-            self.pairs[prev.index() * OPCODE_COUNT + op.index()] += 1;
-        }
-        self.last = Some(op);
+        self.last = self.record_after(self.last, op);
+    }
+
+    /// [`OpcodeProfile::record`] for a caller that keeps the run's previous
+    /// row itself — the dispatch loop, in a local: counts `op` after row
+    /// `prev` ([`RUN_START`] for the first of a run) and returns `op`'s row.
+    #[inline]
+    pub(crate) fn record_after(&mut self, prev: usize, op: Opcode) -> usize {
+        self.follows[prev * OPCODE_COUNT + op.index()] += 1;
+        op.index()
     }
 
     /// Ends the current straight-line run (block boundary, call, or dispatch
     /// boundary); the next recorded opcode starts a fresh pair chain.
     #[inline]
     pub fn break_chain(&mut self) {
-        self.last = None;
+        self.last = RUN_START;
     }
 
     /// Zeroes every counter.
@@ -321,17 +333,20 @@ impl OpcodeProfile {
 
     /// Executions of `op`.
     pub fn count(&self, op: Opcode) -> u64 {
-        self.ops[op.index()]
+        self.follows
+            .chunks_exact(OPCODE_COUNT)
+            .map(|row| row[op.index()])
+            .sum()
     }
 
     /// Times `b` immediately followed `a` in a straight-line run.
     pub fn pair_count(&self, a: Opcode, b: Opcode) -> u64 {
-        self.pairs[a.index() * OPCODE_COUNT + b.index()]
+        self.follows[a.index() * OPCODE_COUNT + b.index()]
     }
 
     /// Total instructions recorded.
     pub fn total(&self) -> u64 {
-        self.ops.iter().sum()
+        self.follows.iter().sum()
     }
 
     /// Executions of fused superinstructions.
@@ -368,11 +383,8 @@ impl OpcodeProfile {
 
     /// Folds another profile into this one (pair-chain state is not merged).
     pub fn merge(&mut self, other: &OpcodeProfile) {
-        for i in 0..OPCODE_COUNT {
-            self.ops[i] += other.ops[i];
-        }
-        for i in 0..OPCODE_COUNT * OPCODE_COUNT {
-            self.pairs[i] += other.pairs[i];
+        for (mine, theirs) in self.follows.iter_mut().zip(&other.follows) {
+            *mine += theirs;
         }
     }
 }

@@ -121,50 +121,60 @@ impl BinOp {
     /// folder simply declines to fold.
     pub fn eval(self, lhs: &Value, rhs: &Value) -> Result<Value, EvalError> {
         use BinOp::*;
-        match self {
-            Eq => return Ok(Value::Bool(lhs == rhs)),
-            Ne => return Ok(Value::Bool(lhs != rhs)),
-            And | Or => {
-                let (a, b) = match (lhs, rhs) {
-                    (Value::Bool(a), Value::Bool(b)) => (*a, *b),
-                    _ => return Err(EvalError::TypeMismatch(self)),
-                };
-                return Ok(Value::Bool(if self == And { a && b } else { a || b }));
+        if let (Value::Int(a), Value::Int(b)) = (lhs, rhs) {
+            let (a, b) = (*a, *b);
+            let mut out = Value::Unit;
+            if self.eval_ints_into(a, b, &mut out) {
+                return Ok(out);
             }
-            _ => {}
+            return match self {
+                Div | Rem if b == 0 => Err(EvalError::DivisionByZero),
+                Div => Ok(Value::Int(a.wrapping_div(b))),
+                Rem => Ok(Value::Int(a.wrapping_rem(b))),
+                _ => Err(EvalError::TypeMismatch(self)), // `and` / `or`
+            };
         }
-        let (a, b) = match (lhs, rhs) {
-            (Value::Int(a), Value::Int(b)) => (*a, *b),
-            _ => return Err(EvalError::TypeMismatch(self)),
-        };
-        let v = match self {
-            Add => Value::Int(a.wrapping_add(b)),
-            Sub => Value::Int(a.wrapping_sub(b)),
-            Mul => Value::Int(a.wrapping_mul(b)),
-            Div => {
-                if b == 0 {
-                    return Err(EvalError::DivisionByZero);
-                }
-                Value::Int(a.wrapping_div(b))
+        match (self, lhs, rhs) {
+            (Eq, ..) => Ok(Value::Bool(lhs == rhs)),
+            (Ne, ..) => Ok(Value::Bool(lhs != rhs)),
+            (And, Value::Bool(a), Value::Bool(b)) => Ok(Value::Bool(*a && *b)),
+            (Or, Value::Bool(a), Value::Bool(b)) => Ok(Value::Bool(*a || *b)),
+            _ => Err(EvalError::TypeMismatch(self)),
+        }
+    }
+
+    /// `Int × Int` for the operators that are total on integers, written
+    /// into `dst` in place (see [`Value::clone_from`]): the arithmetic both
+    /// [`BinOp::eval`] and the interpreter's `bin` arms run. Returns `false`,
+    /// leaving `dst` alone, for the rest — `div`/`rem`, which can fault, and
+    /// `and`/`or`, which do not take integers — and those go through `eval`.
+    #[inline(always)]
+    pub(crate) fn eval_ints_into(self, a: i64, b: i64, dst: &mut Value) -> bool {
+        use BinOp::*;
+        let int = match self {
+            Add => a.wrapping_add(b),
+            Sub => a.wrapping_sub(b),
+            Mul => a.wrapping_mul(b),
+            Xor => a ^ b,
+            BitAnd => a & b,
+            BitOr => a | b,
+            Shl => a.wrapping_shl(b as u32 & 63),
+            Shr => a.wrapping_shr(b as u32 & 63),
+            Eq | Ne | Lt | Le | Gt | Ge => {
+                dst.set_bool(match self {
+                    Eq => a == b,
+                    Ne => a != b,
+                    Lt => a < b,
+                    Le => a <= b,
+                    Gt => a > b,
+                    _ => a >= b,
+                });
+                return true;
             }
-            Rem => {
-                if b == 0 {
-                    return Err(EvalError::DivisionByZero);
-                }
-                Value::Int(a.wrapping_rem(b))
-            }
-            Xor => Value::Int(a ^ b),
-            BitAnd => Value::Int(a & b),
-            BitOr => Value::Int(a | b),
-            Shl => Value::Int(a.wrapping_shl(b as u32 & 63)),
-            Shr => Value::Int(a.wrapping_shr(b as u32 & 63)),
-            Lt => Value::Bool(a < b),
-            Le => Value::Bool(a <= b),
-            Gt => Value::Bool(a > b),
-            Ge => Value::Bool(a >= b),
-            Eq | Ne | And | Or => unreachable!("handled above"),
+            Div | Rem | And | Or => return false,
         };
-        Ok(v)
+        dst.set_int(int);
+        true
     }
 }
 

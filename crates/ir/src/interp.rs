@@ -6,11 +6,18 @@
 //! synchronous raise recursively dispatches bound handlers; the
 //! self-contained [`BasicEnv`] here records raises for inspection, which is
 //! what unit tests and the optimizer's equivalence checks need.
+//!
+//! There is one dispatch loop, `run`: the instructions handlers execute
+//! most are arms of its `match`, and results — into a register, into a
+//! global — are written in place rather than built and copied (DESIGN.md
+//! §17, "The dispatch loop"). The [`Env`] serves that: it hands global
+//! cells out by reference ([`Env::global_slot`], [`Env::global_slot_mut`])
+//! and a native call the register its result goes to.
 
-use crate::cost::{CostCounter, OpcodeProfile};
+use crate::cost::{CostCounter, OpcodeProfile, RUN_START};
 use crate::func::{Function, Module};
 use crate::ids::{EventId, FuncId, GlobalId, NativeId, Reg};
-use crate::instr::{EvalError, Instr, RaiseMode, Terminator};
+use crate::instr::{BinOp, EvalError, Instr, RaiseMode, Terminator};
 use crate::value::Value;
 use std::cell::RefCell;
 use std::fmt;
@@ -111,20 +118,19 @@ impl From<EvalError> for ExecError {
 
 /// The execution environment: global state, natives, raise semantics, and
 /// cost accounting.
+///
+/// Globals are handed out by reference, not by value: a `load` clones from
+/// the cell into the register, a `store` clones from the register into the
+/// cell, and the fused read-modify-write forms update the cell where it
+/// sits. `None` means the id is outside the store; the interpreter turns it
+/// into [`ExecError::GlobalOutOfRange`].
 pub trait Env {
-    /// Reads a global cell.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::GlobalOutOfRange`] for unknown globals.
-    fn load_global(&mut self, global: GlobalId) -> Result<Value, ExecError>;
+    /// The global cell `global`, or `None` for an id outside the store.
+    fn global_slot(&self, global: GlobalId) -> Option<&Value>;
 
-    /// Writes a global cell.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::GlobalOutOfRange`] for unknown globals.
-    fn store_global(&mut self, global: GlobalId, value: Value) -> Result<(), ExecError>;
+    /// The global cell `global` for writing, or `None` for an id outside
+    /// the store.
+    fn global_slot_mut(&mut self, global: GlobalId) -> Option<&mut Value>;
 
     /// Acquires the state lock guarding `global`.
     ///
@@ -140,13 +146,20 @@ pub trait Env {
     /// Returns [`ExecError::GlobalOutOfRange`] for unknown globals.
     fn unlock(&mut self, global: GlobalId) -> Result<(), ExecError>;
 
-    /// Invokes a native function slot.
+    /// Invokes a native function slot and writes its result into `dst`
+    /// (the calling instruction's destination register), which is left as
+    /// it was when the call fails.
     ///
     /// # Errors
     ///
     /// Returns [`ExecError::UnboundNative`] for empty slots and
     /// [`ExecError::Native`] when the implementation fails.
-    fn call_native(&mut self, native: NativeId, args: &[Value]) -> Result<Value, ExecError>;
+    fn call_native(
+        &mut self,
+        native: NativeId,
+        args: &[Value],
+        dst: &mut Value,
+    ) -> Result<(), ExecError>;
 
     /// Services a `raise` instruction.
     ///
@@ -175,11 +188,12 @@ pub trait Env {
 
     /// The opcode/adjacent-pair frequency profile to record into, if any.
     ///
-    /// When `Some`, the interpreter records every executed instruction's
+    /// [`call`] asks once, on entry: `Some` runs the whole activation —
+    /// nested direct calls included — in the dispatch loop's recording
+    /// instance, which records every executed instruction's
     /// [`crate::cost::Opcode`] tag (and the pair it forms with its
-    /// predecessor in the same straight-line run). The default `None`
-    /// monomorphizes the recording away entirely, so environments that never
-    /// profile pay nothing.
+    /// predecessor in the same straight-line run); `None` runs it in the
+    /// instance with no recording code in it at all.
     fn opcode_profile(&mut self) -> Option<&mut OpcodeProfile> {
         None
     }
@@ -240,7 +254,16 @@ pub fn call<E: Env + ?Sized>(
 ) -> Result<Value, ExecError> {
     let (f, mut frame) = enter(module, func, args.len(), 0)?;
     frame.0[..args.len()].clone_from_slice(args);
-    run(module, env, f, frame, 0)
+    // Whether opcodes are recorded is decided here, once, for the whole
+    // activation. Nothing that runs inside one can change the answer on the
+    // event runtime: `Runtime::set_opcode_profiling` needs `&mut Runtime`,
+    // which the activation holds until it returns (the adaptive engine flips
+    // it from the epoch hook, between dispatches).
+    if env.opcode_profile().is_some() {
+        run::<E, true>(module, env, f, frame, 0)
+    } else {
+        run::<E, false>(module, env, f, frame, 0)
+    }
 }
 
 /// Checks a call — depth, function id, arity — and returns the callee with
@@ -268,8 +291,24 @@ fn enter(
     Ok((f, Frame::new(usize::from(f.reg_count))))
 }
 
-/// Runs `f`'s body in `frame`, whose parameter registers are already set.
-fn run<E: Env + ?Sized>(
+/// The dispatch loop: runs `f`'s body in `frame`, whose parameter registers
+/// are already set.
+///
+/// Everything a handler does often is an arm of this one `match`, written
+/// where it runs: the measured `video_play` mix is `lock`+`unlock` 28.8 %,
+/// `load` 16.1 %, `bin` 14.4 %, `store` 11.9 %, `const` 8.5 %, `callnative`
+/// 6.8 %, `mov` 5.0 %, `raise` 4.2 % (the arms are in that order for the
+/// reader; the compiled `match` is a jump table). Integer and boolean
+/// results go into the destination through [`Value::clone_from`] /
+/// [`BinOp::eval_ints_into`]: the payload alone when the tag already
+/// matches. Only the byte operations, `callnative` and `raise` run out of
+/// line ([`bytes_native_or_raise`]), which keeps their argument buffers out
+/// of this frame — the one direct calls recurse through.
+///
+/// `PROFILE` is the loop's only mode: [`call`] picks the instance once per
+/// activation, so the recording instance pays for recording and the other
+/// has no trace of it.
+fn run<E: Env + ?Sized, const PROFILE: bool>(
     module: &Module,
     env: &mut E,
     f: &Function,
@@ -278,50 +317,121 @@ fn run<E: Env + ?Sized>(
 ) -> Result<Value, ExecError> {
     let regs = frame.0.as_mut_slice();
 
-    // A fresh function body starts a fresh pair chain: pairs never span a
-    // call boundary the fusion pass could not rewrite.
-    if let Some(p) = env.opcode_profile() {
-        p.break_chain();
-    }
+    // The profile row of the previous instruction of the straight-line run
+    // being recorded (unused when `PROFILE` is off). A fresh function body
+    // starts a fresh run, and so does everything after a call, a native, a
+    // raise or a block end: pairs never span a point the fusion pass could
+    // not rewrite.
+    let mut prev = RUN_START;
 
     let mut block = 0usize;
     loop {
         let b = &f.blocks[block];
         for instr in &b.instrs {
             charge(env)?;
-            if let Some(p) = env.opcode_profile() {
-                p.record(instr.opcode());
-            }
-            // Direct calls recurse from this frame rather than through
-            // `step`, keeping `step`'s many-armed frame (every arm's locals
-            // are allocated up front in unoptimized builds) off the
-            // recursion path. Arguments are cloned straight into the
-            // callee's registers.
-            if let Instr::Call { dst, func, args } = instr {
-                env.cost().calls += 1;
-                let (callee, mut callee_frame) = enter(module, *func, args.len(), depth + 1)?;
-                for (slot, r) in callee_frame.0[..args.len()].iter_mut().zip(args) {
-                    *slot = regs[r.index()].clone();
-                }
-                regs[dst.index()] = run(module, env, callee, callee_frame, depth + 1)?;
-            } else {
-                step(module, env, regs, instr)?;
-            }
-            // Nested execution (callee bodies, sync-dispatched handlers)
-            // recorded in between; don't pair across the return.
-            if matches!(
-                instr,
-                Instr::Call { .. } | Instr::CallNative { .. } | Instr::Raise { .. }
-            ) {
+            if PROFILE {
                 if let Some(p) = env.opcode_profile() {
-                    p.break_chain();
+                    prev = p.record_after(prev, instr.opcode());
                 }
+            }
+            match instr {
+                Instr::Lock { global } => {
+                    env.cost().lock_ops += 1;
+                    env.lock(*global)?;
+                }
+                Instr::Unlock { global } => {
+                    env.cost().lock_ops += 1;
+                    env.unlock(*global)?;
+                }
+                Instr::LoadGlobal { dst, global } => match env.global_slot(*global) {
+                    Some(cell) => regs[dst.index()].clone_from(cell),
+                    None => return Err(global_out_of_range(*global)),
+                },
+                Instr::Bin { op, dst, lhs, rhs } => {
+                    let done = match (&regs[lhs.index()], &regs[rhs.index()]) {
+                        (&Value::Int(a), &Value::Int(b)) => {
+                            op.eval_ints_into(a, b, &mut regs[dst.index()])
+                        }
+                        _ => false,
+                    };
+                    if !done {
+                        regs[dst.index()] = eval_bin(*op, &regs[lhs.index()], &regs[rhs.index()])?;
+                    }
+                }
+                // Fused Const+Bin. The `charge` above paid for the `Const`
+                // constituent; the immediate rides in the instruction, so
+                // the fused form skips one dispatch and all constant
+                // register traffic.
+                Instr::BinImm { op, dst, lhs, imm } => {
+                    charge(env)?; // Bin
+                    let done = match (&regs[lhs.index()], imm) {
+                        (&Value::Int(a), &Value::Int(b)) => {
+                            op.eval_ints_into(a, b, &mut regs[dst.index()])
+                        }
+                        _ => false,
+                    };
+                    if !done {
+                        regs[dst.index()] = eval_bin(*op, &regs[lhs.index()], imm)?;
+                    }
+                }
+                Instr::StoreGlobal { global, src } => match env.global_slot_mut(*global) {
+                    Some(cell) => cell.clone_from(&regs[src.index()]),
+                    None => return Err(global_out_of_range(*global)),
+                },
+                Instr::Const { dst, value } => regs[dst.index()].clone_from(value),
+                Instr::Mov { dst, src } => match regs[src.index()] {
+                    Value::Int(i) => regs[dst.index()].set_int(i),
+                    Value::Bool(b) => regs[dst.index()].set_bool(b),
+                    ref shared => {
+                        let v = shared.clone();
+                        regs[dst.index()] = v;
+                    }
+                },
+                Instr::Un { op, dst, src } => {
+                    regs[dst.index()] = op.eval(&regs[src.index()])?;
+                }
+                // Direct calls recurse from this frame. Arguments are cloned
+                // straight into the callee's registers.
+                Instr::Call { dst, func, args } => {
+                    env.cost().calls += 1;
+                    let (callee, mut callee_frame) = enter(module, *func, args.len(), depth + 1)?;
+                    for (slot, r) in callee_frame.0[..args.len()].iter_mut().zip(args) {
+                        *slot = regs[r.index()].clone();
+                    }
+                    regs[dst.index()] =
+                        run::<E, PROFILE>(module, env, callee, callee_frame, depth + 1)?;
+                    // The callee's body recorded in between; don't pair
+                    // across the return.
+                    prev = RUN_START;
+                }
+                Instr::LockedFoldImm { op, global, imm } => {
+                    locked_fold_imm(env, *op, *global, imm)?;
+                }
+                Instr::GlobalFoldImm { op, global, imm } => {
+                    global_fold_imm(env, *op, *global, imm)?;
+                }
+                Instr::GlobalFold { op, global, src } => {
+                    global_fold(env, *op, *global, &regs[src.index()])?;
+                }
+                Instr::LockedStore { global, src } => {
+                    locked_store(env, *global, &regs[src.index()])?;
+                }
+                Instr::CallNative { .. } | Instr::Raise { .. } => {
+                    bytes_native_or_raise(module, env, regs, instr)?;
+                    // A native may re-enter the interpreter and a sync raise
+                    // runs handlers, all recorded in between.
+                    prev = RUN_START;
+                }
+                Instr::BytesNew { .. }
+                | Instr::BytesLen { .. }
+                | Instr::BytesGet { .. }
+                | Instr::BytesSet { .. }
+                | Instr::BytesConcat { .. }
+                | Instr::BytesSlice { .. } => bytes_native_or_raise(module, env, regs, instr)?,
             }
         }
         charge(env)?;
-        if let Some(p) = env.opcode_profile() {
-            p.break_chain();
-        }
+        prev = RUN_START;
         match &b.term {
             Terminator::Jump(t) => block = t.index(),
             Terminator::Branch {
@@ -346,18 +456,43 @@ fn run<E: Env + ?Sized>(
     }
 }
 
-/// Hands `f` the values of `args` as one slice: built in a stack buffer up
-/// to [`INLINE_ARGS`] values, in a `Vec` beyond that.
-fn with_argv<R>(regs: &[Value], args: &[Reg], f: impl FnOnce(&[Value]) -> R) -> R {
-    if args.len() <= INLINE_ARGS {
-        let mut buf = [const { Value::Unit }; INLINE_ARGS];
-        for (slot, r) in buf.iter_mut().zip(args) {
-            *slot = regs[r.index()].clone();
+/// `lhs <op> rhs` for everything the loop's `Int × Int` arms decline:
+/// `div`/`rem`, `and`/`or`, every other operand kind and every mismatch.
+#[inline(never)]
+fn eval_bin(op: BinOp, lhs: &Value, rhs: &Value) -> Result<Value, ExecError> {
+    Ok(op.eval(lhs, rhs)?)
+}
+
+/// `N` argument values in an array of exactly that size.
+#[inline]
+fn argv<const N: usize>(regs: &[Value], args: &[Reg]) -> [Value; N] {
+    std::array::from_fn(|i| regs[args[i].index()].clone())
+}
+
+/// Hands `f` the values of `args` as one slice — built, and dropped, as
+/// exactly `args.len()` values in a stack buffer up to [`INLINE_ARGS`] of
+/// them, in a `Vec` beyond that — and the registers back, for a result.
+#[inline]
+fn with_argv<R>(
+    regs: &mut [Value],
+    args: &[Reg],
+    f: impl FnOnce(&[Value], &mut [Value]) -> R,
+) -> R {
+    const _: () = assert!(INLINE_ARGS == 8, "one arm per inline arity below");
+    match args.len() {
+        0 => f(&[], regs),
+        1 => f(&argv::<1>(regs, args), regs),
+        2 => f(&argv::<2>(regs, args), regs),
+        3 => f(&argv::<3>(regs, args), regs),
+        4 => f(&argv::<4>(regs, args), regs),
+        5 => f(&argv::<5>(regs, args), regs),
+        6 => f(&argv::<6>(regs, args), regs),
+        7 => f(&argv::<7>(regs, args), regs),
+        8 => f(&argv::<8>(regs, args), regs),
+        _ => {
+            let spilled: Vec<Value> = args.iter().map(|r| regs[r.index()].clone()).collect();
+            f(&spilled, regs)
         }
-        f(&buf[..args.len()])
-    } else {
-        let spilled: Vec<Value> = args.iter().map(|r| regs[r.index()].clone()).collect();
-        f(&spilled)
     }
 }
 
@@ -379,6 +514,12 @@ fn charge<E: Env + ?Sized>(env: &mut E) -> Result<(), ExecError> {
 #[inline(never)]
 fn out_of_fuel() -> ExecError {
     ExecError::OutOfFuel
+}
+
+#[cold]
+#[inline(never)]
+fn global_out_of_range(global: GlobalId) -> ExecError {
+    ExecError::GlobalOutOfRange(global)
 }
 
 #[cold]
@@ -419,74 +560,32 @@ fn index_of(v: Option<i64>, len: usize, op: &'static str) -> Result<usize, ExecE
     Ok(i)
 }
 
-fn step<E: Env + ?Sized>(
+/// The instructions the dispatch loop does not run in line: the six byte
+/// operations, `callnative` and `raise`. They allocate, call out of the
+/// interpreter or both, so a call here is noise to them, and their
+/// temporaries (argument buffers above all) stay off the loop's frame.
+#[inline(never)]
+fn bytes_native_or_raise<E: Env + ?Sized>(
     module: &Module,
     env: &mut E,
     regs: &mut [Value],
     instr: &Instr,
 ) -> Result<(), ExecError> {
-    // Arms are ordered by measured opcode frequency on the video/SecComm/X
-    // inner loops (const/bin/load/store and the fused forms dominate);
-    // rare and failure-prone arms sit at the bottom with their error
-    // construction split into `#[cold]` helpers.
     match instr {
-        Instr::Const { dst, value } => regs[dst.index()] = value.clone(),
-        Instr::Bin { op, dst, lhs, rhs } => {
-            regs[dst.index()] = op.eval(&regs[lhs.index()], &regs[rhs.index()])?;
-        }
-        // Fused Const+Bin. The interpreter loop pre-charged the `Const`
-        // constituent; the immediate rides in the instruction, so the fused
-        // form skips one dispatch and all constant register traffic.
-        Instr::BinImm { op, dst, lhs, imm } => {
-            charge(env)?; // Bin
-            regs[dst.index()] = op.eval(&regs[lhs.index()], imm)?;
-        }
-        Instr::Mov { dst, src } => regs[dst.index()] = regs[src.index()].clone(),
-        Instr::LoadGlobal { dst, global } => {
-            regs[dst.index()] = env.load_global(*global)?;
-        }
-        Instr::StoreGlobal { global, src } => {
-            let v = regs[src.index()].clone();
-            env.store_global(*global, v)?;
-        }
-        // Fused read-modify-write and critical-section forms live in their
-        // own functions (below) so their temporaries don't enlarge this
-        // frame — `step` sits on the recursive `Call` path, where debug
-        // builds allocate every arm's locals up front.
-        Instr::LockedFoldImm { op, global, imm } => {
-            step_locked_fold_imm(env, *op, *global, imm)?;
-        }
-        Instr::GlobalFoldImm { op, global, imm } => {
-            step_global_fold_imm(env, *op, *global, imm)?;
-        }
-        Instr::GlobalFold { op, global, src } => {
-            step_global_fold(env, *op, *global, &regs[src.index()])?;
-        }
-        Instr::LockedStore { global, src } => {
-            step_locked_store(env, *global, &regs[src.index()])?;
-        }
-        Instr::Un { op, dst, src } => {
-            regs[dst.index()] = op.eval(&regs[src.index()])?;
-        }
-        Instr::Lock { global } => {
-            env.cost().lock_ops += 1;
-            env.lock(*global)?;
-        }
-        Instr::Unlock { global } => {
-            env.cost().lock_ops += 1;
-            env.unlock(*global)?;
-        }
-        Instr::Call { .. } => unreachable!("`run` executes direct calls itself"),
         Instr::CallNative { dst, native, args } => {
             env.cost().native_calls += 1;
-            regs[dst.index()] = with_argv(regs, args, |argv| env.call_native(*native, argv))?;
+            // The argument values are copies, so the result can land in
+            // `dst` while they are still alive (`dst` may be an argument).
+            with_argv(regs, args, |argv, regs| {
+                env.call_native(*native, argv, &mut regs[dst.index()])
+            })?;
         }
         Instr::Raise { event, mode, args } => {
             match mode {
                 RaiseMode::Sync => env.cost().raises_sync += 1,
                 RaiseMode::Async | RaiseMode::Timed => env.cost().raises_async += 1,
             }
-            with_argv(regs, args, |argv| env.raise(module, *event, *mode, argv))?;
+            with_argv(regs, args, |argv, _| env.raise(module, *event, *mode, argv))?;
         }
         Instr::BytesNew { dst, len } => {
             let n = regs[len.index()]
@@ -501,14 +600,16 @@ fn step<E: Env + ?Sized>(
             let b = regs[bytes.index()]
                 .as_bytes()
                 .ok_or_else(|| bytes_type_error("blen"))?;
-            regs[dst.index()] = Value::Int(b.len() as i64);
+            let n = b.len() as i64;
+            regs[dst.index()].set_int(n);
         }
         Instr::BytesGet { dst, bytes, index } => {
             let b = regs[bytes.index()]
                 .as_bytes()
                 .ok_or_else(|| bytes_type_error("bget"))?;
             let i = index_of(regs[index.index()].as_int(), b.len(), "bget")?;
-            regs[dst.index()] = Value::Int(i64::from(b[i]));
+            let byte = i64::from(b[i]);
+            regs[dst.index()].set_int(byte);
         }
         Instr::BytesSet {
             bytes,
@@ -572,6 +673,7 @@ fn step<E: Env + ?Sized>(
                 Value::bytes(&b[s as usize..e as usize])
             };
         }
+        _ => unreachable!("the dispatch loop runs every other instruction itself"),
     }
     Ok(())
 }
@@ -580,8 +682,8 @@ fn step<E: Env + ?Sized>(
 // charged as if it executed individually, so fuel exhaustion and faults
 // interleave with effects exactly as before fusion (e.g. a mid-sequence
 // OutOfFuel in `LockedFoldImm` leaves the lock held, just as the unfused
-// program would). The first constituent's charge is paid by the interpreter
-// loop before `step` is entered.
+// program would). The first constituent's charge is paid by the dispatch
+// loop before the arm is entered.
 //
 // The hot path pays the remaining constituents' charges in ONE batch,
 // which is observationally exact as long as fuel cannot run out in the
@@ -618,12 +720,74 @@ fn refund_charges<E: Env + ?Sized>(env: &mut E, n: u64) {
     }
 }
 
+/// `acc = acc <op> rhs`, in place.
+#[inline]
+fn fold_into(op: BinOp, acc: &mut Value, rhs: &Value) -> Result<(), EvalError> {
+    let done = match (&*acc, rhs) {
+        (&Value::Int(a), &Value::Int(b)) => op.eval_ints_into(a, b, acc),
+        _ => false,
+    };
+    if !done {
+        *acc = op.eval(acc, rhs)?;
+    }
+    Ok(())
+}
+
+/// The `LoadGlobal`..`StoreGlobal` core the three fold forms share, on the
+/// batched path: `globals[global] = globals[global] <op> rhs`, the cell
+/// updated where it sits. A missing global faults at the `LoadGlobal` and
+/// refunds the `after_load` constituents behind it; an eval fault stops at
+/// the `Bin` and refunds the `after_bin` ones behind that. Once the cell is
+/// in hand the `StoreGlobal` cannot fail.
+#[inline]
+fn fold_global<E: Env + ?Sized>(
+    env: &mut E,
+    op: BinOp,
+    global: GlobalId,
+    rhs: &Value,
+    after_load: u64,
+    after_bin: u64,
+) -> Result<(), ExecError> {
+    let Some(cell) = env.global_slot_mut(global) else {
+        refund_charges(env, after_load);
+        return Err(global_out_of_range(global));
+    };
+    if let Err(e) = fold_into(op, cell, rhs) {
+        refund_charges(env, after_bin);
+        return Err(e.into());
+    }
+    Ok(())
+}
+
+/// A `LoadGlobal` of the per-constituent replays: the value, by clone.
+fn load_global<E: Env + ?Sized>(env: &mut E, global: GlobalId) -> Result<Value, ExecError> {
+    match env.global_slot(global) {
+        Some(cell) => Ok(cell.clone()),
+        None => Err(global_out_of_range(global)),
+    }
+}
+
+/// A `StoreGlobal` of the per-constituent replays.
+fn store_global<E: Env + ?Sized>(
+    env: &mut E,
+    global: GlobalId,
+    value: Value,
+) -> Result<(), ExecError> {
+    match env.global_slot_mut(global) {
+        Some(cell) => {
+            *cell = value;
+            Ok(())
+        }
+        None => Err(global_out_of_range(global)),
+    }
+}
+
 /// Fused `Lock`+`LoadGlobal`+`Const`+`Bin`+`StoreGlobal`+`Unlock`: the
 /// locked counter-bump pattern that dominates the video/SecComm inner loops.
 #[inline]
-fn step_locked_fold_imm<E: Env + ?Sized>(
+fn locked_fold_imm<E: Env + ?Sized>(
     env: &mut E,
-    op: crate::instr::BinOp,
+    op: BinOp,
     global: GlobalId,
     imm: &Value,
 ) -> Result<(), ExecError> {
@@ -635,47 +799,32 @@ fn step_locked_fold_imm<E: Env + ?Sized>(
         refund_charges(env, 5); // Load..Unlock never ran
         return Err(e);
     }
-    let lhs = match env.load_global(global) {
-        Ok(v) => v,
-        Err(e) => {
-            refund_charges(env, 4); // Const..Unlock never ran
-            return Err(e);
-        }
-    };
-    let v = match op.eval(&lhs, imm) {
-        Ok(v) => v,
-        Err(e) => {
-            refund_charges(env, 2); // Store, Unlock never ran
-            return Err(e.into());
-        }
-    };
-    if let Err(e) = env.store_global(global, v) {
-        refund_charges(env, 1); // Unlock never ran
-        return Err(e);
-    }
+    // Behind the Load: Const, Bin, Store, Unlock; behind the Bin: Store,
+    // Unlock.
+    fold_global(env, op, global, imm, 4, 2)?;
     env.cost().lock_ops += 1;
     env.unlock(global)
 }
 
-/// Exact per-constituent replay of [`step_locked_fold_imm`], used when
-/// fuel may exhaust mid-sequence.
+/// Exact per-constituent replay of [`locked_fold_imm`], used when fuel may
+/// exhaust mid-sequence.
 #[cold]
 #[inline(never)]
 fn locked_fold_imm_exact<E: Env + ?Sized>(
     env: &mut E,
-    op: crate::instr::BinOp,
+    op: BinOp,
     global: GlobalId,
     imm: &Value,
 ) -> Result<(), ExecError> {
     env.cost().lock_ops += 1; // Lock (pre-charged by the loop)
     env.lock(global)?;
     charge(env)?; // Load
-    let lhs = env.load_global(global)?;
+    let lhs = load_global(env, global)?;
     charge(env)?; // Const
     charge(env)?; // Bin
     let v = op.eval(&lhs, imm)?;
     charge(env)?; // Store
-    env.store_global(global, v)?;
+    store_global(env, global, v)?;
     charge(env)?; // Unlock
     env.cost().lock_ops += 1;
     env.unlock(global)
@@ -683,96 +832,70 @@ fn locked_fold_imm_exact<E: Env + ?Sized>(
 
 /// Fused `LoadGlobal`+`Const`+`Bin`+`StoreGlobal` read-modify-write.
 #[inline]
-fn step_global_fold_imm<E: Env + ?Sized>(
+fn global_fold_imm<E: Env + ?Sized>(
     env: &mut E,
-    op: crate::instr::BinOp,
+    op: BinOp,
     global: GlobalId,
     imm: &Value,
 ) -> Result<(), ExecError> {
     if !try_batch_charge(env, 3) {
         return global_fold_imm_exact(env, op, global, imm);
     }
-    let lhs = match env.load_global(global) {
-        Ok(v) => v,
-        Err(e) => {
-            refund_charges(env, 3); // Const, Bin, Store never ran
-            return Err(e);
-        }
-    };
-    let v = match op.eval(&lhs, imm) {
-        Ok(v) => v,
-        Err(e) => {
-            refund_charges(env, 1); // Store never ran
-            return Err(e.into());
-        }
-    };
-    env.store_global(global, v)
+    // Behind the Load: Const, Bin, Store; behind the Bin: Store.
+    fold_global(env, op, global, imm, 3, 1)
 }
 
-/// Exact per-constituent replay of [`step_global_fold_imm`].
+/// Exact per-constituent replay of [`global_fold_imm`].
 #[cold]
 #[inline(never)]
 fn global_fold_imm_exact<E: Env + ?Sized>(
     env: &mut E,
-    op: crate::instr::BinOp,
+    op: BinOp,
     global: GlobalId,
     imm: &Value,
 ) -> Result<(), ExecError> {
-    let lhs = env.load_global(global)?; // Load (pre-charged)
+    let lhs = load_global(env, global)?; // Load (pre-charged)
     charge(env)?; // Const
     charge(env)?; // Bin
     let v = op.eval(&lhs, imm)?;
     charge(env)?; // Store
-    env.store_global(global, v)
+    store_global(env, global, v)
 }
 
 /// Fused `LoadGlobal`+`Bin`+`StoreGlobal` with a register operand.
 #[inline]
-fn step_global_fold<E: Env + ?Sized>(
+fn global_fold<E: Env + ?Sized>(
     env: &mut E,
-    op: crate::instr::BinOp,
+    op: BinOp,
     global: GlobalId,
     rhs: &Value,
 ) -> Result<(), ExecError> {
     if !try_batch_charge(env, 2) {
         return global_fold_exact(env, op, global, rhs);
     }
-    let lhs = match env.load_global(global) {
-        Ok(v) => v,
-        Err(e) => {
-            refund_charges(env, 2); // Bin, Store never ran
-            return Err(e);
-        }
-    };
-    let v = match op.eval(&lhs, rhs) {
-        Ok(v) => v,
-        Err(e) => {
-            refund_charges(env, 1); // Store never ran
-            return Err(e.into());
-        }
-    };
-    env.store_global(global, v)
+    // Behind the Load: Bin, Store; behind the Bin: Store.
+    fold_global(env, op, global, rhs, 2, 1)
 }
 
-/// Exact per-constituent replay of [`step_global_fold`].
+/// Exact per-constituent replay of [`global_fold`].
 #[cold]
 #[inline(never)]
 fn global_fold_exact<E: Env + ?Sized>(
     env: &mut E,
-    op: crate::instr::BinOp,
+    op: BinOp,
     global: GlobalId,
     rhs: &Value,
 ) -> Result<(), ExecError> {
-    let lhs = env.load_global(global)?; // Load (pre-charged)
+    let lhs = load_global(env, global)?; // Load (pre-charged)
     charge(env)?; // Bin
     let v = op.eval(&lhs, rhs)?;
     charge(env)?; // Store
-    env.store_global(global, v)
+    store_global(env, global, v)
 }
 
 /// Fused `Lock`+`StoreGlobal`+`Unlock` single-store critical section.
 #[inline]
-fn step_locked_store<E: Env + ?Sized>(
+fn locked_store<E: Env + ?Sized>(
     env: &mut E,
     global: GlobalId,
     src: &Value,
@@ -785,15 +908,18 @@ fn step_locked_store<E: Env + ?Sized>(
         refund_charges(env, 2); // Store, Unlock never ran
         return Err(e);
     }
-    if let Err(e) = env.store_global(global, src.clone()) {
-        refund_charges(env, 1); // Unlock never ran
-        return Err(e);
+    match env.global_slot_mut(global) {
+        Some(cell) => cell.clone_from(src),
+        None => {
+            refund_charges(env, 1); // Unlock never ran
+            return Err(global_out_of_range(global));
+        }
     }
     env.cost().lock_ops += 1;
     env.unlock(global)
 }
 
-/// Exact per-constituent replay of [`step_locked_store`].
+/// Exact per-constituent replay of [`locked_store`].
 #[cold]
 #[inline(never)]
 fn locked_store_exact<E: Env + ?Sized>(
@@ -804,7 +930,7 @@ fn locked_store_exact<E: Env + ?Sized>(
     env.cost().lock_ops += 1; // Lock (pre-charged)
     env.lock(global)?;
     charge(env)?; // Store
-    env.store_global(global, src.clone())?;
+    store_global(env, global, src.clone())?;
     charge(env)?; // Unlock
     env.cost().lock_ops += 1;
     env.unlock(global)
@@ -893,21 +1019,12 @@ impl BasicEnv {
 }
 
 impl Env for BasicEnv {
-    fn load_global(&mut self, global: GlobalId) -> Result<Value, ExecError> {
-        self.globals
-            .get(global.index())
-            .cloned()
-            .ok_or(ExecError::GlobalOutOfRange(global))
+    fn global_slot(&self, global: GlobalId) -> Option<&Value> {
+        self.globals.get(global.index())
     }
 
-    fn store_global(&mut self, global: GlobalId, value: Value) -> Result<(), ExecError> {
-        match self.globals.get_mut(global.index()) {
-            Some(slot) => {
-                *slot = value;
-                Ok(())
-            }
-            None => Err(ExecError::GlobalOutOfRange(global)),
-        }
+    fn global_slot_mut(&mut self, global: GlobalId) -> Option<&mut Value> {
+        self.globals.get_mut(global.index())
     }
 
     fn lock(&mut self, global: GlobalId) -> Result<(), ExecError> {
@@ -930,9 +1047,17 @@ impl Env for BasicEnv {
         }
     }
 
-    fn call_native(&mut self, native: NativeId, args: &[Value]) -> Result<Value, ExecError> {
+    fn call_native(
+        &mut self,
+        native: NativeId,
+        args: &[Value],
+        dst: &mut Value,
+    ) -> Result<(), ExecError> {
         match self.natives.get_mut(native.index()) {
-            Some(Some(f)) => f(args).map_err(ExecError::Native),
+            Some(Some(f)) => {
+                *dst = f(args).map_err(ExecError::Native)?;
+                Ok(())
+            }
             Some(None) | None => Err(ExecError::UnboundNative(native)),
         }
     }
@@ -967,6 +1092,7 @@ mod tests {
     use crate::builder::FunctionBuilder;
     use crate::cost::Opcode;
     use crate::instr::BinOp;
+    use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
     fn run(module: &Module, name: &str, args: &[Value]) -> Result<Value, ExecError> {
@@ -1645,6 +1771,607 @@ mod tests {
         let p = env.profile.as_ref().unwrap();
         assert_eq!(p.count(Opcode::LockedFoldImm), 1);
         assert_eq!(p.fused_total(), 1);
+    }
+
+    /// Runs `instrs` as the whole body of a function over registers
+    /// `r0..r3` preloaded from `init`, and returns what they hold afterwards.
+    fn run_body(instrs: Vec<Instr>, init: &[Value]) -> Result<Vec<Value>, ExecError> {
+        let mut m = Module::new();
+        let mut b = FunctionBuilder::new("f", init.len() as u16);
+        b.ret(None);
+        let f = m.add_function(b.finish());
+        m.functions[f.index()].reg_count = 4;
+        m.functions[f.index()].blocks[0].instrs = instrs;
+        // Copy each register into a global last, so the test sees them all.
+        let mut outs = Vec::new();
+        for r in 0..4 {
+            let g = m.add_global(format!("r{r}"), Value::Unit);
+            m.functions[f.index()].blocks[0]
+                .instrs
+                .push(Instr::StoreGlobal {
+                    global: g,
+                    src: Reg(r),
+                });
+            outs.push(g);
+        }
+        let mut env = BasicEnv::new(&m);
+        call(&m, &mut env, f, init)?;
+        Ok(outs.into_iter().map(|g| env.global(g).clone()).collect())
+    }
+
+    #[test]
+    fn bin_fast_path_agrees_with_eval() {
+        use crate::instr::UnOp;
+        let ints = [0, 1, -1, 63, 64, i64::MIN, i64::MAX];
+        let mut operands = vec![Value::Unit, Value::Bool(false), Value::Bool(true)];
+        operands.extend(ints.map(Value::Int));
+        operands.extend([Value::bytes([1u8, 2]), Value::str("s")]);
+        // The destination starts as each kind of value in turn, so both the
+        // payload-only write and the whole-value write are taken.
+        let dsts = [Value::Unit, Value::Int(7), Value::Bool(true)];
+        let (mut checked, mut faults) = (0, 0);
+        for (a, b) in operands
+            .iter()
+            .flat_map(|a| operands.iter().map(move |b| (a, b)))
+        {
+            for op in BinOp::ALL {
+                let want = op.eval(a, b).map_err(ExecError::Eval);
+                for dst in &dsts {
+                    let init = [a.clone(), b.clone(), dst.clone()];
+                    let bin = Instr::Bin {
+                        op,
+                        dst: Reg(2),
+                        lhs: Reg(0),
+                        rhs: Reg(1),
+                    };
+                    let got = run_body(vec![bin], &init).map(|regs| regs[2].clone());
+                    assert_eq!(got, want, "{a} {op:?} {b} over {dst}");
+                    let imm = Instr::BinImm {
+                        op,
+                        dst: Reg(2),
+                        lhs: Reg(0),
+                        imm: b.clone(),
+                    };
+                    let got = run_body(vec![imm], &init).map(|regs| regs[2].clone());
+                    assert_eq!(got, want, "{a} {op:?}.i {b} over {dst}");
+                }
+                // The fold forms: the global is the left operand and the
+                // destination at once.
+                let mut m = Module::new();
+                let g = m.add_global("acc", a.clone());
+                let mut fb = FunctionBuilder::new("f", 1);
+                fb.push(Instr::GlobalFold {
+                    op,
+                    global: g,
+                    src: Reg(0),
+                });
+                fb.ret(None);
+                let f = m.add_function(fb.finish());
+                let mut env = BasicEnv::new(&m);
+                let got = call(&m, &mut env, f, std::slice::from_ref(b));
+                assert_eq!(got.map(|_| env.global(g).clone()), want, "gfold {op:?}");
+                checked += 1;
+                faults += usize::from(want.is_err());
+            }
+        }
+        assert_eq!(checked, 12 * 12 * 18);
+        assert!(faults > 0 && faults < checked);
+        // The cases a shortcut is likeliest to get wrong, by value.
+        let int = |op: BinOp, a, b| {
+            run_body(
+                vec![Instr::Bin {
+                    op,
+                    dst: Reg(2),
+                    lhs: Reg(0),
+                    rhs: Reg(1),
+                }],
+                &[Value::Int(a), Value::Int(b)],
+            )
+            .map(|regs| regs[2].clone())
+        };
+        assert_eq!(int(BinOp::Div, i64::MIN, -1), Ok(Value::Int(i64::MIN)));
+        assert_eq!(int(BinOp::Rem, i64::MIN, -1), Ok(Value::Int(0)));
+        let by_zero = Err(ExecError::Eval(EvalError::DivisionByZero));
+        assert_eq!(int(BinOp::Rem, 5, 0), by_zero);
+        assert_eq!(int(BinOp::Div, 5, 0), by_zero);
+        assert_eq!(int(BinOp::Shl, 1, 64), Ok(Value::Int(1)));
+        assert_eq!(int(BinOp::Shl, 1, 65), Ok(Value::Int(2)));
+        assert_eq!(int(BinOp::Shr, i64::MIN, 63), Ok(Value::Int(-1)));
+        assert_eq!(int(BinOp::Shr, -8, -1), Ok(Value::Int(-1)));
+        assert_eq!(int(BinOp::Add, i64::MAX, 1), Ok(Value::Int(i64::MIN)));
+
+        for v in &operands {
+            for op in UnOp::ALL {
+                let want = op.eval(v).map_err(ExecError::Eval);
+                for dst in &dsts {
+                    let un = Instr::Un {
+                        op,
+                        dst: Reg(1),
+                        src: Reg(0),
+                    };
+                    let got = run_body(vec![un], &[v.clone(), dst.clone()]);
+                    assert_eq!(got.map(|regs| regs[1].clone()), want, "{op:?} {v}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_results_release_what_they_overwrite() {
+        let payload: Arc<[u8]> = Arc::from([1u8, 2, 3]);
+        let held = || Value::Bytes(Arc::clone(&payload));
+        let add = |dst, lhs, rhs| Instr::Bin {
+            op: BinOp::Add,
+            dst,
+            lhs,
+            rhs,
+        };
+        // An integer or boolean result over the only other reference to a
+        // byte block lets the block go — whichever arm writes it.
+        let writers = [
+            add(Reg(0), Reg(1), Reg(2)),
+            Instr::Bin {
+                op: BinOp::Lt,
+                dst: Reg(0),
+                lhs: Reg(1),
+                rhs: Reg(2),
+            },
+            Instr::BinImm {
+                op: BinOp::Mul,
+                dst: Reg(0),
+                lhs: Reg(1),
+                imm: Value::Int(3),
+            },
+            Instr::Const {
+                dst: Reg(0),
+                value: Value::Int(9),
+            },
+            Instr::Const {
+                dst: Reg(0),
+                value: Value::Bool(true),
+            },
+            Instr::Mov {
+                dst: Reg(0),
+                src: Reg(1),
+            },
+            Instr::Un {
+                op: crate::instr::UnOp::Neg,
+                dst: Reg(0),
+                src: Reg(1),
+            },
+            Instr::BytesLen {
+                dst: Reg(0),
+                bytes: Reg(3),
+            },
+        ];
+        // A native called right after the write reads the count while the
+        // frame is still up: what it sees is what the register itself did.
+        let mut m = Module::new();
+        let probe = m.add_native("probe");
+        let seen = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        for writer in writers {
+            let mut b = FunctionBuilder::new("f", 4);
+            b.push(writer.clone());
+            let _ = b.call_native(probe, &[]);
+            b.ret(None);
+            let f = m.add_function(b.finish());
+            let mut env = BasicEnv::new(&m);
+            let (watched, count) = (Arc::clone(&payload), Arc::clone(&seen));
+            env.bind_native(probe, move |_| {
+                count.store(Arc::strong_count(&watched), Ordering::Relaxed);
+                Ok(Value::Unit)
+            });
+            let init = [held(), Value::Int(4), Value::Int(5), Value::bytes([0u8; 2])];
+            let before = Arc::strong_count(&payload);
+            assert_eq!(call(&m, &mut env, f, &init), Ok(Value::Unit));
+            assert_eq!(seen.load(Ordering::Relaxed), before, "{writer:?}");
+            assert_eq!(Arc::strong_count(&payload), before, "{writer:?}");
+        }
+        assert_eq!(Arc::strong_count(&payload), 1);
+
+        // dst == lhs == rhs.
+        let doubled = run_body(vec![add(Reg(0), Reg(0), Reg(0))], &[Value::Int(21)]);
+        assert_eq!(doubled.unwrap()[0], Value::Int(42));
+        let same = Instr::Bin {
+            op: BinOp::Eq,
+            dst: Reg(0),
+            lhs: Reg(0),
+            rhs: Reg(0),
+        };
+        let regs = run_body(vec![same], &[Value::Bytes(Arc::clone(&payload))]).unwrap();
+        assert_eq!(regs[0], Value::Bool(true));
+        assert_eq!(Arc::strong_count(&payload), 1, "eq over its own operands");
+        let moved = Instr::Mov {
+            dst: Reg(0),
+            src: Reg(0),
+        };
+        let regs = run_body(vec![moved], &[Value::Bytes(Arc::clone(&payload))]).unwrap();
+        assert_eq!(Arc::strong_count(&payload), 2, "r0's copy, in its global");
+        drop(regs);
+
+        // A `load` over a register holding bytes, and a `store` / fold over
+        // a global holding them.
+        let mut m = Module::new();
+        let g = m.add_global("g", Value::Int(5));
+        let mut b = FunctionBuilder::new("f", 1);
+        b.push(Instr::LoadGlobal {
+            dst: Reg(0),
+            global: g,
+        });
+        b.ret(Some(Reg(0)));
+        let load = m.add_function(b.finish());
+        let mut b = FunctionBuilder::new("g", 1);
+        b.store_global(g, b.param(0));
+        b.ret(None);
+        let store = m.add_function(b.finish());
+        let mut env = BasicEnv::new(&m);
+        let arg = [Value::Bytes(Arc::clone(&payload))];
+        assert_eq!(call(&m, &mut env, load, &arg), Ok(Value::Int(5)));
+        assert_eq!(Arc::strong_count(&payload), 2, "only `arg` is left");
+        env.set_global(g, Value::Bytes(Arc::clone(&payload)));
+        assert_eq!(call(&m, &mut env, store, &[Value::Int(1)]), Ok(Value::Unit));
+        assert_eq!(env.global(g), &Value::Int(1));
+        assert_eq!(Arc::strong_count(&payload), 2, "the global let go");
+        drop(arg);
+        assert_eq!(Arc::strong_count(&payload), 1);
+    }
+
+    /// A module whose `all(p, d)` executes every opcode — each
+    /// superinstruction included — across three blocks, then divides by `d`.
+    /// Natives: `id` (slot 0) returns its argument.
+    fn every_opcode_module() -> (Module, FuncId) {
+        use crate::instr::UnOp;
+        let mut m = Module::new();
+        let acc = m.add_global("acc", Value::Int(10));
+        let buf = m.add_global("buf", Value::Unit);
+        let id = m.add_native("id");
+        let e = m.add_event("E");
+        let mut inner = FunctionBuilder::new("inner", 1);
+        let one = inner.const_int(1);
+        let r = inner.bin(BinOp::Add, inner.param(0), one);
+        inner.ret(Some(r));
+        let inner_id = m.add_function(inner.finish());
+
+        let mut b = FunctionBuilder::new("all", 2);
+        let (taken, join) = (b.new_block(), b.new_block());
+        let c = b.const_int(5);
+        let _ = b.mov(c);
+        let s = b.bin(BinOp::Add, b.param(0), c);
+        let _ = b.un(UnOp::Neg, s);
+        b.lock(acc);
+        let l = b.load_global(acc);
+        b.store_global(acc, s);
+        b.unlock(acc);
+        let r = b.call(inner_id, &[l]);
+        let n = b.call_native(id, &[r]);
+        b.raise(e, RaiseMode::Sync, &[n]);
+        b.raise(e, RaiseMode::Async, &[]);
+        let four = b.const_int(4);
+        let bytes = b.bytes_new(four);
+        let len = b.bytes_len(bytes);
+        let zero = b.const_int(0);
+        b.bytes_set(bytes, zero, len);
+        let got = b.bytes_get(bytes, zero);
+        let cat = b.bytes_concat(bytes, bytes);
+        let sl = b.bytes_slice(cat, zero, four);
+        let t = b.new_reg();
+        b.push(Instr::BinImm {
+            op: BinOp::Add,
+            dst: t,
+            lhs: got,
+            imm: Value::Int(7),
+        });
+        b.push(Instr::GlobalFold {
+            op: BinOp::Add,
+            global: acc,
+            src: t,
+        });
+        b.push(Instr::GlobalFoldImm {
+            op: BinOp::Mul,
+            global: acc,
+            imm: Value::Int(3),
+        });
+        b.push(Instr::LockedStore {
+            global: buf,
+            src: sl,
+        });
+        b.push(Instr::LockedFoldImm {
+            op: BinOp::Add,
+            global: acc,
+            imm: Value::Int(1),
+        });
+        let cmp = b.bin(BinOp::Lt, c, t);
+        b.branch(cmp, taken, join);
+        b.switch_to(taken);
+        b.jump(join);
+        b.switch_to(join);
+        let q = b.bin(BinOp::Div, t, b.param(1));
+        b.ret(Some(q));
+        let all = m.add_function(b.finish());
+        crate::verify::verify_module(&m).unwrap();
+        (m, all)
+    }
+
+    fn every_opcode_env(m: &Module) -> BasicEnv {
+        let mut env = BasicEnv::new(m);
+        env.bind_native(NativeId(0), |args| Ok(args[0].clone()));
+        env
+    }
+
+    /// An environment whose first native call flips opcode profiling — the
+    /// thing the event runtime's `&mut` rules out — to show what the
+    /// interpreter does with it: nothing, until the next activation.
+    struct FlipsProfiling {
+        inner: BasicEnv,
+        parked: Option<Box<OpcodeProfile>>,
+    }
+
+    impl Env for FlipsProfiling {
+        fn global_slot(&self, global: GlobalId) -> Option<&Value> {
+            self.inner.global_slot(global)
+        }
+        fn global_slot_mut(&mut self, global: GlobalId) -> Option<&mut Value> {
+            self.inner.global_slot_mut(global)
+        }
+        fn lock(&mut self, global: GlobalId) -> Result<(), ExecError> {
+            self.inner.lock(global)
+        }
+        fn unlock(&mut self, global: GlobalId) -> Result<(), ExecError> {
+            self.inner.unlock(global)
+        }
+        fn call_native(
+            &mut self,
+            native: NativeId,
+            args: &[Value],
+            dst: &mut Value,
+        ) -> Result<(), ExecError> {
+            std::mem::swap(&mut self.inner.profile, &mut self.parked);
+            self.inner.call_native(native, args, dst)
+        }
+        fn raise(
+            &mut self,
+            module: &Module,
+            event: EventId,
+            mode: RaiseMode,
+            args: &[Value],
+        ) -> Result<(), ExecError> {
+            self.inner.raise(module, event, mode, args)
+        }
+        fn cost(&mut self) -> &mut CostCounter {
+            self.inner.cost()
+        }
+        fn opcode_profile(&mut self) -> Option<&mut OpcodeProfile> {
+            self.inner.opcode_profile()
+        }
+    }
+
+    #[test]
+    fn profile_mode_is_fixed_per_activation_and_counts_match() {
+        // Expected counts were captured from the parent commit (227e3c7,
+        // `step` still the catch-all), before the loop was touched.
+        const OPS: [u64; crate::cost::OPCODE_COUNT] = [
+            4, 1, 4, 1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+        ];
+        use Opcode::*;
+        // Chains break at the call, the native, both raises and each block
+        // end: no pair starts or ends at one of those.
+        const PAIRS: [(Opcode, Opcode); 22] = [
+            (Const, Mov),
+            (Const, Bin),
+            (Const, BytesNew),
+            (Const, BytesSet),
+            (Mov, Bin),
+            (Bin, Un),
+            (Un, Lock),
+            (LoadGlobal, StoreGlobal),
+            (StoreGlobal, Unlock),
+            (Lock, LoadGlobal),
+            (Unlock, Call),
+            (BytesNew, BytesLen),
+            (BytesLen, Const),
+            (BytesGet, BytesConcat),
+            (BytesSet, BytesGet),
+            (BytesConcat, BytesSlice),
+            (BytesSlice, BinImm),
+            (BinImm, GlobalFold),
+            (GlobalFold, GlobalFoldImm),
+            (GlobalFoldImm, LockedStore),
+            (LockedStore, LockedFoldImm),
+            (LockedFoldImm, Bin),
+        ];
+        let (m, all) = every_opcode_module();
+        let args = [Value::Int(2), Value::Int(1)];
+        let mut env = every_opcode_env(&m);
+        env.enable_profiling();
+        assert_eq!(call(&m, &mut env, all, &args), Ok(Value::Int(11)));
+        assert_eq!(env.cost.instrs, 46);
+        let p = env.profile.as_ref().unwrap();
+        assert_eq!(Opcode::ALL.map(|op| p.count(op)), OPS);
+        let mut pairs = p.hot_pairs(1);
+        assert!(pairs.iter().all(|&(_, _, n)| n == 1));
+        pairs.sort_by_key(|&(a, b, _)| (a.index(), b.index()));
+        let mut want = PAIRS.to_vec();
+        want.sort_by_key(|&(a, b)| (a.index(), b.index()));
+        let got: Vec<_> = pairs.into_iter().map(|(a, b, _)| (a, b)).collect();
+        assert_eq!(got, want);
+
+        // Profiling off runs the same program to the same result and cost.
+        let mut off = every_opcode_env(&m);
+        assert_eq!(call(&m, &mut off, all, &args), Ok(Value::Int(11)));
+        assert_eq!(off.cost, env.cost);
+        assert!(off.profile.is_none());
+
+        // The mode is read once per activation. Turned on by the native in
+        // the middle of one, profiling records nothing until the next;
+        // turned off in the middle, the recording loop finds no profile to
+        // write to and carries on.
+        let mut flip = FlipsProfiling {
+            inner: every_opcode_env(&m),
+            parked: Some(Box::new(OpcodeProfile::new())),
+        };
+        assert_eq!(call(&m, &mut flip, all, &args), Ok(Value::Int(11)));
+        assert_eq!(flip.inner.profile.as_ref().unwrap().total(), 0);
+        assert_eq!(call(&m, &mut flip, all, &args), Ok(Value::Int(11)));
+        // `all` up to its native, and all of `inner`.
+        let recorded = flip.parked.as_ref().unwrap();
+        assert_eq!(recorded.total(), 10 + 2);
+        assert_eq!(recorded.count(CallNative), 1);
+        assert_eq!(recorded.count(Raise), 0);
+    }
+
+    #[test]
+    fn fuel_sweep_is_exact() {
+        // (error, cost.instrs, fuel left, `acc`, len of `buf` or -1, lock
+        // depths) of `all(2, 0)` under every budget: captured from the
+        // parent commit (227e3c7), before the loop was touched. `div0` is
+        // the faulting `div` the function ends in.
+        type Row = (&'static str, u64, u64, i64, i64, [u32; 2]);
+        #[rustfmt::skip]
+        const ROWS: [Row; 49] = [
+            ("fuel", 1, 0, 10, -1, [0, 0]), ("fuel", 2, 0, 10, -1, [0, 0]),
+            ("fuel", 3, 0, 10, -1, [0, 0]), ("fuel", 4, 0, 10, -1, [0, 0]),
+            ("fuel", 5, 0, 10, -1, [0, 0]), ("fuel", 6, 0, 10, -1, [1, 0]),
+            ("fuel", 7, 0, 10, -1, [1, 0]), ("fuel", 8, 0, 7, -1, [1, 0]),
+            ("fuel", 9, 0, 7, -1, [0, 0]), ("fuel", 10, 0, 7, -1, [0, 0]),
+            ("fuel", 11, 0, 7, -1, [0, 0]), ("fuel", 12, 0, 7, -1, [0, 0]),
+            ("fuel", 13, 0, 7, -1, [0, 0]), ("fuel", 14, 0, 7, -1, [0, 0]),
+            ("fuel", 15, 0, 7, -1, [0, 0]), ("fuel", 16, 0, 7, -1, [0, 0]),
+            ("fuel", 17, 0, 7, -1, [0, 0]), ("fuel", 18, 0, 7, -1, [0, 0]),
+            ("fuel", 19, 0, 7, -1, [0, 0]), ("fuel", 20, 0, 7, -1, [0, 0]),
+            ("fuel", 21, 0, 7, -1, [0, 0]), ("fuel", 22, 0, 7, -1, [0, 0]),
+            ("fuel", 23, 0, 7, -1, [0, 0]), ("fuel", 24, 0, 7, -1, [0, 0]),
+            ("fuel", 25, 0, 7, -1, [0, 0]), ("fuel", 26, 0, 7, -1, [0, 0]),
+            ("fuel", 27, 0, 7, -1, [0, 0]), ("fuel", 28, 0, 7, -1, [0, 0]),
+            ("fuel", 29, 0, 18, -1, [0, 0]), ("fuel", 30, 0, 18, -1, [0, 0]),
+            ("fuel", 31, 0, 18, -1, [0, 0]), ("fuel", 32, 0, 18, -1, [0, 0]),
+            ("fuel", 33, 0, 54, -1, [0, 0]), ("fuel", 34, 0, 54, -1, [0, 1]),
+            ("fuel", 35, 0, 54, 4, [0, 1]), ("fuel", 36, 0, 54, 4, [0, 0]),
+            ("fuel", 37, 0, 54, 4, [1, 0]), ("fuel", 38, 0, 54, 4, [1, 0]),
+            ("fuel", 39, 0, 54, 4, [1, 0]), ("fuel", 40, 0, 54, 4, [1, 0]),
+            ("fuel", 41, 0, 55, 4, [1, 0]), ("fuel", 42, 0, 55, 4, [0, 0]),
+            ("fuel", 43, 0, 55, 4, [0, 0]), ("fuel", 44, 0, 55, 4, [0, 0]),
+            ("fuel", 45, 0, 55, 4, [0, 0]), ("div0", 45, 0, 55, 4, [0, 0]),
+            ("div0", 45, 1, 55, 4, [0, 0]), ("div0", 45, 2, 55, 4, [0, 0]),
+            ("div0", 45, 3, 55, 4, [0, 0]),
+        ];
+        let (m, all) = every_opcode_module();
+        for profiling in [false, true] {
+            for (fuel, want) in ROWS.iter().enumerate() {
+                let mut env = every_opcode_env(&m);
+                env.fuel = Some(fuel as u64);
+                if profiling {
+                    env.enable_profiling();
+                }
+                let err = match call(&m, &mut env, all, &[Value::Int(2), Value::Int(0)]) {
+                    Err(ExecError::OutOfFuel) => "fuel",
+                    Err(ExecError::Eval(EvalError::DivisionByZero)) => "div0",
+                    other => panic!("fuel {fuel}: {other:?}"),
+                };
+                let buf = env.global(G(1)).as_bytes().map_or(-1, |b| b.len() as i64);
+                let got = (
+                    err,
+                    env.cost.instrs,
+                    env.fuel.unwrap(),
+                    env.global(G(0)).as_int().unwrap(),
+                    buf,
+                    [env.lock_depths[0], env.lock_depths[1]],
+                );
+                assert_eq!(got, *want, "fuel {fuel}, profiling {profiling}");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_faults_and_fuel_match_the_unfused_sequence() {
+        // Each fold form beside the sequence it replaces, over a global that
+        // takes the operator (`Int`), one that faults the `Bin` (`Bytes`)
+        // and one that is not there, at every fuel level: same error, same
+        // charges, same fuel left, same global, same lock depth.
+        type Fused = fn(GlobalId) -> Instr;
+        type Unfused = fn(&mut FunctionBuilder, GlobalId);
+        let forms: [(&str, Fused, Unfused); 4] = [
+            (
+                "lfold.i",
+                |global| Instr::LockedFoldImm {
+                    op: BinOp::Add,
+                    global,
+                    imm: Value::Int(3),
+                },
+                |b, g| {
+                    b.lock(g);
+                    let v = b.load_global(g);
+                    let k = b.const_int(3);
+                    let s = b.bin(BinOp::Add, v, k);
+                    b.store_global(g, s);
+                    b.unlock(g);
+                },
+            ),
+            (
+                "gfold.i",
+                |global| Instr::GlobalFoldImm {
+                    op: BinOp::Add,
+                    global,
+                    imm: Value::Int(3),
+                },
+                |b, g| {
+                    let v = b.load_global(g);
+                    let k = b.const_int(3);
+                    let s = b.bin(BinOp::Add, v, k);
+                    b.store_global(g, s);
+                },
+            ),
+            (
+                "gfold",
+                |global| Instr::GlobalFold {
+                    op: BinOp::Add,
+                    global,
+                    src: Reg(0),
+                },
+                |b, g| {
+                    let v = b.load_global(g);
+                    let s = b.bin(BinOp::Add, v, b.param(0));
+                    b.store_global(g, s);
+                },
+            ),
+            (
+                "lstore",
+                |global| Instr::LockedStore {
+                    global,
+                    src: Reg(0),
+                },
+                |b, g| {
+                    b.lock(g);
+                    b.store_global(g, b.param(0));
+                    b.unlock(g);
+                },
+            ),
+        ];
+        for (name, fused, unfused) in forms {
+            for (init, missing) in [
+                (Value::Int(1), false),
+                (Value::bytes([1u8]), false),
+                (Value::Int(1), true),
+            ] {
+                let mut plain = Module::new();
+                let declared = plain.add_global("g", init.clone());
+                let g = if missing { G(7) } else { declared };
+                let mut b = FunctionBuilder::new("f", 1);
+                unfused(&mut b, g);
+                b.ret(None);
+                let f = plain.add_function(b.finish());
+                let mut twin = plain.clone();
+                twin.functions[f.index()].blocks[0].instrs = vec![fused(g)];
+                for fuel in 0..9u64 {
+                    let run = |m: &Module| {
+                        let mut env = BasicEnv::new(m);
+                        env.fuel = Some(fuel);
+                        let r = call(m, &mut env, f, &[Value::Int(2)]);
+                        (r, env.cost, env.fuel, env.globals, env.lock_depths)
+                    };
+                    assert_eq!(run(&plain), run(&twin), "{name} over {init}, fuel {fuel}");
+                }
+            }
+        }
     }
 
     #[test]

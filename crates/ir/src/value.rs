@@ -12,7 +12,7 @@ use std::sync::Arc;
 /// log — shares the same block. Byte buffers use copy-on-write semantics
 /// (see [`Value::bytes_mut`]) so a handler mutating a packet does not
 /// disturb other holders of the buffer.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub enum Value {
     /// The unit value, produced by instructions without a meaningful result.
     #[default]
@@ -27,7 +27,52 @@ pub enum Value {
     Str(Arc<str>),
 }
 
+impl Clone for Value {
+    fn clone(&self) -> Self {
+        match self {
+            Value::Unit => Value::Unit,
+            Value::Int(i) => Value::Int(*i),
+            Value::Bool(b) => Value::Bool(*b),
+            Value::Bytes(b) => Value::Bytes(Arc::clone(b)),
+            Value::Str(s) => Value::Str(Arc::clone(s)),
+        }
+    }
+
+    /// An integer or boolean lands in a slot that already holds one by
+    /// overwriting the payload alone; anything else is a clone assigned
+    /// over the slot (which drops what the slot held). This is how the
+    /// interpreter writes registers and globals (DESIGN.md §17, "The
+    /// dispatch loop").
+    #[inline(always)]
+    fn clone_from(&mut self, source: &Self) {
+        match source {
+            Value::Int(i) => self.set_int(*i),
+            Value::Bool(b) => self.set_bool(*b),
+            other => *self = other.clone(),
+        }
+    }
+}
+
 impl Value {
+    /// Makes this value `Int(v)`: the payload alone when it is an integer
+    /// already, a whole new value otherwise.
+    #[inline(always)]
+    pub(crate) fn set_int(&mut self, v: i64) {
+        match self {
+            Value::Int(slot) => *slot = v,
+            other => *other = Value::Int(v),
+        }
+    }
+
+    /// Makes this value `Bool(v)`, as [`Value::set_int`] does an integer.
+    #[inline(always)]
+    pub(crate) fn set_bool(&mut self, v: bool) {
+        match self {
+            Value::Bool(slot) => *slot = v,
+            other => *other = Value::Bool(v),
+        }
+    }
+
     /// Builds a byte-buffer value from existing bytes.
     ///
     /// What it costs depends on the input. `&[u8]` (and an array): one
