@@ -92,19 +92,6 @@ pub struct AdaptConfig {
     /// epochs. `0` samples every epoch (fastest shift detection); larger
     /// values trade a bounded detection latency for throughput.
     pub trace_sleep_epochs: u32,
-    /// Capacity of the per-session [`ChainCache`]: a workload oscillating
-    /// between phases it has already seen swaps the pre-built optimization
-    /// back in instead of re-running `optimize`. `0` disables caching.
-    pub chain_cache: usize,
-    /// Superinstruction fusion over freshly built super-handlers: `None`
-    /// disables; `Some(min_pair)` runs the `pdo-passes` fusion pass on
-    /// every function the optimizer appended, rewriting sequences whose
-    /// adjacent-pair evidence in the interpreter's sampled opcode profile
-    /// reaches `min_pair` (when no profile was sampled, every structural
-    /// match fuses). Enabling this also duty-cycles opcode profiling
-    /// alongside the tracer. Fused super-handlers install under the same
-    /// guards as the chains that carry them.
-    pub fuse_min_pair: Option<u64>,
 }
 
 impl Default for AdaptConfig {
@@ -115,8 +102,6 @@ impl Default for AdaptConfig {
             opts: OptimizeOptions::new(16),
             quarantine: QuarantineConfig::default(),
             trace_sleep_epochs: 0,
-            chain_cache: 8,
-            fuse_min_pair: Some(0),
         }
     }
 }
@@ -124,6 +109,11 @@ impl Default for AdaptConfig {
 /// Trace-window cap an attached engine installs on its runtime: bounds the
 /// records held between epochs.
 const TRACE_WINDOW: usize = 8192;
+
+/// Capacity of an engine's [`ChainCache`]: a workload oscillating between
+/// phases it has already seen swaps the pre-built optimization back in
+/// instead of re-running `optimize`.
+const CHAIN_CACHE_CAP: usize = 8;
 
 /// What [`optimize`] would build right now, named by everything it reads
 /// from the profile and the registry: the engine's decision, the
@@ -568,16 +558,10 @@ impl AdaptiveEngine {
     /// adapts with no further caller involvement. The engine handle stays
     /// shared so callers can read [`AdaptiveEngine::stats`].
     pub fn attach(engine: Rc<RefCell<Self>>, rt: &mut Runtime) {
-        let (epoch_ns, fusing) = {
-            let e = engine.borrow();
-            (e.config.epoch_ns, e.config.fuse_min_pair.is_some())
-        };
+        let epoch_ns = engine.borrow().config.epoch_ns;
         rt.set_trace_config(TraceConfig::full());
         rt.set_trace_window(Some(TRACE_WINDOW));
         rt.set_dispatch_accounting(true);
-        // Opcode profiling rides the same duty cycle as the tracer: on
-        // while sampling, off while asleep.
-        rt.set_opcode_profiling(fusing);
         rt.set_epoch_hook(epoch_ns, move |rt, _boundary| {
             engine.borrow_mut().on_epoch(rt);
         });
@@ -638,7 +622,7 @@ impl AdaptiveEngine {
             stats: snap.stats,
             sleep_remaining: snap.sleep_remaining,
             reprofile_wall_ns: Histogram::new(),
-            cache: ChainCache::new(config.chain_cache),
+            cache: ChainCache::new(CHAIN_CACHE_CAP),
             restored_quarantine: (!snap.quarantine.is_empty()).then_some(snap.quarantine),
         }
     }
@@ -656,7 +640,6 @@ impl AdaptiveEngine {
         Self::attach(Rc::clone(&engine), rt);
         if engine.borrow().sleep_remaining > 0 {
             rt.set_trace_config(TraceConfig::off());
-            rt.set_opcode_profiling(false);
         }
         engine
     }
@@ -763,7 +746,6 @@ impl AdaptiveEngine {
         if sampling {
             if self.config.trace_sleep_epochs > 0 && !rt.spec().is_empty() {
                 rt.set_trace_config(TraceConfig::off());
-                rt.set_opcode_profiling(false);
                 self.sleep_remaining = self.config.trace_sleep_epochs;
             }
         } else {
@@ -777,9 +759,6 @@ impl AdaptiveEngine {
             self.sleep_remaining -= 1;
             if self.sleep_remaining == 0 {
                 rt.set_trace_config(TraceConfig::full());
-                if self.config.fuse_min_pair.is_some() {
-                    rt.set_opcode_profiling(true);
-                }
             }
         }
     }
@@ -861,15 +840,13 @@ impl AdaptiveEngine {
             return;
         }
 
-        let mut fused: Vec<pdo_passes::FusionRecord> = Vec::new();
+        let mut fused = Vec::new();
         let (built, cache) = match self.cache.lookup(&wanted) {
             Some(hit) => (hit, "hit"),
             None => {
                 let profile = self.builder.snapshot(threshold);
                 let mut opt = optimize(&self.base, rt.registry(), &profile, &self.config.opts);
-                // Fusion happens before the cache insert, so a later hit
-                // replays the already-fused optimization.
-                fused = self.fuse_super_handlers(rt, &mut opt);
+                fused = std::mem::take(&mut opt.report.fused);
                 let built = Deployable::from(opt);
                 self.cache.insert(wanted.clone(), &built);
                 (built, "miss")
@@ -878,8 +855,8 @@ impl AdaptiveEngine {
         let chains = built.chains.len();
         let redeploy = || evidence(&format!("redeploy cache={cache} chains={chains}"));
         let because = |what: &str| format!("{what}; {}", redeploy());
-        // Fusion: which sequences fused where, with the pair-frequency
-        // evidence that justified each rewrite.
+        // Fusion: which sequences `optimize` fused where (a cache hit
+        // replays an optimization whose sites were audited at its miss).
         for r in &fused {
             audit(
                 rt,
@@ -887,13 +864,12 @@ impl AdaptiveEngine {
                     func: r.func.0,
                     pattern: r.pattern,
                     sites: u32::try_from(r.sites).unwrap_or(u32::MAX),
-                    evidence: r.evidence,
                 }),
                 Some((None, AuditAction::Install)),
                 || {
                     because(&format!(
-                        "superinstruction fusion: func={} pattern={} sites={} pair_evidence={}",
-                        r.func.0, r.pattern, r.sites, r.evidence
+                        "superinstruction fusion: func={} pattern={} sites={}",
+                        r.func.0, r.pattern, r.sites
                     ))
                 },
             );
@@ -989,39 +965,6 @@ impl AdaptiveEngine {
         }
         self.deployed = Some(wanted);
         self.note_reprofile(rt, started, chains, redeploy);
-    }
-
-    /// Fuses hot instruction sequences in the freshly built super-handlers
-    /// (functions the optimizer appended past the base module), guided by
-    /// the opcode/pair profile the interpreter sampled since the last
-    /// reprofile. Base functions are never rewritten — the hot-swap
-    /// contract only appends — so the fused module installs under the
-    /// same guards as the chains that reference it.
-    fn fuse_super_handlers(
-        &self,
-        rt: &mut Runtime,
-        opt: &mut crate::Optimization,
-    ) -> Vec<pdo_passes::FusionRecord> {
-        let Some(min_pair) = self.config.fuse_min_pair else {
-            return Vec::new();
-        };
-        // Taking the profile zeroes it, so each reprofile interval fuses
-        // on evidence from its own sampled windows only.
-        let profile = rt.take_opcode_profile();
-        let mut records = Vec::new();
-        for idx in self.base.functions.len()..opt.module.functions.len() {
-            pdo_passes::fuse_function(
-                &mut opt.module.functions[idx],
-                pdo_ir::FuncId::from_index(idx),
-                profile.as_ref(),
-                min_pair,
-                &mut records,
-            );
-        }
-        if !records.is_empty() {
-            debug_assert_eq!(pdo_ir::verify_module(&opt.module), Ok(()));
-        }
-        records
     }
 
     /// Closes out one re-profile pass: wall-clock duration into the
@@ -1223,9 +1166,17 @@ mod tests {
         let mut rt = Runtime::new(m.clone());
         bind_all(&mut rt, &m, a, b);
         let hub = rt.enable_observability();
-        let _engine = AdaptiveEngine::attach_new(&mut rt, config());
+        let engine = AdaptiveEngine::attach_new(&mut rt, config());
         drive(&mut rt, a, 60);
         assert!(rt.spec().get(a).is_some(), "hot chain installed");
+        // What the engine deploys is `optimize`'s own output for the same
+        // plan, with nothing done to it afterwards.
+        let (plan, built) = opt_for(&rt, &m, a);
+        assert_eq!(engine.borrow().deployed.as_ref(), Some(&plan));
+        assert_eq!(
+            pdo_ir::display::print_module(rt.module()),
+            pdo_ir::display::print_module(&built.module)
+        );
         // The installed super-handler (appended past the base module) must
         // carry superinstructions; base functions stay untouched.
         let base_fns = m.functions.len();
@@ -1237,7 +1188,7 @@ mod tests {
             "online reprofile should fuse the super-handler"
         );
         assert_eq!(rt.module().functions[..base_fns], m.functions[..]);
-        // The flight record names the fused pattern with its evidence.
+        // The flight record names the fused pattern.
         assert!(
             hub.tail(4096)
                 .iter()
@@ -1250,28 +1201,25 @@ mod tests {
     }
 
     #[test]
-    fn fusion_disabled_leaves_super_handlers_unfused() {
+    fn engine_leaves_opcode_profiling_to_the_caller() {
+        let opcode_series = |rt: &Runtime| {
+            let mut snap = MetricsSnapshot::new();
+            rt.export_metrics(&mut snap, &[]);
+            snap.render().contains("pdo_interp_opcode_total")
+        };
         let (m, [a, b], [ga, _]) = two_chain_module();
         let mut rt = Runtime::new(m.clone());
         bind_all(&mut rt, &m, a, b);
-        let _engine = AdaptiveEngine::attach_new(
-            &mut rt,
-            AdaptConfig {
-                fuse_min_pair: None,
-                ..config()
-            },
-        );
+        let _engine = AdaptiveEngine::attach_new(&mut rt, config());
         drive(&mut rt, a, 60);
         assert!(rt.spec().get(a).is_some());
-        assert!(
-            !rt.module().functions.iter().any(|f| f
-                .blocks
-                .iter()
-                .any(|b| b.instrs.iter().any(|i| i.opcode().is_fused()))),
-            "fuse_min_pair: None must disable fusion"
-        );
-        assert!(!rt.opcode_profiling(), "profiling stays off when disabled");
+        assert!(!rt.opcode_profiling(), "the engine never switches it on");
+        assert!(!opcode_series(&rt));
+        // The instrument still works for a caller who asks for it.
+        rt.set_opcode_profiling(true);
         drive(&mut rt, a, 10);
+        assert!(opcode_series(&rt));
+        assert!(rt.opcode_profile_data().is_some_and(|p| p.total() > 0));
         assert_eq!(rt.global(ga), &Value::Int(70 * 3));
     }
 

@@ -21,7 +21,8 @@
 //!
 //! — followed by the **compiler optimizations** of §3.2.2 (inlining,
 //! constant propagation, CSE, DCE, lock coalescing, redundant-load
-//! elimination) from `pdo-passes`, applied only to the new super-handlers.
+//! elimination) from `pdo-passes`, applied only to the new super-handlers,
+//! whose straight-line sequences are then fused into superinstructions.
 //!
 //! ```
 //! use pdo_ir::{Module, FunctionBuilder, BinOp, Value, RaiseMode};
@@ -117,7 +118,8 @@ pub struct OptimizeOptions {
     pub speculative: bool,
     /// Inline merged handler bodies into the super-handler. Default on.
     pub inline: bool,
-    /// Run the §3.2.2 compiler passes on super-handlers. Default on.
+    /// Run the §3.2.2 compiler passes on super-handlers, and fuse the
+    /// finished bodies into superinstructions. Default on.
     pub compiler_passes: bool,
     /// Emit a `__pdo_fuel_boundary` marker before each merged handler
     /// segment so [`pdo_events::FaultKind::ExhaustFuel`] trips at the same
@@ -207,6 +209,9 @@ pub fn optimize(
 
     for event in candidates(&profile.event_graph, &profile.handler_graph, opts) {
         builder.build(event);
+    }
+    if opts.compiler_passes {
+        builder.fuse(module.functions.len());
     }
 
     let chains = builder.chains();
@@ -423,6 +428,27 @@ impl Builder<'_> {
             optimize_single_function(&mut self.out, func, inline);
         } else if let Some(th) = inline {
             pdo_passes::inline::inline_into(&mut self.out, func.index(), th);
+        }
+    }
+
+    /// Rewrites the straight-line sequences of every function appended past
+    /// the first `base_functions` into superinstructions, and re-counts the
+    /// per-event reports on the fused bodies. Runs once, after the last
+    /// super-handler is built: inlining splices child super-handlers into
+    /// their parents, and the cleanup passes match unfused code.
+    fn fuse(&mut self, base_functions: usize) {
+        for idx in base_functions..self.out.functions.len() {
+            pdo_passes::fuse_function(
+                &mut self.out.functions[idx],
+                FuncId::from_index(idx),
+                None,
+                0,
+                &mut self.report.fused,
+            );
+        }
+        debug_assert_eq!(pdo_ir::verify_module(&self.out), Ok(()));
+        for e in &mut self.report.events {
+            e.instrs_optimized = self.out.function(e.func).instr_count();
         }
     }
 
@@ -711,6 +737,28 @@ mod tests {
         assert!(opt.report.code_growth_percent() > 0.0);
         assert_eq!(opt.report.module_instrs_before, m.instr_count());
         assert_eq!(opt.report.module_instrs_after, opt.module.instr_count());
+    }
+
+    #[test]
+    fn report_counts_events_and_module_on_the_same_fused_bodies() {
+        let (m, sfu, s2n, h_sfu, h_s2n) = chain_module();
+        let mut rt = setup_runtime(&m, sfu, s2n, &h_sfu, &h_s2n).unwrap();
+        let profile = profile_run(&mut rt, sfu, 100);
+        let opt = optimize(&m, rt.registry(), &profile, &OptimizeOptions::new(50));
+        let report = &opt.report;
+        assert!(!report.fused.is_empty(), "{}", report.render(&opt.module));
+        for e in &report.events {
+            assert_eq!(
+                e.instrs_optimized,
+                opt.module.function(e.func).instr_count()
+            );
+        }
+        // Every appended function is one event's super-handler.
+        let appended: usize = report.events.iter().map(|e| e.instrs_optimized).sum();
+        assert_eq!(
+            report.module_instrs_after,
+            report.module_instrs_before + appended
+        );
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 use crate::merge::MergeSkip;
 use pdo_ir::{EventId, FuncId, Module};
+use pdo_passes::FusionRecord;
 use std::fmt;
 
 /// Per-event outcome.
@@ -18,7 +19,8 @@ pub struct EventReport {
     pub subsumed_raises: usize,
     /// Instruction count of the original handler bodies (summed).
     pub instrs_original: usize,
-    /// Instruction count of the optimized super-handler.
+    /// Instruction count of the optimized super-handler as it is installed
+    /// (a superinstruction counts once).
     pub instrs_optimized: usize,
 }
 
@@ -29,6 +31,8 @@ pub struct OptReport {
     pub events: Vec<EventReport>,
     /// Events skipped, with reasons (as display strings for serialization).
     pub skipped: Vec<(EventId, String)>,
+    /// Superinstruction sites per super-handler and pattern.
+    pub fused: Vec<FusionRecord>,
     /// Module instruction count before optimization.
     pub module_instrs_before: usize,
     /// Module instruction count after (original + super-handlers).

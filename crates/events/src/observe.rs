@@ -12,7 +12,7 @@
 //! | [`RuntimeStats`]             | always; generic/nested counts only under dispatch accounting |
 //! | [`ObsHub`] records + histograms | a hub is attached                    |
 //! | [`TraceStore`] spans         | a store is attached *and* enabled       |
-//! | [`OpcodeProfile`]            | opcode sampling is on                   |
+//! | [`OpcodeProfile`]            | opcode profiling is on                  |
 //!
 //! It is a plain struct with inlined fan-out — no trait object, no
 //! subscriber list, no allocation per event — and it charges no
@@ -54,12 +54,9 @@ pub(crate) struct Observers {
     /// Trace context of a just-popped queue/timer entry, consumed by the
     /// next dispatch.
     queued_tctx: Option<(QueuedTrace, DispatchSrc)>,
-    /// `None` until profiling is first enabled; retained (counts intact)
-    /// while sampling is paused so duty-cycled windows accumulate into
-    /// one profile.
+    /// `Some` while opcode profiling is on: what the interpreter records
+    /// into.
     pub(crate) opcode_prof: Option<Box<OpcodeProfile>>,
-    /// Whether the interpreter records into `opcode_prof` right now.
-    pub(crate) opcode_sampling: bool,
 }
 
 /// What [`Observers::dispatch_begin`] hands to [`Observers::dispatch_end`].
@@ -438,14 +435,14 @@ impl Observers {
                 labels.extend_from_slice(extra);
                 snap.counter(
                     "pdo_interp_opcode_total",
-                    "Interpreter instructions executed per opcode (sampled windows)",
+                    "Interpreter instructions executed per opcode (while opcode profiling is on)",
                     &labels,
                     n,
                 );
             }
             snap.counter(
                 "pdo_interp_fused_total",
-                "Interpreter superinstructions executed (sampled windows)",
+                "Interpreter superinstructions executed (while opcode profiling is on)",
                 extra,
                 prof.fused_total(),
             );

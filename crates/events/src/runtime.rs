@@ -591,31 +591,30 @@ impl Runtime {
         self.sinks.tracer.as_ref()
     }
 
-    /// Turns interpreter opcode/pair profiling on or off. Off by default.
-    /// Turning it off pauses sampling without discarding accumulated
-    /// counts, so the adaptive engine can duty-cycle profiling alongside
-    /// its trace windows and still aggregate one profile per reprofile
-    /// interval.
+    /// Turns interpreter opcode/pair profiling on or off. Off by default:
+    /// an instrument for studying the interpreter, which nothing in the
+    /// product switches on. Turning it off discards the counts; turning it
+    /// on while it is on keeps them.
     pub fn set_opcode_profiling(&mut self, on: bool) {
-        if on && self.sinks.opcode_prof.is_none() {
+        if !on {
+            self.sinks.opcode_prof = None;
+        } else if self.sinks.opcode_prof.is_none() {
             self.sinks.opcode_prof = Some(Box::new(OpcodeProfile::new()));
         }
-        self.sinks.opcode_sampling = on;
     }
 
-    /// Whether the interpreter is currently recording opcode frequencies.
+    /// Whether the interpreter is recording opcode frequencies.
     pub fn opcode_profiling(&self) -> bool {
-        self.sinks.opcode_sampling
+        self.sinks.opcode_prof.is_some()
     }
 
-    /// The accumulated opcode profile, if profiling was ever enabled.
+    /// The accumulated opcode profile, while profiling is on.
     pub fn opcode_profile_data(&self) -> Option<&OpcodeProfile> {
         self.sinks.opcode_prof.as_deref()
     }
 
-    /// Takes the accumulated opcode profile, leaving a zeroed one behind
-    /// (sampling state unchanged). Returns `None` when profiling was never
-    /// enabled.
+    /// Takes the accumulated opcode profile, leaving a zeroed one behind.
+    /// Returns `None` when profiling is off.
     pub fn take_opcode_profile(&mut self) -> Option<OpcodeProfile> {
         self.sinks.opcode_prof.as_deref_mut().map(|p| {
             let taken = p.clone();
@@ -1354,11 +1353,7 @@ impl Env for Runtime {
 
     #[inline]
     fn opcode_profile(&mut self) -> Option<&mut OpcodeProfile> {
-        if self.sinks.opcode_sampling {
-            self.sinks.opcode_prof.as_deref_mut()
-        } else {
-            None
-        }
+        self.sinks.opcode_prof.as_deref_mut()
     }
 }
 

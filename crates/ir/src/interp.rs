@@ -257,8 +257,7 @@ pub fn call<E: Env + ?Sized>(
     // Whether opcodes are recorded is decided here, once, for the whole
     // activation. Nothing that runs inside one can change the answer on the
     // event runtime: `Runtime::set_opcode_profiling` needs `&mut Runtime`,
-    // which the activation holds until it returns (the adaptive engine flips
-    // it from the epoch hook, between dispatches).
+    // which the activation holds until it returns.
     if env.opcode_profile().is_some() {
         run::<E, true>(module, env, f, frame, 0)
     } else {

@@ -112,9 +112,8 @@ pub enum ObsKind {
         /// Which limit fired: `"permits"`, `"queue"`, or `"quiesced"`.
         reason: &'static str,
     },
-    /// The fusion pass rewrote hot instruction sequences in a function
-    /// into a superinstruction — the flight record of which pattern fired
-    /// where, with the frequency evidence that justified it.
+    /// The optimizer rewrote instruction sequences of a super-handler into
+    /// a superinstruction — the flight record of which pattern fired where.
     SequenceFused {
         /// Raw function id of the rewritten function.
         func: u32,
@@ -122,9 +121,6 @@ pub enum ObsKind {
         pattern: &'static str,
         /// Sites rewritten to this pattern in this function.
         sites: u32,
-        /// Minimum adjacent-pair frequency along the sequence (0 when
-        /// fusion ran unconditionally).
-        evidence: u64,
     },
 }
 
@@ -168,11 +164,7 @@ impl fmt::Display for ObsKind {
                 func,
                 pattern,
                 sites,
-                evidence,
-            } => write!(
-                f,
-                "sequence-fused f{func} pattern={pattern} sites={sites} evidence={evidence}"
-            ),
+            } => write!(f, "sequence-fused f{func} pattern={pattern} sites={sites}"),
         }
     }
 }

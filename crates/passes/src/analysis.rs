@@ -75,17 +75,19 @@ pub fn liveness(f: &Function) -> Liveness {
     let mut live_out = vec![RegSet::new(f.reg_count); n];
     let preds = f.predecessors();
 
+    // One scratch set for the backward transfer: `dce` solves this on every
+    // pipeline iteration, so a visit allocates nothing.
+    let mut live = RegSet::new(f.reg_count);
     let mut work: VecDeque<usize> = (0..n).collect();
     while let Some(b) = work.pop_front() {
-        // live_out[b] = union of live_in of successors.
-        let mut out = RegSet::new(f.reg_count);
+        // live_out[b] = union of live_in of successors. The sets only grow,
+        // so the union lands on what the previous visit left there.
         f.blocks[b].term.for_each_successor(|s| {
-            out.union_with(&live_in[s.index()]);
+            live_out[b].union_with(&live_in[s.index()]);
         });
-        live_out[b] = out;
 
         // Transfer backwards through the block.
-        let mut live = live_out[b].clone();
+        live.bits.copy_from_slice(&live_out[b].bits);
         term_uses(&f.blocks[b].term, |r| {
             live.insert(r);
         });
@@ -98,7 +100,7 @@ pub fn liveness(f: &Function) -> Liveness {
             });
         }
         if live != live_in[b] {
-            live_in[b] = live;
+            std::mem::swap(&mut live_in[b], &mut live);
             for &p in &preds[b] {
                 if !work.contains(&p.index()) {
                     work.push_back(p.index());

@@ -1,11 +1,7 @@
-//! Profile-directed superinstruction fusion.
+//! Superinstruction fusion.
 //!
-//! The paper's loop — measure, then specialize what the measurement says is
-//! hot — applied to the execution engine itself: the interpreter records
-//! per-opcode and adjacent-pair frequencies ([`OpcodeProfile`]), and this
-//! pass rewrites the hottest straight-line sequences into the fused
-//! [`Instr`] superinstruction forms the interpreter dispatches in one
-//! `match` arm:
+//! Rewrites straight-line sequences into the fused [`Instr`]
+//! superinstruction forms the interpreter dispatches in one `match` arm:
 //!
 //! * `Const`+`Bin`                                  → [`Instr::BinImm`]
 //! * `LoadGlobal`+`Bin`+`StoreGlobal`               → [`Instr::GlobalFold`]
@@ -19,14 +15,18 @@
 //! sequence defines is dead afterwards (checked against block liveness), so
 //! register state after the fused form matches the unfused run wherever it
 //! can still be observed.
+//!
+//! `pdo::optimize` is the one product caller: it fuses every super-handler
+//! it has finished building, unconditionally. The `profile` / `min_pair`
+//! gate (rewrite only sequences whose adjacent opcode pairs an
+//! [`OpcodeProfile`] saw that often) is for studying the interpreter
+//! offline.
 
 use crate::analysis::{liveness, RegSet};
-use crate::Pass;
 use pdo_ir::cost::OpcodeProfile;
 use pdo_ir::{BinOp, Block, FuncId, Function, Instr, Module, Reg, Terminator};
 
-/// Evidence for one fusion decision, aggregated per function and pattern:
-/// the flight record exported through `pdo-obs` when fusion runs online.
+/// The sites fused in one function to one pattern.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FusionRecord {
     /// Function that was rewritten.
@@ -37,50 +37,8 @@ pub struct FusionRecord {
     pub sites: u64,
     /// The strongest frequency evidence among those sites: the minimum
     /// adjacent-pair count along the fused sequence, maximized over sites.
-    /// Zero when fusion ran unconditionally (no profile).
+    /// Zero when fusion ran without a profile.
     pub evidence: u64,
-}
-
-/// The fusion pass. Construct with [`Fuse::with_profile`] to gate rewrites
-/// on measured pair frequencies, or [`Fuse::unconditional`] to fuse every
-/// matching sequence (tests, offline experiments).
-///
-/// Not part of [`crate::PassManager::standard`]: fusion is applied by the
-/// adaptive engine's reprofile path, after the standard pipeline, to
-/// super-handlers it is about to install.
-#[derive(Debug, Clone, Default)]
-pub struct Fuse {
-    profile: Option<OpcodeProfile>,
-    min_pair: u64,
-}
-
-impl Fuse {
-    /// Fuses every matching sequence regardless of frequency.
-    pub fn unconditional() -> Self {
-        Fuse {
-            profile: None,
-            min_pair: 0,
-        }
-    }
-
-    /// Fuses only sequences whose every adjacent opcode pair was observed at
-    /// least `min_pair` times in `profile`.
-    pub fn with_profile(profile: OpcodeProfile, min_pair: u64) -> Self {
-        Fuse {
-            profile: Some(profile),
-            min_pair,
-        }
-    }
-}
-
-impl Pass for Fuse {
-    fn name(&self) -> &'static str {
-        "fuse"
-    }
-
-    fn run(&self, module: &mut Module) -> bool {
-        !fuse_module(module, self.profile.as_ref(), self.min_pair).is_empty()
-    }
 }
 
 /// Fuses every function in `module`; returns the per-function flight

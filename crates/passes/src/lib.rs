@@ -64,7 +64,7 @@ pub use constfold::ConstFold;
 pub use copyprop::CopyProp;
 pub use cse::Cse;
 pub use dce::Dce;
-pub use fuse::{fuse_function, fuse_module, Fuse, FusionRecord};
+pub use fuse::{fuse_function, fuse_module, FusionRecord};
 pub use inline::Inline;
 pub use locks::{LockCoalesce, RedundantLoadElim};
 

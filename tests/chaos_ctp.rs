@@ -77,6 +77,10 @@ fn optimized(program: &EventProgram, subsume: bool) -> Optimization {
     opts.fuel_boundaries = true;
     let opt = optimize(&program.module, e.runtime().registry(), &profile, &opts);
     assert!(!opt.chains.is_empty(), "CTP must produce compiled chains");
+    assert!(
+        !opt.report.fused.is_empty(),
+        "the static chains must run fused code"
+    );
     opt
 }
 

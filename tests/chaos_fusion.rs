@@ -19,10 +19,11 @@
 //! corruption drives mid-sequence eval faults through the batched-charge
 //! refund path the same way.
 //!
-//! A second test covers the adaptive stack: a *fused chain* (super-handler
-//! rewritten by the fusion pass, as `AdaptiveEngine::reprofile` does) that
-//! traps under `FaultPolicy::Despecialize` must be torn down while the
-//! session's behavior stays identical to the never-optimized reference.
+//! A second test covers the chains `pdo::optimize` builds: it fuses every
+//! super-handler it finishes, with all five patterns on this workload, and
+//! such a *fused chain* that traps under `FaultPolicy::Despecialize` must
+//! be torn down while the session's behavior stays identical to the
+//! never-optimized reference.
 
 #[path = "common/oracle.rs"]
 mod oracle;
@@ -79,13 +80,15 @@ fn pipeline() -> Pipeline {
     b.ret(None);
     let h_bump = m.add_function(b.finish());
 
-    // Tick order 10: staged = arg * 2 + 1 — two `bin.i` fusions — then the
-    // nested sync chain.
+    // Tick order 10: staged = arg * 2 + 3 — two `bin.i` fusions — then the
+    // nested sync chain. (Not `+ 1`: merged into one body with the bump,
+    // CSE would share the bump's constant and keep it live past the
+    // locked sequence, which then could not fuse.)
     let mut b = FunctionBuilder::new("tick_stage", 1);
     let two = b.const_int(2);
     let d = b.bin(BinOp::Mul, b.param(0), two);
-    let one = b.const_int(1);
-    let st = b.bin(BinOp::Add, d, one);
+    let three = b.const_int(3);
+    let st = b.bin(BinOp::Add, d, three);
     b.store_global(g_staged, st);
     b.raise(digest, RaiseMode::Sync, &[]);
     b.ret(None);
@@ -197,10 +200,9 @@ fn run(
     (observed, rt)
 }
 
-/// Profiles the happy path, optimizes, and fuses the appended
-/// super-handlers — the same rewrite `AdaptiveEngine::reprofile` applies
-/// online — asserting the chain bodies genuinely contain superinstructions.
-fn fused_chains(p: &Pipeline) -> Optimization {
+/// Profiles the happy path and optimizes it, with or without the compiler
+/// passes (and the fusion that closes them).
+fn optimized(p: &Pipeline, compiler_passes: bool) -> Optimization {
     let (_, mut rt) = run(p, &p.module, None, FaultPolicy::Abort, &[]);
     rt.set_trace_config(TraceConfig::full());
     for i in 0..TICKS {
@@ -213,27 +215,51 @@ fn fused_chains(p: &Pipeline) -> Optimization {
     // Boundary markers make ExhaustFuel trip at the same program points in
     // merged code as in generic dispatch.
     opts.fuel_boundaries = true;
-    let mut opt = optimize(&p.module, rt.registry(), &profile, &opts);
+    opts.compiler_passes = compiler_passes;
+    let opt = optimize(&p.module, rt.registry(), &profile, &opts);
     assert!(
         !opt.chains.is_empty(),
         "the pipeline must produce at least one compiled chain"
     );
-    let mut records = Vec::new();
-    for idx in p.module.functions.len()..opt.module.functions.len() {
-        pdo_passes::fuse_function(
-            &mut opt.module.functions[idx],
-            FuncId::from_index(idx),
-            None,
-            0,
-            &mut records,
+    opt
+}
+
+/// The pipeline's chains as `optimize` builds them, asserting the chain
+/// bodies genuinely contain superinstructions.
+fn fused_chains(p: &Pipeline) -> Optimization {
+    let opt = optimized(p, true);
+    assert!(
+        !opt.report.fused.is_empty(),
+        "the super-handlers must contain fused sequences"
+    );
+    opt
+}
+
+fn has_fused_instr(f: &pdo_ir::Function) -> bool {
+    f.blocks
+        .iter()
+        .any(|b| b.instrs.iter().any(|i| i.opcode().is_fused()))
+}
+
+#[test]
+fn optimize_fuses_all_five_patterns_into_super_handlers_only() {
+    let p = pipeline();
+    let base = p.module.functions.len();
+    let opt = fused_chains(&p);
+    for pattern in ["lfold.i", "gfold.i", "gfold", "lstore", "bin.i"] {
+        assert!(
+            opt.report.fused.iter().any(|r| r.pattern == pattern),
+            "`optimize` must fuse `{pattern}`; got {:?}",
+            opt.report.fused
         );
     }
-    assert!(
-        !records.is_empty(),
-        "the appended super-handlers must contain fusable sequences"
-    );
-    pdo_ir::verify_module(&opt.module).expect("fused chains must verify");
-    opt
+    assert!(opt.report.fused.iter().all(|r| r.func.index() >= base));
+    assert_eq!(opt.module.functions[..base], p.module.functions[..]);
+    assert!(opt.module.functions[base..].iter().any(has_fused_instr));
+
+    let unfused = optimized(&p, false);
+    assert!(unfused.report.fused.is_empty());
+    assert!(!unfused.module.functions.iter().any(has_fused_instr));
 }
 
 /// The capstone property: for any seeded fault plan and either

@@ -69,6 +69,10 @@ fn optimized(program: &EventProgram, keys: &Keys, subsume: bool) -> Optimization
         !opt.chains.is_empty(),
         "SecComm must produce compiled chains"
     );
+    assert!(
+        !opt.report.fused.is_empty(),
+        "the static chains must run fused code"
+    );
     opt
 }
 
