@@ -176,7 +176,7 @@ fn kernel_rounds(a_mod: &Module, b_mod: &Module) -> (Side, Side) {
 
 /// A generic-dispatch runtime for the sampling overhead check: one event
 /// fanned out to six short handlers, the registry-walk-plus-small-body
-/// shape users actually pay during sampled epochs (same mix as
+/// shape a caller pays who switches opcode recording on (same mix as
 /// `BENCH_dispatch.json`'s workload, where dispatch overhead and handler
 /// work are both on the clock).
 fn dispatch_runtime(profiling: bool) -> (Runtime, EventId) {

@@ -27,17 +27,11 @@
 //!    module** — hot-swapping the module and installing the new chains;
 //! 4. decays the accumulated profile, so hotness observed `k` epochs ago
 //!    weighs `1/2^k`: a workload shift from chain A to chain B ends with
-//!    B specialized and A despecialized;
-//! 5. optionally duty-cycles the tracer
-//!    ([`AdaptConfig::trace_sleep_epochs`]): once chains are deployed,
-//!    instrumentation switches off between one-epoch sampling windows.
-//!    While asleep, per-event generic-dispatch counters (a single map
-//!    update on the slow path only — fast-path dispatches are by
-//!    definition already specialized) keep the event graph current and
-//!    wake the tracer early when an unspecialized event goes hot, so
-//!    steady-state profiling overhead is zero between samples yet a
-//!    workload shift is still caught within a couple of epochs. Healing
-//!    (stats-based) keeps running every epoch regardless.
+//!    B specialized and A despecialized.
+//!
+//! The trace window of step 1 is the profile's one source: the tracer is
+//! on for as long as the engine is attached, and which lane a dispatch
+//! took changes nothing the profile says about the program.
 //!
 //! The decision in step 3 is a function of the profile and the registry
 //! alone, never of the previous decision, which is what makes it settle.
@@ -84,14 +78,6 @@ pub struct AdaptConfig {
     pub opts: OptimizeOptions,
     /// Quarantine/backoff policy for the embedded [`SelfHealer`].
     pub quarantine: QuarantineConfig,
-    /// Trace duty cycle: once chains are deployed, instrumentation sleeps
-    /// this many epochs between one-epoch sampling windows, with per-event
-    /// generic-dispatch counters standing in as the (tracing-free) hotness
-    /// signal and demand-wake trigger while asleep. Steady-state tracing
-    /// cost between samples is zero, and re-profiles only run on sampled
-    /// epochs. `0` samples every epoch (fastest shift detection); larger
-    /// values trade a bounded detection latency for throughput.
-    pub trace_sleep_epochs: u32,
 }
 
 impl Default for AdaptConfig {
@@ -101,7 +87,6 @@ impl Default for AdaptConfig {
             min_fresh_events: 64,
             opts: OptimizeOptions::new(16),
             quarantine: QuarantineConfig::default(),
-            trace_sleep_epochs: 0,
         }
     }
 }
@@ -329,11 +314,8 @@ impl ChainCache {
 /// Observable counters of one session's adaptation loop.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdaptStats {
-    /// Epoch boundaries processed.
+    /// Epoch boundaries processed; each folded one trace window.
     pub epochs: u64,
-    /// Epochs whose span ran with full handler instrumentation (equals
-    /// `epochs` unless a trace duty cycle is configured).
-    pub sampled_epochs: u64,
     /// Re-profile passes run: the plan was worked out and compared with
     /// the deployed one. Most find it deployed already; those that do not
     /// redeploy, and each redeploy is one cache hit or one cache miss.
@@ -358,7 +340,6 @@ pub struct AdaptStats {
 
 pdo_snap::codec_struct!(AdaptStats {
     epochs,
-    sampled_epochs,
     reprofiles,
     chains_installed,
     chains_dropped,
@@ -376,7 +357,6 @@ impl AdaptStats {
     pub fn absorb(&mut self, other: &AdaptStats) {
         let AdaptStats {
             epochs,
-            sampled_epochs,
             reprofiles,
             chains_installed,
             chains_dropped,
@@ -387,7 +367,6 @@ impl AdaptStats {
             cache_invalidations,
         } = other;
         self.epochs += epochs;
-        self.sampled_epochs += sampled_epochs;
         self.reprofiles += reprofiles;
         self.chains_installed += chains_installed;
         self.chains_dropped += chains_dropped;
@@ -403,8 +382,7 @@ impl AdaptStats {
 /// boundary (when the trace window and stats delta have just been
 /// drained, so nothing in-flight is lost). A restored engine *resumes*
 /// specialization: the decaying profile accumulators, the cumulative
-/// adaptation counters, the trace duty-cycle position, and every
-/// quarantine strike/backoff carry over.
+/// adaptation counters, and every quarantine strike/backoff carry over.
 ///
 /// Deliberately **not** captured — each is rebuilt deterministically or
 /// is diagnostic-only: compiled chains (the next re-profile rebuilds them
@@ -417,8 +395,6 @@ pub struct EngineSnapshot {
     pub profile: BuilderState,
     /// Cumulative adaptation counters (cache counters folded in).
     pub stats: AdaptStats,
-    /// Trace duty-cycle position (epochs left asleep; 0 = sampling).
-    pub sleep_remaining: u32,
     /// Per-event quarantine entries in id order.
     pub quarantine: Vec<(EventId, QuarantineEntry)>,
 }
@@ -426,7 +402,6 @@ pub struct EngineSnapshot {
 pdo_snap::codec_struct!(EngineSnapshot {
     profile,
     stats,
-    sleep_remaining,
     quarantine,
 });
 
@@ -528,9 +503,6 @@ pub struct AdaptiveEngine {
     /// The last audited answer per hot-but-generic event.
     why_not: BTreeMap<EventId, WhyNot>,
     stats: AdaptStats,
-    /// Epochs left before the trace duty cycle re-enables instrumentation
-    /// (0 = currently sampling).
-    sleep_remaining: u32,
     /// Wall-clock duration of each re-profile pass. Wall time — not
     /// virtual time — because the pass is daemon work the workload never
     /// sees on the virtual clock; consequently the histogram is
@@ -561,7 +533,6 @@ impl AdaptiveEngine {
         let epoch_ns = engine.borrow().config.epoch_ns;
         rt.set_trace_config(TraceConfig::full());
         rt.set_trace_window(Some(TRACE_WINDOW));
-        rt.set_dispatch_accounting(true);
         rt.set_epoch_hook(epoch_ns, move |rt, _boundary| {
             engine.borrow_mut().on_epoch(rt);
         });
@@ -584,7 +555,6 @@ impl AdaptiveEngine {
         EngineSnapshot {
             profile: self.builder.export_state(),
             stats: self.stats(),
-            sleep_remaining: self.sleep_remaining,
             quarantine: match &self.healer {
                 Some(h) => h.quarantine().export_entries(),
                 None => self.restored_quarantine.clone().unwrap_or_default(),
@@ -592,9 +562,9 @@ impl AdaptiveEngine {
         }
     }
 
-    /// Rebuilds an engine from a snapshot: profile accumulators, counters,
-    /// duty-cycle position, and quarantine entries resume; chains and the
-    /// cache rebuild at the next re-profile. The image is outside input:
+    /// Rebuilds an engine from a snapshot: profile accumulators, counters
+    /// and quarantine entries resume; chains and the cache rebuild at the
+    /// next re-profile. The image is outside input:
     /// observations naming a function `base` does not have (the
     /// `__super_*` ids images written before the profile stopped recording
     /// them can hold, or anything a hostile one invents) are dropped, as
@@ -620,16 +590,13 @@ impl AdaptiveEngine {
             deployed: None,
             why_not: BTreeMap::new(),
             stats: snap.stats,
-            sleep_remaining: snap.sleep_remaining,
             reprofile_wall_ns: Histogram::new(),
             cache: ChainCache::new(CHAIN_CACHE_CAP),
             restored_quarantine: (!snap.quarantine.is_empty()).then_some(snap.quarantine),
         }
     }
 
-    /// Rebuilds an engine from `snap` and attaches it to `rt`, honoring a
-    /// mid-sleep trace duty cycle (the tracer stays off until the carried
-    /// sleep count runs out).
+    /// Rebuilds an engine from `snap` and attaches it to `rt`.
     pub fn attach_restored(
         rt: &mut Runtime,
         base: impl Into<Arc<Module>>,
@@ -638,9 +605,6 @@ impl AdaptiveEngine {
     ) -> Rc<RefCell<Self>> {
         let engine = Rc::new(RefCell::new(Self::from_snapshot(base, config, snap)));
         Self::attach(Rc::clone(&engine), rt);
-        if engine.borrow().sleep_remaining > 0 {
-            rt.set_trace_config(TraceConfig::off());
-        }
         engine
     }
 
@@ -681,13 +645,9 @@ impl AdaptiveEngine {
     pub fn on_epoch(&mut self, rt: &mut Runtime) {
         self.stats.epochs += 1;
         self.check_deployed_guards(rt);
-        let sampling = self.sleep_remaining == 0;
-        if sampling {
-            self.stats.sampled_epochs += 1;
-            let window = rt.take_trace();
-            self.builder.observe(&window, &self.supers);
-            rt.recycle_trace(window);
-        }
+        let window = rt.take_trace();
+        self.builder.observe(&window, &self.supers);
+        rt.recycle_trace(window);
         let delta = rt.take_stats();
         self.stats.despecialized += delta.chains_removed;
         // Containment removed a chain: the quarantine, not a cache hit,
@@ -695,27 +655,6 @@ impl AdaptiveEngine {
         for &event in delta.despecialized_by_event.keys() {
             self.cache.invalidate_event(event);
         }
-        // Generic-dispatch counts feed the event graph every epoch. While
-        // the tracer sleeps they are the *only* hotness signal (and the
-        // demand-wake trigger below); on sampled epochs they can overlap
-        // with raise records for unspecialized sync raises, at most
-        // doubling a node weight tracing already saw — a hotness signal,
-        // not an exact count, so the overcount only accelerates crossing
-        // the candidacy threshold. Fast-path dispatches are never counted:
-        // an already specialized event cannot demand respecialization.
-        self.builder
-            .observe_dispatches(&delta.generic_dispatches_by_event);
-        // Nested synchronous raises seen on the slow path feed the
-        // subsumption evidence the same way: without this, a session whose
-        // nested pattern only emerges while the tracer sleeps would
-        // re-specialize the parent as a flat chain, never folding the
-        // child in (`handler_graph.nested` is invisible during trace-off
-        // epochs).
-        self.builder
-            .observe_nested(&delta.nested_sync_by_event, &self.supers);
-        // Healing runs every epoch: it needs only the stats delta, not the
-        // trace, so quarantine/backoff latency is unaffected by the duty
-        // cycle.
         let stale = match self.healer.as_mut() {
             Some(h) => {
                 let report = h.heal(rt, &delta);
@@ -736,31 +675,10 @@ impl AdaptiveEngine {
             }
             None => false,
         };
-        // Re-profiles are pinned to sampled epochs: that is when the
-        // handler graph holds an undecayed sequence for whatever the event
-        // graph says is hot, so the plan can actually name it.
-        if stale || (sampling && self.builder.fresh_events() >= self.config.min_fresh_events) {
+        if stale || self.builder.fresh_events() >= self.config.min_fresh_events {
             self.reprofile(rt, stale);
         }
         self.builder.end_epoch();
-        if sampling {
-            if self.config.trace_sleep_epochs > 0 && !rt.spec().is_empty() {
-                rt.set_trace_config(TraceConfig::off());
-                self.sleep_remaining = self.config.trace_sleep_epochs;
-            }
-        } else {
-            // Demand wake: enough unspecialized dispatches accumulated to
-            // justify a re-profile, so cut the sleep short — the next
-            // epoch runs fully instrumented and supplies the handler
-            // sequences the counts cannot.
-            if self.builder.fresh_events() >= self.config.min_fresh_events {
-                self.sleep_remaining = 1;
-            }
-            self.sleep_remaining -= 1;
-            if self.sleep_remaining == 0 {
-                rt.set_trace_config(TraceConfig::full());
-            }
-        }
     }
 
     /// Asks every deployed chain whether its guards still hold, before the
@@ -1022,12 +940,6 @@ impl AdaptiveEngine {
             self.stats.cache_invalidations + self.cache.invalidations(),
         );
         snap.counter(
-            "pdo_adapt_sampled_epochs_total",
-            "Epochs whose span ran with full handler instrumentation",
-            extra,
-            self.stats.sampled_epochs,
-        );
-        snap.counter(
             "pdo_adapt_reprofiles_total",
             "Re-profile passes run (the plan was worked out)",
             extra,
@@ -1063,12 +975,6 @@ impl AdaptiveEngine {
             "Compiled chains currently installed in the runtime",
             extra,
             rt.spec().iter().count() as i64,
-        );
-        snap.gauge(
-            "pdo_adapt_sampling",
-            "Trace duty-cycle state: sessions currently sampling (1 per engine; sums across a shard)",
-            extra,
-            i64::from(self.sleep_remaining == 0),
         );
         if self.reprofile_wall_ns.count() > 0 {
             snap.histogram(
@@ -1237,6 +1143,45 @@ mod tests {
         assert!(rt.spec().get(b).is_some(), "B specialized after shift");
         assert!(rt.spec().get(a).is_none(), "A despecialized after shift");
         assert!(engine.borrow().stats().chains_dropped >= 1);
+    }
+
+    #[test]
+    fn the_profile_describes_the_program_not_the_lane() {
+        // Neither engine re-profiles, so each profile is exactly what its
+        // runtime's trace windows showed. One runtime dispatches `A`
+        // generically; the other runs a chain for `A` installed by hand.
+        let config = AdaptConfig {
+            min_fresh_events: u64::MAX,
+            ..config()
+        };
+        let (m, [a, b], [ga, _]) = two_chain_module();
+        let run = |fast: bool| {
+            let mut rt = Runtime::new(m.clone());
+            bind_all(&mut rt, &m, a, b);
+            let engine = Rc::new(RefCell::new(AdaptiveEngine::new(m.clone(), config)));
+            AdaptiveEngine::attach(Rc::clone(&engine), &mut rt);
+            if fast {
+                let (_, built) = opt_for(&rt, &m, a);
+                rt.replace_module(built.module);
+                for chain in built.chains {
+                    rt.install_chain(chain);
+                }
+            }
+            // Ten raises an epoch, so `A` is still hot at the end.
+            for _ in 0..6 {
+                drive(&mut rt, a, 10);
+            }
+            assert_eq!(rt.global(ga), &Value::Int(60 * 3));
+            let lanes = (rt.cost.fastpath_hits, rt.cost.registry_lookups);
+            let profile = engine.borrow().snapshot().profile;
+            (lanes, profile.event_graph)
+        };
+        let (generic_lanes, generic) = run(false);
+        let (fast_lanes, fast) = run(true);
+        assert_eq!(generic_lanes, (0, 60));
+        assert_eq!(fast_lanes, (60, 0));
+        assert!(generic.nodes[&a] > 0, "A was profiled");
+        assert_eq!(fast, generic, "same raises, same event graph");
     }
 
     #[test]
@@ -1409,8 +1354,7 @@ mod tests {
         assert_eq!(store.recorded(), 1);
     }
 
-    /// Module for the sleeping-tracer regression: `A` is the initially hot
-    /// workload; `C`'s handler raises `D` synchronously only while `flag`
+    /// `A` is the initially hot workload; `C`'s handler raises `D` synchronously only while `flag`
     /// is set; `D` is also raised top-level so its handler sequence is on
     /// record before the shift.
     fn nested_shift_module() -> (
@@ -1460,89 +1404,44 @@ mod tests {
     }
 
     #[test]
-    fn sleeping_tracer_still_discovers_a_new_nested_chain() {
+    fn a_raise_that_starts_nesting_mid_run_is_subsumed_on_the_next_deploy() {
         let (m, [a, c, d], [gc, gd], flag) = nested_shift_module();
         let mut rt = Runtime::new(m.clone());
         rt.bind(a, m.function_by_name("a1").unwrap(), 0).unwrap();
         rt.bind(c, m.function_by_name("c1").unwrap(), 0).unwrap();
         rt.bind(d, m.function_by_name("d1").unwrap(), 0).unwrap();
-        let engine = AdaptiveEngine::attach_new(
+        let _engine = AdaptiveEngine::attach_new(
             &mut rt,
             AdaptConfig {
                 epoch_ns: 10_000,
-                trace_sleep_epochs: 8,
                 ..config()
             },
         );
-        // While sampling: C and D run just below the candidacy threshold,
-        // so their (stable) handler sequences are on record but neither
-        // gets a chain; A goes hot, deploys, and puts the tracer to sleep.
+        // C and D run just below the candidacy threshold, so their
+        // (stable) handler sequences are on record but neither gets a
+        // chain; A goes hot and deploys.
         drive(&mut rt, c, 4);
         drive(&mut rt, d, 4);
         drive(&mut rt, a, 95);
-        assert!(rt.spec().get(a).is_some(), "A deployed while sampling");
+        assert!(rt.spec().get(a).is_some(), "A deployed");
         assert!(rt.spec().get(c).is_none(), "C stays below threshold");
-        // The workload shifts *while the tracer sleeps*: C goes hot and
-        // its handler starts raising D synchronously. A's chain is gone
-        // and its bindings changed, so the healer reports it stale and
-        // forces a re-profile mid-sleep — with no trace window at all,
-        // the slow-path nested counters are the only subsumption evidence.
+        // The workload shifts: C goes hot and its handler starts raising D
+        // synchronously; A is rebound, loses its chain and goes quiet. The
+        // only record of the new nesting is the trace window.
         rt.set_global(flag, Value::Int(1));
         rt.bind(a, m.function_by_name("a2").unwrap(), 1).unwrap();
         rt.remove_chain(a);
         drive(&mut rt, c, 100);
-        let stats = engine.borrow().stats();
-        assert!(
-            stats.sampled_epochs < stats.epochs,
-            "the re-profile must run on a slept epoch: {stats:?}"
-        );
-        let chain = rt.spec().get(c).expect("sleeping session specialized C");
+        let chain = rt.spec().get(c).expect("C specialized after the shift");
         assert!(
             chain.guards.iter().any(|g| g.event == d),
-            "C's chain must subsume D on slow-path nested counts alone: {:?}",
+            "C's chain must subsume D: {:?}",
             chain.guards
         );
-        assert!(rt.spec().get(a).is_none(), "rebound A not rebuilt (drift)");
-        // Behaviour preserved across the mid-sleep hot swap.
+        assert!(rt.spec().get(a).is_none(), "rebound, quiet A not rebuilt");
+        // Behaviour preserved across the hot swap.
         assert_eq!(rt.global(gc), &Value::Int(104));
         assert_eq!(rt.global(gd), &Value::Int(104));
-    }
-
-    #[test]
-    fn trace_duty_cycle_bounds_sampling_but_still_adapts() {
-        let (m, [a, b], [ga, gb]) = two_chain_module();
-        let mut rt = Runtime::new(m.clone());
-        bind_all(&mut rt, &m, a, b);
-        let engine = AdaptiveEngine::attach_new(
-            &mut rt,
-            AdaptConfig {
-                trace_sleep_epochs: 4,
-                ..config()
-            },
-        );
-        drive(&mut rt, a, 60);
-        assert!(rt.spec().get(a).is_some(), "converges while sampling");
-        // Well past deployment: most epochs sleep the tracer.
-        drive(&mut rt, a, 300);
-        let stats = engine.borrow().stats();
-        assert!(
-            stats.sampled_epochs < stats.epochs,
-            "duty cycle must skip sampling on some epochs: {stats:?}"
-        );
-        // A workload shift is still caught — while asleep, the generic-
-        // dispatch counters register B going hot and demand-wake the
-        // tracer, whose next window supplies B's handler sequence.
-        drive(&mut rt, b, 800);
-        assert!(
-            rt.spec().get(b).is_some(),
-            "B specialized despite duty cycle"
-        );
-        assert!(
-            rt.spec().get(a).is_none(),
-            "A despecialized despite duty cycle"
-        );
-        assert_eq!(rt.global(ga), &Value::Int(360 * 3));
-        assert_eq!(rt.global(gb), &Value::Int(800 * 3));
     }
 
     /// Stale-guard property: however the session churns — rebinds that
@@ -1825,7 +1724,6 @@ mod tests {
         assert_eq!(
             AdaptStats {
                 epochs: warm.epochs,
-                sampled_epochs: warm.sampled_epochs,
                 reprofiles: warm.reprofiles,
                 ..settled
             },

@@ -9,7 +9,7 @@
 //! | sink                         | gate                                    |
 //! |------------------------------|-----------------------------------------|
 //! | profile [`Trace`]            | [`TraceConfig`] (`off()` = none)        |
-//! | [`RuntimeStats`]             | always; generic/nested counts only under dispatch accounting |
+//! | [`RuntimeStats`]             | always                                  |
 //! | [`ObsHub`] records + histograms | a hub is attached                    |
 //! | [`TraceStore`] spans         | a store is attached *and* enabled       |
 //! | [`OpcodeProfile`]            | opcode profiling is on                  |
@@ -30,17 +30,15 @@ use pdo_obs::{
 
 /// The runtime's sinks. Fields a [`crate::Runtime`] accessor reads or
 /// swaps wholesale are crate-visible; everything an event method keeps
-/// consistent (window cap, frame stack, ambient context) is private.
+/// consistent (window cap, ambient context) is private.
 #[derive(Default)]
 pub(crate) struct Observers {
     pub(crate) trace: Trace,
     trace_config: TraceConfig,
     trace_window: Option<usize>,
-    pub(crate) dispatch_accounting: bool,
-    /// Open handler frames (event, handler) — maintained only while
-    /// dispatch accounting is on, so nested synchronous raises can be
-    /// attributed to the frame that issued them without tracing.
-    frame_stack: Vec<(EventId, FuncId)>,
+    /// Records the window cap has drained, oldest first, since the
+    /// runtime was built: the profile never saw them.
+    trace_dropped: u64,
     pub(crate) stats: RuntimeStats,
     pub(crate) obs: Option<ObsHub>,
     pub(crate) tracer: Option<TraceStore>,
@@ -110,6 +108,7 @@ impl Observers {
                 // amortizes to O(1) per record.
                 let drop = (len - max).max(max / 4).min(len);
                 self.trace.records.drain(..drop);
+                self.trace_dropped += drop as u64;
             }
         }
     }
@@ -155,23 +154,6 @@ impl Observers {
             ctx,
             enqueued_ns: now,
         })
-    }
-
-    /// A synchronous raise of `child` passed the depth check. Issued from
-    /// inside a handler frame it is exactly the subsumption evidence the
-    /// optimizer wants, and while a duty-cycled tracer sleeps this counter
-    /// is the only place it is recorded.
-    #[inline]
-    pub(crate) fn nested_sync(&mut self, child: EventId) {
-        if self.dispatch_accounting {
-            if let Some(&(parent, handler)) = self.frame_stack.last() {
-                *self
-                    .stats
-                    .nested_sync_by_event
-                    .entry((parent, handler, child))
-                    .or_insert(0) += 1;
-            }
-        }
     }
 
     /// Makes a caller-supplied context (the ingress wire span) the ambient
@@ -260,18 +242,6 @@ impl Observers {
         }
     }
 
-    /// A dispatch took the generic (registry-walk) lane.
-    #[inline]
-    pub(crate) fn generic_dispatch(&mut self, event: EventId) {
-        if self.dispatch_accounting {
-            *self
-                .stats
-                .generic_dispatches_by_event
-                .entry(event)
-                .or_insert(0) += 1;
-        }
-    }
-
     /// A handler is about to run. Returns whether it is trace-instrumented,
     /// for [`Observers::handler_exit`].
     #[inline]
@@ -291,9 +261,6 @@ impl Observers {
                 at: now,
             });
         }
-        if self.dispatch_accounting {
-            self.frame_stack.push((event, handler));
-        }
         traced
     }
 
@@ -308,9 +275,6 @@ impl Observers {
         dispatch: u64,
         now: u64,
     ) {
-        if self.dispatch_accounting {
-            self.frame_stack.pop();
-        }
         if traced {
             self.trace_push(TraceRecord::HandlerExit {
                 event,
@@ -385,8 +349,9 @@ impl Observers {
         }
     }
 
-    /// Exports the sink-held series: fault counters, the opcode profile
-    /// (if profiling was ever on) and the hub's dispatch histograms.
+    /// Exports the sink-held series: fault and trace-drop counters, the
+    /// opcode profile (if profiling was ever on) and the hub's dispatch
+    /// histograms.
     pub(crate) fn export_metrics(&self, snap: &mut MetricsSnapshot, extra: &[(&str, &str)]) {
         snap.counter(
             "pdo_faults_injected_total",
@@ -417,6 +382,12 @@ impl Observers {
             "Timed raises delayed by fault injection",
             extra,
             self.stats.delayed_timed,
+        );
+        snap.counter(
+            "pdo_profile_trace_dropped_total",
+            "Profile-trace records drained unread by the trace-window cap",
+            extra,
+            self.trace_dropped,
         );
         for (event, n) in &self.stats.faults_by_event {
             let ev = event.0.to_string();

@@ -142,23 +142,6 @@ pub struct RuntimeStats {
     /// `cost.fastpath_misses`). For quarantine-churn accounting in the
     /// optimizer's workflow loop.
     pub guard_misses_by_event: BTreeMap<EventId, u64>,
-    /// Generic (registry-path) dispatches per event, recorded only when
-    /// [`Runtime::set_dispatch_accounting`] is on. An adaptive daemon uses
-    /// this as a tracing-free hotness signal while its tracer sleeps: fast
-    /// path dispatches are by definition already specialized, so a rising
-    /// count here means an unspecialized event went hot.
-    pub generic_dispatches_by_event: BTreeMap<EventId, u64>,
-    /// Nested synchronous raises per (parent event, raising handler, child
-    /// event), recorded only when [`Runtime::set_dispatch_accounting`] is
-    /// on. This is the tracing-free counterpart of the handler graph's
-    /// nested-raise evidence: while an adaptive daemon's tracer sleeps,
-    /// these counts are the only signal that a handler of one event
-    /// synchronously raises another — the evidence subsumption needs. Like
-    /// the other specialization-dependent fields, the counts differ
-    /// between original and optimized runs (a subsumed raise becomes a
-    /// direct call and never reaches the raise path), so they are *not*
-    /// part of [`RuntimeStats::observable`].
-    pub nested_sync_by_event: BTreeMap<(EventId, FuncId, EventId), u64>,
 }
 
 impl RuntimeStats {
@@ -540,14 +523,6 @@ impl Runtime {
         self.sinks.set_trace_config(config);
     }
 
-    /// Enables (or disables) per-event generic-dispatch accounting in
-    /// [`RuntimeStats::generic_dispatches_by_event`]. Off by default: the
-    /// counter costs one map update per *generic* dispatch, which only an
-    /// adaptive daemon using it as a sleep-mode hotness signal should pay.
-    pub fn set_dispatch_accounting(&mut self, on: bool) {
-        self.sinks.dispatch_accounting = on;
-    }
-
     /// Attaches a fresh default-capacity observability hub (see `pdo-obs`)
     /// and returns a handle to it: dispatches start feeding per-event
     /// fast/slow latency histograms, and guard misses and faults land in
@@ -857,7 +832,6 @@ impl Runtime {
                 if self.sync_depth >= self.config.max_sync_depth {
                     return Err(RuntimeError::SyncDepthExceeded);
                 }
-                self.sinks.nested_sync(event);
                 self.sync_depth += 1;
                 let r = self.dispatch_now(module, event, args);
                 self.sync_depth -= 1;
@@ -1103,7 +1077,6 @@ impl Runtime {
         // Generic path: registry lookup, snapshot, marshal per handler,
         // indirect invocation.
         self.cost.registry_lookups += 1;
-        self.sinks.generic_dispatch(event);
         let dispatch = self.dispatch_seq;
         self.dispatch_seq += 1;
         let bindings = self.registry.snapshot(event);
@@ -2298,101 +2271,13 @@ mod tests {
         let len = rt.trace().records.len();
         assert!(len <= 16, "window exceeded: {len}");
         assert!(len > 0, "window must retain recent records");
-    }
-
-    /// Module where every dispatch of `P` runs a handler that synchronously
-    /// raises `C` (whose handler increments a counter).
-    fn nesting_module() -> (Module, EventId, EventId, GlobalId, FuncId, FuncId) {
-        let mut m = Module::new();
-        let p = m.add_event("P");
-        let c = m.add_event("C");
-        let g = m.add_global("n", Value::Int(0));
-        let mut b = FunctionBuilder::new("child", 0);
-        let v = b.load_global(g);
-        let one = b.const_int(1);
-        let out = b.bin(BinOp::Add, v, one);
-        b.store_global(g, out);
-        b.ret(None);
-        let hc = m.add_function(b.finish());
-        let mut b = FunctionBuilder::new("parent", 0);
-        b.raise(c, RaiseMode::Sync, &[]);
-        b.ret(None);
-        let hp = m.add_function(b.finish());
-        (m, p, c, g, hp, hc)
-    }
-
-    #[test]
-    fn nested_sync_raises_counted_without_tracing() {
-        let (m, p, c, g, hp, hc) = nesting_module();
-        let mut rt = Runtime::new(m);
-        rt.bind(p, hp, 0).unwrap();
-        rt.bind(c, hc, 0).unwrap();
-        rt.set_dispatch_accounting(true);
-        // No tracing at all: the slow-path counter is the only record.
-        for _ in 0..7 {
-            rt.raise(p, RaiseMode::Sync, &[]).unwrap();
-        }
-        assert_eq!(rt.global(g), &Value::Int(7));
-        let stats = rt.take_stats();
+        // Every raise left a raise, an enter and an exit record; what the
+        // window no longer holds is counted as dropped.
+        let mut snap = MetricsSnapshot::new();
+        rt.export_metrics(&mut snap, &[]);
         assert_eq!(
-            stats.nested_sync_by_event.get(&(p, hp, c)).copied(),
-            Some(7),
-            "nested raise attributed to the raising frame: {:?}",
-            stats.nested_sync_by_event
-        );
-        // Top-level raises of P are not nested in anything.
-        assert!(stats
-            .nested_sync_by_event
-            .keys()
-            .all(|(_, _, child)| *child == c));
-    }
-
-    #[test]
-    fn nested_sync_counting_requires_dispatch_accounting() {
-        let (m, p, c, _, hp, hc) = nesting_module();
-        let mut rt = Runtime::new(m);
-        rt.bind(p, hp, 0).unwrap();
-        rt.bind(c, hc, 0).unwrap();
-        for _ in 0..5 {
-            rt.raise(p, RaiseMode::Sync, &[]).unwrap();
-        }
-        assert!(
-            rt.stats().nested_sync_by_event.is_empty(),
-            "accounting off must stay zero-overhead"
-        );
-    }
-
-    #[test]
-    fn nested_sync_counting_attributes_fast_path_frames() {
-        // A compiled chain whose body raises synchronously still records
-        // the nested raise, keyed by the chain function — a sleeping
-        // adaptive daemon needs this to learn that an already specialized
-        // (but flat) chain started nesting.
-        let (mut m, p, c, g, _hp, hc) = nesting_module();
-        let mut b = FunctionBuilder::new("super_parent", 0);
-        b.raise(c, RaiseMode::Sync, &[]);
-        b.ret(None);
-        let chain_fn = m.add_function(b.finish());
-        let mut rt = Runtime::new(m);
-        rt.bind(c, hc, 0).unwrap();
-        rt.install_chain(CompiledChain {
-            head: p,
-            guards: vec![Guard::capture(rt.registry(), p)],
-            func: chain_fn,
-            params: 0,
-        });
-        rt.set_dispatch_accounting(true);
-        for _ in 0..3 {
-            rt.raise(p, RaiseMode::Sync, &[]).unwrap();
-        }
-        assert_eq!(rt.global(g), &Value::Int(3));
-        assert!(rt.cost.fastpath_hits >= 3);
-        assert_eq!(
-            rt.stats()
-                .nested_sync_by_event
-                .get(&(p, chain_fn, c))
-                .copied(),
-            Some(3)
+            snap.counter_value("pdo_profile_trace_dropped_total", &[]),
+            Some(3 * 200 - len as u64)
         );
     }
 

@@ -108,8 +108,7 @@ impl TraceConfig {
         Self::default()
     }
 
-    /// No instrumentation at all — what a duty-cycled online profiler
-    /// installs between sampling windows.
+    /// No instrumentation at all: a runtime's initial state.
     pub fn off() -> Self {
         TraceConfig {
             events: false,

@@ -127,55 +127,6 @@ impl ProfileBuilder {
         self.handler_graph.nested.retain(|_, c| *c > 0);
     }
 
-    /// Merges per-event dispatch *counts* into the event graph — the
-    /// tracing-free hotness signal a sleeping daemon gets from
-    /// `RuntimeStats::generic_dispatches_by_event`. Counts carry no
-    /// ordering, so each event's `n` dispatches are folded as `n` node
-    /// occurrences plus an `n`-weight self-edge — exactly what a trace
-    /// window of `n` back-to-back raises would produce, which is what
-    /// "this one event went hot" looks like. Handler sequences still come
-    /// from real trace windows once the daemon wakes its tracer back up.
-    pub fn observe_dispatches<'a>(
-        &mut self,
-        counts: impl IntoIterator<Item = (&'a EventId, &'a u64)>,
-    ) {
-        for (&event, &n) in counts {
-            if n == 0 {
-                continue;
-            }
-            self.fresh += n;
-            *self.event_graph.nodes.entry(event).or_insert(0) += n;
-            let data = self.event_graph.edges.entry((event, event)).or_default();
-            data.weight += n;
-            // The dispatch loop delivers queued (async/timed) raises.
-            data.asynchronous += n;
-        }
-    }
-
-    /// Merges per-site nested-synchronous-raise *counts* into the handler
-    /// graph — the tracing-free subsumption evidence a sleeping daemon gets
-    /// from `RuntimeStats::nested_sync_by_event`. Counts carry exactly the
-    /// (parent event, raising handler, child event) key the subsumption
-    /// heuristic consults, so a session whose tracer never wakes over a
-    /// newly nested hot path still accumulates the evidence to fold the
-    /// child chain in. Does not touch the event graph or the fresh-raise
-    /// counter: the child dispatches behind these raises are already folded
-    /// in by [`ProfileBuilder::observe_dispatches`] (nested synchronous
-    /// dispatches take the generic path too while unspecialized). A raise
-    /// counted inside a super-handler frame is named as `supers` directs.
-    pub fn observe_nested<'a>(
-        &mut self,
-        counts: impl IntoIterator<Item = (&'a (EventId, FuncId, EventId), &'a u64)>,
-        supers: &SuperHandlers,
-    ) {
-        for (&(parent_event, handler, child_event), &n) in counts {
-            if n > 0 {
-                self.handler_graph
-                    .count_nested(parent_event, handler, child_event, n, supers);
-            }
-        }
-    }
-
     /// Number of raises observed since the last [`ProfileBuilder::take_fresh`].
     pub fn fresh_events(&self) -> u64 {
         self.fresh
@@ -395,13 +346,10 @@ mod tests {
         ];
         let mut b = ProfileBuilder::new();
         b.observe(&Trace { records }, &merged_into_f9(true));
-        let counts =
-            std::collections::BTreeMap::from([((EventId(0), FuncId(9), EventId(5)), 2u64)]);
-        b.observe_nested(&counts, &merged_into_f9(true));
         assert_eq!(
             b.handler_graph()
                 .nested_count(EventId(0), FuncId(1), EventId(5)),
-            3
+            1
         );
         assert_eq!(
             b.handler_graph().stable_sequence(EventId(5)),
@@ -500,22 +448,27 @@ mod tests {
     #[test]
     fn decay_forgets_cold_paths() {
         let mut b = ProfileBuilder::new();
-        // 40 A->B traversals, then silence.
-        let mut records = Vec::new();
-        for _ in 0..40 {
-            records.push(raise(0));
-            records.push(raise(1));
-        }
+        // 40 A->B traversals, B raised from inside A's handler, then
+        // silence.
+        let records = (0..40u64)
+            .flat_map(|d| vec![raise(0), enter(0, 7, d), raise(1), exit(0, 7, d)])
+            .collect();
         b.observe(&Trace { records }, &SuperHandlers::none());
         assert!(b.event_graph().edges[&(EventId(0), EventId(1))].weight >= 39);
+        assert_eq!(
+            b.handler_graph()
+                .nested_count(EventId(0), FuncId(7), EventId(1)),
+            40
+        );
         for _ in 0..7 {
             b.end_epoch();
         }
-        // 40 / 2^7 = 0: the edge is gone.
+        // 40 / 2^7 = 0: the edge, the sequence and the nesting are gone.
         assert!(!b
             .event_graph()
             .edges
             .contains_key(&(EventId(0), EventId(1))));
+        assert_eq!(b.handler_graph(), &HandlerGraph::new());
     }
 
     #[test]
@@ -529,30 +482,6 @@ mod tests {
         );
         assert_eq!(b.take_fresh(), 3);
         assert_eq!(b.fresh_events(), 0);
-    }
-
-    #[test]
-    fn observe_nested_accumulates_subsumption_evidence_and_decays() {
-        let mut b = ProfileBuilder::new();
-        let key = (EventId(3), FuncId(7), EventId(4));
-        let counts = std::collections::BTreeMap::from([(key, 6u64)]);
-        b.observe_nested(&counts, &SuperHandlers::none());
-        b.observe_nested(&counts, &SuperHandlers::none());
-        let nested_key = NestedRaise {
-            parent_event: EventId(3),
-            handler: FuncId(7),
-            child_event: EventId(4),
-        };
-        assert_eq!(b.handler_graph().nested.get(&nested_key).copied(), Some(12));
-        // Counts carry no ordering and no new raises: the fresh counter and
-        // event graph are untouched (dispatch counts already cover them).
-        assert_eq!(b.fresh_events(), 0);
-        assert!(b.event_graph().nodes.is_empty());
-        // Evidence decays with everything else.
-        for _ in 0..4 {
-            b.end_epoch();
-        }
-        assert!(!b.handler_graph().nested.contains_key(&nested_key));
     }
 
     #[test]

@@ -192,7 +192,7 @@ impl HandlerGraph {
                     ..
                 } => {
                     if let Some(&(parent_event, handler)) = s.frames.last() {
-                        self.count_nested(parent_event, handler, child_event, 1, supers);
+                        self.count_nested(parent_event, handler, child_event, supers);
                     }
                 }
                 // Queued raises and fault records carry no handler-nesting
@@ -237,15 +237,14 @@ impl HandlerGraph {
         }
     }
 
-    /// Counts `n` synchronous raises of `child_event` from inside `handler`
+    /// Counts one synchronous raise of `child_event` from inside `handler`
     /// running for `parent_event`, naming the handler as
     /// [`SuperHandlers`] says the profile may.
-    pub(crate) fn count_nested(
+    fn count_nested(
         &mut self,
         parent_event: EventId,
         handler: FuncId,
         child_event: EventId,
-        n: u64,
         supers: &SuperHandlers,
     ) {
         if let Some(handler) = supers.raiser(handler) {
@@ -254,7 +253,7 @@ impl HandlerGraph {
                 handler,
                 child_event,
             };
-            *self.nested.entry(key).or_insert(0) += n;
+            *self.nested.entry(key).or_insert(0) += 1;
         }
     }
 

@@ -272,7 +272,6 @@ mod tests {
             s.engine.profile.prev_raise.put(&mut w);
             s.engine.profile.fresh.put(&mut w);
             s.engine.stats.put(&mut w);
-            s.engine.sleep_remaining.put(&mut w);
             s.engine.quarantine.put(&mut w);
             s.kind.put(&mut w);
             w

@@ -85,8 +85,7 @@ fn optimized(program: &EventProgram, subsume: bool) -> Optimization {
 }
 
 /// Adaptation config for the live-engine runs: epochs short enough that
-/// chains deploy (and faults land) mid-session, with a trace duty cycle so
-/// swaps also happen off sampled epochs.
+/// chains deploy (and faults land) mid-session.
 fn adapt_config() -> AdaptConfig {
     let mut opts = OptimizeOptions::new(8);
     opts.fuel_boundaries = true;
@@ -94,7 +93,6 @@ fn adapt_config() -> AdaptConfig {
         epoch_ns: 40_000_000,
         min_fresh_events: 16,
         opts,
-        trace_sleep_epochs: 1,
         ..AdaptConfig::default()
     }
 }

@@ -5,7 +5,7 @@
 //! epoch boundary and (b) a run that crashes at a seeded mid-epoch
 //! point, discards the partial work, and resumes from the last boundary
 //! snapshot. Live adaptation engines ride along through every kill:
-//! their profile, duty-cycle position, and quarantine state are carried,
+//! their profile, counters, and quarantine state are carried,
 //! so restored sessions resume specialization.
 //!
 //! Three substrates: plain sessions through the real `Server` durable
@@ -97,7 +97,6 @@ fn server_adapt() -> AdaptConfig {
         epoch_ns: 1_000,
         min_fresh_events: 20,
         opts,
-        trace_sleep_epochs: 1,
         ..AdaptConfig::default()
     }
 }
@@ -258,8 +257,7 @@ const CTP_MESSAGES: usize = 5;
 const CTP_STEP_NS: u64 = 60_000_000;
 
 /// Epochs aligned with the per-message deadlines, so every boundary
-/// restore happens with a drained trace window; the duty cycle exercises
-/// the carried `sleep_remaining` counter across kills.
+/// restore happens with a drained trace window.
 fn ctp_adapt() -> AdaptConfig {
     let mut opts = OptimizeOptions::new(8);
     opts.fuel_boundaries = true;
@@ -267,7 +265,6 @@ fn ctp_adapt() -> AdaptConfig {
         epoch_ns: CTP_STEP_NS,
         min_fresh_events: 16,
         opts,
-        trace_sleep_epochs: 1,
         ..AdaptConfig::default()
     }
 }
@@ -452,7 +449,6 @@ fn sec_adapt() -> AdaptConfig {
         epoch_ns: SEC_STEP_NS,
         min_fresh_events: 16,
         opts,
-        trace_sleep_epochs: 1,
         ..AdaptConfig::default()
     }
 }

@@ -83,7 +83,6 @@ fn adapt_config() -> AdaptConfig {
         epoch_ns: 30_000_000,
         min_fresh_events: 16,
         opts,
-        trace_sleep_epochs: 1,
         ..AdaptConfig::default()
     }
 }

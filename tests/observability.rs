@@ -176,7 +176,8 @@ fn live_server_scrape_covers_every_layer() {
         })
         .sum();
     assert!(chains_live >= 1, "the plain session adapted:\n{text}");
-    assert!(text.contains("# TYPE pdo_adapt_sampling gauge"));
+    // The profile's one source says how much of itself it lost.
+    assert!(text.contains("# TYPE pdo_profile_trace_dropped_total counter"));
 
     // Wire fault counters from the CTP link, on the CTP session's shard.
     let ctp_shard = server.shard_of(ctp).to_string();
