@@ -51,15 +51,13 @@
 //! session state.
 
 use crate::heal::SelfHealer;
-use crate::quarantine::{QuarantineConfig, QuarantineEntry};
+use crate::quarantine::{Quarantine, QuarantineConfig, QuarantineEntry};
 use crate::{candidates, mergeable, optimize, subsume_evidence};
 use crate::{MergeSkip, Optimization, OptimizeOptions};
 use pdo_events::{Binding, CompiledChain, Registry, Runtime, TraceConfig};
 use pdo_ir::{EventId, Module};
 use pdo_obs::{AuditAction, Histogram, MetricsSnapshot, ObsKind, SpanKind};
-use pdo_profile::{
-    BuilderState, EventGraph, HandlerGraph, ProfileBuilder, SuperHandler, SuperHandlers,
-};
+use pdo_profile::{EventGraph, HandlerGraph, ProfileBuilder, SuperHandler, SuperHandlers};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
@@ -391,12 +389,12 @@ impl AdaptStats {
 /// and the healer's chain records (recaptured at the next deploy).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineSnapshot {
-    /// Decaying profile accumulators ([`ProfileBuilder`] state).
-    pub profile: BuilderState,
+    /// Decaying profile accumulators.
+    pub profile: ProfileBuilder,
     /// Cumulative adaptation counters (cache counters folded in).
     pub stats: AdaptStats,
-    /// Per-event quarantine entries in id order.
-    pub quarantine: Vec<(EventId, QuarantineEntry)>,
+    /// Per-event quarantine entries.
+    pub quarantine: BTreeMap<EventId, QuarantineEntry>,
 }
 
 pdo_snap::codec_struct!(EngineSnapshot {
@@ -492,9 +490,9 @@ pub struct AdaptiveEngine {
     base: Arc<Module>,
     config: AdaptConfig,
     builder: ProfileBuilder,
-    /// Owns the deployed chains (installed, quarantined, or stale) once
-    /// the first deploy has happened.
-    healer: Option<SelfHealer>,
+    /// Owns the deployed chains (installed, quarantined, or stale) and the
+    /// quarantine, which a restored engine resumes from its snapshot.
+    healer: SelfHealer,
     /// The plan those chains were built for.
     deployed: Option<Plan>,
     /// The deployed chains' super-handlers as the window fold needs to
@@ -511,10 +509,6 @@ pub struct AdaptiveEngine {
     /// Previously built optimizations by plan, so oscillating phases skip
     /// `optimize`.
     cache: ChainCache,
-    /// Quarantine entries carried across a snapshot/restore cycle, adopted
-    /// by the healer the next time chains deploy (the healer itself only
-    /// exists once a deploy has happened).
-    restored_quarantine: Option<Vec<(EventId, QuarantineEntry)>>,
 }
 
 impl AdaptiveEngine {
@@ -553,12 +547,9 @@ impl AdaptiveEngine {
     /// partial window, never corrupts.
     pub fn snapshot(&self) -> EngineSnapshot {
         EngineSnapshot {
-            profile: self.builder.export_state(),
+            profile: self.builder.clone(),
             stats: self.stats(),
-            quarantine: match &self.healer {
-                Some(h) => h.quarantine().export_entries(),
-                None => self.restored_quarantine.clone().unwrap_or_default(),
-            },
+            quarantine: self.healer.quarantine().entries().clone(),
         }
     }
 
@@ -576,8 +567,10 @@ impl AdaptiveEngine {
         snap: EngineSnapshot,
     ) -> Self {
         let base = base.into();
-        let mut builder = ProfileBuilder::from_state(snap.profile);
+        let mut builder = snap.profile;
         builder.retain_program_handlers(base.functions.len());
+        let mut healer = SelfHealer::new(config.quarantine, &[]);
+        *healer.quarantine_mut() = Quarantine::resume(config.quarantine, snap.quarantine);
         AdaptiveEngine {
             supers: SuperHandlers {
                 base_functions: base.functions.len(),
@@ -586,13 +579,12 @@ impl AdaptiveEngine {
             base,
             config,
             builder,
-            healer: None,
+            healer,
             deployed: None,
             why_not: BTreeMap::new(),
             stats: snap.stats,
             reprofile_wall_ns: Histogram::new(),
             cache: ChainCache::new(CHAIN_CACHE_CAP),
-            restored_quarantine: (!snap.quarantine.is_empty()).then_some(snap.quarantine),
         }
     }
 
@@ -621,9 +613,9 @@ impl AdaptiveEngine {
         }
     }
 
-    /// The embedded healer, once the first deploy has happened.
-    pub fn healer(&self) -> Option<&SelfHealer> {
-        self.healer.as_ref()
+    /// The embedded healer: the deployed chains and the quarantine.
+    pub fn healer(&self) -> &SelfHealer {
+        &self.healer
     }
 
     /// The session's original, unspecialized module — what every
@@ -655,25 +647,26 @@ impl AdaptiveEngine {
         for &event in delta.despecialized_by_event.keys() {
             self.cache.invalidate_event(event);
         }
-        let stale = match self.healer.as_mut() {
-            Some(h) => {
-                let report = h.heal(rt, &delta);
-                for &(event, until_ns) in &report.quarantined {
-                    audit(
-                        rt,
-                        Some(ObsKind::Quarantined {
-                            event: event.0,
-                            until_ns,
-                        }),
-                        Some((Some(event), AuditAction::Quarantine)),
-                        || {
-                            format!("faults exceeded quarantine threshold; backoff until t={until_ns}ns")
-                        },
-                    );
-                }
-                !report.stale.is_empty()
+        // The quarantine starts counting at the first deploy: before it,
+        // there is no chain for a fault to be held against.
+        let stale = self.deployed.is_some() && {
+            let report = self.healer.heal(rt, &delta);
+            for &(event, until_ns) in &report.quarantined {
+                audit(
+                    rt,
+                    Some(ObsKind::Quarantined {
+                        event: event.0,
+                        until_ns,
+                    }),
+                    Some((Some(event), AuditAction::Quarantine)),
+                    || {
+                        format!(
+                            "faults exceeded quarantine threshold; backoff until t={until_ns}ns"
+                        )
+                    },
+                );
             }
-            None => false,
+            !report.stale.is_empty()
         };
         if stale || self.builder.fresh_events() >= self.config.min_fresh_events {
             self.reprofile(rt, stale);
@@ -686,9 +679,8 @@ impl AdaptiveEngine {
     /// fast-lane dispatches only while they do, and the events whose
     /// bindings changed under it start their observations over.
     fn check_deployed_guards(&mut self, rt: &Runtime) {
-        let Some(healer) = &self.healer else { return };
         let registry = rt.registry();
-        for (chain, merged) in healer.chains().zip(&mut self.supers.deployed) {
+        for (chain, merged) in self.healer.chains().zip(&mut self.supers.deployed) {
             merged.live = chain.guards_hold(registry);
             if merged.live {
                 continue;
@@ -719,11 +711,11 @@ impl AdaptiveEngine {
             },
         );
         let now = rt.clock_ns();
-        let quarantine = self.healer.as_ref().map(SelfHealer::quarantine);
+        let quarantine = self.healer.quarantine();
         let barred = |event: EventId| {
             quarantine
-                .filter(|q| q.is_quarantined(event, now))
-                .and_then(|q| q.quarantined_until(event))
+                .quarantined_until(event)
+                .filter(|_| quarantine.is_quarantined(event, now))
         };
         for &(event, _) in &wanted.events {
             if let Some(until_ns) = barred(event) {
@@ -749,10 +741,10 @@ impl AdaptiveEngine {
 
         // Same plan, every chain where it should be: the fixed point.
         let settled = self.deployed.as_ref() == Some(&wanted)
-            && self.healer.as_ref().is_some_and(|h| {
-                h.chains()
-                    .all(|c| rt.spec().get(c.head).is_some() || barred(c.head).is_some())
-            });
+            && self
+                .healer
+                .chains()
+                .all(|c| rt.spec().get(c.head).is_some() || barred(c.head).is_some());
         if settled {
             self.note_reprofile(rt, started, rt.spec().len(), || evidence("settled"));
             return;
@@ -823,23 +815,11 @@ impl AdaptiveEngine {
         }
         rt.replace_module(Arc::clone(&built.module));
 
-        // The healer takes the new chains before the install loop so the
-        // quarantine check below sees every entry — including strikes and
-        // backoffs carried across a snapshot/restore cycle, adopted here
-        // on the first deploy of a restored session.
-        let healer = match self.healer.as_mut() {
-            Some(h) => {
-                h.rebind(&built.chains);
-                h
-            }
-            None => {
-                let mut h = SelfHealer::new(self.config.quarantine, &built.chains);
-                if let Some(entries) = self.restored_quarantine.take() {
-                    h.quarantine_mut().restore_entries(entries);
-                }
-                self.healer.insert(h)
-            }
-        };
+        // The healer takes the new chains before the install loop, whose
+        // quarantine check sees every entry — including strikes and
+        // backoffs a restored session carried across the snapshot.
+        self.healer.rebind(&built.chains);
+        let healer = &self.healer;
         let nested = &self.builder.handler_graph().nested;
         self.supers.deployed.clear();
         for chain in healer.chains() {
@@ -1174,7 +1154,7 @@ mod tests {
             assert_eq!(rt.global(ga), &Value::Int(60 * 3));
             let lanes = (rt.cost.fastpath_hits, rt.cost.registry_lookups);
             let profile = engine.borrow().snapshot().profile;
-            (lanes, profile.event_graph)
+            (lanes, profile.event_graph().clone())
         };
         let (generic_lanes, generic) = run(false);
         let (fast_lanes, fast) = run(true);
@@ -1305,8 +1285,8 @@ mod tests {
             spans(AuditAction::Quarantine, "faults exceeded")
         );
         let engine = engine.borrow();
-        let q = engine.healer().expect("chains deployed").quarantine();
-        let strikes: u32 = q.export_entries().iter().map(|(_, e)| e.strikes).sum();
+        let q = engine.healer().quarantine();
+        let strikes: u32 = q.entries().values().map(|e| e.strikes).sum();
         assert_eq!(quarantined as u32, strikes);
     }
 
@@ -1592,7 +1572,6 @@ mod tests {
         let until = engine
             .borrow()
             .healer()
-            .expect("healer deployed")
             .quarantine()
             .quarantined_until(a)
             .expect("A quarantined");
@@ -1601,13 +1580,7 @@ mod tests {
         // Profile, counters and a live quarantine entry: the durable form
         // round-trips and rejects every corruption.
         pdo_snap::hostile::check(&snap);
-        assert_eq!(
-            snap.quarantine
-                .iter()
-                .find(|(e, _)| *e == a)
-                .map(|(_, q)| q.until_ns,),
-            Some(Some(until))
-        );
+        assert_eq!(snap.quarantine[&a].until_ns, Some(until));
 
         // Restore into a fresh runtime at the same virtual time.
         let clock = rt.clock_ns();
@@ -1641,7 +1614,7 @@ mod tests {
             "A re-specializes once the carried backoff expires"
         );
         assert_eq!(
-            engine2.borrow().healer().unwrap().quarantine().strikes(a),
+            engine2.borrow().healer().quarantine().strikes(a),
             1,
             "strike count survives the restore"
         );
@@ -1739,7 +1712,7 @@ mod tests {
         let base_functions = m.functions.len();
         let profile = engine.borrow().snapshot().profile;
         for (i, &e) in events.iter().enumerate() {
-            let seq = profile.handler_graph.stable_sequence(e).expect("stable");
+            let seq = profile.handler_graph().stable_sequence(e).expect("stable");
             assert!(seq.iter().all(|f| f.index() < base_functions));
             assert_eq!(seq.len(), 2, "event {i} credited with its own handlers");
         }
@@ -1833,7 +1806,7 @@ mod tests {
         // its plan in the cache.
         assert_eq!(compiled(&engine), (2, 3));
         let engine = engine.borrow();
-        let quarantine = engine.healer().expect("deployed").quarantine();
+        let quarantine = engine.healer().quarantine();
         assert_eq!(quarantine.strikes(a), 0);
         assert_eq!(quarantine.quarantined_until(a), None);
         // 60 + 2 * 50 dispatches under A add 1 + 2; 2 * 50 under B add 1
@@ -1860,35 +1833,35 @@ mod tests {
             handler: foreign,
             child_event: b,
         };
+        let event_graph = EventGraph {
+            nodes: [(a, 40)].into(),
+            edges: [((a, a), edge)].into(),
+        };
+        let handler_graph = HandlerGraph {
+            sequences: [(
+                a,
+                vec![HandlerSeq {
+                    handlers: vec![foreign],
+                    count: 40,
+                }],
+            )]
+            .into(),
+            nested: [(nested, 3)].into(),
+        };
+        // A profile builder's image: its two graphs, the boundary raise and
+        // the fresh-raise count.
+        let image = pdo_snap::encode(&(event_graph, handler_graph, (Some(a), 20u64)));
         let snap = EngineSnapshot {
-            profile: BuilderState {
-                event_graph: EventGraph {
-                    nodes: [(a, 40)].into(),
-                    edges: [((a, a), edge)].into(),
-                },
-                handler_graph: HandlerGraph {
-                    sequences: [(
-                        a,
-                        vec![HandlerSeq {
-                            handlers: vec![foreign],
-                            count: 40,
-                        }],
-                    )]
-                    .into(),
-                    nested: [(nested, 3)].into(),
-                },
-                prev_raise: Some(a),
-                fresh: 20,
-            },
+            profile: pdo_snap::decode(&image).unwrap(),
             ..EngineSnapshot::default()
         };
         let mut rt = Runtime::new(m.clone());
         bind_all(&mut rt, &m, a, b);
         let engine = AdaptiveEngine::attach_restored(&mut rt, m.clone(), config(), snap);
         let kept = engine.borrow().snapshot().profile;
-        assert!(kept.handler_graph.sequences.is_empty());
-        assert!(kept.handler_graph.nested.is_empty());
-        assert_eq!(kept.event_graph.nodes[&a], 40, "hotness is kept");
+        assert!(kept.handler_graph().sequences.is_empty());
+        assert!(kept.handler_graph().nested.is_empty());
+        assert_eq!(kept.event_graph().nodes[&a], 40, "hotness is kept");
         drive(&mut rt, a, 20); // two epochs
         assert!(rt.spec().get(a).is_some(), "{:?}", engine.borrow().stats());
     }

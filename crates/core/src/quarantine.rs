@@ -55,16 +55,8 @@ impl Default for QuarantineConfig {
     }
 }
 
-#[derive(Debug, Clone, Default)]
-struct Entry {
-    faults: u64,
-    guard_misses: u64,
-    strikes: u32,
-    until_ns: Option<u64>,
-}
-
-/// Externally serializable per-event quarantine state — the snapshot form
-/// of one tracked event's accumulators, strike count, and backoff expiry.
+/// One tracked event's accumulators, strike count, and backoff expiry —
+/// what the quarantine keeps per event, and what a snapshot carries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QuarantineEntry {
     /// Accumulated faults this (dirty) epoch run.
@@ -89,16 +81,24 @@ pdo_snap::codec_struct!(QuarantineEntry {
 #[derive(Debug, Clone)]
 pub struct Quarantine {
     config: QuarantineConfig,
-    entries: BTreeMap<EventId, Entry>,
+    entries: BTreeMap<EventId, QuarantineEntry>,
 }
 
 impl Quarantine {
     /// An empty quarantine with the given thresholds.
     pub fn new(config: QuarantineConfig) -> Self {
-        Quarantine {
-            config,
-            entries: BTreeMap::new(),
-        }
+        Quarantine::resume(config, BTreeMap::new())
+    }
+
+    /// A quarantine carrying `entries` — a snapshot's, so strike counts
+    /// and backoff expiries survive a restore.
+    pub fn resume(config: QuarantineConfig, entries: BTreeMap<EventId, QuarantineEntry>) -> Self {
+        Quarantine { config, entries }
+    }
+
+    /// Every tracked event's state, in id order (snapshotting).
+    pub fn entries(&self) -> &BTreeMap<EventId, QuarantineEntry> {
+        &self.entries
     }
 
     /// The configured thresholds.
@@ -186,44 +186,6 @@ impl Quarantine {
         self.entries
             .get(&event)
             .map_or((0, 0), |e| (e.faults, e.guard_misses))
-    }
-
-    /// Exports every tracked event's state in id order (snapshotting).
-    pub fn export_entries(&self) -> Vec<(EventId, QuarantineEntry)> {
-        self.entries
-            .iter()
-            .map(|(&event, e)| {
-                (
-                    event,
-                    QuarantineEntry {
-                        faults: e.faults,
-                        guard_misses: e.guard_misses,
-                        strikes: e.strikes,
-                        until_ns: e.until_ns,
-                    },
-                )
-            })
-            .collect()
-    }
-
-    /// Replaces the tracked entries with previously exported ones (the
-    /// inverse of [`Quarantine::export_entries`]), preserving strike
-    /// counts and backoff expiries across a restore.
-    pub fn restore_entries(&mut self, entries: Vec<(EventId, QuarantineEntry)>) {
-        self.entries = entries
-            .into_iter()
-            .map(|(event, e)| {
-                (
-                    event,
-                    Entry {
-                        faults: e.faults,
-                        guard_misses: e.guard_misses,
-                        strikes: e.strikes,
-                        until_ns: e.until_ns,
-                    },
-                )
-            })
-            .collect();
     }
 }
 
@@ -324,15 +286,18 @@ mod tests {
     }
 
     #[test]
-    fn export_restore_preserves_strikes_and_backoff() {
+    fn a_resumed_quarantine_keeps_strikes_and_backoff() {
         let e = EventId(0);
         let mut q = Quarantine::new(config());
         q.observe(&stats_with_faults(e, 4), 0);
         q.observe(&stats_with_faults(e, 2), 10); // accumulating mid-window
-        let entries = q.export_entries();
-        let mut r = Quarantine::new(config());
-        r.restore_entries(entries.clone());
-        assert_eq!(r.export_entries(), entries, "round trip is exact");
+        let entries = q.entries().clone();
+        pdo_snap::hostile::check(&entries);
+        let mut r = Quarantine::resume(
+            config(),
+            pdo_snap::decode(&pdo_snap::encode(&entries)).unwrap(),
+        );
+        assert_eq!(r.entries(), &entries, "round trip is exact");
         assert_eq!(r.strikes(e), q.strikes(e));
         assert_eq!(r.quarantined_until(e), q.quarantined_until(e));
         assert_eq!(r.counters(e), q.counters(e));

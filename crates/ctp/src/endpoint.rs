@@ -1,7 +1,7 @@
 //! A runnable CTP endpoint: natives, simulated link, and statistics.
 
 use pdo_cactus::EventProgram;
-use pdo_events::wire::{Arrival, FaultyWire, ReceiverState, SequencedReceiver, WireState};
+use pdo_events::wire::{Arrival, FaultyWire, SequencedReceiver};
 use pdo_events::{Runtime, RuntimeError};
 use pdo_ir::{EventId, GlobalId, RaiseMode, Value};
 use std::cell::RefCell;
@@ -89,11 +89,17 @@ impl From<RuntimeError> for CtpError {
 /// Mutable native-side state shared with the runtime's natives: the
 /// sender's positive-ack unit plus the simulated link and its receiver.
 ///
+/// It is also the endpoint's snapshot: captured by
+/// [`CtpEndpoint::export_link`] and reinstated by
+/// [`CtpEndpoint::restore_link`], with its hash maps encoded in key order.
+/// The runtime's own state (globals, scheduler, clock) is snapshotted
+/// separately through [`pdo_events::Runtime`].
+///
 /// A payload is one block from the handler's value on: the retransmit
 /// buffer, the wire log, the link and the receiver each hold a reference to
 /// it, never a copy.
-#[derive(Debug)]
-struct LinkState {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CtpLinkState {
     unacked: HashMap<i64, Arc<[u8]>>,
     wire: Vec<(i64, Arc<[u8]>)>,
     retransmissions: u64,
@@ -112,6 +118,22 @@ struct LinkState {
     rx_corrupt_dropped: u64,
 }
 
+pdo_snap::codec_struct!(CtpLinkState {
+    unacked,
+    wire,
+    retransmissions,
+    sends_since_sample,
+    ack_drop_every,
+    link,
+    outcome,
+    max_retries,
+    retries,
+    timeout_base_ns,
+    unreachable,
+    rx,
+    rx_corrupt_dropped,
+});
+
 /// Trailing-byte parity check (the FEC micro-protocol appends the xor of
 /// the payload; the receiver verifies it).
 fn parity_ok(segment: &[u8]) -> bool {
@@ -121,9 +143,9 @@ fn parity_ok(segment: &[u8]) -> bool {
     }
 }
 
-impl LinkState {
+impl CtpLinkState {
     fn new(params: &CtpParams) -> Self {
-        LinkState {
+        CtpLinkState {
             unacked: HashMap::new(),
             wire: Vec::new(),
             retransmissions: 0,
@@ -182,59 +204,6 @@ impl LinkState {
         self.rx.accept(seq, payload);
     }
 }
-
-/// The complete externally serializable state of an endpoint's native
-/// side — everything in [`LinkState`], with hash maps flattened into
-/// key-sorted vectors so the representation (and any bytes derived from
-/// it) is deterministic. Captured by [`CtpEndpoint::export_link`] and
-/// reinstated by [`CtpEndpoint::restore_link`]; the runtime's own state
-/// (globals, scheduler, clock) is snapshotted separately through
-/// [`pdo_events::Runtime`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CtpLinkState {
-    /// Unacknowledged segments, seq-sorted.
-    pub unacked: Vec<(i64, Arc<[u8]>)>,
-    /// Every wire transmission so far, in first-transmission order.
-    pub wire: Vec<(i64, Arc<[u8]>)>,
-    /// Retransmissions performed.
-    pub retransmissions: u64,
-    /// Sends since the controller last sampled.
-    pub sends_since_sample: i64,
-    /// Legacy deterministic ack-drop period.
-    pub ack_drop_every: u64,
-    /// Faulty-link layer (fault rates, RNG position, parked frame, stats).
-    pub link: WireState<(i64, Arc<[u8]>)>,
-    /// Delivery outcome per first transmission, seq-sorted.
-    pub outcome: Vec<(i64, bool)>,
-    /// Retransmission budget per segment.
-    pub max_retries: u32,
-    /// Retry counters for segments awaiting ack, seq-sorted.
-    pub retries: Vec<(i64, u32)>,
-    /// Base retransmission timeout (doubles per retry).
-    pub timeout_base_ns: i64,
-    /// True once any segment exhausted its retry budget.
-    pub unreachable: bool,
-    /// Receiver dedup/gap-buffer state.
-    pub rx: ReceiverState<Arc<[u8]>>,
-    /// Arrivals rejected by the parity check.
-    pub rx_corrupt_dropped: u64,
-}
-
-pdo_snap::codec_struct!(CtpLinkState {
-    unacked,
-    wire,
-    retransmissions,
-    sends_since_sample,
-    ack_drop_every,
-    link,
-    outcome,
-    max_retries,
-    retries,
-    timeout_base_ns,
-    unreachable,
-    rx,
-    rx_corrupt_dropped,
-});
 
 /// Statistics snapshot of an endpoint.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -346,7 +315,7 @@ impl CtpStats {
 /// A sender endpoint of the CTP composite protocol.
 pub struct CtpEndpoint {
     rt: Runtime,
-    state: Rc<RefCell<LinkState>>,
+    state: Rc<RefCell<CtpLinkState>>,
     ev_open: EventId,
     ev_send: EventId,
     globals: Globals,
@@ -377,7 +346,7 @@ impl CtpEndpoint {
     /// binding fails.
     pub fn new(program: &EventProgram, params: CtpParams) -> Result<CtpEndpoint, CtpError> {
         let mut rt = program.runtime()?;
-        let state = Rc::new(RefCell::new(LinkState::new(&params)));
+        let state = Rc::new(RefCell::new(CtpLinkState::new(&params)));
         install_natives(&mut rt, &state)?;
         if let Some(g) = program.module.global_by_name("clk_period_ns") {
             rt.set_global(g, Value::Int(params.clk_period_ns as i64));
@@ -556,58 +525,24 @@ impl CtpEndpoint {
         &self.rt
     }
 
-    /// Exports the native-side protocol state (retransmit queues, retry
+    /// A copy of the native-side protocol state (retransmit queues, retry
     /// counters, faulty-link layer, receiver buffers) for snapshotting.
     /// The runtime's state is exported separately by the caller. Payloads
     /// are shared with the live endpoint, not copied.
     pub fn export_link(&self) -> CtpLinkState {
-        /// A hash map's entries as a key-sorted vector.
-        fn sorted<V: Clone>(m: &HashMap<i64, V>) -> Vec<(i64, V)> {
-            let mut v: Vec<(i64, V)> = m.iter().map(|(&k, d)| (k, d.clone())).collect();
-            v.sort_by_key(|&(k, _)| k);
-            v
-        }
-        let st = self.state.borrow();
-        CtpLinkState {
-            unacked: sorted(&st.unacked),
-            wire: st.wire.clone(),
-            retransmissions: st.retransmissions,
-            sends_since_sample: st.sends_since_sample,
-            ack_drop_every: st.ack_drop_every,
-            link: st.link.export_state(),
-            outcome: sorted(&st.outcome),
-            max_retries: st.max_retries,
-            retries: sorted(&st.retries),
-            timeout_base_ns: st.timeout_base_ns,
-            unreachable: st.unreachable,
-            rx: st.rx.export_state(),
-            rx_corrupt_dropped: st.rx_corrupt_dropped,
-        }
+        self.state.borrow().clone()
     }
 
-    /// Reinstates native-side protocol state exported by
+    /// Replaces the native-side protocol state with one exported by
     /// [`CtpEndpoint::export_link`]. Call on a freshly built endpoint
     /// (before [`CtpEndpoint::open`] — a restored session resumes, it does
     /// not re-run setup).
     pub fn restore_link(&mut self, link: CtpLinkState) {
-        let mut st = self.state.borrow_mut();
-        st.unacked = link.unacked.into_iter().collect();
-        st.wire = link.wire;
-        st.retransmissions = link.retransmissions;
-        st.sends_since_sample = link.sends_since_sample;
-        st.ack_drop_every = link.ack_drop_every;
-        st.link = FaultyWire::from_state(link.link);
-        st.outcome = link.outcome.into_iter().collect();
-        st.max_retries = link.max_retries;
-        st.retries = link.retries.into_iter().collect();
-        st.timeout_base_ns = link.timeout_base_ns;
-        st.unreachable = link.unreachable;
-        st.rx = SequencedReceiver::from_state(link.rx);
-        st.rx_corrupt_dropped = link.rx_corrupt_dropped;
+        *self.state.borrow_mut() = link;
     }
 }
 
-fn install_natives(rt: &mut Runtime, state: &Rc<RefCell<LinkState>>) -> Result<(), CtpError> {
+fn install_natives(rt: &mut Runtime, state: &Rc<RefCell<CtpLinkState>>) -> Result<(), CtpError> {
     let int_arg = |args: &[Value], i: usize| -> Result<i64, String> {
         args.get(i)
             .and_then(Value::as_int)
@@ -1099,7 +1034,7 @@ mod tests {
         // link, still hold what was sent.
         assert_eq!(e.stats().rx_corrupt_dropped, 1, "garbage arrived");
         let link = e.export_link();
-        assert_eq!(link.unacked, [(1, Arc::from([42u8; 100]))]);
+        assert_eq!(link.unacked, HashMap::from([(1, Arc::from([42u8; 100]))]));
         assert_eq!(link.wire.len(), 1);
         assert!(parity_ok(&link.wire[0].1), "the log is what was sent");
         assert_eq!(e.wire_payload(), vec![42u8; 100]);

@@ -173,36 +173,16 @@ pub fn corrupt_value(v: &Value) -> Value {
     }
 }
 
-/// The complete, externally serializable state of a [`FaultInjector`]:
-/// the faults still pending and the per-event occurrence counters. A
-/// session snapshot carries this so a restored session neither re-fires
-/// faults that already hit nor miscounts occurrences toward pending ones.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultInjectorState {
-    /// Pending dispatch-targeted faults, ascending by `(event, occurrence)`.
-    pub dispatch_plan: Vec<(EventId, u64, FaultKind)>,
-    /// Pending timed-raise-targeted faults, ascending by `(event, occurrence)`.
-    pub timed_plan: Vec<(EventId, u64, FaultKind)>,
-    /// Top-level dispatch occurrences counted so far, per event.
-    pub dispatch_counts: Vec<(EventId, u64)>,
-    /// Timed raises counted so far, per event.
-    pub timed_counts: Vec<(EventId, u64)>,
-}
-
-pdo_snap::codec_struct!(FaultInjectorState {
-    dispatch_plan,
-    timed_plan,
-    dispatch_counts,
-    timed_counts,
-});
-
 /// A seeded, deterministic fault plan with per-event occurrence counters.
 ///
 /// Counting is the injector's whole contract: `on_dispatch` must be called
 /// exactly once per top-level occurrence and `on_timed` once per timed
 /// raise, which [`crate::Runtime`] does. Two runtimes driven by the same
-/// logical workload therefore consume the plan identically.
-#[derive(Debug, Clone, Default)]
+/// logical workload therefore consume the plan identically. A session
+/// snapshot carries the injector itself — the faults still pending and
+/// the counters — so a restored session neither re-fires faults that
+/// already hit nor miscounts occurrences toward pending ones.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultInjector {
     /// Dispatch-targeted faults keyed by `(event, occurrence)`.
     dispatch_plan: BTreeMap<(EventId, u64), FaultKind>,
@@ -211,6 +191,13 @@ pub struct FaultInjector {
     dispatch_counts: BTreeMap<EventId, u64>,
     timed_counts: BTreeMap<EventId, u64>,
 }
+
+pdo_snap::codec_struct!(FaultInjector {
+    dispatch_plan,
+    timed_plan,
+    dispatch_counts,
+    timed_counts,
+});
 
 impl FaultInjector {
     /// An injector with an empty plan (counts occurrences, fires nothing).
@@ -268,44 +255,6 @@ impl FaultInjector {
     /// Number of faults still pending (not yet fired).
     pub fn pending(&self) -> usize {
         self.dispatch_plan.len() + self.timed_plan.len()
-    }
-
-    /// Exports the injector's complete state: pending plan entries plus
-    /// the occurrence counters (deterministically ordered).
-    pub fn export_state(&self) -> FaultInjectorState {
-        FaultInjectorState {
-            dispatch_plan: self
-                .dispatch_plan
-                .iter()
-                .map(|(&(e, n), &k)| (e, n, k))
-                .collect(),
-            timed_plan: self
-                .timed_plan
-                .iter()
-                .map(|(&(e, n), &k)| (e, n, k))
-                .collect(),
-            dispatch_counts: self.dispatch_counts.iter().map(|(&e, &n)| (e, n)).collect(),
-            timed_counts: self.timed_counts.iter().map(|(&e, &n)| (e, n)).collect(),
-        }
-    }
-
-    /// Rebuilds an injector from exported state (the inverse of
-    /// [`FaultInjector::export_state`]).
-    pub fn from_state(state: FaultInjectorState) -> Self {
-        FaultInjector {
-            dispatch_plan: state
-                .dispatch_plan
-                .into_iter()
-                .map(|(e, n, k)| ((e, n), k))
-                .collect(),
-            timed_plan: state
-                .timed_plan
-                .into_iter()
-                .map(|(e, n, k)| ((e, n), k))
-                .collect(),
-            dispatch_counts: state.dispatch_counts.into_iter().collect(),
-            timed_counts: state.timed_counts.into_iter().collect(),
-        }
     }
 
     /// Advances the dispatch counter for `event` and returns a fault if this
@@ -393,7 +342,7 @@ mod tests {
     }
 
     #[test]
-    fn export_restore_preserves_counters_and_pending_plan() {
+    fn a_decoded_injector_keeps_counters_and_pending_plan() {
         let e = EventId(1);
         let mut fi = FaultInjector::from_plan([
             FaultSpec {
@@ -414,7 +363,8 @@ mod tests {
         ]);
         assert_eq!(fi.on_dispatch(e), Some(FaultKind::TrapDispatch));
         assert_eq!(fi.on_timed(e), None);
-        let mut restored = FaultInjector::from_state(fi.export_state());
+        let mut restored: FaultInjector = pdo_snap::decode(&pdo_snap::encode(&fi)).unwrap();
+        assert_eq!(restored, fi);
         // The restored injector neither re-fires occurrence 0 nor loses
         // count toward occurrence 2; both continue identically.
         for injector in [&mut fi, &mut restored] {
@@ -445,16 +395,20 @@ mod tests {
             FaultKind::DelayTimed { extra_ns: 7_000 },
             FaultKind::HandlerTrap,
         ];
-        let plan: Vec<_> = (0u64..)
+        let plan: BTreeMap<_, _> = (0u64..)
             .zip(kinds)
-            .map(|(n, k)| (EventId(3), n, k))
+            .map(|(n, k)| ((EventId(3), n), k))
             .collect();
-        pdo_snap::hostile::check(&FaultInjectorState {
-            dispatch_plan: plan.clone(),
-            timed_plan: plan[3..5].to_vec(),
-            dispatch_counts: vec![(EventId(0), 4), (EventId(3), 1)],
-            timed_counts: vec![],
-        });
+        let injector = FaultInjector {
+            timed_plan: plan
+                .range((EventId(3), 3)..(EventId(3), 5))
+                .map(|(&key, &k)| (key, k))
+                .collect(),
+            dispatch_plan: plan,
+            dispatch_counts: BTreeMap::from([(EventId(0), 4), (EventId(3), 1)]),
+            timed_counts: BTreeMap::new(),
+        };
+        pdo_snap::hostile::check(&injector);
         for policy in [
             FaultPolicy::Abort,
             FaultPolicy::SkipEvent,

@@ -60,18 +60,13 @@ pub mod spec;
 pub mod trace;
 pub mod wire;
 
-pub use fault::{
-    corrupt_value, FaultInjector, FaultInjectorState, FaultKind, FaultPolicy, FaultSpec,
-};
+pub use fault::{corrupt_value, FaultInjector, FaultKind, FaultPolicy, FaultSpec};
 pub use registry::{Binding, Registry};
 pub use runtime::{EpochHook, ObservableStats, Runtime, RuntimeConfig, RuntimeError, RuntimeStats};
-pub use sched::{Pending, QueuedTrace, SchedulerState, TimerEntry, VirtualClock};
+pub use sched::{Pending, QueuedTrace, Scheduler, TimerEntry, VirtualClock};
 pub use spec::{CompiledChain, Guard, SpecTable};
-pub use trace::{HandlerTraceMode, Trace, TraceConfig, TraceRecord};
-pub use wire::{
-    Arrival, FaultyWire, ReceiverState, SequencedReceiver, Transmit, WireFaults, WireState,
-    WireStats,
-};
+pub use trace::{Trace, TraceConfig, TraceRecord};
+pub use wire::{Arrival, FaultyWire, SequencedReceiver, Transmit, WireFaults, WireStats};
 
 const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 

@@ -252,7 +252,7 @@ impl Observers {
         dispatch: u64,
         now: u64,
     ) -> bool {
-        let traced = self.trace_config.handlers.traces(event);
+        let traced = self.trace_config.handlers;
         if traced {
             self.trace_push(TraceRecord::HandlerEnter {
                 event,

@@ -4,7 +4,7 @@ use crate::fault::{corrupt_value, FaultInjector, FaultKind, FaultPolicy, EXHAUST
 use crate::marshal::{marshal, unmarshal};
 use crate::observe::Observers;
 use crate::registry::Registry;
-use crate::sched::{Scheduler, SchedulerState, VirtualClock};
+use crate::sched::{Scheduler, VirtualClock};
 use crate::spec::{CompiledChain, GuardCheck, SpecTable};
 use crate::trace::{Trace, TraceConfig};
 use pdo_ir::interp::{call, Env, ExecError};
@@ -728,17 +728,18 @@ impl Runtime {
         self.sched.timer_len()
     }
 
-    /// Exports the scheduler's complete state (FIFO, timers in pop order,
-    /// sequence counter) for snapshotting.
-    pub fn export_sched(&self) -> SchedulerState {
-        self.sched.export_state()
+    /// A copy of the scheduler (FIFO, timers, sequence counter) for
+    /// snapshotting.
+    pub fn export_sched(&self) -> Scheduler {
+        self.sched.clone()
     }
 
-    /// Restores scheduler state exported by [`Runtime::export_sched`].
-    /// Timer deadlines are absolute virtual times; restore the clock (via
-    /// [`Runtime::advance_clock`]) to the snapshotted time as well.
-    pub fn restore_sched(&mut self, state: SchedulerState) {
-        self.sched.restore_state(state);
+    /// Replaces the scheduler with one exported by
+    /// [`Runtime::export_sched`]. Timer deadlines are absolute virtual
+    /// times; restore the clock (via [`Runtime::advance_clock`]) to the
+    /// snapshotted time as well.
+    pub fn restore_sched(&mut self, sched: Scheduler) {
+        self.sched = sched;
     }
 
     /// The installed fault injector, if any.
@@ -881,12 +882,33 @@ impl Runtime {
         }
     }
 
-    /// Containment skipped the rest of a dispatch after a handler trap.
-    /// The trap is recorded as a fault unless it is the fuel exhaustion we
-    /// injected ourselves, which was already noted at injection time.
-    fn contain_trap(&mut self, event: EventId, err: &ExecError, injected_fuel: bool) {
-        let organic = !(injected_fuel && matches!(err, ExecError::OutOfFuel));
+    /// The one containment decision for a trap in `event`'s dispatch,
+    /// whichever lane it came from. Boundary-fuel exhaustion in a *nested*
+    /// dispatch propagates, so the enclosing occurrence aborts at the same
+    /// program point a merged chain would; under [`FaultPolicy::Abort`]
+    /// every trap propagates. Otherwise the trap is contained — recorded as
+    /// a fault unless it is the fuel exhaustion we injected ourselves,
+    /// which was already noted at injection time — and, under
+    /// [`FaultPolicy::Despecialize`], `event`'s chain is removed. `Ok`
+    /// means contained: the caller skips the rest of the dispatch.
+    #[cold]
+    fn contain(
+        &mut self,
+        event: EventId,
+        err: ExecError,
+        injected_fuel: bool,
+    ) -> Result<(), RuntimeError> {
+        let out_of_fuel = matches!(err, ExecError::OutOfFuel);
+        let nested_exhaustion = out_of_fuel && self.boundary_fuel.is_some() && !injected_fuel;
+        if nested_exhaustion || self.config.fault_policy == FaultPolicy::Abort {
+            return Err(RuntimeError::Exec(err));
+        }
+        let organic = !(injected_fuel && out_of_fuel);
         self.sinks.contained(event, organic, self.clock.now_ns());
+        if self.config.fault_policy == FaultPolicy::Despecialize {
+            self.despecialize(event);
+        }
+        Ok(())
     }
 
     /// Dispatches the handlers of `event` immediately: guarded fast path
@@ -1025,45 +1047,20 @@ impl Runtime {
                     self.cost.direct_handler_calls += 1;
                     let dispatch = self.dispatch_seq;
                     self.dispatch_seq += 1;
-                    return match self.call_handler(module, event, func, dispatch, args) {
-                        Ok(_) => Ok(true),
-                        Err(err) => {
-                            if self.boundary_fuel.is_some()
-                                && !injected_fuel
-                                && matches!(err, ExecError::OutOfFuel)
-                            {
-                                // Boundary-fuel exhaustion in a *nested*
-                                // dispatch must propagate so the enclosing
-                                // occurrence aborts at the same program
-                                // point a merged chain would.
-                                return Err(RuntimeError::Exec(err));
-                            }
-                            match self.config.fault_policy {
-                                FaultPolicy::Abort => Err(RuntimeError::Exec(err)),
-                                FaultPolicy::SkipEvent => {
-                                    self.contain_trap(event, &err, injected_fuel);
-                                    Ok(true)
-                                }
-                                FaultPolicy::Despecialize => {
-                                    self.contain_trap(event, &err, injected_fuel);
-                                    self.despecialize(event);
-                                    if injected_fuel {
-                                        // Injected exhaustion stops the
-                                        // occurrence at a well-defined
-                                        // boundary; re-dispatching would
-                                        // re-run the completed prefix.
-                                        return Ok(true);
-                                    }
-                                    // Best-effort generic re-dispatch: the chain
-                                    // may have applied partial effects, so this
-                                    // is NOT equivalence-preserving — it keeps
-                                    // the occurrence from being lost entirely.
-                                    self.dispatch_handlers(module, event, args, true, false)
-                                        .map(|()| true)
-                                }
-                            }
+                    if let Err(err) = self.call_handler(module, event, func, dispatch, args) {
+                        self.contain(event, err, injected_fuel)?;
+                        // Injected exhaustion stops the occurrence at a
+                        // well-defined boundary; re-dispatching would re-run
+                        // the completed prefix. Otherwise, under
+                        // `Despecialize`, a best-effort generic re-dispatch:
+                        // the chain may have applied partial effects, so
+                        // this is NOT equivalence-preserving — it keeps the
+                        // occurrence from being lost entirely.
+                        if self.config.fault_policy == FaultPolicy::Despecialize && !injected_fuel {
+                            self.dispatch_handlers(module, event, args, true, false)?;
                         }
-                    };
+                    }
+                    return Ok(true);
                 }
                 // Every fallen-back dispatch is charged; the sinks hear of
                 // a miss once per rebind that invalidated the chain.
@@ -1087,22 +1084,8 @@ impl Runtime {
             // their `__pdo_fuel_boundary` markers.
             if let Some(n) = self.boundary_fuel {
                 if n == 0 {
-                    let err = ExecError::OutOfFuel;
-                    if !injected_fuel {
-                        // Nested dispatch: propagate to the occurrence's
-                        // top-level frame, which owns containment.
-                        return Err(RuntimeError::Exec(err));
-                    }
-                    match self.config.fault_policy {
-                        FaultPolicy::Abort => return Err(RuntimeError::Exec(err)),
-                        policy => {
-                            self.contain_trap(event, &err, injected_fuel);
-                            if policy == FaultPolicy::Despecialize {
-                                self.despecialize(event);
-                            }
-                            return Ok(false);
-                        }
-                    }
+                    self.contain(event, ExecError::OutOfFuel, injected_fuel)?;
+                    return Ok(false);
                 }
                 self.boundary_fuel = Some(n - 1);
             }
@@ -1112,25 +1095,8 @@ impl Runtime {
             let unpacked = unmarshal(&packed).map_err(RuntimeError::Marshal)?;
             let result = self.call_handler(module, event, binding.handler, dispatch, &unpacked);
             if let Err(err) = result {
-                if self.boundary_fuel.is_some()
-                    && !injected_fuel
-                    && matches!(err, ExecError::OutOfFuel)
-                {
-                    // Nested boundary exhaustion: abort the whole occurrence
-                    // (containment happens at its top-level frame).
-                    return Err(RuntimeError::Exec(err));
-                }
-                match self.config.fault_policy {
-                    FaultPolicy::Abort => return Err(RuntimeError::Exec(err)),
-                    policy => {
-                        // Contain: record, skip the rest of this dispatch.
-                        self.contain_trap(event, &err, injected_fuel);
-                        if policy == FaultPolicy::Despecialize {
-                            self.despecialize(event); // stale chain, if any
-                        }
-                        return Ok(false);
-                    }
-                }
+                self.contain(event, err, injected_fuel)?;
+                return Ok(false);
             }
         }
         Ok(false)

@@ -9,6 +9,7 @@
 use pdo_obs::TraceCtx;
 
 use pdo_ir::{EventId, Value};
+use pdo_snap::{Codec, SnapReader, SnapWriter, SnapshotError};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -131,23 +132,6 @@ impl PartialOrd for TimerEntry {
     }
 }
 
-/// The complete, externally serializable state of a [`Scheduler`]: the
-/// async FIFO in order, every timer in pop order, and the insertion
-/// sequence counter (whose value keeps FIFO tie-breaking among equal
-/// deadlines stable across a snapshot/restore cycle).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SchedulerState {
-    /// Queued asynchronous events, front first.
-    pub queue: Vec<Pending>,
-    /// Scheduled timers in exact pop order (earliest deadline, then
-    /// lowest insertion sequence).
-    pub timers: Vec<TimerEntry>,
-    /// Next insertion sequence number.
-    pub seq: u64,
-}
-
-pdo_snap::codec_struct!(SchedulerState { queue, timers, seq });
-
 /// How many emptied argument lists a scheduler keeps for its next raises.
 /// A dispatch hands one back and the handlers it runs take a few, so a
 /// steady session finds one waiting with far fewer than this; the bound is
@@ -157,6 +141,12 @@ pdo_snap::codec_struct!(SchedulerState { queue, timers, seq });
 const SPARE_ARG_LISTS: usize = 16;
 
 /// FIFO queue plus timer heap.
+///
+/// A scheduler is its own snapshot: it encodes as the FIFO front first,
+/// every timer in pop order (earliest deadline, then lowest insertion
+/// sequence), and the sequence counter, whose value keeps FIFO
+/// tie-breaking among equal deadlines stable across a snapshot/restore
+/// cycle. Its recycled argument lists are neither encoded nor cloned.
 #[derive(Debug, Default)]
 pub struct Scheduler {
     queue: VecDeque<Pending>,
@@ -164,6 +154,71 @@ pub struct Scheduler {
     seq: u64,
     /// Argument lists of dispatched entries, emptied, awaiting reuse.
     spare_args: Vec<Vec<Value>>,
+}
+
+impl Clone for Scheduler {
+    fn clone(&self) -> Self {
+        Scheduler {
+            queue: self.queue.clone(),
+            timers: self.timers.clone(),
+            seq: self.seq,
+            spare_args: Vec::new(),
+        }
+    }
+}
+
+/// Logical state only, as [`Pending`] and [`TimerEntry`]: the timers are
+/// compared in pop order, whatever the heap's layout.
+impl PartialEq for Scheduler {
+    fn eq(&self, other: &Self) -> bool {
+        self.queue == other.queue
+            && self.seq == other.seq
+            && self.timers_in_pop_order() == other.timers_in_pop_order()
+    }
+}
+
+// Hand-written because decoding checks across fields: the timers must be
+// strictly in pop order (the one order `put` writes) and the sequence
+// counter past every timer's, or the next `push_timed` could reuse a
+// `(deadline, seq)` and the FIFO tie-break would be undefined.
+impl Codec for Scheduler {
+    fn put(&self, w: &mut SnapWriter) {
+        w.len_prefix(self.queue.len());
+        for pending in &self.queue {
+            pending.put(w);
+        }
+        let timers = self.timers_in_pop_order();
+        w.len_prefix(timers.len());
+        for timer in timers {
+            timer.put(w);
+        }
+        self.seq.put(w);
+    }
+
+    fn take(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let queue = Vec::<Pending>::take(r)?;
+        let timers = Vec::<TimerEntry>::take(r)?;
+        let seq = u64::take(r)?;
+        if timers
+            .windows(2)
+            .any(|pair| (pair[0].deadline_ns, pair[0].seq) >= (pair[1].deadline_ns, pair[1].seq))
+        {
+            return Err(SnapshotError::Malformed(
+                "timers are not strictly in pop order".into(),
+            ));
+        }
+        if timers.iter().any(|t| t.seq >= seq) {
+            return Err(SnapshotError::Malformed(
+                "sequence counter is not past every timer's".into(),
+            ));
+        }
+        Ok(Scheduler {
+            queue: queue.into(),
+            timers: timers.into(),
+            seq,
+            spare_args: Vec::new(),
+        })
+    }
 }
 
 impl Scheduler {
@@ -280,28 +335,11 @@ impl Scheduler {
         self.timers.len()
     }
 
-    /// Exports the scheduler's complete state for snapshotting: the FIFO
-    /// in order, the timers in exact pop order, and the sequence counter.
-    pub fn export_state(&self) -> SchedulerState {
-        let mut heap = self.timers.clone();
-        let mut timers = Vec::with_capacity(heap.len());
-        while let Some(t) = heap.pop() {
-            timers.push(t);
-        }
-        SchedulerState {
-            queue: self.queue.iter().cloned().collect(),
-            timers,
-            seq: self.seq,
-        }
-    }
-
-    /// Replaces this scheduler's state with `state` (the inverse of
-    /// [`Scheduler::export_state`]). Timer deadlines are absolute virtual
-    /// times, so the caller restores the clock separately.
-    pub fn restore_state(&mut self, state: SchedulerState) {
-        self.queue = state.queue.into();
-        self.timers = state.timers.into();
-        self.seq = state.seq;
+    /// Every scheduled timer, in the order they would pop.
+    fn timers_in_pop_order(&self) -> Vec<&TimerEntry> {
+        let mut timers: Vec<&TimerEntry> = self.timers.iter().collect();
+        timers.sort_unstable_by_key(|t| (t.deadline_ns, t.seq));
+        timers
     }
 }
 
@@ -375,24 +413,25 @@ mod tests {
     }
 
     #[test]
-    fn export_restore_preserves_order_and_tiebreak() {
+    fn a_decoded_scheduler_keeps_order_and_tiebreak() {
         let mut s = Scheduler::new();
         s.push_async(EventId(7), vec![Value::Int(1)]);
         s.push_async(EventId(8), vec![]);
         s.push_timed(0, 100, EventId(1), vec![]);
         s.push_timed(0, 100, EventId(2), vec![]);
         s.push_timed(0, 50, EventId(3), vec![]);
-        let state = s.export_state();
         assert_eq!(
-            state.timers.iter().map(|t| t.event).collect::<Vec<_>>(),
+            s.timers_in_pop_order()
+                .iter()
+                .map(|t| t.event)
+                .collect::<Vec<_>>(),
             [EventId(3), EventId(1), EventId(2)],
-            "timers export in pop order"
+            "timers encode in pop order"
         );
-        assert_eq!(state.seq, 3);
-        let mut r = Scheduler::new();
-        r.restore_state(state.clone());
-        assert_eq!(r.export_state(), state, "round trip is exact");
-        // The restored scheduler pops identically and keeps the seq
+        let mut r: Scheduler = pdo_snap::decode(&pdo_snap::encode(&s)).unwrap();
+        assert_eq!(r, s, "round trip is exact");
+        assert_eq!(r.seq, 3);
+        // The decoded scheduler pops identically and keeps the seq
         // counter, so new timers tie-break after restored ones.
         r.push_timed(0, 100, EventId(9), vec![]);
         assert_eq!(r.pop_async().unwrap().event, EventId(7));
@@ -416,8 +455,8 @@ mod tests {
         s.push_async(EventId(2), vec![]);
         s.push_timed(10, 90, EventId(3), vec![Value::bytes(vec![1, 2])]);
         s.push_timed(10, 20, EventId(4), vec![Value::Unit, Value::Bool(true)]);
-        let state = s.export_state();
-        pdo_snap::hostile::check(&state);
+        pdo_snap::hostile::check(&s);
+        pdo_snap::hostile::check(&Scheduler::new());
 
         // A `Pending` is its event then its args; nothing of `trace`.
         let queued = Pending {
@@ -429,5 +468,37 @@ mod tests {
             pdo_snap::encode(&queued),
             pdo_snap::encode(&(EventId(9), vec![Value::Int(1)]))
         );
+    }
+
+    /// Decoding accepts only what `put` writes: timers strictly in pop
+    /// order, and a sequence counter past every timer's.
+    #[test]
+    fn non_canonical_timers_and_a_trailing_counter_are_malformed() {
+        let timer = |deadline_ns, seq| TimerEntry {
+            deadline_ns,
+            seq,
+            event: EventId(0),
+            args: vec![],
+            trace: None,
+        };
+        let decode = |timers: Vec<TimerEntry>, seq: u64| {
+            let mut w = SnapWriter::new();
+            Vec::<Pending>::new().put(&mut w);
+            timers.put(&mut w);
+            seq.put(&mut w);
+            pdo_snap::decode::<Scheduler>(&w.finish())
+        };
+        assert!(decode(vec![timer(5, 0), timer(5, 1)], 2).is_ok());
+        for (timers, seq) in [
+            (vec![timer(5, 1), timer(5, 0)], 2),
+            (vec![timer(5, 0), timer(5, 0)], 2),
+            (vec![timer(6, 0), timer(5, 1)], 2),
+            (vec![timer(5, 0), timer(5, 1)], 1),
+        ] {
+            assert!(matches!(
+                decode(timers, seq),
+                Err(SnapshotError::Malformed(_))
+            ));
+        }
     }
 }

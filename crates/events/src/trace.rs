@@ -1,13 +1,12 @@
 //! Execution traces for event and handler profiling.
 //!
-//! Profiling is two-phase, as in §3.1 of the paper: the first run records
-//! only event raises (event profiling); once hot event paths are known, a
-//! second run additionally instruments the handlers of selected events
-//! (handler profiling). [`TraceConfig`] selects the phase.
+//! [`TraceConfig`] selects what is recorded: event raises, and optionally
+//! enter/exit records around every handler. The paper's second profiling
+//! phase (§3.1), which instruments only the handlers of hot events, is not
+//! reproduced: every caller traces all handlers.
 
 use crate::fault::FaultKind;
 use pdo_ir::{EventId, FuncId, RaiseMode};
-use std::collections::HashSet;
 
 /// One record in an execution trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,44 +59,21 @@ pub enum TraceRecord {
     },
 }
 
-/// Which handlers to instrument.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum HandlerTraceMode {
-    /// No handler records (event-profiling phase).
-    #[default]
-    Off,
-    /// Record handlers of every event.
-    All,
-    /// Record handlers only for the given events (the paper instruments the
-    /// handlers of events on hot paths).
-    Selected(HashSet<EventId>),
-}
-
-impl HandlerTraceMode {
-    /// Should handlers of `event` be recorded?
-    pub fn traces(&self, event: EventId) -> bool {
-        match self {
-            HandlerTraceMode::Off => false,
-            HandlerTraceMode::All => true,
-            HandlerTraceMode::Selected(set) => set.contains(&event),
-        }
-    }
-}
-
 /// Tracing configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Record [`TraceRecord::Raise`] entries.
     pub events: bool,
-    /// Handler instrumentation mode.
-    pub handlers: HandlerTraceMode,
+    /// Record [`TraceRecord::HandlerEnter`] / [`TraceRecord::HandlerExit`]
+    /// around every handler.
+    pub handlers: bool,
 }
 
 impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
             events: true,
-            handlers: HandlerTraceMode::Off,
+            handlers: false,
         }
     }
 }
@@ -112,7 +88,7 @@ impl TraceConfig {
     pub fn off() -> Self {
         TraceConfig {
             events: false,
-            handlers: HandlerTraceMode::Off,
+            handlers: false,
         }
     }
 
@@ -120,15 +96,7 @@ impl TraceConfig {
     pub fn full() -> Self {
         TraceConfig {
             events: true,
-            handlers: HandlerTraceMode::All,
-        }
-    }
-
-    /// Handler-profiling phase for the given hot events.
-    pub fn handlers_for(events: impl IntoIterator<Item = EventId>) -> Self {
-        TraceConfig {
-            events: true,
-            handlers: HandlerTraceMode::Selected(events.into_iter().collect()),
+            handlers: true,
         }
     }
 }
@@ -181,15 +149,6 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn handler_mode_selection() {
-        assert!(!HandlerTraceMode::Off.traces(EventId(0)));
-        assert!(HandlerTraceMode::All.traces(EventId(0)));
-        let sel = HandlerTraceMode::Selected([EventId(1)].into_iter().collect());
-        assert!(sel.traces(EventId(1)));
-        assert!(!sel.traces(EventId(2)));
-    }
 
     #[test]
     fn event_sequence_filters_raises() {

@@ -14,6 +14,7 @@
 //! reorder — and reproduces the stream CTP's original in-crate model drew,
 //! so historical seeds keep their meaning.
 
+use pdo_snap::{Codec, SnapReader, SnapWriter, SnapshotError};
 use std::collections::BTreeMap;
 
 /// Seeded fault model for a simulated wire. Each field is a probability in
@@ -136,33 +137,46 @@ impl<T> Transmit<T> {
     }
 }
 
-/// The complete, externally serializable state of a [`FaultyWire`]: the
-/// configured fault probabilities, the RNG stream *cursor* (not the seed —
-/// a restored wire continues the exact roll sequence a live one would
-/// have drawn), any frame parked by the reordering stage, and the fault
-/// counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireState<T> {
-    /// Configured fault probabilities (including the original seed).
-    pub faults: WireFaults,
-    /// Current RNG stream position.
-    pub rng: u64,
-    /// Frame held back by the reordering stage, with its copy count.
-    pub held: Option<(T, u32)>,
-    /// Fault counters so far.
-    pub stats: WireStats,
-}
-
-pdo_snap::codec_struct!(WireState<T> { faults, rng, held, stats });
-
 /// A seeded lossy/duplicating/reordering/corrupting wire for frames of
 /// type `T`.
-#[derive(Debug, Clone)]
+///
+/// A wire is its own snapshot: the configured fault probabilities, the
+/// RNG stream *cursor* (not the seed — a restored wire continues the exact
+/// roll sequence a live one would have drawn), any frame parked by the
+/// reordering stage with its copy count, and the fault counters.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultyWire<T> {
     faults: WireFaults,
     rng: u64,
     held: Option<(T, u32)>,
     stats: WireStats,
+}
+
+// Hand-written for one check: a live wire holds a frame with one or two
+// copies, so any other count comes from a forged image, and releasing it
+// would overrun [`Arrivals`].
+impl<T: Codec> Codec for FaultyWire<T> {
+    fn put(&self, w: &mut SnapWriter) {
+        self.faults.put(w);
+        self.rng.put(w);
+        self.held.put(w);
+        self.stats.put(w);
+    }
+
+    fn take(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let wire = FaultyWire {
+            faults: Codec::take(r)?,
+            rng: Codec::take(r)?,
+            held: Codec::take(r)?,
+            stats: Codec::take(r)?,
+        };
+        match wire.held {
+            Some((_, copies @ (0 | 3..))) => Err(SnapshotError::Malformed(format!(
+                "held frame with {copies} copies"
+            ))),
+            _ => Ok(wire),
+        }
+    }
 }
 
 impl<T: Clone> FaultyWire<T> {
@@ -273,31 +287,6 @@ impl<T: Clone> FaultyWire<T> {
     pub fn has_held(&self) -> bool {
         self.held.is_some()
     }
-
-    /// Exports the wire's complete state — RNG cursor, held frame, and
-    /// counters — so a restored wire continues the identical fault
-    /// sequence.
-    pub fn export_state(&self) -> WireState<T> {
-        WireState {
-            faults: self.faults,
-            rng: self.rng,
-            held: self.held.clone(),
-            stats: self.stats,
-        }
-    }
-
-    /// Rebuilds a wire from exported state (the inverse of
-    /// [`FaultyWire::export_state`]). A live wire holds a frame with one or
-    /// two copies; a count outside that range can only come from a forged
-    /// image, and is clamped so it cannot overrun [`Arrivals`].
-    pub fn from_state(state: WireState<T>) -> Self {
-        FaultyWire {
-            faults: state.faults,
-            rng: state.rng,
-            held: state.held.map(|(item, copies)| (item, copies.clamp(1, 2))),
-            stats: state.stats,
-        }
-    }
 }
 
 /// Appends one arrival in the first free slot.
@@ -327,39 +316,25 @@ fn land<T: Clone>(arrivals: &mut Arrivals<T>, item: T, copies: u32) {
     );
 }
 
-/// The complete, externally serializable state of a
-/// [`SequencedReceiver`]: the next expected sequence number, the
-/// out-of-order gap buffer (sorted by sequence number), everything
-/// released so far, and the duplicate counter.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReceiverState<T> {
-    /// Next in-order sequence number expected.
-    pub next: i64,
-    /// Buffered out-of-order frames, ascending by sequence number.
-    pub buffer: Vec<(i64, T)>,
-    /// Frames released in order so far.
-    pub delivered: Vec<(i64, T)>,
-    /// Duplicate arrivals discarded.
-    pub duplicates: u64,
-}
-
-pdo_snap::codec_struct!(ReceiverState<T> {
-    next,
-    buffer,
-    delivered,
-    duplicates,
-});
-
 /// Receiver-side companion to [`FaultyWire`] for sequence-numbered frames:
 /// deduplicates by sequence number, buffers out-of-order arrivals, and
-/// releases consecutively from `next`.
-#[derive(Debug, Clone)]
+/// releases consecutively from `next`. Its snapshot is itself: the next
+/// expected sequence number, the gap buffer, everything released so far,
+/// and the duplicate counter.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SequencedReceiver<T> {
     next: i64,
     buffer: BTreeMap<i64, T>,
     delivered: Vec<(i64, T)>,
     duplicates: u64,
 }
+
+pdo_snap::codec_struct!(SequencedReceiver<T> {
+    next,
+    buffer,
+    delivered,
+    duplicates,
+});
 
 impl<T> SequencedReceiver<T> {
     /// A receiver expecting `first` as the next in-order sequence number.
@@ -404,30 +379,6 @@ impl<T> SequencedReceiver<T> {
     /// Out-of-order frames buffered but not yet released.
     pub fn buffered(&self) -> usize {
         self.buffer.len()
-    }
-
-    /// Exports the receiver's complete dedup/gap-buffer state.
-    pub fn export_state(&self) -> ReceiverState<T>
-    where
-        T: Clone,
-    {
-        ReceiverState {
-            next: self.next,
-            buffer: self.buffer.iter().map(|(&s, p)| (s, p.clone())).collect(),
-            delivered: self.delivered.clone(),
-            duplicates: self.duplicates,
-        }
-    }
-
-    /// Rebuilds a receiver from exported state (the inverse of
-    /// [`SequencedReceiver::export_state`]).
-    pub fn from_state(state: ReceiverState<T>) -> Self {
-        SequencedReceiver {
-            next: state.next,
-            buffer: state.buffer.into_iter().collect(),
-            delivered: state.delivered,
-            duplicates: state.duplicates,
-        }
     }
 }
 
@@ -574,19 +525,24 @@ mod tests {
         assert!(s.dropped > 0 && s.duplicated > 0 && s.reordered > 0 && s.corrupted > 0);
     }
 
-    /// A wire rebuilt from `export_state()` mid-stream — a frame parked or
-    /// not — continues the sequence the original draws.
+    /// A decoded copy of a wire.
+    fn through_codec<T: Codec>(w: &T) -> T {
+        pdo_snap::decode(&pdo_snap::encode(w)).expect("own encoding decodes")
+    }
+
+    /// A wire rebuilt from its encoding mid-stream — a frame parked or not
+    /// — continues the sequence the original draws.
     #[test]
     fn a_wire_rebuilt_mid_stream_continues_the_same_sequence() {
         let mut live = wire(MIXED);
         for i in 0..77 {
             live.transmit(i, |v| *v = u32::MAX);
         }
-        let mut rebuilt = FaultyWire::from_state(live.export_state());
+        let mut rebuilt = through_codec(&live);
         let mut parked_at_rebuild = 0;
         for i in 77..200 {
             if live.has_held() {
-                rebuilt = FaultyWire::from_state(live.export_state());
+                rebuilt = through_codec(&live);
                 parked_at_rebuild += 1;
             }
             let expected = live.transmit(i, |v| *v = u32::MAX);
@@ -602,15 +558,21 @@ mod tests {
     }
 
     /// Only a forged image can name a held frame with other than one or two
-    /// copies; restoring one must not overrun the inline arrivals.
+    /// copies; it is `Malformed`, never a wire that overruns the inline
+    /// arrivals on release.
     #[test]
     fn a_forged_copy_count_cannot_overrun_the_arrivals() {
-        for copies in [0, 3, u32::MAX] {
-            let mut forged = wire(MIXED).export_state();
+        for copies in [0, 1, 2, 3, u32::MAX] {
+            let mut forged = wire(MIXED);
             forged.held = Some((7, copies));
-            let mut w = FaultyWire::from_state(forged);
-            let landed = items(&w.flush());
-            assert!(matches!(landed.len(), 1 | 2), "{copies} copies: {landed:?}");
+            let decoded = pdo_snap::decode::<FaultyWire<u32>>(&pdo_snap::encode(&forged));
+            match copies {
+                1 | 2 => assert_eq!(decoded.unwrap(), forged),
+                _ => assert!(
+                    matches!(decoded, Err(SnapshotError::Malformed(_))),
+                    "{copies} copies: {decoded:?}"
+                ),
+            }
         }
     }
 
@@ -636,7 +598,7 @@ mod tests {
     }
 
     #[test]
-    fn export_restore_continues_the_exact_fault_sequence() {
+    fn a_rebuilt_wire_and_receiver_continue_the_exact_fault_sequence() {
         let faults = WireFaults {
             drop_per_mille: 300,
             dup_per_mille: 200,
@@ -651,8 +613,8 @@ mod tests {
         let mut rx_live = SequencedReceiver::new(0);
         let mut rx_restored = SequencedReceiver::new(0);
         for seq in 0..100i64 {
-            restored = FaultyWire::from_state(restored.export_state());
-            rx_restored = SequencedReceiver::from_state(rx_restored.export_state());
+            restored = through_codec(&restored);
+            rx_restored = through_codec(&rx_restored);
             let a = live.transmit((seq, seq), |v| v.1 = -1);
             let b = restored.transmit((seq, seq), |v| v.1 = -1);
             assert_eq!(a, b);
@@ -664,7 +626,7 @@ mod tests {
             }
         }
         assert_eq!(live.stats(), restored.stats());
-        assert_eq!(rx_live.export_state(), rx_restored.export_state());
+        assert_eq!(rx_live, rx_restored);
     }
 
     #[test]
@@ -710,16 +672,16 @@ mod tests {
             corrupted: 4,
         };
         for held in [None, Some(((7i64, vec![1u8, 2, 3]), 2u32))] {
-            pdo_snap::hostile::check(&WireState {
+            pdo_snap::hostile::check(&FaultyWire {
                 faults,
                 rng: u64::MAX,
                 held,
                 stats,
             });
         }
-        pdo_snap::hostile::check(&ReceiverState {
+        pdo_snap::hostile::check(&SequencedReceiver {
             next: -3,
-            buffer: vec![(5i64, vec![5u8]), (9, vec![])],
+            buffer: BTreeMap::from([(5i64, vec![5u8]), (9, vec![])]),
             delivered: vec![(1, b"one".to_vec())],
             duplicates: 6,
         });

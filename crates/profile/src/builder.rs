@@ -22,30 +22,11 @@ use crate::Profile;
 use pdo_events::Trace;
 use pdo_ir::{EventId, FuncId};
 
-/// The complete externally serializable state of a [`ProfileBuilder`]:
-/// the decaying accumulators, the cross-window boundary raise, and the
-/// fresh-raise counter. Exporting and restoring this is exact — a
-/// restored builder produces the same profiles as the original.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BuilderState {
-    /// Accumulated (decayed) event graph.
-    pub event_graph: EventGraph,
-    /// Accumulated (decayed) handler graph.
-    pub handler_graph: HandlerGraph,
-    /// Last raise of the previous window, if any.
-    pub prev_raise: Option<EventId>,
-    /// Raises observed since the last re-profile.
-    pub fresh: u64,
-}
-
-pdo_snap::codec_struct!(BuilderState {
-    event_graph,
-    handler_graph,
-    prev_raise,
-    fresh,
-});
-
 /// Accumulates trace windows into a decaying profile.
+///
+/// A builder is its own snapshot: the decaying accumulators, the
+/// cross-window boundary raise and the fresh-raise counter, so a decoded
+/// builder produces the same profiles as the original.
 #[derive(Debug, Clone, Default)]
 pub struct ProfileBuilder {
     event_graph: EventGraph,
@@ -55,8 +36,25 @@ pub struct ProfileBuilder {
     prev_raise: Option<EventId>,
     /// Raise records observed since the last [`ProfileBuilder::take_fresh`].
     fresh: u64,
-    /// Working storage of the window fold, kept for its capacity.
+    /// Working storage of the window fold, kept for its capacity. Empty
+    /// between windows, so it is neither encoded nor compared.
     scratch: FoldScratch,
+}
+
+pdo_snap::codec_struct!(ProfileBuilder {
+    event_graph,
+    handler_graph,
+    prev_raise,
+    fresh,
+} skip { scratch });
+
+impl PartialEq for ProfileBuilder {
+    fn eq(&self, other: &Self) -> bool {
+        self.event_graph == other.event_graph
+            && self.handler_graph == other.handler_graph
+            && self.prev_raise == other.prev_raise
+            && self.fresh == other.fresh
+    }
 }
 
 impl ProfileBuilder {
@@ -168,28 +166,6 @@ impl ProfileBuilder {
         }
         self.handler_graph.sequences.retain(|_, s| !s.is_empty());
         self.handler_graph.nested.retain(|k, _| program(&k.handler));
-    }
-
-    /// Exports the builder's complete state for snapshotting.
-    pub fn export_state(&self) -> BuilderState {
-        BuilderState {
-            event_graph: self.event_graph.clone(),
-            handler_graph: self.handler_graph.clone(),
-            prev_raise: self.prev_raise,
-            fresh: self.fresh,
-        }
-    }
-
-    /// Rebuilds a builder from exported state (the inverse of
-    /// [`ProfileBuilder::export_state`]).
-    pub fn from_state(state: BuilderState) -> Self {
-        ProfileBuilder {
-            event_graph: state.event_graph,
-            handler_graph: state.handler_graph,
-            prev_raise: state.prev_raise,
-            fresh: state.fresh,
-            scratch: FoldScratch::default(),
-        }
     }
 }
 
@@ -355,12 +331,7 @@ mod tests {
             b.handler_graph().stable_sequence(EventId(5)),
             Some(&[FuncId(6)][..])
         );
-        assert!(b
-            .export_state()
-            .handler_graph
-            .nested
-            .keys()
-            .all(|k| k.handler.0 < 9));
+        assert!(b.handler_graph().nested.keys().all(|k| k.handler.0 < 9));
     }
 
     #[test]
@@ -485,7 +456,7 @@ mod tests {
     }
 
     #[test]
-    fn export_restore_round_trips_and_continues_identically() {
+    fn a_decoded_builder_continues_identically() {
         let mut a = ProfileBuilder::new();
         a.observe(
             &Trace {
@@ -494,9 +465,8 @@ mod tests {
             &SuperHandlers::none(),
         );
         a.end_epoch();
-        let state = a.export_state();
-        let mut b = ProfileBuilder::from_state(state.clone());
-        assert_eq!(b.export_state(), state, "round trip is exact");
+        let mut b: ProfileBuilder = pdo_snap::decode(&pdo_snap::encode(&a)).unwrap();
+        assert_eq!(b, a, "round trip is exact");
         // Both continue identically, including the boundary edge carried
         // in prev_raise and the fresh counter.
         let window = Trace {
@@ -504,7 +474,7 @@ mod tests {
         };
         a.observe(&window, &SuperHandlers::none());
         b.observe(&window, &SuperHandlers::none());
-        assert_eq!(a.export_state(), b.export_state());
+        assert_eq!(a, b);
         assert_eq!(a.fresh_events(), b.fresh_events());
         assert_eq!(a.snapshot(1).reduced().nodes, b.snapshot(1).reduced().nodes);
     }
@@ -542,7 +512,7 @@ mod tests {
             handler: FuncId(1),
             child_event: b,
         };
-        pdo_snap::hostile::check(&BuilderState {
+        pdo_snap::hostile::check(&ProfileBuilder {
             event_graph: EventGraph {
                 nodes: [(a, 10), (b, 9)].into(),
                 edges: [((a, b), edge), ((b, a), EdgeData::default())].into(),
@@ -553,7 +523,8 @@ mod tests {
             },
             prev_raise: Some(b),
             fresh: 19,
+            scratch: FoldScratch::default(),
         });
-        pdo_snap::hostile::check(&BuilderState::default());
+        pdo_snap::hostile::check(&ProfileBuilder::new());
     }
 }

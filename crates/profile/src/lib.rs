@@ -25,7 +25,7 @@ pub mod graph;
 pub mod handlers;
 pub mod store;
 
-pub use builder::{BuilderState, ProfileBuilder};
+pub use builder::ProfileBuilder;
 pub use chains::{event_chains, event_paths, hot_events};
 pub use graph::{EdgeData, EdgeMode, EventGraph};
 pub use handlers::{HandlerGraph, HandlerSeq, NestedRaise, SuperHandler, SuperHandlers};

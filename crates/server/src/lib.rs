@@ -46,7 +46,7 @@ use pdo_ctp::{CtpEndpoint, CtpError, CtpParams};
 /// The mix behind placement: two deterministic shard candidates from a
 /// session id here, a connection's shard from its id in the ingress.
 pub use pdo_events::splitmix64;
-use pdo_events::{FaultInjector, Runtime, RuntimeConfig, RuntimeError};
+use pdo_events::{Runtime, RuntimeConfig, RuntimeError};
 use pdo_ir::{EventId, FuncId, GlobalId, Module, RaiseMode, Value};
 use pdo_obs::{
     Histogram, MetricsSnapshot, ObsHub, ObsKind, Span, SpanKind, TraceCtx, TraceStore,
@@ -439,8 +439,8 @@ impl ShardState {
             rt.set_global(GlobalId::from_index(idx), value);
         }
         rt.restore_sched(sched);
-        if let Some(state) = injector {
-            rt.set_fault_injector(FaultInjector::from_state(state));
+        if let Some(injector) = injector {
+            rt.set_fault_injector(injector);
         }
         // Endpoint kinds build their runtime internally; re-apply the one
         // config knob that can change after construction.
@@ -663,7 +663,7 @@ impl ShardState {
             globals,
             clock_ns: rt.clock_ns(),
             sched: rt.export_sched(),
-            injector: rt.fault_injector().map(|f| f.export_state()),
+            injector: rt.fault_injector().cloned(),
             engine: session.engine.borrow().snapshot(),
             kind,
             module,

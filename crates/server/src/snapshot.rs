@@ -5,21 +5,26 @@
 //! scheduler queue and timer heap, pending fault plan, the adaptation
 //! daemon's [`EngineSnapshot`], and the protocol endpoint's link or wire
 //! state — everything a fresh shard (or a fresh process) needs to resume
-//! the session instead of cold-starting it. In-memory migration ships the
-//! struct across the shard channel; durable persistence runs an [`Image`]
+//! the session instead of cold-starting it. In-memory migration moves the
+//! struct to another shard; durable persistence runs an [`Image`]
 //! through `pdo_snap::{encode, decode}`.
 //!
-//! The byte layout is the field tables below plus the table next to each
-//! captured state type in its own crate (`pdo_snap::Codec`). Every table
-//! destructures its struct exhaustively, so adding a field to any captured
-//! state type is a compile error rather than a silently incomplete
-//! snapshot. Collections encode in key order and decode only in key order
-//! (`BTreeMap`s, seq-sorted vectors), so every state has one encoding:
-//! snapshot → restore → snapshot is byte-identical.
+//! A captured state is its live type: the scheduler, fault injector,
+//! profile builder, quarantine map and CTP link state are the session's
+//! own values, cloned at capture and moved back in at restore, and each
+//! encodes itself (`pdo_snap::Codec`) — a field table next to the type in
+//! its own crate, or, for `Scheduler` and `FaultyWire`, whose decoding
+//! checks across fields, a hand-written impl. Every table destructures its
+//! struct exhaustively, so adding a field to any captured state type is a
+//! compile error rather than a silently incomplete snapshot. Collections
+//! encode in key order and decode only in key order (maps, hash maps
+//! included; timers in pop order), so every state has one encoding:
+//! snapshot → restore → snapshot is byte-identical, and a checksum-valid
+//! image with a repeated or out-of-order key is `Malformed`.
 
 use pdo::EngineSnapshot;
 use pdo_ctp::{CtpLinkState, CtpParams};
-use pdo_events::{FaultInjectorState, RuntimeConfig, SchedulerState};
+use pdo_events::{FaultInjector, RuntimeConfig, Scheduler};
 use pdo_ir::{EventId, FuncId, Module, Value};
 use pdo_seccomm::{Keys, SecWireState};
 use pdo_snap::{codec_enum, codec_struct};
@@ -42,8 +47,8 @@ pub(crate) struct SessionSnapshot {
     pub bindings: Vec<(EventId, FuncId, i32)>,
     pub globals: Vec<Value>,
     pub clock_ns: u64,
-    pub sched: SchedulerState,
-    pub injector: Option<FaultInjectorState>,
+    pub sched: Scheduler,
+    pub injector: Option<FaultInjector>,
     pub engine: EngineSnapshot,
     pub kind: KindSnapshot,
 }
@@ -95,8 +100,11 @@ codec_struct!(Image { next_id, sessions });
 mod tests {
     use super::*;
     use crate::{Server, ServerConfig, ServerError};
+    use pdo::QuarantineEntry;
     use pdo_ctp::ctp_program;
+    use pdo_events::{FaultKind, FaultyWire, Pending, TimerEntry};
     use pdo_ir::{BinOp, FunctionBuilder, RaiseMode};
+    use pdo_profile::{EdgeData, HandlerGraph};
     use pdo_seccomm::{seccomm_protocol, CONFIG_FULL};
     use pdo_snap::{decode, encode, hostile, Codec, SnapWriter, SnapshotError};
 
@@ -239,61 +247,356 @@ mod tests {
         }
     }
 
-    /// The same for an interior map: a repeated or out-of-order key in
-    /// the carried profile used to decode silently (last wins).
-    #[test]
-    fn duplicate_profile_map_keys_are_malformed() {
-        let image = fleet_image();
-        let (id, (shard, session)) = image.sessions.iter().next().unwrap();
-        let nodes = &session.engine.profile.event_graph.nodes;
-        assert!(!nodes.is_empty(), "the plain session carries a profile");
-        let canonical: Vec<(EventId, u64)> = nodes.iter().map(|(&e, &n)| (e, n)).collect();
-        let (event, count) = canonical[0];
+    /// `value`'s encoding read back as `L`: a layout with the same bytes.
+    fn relayout<L: Codec>(value: &impl Codec) -> L {
+        decode(&encode(value)).expect("the layout is the value's")
+    }
 
-        // The image, spelled out down to the event-graph node map, which
-        // is written as a plain list: same bytes, but any key order.
-        let image_with_nodes = |nodes: &Vec<(EventId, u64)>| {
-            let mut w = SnapWriter::new();
-            image.next_id.put(&mut w);
-            w.len_prefix(1);
+    /// The first session of `image` whose endpoint kind `matches` picks.
+    fn first_session(
+        image: &Image,
+        matches: impl Fn(&KindSnapshot) -> bool,
+    ) -> (SessionId, &SessionSnapshot) {
+        image
+            .sessions
+            .iter()
+            .find(|(_, (_, s))| matches(&s.kind))
+            .map(|(&id, (_, s))| (id, s))
+            .expect("the fleet holds one")
+    }
+
+    /// `image` as bytes, spelled out down to session `target`'s scheduler,
+    /// fault injector, profile, quarantine and endpoint kind: each argument
+    /// is written where that field of the session goes. A caller forges one
+    /// of them by passing a layout of plain lists, which — unlike the live
+    /// type — can hold a repeated or out-of-order key.
+    fn spelled_out(
+        image: &Image,
+        target: SessionId,
+        sched: &impl Codec,
+        injector: &impl Codec,
+        profile: &impl Codec,
+        quarantine: &impl Codec,
+        kind: &impl Codec,
+    ) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        image.next_id.put(&mut w);
+        w.len_prefix(image.sessions.len());
+        for (id, entry) in &image.sessions {
             id.put(&mut w);
+            if *id != target {
+                entry.put(&mut w);
+                continue;
+            }
+            let (shard, s) = entry;
             shard.put(&mut w);
-            let s = session;
             s.module.put(&mut w);
             s.config.put(&mut w);
             s.bindings.put(&mut w);
             s.globals.put(&mut w);
             s.clock_ns.put(&mut w);
-            s.sched.put(&mut w);
-            s.injector.put(&mut w);
-            nodes.put(&mut w);
-            s.engine.profile.event_graph.edges.put(&mut w);
-            s.engine.profile.handler_graph.put(&mut w);
-            s.engine.profile.prev_raise.put(&mut w);
-            s.engine.profile.fresh.put(&mut w);
+            sched.put(&mut w);
+            injector.put(&mut w);
+            profile.put(&mut w);
             s.engine.stats.put(&mut w);
-            s.engine.quarantine.put(&mut w);
-            s.kind.put(&mut w);
-            w
-        };
-        let mut single = BTreeMap::new();
-        single.insert(*id, (*shard, decode_session(session)));
+            quarantine.put(&mut w);
+            kind.put(&mut w);
+        }
+        w.finish()
+    }
+
+    /// Restoring `bytes` into a fresh server is `Malformed` and opens
+    /// nothing.
+    fn assert_malformed_and_nothing_opened(bytes: &[u8]) {
+        let mut server = Server::new(ServerConfig::default());
+        assert!(is_malformed_restore(server.restore_from_bytes(bytes)));
+        assert!(server.sessions().is_empty(), "nothing was opened");
+    }
+
+    /// The canonical-order contract for one collection a session carries.
+    /// `forge` spells out the fleet image with the collection written as
+    /// the plain list it is given. In canonical order (`entries`, two or
+    /// more) that is a real image: it decodes, re-encodes to the same
+    /// bytes and restores. With the first entry repeated, or the first two
+    /// swapped, it is `Malformed` and nothing is opened — where the
+    /// collection used to be copied into a plain vector and collected
+    /// back, accepting any order and letting the last repeated key win.
+    fn assert_only_canonical_order_restores<E: Clone>(
+        entries: Vec<E>,
+        forge: impl Fn(Vec<E>) -> Vec<u8>,
+    ) {
+        assert!(entries.len() >= 2, "two entries to reorder");
+        let canonical = forge(entries.clone());
+        let image: Image = decode(&canonical).expect("the canonical list decodes");
         assert_eq!(
-            image_with_nodes(&canonical).finish(),
-            encode(&Image {
-                next_id: image.next_id,
-                sessions: single,
-            }),
+            encode(&image),
+            canonical,
             "the spelled-out layout is the real one"
         );
-        assert!(is_malformed(image_with_nodes(&vec![
-            (event, count),
-            (event, count + 1)
-        ])));
-        assert!(is_malformed(image_with_nodes(&vec![
+        Server::new(ServerConfig::default())
+            .restore_from_bytes(&canonical)
+            .expect("the canonical image restores");
+        let mut repeated = entries.clone();
+        repeated.insert(1, entries[0].clone());
+        assert_malformed_and_nothing_opened(&forge(repeated));
+        let mut swapped = entries;
+        swapped.swap(0, 1);
+        assert_malformed_and_nothing_opened(&forge(swapped));
+    }
+
+    /// A profile builder's layout with its event-graph node map as a plain
+    /// list: the nodes, the edges, then the handler graph, the boundary
+    /// raise and the fresh-raise count.
+    type ProfileLayout = (
+        Vec<(EventId, u64)>,
+        BTreeMap<(EventId, EventId), EdgeData>,
+        (HandlerGraph, Option<EventId>, u64),
+    );
+
+    /// The same for an interior map: a repeated or out-of-order key in
+    /// the carried profile used to decode silently (last wins).
+    #[test]
+    fn duplicate_profile_map_keys_are_malformed() {
+        let image = fleet_image();
+        let (id, s) = first_session(&image, |k| *k == KindSnapshot::Plain);
+        let (nodes, edges, rest): ProfileLayout = relayout(&s.engine.profile);
+        assert!(!nodes.is_empty(), "the plain session carries a profile");
+        let (event, count) = nodes[0];
+        let with_nodes = |nodes: Vec<(EventId, u64)>| {
+            let profile = (nodes, edges.clone(), rest.clone());
+            let q = &s.engine.quarantine;
+            spelled_out(&image, id, &s.sched, &s.injector, &profile, q, &s.kind)
+        };
+        assert_eq!(
+            with_nodes(nodes.clone()),
+            encode(&image),
+            "the spelled-out layout is the real one"
+        );
+        assert_malformed_and_nothing_opened(&with_nodes(vec![(event, count), (event, count + 1)]));
+        assert_malformed_and_nothing_opened(&with_nodes(vec![
             (EventId(event.0 + 1), 1),
-            (event, count)
-        ])));
+            (event, count),
+        ]));
+    }
+
+    /// A scheduler's layout: the FIFO, the timers as a plain list, the
+    /// sequence counter.
+    type SchedLayout = (Vec<Pending>, Vec<TimerEntry>, u64);
+
+    /// A scheduler whose sequence counter trails its own timers would give
+    /// the next timed raise a `(deadline, seq)` a pending timer already
+    /// has, and their FIFO tie-break would be undefined: rejected before
+    /// any session is opened.
+    #[test]
+    fn a_sequence_counter_behind_its_timers_is_malformed() {
+        let image = fleet_image();
+        let (id, s) = first_session(&image, |k| *k == KindSnapshot::Plain);
+        let (queue, timers, seq): SchedLayout = relayout(&s.sched);
+        let last = timers.iter().map(|t| t.seq).max().expect("pending timers");
+        assert!(seq > last);
+        let with_seq = |seq: u64| {
+            let sched = (queue.clone(), timers.clone(), seq);
+            let q = &s.engine.quarantine;
+            spelled_out(
+                &image,
+                id,
+                &sched,
+                &s.injector,
+                &s.engine.profile,
+                q,
+                &s.kind,
+            )
+        };
+        assert_eq!(
+            with_seq(seq),
+            encode(&image),
+            "the spelled-out layout is the real one"
+        );
+        assert_malformed_and_nothing_opened(&with_seq(last));
+    }
+
+    #[test]
+    fn timers_restore_only_in_pop_order() {
+        let image = fleet_image();
+        let (id, s) = first_session(&image, |k| *k == KindSnapshot::Plain);
+        let (queue, timers, seq): SchedLayout = relayout(&s.sched);
+        assert_only_canonical_order_restores(timers, |timers| {
+            let sched = (queue.clone(), timers, seq);
+            let q = &s.engine.quarantine;
+            spelled_out(
+                &image,
+                id,
+                &sched,
+                &s.injector,
+                &s.engine.profile,
+                q,
+                &s.kind,
+            )
+        });
+    }
+
+    type FaultPlan = Vec<(EventId, u64, FaultKind)>;
+    type FaultCounts = Vec<(EventId, u64)>;
+
+    /// A fault injector's layout: the dispatch and timed plans, then the
+    /// dispatch and timed occurrence counts, each a plain list.
+    type InjectorLayout = (FaultPlan, FaultPlan, (FaultCounts, FaultCounts));
+
+    /// The fleet image with `injector` installed on its first plain session.
+    fn with_injector(image: &Image, injector: InjectorLayout) -> Vec<u8> {
+        let (id, s) = first_session(image, |k| *k == KindSnapshot::Plain);
+        let (profile, q) = (&s.engine.profile, &s.engine.quarantine);
+        spelled_out(image, id, &s.sched, &Some(injector), profile, q, &s.kind)
+    }
+
+    #[test]
+    fn fault_plans_restore_only_in_key_order() {
+        let image = fleet_image();
+        let tick = EventId(0);
+        let dispatch = vec![
+            (tick, 3, FaultKind::TrapDispatch),
+            (tick, 5, FaultKind::CorruptArg { index: 1 }),
+        ];
+        assert_only_canonical_order_restores(dispatch, |plan| {
+            with_injector(&image, (plan, vec![], (vec![], vec![])))
+        });
+        let timed = vec![
+            (tick, 0, FaultKind::DropTimed),
+            (tick, 2, FaultKind::DelayTimed { extra_ns: 9 }),
+        ];
+        assert_only_canonical_order_restores(timed, |plan| {
+            with_injector(&image, (vec![], plan, (vec![], vec![])))
+        });
+    }
+
+    #[test]
+    fn fault_counts_restore_only_in_key_order() {
+        let image = fleet_image();
+        let counts = vec![(EventId(0), 4), (EventId(1), 2)];
+        assert_only_canonical_order_restores(counts.clone(), |counts| {
+            with_injector(&image, (vec![], vec![], (counts, vec![])))
+        });
+        assert_only_canonical_order_restores(counts, |counts| {
+            with_injector(&image, (vec![], vec![], (vec![], counts)))
+        });
+    }
+
+    type Segments = Vec<(i64, Arc<[u8]>)>;
+
+    /// A CTP link's layout with its three seq-keyed maps and the
+    /// receiver's gap buffer as plain lists (the receiver's four fields
+    /// inline, from `rx_next` to `rx_duplicates`).
+    #[derive(Clone)]
+    struct LinkLayout {
+        unacked: Segments,
+        wire: Segments,
+        retransmissions: u64,
+        sends_since_sample: i64,
+        ack_drop_every: u64,
+        link: FaultyWire<(i64, Arc<[u8]>)>,
+        outcome: Vec<(i64, bool)>,
+        max_retries: u32,
+        retries: Vec<(i64, u32)>,
+        timeout_base_ns: i64,
+        unreachable: bool,
+        rx_next: i64,
+        rx_buffer: Segments,
+        rx_delivered: Segments,
+        rx_duplicates: u64,
+        rx_corrupt_dropped: u64,
+    }
+
+    codec_struct!(LinkLayout {
+        unacked,
+        wire,
+        retransmissions,
+        sends_since_sample,
+        ack_drop_every,
+        link,
+        outcome,
+        max_retries,
+        retries,
+        timeout_base_ns,
+        unreachable,
+        rx_next,
+        rx_buffer,
+        rx_delivered,
+        rx_duplicates,
+        rx_corrupt_dropped,
+    });
+
+    /// The canonical-order contract for one keyed list of the first CTP
+    /// session's link: `list` picks it out of the link's layout, and
+    /// `entries` replaces it.
+    fn assert_link_list_is_canonical<E: Clone>(
+        entries: Vec<E>,
+        list: fn(&mut LinkLayout) -> &mut Vec<E>,
+    ) {
+        let image = fleet_image();
+        let (id, s) = first_session(&image, |k| matches!(k, KindSnapshot::Ctp { .. }));
+        let KindSnapshot::Ctp { params, link } = &s.kind else {
+            unreachable!("a CTP session")
+        };
+        let layout: LinkLayout = relayout(&**link);
+        assert_only_canonical_order_restores(entries, |entries| {
+            let mut forged = layout.clone();
+            *list(&mut forged) = entries;
+            // A CTP kind is its tag, the params, then the link.
+            let kind = (1u8, *params, forged);
+            let (profile, q) = (&s.engine.profile, &s.engine.quarantine);
+            spelled_out(&image, id, &s.sched, &s.injector, profile, q, &kind)
+        });
+    }
+
+    /// A parity-checked segment: one payload byte and its xor.
+    fn segment(byte: u8) -> Arc<[u8]> {
+        Arc::from([byte, byte])
+    }
+
+    #[test]
+    fn ctp_unacked_segments_restore_only_in_key_order() {
+        let unacked = vec![(1, segment(1)), (2, segment(2))];
+        assert_link_list_is_canonical(unacked, |l| &mut l.unacked);
+    }
+
+    #[test]
+    fn ctp_delivery_outcomes_restore_only_in_key_order() {
+        assert_link_list_is_canonical(vec![(1, true), (2, false)], |l| &mut l.outcome);
+    }
+
+    #[test]
+    fn ctp_retry_counters_restore_only_in_key_order() {
+        assert_link_list_is_canonical(vec![(1, 1), (2, 3)], |l| &mut l.retries);
+    }
+
+    #[test]
+    fn receiver_gap_buffer_restores_only_in_key_order() {
+        let buffer = vec![(5, segment(5)), (7, segment(7))];
+        assert_link_list_is_canonical(buffer, |l| &mut l.rx_buffer);
+    }
+
+    #[test]
+    fn quarantine_entries_restore_only_in_key_order() {
+        let image = fleet_image();
+        let (id, s) = first_session(&image, |k| *k == KindSnapshot::Plain);
+        let entry = |strikes| QuarantineEntry {
+            faults: 0,
+            guard_misses: 1,
+            strikes,
+            until_ns: Some(5_000),
+        };
+        let entries = vec![(EventId(0), entry(1)), (EventId(1), entry(2))];
+        assert_only_canonical_order_restores(entries, |q| {
+            spelled_out(
+                &image,
+                id,
+                &s.sched,
+                &s.injector,
+                &s.engine.profile,
+                &q,
+                &s.kind,
+            )
+        });
     }
 
     fn restore(server: &mut Server, image: &Image) -> Result<Vec<SessionId>, ServerError> {
@@ -347,10 +650,5 @@ mod tests {
             .open_session(Module::new(), RuntimeConfig::default(), &[])
             .unwrap();
         assert!(fresh.0 >= image.next_id, "restored ids stay allocated");
-    }
-
-    /// An owned copy of a borrowed snapshot, by way of its own codec.
-    fn decode_session(s: &SessionSnapshot) -> SessionSnapshot {
-        decode(&encode(s)).expect("own encoding decodes")
     }
 }

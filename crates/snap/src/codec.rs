@@ -14,7 +14,7 @@
 //! | `u8`, `bool` | 1 (`bool` must be 0 or 1) |
 //! | `u16`, `u32`, `EventId`, `FuncId` | 4 (`u16` travels widened; narrowing is checked on decode) |
 //! | `i32`, `i64`, `u64`, `usize` | 8 (`i32`/`usize` travel widened; narrowing is checked on decode) |
-//! | `Vec<T>`, `BTreeMap<K, V>` | `u64` count, then the elements / `(key, value)` pairs in order |
+//! | `Vec<T>`, `BTreeMap<K, V>`, `HashMap<K, V>` | `u64` count, then the elements / `(key, value)` pairs in order (a `HashMap` in key order) |
 //! | `Vec<u8>`, `Arc<[u8]>`, `[u8; N]`, `String`, `Module`, `Arc<Module>` | `u64` length, then the bytes (UTF-8 / IR text) |
 //! | `Option<T>` | `bool`, then `T` when true |
 //! | tuples, `Box<T>` | the parts in order, no header |
@@ -26,7 +26,8 @@
 
 use crate::{SnapReader, SnapWriter, SnapshotError};
 use pdo_ir::{EventId, FuncId, Module, Value};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
 use std::sync::Arc;
 
 /// A type with one declared byte layout. Every value encodes to at least
@@ -239,6 +240,23 @@ impl<K: Codec + Ord, V: Codec> Codec for BTreeMap<K, V> {
     }
 }
 
+/// The bytes of the equal [`BTreeMap`]: entries are written in key order
+/// and decoded with the same strictly-increasing check.
+impl<K: Codec + Ord + Hash, V: Codec> Codec for HashMap<K, V> {
+    fn put(&self, w: &mut SnapWriter) {
+        let mut entries: Vec<(&K, &V)> = self.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        w.len_prefix(entries.len());
+        for (k, v) in entries {
+            k.put(w);
+            v.put(w);
+        }
+    }
+    fn take(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(BTreeMap::take(r)?.into_iter().collect())
+    }
+}
+
 impl<T: Codec> Codec for Option<T> {
     fn put(&self, w: &mut SnapWriter) {
         w.bool(self.is_some());
@@ -363,7 +381,7 @@ impl Codec for Value {
 ///
 /// ```ignore
 /// codec_struct!(TimerEntry { deadline_ns, seq, event, args } skip { trace });
-/// codec_struct!(WireState<T> { faults, rng, held, stats });
+/// codec_struct!(SequencedReceiver<T> { next, buffer, delivered, duplicates });
 /// ```
 ///
 /// Every field of the struct must appear, either in the table or in the

@@ -953,6 +953,30 @@ mod tests {
         assert_eq!(map_of(&[1, 2, 5]).unwrap().len(), 3);
         assert!(is_malformed(map_of(&[1, 2, 2])));
         assert!(is_malformed(map_of(&[1, 5, 2])));
+        let hash_map_of = |keys: &'static [u64]| {
+            decode_payload::<HashMap<u64, bool>>(move |w| {
+                w.len_prefix(keys.len());
+                for &k in keys {
+                    w.u64(k);
+                    w.bool(true);
+                }
+            })
+        };
+        assert_eq!(hash_map_of(&[1, 2, 5]).unwrap().len(), 3);
+        assert!(is_malformed(hash_map_of(&[1, 2, 2])));
+        assert!(is_malformed(hash_map_of(&[1, 5, 2])));
+    }
+
+    /// A hash map is written in key order, whatever its iteration order:
+    /// the bytes of the equal `BTreeMap`.
+    #[test]
+    fn hash_maps_encode_as_the_equal_btree_map() {
+        let sorted: BTreeMap<i64, Vec<u8>> =
+            (0..64).map(|k| (k * 7 - 200, vec![k as u8])).collect();
+        let hashed: HashMap<i64, Vec<u8>> = sorted.clone().into_iter().collect();
+        assert_eq!(encode(&hashed), encode(&sorted));
+        hostile::check(&hashed);
+        hostile::check(&HashMap::<u64, u64>::new());
     }
 
     #[test]

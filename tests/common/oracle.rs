@@ -303,7 +303,7 @@ pub const POLICIES: [FaultPolicy; 2] = [FaultPolicy::SkipEvent, FaultPolicy::Des
 // --- kill-restore machinery (crash-restart equivalence) ------------------
 
 use pdo::{AdaptConfig, AdaptiveEngine, EngineSnapshot};
-use pdo_events::{FaultInjector, FaultInjectorState, SchedulerState};
+use pdo_events::{FaultInjector, Scheduler};
 use pdo_ir::Module;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -316,8 +316,8 @@ use std::rc::Rc;
 pub struct SessionCapture {
     pub globals: Vec<Value>,
     pub clock_ns: u64,
-    pub sched: SchedulerState,
-    pub injector: Option<FaultInjectorState>,
+    pub sched: Scheduler,
+    pub injector: Option<FaultInjector>,
     pub engine: EngineSnapshot,
 }
 
@@ -336,7 +336,7 @@ pub fn capture_session(
             .collect(),
         clock_ns: rt.clock_ns(),
         sched: rt.export_sched(),
-        injector: rt.fault_injector().map(|f| f.export_state()),
+        injector: rt.fault_injector().cloned(),
         engine: engine.borrow().snapshot(),
     }
 }
@@ -358,8 +358,8 @@ pub fn restore_session(
         rt.set_global(GlobalId::from_index(i), value);
     }
     rt.restore_sched(cap.sched);
-    if let Some(state) = cap.injector {
-        rt.set_fault_injector(FaultInjector::from_state(state));
+    if let Some(injector) = cap.injector {
+        rt.set_fault_injector(injector);
     }
     rt.set_fault_policy(policy);
     if cap.clock_ns > 0 {
