@@ -5,7 +5,7 @@
 //! makes it a network one, in four layers:
 //!
 //! - **Framed byte protocol** ([`proto`]): length-prefixed, versioned,
-//!   FNV-1a-checksummed frames (the `pdo-snap` framing discipline under a
+//!   XXH64-checksummed frames (the `pdo-snap` framing discipline under a
 //!   wire magic) carrying `Open`/`Raise`/`Query`/`Close` and typed
 //!   replies. Corrupt input is always a typed [`IngressError`], never a
 //!   panic, and the error's classification decides whether the

@@ -3,11 +3,12 @@
 //!
 //! A frame is exactly the `pdo-snap` framing discipline under a different
 //! magic — `magic(8) | version(u32) | payload_len(u64) | payload |
-//! fnv1a64(checksum)` — so the reader inherits the same hardening: corrupt
-//! input is always a typed error, never a panic. The payload begins with a
-//! caller-chosen `req_id` (replies are matched by id, not by arrival
-//! order, because a `Shed` reply can overtake queued work) followed by a
-//! command or reply body.
+//! xxh64(checksum)` — so the reader inherits the same hardening: corrupt
+//! input is always a typed error, never a panic, and a peer speaking an
+//! earlier `WIRE_VERSION` is refused by version, never by checksum. The
+//! payload begins with a caller-chosen `req_id` (replies are matched by
+//! id, not by arrival order, because a `Shed` reply can overtake queued
+//! work) followed by a command or reply body.
 //!
 //! Every payload type declares its layout once, as the `pdo_snap::Codec`
 //! field table next to it; encode and decode are both derived from that
@@ -36,7 +37,7 @@ use pdo_snap::{codec_enum, codec_struct, peek_frame_len, Codec, SnapReader, Snap
 pub const WIRE_MAGIC: [u8; 8] = *b"PDOWIRE\0";
 
 /// Wire format version this build speaks.
-pub const WIRE_VERSION: u32 = 1;
+pub const WIRE_VERSION: u32 = 2;
 
 /// Hard ceiling on one frame (header + payload + checksum). The reader
 /// rejects larger declarations before buffering them, so a hostile

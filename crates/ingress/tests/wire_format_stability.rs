@@ -12,16 +12,22 @@ use pdo_ingress::proto::{
     decode_reply, decode_request, encode_reply, encode_request, FrameBuffer, MAX_FRAME_LEN,
 };
 use pdo_ingress::{
-    ErrorCode, OpenKind, Reply, Request, SessionStats, TraceFormat, TraceSelector, WireMode,
+    ErrorCode, IngressError, OpenKind, Reply, Request, SessionStats, TraceFormat, TraceSelector,
+    WireMode,
 };
 use pdo_ir::{BinOp, FunctionBuilder, Module, Value};
+use pdo_snap::SnapshotError;
 use std::path::PathBuf;
 
-fn golden_path() -> PathBuf {
+fn fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("fixtures")
-        .join("golden.pdowire")
+        .join(name)
+}
+
+fn golden_path() -> PathBuf {
+    fixture("golden.pdowire")
 }
 
 fn counter_module() -> Module {
@@ -189,4 +195,27 @@ fn golden_wire_stream_decodes_to_the_pinned_values() {
         fb.is_empty(),
         "fixture holds nothing past the pinned frames"
     );
+}
+
+/// A peer speaking the previous protocol (`WIRE_VERSION` 1, its golden
+/// stream kept byte for byte as it was committed) is refused by the
+/// version field before the checksum is looked at, and that refusal
+/// closes the connection.
+#[test]
+fn previous_version_frame_is_refused_by_version() {
+    let mut fb = FrameBuffer::new();
+    fb.extend(&std::fs::read(fixture("golden.v1.pdowire")).expect("committed fixture"));
+    let first = fb
+        .next_frame(MAX_FRAME_LEN)
+        .expect("the header reassembles")
+        .expect("one whole frame");
+    let err = decode_request(&first).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            IngressError::Frame(SnapshotError::UnsupportedVersion(1))
+        ),
+        "a version-1 frame must be UnsupportedVersion(1), got {err:?}"
+    );
+    assert!(err.is_stream_fatal());
 }

@@ -2,7 +2,7 @@
 //!
 //! The paper's workflow is offline: run the instrumented program, persist
 //! the profile, then optimize a fresh build against it. A profile file is
-//! one `pdo-snap` frame (magic, version, length, FNV-1a checksum) around
+//! one `pdo-snap` frame (magic, version, length, XXH64 checksum) around
 //! [`Profile`]'s `Codec` table — the same framing, atomic write and typed
 //! errors as a server image, so a torn or bit-flipped file never loads.
 //! The human-readable view of a profile is [`crate::EventGraph::to_dot`].
@@ -11,7 +11,8 @@ use crate::Profile;
 use pdo_snap::SnapshotError;
 use std::path::Path;
 
-/// Writes `profile` to `path` atomically (temp file, sync, rename).
+/// Writes `profile` to `path` atomically (temp file, sync, rename, sync
+/// of the parent directory).
 ///
 /// # Errors
 ///

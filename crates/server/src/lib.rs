@@ -1556,9 +1556,10 @@ impl Server {
     }
 
     /// Persists [`Server::snapshot_to_bytes`] to `path` atomically:
-    /// written to a sibling temp file, synced, then renamed, so a crash
-    /// mid-write leaves either the old image or the new one — never a
-    /// torn file.
+    /// written to a sibling temp file, synced, renamed, then the parent
+    /// directory synced, so a crash mid-write leaves either the old image
+    /// or the new one — never a torn file — and an `Ok` survives power
+    /// loss.
     ///
     /// # Errors
     ///

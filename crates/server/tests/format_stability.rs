@@ -11,14 +11,19 @@ use pdo_ctp::{ctp_program, CtpParams};
 use pdo_events::RuntimeConfig;
 use pdo_ir::{BinOp, EventId, FunctionBuilder, Module, Value};
 use pdo_seccomm::{seccomm_protocol, Keys, CONFIG_FULL};
-use pdo_server::{Server, ServerConfig};
+use pdo_server::{Server, ServerConfig, ServerError};
+use pdo_snap::SnapshotError;
 use std::path::PathBuf;
 
-fn golden_path() -> PathBuf {
+fn fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("fixtures")
-        .join("golden.pdosnap")
+        .join(name)
+}
+
+fn golden_path() -> PathBuf {
+    fixture("golden.pdosnap")
 }
 
 fn counter_module() -> (Module, EventId) {
@@ -184,4 +189,18 @@ fn golden_image_restores_and_resumes() {
         .unwrap()
         .unwrap();
     assert_eq!(plain, b"golden");
+}
+
+/// The previous format's golden image (`VERSION` 2, kept byte for byte as
+/// it was committed) is refused by its version field before its checksum
+/// is looked at, and restores nothing.
+#[test]
+fn previous_version_image_is_refused_by_version() {
+    let old = std::fs::read(fixture("golden.v2.pdosnap")).expect("committed fixture");
+    let mut server = Server::new(ServerConfig::default());
+    match server.restore_from_bytes(&old) {
+        Err(ServerError::Snapshot(SnapshotError::UnsupportedVersion(2))) => {}
+        other => panic!("a version-2 image must be UnsupportedVersion(2), got {other:?}"),
+    }
+    assert!(server.sessions().is_empty());
 }

@@ -5,14 +5,17 @@
 //!
 //! ```text
 //! magic (8 bytes) | version (u32 LE) | payload_len (u64 LE)
-//! | payload | fnv1a64(all preceding bytes) (u64 LE)
+//! | payload | xxh64(all preceding bytes) (u64 LE)
 //! ```
 //!
 //! so a reader can reject foreign files ([`SnapshotError::BadMagic`]),
-//! future formats ([`SnapshotError::UnsupportedVersion`]), torn writes
+//! other formats ([`SnapshotError::UnsupportedVersion`]), torn writes
 //! ([`SnapshotError::Truncated`]) and bit rot
 //! ([`SnapshotError::ChecksumMismatch`]) before decoding a single payload
-//! byte — always as a typed error, never a panic.
+//! byte — always as a typed error, never a panic. The checksum is
+//! [`xxh64`] (seed 0) for every frame: durable images, profile files and
+//! ingress wire frames. A frame of an earlier version is refused by its
+//! version field; there is no decode path for old formats.
 //!
 //! [`SnapWriter`] and [`SnapReader`] provide the primitive vocabulary
 //! (fixed-width little-endian integers, length-prefixed byte strings,
@@ -46,7 +49,7 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 8] = *b"PDOSNAP\0";
 
 /// Current frame version.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 
 /// A typed decode/persistence failure. Corrupt or truncated input must
 /// surface as one of these — decoding never panics.
@@ -63,7 +66,7 @@ pub enum SnapshotError {
     BadMagic,
     /// The frame declares a version this build does not understand.
     UnsupportedVersion(u32),
-    /// The trailing FNV-1a checksum does not match the frame contents.
+    /// The trailing [`xxh64`] checksum does not match the frame contents.
     ChecksumMismatch {
         /// Checksum stored in the frame.
         expected: u64,
@@ -116,14 +119,74 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-/// FNV-1a 64-bit over `bytes`.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+fn le64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b[..8].try_into().expect("8 bytes"))
+}
+
+fn xxh_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+fn xxh_merge(acc: u64, lane: u64) -> u64 {
+    (acc ^ xxh_round(0, lane)).wrapping_mul(P1).wrapping_add(P4)
+}
+
+/// XXH64 with seed 0 over `bytes`: 32-byte stripes through four
+/// independent multiply lanes, so the checksum runs at memory speed
+/// rather than one dependent multiply per byte.
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    let stripes = bytes.chunks_exact(32);
+    let mut tail = stripes.remainder();
+    let mut h = if bytes.len() >= 32 {
+        let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for stripe in stripes {
+            for (lane, word) in v.iter_mut().zip(stripe.chunks_exact(8)) {
+                *lane = xxh_round(*lane, le64(word));
+            }
+        }
+        let h = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        v.iter().fold(h, |h, &lane| xxh_merge(h, lane))
+    } else {
+        P5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    while tail.len() >= 8 {
+        h = (h ^ xxh_round(0, le64(tail)))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
+        tail = &tail[8..];
     }
-    hash
+    if tail.len() >= 4 {
+        let word = u32::from_le_bytes(tail[..4].try_into().expect("4 bytes"));
+        h = (h ^ u64::from(word).wrapping_mul(P1))
+            .rotate_left(23)
+            .wrapping_mul(P2)
+            .wrapping_add(P3);
+        tail = &tail[4..];
+    }
+    for &b in tail {
+        h = (h ^ u64::from(b).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 /// Bytes before the payload: magic, version, payload length.
@@ -259,7 +322,7 @@ impl SnapWriter {
         out[..8].copy_from_slice(magic);
         out[8..12].copy_from_slice(&version.to_le_bytes());
         out[12..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
-        let sum = fnv1a64(&out);
+        let sum = xxh64(&out);
         // Exactly: a buffer a bulk field grew to fit must not double for
         // the last eight bytes.
         out.reserve_exact(8);
@@ -368,7 +431,7 @@ impl<'a> SnapReader<'a> {
         }
         let body = &bytes[..framed - 8];
         let expected = u64::from_le_bytes(bytes[framed - 8..framed].try_into().expect("8 bytes"));
-        let actual = fnv1a64(body);
+        let actual = xxh64(body);
         if expected != actual {
             return Err(SnapshotError::ChecksumMismatch { expected, actual });
         }
@@ -583,12 +646,15 @@ pub fn decode<T: Codec>(bytes: &[u8]) -> Result<T, SnapshotError> {
 }
 
 /// Persists `bytes` at `path` atomically: writes a sibling temp file,
-/// syncs it, then renames it over `path`. A crash mid-write leaves either
-/// the previous file or the complete new one.
+/// syncs it, renames it over `path`, then (on unix) syncs the parent
+/// directory so the rename itself is on disk. A crash mid-write leaves
+/// either the previous file or the complete new one, and once this
+/// returns `Ok` a power loss cannot bring the previous file back.
 ///
 /// # Errors
 ///
-/// [`SnapshotError::Io`] on any filesystem failure.
+/// [`SnapshotError::Io`] on any filesystem failure, including a parent
+/// directory that does not exist (nothing is created then).
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
     let tmp = match path.file_name() {
         Some(name) => {
@@ -608,6 +674,17 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
     f.sync_all()?;
     drop(f);
     fs::rename(&tmp, path)?;
+    #[cfg(unix)]
+    {
+        // The rename is an entry in the parent directory: until that
+        // directory is synced, a power loss can undo it. A bare file
+        // name's parent is the empty path, which means `.`.
+        let dir = match path.parent() {
+            Some(p) if !p.as_os_str().is_empty() => p,
+            _ => Path::new("."),
+        };
+        fs::File::open(dir)?.sync_all()?;
+    }
     Ok(())
 }
 
@@ -642,6 +719,37 @@ mod tests {
         w.value(&Value::bytes(vec![1, 2, 3]));
         w.value(&Value::str("hello"));
         w.finish()
+    }
+
+    /// XXH64's published seed-0 values: the empty input, a tail-only
+    /// input, and one that takes the stripe loop and a 7-byte tail.
+    #[test]
+    fn xxh64_matches_known_answers() {
+        assert_eq!(xxh64(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(xxh64(b"abc"), 0x44BC_2CF5_AD77_0999);
+        assert_eq!(
+            xxh64(b"Nobody inspects the spammish repetition"),
+            0xFBCE_A83C_8A37_8BF1
+        );
+    }
+
+    /// Every length up to three stripes — the stripe loop and each of
+    /// the 8-, 4- and 1-byte tails — notices any single flipped bit and
+    /// one appended zero byte.
+    #[test]
+    fn xxh64_detects_every_single_bit_flip_and_an_appended_zero() {
+        for len in 0..=96usize {
+            let data: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+            let sum = xxh64(&data);
+            for bit in 0..len * 8 {
+                let mut flipped = data.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(xxh64(&flipped), sum, "length {len}, bit {bit}");
+            }
+            let mut longer = data.clone();
+            longer.push(0);
+            assert_ne!(xxh64(&longer), sum, "length {len}, appended zero");
+        }
     }
 
     #[test]
@@ -1083,6 +1191,15 @@ mod tests {
         write_atomic(&path, &frame2).unwrap();
         assert_eq!(read(&path).unwrap(), frame2);
         assert!(!dir.join("image.pdosnap.tmp").exists());
+
+        // A parent directory that does not exist is an i/o error, and
+        // neither it nor the file nor a temp sibling is created.
+        let missing = dir.join("absent");
+        assert!(matches!(
+            write_atomic(&missing.join("image.pdosnap"), &frame),
+            Err(SnapshotError::Io(_))
+        ));
+        assert!(!missing.exists());
 
         fs::remove_dir_all(&dir).unwrap();
     }
