@@ -56,7 +56,7 @@ use crate::{candidates, mergeable, optimize, subsume_evidence};
 use crate::{MergeSkip, Optimization, OptimizeOptions};
 use pdo_events::{Binding, CompiledChain, Registry, Runtime, TraceConfig};
 use pdo_ir::{EventId, Module};
-use pdo_obs::{AuditAction, Histogram, MetricsSnapshot, ObsKind, SpanKind};
+use pdo_obs::{AuditAction, Histogram, MetricsSnapshot, SpanKind};
 use pdo_profile::{EventGraph, HandlerGraph, ProfileBuilder, SuperHandler, SuperHandlers};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -403,29 +403,18 @@ pdo_snap::codec_struct!(EngineSnapshot {
     quarantine,
 });
 
-/// The engine's one emission point. A decision lands in the flight
-/// recorder (`record`, when a hub is attached) and in the causal trace as
-/// a `ChainAudit` span (`span`: the event concerned and the action, when a
-/// store is attached and enabled) from a single call, so the two books
-/// cannot drift apart. The span joins the trace whose dispatch drove the
-/// decision. `why` runs only if a span is actually recorded.
-fn audit(
-    rt: &Runtime,
-    record: Option<ObsKind>,
-    span: Option<(Option<EventId>, AuditAction)>,
-    why: impl FnOnce() -> String,
-) {
-    let now = rt.clock_ns();
-    if let (Some(obs), Some(kind)) = (rt.obs(), record) {
-        obs.record(now, kind);
-    }
-    let tracer = rt.tracer().filter(|t| t.enabled());
-    if let (Some(t), Some((event, action))) = (tracer, span) {
+/// The engine's one emission point: a decision is one `ChainAudit` span
+/// (`event` concerned, `action` taken, `why`) in the causal trace, joining
+/// the trace whose dispatch drove it. `why` runs only if the runtime has
+/// a store attached and enabled.
+fn audit(rt: &Runtime, event: Option<EventId>, action: AuditAction, why: impl FnOnce() -> String) {
+    if let Some(t) = rt.tracer().filter(|t| t.enabled()) {
         let kind = SpanKind::ChainAudit {
             event: event.map(|e| e.0),
             action,
             why: why(),
         };
+        let now = rt.clock_ns();
         t.record_under(rt.last_trace_ctx(), now, now, kind);
     }
 }
@@ -469,18 +458,10 @@ fn note_why_not(
     if on_record.get(&event) == Some(&why) {
         return;
     }
-    audit(
-        rt,
-        Some(ObsKind::Declined {
-            event: event.0,
-            why: why.label(),
-        }),
-        Some((Some(event), AuditAction::Decline)),
-        || match why {
-            WhyNot::Quarantined { until_ns } => format!("quarantined until t={until_ns}ns"),
-            _ => why.label().to_string(),
-        },
-    );
+    audit(rt, Some(event), AuditAction::Decline, || match why {
+        WhyNot::Quarantined { until_ns } => format!("quarantined until t={until_ns}ns"),
+        _ => why.label().to_string(),
+    });
     on_record.insert(event, why);
 }
 
@@ -652,19 +633,9 @@ impl AdaptiveEngine {
         let stale = self.deployed.is_some() && {
             let report = self.healer.heal(rt, &delta);
             for &(event, until_ns) in &report.quarantined {
-                audit(
-                    rt,
-                    Some(ObsKind::Quarantined {
-                        event: event.0,
-                        until_ns,
-                    }),
-                    Some((Some(event), AuditAction::Quarantine)),
-                    || {
-                        format!(
-                            "faults exceeded quarantine threshold; backoff until t={until_ns}ns"
-                        )
-                    },
-                );
+                audit(rt, Some(event), AuditAction::Quarantine, || {
+                    format!("faults exceeded quarantine threshold; backoff until t={until_ns}ns")
+                });
             }
             !report.stale.is_empty()
         };
@@ -732,7 +703,7 @@ impl AdaptiveEngine {
         // actually recorded.
         let (min_fresh, threshold) = (self.config.min_fresh_events, self.config.opts.threshold);
         let planned = wanted.events.len();
-        let evidence = |outcome: &str| {
+        let evidence = |outcome: std::fmt::Arguments<'_>| {
             format!(
                 "fresh_events={fresh} min_fresh={min_fresh} threshold={threshold} stale={stale} \
                  planned={planned} outcome={outcome}"
@@ -746,7 +717,10 @@ impl AdaptiveEngine {
                 .chains()
                 .all(|c| rt.spec().get(c.head).is_some() || barred(c.head).is_some());
         if settled {
-            self.note_reprofile(rt, started, rt.spec().len(), || evidence("settled"));
+            let chains = rt.spec().len();
+            self.note_reprofile(rt, started, || {
+                evidence(format_args!("settled chains={chains}"))
+            });
             return;
         }
 
@@ -763,32 +737,23 @@ impl AdaptiveEngine {
             }
         };
         let chains = built.chains.len();
-        let redeploy = || evidence(&format!("redeploy cache={cache} chains={chains}"));
+        let redeploy = || evidence(format_args!("redeploy cache={cache} chains={chains}"));
         let because = |what: &str| format!("{what}; {}", redeploy());
         // Fusion: which sequences `optimize` fused where (a cache hit
         // replays an optimization whose sites were audited at its miss).
         for r in &fused {
-            audit(
-                rt,
-                Some(ObsKind::SequenceFused {
-                    func: r.func.0,
-                    pattern: r.pattern,
-                    sites: u32::try_from(r.sites).unwrap_or(u32::MAX),
-                }),
-                Some((None, AuditAction::Install)),
-                || {
-                    because(&format!(
-                        "superinstruction fusion: func={} pattern={} sites={}",
-                        r.func.0, r.pattern, r.sites
-                    ))
-                },
-            );
+            audit(rt, None, AuditAction::Install, || {
+                because(&format!(
+                    "superinstruction fusion: func={} pattern={} sites={}",
+                    r.func.0, r.pattern, r.sites
+                ))
+            });
         }
         if built.chains.is_empty() {
             // Nothing hot enough to build: no evidence is not evidence of
             // nothing, so the deployed chains (still guard-correct) stay
             // rather than thrash.
-            self.note_reprofile(rt, started, 0, || evidence("nothing-built"));
+            self.note_reprofile(rt, started, || evidence(format_args!("nothing-built")));
             return;
         }
 
@@ -802,12 +767,9 @@ impl AdaptiveEngine {
             rt.remove_chain(event);
             if !built.chains.iter().any(|c| c.head == event) {
                 self.stats.chains_dropped += 1;
-                audit(
-                    rt,
-                    Some(ObsKind::ChainDropped { event: event.0 }),
-                    Some((Some(event), AuditAction::Drop)),
-                    || because("chain not wanted by the new plan"),
-                );
+                audit(rt, Some(event), AuditAction::Drop, || {
+                    because("chain not wanted by the new plan")
+                });
                 if !self.why_not.contains_key(&event) {
                     note_why_not(rt, &mut self.why_not, event, WhyNot::BelowThreshold);
                 }
@@ -842,46 +804,27 @@ impl AdaptiveEngine {
                     .collect(),
             });
             if healer.quarantine().is_quarantined(chain.head, now) {
-                audit(
-                    rt,
-                    None,
-                    Some((Some(chain.head), AuditAction::Quarantine)),
-                    || because("install skipped: event under quarantine backoff"),
-                );
+                audit(rt, Some(chain.head), AuditAction::Quarantine, || {
+                    because("install skipped: event under quarantine backoff")
+                });
                 continue; // the healer re-installs it after backoff
             }
             rt.install_chain(chain.clone());
             self.stats.chains_installed += 1;
-            audit(
-                rt,
-                Some(ObsKind::ChainInstalled {
-                    event: chain.head.0,
-                }),
-                Some((Some(chain.head), AuditAction::Install)),
-                || because("hot chain from profile snapshot"),
-            );
+            audit(rt, Some(chain.head), AuditAction::Install, || {
+                because("hot chain from profile snapshot")
+            });
         }
         self.deployed = Some(wanted);
-        self.note_reprofile(rt, started, chains, redeploy);
+        self.note_reprofile(rt, started, redeploy);
     }
 
     /// Closes out one re-profile pass: wall-clock duration into the
-    /// engine's histogram, a flight-recorder entry, and the pass-level
-    /// audit span carrying `why`.
-    fn note_reprofile(
-        &mut self,
-        rt: &Runtime,
-        started: Instant,
-        chains: usize,
-        why: impl FnOnce() -> String,
-    ) {
+    /// engine's histogram and the pass-level audit span carrying `why`.
+    fn note_reprofile(&mut self, rt: &Runtime, started: Instant, why: impl FnOnce() -> String) {
         let duration_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.reprofile_wall_ns.record(duration_ns);
-        let record = ObsKind::Reprofile {
-            chains: u32::try_from(chains).unwrap_or(u32::MAX),
-            duration_ns,
-        };
-        audit(rt, Some(record), Some((None, AuditAction::Reprofile)), why);
+        audit(rt, None, AuditAction::Reprofile, why);
     }
 
     /// Exports the adaptation loop's counters, gauges, and reprofile
@@ -1051,7 +994,7 @@ mod tests {
         let (m, [a, b], [ga, _]) = two_chain_module();
         let mut rt = Runtime::new(m.clone());
         bind_all(&mut rt, &m, a, b);
-        let hub = rt.enable_observability();
+        let store = rt.enable_tracing();
         let engine = AdaptiveEngine::attach_new(&mut rt, config());
         drive(&mut rt, a, 60);
         assert!(rt.spec().get(a).is_some(), "hot chain installed");
@@ -1074,12 +1017,12 @@ mod tests {
             "online reprofile should fuse the super-handler"
         );
         assert_eq!(rt.module().functions[..base_fns], m.functions[..]);
-        // The flight record names the fused pattern.
+        // The audit names the fused pattern.
         assert!(
-            hub.tail(4096)
-                .iter()
-                .any(|r| matches!(r.kind, ObsKind::SequenceFused { sites, .. } if sites > 0)),
-            "fusion must leave a SequenceFused flight record"
+            store.spans().iter().any(|s| matches!(&s.kind,
+                SpanKind::ChainAudit { event: None, action: AuditAction::Install, why }
+                    if why.starts_with("superinstruction fusion:"))),
+            "fusion must leave an audit span"
         );
         // Behaviour preserved through the fused fast path.
         drive(&mut rt, a, 10);
@@ -1209,8 +1152,8 @@ mod tests {
 
     /// One adaptive run in which chains are installed (A, then B), dropped
     /// (A, when the workload shifts to B) and quarantined (A, under three
-    /// injected traps), with a hub and `store` attached.
-    fn audited_run(store: &pdo_obs::TraceStore) -> (pdo_obs::ObsHub, Rc<RefCell<AdaptiveEngine>>) {
+    /// injected traps), with `store` attached.
+    fn audited_run(store: &pdo_obs::TraceStore) -> Rc<RefCell<AdaptiveEngine>> {
         let (m, [a, b], _) = two_chain_module();
         let mut rt = Runtime::with_config(
             m.clone(),
@@ -1220,7 +1163,6 @@ mod tests {
             },
         );
         bind_all(&mut rt, &m, a, b);
-        let hub = rt.enable_observability();
         rt.set_tracer(store.clone());
         let engine = AdaptiveEngine::attach_new(
             &mut rt,
@@ -1244,93 +1186,76 @@ mod tests {
         assert!(rt.spec().get(a).is_some(), "chain healed");
         drive(&mut rt, b, 200);
         assert!(rt.spec().get(a).is_none(), "A dropped after the shift");
-        (hub, engine)
+        engine
     }
 
     #[test]
-    fn one_audit_call_keeps_flight_records_spans_and_counters_in_step() {
+    fn one_audit_span_per_decision_in_step_with_the_counters() {
         let store = pdo_obs::TraceStore::default();
-        let (hub, engine) = audited_run(&store);
-        let records = hub.tail(usize::MAX);
-        let records = |pred: fn(&ObsKind) -> bool| records.iter().filter(|r| pred(&r.kind)).count();
+        let engine = audited_run(&store);
         let spans = store.spans();
         assert_eq!(spans.len() as u64, store.recorded(), "ring must not wrap");
         // Decision spans (event set) by action; `reason` narrows Quarantine
         // to the healer's decisions — a skipped install is audited under
         // the same action but is not a new quarantine.
-        let spans = |want: AuditAction, reason: &str| {
+        let decisions = |want: AuditAction, reason: &str| {
             spans
                 .iter()
                 .filter(|s| {
                     matches!(&s.kind, SpanKind::ChainAudit { event: Some(_), action, why }
                         if *action == want && why.starts_with(reason))
                 })
-                .count()
+                .count() as u64
         };
         let stats = engine.borrow().stats();
-        let installed = records(|k| matches!(k, ObsKind::ChainInstalled { .. }));
-        assert!(installed >= 2, "A and B were both installed");
-        assert_eq!(installed, spans(AuditAction::Install, ""));
-        assert_eq!(installed as u64, stats.chains_installed);
-
-        let dropped = records(|k| matches!(k, ObsKind::ChainDropped { .. }));
-        assert!(dropped >= 1);
-        assert_eq!(dropped, spans(AuditAction::Drop, ""));
-        assert_eq!(dropped as u64, stats.chains_dropped);
-
-        let quarantined = records(|k| matches!(k, ObsKind::Quarantined { .. }));
-        assert!(quarantined >= 1);
+        assert!(stats.chains_installed >= 2, "A and B were both installed");
         assert_eq!(
-            quarantined,
-            spans(AuditAction::Quarantine, "faults exceeded")
+            decisions(AuditAction::Install, "hot chain"),
+            stats.chains_installed
         );
+        assert!(stats.chains_dropped >= 1);
+        assert_eq!(decisions(AuditAction::Drop, ""), stats.chains_dropped);
+        let passes = spans.iter().filter(|s| {
+            matches!(&s.kind, SpanKind::ChainAudit { event: None, action, .. }
+                if *action == AuditAction::Reprofile)
+        });
+        assert_eq!(passes.count() as u64, stats.reprofiles);
+
+        let quarantined = decisions(AuditAction::Quarantine, "faults exceeded");
+        assert!(quarantined >= 1);
         let engine = engine.borrow();
         let q = engine.healer().quarantine();
         let strikes: u32 = q.entries().values().map(|e| e.strikes).sum();
-        assert_eq!(quarantined as u32, strikes);
+        assert_eq!(quarantined, u64::from(strikes));
+        // The faults the quarantine counted are spans of their own.
+        let faults = spans.iter().filter(
+            |s| matches!(&s.kind, SpanKind::Fault { event: 0, kind } if kind == "trap_dispatch"),
+        );
+        assert_eq!(faults.count(), 3);
     }
 
     #[test]
-    fn disabled_trace_store_records_no_spans_but_flight_records_still_land() {
-        let store = pdo_obs::TraceStore::default();
-        store.set_enabled(false);
-        let (hub, engine) = audited_run(&store);
-        assert_eq!(store.recorded(), 0);
-        let stats = engine.borrow().stats();
-        let count = |pred: fn(&ObsKind) -> bool| {
-            hub.tail(usize::MAX)
-                .iter()
-                .filter(|r| pred(&r.kind))
-                .count() as u64
-        };
-        assert!(stats.chains_installed >= 2 && stats.chains_dropped >= 1);
-        assert_eq!(
-            count(|k| matches!(k, ObsKind::ChainInstalled { .. })),
-            stats.chains_installed
-        );
-        assert_eq!(
-            count(|k| matches!(k, ObsKind::ChainDropped { .. })),
-            stats.chains_dropped
-        );
-        assert!(count(|k| matches!(k, ObsKind::Quarantined { .. })) >= 1);
-        assert_eq!(
-            count(|k| matches!(k, ObsKind::Reprofile { .. })),
-            stats.reprofiles
-        );
+    fn a_disabled_trace_store_records_nothing_and_changes_no_decision() {
+        let on = pdo_obs::TraceStore::default();
+        let off = pdo_obs::TraceStore::default();
+        off.set_enabled(false);
+        let traced = audited_run(&on).borrow().stats();
+        let untraced = audited_run(&off).borrow().stats();
+        assert_eq!(off.recorded(), 0);
+        assert_eq!(traced, untraced);
     }
 
     #[test]
     fn audit_formats_the_why_only_when_a_span_is_recorded() {
         let (m, _, _) = two_chain_module();
         let mut rt = Runtime::new(m);
-        let span = Some((None, AuditAction::Reprofile));
-        audit(&rt, None, span, || unreachable!("no store attached"));
+        let pass = AuditAction::Reprofile;
+        audit(&rt, None, pass, || unreachable!("no store attached"));
         let store = rt.enable_tracing();
         store.set_enabled(false);
-        audit(&rt, None, span, || unreachable!("store disabled"));
+        audit(&rt, None, pass, || unreachable!("store disabled"));
         store.set_enabled(true);
-        audit(&rt, None, None, || unreachable!("no span asked for"));
-        audit(&rt, None, span, || "evidence".into());
+        audit(&rt, None, pass, || "evidence".into());
         assert_eq!(store.recorded(), 1);
     }
 
@@ -1727,7 +1652,7 @@ mod tests {
         let dropped_in_order = || {
             let (m, events, _) = n_chain_module(7);
             let mut rt = n_chain_runtime(&m, &events);
-            let hub = rt.enable_observability();
+            let store = rt.enable_tracing();
             let engine = AdaptiveEngine::attach_new(
                 &mut rt,
                 AdaptConfig {
@@ -1756,10 +1681,15 @@ mod tests {
             assert_eq!(engine.borrow().stats().chains_dropped, 0);
             drive(&mut rt, events[6], 240);
             assert_eq!(engine.borrow().stats().chains_dropped, 6);
-            hub.tail(usize::MAX)
+            store
+                .spans()
                 .iter()
-                .filter_map(|r| match r.kind {
-                    ObsKind::ChainDropped { event } => Some(event),
+                .filter_map(|s| match s.kind {
+                    SpanKind::ChainAudit {
+                        event,
+                        action: AuditAction::Drop,
+                        ..
+                    } => event,
                     _ => None,
                 })
                 .collect::<Vec<u32>>()

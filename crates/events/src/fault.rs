@@ -108,8 +108,8 @@ impl FaultKind {
         matches!(self, FaultKind::DropTimed | FaultKind::DelayTimed { .. })
     }
 
-    /// Short static name used as a metric label and in flight-recorder
-    /// dumps (`snake_case`, no payload).
+    /// Short static name used as a metric label and in `Fault` trace
+    /// spans (`snake_case`, no payload).
     pub fn label(self) -> &'static str {
         match self {
             FaultKind::TrapDispatch => "trap_dispatch",

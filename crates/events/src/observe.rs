@@ -10,7 +10,7 @@
 //! |------------------------------|-----------------------------------------|
 //! | profile [`Trace`]            | [`TraceConfig`] (`off()` = none)        |
 //! | [`RuntimeStats`]             | always                                  |
-//! | [`ObsHub`] records + histograms | a hub is attached                    |
+//! | [`ObsHub`] histograms        | a hub is attached                       |
 //! | [`TraceStore`] spans         | a store is attached *and* enabled       |
 //! | [`OpcodeProfile`]            | opcode profiling is on                  |
 //!
@@ -24,9 +24,7 @@ use crate::runtime::RuntimeStats;
 use crate::sched::QueuedTrace;
 use crate::trace::{Trace, TraceConfig, TraceRecord};
 use pdo_ir::{EventId, FuncId, OpcodeProfile, RaiseMode};
-use pdo_obs::{
-    DispatchSrc, MetricsSnapshot, ObsHub, ObsKind, Span, SpanId, SpanKind, TraceCtx, TraceStore,
-};
+use pdo_obs::{DispatchSrc, MetricsSnapshot, ObsHub, Span, SpanId, SpanKind, TraceCtx, TraceStore};
 
 /// The runtime's sinks. Fields a [`crate::Runtime`] accessor reads or
 /// swaps wholesale are crate-visible; everything an event method keeps
@@ -289,9 +287,6 @@ impl Observers {
     /// first dispatch to find its guards refuted.
     pub(crate) fn guard_miss(&mut self, event: EventId, now: u64) {
         *self.stats.guard_misses_by_event.entry(event).or_insert(0) += 1;
-        if let Some(obs) = &self.obs {
-            obs.record(now, ObsKind::GuardMiss { event: event.0 });
-        }
         if let Some(t) = &self.tracer {
             let kind = SpanKind::GuardMiss { event: event.0 };
             t.record_under(self.cur_tctx, now, now, kind);
@@ -311,14 +306,12 @@ impl Observers {
             FaultKind::DelayTimed { .. } => self.stats.delayed_timed += 1,
             _ => {}
         }
-        if let Some(obs) = &self.obs {
-            obs.record(
-                now,
-                ObsKind::Fault {
-                    event: event.0,
-                    kind: kind.label(),
-                },
-            );
+        if let Some(t) = &self.tracer {
+            let kind = SpanKind::Fault {
+                event: event.0,
+                kind: kind.label().into(),
+            };
+            t.record_under(self.cur_tctx, now, now, kind);
         }
         if self.trace_config.events {
             self.trace_push(TraceRecord::Fault {

@@ -523,14 +523,14 @@ impl Runtime {
         self.sinks.set_trace_config(config);
     }
 
-    /// Attaches a fresh default-capacity observability hub (see `pdo-obs`)
-    /// and returns a handle to it: dispatches start feeding per-event
-    /// fast/slow latency histograms, and guard misses and faults land in
-    /// the flight recorder. The handle is a cheap `Rc` the adaptive engine
-    /// or a test oracle may share. When no hub is attached (the default)
+    /// Attaches a fresh observability hub (see `pdo-obs`) and returns a
+    /// handle to it: dispatches start feeding per-event fast/slow latency
+    /// histograms. Guard misses and faults are spans in the causal trace
+    /// ([`Runtime::set_tracer`]), not hub records. The handle is a cheap
+    /// `Rc` a test oracle may share. When no hub is attached (the default)
     /// every instrumentation site is a single `Option` check.
     pub fn enable_observability(&mut self) -> ObsHub {
-        let hub = ObsHub::default();
+        let hub = ObsHub::new();
         self.sinks.obs = Some(hub.clone());
         hub
     }
@@ -541,7 +541,7 @@ impl Runtime {
     }
 
     /// Attaches a causal trace store (see `pdo-obs::trace`, DESIGN.md
-    /// §16): every raise, dispatch, timer fire, guard miss, and
+    /// §16): every raise, dispatch, timer fire, guard miss, fault, and
     /// despecialization records a span with a parent edge. A raise with
     /// no ambient or caller-supplied context mints a fresh [`TraceId`] —
     /// it is an external stimulus and becomes the trace root. The same

@@ -35,7 +35,7 @@ use pdo_ctp::{ctp_program, CtpParams};
 use pdo_events::RuntimeConfig;
 use pdo_ir::{EventId, FuncId, RaiseMode};
 use pdo_obs::trace::{export_chrome, export_lines};
-use pdo_obs::{FlightRecorder, Histogram, MetricsSnapshot, ObsKind, Span, SpanKind, TraceStore};
+use pdo_obs::{Histogram, MetricsSnapshot, Span, SpanKind, TraceStore};
 use pdo_seccomm::{seccomm_protocol, Keys, CONFIG_FULL};
 use pdo_server::{Server, ServerError, SessionId};
 use pdo_snap::SnapshotError;
@@ -52,6 +52,8 @@ pub mod client;
 mod limiter;
 mod net;
 pub mod proto;
+
+use net::CloseReason;
 
 pub use client::Client;
 pub use limiter::Limiter;
@@ -151,8 +153,6 @@ pub struct IngressConfig {
     pub epoch_every: u64,
     /// Virtual-clock step per epoch advance.
     pub epoch_step_ns: u64,
-    /// Flight-recorder ring capacity.
-    pub recorder_capacity: usize,
 }
 
 impl Default for IngressConfig {
@@ -167,7 +167,6 @@ impl Default for IngressConfig {
             retry_after_ns: 1_000_000,
             epoch_every: 1024,
             epoch_step_ns: 1_000_000,
-            recorder_capacity: 256,
         }
     }
 }
@@ -191,30 +190,23 @@ pub(crate) struct Shared {
     /// Live connections mapped to each shard (p2c input).
     pub conns_on_shard: Vec<AtomicUsize>,
     pub connections_opened: AtomicU64,
-    pub connections_closed: AtomicU64,
+    /// Closed connections, indexed by [`CloseReason`].
+    pub connections_closed: [AtomicU64; CloseReason::ALL.len()],
     pub admitted: AtomicU64,
     pub replied: AtomicU64,
     pub shed_permits: AtomicU64,
     pub shed_queue: AtomicU64,
     pub shed_quiesced: AtomicU64,
     pub malformed_payloads: AtomicU64,
-    pub corrupt_streams: AtomicU64,
     pub bytes_read: AtomicU64,
     pub bytes_written: AtomicU64,
-    /// Ordering-only timestamp for flight records (the acceptor has no
-    /// virtual clock; records are sequenced, not timed).
-    pub obs_seq: AtomicU64,
-    pub recorder: Mutex<FlightRecorder>,
     /// Wall-clock admission→reply latency, engine-side.
     pub latency: Mutex<Histogram>,
 }
 
 impl Shared {
-    pub(crate) fn record(&self, kind: ObsKind) {
-        let at = self.obs_seq.fetch_add(1, Ordering::Relaxed);
-        if let Ok(mut rec) = self.recorder.lock() {
-            rec.record(at, kind);
-        }
+    pub(crate) fn closed(&self, reason: CloseReason) {
+        self.connections_closed[reason as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Retry hint scaled by how deep the shard's queue already is:
@@ -286,18 +278,15 @@ impl Ingress {
             queue_depth: (0..shards).map(|_| AtomicUsize::new(0)).collect(),
             conns_on_shard: (0..shards).map(|_| AtomicUsize::new(0)).collect(),
             connections_opened: AtomicU64::new(0),
-            connections_closed: AtomicU64::new(0),
+            connections_closed: Default::default(),
             admitted: AtomicU64::new(0),
             replied: AtomicU64::new(0),
             shed_permits: AtomicU64::new(0),
             shed_queue: AtomicU64::new(0),
             shed_quiesced: AtomicU64::new(0),
             malformed_payloads: AtomicU64::new(0),
-            corrupt_streams: AtomicU64::new(0),
             bytes_read: AtomicU64::new(0),
             bytes_written: AtomicU64::new(0),
-            obs_seq: AtomicU64::new(0),
-            recorder: Mutex::new(FlightRecorder::new(cfg.recorder_capacity)),
             latency: Mutex::new(Histogram::new()),
         });
 
@@ -684,10 +673,16 @@ impl Ingress {
 
     /// Live connection count.
     pub fn connections(&self) -> u64 {
+        let closed: u64 = self
+            .shared
+            .connections_closed
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .sum();
         self.shared
             .connections_opened
             .load(Ordering::Relaxed)
-            .saturating_sub(self.shared.connections_closed.load(Ordering::Relaxed))
+            .saturating_sub(closed)
     }
 
     /// Scrapes every ingress counter, gauge, and histogram into one
@@ -701,12 +696,14 @@ impl Ingress {
             &[],
             s.connections_opened.load(Ordering::Relaxed),
         );
-        m.counter(
-            "pdo_ingress_connections_closed_total",
-            "Connections closed (any reason)",
-            &[],
-            s.connections_closed.load(Ordering::Relaxed),
-        );
+        for reason in CloseReason::ALL {
+            m.counter(
+                "pdo_ingress_connections_closed_total",
+                "Connections closed, by reason",
+                &[("reason", reason.label())],
+                s.connections_closed[reason as usize].load(Ordering::Relaxed),
+            );
+        }
         m.gauge(
             "pdo_ingress_connections",
             "Currently live connections",
@@ -742,12 +739,6 @@ impl Ingress {
             "Checksum-valid frames whose payload failed to decode",
             &[],
             s.malformed_payloads.load(Ordering::Relaxed),
-        );
-        m.counter(
-            "pdo_ingress_corrupt_streams_total",
-            "Connections closed because their byte stream failed framing",
-            &[],
-            s.corrupt_streams.load(Ordering::Relaxed),
         );
         m.counter(
             "pdo_ingress_bytes_read_total",
@@ -787,16 +778,6 @@ impl Ingress {
             }
         }
         m
-    }
-
-    /// The last `n` ingress flight records (connection lifecycle and
-    /// shed decisions), rendered one per line.
-    pub fn flight_dump(&self, n: usize) -> String {
-        self.shared
-            .recorder
-            .lock()
-            .map(|r| r.dump(n))
-            .unwrap_or_default()
     }
 
     /// Stops the acceptor thread, closes every connection, and removes

@@ -21,7 +21,6 @@
 
 use crate::proto::{self, Reply};
 use crate::{Shared, Work};
-use pdo_obs::ObsKind;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -30,6 +29,42 @@ use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Why the acceptor closed a connection: the `reason` label of
+/// `pdo_ingress_connections_closed_total`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CloseReason {
+    /// The peer closed its end.
+    Eof,
+    /// A read or write failed.
+    Io,
+    /// The byte stream failed framing; frame boundaries are lost.
+    Corrupt,
+    /// The peer fell further behind its replies than `max_outbuf`.
+    Slow,
+    /// The ingress shut down.
+    Shutdown,
+}
+
+impl CloseReason {
+    pub(crate) const ALL: [CloseReason; 5] = [
+        CloseReason::Eof,
+        CloseReason::Io,
+        CloseReason::Corrupt,
+        CloseReason::Slow,
+        CloseReason::Shutdown,
+    ];
+
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            CloseReason::Eof => "eof",
+            CloseReason::Io => "io",
+            CloseReason::Corrupt => "corrupt",
+            CloseReason::Slow => "slow",
+            CloseReason::Shutdown => "shutdown",
+        }
+    }
+}
 
 pub(crate) struct NetParams {
     pub max_frame: usize,
@@ -146,10 +181,6 @@ pub(crate) fn net_main(
             let shard = pick_shard(&shared, id);
             shared.conns_on_shard[shard].fetch_add(1, Ordering::Relaxed);
             shared.connections_opened.fetch_add(1, Ordering::Relaxed);
-            shared.record(ObsKind::ConnOpened {
-                conn: id,
-                shard: shard as u32,
-            });
             conns.insert(
                 id,
                 Conn {
@@ -183,11 +214,7 @@ pub(crate) fn net_main(
                 Err(reason) => {
                     let conn = conns.remove(&id).expect("present: just fetched");
                     shared.conns_on_shard[conn.shard].fetch_sub(1, Ordering::Relaxed);
-                    shared.connections_closed.fetch_add(1, Ordering::Relaxed);
-                    if reason == "corrupt" {
-                        shared.corrupt_streams.fetch_add(1, Ordering::Relaxed);
-                    }
-                    shared.record(ObsKind::ConnClosed { conn: id, reason });
+                    shared.closed(reason);
                     progress = true;
                 }
             }
@@ -211,13 +238,9 @@ pub(crate) fn net_main(
 
     // Shutdown: every remaining connection is dropped (sockets close on
     // drop) and accounted for.
-    for (id, conn) in conns.drain() {
+    for (_, conn) in conns.drain() {
         shared.conns_on_shard[conn.shard].fetch_sub(1, Ordering::Relaxed);
-        shared.connections_closed.fetch_add(1, Ordering::Relaxed);
-        shared.record(ObsKind::ConnClosed {
-            conn: id,
-            reason: "shutdown",
-        });
+        shared.closed(CloseReason::Shutdown);
     }
 }
 
@@ -230,13 +253,13 @@ fn step_conn(
     work_txs: &[SyncSender<Work>],
     p: &NetParams,
     chunk: &mut [u8],
-) -> Result<bool, &'static str> {
+) -> Result<bool, CloseReason> {
     let mut progress = false;
 
     // Flush pending reply bytes.
     while conn.out_pos < conn.out.len() {
         match conn.sock.write(&conn.out[conn.out_pos..]) {
-            Ok(0) => return Err("io"),
+            Ok(0) => return Err(CloseReason::Io),
             Ok(n) => {
                 conn.out_pos += n;
                 shared.bytes_written.fetch_add(n as u64, Ordering::Relaxed);
@@ -244,7 +267,7 @@ fn step_conn(
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return Err("io"),
+            Err(_) => return Err(CloseReason::Io),
         }
     }
     if conn.out_pos == conn.out.len() && conn.out_pos > 0 {
@@ -255,7 +278,7 @@ fn step_conn(
     // Read what has arrived (bounded per sweep for fairness).
     for _ in 0..4 {
         match conn.sock.read(chunk) {
-            Ok(0) => return Err("eof"),
+            Ok(0) => return Err(CloseReason::Eof),
             Ok(n) => {
                 conn.inbuf.extend(&chunk[..n]);
                 shared.bytes_read.fetch_add(n as u64, Ordering::Relaxed);
@@ -263,7 +286,7 @@ fn step_conn(
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return Err("io"),
+            Err(_) => return Err(CloseReason::Io),
         }
     }
 
@@ -273,14 +296,14 @@ fn step_conn(
             Ok(Some(f)) => f,
             Ok(None) => break,
             // Framing is broken: boundaries can't be trusted any more.
-            Err(_) => return Err("corrupt"),
+            Err(_) => return Err(CloseReason::Corrupt),
         };
         progress = true;
         match proto::decode_request(&frame) {
             Ok((req_id, request)) => {
                 admit(id, conn, shared, work_txs, p, req_id, request)?;
             }
-            Err(e) if e.is_stream_fatal() => return Err("corrupt"),
+            Err(e) if e.is_stream_fatal() => return Err(CloseReason::Corrupt),
             Err(e) => {
                 // Checksum-valid frame, bad payload: typed error reply,
                 // connection lives.
@@ -299,7 +322,7 @@ fn step_conn(
     // A consumer that cannot keep up with its own replies is cut off
     // rather than buffered without bound.
     if conn.out.len() - conn.out_pos > p.max_outbuf {
-        return Err("slow");
+        return Err(CloseReason::Slow);
     }
 
     Ok(progress)
@@ -315,11 +338,10 @@ fn admit(
     p: &NetParams,
     req_id: u64,
     request: proto::Request,
-) -> Result<(), &'static str> {
+) -> Result<(), CloseReason> {
     let shard = conn.shard;
-    let shed = |conn: &mut Conn, reason: &'static str, counter: &std::sync::atomic::AtomicU64| {
+    let shed = |conn: &mut Conn, counter: &std::sync::atomic::AtomicU64| {
         counter.fetch_add(1, Ordering::Relaxed);
-        shared.record(ObsKind::RequestShed { conn: id, reason });
         let reply = Reply::Shed {
             retry_after_ns: shared.retry_hint(p.retry_after_ns, shard, p.shard_queue),
         };
@@ -328,11 +350,11 @@ fn admit(
     };
 
     if !shared.admitting.load(Ordering::Relaxed) {
-        shed(conn, "quiesced", &shared.shed_quiesced);
+        shed(conn, &shared.shed_quiesced);
         return Ok(());
     }
     if !shared.limiter.try_acquire() {
-        shed(conn, "permits", &shared.shed_permits);
+        shed(conn, &shared.shed_permits);
         return Ok(());
     }
     match work_txs[shard].try_send(Work {
@@ -348,12 +370,12 @@ fn admit(
         }
         Err(TrySendError::Full(_)) => {
             shared.limiter.release();
-            shed(conn, "queue", &shared.shed_queue);
+            shed(conn, &shared.shed_queue);
             Ok(())
         }
         Err(TrySendError::Disconnected(_)) => {
             shared.limiter.release();
-            Err("shutdown")
+            Err(CloseReason::Shutdown)
         }
     }
 }

@@ -113,7 +113,7 @@ fn tcp_session_lifecycle_over_loopback() {
     let rendered = m.render();
     assert!(rendered.contains("pdo_ingress_shed_total"));
     assert!(rendered.contains("pdo_ingress_request_latency_ns"));
-    assert!(ingress.flight_dump(64).contains("conn-opened"));
+    assert!(m.counter_value("pdo_ingress_connections_opened_total", &[]) >= Some(1));
 }
 
 #[test]
@@ -243,7 +243,6 @@ fn over_capacity_burst_is_shed_with_typed_replies() {
         .filter_map(|(r, ())| metrics.counter_value("pdo_ingress_shed_total", &[("reason", r)]))
         .sum();
     assert_eq!(by_reason, shed as u64, "every shed is labeled by reason");
-    assert!(ingress.flight_dump(1024).contains("request-shed"));
 }
 
 /// Corruption policy end to end: a checksum-valid frame with a bad body
@@ -303,10 +302,12 @@ fn corrupt_frames_never_wedge_the_server() {
         Some(1)
     );
     assert_eq!(
-        m.counter_value("pdo_ingress_corrupt_streams_total", &[]),
+        m.counter_value(
+            "pdo_ingress_connections_closed_total",
+            &[("reason", "corrupt")]
+        ),
         Some(1)
     );
-    assert!(ingress.flight_dump(64).contains("reason=corrupt"));
 }
 
 /// Quiesce over the wire: in-flight work drains, later requests shed

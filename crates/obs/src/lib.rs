@@ -12,15 +12,16 @@
 //! * [`MetricsSnapshot`] — scrape-time metric collection (counters,
 //!   gauges, histograms) with Prometheus-style text exposition via
 //!   [`MetricsSnapshot::render`] and snapshot-level [`MetricsSnapshot::merge`].
-//! * [`FlightRecorder`] / [`ObsHub`] — a bounded ring buffer of
-//!   structured runtime records (guard miss, fault, reprofile, chain
-//!   install/drop, quarantine) dumped post-mortem when
-//!   a fault or chaos-oracle mismatch needs explaining.
-//! * [`TraceStore`] / [`Span`] — causal trace graphs: a [`TraceId`]
-//!   minted per external stimulus, spans with parent edges across
-//!   layers (ingress, runtime, adaptive engine, wire), Chrome
-//!   trace-event and line-dump exporters, and critical-path latency
-//!   attribution (DESIGN.md §16).
+//! * [`ObsHub`] — a runtime's per-event fast/slow dispatch-latency
+//!   histograms, shared by the layers stacked on it.
+//! * [`TraceStore`] / [`Span`] — the one record of what happened: causal
+//!   trace graphs with a [`TraceId`] minted per external stimulus and
+//!   spans with parent edges across layers (ingress, server, runtime,
+//!   adaptive engine, wire) — dispatches, guard misses, faults, every
+//!   adaptation decision and its why, session placements — plus Chrome
+//!   trace-event and line-dump exporters and critical-path latency
+//!   attribution (DESIGN.md §16). The line dump is also the post-mortem
+//!   view appended to a fault report or a chaos-oracle mismatch.
 //!
 //! The crate is dependency-free by design: every other crate in the
 //! workspace can use it, including over the wire boundary, and event
@@ -31,13 +32,11 @@
 
 mod hist;
 mod hub;
-mod recorder;
 mod snapshot;
 pub mod trace;
 
 pub use hist::{Histogram, BUCKETS};
-pub use hub::{ObsHub, DEFAULT_RECORDER_CAPACITY};
-pub use recorder::{FlightRecorder, ObsKind, ObsRecord};
+pub use hub::ObsHub;
 pub use snapshot::{Labels, MetricsSnapshot};
 pub use trace::{
     AuditAction, DispatchSrc, Span, SpanId, SpanKind, TraceCtx, TraceId, TraceStore,

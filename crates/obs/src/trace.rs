@@ -3,15 +3,22 @@
 //! misses, despecializations, chain-audit decisions, wire activity)
 //! records a [`Span`] with a parent edge, giving a per-trace
 //! happens-before DAG that spans layers (ingress → runtime → adaptive
-//! engine → wire).
+//! engine → wire). Faults and session placements (migration, restore)
+//! are spans too: the store is the one record of what happened.
 //!
 //! The store mirrors [`crate::ObsHub`]'s hot-path contract: a runtime
 //! with no store attached pays one `Option` check; an attached-but-
 //! disabled store pays one extra `Cell` load (see `BENCH_trace.json`);
-//! only an enabled store borrows the ring and appends. Spans are plain
-//! `Send` data so a collected `Vec<Span>` can leave the server's thread
-//! (the ingress ships one to a `TraceDump` client), while the store
-//! handle itself is a single-threaded `Rc` like `ObsHub`.
+//! only an enabled store borrows a ring and appends. Per-request spans
+//! (ingress, raise, dispatch, wire) and everything else (decisions,
+//! guard misses, faults, placements) fill two separate rings, so a
+//! dispatch storm cannot evict the rare record that explains it. The rare
+//! ring is an eighth of the store's capacity: decisions carry a `why`
+//! string, and a full ring of them is what the store's memory bound
+//! prices. Spans are plain `Send` data so a collected `Vec<Span>` can
+//! leave the server's thread (the ingress ships one to a `TraceDump`
+//! client), while the store handle itself is a single-threaded `Rc` like
+//! `ObsHub`.
 //!
 //! Two exporters ship with the module: [`export_chrome`] emits Chrome
 //! trace-event JSON loadable in `about:tracing`/Perfetto, and
@@ -20,12 +27,13 @@
 //! [`critical_path`] and [`attribute`] turn a span set into a latency
 //! story: fast-lane vs slow-lane vs wire vs scheduler wait.
 
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
-/// Default span-ring capacity for a [`TraceStore`].
+/// Default span capacity for a [`TraceStore`], both rings together.
 pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
 
 /// Identifies one causal trace: minted at the external stimulus and
@@ -69,8 +77,6 @@ pub enum AuditAction {
     /// A previously installed chain was dropped (not reproduced by the
     /// new profile).
     Drop,
-    /// The runtime despecialized the chain (containment path).
-    Despecialize,
     /// The self-healer quarantined the event's chain.
     Quarantine,
     /// A reprofile ran; the `why` field carries the evidence summary.
@@ -126,6 +132,25 @@ pub enum SpanKind {
         /// Raw event id.
         event: u32,
     },
+    /// A fault (injected, or a contained organic handler trap) hit a
+    /// dispatch of `event`.
+    Fault {
+        /// Raw event id.
+        event: u32,
+        /// The fault kind's label (`trap_dispatch`, `handler_trap`, …),
+        /// borrowed when recorded and owned when parsed from a dump.
+        kind: Cow<'static, str>,
+    },
+    /// A session was placed on this shard: migrated here from shard
+    /// `from`, or restored from a snapshot image (`from` is `None`).
+    Placement {
+        /// Session id.
+        session: u64,
+        /// Source shard of a migration.
+        from: Option<u32>,
+        /// Destination shard: the one whose store holds the span.
+        to: u32,
+    },
     /// An adaptive-engine decision, with the profile evidence that
     /// triggered it — the auditable "why" record.
     ChainAudit {
@@ -151,18 +176,34 @@ pub enum SpanKind {
 }
 
 impl SpanKind {
-    /// The layer this span belongs to: `ingress`, `runtime`, `adapt`,
-    /// or `wire`.
+    /// The layer this span belongs to: `ingress`, `server`, `runtime`,
+    /// `adapt`, or `wire`.
     pub fn layer(&self) -> &'static str {
         match self {
             SpanKind::Ingress { .. } => "ingress",
+            SpanKind::Placement { .. } => "server",
             SpanKind::Raise { .. }
             | SpanKind::Dispatch { .. }
             | SpanKind::GuardMiss { .. }
-            | SpanKind::Despecialize { .. } => "runtime",
+            | SpanKind::Despecialize { .. }
+            | SpanKind::Fault { .. } => "runtime",
             SpanKind::ChainAudit { .. } => "adapt",
             SpanKind::Wire { .. } => "wire",
         }
+    }
+
+    /// True for the spans every request or dispatch leaves (ingress,
+    /// raise, dispatch, wire); false for the rare ones that record what
+    /// the system decided or suffered. The two classes fill separate
+    /// rings.
+    fn is_traffic(&self) -> bool {
+        matches!(
+            self,
+            SpanKind::Ingress { .. }
+                | SpanKind::Raise { .. }
+                | SpanKind::Dispatch { .. }
+                | SpanKind::Wire { .. }
+        )
     }
 
     /// Short display name used by both exporters.
@@ -173,6 +214,8 @@ impl SpanKind {
             SpanKind::Dispatch { .. } => "dispatch",
             SpanKind::GuardMiss { .. } => "guard_miss",
             SpanKind::Despecialize { .. } => "despecialize",
+            SpanKind::Fault { .. } => "fault",
+            SpanKind::Placement { .. } => "placement",
             SpanKind::ChainAudit { .. } => "audit",
             SpanKind::Wire { .. } => "wire",
         }
@@ -194,7 +237,6 @@ impl fmt::Display for AuditAction {
         f.write_str(match self {
             AuditAction::Install => "install",
             AuditAction::Drop => "drop",
-            AuditAction::Despecialize => "despecialize",
             AuditAction::Quarantine => "quarantine",
             AuditAction::Reprofile => "reprofile",
             AuditAction::Decline => "decline",
@@ -228,33 +270,59 @@ impl Span {
     }
 }
 
+/// A bounded ring: once full, each push overwrites the oldest entry.
 #[derive(Debug)]
-struct Ring {
-    spans: Vec<Span>,
+struct Ring<T> {
+    items: Vec<T>,
     cap: usize,
+    /// The oldest entry once the ring is full (0 until then).
     head: usize,
-    recorded: u64,
 }
 
-impl Ring {
-    fn push(&mut self, span: Span) {
-        if self.spans.len() < self.cap {
-            self.spans.push(span);
-        } else {
-            self.spans[self.head] = span;
-            self.head = (self.head + 1) % self.cap;
+impl<T> Ring<T> {
+    fn new(cap: usize) -> Ring<T> {
+        Ring {
+            items: Vec::new(),
+            cap,
+            head: 0,
         }
-        self.recorded += 1;
     }
 
-    fn snapshot(&self) -> Vec<Span> {
-        let len = self.spans.len();
-        let mut out = Vec::with_capacity(len);
-        for i in 0..len {
-            out.push(self.spans[(self.head + i) % len.max(1)].clone());
+    // Inlined into the dispatch path (a generic is instantiated there),
+    // the push and the overwritten span's drop glue cost ~6 ns more per
+    // span than the call does.
+    #[inline(never)]
+    fn push(&mut self, item: T) {
+        if self.items.len() < self.cap {
+            self.items.push(item);
+        } else {
+            self.items[self.head] = item;
+            self.head += 1;
+            if self.head == self.cap {
+                self.head = 0;
+            }
         }
-        out
     }
+
+    /// Retained entries, oldest first.
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        let (newer, older) = self.items.split_at(self.head);
+        older.iter().chain(newer)
+    }
+}
+
+#[derive(Debug)]
+struct Rings {
+    /// Ingress, raise, dispatch and wire spans.
+    traffic: Ring<Span>,
+    /// Every other span, with the number of traffic spans recorded before
+    /// it: what no amount of traffic may evict, and where it falls among
+    /// the traffic.
+    rare: Ring<(u64, Span)>,
+    /// Traffic spans ever recorded.
+    traffic_recorded: u64,
+    /// Rare spans ever recorded.
+    rare_recorded: u64,
 }
 
 #[derive(Debug)]
@@ -265,7 +333,7 @@ struct StoreShared {
     tag: u16,
     next_trace: Cell<u64>,
     next_span: Cell<u64>,
-    ring: RefCell<Ring>,
+    rings: RefCell<Rings>,
 }
 
 /// A bounded, cheaply-clonable span store. One per shard (tagged with
@@ -290,19 +358,23 @@ impl TraceStore {
         TraceStore::with_capacity(tag, DEFAULT_TRACE_CAPACITY)
     }
 
-    /// A store retaining at most `capacity` spans (clamped to ≥ 1).
+    /// A store retaining at most `capacity` spans (clamped to ≥ 2), one
+    /// eighth of them (at least one) reserved for the rare ones (see the
+    /// module docs).
     pub fn with_capacity(tag: u16, capacity: usize) -> TraceStore {
+        let cap = capacity.max(2);
+        let rare = (cap / 8).max(1);
         TraceStore {
             shared: Rc::new(StoreShared {
                 enabled: Cell::new(true),
                 tag,
                 next_trace: Cell::new(1),
                 next_span: Cell::new(1),
-                ring: RefCell::new(Ring {
-                    spans: Vec::new(),
-                    cap: capacity.max(1),
-                    head: 0,
-                    recorded: 0,
+                rings: RefCell::new(Rings {
+                    traffic: Ring::new(cap - rare),
+                    rare: Ring::new(rare),
+                    traffic_recorded: 0,
+                    rare_recorded: 0,
                 }),
             }),
         }
@@ -350,10 +422,17 @@ impl TraceStore {
         (trace, parent, self.next_span_id())
     }
 
-    /// Appends a completed span to the ring.
+    /// Appends a completed span to its class's ring.
     #[inline]
     pub fn record(&self, span: Span) {
-        self.shared.ring.borrow_mut().push(span);
+        let rings = &mut *self.shared.rings.borrow_mut();
+        if span.kind.is_traffic() {
+            rings.traffic_recorded += 1;
+            rings.traffic.push(span);
+        } else {
+            rings.rare_recorded += 1;
+            rings.rare.push((rings.traffic_recorded, span));
+        }
     }
 
     /// Records an instant (or pre-timed) span under `ctx` — minting a
@@ -383,15 +462,28 @@ impl TraceStore {
         Some(TraceCtx { trace, parent: id })
     }
 
-    /// Every retained span, oldest first.
+    /// Every retained span of both rings, merged in record order.
     pub fn spans(&self) -> Vec<Span> {
-        self.shared.ring.borrow().snapshot()
+        let rings = self.shared.rings.borrow();
+        let mut out = Vec::with_capacity(rings.traffic.items.len() + rings.rare.items.len());
+        let mut rare = rings.rare.iter().peekable();
+        // `before`: how many traffic spans were recorded before `span`.
+        let oldest = rings.traffic_recorded - rings.traffic.items.len() as u64;
+        for (before, span) in (oldest..).zip(rings.traffic.iter()) {
+            while let Some((_, r)) = rare.next_if(|(n, _)| *n <= before) {
+                out.push(r.clone());
+            }
+            out.push(span.clone());
+        }
+        out.extend(rare.map(|(_, r)| r.clone()));
+        out
     }
 
-    /// Total spans ever recorded (monotone; exceeds the ring length
-    /// once the ring wraps).
+    /// Total spans ever recorded (monotone; exceeds the retained count
+    /// once a ring wraps).
     pub fn recorded(&self) -> u64 {
-        self.shared.ring.borrow().recorded
+        let rings = self.shared.rings.borrow();
+        rings.traffic_recorded + rings.rare_recorded
     }
 
     /// Retained spans belonging to `trace`, oldest first.
@@ -457,6 +549,13 @@ pub fn export_chrome(spans: &[Span]) -> String {
             SpanKind::GuardMiss { event } | SpanKind::Despecialize { event } => {
                 format!(",\"event\":{event}")
             }
+            SpanKind::Fault { event, kind } => {
+                format!(",\"event\":{event},\"fault\":\"{}\"", json_escape(kind))
+            }
+            SpanKind::Placement { session, from, to } => format!(
+                ",\"session\":{session},\"from\":{},\"to\":{to}",
+                from.map_or_else(|| "null".into(), |f| f.to_string())
+            ),
             SpanKind::ChainAudit { event, action, why } => format!(
                 ",\"event\":{},\"action\":\"{action}\",\"why\":\"{}\"",
                 event.map_or_else(|| "-1".into(), |e| e.to_string()),
@@ -522,6 +621,13 @@ pub fn export_lines(spans: &[Span]) -> String {
             SpanKind::GuardMiss { event } | SpanKind::Despecialize { event } => {
                 out.push_str(&format!(" event={event}"));
             }
+            SpanKind::Fault { event, kind } => {
+                out.push_str(&format!(" event={event} fault={kind}"));
+            }
+            SpanKind::Placement { session, from, to } => out.push_str(&format!(
+                " session={session} from={} to={to}",
+                from.map_or_else(|| "-".into(), |f| f.to_string())
+            )),
             SpanKind::ChainAudit { event, action, why } => out.push_str(&format!(
                 " event={} action={action} why={}",
                 event.map_or_else(|| "-".into(), |e| e.to_string()),
@@ -599,6 +705,18 @@ fn parse_line(line: &str) -> Option<Span> {
         "despecialize" => SpanKind::Despecialize {
             event: kv.get("event")?.parse().ok()?,
         },
+        "fault" => SpanKind::Fault {
+            event: kv.get("event")?.parse().ok()?,
+            kind: Cow::Owned((*kv.get("fault")?).to_string()),
+        },
+        "placement" => SpanKind::Placement {
+            session: kv.get("session")?.parse().ok()?,
+            from: match *kv.get("from")? {
+                "-" => None,
+                f => Some(f.parse().ok()?),
+            },
+            to: kv.get("to")?.parse().ok()?,
+        },
         "audit" => SpanKind::ChainAudit {
             event: match *kv.get("event")? {
                 "-" => None,
@@ -607,7 +725,6 @@ fn parse_line(line: &str) -> Option<Span> {
             action: match *kv.get("action")? {
                 "install" => AuditAction::Install,
                 "drop" => AuditAction::Drop,
-                "despecialize" => AuditAction::Despecialize,
                 "quarantine" => AuditAction::Quarantine,
                 "reprofile" => AuditAction::Reprofile,
                 "decline" => AuditAction::Decline,
@@ -743,6 +860,11 @@ pub fn render_path(path: &[Span]) -> String {
             SpanKind::GuardMiss { event } | SpanKind::Despecialize { event } => {
                 format!("event={event}")
             }
+            SpanKind::Fault { event, kind } => format!("event={event} fault={kind}"),
+            SpanKind::Placement { session, from, to } => format!(
+                "session={session} from={} to={to}",
+                from.map_or_else(|| "-".into(), |f| f.to_string())
+            ),
             SpanKind::ChainAudit { event, action, why } => format!(
                 "event={} action={action} why: {why}",
                 event.map_or_else(|| "-".into(), |e| e.to_string())
@@ -855,10 +977,90 @@ mod tests {
     fn line_dump_round_trips() {
         let store = TraceStore::new(1);
         sample_trace(&store);
+        let root = &store.spans()[0];
+        let ctx = Some(TraceCtx {
+            trace: root.trace,
+            parent: root.id,
+        });
+        for kind in [
+            SpanKind::Despecialize { event: 3 },
+            SpanKind::Fault {
+                event: 3,
+                kind: "trap_dispatch".into(),
+            },
+            SpanKind::Placement {
+                session: 9,
+                from: Some(0),
+                to: 1,
+            },
+            SpanKind::Placement {
+                session: 10,
+                from: None,
+                to: 1,
+            },
+        ] {
+            mk(&store, ctx, 4100, 4100, kind);
+        }
         let spans = store.spans();
+        // One span of every kind: the match has no wildcard, so a new kind
+        // fails to compile here until it is added to the dump.
+        let mut seen = std::collections::BTreeSet::new();
+        for s in &spans {
+            seen.insert(match s.kind {
+                SpanKind::Ingress { .. } => 0,
+                SpanKind::Raise { .. } => 1,
+                SpanKind::Dispatch { .. } => 2,
+                SpanKind::GuardMiss { .. } => 3,
+                SpanKind::Despecialize { .. } => 4,
+                SpanKind::Fault { .. } => 5,
+                SpanKind::Placement { .. } => 6,
+                SpanKind::ChainAudit { .. } => 7,
+                SpanKind::Wire { .. } => 8,
+            });
+        }
+        assert_eq!(seen.len(), 9, "one span of every kind");
         let text = export_lines(&spans);
+        assert_eq!(text.lines().count(), spans.len());
         let back = parse_lines(&text);
         assert_eq!(back, spans);
+    }
+
+    #[test]
+    fn rare_spans_always_land_and_dispatches_never_evict_them() {
+        // Fourteen traffic slots, two rare ones.
+        let store = TraceStore::with_capacity(6, 16);
+        let miss = SpanKind::GuardMiss { event: 1 };
+        let fault = SpanKind::Fault {
+            event: 1,
+            kind: "trap_dispatch".into(),
+        };
+        store.record_under(None, 150, 150, miss.clone());
+        // Far more dispatches than the traffic ring holds, with a fault
+        // among the newest of them.
+        for i in 0..64 {
+            if i == 56 {
+                store.record_under(None, 256, 256, fault.clone());
+            }
+            let kind = SpanKind::Dispatch {
+                event: 1,
+                fast: true,
+                src: DispatchSrc::Sync,
+                queued_ns: 0,
+            };
+            store.record_under(None, 200 + i, 205 + i, kind);
+        }
+        assert_eq!(store.recorded(), 66);
+        // The miss, then the fourteen newest dispatches with the fault
+        // where it was recorded: record order.
+        let spans = store.spans();
+        assert_eq!(spans.len(), 16);
+        assert_eq!(spans[0].kind, miss);
+        assert_eq!(spans[7].kind, fault);
+        let starts: Vec<u64> = spans.iter().map(|s| s.start_ns).collect();
+        let mut want = vec![150];
+        want.extend(250..264);
+        want.insert(7, 256);
+        assert_eq!(starts, want);
     }
 
     #[test]
@@ -921,7 +1123,8 @@ mod tests {
 
     #[test]
     fn ring_bounds_memory_and_recorded_is_monotone() {
-        let store = TraceStore::with_capacity(4, 8);
+        // Eight rare slots.
+        let store = TraceStore::with_capacity(4, 64);
         for i in 0..20u64 {
             store.record_under(None, i, i, SpanKind::GuardMiss { event: i as u32 });
         }

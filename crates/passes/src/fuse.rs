@@ -41,7 +41,7 @@ pub struct FusionRecord {
     pub evidence: u64,
 }
 
-/// Fuses every function in `module`; returns the per-function flight
+/// Fuses every function in `module`; returns the per-function fusion
 /// records (empty when nothing matched or the profile gated everything out).
 pub fn fuse_module(
     module: &mut Module,

@@ -48,10 +48,7 @@ use pdo_ctp::{CtpEndpoint, CtpError, CtpParams};
 pub use pdo_events::splitmix64;
 use pdo_events::{Runtime, RuntimeConfig, RuntimeError};
 use pdo_ir::{EventId, FuncId, GlobalId, Module, RaiseMode, Value};
-use pdo_obs::{
-    Histogram, MetricsSnapshot, ObsHub, ObsKind, Span, SpanKind, TraceCtx, TraceStore,
-    DEFAULT_RECORDER_CAPACITY,
-};
+use pdo_obs::{Histogram, MetricsSnapshot, Span, SpanKind, TraceCtx, TraceStore};
 use pdo_seccomm::{Endpoint as SecCommEndpoint, Keys, SecCommError};
 use pdo_snap::{Codec, SnapWriter, SnapshotError};
 use std::cell::RefCell;
@@ -382,8 +379,15 @@ impl ShardState {
     /// fault plan, virtual clock (before the epoch hook exists, so the
     /// catch-up doesn't fire a burst of stale epochs), endpoint link or
     /// wire state, and finally the adaptation daemon — restored, so the
-    /// session resumes specialization where it left off.
-    fn restore(&mut self, id: SessionId, snap: SessionSnapshot) -> Result<(), ServerError> {
+    /// session resumes specialization where it left off. A `Placement`
+    /// span records the arrival: migrated from shard `from`, or restored
+    /// from an image when `from` is `None`.
+    fn restore(
+        &mut self,
+        id: SessionId,
+        snap: SessionSnapshot,
+        from: Option<u32>,
+    ) -> Result<(), ServerError> {
         let SessionSnapshot {
             module,
             config,
@@ -450,6 +454,13 @@ impl ShardState {
         }
         rt.enable_observability();
         rt.set_tracer(self.tracer.clone());
+        let now = rt.clock_ns();
+        let placed = SpanKind::Placement {
+            session: id.0,
+            from,
+            to: self.index as u32,
+        };
+        self.tracer.record_under(None, now, now, placed);
         let engine = AdaptiveEngine::attach_restored(rt, module, self.adapt, engine);
         self.sessions.insert(id, Session { kind, engine });
         Ok(())
@@ -775,19 +786,6 @@ impl ShardState {
         }
         (agg, rows)
     }
-
-    fn dump(&self, n: usize) -> Vec<(SessionId, String)> {
-        let mut out = Vec::new();
-        for (&id, session) in &self.sessions {
-            if let Some(obs) = session.runtime().obs() {
-                let dump = obs.dump(n);
-                if !dump.is_empty() {
-                    out.push((id, dump));
-                }
-            }
-        }
-        out
-    }
 }
 
 /// A borrow of one session, delivered to [`Server::with_session`]
@@ -859,11 +857,6 @@ pub struct Server {
     /// maintained synchronously on open/close; the rest refreshes on
     /// `run_until`, `shard_loads`, and `rebalance`.
     loads: Vec<ShardLoad>,
-    /// Coordinator flight recorder: migration / persist / restore
-    /// lifecycle records, dumped alongside the per-session recorders.
-    obs: ObsHub,
-    /// Logical timestamp source for `obs` (see [`Self::obs_record`]).
-    obs_seq: u64,
     snapshots_total: u64,
     restores_total: u64,
     snapshot_bytes: Histogram,
@@ -900,8 +893,6 @@ impl Server {
                     ..Default::default()
                 })
                 .collect(),
-            obs: ObsHub::new(DEFAULT_RECORDER_CAPACITY),
-            obs_seq: 0,
             snapshots_total: 0,
             restores_total: 0,
             snapshot_bytes: Histogram::new(),
@@ -909,14 +900,6 @@ impl Server {
             encode_wall_ns: Histogram::new(),
             decode_wall_ns: Histogram::new(),
         }
-    }
-
-    /// Records a coordinator lifecycle event in the flight recorder.
-    /// Timestamps are a logical sequence (the coordinator has no virtual
-    /// clock), so dumps stay deterministic.
-    fn obs_record(&mut self, kind: ObsKind) {
-        self.obs_seq += 1;
-        self.obs.record(self.obs_seq, kind);
     }
 
     /// Number of shards.
@@ -1395,14 +1378,9 @@ impl Server {
         };
         self.placement.remove(&id);
         self.loads[hot].sessions = self.loads[hot].sessions.saturating_sub(1);
-        self.shards[cool].restore(id, snap)?;
+        self.shards[cool].restore(id, snap, Some(hot as u32))?;
         self.placement.insert(id, cool);
         self.loads[cool].sessions += 1;
-        self.obs_record(ObsKind::SessionMigrated {
-            session: id.0,
-            from: hot as u32,
-            to: cool as u32,
-        });
         Ok(Some(id))
     }
 
@@ -1475,10 +1453,6 @@ impl Server {
         self.snapshot_bytes.record(bytes.len() as u64);
         self.encode_wall_ns
             .record(started.elapsed().as_nanos() as u64);
-        self.obs_record(ObsKind::SnapshotPersisted {
-            sessions: image.sessions.len() as u32,
-            bytes: bytes.len() as u64,
-        });
         bytes
     }
 
@@ -1516,25 +1490,16 @@ impl Server {
         // already-restored ids ahead of the allocator.
         self.next_id = self.next_id.max(next_id);
         let mut restored = Vec::with_capacity(sessions.len());
-        let count = sessions.len() as u32;
         for (id, (shard, snap)) in sessions {
             let shard = shard % self.shards();
-            self.shards[shard].restore(id, snap)?;
+            self.shards[shard].restore(id, snap, None)?;
             self.placement.insert(id, shard);
             self.loads[shard].sessions += 1;
-            self.obs_record(ObsKind::SessionRestored {
-                session: id.0,
-                shard: shard as u32,
-            });
             restored.push(id);
         }
         self.restores_total += 1;
         self.decode_wall_ns
             .record(started.elapsed().as_nanos() as u64);
-        self.obs_record(ObsKind::SnapshotRestored {
-            sessions: count,
-            bytes: bytes.len() as u64,
-        });
         Ok(restored)
     }
 
@@ -1628,27 +1593,6 @@ impl Server {
             &self.decode_wall_ns,
         );
         snap
-    }
-
-    /// Dumps the last `n` flight-recorder entries of every session that
-    /// has a hub attached, labelled by session id and **sorted by
-    /// session id** (not shard layout), so the dump is byte-stable
-    /// across runs — the post-mortem companion to [`Server::metrics`].
-    pub fn dump_flight_recorders(&self, n: usize) -> String {
-        let mut dumps: Vec<(SessionId, String)> =
-            self.shards.iter().flat_map(|state| state.dump(n)).collect();
-        dumps.sort_by_key(|(id, _)| *id);
-        let mut out = String::new();
-        let coord = self.obs.dump(n);
-        if !coord.is_empty() {
-            out.push_str(&format!("--- server coordinator (last {n} records) ---\n"));
-            out.push_str(&coord);
-        }
-        for (id, dump) in dumps {
-            out.push_str(&format!("--- session {id} (last {n} records) ---\n"));
-            out.push_str(&dump);
-        }
-        out
     }
 
     /// Collects every shard's retained trace spans in shard-index order
@@ -2018,6 +1962,20 @@ mod tests {
             server.shard_of(migrated),
             1 - crowded,
             "migrated to the cooler shard"
+        );
+        // The move is on record in the destination shard's trace.
+        let placed = SpanKind::Placement {
+            session: migrated.0,
+            from: Some(crowded as u32),
+            to: 1 - crowded as u32,
+        };
+        assert_eq!(
+            server
+                .trace_spans()
+                .iter()
+                .filter(|s| s.kind == placed)
+                .count(),
+            1
         );
         let counts: Vec<usize> = (0..2)
             .map(|s| ids.iter().filter(|&&id| server.shard_of(id) == s).count())

@@ -11,8 +11,9 @@ use pdo::{AdaptConfig, OptimizeOptions};
 use pdo_ctp::{ctp_program, CtpParams};
 use pdo_events::RuntimeConfig;
 use pdo_ir::{BinOp, EventId, FuncId, FunctionBuilder, Module, RaiseMode, Value};
+use pdo_obs::SpanKind;
 use pdo_seccomm::{seccomm_protocol, Keys, CONFIG_FULL};
-use pdo_server::{MigrateRefusal, Server, ServerConfig, ServerError};
+use pdo_server::{MigrateRefusal, Server, ServerConfig, ServerError, SessionId};
 
 /// Two independent events; handler `k` of each adds `k` to its event's
 /// accumulator, so one dispatch of [h1, h2] adds 3.
@@ -209,7 +210,7 @@ fn rebalance_migrates_protocol_sessions() {
 /// session kind, restore into a fresh server, and both the plain
 /// accumulators and the protocol endpoints resume exactly. The restored
 /// image re-encodes byte-identically, and the persistence counters and
-/// coordinator flight records show up in observability.
+/// per-session placement spans show up in observability.
 #[test]
 fn snapshot_restore_resumes_every_session_kind() {
     let (m, [a, b], [ga, _]) = two_chain_module();
@@ -351,21 +352,33 @@ fn snapshot_restore_resumes_every_session_kind() {
         .unwrap();
     assert!(restored.iter().all(|&id| id != extra));
 
-    // Observability satellite: counters, size/latency histograms, and
-    // coordinator flight records all mention the cycle.
+    // Observability: counters and size/latency histograms mention the
+    // cycle, and each restored session's placement is a span on the shard
+    // it landed on.
     let text = revived.metrics().render();
     assert!(text.contains("pdo_server_snapshots_total 1"));
     assert!(text.contains("pdo_server_restores_total 1"));
     assert!(text.contains("# TYPE pdo_server_snapshot_bytes summary"));
     assert!(text.contains("# TYPE pdo_server_snapshot_encode_wall_ns summary"));
     assert!(text.contains("# TYPE pdo_server_snapshot_decode_wall_ns summary"));
-    let dump = revived.dump_flight_recorders(16);
-    assert!(dump.contains("server coordinator"), "coordinator section");
-    assert!(
-        dump.contains("snapshot-restored"),
-        "restore recorded:\n{dump}"
-    );
-    assert!(dump.contains("session-restored"), "per-session records");
+    let mut placed: Vec<SessionId> = revived
+        .trace_spans()
+        .iter()
+        .filter_map(|s| match s.kind {
+            SpanKind::Placement {
+                session,
+                from: None,
+                to,
+            } => {
+                let id = SessionId(session);
+                assert_eq!(revived.shard_of(id), to as usize);
+                Some(id)
+            }
+            _ => None,
+        })
+        .collect();
+    placed.sort();
+    assert_eq!(placed, restored, "one placement span per restored session");
 }
 
 /// Graceful shutdown: `quiesce()` before `save()` drains every queued

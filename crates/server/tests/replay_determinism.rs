@@ -1,7 +1,7 @@
 //! Run-to-run determinism of the whole observable surface: one seeded
 //! fleet workload driven through two fresh servers must yield the same
-//! aggregate `ServerReport`, merged `MetricsSnapshot`, flight-recorder
-//! dump, session globals, trace spans, and durable image — between them
+//! aggregate `ServerReport`, merged `MetricsSnapshot`, session globals,
+//! trace line dump, and durable image — between them
 //! the drive uses every server operation. This is what catches
 //! `RandomState` iteration order (the spec table is a `HashMap`) leaking
 //! into anything observable. The only series allowed to differ are the
@@ -13,7 +13,7 @@
 use pdo::{AdaptConfig, OptimizeOptions};
 use pdo_events::RuntimeConfig;
 use pdo_ir::{BinOp, EventId, FuncId, FunctionBuilder, GlobalId, Module, RaiseMode, Value};
-use pdo_obs::Span;
+use pdo_obs::trace::export_lines;
 use pdo_server::{Server, ServerConfig, ServerReport, SessionId};
 use proptest::prelude::*;
 
@@ -79,36 +79,17 @@ struct Case {
     rebind: Option<usize>,
 }
 
-/// Flight-recorder timestamps are virtual, but reprofile records carry
-/// their wall-clock duration (`took=…ns`) inline; blank it so dumps
-/// compare byte-for-byte across runs.
-fn scrub_wall_ns(dump: &str) -> String {
-    let mut out = String::with_capacity(dump.len());
-    for line in dump.lines() {
-        match line.find("took=") {
-            Some(i) => {
-                out.push_str(&line[..i]);
-                out.push_str("took=_");
-                let rest = &line[i + "took=".len()..];
-                out.push_str(rest.trim_start_matches(|c: char| c.is_ascii_digit()));
-            }
-            None => out.push_str(line),
-        }
-        out.push('\n');
-    }
-    out
-}
-
 /// The full observable surface after driving `case` on a fresh server.
 #[derive(Debug, PartialEq)]
 struct Observed {
     report: ServerReport,
     /// The metrics exposition, wall-clock families stripped.
     metrics: String,
-    dump: String,
     /// Both accumulators of every session still open.
     globals: Vec<(Value, Value)>,
-    spans: Vec<Span>,
+    /// Every shard's retained spans as a line dump: what happened and why,
+    /// on the virtual clock.
+    spans: String,
     image: Vec<u8>,
 }
 
@@ -185,12 +166,11 @@ fn drive(case: &Case) -> Observed {
                 .unwrap()
         })
         .collect();
-    let spans = server.trace_spans();
+    let spans = export_lines(&server.trace_spans());
     let image = server.snapshot_to_bytes();
     Observed {
         report,
         metrics: snap.render(),
-        dump: scrub_wall_ns(&server.dump_flight_recorders(8)),
         globals,
         spans,
         image,
@@ -214,10 +194,9 @@ proptest! {
         let second = drive(&case);
         prop_assert_eq!(first.report, second.report, "aggregate reports differ");
         prop_assert_eq!(first.metrics, second.metrics, "merged metrics differ");
-        prop_assert_eq!(first.dump, second.dump, "flight-recorder dumps differ");
         prop_assert_eq!(first.globals, second.globals, "session globals differ");
         prop_assert!(!first.spans.is_empty(), "tracing is on, so spans exist to compare");
-        prop_assert_eq!(first.spans, second.spans, "trace spans differ");
+        prop_assert_eq!(first.spans, second.spans, "trace line dumps differ");
         prop_assert_eq!(first.image, second.image, "durable images differ");
     }
 }

@@ -1,5 +1,5 @@
-//! Observability: scrape a live sharded server and dump its flight
-//! recorders.
+//! Observability: scrape a live sharded server and dump what its causal
+//! trace recorded.
 //!
 //! ```text
 //! cargo run --example observability
@@ -14,13 +14,16 @@
 //!    Prometheus-style text exposition (dispatch-latency histograms split
 //!    fast/slow, adaptation gauges, wire/CTP/SecComm fault counters, all
 //!    labelled by shard), and
-//! 2. prints each session's flight-recorder tail — the post-mortem view
-//!    of what the dispatcher and the adaptation loop just did.
+//! 2. prints every retained span that is not a raise or a dispatch, as a
+//!    line dump — the post-mortem view of what the adaptation loop decided
+//!    and why, and which faults and guard misses it answered.
 
 use pdo::AdaptConfig;
 use pdo_ctp::{ctp_program, CtpParams};
 use pdo_events::wire::WireFaults;
 use pdo_ir::{BinOp, EventId, FuncId, FunctionBuilder, Module, Value};
+use pdo_obs::trace::export_lines;
+use pdo_obs::SpanKind;
 use pdo_seccomm::{seccomm_protocol, Endpoint, Keys, CONFIG_FULL};
 use pdo_server::{Server, ServerConfig};
 
@@ -105,8 +108,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("==== metrics scrape ====");
     print!("{}", server.metrics().render());
 
-    // --- 2. The post-mortem: per-session flight-recorder tails. ---------
-    println!("\n==== flight recorders (last 16 records per session) ====");
-    print!("{}", server.dump_flight_recorders(16));
+    // --- 2. The post-mortem: decisions, faults and guard misses. --------
+    let mut spans = server.trace_spans();
+    spans.retain(|s| !matches!(s.kind, SpanKind::Raise { .. } | SpanKind::Dispatch { .. }));
+    println!("\n==== trace spans (all but raises and dispatches) ====");
+    print!("{}", export_lines(&spans));
     Ok(())
 }

@@ -12,8 +12,8 @@
 mod oracle;
 
 use oracle::{
-    arm_flight_recorder, assert_equivalent, chaos_cases, chaos_seed, observe, observe_external,
-    CaseContext, ChaosCase, Observed, SplitMix, POLICIES,
+    arm_tracing_and_histograms, assert_equivalent, chaos_cases, chaos_seed, observe,
+    observe_external, CaseContext, ChaosCase, Observed, SplitMix, POLICIES,
 };
 use pdo::{optimize, AdaptConfig, AdaptiveEngine, Optimization, OptimizeOptions};
 use pdo_cactus::EventProgram;
@@ -113,7 +113,7 @@ fn run_case(
         ..CtpParams::default()
     };
     let mut e = CtpEndpoint::new(prog, params).expect("endpoint");
-    arm_flight_recorder(e.runtime_mut());
+    arm_tracing_and_histograms(e.runtime_mut());
     if let Some(o) = opt {
         o.install_chains(e.runtime_mut());
     }

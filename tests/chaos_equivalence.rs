@@ -152,7 +152,7 @@ fn run(
             ..Default::default()
         },
     );
-    oracle::arm_flight_recorder(&mut rt);
+    oracle::arm_tracing_and_histograms(&mut rt);
     for &(e, h, order) in &p.bindings {
         rt.bind(e, h, order).expect("bind");
     }

@@ -195,7 +195,7 @@ fn run(
             ..Default::default()
         },
     );
-    oracle::arm_flight_recorder(&mut rt);
+    oracle::arm_tracing_and_histograms(&mut rt);
     let [hot, ..] = p.events;
     rt.bind(hot, p.stat, 0).expect("bind");
     rt.bind(hot, p.mids[0], MID_ORDER).expect("bind");

@@ -23,7 +23,7 @@
 mod oracle;
 
 use oracle::{
-    arm_flight_recorder, assert_equivalent, capture_session, chaos_cases, chaos_seed,
+    arm_tracing_and_histograms, assert_equivalent, capture_session, chaos_cases, chaos_seed,
     observe_external, restore_session, CaseContext, ChaosCase, Observed, SplitMix, POLICIES,
 };
 use pdo::{AdaptConfig, AdaptiveEngine, OptimizeOptions};
@@ -346,7 +346,7 @@ fn run_ctp(
         ..CtpParams::default()
     };
     let mut e = CtpEndpoint::new(prog, params).expect("endpoint");
-    arm_flight_recorder(e.runtime_mut());
+    arm_tracing_and_histograms(e.runtime_mut());
     e.runtime_mut().set_fault_policy(policy);
     e.runtime_mut()
         .set_fault_injector(FaultInjector::from_plan(case.plan.iter().copied()));
@@ -509,7 +509,7 @@ fn run_sec(
     let mut rx = Endpoint::new(prog, &keys).expect("rx");
     let prepare = |ep: &mut Endpoint, side: EventId| -> Engine {
         let rt = ep.runtime_mut();
-        arm_flight_recorder(rt);
+        arm_tracing_and_histograms(rt);
         rt.set_fault_policy(policy);
         rt.set_fault_injector(FaultInjector::from_plan(
             case.plan.iter().filter(|s| s.event == side).copied(),

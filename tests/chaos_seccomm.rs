@@ -99,7 +99,7 @@ fn prepare(
     side_event: EventId,
     adaptive: bool,
 ) -> Option<Engine> {
-    oracle::arm_flight_recorder(rt);
+    oracle::arm_tracing_and_histograms(rt);
     if let Some(o) = opt {
         o.install_chains(rt);
     }

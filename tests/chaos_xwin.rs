@@ -107,7 +107,7 @@ fn run_case(
     adaptive: bool,
 ) -> Observed<XObs> {
     let mut client = XClient::new(prog).expect("client");
-    oracle::arm_flight_recorder(client.runtime_mut());
+    oracle::arm_tracing_and_histograms(client.runtime_mut());
     if let Some(o) = opt {
         o.install_chains(client.runtime_mut());
     }

@@ -16,12 +16,12 @@
 use pdo_events::wire::WireFaults;
 use pdo_events::{FaultKind, FaultPolicy, FaultSpec, ObservableStats, Runtime};
 use pdo_ir::{EventId, GlobalId, Value};
-use pdo_obs::trace::{critical_path, render_path};
-use pdo_obs::ObsHub;
+use pdo_obs::trace::{critical_path, export_lines, render_path};
+use pdo_obs::SpanKind;
 use std::fmt;
 
-/// Flight-recorder entries appended to a conformance failure (per run).
-const FLIGHT_TAIL: usize = 64;
+/// Non-dispatch spans appended to a conformance failure (per run).
+const SPAN_TAIL: usize = 64;
 
 /// Seeded cases per substrate configuration (`CHAOS_CASES`, default 256).
 pub fn chaos_cases() -> u64 {
@@ -136,11 +136,11 @@ impl ChaosCase {
 /// counters, and the substrate's own externally visible state (delivered
 /// payloads, display state, link statistics, captured errors…).
 ///
-/// The `flight` field is diagnostic only — a rendered tail of the run's
-/// flight recorder, carried alongside the snapshot so a divergence report
-/// can show *what each run was doing* — and is deliberately excluded from
-/// the equality the oracle asserts (the two runs legitimately differ in
-/// fast/slow path mix).
+/// The `recent` field is diagnostic only — the run's latest guard misses,
+/// faults and adaptation decisions as a span line dump, carried alongside
+/// the snapshot so a divergence report can show *what each run was
+/// doing* — and is deliberately excluded from the equality the oracle
+/// asserts (the two runs legitimately differ in fast/slow path mix).
 #[derive(Debug, Clone)]
 pub struct Observed<S> {
     /// Final values of the base module's globals (optimized modules only
@@ -152,10 +152,11 @@ pub struct Observed<S> {
     pub counters: ObservableStats,
     /// Substrate-specific external state.
     pub substrate: S,
-    /// Rendered flight-recorder tail (diagnostic, not compared).
-    pub flight: String,
+    /// Line dump of the last [`SPAN_TAIL`] spans that are not raises or
+    /// dispatches (diagnostic, not compared).
+    pub recent: String,
     /// Rendered critical path of the run's most recent causal trace
-    /// (diagnostic, not compared — like `flight`): on divergence it
+    /// (diagnostic, not compared — like `recent`): on divergence it
     /// shows the happens-before chain and latency attribution of the
     /// last thing each run did.
     pub trace_path: String,
@@ -176,21 +177,28 @@ fn snapshot_globals(rt: &Runtime, base_globals: usize) -> Vec<Value> {
         .collect()
 }
 
-/// Arms a flight recorder and a causal trace store on a freshly built
-/// session so divergence reports carry a per-run activity tail and the
-/// divergent trace's critical path. Dispatch begin/end tracing is
-/// left off: faults, guard misses, and adaptation transitions are the
-/// interesting records, and the quiet ring keeps them in the tail.
-pub fn arm_flight_recorder(rt: &mut Runtime) -> ObsHub {
+/// Arms a causal trace store and the dispatch-latency histograms on a
+/// freshly built session, so both observation paths run under chaos and
+/// divergence reports carry the run's recent guard misses, faults and
+/// adaptation decisions plus the divergent trace's critical path.
+pub fn arm_tracing_and_histograms(rt: &mut Runtime) {
     rt.enable_tracing();
-    rt.enable_observability()
+    rt.enable_observability();
 }
 
-fn flight_tail(rt: &Runtime) -> String {
-    match rt.obs() {
-        Some(obs) => obs.dump(FLIGHT_TAIL),
-        None => String::from("(flight recorder not armed)"),
-    }
+/// The last [`SPAN_TAIL`] retained spans that are not raises or
+/// dispatches, as a line dump.
+fn recent_spans(rt: &Runtime) -> String {
+    let Some(store) = rt.tracer() else {
+        return String::from("(causal tracing not armed)\n");
+    };
+    let mut rare: Vec<_> = store
+        .spans()
+        .into_iter()
+        .filter(|s| !matches!(s.kind, SpanKind::Raise { .. } | SpanKind::Dispatch { .. }))
+        .collect();
+    rare.drain(..rare.len().saturating_sub(SPAN_TAIL));
+    export_lines(&rare)
 }
 
 /// Renders the critical path of the most recent trace the runtime's
@@ -213,7 +221,7 @@ pub fn observe<S>(rt: &mut Runtime, base_globals: usize, substrate: S) -> Observ
         globals: snapshot_globals(rt, base_globals),
         faults: rt.take_trace().fault_sequence(),
         counters: rt.stats().observable(),
-        flight: flight_tail(rt),
+        recent: recent_spans(rt),
         trace_path: trace_path_tail(rt),
         substrate,
     }
@@ -228,7 +236,7 @@ pub fn observe_external<S>(rt: &Runtime, base_globals: usize, substrate: S) -> O
         globals: snapshot_globals(rt, base_globals),
         faults: Vec::new(),
         counters: ObservableStats::default(),
-        flight: flight_tail(rt),
+        recent: recent_spans(rt),
         trace_path: trace_path_tail(rt),
         substrate,
     }
@@ -277,8 +285,8 @@ pub fn assert_equivalent<S: PartialEq + fmt::Debug>(
          fault plan: {:?}\n\
          reference: {:#?}\n\
          optimized: {:#?}\n\
-         reference flight recorder (last {n} records):\n{rf}\n\
-         optimized flight recorder (last {n} records):\n{of}",
+         reference recent spans (last {n} non-dispatch):\n{rr}\
+         optimized recent spans (last {n} non-dispatch):\n{or}",
         diverged,
         ctx.substrate,
         ctx.chain_form,
@@ -289,9 +297,9 @@ pub fn assert_equivalent<S: PartialEq + fmt::Debug>(
         ctx.case.plan,
         reference,
         optimized,
-        n = FLIGHT_TAIL,
-        rf = reference.flight,
-        of = optimized.flight,
+        n = SPAN_TAIL,
+        rr = reference.recent,
+        or = optimized.recent,
         rp = reference.trace_path,
         op = optimized.trace_path,
     );
@@ -353,7 +361,7 @@ pub fn restore_session(
     policy: FaultPolicy,
     cap: SessionCapture,
 ) -> Rc<RefCell<AdaptiveEngine>> {
-    arm_flight_recorder(rt);
+    arm_tracing_and_histograms(rt);
     for (i, value) in cap.globals.into_iter().enumerate() {
         rt.set_global(GlobalId::from_index(i), value);
     }

@@ -275,7 +275,10 @@ fn corrupted_wire_traffic_leaves_the_server_serving() {
 
     let m = ingress.metrics();
     let corrupt = m
-        .counter_value("pdo_ingress_corrupt_streams_total", &[])
+        .counter_value(
+            "pdo_ingress_connections_closed_total",
+            &[("reason", "corrupt")],
+        )
         .unwrap_or(0);
     assert!(corrupt >= 1, "the sweep produced at least one fatal stream");
 }

@@ -2,14 +2,14 @@
 //! is pinned exactly, and a live `pdo-server` run — plain, CTP, and
 //! SecComm sessions under one roof — must surface every layer's series
 //! in one scrape: per-event dispatch-latency histograms split fast/slow,
-//! adaptation gauges, and wire/CTP/SecComm fault counters, plus
-//! post-mortem flight-recorder dumps.
+//! adaptation gauges, and wire/CTP/SecComm fault counters — while the
+//! causal trace records the adaptation decisions behind them.
 
 use pdo::AdaptConfig;
 use pdo_ctp::{ctp_program, CtpParams};
 use pdo_events::wire::WireFaults;
 use pdo_ir::{BinOp, EventId, FuncId, FunctionBuilder, Module, Value};
-use pdo_obs::{Histogram, MetricsSnapshot};
+use pdo_obs::{AuditAction, Histogram, MetricsSnapshot, SpanKind};
 use pdo_seccomm::{seccomm_protocol, Endpoint, Keys, CONFIG_FULL};
 use pdo_server::{Server, ServerConfig};
 
@@ -220,11 +220,20 @@ fn live_server_scrape_covers_every_layer() {
         .sum();
     assert_eq!(sessions, 3);
 
-    // The post-mortem dump shows per-session adaptation activity.
-    let dump = server.dump_flight_recorders(32);
-    assert!(dump.contains("--- session"), "dump has per-session headers");
-    assert!(
-        dump.contains("chain-installed"),
-        "adaptation transitions land in the flight recorder:\n{dump}"
-    );
+    // The trace records the adaptation decision behind the live chain.
+    let installs = server
+        .trace_spans()
+        .into_iter()
+        .filter(|s| {
+            matches!(
+                s.kind,
+                SpanKind::ChainAudit {
+                    event: Some(_),
+                    action: AuditAction::Install,
+                    ..
+                }
+            )
+        })
+        .count();
+    assert!(installs >= 1, "chain installs are audit spans");
 }
