@@ -1,8 +1,7 @@
 //! Open-loop ingress load generator: the committed evidence for the
 //! network front door's admission control (`BENCH_ingress.json`).
 //!
-//! Topology: one engine thread (`Ingress::serve` driving the sharded
-//! server), one acceptor thread inside `pdo-ingress`, and one driver
+//! Topology: one engine thread (`Ingress::serve` driving the server), one acceptor thread inside `pdo-ingress`, and one driver
 //! thread here that multiplexes **10 240 logical clients over 64
 //! non-blocking loopback TCP connections** — the fronting-multiplexer
 //! regime the acceptor is designed for, and the only way to simulate
@@ -426,16 +425,14 @@ fn main() {
             epoch_ns: 1_000_000_000,
             ..Default::default()
         },
-        ..Default::default()
     });
     let mut ingress = Ingress::bind(
         IngressConfig {
             unix: None,
             max_inflight: 2_048,
-            shard_queue: 512,
             ..Default::default()
         },
-        server.shards(),
+        1,
     )
     .expect("bind ingress");
     let addr = ingress.tcp_addr().expect("tcp bound");

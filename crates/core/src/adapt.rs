@@ -350,7 +350,7 @@ pdo_snap::codec_struct!(AdaptStats {
 
 impl AdaptStats {
     /// Field-wise sum of `other` into `self` — the one place that knows
-    /// every counter, so shard/server rollups can't silently drop a field
+    /// every counter, so server rollups can't silently drop a field
     /// when one is added here.
     pub fn absorb(&mut self, other: &AdaptStats) {
         let AdaptStats {
@@ -601,8 +601,8 @@ impl AdaptiveEngine {
 
     /// The session's original, unspecialized module — what every
     /// re-profile optimizes against, shared with every other session of
-    /// the program. Migration uses it to reconstruct the session on
-    /// another shard.
+    /// the program. A snapshot carries it to reconstruct the session
+    /// after a restart.
     pub fn base(&self) -> &Arc<Module> {
         &self.base
     }

@@ -71,9 +71,8 @@ pub use wire::{Arrival, FaultyWire, SequencedReceiver, Transmit, WireFaults, Wir
 const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// splitmix64: the standard 64-bit mix, and the first output of the
-/// splitmix64 stream seeded with `x`. Hashes ids (shard placement) and,
-/// stepped, is every seeded stream of the product crates (wire faults,
-/// fault plans, load arrivals).
+/// splitmix64 stream seeded with `x`. Stepped, it is every seeded stream
+/// of the product crates (wire faults, fault plans, load arrivals).
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(SPLITMIX_GAMMA);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -342,8 +342,8 @@ impl Runtime {
     }
 
     /// The limits this runtime was created with (needed to rebuild an
-    /// equivalent runtime elsewhere, e.g. when a server migrates a session
-    /// between shards).
+    /// equivalent runtime elsewhere, e.g. when a server restores a session
+    /// from a snapshot image).
     pub fn config(&self) -> RuntimeConfig {
         self.config
     }
@@ -545,8 +545,8 @@ impl Runtime {
     /// despecialization records a span with a parent edge. A raise with
     /// no ambient or caller-supplied context mints a fresh [`TraceId`] —
     /// it is an external stimulus and becomes the trace root. The same
-    /// store may be shared with the adaptive engine and the server shard
-    /// that owns this runtime; it is a cheap `Rc` handle. Detached (the
+    /// store may be shared with the adaptive engine and the server that
+    /// owns this runtime; it is a cheap `Rc` handle. Detached (the
     /// default) every site pays one `Option` check; attached-but-disabled
     /// adds one `Cell` load.
     pub fn set_tracer(&mut self, store: TraceStore) {
@@ -608,7 +608,7 @@ impl Runtime {
 
     /// Exports the runtime's counters and (when a hub is attached) its
     /// per-event dispatch-latency histograms into `snap`, with `extra`
-    /// labels (e.g. `shard`/`session`) on every series.
+    /// labels (e.g. `session`) on every series.
     pub fn export_metrics(&self, snap: &mut MetricsSnapshot, extra: &[(&str, &str)]) {
         snap.counter(
             "pdo_dispatch_fastpath_total",

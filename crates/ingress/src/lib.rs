@@ -11,16 +11,17 @@
 //!   panic, and the error's classification decides whether the
 //!   connection survives.
 //! - **Acceptor** ([`net`], one I/O thread): accepts TCP and Unix-socket
-//!   connections, maps each onto a shard by power-of-two-choices over
-//!   live connection count and queue depth, reassembles frames, and
-//!   forwards decoded commands over bounded per-shard channels. The
-//!   engine half of the ingress runs on the one thread that owns the
-//!   `!Send` [`Server`] ([`Ingress::drive`] / [`Ingress::serve`]).
-//! - **Admission control**: a fixed [`Limiter`] permit pool plus the
-//!   bounded per-shard queues. A request over either bound is *shed* —
-//!   it gets a typed `Shed{retry_after}` reply immediately instead of
-//!   queueing unboundedly — and every decision is counted and exported
-//!   through `pdo-obs` ([`Ingress::metrics`]).
+//!   connections, reassembles frames, and forwards decoded commands over
+//!   one admission queue. The engine half of the ingress runs on the one
+//!   thread that owns the `!Send` [`Server`] ([`Ingress::drive`] /
+//!   [`Ingress::serve`]).
+//! - **Admission control**: one bound, a fixed [`Limiter`] permit pool.
+//!   A permit is taken before a command is queued and the queue holds as
+//!   many commands as there are permits, so it is never the limit. A
+//!   request with no permit left is *shed* — it gets a typed
+//!   `Shed{retry_after}` reply immediately instead of queueing
+//!   unboundedly — and every decision is counted and exported through
+//!   `pdo-obs` ([`Ingress::metrics`]).
 //! - **Graceful drain**: [`Ingress::quiesce`] stops admission, drains
 //!   the in-flight work to zero, then calls [`Server::quiesce`], so a
 //!   durable snapshot taken afterwards sees no half-processed commands.
@@ -39,11 +40,12 @@ use pdo_obs::{Histogram, MetricsSnapshot, Span, SpanKind, TraceStore};
 use pdo_seccomm::{seccomm_protocol, Keys, CONFIG_FULL};
 use pdo_server::{Server, ServerError, SessionId};
 use pdo_snap::SnapshotError;
+use std::collections::BTreeSet;
 use std::fmt;
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -62,9 +64,9 @@ pub use proto::{
     WireMode, MAX_FRAME_LEN, WIRE_MAGIC, WIRE_VERSION,
 };
 
-/// Trace-store tag of the ingress layer. Shard stores use `index + 1`,
+/// Trace-store tag of the ingress layer. The server's store uses tag 1,
 /// so the top of the tag space keeps ingress-minted span/trace ids
-/// disjoint from every shard's.
+/// disjoint from the server's.
 pub const INGRESS_TRACE_TAG: u16 = 0xFFFF;
 
 /// Consecutive idle iterations the engine and acceptor loops yield
@@ -137,16 +139,14 @@ pub struct IngressConfig {
     /// socket file at the path is removed on bind.
     pub unix: Option<PathBuf>,
     /// Permit-pool capacity: the hard bound on admitted, un-replied
-    /// requests across all shards.
+    /// requests, and the length of the admission queue.
     pub max_inflight: usize,
-    /// Bound of each per-shard command queue.
-    pub shard_queue: usize,
     /// Largest acceptable frame (header + payload + checksum).
     pub max_frame: usize,
     /// Per-connection write-buffer ceiling; a consumer that falls
     /// further behind is disconnected rather than buffered forever.
     pub max_outbuf: usize,
-    /// Base retry hint in `Shed` replies; scaled up with queue depth.
+    /// Base retry hint in `Shed` replies; scaled up with permits held.
     pub retry_after_ns: u64,
     /// Admitted requests between virtual-clock epoch advances in
     /// [`Ingress::serve`] (adaptation runs inside those advances).
@@ -161,7 +161,6 @@ impl Default for IngressConfig {
             tcp: Some("127.0.0.1:0".to_string()),
             unix: None,
             max_inflight: 1024,
-            shard_queue: 256,
             max_frame: MAX_FRAME_LEN,
             max_outbuf: 4 << 20,
             retry_after_ns: 1_000_000,
@@ -185,17 +184,12 @@ pub(crate) struct Shared {
     pub admitting: AtomicBool,
     pub shutdown: AtomicBool,
     pub limiter: Limiter,
-    /// Commands admitted to each shard queue and not yet replied.
-    pub queue_depth: Vec<AtomicUsize>,
-    /// Live connections mapped to each shard (p2c input).
-    pub conns_on_shard: Vec<AtomicUsize>,
     pub connections_opened: AtomicU64,
     /// Closed connections, indexed by [`CloseReason`].
     pub connections_closed: [AtomicU64; CloseReason::ALL.len()],
     pub admitted: AtomicU64,
     pub replied: AtomicU64,
     pub shed_permits: AtomicU64,
-    pub shed_queue: AtomicU64,
     pub shed_quiesced: AtomicU64,
     pub malformed_payloads: AtomicU64,
     pub bytes_read: AtomicU64,
@@ -209,21 +203,21 @@ impl Shared {
         self.connections_closed[reason as usize].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Retry hint scaled by how deep the shard's queue already is:
-    /// `base` when idle, `2*base` at a full queue.
-    pub(crate) fn retry_hint(&self, base: u64, shard: usize, queue_cap: usize) -> u64 {
-        let depth = self.queue_depth[shard].load(Ordering::Relaxed) as u64;
-        base + base * depth / (queue_cap.max(1) as u64)
+    /// Retry hint scaled by how many permits are held: `base` when
+    /// idle, `2*base` with the pool exhausted.
+    pub(crate) fn retry_hint(&self, base: u64) -> u64 {
+        let held = self.limiter.in_flight() as u64;
+        base + base * held / self.limiter.capacity() as u64
     }
 }
 
-/// The engine-side handle: owns the per-shard work receivers, the reply
-/// path back to the acceptor, and the canonical protocol programs used
+/// The engine-side handle: owns the admission queue's receiving end, the
+/// reply path back to the acceptor, and the canonical protocol programs used
 /// to satisfy `Open{Ctp}` / `Open{SecComm}`.
 pub struct Ingress {
     cfg: IngressConfig,
     shared: Arc<Shared>,
-    work_rxs: Vec<Receiver<Work>>,
+    work_rx: Receiver<Work>,
     reply_tx: Sender<(u64, Vec<u8>)>,
     net: Option<JoinHandle<()>>,
     tcp_addr: Option<SocketAddr>,
@@ -242,13 +236,14 @@ pub struct Ingress {
 
 impl Ingress {
     /// Binds the configured listeners and starts the acceptor thread.
-    /// `shards` must equal the served [`Server::shards`].
+    /// `_shards` is ignored. It is kept only because the benchmark's
+    /// `wire_plain` workload passes [`Server::shards`] here; it goes with
+    /// the next change to the benchmark.
     ///
     /// # Errors
     ///
     /// [`IngressError::Io`] when a listener fails to bind.
-    pub fn bind(cfg: IngressConfig, shards: usize) -> Result<Ingress, IngressError> {
-        let shards = shards.max(1);
+    pub fn bind(cfg: IngressConfig, _shards: usize) -> Result<Ingress, IngressError> {
         let tcp = match &cfg.tcp {
             Some(addr) => Some(std::net::TcpListener::bind(addr.as_str())?),
             None => None,
@@ -275,14 +270,11 @@ impl Ingress {
             admitting: AtomicBool::new(true),
             shutdown: AtomicBool::new(false),
             limiter: Limiter::new(cfg.max_inflight),
-            queue_depth: (0..shards).map(|_| AtomicUsize::new(0)).collect(),
-            conns_on_shard: (0..shards).map(|_| AtomicUsize::new(0)).collect(),
             connections_opened: AtomicU64::new(0),
             connections_closed: Default::default(),
             admitted: AtomicU64::new(0),
             replied: AtomicU64::new(0),
             shed_permits: AtomicU64::new(0),
-            shed_queue: AtomicU64::new(0),
             shed_quiesced: AtomicU64::new(0),
             malformed_payloads: AtomicU64::new(0),
             bytes_read: AtomicU64::new(0),
@@ -290,25 +282,20 @@ impl Ingress {
             latency: Mutex::new(Histogram::new()),
         });
 
-        let mut work_txs: Vec<SyncSender<Work>> = Vec::with_capacity(shards);
-        let mut work_rxs: Vec<Receiver<Work>> = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (tx, rx) = mpsc::sync_channel(cfg.shard_queue.max(1));
-            work_txs.push(tx);
-            work_rxs.push(rx);
-        }
+        // As long as the permit pool: a command is queued only with a
+        // permit in hand, so the queue is never what refuses one.
+        let (work_tx, work_rx) = mpsc::sync_channel(shared.limiter.capacity());
         let (reply_tx, reply_rx) = mpsc::channel();
 
         let params = net::NetParams {
             max_frame: cfg.max_frame,
             max_outbuf: cfg.max_outbuf,
             retry_after_ns: cfg.retry_after_ns,
-            shard_queue: cfg.shard_queue.max(1),
         };
         let net_shared = Arc::clone(&shared);
         let net = std::thread::Builder::new()
             .name("pdo-ingress-net".to_string())
-            .spawn(move || net::net_main(tcp, unix, work_txs, reply_rx, net_shared, params))
+            .spawn(move || net::net_main(tcp, unix, work_tx, reply_rx, net_shared, params))
             .map_err(IngressError::Io)?;
 
         let sec_program = seccomm_protocol()
@@ -319,7 +306,7 @@ impl Ingress {
             unix_path: cfg.unix.clone(),
             cfg,
             shared,
-            work_rxs,
+            work_rx,
             reply_tx,
             net: Some(net),
             tcp_addr,
@@ -350,10 +337,10 @@ impl Ingress {
         self.unix_path.as_ref()
     }
 
-    /// Drains admitted commands from every shard queue and executes them
-    /// on `server`, sending replies back through the acceptor. Returns
-    /// the number of commands processed. Non-blocking: returns 0 when
-    /// the queues are empty.
+    /// Drains up to `max_inflight` admitted commands from the admission
+    /// queue and executes them on `server`, sending replies back through
+    /// the acceptor. Returns the number of commands processed.
+    /// Non-blocking: returns 0 when the queue is empty.
     ///
     /// # Errors
     ///
@@ -362,40 +349,30 @@ impl Ingress {
     /// `Error` replies to the issuing client.
     pub fn drive(&mut self, server: &mut Server) -> Result<usize, ServerError> {
         let mut processed = 0usize;
-        for shard in 0..self.work_rxs.len() {
-            // Bound the drain so one hot shard cannot starve the others
-            // within a single call.
-            for _ in 0..self.cfg.shard_queue.max(1) {
-                let work = match self.work_rxs[shard].try_recv() {
-                    Ok(w) => w,
-                    Err(_) => break,
-                };
-                let reply = self.execute(server, shard, work.conn, &work.request);
-                let latency = work.admitted_at.elapsed().as_nanos() as u64;
-                if let Ok(mut h) = self.shared.latency.lock() {
-                    h.record(latency.max(1));
-                }
-                let bytes = proto::encode_reply(work.req_id, &reply);
-                // A send failure means the acceptor is gone (shutdown
-                // race); the permit must still be returned.
-                let _ = self.reply_tx.send((work.conn, bytes));
-                self.shared.queue_depth[shard].fetch_sub(1, Ordering::Relaxed);
-                self.shared.limiter.release();
-                self.shared.replied.fetch_add(1, Ordering::Relaxed);
-                processed += 1;
+        // Bounded, so a flood arriving while the engine drains cannot keep
+        // it from the epoch advance in `serve`.
+        while processed < self.shared.limiter.capacity() {
+            let Ok(work) = self.work_rx.try_recv() else {
+                break;
+            };
+            let reply = self.execute(server, work.conn, &work.request);
+            let latency = work.admitted_at.elapsed().as_nanos() as u64;
+            if let Ok(mut h) = self.shared.latency.lock() {
+                h.record(latency.max(1));
             }
+            let bytes = proto::encode_reply(work.req_id, &reply);
+            // A send failure means the acceptor is gone (shutdown race);
+            // the permit must still be returned.
+            let _ = self.reply_tx.send((work.conn, bytes));
+            self.shared.limiter.release();
+            self.shared.replied.fetch_add(1, Ordering::Relaxed);
+            processed += 1;
         }
         self.since_epoch += processed as u64;
         Ok(processed)
     }
 
-    fn execute(
-        &mut self,
-        server: &mut Server,
-        shard: usize,
-        conn: u64,
-        request: &Request,
-    ) -> Reply {
+    fn execute(&mut self, server: &mut Server, conn: u64, request: &Request) -> Reply {
         // Session-facing requests are external stimuli: each mints a root
         // `Ingress` span whose context rides into the server, linking the
         // runtime / adapt / wire spans it causes under one trace. The
@@ -415,7 +392,7 @@ impl Ingress {
                         Request::Close { .. } => "close",
                         Request::MetricsScrape | Request::TraceDump { .. } => unreachable!(),
                     }
-                    .to_string(),
+                    .into(),
                     conn,
                 },
             ),
@@ -428,19 +405,12 @@ impl Ingress {
                             .iter()
                             .map(|&(e, f, o)| (EventId(e), FuncId(f), o))
                             .collect();
-                        server.open_session_on(
-                            shard,
-                            module.clone(),
-                            RuntimeConfig::default(),
-                            &typed,
-                        )
+                        server.open_session(module.clone(), RuntimeConfig::default(), &typed)
                     }
                     OpenKind::Ctp => {
-                        server.open_ctp_session_on(shard, &self.ctp_program, CtpParams::default())
+                        server.open_ctp_session(&self.ctp_program, CtpParams::default())
                     }
-                    OpenKind::SecComm => {
-                        server.open_seccomm_session_on(shard, &self.sec_program, &self.keys)
-                    }
+                    OpenKind::SecComm => server.open_seccomm_session(&self.sec_program, &self.keys),
                 };
                 match opened {
                     Ok(id) => Reply::Opened { session: id.0 },
@@ -470,18 +440,14 @@ impl Ingress {
             Request::Query { session } => {
                 let id = SessionId(*session);
                 let sid = *session;
-                // `with_session` resolves the shard *and* the session in
-                // one placement lookup, and turns an unknown or
-                // already-closed id into a typed `UnknownSession` error
-                // (`Server::shard_of` would panic — a remote client must
-                // never be able to bring the engine down by querying a
-                // stale id).
+                // `with_session` turns an unknown or already-closed id
+                // into a typed `UnknownSession` error: a remote client
+                // must never be able to bring the engine down by
+                // querying a stale id.
                 let stats = server.with_session(id, move |ctx| {
-                    let shard_no = ctx.shard() as u32;
                     let rt = ctx.runtime();
                     SessionStats {
                         session: sid,
-                        shard: shard_no,
                         clock_ns: rt.clock_ns(),
                         dispatched: rt.cost.registry_lookups + rt.cost.fastpath_hits,
                         fastpath_hits: rt.cost.fastpath_hits,
@@ -509,28 +475,7 @@ impl Ingress {
             Request::TraceDump { selector, format } => {
                 let mut spans = self.tracer.spans();
                 spans.extend(server.trace_spans());
-                let selected: Vec<Span> = match selector {
-                    TraceSelector::Id(id) => {
-                        spans.retain(|s| s.trace.0 == *id);
-                        spans
-                    }
-                    TraceSelector::LastN(n) => {
-                        // Traces ordered by the position of their newest
-                        // retained span (exact within one store; stores
-                        // are concatenated ingress-first, shards after).
-                        let mut order: Vec<u64> = Vec::new();
-                        for s in &spans {
-                            if let Some(pos) = order.iter().position(|&t| t == s.trace.0) {
-                                order.remove(pos);
-                            }
-                            order.push(s.trace.0);
-                        }
-                        let keep: std::collections::BTreeSet<u64> =
-                            order.iter().rev().take(*n as usize).copied().collect();
-                        spans.retain(|s| keep.contains(&s.trace.0));
-                        spans
-                    }
-                };
+                let selected = select_traces(spans, selector);
                 let budget = self.reply_body_budget();
                 match format {
                     TraceFormat::Lines => Reply::Trace {
@@ -657,7 +602,6 @@ impl Ingress {
     /// Total shed replies across all reasons.
     pub fn shed_total(&self) -> u64 {
         self.shared.shed_permits.load(Ordering::Relaxed)
-            + self.shared.shed_queue.load(Ordering::Relaxed)
             + self.shared.shed_quiesced.load(Ordering::Relaxed)
     }
 
@@ -712,7 +656,7 @@ impl Ingress {
         );
         m.counter(
             "pdo_ingress_admitted_total",
-            "Requests admitted past the limiter and shard queues",
+            "Requests admitted past the limiter",
             &[],
             s.admitted.load(Ordering::Relaxed),
         );
@@ -722,11 +666,7 @@ impl Ingress {
             &[],
             s.replied.load(Ordering::Relaxed),
         );
-        for (reason, v) in [
-            ("permits", &s.shed_permits),
-            ("queue", &s.shed_queue),
-            ("quiesced", &s.shed_quiesced),
-        ] {
+        for (reason, v) in [("permits", &s.shed_permits), ("quiesced", &s.shed_quiesced)] {
             m.counter(
                 "pdo_ingress_shed_total",
                 "Requests refused with a typed Shed reply",
@@ -758,15 +698,6 @@ impl Ingress {
             &[],
             s.limiter.in_flight() as i64,
         );
-        for (i, d) in s.queue_depth.iter().enumerate() {
-            let shard = i.to_string();
-            m.gauge(
-                "pdo_ingress_queue_depth",
-                "Commands queued toward each shard",
-                &[("shard", shard.as_str())],
-                d.load(Ordering::Relaxed) as i64,
-            );
-        }
         if let Ok(h) = s.latency.lock() {
             if h.count() > 0 {
                 m.histogram(
@@ -800,6 +731,28 @@ impl Drop for Ingress {
     }
 }
 
+/// The spans of the traces `selector` names: one trace by id, or the `n`
+/// traces whose newest retained span comes last (exact within one store;
+/// `spans` holds the ingress store's, then the server's). Record order is
+/// kept.
+fn select_traces(mut spans: Vec<Span>, selector: &TraceSelector) -> Vec<Span> {
+    match *selector {
+        TraceSelector::Id(id) => spans.retain(|s| s.trace.0 == id),
+        TraceSelector::LastN(n) => {
+            // The first `n` distinct trace ids of one scan from the back.
+            let mut keep = BTreeSet::new();
+            for s in spans.iter().rev() {
+                if keep.len() as u64 == n {
+                    break;
+                }
+                keep.insert(s.trace.0);
+            }
+            spans.retain(|s| keep.contains(&s.trace.0));
+        }
+    }
+    spans
+}
+
 /// Truncates `s` to at most `max` bytes, cutting only at a line
 /// boundary so the survivor is still a sequence of complete lines.
 fn truncate_at_line(mut s: String, max: usize) -> String {
@@ -829,5 +782,47 @@ fn error_reply(e: &ServerError) -> Reply {
     Reply::Error {
         code,
         message: e.to_string(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pdo_obs::{SpanId, TraceId};
+
+    fn span(trace: u64, id: u64) -> Span {
+        Span {
+            id: SpanId(id),
+            trace: TraceId(trace),
+            parent: None,
+            start_ns: id,
+            end_ns: id,
+            kind: SpanKind::GuardMiss { event: 0 },
+        }
+    }
+
+    fn traces(spans: &[Span]) -> Vec<u64> {
+        spans.iter().map(|s| s.trace.0).collect()
+    }
+
+    /// Interleaved traces rank by their newest span: trace 1 opens first
+    /// but its last span is the newest of all, so it outranks 3, which
+    /// outranks 2. The selection keeps every span of the chosen traces,
+    /// in record order.
+    #[test]
+    fn last_n_picks_the_traces_with_the_newest_spans() {
+        let spans: Vec<Span> = [1, 2, 1, 3, 2, 3, 1]
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| span(t, i as u64))
+            .collect();
+        let last = |n| traces(&select_traces(spans.clone(), &TraceSelector::LastN(n)));
+        assert_eq!(last(0), Vec::<u64>::new());
+        assert_eq!(last(1), [1, 1, 1]);
+        assert_eq!(last(2), [1, 1, 3, 3, 1]);
+        assert_eq!(last(3), [1, 2, 1, 3, 2, 3, 1]);
+        assert_eq!(last(9), last(3), "fewer traces than asked for: all of them");
+        let one = select_traces(spans, &TraceSelector::Id(2));
+        assert_eq!(traces(&one), [2, 2]);
     }
 }

@@ -1,17 +1,16 @@
 //! The acceptor: one I/O thread sweeping non-blocking TCP and Unix
 //! listeners plus every live connection.
 //!
-//! Each accepted connection is mapped onto a shard once, by
-//! power-of-two-choices over (live connections, queued commands) with
-//! splitmix64 supplying the deterministic candidates — the same placement
-//! discipline `pdo-server` uses for sessions. All commands decoded from
-//! that connection flow to that shard's bounded queue, so one
-//! connection's work is processed in order by one shard.
+//! Every command decoded from every connection flows into one admission
+//! queue in arrival order, so one connection's work is processed in
+//! order.
 //!
-//! Admission happens *here*, before any queueing: no permit → typed
-//! `Shed` reply; full shard queue → permit returned, typed `Shed` reply;
-//! quiesced → typed `Shed` reply. The engine never sees refused work,
-//! and the acceptor never blocks on the engine.
+//! Admission happens *here*, before any queueing: quiesced → typed
+//! `Shed` reply; no permit → typed `Shed` reply. A permit is taken
+//! before the command is queued and the queue is as long as the permit
+//! pool, so the queue is never full: the pool is the only bound. The
+//! engine never sees refused work, and the acceptor never blocks on the
+//! engine.
 //!
 //! The sweep is plain `std` non-blocking I/O (the offline toolchain has
 //! no epoll binding). Cost per sweep is linear in connections, which is
@@ -26,7 +25,7 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -70,7 +69,6 @@ pub(crate) struct NetParams {
     pub max_frame: usize,
     pub max_outbuf: usize,
     pub retry_after_ns: u64,
-    pub shard_queue: usize,
 }
 
 enum Sock {
@@ -96,41 +94,15 @@ impl Sock {
 
 struct Conn {
     sock: Sock,
-    shard: usize,
     inbuf: proto::FrameBuffer,
     out: Vec<u8>,
     out_pos: usize,
 }
 
-/// Power-of-two-choices shard for a new connection: two deterministic
-/// candidates from the connection id, pick the one with fewer live
-/// connections, queue depth breaking ties.
-fn pick_shard(shared: &Shared, conn_id: u64) -> usize {
-    let n = shared.conns_on_shard.len();
-    if n == 1 {
-        return 0;
-    }
-    let h = pdo_server::splitmix64(conn_id);
-    let a = (h as usize) % n;
-    let b = ((h >> 32) as usize) % n;
-    let load = |s: usize| {
-        (
-            shared.conns_on_shard[s].load(Ordering::Relaxed),
-            shared.queue_depth[s].load(Ordering::Relaxed),
-            s,
-        )
-    };
-    if load(a) <= load(b) {
-        a
-    } else {
-        b
-    }
-}
-
 pub(crate) fn net_main(
     tcp: Option<TcpListener>,
     unix: Option<UnixListener>,
-    work_txs: Vec<SyncSender<Work>>,
+    work_tx: SyncSender<Work>,
     reply_rx: Receiver<(u64, Vec<u8>)>,
     shared: Arc<Shared>,
     p: NetParams,
@@ -178,14 +150,11 @@ pub(crate) fn net_main(
             let Some(sock) = sock else { break };
             let id = next_conn;
             next_conn += 1;
-            let shard = pick_shard(&shared, id);
-            shared.conns_on_shard[shard].fetch_add(1, Ordering::Relaxed);
             shared.connections_opened.fetch_add(1, Ordering::Relaxed);
             conns.insert(
                 id,
                 Conn {
                     sock,
-                    shard,
                     inbuf: proto::FrameBuffer::new(),
                     out: Vec::new(),
                     out_pos: 0,
@@ -209,11 +178,10 @@ pub(crate) fn net_main(
             let Some(conn) = conns.get_mut(&id) else {
                 continue;
             };
-            match step_conn(id, conn, &shared, &work_txs, &p, &mut read_chunk) {
+            match step_conn(id, conn, &shared, &work_tx, &p, &mut read_chunk) {
                 Ok(stepped) => progress |= stepped,
                 Err(reason) => {
-                    let conn = conns.remove(&id).expect("present: just fetched");
-                    shared.conns_on_shard[conn.shard].fetch_sub(1, Ordering::Relaxed);
+                    conns.remove(&id);
                     shared.closed(reason);
                     progress = true;
                 }
@@ -238,8 +206,7 @@ pub(crate) fn net_main(
 
     // Shutdown: every remaining connection is dropped (sockets close on
     // drop) and accounted for.
-    for (_, conn) in conns.drain() {
-        shared.conns_on_shard[conn.shard].fetch_sub(1, Ordering::Relaxed);
+    for _ in conns.drain() {
         shared.closed(CloseReason::Shutdown);
     }
 }
@@ -250,7 +217,7 @@ fn step_conn(
     id: u64,
     conn: &mut Conn,
     shared: &Shared,
-    work_txs: &[SyncSender<Work>],
+    work_tx: &SyncSender<Work>,
     p: &NetParams,
     chunk: &mut [u8],
 ) -> Result<bool, CloseReason> {
@@ -301,7 +268,7 @@ fn step_conn(
         progress = true;
         match proto::decode_request(&frame) {
             Ok((req_id, request)) => {
-                admit(id, conn, shared, work_txs, p, req_id, request)?;
+                admit(id, conn, shared, work_tx, p, req_id, request)?;
             }
             Err(e) if e.is_stream_fatal() => return Err(CloseReason::Corrupt),
             Err(e) => {
@@ -328,22 +295,21 @@ fn step_conn(
     Ok(progress)
 }
 
-/// Admission control for one decoded request: permit, then shard queue,
+/// Admission control for one decoded request: a permit, then the queue,
 /// with a typed `Shed` reply on any refusal.
 fn admit(
     id: u64,
     conn: &mut Conn,
     shared: &Shared,
-    work_txs: &[SyncSender<Work>],
+    work_tx: &SyncSender<Work>,
     p: &NetParams,
     req_id: u64,
     request: proto::Request,
 ) -> Result<(), CloseReason> {
-    let shard = conn.shard;
     let shed = |conn: &mut Conn, counter: &std::sync::atomic::AtomicU64| {
         counter.fetch_add(1, Ordering::Relaxed);
         let reply = Reply::Shed {
-            retry_after_ns: shared.retry_hint(p.retry_after_ns, shard, p.shard_queue),
+            retry_after_ns: shared.retry_hint(p.retry_after_ns),
         };
         conn.out
             .extend_from_slice(&proto::encode_reply(req_id, &reply));
@@ -357,25 +323,19 @@ fn admit(
         shed(conn, &shared.shed_permits);
         return Ok(());
     }
-    match work_txs[shard].try_send(Work {
+    // Every queued command holds a permit, so with one in hand there is
+    // room: this send does not block. It fails only when the engine half
+    // is gone.
+    let work = Work {
         conn: id,
         req_id,
         request,
         admitted_at: Instant::now(),
-    }) {
-        Ok(()) => {
-            shared.queue_depth[shard].fetch_add(1, Ordering::Relaxed);
-            shared.admitted.fetch_add(1, Ordering::Relaxed);
-            Ok(())
-        }
-        Err(TrySendError::Full(_)) => {
-            shared.limiter.release();
-            shed(conn, &shared.shed_queue);
-            Ok(())
-        }
-        Err(TrySendError::Disconnected(_)) => {
-            shared.limiter.release();
-            Err(CloseReason::Shutdown)
-        }
+    };
+    if work_tx.send(work).is_err() {
+        shared.limiter.release();
+        return Err(CloseReason::Shutdown);
     }
+    shared.admitted.fetch_add(1, Ordering::Relaxed);
+    Ok(())
 }

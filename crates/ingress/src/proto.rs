@@ -37,14 +37,14 @@ use pdo_snap::{codec_enum, codec_struct, peek_frame_len, Codec, SnapReader, Snap
 pub const WIRE_MAGIC: [u8; 8] = *b"PDOWIRE\0";
 
 /// Wire format version this build speaks.
-pub const WIRE_VERSION: u32 = 2;
+pub const WIRE_VERSION: u32 = 3;
 
 /// Hard ceiling on one frame (header + payload + checksum). The reader
 /// rejects larger declarations before buffering them, so a hostile
 /// length field cannot balloon memory.
 pub const MAX_FRAME_LEN: usize = 1 << 20;
 
-/// What kind of session an `Open` creates on the connection's shard.
+/// What kind of session an `Open` creates.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OpenKind {
     /// A plain event program: the module travels as IR text plus its
@@ -91,7 +91,7 @@ codec_enum!(WireMode {
 /// A decoded client command.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Open a session on the connection's shard.
+    /// Open a session.
     Open(OpenKind),
     /// Raise `event` on `session` with marshaled `args`.
     Raise {
@@ -170,8 +170,6 @@ codec_enum!(TraceFormat {
 pub struct SessionStats {
     /// The session id.
     pub session: u64,
-    /// Shard the session resides on.
-    pub shard: u32,
     /// The session's virtual clock.
     pub clock_ns: u64,
     /// Events dispatched (generic + fast path).
@@ -190,7 +188,6 @@ pub struct SessionStats {
 
 codec_struct!(SessionStats {
     session,
-    shard,
     clock_ns,
     dispatched,
     fastpath_hits,
@@ -455,7 +452,6 @@ mod tests {
             Reply::Done,
             Reply::Stats(SessionStats {
                 session: 4,
-                shard: 1,
                 clock_ns: 123,
                 dispatched: 10,
                 fastpath_hits: 6,

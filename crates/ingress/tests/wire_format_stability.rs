@@ -99,7 +99,6 @@ fn golden_replies() -> Vec<Reply> {
         Reply::Done,
         Reply::Stats(SessionStats {
             session: 4,
-            shard: 1,
             clock_ns: 123_456_789,
             dispatched: 10,
             fastpath_hits: 6,
@@ -197,14 +196,14 @@ fn golden_wire_stream_decodes_to_the_pinned_values() {
     );
 }
 
-/// A peer speaking the previous protocol (`WIRE_VERSION` 1, its golden
-/// stream kept byte for byte as it was committed) is refused by the
-/// version field before the checksum is looked at, and that refusal
-/// closes the connection.
+/// A peer speaking the previous protocol (`WIRE_VERSION` 2, whose session
+/// stats carried a shard; its golden stream kept byte for byte as it was
+/// committed) is refused by the version field before the checksum is
+/// looked at, and that refusal closes the connection.
 #[test]
 fn previous_version_frame_is_refused_by_version() {
     let mut fb = FrameBuffer::new();
-    fb.extend(&std::fs::read(fixture("golden.v1.pdowire")).expect("committed fixture"));
+    fb.extend(&std::fs::read(fixture("golden.v2.pdowire")).expect("committed fixture"));
     let first = fb
         .next_frame(MAX_FRAME_LEN)
         .expect("the header reassembles")
@@ -213,9 +212,9 @@ fn previous_version_frame_is_refused_by_version() {
     assert!(
         matches!(
             err,
-            IngressError::Frame(SnapshotError::UnsupportedVersion(1))
+            IngressError::Frame(SnapshotError::UnsupportedVersion(2))
         ),
-        "a version-1 frame must be UnsupportedVersion(1), got {err:?}"
+        "a version-2 frame must be UnsupportedVersion(2), got {err:?}"
     );
     assert!(err.is_stream_fatal());
 }

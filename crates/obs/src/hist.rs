@@ -7,7 +7,7 @@
 //! with no allocation, quantile estimates carry a proven ≤12.5% relative
 //! error bound, and two histograms merge by element-wise addition —
 //! which makes per-session histograms aggregate associatively across
-//! shards and servers.
+//! sessions and servers.
 
 /// Values below this are counted exactly (one bucket per value).
 const LINEAR_MAX: u64 = 8;
@@ -130,7 +130,7 @@ impl Histogram {
 
     /// Element-wise merge: the histogram of the union of both sample
     /// sets. Associative and commutative, which is what lets per-session
-    /// histograms roll up across shards in any grouping.
+    /// histograms roll up across sessions in any grouping.
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *a += b;

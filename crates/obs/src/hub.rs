@@ -59,7 +59,7 @@ impl ObsHub {
 
     /// Exports the per-event dispatch-latency histograms into `snap`
     /// under `pdo_dispatch_latency_ns{event="…",path="fast|slow",…}`,
-    /// with `extra` labels (e.g. `shard`) appended to every series.
+    /// with `extra` labels (e.g. `session`) appended to every series.
     pub fn export_dispatch(&self, snap: &mut MetricsSnapshot, extra: &[(&str, &str)]) {
         let inner = self.inner.borrow();
         for (lane, path) in [(&inner.fast, "fast"), (&inner.slow, "slow")] {

@@ -3,12 +3,12 @@
 //!
 //! The paper's premise is that profiling is the optimizer's sensory
 //! organ; this crate is the operational counterpart, giving every layer
-//! (runtime dispatch, adaptive engine, server shards, wire/CTP/SecComm)
+//! (runtime dispatch, adaptive engine, server, wire/CTP/SecComm)
 //! one way to measure and one way to explain:
 //!
 //! * [`Histogram`] — fixed-size log-linear latency histograms on the
 //!   virtual clock: O(1) record, bounded quantile error, associative
-//!   merge for cross-shard rollup.
+//!   merge for cross-session rollup.
 //! * [`MetricsSnapshot`] — scrape-time metric collection (counters,
 //!   gauges, histograms) with Prometheus-style text exposition via
 //!   [`MetricsSnapshot::render`] and snapshot-level [`MetricsSnapshot::merge`].

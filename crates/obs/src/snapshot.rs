@@ -42,7 +42,7 @@ enum Family {
 }
 
 /// A point-in-time collection of metric series, renderable as
-/// Prometheus-style text and mergeable across sessions and shards.
+/// Prometheus-style text and mergeable across sessions and servers.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     families: BTreeMap<String, (String, Family)>,
@@ -65,7 +65,7 @@ impl MetricsSnapshot {
     }
 
     /// Adds `value` (may be negative) to the gauge series `name{labels}`.
-    /// Merging sums gauges, so per-shard gauges aggregate to totals.
+    /// Merging sums gauges, so per-session gauges aggregate to totals.
     pub fn gauge(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: i64) {
         let key = series_key(&own(labels));
         match self.family(name, help, || Family::Gauge(BTreeMap::new())) {
@@ -94,7 +94,7 @@ impl MetricsSnapshot {
     }
 
     /// Folds `other` into `self`: counters and gauges add, histograms
-    /// merge. Associative and commutative, so shard snapshots roll up in
+    /// merge. Associative and commutative, so per-server snapshots roll up in
     /// any grouping.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for (name, (help, fam)) in &other.families {
@@ -154,7 +154,7 @@ impl MetricsSnapshot {
     }
 
     /// Drops every family for which `keep` returns false. Used to strip
-    /// wall-clock families (reprofile wall-ns, shard busy-ns) before
+    /// wall-clock families (reprofile wall-ns, server busy-ns) before
     /// comparing snapshots from runs that must agree on everything the
     /// virtual clock governs but not on host timing.
     pub fn retain_families(&mut self, mut keep: impl FnMut(&str) -> bool) {

@@ -3,15 +3,15 @@
 //! misses, despecializations, chain-audit decisions, wire activity)
 //! records a [`Span`] with a parent edge, giving a per-trace
 //! happens-before DAG that spans layers (ingress → runtime → adaptive
-//! engine → wire). Faults and session placements (migration, restore)
-//! are spans too: the store is the one record of what happened.
+//! engine → wire). Faults and session restores are spans too: the store
+//! is the one record of what happened.
 //!
 //! The store mirrors [`crate::ObsHub`]'s hot-path contract: a runtime
 //! with no store attached pays one `Option` check; an attached-but-
 //! disabled store pays one extra `Cell` load (see `BENCH_trace.json`);
 //! only an enabled store borrows a ring and appends. Per-request spans
 //! (ingress, raise, dispatch, wire) and everything else (decisions,
-//! guard misses, faults, placements) fill two separate rings, so a
+//! guard misses, faults, restores) fill two separate rings, so a
 //! dispatch storm cannot evict the rare record that explains it. The rare
 //! ring is an eighth of the store's capacity: decisions carry a `why`
 //! string, and a full ring of them is what the store's memory bound
@@ -38,8 +38,8 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
 
 /// Identifies one causal trace: minted at the external stimulus and
 /// carried by every span derived from it, across layers and threads.
-/// The high 16 bits carry the minting store's tag so ids from different
-/// shards (and the ingress front door) never collide.
+/// The high 16 bits carry the minting store's tag so ids from the server
+/// and the ingress front door never collide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TraceId(pub u64);
 
@@ -92,8 +92,9 @@ pub enum SpanKind {
     /// An external request admitted by the ingress front door; the root
     /// of a wire-originated trace.
     Ingress {
-        /// Request discriminator (`open`, `raise`, `query`, `close`).
-        request: String,
+        /// Request discriminator (`open`, `raise`, `query`, `close`),
+        /// borrowed when recorded and owned when parsed from a dump.
+        request: Cow<'static, str>,
         /// Ingress connection id the request arrived on.
         conn: u64,
     },
@@ -141,15 +142,10 @@ pub enum SpanKind {
         /// borrowed when recorded and owned when parsed from a dump.
         kind: Cow<'static, str>,
     },
-    /// A session was placed on this shard: migrated here from shard
-    /// `from`, or restored from a snapshot image (`from` is `None`).
-    Placement {
+    /// A session was restored from a snapshot image.
+    Restore {
         /// Session id.
         session: u64,
-        /// Source shard of a migration.
-        from: Option<u32>,
-        /// Destination shard: the one whose store holds the span.
-        to: u32,
     },
     /// An adaptive-engine decision, with the profile evidence that
     /// triggered it — the auditable "why" record.
@@ -166,8 +162,9 @@ pub enum SpanKind {
     /// / retransmits or SecComm frames moved while the protocol engine
     /// ran.
     Wire {
-        /// `ctp` or `seccomm`.
-        proto: String,
+        /// `ctp` or `seccomm`, borrowed when recorded and owned when
+        /// parsed from a dump.
+        proto: Cow<'static, str>,
         /// Frames/segments moved.
         frames: u64,
         /// Retransmissions among them (CTP only).
@@ -181,7 +178,7 @@ impl SpanKind {
     pub fn layer(&self) -> &'static str {
         match self {
             SpanKind::Ingress { .. } => "ingress",
-            SpanKind::Placement { .. } => "server",
+            SpanKind::Restore { .. } => "server",
             SpanKind::Raise { .. }
             | SpanKind::Dispatch { .. }
             | SpanKind::GuardMiss { .. }
@@ -215,7 +212,7 @@ impl SpanKind {
             SpanKind::GuardMiss { .. } => "guard_miss",
             SpanKind::Despecialize { .. } => "despecialize",
             SpanKind::Fault { .. } => "fault",
-            SpanKind::Placement { .. } => "placement",
+            SpanKind::Restore { .. } => "restore",
             SpanKind::ChainAudit { .. } => "audit",
             SpanKind::Wire { .. } => "wire",
         }
@@ -244,8 +241,8 @@ impl fmt::Display for AuditAction {
     }
 }
 
-/// One node of a trace's happens-before DAG. Plain `Send` data: each
-/// shard's store records spans locally and the server merges clones for
+/// One node of a trace's happens-before DAG. Plain `Send` data: the
+/// server's store records spans locally and the ingress ships clones in
 /// a wire-level `TraceDump`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
@@ -336,9 +333,9 @@ struct StoreShared {
     rings: RefCell<Rings>,
 }
 
-/// A bounded, cheaply-clonable span store. One per shard (tagged with
-/// the shard index) plus one in the ingress front door, so ids minted
-/// concurrently never collide. Single-threaded like [`crate::ObsHub`];
+/// A bounded, cheaply-clonable span store. One per server plus one in
+/// the ingress front door, each with its own tag, so ids minted by the
+/// two never collide. Single-threaded like [`crate::ObsHub`];
 /// cross-thread collection ships `Vec<Span>` clones.
 #[derive(Debug, Clone)]
 pub struct TraceStore {
@@ -552,10 +549,7 @@ pub fn export_chrome(spans: &[Span]) -> String {
             SpanKind::Fault { event, kind } => {
                 format!(",\"event\":{event},\"fault\":\"{}\"", json_escape(kind))
             }
-            SpanKind::Placement { session, from, to } => format!(
-                ",\"session\":{session},\"from\":{},\"to\":{to}",
-                from.map_or_else(|| "null".into(), |f| f.to_string())
-            ),
+            SpanKind::Restore { session } => format!(",\"session\":{session}"),
             SpanKind::ChainAudit { event, action, why } => format!(
                 ",\"event\":{},\"action\":\"{action}\",\"why\":\"{}\"",
                 event.map_or_else(|| "-1".into(), |e| e.to_string()),
@@ -624,10 +618,7 @@ pub fn export_lines(spans: &[Span]) -> String {
             SpanKind::Fault { event, kind } => {
                 out.push_str(&format!(" event={event} fault={kind}"));
             }
-            SpanKind::Placement { session, from, to } => out.push_str(&format!(
-                " session={session} from={} to={to}",
-                from.map_or_else(|| "-".into(), |f| f.to_string())
-            )),
+            SpanKind::Restore { session } => out.push_str(&format!(" session={session}")),
             SpanKind::ChainAudit { event, action, why } => out.push_str(&format!(
                 " event={} action={action} why={}",
                 event.map_or_else(|| "-".into(), |e| e.to_string()),
@@ -686,7 +677,7 @@ fn parse_line(line: &str) -> Option<Span> {
     };
     let kind = match *kv.get("kind")? {
         "ingress" => SpanKind::Ingress {
-            request: (*kv.get("req")?).to_string(),
+            request: Cow::Owned((*kv.get("req")?).to_string()),
             conn: kv.get("conn")?.parse().ok()?,
         },
         "raise" => SpanKind::Raise {
@@ -709,13 +700,8 @@ fn parse_line(line: &str) -> Option<Span> {
             event: kv.get("event")?.parse().ok()?,
             kind: Cow::Owned((*kv.get("fault")?).to_string()),
         },
-        "placement" => SpanKind::Placement {
+        "restore" => SpanKind::Restore {
             session: kv.get("session")?.parse().ok()?,
-            from: match *kv.get("from")? {
-                "-" => None,
-                f => Some(f.parse().ok()?),
-            },
-            to: kv.get("to")?.parse().ok()?,
         },
         "audit" => SpanKind::ChainAudit {
             event: match *kv.get("event")? {
@@ -733,7 +719,7 @@ fn parse_line(line: &str) -> Option<Span> {
             why: why.unwrap_or_default(),
         },
         "wire" => SpanKind::Wire {
-            proto: (*kv.get("proto")?).to_string(),
+            proto: Cow::Owned((*kv.get("proto")?).to_string()),
             frames: kv.get("frames")?.parse().ok()?,
             retransmits: kv.get("retransmits")?.parse().ok()?,
         },
@@ -861,10 +847,7 @@ pub fn render_path(path: &[Span]) -> String {
                 format!("event={event}")
             }
             SpanKind::Fault { event, kind } => format!("event={event} fault={kind}"),
-            SpanKind::Placement { session, from, to } => format!(
-                "session={session} from={} to={to}",
-                from.map_or_else(|| "-".into(), |f| f.to_string())
-            ),
+            SpanKind::Restore { session } => format!("session={session}"),
             SpanKind::ChainAudit { event, action, why } => format!(
                 "event={} action={action} why: {why}",
                 event.map_or_else(|| "-".into(), |e| e.to_string())
@@ -988,16 +971,7 @@ mod tests {
                 event: 3,
                 kind: "trap_dispatch".into(),
             },
-            SpanKind::Placement {
-                session: 9,
-                from: Some(0),
-                to: 1,
-            },
-            SpanKind::Placement {
-                session: 10,
-                from: None,
-                to: 1,
-            },
+            SpanKind::Restore { session: 9 },
         ] {
             mk(&store, ctx, 4100, 4100, kind);
         }
@@ -1013,7 +987,7 @@ mod tests {
                 SpanKind::GuardMiss { .. } => 3,
                 SpanKind::Despecialize { .. } => 4,
                 SpanKind::Fault { .. } => 5,
-                SpanKind::Placement { .. } => 6,
+                SpanKind::Restore { .. } => 6,
                 SpanKind::ChainAudit { .. } => 7,
                 SpanKind::Wire { .. } => 8,
             });

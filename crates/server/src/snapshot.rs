@@ -1,13 +1,12 @@
 //! The durable session/server snapshot types.
 //!
-//! [`SessionSnapshot`] is the complete migratable state of one session —
-//! base module, runtime limits, bindings, globals, virtual clock,
-//! scheduler queue and timer heap, pending fault plan, the adaptation
-//! daemon's [`EngineSnapshot`], and the protocol endpoint's link or wire
-//! state — everything a fresh shard (or a fresh process) needs to resume
-//! the session instead of cold-starting it. In-memory migration moves the
-//! struct to another shard; durable persistence runs an [`Image`]
-//! through `pdo_snap::{encode, decode}`.
+//! [`SessionSnapshot`] is the complete state of one session — base
+//! module, runtime limits, bindings, globals, virtual clock, scheduler
+//! queue and timer heap, pending fault plan, the adaptation daemon's
+//! [`EngineSnapshot`], and the protocol endpoint's link or wire state —
+//! everything a fresh process needs to resume the session instead of
+//! cold-starting it. Durable persistence runs an [`Image`] through
+//! `pdo_snap::{encode, decode}`.
 //!
 //! A captured state is its live type: the scheduler, fault injector,
 //! profile builder, quarantine map and CTP link state are the session's
@@ -33,7 +32,7 @@ use std::sync::Arc;
 
 use crate::SessionId;
 
-/// The migratable (and durable) portion of one session. See the module
+/// The durable portion of one session. See the module
 /// docs; the adaptation daemon's live trace window and the current
 /// epoch's undrained stats delta are the only state *not* captured —
 /// both are empty at epoch boundaries, which is where snapshots are
@@ -86,12 +85,12 @@ codec_enum!(KindSnapshot {
     2 => SecComm { keys, wire },
 });
 
-/// A whole server image: the id allocator plus every session's recorded
-/// shard and full snapshot, keyed (and therefore encoded) by session id.
+/// A whole server image: the id allocator plus every session's full
+/// snapshot, keyed (and therefore encoded) by session id.
 #[derive(Debug, PartialEq)]
 pub(crate) struct Image {
     pub next_id: u64,
-    pub sessions: BTreeMap<SessionId, (usize, SessionSnapshot)>,
+    pub sessions: BTreeMap<SessionId, SessionSnapshot>,
 }
 
 codec_struct!(Image { next_id, sessions });
@@ -114,7 +113,6 @@ mod tests {
     /// SecComm endpoints with traffic.
     fn fleet_server() -> Server {
         let mut server = Server::new(ServerConfig {
-            shards: 2,
             adapt: pdo::AdaptConfig {
                 epoch_ns: 1_000,
                 ..Default::default()
@@ -191,10 +189,7 @@ mod tests {
     fn sessions_of_one_program_share_one_module_allocation() {
         let mut original = fleet_server();
         let image = original.snapshot_to_bytes();
-        let mut restored = Server::new(ServerConfig {
-            shards: 2,
-            ..Default::default()
-        });
+        let mut restored = Server::new(ServerConfig::default());
         restored.restore_from_bytes(&image).unwrap();
         assert_eq!(restored.snapshot_to_bytes(), image);
 
@@ -260,8 +255,8 @@ mod tests {
         image
             .sessions
             .iter()
-            .find(|(_, (_, s))| matches(&s.kind))
-            .map(|(&id, (_, s))| (id, s))
+            .find(|(_, s)| matches(&s.kind))
+            .map(|(&id, s)| (id, s))
             .expect("the fleet holds one")
     }
 
@@ -282,14 +277,12 @@ mod tests {
         let mut w = SnapWriter::new();
         image.next_id.put(&mut w);
         w.len_prefix(image.sessions.len());
-        for (id, entry) in &image.sessions {
+        for (id, s) in &image.sessions {
             id.put(&mut w);
             if *id != target {
-                entry.put(&mut w);
+                s.put(&mut w);
                 continue;
             }
-            let (shard, s) = entry;
-            shard.put(&mut w);
             s.module.put(&mut w);
             s.config.put(&mut w);
             s.bindings.put(&mut w);
@@ -634,21 +627,20 @@ mod tests {
     }
 
     /// More globals than the module declares is an error, not an
-    /// out-of-bounds `set_global`; and the sessions restored before the
-    /// bad one stay behind the allocator.
+    /// out-of-bounds `set_global`; and a restore is all or nothing: the
+    /// good session before the bad one is not opened either, and the id
+    /// allocator is left where it was.
     #[test]
     fn globals_longer_than_the_module_table_are_malformed() {
         let mut image = fleet_image();
-        let mut entries = image.sessions.iter_mut();
-        let (&first, _) = entries.next().unwrap();
-        let (_, (_, second)) = entries.next().unwrap();
+        let (_, second) = image.sessions.iter_mut().nth(1).unwrap();
         second.globals.push(Value::Int(7));
         let mut server = Server::new(ServerConfig::default());
         assert!(is_malformed_restore(restore(&mut server, &image)));
-        assert_eq!(server.sessions(), vec![first], "restored up to the bad one");
+        assert!(server.sessions().is_empty(), "nothing was opened");
         let fresh = server
             .open_session(Module::new(), RuntimeConfig::default(), &[])
             .unwrap();
-        assert!(fresh.0 >= image.next_id, "restored ids stay allocated");
+        assert_eq!(fresh, SessionId(1), "the id allocator is untouched");
     }
 }

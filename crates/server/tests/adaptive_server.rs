@@ -97,7 +97,6 @@ proptest! {
 
         // The adaptive server session.
         let mut server = Server::new(ServerConfig {
-            shards: 2,
             adapt: fast_adapt(),
         });
         let sid = server
@@ -165,10 +164,9 @@ proptest! {
 }
 
 #[test]
-fn ctp_sessions_are_shard_resident_and_adapt() {
+fn ctp_sessions_are_server_resident_and_adapt() {
     let program = ctp_program();
     let mut server = Server::new(ServerConfig {
-        shards: 2,
         adapt: AdaptConfig {
             epoch_ns: 50_000_000,
             min_fresh_events: 40,
@@ -209,7 +207,6 @@ fn ctp_sessions_are_shard_resident_and_adapt() {
     let report = server.report();
     let row = report.sessions.iter().find(|s| s.session == sid).unwrap();
     assert!(row.dispatched > 0);
-    assert_eq!(row.shard, server.shard_of(sid));
 }
 
 #[test]
@@ -218,7 +215,6 @@ fn seccomm_sessions_roundtrip_across_adaptation() {
     let program = proto.instantiate(CONFIG_FULL).unwrap();
     let keys = Keys::default();
     let mut server = Server::new(ServerConfig {
-        shards: 2,
         adapt: AdaptConfig {
             epoch_ns: 1_000,
             min_fresh_events: 30,
@@ -280,7 +276,6 @@ fn mixed_fleet_report_is_consistent() {
     let (m, [a, b], _) = two_chain_module();
     let program = ctp_program();
     let mut server = Server::new(ServerConfig {
-        shards: 3,
         adapt: fast_adapt(),
     });
     let binds = bindings(&m, a, b);
@@ -304,15 +299,11 @@ fn mixed_fleet_report_is_consistent() {
 
     let report = server.report();
     assert_eq!(report.sessions.len(), 5);
-    assert_eq!(report.shards.len(), 3);
-    let shard_total: u64 = report.shards.iter().map(|s| s.dispatched).sum();
     let session_total: u64 = report.sessions.iter().map(|s| s.dispatched).sum();
-    assert_eq!(shard_total, session_total);
-    assert_eq!(report.dispatched(), shard_total);
-    assert_eq!(
-        report.shards.iter().map(|s| s.sessions).sum::<usize>(),
-        5,
-        "every session accounted to exactly one shard"
+    assert_eq!(report.dispatched(), session_total);
+    assert!(
+        report.dispatched() >= 4 * 60,
+        "every plain raise dispatched"
     );
     for &sid in &plain {
         assert!(server

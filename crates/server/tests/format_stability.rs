@@ -46,7 +46,6 @@ fn counter_module() -> (Module, EventId) {
 /// image.
 fn golden_server() -> Server {
     let mut server = Server::new(ServerConfig {
-        shards: 2,
         adapt: AdaptConfig {
             epoch_ns: 1_000,
             min_fresh_events: 20,
@@ -133,7 +132,6 @@ fn golden_image_restores_and_resumes() {
     }
     let golden = std::fs::read(golden_path()).expect("committed fixture");
     let mut server = Server::new(ServerConfig {
-        shards: 2,
         adapt: AdaptConfig {
             epoch_ns: 1_000,
             min_fresh_events: 20,
@@ -191,16 +189,17 @@ fn golden_image_restores_and_resumes() {
     assert_eq!(plain, b"golden");
 }
 
-/// The previous format's golden image (`VERSION` 2, kept byte for byte as
-/// it was committed) is refused by its version field before its checksum
-/// is looked at, and restores nothing.
+/// The previous format's golden image (`VERSION` 3, which recorded each
+/// session's shard; kept byte for byte as it was committed) is refused by
+/// its version field before its checksum is looked at, and restores
+/// nothing.
 #[test]
 fn previous_version_image_is_refused_by_version() {
-    let old = std::fs::read(fixture("golden.v2.pdosnap")).expect("committed fixture");
+    let old = std::fs::read(fixture("golden.v3.pdosnap")).expect("committed fixture");
     let mut server = Server::new(ServerConfig::default());
     match server.restore_from_bytes(&old) {
-        Err(ServerError::Snapshot(SnapshotError::UnsupportedVersion(2))) => {}
-        other => panic!("a version-2 image must be UnsupportedVersion(2), got {other:?}"),
+        Err(ServerError::Snapshot(SnapshotError::UnsupportedVersion(3))) => {}
+        other => panic!("a version-3 image must be UnsupportedVersion(3), got {other:?}"),
     }
     assert!(server.sessions().is_empty());
 }

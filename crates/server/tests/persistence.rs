@@ -1,11 +1,10 @@
-//! Durable snapshots, universal migration, and refusal semantics.
+//! Durable snapshots.
 //!
-//! Pins the robustness contract: any quiescent session kind migrates
-//! under `rebalance` (refusals carry a typed reason in the report), a
-//! whole server round-trips through `snapshot_to_bytes` /
-//! `restore_from_bytes` with sessions resuming where they left off,
-//! images are deterministic (restore-then-re-encode is byte-identical),
-//! and corrupt images surface typed errors — never panics.
+//! Pins the robustness contract: a whole server of every session kind
+//! round-trips through `snapshot_to_bytes` / `restore_from_bytes` with
+//! sessions resuming where they left off, images are deterministic
+//! (restore-then-re-encode is byte-identical), and corrupt images
+//! surface typed errors — never panics.
 
 use pdo::{AdaptConfig, OptimizeOptions};
 use pdo_ctp::{ctp_program, CtpParams};
@@ -13,7 +12,7 @@ use pdo_events::RuntimeConfig;
 use pdo_ir::{BinOp, EventId, FuncId, FunctionBuilder, Module, RaiseMode, Value};
 use pdo_obs::SpanKind;
 use pdo_seccomm::{seccomm_protocol, Keys, CONFIG_FULL};
-use pdo_server::{MigrateRefusal, Server, ServerConfig, ServerError, SessionId};
+use pdo_server::{Server, ServerConfig, ServerError, SessionId};
 
 /// Two independent events; handler `k` of each adds `k` to its event's
 /// accumulator, so one dispatch of [h1, h2] adds 3.
@@ -57,160 +56,11 @@ fn fast_adapt() -> AdaptConfig {
     }
 }
 
-/// Refusal reasons surface per session and gate `rebalance`: a session
-/// with queued events or a live trace window stays put, and draining the
-/// condition clears the refusal.
-#[test]
-fn rebalance_refuses_busy_sessions_and_reports_why() {
-    let (m, [a, b], _) = two_chain_module();
-    let mut server = Server::new(ServerConfig {
-        shards: 2,
-        adapt: fast_adapt(),
-    });
-    let binds = bindings(&m, a, b);
-    let mut ids = Vec::new();
-    for _ in 0..3 {
-        ids.push(
-            server
-                .open_session(m.clone(), RuntimeConfig::default(), &binds)
-                .unwrap(),
-        );
-    }
-    let crowded = (0..2)
-        .find(|&s| ids.iter().filter(|&&id| server.shard_of(id) == s).count() == 2)
-        .expect("one shard holds two of three sessions");
-    let on_crowded: Vec<_> = ids
-        .iter()
-        .copied()
-        .filter(|&id| server.shard_of(id) == crowded)
-        .collect();
-
-    // Make the crowded shard hottest (sync dispatches count), leaving
-    // every one of its sessions mid-epoch with a live trace window...
-    for &id in &on_crowded {
-        for _ in 0..10 {
-            server.raise_sync(id, a, &[]).unwrap();
-        }
-    }
-    let report = server.report();
-    for &id in &on_crowded {
-        let row = report.sessions.iter().find(|r| r.session == id).unwrap();
-        assert_eq!(
-            row.refusal,
-            Some(MigrateRefusal::MidEpoch),
-            "undrained trace window refuses migration"
-        );
-    }
-    assert_eq!(
-        server.rebalance().unwrap(),
-        None,
-        "no quiescent session on the hot shard"
-    );
-
-    // ...then also queue an async event: the queue wins as the reason.
-    server
-        .with_runtime(on_crowded[0], move |rt| {
-            rt.raise(a, RaiseMode::Async, &[]).unwrap();
-        })
-        .unwrap();
-    let report = server.report();
-    let row = report
-        .sessions
-        .iter()
-        .find(|r| r.session == on_crowded[0])
-        .unwrap();
-    assert_eq!(row.refusal, Some(MigrateRefusal::QueuedEvents));
-    assert_eq!(server.rebalance().unwrap(), None);
-
-    // Draining the queue and crossing an epoch boundary clears both
-    // refusals; the next rebalance migrates.
-    server.run_until(4_000).unwrap();
-    let report = server.report();
-    for &id in &on_crowded {
-        let row = report.sessions.iter().find(|r| r.session == id).unwrap();
-        assert_eq!(row.refusal, None, "quiescent after the drain");
-    }
-    let migrated = server.rebalance().unwrap().expect("now it migrates");
-    assert_eq!(server.shard_of(migrated), 1 - crowded);
-}
-
-/// The 'plain sessions only' restriction is gone: a quiescent CTP
-/// session — perpetual controller timer and all — migrates off the hot
-/// shard and keeps acking traffic from its new home.
-#[test]
-fn rebalance_migrates_protocol_sessions() {
-    let program = ctp_program();
-    let mut server = Server::new(ServerConfig {
-        shards: 2,
-        adapt: AdaptConfig {
-            epoch_ns: 50_000_000,
-            min_fresh_events: 40,
-            opts: OptimizeOptions::new(10),
-            ..Default::default()
-        },
-    });
-    let mut ids = Vec::new();
-    for _ in 0..3 {
-        ids.push(
-            server
-                .open_ctp_session(&program, CtpParams::default())
-                .unwrap(),
-        );
-    }
-    let crowded = (0..2)
-        .find(|&s| ids.iter().filter(|&&id| server.shard_of(id) == s).count() == 2)
-        .expect("one shard holds two of three sessions");
-    let victim = *ids
-        .iter()
-        .find(|&&id| server.shard_of(id) == crowded)
-        .unwrap();
-    for i in 0..10u64 {
-        let payload = vec![i as u8; 200];
-        server
-            .with_ctp(victim, move |ep| ep.send(&payload))
-            .unwrap()
-            .unwrap();
-        server.run_until((i + 1) * 60_000_000).unwrap();
-    }
-    server
-        .with_ctp(victim, |ep| ep.drain(2_000_000_000))
-        .unwrap()
-        .unwrap();
-    // Pad across epoch boundaries so every trace window drains.
-    server.run_until(2_500_000_000).unwrap();
-
-    let migrated = server.rebalance().unwrap().expect("a CTP session moves");
-    assert_eq!(server.shard_of(migrated), 1 - crowded);
-
-    // The moved endpoint still speaks the protocol: more traffic acks.
-    let before = server.with_ctp(migrated, |ep| ep.stats()).unwrap();
-    for i in 0..5u64 {
-        let payload = vec![0xA5; 100];
-        server
-            .with_ctp(migrated, move |ep| ep.send(&payload))
-            .unwrap()
-            .unwrap();
-        server
-            .run_until(2_500_000_000 + (i + 1) * 60_000_000)
-            .unwrap();
-    }
-    server
-        .with_ctp(migrated, |ep| ep.drain(5_000_000_000))
-        .unwrap()
-        .unwrap();
-    let after = server.with_ctp(migrated, |ep| ep.stats()).unwrap();
-    assert_eq!(after.segments_acked, after.segments_sent);
-    assert!(
-        after.segments_sent >= before.segments_sent + 5,
-        "post-migration sends: {before:?} -> {after:?}"
-    );
-}
-
 /// A mixed fleet survives the full durability cycle: snapshot every
 /// session kind, restore into a fresh server, and both the plain
 /// accumulators and the protocol endpoints resume exactly. The restored
 /// image re-encodes byte-identically, and the persistence counters and
-/// per-session placement spans show up in observability.
+/// per-session restore spans show up in observability.
 #[test]
 fn snapshot_restore_resumes_every_session_kind() {
     let (m, [a, b], [ga, _]) = two_chain_module();
@@ -218,7 +68,6 @@ fn snapshot_restore_resumes_every_session_kind() {
     let sec = seccomm_protocol().instantiate(CONFIG_FULL).unwrap();
     let keys = Keys::default();
     let config = || ServerConfig {
-        shards: 2,
         adapt: fast_adapt(),
     };
 
@@ -353,32 +202,22 @@ fn snapshot_restore_resumes_every_session_kind() {
     assert!(restored.iter().all(|&id| id != extra));
 
     // Observability: counters and size/latency histograms mention the
-    // cycle, and each restored session's placement is a span on the shard
-    // it landed on.
+    // cycle, and each restored session's arrival is a span.
     let text = revived.metrics().render();
     assert!(text.contains("pdo_server_snapshots_total 1"));
     assert!(text.contains("pdo_server_restores_total 1"));
     assert!(text.contains("# TYPE pdo_server_snapshot_bytes summary"));
     assert!(text.contains("# TYPE pdo_server_snapshot_encode_wall_ns summary"));
     assert!(text.contains("# TYPE pdo_server_snapshot_decode_wall_ns summary"));
-    let mut placed: Vec<SessionId> = revived
+    let arrived: Vec<SessionId> = revived
         .trace_spans()
         .iter()
         .filter_map(|s| match s.kind {
-            SpanKind::Placement {
-                session,
-                from: None,
-                to,
-            } => {
-                let id = SessionId(session);
-                assert_eq!(revived.shard_of(id), to as usize);
-                Some(id)
-            }
+            SpanKind::Restore { session } => Some(SessionId(session)),
             _ => None,
         })
         .collect();
-    placed.sort();
-    assert_eq!(placed, restored, "one placement span per restored session");
+    assert_eq!(arrived, restored, "one restore span per restored session");
 }
 
 /// Graceful shutdown: `quiesce()` before `save()` drains every queued
@@ -390,7 +229,6 @@ fn quiesce_drains_before_save_and_restore_resumes() {
     let (m, [a, b], [ga, _]) = two_chain_module();
     let binds = bindings(&m, a, b);
     let config = || ServerConfig {
-        shards: 2,
         adapt: fast_adapt(),
     };
     let mut server = Server::new(config());
@@ -488,53 +326,6 @@ fn quiesce_drains_before_save_and_restore_resumes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Placement follows the image's recorded shard (mod the shard count of
-/// the receiving server).
-#[test]
-fn restore_carries_placement() {
-    let (m, [a, b], [ga, _]) = two_chain_module();
-    let binds = bindings(&m, a, b);
-    let mut server = Server::new(ServerConfig {
-        shards: 4,
-        adapt: fast_adapt(),
-    });
-    let mut ids = Vec::new();
-    for _ in 0..6 {
-        ids.push(
-            server
-                .open_session(m.clone(), RuntimeConfig::default(), &binds)
-                .unwrap(),
-        );
-    }
-    for i in 0..30u64 {
-        for &id in &ids {
-            server.submit(id, a, i * 100 + 100, &[]).unwrap();
-        }
-    }
-    server.run_until(30 * 100 + 1_000).unwrap();
-    let bytes = server.snapshot_to_bytes();
-    let expect: Vec<_> = ids.iter().map(|&id| server.shard_of(id)).collect();
-    drop(server);
-
-    let mut fresh = Server::new(ServerConfig {
-        shards: 4,
-        adapt: fast_adapt(),
-    });
-    let restored = fresh.restore_from_bytes(&bytes).unwrap();
-    assert_eq!(restored, ids);
-    for (&id, &shard) in ids.iter().zip(&expect) {
-        assert_eq!(fresh.shard_of(id), shard, "placement carried");
-    }
-    for &id in &ids {
-        assert_eq!(
-            fresh
-                .with_runtime(id, move |rt| rt.global(ga).clone())
-                .unwrap(),
-            Value::Int(30 * 3)
-        );
-    }
-}
-
 /// Corruption never panics: truncations, bit flips, id collisions, and
 /// garbage files all come back as `ServerError::Snapshot`.
 #[test]
@@ -542,7 +333,6 @@ fn corrupt_images_yield_typed_errors() {
     let (m, [a, b], _) = two_chain_module();
     let binds = bindings(&m, a, b);
     let config = || ServerConfig {
-        shards: 2,
         adapt: fast_adapt(),
     };
     let mut server = Server::new(config());

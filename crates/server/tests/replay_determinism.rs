@@ -6,8 +6,8 @@
 //! `RandomState` iteration order (the spec table is a `HashMap`) leaking
 //! into anything observable. The only series allowed to differ are the
 //! two wall-clock families (`pdo_adapt_reprofile_wall_ns`, the daemon's
-//! host-time profiling histogram, and `pdo_server_shard_busy_ns_total`,
-//! the shard busy gauge), which `MetricsSnapshot::retain_families` strips
+//! host-time profiling histogram, and `pdo_server_busy_ns_total`, the
+//! server's busy counter), which `MetricsSnapshot::retain_families` strips
 //! before comparison — everything the virtual clock governs must agree.
 
 use pdo::{AdaptConfig, OptimizeOptions};
@@ -87,7 +87,7 @@ struct Observed {
     metrics: String,
     /// Both accumulators of every session still open.
     globals: Vec<(Value, Value)>,
-    /// Every shard's retained spans as a line dump: what happened and why,
+    /// The server's retained spans as a line dump: what happened and why,
     /// on the virtual clock.
     spans: String,
     image: Vec<u8>,
@@ -96,7 +96,6 @@ struct Observed {
 fn drive(case: &Case) -> Observed {
     let (m, [a, b], [ga, gb]) = two_chain_module();
     let mut server = Server::new(ServerConfig {
-        shards: 4,
         adapt: fast_adapt(),
     });
     let sids: Vec<SessionId> = case
@@ -123,10 +122,6 @@ fn drive(case: &Case) -> Observed {
         server.raise(probe, b, RaiseMode::Async, &[]).unwrap();
         deadline = phase_end;
         server.run_until(deadline).unwrap();
-        // Epoch-boundary rebalancing is part of the observable surface:
-        // it must pick the same shard pair and migrate the same session
-        // on every run.
-        server.rebalance().unwrap();
     }
     if let Some(k) = case.rebind {
         let sid = sids[k % sids.len()];
@@ -153,7 +148,7 @@ fn drive(case: &Case) -> Observed {
     let report = server.report();
     let mut snap = server.metrics();
     snap.retain_families(|name| {
-        name != "pdo_adapt_reprofile_wall_ns" && name != "pdo_server_shard_busy_ns_total"
+        name != "pdo_adapt_reprofile_wall_ns" && name != "pdo_server_busy_ns_total"
     });
     let globals = server
         .sessions()

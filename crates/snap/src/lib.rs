@@ -49,7 +49,7 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 8] = *b"PDOSNAP\0";
 
 /// Current frame version.
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 
 /// A typed decode/persistence failure. Corrupt or truncated input must
 /// surface as one of these — decoding never panics.

@@ -1,19 +1,19 @@
-//! Observability: scrape a live sharded server and dump what its causal
+//! Observability: scrape a live server and dump what its causal
 //! trace recorded.
 //!
 //! ```text
 //! cargo run --example observability
 //! ```
 //!
-//! Builds a two-shard [`pdo_server::Server`] hosting three kinds of
+//! Builds a [`pdo_server::Server`] hosting three kinds of
 //! session — a plain event program under adaptive specialization, a CTP
 //! video endpoint over a deliberately faulty link, and a SecComm secure
 //! channel fed one tampered packet — drives load into all of them, then:
 //!
 //! 1. scrapes one server-wide [`pdo_obs::MetricsSnapshot`] and prints its
 //!    Prometheus-style text exposition (dispatch-latency histograms split
-//!    fast/slow, adaptation gauges, wire/CTP/SecComm fault counters, all
-//!    labelled by shard), and
+//!    fast/slow, adaptation gauges, wire/CTP/SecComm fault counters,
+//!    summed over the sessions), and
 //! 2. prints every retained span that is not a raise or a dispatch, as a
 //!    line dump — the post-mortem view of what the adaptation loop decided
 //!    and why, and which faults and guard misses it answered.
@@ -52,10 +52,7 @@ fn hot_module() -> (Module, EventId, Vec<(EventId, FuncId, i32)>) {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Two shards: sessions are placed by power-of-two-choices and every
-    // series below carries its shard label.
     let mut server = Server::new(ServerConfig {
-        shards: 2,
         adapt: AdaptConfig {
             epoch_ns: 1_000,
             min_fresh_events: 20,
@@ -104,7 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     wire[mid] ^= 0xFF;
     let _ = server.with_seccomm(sec, move |ep| ep.pop(&wire))?;
 
-    // --- 1. The scrape: one snapshot, every layer, every shard. ---------
+    // --- 1. The scrape: one snapshot, every layer, every session. -------
     println!("==== metrics scrape ====");
     print!("{}", server.metrics().render());
 

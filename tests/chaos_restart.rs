@@ -139,7 +139,6 @@ fn run_server(
     restart: Restart,
 ) -> Vec<Vec<Value>> {
     let config = || ServerConfig {
-        shards: 2,
         adapt: server_adapt(),
     };
     let mut server = Server::new(config());

@@ -106,17 +106,16 @@ fn arb_reply() -> impl Strategy<Value = Reply> {
     prop_oneof![
         any::<u64>().prop_map(|session| Reply::Opened { session }),
         Just(Reply::Done),
-        proptest::array::uniform::<_, 9>(any::<u64>()).prop_map(|v: [u64; 9]| {
+        proptest::array::uniform::<_, 8>(any::<u64>()).prop_map(|v: [u64; 8]| {
             Reply::Stats(SessionStats {
                 session: v[0],
-                shard: v[1] as u32,
-                clock_ns: v[2],
-                dispatched: v[3],
-                fastpath_hits: v[4],
-                guard_misses: v[5],
-                chains_live: v[6],
-                queued: v[7],
-                timers: v[8],
+                clock_ns: v[1],
+                dispatched: v[2],
+                fastpath_hits: v[3],
+                guard_misses: v[4],
+                chains_live: v[5],
+                queued: v[6],
+                timers: v[7],
             })
         }),
         any::<bool>().prop_map(|existed| Reply::Closed { existed }),
@@ -210,7 +209,7 @@ proptest! {
 #[test]
 fn corrupted_wire_traffic_leaves_the_server_serving() {
     let mut server = Server::new(ServerConfig::default());
-    let mut ingress = Ingress::bind(IngressConfig::default(), server.shards()).unwrap();
+    let mut ingress = Ingress::bind(IngressConfig::default(), 1).unwrap();
     let addr = ingress.tcp_addr().unwrap();
 
     let good = encode_request(
@@ -286,12 +285,11 @@ fn corrupted_wire_traffic_leaves_the_server_serving() {
 /// A `Query` for a session that never existed — or existed and was
 /// closed — must come back as a typed `Error{UnknownSession}` reply on a
 /// live connection: not a hang, not a stream-fatal close, and certainly
-/// not an engine panic (the engine used to resolve the shard with
-/// `Server::shard_of`, which panics on unplaced ids).
+/// not an engine panic.
 #[test]
 fn query_on_unknown_or_closed_session_is_a_typed_error() {
     let mut server = Server::new(ServerConfig::default());
-    let mut ingress = Ingress::bind(IngressConfig::default(), server.shards()).unwrap();
+    let mut ingress = Ingress::bind(IngressConfig::default(), 1).unwrap();
     let addr = ingress.tcp_addr().unwrap();
 
     let stop = Arc::new(AtomicBool::new(false));

@@ -62,8 +62,7 @@ pdo_wire_faults_total{kind=\"dropped\",shard=\"0\"} 3
     assert_eq!(snap.render(), expected);
 }
 
-/// Two events, two handlers each — the sharded-server adaptation
-/// workload: enough repetition for chains to install mid-run, so both
+/// Two events, two handlers each — the server adaptation workload: enough repetition for chains to install mid-run, so both
 /// dispatch lanes (slow before, fast after) accumulate samples.
 fn adapt_module() -> (Module, [EventId; 2]) {
     let mut m = Module::new();
@@ -99,7 +98,6 @@ fn bindings(m: &Module, a: EventId, b: EventId) -> Vec<(EventId, FuncId, i32)> {
 #[test]
 fn live_server_scrape_covers_every_layer() {
     let mut server = Server::new(ServerConfig {
-        shards: 2,
         adapt: AdaptConfig {
             epoch_ns: 1_000,
             min_fresh_events: 20,
@@ -169,26 +167,17 @@ fn live_server_scrape_covers_every_layer() {
     );
 
     // Adaptation gauges.
-    let chains_live: i64 = (0..2)
-        .map(|s| {
-            snap.gauge_value("pdo_adapt_chains_live", &[("shard", &s.to_string())])
-                .unwrap_or(0)
-        })
-        .sum();
+    let chains_live = snap.gauge_value("pdo_adapt_chains_live", &[]).unwrap_or(0);
     assert!(chains_live >= 1, "the plain session adapted:\n{text}");
     // The profile's one source says how much of itself it lost.
     assert!(text.contains("# TYPE pdo_profile_trace_dropped_total counter"));
 
-    // Wire fault counters from the CTP link, on the CTP session's shard.
-    let ctp_shard = server.shard_of(ctp).to_string();
+    // Wire fault counters from the CTP link.
     let wire_faults: u64 = ["dropped", "duplicated", "reordered", "corrupted"]
         .iter()
         .map(|kind| {
-            snap.counter_value(
-                "pdo_wire_faults_total",
-                &[("kind", kind), ("shard", &ctp_shard)],
-            )
-            .expect("wire fault counters are exported per kind")
+            snap.counter_value("pdo_wire_faults_total", &[("kind", kind)])
+                .expect("wire fault counters are exported per kind")
         })
         .sum();
     assert!(
@@ -196,29 +185,20 @@ fn live_server_scrape_covers_every_layer() {
         "the seeded faulty link misbehaved:\n{text}"
     );
     assert!(
-        snap.counter_value("pdo_ctp_segments_sent_total", &[("shard", &ctp_shard)])
+        snap.counter_value("pdo_ctp_segments_sent_total", &[])
             .is_some_and(|v| v > 0),
         "CTP transport counters present:\n{text}"
     );
-    assert!(snap
-        .gauge_value("pdo_ctp_backoff_level", &[("shard", &ctp_shard)])
-        .is_some());
+    assert!(snap.gauge_value("pdo_ctp_backoff_level", &[]).is_some());
 
     // SecComm MAC failures.
-    let sec_shard = server.shard_of(sec).to_string();
     assert_eq!(
-        snap.counter_value("pdo_seccomm_mac_failures_total", &[("shard", &sec_shard)]),
+        snap.counter_value("pdo_seccomm_mac_failures_total", &[]),
         Some(1)
     );
 
-    // Session gauge sums to the live session count.
-    let sessions: i64 = (0..2)
-        .map(|s| {
-            snap.gauge_value("pdo_server_sessions", &[("shard", &s.to_string())])
-                .unwrap_or(0)
-        })
-        .sum();
-    assert_eq!(sessions, 3);
+    // The session gauge is the live session count.
+    assert_eq!(snap.gauge_value("pdo_server_sessions", &[]), Some(3));
 
     // The trace records the adaptation decision behind the live chain.
     let installs = server

@@ -54,7 +54,6 @@ fn bindings(m: &Module, a: EventId, b: EventId) -> Vec<(EventId, FuncId, i32)> {
 
 fn config() -> ServerConfig {
     ServerConfig {
-        shards: 2,
         adapt: AdaptConfig {
             epoch_ns: 1_000,
             min_fresh_events: 20,

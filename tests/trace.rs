@@ -188,7 +188,6 @@ fn json_is_balanced(s: &str) -> bool {
 #[test]
 fn one_trace_links_ingress_runtime_adapt_and_wire() {
     let server = Server::new(ServerConfig {
-        shards: 2,
         adapt: AdaptConfig {
             epoch_ns: 1_000,
             min_fresh_events: 16,
@@ -203,7 +202,7 @@ fn one_trace_links_ingress_runtime_adapt_and_wire() {
             epoch_every: 4,
             ..IngressConfig::default()
         },
-        server.shards(),
+        1,
     )
     .unwrap();
     let addr = ingress.tcp_addr().unwrap();
