@@ -1,10 +1,11 @@
 //! Open-loop ingress load generator: the committed evidence for the
 //! network front door's admission control (`BENCH_ingress.json`).
 //!
-//! Topology: one engine thread (`Ingress::serve` driving the server), one acceptor thread inside `pdo-ingress`, and one driver
-//! thread here that multiplexes **10 240 logical clients over 64
-//! non-blocking loopback TCP connections** — the fronting-multiplexer
-//! regime the acceptor is designed for, and the only way to simulate
+//! Topology: one engine thread (`Ingress::serve` sweeping the sockets and
+//! driving the server) and one driver thread here that multiplexes
+//! **10 240 logical clients over 64 non-blocking loopback TCP
+//! connections** — the fronting-multiplexer regime the sweep is
+//! designed for, and the only way to simulate
 //! tens of thousands of concurrent clients under the container's fd
 //! limit. Every logical client owns a real server session.
 //!
@@ -194,7 +195,7 @@ impl MuxConn {
             .next_frame(proto::MAX_FRAME_LEN)
             .expect("server sent corrupt frame")
         {
-            let (rid, reply) = proto::decode_reply(&frame).expect("server reply decodes");
+            let (rid, reply) = proto::decode_reply(frame).expect("server reply decodes");
             let arrival = self.pending.remove(&rid).expect("reply matches a request");
             on_reply(reply, arrival);
             progress = true;
@@ -281,8 +282,8 @@ impl Driver {
     /// measured *under* saturation — the server's actual completion
     /// capacity. (A closed-loop window would be the textbook approach,
     /// but on a single-core host it is latency-bound across scheduler
-    /// timeslices — driver, acceptor, and engine each need a turn per
-    /// batch — and underestimates capacity by an order of magnitude.)
+    /// timeslices — driver and engine each need a turn per batch — and
+    /// underestimates capacity by an order of magnitude.)
     fn calibrate(&mut self, secs: f64) -> f64 {
         let mut probe = CALIBRATE_START_RPS;
         let mut step = 0u64;
@@ -415,14 +416,22 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
 
-    // Coarse adaptation cadence: with 10k sessions, the default 1 ms
-    // adaptation epoch makes every ingress virtual-clock advance cross an
-    // epoch boundary in *every* session at once — seconds of optimizer
-    // bookkeeping per tick that would measure the adaptive engine, not
-    // admission control (the scaling/ablation benches own that axis).
+    // No adaptation epoch inside the run: every session crosses an epoch
+    // boundary at the same virtual instant, and that one `maybe_epoch`
+    // stalls the sweep for 40–80 µs per session (81–159 ms for the
+    // soak's 2 048 on a 2-core host), shedding ~30 k requests in
+    // whichever point it lands. That would measure the adaptive engine,
+    // not admission control (the scaling/ablation benches own that axis).
+    // The virtual clock moves `epoch_step_ns` (1 ms) per `epoch_every`
+    // (1 024) admitted requests, so an hour of it takes 3.6 M advances,
+    // 3.7 G admitted requests. The full run offers at most ~30 M: six
+    // calibration probes of ≤ 2.52 M req/s in total for 1.5 s each
+    // (3.8 M), then 0.5 + 0.9 + 2.0 of an `R_max` the probes cap at
+    // 1.28 M req/s, for 3 rounds of 2 s (26.1 M). The soak offers less.
+    // No crossing is reached.
     let mut server = Server::new(ServerConfig {
         adapt: AdaptConfig {
-            epoch_ns: 1_000_000_000,
+            epoch_ns: 3_600_000_000_000,
             ..Default::default()
         },
     });

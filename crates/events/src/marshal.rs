@@ -10,7 +10,6 @@
 //! dispatch path skips both.
 
 use pdo_ir::Value;
-use pdo_snap::{Codec, SnapReader, SnapWriter, SnapshotError, Via};
 
 /// The type tag recorded for each marshaled argument: the shared
 /// value-tag vocabulary, declared once in `pdo-snap` so a payload
@@ -36,48 +35,6 @@ impl Marshaled {
     /// True when no arguments were packed.
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
-    }
-}
-
-/// The marshal layout on the wire — one count, the tag vector, then the
-/// value bodies — exactly the shape [`marshal`] packs. Hand-written
-/// because that tags-then-bodies shape is the point: a field table would
-/// interleave each tag with its body.
-impl Codec for Marshaled {
-    fn put(&self, w: &mut SnapWriter) {
-        w.len_prefix(self.len());
-        for t in self.tags.iter() {
-            t.put(w);
-        }
-        for v in self.values.iter() {
-            Tag::put_body(v, w);
-        }
-    }
-
-    fn take(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let tags = Vec::<Tag>::take(r)?;
-        let mut values = Vec::with_capacity(tags.len());
-        for t in &tags {
-            values.push(t.take_body(r)?);
-        }
-        Ok(Marshaled {
-            values: values.into_boxed_slice(),
-            tags: tags.into_boxed_slice(),
-        })
-    }
-}
-
-/// An argument list declared `args as Marshaled` travels in the marshal
-/// layout: packed with [`marshal`] on encode and put through the same
-/// [`unmarshal`] validation walk the generic dispatch path pays on decode
-/// (by construction it passes; its cost is the point).
-impl Via<Marshaled> for Vec<Value> {
-    fn to_wire(&self) -> Marshaled {
-        marshal(self)
-    }
-
-    fn from_wire(wire: Marshaled) -> Result<Self, SnapshotError> {
-        unmarshal(&wire).map_err(SnapshotError::Malformed)
     }
 }
 
@@ -150,29 +107,6 @@ mod tests {
         let m = marshal(&[]);
         assert!(m.is_empty());
         assert!(unmarshal(&m).unwrap().is_empty());
-    }
-
-    #[test]
-    fn marshal_layout_is_count_tags_bodies_and_survives_the_sweep() {
-        let m = marshal(&[
-            Value::Int(7),
-            Value::Unit,
-            Value::bytes(vec![9, 9]),
-            Value::Bool(true),
-            Value::str("s"),
-        ]);
-        pdo_snap::hostile::check(&m);
-
-        let mut w = SnapWriter::new();
-        w.u64(5);
-        for tag in [1, 0, 3, 2, 4] {
-            w.u8(tag);
-        }
-        w.i64(7);
-        w.bytes(&[9, 9]);
-        w.bool(true);
-        w.str("s");
-        assert_eq!(w.finish(), pdo_snap::encode(&m));
     }
 
     #[test]

@@ -113,7 +113,7 @@ impl Client {
     pub fn recv_reply(&mut self) -> Result<(u64, Reply), IngressError> {
         loop {
             if let Some(frame) = self.buf.next_frame(proto::MAX_FRAME_LEN)? {
-                return proto::decode_reply(&frame);
+                return proto::decode_reply(frame);
             }
             self.read_some()?;
         }

@@ -10,26 +10,26 @@
 //!   replies. Corrupt input is always a typed [`IngressError`], never a
 //!   panic, and the error's classification decides whether the
 //!   connection survives.
-//! - **Acceptor** ([`net`], one I/O thread): accepts TCP and Unix-socket
-//!   connections, reassembles frames, and forwards decoded commands over
-//!   one admission queue. The engine half of the ingress runs on the one
-//!   thread that owns the `!Send` [`Server`] ([`Ingress::drive`] /
-//!   [`Ingress::serve`]).
-//! - **Admission control**: one bound, a fixed [`Limiter`] permit pool.
-//!   A permit is taken before a command is queued and the queue holds as
-//!   many commands as there are permits, so it is never the limit. A
-//!   request with no permit left is *shed* — it gets a typed
-//!   `Shed{retry_after}` reply immediately instead of queueing
-//!   unboundedly — and every decision is counted and exported through
-//!   `pdo-obs` ([`Ingress::metrics`]).
-//! - **Graceful drain**: [`Ingress::quiesce`] stops admission, drains
-//!   the in-flight work to zero, then calls [`Server::quiesce`], so a
-//!   durable snapshot taken afterwards sees no half-processed commands.
+//! - **One sweep** ([`net`], [`Ingress::drive`]): on the thread that
+//!   owns the `!Send` [`Server`], accept TCP and Unix-socket
+//!   connections, read each, reassemble and decode frames, admit, run
+//!   the admitted commands in arrival order, and write the replies back.
+//!   There is no other thread and no queue between reading a command
+//!   and running it.
+//! - **Admission control**: one bound, `max_inflight` commands per
+//!   sweep. A request past it waits in its connection's buffer for the
+//!   next sweep; one that finds that batch full too, or any request
+//!   while quiesced, is *shed* — it gets a typed `Shed{retry_after}`
+//!   reply instead of waiting longer — and every decision is counted and
+//!   exported through `pdo-obs` ([`Ingress::metrics`]).
+//! - **Graceful drain**: [`Ingress::quiesce`] stops admission, flushes
+//!   the replies, then calls [`Server::quiesce`], so a durable snapshot
+//!   taken afterwards sees no half-processed commands.
 //!
-//! The acceptor is plain `std` non-blocking I/O swept in a loop (no
-//! epoll dependency); it is sized for fronting multiplexers — tens of
-//! thousands of *logical* clients ride a few dozen connections, which is
-//! exactly how the `ingress_load` generator drives it.
+//! The sweep is plain `std` non-blocking I/O (no epoll dependency); it
+//! is sized for fronting multiplexers — tens of thousands of *logical*
+//! clients ride a few dozen connections, which is exactly how the
+//! `ingress_load` generator drives it.
 
 use pdo_cactus::EventProgram;
 use pdo_ctp::{ctp_program, CtpParams};
@@ -44,21 +44,15 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Instant;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 pub mod client;
-mod limiter;
 mod net;
 pub mod proto;
 
-use net::CloseReason;
+use net::{CloseReason, Net, Work};
 
 pub use client::Client;
-pub use limiter::Limiter;
 pub use proto::{
     ErrorCode, FrameBuffer, OpenKind, Reply, Request, SessionStats, TraceFormat, TraceSelector,
     WireMode, MAX_FRAME_LEN, WIRE_MAGIC, WIRE_VERSION,
@@ -69,11 +63,10 @@ pub use proto::{
 /// disjoint from the server's.
 pub const INGRESS_TRACE_TAG: u16 = 0xFFFF;
 
-/// Consecutive idle iterations the engine and acceptor loops yield
-/// (staying runnable) before backing off to sleeps — see
-/// [`Ingress::serve`] for why sleeping too eagerly starves the engine on
-/// core-constrained hosts.
-pub(crate) const IDLE_YIELDS: u32 = 256;
+/// Consecutive idle sweeps [`Ingress::serve`] yields (staying runnable)
+/// before backing off to sleeps — see there for why sleeping too eagerly
+/// starves the engine on core-constrained hosts.
+const IDLE_YIELDS: u32 = 256;
 
 /// A typed ingress failure. Decoding and I/O never panic — every way a
 /// byte stream can be wrong lands in one of these.
@@ -138,15 +131,17 @@ pub struct IngressConfig {
     /// Unix-socket path; `None` disables the Unix listener. A stale
     /// socket file at the path is removed on bind.
     pub unix: Option<PathBuf>,
-    /// Permit-pool capacity: the hard bound on admitted, un-replied
-    /// requests, and the length of the admission queue.
+    /// The most commands one sweep admits: the hard bound on admitted,
+    /// un-replied requests. Past it a request waits for the next sweep,
+    /// and is shed if that sweep's batch fills too.
     pub max_inflight: usize,
     /// Largest acceptable frame (header + payload + checksum).
     pub max_frame: usize,
     /// Per-connection write-buffer ceiling; a consumer that falls
     /// further behind is disconnected rather than buffered forever.
     pub max_outbuf: usize,
-    /// Base retry hint in `Shed` replies; scaled up with permits held.
+    /// Base retry hint in `Shed` replies; scaled up with the share of
+    /// the sweep's batch already admitted.
     pub retry_after_ns: u64,
     /// Admitted requests between virtual-clock epoch advances in
     /// [`Ingress::serve`] (adaptation runs inside those advances).
@@ -170,56 +165,19 @@ impl Default for IngressConfig {
     }
 }
 
-/// One admitted command in flight from acceptor to engine. Everything in
-/// here is `Send`; the `!Send` session state stays with the server.
-pub(crate) struct Work {
-    pub conn: u64,
-    pub req_id: u64,
-    pub request: Request,
-    pub admitted_at: Instant,
-}
-
-/// State shared between the acceptor thread and the engine handle.
-pub(crate) struct Shared {
-    pub admitting: AtomicBool,
-    pub shutdown: AtomicBool,
-    pub limiter: Limiter,
-    pub connections_opened: AtomicU64,
-    /// Closed connections, indexed by [`CloseReason`].
-    pub connections_closed: [AtomicU64; CloseReason::ALL.len()],
-    pub admitted: AtomicU64,
-    pub replied: AtomicU64,
-    pub shed_permits: AtomicU64,
-    pub shed_quiesced: AtomicU64,
-    pub malformed_payloads: AtomicU64,
-    pub bytes_read: AtomicU64,
-    pub bytes_written: AtomicU64,
-    /// Wall-clock admission→reply latency, engine-side.
-    pub latency: Mutex<Histogram>,
-}
-
-impl Shared {
-    pub(crate) fn closed(&self, reason: CloseReason) {
-        self.connections_closed[reason as usize].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Retry hint scaled by how many permits are held: `base` when
-    /// idle, `2*base` with the pool exhausted.
-    pub(crate) fn retry_hint(&self, base: u64) -> u64 {
-        let held = self.limiter.in_flight() as u64;
-        base + base * held / self.limiter.capacity() as u64
-    }
-}
-
-/// The engine-side handle: owns the admission queue's receiving end, the
-/// reply path back to the acceptor, and the canonical protocol programs used
-/// to satisfy `Open{Ctp}` / `Open{SecComm}`.
+/// The network front door: the listeners and connections, the batch one
+/// sweep admits, and the canonical protocol programs used to satisfy
+/// `Open{Ctp}` / `Open{SecComm}`.
 pub struct Ingress {
     cfg: IngressConfig,
-    shared: Arc<Shared>,
-    work_rx: Receiver<Work>,
-    reply_tx: Sender<(u64, Vec<u8>)>,
-    net: Option<JoinHandle<()>>,
+    net: Net,
+    /// This sweep's admitted commands in arrival order; the run empties
+    /// it and the next sweep reuses it.
+    batch: Vec<Work>,
+    /// Commands of the running batch not yet replied.
+    inflight: usize,
+    /// Wall-clock admission→reply latency.
+    latency: Histogram,
     tcp_addr: Option<SocketAddr>,
     unix_path: Option<PathBuf>,
     ctp_program: EventProgram,
@@ -235,10 +193,10 @@ pub struct Ingress {
 }
 
 impl Ingress {
-    /// Binds the configured listeners and starts the acceptor thread.
-    /// `_shards` is ignored. It is kept only because the benchmark's
-    /// `wire_plain` workload passes [`Server::shards`] here; it goes with
-    /// the next change to the benchmark.
+    /// Binds the configured listeners. Nothing runs until the caller
+    /// drives the ingress. `_shards` is ignored. It is kept only because
+    /// the benchmark's `wire_plain` workload passes [`Server::shards`]
+    /// here; it goes with the next change to the benchmark.
     ///
     /// # Errors
     ///
@@ -266,49 +224,17 @@ impl Ingress {
             l.set_nonblocking(true)?;
         }
 
-        let shared = Arc::new(Shared {
-            admitting: AtomicBool::new(true),
-            shutdown: AtomicBool::new(false),
-            limiter: Limiter::new(cfg.max_inflight),
-            connections_opened: AtomicU64::new(0),
-            connections_closed: Default::default(),
-            admitted: AtomicU64::new(0),
-            replied: AtomicU64::new(0),
-            shed_permits: AtomicU64::new(0),
-            shed_quiesced: AtomicU64::new(0),
-            malformed_payloads: AtomicU64::new(0),
-            bytes_read: AtomicU64::new(0),
-            bytes_written: AtomicU64::new(0),
-            latency: Mutex::new(Histogram::new()),
-        });
-
-        // As long as the permit pool: a command is queued only with a
-        // permit in hand, so the queue is never what refuses one.
-        let (work_tx, work_rx) = mpsc::sync_channel(shared.limiter.capacity());
-        let (reply_tx, reply_rx) = mpsc::channel();
-
-        let params = net::NetParams {
-            max_frame: cfg.max_frame,
-            max_outbuf: cfg.max_outbuf,
-            retry_after_ns: cfg.retry_after_ns,
-        };
-        let net_shared = Arc::clone(&shared);
-        let net = std::thread::Builder::new()
-            .name("pdo-ingress-net".to_string())
-            .spawn(move || net::net_main(tcp, unix, work_tx, reply_rx, net_shared, params))
-            .map_err(IngressError::Io)?;
-
         let sec_program = seccomm_protocol()
             .instantiate(CONFIG_FULL)
             .expect("CONFIG_FULL is a valid static protocol configuration");
 
         Ok(Ingress {
+            net: Net::new(tcp, unix, &cfg),
+            batch: Vec::with_capacity(cfg.max_inflight.max(1)),
+            inflight: 0,
+            latency: Histogram::new(),
             unix_path: cfg.unix.clone(),
             cfg,
-            shared,
-            work_rx,
-            reply_tx,
-            net: Some(net),
             tcp_addr,
             ctp_program: ctp_program(),
             sec_program,
@@ -337,39 +263,34 @@ impl Ingress {
         self.unix_path.as_ref()
     }
 
-    /// Drains up to `max_inflight` admitted commands from the admission
-    /// queue and executes them on `server`, sending replies back through
-    /// the acceptor. Returns the number of commands processed.
-    /// Non-blocking: returns 0 when the queue is empty.
+    /// One sweep: accepts, reads every connection, admits up to
+    /// `max_inflight` decoded commands (the rest wait for the next sweep,
+    /// or get typed `Shed` replies if they already waited), runs them on
+    /// `server` in arrival order, and writes the replies back. Returns
+    /// the number of commands run. Non-blocking: returns 0 when no
+    /// command arrived.
     ///
     /// # Errors
     ///
-    /// Only infrastructure failures surface here (an epoch advance
-    /// failing inside the server). Per-command failures become typed
-    /// `Error` replies to the issuing client.
+    /// None: per-command failures become typed `Error` replies to the
+    /// issuing client.
     pub fn drive(&mut self, server: &mut Server) -> Result<usize, ServerError> {
-        let mut processed = 0usize;
-        // Bounded, so a flood arriving while the engine drains cannot keep
-        // it from the epoch advance in `serve`.
-        while processed < self.shared.limiter.capacity() {
-            let Ok(work) = self.work_rx.try_recv() else {
-                break;
-            };
+        self.net.accept();
+        self.net.read(&mut self.batch);
+        let mut batch = std::mem::take(&mut self.batch);
+        let n = batch.len();
+        self.inflight = n;
+        for work in batch.drain(..) {
             let reply = self.execute(server, work.conn, &work.request);
             let latency = work.admitted_at.elapsed().as_nanos() as u64;
-            if let Ok(mut h) = self.shared.latency.lock() {
-                h.record(latency.max(1));
-            }
-            let bytes = proto::encode_reply(work.req_id, &reply);
-            // A send failure means the acceptor is gone (shutdown race);
-            // the permit must still be returned.
-            let _ = self.reply_tx.send((work.conn, bytes));
-            self.shared.limiter.release();
-            self.shared.replied.fetch_add(1, Ordering::Relaxed);
-            processed += 1;
+            self.latency.record(latency.max(1));
+            self.net.reply(work.conn, work.req_id, &reply);
+            self.inflight -= 1;
         }
-        self.since_epoch += processed as u64;
-        Ok(processed)
+        self.batch = batch;
+        self.net.flush();
+        self.since_epoch += n as u64;
+        Ok(n)
     }
 
     fn execute(&mut self, server: &mut Server, conn: u64, request: &Request) -> Reply {
@@ -528,18 +449,21 @@ impl Ingress {
         Ok(true)
     }
 
-    /// Serves until `stop` becomes true: drains work, advances epochs,
-    /// yields then sleeps when idle. The caller's thread becomes the
-    /// engine thread; the `!Send` server never moves.
+    /// Serves until `stop` becomes true: sweeps, advances epochs, yields
+    /// then sleeps when idle. The caller's thread is the only thread the
+    /// ingress runs on; the `!Send` server never moves. A sweep is idle
+    /// when it ran no command, moved no byte and accepted no connection:
+    /// flushing part of a large reply or reading part of a frame is
+    /// progress.
     ///
     /// Idling yields (stays runnable) for a grace window before backing
     /// off to sleeps. The distinction matters on core-constrained hosts:
-    /// an engine that *sleeps* the instant its queues drain hands its
-    /// timeslice to the acceptor and load-generating peers — which under
-    /// open-loop flood always have bytes to move and never sleep — and
-    /// then waits out a multi-millisecond reschedule while the queues it
-    /// would have drained overflow and shed. That feedback loop
-    /// (idle → sleep → starved → queues full → shed → less work → more
+    /// an engine that *sleeps* the instant a sweep finds nothing hands its
+    /// timeslice to load-generating peers — which under open-loop flood
+    /// always have bytes to move and never sleep — and then waits out a
+    /// multi-millisecond reschedule while their requests pile up in the
+    /// socket buffers and the next sweep sheds them. That feedback loop
+    /// (idle → sleep → starved → batch full → shed → less work → more
     /// idle) can collapse a server that has plenty of cycles for the
     /// offered load. Yielding keeps the engine in the run queue so it is
     /// back on core within one scheduling round.
@@ -550,9 +474,10 @@ impl Ingress {
     pub fn serve(&mut self, server: &mut Server, stop: &AtomicBool) -> Result<(), ServerError> {
         let mut idle: u32 = 0;
         while !stop.load(Ordering::Relaxed) {
+            let moved = self.net.counters.moved();
             let n = self.drive(server)?;
             self.maybe_epoch(server)?;
-            if n > 0 {
+            if n > 0 || self.net.counters.moved() != moved {
                 idle = 0;
             } else {
                 idle = idle.saturating_add(1);
@@ -568,22 +493,18 @@ impl Ingress {
     }
 
     /// Graceful drain: stops admission (subsequent requests are shed
-    /// with reason `quiesced`), drains every queued command and in-flight
-    /// permit to zero, then quiesces the server itself so its queues and
-    /// clocks are aligned. After this, [`Server::save`] observes no
-    /// half-processed work. Returns the drained virtual clock.
+    /// with reason `quiesced`), flushes the replies, then quiesces the
+    /// server itself so its queues and clocks are aligned. Every admitted
+    /// command already ran inside the sweep that admitted it, so after
+    /// this [`Server::save`] observes no half-processed work. Returns the
+    /// drained virtual clock.
     ///
     /// # Errors
     ///
-    /// As [`Ingress::drive`] plus [`Server::quiesce`] failures.
+    /// [`Server::quiesce`] failures.
     pub fn quiesce(&mut self, server: &mut Server) -> Result<u64, ServerError> {
-        self.shared.admitting.store(false, Ordering::SeqCst);
-        loop {
-            let n = self.drive(server)?;
-            if n == 0 && self.shared.limiter.in_flight() == 0 {
-                break;
-            }
-        }
+        self.net.admission.admitting = false;
+        self.net.flush();
         server.quiesce()
     }
 
@@ -591,61 +512,51 @@ impl Ingress {
     /// admission gate is reopened too).
     pub fn resume_admission(&mut self, server: &mut Server) {
         server.resume_admission();
-        self.shared.admitting.store(true, Ordering::SeqCst);
+        self.net.admission.admitting = true;
     }
 
     /// Whether the ingress is currently admitting requests.
     pub fn is_admitting(&self) -> bool {
-        self.shared.admitting.load(Ordering::SeqCst)
+        self.net.admission.admitting
     }
 
     /// Total shed replies across all reasons.
     pub fn shed_total(&self) -> u64 {
-        self.shared.shed_permits.load(Ordering::Relaxed)
-            + self.shared.shed_quiesced.load(Ordering::Relaxed)
+        self.net.counters.shed_permits + self.net.counters.shed_quiesced
     }
 
     /// Total admitted commands.
     pub fn admitted_total(&self) -> u64 {
-        self.shared.admitted.load(Ordering::Relaxed)
+        self.net.counters.admitted
     }
 
-    /// Total replies written back by the engine.
+    /// Total replies produced by the engine.
     pub fn replied_total(&self) -> u64 {
-        self.shared.replied.load(Ordering::Relaxed)
+        self.net.counters.replied
     }
 
     /// Live connection count.
     pub fn connections(&self) -> u64 {
-        let closed: u64 = self
-            .shared
-            .connections_closed
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum();
-        self.shared
-            .connections_opened
-            .load(Ordering::Relaxed)
-            .saturating_sub(closed)
+        self.net.connections() as u64
     }
 
     /// Scrapes every ingress counter, gauge, and histogram into one
     /// `pdo-obs` snapshot, mergeable with [`Server::metrics`].
     pub fn metrics(&self) -> MetricsSnapshot {
-        let s = &self.shared;
+        let s = &self.net.counters;
         let mut m = MetricsSnapshot::new();
         m.counter(
             "pdo_ingress_connections_opened_total",
             "Connections accepted by the ingress",
             &[],
-            s.connections_opened.load(Ordering::Relaxed),
+            s.connections_opened,
         );
         for reason in CloseReason::ALL {
             m.counter(
                 "pdo_ingress_connections_closed_total",
                 "Connections closed, by reason",
                 &[("reason", reason.label())],
-                s.connections_closed[reason as usize].load(Ordering::Relaxed),
+                s.connections_closed[reason as usize],
             );
         }
         m.gauge(
@@ -656,69 +567,64 @@ impl Ingress {
         );
         m.counter(
             "pdo_ingress_admitted_total",
-            "Requests admitted past the limiter",
+            "Requests admitted into a sweep's batch",
             &[],
-            s.admitted.load(Ordering::Relaxed),
+            s.admitted,
         );
         m.counter(
             "pdo_ingress_replied_total",
             "Replies written by the engine",
             &[],
-            s.replied.load(Ordering::Relaxed),
+            s.replied,
         );
-        for (reason, v) in [("permits", &s.shed_permits), ("quiesced", &s.shed_quiesced)] {
+        for (reason, v) in [("permits", s.shed_permits), ("quiesced", s.shed_quiesced)] {
             m.counter(
                 "pdo_ingress_shed_total",
                 "Requests refused with a typed Shed reply",
                 &[("reason", reason)],
-                v.load(Ordering::Relaxed),
+                v,
             );
         }
         m.counter(
             "pdo_ingress_frames_malformed_total",
             "Checksum-valid frames whose payload failed to decode",
             &[],
-            s.malformed_payloads.load(Ordering::Relaxed),
+            s.malformed_payloads,
         );
         m.counter(
             "pdo_ingress_bytes_read_total",
             "Bytes read from all connections",
             &[],
-            s.bytes_read.load(Ordering::Relaxed),
+            s.bytes_read,
         );
         m.counter(
             "pdo_ingress_bytes_written_total",
             "Bytes written to all connections",
             &[],
-            s.bytes_written.load(Ordering::Relaxed),
+            s.bytes_written,
         );
         m.gauge(
             "pdo_ingress_inflight",
-            "Permits currently held (admitted, not yet replied)",
+            "Remainder of the current batch: admitted, not yet replied",
             &[],
-            s.limiter.in_flight() as i64,
+            self.inflight as i64,
         );
-        if let Ok(h) = s.latency.lock() {
-            if h.count() > 0 {
-                m.histogram(
-                    "pdo_ingress_request_latency_ns",
-                    "Wall-clock admission-to-reply latency",
-                    &[],
-                    &h,
-                );
-            }
+        if self.latency.count() > 0 {
+            m.histogram(
+                "pdo_ingress_request_latency_ns",
+                "Wall-clock admission-to-reply latency",
+                &[],
+                &self.latency,
+            );
         }
         m
     }
 
-    /// Stops the acceptor thread, closes every connection, and removes
-    /// the Unix socket file. Called by `Drop` as well; explicit callers
-    /// get to sequence it (e.g. after [`Ingress::quiesce`]).
+    /// Closes the listeners and every connection, and removes the Unix
+    /// socket file. Called by `Drop` as well; explicit callers get to
+    /// sequence it (e.g. after [`Ingress::quiesce`]).
     pub fn shutdown(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(h) = self.net.take() {
-            let _ = h.join();
-        }
+        self.net.shutdown();
         if let Some(path) = &self.unix_path {
             let _ = std::fs::remove_file(path);
         }

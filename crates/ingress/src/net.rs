@@ -1,35 +1,38 @@
-//! The acceptor: one I/O thread sweeping non-blocking TCP and Unix
-//! listeners plus every live connection.
+//! The socket half of one sweep: non-blocking TCP and Unix listeners,
+//! every live connection's buffers, and admission.
 //!
-//! Every command decoded from every connection flows into one admission
-//! queue in arrival order, so one connection's work is processed in
-//! order.
+//! [`Ingress::drive`](crate::Ingress::drive) runs the sweep on the
+//! caller's thread: [`Net::accept`], then [`Net::read`] (read, reassemble,
+//! decode, admit or shed), then the engine runs the batch and appends
+//! each reply with [`Net::reply`], then [`Net::flush`]. Nothing here
+//! blocks and nothing crosses a thread.
 //!
-//! Admission happens *here*, before any queueing: quiesced → typed
-//! `Shed` reply; no permit → typed `Shed` reply. A permit is taken
-//! before the command is queued and the queue is as long as the permit
-//! pool, so the queue is never full: the pool is the only bound. The
-//! engine never sees refused work, and the acceptor never blocks on the
-//! engine.
+//! Admission happens as each command is decoded: quiesced → typed
+//! `Shed`; batch full (`max_inflight` commands this sweep) → the frames
+//! the sweep read wait in their connection's buffer for the next sweep,
+//! which handles them before reading that socket again and sheds them
+//! with a typed `Shed` if its batch fills too. A stall of the thread
+//! thus gets one more batch of grace, as a reader thread's queue would
+//! give it, and overload is still shed within two sweeps. Each sweep
+//! starts just past the last connection it admitted from, so a full
+//! batch rotates across connections; the batch keeps arrival order, so
+//! one connection's commands run in order.
 //!
 //! The sweep is plain `std` non-blocking I/O (the offline toolchain has
-//! no epoll binding). Cost per sweep is linear in connections, which is
-//! the intended regime: fronting multiplexers carry many logical clients
-//! per connection. An exponential idle backoff (50µs → 1ms) keeps the
-//! idle duty cycle negligible.
+//! no epoll binding). Its cost is linear in connections, which is the
+//! intended regime: fronting multiplexers carry many logical clients per
+//! connection.
 
-use crate::proto::{self, Reply};
-use crate::{Shared, Work};
-use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
-use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::Arc;
+use crate::proto::{self, FrameBuffer, Reply, Request};
+use crate::ErrorCode;
+use std::collections::BTreeMap;
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpListener;
+use std::ops::Bound::{Excluded, Included, Unbounded};
+use std::os::unix::net::UnixListener;
 use std::time::Instant;
 
-/// Why the acceptor closed a connection: the `reason` label of
+/// Why the sweep closed a connection: the `reason` label of
 /// `pdo_ingress_connections_closed_total`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum CloseReason {
@@ -65,277 +68,318 @@ impl CloseReason {
     }
 }
 
-pub(crate) struct NetParams {
-    pub max_frame: usize,
-    pub max_outbuf: usize,
-    pub retry_after_ns: u64,
+/// One admitted command, waiting in the batch for the engine.
+pub(crate) struct Work {
+    pub conn: u64,
+    pub req_id: u64,
+    pub request: Request,
+    pub admitted_at: Instant,
 }
 
-enum Sock {
-    Tcp(TcpStream),
-    Unix(UnixStream),
+/// What the ingress counts; [`Ingress::metrics`](crate::Ingress::metrics)
+/// exports it.
+#[derive(Default)]
+pub(crate) struct Counters {
+    pub connections_opened: u64,
+    /// Closed connections, indexed by [`CloseReason`].
+    pub connections_closed: [u64; CloseReason::ALL.len()],
+    pub admitted: u64,
+    pub replied: u64,
+    pub shed_permits: u64,
+    pub shed_quiesced: u64,
+    pub malformed_payloads: u64,
+    pub bytes_read: u64,
+    pub bytes_written: u64,
 }
 
-impl Sock {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Sock::Tcp(s) => s.read(buf),
-            Sock::Unix(s) => s.read(buf),
-        }
+impl Counters {
+    fn closed(&mut self, reason: CloseReason) {
+        self.connections_closed[reason as usize] += 1;
     }
 
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Sock::Tcp(s) => s.write(buf),
-            Sock::Unix(s) => s.write(buf),
-        }
+    /// Bytes moved plus connections accepted: a sweep that changes this
+    /// made progress even when it ran no command.
+    pub fn moved(&self) -> u64 {
+        self.bytes_read + self.bytes_written + self.connections_opened
     }
 }
+
+/// A connected socket, TCP or Unix.
+trait Stream: Read + Write {}
+
+impl<T: Read + Write> Stream for T {}
 
 struct Conn {
-    sock: Sock,
-    inbuf: proto::FrameBuffer,
+    sock: Box<dyn Stream>,
+    inbuf: FrameBuffer,
+    /// `inbuf` holds frames read while the batch was full; the next
+    /// sweep handles them before reading this socket again.
+    waiting: bool,
     out: Vec<u8>,
+    /// Bytes of `out` already written; `out` is cleared once all are.
     out_pos: usize,
 }
 
-pub(crate) fn net_main(
+impl Conn {
+    /// Reads what has arrived: at most four chunks, for fairness.
+    fn read(&mut self, chunk: &mut [u8], bytes_read: &mut u64) -> Result<(), CloseReason> {
+        for _ in 0..4 {
+            match self.sock.read(chunk) {
+                Ok(0) => return Err(CloseReason::Eof),
+                Ok(n) => {
+                    self.inbuf.extend(&chunk[..n]);
+                    *bytes_read += n as u64;
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => return Err(CloseReason::Io),
+            }
+        }
+        Ok(())
+    }
+
+    /// Writes as much of the reply buffer as the socket takes.
+    fn flush(&mut self, bytes_written: &mut u64) -> Result<(), CloseReason> {
+        while self.out_pos < self.out.len() {
+            match self.sock.write(&self.out[self.out_pos..]) {
+                Ok(0) => return Err(CloseReason::Io),
+                Ok(n) => {
+                    self.out_pos += n;
+                    *bytes_written += n as u64;
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => return Err(CloseReason::Io),
+            }
+        }
+        self.out.clear();
+        self.out_pos = 0;
+        Ok(())
+    }
+}
+
+/// The listeners, the live connections and the admission state.
+pub(crate) struct Net {
     tcp: Option<TcpListener>,
     unix: Option<UnixListener>,
-    work_tx: SyncSender<Work>,
-    reply_rx: Receiver<(u64, Vec<u8>)>,
-    shared: Arc<Shared>,
-    p: NetParams,
-) {
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_conn: u64 = 1;
-    let mut idle: u32 = 0;
-    let mut read_chunk = vec![0u8; 16 * 1024];
+    conns: BTreeMap<u64, Conn>,
+    next_conn: u64,
+    /// Where the next sweep starts reading: just past the last
+    /// connection a sweep admitted from.
+    cursor: u64,
+    chunk: Vec<u8>,
+    max_outbuf: usize,
+    pub admission: Admission,
+    pub counters: Counters,
+}
 
-    loop {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            break;
+impl Net {
+    pub(crate) fn new(
+        tcp: Option<TcpListener>,
+        unix: Option<UnixListener>,
+        cfg: &crate::IngressConfig,
+    ) -> Net {
+        Net {
+            tcp,
+            unix,
+            conns: BTreeMap::new(),
+            next_conn: 1,
+            cursor: 0,
+            chunk: vec![0u8; 16 * 1024],
+            max_outbuf: cfg.max_outbuf,
+            admission: Admission {
+                admitting: true,
+                max_batch: cfg.max_inflight.max(1),
+                max_frame: cfg.max_frame,
+                retry_after_ns: cfg.retry_after_ns,
+            },
+            counters: Counters::default(),
         }
-        let mut progress = false;
+    }
 
-        // Accept new connections (bounded per sweep so a connect storm
-        // cannot starve live connections).
+    /// Accepts waiting connections, at most 64 so a connect storm cannot
+    /// starve the live ones.
+    pub(crate) fn accept(&mut self) {
         for _ in 0..64 {
-            let sock = if let Some(l) = &tcp {
-                match l.accept() {
-                    Ok((s, _)) => {
-                        let _ = s.set_nodelay(true);
-                        let _ = s.set_nonblocking(true);
-                        Some(Sock::Tcp(s))
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => None,
-                    Err(_) => None,
-                }
-            } else {
-                None
-            };
-            let sock = match sock {
-                Some(s) => Some(s),
-                None => match &unix {
-                    Some(l) => match l.accept() {
-                        Ok((s, _)) => {
-                            let _ = s.set_nonblocking(true);
-                            Some(Sock::Unix(s))
-                        }
-                        Err(_) => None,
-                    },
-                    None => None,
-                },
-            };
-            let Some(sock) = sock else { break };
-            let id = next_conn;
-            next_conn += 1;
-            shared.connections_opened.fetch_add(1, Ordering::Relaxed);
-            conns.insert(
-                id,
+            let sock: Box<dyn Stream> =
+                if let Some(Ok((s, _))) = self.tcp.as_ref().map(TcpListener::accept) {
+                    let _ = s.set_nodelay(true);
+                    let _ = s.set_nonblocking(true);
+                    Box::new(s)
+                } else if let Some(Ok((s, _))) = self.unix.as_ref().map(UnixListener::accept) {
+                    let _ = s.set_nonblocking(true);
+                    Box::new(s)
+                } else {
+                    return;
+                };
+            self.conns.insert(
+                self.next_conn,
                 Conn {
                     sock,
-                    inbuf: proto::FrameBuffer::new(),
+                    inbuf: FrameBuffer::new(),
+                    waiting: false,
                     out: Vec::new(),
                     out_pos: 0,
                 },
             );
-            progress = true;
+            self.next_conn += 1;
+            self.counters.connections_opened += 1;
         }
+    }
 
-        // Route engine replies into connection write buffers. Replies to
-        // connections that died in the meantime are dropped.
-        while let Ok((conn_id, bytes)) = reply_rx.try_recv() {
-            if let Some(c) = conns.get_mut(&conn_id) {
-                c.out.extend_from_slice(&bytes);
-            }
-            progress = true;
-        }
-
-        // Sweep every connection: flush, read, frame, admit.
-        let ids: Vec<u64> = conns.keys().copied().collect();
-        for id in ids {
-            let Some(conn) = conns.get_mut(&id) else {
-                continue;
-            };
-            match step_conn(id, conn, &shared, &work_tx, &p, &mut read_chunk) {
-                Ok(stepped) => progress |= stepped,
-                Err(reason) => {
-                    conns.remove(&id);
-                    shared.closed(reason);
-                    progress = true;
+    /// Reads every connection, starting just past the last one admitted
+    /// from, and handles every complete frame: a command is admitted into
+    /// `batch`, waits for the next sweep or is shed; a bad payload gets a
+    /// typed error. Closes the connections whose stream ended or broke.
+    pub(crate) fn read(&mut self, batch: &mut Vec<Work>) {
+        let Net {
+            conns,
+            cursor,
+            chunk,
+            admission,
+            counters,
+            ..
+        } = self;
+        let start = *cursor;
+        let mut closed = Vec::new();
+        for bounds in [(Included(start), Unbounded), (Unbounded, Excluded(start))] {
+            for (&id, conn) in conns.range_mut(bounds) {
+                let admitted = batch.len();
+                let handled = if conn.waiting {
+                    Ok(())
+                } else {
+                    conn.read(chunk, &mut counters.bytes_read)
+                };
+                match handled.and_then(|()| admission.frames(id, conn, batch, counters)) {
+                    Ok(()) if batch.len() > admitted => *cursor = id + 1,
+                    Ok(()) => {}
+                    Err(reason) => {
+                        counters.closed(reason);
+                        closed.push(id);
+                    }
                 }
             }
         }
-
-        // Yield-first idling, same rationale as `Ingress::serve`: stay
-        // runnable through short lulls so a flooded peer cannot starve
-        // the sweep out of its timeslice; sleep only when genuinely idle.
-        if progress {
-            idle = 0;
-        } else {
-            idle = idle.saturating_add(1);
-            if idle <= crate::IDLE_YIELDS {
-                std::thread::yield_now();
-            } else {
-                let us = 50u64 << (idle - crate::IDLE_YIELDS - 1).min(4);
-                std::thread::sleep(std::time::Duration::from_micros(us));
-            }
+        for id in closed {
+            conns.remove(&id);
         }
     }
 
-    // Shutdown: every remaining connection is dropped (sockets close on
-    // drop) and accounted for.
-    for _ in conns.drain() {
-        shared.closed(CloseReason::Shutdown);
+    /// Appends the reply to `conn`'s buffer; a reply to a connection that
+    /// closed since its command was admitted is dropped.
+    pub(crate) fn reply(&mut self, conn: u64, req_id: u64, reply: &Reply) {
+        if let Some(c) = self.conns.get_mut(&conn) {
+            c.out.extend_from_slice(&proto::encode_reply(req_id, reply));
+        }
+        self.counters.replied += 1;
+    }
+
+    /// Writes every connection's buffered replies. A connection whose
+    /// write failed is closed, and so is a consumer that cannot keep up
+    /// with its own replies, rather than buffering for it without bound.
+    pub(crate) fn flush(&mut self) {
+        let Net {
+            conns,
+            max_outbuf,
+            counters,
+            ..
+        } = self;
+        conns.retain(|_, conn| {
+            let mut flushed = conn.flush(&mut counters.bytes_written);
+            if flushed.is_ok() && conn.out.len() - conn.out_pos > *max_outbuf {
+                flushed = Err(CloseReason::Slow);
+            }
+            flushed.map_err(|reason| counters.closed(reason)).is_ok()
+        });
+    }
+
+    /// Closes the listeners and every connection.
+    pub(crate) fn shutdown(&mut self) {
+        self.tcp = None;
+        self.unix = None;
+        for _ in std::mem::take(&mut self.conns) {
+            self.counters.closed(CloseReason::Shutdown);
+        }
+    }
+
+    /// Live connection count.
+    pub(crate) fn connections(&self) -> usize {
+        self.conns.len()
     }
 }
 
-/// One sweep step for one connection. `Ok(true)` when any byte moved or
-/// frame was handled; `Err(reason)` when the connection must close.
-fn step_conn(
-    id: u64,
-    conn: &mut Conn,
-    shared: &Shared,
-    work_tx: &SyncSender<Work>,
-    p: &NetParams,
-    chunk: &mut [u8],
-) -> Result<bool, CloseReason> {
-    let mut progress = false;
-
-    // Flush pending reply bytes.
-    while conn.out_pos < conn.out.len() {
-        match conn.sock.write(&conn.out[conn.out_pos..]) {
-            Ok(0) => return Err(CloseReason::Io),
-            Ok(n) => {
-                conn.out_pos += n;
-                shared.bytes_written.fetch_add(n as u64, Ordering::Relaxed);
-                progress = true;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return Err(CloseReason::Io),
-        }
-    }
-    if conn.out_pos == conn.out.len() && conn.out_pos > 0 {
-        conn.out.clear();
-        conn.out_pos = 0;
-    }
-
-    // Read what has arrived (bounded per sweep for fairness).
-    for _ in 0..4 {
-        match conn.sock.read(chunk) {
-            Ok(0) => return Err(CloseReason::Eof),
-            Ok(n) => {
-                conn.inbuf.extend(&chunk[..n]);
-                shared.bytes_read.fetch_add(n as u64, Ordering::Relaxed);
-                progress = true;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return Err(CloseReason::Io),
-        }
-    }
-
-    // Reassemble and handle every complete frame.
-    loop {
-        let frame = match conn.inbuf.next_frame(p.max_frame) {
-            Ok(Some(f)) => f,
-            Ok(None) => break,
-            // Framing is broken: boundaries can't be trusted any more.
-            Err(_) => return Err(CloseReason::Corrupt),
-        };
-        progress = true;
-        match proto::decode_request(&frame) {
-            Ok((req_id, request)) => {
-                admit(id, conn, shared, work_tx, p, req_id, request)?;
-            }
-            Err(e) if e.is_stream_fatal() => return Err(CloseReason::Corrupt),
-            Err(e) => {
-                // Checksum-valid frame, bad payload: typed error reply,
-                // connection lives.
-                shared.malformed_payloads.fetch_add(1, Ordering::Relaxed);
-                let req_id = proto::frame_req_id(&frame).unwrap_or(0);
-                let reply = Reply::Error {
-                    code: crate::ErrorCode::Malformed,
-                    message: e.to_string(),
-                };
-                conn.out
-                    .extend_from_slice(&proto::encode_reply(req_id, &reply));
-            }
-        }
-    }
-
-    // A consumer that cannot keep up with its own replies is cut off
-    // rather than buffered without bound.
-    if conn.out.len() - conn.out_pos > p.max_outbuf {
-        return Err(CloseReason::Slow);
-    }
-
-    Ok(progress)
+/// What decides whether a decoded command is admitted.
+pub(crate) struct Admission {
+    /// False while quiesced: every command is shed.
+    pub admitting: bool,
+    /// Most commands one sweep admits: `max_inflight`, at least 1.
+    max_batch: usize,
+    max_frame: usize,
+    retry_after_ns: u64,
 }
 
-/// Admission control for one decoded request: a permit, then the queue,
-/// with a typed `Shed` reply on any refusal.
-fn admit(
-    id: u64,
-    conn: &mut Conn,
-    shared: &Shared,
-    work_tx: &SyncSender<Work>,
-    p: &NetParams,
-    req_id: u64,
-    request: proto::Request,
-) -> Result<(), CloseReason> {
-    let shed = |conn: &mut Conn, counter: &std::sync::atomic::AtomicU64| {
-        counter.fetch_add(1, Ordering::Relaxed);
-        let reply = Reply::Shed {
-            retry_after_ns: shared.retry_hint(p.retry_after_ns),
-        };
-        conn.out
-            .extend_from_slice(&proto::encode_reply(req_id, &reply));
-    };
-
-    if !shared.admitting.load(Ordering::Relaxed) {
-        shed(conn, &shared.shed_quiesced);
-        return Ok(());
+impl Admission {
+    /// Handles the complete frames buffered on connection `id`. Once the
+    /// batch is full, frames read this sweep wait for the next one;
+    /// frames that already waited are shed.
+    fn frames(
+        &self,
+        id: u64,
+        conn: &mut Conn,
+        batch: &mut Vec<Work>,
+        counters: &mut Counters,
+    ) -> Result<(), CloseReason> {
+        loop {
+            if self.admitting && batch.len() == self.max_batch && !conn.waiting {
+                conn.waiting = !conn.inbuf.is_empty();
+                return Ok(());
+            }
+            let frame = match conn.inbuf.next_frame(self.max_frame) {
+                Ok(Some(f)) => f,
+                Ok(None) => {
+                    conn.waiting = false;
+                    return Ok(());
+                }
+                // Framing is broken: boundaries can't be trusted any more.
+                Err(_) => return Err(CloseReason::Corrupt),
+            };
+            let (req_id, reply) = match proto::decode_request(frame) {
+                Ok((req_id, request)) if self.admitting && batch.len() < self.max_batch => {
+                    batch.push(Work {
+                        conn: id,
+                        req_id,
+                        request,
+                        admitted_at: Instant::now(),
+                    });
+                    counters.admitted += 1;
+                    continue;
+                }
+                Ok((req_id, _)) => {
+                    if self.admitting {
+                        counters.shed_permits += 1;
+                    } else {
+                        counters.shed_quiesced += 1;
+                    }
+                    // `base` with an empty batch, `2·base` with a full one.
+                    let base = self.retry_after_ns;
+                    let held = batch.len() as u64;
+                    let retry_after_ns = base + base * held / self.max_batch as u64;
+                    (req_id, Reply::Shed { retry_after_ns })
+                }
+                Err(e) if e.is_stream_fatal() => return Err(CloseReason::Corrupt),
+                Err(e) => {
+                    // Checksum-valid frame, bad payload: typed error reply,
+                    // connection lives.
+                    counters.malformed_payloads += 1;
+                    let reply = Reply::Error {
+                        code: ErrorCode::Malformed,
+                        message: e.to_string(),
+                    };
+                    (proto::frame_req_id(frame).unwrap_or(0), reply)
+                }
+            };
+            conn.out
+                .extend_from_slice(&proto::encode_reply(req_id, &reply));
+        }
     }
-    if !shared.limiter.try_acquire() {
-        shed(conn, &shared.shed_permits);
-        return Ok(());
-    }
-    // Every queued command holds a permit, so with one in hand there is
-    // room: this send does not block. It fails only when the engine half
-    // is gone.
-    let work = Work {
-        conn: id,
-        req_id,
-        request,
-        admitted_at: Instant::now(),
-    };
-    if work_tx.send(work).is_err() {
-        shared.limiter.release();
-        return Err(CloseReason::Shutdown);
-    }
-    shared.admitted.fetch_add(1, Ordering::Relaxed);
-    Ok(())
 }

@@ -12,11 +12,11 @@
 //!
 //! Every payload type declares its layout once, as the `pdo_snap::Codec`
 //! field table next to it; encode and decode are both derived from that
-//! table. Raise arguments travel `as Marshaled`: the `pdo-events`
+//! table. Raise arguments travel `as WireArgs`: the `pdo-events`
 //! marshaling layout — a tag vector then the value bodies, exactly how
-//! [`pdo_events::marshal`] packs arguments for generic dispatch — and the
-//! decoder runs the same tag/value validation walk (`unmarshal`) the
-//! generic path pays.
+//! [`pdo_events::marshal`] packs arguments for generic dispatch — read
+//! body by body under each tag, so a body that does not match its tag
+//! cannot decode.
 //!
 //! Error classification matters more than error detail here: a frame that
 //! fails *framing* (bad magic, bad version, bad checksum, impossible
@@ -27,9 +27,11 @@
 //! encodes that split.
 
 use crate::IngressError;
-use pdo_events::marshal::Marshaled;
 use pdo_ir::{Module, Value};
-use pdo_snap::{codec_enum, codec_struct, peek_frame_len, Codec, SnapReader, SnapWriter};
+use pdo_snap::{
+    codec_enum, codec_struct, peek_frame_len, Codec, SnapReader, SnapWriter, SnapshotError, Tag,
+    Via,
+};
 
 /// Leading bytes of every ingress frame. Distinct from the `pdo-snap`
 /// durable-image magic so a wire frame can never be mistaken for a
@@ -129,12 +131,48 @@ pub enum Request {
 
 codec_enum!(Request {
     1 => Open(kind),
-    2 => Raise { session, event, mode, args as Marshaled },
+    2 => Raise { session, event, mode, args as WireArgs },
     3 => Query { session },
     4 => Close { session },
     5 => MetricsScrape,
     6 => TraceDump { selector, format },
 });
+
+/// Raise arguments in the marshal layout: one count, the tag vector,
+/// then the value bodies. Hand-written because that tags-then-bodies
+/// shape is the point: a field table would interleave each tag with its
+/// body. The count and the tags read as one `Vec<Tag>`, then each body
+/// is read by its tag.
+#[derive(Debug, Clone, PartialEq)]
+struct WireArgs(Vec<Value>);
+
+impl Codec for WireArgs {
+    fn put(&self, w: &mut SnapWriter) {
+        w.len_prefix(self.0.len());
+        for v in &self.0 {
+            Tag::of(v).put(w);
+        }
+        for v in &self.0 {
+            Tag::put_body(v, w);
+        }
+    }
+
+    fn take(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let tags = Vec::<Tag>::take(r)?;
+        let values: Result<_, _> = tags.iter().map(|t| t.take_body(r)).collect();
+        Ok(WireArgs(values?))
+    }
+}
+
+impl Via<WireArgs> for Vec<Value> {
+    fn to_wire(&self) -> WireArgs {
+        WireArgs(self.clone())
+    }
+
+    fn from_wire(wire: WireArgs) -> Result<Self, SnapshotError> {
+        Ok(wire.0)
+    }
+}
 
 /// Which traces a [`Request::TraceDump`] pulls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -334,11 +372,15 @@ pub fn frame_req_id(frame: &[u8]) -> Option<u64> {
 }
 
 /// Reassembles frames from a byte stream that arrives in arbitrary
-/// chunks. Feed bytes with [`FrameBuffer::extend`], then drain complete
-/// frames with [`FrameBuffer::next_frame`].
+/// chunks. Feed bytes with [`FrameBuffer::extend`], then pop complete
+/// frames with [`FrameBuffer::next_frame`], which lends each frame out of
+/// the buffer and advances a cursor past it. The popped bytes are dropped
+/// by the next `extend`, once per read rather than once per frame.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
+    /// Start of the first byte not yet popped.
+    head: usize,
 }
 
 impl FrameBuffer {
@@ -347,22 +389,26 @@ impl FrameBuffer {
         FrameBuffer::default()
     }
 
-    /// Appends freshly read bytes.
+    /// Appends freshly read bytes, first dropping the frames already
+    /// popped.
     pub fn extend(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.head);
+        self.head = 0;
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Bytes currently buffered.
+    /// Bytes buffered and not yet popped.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.head
     }
 
-    /// True when nothing is buffered.
+    /// True when nothing is left to pop.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
-    /// Pops the next complete frame, if one is fully buffered.
+    /// Pops the next complete frame, if one is fully buffered. The frame
+    /// is borrowed from the buffer until the next call.
     ///
     /// `Ok(None)` means the bytes so far are a consistent prefix — read
     /// more. An error means the stream is unrecoverable at this position
@@ -373,8 +419,9 @@ impl FrameBuffer {
     ///
     /// [`IngressError::Frame`] on header corruption,
     /// [`IngressError::FrameTooLarge`] on an over-limit declaration.
-    pub fn next_frame(&mut self, max_frame: usize) -> Result<Option<Vec<u8>>, IngressError> {
-        let total = match peek_frame_len(&self.buf, &WIRE_MAGIC) {
+    pub fn next_frame(&mut self, max_frame: usize) -> Result<Option<&[u8]>, IngressError> {
+        let rest = &self.buf[self.head..];
+        let total = match peek_frame_len(rest, &WIRE_MAGIC) {
             Ok(Some(total)) => total,
             Ok(None) => return Ok(None),
             Err(e) => return Err(IngressError::Frame(e)),
@@ -385,12 +432,12 @@ impl FrameBuffer {
                 max: max_frame,
             });
         }
-        if self.buf.len() < total {
+        if rest.len() < total {
             return Ok(None);
         }
-        let frame = self.buf[..total].to_vec();
-        self.buf.drain(..total);
-        Ok(Some(frame))
+        let start = self.head;
+        self.head += total;
+        Ok(Some(&self.buf[start..self.head]))
     }
 }
 
@@ -498,7 +545,7 @@ mod tests {
         for &b in &stream {
             fb.extend(&[b]);
             while let Some(frame) = fb.next_frame(MAX_FRAME_LEN).unwrap() {
-                out.push(frame);
+                out.push(frame.to_vec());
             }
         }
         assert_eq!(out, vec![f1.clone(), f2.clone()]);
@@ -510,6 +557,15 @@ mod tests {
         assert_eq!(fb.next_frame(MAX_FRAME_LEN).unwrap().unwrap(), f1);
         assert_eq!(fb.next_frame(MAX_FRAME_LEN).unwrap().unwrap(), f2);
         assert!(fb.next_frame(MAX_FRAME_LEN).unwrap().is_none());
+        assert!(fb.is_empty());
+
+        // A read after the pops drops the popped bytes and keeps the
+        // partial frame it completes.
+        fb.extend(&f1[..10]);
+        assert!(fb.next_frame(MAX_FRAME_LEN).unwrap().is_none());
+        fb.extend(&f1[10..]);
+        assert_eq!(fb.len(), f1.len());
+        assert_eq!(fb.next_frame(MAX_FRAME_LEN).unwrap().unwrap(), f1);
     }
 
     #[test]
@@ -568,6 +624,33 @@ mod tests {
                 "{err}"
             );
         }
+    }
+
+    #[test]
+    fn marshal_layout_is_count_tags_bodies_and_survives_the_sweep() {
+        let args = WireArgs(vec![
+            Value::Int(7),
+            Value::Unit,
+            Value::bytes(vec![9, 9]),
+            Value::Bool(true),
+            Value::str("s"),
+        ]);
+        hostile::check(&args);
+
+        let mut w = SnapWriter::new();
+        w.u64(5);
+        for tag in [1, 0, 3, 2, 4] {
+            w.u8(tag);
+        }
+        w.i64(7);
+        w.bytes(&[9, 9]);
+        w.bool(true);
+        w.str("s");
+        assert_eq!(w.finish(), pdo_snap::encode(&args));
+
+        // Past the eight inline tags the decoder spills, with the same
+        // bytes either way.
+        hostile::check(&WireArgs((0..11).map(Value::Int).collect()));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Live loopback tests: a real `Server` behind a real `Ingress`, spoken
 //! to over actual TCP and Unix sockets by client threads.
 //!
-//! The engine half (`Ingress::drive`/`serve`) runs on the test's main
+//! The ingress (`Ingress::drive`/`serve`) runs on the test's main
 //! thread — the `!Send` server never moves — while clients run on
 //! spawned threads and coordinate through channels. Every test ends by
 //! asserting the server still serves: the acceptance bar is that nothing
@@ -146,7 +146,7 @@ fn unix_socket_serves_protocol_sessions() {
     assert!(!path.exists(), "socket file removed on shutdown");
 }
 
-/// With one permit and a paused engine, a pipelined burst is shed — with
+/// With a batch of one and a paused engine, a pipelined burst is shed — with
 /// typed replies carrying a retry hint, not dropped connections or
 /// unbounded queues — and the session keeps working afterwards.
 #[test]
@@ -215,8 +215,8 @@ fn over_capacity_burst_is_shed_with_typed_replies() {
     while !stop.load(Ordering::SeqCst) {
         assert!(Instant::now() < deadline, "engine loop timed out");
         if paused.load(Ordering::SeqCst) {
-            // Hold the engine until the whole burst hit the acceptor, so
-            // shedding is decided by admission control alone.
+            // Hold the engine until the whole burst is on the socket, so
+            // one sweep reads it and admission control alone decides.
             burst_sent_rx.recv().unwrap();
             std::thread::sleep(Duration::from_millis(100));
             paused.store(false, Ordering::SeqCst);
@@ -230,11 +230,60 @@ fn over_capacity_burst_is_shed_with_typed_replies() {
     // Admitted = the open, every burst request that came back Done, and
     // the final query.
     assert_eq!(ingress.admitted_total() as usize, done + 2);
-    // One bound: every shed of the burst ran out of permits.
+    // One bound: every shed of the burst found the batch full.
     let metrics = ingress.metrics();
     let shed_by = |reason| metrics.counter_value("pdo_ingress_shed_total", &[("reason", reason)]);
     assert_eq!(shed_by("permits"), Some(shed as u64));
     assert_eq!(shed_by("quiesced"), Some(0));
+}
+
+/// Two connections that each pipeline a burst past a small batch both
+/// get commands admitted: each sweep starts just past the last
+/// connection it admitted from, so a full batch is not always taken by
+/// the connection accepted first.
+#[test]
+fn a_full_batch_rotates_across_connections() {
+    const BURST: u64 = 64;
+    let mut server = Server::new(ServerConfig::default());
+    let cfg = IngressConfig {
+        max_inflight: 4,
+        ..IngressConfig::default()
+    };
+    let mut ingress = Ingress::bind(cfg, 1).unwrap();
+    let addr = ingress.tcp_addr().unwrap();
+
+    // `Close` of an unknown session needs no setup and is admitted like
+    // any other command: it replies `Closed`, or `Shed` when refused.
+    let mut conns = [
+        Client::connect_tcp(addr).unwrap(),
+        Client::connect_tcp(addr).unwrap(),
+    ];
+    for c in &mut conns {
+        for i in 0..BURST {
+            let frame = proto::encode_request(i, &Request::Close { session: 1 << 40 });
+            c.send_raw(&frame).unwrap();
+        }
+    }
+    // Let both bursts land before the first sweep reads them.
+    std::thread::sleep(Duration::from_millis(50));
+
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while ingress.admitted_total() + ingress.shed_total() < 2 * BURST {
+        assert!(Instant::now() < deadline, "engine loop timed out");
+        ingress.drive(&mut server).unwrap();
+    }
+    for (k, c) in conns.iter_mut().enumerate() {
+        let mut admitted = 0;
+        for _ in 0..BURST {
+            match c.recv_reply().unwrap().1 {
+                Reply::Closed { existed: false } => admitted += 1,
+                Reply::Shed { .. } => {}
+                other => panic!("expected Closed or Shed, got {other:?}"),
+            }
+        }
+        assert!(admitted > 0, "connection {k} had every command shed");
+    }
+    assert!(ingress.shed_total() > 0, "the bursts overflow the batch");
 }
 
 /// Corruption policy end to end: a checksum-valid frame with a bad body
@@ -300,6 +349,72 @@ fn corrupt_frames_never_wedge_the_server() {
         ),
         Some(1)
     );
+}
+
+/// A consumer that pipelines requests past `max_outbuf` of replies without
+/// reading any is closed with reason `slow`, while another connection is
+/// served before and after.
+#[test]
+fn slow_consumer_is_closed_while_others_are_served() {
+    // Metrics scrapes reply with kilobytes each: 2 000 of them are far
+    // more than the Unix socket's buffer plus `max_outbuf`.
+    const SCRAPES: usize = 2_000;
+    let path = std::env::temp_dir().join(format!("pdo-ingress-slow-{}.sock", std::process::id()));
+    let mut server = Server::new(ServerConfig::default());
+    let cfg = IngressConfig {
+        unix: Some(path.clone()),
+        max_outbuf: 64 << 10,
+        ..IngressConfig::default()
+    };
+    let mut ingress = Ingress::bind(cfg, 1).unwrap();
+    let addr = ingress.tcp_addr().unwrap();
+    let done = Arc::new(AtomicBool::new(false));
+    let (closed_tx, closed_rx) = mpsc::channel::<()>();
+
+    let c_done = Arc::clone(&done);
+    let client = std::thread::spawn(move || {
+        let (m, e, binds) = counter_module();
+        let mut served = Client::connect_tcp(addr).unwrap();
+        let session = served.open(plain_open(&m, &binds)).unwrap();
+
+        // Pipeline the scrapes and never read a reply. Once the ingress
+        // cuts the connection, the remaining writes fail.
+        let mut slow = Client::connect_unix(&path).unwrap();
+        let scrape = proto::encode_request(1, &Request::MetricsScrape);
+        for _ in 0..SCRAPES {
+            if slow.send_raw(&scrape).is_err() {
+                break;
+            }
+        }
+        closed_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the slow consumer was never closed");
+
+        let reply = served.raise(session, e.0, WireMode::Sync, vec![]).unwrap();
+        assert_eq!(reply, Reply::Done, "the other connection is still served");
+        c_done.store(true, Ordering::SeqCst);
+    });
+
+    let closed = |ingress: &Ingress, reason| {
+        ingress.metrics().counter_value(
+            "pdo_ingress_connections_closed_total",
+            &[("reason", reason)],
+        )
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut told = false;
+    while !done.load(Ordering::SeqCst) {
+        assert!(Instant::now() < deadline, "engine loop timed out");
+        ingress.drive(&mut server).unwrap();
+        if !told && closed(&ingress, "slow") == Some(1) {
+            closed_tx.send(()).unwrap();
+            told = true;
+        }
+        std::thread::sleep(Duration::from_micros(50));
+    }
+    client.join().unwrap();
+    assert_eq!(closed(&ingress, "slow"), Some(1));
+    assert_eq!(closed(&ingress, "io"), Some(0));
 }
 
 /// Quiesce over the wire: in-flight work drains, later requests shed

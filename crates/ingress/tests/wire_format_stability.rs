@@ -183,6 +183,7 @@ fn golden_wire_stream_decodes_to_the_pinned_values() {
         fb.next_frame(MAX_FRAME_LEN)
             .expect("fixture frames are well-formed")
             .expect("fixture holds one frame per pinned value")
+            .to_vec()
     };
     for (i, req) in golden_requests().into_iter().enumerate() {
         assert_eq!(decode_request(&next()).unwrap(), (i as u64, req));
@@ -208,7 +209,7 @@ fn previous_version_frame_is_refused_by_version() {
         .next_frame(MAX_FRAME_LEN)
         .expect("the header reassembles")
         .expect("one whole frame");
-    let err = decode_request(&first).unwrap_err();
+    let err = decode_request(first).unwrap_err();
     assert!(
         matches!(
             err,

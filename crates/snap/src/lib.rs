@@ -260,8 +260,11 @@ impl SnapWriter {
         self.u64(n as u64);
     }
 
-    /// Appends a length-prefixed byte string.
+    /// Appends a length-prefixed byte string. A bulk field is what grows a
+    /// frame, so it also reserves room for the trailing checksum:
+    /// [`SnapWriter::finish_frame`] then appends it without a copy.
     pub fn bytes(&mut self, v: &[u8]) {
+        self.buf.reserve(8 + v.len() + 8);
         self.len_prefix(v.len());
         self.buf.extend_from_slice(v);
     }

@@ -194,7 +194,7 @@ proptest! {
             fb.extend(&garbage);
             if let Ok(Some(f)) = fb.next_frame(MAX_FRAME_LEN) {
                 prop_assert!(
-                    decode_request(&f).is_err(),
+                    decode_request(f).is_err(),
                     "random garbage cannot decode as a request"
                 );
             }
@@ -231,8 +231,8 @@ fn corrupted_wire_traffic_leaves_the_server_serving() {
                 .unwrap();
             let mut bad = good.clone();
             if round % 3 == 2 {
-                // Truncated frame: the acceptor waits for the rest until
-                // we hang up, then sees EOF.
+                // Truncated frame: the sweep waits for the rest until we
+                // hang up, then sees EOF.
                 let cut = 1 + rng.below((bad.len() - 1) as u64) as usize;
                 bad.truncate(cut);
             } else {
@@ -253,8 +253,8 @@ fn corrupted_wire_traffic_leaves_the_server_serving() {
         attacker_stop.store(true, Ordering::SeqCst);
     });
 
-    // Engine runs while the attacker hammers; bad frames are handled
-    // acceptor-side, valid decoded commands drain here.
+    // Engine runs while the attacker hammers; bad frames close their
+    // connection or get a typed error inside the sweep.
     ingress.serve(&mut server, &stop).unwrap();
     attacker.join().unwrap();
 
