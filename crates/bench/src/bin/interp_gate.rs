@@ -1,5 +1,5 @@
-//! Superinstruction speedup gate: proves profile-directed fusion pays on
-//! the interpreter's hot inner loops, and that opcode-profile sampling is
+//! Superinstruction speedup gate: proves fusion pays on the interpreter's
+//! hot inner loops, and that counting executed and fused instructions is
 //! near-free on the dispatch path.
 //!
 //! Three handler bodies model the paper's workload inner loops:
@@ -19,8 +19,8 @@
 //! headline statistic per workload is the ratio of the medians of the
 //! per-round minimum batch averages; the gate passes when at least one
 //! workload speeds up by [`GATE`] (1.5×) or more. A second, independent
-//! check times a full generic-dispatch runtime with opcode-profile
-//! sampling on vs off and fails if sampling costs more than
+//! check times a full generic-dispatch runtime with the interpreter's
+//! instruction counters on vs off and fails if counting costs more than
 //! [`OVERHEAD_GATE`] (5%). A third counts heap allocations per call beside
 //! every timing: none of the three bodies builds a byte buffer, so the
 //! interpreter must run them, fused and unfused, without allocating at all.
@@ -174,9 +174,9 @@ fn kernel_rounds(a_mod: &Module, b_mod: &Module) -> (Side, Side) {
     )
 }
 
-/// A generic-dispatch runtime for the sampling overhead check: one event
+/// A generic-dispatch runtime for the counting overhead check: one event
 /// fanned out to six short handlers, the registry-walk-plus-small-body
-/// shape a caller pays who switches opcode recording on (same mix as
+/// shape a caller pays who switches instruction counting on (same mix as
 /// `BENCH_dispatch.json`'s workload, where dispatch overhead and handler
 /// work are both on the clock).
 fn dispatch_runtime(profiling: bool) -> (Runtime, EventId) {
@@ -409,7 +409,7 @@ fn main() {
         ));
     }
 
-    // Opcode-profile sampling overhead on the full dispatch path.
+    // Instruction-counting overhead on the full dispatch path.
     let (mut off_rt, e) = dispatch_runtime(false);
     let (mut on_rt, _) = dispatch_runtime(true);
     let (off, on) = ab_rounds(
@@ -420,7 +420,7 @@ fn main() {
     );
     assert!(
         on_rt.opcode_profile_data().is_some_and(|p| p.total() > 0),
-        "profiling runtime must actually record opcodes"
+        "profiling runtime must actually count instructions"
     );
     let off_allocs = allocs_per_call(|| off_rt.raise(black_box(e), RaiseMode::Sync, &[]).unwrap());
     let on_allocs = allocs_per_call(|| on_rt.raise(black_box(e), RaiseMode::Sync, &[]).unwrap());

@@ -15,12 +15,8 @@
 //! argument, default `BENCH_dispatch.json` in the working directory, and
 //! exits nonzero when the gate fails.
 
-use pdo::{optimize, OptimizeOptions};
-use pdo_bench::{measure, Measurement, Side};
-use pdo_events::{Runtime, TraceConfig};
-use pdo_ir::{BinOp, EventId, FuncId, FunctionBuilder, Module, RaiseMode, Value};
-use pdo_profile::Profile;
-use std::hint::black_box;
+use pdo_bench::{fastpath_runtime, raise_round, Side};
+use pdo_events::Runtime;
 
 /// Maximum tolerated metrics-on/metrics-off ratio.
 const GATE: f64 = 1.05;
@@ -28,73 +24,17 @@ const GATE: f64 = 1.05;
 /// Interleaved measurement rounds per side (median taken across them).
 const ROUNDS: usize = 9;
 
-/// Batch-average samples per round (passed to [`measure`]).
+/// Batch-average samples per round (passed to [`raise_round`]).
 const SAMPLES: usize = 10;
-
-fn build_module(handlers: usize) -> (Module, EventId, Vec<FuncId>) {
-    let mut m = Module::new();
-    let e = m.add_event("E");
-    let g = m.add_global("acc", Value::Int(0));
-    let ids = (0..handlers)
-        .map(|i| {
-            let mut b = FunctionBuilder::new(format!("h{i}"), 1);
-            b.lock(g);
-            let v = b.load_global(g);
-            let k = b.const_int(i as i64 + 1);
-            let s = b.bin(BinOp::Add, v, k);
-            b.store_global(g, s);
-            b.unlock(g);
-            b.ret(None);
-            m.add_function(b.finish())
-        })
-        .collect();
-    (m, e, ids)
-}
-
-fn runtime_for(m: &Module, e: EventId, hs: &[FuncId]) -> Runtime {
-    let mut rt = Runtime::new(m.clone());
-    for (i, &h) in hs.iter().enumerate() {
-        rt.bind(e, h, i as i32).expect("bind");
-    }
-    rt
-}
-
-/// Builds a runtime running the specialized fast path for `E`, matching
-/// the `dispatch` bench's fastpath configuration.
-fn fastpath_runtime(metrics: bool) -> (Runtime, EventId) {
-    let (m, e, hs) = build_module(6);
-    let mut prof_rt = runtime_for(&m, e, &hs);
-    prof_rt.set_trace_config(TraceConfig::full());
-    for _ in 0..100 {
-        prof_rt.raise(e, RaiseMode::Sync, &[Value::Unit]).unwrap();
-    }
-    let profile = Profile::from_trace(&prof_rt.take_trace(), 50);
-    let opt = optimize(&m, prof_rt.registry(), &profile, &OptimizeOptions::new(50));
-    let mut rt = runtime_for(&opt.module, e, &hs);
-    opt.install_chains(&mut rt);
-    if metrics {
-        rt.enable_observability();
-    }
-    (rt, e)
-}
-
-fn round(rt: &mut Runtime, e: EventId) -> Measurement {
-    measure(
-        || {
-            rt.raise(black_box(e), RaiseMode::Sync, &[Value::Unit])
-                .unwrap()
-        },
-        SAMPLES,
-    )
-}
 
 fn main() {
     let out = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_dispatch.json".into());
 
-    let (mut off_rt, e) = fastpath_runtime(false);
-    let (mut on_rt, _) = fastpath_runtime(true);
+    let (mut off_rt, e) = fastpath_runtime();
+    let (mut on_rt, _) = fastpath_runtime();
+    on_rt.enable_observability();
     assert!(
         off_rt.obs().is_none(),
         "metrics-off runtime must have no hub"
@@ -110,8 +50,8 @@ fn main() {
         } else {
             (&mut on_rt, &mut off_rt)
         };
-        let a = round(first, e);
-        let b = round(second, e);
+        let a = raise_round(first, e, SAMPLES);
+        let b = raise_round(second, e, SAMPLES);
         let (off, on) = if i % 2 == 0 { (a, b) } else { (b, a) };
         off_side.push(off);
         on_side.push(on);

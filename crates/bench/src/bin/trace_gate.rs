@@ -17,13 +17,8 @@
 //! first argument, default `BENCH_trace.json` in the working directory,
 //! and exits nonzero when either gate fails.
 
-use pdo::{optimize, OptimizeOptions};
-use pdo_bench::{measure, Measurement, Side};
-use pdo_events::{Runtime, TraceConfig};
-use pdo_ir::{BinOp, EventId, FuncId, FunctionBuilder, Module, RaiseMode, Value};
+use pdo_bench::{fastpath_runtime, raise_round, Side};
 use pdo_obs::trace::TraceStore;
-use pdo_profile::Profile;
-use std::hint::black_box;
 
 /// Maximum tolerated attached-but-disabled / no-store ratio.
 const GATE_OFF: f64 = 1.02;
@@ -34,95 +29,25 @@ const GATE_ON: f64 = 1.10;
 /// Interleaved measurement rounds per side (median taken across them).
 const ROUNDS: usize = 9;
 
-/// Batch-average samples per round (passed to [`measure`]).
+/// Batch-average samples per round (passed to [`raise_round`]).
 const SAMPLES: usize = 10;
-
-fn build_module(handlers: usize) -> (Module, EventId, Vec<FuncId>) {
-    let mut m = Module::new();
-    let e = m.add_event("E");
-    let g = m.add_global("acc", Value::Int(0));
-    let ids = (0..handlers)
-        .map(|i| {
-            let mut b = FunctionBuilder::new(format!("h{i}"), 1);
-            b.lock(g);
-            let v = b.load_global(g);
-            let k = b.const_int(i as i64 + 1);
-            let s = b.bin(BinOp::Add, v, k);
-            b.store_global(g, s);
-            b.unlock(g);
-            b.ret(None);
-            m.add_function(b.finish())
-        })
-        .collect();
-    (m, e, ids)
-}
-
-fn runtime_for(m: &Module, e: EventId, hs: &[FuncId]) -> Runtime {
-    let mut rt = Runtime::new(m.clone());
-    for (i, &h) in hs.iter().enumerate() {
-        rt.bind(e, h, i as i32).expect("bind");
-    }
-    rt
-}
-
-/// How the measured runtime carries the trace layer.
-#[derive(Clone, Copy, PartialEq)]
-enum Tracing {
-    /// No store attached: the pre-tracing hot path.
-    None,
-    /// Store attached but disabled — the deployment default, one
-    /// enabled-check more than `None`.
-    AttachedOff,
-    /// Recording every raise and dispatch.
-    On,
-}
-
-/// Builds a runtime running the specialized fast path for `E`, matching
-/// the `dispatch` bench's fastpath configuration, with the requested
-/// trace layer.
-fn fastpath_runtime(tracing: Tracing) -> (Runtime, EventId) {
-    let (m, e, hs) = build_module(6);
-    let mut prof_rt = runtime_for(&m, e, &hs);
-    prof_rt.set_trace_config(TraceConfig::full());
-    for _ in 0..100 {
-        prof_rt.raise(e, RaiseMode::Sync, &[Value::Unit]).unwrap();
-    }
-    let profile = Profile::from_trace(&prof_rt.take_trace(), 50);
-    let opt = optimize(&m, prof_rt.registry(), &profile, &OptimizeOptions::new(50));
-    let mut rt = runtime_for(&opt.module, e, &hs);
-    opt.install_chains(&mut rt);
-    match tracing {
-        Tracing::None => {}
-        Tracing::AttachedOff => {
-            let store = TraceStore::new(0);
-            store.set_enabled(false);
-            rt.set_tracer(store);
-        }
-        Tracing::On => {
-            rt.enable_tracing();
-        }
-    }
-    (rt, e)
-}
-
-fn round(rt: &mut Runtime, e: EventId) -> Measurement {
-    measure(
-        || {
-            rt.raise(black_box(e), RaiseMode::Sync, &[Value::Unit])
-                .unwrap()
-        },
-        SAMPLES,
-    )
-}
 
 fn main() {
     let out = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_trace.json".into());
 
-    let (mut none_rt, e) = fastpath_runtime(Tracing::None);
-    let (mut off_rt, _) = fastpath_runtime(Tracing::AttachedOff);
-    let (mut on_rt, _) = fastpath_runtime(Tracing::On);
+    // No store attached: the pre-tracing hot path.
+    let (mut none_rt, e) = fastpath_runtime();
+    // Store attached but disabled: the deployment default, one
+    // enabled-check more.
+    let (mut off_rt, _) = fastpath_runtime();
+    let store = TraceStore::new(0);
+    store.set_enabled(false);
+    off_rt.set_tracer(store);
+    // Recording every raise and dispatch.
+    let (mut on_rt, _) = fastpath_runtime();
+    on_rt.enable_tracing();
     assert!(none_rt.tracer().is_none(), "baseline must have no store");
     assert!(
         off_rt.tracer().is_some_and(|t| !t.enabled()),
@@ -144,7 +69,7 @@ fn main() {
                 1 => &mut off_rt,
                 _ => &mut on_rt,
             };
-            sides[which].push(round(rt, e));
+            sides[which].push(raise_round(rt, e, SAMPLES));
         }
     }
 

@@ -21,6 +21,10 @@ pub mod sizes;
 pub mod video;
 pub mod xcli;
 
+use pdo::{optimize, OptimizeOptions};
+use pdo_events::{Runtime, TraceConfig};
+use pdo_ir::{BinOp, EventId, FuncId, FunctionBuilder, Module, RaiseMode, Value};
+use pdo_profile::Profile;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
@@ -231,6 +235,64 @@ pub fn ab_rounds<A, B>(
         }
     }
     (side_a, side_b)
+}
+
+/// The overhead gates' dispatch workload: six handlers of `E`, each a
+/// locked bump of one shared global.
+fn build_module() -> (Module, EventId, Vec<FuncId>) {
+    let mut m = Module::new();
+    let e = m.add_event("E");
+    let g = m.add_global("acc", Value::Int(0));
+    let ids = (0..6)
+        .map(|i| {
+            let mut b = FunctionBuilder::new(format!("h{i}"), 1);
+            b.lock(g);
+            let v = b.load_global(g);
+            let k = b.const_int(i as i64 + 1);
+            let s = b.bin(BinOp::Add, v, k);
+            b.store_global(g, s);
+            b.unlock(g);
+            b.ret(None);
+            m.add_function(b.finish())
+        })
+        .collect();
+    (m, e, ids)
+}
+
+fn runtime_for(m: &Module, e: EventId, hs: &[FuncId]) -> Runtime {
+    let mut rt = Runtime::new(m.clone());
+    for (i, &h) in hs.iter().enumerate() {
+        rt.bind(e, h, i as i32).expect("bind");
+    }
+    rt
+}
+
+/// A runtime that dispatches `E` through its specialized fast path: six
+/// handlers profiled, optimized and installed as one chain, with no sink
+/// attached. `obs_gate` and `trace_gate` each attach the one they measure.
+pub fn fastpath_runtime() -> (Runtime, EventId) {
+    let (m, e, hs) = build_module();
+    let mut prof_rt = runtime_for(&m, e, &hs);
+    prof_rt.set_trace_config(TraceConfig::full());
+    for _ in 0..100 {
+        prof_rt.raise(e, RaiseMode::Sync, &[Value::Unit]).unwrap();
+    }
+    let profile = Profile::from_trace(&prof_rt.take_trace(), 50);
+    let opt = optimize(&m, prof_rt.registry(), &profile, &OptimizeOptions::new(50));
+    let mut rt = runtime_for(&opt.module, e, &hs);
+    opt.install_chains(&mut rt);
+    (rt, e)
+}
+
+/// One [`measure`] round of synchronous raises of `e` on `rt`.
+pub fn raise_round(rt: &mut Runtime, e: EventId, samples: usize) -> Measurement {
+    measure(
+        || {
+            rt.raise(black_box(e), RaiseMode::Sync, &[Value::Unit])
+                .unwrap()
+        },
+        samples,
+    )
 }
 
 /// Formats a ratio as the paper's `(%)` columns: optimized as a percentage

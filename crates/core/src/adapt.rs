@@ -1013,7 +1013,7 @@ mod tests {
             rt.module().functions[base_fns..].iter().any(|f| f
                 .blocks
                 .iter()
-                .any(|b| b.instrs.iter().any(|i| i.opcode().is_fused()))),
+                .any(|b| b.instrs.iter().any(|i| i.is_fused()))),
             "online reprofile should fuse the super-handler"
         );
         assert_eq!(rt.module().functions[..base_fns], m.functions[..]);
@@ -1031,10 +1031,10 @@ mod tests {
 
     #[test]
     fn engine_leaves_opcode_profiling_to_the_caller() {
-        let opcode_series = |rt: &Runtime| {
+        let fused_series = |rt: &Runtime| {
             let mut snap = MetricsSnapshot::new();
             rt.export_metrics(&mut snap, &[]);
-            snap.render().contains("pdo_interp_opcode_total")
+            snap.render().contains("pdo_interp_fused_total")
         };
         let (m, [a, b], [ga, _]) = two_chain_module();
         let mut rt = Runtime::new(m.clone());
@@ -1042,13 +1042,19 @@ mod tests {
         let _engine = AdaptiveEngine::attach_new(&mut rt, config());
         drive(&mut rt, a, 60);
         assert!(rt.spec().get(a).is_some());
-        assert!(!rt.opcode_profiling(), "the engine never switches it on");
-        assert!(!opcode_series(&rt));
-        // The instrument still works for a caller who asks for it.
+        assert!(
+            rt.opcode_profile_data().is_none(),
+            "the engine never switches it on"
+        );
+        assert!(!fused_series(&rt));
+        // The instrument still works for a caller who asks for it, and the
+        // installed chain runs fused.
         rt.set_opcode_profiling(true);
         drive(&mut rt, a, 10);
-        assert!(opcode_series(&rt));
-        assert!(rt.opcode_profile_data().is_some_and(|p| p.total() > 0));
+        assert!(fused_series(&rt));
+        assert!(rt
+            .opcode_profile_data()
+            .is_some_and(|p| p.total() > 0 && p.fused_total() > 0));
         assert_eq!(rt.global(ga), &Value::Int(70 * 3));
     }
 

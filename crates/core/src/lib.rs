@@ -78,7 +78,6 @@ pub mod merge;
 pub mod quarantine;
 pub mod report;
 pub mod subsume;
-pub mod workflow;
 
 pub use adapt::{
     AdaptConfig, AdaptStats, AdaptiveEngine, ChainCache, Deployable, EngineSnapshot, Plan,
@@ -88,7 +87,6 @@ pub use merge::{build_super_handler, build_super_handler_metered, MergeSkip};
 pub use quarantine::{Quarantine, QuarantineConfig, QuarantineEntry};
 pub use report::{EventReport, OptReport};
 pub use subsume::{subsume_direct, sync_raise_sites, RaiseSite};
-pub use workflow::{profile_and_optimize, Deployed, WorkflowError};
 
 use pdo_events::{CompiledChain, Guard, Registry, Runtime};
 use pdo_ir::{EventId, FuncId, Module, NativeId};
@@ -441,8 +439,6 @@ impl Builder<'_> {
             pdo_passes::fuse_function(
                 &mut self.out.functions[idx],
                 FuncId::from_index(idx),
-                None,
-                0,
                 &mut self.report.fused,
             );
         }

@@ -33,8 +33,7 @@
 //! same program points, so exhaustion trips identically in original and
 //! optimized runs and the kind is equivalence-safe *for such builds* (see
 //! [`FaultKind::is_equivalence_safe_with_fuel_boundaries`]). Against chains
-//! compiled without markers it remains best-effort and is excluded by the
-//! stricter [`FaultKind::is_equivalence_safe`].
+//! compiled without markers it remains best-effort.
 
 use pdo_ir::{EventId, Value};
 use std::collections::BTreeMap;
@@ -122,16 +121,11 @@ impl FaultKind {
     }
 
     /// True for kinds whose effect is identical in original and optimized
-    /// runs regardless of how the chains were compiled (see module docs).
-    pub fn is_equivalence_safe(self) -> bool {
-        !matches!(self, FaultKind::ExhaustFuel | FaultKind::HandlerTrap)
-    }
-
-    /// True for kinds whose effect is identical in original and optimized
     /// runs when every installed chain was compiled with fuel-boundary
-    /// markers (`OptimizeOptions::fuel_boundaries`). This adds
-    /// [`FaultKind::ExhaustFuel`] to the safe set: the markers charge the
-    /// boundary budget at exactly the pre-merge handler boundaries.
+    /// markers (`OptimizeOptions::fuel_boundaries`): every kind but
+    /// [`FaultKind::HandlerTrap`]. [`FaultKind::ExhaustFuel`] is safe only
+    /// because the markers charge the boundary budget at exactly the
+    /// pre-merge handler boundaries.
     pub fn is_equivalence_safe_with_fuel_boundaries(self) -> bool {
         !matches!(self, FaultKind::HandlerTrap)
     }

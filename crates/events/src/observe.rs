@@ -12,7 +12,7 @@
 //! | [`RuntimeStats`]             | always                                  |
 //! | [`ObsHub`] histograms        | a hub is attached                       |
 //! | [`TraceStore`] spans         | a store is attached *and* enabled       |
-//! | [`OpcodeProfile`]            | opcode profiling is on                  |
+//! | [`OpcodeProfile`] counters   | opcode profiling is on                  |
 //!
 //! It is a plain struct with inlined fan-out — no trait object, no
 //! subscriber list, no allocation per event — and it charges no
@@ -50,9 +50,10 @@ pub(crate) struct Observers {
     /// Trace context of a just-popped queue/timer entry, consumed by the
     /// next dispatch.
     queued_tctx: Option<(QueuedTrace, DispatchSrc)>,
-    /// `Some` while opcode profiling is on: what the interpreter records
-    /// into.
-    pub(crate) opcode_prof: Option<Box<OpcodeProfile>>,
+    /// `Some` while opcode profiling is on: the two counters the
+    /// interpreter records into. Held inline rather than boxed: the
+    /// recording instance reaches them once per instruction.
+    pub(crate) opcode_prof: Option<OpcodeProfile>,
 }
 
 /// What [`Observers::dispatch_begin`] hands to [`Observers::dispatch_end`].
@@ -343,8 +344,8 @@ impl Observers {
     }
 
     /// Exports the sink-held series: fault and trace-drop counters, the
-    /// opcode profile (if profiling was ever on) and the hub's dispatch
-    /// histograms.
+    /// fused-instruction count (while opcode profiling is on) and the hub's
+    /// dispatch histograms.
     pub(crate) fn export_metrics(&self, snap: &mut MetricsSnapshot, extra: &[(&str, &str)]) {
         snap.counter(
             "pdo_faults_injected_total",
@@ -393,17 +394,7 @@ impl Observers {
                 *n,
             );
         }
-        if let Some(prof) = self.opcode_prof.as_deref() {
-            for (op, n) in prof.counts() {
-                let mut labels: Vec<(&str, &str)> = vec![("op", op.name())];
-                labels.extend_from_slice(extra);
-                snap.counter(
-                    "pdo_interp_opcode_total",
-                    "Interpreter instructions executed per opcode (while opcode profiling is on)",
-                    &labels,
-                    n,
-                );
-            }
+        if let Some(prof) = &self.opcode_prof {
             snap.counter(
                 "pdo_interp_fused_total",
                 "Interpreter superinstructions executed (while opcode profiling is on)",

@@ -155,11 +155,6 @@ impl RuntimeStats {
         self.guard_misses_by_event.get(&event).copied().unwrap_or(0)
     }
 
-    /// Total recorded faults.
-    pub fn total_faults(&self) -> u64 {
-        self.faults_by_event.values().sum()
-    }
-
     /// The fields every equivalent pair of runs must agree on, independent
     /// of whether chains are installed (see the struct docs).
     pub fn observable(&self) -> ObservableStats {
@@ -566,36 +561,28 @@ impl Runtime {
         self.sinks.tracer.as_ref()
     }
 
-    /// Turns interpreter opcode/pair profiling on or off. Off by default:
-    /// an instrument for studying the interpreter, which nothing in the
-    /// product switches on. Turning it off discards the counts; turning it
-    /// on while it is on keeps them.
+    /// Turns the interpreter's instruction counters (executed and fused)
+    /// on or off. Off by default: an instrument for measuring how much of a
+    /// run the fused arms carry, which nothing in the product switches on.
+    /// Turning it off discards the counts; turning it on while it is on
+    /// keeps them.
     pub fn set_opcode_profiling(&mut self, on: bool) {
         if !on {
             self.sinks.opcode_prof = None;
         } else if self.sinks.opcode_prof.is_none() {
-            self.sinks.opcode_prof = Some(Box::new(OpcodeProfile::new()));
+            self.sinks.opcode_prof = Some(OpcodeProfile::default());
         }
     }
 
-    /// Whether the interpreter is recording opcode frequencies.
-    pub fn opcode_profiling(&self) -> bool {
-        self.sinks.opcode_prof.is_some()
-    }
-
-    /// The accumulated opcode profile, while profiling is on.
+    /// The accumulated counters, while profiling is on.
     pub fn opcode_profile_data(&self) -> Option<&OpcodeProfile> {
-        self.sinks.opcode_prof.as_deref()
+        self.sinks.opcode_prof.as_ref()
     }
 
-    /// Takes the accumulated opcode profile, leaving a zeroed one behind.
-    /// Returns `None` when profiling is off.
+    /// Takes the accumulated counters, leaving zeroed ones behind. Returns
+    /// `None` when profiling is off.
     pub fn take_opcode_profile(&mut self) -> Option<OpcodeProfile> {
-        self.sinks.opcode_prof.as_deref_mut().map(|p| {
-            let taken = p.clone();
-            p.reset();
-            taken
-        })
+        self.sinks.opcode_prof.as_mut().map(std::mem::take)
     }
 
     /// The most recent top-level dispatch's trace context — the anchor
@@ -635,11 +622,6 @@ impl Runtime {
     /// counters start fresh).
     pub fn set_fault_injector(&mut self, injector: FaultInjector) {
         self.faults = Some(injector);
-    }
-
-    /// Removes the fault injector, returning it with its counters.
-    pub fn take_fault_injector(&mut self) -> Option<FaultInjector> {
-        self.faults.take()
     }
 
     /// Changes the fault-containment policy mid-run.
@@ -1292,7 +1274,7 @@ impl Env for Runtime {
 
     #[inline]
     fn opcode_profile(&mut self) -> Option<&mut OpcodeProfile> {
-        self.sinks.opcode_prof.as_deref_mut()
+        self.sinks.opcode_prof.as_mut()
     }
 }
 

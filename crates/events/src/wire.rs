@@ -44,16 +44,6 @@ pdo_snap::codec_struct!(WireFaults {
     seed,
 });
 
-impl WireFaults {
-    /// True when every fault probability is zero (a perfect wire).
-    pub fn is_perfect(&self) -> bool {
-        self.drop_per_mille == 0
-            && self.dup_per_mille == 0
-            && self.reorder_per_mille == 0
-            && self.corrupt_per_mille == 0
-    }
-}
-
 /// Counters of what the fault model did to the traffic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireStats {

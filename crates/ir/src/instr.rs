@@ -345,7 +345,7 @@ pub enum Instr {
     /// Superinstruction: `dst = lhs <op> imm` — a fused `Const`+`Bin` with
     /// the constant carried as an immediate operand (no register traffic).
     ///
-    /// Produced by the profile-directed fusion pass; costs exactly as many
+    /// Produced by the fusion pass; costs exactly as many
     /// abstract instructions as its two constituents.
     BinImm {
         op: BinOp,
@@ -567,39 +567,17 @@ impl Instr {
         }
     }
 
-    /// The profile tag for this instruction.
+    /// True for the superinstruction forms the fusion pass produces: the
+    /// ones that charge for more than one constituent.
     #[inline]
-    pub fn opcode(&self) -> crate::cost::Opcode {
-        use crate::cost::Opcode;
-        match self {
-            Instr::Const { .. } => Opcode::Const,
-            Instr::Mov { .. } => Opcode::Mov,
-            Instr::Bin { .. } => Opcode::Bin,
-            Instr::Un { .. } => Opcode::Un,
-            Instr::LoadGlobal { .. } => Opcode::LoadGlobal,
-            Instr::StoreGlobal { .. } => Opcode::StoreGlobal,
-            Instr::Lock { .. } => Opcode::Lock,
-            Instr::Unlock { .. } => Opcode::Unlock,
-            Instr::Call { .. } => Opcode::Call,
-            Instr::CallNative { .. } => Opcode::CallNative,
-            Instr::Raise { .. } => Opcode::Raise,
-            Instr::BytesNew { .. } => Opcode::BytesNew,
-            Instr::BytesLen { .. } => Opcode::BytesLen,
-            Instr::BytesGet { .. } => Opcode::BytesGet,
-            Instr::BytesSet { .. } => Opcode::BytesSet,
-            Instr::BytesConcat { .. } => Opcode::BytesConcat,
-            Instr::BytesSlice { .. } => Opcode::BytesSlice,
-            Instr::BinImm { .. } => Opcode::BinImm,
-            Instr::GlobalFold { .. } => Opcode::GlobalFold,
-            Instr::GlobalFoldImm { .. } => Opcode::GlobalFoldImm,
-            Instr::LockedStore { .. } => Opcode::LockedStore,
-            Instr::LockedFoldImm { .. } => Opcode::LockedFoldImm,
-        }
+    pub fn is_fused(&self) -> bool {
+        self.charge_units() > 1
     }
 
     /// Abstract cost of this instruction in interpreter charge units: 1 for
     /// plain instructions, the constituent count for fused superinstructions
     /// (so fuel and budget semantics are unchanged by fusion).
+    #[inline]
     pub fn charge_units(&self) -> u64 {
         match self {
             Instr::BinImm { .. } => 2,        // const + bin

@@ -14,7 +14,7 @@
 //! cells out by reference ([`Env::global_slot`], [`Env::global_slot_mut`])
 //! and a native call the register its result goes to.
 
-use crate::cost::{CostCounter, OpcodeProfile, RUN_START};
+use crate::cost::{CostCounter, OpcodeProfile};
 use crate::func::{Function, Module};
 use crate::ids::{EventId, FuncId, GlobalId, NativeId, Reg};
 use crate::instr::{BinOp, EvalError, Instr, RaiseMode, Terminator};
@@ -186,14 +186,13 @@ pub trait Env {
         None
     }
 
-    /// The opcode/adjacent-pair frequency profile to record into, if any.
+    /// The instruction counters to record into, if any.
     ///
     /// [`call`] asks once, on entry: `Some` runs the whole activation —
     /// nested direct calls included — in the dispatch loop's recording
-    /// instance, which records every executed instruction's
-    /// [`crate::cost::Opcode`] tag (and the pair it forms with its
-    /// predecessor in the same straight-line run); `None` runs it in the
-    /// instance with no recording code in it at all.
+    /// instance, which counts every executed instruction and every fused
+    /// one; `None` runs it in the instance with no recording code in it at
+    /// all.
     fn opcode_profile(&mut self) -> Option<&mut OpcodeProfile> {
         None
     }
@@ -254,7 +253,7 @@ pub fn call<E: Env + ?Sized>(
 ) -> Result<Value, ExecError> {
     let (f, mut frame) = enter(module, func, args.len(), 0)?;
     frame.0[..args.len()].clone_from_slice(args);
-    // Whether opcodes are recorded is decided here, once, for the whole
+    // Whether instructions are counted is decided here, once, for the whole
     // activation. Nothing that runs inside one can change the answer on the
     // event runtime: `Runtime::set_opcode_profiling` needs `&mut Runtime`,
     // which the activation holds until it returns.
@@ -316,13 +315,6 @@ fn run<E: Env + ?Sized, const PROFILE: bool>(
 ) -> Result<Value, ExecError> {
     let regs = frame.0.as_mut_slice();
 
-    // The profile row of the previous instruction of the straight-line run
-    // being recorded (unused when `PROFILE` is off). A fresh function body
-    // starts a fresh run, and so does everything after a call, a native, a
-    // raise or a block end: pairs never span a point the fusion pass could
-    // not rewrite.
-    let mut prev = RUN_START;
-
     let mut block = 0usize;
     loop {
         let b = &f.blocks[block];
@@ -330,7 +322,7 @@ fn run<E: Env + ?Sized, const PROFILE: bool>(
             charge(env)?;
             if PROFILE {
                 if let Some(p) = env.opcode_profile() {
-                    prev = p.record_after(prev, instr.opcode());
+                    p.record(instr);
                 }
             }
             match instr {
@@ -399,9 +391,6 @@ fn run<E: Env + ?Sized, const PROFILE: bool>(
                     }
                     regs[dst.index()] =
                         run::<E, PROFILE>(module, env, callee, callee_frame, depth + 1)?;
-                    // The callee's body recorded in between; don't pair
-                    // across the return.
-                    prev = RUN_START;
                 }
                 Instr::LockedFoldImm { op, global, imm } => {
                     locked_fold_imm(env, *op, *global, imm)?;
@@ -415,13 +404,9 @@ fn run<E: Env + ?Sized, const PROFILE: bool>(
                 Instr::LockedStore { global, src } => {
                     locked_store(env, *global, &regs[src.index()])?;
                 }
-                Instr::CallNative { .. } | Instr::Raise { .. } => {
-                    bytes_native_or_raise(module, env, regs, instr)?;
-                    // A native may re-enter the interpreter and a sync raise
-                    // runs handlers, all recorded in between.
-                    prev = RUN_START;
-                }
-                Instr::BytesNew { .. }
+                Instr::CallNative { .. }
+                | Instr::Raise { .. }
+                | Instr::BytesNew { .. }
                 | Instr::BytesLen { .. }
                 | Instr::BytesGet { .. }
                 | Instr::BytesSet { .. }
@@ -430,7 +415,6 @@ fn run<E: Env + ?Sized, const PROFILE: bool>(
             }
         }
         charge(env)?;
-        prev = RUN_START;
         match &b.term {
             Terminator::Jump(t) => block = t.index(),
             Terminator::Branch {
@@ -953,7 +937,7 @@ pub struct BasicEnv {
     pub cost: CostCounter,
     /// Optional instruction budget.
     pub fuel: Option<u64>,
-    /// Optional opcode/pair frequency profile (`None` = profiling off).
+    /// Optional instruction counters (`None` = profiling off).
     pub profile: Option<Box<OpcodeProfile>>,
 }
 
@@ -982,9 +966,9 @@ impl BasicEnv {
         }
     }
 
-    /// Turns opcode/pair profiling on (fresh counters).
+    /// Turns instruction counting on (fresh counters).
     pub fn enable_profiling(&mut self) {
-        self.profile = Some(Box::new(OpcodeProfile::new()));
+        self.profile = Some(Box::new(OpcodeProfile::default()));
     }
 
     /// Binds a native implementation to a slot.
@@ -1089,7 +1073,6 @@ impl Env for BasicEnv {
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
-    use crate::cost::Opcode;
     use crate::instr::BinOp;
     use std::sync::atomic::Ordering;
     use std::sync::Arc;
@@ -1751,16 +1734,12 @@ mod tests {
     }
 
     #[test]
-    fn profile_records_opcodes_and_pairs() {
+    fn profile_counts_instructions_and_fused_ones() {
         let (plain, fused, f) = bump_modules();
         let mut env = BasicEnv::new(&plain);
         env.enable_profiling();
         call(&plain, &mut env, f, &[]).unwrap();
         let p = env.profile.as_ref().unwrap();
-        assert_eq!(p.count(Opcode::Lock), 1);
-        assert_eq!(p.count(Opcode::LoadGlobal), 1);
-        assert_eq!(p.pair_count(Opcode::Lock, Opcode::LoadGlobal), 1);
-        assert_eq!(p.pair_count(Opcode::Const, Opcode::Bin), 1);
         assert_eq!(p.total(), 6);
         assert_eq!(p.fused_total(), 0);
 
@@ -1768,7 +1747,7 @@ mod tests {
         env.enable_profiling();
         call(&fused, &mut env, f, &[]).unwrap();
         let p = env.profile.as_ref().unwrap();
-        assert_eq!(p.count(Opcode::LockedFoldImm), 1);
+        assert_eq!(p.total(), 1);
         assert_eq!(p.fused_total(), 1);
     }
 
@@ -2147,37 +2126,8 @@ mod tests {
     #[test]
     fn profile_mode_is_fixed_per_activation_and_counts_match() {
         // Expected counts were captured from the parent commit (227e3c7,
-        // `step` still the catch-all), before the loop was touched.
-        const OPS: [u64; crate::cost::OPCODE_COUNT] = [
-            4, 1, 4, 1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
-        ];
-        use Opcode::*;
-        // Chains break at the call, the native, both raises and each block
-        // end: no pair starts or ends at one of those.
-        const PAIRS: [(Opcode, Opcode); 22] = [
-            (Const, Mov),
-            (Const, Bin),
-            (Const, BytesNew),
-            (Const, BytesSet),
-            (Mov, Bin),
-            (Bin, Un),
-            (Un, Lock),
-            (LoadGlobal, StoreGlobal),
-            (StoreGlobal, Unlock),
-            (Lock, LoadGlobal),
-            (Unlock, Call),
-            (BytesNew, BytesLen),
-            (BytesLen, Const),
-            (BytesGet, BytesConcat),
-            (BytesSet, BytesGet),
-            (BytesConcat, BytesSlice),
-            (BytesSlice, BinImm),
-            (BinImm, GlobalFold),
-            (GlobalFold, GlobalFoldImm),
-            (GlobalFoldImm, LockedStore),
-            (LockedStore, LockedFoldImm),
-            (LockedFoldImm, Bin),
-        ];
+        // `step` still the catch-all), before the loop was touched: 29
+        // instructions, `inner`'s two included, five of them fused.
         let (m, all) = every_opcode_module();
         let args = [Value::Int(2), Value::Int(1)];
         let mut env = every_opcode_env(&m);
@@ -2185,14 +2135,7 @@ mod tests {
         assert_eq!(call(&m, &mut env, all, &args), Ok(Value::Int(11)));
         assert_eq!(env.cost.instrs, 46);
         let p = env.profile.as_ref().unwrap();
-        assert_eq!(Opcode::ALL.map(|op| p.count(op)), OPS);
-        let mut pairs = p.hot_pairs(1);
-        assert!(pairs.iter().all(|&(_, _, n)| n == 1));
-        pairs.sort_by_key(|&(a, b, _)| (a.index(), b.index()));
-        let mut want = PAIRS.to_vec();
-        want.sort_by_key(|&(a, b)| (a.index(), b.index()));
-        let got: Vec<_> = pairs.into_iter().map(|(a, b, _)| (a, b)).collect();
-        assert_eq!(got, want);
+        assert_eq!((p.total(), p.fused_total()), (29, 5));
 
         // Profiling off runs the same program to the same result and cost.
         let mut off = every_opcode_env(&m);
@@ -2206,16 +2149,14 @@ mod tests {
         // write to and carries on.
         let mut flip = FlipsProfiling {
             inner: every_opcode_env(&m),
-            parked: Some(Box::new(OpcodeProfile::new())),
+            parked: Some(Box::new(OpcodeProfile::default())),
         };
         assert_eq!(call(&m, &mut flip, all, &args), Ok(Value::Int(11)));
         assert_eq!(flip.inner.profile.as_ref().unwrap().total(), 0);
         assert_eq!(call(&m, &mut flip, all, &args), Ok(Value::Int(11)));
         // `all` up to its native, and all of `inner`.
         let recorded = flip.parked.as_ref().unwrap();
-        assert_eq!(recorded.total(), 10 + 2);
-        assert_eq!(recorded.count(CallNative), 1);
-        assert_eq!(recorded.count(Raise), 0);
+        assert_eq!((recorded.total(), recorded.fused_total()), (10 + 2, 0));
     }
 
     #[test]
@@ -2371,30 +2312,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn profile_pairs_do_not_span_calls() {
-        let mut m = Module::new();
-        let mut inner = FunctionBuilder::new("inner", 0);
-        let _ = inner.const_int(1);
-        inner.ret(None);
-        let inner_id = m.add_function(inner.finish());
-        let mut outer = FunctionBuilder::new("outer", 0);
-        let _ = outer.call(inner_id, &[]);
-        let _ = outer.const_int(2);
-        outer.ret(None);
-        let f = m.add_function(outer.finish());
-
-        let mut env = BasicEnv::new(&m);
-        env.enable_profiling();
-        call(&m, &mut env, f, &[]).unwrap();
-        let p = env.profile.as_ref().unwrap();
-        // Neither (Call, inner's Const) nor (inner's Const, outer's Const)
-        // may be paired across the call boundary.
-        assert_eq!(p.pair_count(Opcode::Call, Opcode::Const), 0);
-        assert_eq!(p.pair_count(Opcode::Const, Opcode::Const), 0);
-        assert_eq!(p.count(Opcode::Const), 2);
-        assert_eq!(p.count(Opcode::Call), 1);
     }
 }

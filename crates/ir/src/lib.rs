@@ -47,7 +47,7 @@ pub mod value;
 pub mod verify;
 
 pub use builder::FunctionBuilder;
-pub use cost::{CostCounter, Opcode, OpcodeProfile, OPCODE_COUNT};
+pub use cost::{CostCounter, OpcodeProfile};
 pub use func::{Block, EventDecl, Function, GlobalDecl, Module, NativeDecl};
 pub use ids::{BlockId, EventId, FuncId, GlobalId, NativeId, Reg};
 pub use instr::{BinOp, Instr, RaiseMode, Terminator, UnOp};

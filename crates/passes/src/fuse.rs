@@ -17,10 +17,8 @@
 //! can still be observed.
 //!
 //! `pdo::optimize` is the one product caller: it fuses every super-handler
-//! it has finished building, unconditionally. The `profile` / `min_pair`
-//! gate (rewrite only sequences whose adjacent opcode pairs an
-//! [`OpcodeProfile`] saw that often) is for studying the interpreter
-//! offline.
+//! it has finished building, unconditionally. The patterns are fixed; no
+//! profile decides which sequences fuse.
 
 use crate::analysis::{liveness, RegSet};
 use pdo_ir::cost::OpcodeProfile;
@@ -35,26 +33,21 @@ pub struct FusionRecord {
     pub pattern: &'static str,
     /// Number of sites rewritten to this pattern in this function.
     pub sites: u64,
-    /// The strongest frequency evidence among those sites: the minimum
-    /// adjacent-pair count along the fused sequence, maximized over sites.
-    /// Zero when fusion ran without a profile.
-    pub evidence: u64,
 }
 
 /// Fuses every function in `module`; returns the per-function fusion
-/// records (empty when nothing matched or the profile gated everything out).
+/// records (empty when nothing matched). The last two parameters are
+/// ignored: they remain only for existing callers.
 pub fn fuse_module(
     module: &mut Module,
-    profile: Option<&OpcodeProfile>,
-    min_pair: u64,
+    _profile: Option<&OpcodeProfile>,
+    _min_pair: u64,
 ) -> Vec<FusionRecord> {
     let mut records = Vec::new();
     for idx in 0..module.functions.len() {
         fuse_function(
             &mut module.functions[idx],
             FuncId::from_index(idx),
-            profile,
-            min_pair,
             &mut records,
         );
     }
@@ -63,13 +56,7 @@ pub fn fuse_module(
 
 /// Fuses one function, appending aggregated records to `out`. Returns
 /// `true` if the function changed.
-pub fn fuse_function(
-    f: &mut Function,
-    func: FuncId,
-    profile: Option<&OpcodeProfile>,
-    min_pair: u64,
-    out: &mut Vec<FusionRecord>,
-) -> bool {
+pub fn fuse_function(f: &mut Function, func: FuncId, out: &mut Vec<FusionRecord>) -> bool {
     // `live_out` is stable across intra-block rewrites (it derives from
     // successor blocks' uses), so one liveness solve serves the whole scan.
     let live = liveness(f);
@@ -86,18 +73,8 @@ pub fn fuse_function(
                 .or_else(|| try_locked_store(block, i))
                 .or_else(|| try_bin_imm(block, i, live_out));
             if let Some((instr, width, pattern)) = fused {
-                let evidence = match profile {
-                    Some(p) => match sequence_evidence(p, &block.instrs[i..i + width]) {
-                        Some(e) if e >= min_pair => e,
-                        _ => {
-                            i += 1;
-                            continue;
-                        }
-                    },
-                    None => 0,
-                };
                 block.instrs.splice(i..i + width, [instr]);
-                note(out, func, pattern, evidence);
+                note(out, func, pattern);
                 changed = true;
             }
             i += 1;
@@ -135,26 +112,17 @@ fn shrink_reg_count(f: &mut Function) {
     f.reg_count = u16::try_from(high).expect("register index fits u16");
 }
 
-/// Minimum adjacent-pair frequency along the (unfused) sequence.
-fn sequence_evidence(profile: &OpcodeProfile, seq: &[Instr]) -> Option<u64> {
-    seq.windows(2)
-        .map(|w| profile.pair_count(w[0].opcode(), w[1].opcode()))
-        .min()
-}
-
-fn note(out: &mut Vec<FusionRecord>, func: FuncId, pattern: &'static str, evidence: u64) {
+fn note(out: &mut Vec<FusionRecord>, func: FuncId, pattern: &'static str) {
     if let Some(r) = out
         .iter_mut()
         .find(|r| r.func == func && r.pattern == pattern)
     {
         r.sites += 1;
-        r.evidence = r.evidence.max(evidence);
     } else {
         out.push(FusionRecord {
             func,
             pattern,
             sites: 1,
-            evidence,
         });
     }
 }
@@ -393,31 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_gates_fusion() {
-        // A cold profile (no observed pairs) blocks fusion at min_pair=1;
-        // a hot one admits it, and the record carries the evidence.
-        let mut m = parse_module(BUMP).unwrap();
-        let cold = OpcodeProfile::new();
-        assert!(fuse_module(&mut m, Some(&cold), 1).is_empty());
-
-        // Collect a real profile by running the unfused handler.
-        let f = m.function_by_name("bump").unwrap();
-        let mut env = BasicEnv::new(&m);
-        env.enable_profiling();
-        for _ in 0..10 {
-            call(&m, &mut env, f, &[]).unwrap();
-        }
-        let hot = *env.profile.take().unwrap();
-        let records = fuse_module(&mut m, Some(&hot), 10);
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].evidence, 10);
-        assert!(matches!(
-            m.functions[0].blocks[0].instrs[0],
-            Instr::LockedFoldImm { .. }
-        ));
-    }
-
-    #[test]
     fn live_result_blocks_fusion() {
         // r2 escapes through `ret`, so the store sequence must stay unfused.
         let text = "global acc = int 0\n\
@@ -612,5 +555,53 @@ mod tests {
         let records = fuse_module(&mut m, None, 0);
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].sites, 2);
+    }
+
+    #[test]
+    fn is_fused_marks_exactly_what_fusion_emits() {
+        // One source per pattern, two the pass refuses, and every plain
+        // instruction form.
+        let sources = [
+            BUMP,
+            "global g = int 0\n\
+             func @f(1) {\nb0:\n  lock $g\n  store $g, r0\n  unlock $g\n  ret\n}\n",
+            "global g = int 10\n\
+             func @f(1) {\nb0:\n  r1 = load $g\n  r2 = add r1, r0\n  store $g, r2\n  ret\n}\n",
+            "global g = int 0\n\
+             func @f(0) {\nb0:\n  r0 = load $g\n  r1 = const int 3\n  r2 = add r0, r1\n  \
+             store $g, r2\n  ret\n}\n",
+            "func @f(1) {\nb0:\n  r1 = const int 5\n  r2 = mul r1, r0\n  ret r2\n}\n",
+            "func @f(1) {\nb0:\n  r1 = const int 5\n  r2 = sub r1, r0\n  ret r2\n}\n",
+            "global g = int 3\n\
+             func @f(0) {\nb0:\n  r1 = load $g\n  r2 = add r1, r1\n  store $g, r2\n  ret\n}\n",
+            "event A\nglobal st = int 7\nnative work\n\
+             func @all(2) {\nb0:\n  r2 = const int -9\n  r3 = const bool false\n  \
+             r7 = mov r2\n  r8 = add r2, r7\n  r9 = neg r8\n  r10 = load $st\n  \
+             store $st, r9\n  lock $st\n  unlock $st\n  r11 = call @all(r2, r3)\n  \
+             r12 = native !work(r2)\n  raise sync %A(r2)\n  r13 = bnew r2\n  \
+             r14 = blen r13\n  r15 = bget r13, r2\n  bset r13, r2, r8\n  \
+             r16 = bcat r13, r13\n  r17 = bslice r13, r2, r14\n  ret r8\n}\n",
+        ];
+        let instrs = |m: &Module| -> Vec<Instr> {
+            m.functions
+                .iter()
+                .flat_map(|f| &f.blocks)
+                .flat_map(|b| b.instrs.clone())
+                .collect()
+        };
+        let mut patterns = std::collections::BTreeSet::new();
+        for text in sources {
+            let mut m = parse_module(text).unwrap();
+            assert!(instrs(&m).iter().all(|i| !i.is_fused()), "{text}");
+            let records = fuse_module(&mut m, None, 0);
+            let fused = instrs(&m).iter().filter(|i| i.is_fused()).count() as u64;
+            assert_eq!(
+                fused,
+                records.iter().map(|r| r.sites).sum::<u64>(),
+                "{text}"
+            );
+            patterns.extend(records.iter().map(|r| r.pattern));
+        }
+        assert_eq!(patterns.len(), 5, "{patterns:?}");
     }
 }

@@ -25,14 +25,6 @@ impl Default for Inline {
     }
 }
 
-impl Inline {
-    /// An aggressive configuration used on super-handlers, where the paper
-    /// inlines the complete merged chain.
-    pub fn aggressive() -> Self {
-        Inline { threshold: 4096 }
-    }
-}
-
 impl Pass for Inline {
     fn name(&self) -> &'static str {
         "inline"
@@ -316,7 +308,7 @@ mod tests {
         big.push_str("  ret r0\n}\n");
         let mut m = parse_module(&big).unwrap();
         assert!(!Inline { threshold: 48 }.run(&mut m));
-        assert!(Inline::aggressive().run(&mut m));
+        assert!(Inline { threshold: 4096 }.run(&mut m));
     }
 
     #[test]

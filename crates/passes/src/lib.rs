@@ -95,8 +95,8 @@ pub struct PipelineReport {
     pub converged: bool,
 }
 
-/// Iterations [`optimize_single_function`] and a default [`PassManager`]
-/// allow themselves.
+/// Iterations [`optimize_single_function`] and a [`PassManager`] allow
+/// themselves.
 const MAX_ITERATIONS: usize = 8;
 
 /// Runs `round` — one trip through a pipeline, returning whether anything
@@ -143,7 +143,6 @@ fn run_to_fixed_point(
 /// Runs a sequence of passes to a fixed point.
 pub struct PassManager {
     passes: Vec<Box<dyn Pass>>,
-    max_iterations: usize,
 }
 
 impl std::fmt::Debug for PassManager {
@@ -153,7 +152,6 @@ impl std::fmt::Debug for PassManager {
                 "passes",
                 &self.passes.iter().map(|p| p.name()).collect::<Vec<_>>(),
             )
-            .field("max_iterations", &self.max_iterations)
             .finish()
     }
 }
@@ -161,10 +159,7 @@ impl std::fmt::Debug for PassManager {
 impl PassManager {
     /// An empty manager; add passes with [`PassManager::add`].
     pub fn new() -> Self {
-        PassManager {
-            passes: Vec::new(),
-            max_iterations: MAX_ITERATIONS,
-        }
+        PassManager { passes: Vec::new() }
     }
 
     /// The standard pipeline used by the optimizer after handler merging:
@@ -182,32 +177,13 @@ impl PassManager {
         pm
     }
 
-    /// A pipeline with every pass *except* inlining, for ablation studies.
-    pub fn without_inline() -> Self {
-        let mut pm = PassManager::new();
-        pm.add(CopyProp)
-            .add(ConstFold)
-            .add(Cse)
-            .add(RedundantLoadElim)
-            .add(LockCoalesce)
-            .add(Dce)
-            .add(Cleanup);
-        pm
-    }
-
     /// Appends a pass.
     pub fn add(&mut self, pass: impl Pass + 'static) -> &mut Self {
         self.passes.push(Box::new(pass));
         self
     }
 
-    /// Caps fixed-point iterations (default 8).
-    pub fn max_iterations(&mut self, n: usize) -> &mut Self {
-        self.max_iterations = n.max(1);
-        self
-    }
-
-    /// Runs the pipeline to a fixed point (or the iteration cap;
+    /// Runs the pipeline to a fixed point (or eight iterations;
     /// [`PipelineReport::converged`] says which).
     ///
     /// # Panics
@@ -221,27 +197,22 @@ impl PassManager {
             pass_changes: self.passes.iter().map(|p| (p.name(), 0)).collect(),
             ..Default::default()
         };
-        run_to_fixed_point(
-            module,
-            self.max_iterations,
-            &mut report,
-            |module, report| {
-                let mut changed = false;
-                for (i, pass) in self.passes.iter().enumerate() {
-                    if pass.run(module) {
-                        changed = true;
-                        report.pass_changes[i].1 += 1;
-                        debug_assert!(
-                            pdo_ir::verify_module(module).is_ok(),
-                            "pass `{}` broke the module: {:?}",
-                            pass.name(),
-                            pdo_ir::verify_module(module)
-                        );
-                    }
+        run_to_fixed_point(module, MAX_ITERATIONS, &mut report, |module, report| {
+            let mut changed = false;
+            for (i, pass) in self.passes.iter().enumerate() {
+                if pass.run(module) {
+                    changed = true;
+                    report.pass_changes[i].1 += 1;
+                    debug_assert!(
+                        pdo_ir::verify_module(module).is_ok(),
+                        "pass `{}` broke the module: {:?}",
+                        pass.name(),
+                        pdo_ir::verify_module(module)
+                    );
                 }
-                changed
-            },
-        );
+            }
+            changed
+        });
         report.instrs_after = module.instr_count();
         report
     }

@@ -238,7 +238,7 @@ fn fused_chains(p: &Pipeline) -> Optimization {
 fn has_fused_instr(f: &pdo_ir::Function) -> bool {
     f.blocks
         .iter()
-        .any(|b| b.instrs.iter().any(|i| i.opcode().is_fused()))
+        .any(|b| b.instrs.iter().any(|i| i.is_fused()))
 }
 
 #[test]
