@@ -4,7 +4,7 @@
 //! [`AdaptiveEngine`] closes that loop at runtime. Attached to a
 //! [`Runtime`] through the epoch hook (so it fires *inside*
 //! [`Runtime::run_until`] on virtual-clock epoch boundaries, with no
-//! caller-driven `after_epoch`), each epoch it:
+//! call from the caller), each epoch it:
 //!
 //! 1. drains the session's trace window into an incremental
 //!    [`ProfileBuilder`] (O(window), not O(everything ever traced)). The
@@ -13,18 +13,22 @@
 //!    its super-handler was compiled from ([`SuperHandlers`]) — the fast
 //!    lane shows the tracer one merged frame and none of the raises it
 //!    subsumed, and a profile of that would be a profile of the optimizer;
-//! 2. feeds the runtime's stats delta to the [`SelfHealer`] so faulting
-//!    chains quarantine, back off, and re-install exactly as in the
-//!    caller-driven workflow;
-//! 3. when enough fresh events accumulated — or the healer reports a
-//!    chain *stale* (bindings genuinely changed) — works out the [`Plan`]:
+//! 2. feeds the runtime's stats delta to its [`Quarantine`], which
+//!    removes the chains of events that fault or churn past a threshold
+//!    and bars them for a backoff; then runs the one install step: a
+//!    deployed chain the runtime does not hold comes back if its guards
+//!    hold and the quarantine no longer bars it, and is forgotten if its
+//!    bindings changed while it was out;
+//! 3. when enough fresh events accumulated — or step 2 forgot a chain —
+//!    works out the [`Plan`]:
 //!    what [`optimize`] would build from *what is hot* and *what is
 //!    bound*, by content. If that is the deployed plan, the epoch is over:
 //!    a stationary workload reaches this fixed point after one deploy.
 //!    Only a changed plan redeploys — from the [`ChainCache`] when the
 //!    plan has been built before (an oscillating workload replays by
 //!    pointer), else by running `optimize` against the **original base
-//!    module** — hot-swapping the module and installing the new chains;
+//!    module** — hot-swapping the module and handing the new chains to
+//!    the same install step;
 //! 4. decays the accumulated profile, so hotness observed `k` epochs ago
 //!    weighs `1/2^k`: a workload shift from chain A to chain B ends with
 //!    B specialized and A despecialized.
@@ -50,7 +54,6 @@
 //! optimizer only appends, so [`Runtime::replace_module`] preserves all
 //! session state.
 
-use crate::heal::SelfHealer;
 use crate::quarantine::{Quarantine, QuarantineConfig, QuarantineEntry};
 use crate::{candidates, mergeable, optimize, subsume_evidence};
 use crate::{MergeSkip, Optimization, OptimizeOptions};
@@ -70,11 +73,11 @@ pub struct AdaptConfig {
     /// Virtual-clock epoch length driving the loop (ns).
     pub epoch_ns: u64,
     /// Re-profile only after at least this many fresh raises accumulated
-    /// (a `HealReport::stale` chain forces a re-profile regardless).
+    /// (an epoch that forgets a chain re-profiles regardless).
     pub min_fresh_events: u64,
     /// Optimizer configuration used for each re-profile.
     pub opts: OptimizeOptions,
-    /// Quarantine/backoff policy for the embedded [`SelfHealer`].
+    /// Quarantine/backoff policy for the engine's [`Quarantine`].
     pub quarantine: QuarantineConfig,
 }
 
@@ -215,10 +218,6 @@ pub struct ChainCache {
     cap: usize,
     /// Most-recently-used last; linear scans are fine at LRU capacities.
     entries: Vec<(Plan, Deployable)>,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    invalidations: u64,
 }
 
 impl ChainCache {
@@ -230,36 +229,29 @@ impl ChainCache {
         }
     }
 
-    /// The cached optimization for `plan`, if present. Counts a hit or a
-    /// miss.
+    /// The cached optimization for `plan`, if present.
     pub fn lookup(&mut self, plan: &Plan) -> Option<Deployable> {
-        match self.entries.iter().position(|(k, _)| k == plan) {
-            Some(idx) => {
-                self.hits += 1;
-                let entry = self.entries.remove(idx);
-                let hit = entry.1.clone();
-                self.entries.push(entry);
-                Some(hit)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let idx = self.entries.iter().position(|(k, _)| k == plan)?;
+        let entry = self.entries.remove(idx);
+        let hit = entry.1.clone();
+        self.entries.push(entry);
+        Some(hit)
     }
 
     /// Caches `built` under `plan`, evicting the least-recently-used entry
-    /// when full. Empty optimizations are not cached (nothing to replay).
-    pub fn insert(&mut self, plan: Plan, built: &Deployable) {
+    /// when full; returns whether it evicted. Empty optimizations are not
+    /// cached (nothing to replay).
+    pub fn insert(&mut self, plan: Plan, built: &Deployable) -> bool {
         if self.cap == 0 || built.chains.is_empty() {
-            return;
+            return false;
         }
         self.entries.retain(|(k, _)| k != &plan);
-        if self.entries.len() >= self.cap {
+        let evict = self.entries.len() >= self.cap;
+        if evict {
             self.entries.remove(0);
-            self.evictions += 1;
         }
         self.entries.push((plan, built.clone()));
+        evict
     }
 
     /// Drops every entry containing a chain that dispatches or guards
@@ -273,9 +265,7 @@ impl ChainCache {
                 .iter()
                 .any(|c| c.head == event || c.guards.iter().any(|g| g.event == event))
         });
-        let dropped = before - self.entries.len();
-        self.invalidations += dropped as u64;
-        dropped
+        before - self.entries.len()
     }
 
     /// Live entries.
@@ -286,26 +276,6 @@ impl ChainCache {
     /// True when no entries are cached.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Cache hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Cache misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// LRU evictions so far.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Entries dropped because one of their events was despecialized.
-    pub fn invalidations(&self) -> u64 {
-        self.invalidations
     }
 }
 
@@ -318,10 +288,13 @@ pub struct AdaptStats {
     /// the deployed one. Most find it deployed already; those that do not
     /// redeploy, and each redeploy is one cache hit or one cache miss.
     pub reprofiles: u64,
-    /// Chains installed by redeploys (cumulative).
+    /// Chains installed (cumulative): by redeploys, and on their return
+    /// from containment or quarantine.
     pub chains_installed: u64,
-    /// Installed chains a changed plan no longer wanted (the workload
-    /// shifted away from them, or their bindings changed).
+    /// Deployed chains let go of: installed ones a changed plan no longer
+    /// wanted (the workload shifted away from them, or their bindings
+    /// changed), and ones out of the runtime whose bindings changed
+    /// before they could return.
     pub chains_dropped: u64,
     /// Chains the runtime removed for containment (`Despecialize` policy),
     /// accumulated from the per-epoch stats deltas.
@@ -384,14 +357,15 @@ impl AdaptStats {
 ///
 /// Deliberately **not** captured — each is rebuilt deterministically or
 /// is diagnostic-only: compiled chains (the next re-profile rebuilds them
-/// from the carried profile), the [`ChainCache`] (a warm-start cache),
-/// the reprofile wall-clock histogram (wall time is nondeterministic),
-/// and the healer's chain records (recaptured at the next deploy).
+/// from the carried profile, and a chain out of the runtime when the
+/// snapshot was taken comes back through that rebuild), the
+/// [`ChainCache`] (a warm-start cache) and the reprofile wall-clock
+/// histogram (wall time is nondeterministic).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineSnapshot {
     /// Decaying profile accumulators.
     pub profile: ProfileBuilder,
-    /// Cumulative adaptation counters (cache counters folded in).
+    /// Cumulative adaptation counters.
     pub stats: AdaptStats,
     /// Per-event quarantine entries.
     pub quarantine: BTreeMap<EventId, QuarantineEntry>,
@@ -465,20 +439,37 @@ fn note_why_not(
     on_record.insert(event, why);
 }
 
+/// A deployed chain, kept with what a fast-lane dispatch of it stands for
+/// in the profile: forgetting the chain forgets that credit with it.
+#[derive(Debug)]
+struct Deployed {
+    chain: CompiledChain,
+    merged: SuperHandler,
+}
+
+impl AsRef<SuperHandler> for Deployed {
+    fn as_ref(&self) -> &SuperHandler {
+        &self.merged
+    }
+}
+
 /// Per-session state of the adaptive-specialization daemon.
 #[derive(Debug)]
 pub struct AdaptiveEngine {
     base: Arc<Module>,
     config: AdaptConfig,
     builder: ProfileBuilder,
-    /// Owns the deployed chains (installed, quarantined, or stale) and the
-    /// quarantine, which a restored engine resumes from its snapshot.
-    healer: SelfHealer,
-    /// The plan those chains were built for.
+    /// Bars faulting or churning events from specialization; a restored
+    /// engine resumes it from its snapshot.
+    quarantine: Quarantine,
+    /// The plan the deployed chains were built for. Emptied when one of
+    /// them is forgotten, so only a plan that wants nothing matches it
+    /// until the next deploy.
     deployed: Option<Plan>,
-    /// The deployed chains' super-handlers as the window fold needs to
-    /// know them, in the healer's chain order.
-    supers: SuperHandlers,
+    /// The deployed chains, in head-event order, each with its
+    /// super-handler as the window fold credits it. After every install
+    /// step each one is installed or barred by the quarantine.
+    supers: SuperHandlers<Deployed>,
     /// The last audited answer per hot-but-generic event.
     why_not: BTreeMap<EventId, WhyNot>,
     stats: AdaptStats,
@@ -530,7 +521,7 @@ impl AdaptiveEngine {
         EngineSnapshot {
             profile: self.builder.clone(),
             stats: self.stats(),
-            quarantine: self.healer.quarantine().entries().clone(),
+            quarantine: self.quarantine.entries().clone(),
         }
     }
 
@@ -550,8 +541,6 @@ impl AdaptiveEngine {
         let base = base.into();
         let mut builder = snap.profile;
         builder.retain_program_handlers(base.functions.len());
-        let mut healer = SelfHealer::new(config.quarantine, &[]);
-        *healer.quarantine_mut() = Quarantine::resume(config.quarantine, snap.quarantine);
         AdaptiveEngine {
             supers: SuperHandlers {
                 base_functions: base.functions.len(),
@@ -560,7 +549,7 @@ impl AdaptiveEngine {
             base,
             config,
             builder,
-            healer,
+            quarantine: Quarantine::resume(config.quarantine, snap.quarantine),
             deployed: None,
             why_not: BTreeMap::new(),
             stats: snap.stats,
@@ -581,22 +570,16 @@ impl AdaptiveEngine {
         engine
     }
 
-    /// Adaptation counters so far (cache counters folded in). The base
-    /// cache fields are zero on a fresh engine; a restored engine carries
-    /// its pre-snapshot totals there, and the live cache adds on top.
+    /// Adaptation counters so far; a restored engine's include its
+    /// pre-snapshot totals.
     pub fn stats(&self) -> AdaptStats {
-        AdaptStats {
-            cache_hits: self.stats.cache_hits + self.cache.hits(),
-            cache_misses: self.stats.cache_misses + self.cache.misses(),
-            cache_evictions: self.stats.cache_evictions + self.cache.evictions(),
-            cache_invalidations: self.stats.cache_invalidations + self.cache.invalidations(),
-            ..self.stats
-        }
+        self.stats
     }
 
-    /// The embedded healer: the deployed chains and the quarantine.
-    pub fn healer(&self) -> &SelfHealer {
-        &self.healer
+    /// Which events are barred from specialization, until when, and their
+    /// strike counts.
+    pub fn quarantine(&self) -> &Quarantine {
+        &self.quarantine
     }
 
     /// The session's original, unspecialized module — what every
@@ -626,21 +609,25 @@ impl AdaptiveEngine {
         // Containment removed a chain: the quarantine, not a cache hit,
         // decides when it comes back.
         for &event in delta.despecialized_by_event.keys() {
-            self.cache.invalidate_event(event);
+            self.stats.cache_invalidations += self.cache.invalidate_event(event) as u64;
         }
         // The quarantine starts counting at the first deploy: before it,
         // there is no chain for a fault to be held against.
-        let stale = self.deployed.is_some() && {
-            let report = self.healer.heal(rt, &delta);
-            for &(event, until_ns) in &report.quarantined {
+        let forgot = self.deployed.is_some() && {
+            for event in self.quarantine.observe(&delta, rt.clock_ns()) {
+                rt.remove_chain(event);
+                let until_ns = self
+                    .quarantine
+                    .quarantined_until(event)
+                    .expect("just quarantined");
                 audit(rt, Some(event), AuditAction::Quarantine, || {
                     format!("faults exceeded quarantine threshold; backoff until t={until_ns}ns")
                 });
             }
-            !report.stale.is_empty()
+            self.install(rt, None)
         };
-        if stale || self.builder.fresh_events() >= self.config.min_fresh_events {
-            self.reprofile(rt, stale);
+        if forgot || self.builder.fresh_events() >= self.config.min_fresh_events {
+            self.reprofile(rt, forgot);
         }
         self.builder.end_epoch();
     }
@@ -651,7 +638,7 @@ impl AdaptiveEngine {
     /// bindings changed under it start their observations over.
     fn check_deployed_guards(&mut self, rt: &Runtime) {
         let registry = rt.registry();
-        for (chain, merged) in self.healer.chains().zip(&mut self.supers.deployed) {
+        for Deployed { chain, merged } in &mut self.supers.deployed {
             merged.live = chain.guards_hold(registry);
             if merged.live {
                 continue;
@@ -661,6 +648,53 @@ impl AdaptiveEngine {
                 note_why_not(rt, &mut self.why_not, guard.event, WhyNot::BindingsChanged);
             }
         }
+    }
+
+    /// The one place a chain enters the runtime. Every deployed chain the
+    /// runtime does not hold is left out while the quarantine bars it,
+    /// installed if its guards hold, and otherwise forgotten: its bindings
+    /// changed while it was out, and only a fresh plan can say what to
+    /// build for them. Each decision is one audit span. At a redeploy,
+    /// `redeploy` words the pass's evidence into each span, and a chain
+    /// left out is audited too. Returns whether a chain was forgotten.
+    fn install(&mut self, rt: &mut Runtime, redeploy: Option<&dyn Fn(&str) -> String>) -> bool {
+        let now = rt.clock_ns();
+        let because = |what: &str| redeploy.map_or_else(|| what.to_string(), |why| why(what));
+        let mut forgot = false;
+        self.supers.deployed.retain(|Deployed { chain, .. }| {
+            let head = chain.head;
+            if rt.spec().get(head).is_some() {
+                return true;
+            }
+            if self.quarantine.is_quarantined(head, now) {
+                if redeploy.is_some() {
+                    audit(rt, Some(head), AuditAction::Quarantine, || {
+                        because("install skipped: event under quarantine backoff")
+                    });
+                }
+                return true;
+            }
+            if chain.guards_hold(rt.registry()) {
+                rt.install_chain(chain.clone());
+                self.stats.chains_installed += 1;
+                audit(rt, Some(head), AuditAction::Install, || match redeploy {
+                    Some(_) => because("hot chain from profile snapshot"),
+                    None => because("chain returns: not barred, guards hold"),
+                });
+                return true;
+            }
+            self.stats.chains_dropped += 1;
+            audit(rt, Some(head), AuditAction::Drop, || {
+                because("bindings changed while the chain was out")
+            });
+            forgot = true;
+            false
+        });
+        if let Some(plan) = self.deployed.as_mut().filter(|_| forgot) {
+            plan.events.clear();
+            plan.subsumes.clear();
+        }
+        forgot
     }
 
     /// One re-profile pass: works out the plan and, if it is not the
@@ -682,7 +716,7 @@ impl AdaptiveEngine {
             },
         );
         let now = rt.clock_ns();
-        let quarantine = self.healer.quarantine();
+        let quarantine = &self.quarantine;
         let barred = |event: EventId| {
             quarantine
                 .quarantined_until(event)
@@ -710,13 +744,9 @@ impl AdaptiveEngine {
             )
         };
 
-        // Same plan, every chain where it should be: the fixed point.
-        let settled = self.deployed.as_ref() == Some(&wanted)
-            && self
-                .healer
-                .chains()
-                .all(|c| rt.spec().get(c.head).is_some() || barred(c.head).is_some());
-        if settled {
+        // Same plan: the fixed point. The install step has left every
+        // deployed chain installed or barred.
+        if self.deployed.as_ref() == Some(&wanted) {
             let chains = rt.spec().len();
             self.note_reprofile(rt, started, || {
                 evidence(format_args!("settled chains={chains}"))
@@ -726,13 +756,19 @@ impl AdaptiveEngine {
 
         let mut fused = Vec::new();
         let (built, cache) = match self.cache.lookup(&wanted) {
-            Some(hit) => (hit, "hit"),
+            Some(hit) => {
+                self.stats.cache_hits += 1;
+                (hit, "hit")
+            }
             None => {
+                self.stats.cache_misses += 1;
                 let profile = self.builder.snapshot(threshold);
                 let mut opt = optimize(&self.base, rt.registry(), &profile, &self.config.opts);
                 fused = std::mem::take(&mut opt.report.fused);
                 let built = Deployable::from(opt);
-                self.cache.insert(wanted.clone(), &built);
+                if self.cache.insert(wanted.clone(), &built) {
+                    self.stats.cache_evictions += 1;
+                }
                 (built, "miss")
             }
         };
@@ -777,45 +813,37 @@ impl AdaptiveEngine {
         }
         rt.replace_module(Arc::clone(&built.module));
 
-        // The healer takes the new chains before the install loop, whose
-        // quarantine check sees every entry — including strikes and
-        // backoffs a restored session carried across the snapshot.
-        self.healer.rebind(&built.chains);
-        let healer = &self.healer;
+        // What a fast-lane dispatch of each new chain will stand for in the
+        // profile: the lists its guards carry, and the raises between them
+        // that are now direct calls.
         let nested = &self.builder.handler_graph().nested;
-        self.supers.deployed.clear();
-        for chain in healer.chains() {
-            // What a fast-lane dispatch of this chain will stand for in
-            // the profile: the lists its guards carry, and the raises
-            // between them that are now direct calls.
-            let guarded = |event: EventId| chain.guards.iter().any(|g| g.event == event);
-            self.supers.deployed.push(SuperHandler {
-                func: chain.func,
-                live: true,
-                sequences: chain
-                    .guards
-                    .iter()
-                    .map(|g| (g.event, g.bindings().iter().map(|b| b.handler).collect()))
-                    .collect(),
-                nested: nested
-                    .keys()
-                    .filter(|k| guarded(k.parent_event) && guarded(k.child_event))
-                    .copied()
-                    .collect(),
-            });
-            if healer.quarantine().is_quarantined(chain.head, now) {
-                audit(rt, Some(chain.head), AuditAction::Quarantine, || {
-                    because("install skipped: event under quarantine backoff")
-                });
-                continue; // the healer re-installs it after backoff
-            }
-            rt.install_chain(chain.clone());
-            self.stats.chains_installed += 1;
-            audit(rt, Some(chain.head), AuditAction::Install, || {
-                because("hot chain from profile snapshot")
-            });
-        }
+        self.supers.deployed = built
+            .chains
+            .into_iter()
+            .map(|chain| {
+                let guarded = |event: EventId| chain.guards.iter().any(|g| g.event == event);
+                let merged = SuperHandler {
+                    func: chain.func,
+                    live: true,
+                    sequences: chain
+                        .guards
+                        .iter()
+                        .map(|g| (g.event, g.bindings().iter().map(|b| b.handler).collect()))
+                        .collect(),
+                    nested: nested
+                        .keys()
+                        .filter(|k| guarded(k.parent_event) && guarded(k.child_event))
+                        .copied()
+                        .collect(),
+                };
+                Deployed { chain, merged }
+            })
+            .collect();
         self.deployed = Some(wanted);
+        // The install step's quarantine check sees every entry, including
+        // strikes and backoffs a restored session carried across the
+        // snapshot.
+        self.install(rt, Some(&because));
         self.note_reprofile(rt, started, redeploy);
     }
 
@@ -842,25 +870,25 @@ impl AdaptiveEngine {
             "pdo_adapt_cache_hits_total",
             "Redeploys served from the specialization cache",
             extra,
-            self.stats.cache_hits + self.cache.hits(),
+            self.stats.cache_hits,
         );
         snap.counter(
             "pdo_adapt_cache_misses_total",
             "Redeploys that had to run the optimizer",
             extra,
-            self.stats.cache_misses + self.cache.misses(),
+            self.stats.cache_misses,
         );
         snap.counter(
             "pdo_adapt_cache_evictions_total",
             "Specialization-cache entries evicted by the LRU bound",
             extra,
-            self.stats.cache_evictions + self.cache.evictions(),
+            self.stats.cache_evictions,
         );
         snap.counter(
             "pdo_adapt_cache_invalidations_total",
             "Specialization-cache entries dropped on despecialization",
             extra,
-            self.stats.cache_invalidations + self.cache.invalidations(),
+            self.stats.cache_invalidations,
         );
         snap.counter(
             "pdo_adapt_reprofiles_total",
@@ -868,16 +896,15 @@ impl AdaptiveEngine {
             extra,
             self.stats.reprofiles,
         );
-        let stats = self.stats();
         snap.counter(
             "pdo_adapt_redeploys_total",
             "Re-profile passes whose plan was not the deployed one",
             extra,
-            stats.cache_hits + stats.cache_misses,
+            self.stats.cache_hits + self.stats.cache_misses,
         );
         snap.counter(
             "pdo_adapt_chains_installed_total",
-            "Compiled chains installed by redeploys (cumulative)",
+            "Compiled chains installed, by redeploys and on return (cumulative)",
             extra,
             self.stats.chains_installed,
         );
@@ -1113,9 +1140,14 @@ mod tests {
         assert_eq!(fast, generic, "same raises, same event graph");
     }
 
-    #[test]
-    fn faulting_chain_quarantines_and_heals_inside_run_until() {
-        let (m, [a, b], [ga, _]) = two_chain_module();
+    /// A runtime over [`two_chain_module`]'s `m` with every handler bound,
+    /// whose containment removes a faulting chain, and an engine attached
+    /// under `quarantine`.
+    fn containing_session(
+        m: &Module,
+        [a, b]: [EventId; 2],
+        quarantine: QuarantineConfig,
+    ) -> (Runtime, Rc<RefCell<AdaptiveEngine>>) {
         let mut rt = Runtime::with_config(
             m.clone(),
             RuntimeConfig {
@@ -1123,42 +1155,314 @@ mod tests {
                 ..Default::default()
             },
         );
-        bind_all(&mut rt, &m, a, b);
+        bind_all(&mut rt, m, a, b);
         let engine = AdaptiveEngine::attach_new(
             &mut rt,
             AdaptConfig {
+                quarantine,
+                ..config()
+            },
+        );
+        (rt, engine)
+    }
+
+    /// Injects `n` dispatch traps into the next `n` raises of `event` and
+    /// raises it `n` times synchronously (no epoch boundary is crossed).
+    fn trap(rt: &mut Runtime, event: EventId, n: u64) {
+        rt.set_fault_injector(FaultInjector::from_plan((0..n).map(|i| FaultSpec {
+            event,
+            occurrence: i,
+            kind: FaultKind::TrapDispatch,
+        })));
+        for _ in 0..n {
+            rt.raise(event, RaiseMode::Sync, &[]).unwrap();
+        }
+    }
+
+    /// Advances the idle clock 100 ns at a time until the engine has run
+    /// one more epoch.
+    fn next_epoch(rt: &mut Runtime, engine: &Rc<RefCell<AdaptiveEngine>>) {
+        let epochs = engine.borrow().stats().epochs;
+        while engine.borrow().stats().epochs == epochs {
+            rt.advance_clock(100);
+        }
+    }
+
+    /// `Install` spans naming `event`.
+    fn installs(store: &pdo_obs::TraceStore, event: EventId) -> usize {
+        store
+            .spans()
+            .iter()
+            .filter(|s| {
+                matches!(&s.kind, SpanKind::ChainAudit { event: Some(e), action: AuditAction::Install, .. }
+                    if *e == event.0)
+            })
+            .count()
+    }
+
+    #[test]
+    fn faulting_chain_quarantines_and_heals_inside_run_until() {
+        let (m, events, [ga, _]) = two_chain_module();
+        let a = events[0];
+        let (mut rt, engine) = containing_session(
+            &m,
+            events,
+            QuarantineConfig {
+                fault_threshold: 2,
+                base_backoff_ns: 2_000,
+                ..Default::default()
+            },
+        );
+        let store = rt.enable_tracing();
+        drive(&mut rt, a, 60);
+        assert!(rt.spec().get(a).is_some());
+        let (installed, spans) = (
+            engine.borrow().stats().chains_installed,
+            installs(&store, a),
+        );
+        // Three injected traps: despecialize + quarantine, all contained.
+        trap(&mut rt, a, 3);
+        assert!(rt.spec().get(a).is_none(), "containment removed the chain");
+        // The first epoch quarantines A. It stays out at every epoch
+        // before the backoff ends and is back at the first one after.
+        next_epoch(&mut rt, &engine);
+        let until = engine.borrow().quarantine().quarantined_until(a);
+        let until = until.expect("quarantined at the first epoch");
+        loop {
+            next_epoch(&mut rt, &engine);
+            if rt.clock_ns() < until {
+                assert!(rt.spec().get(a).is_none(), "back before t={until}");
+            } else {
+                assert!(rt.spec().get(a).is_some(), "not back at t={until}");
+                break;
+            }
+        }
+        // The return is one install, audited once.
+        assert_eq!(engine.borrow().stats().chains_installed, installed + 1);
+        assert_eq!(installs(&store, a), spans + 1);
+        assert!(engine.borrow().stats().despecialized >= 1);
+        let fast = rt.cost.fastpath_hits;
+        drive(&mut rt, a, 10);
+        assert_eq!(rt.cost.fastpath_hits, fast + 10);
+        // Every dispatch (faulted ones included, via generic fallback)
+        // added its 3.
+        assert_eq!(rt.global(ga), &Value::Int(73 * 3));
+    }
+
+    #[test]
+    fn guard_churn_alone_quarantines() {
+        let (m, events, _) = two_chain_module();
+        let a = events[0];
+        let (mut rt, engine) = containing_session(
+            &m,
+            events,
+            QuarantineConfig {
+                churn_threshold: 4,
+                base_backoff_ns: 2_000,
+                ..Default::default()
+            },
+        );
+        drive(&mut rt, a, 60);
+        assert!(rt.spec().get(a).is_some());
+        // A/B/A five times inside one epoch: each B is one guard miss, each
+        // return to A takes the fast lane again, and nothing faults.
+        let b1 = m.function_by_name("b1").unwrap();
+        let fast = rt.cost.fastpath_hits;
+        for _ in 0..5 {
+            rt.bind(a, b1, 9).unwrap();
+            rt.raise(a, RaiseMode::Sync, &[]).unwrap();
+            assert!(rt.unbind(a, b1));
+            rt.raise(a, RaiseMode::Sync, &[]).unwrap();
+        }
+        assert_eq!(rt.cost.fastpath_hits, fast + 5);
+        assert_eq!(rt.stats().guard_misses(a), 5);
+        assert_eq!(rt.stats().faults(a), 0);
+        next_epoch(&mut rt, &engine);
+        let engine_now = engine.borrow();
+        assert!(engine_now.quarantine().is_quarantined(a, rt.clock_ns()));
+        assert_eq!(engine_now.quarantine().strikes(a), 1);
+        assert!(
+            rt.spec().get(a).is_none(),
+            "the quarantine removed the chain"
+        );
+    }
+
+    #[test]
+    fn a_second_offence_waits_twice_as_long() {
+        let (m, events, _) = two_chain_module();
+        let a = events[0];
+        let (mut rt, engine) = containing_session(
+            &m,
+            events,
+            QuarantineConfig {
+                fault_threshold: 2,
+                base_backoff_ns: 2_000,
+                ..Default::default()
+            },
+        );
+        drive(&mut rt, a, 60);
+        let offence = |rt: &mut Runtime| {
+            trap(rt, a, 3);
+            next_epoch(rt, &engine);
+            let until = engine.borrow().quarantine().quarantined_until(a).unwrap();
+            let backoff = until - rt.clock_ns();
+            while rt.spec().get(a).is_none() {
+                next_epoch(rt, &engine);
+            }
+            backoff
+        };
+        let first = offence(&mut rt);
+        let second = offence(&mut rt);
+        assert_eq!((first, second), (2_000, 4_000));
+        assert_eq!(engine.borrow().quarantine().strikes(a), 2);
+    }
+
+    #[test]
+    fn per_event_chains_quarantine_only_the_faulting_segments_event() {
+        // Fig 14 shape: Head's handler synchronously raises Child. With
+        // subsumption off each event gets its own chain under its own
+        // guard; the head's super-handler raises Child, whose chain (or,
+        // once re-bound, generic dispatch) runs the segment.
+        let mut m = Module::new();
+        let head = m.add_event("Head");
+        let child = m.add_event("Child");
+        let g = m.add_global("log", Value::Int(0));
+        let boom = m.add_native("boom"); // never bound: calling it traps
+        let digit = |m: &mut Module, name: &str, d: i64, raises: Option<EventId>| {
+            let mut b = FunctionBuilder::new(name, 0);
+            let v = b.load_global(g);
+            let ten = b.const_int(10);
+            let scaled = b.bin(BinOp::Mul, v, ten);
+            let dd = b.const_int(d);
+            let s = b.bin(BinOp::Add, scaled, dd);
+            b.store_global(g, s);
+            if let Some(ev) = raises {
+                b.raise(ev, RaiseMode::Sync, &[]);
+            }
+            b.ret(None);
+            m.add_function(b.finish())
+        };
+        let h_head = digit(&mut m, "head_h", 1, Some(child));
+        let h_child = digit(&mut m, "child_h", 2, None);
+        let mut b = FunctionBuilder::new("trap_h", 0);
+        let _ = b.call_native(boom, &[]);
+        b.ret(None);
+        let h_trap = m.add_function(b.finish());
+
+        let mut rt = Runtime::with_config(
+            m,
+            RuntimeConfig {
+                fault_policy: FaultPolicy::Despecialize,
+                ..Default::default()
+            },
+        );
+        rt.bind(head, h_head, 0).unwrap();
+        rt.bind(child, h_child, 0).unwrap();
+        let mut opts = OptimizeOptions::new(10);
+        opts.subsume = false;
+        let engine = AdaptiveEngine::attach_new(
+            &mut rt,
+            AdaptConfig {
+                opts,
                 quarantine: QuarantineConfig {
                     fault_threshold: 2,
-                    base_backoff_ns: 2_000,
+                    churn_threshold: 100,
                     ..Default::default()
                 },
                 ..config()
             },
         );
-        drive(&mut rt, a, 60);
-        assert!(rt.spec().get(a).is_some());
-        // Three injected traps: despecialize + quarantine, all contained.
-        rt.set_fault_injector(FaultInjector::from_plan((0..3).map(|i| FaultSpec {
-            event: a,
-            occurrence: i,
-            kind: FaultKind::TrapDispatch,
-        })));
-        drive(&mut rt, a, 3);
-        assert!(rt.spec().get(a).is_none(), "containment removed the chain");
-        // Keep running: backoff expires on the virtual clock and the healer
-        // (driven by the epoch hook) re-installs or the next re-profile
-        // rebuilds — either way the chain returns with no caller calls.
-        drive(&mut rt, a, 120);
-        assert!(rt.spec().get(a).is_some(), "chain healed");
-        assert!(engine.borrow().stats().despecialized >= 1);
-        // Every dispatch (faulted ones included, via generic fallback)
-        // added its 3.
-        assert_eq!(rt.global(ga), &Value::Int(183 * 3));
+        // Ten raises an epoch: both events are deployed at the second
+        // epoch and stay.
+        for _ in 0..6 {
+            drive(&mut rt, head, 10);
+        }
+        for event in [head, child] {
+            let chain = rt.spec().get(event).expect("one chain per event");
+            assert!(chain.guards.len() == 1 && chain.guards[0].event == event);
+        }
+
+        // Fault only the child segment: the extra binding invalidates the
+        // child's own guard, and its fallback generic dispatch traps.
+        rt.bind(child, h_trap, 10).unwrap();
+        rt.set_global(g, Value::Int(0));
+        let fast = rt.cost.fastpath_hits;
+        for _ in 0..3 {
+            rt.raise(head, RaiseMode::Sync, &[]).unwrap();
+        }
+        assert_eq!(
+            rt.cost.fastpath_hits,
+            fast + 3,
+            "head chain keeps its fast path"
+        );
+        assert_eq!(rt.stats().faults(child), 3);
+        assert_eq!(rt.stats().faults(head), 0);
+        // Each raise still appends 1 (head) then 2 (child's intact handler).
+        assert_eq!(rt.global(g), &Value::Int(121_212));
+
+        next_epoch(&mut rt, &engine);
+        let now = rt.clock_ns();
+        let quarantine = engine.borrow().quarantine().clone();
+        assert!(quarantine.is_quarantined(child, now));
+        assert!(!quarantine.is_quarantined(head, now));
+        // Only the faulting segment's event lost specialization; the head
+        // chain stays installed and keeps hitting.
+        assert!(rt.spec().get(head).is_some());
+        assert!(rt.spec().get(child).is_none());
+        rt.raise(head, RaiseMode::Sync, &[]).unwrap();
+        assert_eq!(rt.cost.fastpath_hits, fast + 4);
     }
 
-    /// One adaptive run in which chains are installed (A, then B), dropped
-    /// (A, when the workload shifts to B) and quarantined (A, under three
-    /// injected traps), with `store` attached.
+    #[test]
+    fn an_idle_session_reprofiles_once_when_a_held_chain_was_rebound() {
+        let (m, events, _) = two_chain_module();
+        let a = events[0];
+        let (mut rt, engine) = containing_session(
+            &m,
+            events,
+            QuarantineConfig {
+                fault_threshold: 2,
+                base_backoff_ns: 2_000,
+                ..Default::default()
+            },
+        );
+        let store = rt.enable_tracing();
+        drive(&mut rt, a, 60);
+        assert!(rt.spec().get(a).is_some());
+        trap(&mut rt, a, 3);
+        let a2 = m.function_by_name("a2").unwrap();
+        assert!(rt.unbind(a, a2));
+        let before = engine.borrow().stats();
+        for _ in 0..50 {
+            rt.advance_clock(1_000);
+        }
+        let after = engine.borrow().stats();
+        assert_eq!(after.epochs, before.epochs + 50);
+        // Once the backoff ends the chain cannot come back under the
+        // bindings it was built for: it is forgotten, and that one epoch
+        // re-profiles. Nothing is hot, so the pass wants no chain and
+        // settles without a lookup.
+        assert_eq!(after.reprofiles, before.reprofiles + 1, "{after:?}");
+        assert_eq!(after.cache_misses, before.cache_misses, "{after:?}");
+        assert_eq!(after.chains_dropped, before.chains_dropped + 1);
+        assert!(rt.spec().get(a).is_none());
+        let drops = store.spans().into_iter().filter(|s| {
+            matches!(&s.kind, SpanKind::ChainAudit { event: Some(0), action: AuditAction::Drop, why }
+                if why.starts_with("bindings changed"))
+        });
+        assert_eq!(drops.count(), 1);
+        // A's bindings go back to those its forgotten chain was built for:
+        // the plan that chain came from no longer counts as deployed, so
+        // when A is hot again it is specialized afresh.
+        rt.bind(a, a2, 1).unwrap();
+        drive(&mut rt, a, 60);
+        let chain = rt.spec().get(a).expect("respecialized");
+        assert!(chain.guards_hold(rt.registry()));
+    }
+
+    /// One adaptive run in which chains are installed (A, then B),
+    /// quarantined and returned (A, under three injected traps) and dropped
+    /// (A, when the workload shifts to B), with `store` attached.
     fn audited_run(store: &pdo_obs::TraceStore) -> Rc<RefCell<AdaptiveEngine>> {
         let (m, [a, b], _) = two_chain_module();
         let mut rt = Runtime::with_config(
@@ -1202,8 +1506,8 @@ mod tests {
         let spans = store.spans();
         assert_eq!(spans.len() as u64, store.recorded(), "ring must not wrap");
         // Decision spans (event set) by action; `reason` narrows Quarantine
-        // to the healer's decisions — a skipped install is audited under
-        // the same action but is not a new quarantine.
+        // to new quarantines — a skipped install is audited under the same
+        // action but is not one.
         let decisions = |want: AuditAction, reason: &str| {
             spans
                 .iter()
@@ -1214,11 +1518,9 @@ mod tests {
                 .count() as u64
         };
         let stats = engine.borrow().stats();
-        assert!(stats.chains_installed >= 2, "A and B were both installed");
-        assert_eq!(
-            decisions(AuditAction::Install, "hot chain"),
-            stats.chains_installed
-        );
+        assert!(stats.chains_installed >= 3, "A, A's return and B");
+        assert_eq!(decisions(AuditAction::Install, ""), stats.chains_installed);
+        assert!(decisions(AuditAction::Install, "chain returns") >= 1);
         assert!(stats.chains_dropped >= 1);
         assert_eq!(decisions(AuditAction::Drop, ""), stats.chains_dropped);
         let passes = spans.iter().filter(|s| {
@@ -1230,7 +1532,7 @@ mod tests {
         let quarantined = decisions(AuditAction::Quarantine, "faults exceeded");
         assert!(quarantined >= 1);
         let engine = engine.borrow();
-        let q = engine.healer().quarantine();
+        let q = engine.quarantine();
         let strikes: u32 = q.entries().values().map(|e| e.strikes).sum();
         assert_eq!(quarantined, u64::from(strikes));
         // The faults the quarantine counted are spans of their own.
@@ -1361,8 +1663,8 @@ mod tests {
     /// no installed chain may carry a binding-version guard that
     /// disagrees with the live registry. Quarantine (guard-miss churn),
     /// re-profiling (which removes every deployed chain before a hot
-    /// swap), and the healer (which refreshes guard versions before a
-    /// re-install) must jointly maintain the invariant.
+    /// swap), and the install step (which installs a chain only while its
+    /// guards hold) must jointly maintain the invariant.
     #[test]
     fn churn_cycles_never_leave_a_stale_guard_installed() {
         let (m, [a, b], _) = two_chain_module();
@@ -1430,8 +1732,8 @@ mod tests {
             }
             // Enough raises that every epoch inside the burst crosses the
             // candidacy threshold and the fresh-event floor, so the churn
-            // is processed (by quarantine, re-profile, or heal) before the
-            // burst ends.
+            // is processed (by quarantine, re-profile, or the install
+            // step) before the burst ends.
             drive(&mut rt, [a, b][drive_idx], 45);
             for chain in rt.spec().iter() {
                 assert!(
@@ -1502,7 +1804,6 @@ mod tests {
         drive(&mut rt, b, 30);
         let until = engine
             .borrow()
-            .healer()
             .quarantine()
             .quarantined_until(a)
             .expect("A quarantined");
@@ -1545,7 +1846,7 @@ mod tests {
             "A re-specializes once the carried backoff expires"
         );
         assert_eq!(
-            engine2.borrow().healer().quarantine().strikes(a),
+            engine2.borrow().quarantine().strikes(a),
             1,
             "strike count survives the restore"
         );
@@ -1742,7 +2043,7 @@ mod tests {
         // its plan in the cache.
         assert_eq!(compiled(&engine), (2, 3));
         let engine = engine.borrow();
-        let quarantine = engine.healer().quarantine();
+        let quarantine = engine.quarantine();
         assert_eq!(quarantine.strikes(a), 0);
         assert_eq!(quarantine.quarantined_until(a), None);
         // 60 + 2 * 50 dispatches under A add 1 + 2; 2 * 50 under B add 1
@@ -1860,21 +2161,18 @@ mod tests {
 
         let mut cache = ChainCache::new(1);
         assert!(cache.lookup(&plan_a).is_none());
-        assert_eq!(cache.misses(), 1);
 
-        cache.insert(plan_a.clone(), &opt_a);
+        assert!(!cache.insert(plan_a.clone(), &opt_a), "room: no eviction");
         let hit = cache.lookup(&plan_a).expect("cached");
         assert_eq!(hit.chains, opt_a.chains);
         assert!(
             Arc::ptr_eq(&hit.module, &opt_a.module),
             "a hit is a pointer"
         );
-        assert_eq!(cache.hits(), 1);
 
         // Capacity 1: caching B's phase evicts A's.
         assert_ne!(plan_a, plan_b, "distinct phases must key differently");
-        cache.insert(plan_b.clone(), &opt_b);
-        assert_eq!(cache.evictions(), 1);
+        assert!(cache.insert(plan_b.clone(), &opt_b), "full: evicts");
         assert_eq!(cache.len(), 1);
         assert!(cache.lookup(&plan_a).is_none());
 
@@ -1892,7 +2190,6 @@ mod tests {
         assert_eq!(returned, plan_b);
         let hit = cache.lookup(&returned).expect("same content, same key");
         assert!(hit.chains.iter().all(|c| c.guards_hold(rt.registry())));
-        assert_eq!(cache.invalidations(), 0);
     }
 
     #[test]

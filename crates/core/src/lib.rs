@@ -73,7 +73,6 @@
 //! ```
 
 pub mod adapt;
-pub mod heal;
 pub mod merge;
 pub mod quarantine;
 pub mod report;
@@ -82,7 +81,6 @@ pub mod subsume;
 pub use adapt::{
     AdaptConfig, AdaptStats, AdaptiveEngine, ChainCache, Deployable, EngineSnapshot, Plan,
 };
-pub use heal::{HealReport, SelfHealer};
 pub use merge::{build_super_handler, build_super_handler_metered, MergeSkip};
 pub use quarantine::{Quarantine, QuarantineConfig, QuarantineEntry};
 pub use report::{EventReport, OptReport};

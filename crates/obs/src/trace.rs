@@ -74,10 +74,10 @@ pub enum DispatchSrc {
 pub enum AuditAction {
     /// A specialized chain was installed for the event.
     Install,
-    /// A previously installed chain was dropped (not reproduced by the
-    /// new profile).
+    /// A deployed chain was dropped: the new plan does not want it, or its
+    /// bindings changed while it was out of the runtime.
     Drop,
-    /// The self-healer quarantined the event's chain.
+    /// The engine's quarantine barred the event's chain.
     Quarantine,
     /// A reprofile ran; the `why` field carries the evidence summary.
     Reprofile,

@@ -17,7 +17,7 @@
 //! occurrences.
 
 use crate::graph::EventGraph;
-use crate::handlers::{FoldScratch, HandlerGraph, SuperHandlers};
+use crate::handlers::{FoldScratch, HandlerGraph, SuperHandler, SuperHandlers};
 use crate::Profile;
 use pdo_events::Trace;
 use pdo_ir::{EventId, FuncId};
@@ -75,7 +75,7 @@ impl ProfileBuilder {
     /// [`pdo_events::Runtime::run_until`] fires there): a window cut inside
     /// an open handler frame loses the nesting attribution of raises whose
     /// `HandlerEnter` fell in the previous window.
-    pub fn observe(&mut self, window: &Trace, supers: &SuperHandlers) {
+    pub fn observe<S: AsRef<SuperHandler>>(&mut self, window: &Trace, supers: &SuperHandlers<S>) {
         // Event graph: `prev_raise` persists across windows.
         self.fresh += self.event_graph.fold(window, &mut self.prev_raise);
 

@@ -78,15 +78,23 @@ pub struct SuperHandler {
     pub nested: Vec<NestedRaise>,
 }
 
-/// How a fold tells program handlers from the optimizer's output.
+impl AsRef<SuperHandler> for SuperHandler {
+    fn as_ref(&self) -> &SuperHandler {
+        self
+    }
+}
+
+/// How a fold tells program handlers from the optimizer's output. `S` is
+/// whatever the caller keeps each super-handler in — an adaptive engine
+/// keeps it beside the chain it stands for.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SuperHandlers {
+pub struct SuperHandlers<S = SuperHandler> {
     /// Function count of the base module: ids at or past it are
     /// super-handlers, never program handlers.
     pub base_functions: usize,
     /// The deployed super-handlers (a handful; looked up linearly). One
     /// that is not listed is treated as not live.
-    pub deployed: Vec<SuperHandler>,
+    pub deployed: Vec<S>,
 }
 
 impl SuperHandlers {
@@ -98,7 +106,9 @@ impl SuperHandlers {
             deployed: Vec::new(),
         }
     }
+}
 
+impl<S: AsRef<SuperHandler>> SuperHandlers<S> {
     /// `handler` as the profile may name it: itself when it is a program
     /// handler; for a live super-handler the first handler it merged — the
     /// merged frame cannot say which of them raised, and `optimize` reads
@@ -112,7 +122,10 @@ impl SuperHandlers {
     }
 
     fn live(&self, func: FuncId) -> Option<&SuperHandler> {
-        self.deployed.iter().find(|s| s.func == func && s.live)
+        self.deployed
+            .iter()
+            .map(AsRef::as_ref)
+            .find(|s| s.func == func && s.live)
     }
 }
 
@@ -156,7 +169,12 @@ impl HandlerGraph {
     /// handlers of one dispatch all enter at the same frame depth, so a
     /// handler entering at the depth of the innermost open dispatch under
     /// another id — or at a shallower depth — means that dispatch is over.
-    pub(crate) fn fold(&mut self, trace: &Trace, supers: &SuperHandlers, s: &mut FoldScratch) {
+    pub(crate) fn fold<S: AsRef<SuperHandler>>(
+        &mut self,
+        trace: &Trace,
+        supers: &SuperHandlers<S>,
+        s: &mut FoldScratch,
+    ) {
         for record in &trace.records {
             match *record {
                 TraceRecord::HandlerEnter {
@@ -207,7 +225,7 @@ impl HandlerGraph {
     }
 
     /// The innermost open dispatch is over: count its handler sequence.
-    fn close(&mut self, supers: &SuperHandlers, s: &mut FoldScratch) {
+    fn close<S: AsRef<SuperHandler>>(&mut self, supers: &SuperHandlers<S>, s: &mut FoldScratch) {
         let top = s.open.pop().expect("caller checked");
         let handlers = &s.handlers[top.start..];
         match handlers.iter().find(|h| h.index() >= supers.base_functions) {
@@ -240,12 +258,12 @@ impl HandlerGraph {
     /// Counts one synchronous raise of `child_event` from inside `handler`
     /// running for `parent_event`, naming the handler as
     /// [`SuperHandlers`] says the profile may.
-    fn count_nested(
+    fn count_nested<S: AsRef<SuperHandler>>(
         &mut self,
         parent_event: EventId,
         handler: FuncId,
         child_event: EventId,
-        supers: &SuperHandlers,
+        supers: &SuperHandlers<S>,
     ) {
         if let Some(handler) = supers.raiser(handler) {
             let key = NestedRaise {

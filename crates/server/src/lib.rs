@@ -18,7 +18,8 @@
 //!   [`AdaptiveEngine`]) attached through the runtime's epoch hook. The
 //!   daemon samples the session's live trace window on virtual-clock
 //!   epoch boundaries *inside* `Runtime::run_until`, re-profiles when
-//!   enough fresh events accumulate (or a healed chain reports stale),
+//!   enough fresh events accumulate (or a chain held out of the runtime
+//!   can no longer return because its bindings changed),
 //!   and — only when what is hot or what is bound changed — hot-swaps
 //!   compiled chains under binding-content guards, with no caller
 //!   involvement anywhere. Repeated workload phases are served from the
@@ -30,9 +31,9 @@
 //!   [`Server::metrics`] scrapes every layer into one
 //!   [`MetricsSnapshot`], including the server's queue-depth and busy-ns
 //!   series. Callers reach a session through the closure-taking
-//!   [`Server::with_session`] family and the snapshot-returning
-//!   [`Server::engine_stats`]; the server keeps ownership, so a restore
-//!   never invalidates a caller's borrow.
+//!   [`Server::with_session`] family (`with_engine(id, |e| e.stats())`
+//!   reads a session's adaptation counters); the server keeps ownership,
+//!   so a restore never invalidates a caller's borrow.
 
 use pdo::{AdaptConfig, AdaptStats, AdaptiveEngine};
 use pdo_cactus::EventProgram;
@@ -320,11 +321,6 @@ impl SessionCtx<'_> {
     /// Runs `f` against the session's adaptation daemon.
     pub fn engine<R>(&self, f: impl FnOnce(&AdaptiveEngine) -> R) -> R {
         f(&self.session.engine.borrow())
-    }
-
-    /// The daemon's counters.
-    pub fn engine_stats(&self) -> AdaptStats {
-        self.engine(|e| e.stats())
     }
 
     /// The CTP endpoint, if this is a CTP session.
@@ -706,15 +702,6 @@ impl Server {
         f: impl FnOnce(&AdaptiveEngine) -> R,
     ) -> Result<R, ServerError> {
         self.with_session(id, |ctx| ctx.engine(f))
-    }
-
-    /// A snapshot of session `id`'s adaptation counters.
-    ///
-    /// # Errors
-    ///
-    /// [`ServerError::UnknownSession`].
-    pub fn engine_stats(&mut self, id: SessionId) -> Result<AdaptStats, ServerError> {
-        self.with_engine(id, |e| e.stats())
     }
 
     /// Runs `f` against a CTP session's endpoint (send, drain, stats).
@@ -1258,7 +1245,7 @@ mod tests {
             .unwrap();
         // No events at all: run_until pads the clock, so epochs still fire.
         server.run_until(10_000).unwrap();
-        assert!(server.engine_stats(sid).unwrap().epochs > 0);
+        assert!(server.with_engine(sid, |e| e.stats()).unwrap().epochs > 0);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! specialized and A despecialized, while its observational behavior
 //! (every global) matches a plain generic runtime fed the identical
 //! workload. No caller ever touches the profile, the optimizer, or the
-//! healer: the per-session daemon does it all inside `run_until`.
+//! quarantine: the per-session daemon does it all inside `run_until`.
 
 use pdo::{AdaptConfig, OptimizeOptions};
 use pdo_ctp::{ctp_program, CtpParams};
@@ -158,7 +158,7 @@ proptest! {
                 i
             );
         }
-        let stats = server.engine_stats(sid).unwrap();
+        let stats = server.with_engine(sid, |e| e.stats()).unwrap();
         prop_assert!(stats.chains_dropped >= 1, "A's chain was dropped");
     }
 }
@@ -195,7 +195,7 @@ fn ctp_sessions_are_server_resident_and_adapt() {
     assert_eq!(stats.segments_acked, stats.segments_sent);
     assert!(stats.segments_sent >= 30);
 
-    let adapt = server.engine_stats(sid).unwrap();
+    let adapt = server.with_engine(sid, |e| e.stats()).unwrap();
     assert!(
         adapt.epochs > 0,
         "epochs fired inside the protocol's run_until"
@@ -248,7 +248,7 @@ fn seccomm_sessions_roundtrip_across_adaptation() {
         server.run_until((round + 1) * 2_000).unwrap();
     }
 
-    let tx_adapt = server.engine_stats(tx).unwrap();
+    let tx_adapt = server.with_engine(tx, |e| e.stats()).unwrap();
     assert!(tx_adapt.epochs > 0);
     assert!(
         tx_adapt.reprofiles >= 1,

@@ -192,7 +192,7 @@ fn snapshot_restore_resumes_every_session_kind() {
 
     // Adaptation continuity: the restored plain session had profile and
     // counters carried, so epochs keep counting from where they stopped.
-    let stats = revived.engine_stats(plain).unwrap();
+    let stats = revived.with_engine(plain, |e| e.stats()).unwrap();
     assert!(stats.epochs > 0, "carried epoch counter: {stats:?}");
 
     // Fresh ids never collide with restored ones.

@@ -5,16 +5,11 @@
 //! cargo run --release --example fault_containment
 //! ```
 
-use pdo::{optimize, OptimizeOptions, QuarantineConfig, SelfHealer};
+use pdo::{AdaptConfig, AdaptiveEngine, OptimizeOptions, QuarantineConfig};
 use pdo_ctp::{ctp_program, CtpEndpoint, CtpError, CtpParams, LinkFaults};
-use pdo_events::{
-    FaultInjector, FaultKind, FaultPolicy, FaultSpec, Runtime, RuntimeConfig, TraceConfig,
-};
+use pdo_events::{FaultInjector, FaultKind, FaultPolicy, FaultSpec, Runtime, RuntimeConfig};
 use pdo_ir::{BinOp, FunctionBuilder, Module, RaiseMode, Value};
-use pdo_profile::Profile;
 use pdo_seccomm::{seccomm_protocol, Endpoint, Keys, SecCommError, CONFIG_FULL};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     lossy_link()?;
@@ -101,12 +96,13 @@ fn dead_link() {
 }
 
 /// 3. Handler-fault containment + self-healing: injected traps despecialize
-///    the chain (generic fallback keeps every event correct), the quarantine
-///    backs the chain off on the virtual clock, and the healer re-installs it.
+///    the chain (generic fallback keeps every event correct), the adaptive
+///    engine's quarantine backs the event off on the virtual clock, and the
+///    chain comes back once the backoff is over.
 ///
-/// The healer is attached through the runtime's *epoch hook*, so the whole
-/// quarantine/backoff/re-install cycle runs inside `run_until` on
-/// virtual-clock epoch boundaries — the caller never invokes `after_epoch`.
+/// The engine is attached through the runtime's *epoch hook*, so profiling,
+/// specialization, quarantine and return all run inside `run_until` on
+/// virtual-clock epoch boundaries — the caller never calls the engine.
 fn despecialize_and_heal() {
     let mut m = Module::new();
     let e = m.add_event("Tick");
@@ -119,92 +115,84 @@ fn despecialize_and_heal() {
     b.ret(None);
     let h = m.add_function(b.finish());
 
-    // Profile and optimize the happy path.
-    let mut rt = Runtime::new(m.clone());
-    rt.bind(e, h, 0).unwrap();
-    rt.set_trace_config(TraceConfig::full());
-    for _ in 0..40 {
-        rt.raise(e, RaiseMode::Sync, &[]).unwrap();
-    }
-    let profile = Profile::from_trace(&rt.take_trace(), 20);
-    let opt = optimize(&m, rt.registry(), &profile, &OptimizeOptions::new(20));
-
-    // Deploy with containment, then inject three dispatch traps.
-    let mut fast = Runtime::with_config(
-        opt.module.clone(),
+    // A session with containment and an engine that bars an event after
+    // two faults, for 1 ms of virtual time the first time.
+    let mut rt = Runtime::with_config(
+        m,
         RuntimeConfig {
             fault_policy: FaultPolicy::Despecialize,
             ..Default::default()
         },
     );
-    fast.bind(e, h, 0).unwrap();
-    opt.install_chains(&mut fast);
-
-    // The healer runs on epoch boundaries of the virtual clock, inside
-    // `run_until` — no caller-driven `after_epoch`.
-    let healer = Rc::new(RefCell::new(SelfHealer::new(
-        QuarantineConfig {
-            fault_threshold: 2,
-            base_backoff_ns: 1_000_000,
-            ..Default::default()
+    rt.bind(e, h, 0).unwrap();
+    let engine = AdaptiveEngine::attach_new(
+        &mut rt,
+        AdaptConfig {
+            epoch_ns: 500_000,
+            min_fresh_events: 20,
+            opts: OptimizeOptions::new(10),
+            quarantine: QuarantineConfig {
+                fault_threshold: 2,
+                base_backoff_ns: 1_000_000,
+                ..Default::default()
+            },
         },
-        &opt.chains,
-    )));
-    let log: Rc<RefCell<Vec<(u64, pdo::HealReport)>>> = Rc::default();
-    {
-        let healer = Rc::clone(&healer);
-        let log = Rc::clone(&log);
-        fast.set_epoch_hook(500_000, move |rt, at| {
-            let report = healer.borrow_mut().after_epoch(rt);
-            if !report.is_empty() {
-                log.borrow_mut().push((at, report));
-            }
-        });
-    }
+    );
+    // Timed ticks, `gap_ns` apart, run to completion.
+    let ticks = |rt: &mut Runtime, n: i64, gap_ns: i64| {
+        for i in 1..=n {
+            rt.raise(e, RaiseMode::Timed, &[Value::Int(i * gap_ns)])
+                .unwrap();
+        }
+        rt.run_until_idle().unwrap();
+    };
 
-    fast.set_fault_injector(FaultInjector::from_plan((0..3).map(|i| FaultSpec {
+    // The happy path: the engine profiles Tick and specializes it.
+    ticks(&mut rt, 100, 10_000);
+    assert!(rt.spec().get(e).is_some(), "the engine specialized Tick");
+    let installed = engine.borrow().stats().chains_installed;
+
+    // Three injected dispatch traps, all contained.
+    rt.set_fault_injector(FaultInjector::from_plan((0..3).map(|i| FaultSpec {
         event: e,
         occurrence: i,
         kind: FaultKind::TrapDispatch,
     })));
     for _ in 0..6 {
-        fast.raise(e, RaiseMode::Sync, &[]).unwrap(); // contained: no abort
+        rt.raise(e, RaiseMode::Sync, &[]).unwrap(); // contained: no abort
     }
     println!(
-        "containment: 3 traps injected, chain removed = {}, all 6 ticks counted = {:?}",
-        fast.spec().get(e).is_none(),
-        fast.global(g)
+        "containment: 3 traps injected, chain removed = {}, all 106 ticks counted = {:?}",
+        rt.spec().get(e).is_none(),
+        rt.global(g)
     );
-    assert_eq!(fast.global(g), &Value::Int(6));
+    assert!(rt.spec().get(e).is_none());
+    assert_eq!(rt.global(g), &Value::Int(106));
 
-    // Keep the session running on timed ticks: epochs fire inside
-    // `run_until`, the healer quarantines, the backoff expires, the chain
-    // comes back — all with zero healer calls from here.
-    for i in 1..=15i64 {
-        fast.raise(e, RaiseMode::Timed, &[Value::Int(i * 200_000)])
-            .unwrap();
-    }
-    fast.run_until_idle().unwrap();
-
-    let log = log.borrow();
-    let (at_q, first) = &log[0];
-    let (_, until) = first.quarantined[0];
+    // Keep the session running on timed ticks: the next epoch quarantines
+    // Tick, the backoff expires, the chain comes back — all with zero
+    // engine calls from here.
+    ticks(&mut rt, 15, 200_000);
+    let engine = engine.borrow();
+    let until = engine.quarantine().quarantined_until(e);
+    let until = until.expect("the fault epoch quarantined Tick");
     println!(
-        "healing    : epoch at t={at_q}ns quarantined the chain until t={until}ns \
-         (backoff on the virtual clock)"
+        "healing    : quarantined until t={until}ns (strike {}, backoff on the virtual clock)",
+        engine.quarantine().strikes(e)
     );
-    let reinstalled_at = log
-        .iter()
-        .find(|(_, r)| r.reinstalled.contains(&e))
-        .map(|(at, _)| *at)
-        .expect("a later epoch re-installs the chain");
-    fast.raise(e, RaiseMode::Sync, &[]).unwrap();
+    assert!(rt.clock_ns() >= until);
+    assert!(rt.spec().get(e).is_some(), "Tick is back after its backoff");
+    assert_eq!(engine.stats().chains_installed, installed + 1);
+    let fast = rt.cost.fastpath_hits;
+    rt.raise(e, RaiseMode::Sync, &[]).unwrap();
     println!(
-        "             epoch at t={reinstalled_at}ns re-installed it -> fast-path hits = {}\n",
-        fast.cost.fastpath_hits
+        "             by t={}ns the chain was back ({} install) -> fast-path hits = {}\n",
+        rt.clock_ns(),
+        engine.stats().chains_installed - installed,
+        rt.cost.fastpath_hits
     );
-    assert_eq!(fast.global(g), &Value::Int(6 + 15 + 1));
-    assert!(fast.cost.fastpath_hits >= 1);
+    assert_eq!(rt.cost.fastpath_hits, fast + 1, "Tick is on the fast lane");
+    assert_eq!(rt.global(g), &Value::Int(106 + 15 + 1));
 }
 
 /// 4. SecComm integrity: packets failing KeyedMD5 verification are dropped
