@@ -6,12 +6,14 @@
 //! [`Runtime::run_until`] on virtual-clock epoch boundaries, with no
 //! call from the caller), each epoch it:
 //!
-//! 1. drains the session's trace window into an incremental
-//!    [`ProfileBuilder`] (O(window), not O(everything ever traced)). The
-//!    profile only ever describes the *program*: a dispatch that took the
-//!    fast lane is credited with the handler sequences and nested raises
-//!    its super-handler was compiled from ([`SuperHandlers`]) — the fast
-//!    lane shows the tracer one merged frame and none of the raises it
+//! 1. drains the profile the runtime counted since the last epoch (its
+//!    [`ProfileTally`](pdo_events::ProfileTally)) into an incremental
+//!    [`ProfileBuilder`]: one merge per distinct edge, handler sequence
+//!    and nested raise, with no record to read back. The profile only
+//!    ever describes the *program*: a dispatch that took the fast lane is
+//!    credited with the handler sequences and nested raises its
+//!    super-handler was compiled from ([`SuperHandlers`]) — the fast lane
+//!    shows the runtime one merged frame and none of the raises it
 //!    subsumed, and a profile of that would be a profile of the optimizer;
 //! 2. feeds the runtime's stats delta to its [`Quarantine`], which
 //!    removes the chains of events that fault or churn past a threshold
@@ -33,9 +35,9 @@
 //!    weighs `1/2^k`: a workload shift from chain A to chain B ends with
 //!    B specialized and A despecialized.
 //!
-//! The trace window of step 1 is the profile's one source: the tracer is
-//! on for as long as the engine is attached, and which lane a dispatch
-//! took changes nothing the profile says about the program.
+//! The tally of step 1 is the profile's one source: the runtime counts it
+//! for as long as the engine is attached, and which lane a dispatch took
+//! changes nothing the profile says about the program.
 //!
 //! The decision in step 3 is a function of the profile and the registry
 //! alone, never of the previous decision, which is what makes it settle.
@@ -57,7 +59,7 @@
 use crate::quarantine::{Quarantine, QuarantineConfig, QuarantineEntry};
 use crate::{candidates, mergeable, optimize, subsume_evidence};
 use crate::{MergeSkip, Optimization, OptimizeOptions};
-use pdo_events::{Binding, CompiledChain, Registry, Runtime, TraceConfig};
+use pdo_events::{Binding, CompiledChain, Registry, Runtime};
 use pdo_ir::{EventId, Module};
 use pdo_obs::{AuditAction, Histogram, MetricsSnapshot, SpanKind};
 use pdo_profile::{EventGraph, HandlerGraph, ProfileBuilder, SuperHandler, SuperHandlers};
@@ -91,10 +93,6 @@ impl Default for AdaptConfig {
         }
     }
 }
-
-/// Trace-window cap an attached engine installs on its runtime: bounds the
-/// records held between epochs.
-const TRACE_WINDOW: usize = 8192;
 
 /// Capacity of an engine's [`ChainCache`]: a workload oscillating between
 /// phases it has already seen swaps the pre-built optimization back in
@@ -282,7 +280,7 @@ impl ChainCache {
 /// Observable counters of one session's adaptation loop.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdaptStats {
-    /// Epoch boundaries processed; each folded one trace window.
+    /// Epoch boundaries processed; each merged one counted window.
     pub epochs: u64,
     /// Re-profile passes run: the plan was worked out and compared with
     /// the deployed one. Most find it deployed already; those that do not
@@ -350,7 +348,7 @@ impl AdaptStats {
 }
 
 /// Serializable state of one [`AdaptiveEngine`], captured at an epoch
-/// boundary (when the trace window and stats delta have just been
+/// boundary (when the profile tally and stats delta have just been
 /// drained, so nothing in-flight is lost). A restored engine *resumes*
 /// specialization: the decaying profile accumulators, the cumulative
 /// adaptation counters, and every quarantine strike/backoff carry over.
@@ -467,7 +465,7 @@ pub struct AdaptiveEngine {
     /// until the next deploy.
     deployed: Option<Plan>,
     /// The deployed chains, in head-event order, each with its
-    /// super-handler as the window fold credits it. After every install
+    /// super-handler as the window merge credits it. After every install
     /// step each one is installed or barred by the quarantine.
     supers: SuperHandlers<Deployed>,
     /// The last audited answer per hot-but-generic event.
@@ -490,15 +488,14 @@ impl AdaptiveEngine {
         Self::from_snapshot(base, config, EngineSnapshot::default())
     }
 
-    /// Hooks `engine` into `rt`: enables full tracing (bounded by the
-    /// configured window) and installs an epoch hook that runs
-    /// [`AdaptiveEngine::on_epoch`] inside `run_until` — the session
-    /// adapts with no further caller involvement. The engine handle stays
-    /// shared so callers can read [`AdaptiveEngine::stats`].
+    /// Hooks `engine` into `rt`: starts the runtime's profile tally and
+    /// installs an epoch hook that runs [`AdaptiveEngine::on_epoch`]
+    /// inside `run_until` — the session adapts with no further caller
+    /// involvement. The engine handle stays shared so callers can read
+    /// [`AdaptiveEngine::stats`].
     pub fn attach(engine: Rc<RefCell<Self>>, rt: &mut Runtime) {
         let epoch_ns = engine.borrow().config.epoch_ns;
-        rt.set_trace_config(TraceConfig::full());
-        rt.set_trace_window(Some(TRACE_WINDOW));
+        rt.enable_profile_tally();
         rt.set_epoch_hook(epoch_ns, move |rt, _boundary| {
             engine.borrow_mut().on_epoch(rt);
         });
@@ -514,7 +511,7 @@ impl AdaptiveEngine {
     }
 
     /// Captures the engine's serializable state. Meaningful at an epoch
-    /// boundary, where the trace window and stats delta have just been
+    /// boundary, where the profile tally and stats delta have just been
     /// drained into the builder — snapshotting mid-epoch loses only that
     /// partial window, never corrupts.
     pub fn snapshot(&self) -> EngineSnapshot {
@@ -601,9 +598,7 @@ impl AdaptiveEngine {
     pub fn on_epoch(&mut self, rt: &mut Runtime) {
         self.stats.epochs += 1;
         self.check_deployed_guards(rt);
-        let window = rt.take_trace();
-        self.builder.observe(&window, &self.supers);
-        rt.recycle_trace(window);
+        rt.drain_profile_tally(|window| self.builder.observe(window, &self.supers));
         let delta = rt.take_stats();
         self.stats.despecialized += delta.chains_removed;
         // Containment removed a chain: the quarantine, not a cache hit,
@@ -633,7 +628,7 @@ impl AdaptiveEngine {
     }
 
     /// Asks every deployed chain whether its guards still hold, before the
-    /// window is folded: a chain's compile-time evidence stands in for its
+    /// window is merged: a chain's compile-time evidence stands in for its
     /// fast-lane dispatches only while they do, and the events whose
     /// bindings changed under it start their observations over.
     fn check_deployed_guards(&mut self, rt: &Runtime) {
@@ -1017,6 +1012,34 @@ mod tests {
     }
 
     #[test]
+    fn a_long_epoch_still_sees_every_dispatch_whole() {
+        // 2 000 dispatches of [a1, a2] before the first boundary: 10 000
+        // raise, enter and exit events. The profile must read each
+        // dispatch whole however many there are — a dispatch read in part
+        // would make `A` look unstable, and it would not be specialized.
+        let (m, [a, b], [ga, _]) = two_chain_module();
+        let mut rt = Runtime::new(m.clone());
+        bind_all(&mut rt, &m, a, b);
+        let engine = AdaptiveEngine::attach_new(&mut rt, config());
+        for _ in 0..2_000 {
+            rt.raise(a, RaiseMode::Sync, &[]).unwrap();
+        }
+        drive(&mut rt, b, 15);
+        assert_eq!(engine.borrow().stats().epochs, 1);
+        assert!(
+            rt.spec().get(a).is_some(),
+            "A ran one sequence 2 000 times and is hot"
+        );
+        let profile = engine.borrow().snapshot().profile;
+        let whole = [
+            m.function_by_name("a1").unwrap(),
+            m.function_by_name("a2").unwrap(),
+        ];
+        assert_eq!(profile.handler_graph().stable_sequence(a), Some(&whole[..]));
+        assert_eq!(rt.global(ga), &Value::Int(2_000 * 3));
+    }
+
+    #[test]
     fn reprofile_fuses_super_handlers_online() {
         let (m, [a, b], [ga, _]) = two_chain_module();
         let mut rt = Runtime::new(m.clone());
@@ -1104,7 +1127,7 @@ mod tests {
     #[test]
     fn the_profile_describes_the_program_not_the_lane() {
         // Neither engine re-profiles, so each profile is exactly what its
-        // runtime's trace windows showed. One runtime dispatches `A`
+        // runtime's counted windows showed. One runtime dispatches `A`
         // generically; the other runs a chain for `A` installed by hand.
         let config = AdaptConfig {
             min_fresh_events: u64::MAX,
@@ -1640,7 +1663,7 @@ mod tests {
         assert!(rt.spec().get(c).is_none(), "C stays below threshold");
         // The workload shifts: C goes hot and its handler starts raising D
         // synchronously; A is rebound, loses its chain and goes quiet. The
-        // only record of the new nesting is the trace window.
+        // only record of the new nesting is the counted window.
         rt.set_global(flag, Value::Int(1));
         rt.bind(a, m.function_by_name("a2").unwrap(), 1).unwrap();
         rt.remove_chain(a);

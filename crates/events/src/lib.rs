@@ -57,6 +57,7 @@ pub mod registry;
 pub mod runtime;
 pub mod sched;
 pub mod spec;
+pub mod tally;
 pub mod trace;
 pub mod wire;
 
@@ -65,6 +66,7 @@ pub use registry::{Binding, Registry};
 pub use runtime::{EpochHook, ObservableStats, Runtime, RuntimeConfig, RuntimeError, RuntimeStats};
 pub use sched::{Pending, QueuedTrace, Scheduler, TimerEntry, VirtualClock};
 pub use spec::{CompiledChain, Guard, SpecTable};
+pub use tally::ProfileTally;
 pub use trace::{Trace, TraceConfig, TraceRecord};
 pub use wire::{Arrival, FaultyWire, SequencedReceiver, Transmit, WireFaults, WireStats};
 

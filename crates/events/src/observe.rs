@@ -8,7 +8,8 @@
 //!
 //! | sink                         | gate                                    |
 //! |------------------------------|-----------------------------------------|
-//! | profile [`Trace`]            | [`TraceConfig`] (`off()` = none)        |
+//! | profile [`ProfileTally`]     | enabled (the adaptive engine does)      |
+//! | recorded [`Trace`]           | [`TraceConfig`] (`off()` = none)        |
 //! | [`RuntimeStats`]             | always                                  |
 //! | [`ObsHub`] histograms        | a hub is attached                       |
 //! | [`TraceStore`] spans         | a store is attached *and* enabled       |
@@ -22,21 +23,21 @@
 use crate::fault::FaultKind;
 use crate::runtime::RuntimeStats;
 use crate::sched::QueuedTrace;
+use crate::tally::{OpenDispatch, ProfileTally};
 use crate::trace::{Trace, TraceConfig, TraceRecord};
 use pdo_ir::{EventId, FuncId, OpcodeProfile, RaiseMode};
 use pdo_obs::{DispatchSrc, MetricsSnapshot, ObsHub, Span, SpanId, SpanKind, TraceCtx, TraceStore};
 
 /// The runtime's sinks. Fields a [`crate::Runtime`] accessor reads or
 /// swaps wholesale are crate-visible; everything an event method keeps
-/// consistent (window cap, ambient context) is private.
+/// consistent (ambient context) is private.
 #[derive(Default)]
 pub(crate) struct Observers {
+    /// `Some` while the profile is counted: updated in place at every
+    /// raise, dispatch bracket and handler entry.
+    pub(crate) tally: Option<ProfileTally>,
     pub(crate) trace: Trace,
     trace_config: TraceConfig,
-    trace_window: Option<usize>,
-    /// Records the window cap has drained, oldest first, since the
-    /// runtime was built: the profile never saw them.
-    trace_dropped: u64,
     pub(crate) stats: RuntimeStats,
     pub(crate) obs: Option<ObsHub>,
     pub(crate) tracer: Option<TraceStore>,
@@ -60,6 +61,8 @@ pub(crate) struct Observers {
 pub(crate) struct DispatchScope {
     start_ns: u64,
     span: Option<OpenSpan>,
+    /// The tally's open dispatch this one displaced.
+    tally: Option<OpenDispatch>,
 }
 
 /// A dispatch span allocated but not yet recorded (children may already
@@ -89,29 +92,6 @@ impl Observers {
         self.trace = Trace::new();
     }
 
-    pub(crate) fn set_trace_window(&mut self, max_records: Option<usize>) {
-        self.trace_window = max_records;
-        self.enforce_trace_window();
-    }
-
-    fn trace_push(&mut self, record: TraceRecord) {
-        self.trace.records.push(record);
-        self.enforce_trace_window();
-    }
-
-    fn enforce_trace_window(&mut self) {
-        if let Some(max) = self.trace_window {
-            let len = self.trace.records.len();
-            if len > max {
-                // Drop the oldest quarter-window in one pass so the cost
-                // amortizes to O(1) per record.
-                let drop = (len - max).max(max / 4).min(len);
-                self.trace.records.drain(..drop);
-                self.trace_dropped += drop as u64;
-            }
-        }
-    }
-
     /// A raise was requested at synchronous nesting `depth`. A queued
     /// raise records an instant `Raise` span — the enqueue half of the
     /// queue/timer happens-before edge — and returns the context its
@@ -128,8 +108,11 @@ impl Observers {
         depth: u32,
         now: u64,
     ) -> Option<QueuedTrace> {
+        if let Some(tally) = &mut self.tally {
+            tally.raise(event, mode);
+        }
         if self.trace_config.events {
-            self.trace_push(TraceRecord::Raise {
+            self.trace.records.push(TraceRecord::Raise {
                 event,
                 mode,
                 depth,
@@ -176,11 +159,16 @@ impl Observers {
         self.queued_tctx = trace.map(|qt| (qt, src));
     }
 
-    /// Opens the dispatch bracket. With tracing on, allocates the dispatch
-    /// span — parented to the popped entry's raise (with its queue wait)
-    /// or to the ambient span for sync dispatch — and makes it ambient.
+    /// Opens the dispatch bracket of `event` at synchronous nesting
+    /// `depth`. With tracing on, allocates the dispatch span — parented to
+    /// the popped entry's raise (with its queue wait) or to the ambient
+    /// span for sync dispatch — and makes it ambient.
     #[inline]
-    pub(crate) fn dispatch_begin(&mut self, now: u64) -> DispatchScope {
+    pub(crate) fn dispatch_begin(&mut self, event: EventId, depth: u32, now: u64) -> DispatchScope {
+        let tally = match &mut self.tally {
+            Some(t) => t.dispatch_begin(event, depth),
+            None => None,
+        };
         let queued = self.queued_tctx.take();
         let span = match &self.tracer {
             Some(t) if t.enabled() => {
@@ -203,6 +191,7 @@ impl Observers {
         DispatchScope {
             start_ns: now,
             span,
+            tally,
         }
     }
 
@@ -217,6 +206,9 @@ impl Observers {
         fast: bool,
         now: u64,
     ) {
+        if let Some(tally) = &mut self.tally {
+            tally.dispatch_end(scope.tally);
+        }
         if let Some(obs) = &self.obs {
             obs.dispatch_end(event.0, fast, now - scope.start_ns);
         }
@@ -251,9 +243,12 @@ impl Observers {
         dispatch: u64,
         now: u64,
     ) -> bool {
+        if let Some(tally) = &mut self.tally {
+            tally.handler_enter(handler);
+        }
         let traced = self.trace_config.handlers;
         if traced {
-            self.trace_push(TraceRecord::HandlerEnter {
+            self.trace.records.push(TraceRecord::HandlerEnter {
                 event,
                 handler,
                 dispatch,
@@ -275,7 +270,7 @@ impl Observers {
         now: u64,
     ) {
         if traced {
-            self.trace_push(TraceRecord::HandlerExit {
+            self.trace.records.push(TraceRecord::HandlerExit {
                 event,
                 handler,
                 dispatch,
@@ -315,7 +310,7 @@ impl Observers {
             t.record_under(self.cur_tctx, now, now, kind);
         }
         if self.trace_config.events {
-            self.trace_push(TraceRecord::Fault {
+            self.trace.records.push(TraceRecord::Fault {
                 event,
                 kind,
                 at: now,
@@ -343,7 +338,7 @@ impl Observers {
         }
     }
 
-    /// Exports the sink-held series: fault and trace-drop counters, the
+    /// Exports the sink-held series: fault counters, the
     /// fused-instruction count (while opcode profiling is on) and the hub's
     /// dispatch histograms.
     pub(crate) fn export_metrics(&self, snap: &mut MetricsSnapshot, extra: &[(&str, &str)]) {
@@ -376,12 +371,6 @@ impl Observers {
             "Timed raises delayed by fault injection",
             extra,
             self.stats.delayed_timed,
-        );
-        snap.counter(
-            "pdo_profile_trace_dropped_total",
-            "Profile-trace records drained unread by the trace-window cap",
-            extra,
-            self.trace_dropped,
         );
         for (event, n) in &self.stats.faults_by_event {
             let ev = event.0.to_string();

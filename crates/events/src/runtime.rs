@@ -6,6 +6,7 @@ use crate::observe::Observers;
 use crate::registry::Registry;
 use crate::sched::{Scheduler, VirtualClock};
 use crate::spec::{CompiledChain, GuardCheck, SpecTable};
+use crate::tally::ProfileTally;
 use crate::trace::{Trace, TraceConfig};
 use pdo_ir::interp::{call, Env, ExecError};
 use pdo_ir::{
@@ -260,8 +261,9 @@ pub struct Runtime {
     epoch_hook: Option<EpochHook>,
     config: RuntimeConfig,
     faults: Option<FaultInjector>,
-    /// Every observation sink (profile trace, stats, metrics hub, causal
-    /// trace store, opcode profile) behind one method per runtime event.
+    /// Every observation sink (profile tally, recorded trace, stats,
+    /// metrics hub, causal trace store, opcode profile) behind one method
+    /// per runtime event.
     sinks: Observers,
     /// Cost counters charged by dispatch and handler execution.
     pub cost: CostCounter,
@@ -424,14 +426,6 @@ impl Runtime {
             }
             None => false,
         }
-    }
-
-    /// Caps the retained trace at `max_records`, dropping the oldest
-    /// records once the window overflows (`None` = unbounded, the default).
-    /// Long-running sessions sample their trace in windows on epoch
-    /// boundaries; the cap bounds memory if an epoch runs long.
-    pub fn set_trace_window(&mut self, max_records: Option<usize>) {
-        self.sinks.set_trace_window(max_records);
     }
 
     /// The binding registry (read-only; mutate through [`Runtime::bind`]).
@@ -644,23 +638,31 @@ impl Runtime {
         std::mem::take(&mut self.sinks.trace)
     }
 
-    /// Hands a drained trace back so the next window records into its
-    /// buffer instead of growing a new one from nothing. Room for twice
-    /// the window just drained is kept and no more, so one burst does not
-    /// pin its peak for the rest of the session. A no-op once recording
-    /// has begun again.
-    pub fn recycle_trace(&mut self, mut trace: Trace) {
-        if self.sinks.trace.records.capacity() == 0 {
-            let keep = 2 * trace.records.len();
-            trace.records.clear();
-            trace.records.shrink_to(keep);
-            self.sinks.trace = trace;
-        }
-    }
-
     /// The recorded trace so far.
     pub fn trace(&self) -> &Trace {
         &self.sinks.trace
+    }
+
+    /// Starts counting the profile at every raise, dispatch and handler
+    /// entry (see [`ProfileTally`]); a no-op while it is counted.
+    pub fn enable_profile_tally(&mut self) {
+        self.sinks.tally.get_or_insert_with(ProfileTally::new);
+    }
+
+    /// The profile counted since it was enabled or last drained, if it is
+    /// counted.
+    pub fn profile_tally(&self) -> Option<&ProfileTally> {
+        self.sinks.tally.as_ref()
+    }
+
+    /// Hands the profile counted since the last drain to `merge`, then
+    /// clears it in place, keeping its buffers. `merge` is not called
+    /// while the profile is not counted.
+    pub fn drain_profile_tally(&mut self, merge: impl FnOnce(&ProfileTally)) {
+        if let Some(tally) = &mut self.sinks.tally {
+            merge(tally);
+            tally.clear();
+        }
     }
 
     /// Current value of a global cell.
@@ -974,7 +976,9 @@ impl Runtime {
         force_generic: bool,
         injected_fuel: bool,
     ) -> Result<(), RuntimeError> {
-        let scope = self.sinks.dispatch_begin(self.clock.now_ns());
+        let scope = self
+            .sinks
+            .dispatch_begin(event, self.sync_depth, self.clock.now_ns());
         let r = self.dispatch_body(module, event, args, force_generic, injected_fuel);
         // An aborting dispatch has no lane to attribute; count it as slow.
         let fast = *r.as_ref().unwrap_or(&false);
@@ -2204,29 +2208,6 @@ mod tests {
         assert_eq!(rt.global(g2), &Value::Int(99)); // new global initialized
         rt.raise(e, RaiseMode::Sync, &[Value::Unit]).unwrap();
         assert_eq!(rt.global(g), &Value::Int(11)); // bindings still live
-    }
-
-    #[test]
-    fn trace_window_bounds_record_count() {
-        let (m, e, _, h1, _) = two_handler_module();
-        let mut rt = Runtime::new(m);
-        rt.bind(e, h1, 0).unwrap();
-        rt.set_trace_config(TraceConfig::full());
-        rt.set_trace_window(Some(16));
-        for _ in 0..200 {
-            rt.raise(e, RaiseMode::Sync, &[Value::Unit]).unwrap();
-        }
-        let len = rt.trace().records.len();
-        assert!(len <= 16, "window exceeded: {len}");
-        assert!(len > 0, "window must retain recent records");
-        // Every raise left a raise, an enter and an exit record; what the
-        // window no longer holds is counted as dropped.
-        let mut snap = MetricsSnapshot::new();
-        rt.export_metrics(&mut snap, &[]);
-        assert_eq!(
-            snap.counter_value("pdo_profile_trace_dropped_total", &[]),
-            Some(3 * 200 - len as u64)
-        );
     }
 
     #[test]

@@ -1,5 +1,8 @@
-//! Execution traces for event and handler profiling.
+//! Execution traces for offline profiling and for tests.
 //!
+//! A live session's profile is counted, not recorded
+//! ([`crate::ProfileTally`]); a recorded trace is what an offline profile
+//! replays into the same tally, and what equivalence tests compare.
 //! [`TraceConfig`] selects what is recorded: event raises, and optionally
 //! enter/exit records around every handler. The paper's second profiling
 //! phase (§3.1), which instruments only the handlers of hot events, is not

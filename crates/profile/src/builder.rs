@@ -3,9 +3,10 @@
 //! The offline workflow builds a [`Profile`](crate::Profile) from one big
 //! trace. A long-running server cannot afford that: re-profiling must be
 //! O(window), not O(everything the session ever did). [`ProfileBuilder`]
-//! therefore consumes *trace windows* (whatever [`pdo_events::Runtime`]
-//! accumulated since the last sample) and merges each window's event and
-//! handler observations into running accumulators.
+//! therefore merges *counted windows* — the [`ProfileTally`] the runtime
+//! kept since the last epoch — into running accumulators, at a cost that
+//! follows the window's distinct edges, sequences and nestings, not its
+//! length.
 //!
 //! To let the profile track a *shifting* workload — the property the
 //! adaptive server needs so a chain that went cold is eventually
@@ -17,28 +18,25 @@
 //! occurrences.
 
 use crate::graph::EventGraph;
-use crate::handlers::{FoldScratch, HandlerGraph, SuperHandler, SuperHandlers};
+use crate::handlers::{HandlerGraph, SuperHandler, SuperHandlers};
 use crate::Profile;
-use pdo_events::Trace;
+use pdo_events::ProfileTally;
 use pdo_ir::{EventId, FuncId};
 
-/// Accumulates trace windows into a decaying profile.
+/// Accumulates counted windows into a decaying profile.
 ///
 /// A builder is its own snapshot: the decaying accumulators, the
 /// cross-window boundary raise and the fresh-raise counter, so a decoded
 /// builder produces the same profiles as the original.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProfileBuilder {
     event_graph: EventGraph,
     handler_graph: HandlerGraph,
     /// Carried across windows so the boundary edge between the last raise
     /// of one window and the first raise of the next is not lost.
     prev_raise: Option<EventId>,
-    /// Raise records observed since the last [`ProfileBuilder::take_fresh`].
+    /// Raises observed since the last [`ProfileBuilder::take_fresh`].
     fresh: u64,
-    /// Working storage of the window fold, kept for its capacity. Empty
-    /// between windows, so it is neither encoded nor compared.
-    scratch: FoldScratch,
 }
 
 pdo_snap::codec_struct!(ProfileBuilder {
@@ -46,16 +44,7 @@ pdo_snap::codec_struct!(ProfileBuilder {
     handler_graph,
     prev_raise,
     fresh,
-} skip { scratch });
-
-impl PartialEq for ProfileBuilder {
-    fn eq(&self, other: &Self) -> bool {
-        self.event_graph == other.event_graph
-            && self.handler_graph == other.handler_graph
-            && self.prev_raise == other.prev_raise
-            && self.fresh == other.fresh
-    }
-}
+});
 
 impl ProfileBuilder {
     /// An empty builder.
@@ -63,25 +52,36 @@ impl ProfileBuilder {
         Self::default()
     }
 
-    /// Merges one trace window into the accumulators. Cost is linear in the
-    /// window, independent of how much has been observed before, and the
-    /// fold allocates only for a sequence or nesting not seen before.
+    /// Merges one counted window into the accumulators: the edge from the
+    /// previous window's last raise to this one's first, then the
+    /// window's edges, sequences and nested raises, each distinct one
+    /// once with its count. Allocates only for a sequence or nesting not
+    /// seen before.
     ///
     /// `supers` says which functions are the optimizer's output and what
     /// they stand for, so the accumulators only ever name program handlers
     /// (see [`SuperHandlers`]).
-    ///
-    /// Windows are expected to end *between* dispatches (the epoch hook in
-    /// [`pdo_events::Runtime::run_until`] fires there): a window cut inside
-    /// an open handler frame loses the nesting attribution of raises whose
-    /// `HandlerEnter` fell in the previous window.
-    pub fn observe<S: AsRef<SuperHandler>>(&mut self, window: &Trace, supers: &SuperHandlers<S>) {
-        // Event graph: `prev_raise` persists across windows.
-        self.fresh += self.event_graph.fold(window, &mut self.prev_raise);
+    pub fn observe<S: AsRef<SuperHandler>>(
+        &mut self,
+        window: &ProfileTally,
+        supers: &SuperHandlers<S>,
+    ) {
+        self.fresh += window.raises();
+        self.event_graph.merge(window, &mut self.prev_raise);
+        self.handler_graph.merge(window, supers);
+    }
 
-        // Handler graph: dispatch ids are globally monotonic per runtime,
-        // so windows never alias each other's dispatches.
-        self.handler_graph.fold(window, supers, &mut self.scratch);
+    /// [`ProfileBuilder::observe`] computed by folding a recorded window
+    /// straight into the graphs: the oracle the tally is tested against.
+    #[cfg(test)]
+    pub(crate) fn reference_fold<S: AsRef<SuperHandler>>(
+        &mut self,
+        window: &pdo_events::Trace,
+        supers: &SuperHandlers<S>,
+    ) {
+        self.fresh +=
+            crate::reference::fold_events(&mut self.event_graph, window, &mut self.prev_raise);
+        crate::reference::fold_handlers(&mut self.handler_graph, window, supers);
     }
 
     /// Forgets what was observed of `event`'s own dispatches — its handler
@@ -174,7 +174,7 @@ mod tests {
     use super::*;
     use crate::graph::EdgeData;
     use crate::handlers::{HandlerSeq, NestedRaise, SuperHandler};
-    use pdo_events::TraceRecord;
+    use pdo_events::{Trace, TraceRecord};
     use pdo_ir::RaiseMode;
 
     fn raise(event: u32) -> TraceRecord {
@@ -208,15 +208,11 @@ mod tests {
     fn windows_merge_and_carry_the_boundary_edge() {
         let mut b = ProfileBuilder::new();
         b.observe(
-            &Trace {
-                records: vec![raise(0), raise(1)],
-            },
+            &ProfileTally::replay(&[raise(0), raise(1)]),
             &SuperHandlers::none(),
         );
         b.observe(
-            &Trace {
-                records: vec![raise(0), raise(1)],
-            },
+            &ProfileTally::replay(&[raise(0), raise(1)]),
             &SuperHandlers::none(),
         );
         let g = b.event_graph();
@@ -243,12 +239,7 @@ mod tests {
         // Windows cut at dispatch boundaries (4 records per dispatch here),
         // matching how the epoch hook samples between dispatches.
         for chunk in records.chunks(12) {
-            b.observe(
-                &Trace {
-                    records: chunk.to_vec(),
-                },
-                &SuperHandlers::none(),
-            );
+            b.observe(&ProfileTally::replay(chunk), &SuperHandlers::none());
         }
         let windowed = b.snapshot(5);
         assert_eq!(windowed.event_graph, offline.event_graph);
@@ -299,9 +290,9 @@ mod tests {
             .flat_map(|d| vec![raise(0), enter(0, 9, d), exit(0, 9, d)])
             .collect();
         let mut slow_lane = ProfileBuilder::new();
-        slow_lane.observe(&Trace { records: generic }, &merged_into_f9(true));
+        slow_lane.observe(&ProfileTally::replay(&generic), &merged_into_f9(true));
         let mut fast_lane = ProfileBuilder::new();
-        fast_lane.observe(&Trace { records: fast }, &merged_into_f9(true));
+        fast_lane.observe(&ProfileTally::replay(&fast), &merged_into_f9(true));
         assert_eq!(fast_lane.handler_graph(), slow_lane.handler_graph());
         // Hotness is not credited: only the raises that really happened.
         assert_eq!(fast_lane.event_graph().nodes[&EventId(0)], 3);
@@ -321,7 +312,7 @@ mod tests {
             exit(0, 9, 0),
         ];
         let mut b = ProfileBuilder::new();
-        b.observe(&Trace { records }, &merged_into_f9(true));
+        b.observe(&ProfileTally::replay(&records), &merged_into_f9(true));
         assert_eq!(
             b.handler_graph()
                 .nested_count(EventId(0), FuncId(1), EventId(5)),
@@ -345,12 +336,7 @@ mod tests {
             },
         ] {
             let mut b = ProfileBuilder::new();
-            b.observe(
-                &Trace {
-                    records: records.clone(),
-                },
-                &supers,
-            );
+            b.observe(&ProfileTally::replay(&records), &supers);
             assert_eq!(b.handler_graph(), &HandlerGraph::new());
             assert_eq!(b.event_graph().nodes[&EventId(0)], 1, "the raise happened");
         }
@@ -360,16 +346,14 @@ mod tests {
     fn forgetting_an_event_keeps_its_hotness_and_everyone_elses_sequences() {
         let mut b = ProfileBuilder::new();
         b.observe(
-            &Trace {
-                records: vec![
-                    raise(0),
-                    enter(0, 1, 0),
-                    raise(3),
-                    enter(3, 4, 1),
-                    exit(3, 4, 1),
-                    exit(0, 1, 0),
-                ],
-            },
+            &ProfileTally::replay(&[
+                raise(0),
+                enter(0, 1, 0),
+                raise(3),
+                enter(3, 4, 1),
+                exit(3, 4, 1),
+                exit(0, 1, 0),
+            ]),
             &SuperHandlers::none(),
         );
         let hot = b.event_graph().clone();
@@ -390,17 +374,15 @@ mod tests {
     fn retain_program_handlers_drops_what_names_no_program_function() {
         let mut b = ProfileBuilder::new();
         b.observe(
-            &Trace {
-                records: vec![
-                    enter(0, 9, 0),
-                    raise(3),
-                    exit(0, 9, 0),
-                    enter(3, 4, 1),
-                    exit(3, 4, 1),
-                    enter(0, 1, 2),
-                    exit(0, 1, 2),
-                ],
-            },
+            &ProfileTally::replay(&[
+                enter(0, 9, 0),
+                raise(3),
+                exit(0, 9, 0),
+                enter(3, 4, 1),
+                exit(3, 4, 1),
+                enter(0, 1, 2),
+                exit(0, 1, 2),
+            ]),
             &SuperHandlers::none(),
         );
         assert_eq!(b.handler_graph().sequences[&EventId(0)].len(), 2);
@@ -421,10 +403,10 @@ mod tests {
         let mut b = ProfileBuilder::new();
         // 40 A->B traversals, B raised from inside A's handler, then
         // silence.
-        let records = (0..40u64)
+        let records: Vec<TraceRecord> = (0..40u64)
             .flat_map(|d| vec![raise(0), enter(0, 7, d), raise(1), exit(0, 7, d)])
             .collect();
-        b.observe(&Trace { records }, &SuperHandlers::none());
+        b.observe(&ProfileTally::replay(&records), &SuperHandlers::none());
         assert!(b.event_graph().edges[&(EventId(0), EventId(1))].weight >= 39);
         assert_eq!(
             b.handler_graph()
@@ -446,9 +428,7 @@ mod tests {
     fn fresh_counter_resets_on_take() {
         let mut b = ProfileBuilder::new();
         b.observe(
-            &Trace {
-                records: vec![raise(0), raise(1), raise(0)],
-            },
+            &ProfileTally::replay(&[raise(0), raise(1), raise(0)]),
             &SuperHandlers::none(),
         );
         assert_eq!(b.take_fresh(), 3);
@@ -459,9 +439,7 @@ mod tests {
     fn a_decoded_builder_continues_identically() {
         let mut a = ProfileBuilder::new();
         a.observe(
-            &Trace {
-                records: vec![raise(0), enter(0, 7, 0), raise(1), exit(0, 7, 0)],
-            },
+            &ProfileTally::replay(&[raise(0), enter(0, 7, 0), raise(1), exit(0, 7, 0)]),
             &SuperHandlers::none(),
         );
         a.end_epoch();
@@ -469,9 +447,7 @@ mod tests {
         assert_eq!(b, a, "round trip is exact");
         // Both continue identically, including the boundary edge carried
         // in prev_raise and the fresh counter.
-        let window = Trace {
-            records: vec![raise(0), raise(1)],
-        };
+        let window = ProfileTally::replay(&[raise(0), raise(1)]);
         a.observe(&window, &SuperHandlers::none());
         b.observe(&window, &SuperHandlers::none());
         assert_eq!(a, b);
@@ -488,7 +464,7 @@ mod tests {
             records.push(raise(1));
         }
         records.push(raise(2));
-        b.observe(&Trace { records }, &SuperHandlers::none());
+        b.observe(&ProfileTally::replay(&records), &SuperHandlers::none());
         let p = b.snapshot(10);
         let r = p.reduced();
         assert!(r.edges.contains_key(&(EventId(0), EventId(1))));
@@ -523,7 +499,6 @@ mod tests {
             },
             prev_raise: Some(b),
             fresh: 19,
-            scratch: FoldScratch::default(),
         });
         pdo_snap::hostile::check(&ProfileBuilder::new());
     }

@@ -1,6 +1,6 @@
 //! The event graph (paper Fig 4 / Fig 5).
 
-use pdo_events::{Trace, TraceRecord};
+use pdo_events::{ProfileTally, Trace};
 use pdo_ir::{EventId, Module, RaiseMode};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -73,34 +73,40 @@ impl EventGraph {
     /// Runs the Fig 4 `GraphBuilder` over a trace's raise records.
     pub fn from_trace(trace: &Trace) -> Self {
         let mut g = EventGraph::new();
-        g.fold(trace, &mut None);
+        g.merge(&ProfileTally::replay(&trace.records), &mut None);
         g
     }
 
-    /// The Fig 4 walk, folded into the graph: a node occurrence per raise
-    /// record and an edge from the raise before it. `prev` is the last
-    /// raise already folded and is left at the last one of `trace`, so a
-    /// trace cut into windows folds to the graph of the whole. Returns the
-    /// number of raises folded.
-    pub(crate) fn fold(&mut self, trace: &Trace, prev: &mut Option<EventId>) -> u64 {
-        let mut raises = 0;
-        for record in &trace.records {
-            let TraceRecord::Raise { event, mode, .. } = record else {
-                continue;
-            };
-            raises += 1;
-            *self.nodes.entry(*event).or_insert(0) += 1;
+    /// The Fig 4 walk over one counted window, merged into the graph: a
+    /// node occurrence per raise and an edge from the raise before it.
+    /// `prev` is the last raise already merged — the window's first raise
+    /// gets its edge from it — and is left at the window's last, so a run
+    /// counted in windows merges to the graph of the whole.
+    pub(crate) fn merge(&mut self, tally: &ProfileTally, prev: &mut Option<EventId>) {
+        if let Some((first, mode)) = tally.first() {
+            *self.nodes.entry(first).or_insert(0) += 1;
             if let Some(p) = *prev {
-                let data = self.edges.entry((p, *event)).or_default();
-                data.weight += 1;
-                match mode {
-                    RaiseMode::Sync => data.sync += 1,
-                    RaiseMode::Async | RaiseMode::Timed => data.asynchronous += 1,
-                }
+                self.add_edge(p, first, mode, 1);
             }
-            *prev = Some(*event);
         }
-        raises
+        for (from, to, mode, n) in tally.edges() {
+            self.add_edge(from, to, mode, n);
+            *self.nodes.entry(to).or_insert(0) += n;
+        }
+        if let Some(last) = tally.last() {
+            *prev = Some(last);
+        }
+    }
+
+    /// Adds `n` traversals of `from → to` whose successor was raised in
+    /// `mode`.
+    pub(crate) fn add_edge(&mut self, from: EventId, to: EventId, mode: RaiseMode, n: u64) {
+        let data = self.edges.entry((from, to)).or_default();
+        data.weight += n;
+        match mode {
+            RaiseMode::Sync => data.sync += n,
+            RaiseMode::Async | RaiseMode::Timed => data.asynchronous += n,
+        }
     }
 
     /// The reduced graph: edges with `weight >= threshold` and the nodes
@@ -204,6 +210,7 @@ impl EventGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdo_events::TraceRecord;
 
     fn raise(event: u32, mode: RaiseMode) -> TraceRecord {
         TraceRecord::Raise {

@@ -11,8 +11,8 @@
 //!    child's handlers can be *subsumed* into the parent's super-handler
 //!    (Fig 9).
 
-use pdo_events::{Trace, TraceRecord};
-use pdo_ir::{EventId, FuncId, RaiseMode};
+use pdo_events::{ProfileTally, Trace};
+use pdo_ir::{EventId, FuncId};
 use std::collections::BTreeMap;
 
 /// An observed handler sequence with its occurrence count.
@@ -54,13 +54,13 @@ pub struct HandlerGraph {
 
 pdo_snap::codec_struct!(HandlerGraph { sequences, nested });
 
-/// One super-handler the optimizer deployed, as the fold needs to know it:
+/// One super-handler the optimizer deployed, as the merge needs to know it:
 /// what a dispatch through it stands for in terms of program handlers.
 ///
 /// A fast-lane dispatch shows the profiler a single frame — the merged
 /// function — and none of the raises it subsumed, because those became
-/// direct calls. Folding that as observed would make the profile describe
-/// the optimizer instead of the program. The fold therefore credits each
+/// direct calls. Counting that as observed would make the profile describe
+/// the optimizer instead of the program. The merge therefore credits each
 /// such dispatch with the evidence the super-handler was compiled from,
 /// for as long as it is `live`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,7 +84,7 @@ impl AsRef<SuperHandler> for SuperHandler {
     }
 }
 
-/// How a fold tells program handlers from the optimizer's output. `S` is
+/// How a merge tells program handlers from the optimizer's output. `S` is
 /// whatever the caller keeps each super-handler in — an adaptive engine
 /// keeps it beside the chain it stands for.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,7 +113,7 @@ impl<S: AsRef<SuperHandler>> SuperHandlers<S> {
     /// handler; for a live super-handler the first handler it merged — the
     /// merged frame cannot say which of them raised, and `optimize` reads
     /// nested evidence by `(parent, child)` only; `None` otherwise.
-    fn raiser(&self, handler: FuncId) -> Option<FuncId> {
+    pub(crate) fn raiser(&self, handler: FuncId) -> Option<FuncId> {
         if handler.index() < self.base_functions {
             return Some(handler);
         }
@@ -121,35 +121,12 @@ impl<S: AsRef<SuperHandler>> SuperHandlers<S> {
         head.first().copied()
     }
 
-    fn live(&self, func: FuncId) -> Option<&SuperHandler> {
+    pub(crate) fn live(&self, func: FuncId) -> Option<&SuperHandler> {
         self.deployed
             .iter()
             .map(AsRef::as_ref)
             .find(|s| s.func == func && s.live)
     }
-}
-
-/// Reusable working storage of [`HandlerGraph::fold`], so folding a window
-/// allocates only when it meets a sequence or nesting it has not seen.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct FoldScratch {
-    /// Open handler frames.
-    frames: Vec<(EventId, FuncId)>,
-    /// Open dispatches, innermost last.
-    open: Vec<OpenDispatch>,
-    /// Handlers of the open dispatches, back to back: dispatches nest, so
-    /// the innermost one's are always at the tail.
-    handlers: Vec<FuncId>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct OpenDispatch {
-    dispatch: u64,
-    event: EventId,
-    /// Frames open when its first handler entered.
-    depth: usize,
-    /// Where its handlers start in `FoldScratch::handlers`.
-    start: usize,
 }
 
 impl HandlerGraph {
@@ -161,117 +138,58 @@ impl HandlerGraph {
     /// Builds the handler graph from a trace containing handler records.
     pub fn from_trace(trace: &Trace) -> Self {
         let mut graph = HandlerGraph::new();
-        graph.fold(trace, &SuperHandlers::none(), &mut FoldScratch::default());
+        graph.merge(
+            &ProfileTally::replay(&trace.records),
+            &SuperHandlers::none(),
+        );
         graph
     }
 
-    /// Folds `trace` into the graph. Dispatch ids grow with time and the
-    /// handlers of one dispatch all enter at the same frame depth, so a
-    /// handler entering at the depth of the innermost open dispatch under
-    /// another id — or at a shallower depth — means that dispatch is over.
-    pub(crate) fn fold<S: AsRef<SuperHandler>>(
+    /// Merges one counted window. A dispatch that ran a super-handler is
+    /// credited, as many times as it ran, with what that super-handler
+    /// was compiled from while it is live, and with nothing otherwise; a
+    /// raise from inside one is named as [`SuperHandlers`] says the
+    /// profile may.
+    pub(crate) fn merge<S: AsRef<SuperHandler>>(
         &mut self,
-        trace: &Trace,
+        tally: &ProfileTally,
         supers: &SuperHandlers<S>,
-        s: &mut FoldScratch,
     ) {
-        for record in &trace.records {
-            match *record {
-                TraceRecord::HandlerEnter {
-                    event,
-                    handler,
-                    dispatch,
-                    ..
-                } => {
-                    let depth = s.frames.len();
-                    while let Some(top) = s.open.last() {
-                        if top.depth < depth || (top.depth == depth && top.dispatch == dispatch) {
-                            break;
+        for (event, handlers, n) in tally.sequences() {
+            match handlers.iter().find(|h| h.index() >= supers.base_functions) {
+                None => self.count_sequence(event, handlers, n),
+                Some(&func) => {
+                    if let Some(merged) = supers.live(func) {
+                        for (event, sequence) in &merged.sequences {
+                            self.count_sequence(*event, sequence, n);
                         }
-                        self.close(supers, s);
-                    }
-                    if s.open.last().is_none_or(|top| top.depth < depth) {
-                        s.open.push(OpenDispatch {
-                            dispatch,
-                            event,
-                            depth,
-                            start: s.handlers.len(),
-                        });
-                    }
-                    s.handlers.push(handler);
-                    s.frames.push((event, handler));
-                }
-                TraceRecord::HandlerExit { .. } => {
-                    s.frames.pop();
-                }
-                TraceRecord::Raise {
-                    event: child_event,
-                    mode: RaiseMode::Sync,
-                    ..
-                } => {
-                    if let Some(&(parent_event, handler)) = s.frames.last() {
-                        self.count_nested(parent_event, handler, child_event, supers);
-                    }
-                }
-                // Queued raises and fault records carry no handler-nesting
-                // information.
-                TraceRecord::Raise { .. } | TraceRecord::Fault { .. } => {}
-            }
-        }
-        while !s.open.is_empty() {
-            self.close(supers, s);
-        }
-        s.frames.clear();
-    }
-
-    /// The innermost open dispatch is over: count its handler sequence.
-    fn close<S: AsRef<SuperHandler>>(&mut self, supers: &SuperHandlers<S>, s: &mut FoldScratch) {
-        let top = s.open.pop().expect("caller checked");
-        let handlers = &s.handlers[top.start..];
-        match handlers.iter().find(|h| h.index() >= supers.base_functions) {
-            None => self.count_sequence(top.event, handlers),
-            Some(&func) => {
-                if let Some(merged) = supers.live(func) {
-                    for (event, sequence) in &merged.sequences {
-                        self.count_sequence(*event, sequence);
-                    }
-                    for nested in &merged.nested {
-                        *self.nested.entry(*nested).or_insert(0) += 1;
+                        for nested in &merged.nested {
+                            *self.nested.entry(*nested).or_insert(0) += n;
+                        }
                     }
                 }
             }
         }
-        s.handlers.truncate(top.start);
+        for (parent_event, handler, child_event, n) in tally.nested() {
+            if let Some(handler) = supers.raiser(handler) {
+                let key = NestedRaise {
+                    parent_event,
+                    handler,
+                    child_event,
+                };
+                *self.nested.entry(key).or_insert(0) += n;
+            }
+        }
     }
 
-    fn count_sequence(&mut self, event: EventId, handlers: &[FuncId]) {
+    pub(crate) fn count_sequence(&mut self, event: EventId, handlers: &[FuncId], n: u64) {
         let seqs = self.sequences.entry(event).or_default();
         match seqs.iter_mut().find(|s| s.handlers == handlers) {
-            Some(s) => s.count += 1,
+            Some(s) => s.count += n,
             None => seqs.push(HandlerSeq {
                 handlers: handlers.to_vec(),
-                count: 1,
+                count: n,
             }),
-        }
-    }
-
-    /// Counts one synchronous raise of `child_event` from inside `handler`
-    /// running for `parent_event`, naming the handler as
-    /// [`SuperHandlers`] says the profile may.
-    fn count_nested<S: AsRef<SuperHandler>>(
-        &mut self,
-        parent_event: EventId,
-        handler: FuncId,
-        child_event: EventId,
-        supers: &SuperHandlers<S>,
-    ) {
-        if let Some(handler) = supers.raiser(handler) {
-            let key = NestedRaise {
-                parent_event,
-                handler,
-                child_event,
-            };
-            *self.nested.entry(key).or_insert(0) += 1;
         }
     }
 
@@ -319,6 +237,8 @@ impl HandlerGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdo_events::TraceRecord;
+    use pdo_ir::RaiseMode;
 
     fn enter(event: u32, handler: u32, dispatch: u64) -> TraceRecord {
         TraceRecord::HandlerEnter {

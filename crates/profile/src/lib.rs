@@ -2,7 +2,9 @@
 //!
 //! Implements §3.1 of the paper:
 //!
-//! 1. Run the instrumented program and collect a [`pdo_events::Trace`].
+//! 1. Run the program and count its raises and dispatches: live, as the
+//!    runtime's [`pdo_events::ProfileTally`], or offline, by replaying a
+//!    recorded [`pdo_events::Trace`] into one.
 //! 2. Build the **event graph** with the Fig 4 `GraphBuilder` algorithm:
 //!    an edge `(e1, e2)` weighted by how many times `e2` immediately
 //!    followed `e1` in the trace, annotated with the raise mode of `e2`.
@@ -23,6 +25,8 @@ pub mod builder;
 pub mod chains;
 pub mod graph;
 pub mod handlers;
+#[cfg(test)]
+mod reference;
 pub mod store;
 
 pub use builder::ProfileBuilder;
@@ -31,7 +35,7 @@ pub use graph::{EdgeData, EdgeMode, EventGraph};
 pub use handlers::{HandlerGraph, HandlerSeq, NestedRaise, SuperHandler, SuperHandlers};
 pub use store::{load_profile, save_profile};
 
-use pdo_events::Trace;
+use pdo_events::{ProfileTally, Trace};
 use pdo_ir::EventId;
 
 /// A complete profile of one program configuration.
@@ -53,13 +57,18 @@ pdo_snap::codec_struct!(Profile {
 
 impl Profile {
     /// Builds a profile from a single fully-instrumented trace (both event
-    /// and handler records), using `threshold` for reduction.
+    /// and handler records), using `threshold` for reduction: the records
+    /// replay into the [`ProfileTally`] a live runtime keeps, which merges
+    /// as an adaptive engine's windows do.
     pub fn from_trace(trace: &Trace, threshold: u64) -> Self {
-        Profile {
-            event_graph: EventGraph::from_trace(trace),
-            handler_graph: HandlerGraph::from_trace(trace),
+        let tally = ProfileTally::replay(&trace.records);
+        let mut profile = Profile {
             threshold,
-        }
+            ..Profile::default()
+        };
+        profile.event_graph.merge(&tally, &mut None);
+        profile.handler_graph.merge(&tally, &SuperHandlers::none());
+        profile
     }
 
     /// The reduced event graph at this profile's threshold.

@@ -16,11 +16,11 @@
 //!   causal trace store.
 //! - Every session gets a per-session adaptive-specialization daemon (an
 //!   [`AdaptiveEngine`]) attached through the runtime's epoch hook. The
-//!   daemon samples the session's live trace window on virtual-clock
-//!   epoch boundaries *inside* `Runtime::run_until`, re-profiles when
-//!   enough fresh events accumulate (or a chain held out of the runtime
-//!   can no longer return because its bindings changed),
-//!   and — only when what is hot or what is bound changed — hot-swaps
+//!   daemon merges the profile the session's runtime counted on
+//!   virtual-clock epoch boundaries *inside* `Runtime::run_until`,
+//!   re-profiles when enough fresh events accumulate (or a chain held
+//!   out of the runtime can no longer return because its bindings
+//!   changed), and — only when what is hot or what is bound changed — hot-swaps
 //!   compiled chains under binding-content guards, with no caller
 //!   involvement anywhere. Repeated workload phases are served from the
 //!   engine's `ChainCache` instead of re-running `optimize`.
@@ -775,7 +775,7 @@ impl Server {
     /// one durable, versioned, checksummed image (see `pdo-snap` for the
     /// framing). Unconditional: the scheduler snapshot carries queued
     /// work and timers. The only state not captured is each session's
-    /// live trace window (the profile contribution of the *current*
+    /// live profile tally (the profile contribution of the *current*
     /// partial epoch), which is empty at epoch boundaries — snapshot
     /// there and the image is exact.
     ///

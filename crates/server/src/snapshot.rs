@@ -33,7 +33,7 @@ use std::sync::Arc;
 use crate::SessionId;
 
 /// The durable portion of one session. See the module
-/// docs; the adaptation daemon's live trace window and the current
+/// docs; the adaptation daemon's live profile tally and the current
 /// epoch's undrained stats delta are the only state *not* captured —
 /// both are empty at epoch boundaries, which is where snapshots are
 /// taken.

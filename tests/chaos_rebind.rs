@@ -12,10 +12,13 @@
 //! the same fault sequence and the same [`RuntimeStats::observable`]
 //! counters, under either containment policy.
 //!
-//! The engine drains the trace and the stats at every epoch boundary, so
-//! the engine-attached run collects both *in the epoch hook*, just before
-//! handing the boundary to [`AdaptiveEngine::on_epoch`]; nothing the
-//! runtime recorded is lost to the comparison.
+//! Both runs record the full trace. The engine drains the stats at every
+//! epoch boundary, so the engine-attached run collects them *in the epoch
+//! hook*, just before handing the boundary to [`AdaptiveEngine::on_epoch`],
+//! and drains the epoch's trace there too; nothing the runtime recorded
+//! is lost to the comparison. The same hook checks the engine's input:
+//! the profile of the runtime's live tally must be the profile of the
+//! epoch's records replayed.
 //!
 //! [`RuntimeStats::observable`]: pdo_events::RuntimeStats::observable
 
@@ -31,6 +34,7 @@ use pdo_events::{
     FaultInjector, FaultKind, FaultPolicy, ObservableStats, Runtime, RuntimeConfig, TraceConfig,
 };
 use pdo_ir::{BinOp, EventId, FuncId, FunctionBuilder, GlobalId, Module, RaiseMode, Value};
+use pdo_profile::{Profile, ProfileBuilder, SuperHandlers};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -205,22 +209,29 @@ fn run(
     }
     rt.set_fault_injector(FaultInjector::from_plan(case.plan.iter().copied()));
 
+    rt.set_trace_config(TraceConfig::full());
     let drained = Rc::new(RefCell::new(Drained::default()));
     let engine = adaptive.then(|| {
         let engine = AdaptiveEngine::attach_new(&mut rt, adapt_config());
         // The engine's own hook, with the collection in front of it.
-        let (sink, daemon) = (Rc::clone(&drained), Rc::clone(&engine));
+        let (sink, daemon, seed) = (Rc::clone(&drained), Rc::clone(&engine), case.seed);
         rt.set_epoch_hook(EPOCH_NS, move |rt, _| {
             let mut sink = sink.borrow_mut();
             sink.counters.push(rt.stats().observable());
-            sink.faults.extend(rt.trace().fault_sequence());
+            let window = rt.take_trace();
+            sink.faults.extend(window.fault_sequence());
+            let mut live = ProfileBuilder::new();
+            let tally = rt.profile_tally().expect("the engine counts the profile");
+            live.observe(tally, &SuperHandlers::none());
+            assert_eq!(
+                live.snapshot(0),
+                Profile::from_trace(&window, 0),
+                "seed {seed:#x} ({policy:?}): the live tally differs from the epoch's records"
+            );
             daemon.borrow_mut().on_epoch(rt);
         });
         engine
     });
-    if !adaptive {
-        rt.set_trace_config(TraceConfig::full());
-    }
 
     let mut mid = Some(0);
     for &op in stream {

@@ -228,9 +228,10 @@ pub fn observe<S>(rt: &mut Runtime, base_globals: usize, substrate: S) -> Observ
 }
 
 /// External-only snapshot for sessions driven by a live
-/// `AdaptiveEngine`: the engine drains the trace and the stats deltas at
-/// every epoch boundary, so only externally visible outputs (globals and
-/// substrate state) are comparable across sessions.
+/// `AdaptiveEngine`: the engine drains the stats deltas at every epoch
+/// boundary, and records no trace of its own, so only externally visible
+/// outputs (globals and substrate state) are comparable across sessions
+/// unless the harness collects the rest in its epoch hook.
 pub fn observe_external<S>(rt: &Runtime, base_globals: usize, substrate: S) -> Observed<S> {
     Observed {
         globals: snapshot_globals(rt, base_globals),

@@ -169,8 +169,12 @@ fn live_server_scrape_covers_every_layer() {
     // Adaptation gauges.
     let chains_live = snap.gauge_value("pdo_adapt_chains_live", &[]).unwrap_or(0);
     assert!(chains_live >= 1, "the plain session adapted:\n{text}");
-    // The profile's one source says how much of itself it lost.
-    assert!(text.contains("# TYPE pdo_profile_trace_dropped_total counter"));
+    // The profile is counted, not recorded: nothing is drained unread,
+    // and no series claims otherwise.
+    assert!(
+        !text.contains("pdo_profile_trace_"),
+        "no profile-trace series:\n{text}"
+    );
 
     // Wire fault counters from the CTP link.
     let wire_faults: u64 = ["dropped", "duplicated", "reordered", "corrupted"]
