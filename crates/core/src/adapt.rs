@@ -15,12 +15,13 @@
 //!    super-handler was compiled from ([`SuperHandlers`]) — the fast lane
 //!    shows the runtime one merged frame and none of the raises it
 //!    subsumed, and a profile of that would be a profile of the optimizer;
-//! 2. feeds the runtime's stats delta to its [`Quarantine`], which
-//!    removes the chains of events that fault or churn past a threshold
-//!    and bars them for a backoff; then runs the one install step: a
-//!    deployed chain the runtime does not hold comes back if its guards
-//!    hold and the quarantine no longer bars it, and is forgotten if its
-//!    bindings changed while it was out;
+//! 2. feeds the same drain's per-event faults and guard misses to its
+//!    [`Quarantine`], which removes the chains of events that fault or
+//!    churn past a threshold and bars them for a backoff, and its
+//!    despecializations to the [`ChainCache`]; then runs the one install
+//!    step: a deployed chain the runtime does not hold comes back if its
+//!    guards hold and the quarantine no longer bars it, and is forgotten
+//!    if its bindings changed while it was out;
 //! 3. when enough fresh events accumulated — or step 2 forgot a chain —
 //!    works out the [`Plan`]:
 //!    what [`optimize`] would build from *what is hot* and *what is
@@ -295,7 +296,7 @@ pub struct AdaptStats {
     /// before they could return.
     pub chains_dropped: u64,
     /// Chains the runtime removed for containment (`Despecialize` policy),
-    /// accumulated from the per-epoch stats deltas.
+    /// accumulated from each epoch's profile tally.
     pub despecialized: u64,
     /// Redeploys served from the [`ChainCache`] (no `optimize` run).
     pub cache_hits: u64,
@@ -348,10 +349,10 @@ impl AdaptStats {
 }
 
 /// Serializable state of one [`AdaptiveEngine`], captured at an epoch
-/// boundary (when the profile tally and stats delta have just been
-/// drained, so nothing in-flight is lost). A restored engine *resumes*
-/// specialization: the decaying profile accumulators, the cumulative
-/// adaptation counters, and every quarantine strike/backoff carry over.
+/// boundary (when the profile tally has just been drained, so nothing
+/// in-flight is lost). A restored engine *resumes* specialization: the
+/// decaying profile accumulators, the cumulative adaptation counters, and
+/// every quarantine strike/backoff carry over.
 ///
 /// Deliberately **not** captured — each is rebuilt deterministically or
 /// is diagnostic-only: compiled chains (the next re-profile rebuilds them
@@ -511,9 +512,9 @@ impl AdaptiveEngine {
     }
 
     /// Captures the engine's serializable state. Meaningful at an epoch
-    /// boundary, where the profile tally and stats delta have just been
-    /// drained into the builder — snapshotting mid-epoch loses only that
-    /// partial window, never corrupts.
+    /// boundary, where the profile tally has just been drained into the
+    /// builder — snapshotting mid-epoch loses only that partial window,
+    /// never corrupts.
     pub fn snapshot(&self) -> EngineSnapshot {
         EngineSnapshot {
             profile: self.builder.clone(),
@@ -598,18 +599,27 @@ impl AdaptiveEngine {
     pub fn on_epoch(&mut self, rt: &mut Runtime) {
         self.stats.epochs += 1;
         self.check_deployed_guards(rt);
-        rt.drain_profile_tally(|window| self.builder.observe(window, &self.supers));
-        let delta = rt.take_stats();
-        self.stats.despecialized += delta.chains_removed;
-        // Containment removed a chain: the quarantine, not a cache hit,
-        // decides when it comes back.
-        for &event in delta.despecialized_by_event.keys() {
-            self.stats.cache_invalidations += self.cache.invalidate_event(event) as u64;
-        }
         // The quarantine starts counting at the first deploy: before it,
         // there is no chain for a fault to be held against.
-        let forgot = self.deployed.is_some() && {
-            for event in self.quarantine.observe(&delta, rt.clock_ns()) {
+        let counting = self.deployed.is_some();
+        let now = rt.clock_ns();
+        let mut barred = Vec::new();
+        rt.drain_profile_tally(|window| {
+            self.builder.observe(window, &self.supers);
+            // Containment removed a chain: the quarantine, not a cache
+            // hit, decides when it comes back.
+            for (event, n) in window.despecialized() {
+                self.stats.despecialized += n;
+                self.stats.cache_invalidations += self.cache.invalidate_event(event) as u64;
+            }
+            if counting {
+                barred = self
+                    .quarantine
+                    .observe(window.faults(), window.guard_misses(), now);
+            }
+        });
+        let forgot = counting && {
+            for event in barred {
                 rt.remove_chain(event);
                 let until_ns = self
                     .quarantine
@@ -1298,7 +1308,8 @@ mod tests {
             rt.raise(a, RaiseMode::Sync, &[]).unwrap();
         }
         assert_eq!(rt.cost.fastpath_hits, fast + 5);
-        assert_eq!(rt.stats().guard_misses(a), 5);
+        let tally = rt.profile_tally().expect("the engine counts the profile");
+        assert_eq!(tally.guard_misses().collect::<Vec<_>>(), vec![(a, 5)]);
         assert_eq!(rt.stats().faults(a), 0);
         next_epoch(&mut rt, &engine);
         let engine_now = engine.borrow();
@@ -2321,8 +2332,8 @@ mod tests {
         })));
         drive(&mut rt, a, 3);
         assert!(rt.spec().get(a).is_none(), "containment removed the chain");
-        // The next epoch processes the despecialization delta and drops
-        // the cached A optimization with it.
+        // The next epoch drains the despecialization and drops the cached
+        // A optimization with it.
         drive(&mut rt, b, 30);
         let stats = engine.borrow().stats();
         assert!(

@@ -657,6 +657,7 @@ mod tests {
 
         let mut fast = setup_runtime(&opt.module, sfu, s2n, &h_sfu, &h_s2n).unwrap();
         opt.install_chains(&mut fast);
+        fast.enable_profile_tally();
         let dispatch = |fast: &mut Runtime| {
             let before = fast.cost;
             fast.raise(sfu, RaiseMode::Sync, &[Value::Unit]).unwrap();
@@ -679,8 +680,9 @@ mod tests {
         // very first dispatch, with nobody's help.
         fast.bind(s2n, h_s2n[1], 1).unwrap();
         assert_eq!(dispatch(&mut fast), (2, 0));
-        assert_eq!(fast.stats().guard_misses(s2n), 1);
-        assert_eq!(fast.stats().guard_misses(sfu), 0);
+        // One miss, the child's; none for the head.
+        let tally = fast.profile_tally().unwrap();
+        assert_eq!(tally.guard_misses().collect::<Vec<_>>(), vec![(s2n, 1)]);
     }
 
     #[test]

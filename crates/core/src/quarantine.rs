@@ -4,12 +4,13 @@
 //! re-binding out from under, is worse than generic dispatch: every
 //! occurrence pays the containment bookkeeping, and every rebind pays a
 //! replan and a redeploy. The quarantine tracks per-event fault and
-//! guard-churn counters from [`pdo_events::RuntimeStats`] deltas and, once a
+//! guard-churn counters, fed each epoch's counts (the adaptive engine
+//! reads them from the epoch's [`pdo_events::ProfileTally`]) and, once a
 //! counter crosses its threshold, bars the event from specialization for an
 //! exponentially growing window of *virtual* time (the runtime's clock, so
 //! tests and simulations stay deterministic).
 //!
-//! A *guard miss* in those deltas is one rebind that invalidated an
+//! A *guard miss* in those counts is one rebind that invalidated an
 //! installed chain — the runtime reports it once, at the first dispatch
 //! that finds the chain's guards refuted, however many raises fall back
 //! before the chain is replaced, and not at all when the bindings were
@@ -23,9 +24,8 @@
 //! offenders keep doubling their backoff). This is what keeps one-off
 //! transients from eventually adding up to a quarantine.
 
-use pdo_events::RuntimeStats;
 use pdo_ir::EventId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Thresholds and backoff shape for [`Quarantine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,8 +76,8 @@ pdo_snap::codec_struct!(QuarantineEntry {
     until_ns,
 });
 
-/// Per-event quarantine state. Feed it one [`RuntimeStats`] delta per epoch
-/// via [`Quarantine::observe`]; query with [`Quarantine::is_quarantined`].
+/// Per-event quarantine state. Feed it one epoch's counts at a time via
+/// [`Quarantine::observe`]; query with [`Quarantine::is_quarantined`].
 #[derive(Debug, Clone)]
 pub struct Quarantine {
     config: QuarantineConfig,
@@ -101,44 +101,40 @@ impl Quarantine {
         &self.entries
     }
 
-    /// The configured thresholds.
-    pub fn config(&self) -> &QuarantineConfig {
-        &self.config
-    }
-
-    /// Merges one epoch's stats delta at virtual time `now_ns` and returns
-    /// the events that crossed a threshold *this* epoch (in id order).
+    /// Merges one epoch's `(event, n)` fault and guard-miss counts at
+    /// virtual time `now_ns` and returns the events that crossed a
+    /// threshold *this* epoch (in id order).
     ///
-    /// `stats` must be a delta (e.g. from [`pdo_events::Runtime::take_stats`]
-    /// called once per epoch), not a cumulative snapshot — feeding the same
-    /// counts twice doubles them.
-    pub fn observe(&mut self, stats: &RuntimeStats, now_ns: u64) -> Vec<EventId> {
-        let active: BTreeSet<EventId> = stats
-            .faults_by_event
-            .keys()
-            .chain(stats.guard_misses_by_event.keys())
-            .copied()
-            .collect();
+    /// The counts are the epoch's own, not running totals: feeding the
+    /// same counts twice doubles them.
+    pub fn observe(
+        &mut self,
+        faults: impl IntoIterator<Item = (EventId, u64)>,
+        guard_misses: impl IntoIterator<Item = (EventId, u64)>,
+        now_ns: u64,
+    ) -> Vec<EventId> {
+        let mut epoch: BTreeMap<EventId, QuarantineEntry> = BTreeMap::new();
+        for (event, n) in faults {
+            epoch.entry(event).or_default().faults += n;
+        }
+        for (event, n) in guard_misses {
+            epoch.entry(event).or_default().guard_misses += n;
+        }
 
         // Forgiveness: a clean epoch resets an event's accumulators.
         for (event, entry) in self.entries.iter_mut() {
-            if !active.contains(event) {
+            if !epoch.contains_key(event) {
                 entry.faults = 0;
                 entry.guard_misses = 0;
             }
         }
 
-        for (&event, &n) in &stats.faults_by_event {
-            self.entries.entry(event).or_default().faults += n;
-        }
-        for (&event, &n) in &stats.guard_misses_by_event {
-            self.entries.entry(event).or_default().guard_misses += n;
-        }
-
         let mut newly = Vec::new();
-        for &event in &active {
+        for (event, seen) in epoch {
             let config = self.config;
             let entry = self.entries.entry(event).or_default();
+            entry.faults += seen.faults;
+            entry.guard_misses += seen.guard_misses;
             let already = entry.until_ns.is_some_and(|u| u > now_ns);
             if !already
                 && (entry.faults > config.fault_threshold
@@ -179,30 +175,20 @@ impl Quarantine {
     pub fn strikes(&self, event: EventId) -> u32 {
         self.entries.get(&event).map_or(0, |e| e.strikes)
     }
-
-    /// Current fault/guard-miss accumulators for `event` (testing and
-    /// report rendering).
-    pub fn counters(&self, event: EventId) -> (u64, u64) {
-        self.entries
-            .get(&event)
-            .map_or((0, 0), |e| (e.faults, e.guard_misses))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn stats_with_faults(event: EventId, n: u64) -> RuntimeStats {
-        let mut s = RuntimeStats::default();
-        s.faults_by_event.insert(event, n);
-        s
-    }
+    /// No counts of one kind this epoch.
+    const NONE: [(EventId, u64); 0] = [];
 
-    fn stats_with_misses(event: EventId, n: u64) -> RuntimeStats {
-        let mut s = RuntimeStats::default();
-        s.guard_misses_by_event.insert(event, n);
-        s
+    /// `event`'s accumulated `(faults, guard misses)`.
+    fn counters(q: &Quarantine, event: EventId) -> (u64, u64) {
+        q.entries()
+            .get(&event)
+            .map_or((0, 0), |e| (e.faults, e.guard_misses))
     }
 
     fn config() -> QuarantineConfig {
@@ -218,7 +204,7 @@ mod tests {
     fn faults_below_threshold_do_not_quarantine() {
         let e = EventId(0);
         let mut q = Quarantine::new(config());
-        assert!(q.observe(&stats_with_faults(e, 3), 0).is_empty());
+        assert!(q.observe([(e, 3)], NONE, 0).is_empty());
         assert!(!q.is_quarantined(e, 0));
     }
 
@@ -226,7 +212,7 @@ mod tests {
     fn crossing_threshold_quarantines_with_base_backoff() {
         let e = EventId(0);
         let mut q = Quarantine::new(config());
-        assert_eq!(q.observe(&stats_with_faults(e, 4), 100), vec![e]);
+        assert_eq!(q.observe([(e, 4)], NONE, 100), vec![e]);
         assert!(q.is_quarantined(e, 100));
         assert_eq!(q.quarantined_until(e), Some(1_100));
         // Eligible again exactly at expiry, not one tick before.
@@ -238,21 +224,21 @@ mod tests {
     fn faults_accumulate_across_dirty_epochs() {
         let e = EventId(0);
         let mut q = Quarantine::new(config());
-        assert!(q.observe(&stats_with_faults(e, 2), 0).is_empty());
-        assert_eq!(q.observe(&stats_with_faults(e, 2), 10), vec![e]);
+        assert!(q.observe([(e, 2)], NONE, 0).is_empty());
+        assert_eq!(q.observe([(e, 2)], NONE, 10), vec![e]);
     }
 
     #[test]
     fn clean_epoch_resets_accumulators() {
         let e = EventId(0);
         let mut q = Quarantine::new(config());
-        q.observe(&stats_with_misses(e, 8), 0); // at threshold, not over
-        assert_eq!(q.counters(e).1, 8);
+        q.observe(NONE, [(e, 8)], 0); // at threshold, not over
+        assert_eq!(counters(&q, e).1, 8);
         // Clean epoch (no entry for e): counter forgiven.
-        q.observe(&RuntimeStats::default(), 10);
-        assert_eq!(q.counters(e), (0, 0));
+        q.observe(NONE, NONE, 10);
+        assert_eq!(counters(&q, e), (0, 0));
         // Another 8 misses alone no longer quarantine.
-        assert!(q.observe(&stats_with_misses(e, 8), 20).is_empty());
+        assert!(q.observe(NONE, [(e, 8)], 20).is_empty());
     }
 
     #[test]
@@ -262,7 +248,7 @@ mod tests {
         let mut now = 0u64;
         let mut windows = Vec::new();
         for _ in 0..7 {
-            assert_eq!(q.observe(&stats_with_faults(e, 4), now), vec![e]);
+            assert_eq!(q.observe([(e, 4)], NONE, now), vec![e]);
             let until = q.quarantined_until(e).unwrap();
             windows.push(until - now);
             now = until; // expiry: eligible again, fault again
@@ -278,10 +264,10 @@ mod tests {
     fn faults_during_quarantine_do_not_extend_it() {
         let e = EventId(0);
         let mut q = Quarantine::new(config());
-        q.observe(&stats_with_faults(e, 4), 0);
+        q.observe([(e, 4)], NONE, 0);
         let until = q.quarantined_until(e).unwrap();
         // Still quarantined: further faults accumulate but do not re-arm.
-        assert!(q.observe(&stats_with_faults(e, 40), 10).is_empty());
+        assert!(q.observe([(e, 40)], NONE, 10).is_empty());
         assert_eq!(q.quarantined_until(e), Some(until));
     }
 
@@ -289,8 +275,8 @@ mod tests {
     fn a_resumed_quarantine_keeps_strikes_and_backoff() {
         let e = EventId(0);
         let mut q = Quarantine::new(config());
-        q.observe(&stats_with_faults(e, 4), 0);
-        q.observe(&stats_with_faults(e, 2), 10); // accumulating mid-window
+        q.observe([(e, 4)], NONE, 0);
+        q.observe([(e, 2)], NONE, 10); // accumulating mid-window
         let entries = q.entries().clone();
         pdo_snap::hostile::check(&entries);
         let mut r = Quarantine::resume(
@@ -300,10 +286,10 @@ mod tests {
         assert_eq!(r.entries(), &entries, "round trip is exact");
         assert_eq!(r.strikes(e), q.strikes(e));
         assert_eq!(r.quarantined_until(e), q.quarantined_until(e));
-        assert_eq!(r.counters(e), q.counters(e));
+        assert_eq!(counters(&r, e), counters(&q, e));
         // A repeat offense after restore doubles from the carried strike.
         let until = r.quarantined_until(e).unwrap();
-        assert_eq!(r.observe(&stats_with_faults(e, 4), until), vec![e]);
+        assert_eq!(r.observe([(e, 4)], NONE, until), vec![e]);
         assert_eq!(r.quarantined_until(e), Some(until + 2_000));
     }
 
@@ -311,9 +297,7 @@ mod tests {
     fn events_are_tracked_independently() {
         let (a, b) = (EventId(1), EventId(2));
         let mut q = Quarantine::new(config());
-        let mut s = stats_with_faults(a, 4);
-        s.guard_misses_by_event.insert(b, 2);
-        assert_eq!(q.observe(&s, 0), vec![a]);
+        assert_eq!(q.observe([(a, 4)], [(b, 2)], 0), vec![a]);
         assert!(q.is_quarantined(a, 0));
         assert!(!q.is_quarantined(b, 0));
     }

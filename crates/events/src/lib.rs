@@ -63,7 +63,7 @@ pub mod wire;
 
 pub use fault::{corrupt_value, FaultInjector, FaultKind, FaultPolicy, FaultSpec};
 pub use registry::{Binding, Registry};
-pub use runtime::{EpochHook, ObservableStats, Runtime, RuntimeConfig, RuntimeError, RuntimeStats};
+pub use runtime::{EpochHook, Runtime, RuntimeConfig, RuntimeError, RuntimeStats};
 pub use sched::{Pending, QueuedTrace, Scheduler, TimerEntry, VirtualClock};
 pub use spec::{CompiledChain, Guard, SpecTable};
 pub use tally::ProfileTally;

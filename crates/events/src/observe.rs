@@ -23,7 +23,7 @@
 use crate::fault::FaultKind;
 use crate::runtime::RuntimeStats;
 use crate::sched::QueuedTrace;
-use crate::tally::{OpenDispatch, ProfileTally};
+use crate::tally::{Key, OpenDispatch, ProfileTally};
 use crate::trace::{Trace, TraceConfig, TraceRecord};
 use pdo_ir::{EventId, FuncId, OpcodeProfile, RaiseMode};
 use pdo_obs::{DispatchSrc, MetricsSnapshot, ObsHub, Span, SpanId, SpanKind, TraceCtx, TraceStore};
@@ -282,7 +282,9 @@ impl Observers {
     /// A rebind invalidated an installed chain: reported once, by the
     /// first dispatch to find its guards refuted.
     pub(crate) fn guard_miss(&mut self, event: EventId, now: u64) {
-        *self.stats.guard_misses_by_event.entry(event).or_insert(0) += 1;
+        if let Some(tally) = &mut self.tally {
+            tally.count_unhinted(Key::GuardMiss(event));
+        }
         if let Some(t) = &self.tracer {
             let kind = SpanKind::GuardMiss { event: event.0 };
             t.record_under(self.cur_tctx, now, now, kind);
@@ -292,6 +294,9 @@ impl Observers {
     /// One fault occurrence (injected, or a contained organic trap).
     pub(crate) fn fault(&mut self, event: EventId, kind: FaultKind, now: u64) {
         *self.stats.faults_by_event.entry(event).or_insert(0) += 1;
+        if let Some(tally) = &mut self.tally {
+            tally.count_unhinted(Key::Fault(event));
+        }
         match kind {
             FaultKind::HandlerTrap => self.stats.handler_traps += 1,
             _ => self.stats.injected_faults += 1,
@@ -330,8 +335,9 @@ impl Observers {
 
     /// Containment removed `event`'s compiled chain.
     pub(crate) fn despecialized(&mut self, event: EventId, now: u64) {
-        self.stats.chains_removed += 1;
-        *self.stats.despecialized_by_event.entry(event).or_insert(0) += 1;
+        if let Some(tally) = &mut self.tally {
+            tally.count_unhinted(Key::Despecialized(event));
+        }
         if let Some(t) = &self.tracer {
             let kind = SpanKind::Despecialize { event: event.0 };
             t.record_under(self.cur_tctx, now, now, kind);

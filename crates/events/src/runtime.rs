@@ -111,14 +111,15 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// Observable robustness counters, recorded per run.
+/// Observable robustness counters, cumulative from the runtime's
+/// creation: nothing resets them.
 ///
-/// These are part of the runtime's *observable behavior* for the chaos
+/// They are part of the runtime's *observable behavior* for the chaos
 /// equivalence property: an original and an optimized run of the same
-/// workload under the same fault plan must agree on every field except the
-/// specialization-dependent ones (`chains_removed`,
-/// `despecialized_by_event`, `guard_misses_by_event`), which necessarily
-/// differ between a run with chains installed and one without.
+/// workload under the same fault plan must agree on every field, whether
+/// chains are installed or not. What does depend on specialization —
+/// guard misses and despecializations — is counted per epoch in the
+/// [`ProfileTally`] instead, for the adaptive engine that acts on it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RuntimeStats {
     /// Faults recorded per event (injected and contained-organic).
@@ -133,16 +134,6 @@ pub struct RuntimeStats {
     pub dropped_timed: u64,
     /// Timed raises delayed by [`FaultKind::DelayTimed`].
     pub delayed_timed: u64,
-    /// Compiled chains removed by [`FaultPolicy::Despecialize`].
-    pub chains_removed: u64,
-    /// Despecializations per event (chains actually removed).
-    pub despecialized_by_event: BTreeMap<EventId, u64>,
-    /// Guard misses per event: rebinds that invalidated an installed
-    /// chain, each counted once — at the first dispatch that finds the
-    /// guards refuted — however many dispatches then fall back (those are
-    /// `cost.fastpath_misses`). For quarantine-churn accounting in the
-    /// optimizer's workflow loop.
-    pub guard_misses_by_event: BTreeMap<EventId, u64>,
 }
 
 impl RuntimeStats {
@@ -150,44 +141,6 @@ impl RuntimeStats {
     pub fn faults(&self, event: EventId) -> u64 {
         self.faults_by_event.get(&event).copied().unwrap_or(0)
     }
-
-    /// Guard misses for one event.
-    pub fn guard_misses(&self, event: EventId) -> u64 {
-        self.guard_misses_by_event.get(&event).copied().unwrap_or(0)
-    }
-
-    /// The fields every equivalent pair of runs must agree on, independent
-    /// of whether chains are installed (see the struct docs).
-    pub fn observable(&self) -> ObservableStats {
-        ObservableStats {
-            faults_by_event: self.faults_by_event.iter().map(|(e, n)| (*e, *n)).collect(),
-            injected_faults: self.injected_faults,
-            handler_traps: self.handler_traps,
-            skipped_dispatches: self.skipped_dispatches,
-            dropped_timed: self.dropped_timed,
-            delayed_timed: self.delayed_timed,
-        }
-    }
-}
-
-/// The specialization-independent projection of [`RuntimeStats`]: the
-/// fields an original and an optimized run of the same workload under the
-/// same fault plan must agree on. This is the equality the chaos oracle
-/// asserts.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ObservableStats {
-    /// Faults recorded per event, in event order.
-    pub faults_by_event: Vec<(EventId, u64)>,
-    /// Injected faults that fired.
-    pub injected_faults: u64,
-    /// Organic handler traps contained by the policy.
-    pub handler_traps: u64,
-    /// Dispatches skipped (entirely or partially) by containment.
-    pub skipped_dispatches: u64,
-    /// Timed raises dropped by [`FaultKind::DropTimed`].
-    pub dropped_timed: u64,
-    /// Timed raises delayed by [`FaultKind::DelayTimed`].
-    pub delayed_timed: u64,
 }
 
 /// What a native slot is: bound by the embedder, or one of the
@@ -377,9 +330,9 @@ impl Runtime {
     /// Installs an epoch hook: inside [`Runtime::run_until`] (and on
     /// [`Runtime::advance_clock`]), whenever the virtual clock crosses a
     /// multiple of `epoch_ns`, `hook` runs *between* dispatches with full
-    /// mutable access to the runtime. This is how background work — trace
-    /// sampling, self-healing, re-profiling, chain hot-swaps — is driven
-    /// without any caller-side loop. Crossing several boundaries in one
+    /// mutable access to the runtime. This is how background work — the
+    /// adaptive engine's re-profiling, quarantine and chain hot-swaps — is
+    /// driven without any caller-side loop. Crossing several boundaries in one
     /// step fires the hook once, with the first boundary crossed.
     ///
     /// The hook slot is emptied while the hook runs, so a hook raising
@@ -623,14 +576,9 @@ impl Runtime {
         self.config.fault_policy = policy;
     }
 
-    /// Robustness counters recorded so far.
+    /// Robustness counters recorded since the runtime was created.
     pub fn stats(&self) -> &RuntimeStats {
         &self.sinks.stats
-    }
-
-    /// Takes the robustness counters, leaving zeroed ones.
-    pub fn take_stats(&mut self) -> RuntimeStats {
-        std::mem::take(&mut self.sinks.stats)
     }
 
     /// Takes the recorded trace, leaving an empty one.
@@ -1641,6 +1589,14 @@ mod tests {
     fn guard_follows_binding_content_and_one_rebind_is_one_miss() {
         let (m, e, _, h1, h2) = two_handler_module();
         let mut rt = Runtime::new(m);
+        rt.enable_profile_tally();
+        let misses = |rt: &Runtime| {
+            let tally = rt.profile_tally().unwrap();
+            tally
+                .guard_misses()
+                .find(|&(ev, _)| ev == e)
+                .map_or(0, |(_, n)| n)
+        };
         rt.bind(e, h1, 0).unwrap();
         rt.install_chain(CompiledChain {
             head: e,
@@ -1655,21 +1611,21 @@ mod tests {
             rt.raise(e, RaiseMode::Sync, &[Value::Unit]).unwrap();
             assert_eq!(rt.cost.fastpath_hits, round);
         }
-        assert_eq!(rt.stats().guard_misses(e), 0);
+        assert_eq!(misses(&rt), 0);
         assert_eq!(rt.cost.fastpath_misses, 0);
         // A real rebind: every raise falls back, the sinks hear of it once.
         rt.bind(e, h2, 1).unwrap();
         for _ in 0..100 {
             rt.raise(e, RaiseMode::Sync, &[Value::Unit]).unwrap();
         }
-        assert_eq!(rt.stats().guard_misses(e), 1);
+        assert_eq!(misses(&rt), 1);
         assert_eq!(rt.cost.fastpath_misses, 100);
         assert_eq!(rt.cost.fastpath_hits, 3);
         // The bindings return: the installed chain revalidates by itself.
         assert!(rt.unbind(e, h2));
         rt.raise(e, RaiseMode::Sync, &[Value::Unit]).unwrap();
         assert_eq!(rt.cost.fastpath_hits, 4);
-        assert_eq!(rt.stats().guard_misses(e), 1);
+        assert_eq!(misses(&rt), 1);
     }
 
     #[test]
@@ -1956,13 +1912,15 @@ mod tests {
             params: 1,
         });
         rt.set_fault_injector(trap_on_second(e));
+        rt.enable_profile_tally();
         rt.raise(e, RaiseMode::Sync, &[Value::Unit]).unwrap();
         assert_eq!(rt.cost.fastpath_hits, 1);
         assert_eq!(rt.global(g), &Value::Int(1)); // chain ran h1 only
         rt.raise(e, RaiseMode::Sync, &[Value::Unit]).unwrap();
         // Fault fired: chain removed, occurrence dispatched generically.
         assert!(rt.spec().get(e).is_none());
-        assert_eq!(rt.stats().chains_removed, 1);
+        let tally = rt.profile_tally().unwrap();
+        assert_eq!(tally.despecialized().collect::<Vec<_>>(), vec![(e, 1)]);
         assert_eq!(rt.global(g), &Value::Int(112)); // generic ran h1 and h2
         rt.raise(e, RaiseMode::Sync, &[Value::Unit]).unwrap();
         assert_eq!(rt.global(g), &Value::Int(11212));

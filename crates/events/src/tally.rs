@@ -8,6 +8,10 @@
 //! raises — never with the number of events, so no window has to be
 //! capped and no record is read back.
 //!
+//! The same buffer counts what the engine's quarantine and chain cache
+//! need per epoch: each event's faults, guard misses and despecializations.
+//! Those are rare, so they are counted without a hint.
+//!
 //! A recorded [`crate::Trace`] replays into the same tally
 //! ([`ProfileTally::replay`]), which is how an offline profile is built:
 //! one counting code for both.
@@ -17,7 +21,7 @@ use pdo_ir::{EventId, FuncId, RaiseMode};
 
 /// What one count is of.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Key {
+pub(crate) enum Key {
     /// `to` was raised, in `mode`, right after `from`.
     Edge {
         from: EventId,
@@ -36,6 +40,12 @@ enum Key {
         handler: FuncId,
         child: EventId,
     },
+    /// A fault of `event` (injected, or a contained organic trap).
+    Fault(EventId),
+    /// A rebind invalidated `event`'s installed chain.
+    GuardMiss(EventId),
+    /// Containment removed `event`'s chain.
+    Despecialized(EventId),
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -65,7 +75,8 @@ const FIRST_ROOM: usize = 32;
 
 /// What one window of execution showed the profiler: raises, the edges
 /// between consecutive raises, each dispatch's handler sequence and the
-/// synchronous raises made inside handlers.
+/// synchronous raises made inside handlers — and, per event, the faults,
+/// guard misses and despecializations the engine acts on.
 ///
 /// Two buffers hold it all: the distinct keys with their counts, in the
 /// order each was first counted, and the handler ids of the distinct
@@ -165,8 +176,9 @@ impl ProfileTally {
         }
     }
 
+    /// Adds one to `key`'s count, found by a scan; returns its hint.
     #[cold]
-    fn count_unhinted(&mut self, key: Key) -> u32 {
+    pub(crate) fn count_unhinted(&mut self, key: Key) -> u32 {
         let i = match self.counts.iter().position(|c| c.key == key) {
             Some(i) => {
                 self.counts[i].n += 1;
@@ -324,6 +336,32 @@ impl ProfileTally {
                 handler,
                 child,
             } => Some((parent, handler, child, c.n)),
+            _ => None,
+        })
+    }
+
+    /// `(event, n)`: `event` faulted `n` times, injected or as a contained
+    /// organic trap; in the order each first faulted.
+    pub fn faults(&self) -> impl Iterator<Item = (EventId, u64)> + '_ {
+        self.counts.iter().filter_map(|c| match c.key {
+            Key::Fault(event) => Some((event, c.n)),
+            _ => None,
+        })
+    }
+
+    /// `(event, n)`: `n` rebinds invalidated `event`'s installed chain, each
+    /// counted once, by the first dispatch to find its guards refuted.
+    pub fn guard_misses(&self) -> impl Iterator<Item = (EventId, u64)> + '_ {
+        self.counts.iter().filter_map(|c| match c.key {
+            Key::GuardMiss(event) => Some((event, c.n)),
+            _ => None,
+        })
+    }
+
+    /// `(event, n)`: containment removed `event`'s chain `n` times.
+    pub fn despecialized(&self) -> impl Iterator<Item = (EventId, u64)> + '_ {
+        self.counts.iter().filter_map(|c| match c.key {
+            Key::Despecialized(event) => Some((event, c.n)),
             _ => None,
         })
     }

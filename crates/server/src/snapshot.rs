@@ -33,10 +33,11 @@ use std::sync::Arc;
 use crate::SessionId;
 
 /// The durable portion of one session. See the module
-/// docs; the adaptation daemon's live profile tally and the current
-/// epoch's undrained stats delta are the only state *not* captured —
-/// both are empty at epoch boundaries, which is where snapshots are
-/// taken.
+/// docs; the adaptation daemon's live profile tally is the only
+/// adaptation state *not* captured — it is empty at epoch boundaries,
+/// which is where snapshots are taken. The runtime's robustness counters
+/// are not captured either: they count from the runtime's creation, and
+/// a restored session's start from zero.
 #[derive(Debug, PartialEq)]
 pub(crate) struct SessionSnapshot {
     /// Shared with the session it was taken from (and, in a decoded image,

@@ -5,15 +5,14 @@
 //! chains, or a live adaptation engine hot-swapping chains mid-session —
 //! must be observationally identical to the plain endpoint: same delivered
 //! payload, same link statistics, same final globals, same fault sequence
-//! and robustness counters (external outputs only for adaptive sessions,
-//! whose engine drains the trace and stats every epoch).
+//! and robustness counters.
 
 #[path = "common/oracle.rs"]
 mod oracle;
 
 use oracle::{
-    arm_tracing_and_histograms, assert_equivalent, chaos_cases, chaos_seed, observe,
-    observe_external, CaseContext, ChaosCase, Observed, SplitMix, POLICIES,
+    arm_tracing_and_histograms, assert_equivalent, chaos_cases, chaos_seed, observe, CaseContext,
+    ChaosCase, Observed, SplitMix, POLICIES,
 };
 use pdo::{optimize, AdaptConfig, AdaptiveEngine, Optimization, OptimizeOptions};
 use pdo_cactus::EventProgram;
@@ -98,7 +97,7 @@ fn adapt_config() -> AdaptConfig {
 }
 
 /// Runs one seeded session and snapshots it. `opt` installs static chains;
-/// `adaptive` attaches a live engine instead (external-only snapshot).
+/// `adaptive` attaches a live engine instead.
 fn run_case(
     prog: &EventProgram,
     base_globals: usize,
@@ -120,12 +119,8 @@ fn run_case(
     e.runtime_mut().set_fault_policy(policy);
     e.runtime_mut()
         .set_fault_injector(FaultInjector::from_plan(case.plan.iter().copied()));
-    let engine = if adaptive {
-        Some(AdaptiveEngine::attach_new(e.runtime_mut(), adapt_config()))
-    } else {
-        e.runtime_mut().set_trace_config(TraceConfig::full());
-        None
-    };
+    e.runtime_mut().set_trace_config(TraceConfig::full());
+    let engine = adaptive.then(|| AdaptiveEngine::attach_new(e.runtime_mut(), adapt_config()));
 
     let outcome = (|| -> Result<(), CtpError> {
         e.open()?;
@@ -142,11 +137,7 @@ fn run_case(
         error: outcome.err().map(|err| format!("{err:?}")),
     };
     drop(engine);
-    if adaptive {
-        observe_external(e.runtime(), base_globals, obs)
-    } else {
-        observe(e.runtime_mut(), base_globals, obs)
-    }
+    observe(e.runtime_mut(), base_globals, obs)
 }
 
 #[test]
@@ -211,9 +202,7 @@ fn ctp_chaos_conformance_adaptive_engine_live() {
         let case = ChaosCase::derive(base.wrapping_add(i), &events, 6, 24);
         let payloads = case_payloads(case.seed);
         for policy in POLICIES {
-            // External outputs only: the engine drains trace/stats, so the
-            // reference snapshot must be taken the same way.
-            let mut reference = run_case(
+            let reference = run_case(
                 &program,
                 base_globals,
                 None,
@@ -222,8 +211,6 @@ fn ctp_chaos_conformance_adaptive_engine_live() {
                 &payloads,
                 false,
             );
-            reference.faults = Vec::new();
-            reference.counters = pdo_events::ObservableStats::default();
             let observed = run_case(&program, base_globals, None, &case, policy, &payloads, true);
             let ctx = CaseContext {
                 substrate: "ctp",

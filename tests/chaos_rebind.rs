@@ -9,18 +9,17 @@
 //! attached, which specializes, sees its guards fail, forgets, replans and
 //! replays from its cache as the bindings move, and on a bare runtime that
 //! only ever dispatches generically. Both must end with the same globals,
-//! the same fault sequence and the same [`RuntimeStats::observable`]
-//! counters, under either containment policy.
+//! the same fault sequence and the same [`RuntimeStats`] counters, under
+//! either containment policy.
 //!
-//! Both runs record the full trace. The engine drains the stats at every
-//! epoch boundary, so the engine-attached run collects them *in the epoch
-//! hook*, just before handing the boundary to [`AdaptiveEngine::on_epoch`],
-//! and drains the epoch's trace there too; nothing the runtime recorded
-//! is lost to the comparison. The same hook checks the engine's input:
+//! Both runs record the full trace. The engine-attached run takes each
+//! epoch's records *in the epoch hook*, just before handing the boundary
+//! to [`AdaptiveEngine::on_epoch`], and checks the engine's input there:
 //! the profile of the runtime's live tally must be the profile of the
-//! epoch's records replayed.
+//! epoch's records replayed. The faults those records carry are kept, so
+//! the fault sequence compared is the whole run's.
 //!
-//! [`RuntimeStats::observable`]: pdo_events::RuntimeStats::observable
+//! [`RuntimeStats`]: pdo_events::RuntimeStats
 
 #[path = "common/oracle.rs"]
 mod oracle;
@@ -30,13 +29,10 @@ use oracle::{
     POLICIES,
 };
 use pdo::{AdaptConfig, AdaptStats, AdaptiveEngine, OptimizeOptions};
-use pdo_events::{
-    FaultInjector, FaultKind, FaultPolicy, ObservableStats, Runtime, RuntimeConfig, TraceConfig,
-};
+use pdo_events::{FaultInjector, FaultKind, FaultPolicy, Runtime, RuntimeConfig, TraceConfig};
 use pdo_ir::{BinOp, EventId, FuncId, FunctionBuilder, GlobalId, Module, RaiseMode, Value};
 use pdo_profile::{Profile, ProfileBuilder, SuperHandlers};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 const EPOCH_NS: u64 = 1_000;
@@ -145,31 +141,6 @@ fn ops(seed: u64, n_events: usize) -> Vec<Op> {
         .collect()
 }
 
-/// What the epoch hook of an engine-attached run collects before the
-/// engine drains it.
-#[derive(Default)]
-struct Drained {
-    counters: Vec<ObservableStats>,
-    faults: Vec<(EventId, FaultKind)>,
-}
-
-fn sum_counters(parts: &[ObservableStats]) -> ObservableStats {
-    let mut total = ObservableStats::default();
-    let mut by_event = BTreeMap::new();
-    for part in parts {
-        for &(event, n) in &part.faults_by_event {
-            *by_event.entry(event).or_insert(0) += n;
-        }
-        total.injected_faults += part.injected_faults;
-        total.handler_traps += part.handler_traps;
-        total.skipped_dispatches += part.skipped_dispatches;
-        total.dropped_timed += part.dropped_timed;
-        total.delayed_timed += part.delayed_timed;
-    }
-    total.faults_by_event = by_event.into_iter().collect();
-    total
-}
-
 fn adapt_config() -> AdaptConfig {
     let mut opts = OptimizeOptions::new(6);
     // Boundary markers make ExhaustFuel trip at the same program points in
@@ -210,16 +181,15 @@ fn run(
     rt.set_fault_injector(FaultInjector::from_plan(case.plan.iter().copied()));
 
     rt.set_trace_config(TraceConfig::full());
-    let drained = Rc::new(RefCell::new(Drained::default()));
+    // The faults of the epochs the hook took the records of.
+    let taken: Rc<RefCell<Vec<(EventId, FaultKind)>>> = Rc::default();
     let engine = adaptive.then(|| {
         let engine = AdaptiveEngine::attach_new(&mut rt, adapt_config());
         // The engine's own hook, with the collection in front of it.
-        let (sink, daemon, seed) = (Rc::clone(&drained), Rc::clone(&engine), case.seed);
+        let (sink, daemon, seed) = (Rc::clone(&taken), Rc::clone(&engine), case.seed);
         rt.set_epoch_hook(EPOCH_NS, move |rt, _| {
-            let mut sink = sink.borrow_mut();
-            sink.counters.push(rt.stats().observable());
             let window = rt.take_trace();
-            sink.faults.extend(window.fault_sequence());
+            sink.borrow_mut().extend(window.fault_sequence());
             let mut live = ProfileBuilder::new();
             let tally = rt.profile_tally().expect("the engine counts the profile");
             live.observe(tally, &SuperHandlers::none());
@@ -270,12 +240,10 @@ fn run(
     rt.run_until_idle()
         .expect("containment policy must not abort the drain");
 
-    let mut drained = drained.borrow_mut();
-    drained.counters.push(rt.stats().observable());
-    drained.faults.extend(rt.trace().fault_sequence());
-    let mut observed = oracle::observe_external(&rt, p.module.globals.len(), ());
-    observed.counters = sum_counters(&drained.counters);
-    observed.faults = std::mem::take(&mut drained.faults);
+    let mut observed = oracle::observe(&mut rt, p.module.globals.len(), ());
+    let mut faults = taken.take();
+    faults.append(&mut observed.faults);
+    observed.faults = faults;
     let stats = engine.map(|e| e.borrow().stats()).unwrap_or_default();
     (observed, rt, stats)
 }

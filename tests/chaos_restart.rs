@@ -17,7 +17,8 @@
 //! bytes already on the wire cannot be un-sent).
 //!
 //! Comparisons are external-only (globals + substrate state): dispatch
-//! cost counters and the live trace die with the process by design.
+//! cost counters, robustness counters and the live trace die with the
+//! process by design.
 
 #[path = "common/oracle.rs"]
 mod oracle;
@@ -256,7 +257,7 @@ const CTP_MESSAGES: usize = 5;
 const CTP_STEP_NS: u64 = 60_000_000;
 
 /// Epochs aligned with the per-message deadlines, so every boundary
-/// restore happens with a drained trace window.
+/// restore happens with a drained profile tally.
 fn ctp_adapt() -> AdaptConfig {
     let mut opts = OptimizeOptions::new(8);
     opts.fuel_boundaries = true;

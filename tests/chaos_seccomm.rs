@@ -5,15 +5,15 @@
 //! sender's and receiver's coordinator events. Optimized endpoints —
 //! monolithic, per-event, or hot-swapped by a live adaptation engine —
 //! must deliver byte-identical plaintexts, the same drop counts, the same
-//! error outcomes, and (for static chains) the same fault sequence and
-//! robustness counters as the plain endpoints.
+//! error outcomes, and the same fault sequence and robustness counters as
+//! the plain endpoints.
 
 #[path = "common/oracle.rs"]
 mod oracle;
 
 use oracle::{
-    assert_equivalent, chaos_cases, chaos_seed, observe, observe_external, CaseContext, ChaosCase,
-    Observed, SplitMix, POLICIES,
+    assert_equivalent, chaos_cases, chaos_seed, observe, CaseContext, ChaosCase, Observed,
+    SplitMix, POLICIES,
 };
 use pdo::{optimize, AdaptConfig, AdaptiveEngine, Optimization, OptimizeOptions};
 use pdo_cactus::EventProgram;
@@ -107,12 +107,8 @@ fn prepare(
     rt.set_fault_injector(FaultInjector::from_plan(
         case.plan.iter().filter(|s| s.event == side_event).copied(),
     ));
-    if adaptive {
-        Some(AdaptiveEngine::attach_new(rt, adapt_config()))
-    } else {
-        rt.set_trace_config(TraceConfig::full());
-        None
-    }
+    rt.set_trace_config(TraceConfig::full());
+    adaptive.then(|| AdaptiveEngine::attach_new(rt, adapt_config()))
 }
 
 /// Runs one seeded session over a [`LossyChannel`] and snapshots both
@@ -157,17 +153,10 @@ fn run_case(
         errors,
     };
     drop((tx_engine, rx_engine));
-    if adaptive {
-        (
-            observe_external(ch.tx_mut().runtime(), base_globals, ()),
-            observe_external(ch.rx_mut().runtime(), base_globals, obs),
-        )
-    } else {
-        (
-            observe(ch.tx_mut().runtime_mut(), base_globals, ()),
-            observe(ch.rx_mut().runtime_mut(), base_globals, obs),
-        )
-    }
+    (
+        observe(ch.tx_mut().runtime_mut(), base_globals, ()),
+        observe(ch.rx_mut().runtime_mut(), base_globals, obs),
+    )
 }
 
 fn fault_events(program: &EventProgram) -> Vec<EventId> {
@@ -243,7 +232,7 @@ fn seccomm_chaos_conformance_adaptive_engine_live() {
         let case = ChaosCase::derive(base.wrapping_add(i), &events, 6, MESSAGES as u64);
         let payloads = case_payloads(case.seed);
         for policy in POLICIES {
-            let (mut ref_tx, mut ref_rx) = run_case(
+            let (ref_tx, ref_rx) = run_case(
                 &program,
                 base_globals,
                 None,
@@ -252,9 +241,6 @@ fn seccomm_chaos_conformance_adaptive_engine_live() {
                 &payloads,
                 false,
             );
-            // External outputs only: the engines drain trace/stats.
-            ref_tx.redact();
-            ref_rx.redact();
             let (obs_tx, obs_rx) =
                 run_case(&program, base_globals, None, &case, policy, &payloads, true);
             let ctx = CaseContext {
@@ -266,18 +252,5 @@ fn seccomm_chaos_conformance_adaptive_engine_live() {
             assert_equivalent(&ctx, &ref_tx, &obs_tx);
             assert_equivalent(&ctx, &ref_rx, &obs_rx);
         }
-    }
-}
-
-/// Clears the engine-drained fields so a full snapshot compares against an
-/// external-only one.
-trait Redact {
-    fn redact(&mut self);
-}
-
-impl<S> Redact for Observed<S> {
-    fn redact(&mut self) {
-        self.faults = Vec::new();
-        self.counters = pdo_events::ObservableStats::default();
     }
 }

@@ -4,15 +4,15 @@
 //! plus equivalence-safe dispatch faults on the X protocol events. An
 //! optimized client — monolithic chains, per-event chains, or a live
 //! adaptation engine — must end with the identical display state, the
-//! identical widget globals, and (for static chains) the identical fault
-//! sequence and robustness counters as the plain client.
+//! identical widget globals, and the identical fault sequence and
+//! robustness counters as the plain client.
 
 #[path = "common/oracle.rs"]
 mod oracle;
 
 use oracle::{
-    assert_equivalent, chaos_cases, chaos_seed, observe, observe_external, CaseContext, ChaosCase,
-    Observed, SplitMix, POLICIES,
+    assert_equivalent, chaos_cases, chaos_seed, observe, CaseContext, ChaosCase, Observed,
+    SplitMix, POLICIES,
 };
 use pdo::{optimize, AdaptConfig, AdaptiveEngine, Optimization, OptimizeOptions};
 use pdo_cactus::EventProgram;
@@ -115,15 +115,8 @@ fn run_case(
     client
         .runtime_mut()
         .set_fault_injector(FaultInjector::from_plan(case.plan.iter().copied()));
-    let engine = if adaptive {
-        Some(AdaptiveEngine::attach_new(
-            client.runtime_mut(),
-            adapt_config(),
-        ))
-    } else {
-        client.runtime_mut().set_trace_config(TraceConfig::full());
-        None
-    };
+    client.runtime_mut().set_trace_config(TraceConfig::full());
+    let engine = adaptive.then(|| AdaptiveEngine::attach_new(client.runtime_mut(), adapt_config()));
 
     let mut session = FaultyXSession::new(client, case.wire);
     let mut errors = Vec::new();
@@ -150,11 +143,7 @@ fn run_case(
         errors,
     };
     drop(engine);
-    if adaptive {
-        observe_external(session.client().runtime(), base_globals, obs)
-    } else {
-        observe(session.client_mut().runtime_mut(), base_globals, obs)
-    }
+    observe(session.client_mut().runtime_mut(), base_globals, obs)
 }
 
 #[test]
@@ -219,7 +208,7 @@ fn xwin_chaos_conformance_adaptive_engine_live() {
         let case = ChaosCase::derive(base.wrapping_add(i), &events, 6, GESTURES as u64);
         let gestures = case_gestures(case.seed);
         for policy in POLICIES {
-            let mut reference = run_case(
+            let reference = run_case(
                 &program,
                 base_globals,
                 None,
@@ -228,9 +217,6 @@ fn xwin_chaos_conformance_adaptive_engine_live() {
                 &gestures,
                 false,
             );
-            // External outputs only: the engine drains trace/stats.
-            reference.faults = Vec::new();
-            reference.counters = pdo_events::ObservableStats::default();
             let observed = run_case(&program, base_globals, None, &case, policy, &gestures, true);
             let ctx = CaseContext {
                 substrate: "xwin",

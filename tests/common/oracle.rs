@@ -5,16 +5,16 @@
 //!
 //! Each chaos suite derives a [`ChaosCase`] per iteration, runs the same
 //! deterministic workload on a reference (unoptimized) session and an
-//! optimized one, snapshots both with [`observe`] (or [`observe_external`]
-//! for sessions driven by a live adaptation engine, which drains the trace
-//! and stats every epoch), and compares them with [`assert_equivalent`] —
+//! optimized one — static chains or a live adaptation engine — snapshots
+//! both with [`observe`] (or [`observe_external`] across a crash and
+//! restore), and compares them with [`assert_equivalent`] —
 //! whose failure message carries everything needed to replay the exact
 //! case: `CHAOS_SEED=<seed> CHAOS_CASES=1`.
 
 #![allow(dead_code)] // each chaos binary uses a subset of the oracle
 
 use pdo_events::wire::WireFaults;
-use pdo_events::{FaultKind, FaultPolicy, FaultSpec, ObservableStats, Runtime};
+use pdo_events::{FaultKind, FaultPolicy, FaultSpec, Runtime, RuntimeStats};
 use pdo_ir::{EventId, GlobalId, Value};
 use pdo_obs::trace::{critical_path, export_lines, render_path};
 use pdo_obs::SpanKind;
@@ -149,7 +149,7 @@ pub struct Observed<S> {
     /// Injected and organic faults in dispatch order.
     pub faults: Vec<(EventId, FaultKind)>,
     /// Observable robustness counters.
-    pub counters: ObservableStats,
+    pub counters: RuntimeStats,
     /// Substrate-specific external state.
     pub substrate: S,
     /// Line dump of the last [`SPAN_TAIL`] spans that are not raises or
@@ -214,29 +214,28 @@ fn trace_path_tail(rt: &Runtime) -> String {
     render_path(&critical_path(&spans, latest))
 }
 
-/// Full snapshot of a session that ran with `TraceConfig::full()` and no
-/// adaptation engine attached.
+/// Full snapshot of a session that ran with `TraceConfig::full()`, with
+/// static chains or a live adaptation engine.
 pub fn observe<S>(rt: &mut Runtime, base_globals: usize, substrate: S) -> Observed<S> {
     Observed {
         globals: snapshot_globals(rt, base_globals),
         faults: rt.take_trace().fault_sequence(),
-        counters: rt.stats().observable(),
+        counters: rt.stats().clone(),
         recent: recent_spans(rt),
         trace_path: trace_path_tail(rt),
         substrate,
     }
 }
 
-/// External-only snapshot for sessions driven by a live
-/// `AdaptiveEngine`: the engine drains the stats deltas at every epoch
-/// boundary, and records no trace of its own, so only externally visible
-/// outputs (globals and substrate state) are comparable across sessions
-/// unless the harness collects the rest in its epoch hook.
+/// External-only snapshot for a session that crashed and was restored:
+/// the runtime's counters and its recorded trace die with the process and
+/// are not in an image, so only externally visible outputs (globals and
+/// substrate state) are comparable with a session that never crashed.
 pub fn observe_external<S>(rt: &Runtime, base_globals: usize, substrate: S) -> Observed<S> {
     Observed {
         globals: snapshot_globals(rt, base_globals),
         faults: Vec::new(),
-        counters: ObservableStats::default(),
+        counters: RuntimeStats::default(),
         recent: recent_spans(rt),
         trace_path: trace_path_tail(rt),
         substrate,
@@ -318,9 +317,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 /// Complete captured state of a live adaptive session — what survives a
-/// crash. Meaningful at an epoch boundary, where the trace window and
-/// stats delta have just been drained into the engine's profile, so the
-/// capture is exact; substrate link/wire state travels separately (it
+/// crash. Meaningful at an epoch boundary, where the profile tally has
+/// just been drained into the engine's profile, so the capture is exact; substrate link/wire state travels separately (it
 /// lives in the endpoint, not the runtime).
 pub struct SessionCapture {
     pub globals: Vec<Value>,

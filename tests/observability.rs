@@ -8,6 +8,7 @@
 use pdo::AdaptConfig;
 use pdo_ctp::{ctp_program, CtpParams};
 use pdo_events::wire::WireFaults;
+use pdo_events::{FaultInjector, FaultKind, FaultPolicy, FaultSpec, RuntimeConfig};
 use pdo_ir::{BinOp, EventId, FuncId, FunctionBuilder, Module, Value};
 use pdo_obs::{AuditAction, Histogram, MetricsSnapshot, SpanKind};
 use pdo_seccomm::{seccomm_protocol, Endpoint, Keys, CONFIG_FULL};
@@ -220,4 +221,64 @@ fn live_server_scrape_covers_every_layer() {
         })
         .count();
     assert!(installs >= 1, "chain installs are audit spans");
+}
+
+/// A session's robustness counters count for its life: the engine reads
+/// its epoch's evidence from its own tally, so an epoch boundary takes
+/// nothing from what a scrape sees.
+#[test]
+fn server_fault_counters_only_go_up() {
+    let mut server = Server::new(ServerConfig {
+        adapt: AdaptConfig {
+            epoch_ns: 1_000,
+            ..Default::default()
+        },
+    });
+    let (m, [a, b]) = adapt_module();
+    let config = RuntimeConfig {
+        fault_policy: FaultPolicy::SkipEvent,
+        ..Default::default()
+    };
+    let id = server
+        .open_session(m.clone(), config, &bindings(&m, a, b))
+        .unwrap();
+    let trap = FaultSpec {
+        event: a,
+        occurrence: 0,
+        kind: FaultKind::TrapDispatch,
+    };
+    server
+        .with_runtime(id, |rt| {
+            rt.set_fault_injector(FaultInjector::from_plan([trap]))
+        })
+        .unwrap();
+
+    // One dispatch of A per step; the first traps, before the first
+    // epoch boundary, and each later step crosses one more.
+    let mut scrapes = Vec::new();
+    for step in 0..4u64 {
+        server.submit(id, a, 100, &[]).unwrap();
+        server.run_until(step * 1_000 + 500).unwrap();
+        let snap = server.metrics();
+        scrapes.push(
+            ["pdo_faults_injected_total", "pdo_dispatch_skipped_total"]
+                .map(|name| snap.counter_value(name, &[]).unwrap()),
+        );
+    }
+    let epochs = server.with_engine(id, |e| e.stats().epochs).unwrap();
+    assert!(
+        epochs >= 3,
+        "the scrapes straddle epoch boundaries: {epochs}"
+    );
+    assert!(
+        scrapes
+            .windows(2)
+            .all(|w| w[1][0] >= w[0][0] && w[1][1] >= w[0][1]),
+        "a counter went down across an epoch: {scrapes:?}"
+    );
+    assert_eq!(
+        scrapes,
+        vec![[1, 1]; 4],
+        "one trap fired, one dispatch skipped"
+    );
 }
