@@ -120,10 +120,10 @@ pub struct OptimizeOptions {
     /// Emit a `__pdo_fuel_boundary` marker before each merged handler
     /// segment so [`pdo_events::FaultKind::ExhaustFuel`] trips at the same
     /// pre-merge handler boundaries as generic dispatch. Default off: the
-    /// markers are native calls, which act as barriers to the compiler
-    /// passes (notably lock coalescing), so they cost real optimization
-    /// opportunity and are only worth it when fuel-exhaustion equivalence
-    /// matters (chaos testing).
+    /// markers are native calls, which end lock coalescing's `unlock g …
+    /// lock g` window (load forwarding sees through them), so they cost
+    /// real optimization opportunity and are only worth it when
+    /// fuel-exhaustion equivalence matters (chaos testing).
     pub fuel_boundaries: bool,
 }
 

@@ -37,7 +37,8 @@ pub struct FusionRecord {
 
 /// Fuses every function in `module`; returns the per-function fusion
 /// records (empty when nothing matched). The last two parameters are
-/// ignored: they remain only for existing callers.
+/// ignored: they remain because the benchmark package
+/// (`benchmark/src/workloads/video_play.rs`) calls it with them.
 pub fn fuse_module(
     module: &mut Module,
     _profile: Option<&OpcodeProfile>,

@@ -15,9 +15,11 @@
 //! * [`Inline`] — function inlining (used to inline direct handler calls
 //!   into super-handlers),
 //! * [`LockCoalesce`] — elimination of redundant unlock/lock pairs across
-//!   merged handler boundaries (the paper's "state maintenance" savings),
-//! * [`RedundantLoadElim`] — global load/store forwarding within blocks
-//!   (the paper's "redundant initializations and code fragments").
+//!   merged handler boundaries, and of critical sections left empty (the
+//!   paper's "state maintenance" savings),
+//! * [`RedundantLoadElim`] — global load/store forwarding over the whole
+//!   CFG, through natives, deferred raises and lock operations (the
+//!   paper's "redundant initializations and code fragments").
 //!
 //! Passes implement [`Pass`] and run under a [`PassManager`], which iterates
 //! the pipeline to a fixed point and verifies the module after every
