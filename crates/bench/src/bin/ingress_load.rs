@@ -88,9 +88,7 @@ struct Rng(u64);
 
 impl Rng {
     fn next(&mut self) -> u64 {
-        let z = pdo_events::splitmix64(self.0);
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z
+        pdo_events::splitmix64_next(&mut self.0)
     }
 
     /// Exponential gap with the given mean, in ns (≥ 1).

@@ -1,20 +1,22 @@
 //! Deterministic fault injection and fault-containment policy.
 //!
 //! Event-driven systems are exactly where fault interleavings hide bugs, so
-//! the runtime carries a first-class, **seeded and deterministic** fault
+//! the runtime carries a first-class, **deterministic** fault
 //! substrate: a [`FaultInjector`] holds a plan of [`FaultSpec`]s, each
-//! targeting the N-th *top-level* occurrence of an event, and the
-//! [`FaultPolicy`] on [`crate::RuntimeConfig`] decides what a fault does to
-//! the event loop.
+//! targeting the N-th occurrence of an event that was *raised by the
+//! workload or popped* off the queue or timer heap, and the [`FaultPolicy`]
+//! on [`crate::RuntimeConfig`] decides what a fault does to the event loop.
 //!
-//! ## Why faults key on *top-level* occurrences
+//! ## Why faults key on occurrences raised by the workload or popped
 //!
 //! The optimizer may subsume a nested synchronous raise into its parent's
 //! super-handler (paper Fig 9), so the *nested* dispatch count of an event
 //! differs between an original and an optimized run of the same program.
-//! Top-level occurrences — workload raises and queue/timer pops — are
+//! The occurrences the workload raises and the queue and timer heap pop are
 //! preserved exactly by every optimization, so a plan keyed on them hits the
-//! same logical occurrence in both runs. That is what makes the chaos
+//! same logical occurrence in both runs. A dispatch nested inside one of
+//! them is never counted, at any depth: a popped parent dispatches at
+//! depth 0, and its subsumable child must not count either. That is what makes the chaos
 //! equivalence property (`tests/chaos_equivalence.rs`) well defined: the
 //! paper's equivalence guarantee holds *under faults*, not just on the happy
 //! path.
@@ -132,8 +134,8 @@ impl FaultKind {
 }
 
 /// One planned fault: `kind` fires on the `occurrence`-th (0-based)
-/// top-level dispatch of `event` — or, for timed kinds, on the
-/// `occurrence`-th timed raise of `event`.
+/// dispatch of `event` that the workload raised or the runtime popped —
+/// or, for timed kinds, on the `occurrence`-th timed raise of `event`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSpec {
     /// The targeted event.
@@ -167,10 +169,11 @@ pub fn corrupt_value(v: &Value) -> Value {
     }
 }
 
-/// A seeded, deterministic fault plan with per-event occurrence counters.
+/// A deterministic fault plan with per-event occurrence counters.
 ///
 /// Counting is the injector's whole contract: `on_dispatch` must be called
-/// exactly once per top-level occurrence and `on_timed` once per timed
+/// exactly once per occurrence raised by the workload or popped, and
+/// `on_timed` once per timed
 /// raise, which [`crate::Runtime`] does. Two runtimes driven by the same
 /// logical workload therefore consume the plan identically. A session
 /// snapshot carries the injector itself — the faults still pending and
@@ -214,46 +217,14 @@ impl FaultInjector {
         fi
     }
 
-    /// Generates a seeded random plan of `count` faults over `events`, with
-    /// occurrence indices below `occurrences`. Deterministic in `seed`.
-    pub fn random(seed: u64, events: &[EventId], occurrences: u64, count: usize) -> Self {
-        let mut state = seed ^ 0x6A09_E667_F3BC_C908;
-        let mut next = move || crate::splitmix64_next(&mut state);
-        let mut plan = Vec::with_capacity(count);
-        if events.is_empty() || occurrences == 0 {
-            return Self::from_plan(plan);
-        }
-        for _ in 0..count {
-            let event = events[(next() % events.len() as u64) as usize];
-            let occurrence = next() % occurrences;
-            let kind = match next() % 5 {
-                0 => FaultKind::TrapDispatch,
-                1 => FaultKind::CorruptArg {
-                    index: (next() % 4) as u16,
-                },
-                2 => FaultKind::ExhaustFuel,
-                3 => FaultKind::DropTimed,
-                _ => FaultKind::DelayTimed {
-                    extra_ns: 1 + next() % 10_000,
-                },
-            };
-            plan.push(FaultSpec {
-                event,
-                occurrence,
-                kind,
-            });
-        }
-        Self::from_plan(plan)
-    }
-
     /// Number of faults still pending (not yet fired).
     pub fn pending(&self) -> usize {
         self.dispatch_plan.len() + self.timed_plan.len()
     }
 
     /// Advances the dispatch counter for `event` and returns a fault if this
-    /// occurrence is targeted. Called by the runtime once per top-level
-    /// occurrence.
+    /// occurrence is targeted. Called by the runtime once per occurrence
+    /// raised by the workload or popped.
     pub(crate) fn on_dispatch(&mut self, event: EventId) -> Option<FaultKind> {
         let n = self.dispatch_counts.entry(event).or_insert(0);
         let occurrence = *n;
@@ -306,17 +277,6 @@ mod tests {
         ]);
         assert_eq!(fi.on_timed(e), Some(FaultKind::DropTimed));
         assert_eq!(fi.on_dispatch(e), Some(FaultKind::CorruptArg { index: 0 }));
-    }
-
-    #[test]
-    fn random_plans_are_deterministic_in_seed() {
-        let events = [EventId(0), EventId(1), EventId(2)];
-        let a = FaultInjector::random(7, &events, 50, 10);
-        let b = FaultInjector::random(7, &events, 50, 10);
-        assert_eq!(a.dispatch_plan, b.dispatch_plan);
-        assert_eq!(a.timed_plan, b.timed_plan);
-        let c = FaultInjector::random(8, &events, 50, 10);
-        assert!(a.dispatch_plan != c.dispatch_plan || a.timed_plan != c.timed_plan);
     }
 
     #[test]

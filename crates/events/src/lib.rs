@@ -74,7 +74,7 @@ const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// splitmix64: the standard 64-bit mix, and the first output of the
 /// splitmix64 stream seeded with `x`. Stepped, it is every seeded stream
-/// of the product crates (wire faults, fault plans, load arrivals).
+/// of the workspace (wire faults, load arrivals, the chaos schedules).
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(SPLITMIX_GAMMA);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -83,7 +83,7 @@ pub fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// Draws the next value of the splitmix64 stream held in `state`.
-pub(crate) fn splitmix64_next(state: &mut u64) -> u64 {
+pub fn splitmix64_next(state: &mut u64) -> u64 {
     let out = splitmix64(*state);
     *state = state.wrapping_add(SPLITMIX_GAMMA);
     out

@@ -206,6 +206,9 @@ pub struct Runtime {
     sched: Scheduler,
     clock: VirtualClock,
     sync_depth: u32,
+    /// An occurrence the fault injector counted is being dispatched: every
+    /// dispatch nested in it, at any depth, is part of it.
+    occurrence_open: bool,
     dispatch_seq: u64,
     fuel: Option<u64>,
     boundary_fuel: Option<u64>,
@@ -271,6 +274,7 @@ impl Runtime {
             sched: Scheduler::new(),
             clock: VirtualClock::new(),
             sync_depth: 0,
+            occurrence_open: false,
             dispatch_seq: 0,
             fuel: config.fuel,
             boundary_fuel: None,
@@ -784,7 +788,7 @@ impl Runtime {
                 let mut delay = delay as u64;
                 // Timed raises are never subsumed by the optimizer, so the
                 // injector counts every one of them (unlike dispatches,
-                // which count only top-level occurrences).
+                // which count only those raised by the workload or popped).
                 match self.faults.as_mut().and_then(|f| f.on_timed(event)) {
                     Some(kind @ FaultKind::DropTimed) => {
                         self.sinks.fault(event, kind, now);
@@ -846,22 +850,37 @@ impl Runtime {
     /// Dispatches the handlers of `event` immediately: guarded fast path
     /// when a chain is installed and valid, generic registry walk otherwise.
     ///
-    /// Fault injection happens here, but only for *top-level* occurrences
-    /// (workload raises and queue/timer pops, `sync_depth <= 1`): nested
-    /// synchronous dispatch counts differ between original and optimized
-    /// runs because of subsumption, so keying faults on them would make the
-    /// chaos equivalence property ill-defined (see `crate::fault`).
+    /// Fault injection happens here, but only for the occurrences raised by
+    /// the workload or popped off the queue or timer heap: a dispatch nested
+    /// inside an open occurrence is never counted, whatever its depth.
+    /// Nested synchronous dispatch counts differ between original and
+    /// optimized runs because of subsumption, so keying faults on them
+    /// would make the chaos equivalence property ill-defined (see
+    /// `crate::fault`).
     fn dispatch_now(
         &mut self,
         module: &Module,
         event: EventId,
         args: &[Value],
     ) -> Result<(), RuntimeError> {
-        let injected = if self.sync_depth <= 1 {
-            self.faults.as_mut().and_then(|f| f.on_dispatch(event))
-        } else {
-            None
+        let injected = match self.faults.as_mut() {
+            Some(faults) if !self.occurrence_open => faults.on_dispatch(event),
+            _ => return self.dispatch_handlers(module, event, args, false, false),
         };
+        self.occurrence_open = true;
+        let r = self.dispatch_occurrence(module, event, args, injected);
+        self.occurrence_open = false;
+        r
+    }
+
+    /// Dispatches one counted occurrence under the fault planned for it.
+    fn dispatch_occurrence(
+        &mut self,
+        module: &Module,
+        event: EventId,
+        args: &[Value],
+        injected: Option<FaultKind>,
+    ) -> Result<(), RuntimeError> {
         let Some(kind) = injected else {
             return self.dispatch_handlers(module, event, args, false, false);
         };
@@ -1983,8 +2002,8 @@ mod tests {
     #[test]
     fn nested_dispatches_do_not_consume_the_plan() {
         // E's handler raises F synchronously; a fault planned for F's
-        // occurrence 0 must NOT fire on the nested dispatch (depth 2), only
-        // on a top-level raise of F.
+        // occurrence 0 must NOT fire on the nested dispatch, only on a
+        // workload raise of F.
         let mut m = Module::new();
         let e = m.add_event("E");
         let f = m.add_event("F");
@@ -2011,7 +2030,7 @@ mod tests {
         }]));
         rt.raise(e, RaiseMode::Sync, &[]).unwrap(); // nested F unharmed
         assert_eq!(rt.global(g), &Value::Int(1));
-        // Top-level F raise is occurrence 0 and faults.
+        // The workload's raise of F is occurrence 0 and faults.
         let err = rt.raise(f, RaiseMode::Sync, &[]).unwrap_err();
         assert!(matches!(err, RuntimeError::Fault { .. }));
     }

@@ -2,54 +2,47 @@
 //! behavioral-equivalence guarantee holds *under injected faults*, not
 //! just on the happy path.
 //!
-//! For any seeded plan of equivalence-safe faults (dispatch traps,
-//! argument corruption, dropped/delayed timers, fuel exhaustion) and
-//! either containment policy, the optimized program — monolithic or
-//! per-event chains — must be observationally identical to the
-//! original: same global state, same emitted packets in the same order,
-//! same recorded fault sequence, same robustness counters. Faults key on
-//! *top-level* occurrences precisely so this property is well defined
-//! (see `pdo_events::fault` module docs). Fuel exhaustion is
+//! For any plan of equivalence-safe faults (dispatch traps, argument
+//! corruption, dropped/delayed timers, fuel exhaustion) and either
+//! containment policy, the optimized program — monolithic or per-event
+//! chains — must be observationally identical to the original: same
+//! global state, same emitted packets in the same order, same recorded
+//! fault sequence, same robustness counters. Faults key on the occurrences
+//! the workload raises or the runtime pops precisely so this property is
+//! well defined (see `pdo_events::fault` module docs), so the pool holds
+//! the subsumed children `Encode` and `Send` too. Fuel exhaustion is
 //! equivalence-safe here because the optimizer runs with
 //! `fuel_boundaries` on: merged super-handlers charge the boundary budget
 //! at `__pdo_fuel_boundary` markers placed exactly where generic dispatch
 //! charges it (before each pre-merge handler), so the occurrence aborts
 //! at the same program point in both runs.
 //!
-//! The oracle itself (case derivation, snapshots, the equivalence assert
-//! with its replay seed) lives in `tests/common/oracle.rs` and is shared
-//! with the real-substrate suites (`chaos_ctp`, `chaos_seccomm`,
-//! `chaos_xwin`).
+//! One test samples seeded cases; another enumerates every schedule of a
+//! few actions on the Fig 8/9 chain — workload raises of the parent and
+//! of its subsumed child, pops, same-content rebinds and faults — and
+//! checks the restored session too. The oracle itself (schedules, case
+//! derivation, snapshots, the sweep) lives in `tests/common/oracle.rs`
+//! and is shared with the real-substrate suites.
 
 #[path = "common/oracle.rs"]
 mod oracle;
 
 use oracle::{
-    assert_equivalent, chaos_cases, chaos_seed, observe, CaseContext, ChaosCase, Observed, POLICIES,
+    capture_session, observe, restore_session, sweep, Chains, ChaosCase, Exhaustive, Observed,
+    Pipeline, Schedule, Seeded, RAISES,
 };
-use pdo::{optimize, Optimization, OptimizeOptions};
-use pdo_events::{
-    FaultInjector, FaultKind, FaultPolicy, FaultSpec, Runtime, RuntimeConfig, TraceConfig,
-};
-use pdo_ir::{BinOp, EventId, FuncId, FunctionBuilder, Module, RaiseMode, Value};
-use pdo_profile::Profile;
-use std::cell::RefCell;
+use pdo::{Optimization, OptimizeOptions};
+use pdo_events::{FaultKind, FaultPolicy, FaultSpec};
+use pdo_ir::{BinOp, FunctionBuilder, Module, RaiseMode, Value};
 use std::rc::Rc;
 
-/// Synchronous frames in a session (async extras ride on top).
-const FRAMES: i64 = 24;
+/// Delay of the timed `Ack` each `Send` arms, in virtual ns.
+const ACK_DELAY_NS: u64 = 1_000;
 
 /// A small media pipeline: `Frame` updates counters and stages a value,
 /// then synchronously raises `Encode` -> `Send`; `Send` emits a packet
 /// through a native and arms a timed `Ack`. The chain `Frame -> Encode ->
 /// Send` is exactly the shape the optimizer merges into a super-handler.
-struct Pipeline {
-    module: Module,
-    frame: EventId,
-    ack: EventId,
-    bindings: Vec<(EventId, FuncId, i32)>,
-}
-
 fn pipeline() -> Pipeline {
     let mut m = Module::new();
     let frame = m.add_event("Frame");
@@ -103,7 +96,7 @@ fn pipeline() -> Pipeline {
     let mut b = FunctionBuilder::new("send_emit", 0);
     let v = b.load_global(g_staged);
     let _ = b.call_native(n_emit, &[v]);
-    let delay = b.const_int(1_000);
+    let delay = b.const_int(ACK_DELAY_NS as i64);
     b.raise(ack, RaiseMode::Timed, &[delay, v]);
     b.ret(None);
     let h_send = m.add_function(b.finish());
@@ -129,84 +122,18 @@ fn pipeline() -> Pipeline {
     ];
     Pipeline {
         module: m,
-        frame,
-        ack,
+        head: frame,
         bindings,
     }
-}
-
-/// Runs the deterministic workload on `module` (optionally with compiled
-/// chains installed) under `policy` and `plan`, and snapshots observables
-/// through the shared oracle (`substrate` = the emitted packet stream).
-fn run(
-    p: &Pipeline,
-    module: &Module,
-    chains: Option<&Optimization>,
-    policy: FaultPolicy,
-    plan: &[FaultSpec],
-) -> (Observed<Vec<Value>>, Runtime) {
-    let mut rt = Runtime::with_config(
-        module.clone(),
-        RuntimeConfig {
-            fault_policy: policy,
-            ..Default::default()
-        },
-    );
-    oracle::arm_tracing_and_histograms(&mut rt);
-    for &(e, h, order) in &p.bindings {
-        rt.bind(e, h, order).expect("bind");
-    }
-    let emitted = Rc::new(RefCell::new(Vec::new()));
-    let sink = Rc::clone(&emitted);
-    rt.bind_native_by_name("emit", move |args| {
-        sink.borrow_mut().push(args[0].clone());
-        Ok(Value::Unit)
-    })
-    .expect("bind emit");
-    if let Some(opt) = chains {
-        opt.install_chains(&mut rt);
-    }
-    rt.set_trace_config(TraceConfig::full());
-    rt.set_fault_injector(FaultInjector::from_plan(plan.iter().copied()));
-
-    for i in 0..FRAMES {
-        rt.raise(p.frame, RaiseMode::Sync, &[Value::Int(i)])
-            .expect("containment policy must not abort a sync raise");
-        if i % 5 == 0 {
-            rt.raise(p.frame, RaiseMode::Async, &[Value::Int(100 + i)])
-                .expect("async raise");
-        }
-    }
-    rt.run_until_idle()
-        .expect("containment policy must not abort the drain");
-
-    let packets = emitted.borrow().clone();
-    let observed = observe(&mut rt, p.module.globals.len(), packets);
-    (observed, rt)
 }
 
 /// Profiles the happy path and optimizes; `subsume` picks one monolithic
 /// guard set per chain over Fig 14's per-event chains.
 fn optimized(p: &Pipeline, subsume: bool) -> Optimization {
-    let (_, mut rt) = run(p, &p.module, None, FaultPolicy::Abort, &[]);
-    rt.set_trace_config(TraceConfig::full());
-    for i in 0..FRAMES {
-        rt.raise(p.frame, RaiseMode::Sync, &[Value::Int(i)])
-            .expect("profiling raise");
-    }
-    rt.run_until_idle().expect("profiling drain");
-    let profile = Profile::from_trace(&rt.take_trace(), 10);
-    let mut opts = OptimizeOptions::new(10);
-    opts.subsume = subsume;
-    // Boundary markers make ExhaustFuel trip at the same program points in
-    // merged code as in generic dispatch.
-    opts.fuel_boundaries = true;
-    let opt = optimize(&p.module, rt.registry(), &profile, &opts);
-    assert!(
-        !opt.chains.is_empty(),
-        "the pipeline must produce at least one compiled chain"
-    );
-    opt
+    p.optimized(OptimizeOptions {
+        subsume,
+        ..OptimizeOptions::new(10)
+    })
 }
 
 /// The capstone property: for any seeded fault plan and either
@@ -215,43 +142,191 @@ fn optimized(p: &Pipeline, subsume: bool) -> Optimization {
 #[test]
 fn optimized_program_is_observationally_identical_under_faults() {
     let p = pipeline();
-    let events = [p.frame, p.ack];
-    let forms = [
-        ("monolithic", optimized(&p, true)),
-        ("per-event", optimized(&p, false)),
-    ];
+    let events = p.events();
+    let [monolithic, per_event] = [true, false].map(|subsume| optimized(&p, subsume));
+    sweep(
+        "equivalence",
+        Seeded::sweep(),
+        |s| ChaosCase::derive(s, &events, 8, 32),
+        |chains, case, policy| p.run(&p.module, *chains, policy, &case.plan).0,
+        Chains::Generic,
+        &[
+            ("monolithic", Chains::Static(&monolithic)),
+            ("per-event", Chains::Static(&per_event)),
+        ],
+    );
+}
 
-    let base = chaos_seed();
-    for i in 0..chaos_cases() {
-        let case = ChaosCase::derive(base.wrapping_add(i), &events, 8, 32);
-        for policy in POLICIES {
-            let (reference, _) = run(&p, &p.module, None, policy, &case.plan);
-            for (form, opt) in &forms {
-                let (observed, _) = run(&p, &opt.module, Some(opt), policy, &case.plan);
-                let ctx = CaseContext {
-                    substrate: "equivalence",
-                    chain_form: form,
-                    policy,
-                    case: &case,
-                };
-                assert_equivalent(&ctx, &reference, &observed);
+/// One step of an enumerated schedule.
+#[derive(Debug, Clone, Copy)]
+enum Action {
+    /// The workload queues a `Frame`; a later pop dispatches it.
+    Frame,
+    /// The workload raises the subsumed child `Encode` synchronously.
+    Encode,
+    /// Pops what is due within one `Ack` delay: queued frames, then acks.
+    Pop,
+    /// Takes `Encode`'s handler off and binds the same one back.
+    Rebind,
+    /// Exhausts the fuel of the next `Frame` (a parent) midway through its
+    /// four pre-merge handlers.
+    StarveFrame,
+    /// Traps the next `Encode` the workload raises (a child).
+    TrapEncode,
+    /// Drops the next timed raise of `Ack`.
+    DropAck,
+}
+
+const ACTIONS: [Action; 7] = [
+    Action::Frame,
+    Action::Encode,
+    Action::Pop,
+    Action::Rebind,
+    Action::StarveFrame,
+    Action::TrapEncode,
+    Action::DropAck,
+];
+
+/// An enumerated case: its actions, and the plan its fault actions make.
+#[derive(Debug)]
+struct Script {
+    actions: Vec<Action>,
+    plan: Vec<FaultSpec>,
+}
+
+/// Draws a script from `s`: one action per choice, until choice 0 ends it.
+/// A fault action targets the next occurrence of its event the script
+/// causes: the next queued `Frame`, the next workload `Encode`, the next
+/// `Ack` a `Send` arms.
+fn script(p: &Pipeline, s: &mut impl Schedule) -> Script {
+    let [encode, ack] = ["Encode", "Ack"].map(|name| p.module.event_by_name(name).unwrap());
+    let (mut actions, mut plan) = (Vec::new(), Vec::new());
+    let (mut frames, mut encodes) = (0, 0);
+    while let Some(k) = s.choose(ACTIONS.len() as u64 + 1).checked_sub(1) {
+        let action = ACTIONS[k as usize];
+        let fault = match action {
+            Action::Frame => {
+                frames += 1;
+                None
             }
+            Action::Encode => {
+                encodes += 1;
+                None
+            }
+            Action::Pop | Action::Rebind => None,
+            Action::StarveFrame => Some((p.head, frames, FaultKind::ExhaustFuel)),
+            Action::TrapEncode => Some((encode, encodes, FaultKind::TrapDispatch)),
+            Action::DropAck => Some((ack, frames + encodes, FaultKind::DropTimed)),
+        };
+        plan.extend(fault.map(|(event, occurrence, kind)| FaultSpec {
+            event,
+            occurrence,
+            kind,
+        }));
+        actions.push(action);
+    }
+    Script { actions, plan }
+}
+
+/// Plays `script` with `chains`. With `restore` the session crashes at
+/// the script's midpoint and a fresh one resumes from its capture; the
+/// snapshot is then what the crashed session observed followed by what
+/// its successor did.
+fn play(
+    p: &Pipeline,
+    (chains, restore): (Chains<'_>, bool),
+    script: &Script,
+    policy: FaultPolicy,
+) -> Observed<Vec<Value>> {
+    let encode = p.module.event_by_name("Encode").unwrap();
+    let xform = p.module.function_by_name("encode_xform").unwrap();
+    let emitted = Rc::default();
+    let mut rt = p.session(&p.module, chains, policy, &script.plan, &emitted);
+    let mut crashed = None;
+    for (i, &action) in script.actions.iter().enumerate() {
+        if restore && i == script.actions.len() / 2 {
+            let capture = capture_session(&rt, rt.module().globals.len(), None);
+            crashed = Some(observe(&mut rt, 0, ()));
+            rt = p.session(&p.module, chains, policy, &[], &emitted);
+            restore_session(&mut rt, policy, capture, None);
+        }
+        match action {
+            Action::Frame => rt
+                .raise(p.head, RaiseMode::Async, &[Value::Int(i as i64)])
+                .expect("async raise"),
+            Action::Encode => rt
+                .raise(encode, RaiseMode::Sync, &[])
+                .expect("containment policy must not abort a sync raise"),
+            Action::Pop => {
+                rt.run_until(rt.clock_ns() + ACK_DELAY_NS)
+                    .expect("containment policy must not abort the drain");
+            }
+            Action::Rebind => {
+                assert!(rt.unbind(encode, xform));
+                rt.bind(encode, xform, 0).expect("bind");
+            }
+            Action::StarveFrame | Action::TrapEncode | Action::DropAck => {}
         }
     }
+    rt.run_until_idle()
+        .expect("containment policy must not abort the drain");
+    let mut observed = observe(&mut rt, p.module.globals.len(), emitted.take());
+    if let Some(before) = crashed {
+        observed.faults.splice(0..0, before.faults);
+        let (mut a, b) = (before.counters, &mut observed.counters);
+        for (&event, &n) in &b.faults_by_event {
+            *a.faults_by_event.entry(event).or_default() += n;
+        }
+        a.injected_faults += b.injected_faults;
+        a.handler_traps += b.handler_traps;
+        a.skipped_dispatches += b.skipped_dispatches;
+        a.dropped_timed += b.dropped_timed;
+        a.delayed_timed += b.delayed_timed;
+        *b = a;
+    }
+    observed
+}
+
+/// Schedule length the exhaustive test enumerates up to.
+const DEPTH: usize = 4;
+
+/// The Fig 8/9 chain under every schedule of at most four actions: the
+/// generic run, per-event chains, the monolithic super-handler and a
+/// monolithic session restored at the schedule's midpoint all observe the
+/// same, under either containment policy.
+#[test]
+fn every_schedule_of_at_most_4_actions_is_identical_across_forms() {
+    let p = pipeline();
+    let [monolithic, per_event] = [true, false].map(|subsume| optimized(&p, subsume));
+    let explored = sweep(
+        "equivalence",
+        Exhaustive::new(DEPTH),
+        |s| script(&p, s),
+        |&form, script, policy| play(&p, form, script, policy),
+        (Chains::Generic, false),
+        &[
+            ("per-event", (Chains::Static(&per_event), false)),
+            ("monolithic", (Chains::Static(&monolithic), false)),
+            ("monolithic-restored", (Chains::Static(&monolithic), true)),
+        ],
+    );
+    let actions = ACTIONS.len() as u64;
+    println!("explored {explored} schedules of at most {DEPTH} of {actions} actions");
+    assert_eq!(explored, (0..=DEPTH as u32).map(|k| actions.pow(k)).sum());
 }
 
 #[test]
 fn harness_is_meaningful_fastpath_used_when_unfaulted() {
     let p = pipeline();
     let opt = optimized(&p, true);
-    let (reference, _) = run(&p, &p.module, None, FaultPolicy::SkipEvent, &[]);
-    let (observed, rt) = run(&p, &opt.module, Some(&opt), FaultPolicy::SkipEvent, &[]);
+    let (reference, _) = p.run(&p.module, Chains::Generic, FaultPolicy::SkipEvent, &[]);
+    let (observed, rt) = p.run(&p.module, Chains::Static(&opt), FaultPolicy::SkipEvent, &[]);
     assert_eq!(observed, reference);
     assert!(
         rt.cost.fastpath_hits > 0,
         "an unfaulted run must actually exercise the compiled chains"
     );
-    assert_eq!(reference.substrate.len() as i64, FRAMES + FRAMES / 5 + 1);
+    assert_eq!(reference.substrate.len() as i64, RAISES + RAISES / 5 + 1);
 }
 
 #[test]
@@ -259,26 +334,25 @@ fn despecialize_removes_chain_but_preserves_behavior() {
     let p = pipeline();
     let opt = optimized(&p, true);
     let plan = [FaultSpec {
-        event: p.frame,
+        event: p.head,
         occurrence: 2,
         kind: FaultKind::TrapDispatch,
     }];
-    let (reference, _) = run(&p, &p.module, None, FaultPolicy::Despecialize, &plan);
-    let (observed, rt) = run(
-        &p,
-        &opt.module,
-        Some(&opt),
+    let (reference, _) = p.run(&p.module, Chains::Generic, FaultPolicy::Despecialize, &plan);
+    let (observed, rt) = p.run(
+        &p.module,
+        Chains::Static(&opt),
         FaultPolicy::Despecialize,
         &plan,
     );
     assert_eq!(observed, reference);
     assert!(
-        rt.spec().get(p.frame).is_none(),
+        rt.spec().get(p.head).is_none(),
         "the faulting chain must be removed"
     );
     // The faulted occurrence was still drained (generically): every frame
     // landed in the counters.
-    assert_eq!(observed.globals[0], Value::Int(FRAMES + FRAMES / 5 + 1));
+    assert_eq!(observed.globals[0], Value::Int(RAISES + RAISES / 5 + 1));
     assert_eq!(
         observed.counters.injected_faults, 1,
         "one injected fault recorded"

@@ -8,8 +8,9 @@
 //! critical section (`lstore`), and const-fed arithmetic (`bin.i`) — so
 //! the sweep exercises all five superinstructions' charge-replay paths.
 //! For any seeded plan of equivalence-safe faults (dispatch traps,
-//! argument corruption, dropped/delayed timers, fuel exhaustion) and
-//! either containment policy, the fused program must observe exactly what
+//! argument corruption, dropped/delayed timers, fuel exhaustion) over
+//! `Tick`, its subsumable child `Digest` and `Flush`, and either
+//! containment policy, the fused program must observe exactly what
 //! the unfused one observes: same global state, same emitted packets,
 //! same fault sequence, same robustness counters. Fuel exhaustion is the
 //! sharp edge — each superinstruction charges its constituents as if they
@@ -28,34 +29,17 @@
 #[path = "common/oracle.rs"]
 mod oracle;
 
-use oracle::{
-    assert_equivalent, chaos_cases, chaos_seed, observe, CaseContext, ChaosCase, Observed, POLICIES,
-};
-use pdo::{optimize, Optimization, OptimizeOptions};
-use pdo_events::{
-    FaultInjector, FaultKind, FaultPolicy, FaultSpec, Runtime, RuntimeConfig, TraceConfig,
-};
-use pdo_ir::{BinOp, EventId, FuncId, FunctionBuilder, Module, RaiseMode, Value};
+use oracle::{sweep, Chains, ChaosCase, Pipeline, Seeded, RAISES};
+use pdo::{Optimization, OptimizeOptions};
+use pdo_events::{FaultKind, FaultPolicy, FaultSpec};
+use pdo_ir::{BinOp, FunctionBuilder, Module, RaiseMode, Value};
 use pdo_passes::fuse_module;
-use pdo_profile::Profile;
-use std::cell::RefCell;
-use std::rc::Rc;
-
-/// Synchronous ticks in a session (async extras ride on top).
-const TICKS: i64 = 24;
 
 /// A pipeline whose handler bodies are built from fusable sequences:
 /// `Tick` bumps a locked frame counter and stages a value, then
 /// synchronously raises `Digest`, which folds the checksum, emits a
 /// packet, and arms a timed `Flush`; `Flush` records the payload through
 /// a locked store and a register-operand fold.
-struct Pipeline {
-    module: Module,
-    tick: EventId,
-    flush: EventId,
-    bindings: Vec<(EventId, FuncId, i32)>,
-}
-
 fn pipeline() -> Pipeline {
     let mut m = Module::new();
     let tick = m.add_event("Tick");
@@ -128,8 +112,7 @@ fn pipeline() -> Pipeline {
     ];
     Pipeline {
         module: m,
-        tick,
-        flush,
+        head: tick,
         bindings,
     }
 }
@@ -150,78 +133,13 @@ fn fused_module(p: &Pipeline) -> Module {
     fused
 }
 
-/// Runs the deterministic workload on `module` (optionally with compiled
-/// chains installed) under `policy` and `plan`, and snapshots observables
-/// through the shared oracle (`substrate` = the emitted packet stream).
-fn run(
-    p: &Pipeline,
-    module: &Module,
-    chains: Option<&Optimization>,
-    policy: FaultPolicy,
-    plan: &[FaultSpec],
-) -> (Observed<Vec<Value>>, Runtime) {
-    let mut rt = Runtime::with_config(
-        module.clone(),
-        RuntimeConfig {
-            fault_policy: policy,
-            ..Default::default()
-        },
-    );
-    oracle::arm_tracing_and_histograms(&mut rt);
-    for &(e, h, order) in &p.bindings {
-        rt.bind(e, h, order).expect("bind");
-    }
-    let emitted = Rc::new(RefCell::new(Vec::new()));
-    let sink = Rc::clone(&emitted);
-    rt.bind_native_by_name("emit", move |args| {
-        sink.borrow_mut().push(args[0].clone());
-        Ok(Value::Unit)
-    })
-    .expect("bind emit");
-    if let Some(opt) = chains {
-        opt.install_chains(&mut rt);
-    }
-    rt.set_trace_config(TraceConfig::full());
-    rt.set_fault_injector(FaultInjector::from_plan(plan.iter().copied()));
-
-    for i in 0..TICKS {
-        rt.raise(p.tick, RaiseMode::Sync, &[Value::Int(i)])
-            .expect("containment policy must not abort a sync raise");
-        if i % 5 == 0 {
-            rt.raise(p.tick, RaiseMode::Async, &[Value::Int(100 + i)])
-                .expect("async raise");
-        }
-    }
-    rt.run_until_idle()
-        .expect("containment policy must not abort the drain");
-
-    let packets = emitted.borrow().clone();
-    let observed = observe(&mut rt, p.module.globals.len(), packets);
-    (observed, rt)
-}
-
 /// Profiles the happy path and optimizes it, with or without the compiler
 /// passes (and the fusion that closes them).
 fn optimized(p: &Pipeline, compiler_passes: bool) -> Optimization {
-    let (_, mut rt) = run(p, &p.module, None, FaultPolicy::Abort, &[]);
-    rt.set_trace_config(TraceConfig::full());
-    for i in 0..TICKS {
-        rt.raise(p.tick, RaiseMode::Sync, &[Value::Int(i)])
-            .expect("profiling raise");
-    }
-    rt.run_until_idle().expect("profiling drain");
-    let profile = Profile::from_trace(&rt.take_trace(), 10);
-    let mut opts = OptimizeOptions::new(10);
-    // Boundary markers make ExhaustFuel trip at the same program points in
-    // merged code as in generic dispatch.
-    opts.fuel_boundaries = true;
-    opts.compiler_passes = compiler_passes;
-    let opt = optimize(&p.module, rt.registry(), &profile, &opts);
-    assert!(
-        !opt.chains.is_empty(),
-        "the pipeline must produce at least one compiled chain"
-    );
-    opt
+    p.optimized(OptimizeOptions {
+        compiler_passes,
+        ..OptimizeOptions::new(10)
+    })
 }
 
 /// The pipeline's chains as `optimize` builds them, asserting the chain
@@ -269,38 +187,30 @@ fn optimize_fuses_all_five_patterns_into_super_handlers_only() {
 fn fused_program_is_observationally_identical_under_faults() {
     let p = pipeline();
     let fused = fused_module(&p);
-    let events = [p.tick, p.flush];
-
-    let base = chaos_seed();
-    for i in 0..chaos_cases() {
-        let case = ChaosCase::derive(base.wrapping_add(i), &events, 8, 32);
-        for policy in POLICIES {
-            let (reference, _) = run(&p, &p.module, None, policy, &case.plan);
-            let (observed, _) = run(&p, &fused, None, policy, &case.plan);
-            let ctx = CaseContext {
-                substrate: "fusion",
-                chain_form: "fused",
-                policy,
-                case: &case,
-            };
-            assert_equivalent(&ctx, &reference, &observed);
-        }
-    }
+    let events = p.events();
+    sweep(
+        "fusion",
+        Seeded::sweep(),
+        |s| ChaosCase::derive(s, &events, 8, 32),
+        |module, case, policy| p.run(module, Chains::Generic, policy, &case.plan).0,
+        &p.module,
+        &[("fused", &fused)],
+    );
 }
 
 #[test]
 fn harness_is_meaningful_unfaulted_runs_agree_and_fuse_everything() {
     let p = pipeline();
     let fused = fused_module(&p);
-    let (reference, _) = run(&p, &p.module, None, FaultPolicy::SkipEvent, &[]);
-    let (observed, rt) = run(&p, &fused, None, FaultPolicy::SkipEvent, &[]);
+    let (reference, _) = p.run(&p.module, Chains::Generic, FaultPolicy::SkipEvent, &[]);
+    let (observed, rt) = p.run(&fused, Chains::Generic, FaultPolicy::SkipEvent, &[]);
     assert_eq!(observed, reference);
     // Charge replay: the fused run executes fewer dispatched instructions
     // but charges exactly what the unfused run charges.
     assert!(rt.cost.instrs > 0);
     assert_eq!(
         reference.substrate.len() as i64,
-        TICKS + TICKS / 5 + 1,
+        RAISES + RAISES / 5 + 1,
         "every tick (sync and async) must emit one packet"
     );
 }
@@ -313,26 +223,21 @@ fn despecialize_removes_fused_chain_but_preserves_behavior() {
     let p = pipeline();
     let opt = fused_chains(&p);
     let plan = [FaultSpec {
-        event: p.tick,
+        event: p.head,
         occurrence: 2,
         kind: FaultKind::TrapDispatch,
     }];
-    let (reference, _) = run(&p, &p.module, None, FaultPolicy::Despecialize, &plan);
-    let (observed, rt) = run(
-        &p,
-        &opt.module,
-        Some(&opt),
-        FaultPolicy::Despecialize,
-        &plan,
-    );
+    let (reference, _) = p.run(&p.module, Chains::Generic, FaultPolicy::Despecialize, &plan);
+    let chains = Chains::Static(&opt);
+    let (observed, rt) = p.run(&p.module, chains, FaultPolicy::Despecialize, &plan);
     assert_eq!(observed, reference);
     assert!(
-        rt.spec().get(p.tick).is_none(),
+        rt.spec().get(p.head).is_none(),
         "the faulting fused chain must be removed"
     );
     // The faulted occurrence was still drained (generically): every tick
     // landed in the frame counter.
-    assert_eq!(observed.globals[0], Value::Int(TICKS + TICKS / 5 + 1));
+    assert_eq!(observed.globals[0], Value::Int(RAISES + RAISES / 5 + 1));
     assert_eq!(
         observed.counters.injected_faults, 1,
         "one injected fault recorded"

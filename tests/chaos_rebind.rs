@@ -25,14 +25,13 @@
 mod oracle;
 
 use oracle::{
-    assert_equivalent, chaos_cases, chaos_seed, CaseContext, ChaosCase, Observed, SplitMix,
-    POLICIES,
+    adapt_config, chaos_cases, prepare, sweep, Chains, ChaosCase, Observed, Schedule, Seeded,
 };
-use pdo::{AdaptConfig, AdaptStats, AdaptiveEngine, OptimizeOptions};
-use pdo_events::{FaultInjector, FaultKind, FaultPolicy, Runtime, RuntimeConfig, TraceConfig};
+use pdo::AdaptStats;
+use pdo_events::{FaultKind, FaultPolicy, Runtime};
 use pdo_ir::{BinOp, EventId, FuncId, FunctionBuilder, GlobalId, Module, RaiseMode, Value};
 use pdo_profile::{Profile, ProfileBuilder, SuperHandlers};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 const EPOCH_NS: u64 = 1_000;
@@ -116,13 +115,23 @@ enum Op {
     Epoch,
 }
 
-/// The case's stream over the first `n_events` events. The hot event
-/// takes most raises, so the engine specializes it between rebinds.
-fn ops(seed: u64, n_events: usize) -> Vec<Op> {
-    let mut rng = SplitMix::new(seed ^ 0x0B1D_5EED);
-    (0..OPS)
-        .map(|_| match rng.below(100) {
-            0..=2 => Op::Rebind(match rng.below(3) {
+/// A case: the fault plan and the operation stream, both over the first
+/// two to four events.
+#[derive(Debug)]
+struct Case {
+    chaos: ChaosCase,
+    stream: Vec<Op>,
+}
+
+/// Draws a case. The hot event takes most raises, so the engine
+/// specializes it between rebinds; every raised event, the subsumable
+/// `Child` among them, is in the fault pool.
+fn case(p: &Program, s: &mut Seeded) -> Case {
+    let n_events = 2 + s.choose(3) as usize;
+    let chaos = ChaosCase::derive(s, &p.events[..n_events], 8, 48);
+    let stream = (0..OPS)
+        .map(|_| match s.choose(100) {
+            0..=2 => Op::Rebind(match s.choose(3) {
                 2 => None,
                 k => Some(k as usize),
             }),
@@ -132,45 +141,25 @@ fn ops(seed: u64, n_events: usize) -> Vec<Op> {
                 let event = if r < 80 {
                     0
                 } else {
-                    rng.below(n_events as u64) as usize
+                    s.choose(n_events as u64) as usize
                 };
-                let timed = (rng.below(8) == 0).then(|| 1 + rng.below(2 * EPOCH_NS));
-                Op::Raise(event, rng.below(1 << 20) as i64, timed)
+                let timed = (s.choose(8) == 0).then(|| 1 + s.choose(2 * EPOCH_NS));
+                Op::Raise(event, s.choose(1 << 20) as i64, timed)
             }
         })
-        .collect()
+        .collect();
+    Case { chaos, stream }
 }
 
-fn adapt_config() -> AdaptConfig {
-    let mut opts = OptimizeOptions::new(6);
-    // Boundary markers make ExhaustFuel trip at the same program points in
-    // merged code as in generic dispatch.
-    opts.fuel_boundaries = true;
-    AdaptConfig {
-        epoch_ns: EPOCH_NS,
-        min_fresh_events: 8,
-        opts,
-        ..AdaptConfig::default()
-    }
-}
-
-/// Runs `stream` under `policy` and `case`'s fault plan, with the engine
-/// attached or not, and snapshots what the equivalence claim covers.
+/// Runs `case` under `policy`, with the engine attached or not, and
+/// snapshots what the equivalence claim covers.
 fn run(
     p: &Program,
-    stream: &[Op],
-    case: &ChaosCase,
+    case: &Case,
     policy: FaultPolicy,
     adaptive: bool,
 ) -> (Observed<()>, Runtime, AdaptStats) {
-    let mut rt = Runtime::with_config(
-        p.module.clone(),
-        RuntimeConfig {
-            fault_policy: policy,
-            ..Default::default()
-        },
-    );
-    oracle::arm_tracing_and_histograms(&mut rt);
+    let mut rt = Runtime::new(p.module.clone());
     let [hot, ..] = p.events;
     rt.bind(hot, p.stat, 0).expect("bind");
     rt.bind(hot, p.mids[0], MID_ORDER).expect("bind");
@@ -178,15 +167,18 @@ fn run(
     for (&event, &handler) in p.events[1..].iter().zip(&p.singles) {
         rt.bind(event, handler, 0).expect("bind");
     }
-    rt.set_fault_injector(FaultInjector::from_plan(case.plan.iter().copied()));
-
-    rt.set_trace_config(TraceConfig::full());
+    let config = adapt_config(EPOCH_NS, 8, 6);
+    let chains = if adaptive {
+        Chains::Adaptive(config)
+    } else {
+        Chains::Generic
+    };
+    let engine = prepare(&mut rt, chains, policy, case.chaos.plan.clone());
     // The faults of the epochs the hook took the records of.
     let taken: Rc<RefCell<Vec<(EventId, FaultKind)>>> = Rc::default();
-    let engine = adaptive.then(|| {
-        let engine = AdaptiveEngine::attach_new(&mut rt, adapt_config());
+    if let Some(engine) = &engine {
         // The engine's own hook, with the collection in front of it.
-        let (sink, daemon, seed) = (Rc::clone(&taken), Rc::clone(&engine), case.seed);
+        let (sink, daemon) = (Rc::clone(&taken), Rc::clone(engine));
         rt.set_epoch_hook(EPOCH_NS, move |rt, _| {
             let window = rt.take_trace();
             sink.borrow_mut().extend(window.fault_sequence());
@@ -196,15 +188,14 @@ fn run(
             assert_eq!(
                 live.snapshot(0),
                 Profile::from_trace(&window, 0),
-                "seed {seed:#x} ({policy:?}): the live tally differs from the epoch's records"
+                "the live tally differs from the epoch's records"
             );
             daemon.borrow_mut().on_epoch(rt);
         });
-        engine
-    });
+    }
 
     let mut mid = Some(0);
-    for &op in stream {
+    for &op in &case.stream {
         match op {
             Op::Raise(event, arg, None) => rt
                 .raise(p.events[event], RaiseMode::Sync, &[Value::Int(arg)])
@@ -251,41 +242,31 @@ fn run(
 #[test]
 fn engine_attached_session_is_observationally_identical_under_rebinds_and_faults() {
     let p = program();
-    let base = chaos_seed();
-    let mut totals = AdaptStats::default();
-    let mut fast = 0;
-    for i in 0..chaos_cases() {
-        let seed = base.wrapping_add(i);
-        let n_events = 2 + (seed % 3) as usize;
-        // Faults key on top-level occurrences, and `Child` also dispatches
-        // nested — at a depth the injector counts when the parent came off
-        // the timer heap, and not at all once subsumed — so, as in the
-        // other suites, it is not in the fault pool.
-        let fault_events: Vec<EventId> = [0, 2, 3]
-            .into_iter()
-            .filter(|&e| e < n_events)
-            .map(|e| p.events[e])
-            .collect();
-        let case = ChaosCase::derive(seed, &fault_events, 8, 48);
-        let stream = ops(case.seed, n_events);
-        for policy in POLICIES {
-            let (reference, generic, _) = run(&p, &stream, &case, policy, false);
-            assert_eq!(generic.cost.fastpath_hits, 0, "the reference stays generic");
-            let (observed, rt, stats) = run(&p, &stream, &case, policy, true);
-            let ctx = CaseContext {
-                substrate: "rebind",
-                chain_form: "adaptive",
-                policy,
-                case: &case,
-            };
-            assert_equivalent(&ctx, &reference, &observed);
-            totals.absorb(&stats);
-            fast += rt.cost.fastpath_hits;
-        }
-    }
+    let totals = RefCell::new(AdaptStats::default());
+    let fast = Cell::new(0);
+    sweep(
+        "rebind",
+        Seeded::sweep(),
+        |s| case(&p, s),
+        |&adaptive, case, policy| {
+            let (observed, rt, stats) = run(&p, case, policy, adaptive);
+            if !adaptive {
+                assert_eq!(rt.cost.fastpath_hits, 0, "the reference stays generic");
+            }
+            totals.borrow_mut().absorb(&stats);
+            fast.set(fast.get() + rt.cost.fastpath_hits);
+            observed
+        },
+        false,
+        &[("adaptive", true)],
+    );
     // The sweep means something only if the engine really was specializing,
     // replanning and replaying across the rebinds.
-    assert!(fast > 0, "no case ever took the fast lane: {totals:?}");
+    let totals = totals.into_inner();
+    assert!(
+        fast.get() > 0,
+        "no case ever took the fast lane: {totals:?}"
+    );
     assert!(
         totals.cache_misses > 0 && totals.chains_installed > 0,
         "{totals:?}"

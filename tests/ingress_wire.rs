@@ -10,7 +10,7 @@
 #[path = "common/oracle.rs"]
 mod oracle;
 
-use oracle::SplitMix;
+use oracle::{bytes, Schedule, Seeded};
 use pdo_ingress::proto::{decode_reply, decode_request, encode_reply, encode_request, FrameBuffer};
 use pdo_ingress::{
     Client, ErrorCode, Ingress, IngressConfig, IngressError, OpenKind, Reply, Request,
@@ -184,12 +184,12 @@ proptest! {
         });
         prop_assert_eq!(intact, (7, req));
 
-        let mut rng = SplitMix::new(seed ^ 0x1461_55E5);
+        let mut s = Seeded::new(seed);
 
         // Garbage of assorted sizes through the reassembler: typed error
         // or more-bytes, never a panic, never a decoded frame.
-        for len in [0usize, 1, 7, 19, 20, 64, 512] {
-            let garbage: Vec<u8> = (0..len).map(|_| rng.below(256) as u8).collect();
+        for len in [0, 1, 7, 19, 20, 64, 512] {
+            let garbage = bytes(&mut s, len..len + 1);
             let mut fb = FrameBuffer::new();
             fb.extend(&garbage);
             if let Ok(Some(f)) = fb.next_frame(MAX_FRAME_LEN) {
@@ -221,7 +221,7 @@ fn corrupted_wire_traffic_leaves_the_server_serving() {
             args: vec![Value::Int(9), Value::str("x")],
         },
     );
-    let mut rng = SplitMix::new(0x0D15_EA5E);
+    let mut s = Seeded::new(0x0D15_EA5E);
     let stop = Arc::new(AtomicBool::new(false));
     let attacker_stop = Arc::clone(&stop);
     let attacker = std::thread::spawn(move || {
@@ -233,10 +233,10 @@ fn corrupted_wire_traffic_leaves_the_server_serving() {
             if round % 3 == 2 {
                 // Truncated frame: the sweep waits for the rest until we
                 // hang up, then sees EOF.
-                let cut = 1 + rng.below((bad.len() - 1) as u64) as usize;
+                let cut = 1 + s.choose((bad.len() - 1) as u64) as usize;
                 bad.truncate(cut);
             } else {
-                let pos = rng.below((bad.len() * 8) as u64) as usize;
+                let pos = s.choose((bad.len() * 8) as u64) as usize;
                 bad[pos / 8] ^= 1 << (pos % 8);
             }
             c.send_raw(&bad).unwrap();

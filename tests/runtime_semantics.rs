@@ -1,7 +1,10 @@
 //! Cross-crate runtime-semantics tests: virtual-time ordering, queue
 //! fairness, guard arity rules, chain lifecycle, and reserved natives.
 
-use pdo_events::{CompiledChain, Guard, Runtime, RuntimeConfig, RuntimeError, TraceConfig};
+use pdo_events::{
+    CompiledChain, FaultInjector, FaultKind, FaultPolicy, FaultSpec, Guard, Runtime, RuntimeConfig,
+    RuntimeError, TraceConfig,
+};
 use pdo_ir::{BinOp, EventId, FuncId, FunctionBuilder, Module, RaiseMode, Value};
 
 /// A module whose single handler appends its event's tag digit to a
@@ -165,6 +168,60 @@ fn step_budget_applies_per_run_call() {
         rt.raise(ids[0], RaiseMode::Async, &[]).unwrap();
     }
     assert_eq!(rt.run_until_idle(), Err(RuntimeError::StepLimit));
+}
+
+/// The fault injector counts an occurrence when the workload raises it or
+/// the queue or timer heap pops it — never when it is raised synchronously
+/// inside one of those, however shallow the nesting: a popped parent
+/// dispatches at depth 0, and its child must not count either.
+#[test]
+fn faults_key_on_workload_raises_and_pops_never_on_nested_dispatch() {
+    let (mut m, ids, g, funcs) = logger_module(2);
+    let (parent, child) = (ids[0], ids[1]);
+    let mut b = FunctionBuilder::new("raise_child", 0);
+    b.raise(child, RaiseMode::Sync, &[]);
+    b.ret(None);
+    let raise_child = m.add_function(b.finish());
+    let config = RuntimeConfig {
+        fault_policy: FaultPolicy::SkipEvent,
+        ..Default::default()
+    };
+    let mut rt = Runtime::with_config(m, config);
+    rt.bind(parent, raise_child, 0).unwrap();
+    rt.bind(child, funcs[1], 0).unwrap();
+    let trap = |occurrence| FaultSpec {
+        event: child,
+        occurrence,
+        kind: FaultKind::TrapDispatch,
+    };
+    rt.set_fault_injector(FaultInjector::from_plan((0..3).map(trap)));
+    let mut raise = |event, mode| {
+        let delay = [Value::Int(10)];
+        let args: &[Value] = if mode == RaiseMode::Timed {
+            &delay
+        } else {
+            &[]
+        };
+        rt.raise(event, mode, args).unwrap();
+        rt.run_until_idle().unwrap();
+        (rt.global(g).clone(), rt.stats().injected_faults)
+    };
+    let modes = [RaiseMode::Sync, RaiseMode::Async, RaiseMode::Timed];
+
+    // Nested in a workload-raised, a queued and a timed parent: uncounted.
+    let after = modes.map(|mode| raise(parent, mode));
+    assert_eq!(
+        after[2],
+        (Value::Int(222), 0),
+        "a nested child never counts"
+    );
+    // Raised by the workload, popped off the queue, popped off the timer
+    // heap: occurrences 0, 1 and 2, each trapped.
+    let after = modes.map(|mode| raise(child, mode));
+    assert_eq!(after[2], (Value::Int(222), 3));
+    // Occurrence 3 is unplanned, and nesting still does not count.
+    raise(child, RaiseMode::Sync);
+    assert_eq!(raise(parent, RaiseMode::Async), (Value::Int(22222), 3));
 }
 
 #[test]

@@ -11,46 +11,15 @@
 #[path = "common/oracle.rs"]
 mod oracle;
 
-use oracle::SplitMix;
+use oracle::{Schedule, Seeded};
 use pdo::{AdaptConfig, OptimizeOptions};
 use pdo_ctp::{ctp_program, CtpParams};
 use pdo_events::RuntimeConfig;
-use pdo_ir::{BinOp, EventId, FuncId, FunctionBuilder, Module, Value};
+use pdo_ir::EventId;
 use pdo_seccomm::{seccomm_protocol, Keys, CONFIG_FULL};
 use pdo_server::{Server, ServerConfig, ServerError};
 use pdo_snap::hostile;
 use proptest::prelude::*;
-
-fn two_chain_module() -> (Module, [EventId; 2]) {
-    let mut m = Module::new();
-    let a = m.add_event("A");
-    let b = m.add_event("B");
-    let ga = m.add_global("acc_a", Value::Int(0));
-    let gb = m.add_global("acc_b", Value::Int(0));
-    let adder = |m: &mut Module, name: &str, g: pdo_ir::GlobalId, d: i64| {
-        let mut fb = FunctionBuilder::new(name, 0);
-        let v = fb.load_global(g);
-        let dd = fb.const_int(d);
-        let o = fb.bin(BinOp::Add, v, dd);
-        fb.store_global(g, o);
-        fb.ret(None);
-        m.add_function(fb.finish())
-    };
-    adder(&mut m, "a1", ga, 1);
-    adder(&mut m, "a2", ga, 2);
-    adder(&mut m, "b1", gb, 1);
-    adder(&mut m, "b2", gb, 2);
-    (m, [a, b])
-}
-
-fn bindings(m: &Module, a: EventId, b: EventId) -> Vec<(EventId, FuncId, i32)> {
-    vec![
-        (a, m.function_by_name("a1").unwrap(), 0),
-        (a, m.function_by_name("a2").unwrap(), 1),
-        (b, m.function_by_name("b1").unwrap(), 0),
-        (b, m.function_by_name("b2").unwrap(), 1),
-    ]
-}
 
 fn config() -> ServerConfig {
     ServerConfig {
@@ -68,23 +37,22 @@ fn config() -> ServerConfig {
 /// snapshots are exact: timers may still be outstanding and async raises
 /// queued — the image must carry them.
 fn seeded_server(seed: u64, kind: usize) -> Server {
-    let mut rng = SplitMix::new(seed);
+    let mut s = Seeded::new(seed);
     let mut server = Server::new(config());
     if kind == 0 || kind == 3 {
-        let (m, [a, b]) = two_chain_module();
-        let binds = bindings(&m, a, b);
-        for _ in 0..1 + rng.below(3) {
+        let (m, [a, b], binds) = oracle::two_chain_module();
+        for _ in 0..1 + s.choose(3) {
             let id = server
                 .open_session(m.clone(), RuntimeConfig::default(), &binds)
                 .unwrap();
-            for _ in 0..rng.below(30) {
-                let event = if rng.below(2) == 0 { a } else { b };
-                server.submit(id, event, 1 + rng.below(8_000), &[]).unwrap();
+            for _ in 0..s.choose(30) {
+                let event = if s.choose(2) == 0 { a } else { b };
+                server.submit(id, event, 1 + s.choose(8_000), &[]).unwrap();
             }
         }
         server.run_until(5_000).unwrap();
         // A queued async raise rides across the snapshot in the FIFO.
-        if rng.below(2) == 0 {
+        if s.choose(2) == 0 {
             let ids = server.sessions();
             server
                 .with_runtime(ids[0], move |rt| {
@@ -98,9 +66,8 @@ fn seeded_server(seed: u64, kind: usize) -> Server {
         let id = server
             .open_ctp_session(&program, CtpParams::default())
             .unwrap();
-        for i in 0..2 + rng.below(3) {
-            let len = 1 + rng.below(250) as usize;
-            let payload: Vec<u8> = (0..len).map(|_| rng.below(256) as u8).collect();
+        for i in 0..2 + s.choose(3) {
+            let payload = oracle::bytes(&mut s, 1..251);
             server
                 .with_ctp(id, move |ep| ep.send(&payload))
                 .unwrap()
@@ -113,9 +80,8 @@ fn seeded_server(seed: u64, kind: usize) -> Server {
         let keys = Keys::default();
         let tx = server.open_seccomm_session(&program, &keys).unwrap();
         let rx = server.open_seccomm_session(&program, &keys).unwrap();
-        for _ in 0..1 + rng.below(5) {
-            let len = rng.below(120) as usize;
-            let msg: Vec<u8> = (0..len).map(|_| rng.below(256) as u8).collect();
+        for _ in 0..1 + s.choose(5) {
+            let msg = oracle::bytes(&mut s, 0..120);
             let expect = msg.clone();
             let wire = server
                 .with_seccomm(tx, move |ep| ep.push(&msg))
@@ -177,9 +143,9 @@ proptest! {
         expected.sort();
         prop_assert_eq!(restored, expected, "the intact image restores every session");
         // Arbitrary garbage of assorted sizes.
-        let mut rng = SplitMix::new(seed ^ 0x0B17_F11B);
-        for len in [0usize, 1, 7, 19, 20, 64, 1024] {
-            let garbage: Vec<u8> = (0..len).map(|_| rng.below(256) as u8).collect();
+        let mut s = Seeded::new(seed);
+        for len in [0, 1, 7, 19, 20, 64, 1024] {
+            let garbage = oracle::bytes(&mut s, len..len + 1);
             let mut fresh = Server::new(config());
             prop_assert!(matches!(
                 fresh.restore_from_bytes(&garbage),
