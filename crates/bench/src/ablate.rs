@@ -75,7 +75,7 @@ pub const CONFIGS: [AblationConfig; 6] = [
 pub struct AblationRow {
     /// Configuration name.
     pub name: &'static str,
-    /// Average push latency (ns).
+    /// Push latency (ns).
     pub push_ns: f64,
     /// Abstract weighted cost for one push.
     pub weighted_cost: u64,
@@ -126,30 +126,30 @@ pub fn endpoint_for(config: &AblationConfig, threshold: u64) -> (Endpoint, usize
     (out, super_instrs)
 }
 
-/// Runs the ablation ladder.
+/// Runs the ablation ladder: every configuration's push timed in `rounds`
+/// [`crate::interleaved`] rounds, one side per configuration, beside the
+/// [`crate::warmed_units`] of one push.
 ///
 /// # Panics
 ///
 /// Panics on substrate misconfiguration.
-pub fn ablation_rows(threshold: u64, iters: u32) -> Vec<AblationRow> {
+pub fn ablation_rows(threshold: u64, rounds: usize) -> Vec<AblationRow> {
     let msg = vec![0x5Au8; 256];
+    let push = |ep: &mut Endpoint| ep.push(&msg).expect("push");
+    let (mut eps, super_instrs): (Vec<_>, Vec<_>) = CONFIGS
+        .iter()
+        .map(|config| endpoint_for(config, threshold))
+        .unzip();
+    let timed = crate::interleaved(eps.len(), rounds, crate::SAMPLES, |i| push(&mut eps[i]));
     CONFIGS
         .iter()
-        .map(|config| {
-            let (mut ep, super_instrs) = endpoint_for(config, threshold);
-            let _ = ep.push(&msg).expect("warm");
-            let push_ns = crate::avg_ns(iters / 10, iters, || {
-                let _ = ep.push(&msg).expect("push");
-            });
-            ep.runtime_mut().reset_cost();
-            let _ = ep.push(&msg).expect("cost probe");
-            let weighted_cost = ep.runtime().cost.weighted_total();
-            AblationRow {
-                name: config.name,
-                push_ns,
-                weighted_cost,
-                super_instrs,
-            }
+        .zip(eps.iter_mut().zip(timed))
+        .zip(super_instrs)
+        .map(|((config, (ep, side)), super_instrs)| AblationRow {
+            name: config.name,
+            push_ns: side.median_min(),
+            weighted_cost: crate::warmed_units(ep, Endpoint::runtime_mut, push),
+            super_instrs,
         })
         .collect()
 }
@@ -176,7 +176,7 @@ mod tests {
 
     #[test]
     fn abstract_cost_declines_down_the_ladder() {
-        let rows = ablation_rows(50, 50);
+        let rows = ablation_rows(50, 1);
         let row = |name: &str| {
             rows.iter()
                 .find(|r| r.name == name)

@@ -39,7 +39,7 @@
 //! path given as the first argument, default `BENCH_interp.json` in the
 //! working directory, and exits nonzero when any gate fails.
 
-use pdo_bench::{ab_rounds, allocs_per_call, measure, median, CountingAlloc, Side};
+use pdo_bench::{allocs_per_call, interleaved, median, CountingAlloc, Side};
 use pdo_events::Runtime;
 use pdo_ir::interp::{call, BasicEnv};
 use pdo_ir::{
@@ -60,7 +60,7 @@ const OVERHEAD_GATE: f64 = 1.05;
 /// Interleaved measurement rounds per side (median taken across them).
 const ROUNDS: usize = 9;
 
-/// Batch-average samples per round (passed to [`measure`]).
+/// Batch-average samples per round (passed to [`interleaved`]).
 const SAMPLES: usize = 10;
 
 /// Straight-line repetitions of the inner-loop pattern per handler body.
@@ -161,17 +161,13 @@ fn kernel_allocs(m: &Module) -> f64 {
     allocs_per_call(|| call(black_box(m), &mut env, FuncId(0), &[]).unwrap())
 }
 
-/// Interleaved A/B rounds of `call` on two variants of one handler.
-fn kernel_rounds(a_mod: &Module, b_mod: &Module) -> (Side, Side) {
-    let fa = FuncId(0);
-    let mut env_a = BasicEnv::new(a_mod);
-    let mut env_b = BasicEnv::new(b_mod);
-    ab_rounds(
-        ROUNDS,
-        SAMPLES,
-        || call(black_box(a_mod), &mut env_a, fa, &[]).unwrap(),
-        || call(black_box(b_mod), &mut env_b, fa, &[]).unwrap(),
-    )
+/// Interleaved rounds of `call` on two variants of one handler.
+fn kernel_rounds(a_mod: &Module, b_mod: &Module) -> Vec<Side> {
+    let mods = [a_mod, b_mod];
+    let mut envs = mods.map(BasicEnv::new);
+    interleaved(2, ROUNDS, SAMPLES, |i| {
+        call(black_box(mods[i]), &mut envs[i], FuncId(0), &[]).unwrap()
+    })
 }
 
 /// A generic-dispatch runtime for the counting overhead check: one event
@@ -350,26 +346,19 @@ fn opcode_ledger() -> Vec<LedgerRow> {
     let mut rt = Runtime::new(module.clone());
     rt.bind_native(nop, |_| Ok(Value::Unit));
     let mut run = |f: FuncId| call(black_box(&*module), &mut rt, f, &[]).unwrap();
-    // `ab_rounds` for more than two sides: every body and the empty one are
-    // measured once per round, a different one first each time.
     bodies.push(("empty", empty, 0));
-    let mut mins = vec![Vec::with_capacity(ROUNDS); bodies.len()];
-    for round in 0..ROUNDS {
-        for k in 0..bodies.len() {
-            let i = (k + round) % bodies.len();
-            mins[i].push(measure(|| run(bodies[i].1), SAMPLES).min_ns);
-        }
-    }
-    let empty_mins = mins.pop().expect("the empty body");
+    let mut sides = interleaved(bodies.len(), ROUNDS, SAMPLES, |i| run(bodies[i].1));
+    let empty_side = sides.pop().expect("the empty body");
     bodies.pop();
     bodies
         .into_iter()
-        .zip(mins)
-        .map(|((name, f, instrs), mins)| {
+        .zip(sides)
+        .map(|((name, f, instrs), side)| {
             assert_eq!(allocs_per_call(|| run(f)), 0.0, "{name} allocates");
-            let per_round_ns = mins
+            let per_round_ns = side
+                .round_mins()
                 .iter()
-                .zip(&empty_mins)
+                .zip(empty_side.round_mins())
                 .map(|(body, empty)| ((body - empty) / instrs as f64).max(0.01))
                 .collect();
             LedgerRow { name, per_round_ns }
@@ -392,7 +381,8 @@ fn main() {
         ("x", x_module()),
     ] {
         let fused = fused_twin(&module, name);
-        let (unfused_side, fused_side) = kernel_rounds(&module, &fused);
+        let sides = kernel_rounds(&module, &fused);
+        let (unfused_side, fused_side) = (&sides[0], &sides[1]);
         let (unfused_allocs, fused_allocs) = (kernel_allocs(&module), kernel_allocs(&fused));
         allocs_sum += unfused_allocs + fused_allocs;
         let speedup = unfused_side.median_min() / fused_side.median_min();
@@ -404,26 +394,23 @@ fn main() {
              \"unfused\": {},\n      \"fused\": {},\n      \"speedup\": {speedup:.4}\n    }}",
             module.instr_count(),
             fused.instr_count(),
-            row(&unfused_side, unfused_allocs),
-            row(&fused_side, fused_allocs),
+            row(unfused_side, unfused_allocs),
+            row(fused_side, fused_allocs),
         ));
     }
 
     // Instruction-counting overhead on the full dispatch path.
-    let (mut off_rt, e) = dispatch_runtime(false);
-    let (mut on_rt, _) = dispatch_runtime(true);
-    let (off, on) = ab_rounds(
-        ROUNDS,
-        SAMPLES,
-        || off_rt.raise(black_box(e), RaiseMode::Sync, &[]).unwrap(),
-        || on_rt.raise(black_box(e), RaiseMode::Sync, &[]).unwrap(),
-    );
+    let (off_rt, e) = dispatch_runtime(false);
+    let (on_rt, _) = dispatch_runtime(true);
+    let mut rts = [off_rt, on_rt];
+    let mut raise = |i: usize| rts[i].raise(black_box(e), RaiseMode::Sync, &[]).unwrap();
+    let sides = interleaved(2, ROUNDS, SAMPLES, &mut raise);
+    let (off_allocs, on_allocs) = (allocs_per_call(|| raise(0)), allocs_per_call(|| raise(1)));
     assert!(
-        on_rt.opcode_profile_data().is_some_and(|p| p.total() > 0),
+        rts[1].opcode_profile_data().is_some_and(|p| p.total() > 0),
         "profiling runtime must actually count instructions"
     );
-    let off_allocs = allocs_per_call(|| off_rt.raise(black_box(e), RaiseMode::Sync, &[]).unwrap());
-    let on_allocs = allocs_per_call(|| on_rt.raise(black_box(e), RaiseMode::Sync, &[]).unwrap());
+    let (off, on) = (&sides[0], &sides[1]);
     let overhead = on.median_min() / off.median_min();
     let overhead_pass = overhead <= OVERHEAD_GATE;
 
@@ -464,8 +451,8 @@ fn main() {
         workloads_json.join(",\n"),
         best.0,
         best.1,
-        row(&off, off_allocs),
-        row(&on, on_allocs),
+        row(off, off_allocs),
+        row(on, on_allocs),
         ledger_json.join(", "),
         ratios_json.join(",\n    "),
     );

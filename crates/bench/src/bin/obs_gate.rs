@@ -15,8 +15,9 @@
 //! argument, default `BENCH_dispatch.json` in the working directory, and
 //! exits nonzero when the gate fails.
 
-use pdo_bench::{fastpath_runtime, raise_round, Side};
-use pdo_events::Runtime;
+use pdo_bench::{fastpath_runtime, interleaved};
+use pdo_ir::{RaiseMode, Value};
+use std::hint::black_box;
 
 /// Maximum tolerated metrics-on/metrics-off ratio.
 const GATE: f64 = 1.05;
@@ -24,7 +25,7 @@ const GATE: f64 = 1.05;
 /// Interleaved measurement rounds per side (median taken across them).
 const ROUNDS: usize = 9;
 
-/// Batch-average samples per round (passed to [`raise_round`]).
+/// Batch-average samples per round (passed to [`interleaved`]).
 const SAMPLES: usize = 10;
 
 fn main() {
@@ -32,7 +33,7 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "BENCH_dispatch.json".into());
 
-    let (mut off_rt, e) = fastpath_runtime();
+    let (off_rt, e) = fastpath_runtime();
     let (mut on_rt, _) = fastpath_runtime();
     on_rt.enable_observability();
     assert!(
@@ -41,21 +42,13 @@ fn main() {
     );
     assert!(on_rt.obs().is_some(), "metrics-on runtime must have a hub");
 
-    let (mut off_side, mut on_side) = (Side::default(), Side::default());
-    for i in 0..ROUNDS {
-        // Alternate the order within each round so slow drift (thermal,
-        // scheduler) cancels instead of biasing one side.
-        let (first, second): (&mut Runtime, &mut Runtime) = if i % 2 == 0 {
-            (&mut off_rt, &mut on_rt)
-        } else {
-            (&mut on_rt, &mut off_rt)
-        };
-        let a = raise_round(first, e, SAMPLES);
-        let b = raise_round(second, e, SAMPLES);
-        let (off, on) = if i % 2 == 0 { (a, b) } else { (b, a) };
-        off_side.push(off);
-        on_side.push(on);
-    }
+    let mut rts = [off_rt, on_rt];
+    let sides = interleaved(2, ROUNDS, SAMPLES, |i| {
+        rts[i]
+            .raise(black_box(e), RaiseMode::Sync, &[Value::Unit])
+            .unwrap()
+    });
+    let (off_side, on_side) = (&sides[0], &sides[1]);
 
     let (off_json, on_json) = (off_side.json(), on_side.json());
     let ratio = on_side.median_min() / off_side.median_min();

@@ -6,39 +6,45 @@
 //! ```
 //!
 //! Subcommands: `fig5`, `fig6`, `fig10`, `fig11`, `fig12`, `fig13`,
-//! `codesize`, `ablation`, `all`. Measured numbers are printed next to the
-//! paper's published values; absolute magnitudes differ (different
+//! `codesize`, `ablation`, `all` (the default). `--quick` times 5
+//! interleaved rounds per cell instead of 101; Fig 10 is modeled on cost
+//! units and reads the same either way. Measured numbers are printed next
+//! to the paper's published values; absolute magnitudes differ (different
 //! substrate and hardware), the comparison target is the shape.
 
 use pdo_bench::{ablate, paper, percent, secc, sizes, video, xcli};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let what = args.first().map(String::as_str).unwrap_or("all");
-    let quick = args.iter().any(|a| a == "--quick");
-    let iters: u32 = if quick { 200 } else { 2000 };
-    let frames: u32 = if quick { 100 } else { video::SESSION_FRAMES };
-    // Interleaved orig/opt rounds per Fig 12 cell.
-    let rounds: usize = if quick { 5 } else { 101 };
+    let what = args
+        .iter()
+        .find(|a| !a.starts_with("--"))
+        .map_or("all", String::as_str);
+    // Interleaved orig/opt rounds per timed cell.
+    let rounds: usize = if args.iter().any(|a| a == "--quick") {
+        5
+    } else {
+        101
+    };
 
     match what {
         "fig5" => fig5(),
         "fig6" => fig6(),
-        "fig10" => fig10(frames),
-        "fig11" => fig11(iters),
+        "fig10" => fig10(),
+        "fig11" => fig11(rounds),
         "fig12" => fig12(rounds),
-        "fig13" => fig13(iters),
+        "fig13" => fig13(rounds),
         "codesize" => codesize(),
-        "ablation" => ablation(iters),
+        "ablation" => ablation(rounds),
         "all" => {
             fig5();
             fig6();
-            fig10(frames);
-            fig11(iters);
+            fig10();
+            fig11(rounds);
             fig12(rounds);
-            fig13(iters);
+            fig13(rounds);
             codesize();
-            ablation(iters);
+            ablation(rounds);
         }
         other => {
             eprintln!("unknown report `{other}`");
@@ -46,6 +52,11 @@ fn main() {
             std::process::exit(2);
         }
     }
+}
+
+/// A cost-units cell: original → optimized units of one operation.
+fn units(orig: u64, opt: u64) -> String {
+    format!("{orig} → {opt}")
 }
 
 fn header(title: &str) {
@@ -79,10 +90,10 @@ fn fig6() {
     }
 }
 
-fn fig10(frames: u32) {
+fn fig10() {
     header("Figure 10: video player optimization results");
     let lab = video::VideoLab::prepare(video::THRESHOLD);
-    let rows = video::fig10_rows(&lab, frames);
+    let rows = video::fig10_rows(&lab);
     println!(
         "{:>5}  {:>11} {:>11} {:>6}   {:>11} {:>11} {:>6}   | paper: total%  handler%",
         "fps", "orig tot(s)", "opt tot(s)", "(%)", "orig hdl(s)", "opt hdl(s)", "(%)"
@@ -107,13 +118,13 @@ fn fig10(frames: u32) {
     }
 }
 
-fn fig11(iters: u32) {
+fn fig11(rounds: usize) {
     header("Figure 11: event processing times in the video player");
     let lab = video::VideoLab::prepare(video::THRESHOLD);
-    let rows = video::fig11_rows(&lab, iters);
+    let rows = video::fig11_rows(&lab, rounds);
     println!(
-        "{:<14} {:>12} {:>12} {:>9}   | paper: {:>8} {:>8} {:>9}",
-        "event", "orig (ns)", "opt (ns)", "speedup%", "orig µs", "opt µs", "speedup%"
+        "{:<14} {:>12} {:>12} {:>9} {:>12}   | paper: {:>8} {:>8} {:>9}",
+        "event", "orig (ns)", "opt (ns)", "speedup%", "units", "orig µs", "opt µs", "speedup%"
     );
     for row in rows {
         let p = paper::FIG11
@@ -121,11 +132,12 @@ fn fig11(iters: u32) {
             .find(|(n, ..)| *n == row.event)
             .expect("paper row");
         println!(
-            "{:<14} {:>12.0} {:>12.0} {:>9.1}   |        {:>8.0} {:>8.0} {:>9.1}",
+            "{:<14} {:>12.0} {:>12.0} {:>9.1} {:>12}   |        {:>8.0} {:>8.0} {:>9.1}",
             row.event,
             row.orig_ns,
             row.opt_ns,
             100.0 - percent(row.opt_ns, row.orig_ns),
+            units(row.orig_units, row.opt_units),
             p.1,
             p.2,
             100.0 - p.2 * 100.0 / p.1,
@@ -138,8 +150,8 @@ fn fig12(rounds: usize) {
     let lab = secc::SecLab::prepare(50);
     let rows = secc::fig12_rows(&lab, rounds);
     println!(
-        "{:>6}  {:>11} {:>11} {:>6}  {:>11} {:>11} {:>6}   | paper: push%  pop%",
-        "size", "push orig", "push opt", "(%)", "pop orig", "pop opt", "(%)"
+        "{:>6}  {:>11} {:>11} {:>6} {:>10}  {:>11} {:>11} {:>6} {:>10}   | paper: push%  pop%",
+        "size", "push orig", "push opt", "(%)", "units", "pop orig", "pop opt", "(%)", "units"
     );
     for row in rows {
         let p = paper::FIG12
@@ -147,14 +159,16 @@ fn fig12(rounds: usize) {
             .find(|(s, ..)| *s == row.size)
             .expect("paper row");
         println!(
-            "{:>6}  {:>11.0} {:>11.0} {:>6.1}  {:>11.0} {:>11.0} {:>6.1}   |        {:>5.1}  {:>5.1}",
+            "{:>6}  {:>11.0} {:>11.0} {:>6.1} {:>10}  {:>11.0} {:>11.0} {:>6.1} {:>10}   |        {:>5.1}  {:>5.1}",
             row.size,
             row.push_orig_ns,
             row.push_opt_ns,
             percent(row.push_opt_ns, row.push_orig_ns),
+            units(row.push_orig_units, row.push_opt_units),
             row.pop_orig_ns,
             row.pop_opt_ns,
             percent(row.pop_opt_ns, row.pop_orig_ns),
+            units(row.pop_orig_units, row.pop_opt_units),
             p.2 * 100.0 / p.1,
             p.4 * 100.0 / p.3,
         );
@@ -163,13 +177,13 @@ fn fig12(rounds: usize) {
     println!("kernel floor: DES {des_ns:.0} ns/block, keyed MD5 {md5_ns:.0} ns/KiB");
 }
 
-fn fig13(iters: u32) {
+fn fig13(rounds: usize) {
     header("Figure 13: optimization of X events");
     let lab = xcli::XLab::prepare(100);
-    let rows = xcli::fig13_rows(&lab, iters);
+    let rows = xcli::fig13_rows(&lab, rounds);
     println!(
-        "{:<8} {:>12} {:>12} {:>6}   | paper: {:>8} {:>8} {:>6}",
-        "type", "orig (ns)", "opt (ns)", "(%)", "orig µs", "opt µs", "(%)"
+        "{:<8} {:>12} {:>12} {:>6} {:>10}   | paper: {:>8} {:>8} {:>6}",
+        "type", "orig (ns)", "opt (ns)", "(%)", "units", "orig µs", "opt µs", "(%)"
     );
     for row in rows {
         let p = paper::FIG13
@@ -177,11 +191,12 @@ fn fig13(iters: u32) {
             .find(|(n, ..)| *n == row.event)
             .expect("paper row");
         println!(
-            "{:<8} {:>12.0} {:>12.0} {:>6.1}   |        {:>8.0} {:>8.0} {:>6.1}",
+            "{:<8} {:>12.0} {:>12.0} {:>6.1} {:>10}   |        {:>8.0} {:>8.0} {:>6.1}",
             row.event,
             row.orig_ns,
             row.opt_ns,
             percent(row.opt_ns, row.orig_ns),
+            units(row.orig_units, row.opt_units),
             p.1,
             p.2,
             p.2 * 100.0 / p.1,
@@ -221,9 +236,9 @@ fn codesize() {
     );
 }
 
-fn ablation(iters: u32) {
+fn ablation(rounds: usize) {
     header("Ablation: SecComm push chain under partial optimizations");
-    let rows = ablate::ablation_rows(50, iters);
+    let rows = ablate::ablation_rows(50, rounds);
     println!(
         "{:<32} {:>12} {:>16} {:>14}",
         "configuration", "push (ns)", "abstract cost", "super instrs"

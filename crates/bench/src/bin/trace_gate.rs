@@ -17,8 +17,10 @@
 //! first argument, default `BENCH_trace.json` in the working directory,
 //! and exits nonzero when either gate fails.
 
-use pdo_bench::{fastpath_runtime, raise_round, Side};
+use pdo_bench::{fastpath_runtime, interleaved};
+use pdo_ir::{RaiseMode, Value};
 use pdo_obs::trace::TraceStore;
+use std::hint::black_box;
 
 /// Maximum tolerated attached-but-disabled / no-store ratio.
 const GATE_OFF: f64 = 1.02;
@@ -29,7 +31,7 @@ const GATE_ON: f64 = 1.10;
 /// Interleaved measurement rounds per side (median taken across them).
 const ROUNDS: usize = 9;
 
-/// Batch-average samples per round (passed to [`raise_round`]).
+/// Batch-average samples per round (passed to [`interleaved`]).
 const SAMPLES: usize = 10;
 
 fn main() {
@@ -38,7 +40,7 @@ fn main() {
         .unwrap_or_else(|| "BENCH_trace.json".into());
 
     // No store attached: the pre-tracing hot path.
-    let (mut none_rt, e) = fastpath_runtime();
+    let (none_rt, e) = fastpath_runtime();
     // Store attached but disabled: the deployment default, one
     // enabled-check more.
     let (mut off_rt, _) = fastpath_runtime();
@@ -58,20 +60,12 @@ fn main() {
         "on side must record"
     );
 
-    let mut sides = [Side::default(), Side::default(), Side::default()];
-    for i in 0..ROUNDS {
-        // Rotate the in-round order so slow drift (thermal, scheduler)
-        // spreads across all three sides instead of biasing one.
-        let order = [i % 3, (i + 1) % 3, (i + 2) % 3];
-        for &which in &order {
-            let rt = match which {
-                0 => &mut none_rt,
-                1 => &mut off_rt,
-                _ => &mut on_rt,
-            };
-            sides[which].push(raise_round(rt, e, SAMPLES));
-        }
-    }
+    let mut rts = [none_rt, off_rt, on_rt];
+    let sides = interleaved(3, ROUNDS, SAMPLES, |i| {
+        rts[i]
+            .raise(black_box(e), RaiseMode::Sync, &[Value::Unit])
+            .unwrap()
+    });
 
     let base = sides[0].median_min();
     let ratio_off = sides[1].median_min() / base;

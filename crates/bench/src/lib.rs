@@ -12,7 +12,10 @@
 //! | [`ablate`]| ablations over the optimizer's design choices (§3.2/§5) |
 //!
 //! The `report` binary prints each table with the paper's reference numbers
-//! alongside; the gate binaries time their own paths with [`measure`].
+//! alongside. Every wall-clock figure, in `report` and in the gate binaries,
+//! is timed one way: [`interleaved`] rounds of [`measure`], summarized by
+//! [`Side::median_min`]. Beside each per-event figure sits its deterministic
+//! cost in [`warmed_units`]; Fig 10 is modeled on those units alone.
 
 pub mod ablate;
 pub mod paper;
@@ -89,30 +92,6 @@ pub fn allocs_per_call<O>(mut f: impl FnMut() -> O) -> f64 {
     (ALLOCS.get() - before) as f64 / CALLS as f64
 }
 
-/// Measures the average wall-clock nanoseconds of `op` over `iters`
-/// iterations (after `warmup` unmeasured ones). The measurement is the
-/// *best of three* batch averages — the minimum is robust against
-/// scheduler noise on a shared machine, which otherwise swamps the
-/// dispatch-overhead deltas when payload work (e.g. DES) dominates.
-pub fn avg_ns(warmup: u32, iters: u32, mut op: impl FnMut()) -> f64 {
-    for _ in 0..warmup {
-        op();
-    }
-    let batch = iters.max(1);
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        for _ in 0..batch {
-            op();
-        }
-        let avg = t0.elapsed().as_nanos() as f64 / f64::from(batch);
-        if avg < best {
-            best = avg;
-        }
-    }
-    best
-}
-
 /// Summary statistics of one [`measure`] call's batch averages.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Measurement {
@@ -127,9 +106,8 @@ pub struct Measurement {
 }
 
 /// Runs `f` repeatedly — three warm-up calls, then `samples` (clamped to
-/// 3..=10) batches of 16 — and summarizes the batch averages. The timing
-/// discipline the overhead gates (`obs_gate`, `trace_gate`, `interp_gate`)
-/// share.
+/// 3..=10) batches of 16 — and summarizes the batch averages. One round of
+/// one side of [`interleaved`].
 pub fn measure<O>(mut f: impl FnMut() -> O, samples: usize) -> Measurement {
     for _ in 0..3 {
         black_box(f());
@@ -152,6 +130,9 @@ pub fn measure<O>(mut f: impl FnMut() -> O, samples: usize) -> Measurement {
         ci95_ns,
     }
 }
+
+/// [`measure`] batches per round of every timed paper-figure cell.
+const SAMPLES: usize = 10;
 
 /// Median of `xs` (sorted in place).
 pub fn median(xs: &mut [f64]) -> f64 {
@@ -197,6 +178,11 @@ impl Side {
         median(&mut self.mins.clone())
     }
 
+    /// Each round's minimum batch average, in round order.
+    pub fn round_mins(&self) -> &[f64] {
+        &self.mins
+    }
+
     /// The side as the JSON object every `BENCH_*.json` gate artifact uses.
     pub fn json(&self) -> String {
         format!("{{ {} }}", self.json_fields())
@@ -215,26 +201,40 @@ impl Side {
     }
 }
 
-/// Measures `a` and `b` in `rounds` interleaved rounds of [`measure`],
-/// alternating which goes first so slow drift (thermal, scheduler) cancels
-/// instead of biasing one side.
-pub fn ab_rounds<A, B>(
+/// Measures `sides` configurations in `rounds` interleaved rounds of
+/// [`measure`], where `f(i)` runs side `i` once. In round `r` side
+/// `(k + r) % sides` is measured `k`-th, so each side leads in turn and slow
+/// drift (thermal, scheduler) spreads across all of them instead of biasing
+/// one. Every wall-clock figure this crate reports is the
+/// [`Side::median_min`] of one of these sides.
+pub fn interleaved<O>(
+    sides: usize,
     rounds: usize,
     samples: usize,
-    mut a: impl FnMut() -> A,
-    mut b: impl FnMut() -> B,
-) -> (Side, Side) {
-    let (mut side_a, mut side_b) = (Side::default(), Side::default());
-    for i in 0..rounds {
-        if i % 2 == 0 {
-            side_a.push(measure(&mut a, samples));
-            side_b.push(measure(&mut b, samples));
-        } else {
-            side_b.push(measure(&mut b, samples));
-            side_a.push(measure(&mut a, samples));
+    mut f: impl FnMut(usize) -> O,
+) -> Vec<Side> {
+    let mut out: Vec<Side> = (0..sides).map(|_| Side::default()).collect();
+    for r in 0..rounds {
+        for k in 0..sides {
+            let i = (k + r) % sides;
+            out[i].push(measure(|| f(i), samples));
         }
     }
-    (side_a, side_b)
+    out
+}
+
+/// The deterministic cost of one call of `op` on `subject`: the
+/// [`pdo_ir::CostCounter::weighted_total`] units its runtime is charged for
+/// the call, after one unmeasured call has warmed it.
+pub fn warmed_units<T, O>(
+    subject: &mut T,
+    runtime: fn(&mut T) -> &mut Runtime,
+    mut op: impl FnMut(&mut T) -> O,
+) -> u64 {
+    black_box(op(subject));
+    runtime(subject).reset_cost();
+    black_box(op(subject));
+    runtime(subject).cost.weighted_total()
 }
 
 /// The overhead gates' dispatch workload: six handlers of `E`, each a
@@ -282,17 +282,6 @@ pub fn fastpath_runtime() -> (Runtime, EventId) {
     let mut rt = runtime_for(&opt.module, e, &hs);
     opt.install_chains(&mut rt);
     (rt, e)
-}
-
-/// One [`measure`] round of synchronous raises of `e` on `rt`.
-pub fn raise_round(rt: &mut Runtime, e: EventId, samples: usize) -> Measurement {
-    measure(
-        || {
-            rt.raise(black_box(e), RaiseMode::Sync, &[Value::Unit])
-                .unwrap()
-        },
-        samples,
-    )
 }
 
 /// Formats a ratio as the paper's `(%)` columns: optimized as a percentage
@@ -427,6 +416,37 @@ mod tests {
         assert_eq!(per_pair, 0.0, "allocations per async + timed raise");
     }
 
+    /// Beside every per-event time sits the deterministic cost of one
+    /// operation, and optimization lowers it in every row of Figs 11-13.
+    #[test]
+    fn optimized_costs_fewer_units_in_every_per_event_row() {
+        let video = video::VideoLab::prepare(video::THRESHOLD);
+        let fig11: Vec<_> = video::fig11_rows(&video, 1)
+            .into_iter()
+            .map(|r| (r.event, r.orig_units, r.opt_units))
+            .collect();
+        let fig12 = secc::fig12_rows(&secc::SecLab::prepare(50), 1)
+            .into_iter()
+            .flat_map(|r| {
+                [
+                    (
+                        format!("push {}", r.size),
+                        r.push_orig_units,
+                        r.push_opt_units,
+                    ),
+                    (format!("pop {}", r.size), r.pop_orig_units, r.pop_opt_units),
+                ]
+            });
+        let fig13 = xcli::fig13_rows(&xcli::XLab::prepare(100), 1)
+            .into_iter()
+            .map(|r| (r.event, r.orig_units, r.opt_units));
+        let rows: Vec<_> = fig11.into_iter().chain(fig12).chain(fig13).collect();
+        assert_eq!(rows.len(), 3 + 2 * secc::SIZES.len() + 2);
+        for (row, orig, opt) in rows {
+            assert!(opt < orig, "{row}: {orig} -> {opt} units");
+        }
+    }
+
     #[test]
     fn percent_basics() {
         assert!((percent(50.0, 100.0) - 50.0).abs() < 1e-9);
@@ -454,9 +474,19 @@ mod tests {
     }
 
     #[test]
-    fn avg_ns_counts_iterations() {
-        let mut n = 0u32;
-        let _ = avg_ns(2, 10, || n += 1);
-        assert_eq!(n, 2 + 3 * 10);
+    fn interleaved_rotates_which_side_leads() {
+        // Which side each `measure` call timed, in call order: every call
+        // runs `f` the same number of times.
+        let order = |sides: usize| {
+            let mut calls = Vec::new();
+            let timed = interleaved(sides, 4, 3, |i| calls.push(i));
+            assert!(timed.iter().all(|side| side.round_mins().len() == 4));
+            let per_measure = calls.len() / (sides * 4);
+            calls.into_iter().step_by(per_measure).collect::<Vec<_>>()
+        };
+        // Two sides alternate which goes first.
+        assert_eq!(order(2), [0, 1, 1, 0, 0, 1, 1, 0]);
+        // Three rotate: round `r` runs sides `r`, `r + 1`, `r + 2` mod 3.
+        assert_eq!(order(3), [0, 1, 2, 1, 2, 0, 2, 0, 1, 0, 1, 2]);
     }
 }

@@ -97,15 +97,20 @@ pub struct Fig12Row {
     pub pop_orig_ns: f64,
     /// Pop time, optimized (ns).
     pub pop_opt_ns: f64,
+    /// Cost units of one push, original.
+    pub push_orig_units: u64,
+    /// Cost units of one push, optimized.
+    pub push_opt_units: u64,
+    /// Cost units of one pop, original.
+    pub pop_orig_units: u64,
+    /// Cost units of one pop, optimized.
+    pub pop_opt_units: u64,
 }
 
-/// [`crate::measure`] batches per round of a Fig 12 cell.
-const SAMPLES: usize = 10;
-
 /// Runs the Fig 12 sweep: push and pop times per packet size, original and
-/// optimized measured in `rounds` interleaved rounds ([`crate::ab_rounds`])
-/// and reported as `median_min`, as the gates do — so host drift lands on
-/// both sides of each ratio instead of in it.
+/// optimized measured in `rounds` [`crate::interleaved`] rounds and reported
+/// as `median_min`, so host drift lands on both sides of each ratio instead
+/// of in it. Beside each time, the [`crate::warmed_units`] of one call.
 ///
 /// # Panics
 ///
@@ -115,25 +120,33 @@ pub fn fig12_rows(lab: &SecLab, rounds: usize) -> Vec<Fig12Row> {
     for size in SIZES {
         let msg = vec![0x3Cu8; size];
         let wire = lab.endpoint(false).push(&msg).expect("wire build");
-        let (mut orig, mut opt) = (lab.endpoint(false), lab.endpoint(true));
-        let (push_orig, push_opt) = crate::ab_rounds(
-            rounds,
-            SAMPLES,
-            || orig.push(&msg).expect("push"),
-            || opt.push(&msg).expect("push"),
-        );
-        let (pop_orig, pop_opt) = crate::ab_rounds(
-            rounds,
-            SAMPLES,
-            || orig.pop(&wire).expect("pop"),
-            || opt.pop(&wire).expect("pop"),
-        );
+        let mut eps = [lab.endpoint(false), lab.endpoint(true)];
+        let push = crate::interleaved(2, rounds, crate::SAMPLES, |i| {
+            eps[i].push(&msg).expect("push")
+        });
+        let pop = crate::interleaved(2, rounds, crate::SAMPLES, |i| {
+            eps[i].pop(&wire).expect("pop")
+        });
+        let push_units = |optimized| {
+            crate::warmed_units(&mut lab.endpoint(optimized), Endpoint::runtime_mut, |ep| {
+                ep.push(&msg).expect("push")
+            })
+        };
+        let pop_units = |optimized| {
+            crate::warmed_units(&mut lab.endpoint(optimized), Endpoint::runtime_mut, |ep| {
+                ep.pop(&wire).expect("pop")
+            })
+        };
         rows.push(Fig12Row {
             size,
-            push_orig_ns: push_orig.median_min(),
-            push_opt_ns: push_opt.median_min(),
-            pop_orig_ns: pop_orig.median_min(),
-            pop_opt_ns: pop_opt.median_min(),
+            push_orig_ns: push[0].median_min(),
+            push_opt_ns: push[1].median_min(),
+            pop_orig_ns: pop[0].median_min(),
+            pop_opt_ns: pop[1].median_min(),
+            push_orig_units: push_units(false),
+            push_opt_units: push_units(true),
+            pop_orig_units: pop_units(false),
+            pop_opt_units: pop_units(true),
         });
     }
     rows
@@ -148,8 +161,9 @@ pub fn kernel_floor() -> (f64, f64) {
     let buf = vec![0x3Cu8; 1024];
     // 1 KiB of payload plus the PKCS#7 block.
     let blocks = (buf.len() / 8 + 1) as f64;
-    let des_ns = crate::measure(|| des_encrypt(&des, black_box(&buf)), SAMPLES).min_ns / blocks;
-    let md5_ns = crate::measure(|| keyed_md5(&keys.mac, black_box(&buf)), SAMPLES).min_ns;
+    let des_ns =
+        crate::measure(|| des_encrypt(&des, black_box(&buf)), crate::SAMPLES).min_ns / blocks;
+    let md5_ns = crate::measure(|| keyed_md5(&keys.mac, black_box(&buf)), crate::SAMPLES).min_ns;
     (des_ns, md5_ns)
 }
 

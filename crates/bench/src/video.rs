@@ -2,6 +2,7 @@
 
 use pdo::{optimize, Optimization, OptimizeOptions};
 use pdo_cactus::EventProgram;
+use pdo_ctp::video::NS_PER_UNIT;
 use pdo_ctp::{ctp_program, CtpEndpoint, CtpParams, VideoPlayer};
 use pdo_events::TraceConfig;
 use pdo_ir::{RaiseMode, Value};
@@ -103,42 +104,40 @@ pub struct Fig10Row {
     pub orig_total_s: f64,
     /// Modeled total execution time, optimized (seconds).
     pub opt_total_s: f64,
-    /// Handler (busy) time, original (seconds, scaled).
+    /// Modeled handler time, original (seconds).
     pub orig_handler_s: f64,
-    /// Handler (busy) time, optimized (seconds, scaled).
+    /// Modeled handler time, optimized (seconds).
     pub opt_handler_s: f64,
 }
 
-/// Runs the Fig 10 sweep.
-///
-/// The CPU scale models the paper's target platform (the authors note the
-/// optimizations matter most on weak processors): it is calibrated so the
-/// *original* program's mean per-frame busy time lands at ~58 ms-equivalent
-/// — just above the 25/20 fps frame budgets and below the 15/10 fps
-/// budgets, the regime the paper's measurements sit in.
+/// Runs the Fig 10 sweep: [`SESSION_FRAMES`] frames per rate, original and
+/// optimized, timed on the modeled processor of
+/// [`pdo_ctp::video::NS_PER_UNIT`]. Handler time is the session's cost
+/// units at that rate; total time is [`pdo_ctp::PlayStats::modeled_total_ns`].
+/// Nothing here reads a clock, so every call returns the same rows.
 ///
 /// # Panics
 ///
 /// Panics on substrate misconfiguration.
-pub fn fig10_rows(lab: &VideoLab, frames: u32) -> Vec<Fig10Row> {
-    // Calibrate the CPU scale from an unoptimized 25 fps run.
-    let calib = lab.player(false, 25).play(frames).expect("calibration run");
-    let mean_busy = calib.busy_ns / u64::from(frames.max(1));
-    let scale = (58_000_000f64 / mean_busy.max(1) as f64).max(1.0) as u64;
-
-    let mut rows = Vec::new();
-    for rate in [10u32, 15, 20, 25] {
-        let orig = lab.player(false, rate).play(frames).expect("orig run");
-        let opt = lab.player(true, rate).play(frames).expect("opt run");
-        rows.push(Fig10Row {
-            rate,
-            orig_total_s: orig.modeled_total_ns(scale) as f64 / 1e9,
-            opt_total_s: opt.modeled_total_ns(scale) as f64 / 1e9,
-            orig_handler_s: orig.modeled_busy_ns(scale) as f64 / 1e9,
-            opt_handler_s: opt.modeled_busy_ns(scale) as f64 / 1e9,
-        });
-    }
-    rows
+pub fn fig10_rows(lab: &VideoLab) -> Vec<Fig10Row> {
+    let seconds = |ns: u64| ns as f64 / 1e9;
+    [10u32, 15, 20, 25]
+        .into_iter()
+        .map(|rate| {
+            let [orig, opt] = [false, true].map(|optimized| {
+                lab.player(optimized, rate)
+                    .play(SESSION_FRAMES)
+                    .expect("play")
+            });
+            Fig10Row {
+                rate,
+                orig_total_s: seconds(orig.modeled_total_ns()),
+                opt_total_s: seconds(opt.modeled_total_ns()),
+                orig_handler_s: seconds(orig.units() * NS_PER_UNIT),
+                opt_handler_s: seconds(opt.units() * NS_PER_UNIT),
+            }
+        })
+        .collect()
 }
 
 /// One Fig 11 row: per-event dispatch latency.
@@ -150,15 +149,20 @@ pub struct Fig11Row {
     pub orig_ns: f64,
     /// Optimized dispatch latency (ns).
     pub opt_ns: f64,
+    /// Cost units of one original raise.
+    pub orig_units: u64,
+    /// Cost units of one optimized raise.
+    pub opt_units: u64,
 }
 
 /// Measures the Fig 11 event processing times (Adapt, SegFromUser,
-/// Seg2Net), dispatch latency per raise.
+/// Seg2Net): a synchronous raise, original and optimized timed in `rounds`
+/// [`crate::interleaved`] rounds, beside the [`crate::warmed_units`] of one.
 ///
 /// # Panics
 ///
 /// Panics on substrate misconfiguration.
-pub fn fig11_rows(lab: &VideoLab, iters: u32) -> Vec<Fig11Row> {
+pub fn fig11_rows(lab: &VideoLab, rounds: usize) -> Vec<Fig11Row> {
     let seg = Value::bytes(vec![0xA5u8; 512]);
     let cases: [(&str, Vec<Value>); 3] = [
         ("Adapt", vec![]),
@@ -167,29 +171,36 @@ pub fn fig11_rows(lab: &VideoLab, iters: u32) -> Vec<Fig11Row> {
     ];
     let mut rows = Vec::new();
     for (name, args) in cases {
-        let measure = |optimized: bool| {
-            let mut e = lab.endpoint(optimized);
-            let event = e
-                .runtime()
-                .module()
-                .event_by_name(name)
-                .expect("event exists");
-            let mut count = 0u32;
-            crate::avg_ns(iters / 10, iters, || {
-                e.runtime_mut()
-                    .raise(event, RaiseMode::Sync, &args)
-                    .expect("raise");
-                count += 1;
-                if count.is_multiple_of(512) {
-                    // Let queued acks/timers settle so heaps stay small.
-                    e.drain(10_000_000_000).expect("drain");
-                }
-            })
+        // Optimization adds functions, never events: one id serves both.
+        let event = lab.base.module.event_by_name(name).expect("event exists");
+        let raise = |e: &mut CtpEndpoint| {
+            e.runtime_mut()
+                .raise(event, RaiseMode::Sync, &args)
+                .expect("raise")
+        };
+        let mut eps = [lab.endpoint(false), lab.endpoint(true)];
+        let mut count = [0u32; 2];
+        let timed = crate::interleaved(2, rounds, crate::SAMPLES, |i| {
+            raise(&mut eps[i]);
+            count[i] += 1;
+            if count[i].is_multiple_of(512) {
+                // Let queued acks/timers settle so heaps stay small.
+                eps[i].drain(10_000_000_000).expect("drain");
+            }
+        });
+        let units = |optimized| {
+            crate::warmed_units(
+                &mut lab.endpoint(optimized),
+                CtpEndpoint::runtime_mut,
+                raise,
+            )
         };
         rows.push(Fig11Row {
             event: name.to_string(),
-            orig_ns: measure(false),
-            opt_ns: measure(true),
+            orig_ns: timed[0].median_min(),
+            opt_ns: timed[1].median_min(),
+            orig_units: units(false),
+            opt_units: units(true),
         });
     }
     rows
@@ -228,6 +239,59 @@ mod tests {
         let reduced = lab.profile.reduced();
         let sfu = lab.base.module.event_by_name("SegFromUser").unwrap();
         assert!(reduced.nodes.contains_key(&sfu));
+    }
+
+    /// The paper's regime on the modeled processor: idle time absorbs the
+    /// saving at 10 and 15 fps, the CPU saturates at 20 and 25 fps, and
+    /// handler time falls at every rate. No clock is read, so two sweeps
+    /// agree to the bit.
+    #[test]
+    fn fig10_shape_holds_and_repeats_exactly() {
+        let lab = VideoLab::prepare(THRESHOLD);
+        let rows = fig10_rows(&lab);
+        assert_eq!(rows, fig10_rows(&lab));
+        for row in &rows {
+            let total = crate::percent(row.opt_total_s, row.orig_total_s);
+            let handler = crate::percent(row.opt_handler_s, row.orig_handler_s);
+            if row.rate <= 15 {
+                assert!(total >= 99.0, "{row:?}");
+            } else {
+                assert!(total <= 95.0, "{row:?}");
+            }
+            assert!(handler <= 60.0, "{row:?}");
+        }
+        assert_eq!(
+            rows.iter().map(|r| r.rate).collect::<Vec<_>>(),
+            [10, 15, 20, 25]
+        );
+    }
+
+    /// Fig 6: at T = 300 the reduced graph yields the controller chain, the
+    /// sender chain and the adaptation chain, and nothing else.
+    #[test]
+    fn fig6_reduced_graph_yields_three_chains() {
+        let lab = VideoLab::prepare(THRESHOLD);
+        let mut chains: Vec<String> = lab
+            .profile
+            .chains()
+            .iter()
+            .map(|chain| {
+                let names: Vec<&str> = chain
+                    .iter()
+                    .map(|&e| lab.base.module.event_name(e))
+                    .collect();
+                names.join(" -> ")
+            })
+            .collect();
+        chains.sort();
+        assert_eq!(
+            chains,
+            [
+                "ControllerClkL -> SendMsg -> MsgFrmUserL -> MsgFrmUserH -> SegFromUser -> Seg2Net",
+                "Sample -> ControllerFired -> Adapt",
+                "SegmentAcked -> ControllerClkH -> ControllerFiring -> Controller",
+            ]
+        );
     }
 
     #[test]

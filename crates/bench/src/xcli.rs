@@ -78,41 +78,38 @@ pub struct Fig13Row {
     pub orig_ns: f64,
     /// Optimized time (ns).
     pub opt_ns: f64,
+    /// Cost units of one original gesture.
+    pub orig_units: u64,
+    /// Cost units of one optimized gesture.
+    pub opt_units: u64,
 }
 
-/// Runs the Fig 13 measurements (`iters` raises per event type).
+/// Runs the Fig 13 measurements: each gesture, original and optimized
+/// timed in `rounds` [`crate::interleaved`] rounds, beside the
+/// [`crate::warmed_units`] of one.
 ///
 /// # Panics
 ///
 /// Panics on substrate misconfiguration.
-pub fn fig13_rows(lab: &XLab, iters: u32) -> Vec<Fig13Row> {
-    let mut rows = Vec::new();
-
-    let time_scroll = |optimized: bool| {
-        let mut c = lab.client(optimized);
-        crate::avg_ns(iters / 10, iters, || {
-            c.scroll(42).expect("scroll");
-        })
+pub fn fig13_rows(lab: &XLab, rounds: usize) -> Vec<Fig13Row> {
+    let row = |event: &str, gesture: fn(&mut XClient)| {
+        let mut clients = [lab.client(false), lab.client(true)];
+        let timed = crate::interleaved(2, rounds, crate::SAMPLES, |i| gesture(&mut clients[i]));
+        let units = |optimized| {
+            crate::warmed_units(&mut lab.client(optimized), XClient::runtime_mut, gesture)
+        };
+        Fig13Row {
+            event: event.to_string(),
+            orig_ns: timed[0].median_min(),
+            opt_ns: timed[1].median_min(),
+            orig_units: units(false),
+            opt_units: units(true),
+        }
     };
-    rows.push(Fig13Row {
-        event: "Scroll".to_string(),
-        orig_ns: time_scroll(false),
-        opt_ns: time_scroll(true),
-    });
-
-    let time_popup = |optimized: bool| {
-        let mut c = lab.client(optimized);
-        crate::avg_ns(iters / 10, iters, || {
-            c.popup(10, 20).expect("popup");
-        })
-    };
-    rows.push(Fig13Row {
-        event: "Popup".to_string(),
-        orig_ns: time_popup(false),
-        opt_ns: time_popup(true),
-    });
-
-    rows
+    vec![
+        row("Scroll", |c| c.scroll(42).expect("scroll")),
+        row("Popup", |c| c.popup(10, 20).expect("popup")),
+    ]
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@
 //! ```
 
 use pdo::{optimize, OptimizeOptions};
+use pdo_ctp::video::NS_PER_UNIT;
 use pdo_ctp::{ctp_program, CtpEndpoint, CtpParams, VideoPlayer};
 use pdo_events::TraceConfig;
 use pdo_profile::Profile;
@@ -64,10 +65,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let stats = p.play(200)?;
         let cost = p.endpoint_mut().runtime().cost;
         println!(
-            "{label:>9}: {} segments, busy {:.2} ms, abstract work {}, fast-path hits {}",
+            "{label:>9}: {} segments, {} units = {:.2} s of handler time on the modeled CPU, \
+             fast-path hits {}",
             stats.segments_sent,
-            stats.busy_ns as f64 / 1e6,
-            cost.weighted_total(),
+            stats.units(),
+            (stats.units() * NS_PER_UNIT) as f64 / 1e9,
             cost.fastpath_hits,
         );
     }
