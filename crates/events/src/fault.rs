@@ -4,7 +4,7 @@
 //! the runtime carries a first-class, **deterministic** fault
 //! substrate: a [`FaultInjector`] holds a plan of [`FaultSpec`]s, each
 //! targeting the N-th occurrence of an event that was *raised by the
-//! workload or popped* off the queue or timer heap, and the [`FaultPolicy`]
+//! workload or popped* off the queue or timer wheel, and the [`FaultPolicy`]
 //! on [`crate::RuntimeConfig`] decides what a fault does to the event loop.
 //!
 //! ## Why faults key on occurrences raised by the workload or popped
@@ -12,7 +12,7 @@
 //! The optimizer may subsume a nested synchronous raise into its parent's
 //! super-handler (paper Fig 9), so the *nested* dispatch count of an event
 //! differs between an original and an optimized run of the same program.
-//! The occurrences the workload raises and the queue and timer heap pop are
+//! The occurrences the workload raises and the queue and timer wheel pop are
 //! preserved exactly by every optimization, so a plan keyed on them hits the
 //! same logical occurrence in both runs. A dispatch nested inside one of
 //! them is never counted, at any depth: a popped parent dispatches at

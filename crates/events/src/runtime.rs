@@ -851,7 +851,7 @@ impl Runtime {
     /// when a chain is installed and valid, generic registry walk otherwise.
     ///
     /// Fault injection happens here, but only for the occurrences raised by
-    /// the workload or popped off the queue or timer heap: a dispatch nested
+    /// the workload or popped off the queue or timer wheel: a dispatch nested
     /// inside an open occurrence is never counted, whatever its depth.
     /// Nested synchronous dispatch counts differ between original and
     /// optimized runs because of subsumption, so keying faults on them
@@ -1055,7 +1055,7 @@ impl Runtime {
         Ok(false)
     }
 
-    /// Drains the asynchronous queue and timer heap, advancing the virtual
+    /// Drains the asynchronous queue and timer wheel, advancing the virtual
     /// clock to each timer deadline. Returns the number of dispatches.
     ///
     /// # Errors
@@ -1093,26 +1093,25 @@ impl Runtime {
                 }
                 continue;
             }
-            match self.sched.next_deadline() {
-                Some(d) if d <= deadline_ns => {
-                    if steps >= self.config.max_steps {
-                        return Err(RuntimeError::StepLimit);
-                    }
-                    self.clock.advance_to(d);
-                    let t = self
-                        .sched
-                        .pop_due_timer(self.clock.now_ns())
-                        .expect("deadline was due");
-                    self.sinks.popped(t.trace, DispatchSrc::Timer);
-                    let dispatched = self.dispatch_now(&module, t.event, &t.args);
-                    self.sched.recycle_args(t.args);
-                    dispatched?;
-                    steps += 1;
-                    if self.poll_epoch() {
-                        module = self.module_arc();
-                    }
-                }
-                _ => return Ok(steps),
+            if steps >= self.config.max_steps {
+                return match self.sched.next_deadline() {
+                    Some(d) if d <= deadline_ns => Err(RuntimeError::StepLimit),
+                    _ => Ok(steps),
+                };
+            }
+            // One call per due timer: the earliest timer at or before
+            // `deadline_ns`, then the clock moves to its deadline.
+            let Some(t) = self.sched.pop_due_timer(deadline_ns) else {
+                return Ok(steps);
+            };
+            self.clock.advance_to(t.deadline_ns);
+            self.sinks.popped(t.trace, DispatchSrc::Timer);
+            let dispatched = self.dispatch_now(&module, t.event, &t.args);
+            self.sched.recycle_args(t.args);
+            dispatched?;
+            steps += 1;
+            if self.poll_epoch() {
+                module = self.module_arc();
             }
         }
     }

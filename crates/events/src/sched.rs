@@ -1,17 +1,21 @@
 //! Virtual time and the pending-event scheduler.
 //!
 //! The runtime executes against a deterministic virtual clock: asynchronous
-//! raises join a FIFO queue, timed raises join a deadline-ordered heap, and
-//! [`crate::Runtime::run_until_idle`] drains both, advancing the clock to
-//! the next deadline when the FIFO is empty (paper §2.2: timed events "are
-//! activated at a specified time or after a specified delay").
+//! raises join a FIFO queue, timed raises join a hierarchical timer wheel
+//! ([`wheel`]), and [`crate::Runtime::run_until_idle`] drains both,
+//! advancing the clock to the next deadline when the FIFO is empty (paper
+//! §2.2: timed events "are activated at a specified time or after a
+//! specified delay").
+
+mod wheel;
 
 use pdo_obs::TraceCtx;
 
 use pdo_ir::{EventId, Value};
 use pdo_snap::{Codec, SnapReader, SnapWriter, SnapshotError};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
+use wheel::{Node, TimerWheel};
 
 /// Causal-trace context riding a queued event: the parent span that
 /// enqueued it plus the virtual time of enqueue, so the dispatch span
@@ -108,17 +112,18 @@ impl PartialEq for TimerEntry {
 
 impl Eq for TimerEntry {}
 
-// A scheduler holding 100 000 timers sifts these through a binary heap, so
-// an entry stays a few words: its arguments live behind the `Vec` (recycled
-// by the scheduler, below), not inline — eight inline 24-byte values would
-// make every entry ~250 bytes.
+// A scheduler holding 100 000 timers keeps one of these per timer (a wheel
+// node is its fields plus a link in its padding), so an entry stays a few
+// words: its arguments live behind the `Vec` (recycled by the scheduler,
+// below), not inline — eight inline 24-byte values would make every entry
+// ~250 bytes.
 const _: () = assert!(std::mem::size_of::<TimerEntry>() <= 80);
 const _: () = assert!(std::mem::size_of::<Value>() == 24);
 
 impl Ord for TimerEntry {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse ordering: BinaryHeap is a max-heap, we want the earliest
-        // deadline (then lowest seq) on top.
+        // Reverse ordering: the greatest entry is the one that pops first,
+        // the earliest deadline, then the lowest seq.
         other
             .deadline_ns
             .cmp(&self.deadline_ns)
@@ -140,7 +145,14 @@ impl PartialOrd for TimerEntry {
 /// setting.
 const SPARE_ARG_LISTS: usize = 16;
 
-/// FIFO queue plus timer heap.
+/// FIFO queue plus timer wheel.
+///
+/// Timers pop earliest deadline first and, among equal deadlines, in
+/// arming order. They live in a hierarchical timing wheel anchored at the
+/// last popped deadline ([`wheel`]): arming is O(1), and popping re-links a
+/// timer at most once per level on its way down. The wheel is allocated
+/// with the first armed timer, so a scheduler that never arms one holds
+/// none of it.
 ///
 /// A scheduler is its own snapshot: it encodes as the FIFO front first,
 /// every timer in pop order (earliest deadline, then lowest insertion
@@ -150,7 +162,7 @@ const SPARE_ARG_LISTS: usize = 16;
 #[derive(Debug, Default)]
 pub struct Scheduler {
     queue: VecDeque<Pending>,
-    timers: BinaryHeap<TimerEntry>,
+    timers: Option<Box<TimerWheel>>,
     seq: u64,
     /// Argument lists of dispatched entries, emptied, awaiting reuse.
     spare_args: Vec<Vec<Value>>,
@@ -160,7 +172,11 @@ impl Clone for Scheduler {
     fn clone(&self) -> Self {
         Scheduler {
             queue: self.queue.clone(),
-            timers: self.timers.clone(),
+            timers: self
+                .timers
+                .as_ref()
+                .filter(|timers| timers.len() > 0)
+                .cloned(),
             seq: self.seq,
             spare_args: Vec::new(),
         }
@@ -168,7 +184,7 @@ impl Clone for Scheduler {
 }
 
 /// Logical state only, as [`Pending`] and [`TimerEntry`]: the timers are
-/// compared in pop order, whatever the heap's layout.
+/// compared in pop order, whatever the wheel's layout.
 impl PartialEq for Scheduler {
     fn eq(&self, other: &Self) -> bool {
         self.queue == other.queue
@@ -189,8 +205,8 @@ impl Codec for Scheduler {
         }
         let timers = self.timers_in_pop_order();
         w.len_prefix(timers.len());
-        for timer in timers {
-            timer.put(w);
+        for node in timers {
+            node.put(w);
         }
         self.seq.put(w);
     }
@@ -212,9 +228,13 @@ impl Codec for Scheduler {
                 "sequence counter is not past every timer's".into(),
             ));
         }
+        let mut wheel = None;
+        for timer in timers {
+            wheel.get_or_insert_with(TimerWheel::boxed).push(timer);
+        }
         Ok(Scheduler {
             queue: queue.into(),
-            timers: timers.into(),
+            timers: wheel,
             seq,
             spare_args: Vec::new(),
         })
@@ -258,7 +278,8 @@ impl Scheduler {
     ) {
         let seq = self.seq;
         self.seq += 1;
-        self.timers.push(TimerEntry {
+        let timers = self.timers.get_or_insert_with(TimerWheel::boxed);
+        timers.push(TimerEntry {
             deadline_ns: now_ns.saturating_add(delay_ns),
             seq,
             event,
@@ -290,15 +311,12 @@ impl Scheduler {
     }
 
     /// Removes every scheduled timer for `event` (Cactus's "canceling a
-    /// delayed event"). Returns how many were cancelled.
+    /// delayed event"). Returns how many were cancelled; the survivors
+    /// keep their order.
     pub fn cancel_timers(&mut self, event: EventId) -> usize {
-        let before = self.timers.len();
-        let kept: Vec<TimerEntry> = std::mem::take(&mut self.timers)
-            .into_iter()
-            .filter(|t| t.event != event)
-            .collect();
-        self.timers = kept.into();
-        before - self.timers.len()
+        self.timers
+            .as_mut()
+            .map_or(0, |timers| timers.cancel(event))
     }
 
     /// Next queued asynchronous event, if any.
@@ -308,21 +326,17 @@ impl Scheduler {
 
     /// Pops the earliest timer whose deadline is `<= now_ns`.
     pub fn pop_due_timer(&mut self, now_ns: u64) -> Option<TimerEntry> {
-        if self.timers.peek().is_some_and(|t| t.deadline_ns <= now_ns) {
-            self.timers.pop()
-        } else {
-            None
-        }
+        self.timers.as_mut()?.pop_due(now_ns)
     }
 
     /// The earliest timer deadline, if any timer is scheduled.
     pub fn next_deadline(&self) -> Option<u64> {
-        self.timers.peek().map(|t| t.deadline_ns)
+        self.timers.as_ref()?.next_deadline()
     }
 
     /// True when no work is queued or scheduled.
     pub fn is_idle(&self) -> bool {
-        self.queue.is_empty() && self.timers.is_empty()
+        self.queue.is_empty() && self.timer_len() == 0
     }
 
     /// Queued (async) event count.
@@ -332,14 +346,14 @@ impl Scheduler {
 
     /// Scheduled (timed) event count.
     pub fn timer_len(&self) -> usize {
-        self.timers.len()
+        self.timers.as_ref().map_or(0, |timers| timers.len())
     }
 
     /// Every scheduled timer, in the order they would pop.
-    fn timers_in_pop_order(&self) -> Vec<&TimerEntry> {
-        let mut timers: Vec<&TimerEntry> = self.timers.iter().collect();
-        timers.sort_unstable_by_key(|t| (t.deadline_ns, t.seq));
-        timers
+    fn timers_in_pop_order(&self) -> Vec<&Node> {
+        self.timers
+            .as_ref()
+            .map_or_else(Vec::new, |timers| timers.in_pop_order())
     }
 }
 
@@ -499,6 +513,177 @@ mod tests {
                 decode(timers, seq),
                 Err(SnapshotError::Malformed(_))
             ));
+        }
+    }
+
+    #[test]
+    fn cancel_timers_keeps_survivors_fifo() {
+        let mut s = Scheduler::new();
+        // Equal deadlines in level 0 and in a slot far above it, armed
+        // with the cancelled event interleaved.
+        for delay in [7, 1 << 30] {
+            for i in 0..6 {
+                s.push_timed(0, delay, EventId(i % 2), vec![Value::Int(i.into())]);
+            }
+        }
+        assert_eq!(s.cancel_timers(EventId(1)), 6);
+        let mut popped = Vec::new();
+        while let Some(t) = s.pop_due_timer(u64::MAX) {
+            popped.push((t.deadline_ns, t.args[0].as_int().unwrap()));
+        }
+        assert_eq!(
+            popped,
+            [
+                (7, 0),
+                (7, 2),
+                (7, 4),
+                (1 << 30, 0),
+                (1 << 30, 2),
+                (1 << 30, 4)
+            ]
+        );
+    }
+
+    /// The order the wheel must keep, by brute force: a `Vec` sorted by
+    /// `(deadline, seq)`, which is what popping the greatest
+    /// [`TimerEntry`] under its `Ord` yields.
+    #[derive(Default)]
+    struct Reference {
+        timers: Vec<TimerEntry>,
+        seq: u64,
+    }
+
+    impl Reference {
+        fn push(&mut self, now_ns: u64, delay_ns: u64, event: EventId, args: Vec<Value>) {
+            let timer = TimerEntry {
+                deadline_ns: now_ns.saturating_add(delay_ns),
+                seq: self.seq,
+                event,
+                args,
+                trace: None,
+            };
+            self.seq += 1;
+            let key = |t: &TimerEntry| (t.deadline_ns, t.seq);
+            let at = self.timers.partition_point(|t| key(t) < key(&timer));
+            self.timers.insert(at, timer);
+        }
+
+        fn pop_due(&mut self, now_ns: u64) -> Option<TimerEntry> {
+            let first = self.timers.first()?;
+            assert_eq!(self.timers.iter().max(), Some(first), "Ord pops it first");
+            (first.deadline_ns <= now_ns).then(|| self.timers.remove(0))
+        }
+
+        fn cancel(&mut self, event: EventId) -> usize {
+            let before = self.timers.len();
+            self.timers.retain(|t| t.event != event);
+            before - self.timers.len()
+        }
+    }
+
+    /// One step of [`the_wheel_pops_what_a_sorted_vec_pops`]: `kind` picks
+    /// the operation, `a` and `b` its operands.
+    fn differential_step(
+        s: &mut Scheduler,
+        r: &mut Reference,
+        last_pop: &mut u64,
+        (kind, a, b): (u8, u64, u64),
+    ) -> Result<(), TestCaseError> {
+        let event = EventId((a % 4) as u32);
+        let args = if a & 4 == 0 {
+            Vec::new()
+        } else {
+            vec![Value::Int(b as i64)]
+        };
+        let edge = |k: u64, side: u64| {
+            (1u64 << (6 * (k % 11)))
+                .wrapping_add(side % 3)
+                .wrapping_sub(1)
+        };
+        match kind {
+            // Arm, at `(now, delay)` drawn from the shapes that matter.
+            0..=4 => {
+                let (now, delay) = match a % 8 {
+                    // The deadline of a timer already armed.
+                    0 if !r.timers.is_empty() => (
+                        r.timers[(b % r.timers.len() as u64) as usize].deadline_ns,
+                        0,
+                    ),
+                    // A level edge, 2^(6k) ± 1, past the last pop or absolute.
+                    1 => (*last_pop, edge(b, b >> 8)),
+                    2 => (0, edge(b, b >> 8)),
+                    // Saturating at `u64::MAX`.
+                    3 => (u64::MAX - b % 4, b),
+                    // Before the anchor, which only a hand-driven scheduler does.
+                    4 => (last_pop.saturating_sub(1 + b % 5_000), b % 100),
+                    5 => (*last_pop, b % 64),
+                    6 => (*last_pop, b % 1_000_000),
+                    _ => (*last_pop, b % (1 << 40)),
+                };
+                s.push_timed(now, delay, event, args.clone());
+                r.push(now, delay, event, args);
+            }
+            // Pop what is due by a time near the last pop, or everything.
+            5 | 6 => {
+                let now = if b % 16 == 0 {
+                    u64::MAX
+                } else {
+                    last_pop.saturating_add(b % (1 << (b % 40)))
+                };
+                let (got, want) = (s.pop_due_timer(now), r.pop_due(now));
+                if let Some(t) = &want {
+                    *last_pop = t.deadline_ns;
+                }
+                prop_assert_eq!(got, want);
+            }
+            7 => prop_assert_eq!(s.cancel_timers(event), r.cancel(event)),
+            8 => {
+                let copy = s.clone();
+                prop_assert!(copy == *s);
+                *s = copy;
+            }
+            _ => {
+                let bytes = pdo_snap::encode(&*s);
+                let layout = (Vec::<Pending>::new(), r.timers.clone(), r.seq);
+                prop_assert!(
+                    bytes == pdo_snap::encode(&layout),
+                    "timers encode in pop order"
+                );
+                let decoded: Scheduler = pdo_snap::decode(&bytes).unwrap();
+                prop_assert!(decoded == *s);
+                *s = decoded;
+            }
+        }
+        // Peek after every step.
+        prop_assert_eq!(s.timer_len(), r.timers.len());
+        prop_assert_eq!(s.next_deadline(), r.timers.first().map(|t| t.deadline_ns));
+        prop_assert_eq!(s.is_idle(), r.timers.is_empty());
+        Ok(())
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The wheel against the order it replaced, over random arms,
+        /// pops, peeks, cancels, clones and snapshot round trips, then a
+        /// full drain.
+        #[test]
+        fn the_wheel_pops_what_a_sorted_vec_pops(
+            steps in prop::collection::vec((0u8..10, any::<u64>(), any::<u64>()), 1..160)
+        ) {
+            let (mut s, mut r, mut last_pop) = (Scheduler::new(), Reference::default(), 0);
+            for step in steps {
+                differential_step(&mut s, &mut r, &mut last_pop, step)?;
+            }
+            loop {
+                let (got, want) = (s.pop_due_timer(u64::MAX), r.pop_due(u64::MAX));
+                prop_assert_eq!(&got, &want);
+                if got.is_none() {
+                    break;
+                }
+            }
         }
     }
 }

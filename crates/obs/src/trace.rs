@@ -65,7 +65,7 @@ pub enum DispatchSrc {
     Sync,
     /// Popped from the async run queue.
     Queue,
-    /// Fired from the timer heap.
+    /// Fired from the timer wheel.
     Timer,
 }
 
@@ -783,7 +783,7 @@ pub struct Attribution {
     pub slow_ns: u64,
     /// Self time of wire spans (CTP segments / SecComm frames).
     pub wire_ns: u64,
-    /// Time spent queued (async run queue or timer heap) before
+    /// Time spent queued (async run queue or timer wheel) before
     /// dispatch began.
     pub sched_wait_ns: u64,
     /// Everything else on the path (ingress framing, raise overhead).

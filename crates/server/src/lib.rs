@@ -128,6 +128,15 @@ fn malformed(why: String) -> ServerError {
     ServerError::Snapshot(SnapshotError::Malformed(why))
 }
 
+/// A timed raise's leading delay argument. The runtime reads it as a
+/// non-negative `i64`, so a delay past `i64::MAX` is refused here rather
+/// than wrapped negative.
+fn delay_arg(id: SessionId, delay_ns: u64) -> Result<Value, ServerError> {
+    i64::try_from(delay_ns)
+        .map(Value::Int)
+        .map_err(|_| ServerError::Runtime(id, RuntimeError::BadTimedRaise))
+}
+
 /// What lives inside a session: a plain event program or a protocol
 /// endpoint built through the server. Protocol variants carry their
 /// rebuild recipe (params/keys) so any session kind can be snapshotted
@@ -578,7 +587,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// As [`Server::raise`].
+    /// As [`Server::raise`]; a delay past `i64::MAX` is
+    /// [`RuntimeError::BadTimedRaise`].
     pub fn submit_traced(
         &mut self,
         id: SessionId,
@@ -588,18 +598,18 @@ impl Server {
         ctx: Option<TraceCtx>,
     ) -> Result<(), ServerError> {
         let mut full = Vec::with_capacity(args.len() + 1);
-        full.push(Value::Int(delay_ns as i64));
+        full.push(delay_arg(id, delay_ns)?);
         full.extend_from_slice(args);
         self.raise_traced(id, event, RaiseMode::Timed, &full, ctx)
     }
 
     /// Submits one timed raise of `event` (no extra args) per delay in
     /// `delays` — a whole workload's injections behind one session
-    /// lookup.
+    /// lookup. All or nothing: every delay is checked before any is armed.
     ///
     /// # Errors
     ///
-    /// As [`Server::raise`].
+    /// As [`Server::submit_traced`].
     pub fn submit_batch(
         &mut self,
         id: SessionId,
@@ -611,7 +621,10 @@ impl Server {
         }
         let rt = self.session_mut(id)?.runtime_mut();
         for &delay_ns in delays {
-            rt.raise(event, RaiseMode::Timed, &[Value::Int(delay_ns as i64)])
+            delay_arg(id, delay_ns)?;
+        }
+        for &delay_ns in delays {
+            rt.raise(event, RaiseMode::Timed, &[delay_arg(id, delay_ns)?])
                 .map_err(|e| ServerError::Runtime(id, e))?;
         }
         Ok(())
@@ -1338,5 +1351,29 @@ mod tests {
         ));
         server.resume_admission();
         server.raise_sync(s1, a, &[]).unwrap();
+    }
+
+    /// A delay past `i64::MAX` is refused, not wrapped negative, and a
+    /// batch holding one arms none of the delays before it.
+    #[test]
+    fn a_batch_with_a_delay_past_i64_max_arms_nothing() {
+        let (m, [a, b], _) = two_chain_module();
+        let mut server = Server::new(ServerConfig::default());
+        let s = server
+            .open_session(m.clone(), RuntimeConfig::default(), &bindings(&m, a, b))
+            .unwrap();
+        let timers = |server: &mut Server| server.with_runtime(s, |rt| rt.timer_len()).unwrap();
+        assert!(matches!(
+            server.submit_batch(s, a, &[1, 1 << 63]),
+            Err(ServerError::Runtime(id, RuntimeError::BadTimedRaise)) if id == s
+        ));
+        assert_eq!(timers(&mut server), 0);
+        assert!(matches!(
+            server.submit(s, a, u64::MAX, &[]),
+            Err(ServerError::Runtime(_, RuntimeError::BadTimedRaise))
+        ));
+        assert_eq!(timers(&mut server), 0);
+        server.submit_batch(s, a, &[1, i64::MAX as u64]).unwrap();
+        assert_eq!(timers(&mut server), 2);
     }
 }

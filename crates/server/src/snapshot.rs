@@ -2,7 +2,7 @@
 //!
 //! [`SessionSnapshot`] is the complete state of one session — base
 //! module, runtime limits, bindings, globals, virtual clock, scheduler
-//! queue and timer heap, pending fault plan, the adaptation daemon's
+//! queue and timer wheel, pending fault plan, the adaptation daemon's
 //! [`EngineSnapshot`], and the protocol endpoint's link or wire state —
 //! everything a fresh process needs to resume the session instead of
 //! cold-starting it. Durable persistence runs an [`Image`] through

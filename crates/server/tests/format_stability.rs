@@ -61,7 +61,7 @@ fn golden_server() -> Server {
         .unwrap();
     for i in 0..40u64 {
         // The first 20 land before the 2s snapshot horizon; the rest
-        // stay pending in the image's timer heap.
+        // stay pending in the image's timers.
         server
             .submit(plain, tick, 1 + i * 100_000_000, &[])
             .unwrap();
