@@ -17,21 +17,20 @@
 //!    subsumed, and a profile of that would be a profile of the optimizer;
 //! 2. feeds the same drain's per-event faults and guard misses to its
 //!    [`Quarantine`], which removes the chains of events that fault or
-//!    churn past a threshold and bars them for a backoff, and its
-//!    despecializations to the [`ChainCache`]; then runs the one install
-//!    step: a deployed chain the runtime does not hold comes back if its
-//!    guards hold and the quarantine no longer bars it, and is forgotten
-//!    if its bindings changed while it was out;
+//!    churn past a threshold and bars them for a backoff, and drops the
+//!    built chains that guard a despecialized event; then runs the one
+//!    install step: a wanted chain the runtime does not hold comes back if
+//!    its guards hold and the quarantine no longer bars it, and is
+//!    forgotten if its bindings changed while it was out;
 //! 3. when enough fresh events accumulated — or step 2 forgot a chain —
 //!    works out the [`Plan`]:
-//!    what [`optimize`] would build from *what is hot* and *what is
+//!    what [`optimize`](crate::optimize) would build from *what is hot* and *what is
 //!    bound*, by content. If that is the deployed plan, the epoch is over:
 //!    a stationary workload reaches this fixed point after one deploy.
-//!    Only a changed plan redeploys — from the [`ChainCache`] when the
-//!    plan has been built before (an oscillating workload replays by
-//!    pointer), else by running `optimize` against the **original base
-//!    module** — hot-swapping the module and handing the new chains to
-//!    the same install step;
+//!    A changed plan redeploys only the heads whose key ([`Plan::chain`])
+//!    changed: from a chain built before under that key (an oscillating
+//!    workload replays it), else from a new build, through the same
+//!    install step. An installed head the plan no longer wants is dropped;
 //! 4. decays the accumulated profile, so hotness observed `k` epochs ago
 //!    weighs `1/2^k`: a workload shift from chain A to chain B ends with
 //!    B specialized and A despecialized.
@@ -51,18 +50,18 @@
 //! forgotten at once, so the list now bound is stable after one window
 //! rather than after the old one has decayed away.
 //!
-//! Re-optimizing against the base module (not the previously optimized
-//! one) keeps the module from growing a `__super_*` generation per
-//! redeploy; existing function/global/native ids are stable because the
-//! optimizer only appends, so [`Runtime::replace_module`] preserves all
-//! session state.
+//! Every chain is built on its own into the session's module, edited in
+//! place ([`Runtime::edit_module`]) past the base module's functions, and
+//! keeps its function ids while the engine keeps it; a chain let go of
+//! leaves its slots to the next build.
 
 use crate::quarantine::{Quarantine, QuarantineConfig, QuarantineEntry};
-use crate::{candidates, mergeable, optimize, subsume_evidence};
-use crate::{MergeSkip, Optimization, OptimizeOptions};
+use crate::{candidates, mergeable, subsume_evidence};
+use crate::{Builder, MergeSkip, OptimizeOptions};
 use pdo_events::{Binding, CompiledChain, Registry, Runtime};
-use pdo_ir::{EventId, Module};
+use pdo_ir::{EventId, FuncId, Module};
 use pdo_obs::{AuditAction, Histogram, MetricsSnapshot, SpanKind};
+use pdo_passes::FusionRecord;
 use pdo_profile::{EventGraph, HandlerGraph, ProfileBuilder, SuperHandler, SuperHandlers};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -95,17 +94,16 @@ impl Default for AdaptConfig {
     }
 }
 
-/// Capacity of an engine's [`ChainCache`]: a workload oscillating between
-/// phases it has already seen swaps the pre-built optimization back in
-/// instead of re-running `optimize`.
+/// How many chains the plan does not want an engine keeps, so that a
+/// configuration seen before is reinstalled instead of built again.
 const CHAIN_CACHE_CAP: usize = 8;
 
-/// What [`optimize`] would build right now, named by everything it reads
-/// from the profile and the registry: the engine's decision, the
-/// [`ChainCache`] key, and — compared with the deployed one — the test for
-/// "nothing to do". Two plans are equal exactly when `optimize` over the
-/// same base module would be handed the same inputs, however many times
-/// the bindings were taken apart and put back in between.
+/// What [`optimize`](crate::optimize) would build right now, named by everything it reads
+/// from the profile and the registry: the engine's decision, cut into one
+/// key per chain by [`Plan::chain`], and — compared with the deployed one
+/// — the test for "nothing to do". Two plans are equal exactly when
+/// `optimize` over the same base module would be handed the same inputs,
+/// however many times the bindings were taken apart and put back between.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Plan {
     /// The optimizer configuration.
@@ -173,109 +171,134 @@ impl Plan {
         plan.subsumes.sort_unstable();
         plan
     }
+
+    /// The chain headed by `head`'s key: the planned events reachable from
+    /// `head` through `subsumes`, with their binding lists and the pairs
+    /// among them — all of the plan that a chain built alone reads.
+    pub fn chain(&self, head: EventId) -> Plan {
+        let (mut reached, mut at) = (vec![head], 0);
+        while let Some(&event) = reached.get(at) {
+            for &(_, child) in self.subsumes.iter().filter(|&&(p, _)| p == event) {
+                if !reached.contains(&child) {
+                    reached.push(child);
+                }
+            }
+            at += 1;
+        }
+        let mut part = self.clone();
+        part.events.retain(|(event, _)| reached.contains(event));
+        part.subsumes.retain(|(parent, _)| reached.contains(parent));
+        part
+    }
 }
 
-/// What one deploy puts into a runtime: the extended module, shared so a
-/// redeploy is a pointer swap, and the guarded chains that enter it.
-#[derive(Debug, Clone)]
-pub struct Deployable {
-    /// Base module plus the generated super-handlers.
-    pub module: Arc<Module>,
-    /// Compiled chains, one per optimized event, in head-event order.
-    pub chains: Vec<CompiledChain>,
+/// A chain the engine built: its key (`None` once the runtime
+/// despecialized one of its events, so that no later plan is served from
+/// it), what a fast-lane dispatch of it stands for in the profile, and
+/// the function slots it owns. A chain the deployed plan `wanted` is
+/// installed or barred; the others are the cache.
+#[derive(Debug)]
+struct Built {
+    key: Option<Plan>,
+    chain: CompiledChain,
+    merged: SuperHandler,
+    funcs: Vec<FuncId>,
+    wanted: bool,
 }
 
-impl From<Optimization> for Deployable {
-    fn from(mut opt: Optimization) -> Self {
-        // The module now lives as long as a cache entry does: give back
-        // the growth slack the optimizer's pushes left in it.
-        opt.module.functions.shrink_to_fit();
-        for function in &mut opt.module.functions {
-            function.blocks.shrink_to_fit();
-            for block in &mut function.blocks {
-                block.instrs.shrink_to_fit();
+impl AsRef<SuperHandler> for Built {
+    fn as_ref(&self) -> &SuperHandler {
+        &self.merged
+    }
+}
+
+/// Every chain an engine keeps: the cached ones first, least recently
+/// wanted first, then the wanted ones. The profile merge is handed
+/// `supers`, where only a wanted chain whose guards hold is `live`.
+#[derive(Debug)]
+struct ChainStore {
+    supers: SuperHandlers<Built>,
+    /// Slots of the chains let go of. One keeps its body until a build
+    /// takes it: nothing calls it, and it names only ids that exist.
+    free: Vec<FuncId>,
+}
+
+impl ChainStore {
+    /// Builds the chain headed by `head` into `module` alone, children
+    /// afresh and free slots first (so equal keys give equal code, and
+    /// every function made is its own), and keeps it wanted.
+    fn build(
+        &mut self,
+        module: &mut Module,
+        registry: &Registry,
+        handlers: &HandlerGraph,
+        opts: &OptimizeOptions,
+        head: EventId,
+        key: Plan,
+    ) -> Option<Vec<FusionRecord>> {
+        let mut builder = Builder::new(module, registry, handlers, opts, &mut self.free);
+        builder.build(head);
+        builder.fuse();
+        let chain = builder.chain(head)?;
+        // What a fast-lane dispatch stands for in the profile: the lists
+        // the guards carry, and the raises between them now direct calls.
+        let guarded = |event: EventId| chain.guards.iter().any(|g| g.event == event);
+        let merged = SuperHandler {
+            func: chain.func,
+            live: true,
+            sequences: (chain.guards.iter())
+                .map(|g| (g.event, g.bindings().iter().map(|b| b.handler).collect()))
+                .collect(),
+            nested: (handlers.nested.keys())
+                .filter(|k| guarded(k.parent_event) && guarded(k.child_event))
+                .copied()
+                .collect(),
+        };
+        self.supers.deployed.push(Built {
+            key: Some(key),
+            chain,
+            merged,
+            funcs: builder.made,
+            wanted: true,
+        });
+        Some(builder.report.fused)
+    }
+
+    /// Lets go of the cached chains no plan is served from, then of the
+    /// least recently wanted past `cap`; returns how many of those.
+    fn evict(&mut self, cap: usize) -> u64 {
+        let (kept, free) = (&mut self.supers.deployed, &mut self.free);
+        kept.retain(|b| {
+            let keep = b.wanted || b.key.is_some();
+            if !keep {
+                free.extend(&b.funcs);
+            }
+            keep
+        });
+        let over = kept.partition_point(|b| !b.wanted).saturating_sub(cap);
+        free.extend(kept.drain(..over).flat_map(|b| b.funcs));
+        over as u64
+    }
+
+    /// Takes the key of every chain that guards `event` and lets go of the
+    /// cached ones; returns how many.
+    fn invalidate(&mut self, event: EventId) -> u64 {
+        let mut dropped = 0;
+        for built in &mut self.supers.deployed {
+            if built.key.is_some() && built.chain.guards.iter().any(|g| g.event == event) {
+                built.key = None;
+                dropped += 1;
             }
         }
-        Deployable {
-            module: Arc::new(opt.module),
-            chains: opt.chains,
-        }
+        self.evict(usize::MAX);
+        dropped
     }
 }
 
-/// A bounded LRU of previously built optimizations, keyed by the [`Plan`]
-/// they were built for.
-///
-/// Equal plans mean equal inputs to `optimize`, so a hit is the
-/// optimization a rebuild would produce, guards included: they carry the
-/// same binding lists the key does. (Correctness does not rest on that —
-/// every dispatch checks its chain's guards against the live registry.)
-/// Entries are dropped when the runtime despecializes one of their events
-/// for containment: a chain that trapped is rebuilt, not replayed.
-#[derive(Debug, Default)]
-pub struct ChainCache {
-    cap: usize,
-    /// Most-recently-used last; linear scans are fine at LRU capacities.
-    entries: Vec<(Plan, Deployable)>,
-}
-
-impl ChainCache {
-    /// A cache holding up to `cap` optimizations (`0` disables).
-    pub fn new(cap: usize) -> ChainCache {
-        ChainCache {
-            cap,
-            ..ChainCache::default()
-        }
-    }
-
-    /// The cached optimization for `plan`, if present.
-    pub fn lookup(&mut self, plan: &Plan) -> Option<Deployable> {
-        let idx = self.entries.iter().position(|(k, _)| k == plan)?;
-        let entry = self.entries.remove(idx);
-        let hit = entry.1.clone();
-        self.entries.push(entry);
-        Some(hit)
-    }
-
-    /// Caches `built` under `plan`, evicting the least-recently-used entry
-    /// when full; returns whether it evicted. Empty optimizations are not
-    /// cached (nothing to replay).
-    pub fn insert(&mut self, plan: Plan, built: &Deployable) -> bool {
-        if self.cap == 0 || built.chains.is_empty() {
-            return false;
-        }
-        self.entries.retain(|(k, _)| k != &plan);
-        let evict = self.entries.len() >= self.cap;
-        if evict {
-            self.entries.remove(0);
-        }
-        self.entries.push((plan, built.clone()));
-        evict
-    }
-
-    /// Drops every entry containing a chain that dispatches or guards
-    /// `event`, returning how many were dropped. Called when the runtime
-    /// despecializes `event` for containment.
-    pub fn invalidate_event(&mut self, event: EventId) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|(_, built)| {
-            !built
-                .chains
-                .iter()
-                .any(|c| c.head == event || c.guards.iter().any(|g| g.event == event))
-        });
-        before - self.entries.len()
-    }
-
-    /// Live entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no entries are cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
+/// The events `chain` guards, as an audit span names them.
+fn guarded(chain: &CompiledChain) -> String {
+    let events: Vec<u32> = chain.guards.iter().map(|g| g.event.0).collect();
+    format!("guards={events:?}")
 }
 
 /// Observable counters of one session's adaptation loop.
@@ -298,13 +321,14 @@ pub struct AdaptStats {
     /// Chains the runtime removed for containment (`Despecialize` policy),
     /// accumulated from each epoch's profile tally.
     pub despecialized: u64,
-    /// Redeploys served from the [`ChainCache`] (no `optimize` run).
+    /// Redeploys served without a build: every chain the plan wants was
+    /// installed already or is reinstalled from the cache.
     pub cache_hits: u64,
-    /// Redeploys that had to run `optimize` (plan not seen, or evicted).
+    /// Redeploys that had to build a chain, or found none to build.
     pub cache_misses: u64,
-    /// Cache entries evicted by the LRU bound.
+    /// Cached chains let go of by the LRU bound.
     pub cache_evictions: u64,
-    /// Cache entries dropped because one of their events was despecialized.
+    /// Built chains dropped because one of their events was despecialized.
     pub cache_invalidations: u64,
 }
 
@@ -357,8 +381,8 @@ impl AdaptStats {
 /// Deliberately **not** captured — each is rebuilt deterministically or
 /// is diagnostic-only: compiled chains (the next re-profile rebuilds them
 /// from the carried profile, and a chain out of the runtime when the
-/// snapshot was taken comes back through that rebuild), the
-/// [`ChainCache`] (a warm-start cache) and the reprofile wall-clock
+/// snapshot was taken comes back through that rebuild), the cache of
+/// chains not wanted (a warm start) and the reprofile wall-clock
 /// histogram (wall time is nondeterministic).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineSnapshot {
@@ -438,20 +462,6 @@ fn note_why_not(
     on_record.insert(event, why);
 }
 
-/// A deployed chain, kept with what a fast-lane dispatch of it stands for
-/// in the profile: forgetting the chain forgets that credit with it.
-#[derive(Debug)]
-struct Deployed {
-    chain: CompiledChain,
-    merged: SuperHandler,
-}
-
-impl AsRef<SuperHandler> for Deployed {
-    fn as_ref(&self) -> &SuperHandler {
-        &self.merged
-    }
-}
-
 /// Per-session state of the adaptive-specialization daemon.
 #[derive(Debug)]
 pub struct AdaptiveEngine {
@@ -461,14 +471,13 @@ pub struct AdaptiveEngine {
     /// Bars faulting or churning events from specialization; a restored
     /// engine resumes it from its snapshot.
     quarantine: Quarantine,
-    /// The plan the deployed chains were built for. Emptied when one of
+    /// The plan the wanted chains were built for. Emptied when one of
     /// them is forgotten, so only a plan that wants nothing matches it
     /// until the next deploy.
     deployed: Option<Plan>,
-    /// The deployed chains, in head-event order, each with its
-    /// super-handler as the window merge credits it. After every install
-    /// step each one is installed or barred by the quarantine.
-    supers: SuperHandlers<Deployed>,
+    /// Every chain built and kept. After every install step each wanted
+    /// one is installed or barred by the quarantine.
+    store: ChainStore,
     /// The last audited answer per hot-but-generic event.
     why_not: BTreeMap<EventId, WhyNot>,
     stats: AdaptStats,
@@ -477,9 +486,6 @@ pub struct AdaptiveEngine {
     /// sees on the virtual clock; consequently the histogram is
     /// nondeterministic and excluded from exact snapshot pins.
     reprofile_wall_ns: Histogram,
-    /// Previously built optimizations by plan, so oscillating phases skip
-    /// `optimize`.
-    cache: ChainCache,
 }
 
 impl AdaptiveEngine {
@@ -540,9 +546,12 @@ impl AdaptiveEngine {
         let mut builder = snap.profile;
         builder.retain_program_handlers(base.functions.len());
         AdaptiveEngine {
-            supers: SuperHandlers {
-                base_functions: base.functions.len(),
-                deployed: Vec::new(),
+            store: ChainStore {
+                supers: SuperHandlers {
+                    base_functions: base.functions.len(),
+                    deployed: Vec::new(),
+                },
+                free: Vec::new(),
             },
             base,
             config,
@@ -552,7 +561,6 @@ impl AdaptiveEngine {
             why_not: BTreeMap::new(),
             stats: snap.stats,
             reprofile_wall_ns: Histogram::new(),
-            cache: ChainCache::new(CHAIN_CACHE_CAP),
         }
     }
 
@@ -589,8 +597,8 @@ impl AdaptiveEngine {
     }
 
     /// Wall-clock durations of every re-profile pass so far: working out
-    /// the plan, and — when it changed — the cache lookup or `optimize`
-    /// run plus the install.
+    /// the plan, and — when it changed — the lookups, builds and installs
+    /// of the chains whose keys changed.
     pub fn reprofile_wall_ns(&self) -> &Histogram {
         &self.reprofile_wall_ns
     }
@@ -605,12 +613,12 @@ impl AdaptiveEngine {
         let now = rt.clock_ns();
         let mut barred = Vec::new();
         rt.drain_profile_tally(|window| {
-            self.builder.observe(window, &self.supers);
-            // Containment removed a chain: the quarantine, not a cache
-            // hit, decides when it comes back.
+            self.builder.observe(window, &self.store.supers);
+            // Containment removed a chain: the quarantine, not a cached
+            // copy, decides when it comes back.
             for (event, n) in window.despecialized() {
                 self.stats.despecialized += n;
-                self.stats.cache_invalidations += self.cache.invalidate_event(event) as u64;
+                self.stats.cache_invalidations += self.store.invalidate(event);
             }
             if counting {
                 barred = self
@@ -629,7 +637,7 @@ impl AdaptiveEngine {
                     format!("faults exceeded quarantine threshold; backoff until t={until_ns}ns")
                 });
             }
-            self.install(rt, None)
+            self.install(rt, None, &[])
         };
         if forgot || self.builder.fresh_events() >= self.config.min_fresh_events {
             self.reprofile(rt, forgot);
@@ -637,15 +645,16 @@ impl AdaptiveEngine {
         self.builder.end_epoch();
     }
 
-    /// Asks every deployed chain whether its guards still hold, before the
+    /// Asks every wanted chain whether its guards still hold, before the
     /// window is merged: a chain's compile-time evidence stands in for its
     /// fast-lane dispatches only while they do, and the events whose
     /// bindings changed under it start their observations over.
     fn check_deployed_guards(&mut self, rt: &Runtime) {
         let registry = rt.registry();
-        for Deployed { chain, merged } in &mut self.supers.deployed {
-            merged.live = chain.guards_hold(registry);
-            if merged.live {
+        for built in self.store.supers.deployed.iter_mut() {
+            let (chain, merged) = (&built.chain, &mut built.merged);
+            merged.live = built.wanted && chain.guards_hold(registry);
+            if merged.live || !built.wanted {
                 continue;
             }
             for guard in chain.guards.iter().filter(|g| !g.holds(registry)) {
@@ -655,20 +664,27 @@ impl AdaptiveEngine {
         }
     }
 
-    /// The one place a chain enters the runtime. Every deployed chain the
+    /// The one place a chain enters the runtime. Every wanted chain the
     /// runtime does not hold is left out while the quarantine bars it,
     /// installed if its guards hold, and otherwise forgotten: its bindings
     /// changed while it was out, and only a fresh plan can say what to
-    /// build for them. Each decision is one audit span. At a redeploy,
-    /// `redeploy` words the pass's evidence into each span, and a chain
-    /// left out is audited too. Returns whether a chain was forgotten.
-    fn install(&mut self, rt: &mut Runtime, redeploy: Option<&dyn Fn(&str) -> String>) -> bool {
+    /// build for them. Each decision is one audit span naming the events
+    /// the chain guards and whether it was `built` by this pass. At a
+    /// redeploy, `redeploy` words the pass's evidence into each span, and
+    /// a chain left out is audited too. Returns whether a chain was
+    /// forgotten.
+    fn install(
+        &mut self,
+        rt: &mut Runtime,
+        redeploy: Option<&dyn Fn(&str) -> String>,
+        built: &[EventId],
+    ) -> bool {
         let now = rt.clock_ns();
         let because = |what: &str| redeploy.map_or_else(|| what.to_string(), |why| why(what));
-        let mut forgot = false;
-        self.supers.deployed.retain(|Deployed { chain, .. }| {
-            let head = chain.head;
-            if rt.spec().get(head).is_some() {
+        let (mut forgot, free) = (false, &mut self.store.free);
+        self.store.supers.deployed.retain(|kept| {
+            let (chain, head) = (&kept.chain, kept.chain.head);
+            if !kept.wanted || rt.spec().get(head).is_some() {
                 return true;
             }
             if self.quarantine.is_quarantined(head, now) {
@@ -682,16 +698,28 @@ impl AdaptiveEngine {
             if chain.guards_hold(rt.registry()) {
                 rt.install_chain(chain.clone());
                 self.stats.chains_installed += 1;
-                audit(rt, Some(head), AuditAction::Install, || match redeploy {
-                    Some(_) => because("hot chain from profile snapshot"),
-                    None => because("chain returns: not barred, guards hold"),
+                let how = if built.contains(&head) {
+                    "built"
+                } else {
+                    "reused"
+                };
+                audit(rt, Some(head), AuditAction::Install, || {
+                    let what = format!("{} {how}", guarded(chain));
+                    match redeploy {
+                        Some(_) => because(&format!("hot chain from profile snapshot; {what}")),
+                        None => format!("chain returns: not barred, guards hold; {what}"),
+                    }
                 });
                 return true;
             }
             self.stats.chains_dropped += 1;
             audit(rt, Some(head), AuditAction::Drop, || {
-                because("bindings changed while the chain was out")
+                because(&format!(
+                    "bindings changed while the chain was out; {}",
+                    guarded(chain)
+                ))
             });
+            free.extend(&kept.funcs);
             forgot = true;
             false
         });
@@ -759,29 +787,81 @@ impl AdaptiveEngine {
             return;
         }
 
-        let mut fused = Vec::new();
-        let (built, cache) = match self.cache.lookup(&wanted) {
-            Some(hit) => {
-                self.stats.cache_hits += 1;
-                (hit, "hit")
+        if wanted.events.is_empty() {
+            // Nothing hot enough to build: no evidence is not evidence of
+            // nothing, so the deployed chains (still guard-correct) stay
+            // rather than thrash. No kept chain served the pass: a miss.
+            self.stats.cache_misses += 1;
+            self.note_reprofile(rt, started, || evidence(format_args!("nothing-built")));
+            return;
+        }
+
+        // Each planned head is served by the chain kept for its key, if
+        // there is one; the chains left over are the cache.
+        let (kept, mut missing) = (&mut self.store.supers.deployed, Vec::new());
+        kept.iter_mut().for_each(|b| b.wanted = false);
+        for &(head, _) in &wanted.events {
+            let key = wanted.chain(head);
+            match kept
+                .iter_mut()
+                .find(|b| b.chain.head == head && b.key.as_ref() == Some(&key))
+            {
+                Some(hit) => hit.wanted = true,
+                None => missing.push((head, key)),
             }
-            None => {
-                self.stats.cache_misses += 1;
-                let profile = self.builder.snapshot(threshold);
-                let mut opt = optimize(&self.base, rt.registry(), &profile, &self.config.opts);
-                fused = std::mem::take(&mut opt.report.fused);
-                let built = Deployable::from(opt);
-                if self.cache.insert(wanted.clone(), &built) {
-                    self.stats.cache_evictions += 1;
-                }
-                (built, "miss")
+        }
+        kept.sort_by_key(|b| b.wanted);
+        // An installed chain no longer wanted leaves the runtime, in event
+        // order; one whose head is not planned at all is dropped.
+        let installed: Vec<(EventId, FuncId)> =
+            rt.spec().iter().map(|c| (c.head, c.func)).collect();
+        for (event, func) in installed {
+            if kept.iter().any(|b| b.wanted && b.chain.func == func) {
+                continue;
             }
+            let chain = rt.remove_chain(event).expect("installed");
+            if wanted.events.iter().any(|&(e, _)| e == event) {
+                continue;
+            }
+            self.stats.chains_dropped += 1;
+            audit(rt, Some(event), AuditAction::Drop, || {
+                let why = evidence(format_args!("redeploy"));
+                format!(
+                    "chain not wanted by the new plan; {}; {why}",
+                    guarded(&chain)
+                )
+            });
+            if !self.why_not.contains_key(&event) {
+                note_why_not(rt, &mut self.why_not, event, WhyNot::BelowThreshold);
+            }
+        }
+        // The rest are built, into the slots of the least recently wanted
+        // cached chains first.
+        self.stats.cache_evictions += self.store.evict(CHAIN_CACHE_CAP);
+        let cache = if missing.is_empty() {
+            self.stats.cache_hits += 1;
+            "hit"
+        } else {
+            self.stats.cache_misses += 1;
+            "miss"
         };
-        let chains = built.chains.len();
-        let redeploy = || evidence(format_args!("redeploy cache={cache} chains={chains}"));
+        let (mut built, mut fused) = (Vec::new(), Vec::new());
+        if !missing.is_empty() {
+            let (handlers, opts) = (self.builder.handler_graph(), &self.config.opts);
+            rt.edit_module(|m, registry| {
+                for (head, key) in missing {
+                    if let Some(records) = self.store.build(m, registry, handlers, opts, head, key)
+                    {
+                        built.push(head);
+                        fused.extend(records);
+                    }
+                }
+            });
+        }
+        let redeploy = || evidence(format_args!("redeploy cache={cache} built={}", built.len()));
         let because = |what: &str| format!("{what}; {}", redeploy());
-        // Fusion: which sequences `optimize` fused where (a cache hit
-        // replays an optimization whose sites were audited at its miss).
+        // Fusion: which sequences each build fused where (a reused chain
+        // was audited when it was built).
         for r in &fused {
             audit(rt, None, AuditAction::Install, || {
                 because(&format!(
@@ -790,65 +870,11 @@ impl AdaptiveEngine {
                 ))
             });
         }
-        if built.chains.is_empty() {
-            // Nothing hot enough to build: no evidence is not evidence of
-            // nothing, so the deployed chains (still guard-correct) stay
-            // rather than thrash.
-            self.note_reprofile(rt, started, || evidence(format_args!("nothing-built")));
-            return;
-        }
-
-        // Every installed chain references the *current* module's function
-        // ids, which the swap invalidates: remove them all first, counting
-        // the ones the new plan no longer wants as dropped — in event
-        // order, which is the table's, so the audit reads the same run to
-        // run.
-        let old_heads: Vec<EventId> = rt.spec().iter().map(|c| c.head).collect();
-        for event in old_heads {
-            rt.remove_chain(event);
-            if !built.chains.iter().any(|c| c.head == event) {
-                self.stats.chains_dropped += 1;
-                audit(rt, Some(event), AuditAction::Drop, || {
-                    because("chain not wanted by the new plan")
-                });
-                if !self.why_not.contains_key(&event) {
-                    note_why_not(rt, &mut self.why_not, event, WhyNot::BelowThreshold);
-                }
-            }
-        }
-        rt.replace_module(Arc::clone(&built.module));
-
-        // What a fast-lane dispatch of each new chain will stand for in the
-        // profile: the lists its guards carry, and the raises between them
-        // that are now direct calls.
-        let nested = &self.builder.handler_graph().nested;
-        self.supers.deployed = built
-            .chains
-            .into_iter()
-            .map(|chain| {
-                let guarded = |event: EventId| chain.guards.iter().any(|g| g.event == event);
-                let merged = SuperHandler {
-                    func: chain.func,
-                    live: true,
-                    sequences: chain
-                        .guards
-                        .iter()
-                        .map(|g| (g.event, g.bindings().iter().map(|b| b.handler).collect()))
-                        .collect(),
-                    nested: nested
-                        .keys()
-                        .filter(|k| guarded(k.parent_event) && guarded(k.child_event))
-                        .copied()
-                        .collect(),
-                };
-                Deployed { chain, merged }
-            })
-            .collect();
         self.deployed = Some(wanted);
         // The install step's quarantine check sees every entry, including
         // strikes and backoffs a restored session carried across the
         // snapshot.
-        self.install(rt, Some(&because));
+        self.install(rt, Some(&because), &built);
         self.note_reprofile(rt, started, redeploy);
     }
 
@@ -1151,10 +1177,8 @@ mod tests {
             AdaptiveEngine::attach(Rc::clone(&engine), &mut rt);
             if fast {
                 let (_, built) = opt_for(&rt, &m, a);
-                rt.replace_module(built.module);
-                for chain in built.chains {
-                    rt.install_chain(chain);
-                }
+                rt.replace_module(built.module.clone());
+                built.install_chains(&mut rt);
             }
             // Ten raises an epoch, so `A` is still hot at the end.
             for _ in 0..6 {
@@ -1686,7 +1710,7 @@ mod tests {
             chain.guards
         );
         assert!(rt.spec().get(a).is_none(), "rebound, quiet A not rebuilt");
-        // Behaviour preserved across the hot swap.
+        // Behaviour preserved across the redeploys.
         assert_eq!(rt.global(gc), &Value::Int(104));
         assert_eq!(rt.global(gd), &Value::Int(104));
     }
@@ -1696,9 +1720,10 @@ mod tests {
     /// under containment — once the next epoch has processed the churn,
     /// no installed chain may carry a binding-version guard that
     /// disagrees with the live registry. Quarantine (guard-miss churn),
-    /// re-profiling (which removes every deployed chain before a hot
-    /// swap), and the install step (which installs a chain only while its
-    /// guards hold) must jointly maintain the invariant.
+    /// re-profiling (which removes every installed chain the new plan does
+    /// not want under its key), and the install step (which installs a
+    /// chain only while its guards hold) must jointly maintain the
+    /// invariant.
     #[test]
     fn churn_cycles_never_leave_a_stale_guard_installed() {
         let (m, [a, b], _) = two_chain_module();
@@ -1732,9 +1757,9 @@ mod tests {
         for cycle in 0..60 {
             // The mutated event and the driven event are drawn
             // independently: mutating an event that then goes *cold* is
-            // exactly the case where only the re-profile's
-            // remove-everything-before-swap (not guard-miss quarantine)
-            // can clear the stale chain.
+            // exactly the case where only the re-profile's removal of
+            // chains no longer wanted (not guard-miss quarantine) can
+            // clear the stale chain.
             let drive_idx = (next() % 2) as usize;
             let mut_idx = (next() % 2) as usize;
             let mutated = [a, b][mut_idx];
@@ -1788,7 +1813,7 @@ mod tests {
         assert!(stats.reprofiles > 1, "engine never re-profiled: {stats:?}");
         assert!(
             stats.chains_installed > 1,
-            "engine never hot-swapped chains: {stats:?}"
+            "engine never redeployed chains: {stats:?}"
         );
         // The specialization cache is on by default, so the property above
         // also covers the cached install path: every guard check ran
@@ -1956,7 +1981,7 @@ mod tests {
         let fast = rt.cost.fastpath_hits;
         for _ in 0..32 {
             epoch(&mut rt);
-            assert!(Arc::ptr_eq(&module, &rt.module_arc()), "module swapped");
+            assert!(Arc::ptr_eq(&module, &rt.module_arc()), "module edited");
         }
         let settled = engine.borrow().stats();
         assert_eq!(settled.reprofiles, warm.reprofiles + 32, "passes still run");
@@ -1982,6 +2007,149 @@ mod tests {
             assert!(seq.iter().all(|f| f.index() < base_functions));
             assert_eq!(seq.len(), 2, "event {i} credited with its own handlers");
         }
+    }
+
+    #[test]
+    fn a_rebind_under_one_of_four_chains_rebuilds_that_chain_alone() {
+        let (m, events, _) = n_chain_module(4);
+        let mut rt = n_chain_runtime(&m, &events);
+        let store = rt.enable_tracing();
+        let engine = AdaptiveEngine::attach_new(
+            &mut rt,
+            AdaptConfig {
+                epoch_ns: 10_000,
+                ..config()
+            },
+        );
+        let epoch = |rt: &mut Runtime| {
+            let start = rt.clock_ns();
+            for i in 0..100u64 {
+                let delay = Value::Int((i * 100 + 100) as i64);
+                rt.raise(events[(i % 4) as usize], RaiseMode::Timed, &[delay])
+                    .unwrap();
+            }
+            rt.run_until(start + 10_000).unwrap();
+        };
+        let funcs = |rt: &Runtime| -> Vec<Option<FuncId>> {
+            events
+                .iter()
+                .map(|&e| rt.spec().get(e).map(|c| c.func))
+                .collect()
+        };
+        for _ in 0..32 {
+            epoch(&mut rt);
+        }
+        let (before, stats, spans) = (funcs(&rt), engine.borrow().stats(), store.spans().len());
+        assert!(before.iter().all(Option::is_some), "{stats:?}");
+        // E0 runs [h0_1, h1_2] from now on.
+        let (h0_2, h1_2) = (
+            m.function_by_name("h0_2").unwrap(),
+            m.function_by_name("h1_2").unwrap(),
+        );
+        assert!(rt.unbind(events[0], h0_2));
+        rt.bind(events[0], h1_2, 2).unwrap();
+        for _ in 0..8 {
+            epoch(&mut rt);
+        }
+        let after = engine.borrow().stats();
+        assert_eq!(
+            after.chains_installed,
+            stats.chains_installed + 1,
+            "{after:?}"
+        );
+        assert_eq!(after.chains_dropped, stats.chains_dropped, "{after:?}");
+        assert_eq!(after.cache_misses, stats.cache_misses + 1, "{after:?}");
+        let now = funcs(&rt);
+        assert!(rt.spec().get(events[0]).unwrap().guards_hold(rt.registry()));
+        assert_eq!(now[1..], before[1..], "the other three keep their ids");
+        // No decision since the rebind named them: they were never removed.
+        let others = store.spans()[spans..]
+            .iter()
+            .filter(|s| {
+                matches!(&s.kind, SpanKind::ChainAudit { event: Some(e), .. }
+                    if *e != events[0].0)
+            })
+            .count();
+        assert_eq!(others, 0);
+    }
+
+    #[test]
+    fn one_event_through_64_configurations_keeps_the_module_bounded() {
+        let mut m = Module::new();
+        let e = m.add_event("E");
+        let g = m.add_global("g", Value::Int(0));
+        let handlers: Vec<FuncId> = (0..7)
+            .map(|k| {
+                let mut fb = FunctionBuilder::new(format!("h{k}"), 0);
+                let v = fb.load_global(g);
+                let d = fb.const_int(1 << k);
+                let o = fb.bin(BinOp::Add, v, d);
+                fb.store_global(g, o);
+                fb.ret(None);
+                m.add_function(fb.finish())
+            })
+            .collect();
+        let base = m.functions.len();
+        let run = |adaptive: bool| {
+            let mut rt = Runtime::new(m.clone());
+            let engine = adaptive.then(|| AdaptiveEngine::attach_new(&mut rt, config()));
+            let mut most = 0;
+            for config in 1..=64u32 {
+                for (k, &h) in handlers.iter().enumerate() {
+                    rt.unbind(e, h);
+                    if config >> k & 1 == 1 {
+                        rt.bind(e, h, k as i32).unwrap();
+                    }
+                }
+                drive(&mut rt, e, 60);
+                let Some(engine) = &engine else { continue };
+                let engine = engine.borrow();
+                let kept = &engine.store.supers.deployed;
+                most = kept.iter().map(|b| b.funcs.len()).fold(most, usize::max);
+                let wanted = kept.iter().filter(|b| b.wanted).count();
+                let bound = base + (wanted + CHAIN_CACHE_CAP) * most;
+                assert!(
+                    rt.module().functions.len() <= bound,
+                    "configuration {config}"
+                );
+                let chain = rt.spec().get(e).expect("specialized");
+                assert!(chain.guards_hold(rt.registry()), "configuration {config}");
+            }
+            (rt.global(g).clone(), engine.map(|e| e.borrow().stats()))
+        };
+        let (generic, _) = run(false);
+        let (adaptive, stats) = run(true);
+        assert_eq!(adaptive, generic);
+        let stats = stats.unwrap();
+        assert_eq!(stats.cache_misses, 64, "{stats:?}");
+        assert_eq!(
+            stats.cache_evictions,
+            64 - 1 - CHAIN_CACHE_CAP as u64,
+            "{stats:?}"
+        );
+    }
+
+    #[test]
+    fn a_second_build_edits_the_session_module_in_place() {
+        let (m, [a, b], _) = two_chain_module();
+        let mut rt = Runtime::new(m.clone());
+        bind_all(&mut rt, &m, a, b);
+        let engine = AdaptiveEngine::attach_new(&mut rt, config());
+        let base = Arc::as_ptr(engine.borrow().base());
+        assert_eq!(Arc::as_ptr(&rt.module_arc()), base, "starts on the base");
+        drive(&mut rt, a, 60);
+        let first = Arc::as_ptr(&rt.module_arc());
+        assert_ne!(first, base, "the first build unshares the base");
+        drive(&mut rt, b, 200);
+        assert!(rt.spec().get(b).is_some());
+        assert_eq!(engine.borrow().stats().cache_misses, 2);
+        assert_eq!(
+            Arc::as_ptr(&rt.module_arc()),
+            first,
+            "the second edits in place"
+        );
+        assert_eq!(rt.module().functions.len(), m.functions.len() + 2);
+        assert_eq!(engine.borrow().base().functions.len(), m.functions.len());
     }
 
     #[test]
@@ -2137,10 +2305,9 @@ mod tests {
         assert!(rt.spec().get(a).is_some(), "{:?}", engine.borrow().stats());
     }
 
-    /// Builds a real optimization for `event` from a synthetic trace of
-    /// its bound handlers, with the plan it is the answer to, as the cache
-    /// unit tests need genuine guard-bearing chains.
-    fn opt_for(rt: &Runtime, base: &Module, event: EventId) -> (Plan, Deployable) {
+    /// A synthetic profile of `event` dispatching its bound handlers 30
+    /// times, and the plan it gives.
+    fn profile_for(rt: &Runtime, event: EventId) -> (Plan, pdo_profile::Profile) {
         use pdo_events::{Trace, TraceRecord};
         let handlers: Vec<_> = rt
             .registry()
@@ -2172,17 +2339,57 @@ mod tests {
             }
         }
         let profile = pdo_profile::Profile::from_trace(&Trace { records }, 10);
-        let opts = OptimizeOptions::new(10);
         let plan = Plan::wanted(
             &profile.event_graph,
             &profile.handler_graph,
             rt.registry(),
-            &opts,
+            &OptimizeOptions::new(10),
             |e, why| panic!("{e:?} declined: {why}"),
         );
-        let opt = optimize(base, rt.registry(), &profile, &opts);
+        (plan, profile)
+    }
+
+    /// `optimize`'s output for [`profile_for`]'s profile of `event`, with
+    /// the plan it is the answer to.
+    fn opt_for(rt: &Runtime, base: &Module, event: EventId) -> (Plan, crate::Optimization) {
+        let (plan, profile) = profile_for(rt, event);
+        let opt = crate::optimize(base, rt.registry(), &profile, &plan.opts);
         assert!(!opt.chains.is_empty(), "synthetic profile must specialize");
-        (plan, opt.into())
+        (plan, opt)
+    }
+
+    /// Builds `event`'s chain into `module` as the engine does and keeps
+    /// it in `store`, not wanted; returns its key.
+    fn keep(store: &mut ChainStore, module: &mut Module, rt: &Runtime, event: EventId) -> Plan {
+        let (plan, profile) = profile_for(rt, event);
+        let (handlers, key) = (&profile.handler_graph, plan.chain(event));
+        let built = store.build(
+            module,
+            rt.registry(),
+            handlers,
+            &plan.opts,
+            event,
+            key.clone(),
+        );
+        assert!(built.is_some(), "synthetic profile must specialize");
+        store.supers.deployed.last_mut().unwrap().wanted = false;
+        key
+    }
+
+    fn empty_store(base: &Module) -> ChainStore {
+        ChainStore {
+            supers: SuperHandlers {
+                base_functions: base.functions.len(),
+                deployed: Vec::new(),
+            },
+            free: Vec::new(),
+        }
+    }
+
+    /// The chain `store` keeps for `head` under `key`.
+    fn find<'s>(store: &'s ChainStore, head: EventId, key: &Plan) -> Option<&'s Built> {
+        let mut kept = store.supers.deployed.iter();
+        kept.find(|b| b.chain.head == head && b.key.as_ref() == Some(key))
     }
 
     #[test]
@@ -2190,40 +2397,43 @@ mod tests {
         let (m, [a, b], _) = two_chain_module();
         let mut rt = Runtime::new(m.clone());
         bind_all(&mut rt, &m, a, b);
-        let (plan_a, opt_a) = opt_for(&rt, &m, a);
-        let (plan_b, opt_b) = opt_for(&rt, &m, b);
+        let (mut store, mut module) = (empty_store(&m), m.clone());
+        let key_a = keep(&mut store, &mut module, &rt, a);
+        let key_b = keep(&mut store, &mut module, &rt, b);
+        assert_ne!(key_a, key_b, "distinct chains must key differently");
+        assert!(find(&store, a, &key_b).is_none(), "a key is its head's");
+        assert!(find(&store, a, &key_a).is_some());
 
-        let mut cache = ChainCache::new(1);
-        assert!(cache.lookup(&plan_a).is_none());
+        // Bound 1: A's chain is the least recently wanted and goes. Its
+        // slot is free, and the module still verifies, until a build
+        // takes it.
+        assert_eq!(store.evict(1), 1);
+        assert!(find(&store, a, &key_a).is_none());
+        assert!(find(&store, b, &key_b).is_some());
+        assert_eq!(store.free.len(), 1);
+        assert_eq!(pdo_ir::verify_module(&module), Ok(()));
+        let functions = module.functions.len();
+        keep(&mut store, &mut module, &rt, a);
+        assert_eq!(module.functions.len(), functions, "the build took the slot");
+        assert!(store.free.is_empty());
 
-        assert!(!cache.insert(plan_a.clone(), &opt_a), "room: no eviction");
-        let hit = cache.lookup(&plan_a).expect("cached");
-        assert_eq!(hit.chains, opt_a.chains);
-        assert!(
-            Arc::ptr_eq(&hit.module, &opt_a.module),
-            "a hit is a pointer"
-        );
-
-        // Capacity 1: caching B's phase evicts A's.
-        assert_ne!(plan_a, plan_b, "distinct phases must key differently");
-        assert!(cache.insert(plan_b.clone(), &opt_b), "full: evicts");
-        assert_eq!(cache.len(), 1);
-        assert!(cache.lookup(&plan_a).is_none());
-
-        // The key is binding content. A rebind of B changes the plan, so
-        // the entry built for the old bindings cannot be reached...
+        // The key is binding content. A rebind of B changes it, so the
+        // chain built for the old bindings cannot be reached...
         let extra = m.function_by_name("a1").unwrap();
         rt.bind(b, extra, 7).unwrap();
-        let (rebound, _) = opt_for(&rt, &m, b);
-        assert_ne!(rebound, plan_b);
-        assert!(cache.lookup(&rebound).is_none(), "stale entry must not hit");
+        let rebound = profile_for(&rt, b).0.chain(b);
+        assert_ne!(rebound, key_b);
+        assert!(
+            find(&store, b, &rebound).is_none(),
+            "stale entry must not hit"
+        );
         // ...and taking the rebind back reaches it again, under a version
-        // number the entry has never seen, with guards that hold.
+        // number the chain has never seen, with guards that hold.
         assert!(rt.unbind(b, extra));
-        let (returned, _) = opt_for(&rt, &m, b);
-        assert_eq!(returned, plan_b);
-        let hit = cache.lookup(&returned).expect("same content, same key");
-        assert!(hit.chains.iter().all(|c| c.guards_hold(rt.registry())));
+        let returned = profile_for(&rt, b).0.chain(b);
+        assert_eq!(returned, key_b);
+        let hit = find(&store, b, &returned).expect("same content, same key");
+        assert!(hit.chain.guards_hold(rt.registry()));
     }
 
     #[test]
@@ -2231,15 +2441,19 @@ mod tests {
         let (m, [a, b], _) = two_chain_module();
         let mut rt = Runtime::new(m.clone());
         bind_all(&mut rt, &m, a, b);
-        let (plan_a, opt_a) = opt_for(&rt, &m, a);
-        let (plan_b, opt_b) = opt_for(&rt, &m, b);
-        let mut cache = ChainCache::new(4);
-        cache.insert(plan_a, &opt_a);
-        cache.insert(plan_b, &opt_b);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.invalidate_event(a), 1);
-        assert_eq!(cache.len(), 1, "only A's entry is dropped");
-        assert_eq!(cache.invalidate_event(EventId(999)), 0);
+        let (mut store, mut module) = (empty_store(&m), m.clone());
+        let key_a = keep(&mut store, &mut module, &rt, a);
+        keep(&mut store, &mut module, &rt, b);
+        assert_eq!(store.invalidate(a), 1);
+        assert_eq!(store.supers.deployed.len(), 1, "only A's chain is dropped");
+        assert!(find(&store, a, &key_a).is_none());
+        assert_eq!(store.invalidate(EventId(999)), 0);
+        // A wanted chain keeps its place, and is never found again.
+        store.supers.deployed[0].wanted = true;
+        assert_eq!(store.invalidate(b), 1);
+        assert_eq!(store.supers.deployed.len(), 1);
+        assert_eq!(store.supers.deployed[0].key, None);
+        assert_eq!(store.invalidate(b), 0, "counted once");
     }
 
     #[test]

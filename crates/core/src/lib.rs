@@ -78,9 +78,7 @@ pub mod quarantine;
 pub mod report;
 pub mod subsume;
 
-pub use adapt::{
-    AdaptConfig, AdaptStats, AdaptiveEngine, ChainCache, Deployable, EngineSnapshot, Plan,
-};
+pub use adapt::{AdaptConfig, AdaptStats, AdaptiveEngine, EngineSnapshot, Plan};
 pub use merge::{build_super_handler, build_super_handler_metered, MergeSkip};
 pub use quarantine::{Quarantine, QuarantineConfig, QuarantineEntry};
 pub use report::{EventReport, OptReport};
@@ -181,41 +179,20 @@ pub fn optimize(
     profile: &Profile,
     opts: &OptimizeOptions,
 ) -> Optimization {
-    let mut builder = Builder {
-        out: module.clone(),
-        registry,
-        profile,
-        opts,
-        fuel_native: None,
-        memo: BTreeMap::new(),
-        in_progress: BTreeSet::new(),
-        report: OptReport {
-            module_instrs_before: module.instr_count(),
-            ..Default::default()
-        },
-    };
-
-    if opts.fuel_boundaries {
-        let id = builder
-            .out
-            .native_by_name(Runtime::NATIVE_FUEL_BOUNDARY)
-            .unwrap_or_else(|| builder.out.add_native(Runtime::NATIVE_FUEL_BOUNDARY));
-        builder.fuel_native = Some(id);
-    }
-
+    let (mut out, mut free) = (module.clone(), Vec::new());
+    let mut builder = Builder::new(&mut out, registry, &profile.handler_graph, opts, &mut free);
     for event in candidates(&profile.event_graph, &profile.handler_graph, opts) {
         builder.build(event);
     }
-    if opts.compiler_passes {
-        builder.fuse(module.functions.len());
-    }
-
-    let chains = builder.chains();
-    builder.report.module_instrs_after = builder.out.instr_count();
+    builder.fuse();
+    let chains = Vec::from_iter(builder.memo.keys().filter_map(|&e| builder.chain(e)));
+    let mut report = builder.report;
+    report.module_instrs_before = module.instr_count();
+    report.module_instrs_after = out.instr_count();
     Optimization {
-        module: builder.out,
+        module: out,
         chains,
-        report: builder.report,
+        report,
     }
 }
 
@@ -293,17 +270,46 @@ struct Built {
 }
 
 struct Builder<'a> {
-    out: Module,
+    out: &'a mut Module,
     registry: &'a Registry,
-    profile: &'a Profile,
+    handlers: &'a HandlerGraph,
     opts: &'a OptimizeOptions,
     fuel_native: Option<NativeId>,
     memo: BTreeMap<EventId, Option<Built>>,
     in_progress: BTreeSet<EventId>,
     report: OptReport,
+    /// Slots a new super-handler takes before the module grows.
+    free: &'a mut Vec<FuncId>,
+    /// Every super-handler made, in order.
+    made: Vec<FuncId>,
 }
 
-impl Builder<'_> {
+impl<'a> Builder<'a> {
+    fn new(
+        out: &'a mut Module,
+        registry: &'a Registry,
+        handlers: &'a HandlerGraph,
+        opts: &'a OptimizeOptions,
+        free: &'a mut Vec<FuncId>,
+    ) -> Self {
+        let fuel_native = opts.fuel_boundaries.then(|| {
+            out.native_by_name(Runtime::NATIVE_FUEL_BOUNDARY)
+                .unwrap_or_else(|| out.add_native(Runtime::NATIVE_FUEL_BOUNDARY))
+        });
+        Builder {
+            out,
+            registry,
+            handlers,
+            opts,
+            fuel_native,
+            memo: BTreeMap::new(),
+            in_progress: BTreeSet::new(),
+            report: OptReport::default(),
+            free,
+            made: Vec::new(),
+        }
+    }
+
     /// Builds (or fetches) the super-handler for `event`.
     fn build(&mut self, event: EventId) -> Option<Built> {
         if let Some(b) = self.memo.get(&event) {
@@ -314,7 +320,7 @@ impl Builder<'_> {
         }
 
         // The profiled sequence must be stable *and* still current.
-        let seq: Vec<FuncId> = match mergeable(&self.profile.handler_graph, self.registry, event) {
+        let seq: Vec<FuncId> = match mergeable(self.handlers, self.registry, event) {
             Ok(seq) => seq.to_vec(),
             Err(why) => {
                 if let Some(why) = why {
@@ -327,20 +333,23 @@ impl Builder<'_> {
 
         self.in_progress.insert(event);
         let name = format!("__super_{}", self.out.event_name(event));
-        let shell = match merge::build_super_handler_metered(
-            &mut self.out,
-            &name,
-            &seq,
-            self.fuel_native,
-        ) {
-            Ok(f) => f,
-            Err(reason) => {
-                self.report.skip(event, reason);
-                self.in_progress.remove(&event);
-                self.memo.insert(event, None);
-                return None;
-            }
-        };
+        let shell =
+            match merge::build_super_handler_metered(self.out, &name, &seq, self.fuel_native) {
+                // Into a free slot, if there is one: nothing names it yet.
+                Ok(f) => match self.free.pop() {
+                    Some(slot) => {
+                        self.out.functions.swap_remove(slot.index());
+                        slot
+                    }
+                    None => f,
+                },
+                Err(reason) => {
+                    self.report.skip(event, reason);
+                    self.in_progress.remove(&event);
+                    self.memo.insert(event, None);
+                    return None;
+                }
+            };
         let params = self.out.function(shell).params;
         let instrs_original: usize = seq
             .iter()
@@ -362,12 +371,7 @@ impl Builder<'_> {
                     .into_iter()
                     .filter(|s| {
                         !refused.contains(&s.event)
-                            && subsume_evidence(
-                                &self.profile.handler_graph,
-                                self.opts,
-                                event,
-                                s.event,
-                            )
+                            && subsume_evidence(self.handlers, self.opts, event, s.event)
                     })
                     .collect();
                 if sites.is_empty() {
@@ -398,6 +402,7 @@ impl Builder<'_> {
 
         // Every path to here ran `cleanup` after the last edit to `shell`.
         self.in_progress.remove(&event);
+        self.made.push(shell);
 
         let built = Built {
             func: shell,
@@ -421,49 +426,44 @@ impl Builder<'_> {
     fn cleanup(&mut self, func: FuncId) {
         let inline = self.opts.inline.then_some(INLINE_THRESHOLD);
         if self.opts.compiler_passes {
-            optimize_single_function(&mut self.out, func, inline);
+            optimize_single_function(self.out, func, inline);
         } else if let Some(th) = inline {
-            pdo_passes::inline::inline_into(&mut self.out, func.index(), th);
+            pdo_passes::inline::inline_into(self.out, func.index(), th);
         }
     }
 
-    /// Rewrites the straight-line sequences of every function appended past
-    /// the first `base_functions` into superinstructions, and re-counts the
-    /// per-event reports on the fused bodies. Runs once, after the last
-    /// super-handler is built: inlining splices child super-handlers into
-    /// their parents, and the cleanup passes match unfused code.
-    fn fuse(&mut self, base_functions: usize) {
-        for idx in base_functions..self.out.functions.len() {
+    /// Rewrites the straight-line sequences of every super-handler made
+    /// into superinstructions (under the compiler passes), and re-counts
+    /// the per-event reports on the fused bodies. Runs once, after the
+    /// last super-handler is built: inlining splices child super-handlers
+    /// into their parents, and the cleanup passes match unfused code.
+    fn fuse(&mut self) {
+        if !self.opts.compiler_passes {
+            return;
+        }
+        for &func in &self.made {
             pdo_passes::fuse_function(
-                &mut self.out.functions[idx],
-                FuncId::from_index(idx),
+                &mut self.out.functions[func.index()],
+                func,
                 &mut self.report.fused,
             );
         }
-        debug_assert_eq!(pdo_ir::verify_module(&self.out), Ok(()));
+        debug_assert_eq!(pdo_ir::verify_module(self.out), Ok(()));
         for e in &mut self.report.events {
             e.instrs_optimized = self.out.function(e.func).instr_count();
         }
     }
 
-    /// Emits the compiled chains for every built event.
-    fn chains(&self) -> Vec<CompiledChain> {
-        let mut chains = Vec::new();
-        for (&event, built) in &self.memo {
-            let Some(built) = built else { continue };
-            let mut guard_events: Vec<EventId> = vec![event];
-            guard_events.extend(built.subsumed.iter().copied());
-            chains.push(CompiledChain {
-                head: event,
-                guards: guard_events
-                    .into_iter()
-                    .map(|e| Guard::capture(self.registry, e))
-                    .collect(),
-                func: built.func,
-                params: built.params,
-            });
-        }
-        chains
+    /// The compiled chain headed by `event`, if it was built.
+    fn chain(&self, event: EventId) -> Option<CompiledChain> {
+        let built = self.memo.get(&event)?.as_ref()?;
+        let guarded = std::iter::once(event).chain(built.subsumed.iter().copied());
+        Some(CompiledChain {
+            head: event,
+            guards: guarded.map(|e| Guard::capture(self.registry, e)).collect(),
+            func: built.func,
+            params: built.params,
+        })
     }
 }
 

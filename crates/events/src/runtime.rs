@@ -307,19 +307,29 @@ impl Runtime {
         Arc::clone(&self.module)
     }
 
-    /// Hot-swaps the executing module for an *extension* of the current one
-    /// (same function/global/event ids for existing entities, new ones
-    /// appended — exactly what the optimizer produces). Existing bindings,
-    /// globals, natives, queues, and the clock are preserved; native slots
-    /// and globals added by the new module get fresh empty/initial slots,
-    /// and reserved natives are re-resolved by name.
-    ///
-    /// Remove any installed chains that reference functions only present in
-    /// the *old* extension before swapping; the online adaptation loop does
-    /// this before installing the chains of the new optimization.
+    /// Swaps the executing module for an *extension* of the current one
+    /// (existing ids keep their meaning; what the optimizer produces),
+    /// with the fix-ups of [`Runtime::edit_module`]. Remove first any
+    /// installed chain naming a function the new module lacks.
     pub fn replace_module(&mut self, module: impl Into<Arc<Module>>) {
-        let module = module.into();
-        self.reserved = ReservedNatives::resolve(&module);
+        self.module = module.into();
+        self.fit_module();
+    }
+
+    /// Edits the executing module in place (unshared first if another
+    /// handle holds it) against the live bindings. Ids in use must keep
+    /// their meaning; globals and native slots the edit appends start
+    /// initialized and empty, and reserved natives are resolved anew.
+    pub fn edit_module<R>(&mut self, edit: impl FnOnce(&mut Module, &Registry) -> R) -> R {
+        let out = edit(Arc::make_mut(&mut self.module), &self.registry);
+        self.fit_module();
+        out
+    }
+
+    /// Fits the per-module state to the module now executing.
+    fn fit_module(&mut self) {
+        let module = &self.module;
+        self.reserved = ReservedNatives::resolve(module);
         if self.natives.len() < module.natives.len() {
             self.natives.resize_with(module.natives.len(), || None);
         }
@@ -328,14 +338,13 @@ impl Runtime {
             self.globals.push(module.globals[idx].init.clone());
             self.lock_words.push(AtomicU64::new(0));
         }
-        self.module = module;
     }
 
     /// Installs an epoch hook: inside [`Runtime::run_until`] (and on
     /// [`Runtime::advance_clock`]), whenever the virtual clock crosses a
     /// multiple of `epoch_ns`, `hook` runs *between* dispatches with full
     /// mutable access to the runtime. This is how background work — the
-    /// adaptive engine's re-profiling, quarantine and chain hot-swaps — is
+    /// adaptive engine's re-profiling, quarantine and chain installs — is
     /// driven without any caller-side loop. Crossing several boundaries in one
     /// step fires the hook once, with the first boundary crossed.
     ///
@@ -361,27 +370,23 @@ impl Runtime {
     }
 
     /// Fires the epoch hook if the clock has crossed the next boundary.
-    /// Returns true when the hook ran (the hook may have hot-swapped the
-    /// module, so cached module handles must be refreshed).
-    fn poll_epoch(&mut self) -> bool {
+    /// A caller holding a handle on the module lets go of it first, so an
+    /// edit the hook makes happens in place.
+    fn poll_epoch(&mut self) {
         let Some(epoch) = self.epoch_ns else {
-            return false;
+            return;
         };
         if self.clock.now_ns() < self.next_epoch_ns || self.epoch_hook.is_none() {
-            return false;
+            return;
         }
         let boundary = self.next_epoch_ns;
         self.next_epoch_ns = (self.clock.now_ns() / epoch + 1).saturating_mul(epoch);
-        match self.epoch_hook.take() {
-            Some(mut hook) => {
-                hook(self, boundary);
-                // Keep the hook unless it replaced or cleared itself.
-                if self.epoch_hook.is_none() && self.epoch_ns.is_some() {
-                    self.epoch_hook = Some(hook);
-                }
-                true
+        if let Some(mut hook) = self.epoch_hook.take() {
+            hook(self, boundary);
+            // Keep the hook unless it replaced or cleared itself.
+            if self.epoch_hook.is_none() && self.epoch_ns.is_some() {
+                self.epoch_hook = Some(hook);
             }
-            None => false,
         }
     }
 
@@ -1077,40 +1082,35 @@ impl Runtime {
         let mut module = self.module_arc();
         let mut steps = 0u64;
         loop {
-            if self.sched.queued_len() > 0 {
-                if steps >= self.config.max_steps {
-                    return Err(RuntimeError::StepLimit);
-                }
-                let p = self.sched.pop_async().expect("queue non-empty");
-                self.sinks.popped(p.trace, DispatchSrc::Queue);
-                let dispatched = self.dispatch_now(&module, p.event, &p.args);
-                self.sched.recycle_args(p.args);
-                dispatched?;
-                steps += 1;
-                if self.poll_epoch() {
-                    // The hook may have hot-swapped the module.
-                    module = self.module_arc();
-                }
-                continue;
-            }
             if steps >= self.config.max_steps {
                 return match self.sched.next_deadline() {
+                    _ if self.sched.queued_len() > 0 => Err(RuntimeError::StepLimit),
                     Some(d) if d <= deadline_ns => Err(RuntimeError::StepLimit),
                     _ => Ok(steps),
                 };
             }
-            // One call per due timer: the earliest timer at or before
-            // `deadline_ns`, then the clock moves to its deadline.
-            let Some(t) = self.sched.pop_due_timer(deadline_ns) else {
-                return Ok(steps);
+            let (event, args, trace, src) = match self.sched.pop_async() {
+                Some(p) => (p.event, p.args, p.trace, DispatchSrc::Queue),
+                // One call per due timer: the earliest timer at or before
+                // `deadline_ns`, then the clock moves to its deadline.
+                None => match self.sched.pop_due_timer(deadline_ns) {
+                    Some(t) => {
+                        self.clock.advance_to(t.deadline_ns);
+                        (t.event, t.args, t.trace, DispatchSrc::Timer)
+                    }
+                    None => return Ok(steps),
+                },
             };
-            self.clock.advance_to(t.deadline_ns);
-            self.sinks.popped(t.trace, DispatchSrc::Timer);
-            let dispatched = self.dispatch_now(&module, t.event, &t.args);
-            self.sched.recycle_args(t.args);
+            self.sinks.popped(trace, src);
+            let dispatched = self.dispatch_now(&module, event, &args);
+            self.sched.recycle_args(args);
             dispatched?;
             steps += 1;
-            if self.poll_epoch() {
+            if self.clock.now_ns() >= self.next_epoch_ns {
+                // Let go of the module while the hook runs, so an edit it
+                // makes happens in place.
+                drop(module);
+                self.poll_epoch();
                 module = self.module_arc();
             }
         }

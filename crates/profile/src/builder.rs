@@ -19,7 +19,6 @@
 
 use crate::graph::EventGraph;
 use crate::handlers::{HandlerGraph, SuperHandler, SuperHandlers};
-use crate::Profile;
 use pdo_events::ProfileTally;
 use pdo_ir::{EventId, FuncId};
 
@@ -136,15 +135,6 @@ impl ProfileBuilder {
         std::mem::take(&mut self.fresh)
     }
 
-    /// A [`Profile`] snapshot of the current accumulators at `threshold`.
-    pub fn snapshot(&self, threshold: u64) -> Profile {
-        Profile {
-            event_graph: self.event_graph.clone(),
-            handler_graph: self.handler_graph.clone(),
-            threshold,
-        }
-    }
-
     /// The accumulated event graph (reporting/tests).
     pub fn event_graph(&self) -> &EventGraph {
         &self.event_graph
@@ -174,6 +164,7 @@ mod tests {
     use super::*;
     use crate::graph::EdgeData;
     use crate::handlers::{HandlerSeq, NestedRaise, SuperHandler};
+    use crate::Profile;
     use pdo_events::{Trace, TraceRecord};
     use pdo_ir::RaiseMode;
 
@@ -241,9 +232,8 @@ mod tests {
         for chunk in records.chunks(12) {
             b.observe(&ProfileTally::replay(chunk), &SuperHandlers::none());
         }
-        let windowed = b.snapshot(5);
-        assert_eq!(windowed.event_graph, offline.event_graph);
-        assert_eq!(windowed.handler_graph, offline.handler_graph);
+        assert_eq!(b.event_graph(), &offline.event_graph);
+        assert_eq!(b.handler_graph(), &offline.handler_graph);
     }
 
     /// Event 0 runs [1, 2]; handler 1 raises event 3, which runs [4]. The
@@ -452,11 +442,14 @@ mod tests {
         b.observe(&window, &SuperHandlers::none());
         assert_eq!(a, b);
         assert_eq!(a.fresh_events(), b.fresh_events());
-        assert_eq!(a.snapshot(1).reduced().nodes, b.snapshot(1).reduced().nodes);
+        assert_eq!(
+            a.event_graph().reduce(1).nodes,
+            b.event_graph().reduce(1).nodes
+        );
     }
 
     #[test]
-    fn snapshot_reduces_at_threshold() {
+    fn accumulated_graph_reduces_at_threshold() {
         let mut b = ProfileBuilder::new();
         let mut records = Vec::new();
         for _ in 0..12 {
@@ -465,8 +458,7 @@ mod tests {
         }
         records.push(raise(2));
         b.observe(&ProfileTally::replay(&records), &SuperHandlers::none());
-        let p = b.snapshot(10);
-        let r = p.reduced();
+        let r = b.event_graph().reduce(10);
         assert!(r.edges.contains_key(&(EventId(0), EventId(1))));
         assert!(!r.nodes.contains_key(&EventId(2)));
     }

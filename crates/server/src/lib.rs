@@ -20,10 +20,10 @@
 //!   virtual-clock epoch boundaries *inside* `Runtime::run_until`,
 //!   re-profiles when enough fresh events accumulate (or a chain held
 //!   out of the runtime can no longer return because its bindings
-//!   changed), and — only when what is hot or what is bound changed — hot-swaps
-//!   compiled chains under binding-content guards, with no caller
-//!   involvement anywhere. Repeated workload phases are served from the
-//!   engine's `ChainCache` instead of re-running `optimize`.
+//!   changed), and — only when what is hot or what is bound changed —
+//!   installs and drops the compiled chains whose keys changed, under
+//!   binding-content guards, with no caller involvement anywhere. A
+//!   chain built before for the same key is reinstalled, not rebuilt.
 //! - Protocol endpoints ([`CtpEndpoint`], SecComm [`Endpoint`]) are
 //!   constructed *through* the server, so protocol sessions are
 //!   server-resident and adapt exactly like plain ones.

@@ -3,8 +3,9 @@
 //!
 //! A seeded stream of raises over 2–4 events (the hot one raises a child
 //! synchronously from its middle handler), rebinds that cycle the hot
-//! event through three configurations — and rebinds that take a handler
-//! off and put the very same binding back — and epoch advances runs twice
+//! event through three configurations and the child through two — and
+//! rebinds that take a handler off and put the very same binding back —
+//! and epoch advances runs twice
 //! under the same fault plan: on a runtime with an [`AdaptiveEngine`]
 //! attached, which specializes, sees its guards fail, forgets, replans and
 //! replays from its cache as the bindings move, and on a bare runtime that
@@ -39,8 +40,8 @@ const EPOCH_NS: u64 = 1_000;
 const OPS: usize = 400;
 
 /// The program: `Hot` runs `[stat, mid, tail]`, where `mid` is one of two
-/// handlers that both raise `Child` synchronously, or absent; `Child` and
-/// the side events run one handler each.
+/// handlers that both raise `Child` synchronously, or absent; `Child` runs
+/// one of `children`, and the side events one handler each.
 struct Program {
     module: Module,
     /// `[Hot, Child, Side1, Side2]`.
@@ -48,7 +49,8 @@ struct Program {
     stat: FuncId,
     mids: [FuncId; 2],
     tail: FuncId,
-    singles: [FuncId; 3],
+    children: [FuncId; 2],
+    sides: [FuncId; 2],
 }
 
 const MID_ORDER: i32 = 10;
@@ -87,8 +89,11 @@ fn program() -> Program {
         mix(&mut m, "mid_b", 3, sum, Some(events[1])),
     ];
     let tail = mix(&mut m, "tail", 4, log, None);
-    let singles = [
-        mix(&mut m, "child", 5, sum, None),
+    let children = [
+        mix(&mut m, "child_a", 5, sum, None),
+        mix(&mut m, "child_b", 8, log, None),
+    ];
+    let sides = [
         mix(&mut m, "side1", 6, log, None),
         mix(&mut m, "side2", 7, sum, None),
     ];
@@ -98,7 +103,8 @@ fn program() -> Program {
         stat,
         mids,
         tail,
-        singles,
+        children,
+        sides,
     }
 }
 
@@ -109,6 +115,9 @@ enum Op {
     Raise(usize, i64, Option<u64>),
     /// Bind the hot event's middle handler `Some(0 | 1)`, or none.
     Rebind(Option<usize>),
+    /// Swap `Child`'s handler for the other one: the subsumed child's
+    /// binding list changes under the hot event's chain.
+    RebindChild,
     /// Take `tail` off and put the same binding back.
     SameContent,
     /// Run to the next epoch boundary.
@@ -135,8 +144,9 @@ fn case(p: &Program, s: &mut Seeded) -> Case {
                 2 => None,
                 k => Some(k as usize),
             }),
-            3..=4 => Op::SameContent,
-            5..=19 => Op::Epoch,
+            3..=4 => Op::RebindChild,
+            5..=6 => Op::SameContent,
+            7..=21 => Op::Epoch,
             r => {
                 let event = if r < 80 {
                     0
@@ -164,7 +174,8 @@ fn run(
     rt.bind(hot, p.stat, 0).expect("bind");
     rt.bind(hot, p.mids[0], MID_ORDER).expect("bind");
     rt.bind(hot, p.tail, TAIL_ORDER).expect("bind");
-    for (&event, &handler) in p.events[1..].iter().zip(&p.singles) {
+    rt.bind(p.events[1], p.children[0], 0).expect("bind");
+    for (&event, &handler) in p.events[2..].iter().zip(&p.sides) {
         rt.bind(event, handler, 0).expect("bind");
     }
     let config = adapt_config(EPOCH_NS, 8, 6);
@@ -185,16 +196,17 @@ fn run(
             let mut live = ProfileBuilder::new();
             let tally = rt.profile_tally().expect("the engine counts the profile");
             live.observe(tally, &SuperHandlers::none());
+            let replayed = Profile::from_trace(&window, 0);
             assert_eq!(
-                live.snapshot(0),
-                Profile::from_trace(&window, 0),
+                (live.event_graph(), live.handler_graph()),
+                (&replayed.event_graph, &replayed.handler_graph),
                 "the live tally differs from the epoch's records"
             );
             daemon.borrow_mut().on_epoch(rt);
         });
     }
 
-    let mut mid = Some(0);
+    let (mut mid, mut child) = (Some(0), 0);
     for &op in &case.stream {
         match op {
             Op::Raise(event, arg, None) => rt
@@ -215,6 +227,11 @@ fn run(
                     rt.bind(hot, p.mids[k], MID_ORDER).expect("bind");
                 }
                 mid = to;
+            }
+            Op::RebindChild => {
+                assert!(rt.unbind(p.events[1], p.children[child]));
+                child = 1 - child;
+                rt.bind(p.events[1], p.children[child], 0).expect("bind");
             }
             Op::SameContent => {
                 assert!(rt.unbind(hot, p.tail));
