@@ -254,14 +254,24 @@ impl ChainStore {
                 .copied()
                 .collect(),
         };
+        let (funcs, fused) = (builder.made, builder.report.fused);
+        // A chain stays cached long after its build: give back the
+        // capacity the passes left in its functions.
+        for &func in &funcs {
+            let f = &mut module.functions[func.index()];
+            for block in &mut f.blocks {
+                block.instrs.shrink_to_fit();
+            }
+            f.blocks.shrink_to_fit();
+        }
         self.supers.deployed.push(Built {
             key: Some(key),
             chain,
             merged,
-            funcs: builder.made,
+            funcs,
             wanted: true,
         });
-        Some(builder.report.fused)
+        Some(fused)
     }
 
     /// Lets go of the cached chains no plan is served from, then of the
@@ -1177,7 +1187,7 @@ mod tests {
             AdaptiveEngine::attach(Rc::clone(&engine), &mut rt);
             if fast {
                 let (_, built) = opt_for(&rt, &m, a);
-                rt.replace_module(built.module.clone());
+                rt.edit_module(|module, _| *module = built.module.clone());
                 built.install_chains(&mut rt);
             }
             // Ten raises an epoch, so `A` is still hot at the end.

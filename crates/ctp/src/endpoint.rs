@@ -500,11 +500,6 @@ impl CtpEndpoint {
         out
     }
 
-    /// Number of wire transmissions (including retransmissions).
-    pub fn wire_count(&self) -> usize {
-        self.state.borrow().wire.len()
-    }
-
     /// Current virtual time of the session clock.
     pub fn clock_ns(&self) -> u64 {
         self.rt.clock_ns()
@@ -690,7 +685,7 @@ mod tests {
         e.send(&[7u8; 100]).unwrap();
         let stats = e.stats();
         assert_eq!(stats.segments_sent, 1);
-        assert_eq!(e.wire_count(), 1);
+        assert_eq!(e.state.borrow().wire.len(), 1);
         assert_eq!(e.wire_payload(), vec![7u8; 100]);
     }
 
@@ -732,7 +727,7 @@ mod tests {
         let stats = e.stats();
         assert_eq!(stats.retransmissions, 1);
         assert_eq!(stats.segments_acked, 1);
-        assert_eq!(e.wire_count(), 2);
+        assert_eq!(e.state.borrow().wire.len(), 2);
     }
 
     #[test]
@@ -1134,7 +1129,7 @@ mod tests {
         assert_eq!(stats.link_dropped, 0);
         assert_eq!(
             stats.rx_corrupt_dropped,
-            e.wire_count() as u64,
+            e.state.borrow().wire.len() as u64,
             "every copy was rejected by the parity check"
         );
         assert_eq!(stats.rx_delivered, 0);

@@ -28,13 +28,6 @@ struct EventEntry {
     version: u64,
 }
 
-/// Events below this id keep a copy of their binding version in
-/// [`Registry`]'s dense index. Ids index `Module::events`, so every event a
-/// module declares is far below it; an id above it can only be minted by
-/// `__pdo_bind` with a made-up argument, and is answered from the map
-/// rather than by growing a vector to reach it.
-const DENSE_EVENTS: usize = 1 << 12;
-
 /// The registry mapping events to ordered handler lists.
 ///
 /// Implemented as a hash map keyed by event — the "shared data structure
@@ -42,11 +35,15 @@ const DENSE_EVENTS: usize = 1 << 12;
 /// genuine lookup cost. Beside it sits a dense copy of the binding
 /// versions, indexed by event id: a guard check on the fast lane, whose
 /// whole point is to skip the table, reads one vector element.
+///
+/// Only the runtime mutates a registry, and it binds declared events only
+/// (`Runtime::bind` and `__pdo_bind` both refuse other ids), so the dense
+/// copy never grows past the module's event count.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     entries: HashMap<EventId, EventEntry>,
-    /// `entries[e].version` for every `e` below [`DENSE_EVENTS`] that was
-    /// ever mutated (0, like the map, for the rest).
+    /// `entries[e].version` for every event up to the highest one ever
+    /// mutated (0, like the map, for the rest).
     versions: Vec<u64>,
 }
 
@@ -61,17 +58,15 @@ impl Registry {
     fn bump(versions: &mut Vec<u64>, event: EventId, entry: &mut EventEntry) {
         entry.version += 1;
         let i = event.index();
-        if i < DENSE_EVENTS {
-            if versions.len() <= i {
-                versions.resize(i + 1, 0);
-            }
-            versions[i] = entry.version;
+        if versions.len() <= i {
+            versions.resize(i + 1, 0);
         }
+        versions[i] = entry.version;
     }
 
     /// Binds `handler` to `event` with the given order key and bumps the
     /// event's binding version.
-    pub fn bind(&mut self, event: EventId, handler: FuncId, order: i32) {
+    pub(crate) fn bind(&mut self, event: EventId, handler: FuncId, order: i32) {
         let entry = self.entries.entry(event).or_default();
         let binding = Binding { handler, order };
         // Stable insertion: after the last binding with order <= new order.
@@ -93,7 +88,7 @@ impl Registry {
 
     /// Removes the first binding of `handler` to `event`. Returns `true`
     /// if a binding was removed (and the version bumped).
-    pub fn unbind(&mut self, event: EventId, handler: FuncId) -> bool {
+    pub(crate) fn unbind(&mut self, event: EventId, handler: FuncId) -> bool {
         let Some(entry) = self.entries.get_mut(&event) else {
             return false;
         };
@@ -104,16 +99,6 @@ impl Registry {
         entry.bindings = before.iter().chain(&after[1..]).copied().collect();
         Self::bump(&mut self.versions, event, entry);
         true
-    }
-
-    /// Removes every binding for `event`.
-    pub fn unbind_all(&mut self, event: EventId) {
-        if let Some(entry) = self.entries.get_mut(&event) {
-            if !entry.bindings.is_empty() {
-                entry.bindings = Arc::default();
-                Self::bump(&mut self.versions, event, entry);
-            }
-        }
     }
 
     /// The current binding list for `event`, in execution order. An event
@@ -129,12 +114,7 @@ impl Registry {
     /// The event's binding version. Events never bound have version 0.
     #[inline]
     pub fn version(&self, event: EventId) -> u64 {
-        let i = event.index();
-        if i < DENSE_EVENTS {
-            self.versions.get(i).copied().unwrap_or(0)
-        } else {
-            self.entries.get(&event).map_or(0, |e| e.version)
-        }
+        self.versions.get(event.index()).copied().unwrap_or(0)
     }
 
     /// The binding list as it stands now, as generic dispatch must hold it
@@ -145,14 +125,6 @@ impl Registry {
             .get(&event)
             .map(|e| Arc::clone(&e.bindings))
             .unwrap_or_default()
-    }
-
-    /// Number of events with at least one binding.
-    pub fn bound_event_count(&self) -> usize {
-        self.entries
-            .values()
-            .filter(|e| !e.bindings.is_empty())
-            .count()
     }
 }
 
@@ -194,44 +166,31 @@ mod tests {
         assert_eq!(r.version(E), 3);
         assert!(!r.unbind(E, FuncId(1)));
         assert_eq!(r.version(E), 3);
-        r.unbind_all(E);
-        assert_eq!(r.version(E), 4);
-        r.unbind_all(E); // already empty: no bump
-        assert_eq!(r.version(E), 4);
     }
 
     #[test]
-    fn dense_versions_agree_with_the_map_at_both_ends_of_the_id_range() {
+    fn dense_versions_agree_with_the_map() {
         let mut r = Registry::new();
-        let ends = [
-            EventId(0),
-            EventId(DENSE_EVENTS as u32 - 1),
-            EventId(DENSE_EVENTS as u32),
-            EventId(u32::MAX),
-        ];
+        let events = [EventId(0), EventId(3), EventId(7)];
         let check = |r: &Registry, want: u64| {
-            for e in ends {
+            for e in events {
                 assert_eq!(r.version(e), want, "{e}");
                 assert_eq!(r.entries.get(&e).map_or(0, |x| x.version), want, "{e}");
             }
         };
         check(&r, 0);
-        for (step, e) in ends.iter().enumerate() {
+        for (step, e) in events.iter().enumerate() {
             r.bind(*e, FuncId(step as u32), 0);
         }
         check(&r, 1);
-        for e in ends {
+        for e in events {
             r.bind(e, FuncId(9), 1);
             assert!(r.unbind(e, FuncId(9)));
             assert!(!r.unbind(e, FuncId(9)));
         }
         check(&r, 3);
-        for e in ends {
-            r.unbind_all(e);
-            r.unbind_all(e);
-        }
-        check(&r, 4);
-        assert!(r.versions.len() <= DENSE_EVENTS, "the index stays bounded");
+        assert_eq!(r.versions.len(), 8, "the index reaches the highest event");
+        assert_eq!(r.version(EventId(5)), 0, "untouched in between");
     }
 
     #[test]
@@ -249,7 +208,6 @@ mod tests {
         r.bind(EventId(1), h, 0);
         assert_eq!(r.bindings(EventId(0)).len(), 1);
         assert_eq!(r.bindings(EventId(1)).len(), 1);
-        assert_eq!(r.bound_event_count(), 2);
     }
 
     #[test]

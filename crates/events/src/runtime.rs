@@ -307,15 +307,6 @@ impl Runtime {
         Arc::clone(&self.module)
     }
 
-    /// Swaps the executing module for an *extension* of the current one
-    /// (existing ids keep their meaning; what the optimizer produces),
-    /// with the fix-ups of [`Runtime::edit_module`]. Remove first any
-    /// installed chain naming a function the new module lacks.
-    pub fn replace_module(&mut self, module: impl Into<Arc<Module>>) {
-        self.module = module.into();
-        self.fit_module();
-    }
-
     /// Edits the executing module in place (unshared first if another
     /// handle holds it) against the live bindings. Ids in use must keep
     /// their meaning; globals and native slots the edit appends start
@@ -355,13 +346,6 @@ impl Runtime {
         self.epoch_ns = Some(epoch);
         self.next_epoch_ns = (self.clock.now_ns() / epoch + 1).saturating_mul(epoch);
         self.epoch_hook = Some(Box::new(hook));
-    }
-
-    /// Removes the epoch hook, returning whether one was installed.
-    pub fn clear_epoch_hook(&mut self) -> bool {
-        self.epoch_ns = None;
-        self.next_epoch_ns = u64::MAX;
-        self.epoch_hook.take().is_some()
     }
 
     /// The configured epoch length, if an epoch hook is installed.
@@ -494,7 +478,7 @@ impl Runtime {
     /// Attaches a causal trace store (see `pdo-obs::trace`, DESIGN.md
     /// §16): every raise, dispatch, timer fire, guard miss, fault, and
     /// despecialization records a span with a parent edge. A raise with
-    /// no ambient or caller-supplied context mints a fresh [`TraceId`] —
+    /// no ambient or caller-supplied context mints a fresh [`TraceId`](pdo_obs::TraceId) —
     /// it is an external stimulus and becomes the trace root. The same
     /// store may be shared with the adaptive engine and the server that
     /// owns this runtime; it is a cheap `Rc` handle. Detached (the
@@ -739,24 +723,6 @@ impl Runtime {
         let r = self.raise_inner(&module, event, mode, args);
         self.sinks.restore_ctx(displaced);
         r
-    }
-
-    /// Raises an event looked up by name.
-    ///
-    /// # Errors
-    ///
-    /// As [`Runtime::raise`], plus [`RuntimeError::UnknownName`].
-    pub fn raise_by_name(
-        &mut self,
-        name: &str,
-        mode: RaiseMode,
-        args: &[Value],
-    ) -> Result<(), RuntimeError> {
-        let event = self
-            .module
-            .event_by_name(name)
-            .ok_or_else(|| RuntimeError::UnknownName(name.to_string()))?;
-        self.raise(event, mode, args)
     }
 
     fn raise_inner(
@@ -1126,10 +1092,12 @@ impl Runtime {
         match kind {
             NativeKind::User => unreachable!("user natives are called through their slot"),
             NativeKind::Bind => {
-                let (e, f, o) = (arg_int(0)?, arg_int(1)?, arg_int(2)?);
-                self.registry
-                    .bind(EventId(e as u32), FuncId(f as u32), o as i32);
-                Ok(Value::Unit)
+                // An id past `u32` is as unknown as one past the module.
+                let id = |i: usize| arg_int(i).map(|v| u32::try_from(v).unwrap_or(u32::MAX));
+                let (e, f, o) = (id(0)?, id(1)?, arg_int(2)?);
+                self.bind(EventId(e), FuncId(f), o as i32)
+                    .map(|()| Value::Unit)
+                    .map_err(|err| ExecError::Native(format!("{}: {err}", Runtime::NATIVE_BIND)))
             }
             NativeKind::Unbind => {
                 let (e, f) = (arg_int(0)?, arg_int(1)?);
@@ -1684,7 +1652,7 @@ mod tests {
     #[test]
     fn guard_tables_follow_rebinds() {
         // Five events; the ones at the two ends of the module's id range are
-        // rebound every way there is, and so is an id no module declares.
+        // rebound every way there is. An id the module lacks is refused.
         let mut m = Module::new();
         let events: Vec<EventId> = (0..5).map(|i| m.add_event(format!("E{i}"))).collect();
         let (first, last) = (events[0], events[4]);
@@ -1713,18 +1681,15 @@ mod tests {
 
         let mut rt = Runtime::new(m);
         let module = rt.module_arc();
-        let foreign = EventId(u32::MAX);
         let mut model = std::collections::BTreeMap::new();
-        for e in [first, last, foreign] {
+        for e in [first, last] {
             let id = [Value::Int(i64::from(e.0))];
             let mut mutations = 0u64;
             assert_eq!(rt.registry().version(e), 0);
-            if e != foreign {
-                rt.bind(e, bump, 0).unwrap();
-                assert!(rt.unbind(e, bump));
-                assert!(!rt.unbind(e, bump));
-                mutations += 2;
-            }
+            rt.bind(e, bump, 0).unwrap();
+            assert!(rt.unbind(e, bump));
+            assert!(!rt.unbind(e, bump));
+            mutations += 2;
             call(&module, &mut rt, rebind, &id).unwrap();
             call(&module, &mut rt, rebind, &id).unwrap();
             assert_eq!(call(&module, &mut rt, unbind, &id), Ok(Value::Bool(true)));
@@ -1741,6 +1706,14 @@ mod tests {
             );
         }
         assert_eq!(rt.registry().version(events[2]), 0, "untouched in between");
+        for foreign in [i64::from(u32::MAX), 5, -1, 1 << 40] {
+            let refused = call(&module, &mut rt, rebind, &[Value::Int(foreign)]);
+            assert!(
+                matches!(refused, Err(ExecError::Native(_))),
+                "{foreign}: {refused:?}"
+            );
+        }
+        assert_eq!(rt.registry().version(EventId(5)), 0);
 
         // A chain for the highest event id is found and taken, at both ends.
         for e in [last, first] {
@@ -1843,20 +1816,6 @@ mod tests {
         call(&module, &mut rt, f, &[]).unwrap();
         assert_eq!(rt.cost.lock_ops, 2);
         assert_eq!(rt.global(g), &Value::Int(1));
-    }
-
-    #[test]
-    fn raise_by_name_and_errors() {
-        let (m, e, g, h1, _) = two_handler_module();
-        let mut rt = Runtime::new(m);
-        rt.bind(e, h1, 0).unwrap();
-        rt.raise_by_name("E", RaiseMode::Sync, &[Value::Unit])
-            .unwrap();
-        assert_eq!(rt.global(g), &Value::Int(1));
-        assert!(matches!(
-            rt.raise_by_name("Nope", RaiseMode::Sync, &[]),
-            Err(RuntimeError::UnknownName(_))
-        ));
     }
 
     use crate::fault::{FaultInjector, FaultKind, FaultPolicy, FaultSpec};
@@ -2164,22 +2123,17 @@ mod tests {
         assert_eq!(*fired.borrow(), vec![1_000]);
         rt.advance_clock(1_000); // now 3500, crosses the re-armed 3000 boundary
         assert_eq!(*fired.borrow(), vec![1_000, 3_000]);
-        assert!(rt.clear_epoch_hook());
-        rt.advance_clock(10_000);
-        assert_eq!(fired.borrow().len(), 2);
     }
 
     #[test]
-    fn replace_module_keeps_state_and_extends_globals() {
+    fn edit_module_keeps_state_and_extends_globals() {
         let (m, e, g, h1, _) = two_handler_module();
         let mut rt = Runtime::new(m.clone());
         rt.bind(e, h1, 0).unwrap();
         rt.raise(e, RaiseMode::Sync, &[Value::Unit]).unwrap();
         assert_eq!(rt.global(g), &Value::Int(1));
-        // Extend the module (as the optimizer does) and hot-swap it in.
-        let mut m2 = m;
-        let g2 = m2.add_global("extra", Value::Int(99));
-        rt.replace_module(m2);
+        // Extend the module in place, as the optimizer does.
+        let g2 = rt.edit_module(|m, _| m.add_global("extra", Value::Int(99)));
         assert_eq!(rt.global(g), &Value::Int(1)); // existing state preserved
         assert_eq!(rt.global(g2), &Value::Int(99)); // new global initialized
         rt.raise(e, RaiseMode::Sync, &[Value::Unit]).unwrap();

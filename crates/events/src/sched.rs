@@ -2,7 +2,7 @@
 //!
 //! The runtime executes against a deterministic virtual clock: asynchronous
 //! raises join a FIFO queue, timed raises join a hierarchical timer wheel
-//! ([`wheel`]), and [`crate::Runtime::run_until_idle`] drains both,
+//! (module `wheel`), and [`crate::Runtime::run_until_idle`] drains both,
 //! advancing the clock to the next deadline when the FIFO is empty (paper
 //! §2.2: timed events "are activated at a specified time or after a
 //! specified delay").
@@ -149,7 +149,7 @@ const SPARE_ARG_LISTS: usize = 16;
 ///
 /// Timers pop earliest deadline first and, among equal deadlines, in
 /// arming order. They live in a hierarchical timing wheel anchored at the
-/// last popped deadline ([`wheel`]): arming is O(1), and popping re-links a
+/// last popped deadline (module `wheel`): arming is O(1), and popping re-links a
 /// timer at most once per level on its way down. The wheel is allocated
 /// with the first armed timer, so a scheduler that never arms one holds
 /// none of it.

@@ -145,7 +145,7 @@ impl Client {
     /// # Errors
     ///
     /// Transport errors, plus [`IngressError::Closed`] mapped from
-    /// non-`Opened` replies via [`unexpected`].
+    /// non-`Opened` replies via `unexpected`.
     pub fn open(&mut self, kind: OpenKind) -> Result<u64, IngressError> {
         match self.request(&Request::Open(kind))? {
             Reply::Opened { session } => Ok(session),
@@ -178,7 +178,7 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Transport errors; non-`Stats` replies via [`unexpected`].
+    /// Transport errors; non-`Stats` replies via `unexpected`.
     pub fn query(&mut self, session: u64) -> Result<SessionStats, IngressError> {
         match self.request(&Request::Query { session })? {
             Reply::Stats(s) => Ok(s),
@@ -190,7 +190,7 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Transport errors; non-`Closed` replies via [`unexpected`].
+    /// Transport errors; non-`Closed` replies via `unexpected`.
     pub fn close(&mut self, session: u64) -> Result<bool, IngressError> {
         match self.request(&Request::Close { session })? {
             Reply::Closed { existed } => Ok(existed),
@@ -204,7 +204,7 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Transport errors; non-`MetricsText` replies via [`unexpected`].
+    /// Transport errors; non-`MetricsText` replies via `unexpected`.
     pub fn scrape_metrics(&mut self) -> Result<String, IngressError> {
         match self.request(&Request::MetricsScrape)? {
             Reply::MetricsText { text } => Ok(text),
@@ -217,7 +217,7 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Transport errors; non-`Trace` replies via [`unexpected`] —
+    /// Transport errors; non-`Trace` replies via `unexpected` —
     /// including the typed `Error` for an over-frame-limit Chrome dump.
     pub fn trace_dump(
         &mut self,

@@ -10,7 +10,7 @@
 //!   replies. Corrupt input is always a typed [`IngressError`], never a
 //!   panic, and the error's classification decides whether the
 //!   connection survives.
-//! - **One sweep** ([`net`], [`Ingress::drive`]): on the thread that
+//! - **One sweep** (module `net`, [`Ingress::drive`]): on the thread that
 //!   owns the `!Send` [`Server`], accept TCP and Unix-socket
 //!   connections, read each, reassemble and decode frames, admit, run
 //!   the admitted commands in arrival order, and write the replies back.

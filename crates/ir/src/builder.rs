@@ -100,11 +100,6 @@ impl FunctionBuilder {
         self.const_value(Value::Int(v))
     }
 
-    /// Shorthand for a boolean constant.
-    pub fn const_bool(&mut self, v: bool) -> Reg {
-        self.const_value(Value::Bool(v))
-    }
-
     /// `dst = src`; returns `dst`.
     pub fn mov(&mut self, src: Reg) -> Reg {
         let dst = self.new_reg();

@@ -66,16 +66,6 @@ impl CostCounter {
             + 4 * self.raises_sync
             + 4 * self.raises_async
     }
-
-    /// Overhead attributable purely to event plumbing (everything except
-    /// the instructions of handler bodies themselves).
-    pub fn dispatch_overhead(&self) -> u64 {
-        8 * self.indirect_calls
-            + 6 * self.registry_lookups
-            + 3 * self.marshaled_values
-            + 4 * self.raises_sync
-            + 4 * self.raises_async
-    }
 }
 
 impl Add for CostCounter {
@@ -193,7 +183,6 @@ mod tests {
             ..Default::default()
         };
         assert!(heavy.weighted_total() > lean.weighted_total());
-        assert_eq!(lean.dispatch_overhead(), 0);
     }
 
     #[test]

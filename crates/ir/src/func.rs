@@ -3,7 +3,6 @@
 use crate::ids::{BlockId, EventId, FuncId, GlobalId, NativeId, Reg};
 use crate::instr::{Instr, Terminator};
 use crate::value::Value;
-use std::collections::HashMap;
 
 /// A basic block: straight-line instructions ending in one [`Terminator`].
 #[derive(Debug, Clone, PartialEq)]
@@ -158,11 +157,6 @@ impl Module {
         &self.functions[id.index()]
     }
 
-    /// Returns a mutable reference to the function with `id`.
-    pub fn function_mut(&mut self, id: FuncId) -> &mut Function {
-        &mut self.functions[id.index()]
-    }
-
     /// Looks up a function id by name (linear scan; intended for tests and
     /// program assembly, not hot paths).
     pub fn function_by_name(&self, name: &str) -> Option<FuncId> {
@@ -208,15 +202,6 @@ impl Module {
     /// the paper's `objdump -d program | wc -l` measurement, §4.2).
     pub fn instr_count(&self) -> usize {
         self.functions.iter().map(Function::instr_count).sum()
-    }
-
-    /// A name → id map for all functions, for bulk lookups.
-    pub fn function_index(&self) -> HashMap<&str, FuncId> {
-        self.functions
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (f.name.as_str(), FuncId::from_index(i)))
-            .collect()
     }
 }
 
@@ -299,6 +284,5 @@ mod tests {
             blocks: vec![Block::new(Terminator::Ret(None))],
         });
         assert_eq!(m.function_by_name("handler"), Some(f));
-        assert_eq!(m.function_index().get("handler"), Some(&f));
     }
 }

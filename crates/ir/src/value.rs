@@ -105,14 +105,6 @@ impl Value {
         }
     }
 
-    /// Returns the boolean payload, if this is a [`Value::Bool`].
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Returns a view of the byte payload, if this is a [`Value::Bytes`].
     pub fn as_bytes(&self) -> Option<&[u8]> {
         match self {
@@ -149,13 +141,6 @@ impl Value {
             Value::Bytes(_) => "bytes",
             Value::Str(_) => "str",
         }
-    }
-
-    /// True if the value is "truthy": used by conditional branches.
-    /// Only booleans are accepted as branch conditions; this helper exists
-    /// for diagnostics and tests.
-    pub fn is_truthy(&self) -> bool {
-        matches!(self, Value::Bool(true))
     }
 }
 
@@ -242,7 +227,6 @@ mod tests {
     #[test]
     fn accessors() {
         assert_eq!(Value::Int(5).as_int(), Some(5));
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert_eq!(Value::bytes(vec![1, 2]).as_bytes(), Some(&[1u8, 2][..]));
         assert_eq!(Value::str("hi").as_str(), Some("hi"));
         assert_eq!(Value::Unit.as_int(), None);
@@ -282,12 +266,5 @@ mod tests {
         let v = Value::bytes(vec![0u8; 20]);
         let s = v.to_string();
         assert!(s.contains("..20"), "display was {s}");
-    }
-
-    #[test]
-    fn truthiness() {
-        assert!(Value::Bool(true).is_truthy());
-        assert!(!Value::Bool(false).is_truthy());
-        assert!(!Value::Int(1).is_truthy());
     }
 }

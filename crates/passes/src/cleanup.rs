@@ -2,28 +2,11 @@
 //! same-target branch folding, and straight-line block merging.
 
 use crate::analysis::reachable_blocks;
-use crate::Pass;
-use pdo_ir::{BlockId, Function, Module, Terminator};
+use pdo_ir::{BlockId, Function, Terminator};
 
-/// The CFG cleanup pass.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Cleanup;
-
-impl Pass for Cleanup {
-    fn name(&self) -> &'static str {
-        "cleanup"
-    }
-
-    fn run(&self, module: &mut Module) -> bool {
-        let mut changed = false;
-        for f in &mut module.functions {
-            changed |= cleanup_function(f);
-        }
-        changed
-    }
-}
-
-pub(crate) fn cleanup_function(f: &mut Function) -> bool {
+/// Simplifies `f`'s CFG until no sub-step finds more to do. Returns `true`
+/// if `f` changed.
+pub fn cleanup_function(f: &mut Function) -> bool {
     let mut changed = false;
     // Iterate locally: each sub-step can expose more work for the others.
     loop {
@@ -141,11 +124,13 @@ mod tests {
     use super::*;
     use pdo_ir::interp::{call, BasicEnv};
     use pdo_ir::parse::parse_module;
-    use pdo_ir::{FuncId, Value};
+    use pdo_ir::{FuncId, Module, Value};
 
     fn clean(text: &str) -> Module {
         let mut m = parse_module(text).unwrap();
-        Cleanup.run(&mut m);
+        for f in &mut m.functions {
+            cleanup_function(f);
+        }
         pdo_ir::verify_module(&m).unwrap();
         m
     }

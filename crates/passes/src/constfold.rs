@@ -4,9 +4,9 @@
 //! analysis from [`crate::analysis`]. Foldable pure instructions are
 //! replaced with `const`; algebraic identities with one constant operand
 //! are simplified; branches on constant conditions become jumps (enabling
-//! [`crate::Cleanup`] to drop the dead arm).
+//! [`crate::cleanup`] to drop the dead arm).
 //!
-//! One canonical form for repeated constants, shared with [`crate::Cse`]:
+//! One canonical form for repeated constants, shared with [`crate::cse`]:
 //! the first `const v` of a block materialises, later equal ones are `mov`s
 //! from it. So `rD = mov rS` is left alone exactly when `rS` still holds
 //! what a `const` earlier in the same block put there — folding it would
@@ -17,28 +17,11 @@
 use crate::analysis::{
     const_states, const_transfer, type_states, type_step, ConstState, RegSet, Tag, TyState,
 };
-use crate::Pass;
-use pdo_ir::{BinOp, Function, Instr, Module, Terminator, Value};
+use pdo_ir::{BinOp, Function, Instr, Terminator, Value};
 
-/// The constant-folding pass.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ConstFold;
-
-impl Pass for ConstFold {
-    fn name(&self) -> &'static str {
-        "constfold"
-    }
-
-    fn run(&self, module: &mut Module) -> bool {
-        let mut changed = false;
-        for f in &mut module.functions {
-            changed |= fold_function(f);
-        }
-        changed
-    }
-}
-
-pub(crate) fn fold_function(f: &mut Function) -> bool {
+/// Folds constants, identities and constant branches in `f`. Returns
+/// `true` if `f` changed.
+pub fn fold_function(f: &mut Function) -> bool {
     let in_states = const_states(f);
     let ty_in = type_states(f);
     let mut changed = false;
@@ -176,11 +159,13 @@ mod tests {
     use super::*;
     use pdo_ir::interp::{call, BasicEnv};
     use pdo_ir::parse::parse_module;
-    use pdo_ir::FuncId;
+    use pdo_ir::{FuncId, Module};
 
     fn fold(text: &str) -> Module {
         let mut m = parse_module(text).unwrap();
-        ConstFold.run(&mut m);
+        for f in &mut m.functions {
+            fold_function(f);
+        }
         pdo_ir::verify_module(&m).unwrap();
         m
     }

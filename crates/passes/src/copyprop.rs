@@ -5,28 +5,11 @@
 //! place by `bset`). This mostly cleans up the argument-passing `mov`s that
 //! inlining and handler merging introduce.
 
-use crate::Pass;
-use pdo_ir::{Function, Instr, Module, Reg, Terminator};
+use pdo_ir::{Function, Instr, Reg, Terminator};
 
-/// The copy-propagation pass.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CopyProp;
-
-impl Pass for CopyProp {
-    fn name(&self) -> &'static str {
-        "copyprop"
-    }
-
-    fn run(&self, module: &mut Module) -> bool {
-        let mut changed = false;
-        for f in &mut module.functions {
-            changed |= propagate_function(f);
-        }
-        changed
-    }
-}
-
-pub(crate) fn propagate_function(f: &mut Function) -> bool {
+/// Propagates copies within each of `f`'s blocks. Returns `true` if `f`
+/// changed.
+pub fn propagate_function(f: &mut Function) -> bool {
     let mut changed = false;
     // copy_of[d] = Some(s) means registers d and s currently hold the same
     // value and s is the preferred (older) name; `copies` lists the d that
@@ -113,11 +96,13 @@ mod tests {
     use super::*;
     use pdo_ir::interp::{call, BasicEnv};
     use pdo_ir::parse::parse_module;
-    use pdo_ir::{FuncId, Value};
+    use pdo_ir::{FuncId, Module, Value};
 
     fn prop(text: &str) -> Module {
         let mut m = parse_module(text).unwrap();
-        CopyProp.run(&mut m);
+        for f in &mut m.functions {
+            propagate_function(f);
+        }
         pdo_ir::verify_module(&m).unwrap();
         m
     }

@@ -12,27 +12,8 @@
 //! once merged into a super-handler those repetitions become block-local
 //! common subexpressions.
 
-use crate::Pass;
-use pdo_ir::{BinOp, Function, Instr, Module, Reg, UnOp, Value};
+use pdo_ir::{BinOp, Function, Instr, Reg, UnOp, Value};
 use std::collections::HashMap;
-
-/// The local CSE pass.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Cse;
-
-impl Pass for Cse {
-    fn name(&self) -> &'static str {
-        "cse"
-    }
-
-    fn run(&self, module: &mut Module) -> bool {
-        let mut changed = false;
-        for f in &mut module.functions {
-            changed |= cse_function(f);
-        }
-        changed
-    }
-}
 
 /// A canonical key for a pure expression over registers.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -86,7 +67,9 @@ impl ExprKey {
     }
 }
 
-pub(crate) fn cse_function(f: &mut Function) -> bool {
+/// Eliminates common subexpressions within each of `f`'s blocks. Returns
+/// `true` if `f` changed.
+pub fn cse_function(f: &mut Function) -> bool {
     let mut changed = false;
     for block in &mut f.blocks {
         // Available expressions: key -> register holding its value.
@@ -132,11 +115,13 @@ mod tests {
     use super::*;
     use pdo_ir::interp::{call, BasicEnv};
     use pdo_ir::parse::parse_module;
-    use pdo_ir::{FuncId, Value};
+    use pdo_ir::{FuncId, Module, Value};
 
     fn run_cse(text: &str) -> Module {
         let mut m = parse_module(text).unwrap();
-        Cse.run(&mut m);
+        for f in &mut m.functions {
+            cse_function(f);
+        }
         pdo_ir::verify_module(&m).unwrap();
         m
     }

@@ -6,28 +6,11 @@
 //! optimized code faults exactly when the original would).
 
 use crate::analysis::{cannot_fault, liveness, type_states, type_step};
-use crate::Pass;
-use pdo_ir::{Function, Module, Terminator};
+use pdo_ir::{Function, Terminator};
 
-/// The dead-code elimination pass.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Dce;
-
-impl Pass for Dce {
-    fn name(&self) -> &'static str {
-        "dce"
-    }
-
-    fn run(&self, module: &mut Module) -> bool {
-        let mut changed = false;
-        for f in &mut module.functions {
-            changed |= dce_function(f);
-        }
-        changed
-    }
-}
-
-pub(crate) fn dce_function(f: &mut Function) -> bool {
+/// Deletes `f`'s dead instructions that cannot fault. Returns `true` if `f`
+/// changed.
+pub fn dce_function(f: &mut Function) -> bool {
     let lv = liveness(f);
     let ty_in = type_states(f);
     let mut changed = false;
@@ -89,11 +72,13 @@ mod tests {
     use super::*;
     use pdo_ir::interp::{call, BasicEnv};
     use pdo_ir::parse::parse_module;
-    use pdo_ir::{FuncId, Value};
+    use pdo_ir::{FuncId, Module, Value};
 
     fn run_dce(text: &str) -> Module {
         let mut m = parse_module(text).unwrap();
-        Dce.run(&mut m);
+        for f in &mut m.functions {
+            dce_function(f);
+        }
         pdo_ir::verify_module(&m).unwrap();
         m
     }

@@ -6,44 +6,14 @@
 //! into the call site", §3.2.1). The pass is also useful on ordinary helper
 //! calls inside handler bodies.
 
-use crate::Pass;
 use pdo_ir::{Block, BlockId, Function, Instr, Module, Reg, Terminator, Value};
-
-/// The inlining pass.
-///
-/// Callees are inlined when their instruction count does not exceed
-/// [`Inline::threshold`] and the call is not (directly) recursive.
-#[derive(Debug, Clone, Copy)]
-pub struct Inline {
-    /// Maximum callee size (instructions incl. terminators) to inline.
-    pub threshold: usize,
-}
-
-impl Default for Inline {
-    fn default() -> Self {
-        Inline { threshold: 48 }
-    }
-}
-
-impl Pass for Inline {
-    fn name(&self) -> &'static str {
-        "inline"
-    }
-
-    fn run(&self, module: &mut Module) -> bool {
-        let mut changed = false;
-        for caller_idx in 0..module.functions.len() {
-            changed |= inline_into(module, caller_idx, self.threshold);
-        }
-        changed
-    }
-}
 
 /// Inlines every eligible call site inside `module.functions[caller_idx]`,
 /// leaving all other functions untouched. Returns `true` on change.
 ///
-/// This is the scoped entry point the optimizer uses on freshly built
-/// super-handlers.
+/// A call site is eligible when its callee has at most `threshold`
+/// instructions (terminators included) and the call is not (directly)
+/// recursive.
 pub fn inline_into(module: &mut Module, caller_idx: usize, threshold: usize) -> bool {
     let mut changed = false;
     // One site at a time: the callee is cloned out first, keeping the
@@ -187,6 +157,11 @@ fn inline_site(caller: &mut Function, block: usize, pos: usize, callee: &Functio
 mod tests {
     use super::*;
     use crate::PassManager;
+
+    /// Inlines into every function of `m`; whether any changed.
+    fn inline_all(m: &mut Module, threshold: usize) -> bool {
+        (0..m.functions.len()).fold(false, |changed, f| inline_into(m, f, threshold) | changed)
+    }
     use pdo_ir::interp::{call, BasicEnv};
     use pdo_ir::parse::parse_module;
 
@@ -216,7 +191,7 @@ mod tests {
              }\n";
         let mut m = parse_module(text).unwrap();
         let orig = behaviour(&m, "main", &[Value::Int(5)]).unwrap();
-        assert!(Inline::default().run(&mut m));
+        assert!(inline_all(&mut m, 48));
         pdo_ir::verify_module(&m).unwrap();
         // No calls remain in main.
         let main = &m.functions[0];
@@ -247,7 +222,7 @@ mod tests {
                ret r0\n\
              }\n";
         let mut m = parse_module(text).unwrap();
-        assert!(Inline::default().run(&mut m));
+        assert!(inline_all(&mut m, 48));
         pdo_ir::verify_module(&m).unwrap();
         assert_eq!(
             behaviour(&m, "main", &[Value::Int(-9)]).unwrap().0,
@@ -274,7 +249,7 @@ mod tests {
                ret\n\
              }\n";
         let mut m = parse_module(text).unwrap();
-        assert!(Inline::default().run(&mut m));
+        assert!(inline_all(&mut m, 48));
         pdo_ir::verify_module(&m).unwrap();
         let (r, globals) = behaviour(&m, "main", &[]).unwrap();
         assert_eq!(r, Value::Unit);
@@ -294,7 +269,7 @@ mod tests {
                ret r1\n\
              }\n";
         let mut m = parse_module(text).unwrap();
-        assert!(!Inline::default().run(&mut m));
+        assert!(!inline_all(&mut m, 48));
     }
 
     #[test]
@@ -307,8 +282,8 @@ mod tests {
         }
         big.push_str("  ret r0\n}\n");
         let mut m = parse_module(&big).unwrap();
-        assert!(!Inline { threshold: 48 }.run(&mut m));
-        assert!(Inline { threshold: 4096 }.run(&mut m));
+        assert!(!inline_all(&mut m, 48));
+        assert!(inline_all(&mut m, 4096));
     }
 
     #[test]
@@ -325,7 +300,7 @@ mod tests {
              }\n";
         let mut m = parse_module(text).unwrap();
         // Neither is inlined: each callee calls back into the caller.
-        assert!(!Inline::default().run(&mut m));
+        assert!(!inline_all(&mut m, 48));
     }
 
     #[test]
@@ -365,7 +340,7 @@ mod tests {
                ret r0\n\
              }\n";
         let mut m = parse_module(text).unwrap();
-        assert!(Inline::default().run(&mut m));
+        assert!(inline_all(&mut m, 48));
         let id = m.function_by_name("main").unwrap();
         let mut env = BasicEnv::new(&m);
         call(&m, &mut env, id, &[Value::Int(3)]).unwrap();

@@ -5,25 +5,28 @@
 //! super-handlers produced by its graph optimizations (§3.2.2). This crate
 //! provides those passes over the `pdo-ir` representation:
 //!
-//! * [`ConstFold`] — constant propagation/folding plus algebraic identity
-//!   simplification and branch folding,
-//! * [`CopyProp`] — copy propagation,
-//! * [`Cse`] — local common-subexpression elimination,
-//! * [`Dce`] — liveness-based dead-code elimination,
-//! * [`Cleanup`] — CFG simplification (unreachable blocks, jump threading,
-//!   block merging),
-//! * [`Inline`] — function inlining (used to inline direct handler calls
-//!   into super-handlers),
-//! * [`LockCoalesce`] — elimination of redundant unlock/lock pairs across
-//!   merged handler boundaries, and of critical sections left empty (the
-//!   paper's "state maintenance" savings),
-//! * [`RedundantLoadElim`] — global load/store forwarding over the whole
-//!   CFG, through natives, deferred raises and lock operations (the
+//! * [`constfold::fold_function`] — constant propagation/folding plus
+//!   algebraic identity simplification and branch folding,
+//! * [`copyprop::propagate_function`] — copy propagation,
+//! * [`cse::cse_function`] — local common-subexpression elimination,
+//! * [`dce::dce_function`] — liveness-based dead-code elimination,
+//! * [`cleanup::cleanup_function`] — CFG simplification (unreachable
+//!   blocks, jump threading, block merging),
+//! * [`inline::inline_into`] — function inlining (used to inline direct
+//!   handler calls into super-handlers),
+//! * [`locks::coalesce_function`] — elimination of redundant unlock/lock
+//!   pairs across merged handler boundaries, and of critical sections left
+//!   empty (the paper's "state maintenance" savings),
+//! * [`locks::forward_function`] — global load/store forwarding over the
+//!   whole CFG, through natives, deferred raises and lock operations (the
 //!   paper's "redundant initializations and code fragments").
 //!
-//! Passes implement [`Pass`] and run under a [`PassManager`], which iterates
-//! the pipeline to a fixed point and verifies the module after every
-//! mutation in debug builds. The fixed point exists because passes agree on
+//! Each pass rewrites one function and says whether it changed it. One
+//! driver runs them, [`optimize_single_function`]: the pipeline in its one
+//! order, on one function, to a fixed point, verifying the module after
+//! every changing iteration in debug builds. The optimizer runs it on each
+//! super-handler it builds; [`PassManager::standard`] runs it on every
+//! function of a module. The fixed point exists because passes agree on
 //! canonical forms (see [`constfold`] for repeated constants); debug builds
 //! also panic when an iteration ends in a state an earlier one ended in,
 //! so two passes undoing each other fail a test instead of spinning to the
@@ -61,27 +64,12 @@ pub mod fuse;
 pub mod inline;
 pub mod locks;
 
-pub use cleanup::Cleanup;
-pub use constfold::ConstFold;
-pub use copyprop::CopyProp;
-pub use cse::Cse;
-pub use dce::Dce;
 pub use fuse::{fuse_function, fuse_module, FusionRecord};
-pub use inline::Inline;
-pub use locks::{LockCoalesce, RedundantLoadElim};
 
-use pdo_ir::{Function, Module};
+use pdo_ir::{FuncId, Function, Module};
 
-/// A module-level transformation.
-pub trait Pass {
-    /// A short identifier used in pipeline reports.
-    fn name(&self) -> &'static str;
-
-    /// Applies the pass; returns `true` if the module changed.
-    fn run(&self, module: &mut Module) -> bool;
-}
-
-/// Statistics from one [`PassManager::run`] invocation.
+/// Statistics from one [`optimize_single_function`] or [`PassManager::run`]
+/// invocation.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PipelineReport {
     /// Instruction count before the pipeline ran.
@@ -97,13 +85,24 @@ pub struct PipelineReport {
     pub converged: bool,
 }
 
-/// Iterations [`optimize_single_function`] and a [`PassManager`] allow
-/// themselves.
+impl PipelineReport {
+    /// A report of no iterations yet, every pass at zero changes.
+    fn new(instrs_before: usize) -> Self {
+        PipelineReport {
+            instrs_before,
+            pass_changes: FUNCTION_PASSES.iter().map(|(name, _)| (*name, 0)).collect(),
+            ..Default::default()
+        }
+    }
+}
+
+/// Iterations the pipeline allows itself on one function.
 const MAX_ITERATIONS: usize = 8;
 
 /// Runs `round` — one trip through a pipeline, returning whether anything
-/// changed — until a trip changes nothing or `cap` trips have run, and
-/// records in `report` how many ran and which of the two ended them.
+/// changed — until a trip changes nothing or [`MAX_ITERATIONS`] trips have
+/// run, and records in `report` how many ran and which of the two ended
+/// them.
 ///
 /// # Panics
 ///
@@ -113,13 +112,12 @@ const MAX_ITERATIONS: usize = 8;
 /// long run that keeps reaching new states is legal.
 fn run_to_fixed_point(
     module: &mut Module,
-    cap: usize,
     report: &mut PipelineReport,
     mut round: impl FnMut(&mut Module, &mut PipelineReport) -> bool,
 ) {
     #[cfg(debug_assertions)]
     let mut ended_in = vec![module.clone()];
-    for _ in 0..cap {
+    for _ in 0..MAX_ITERATIONS {
         report.iterations += 1;
         if !round(module, report) {
             report.converged = true;
@@ -142,136 +140,60 @@ fn run_to_fixed_point(
     }
 }
 
-/// Runs a sequence of passes to a fixed point.
-pub struct PassManager {
-    passes: Vec<Box<dyn Pass>>,
+/// One pass of the pipeline.
+enum Pass {
+    /// Inlining of call sites into the function; runs only when
+    /// [`optimize_single_function`] is given a threshold.
+    Inline,
+    /// A pass confined to the function's own body.
+    Body(fn(&mut Function) -> bool),
 }
 
-impl std::fmt::Debug for PassManager {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PassManager")
-            .field(
-                "passes",
-                &self.passes.iter().map(|p| p.name()).collect::<Vec<_>>(),
-            )
-            .finish()
-    }
-}
-
-impl PassManager {
-    /// An empty manager; add passes with [`PassManager::add`].
-    pub fn new() -> Self {
-        PassManager { passes: Vec::new() }
-    }
-
-    /// The standard pipeline used by the optimizer after handler merging:
-    /// inline, then scalar cleanups, then CFG and lock cleanups.
-    pub fn standard() -> Self {
-        let mut pm = PassManager::new();
-        pm.add(Inline::default())
-            .add(CopyProp)
-            .add(ConstFold)
-            .add(Cse)
-            .add(RedundantLoadElim)
-            .add(LockCoalesce)
-            .add(Dce)
-            .add(Cleanup);
-        pm
-    }
-
-    /// Appends a pass.
-    pub fn add(&mut self, pass: impl Pass + 'static) -> &mut Self {
-        self.passes.push(Box::new(pass));
-        self
-    }
-
-    /// Runs the pipeline to a fixed point (or eight iterations;
-    /// [`PipelineReport::converged`] says which).
-    ///
-    /// # Panics
-    ///
-    /// In debug builds, panics if a pass produces a module that fails
-    /// [`pdo_ir::verify_module`], or if the pipeline oscillates (an
-    /// iteration ends in a state an earlier one ended in).
-    pub fn run(&self, module: &mut Module) -> PipelineReport {
-        let mut report = PipelineReport {
-            instrs_before: module.instr_count(),
-            pass_changes: self.passes.iter().map(|p| (p.name(), 0)).collect(),
-            ..Default::default()
-        };
-        run_to_fixed_point(module, MAX_ITERATIONS, &mut report, |module, report| {
-            let mut changed = false;
-            for (i, pass) in self.passes.iter().enumerate() {
-                if pass.run(module) {
-                    changed = true;
-                    report.pass_changes[i].1 += 1;
-                    debug_assert!(
-                        pdo_ir::verify_module(module).is_ok(),
-                        "pass `{}` broke the module: {:?}",
-                        pass.name(),
-                        pdo_ir::verify_module(module)
-                    );
-                }
-            }
-            changed
-        });
-        report.instrs_after = module.instr_count();
-        report
-    }
-}
-
-type FunctionPass = fn(&mut Function) -> bool;
-
-/// The scalar and CFG passes of [`PassManager::standard`], in its order, as
-/// they apply to one function.
-const FUNCTION_PASSES: [(&str, FunctionPass); 7] = [
-    ("copyprop", copyprop::propagate_function),
-    ("constfold", constfold::fold_function),
-    ("cse", cse::cse_function),
-    ("redundantload", locks::forward_function),
-    ("lockcoalesce", locks::coalesce_function),
-    ("dce", dce::dce_function),
-    ("cleanup", cleanup::cleanup_function),
+/// The pipeline, in its one order: inline, then scalar cleanups, then
+/// lock and CFG cleanups.
+const FUNCTION_PASSES: [(&str, Pass); 8] = [
+    ("inline", Pass::Inline),
+    ("copyprop", Pass::Body(copyprop::propagate_function)),
+    ("constfold", Pass::Body(constfold::fold_function)),
+    ("cse", Pass::Body(cse::cse_function)),
+    ("redundantload", Pass::Body(locks::forward_function)),
+    ("lockcoalesce", Pass::Body(locks::coalesce_function)),
+    ("dce", Pass::Body(dce::dce_function)),
+    ("cleanup", Pass::Body(cleanup::cleanup_function)),
 ];
 
-/// Runs the scalar and CFG pipeline on **one** function, optionally
-/// inlining call sites within it first (`inline_threshold`). All other
+/// Runs the pipeline on **one** function, inlining call sites within it
+/// only when given an `inline_threshold`, to a fixed point (or eight
+/// iterations; [`PipelineReport::converged`] says which). All other
 /// functions in the module are left untouched — this is how the optimizer
 /// cleans up freshly built super-handlers without perturbing the original
 /// handler bodies whose generic dispatch path must remain intact.
 ///
-/// The report counts that function's instructions; its first
-/// `pass_changes` entry is `inline` (never changed without a threshold).
+/// The report counts that function's instructions.
 ///
 /// # Panics
 ///
-/// As [`PassManager::run`], in debug builds.
+/// In debug builds, if an iteration leaves a module that fails
+/// [`pdo_ir::verify_module`], or if the pipeline oscillates (an iteration
+/// ends in a state an earlier one ended in).
 pub fn optimize_single_function(
     module: &mut Module,
-    func: pdo_ir::FuncId,
+    func: FuncId,
     inline_threshold: Option<usize>,
 ) -> PipelineReport {
-    let mut report = PipelineReport {
-        instrs_before: module.functions[func.index()].instr_count(),
-        pass_changes: std::iter::once("inline")
-            .chain(FUNCTION_PASSES.iter().map(|(name, _)| *name))
-            .map(|name| (name, 0))
-            .collect(),
-        ..Default::default()
-    };
-    run_to_fixed_point(module, MAX_ITERATIONS, &mut report, |module, report| {
+    let mut report = PipelineReport::new(module.functions[func.index()].instr_count());
+    run_to_fixed_point(module, &mut report, |module, report| {
         let mut changed = false;
-        if let Some(th) = inline_threshold {
-            if inline::inline_into(module, func.index(), th) {
-                changed = true;
-                report.pass_changes[0].1 += 1;
-            }
-        }
-        let f = &mut module.functions[func.index()];
         for (i, (_, pass)) in FUNCTION_PASSES.iter().enumerate() {
-            if pass(f) {
+            let changed_here = match pass {
+                Pass::Inline => {
+                    inline_threshold.is_some_and(|th| inline::inline_into(module, func.index(), th))
+                }
+                Pass::Body(pass) => pass(&mut module.functions[func.index()]),
+            };
+            if changed_here {
                 changed = true;
-                report.pass_changes[i + 1].1 += 1;
+                report.pass_changes[i].1 += 1;
             }
         }
         debug_assert!(
@@ -285,9 +207,48 @@ pub fn optimize_single_function(
     report
 }
 
-impl Default for PassManager {
-    fn default() -> Self {
-        Self::new()
+/// Callee size (instructions incl. terminators) up to which
+/// [`PassManager::standard`] inlines.
+const STANDARD_INLINE_THRESHOLD: usize = 48;
+
+/// The pipeline over a whole module: each function in id order through
+/// [`optimize_single_function`], inlining callees of up to 48
+/// instructions.
+pub struct PassManager;
+
+impl PassManager {
+    /// The standard pipeline: the driver and passes the optimizer runs on
+    /// each super-handler, run on every function.
+    pub fn standard() -> Self {
+        PassManager
+    }
+
+    /// Runs the pipeline on every function. The report sums the functions'
+    /// reports: instruction counts and each pass's changes add up,
+    /// `iterations` is the most any function took, and `converged` holds
+    /// only if every function converged.
+    ///
+    /// # Panics
+    ///
+    /// As [`optimize_single_function`], in debug builds.
+    pub fn run(&self, module: &mut Module) -> PipelineReport {
+        let mut report = PipelineReport::new(0);
+        report.converged = true;
+        for func in 0..module.functions.len() {
+            let one = optimize_single_function(
+                module,
+                FuncId::from_index(func),
+                Some(STANDARD_INLINE_THRESHOLD),
+            );
+            report.instrs_before += one.instrs_before;
+            report.instrs_after += one.instrs_after;
+            for (sum, (_, n)) in report.pass_changes.iter_mut().zip(one.pass_changes) {
+                sum.1 += n;
+            }
+            report.iterations = report.iterations.max(one.iterations);
+            report.converged &= one.converged;
+        }
+        report
     }
 }
 
@@ -315,21 +276,67 @@ mod tests {
     }
 
     #[test]
-    fn empty_manager_is_identity() {
+    fn report_tracks_pass_names() {
         let mut m = parse_module("func @f(0) {\nb0:\n  ret\n}\n").unwrap();
         let before = m.clone();
-        let report = PassManager::new().run(&mut m);
+        let report = PassManager::standard().run(&mut m);
         assert_eq!(m, before);
         assert_eq!(report.iterations, 1);
+        let names: Vec<&str> = report.pass_changes.iter().map(|(n, _)| *n).collect();
+        assert_eq!(
+            names,
+            [
+                "inline",
+                "copyprop",
+                "constfold",
+                "cse",
+                "redundantload",
+                "lockcoalesce",
+                "dce",
+                "cleanup"
+            ]
+        );
     }
 
     #[test]
-    fn report_tracks_pass_names() {
-        let pm = PassManager::standard();
-        let mut m = parse_module("func @f(0) {\nb0:\n  ret\n}\n").unwrap();
-        let report = pm.run(&mut m);
-        let names: Vec<&str> = report.pass_changes.iter().map(|(n, _)| *n).collect();
-        assert!(names.contains(&"constfold"));
-        assert!(names.contains(&"dce"));
+    fn module_report_sums_the_function_reports() {
+        let text = "func @f(0) {\n\
+             b0:\n\
+               r0 = const int 6\n\
+               r1 = const int 7\n\
+               r2 = mul r0, r1\n\
+               ret r2\n\
+             }\n\
+             func @g(0) {\n\
+             b0:\n\
+               r0 = call @f()\n\
+               ret r0\n\
+             }\n";
+        let mut m = parse_module(text).unwrap();
+        let mut one_by_one = m.clone();
+        let parts: Vec<PipelineReport> = (0..2)
+            .map(|f| optimize_single_function(&mut one_by_one, FuncId(f), Some(48)))
+            .collect();
+        let report = PassManager::standard().run(&mut m);
+        assert_eq!(m, one_by_one);
+        assert_eq!(report.instrs_before, 6);
+        assert_eq!(
+            report.instrs_before,
+            parts[0].instrs_before + parts[1].instrs_before
+        );
+        assert_eq!(report.instrs_after, m.instr_count());
+        for (i, (name, n)) in report.pass_changes.iter().enumerate() {
+            assert_eq!(
+                *n,
+                parts[0].pass_changes[i].1 + parts[1].pass_changes[i].1,
+                "{name}"
+            );
+        }
+        assert_eq!(
+            report.iterations,
+            parts[0].iterations.max(parts[1].iterations)
+        );
+        assert!(report.converged);
+        assert_eq!(report.pass_changes[0], ("inline", 1), "g inlined f");
     }
 }

@@ -15,8 +15,7 @@
 //! can it read, write or lock? The answer states what the runtime already
 //! guarantees, not what an arbitrary CFG node might do.
 
-use crate::Pass;
-use pdo_ir::{Function, GlobalId, Instr, Module, RaiseMode, Reg};
+use pdo_ir::{Function, GlobalId, Instr, RaiseMode, Reg};
 
 /// The globals one instruction may read, write or lock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,24 +82,9 @@ fn touches(instr: &Instr) -> Touches {
 ///   typically once load forwarding has turned its only load into a `mov`
 ///   that copy propagation and DCE then removed. With nothing of `g`'s
 ///   inside, the section protects nothing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LockCoalesce;
-
-impl Pass for LockCoalesce {
-    fn name(&self) -> &'static str {
-        "lockcoalesce"
-    }
-
-    fn run(&self, module: &mut Module) -> bool {
-        let mut changed = false;
-        for f in &mut module.functions {
-            changed |= coalesce_function(f);
-        }
-        changed
-    }
-}
-
-pub(crate) fn coalesce_function(f: &mut Function) -> bool {
+///
+/// Returns `true` if `f` changed.
+pub fn coalesce_function(f: &mut Function) -> bool {
     let mut changed = false;
     for block in &mut f.blocks {
         while let Some((i, j)) =
@@ -156,6 +140,15 @@ fn find_empty_section(instrs: &[Instr]) -> Option<(usize, usize)> {
     })
 }
 
+/// What forwarding makes of one instruction.
+enum Rewrite {
+    Keep,
+    /// The load becomes a `mov` from this register.
+    Forward(Reg),
+    /// The store writes back the value its global already holds.
+    Delete,
+}
+
 /// Forwards globals held in registers across the whole CFG: a `load g`
 /// whose value is already in a register (from an earlier `load g`,
 /// `store g` or `lstore g` on every path to it) becomes a `mov`; a
@@ -172,33 +165,9 @@ fn find_empty_section(instrs: &[Instr]) -> Option<(usize, usize)> {
 /// The pass only turns loads into `mov`s and deletes stores of the value
 /// `g` already holds, so global state at every instruction boundary — and
 /// so at every trap, `OutOfFuel` and fuel boundary — is unchanged.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RedundantLoadElim;
-
-impl Pass for RedundantLoadElim {
-    fn name(&self) -> &'static str {
-        "redundantload"
-    }
-
-    fn run(&self, module: &mut Module) -> bool {
-        let mut changed = false;
-        for f in &mut module.functions {
-            changed |= forward_function(f);
-        }
-        changed
-    }
-}
-
-/// What forwarding makes of one instruction.
-enum Rewrite {
-    Keep,
-    /// The load becomes a `mov` from this register.
-    Forward(Reg),
-    /// The store writes back the value its global already holds.
-    Delete,
-}
-
-pub(crate) fn forward_function(f: &mut Function) -> bool {
+///
+/// Returns `true` if `f` changed.
+pub fn forward_function(f: &mut Function) -> bool {
     // The globals a register can come to hold, sorted: a state is one
     // `Option<Reg>` per entry, the register known to hold that global.
     let mut slots: Vec<GlobalId> = f
@@ -351,7 +320,14 @@ mod tests {
     use super::*;
     use pdo_ir::interp::{call, BasicEnv};
     use pdo_ir::parse::parse_module;
-    use pdo_ir::{NativeId, Value};
+    use pdo_ir::{Module, NativeId, Value};
+
+    /// Runs `pass` on every function of `m`; whether any changed.
+    fn on_module(m: &mut Module, pass: fn(&mut Function) -> bool) -> bool {
+        m.functions
+            .iter_mut()
+            .fold(false, |changed, f| pass(f) | changed)
+    }
 
     fn count(m: &Module, pred: impl Fn(&Instr) -> bool) -> usize {
         let f = &m.functions[m.function_by_name("f").unwrap().index()];
@@ -389,7 +365,7 @@ mod tests {
         let mut m = module(body);
         let args = [[Value::Int(5)], [Value::Int(-5)]];
         let before = args.each_ref().map(|a| exec(&m, "f", a));
-        RedundantLoadElim.run(&mut m);
+        on_module(&mut m, forward_function);
         pdo_ir::verify_module(&m).unwrap();
         assert_eq!(args.each_ref().map(|a| exec(&m, "f", a)), before);
         count(&m, |i| matches!(i, Instr::LoadGlobal { .. }))
@@ -425,7 +401,7 @@ mod tests {
              }\n";
         let mut m = parse_module(text).unwrap();
         let before = exec(&m, "f", &[Value::Int(5)]);
-        assert!(LockCoalesce.run(&mut m));
+        assert!(on_module(&mut m, coalesce_function));
         pdo_ir::verify_module(&m).unwrap();
         let after = exec(&m, "f", &[Value::Int(5)]);
         assert_eq!(before.0, after.0);
@@ -446,7 +422,7 @@ mod tests {
                ret r1\n\
              }\n";
         let mut m = parse_module(text).unwrap();
-        assert!(!LockCoalesce.run(&mut m));
+        assert!(!on_module(&mut m, coalesce_function));
     }
 
     #[test]
@@ -460,7 +436,7 @@ mod tests {
                ret\n\
              }\n";
         let mut m = parse_module(text).unwrap();
-        assert!(!LockCoalesce.run(&mut m));
+        assert!(!on_module(&mut m, coalesce_function));
     }
 
     #[test]
@@ -474,7 +450,7 @@ mod tests {
                ret r2\n\
              }\n";
         let mut m = parse_module(text).unwrap();
-        assert!(RedundantLoadElim.run(&mut m));
+        assert!(on_module(&mut m, forward_function));
         assert!(matches!(
             m.functions[0].blocks[0].instrs[1],
             Instr::Mov { src: Reg(0), .. }
@@ -492,7 +468,7 @@ mod tests {
                ret r1\n\
              }\n";
         let mut m = parse_module(text).unwrap();
-        assert!(RedundantLoadElim.run(&mut m));
+        assert!(on_module(&mut m, forward_function));
         assert!(matches!(
             m.functions[0].blocks[0].instrs[1],
             Instr::Mov { src: Reg(0), .. }
@@ -512,7 +488,7 @@ mod tests {
                ret\n\
              }\n";
         let mut m = parse_module(text).unwrap();
-        assert!(RedundantLoadElim.run(&mut m));
+        assert!(on_module(&mut m, forward_function));
         assert_eq!(
             m.functions[0].blocks[0]
                 .instrs
@@ -537,7 +513,7 @@ mod tests {
                ret r2\n\
              }\n";
         let mut m = parse_module(text).unwrap();
-        assert!(!RedundantLoadElim.run(&mut m));
+        assert!(!on_module(&mut m, forward_function));
     }
 
     #[test]
@@ -552,7 +528,7 @@ mod tests {
                ret r2\n\
              }\n";
         let mut m = parse_module(text).unwrap();
-        RedundantLoadElim.run(&mut m);
+        on_module(&mut m, forward_function);
         // The second load must NOT become `mov r0` (r0 was clobbered).
         assert!(matches!(
             m.functions[0].blocks[0].instrs[3],
@@ -574,7 +550,7 @@ mod tests {
                ret r3\n\
              }\n";
         let mut m = parse_module(text).unwrap();
-        RedundantLoadElim.run(&mut m);
+        on_module(&mut m, forward_function);
         assert!(matches!(
             m.functions[0].blocks[0].instrs[4],
             Instr::LoadGlobal { .. }
@@ -674,7 +650,7 @@ mod tests {
         ] {
             let mut m = module(&format!("b0:\nlock $g\n{inside}\nunlock $g\nret"));
             let before = exec(&m, "f", &[Value::Int(5)]);
-            assert!(LockCoalesce.run(&mut m), "{inside}");
+            assert!(on_module(&mut m, coalesce_function), "{inside}");
             pdo_ir::verify_module(&m).unwrap();
             let after = exec(&m, "f", &[Value::Int(5)]);
             assert_eq!((&after.0, &after.1), (&before.0, &before.1), "{inside}");
@@ -700,7 +676,7 @@ mod tests {
             "raise sync %E()",
         ] {
             let mut m = module(&format!("b0:\nlock $g\n{inside}\nunlock $g\nret"));
-            assert!(!LockCoalesce.run(&mut m), "{inside}");
+            assert!(!on_module(&mut m, coalesce_function), "{inside}");
         }
     }
 

@@ -1,5 +1,5 @@
 //! Cryptographic payload work for SecComm, implemented from scratch:
-//! [`des`] (FIPS 46-3), [`md5`] (RFC 1321), and the trivial [`xorcipher`].
+//! [`des`] (FIPS 46-3), [`md5`](mod@md5) (RFC 1321), and the trivial [`xorcipher`].
 
 pub mod des;
 pub mod md5;

@@ -24,7 +24,7 @@
 //!   installs and drops the compiled chains whose keys changed, under
 //!   binding-content guards, with no caller involvement anywhere. A
 //!   chain built before for the same key is reinstalled, not rebuilt.
-//! - Protocol endpoints ([`CtpEndpoint`], SecComm [`Endpoint`]) are
+//! - Protocol endpoints ([`CtpEndpoint`], SecComm [`Endpoint`](pdo_seccomm::Endpoint)) are
 //!   constructed *through* the server, so protocol sessions are
 //!   server-resident and adapt exactly like plain ones.
 //! - [`Server::report`] snapshots per-session counters;

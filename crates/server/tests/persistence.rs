@@ -8,7 +8,8 @@
 
 use pdo::{AdaptConfig, OptimizeOptions};
 use pdo_ctp::{ctp_program, CtpParams};
-use pdo_events::RuntimeConfig;
+use pdo_events::{Runtime, RuntimeConfig, RuntimeError};
+use pdo_ir::interp::ExecError;
 use pdo_ir::{BinOp, EventId, FuncId, FunctionBuilder, Module, RaiseMode, Value};
 use pdo_obs::SpanKind;
 use pdo_seccomm::{seccomm_protocol, Keys, CONFIG_FULL};
@@ -328,6 +329,52 @@ fn quiesce_drains_before_save_and_restore_resumes() {
 
 /// Corruption never panics: truncations, bit flips, id collisions, and
 /// garbage files all come back as `ServerError::Snapshot`.
+/// A handler binding through `__pdo_bind` can name only what its module
+/// declares: an unknown function or event traps the raise that tried, and
+/// the image the server writes next still restores.
+#[test]
+fn reserved_bind_of_an_unknown_id_traps_and_the_image_restores() {
+    let (mut m, [a, b], _) = two_chain_module();
+    let bind = m.add_native(Runtime::NATIVE_BIND);
+    let a1 = m.function_by_name("a1").unwrap();
+    let mut binders = Vec::new();
+    for (name, event, handler) in [
+        ("bind_f999", i64::from(a.0), 999),
+        ("bind_e999", 999, i64::from(a1.0)),
+    ] {
+        let mut fb = FunctionBuilder::new(name, 0);
+        let args = [fb.const_int(event), fb.const_int(handler), fb.const_int(0)];
+        fb.call_native(bind, &args);
+        fb.ret(None);
+        let trigger = m.add_event(format!("do_{name}"));
+        binders.push((trigger, m.add_function(fb.finish())));
+    }
+    let mut binds = bindings(&m, a, b);
+    binds.extend(binders.iter().map(|&(trigger, f)| (trigger, f, 0)));
+
+    let config = || ServerConfig {
+        adapt: fast_adapt(),
+    };
+    let mut server = Server::new(config());
+    let id = server
+        .open_session(m, RuntimeConfig::default(), &binds)
+        .unwrap();
+    for (trigger, _) in binders {
+        match server.raise_sync(id, trigger, &[]) {
+            Err(ServerError::Runtime(at, RuntimeError::Exec(ExecError::Native(_)))) => {
+                assert_eq!(at, id)
+            }
+            other => panic!("a bind of an unknown id must trap, got {other:?}"),
+        }
+    }
+    server.raise_sync(id, a, &[]).unwrap();
+    let bytes = server.snapshot_to_bytes();
+    assert_eq!(
+        Server::new(config()).restore_from_bytes(&bytes).unwrap(),
+        vec![id]
+    );
+}
+
 #[test]
 fn corrupt_images_yield_typed_errors() {
     let (m, [a, b], _) = two_chain_module();

@@ -1,8 +1,8 @@
 //! The [`Codec`] trait: one declaration per encoded type, both directions
 //! derived from it.
 //!
-//! A type's byte layout is the order of its [`codec_struct!`] /
-//! [`codec_enum!`] field table, written once next to the type. Adding a
+//! A type's byte layout is the order of its [`codec_struct!`](crate::codec_struct) /
+//! [`codec_enum!`](crate::codec_enum) field table, written once next to the type. Adding a
 //! field to a type without adding it to its table is a compile error (the
 //! encoder destructures exhaustively), and adding it to the table changes
 //! the bytes — which is what bumps the frame version.
@@ -66,7 +66,7 @@ pub trait Codec: Sized {
 }
 
 /// A field that travels as a different wire type: `field as W` in a
-/// [`codec_struct!`] / [`codec_enum!`] table encodes `to_wire()` and
+/// [`codec_struct!`](crate::codec_struct) / [`codec_enum!`](crate::codec_enum) table encodes `to_wire()` and
 /// decodes through `from_wire`, where the conversion back may refuse.
 pub trait Via<W: Codec>: Sized {
     /// The wire form of this value.
@@ -435,7 +435,7 @@ macro_rules! codec_struct {
 /// Every variant must appear (the encoder's `match` is exhaustive) with
 /// every field; an unknown tag byte decodes to
 /// [`SnapshotError::Malformed`](crate::SnapshotError::Malformed). Struct
-/// variants take `field as W` like [`codec_struct!`].
+/// variants take `field as W` like [`codec_struct!`](crate::codec_struct).
 #[macro_export]
 macro_rules! codec_enum {
     ($name:ident {

@@ -404,7 +404,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use std::ops::Range;
 
-    /// Accepted size arguments for [`vec`].
+    /// Accepted size arguments for [`vec`](fn@vec).
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         min: usize,
@@ -428,7 +428,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec`](fn@vec).
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         elem: S,

@@ -40,6 +40,17 @@ pub enum GenInstr {
         index: i64,
         value: u16,
     },
+    /// `tmp = const bool value; dst = or|and tmp, param`, the operands
+    /// swapped when `swap`: a boolean constant beside a parameter, whose
+    /// type no pass can know.
+    BoolBeside {
+        or: bool,
+        dst: u16,
+        tmp: u16,
+        value: bool,
+        param: u16,
+        swap: bool,
+    },
 }
 
 /// A generated terminator template.
@@ -64,7 +75,9 @@ pub struct GenFunction {
     pub blocks: Vec<(Vec<GenInstr>, GenTerm)>,
 }
 
-pub fn gen_instr(regs: u16) -> impl Strategy<Value = GenInstr> {
+/// Instructions over `regs` registers, the first `params` of them the
+/// function's parameters.
+pub fn gen_instr(params: u16, regs: u16) -> impl Strategy<Value = GenInstr> {
     let r = 0..regs;
     prop_oneof![
         (r.clone(), -20i64..20).prop_map(|(d, v)| GenInstr::ConstInt(d, v)),
@@ -88,6 +101,22 @@ pub fn gen_instr(regs: u16) -> impl Strategy<Value = GenInstr> {
                 value,
             }
         ),
+        (
+            any::<bool>(),
+            r.clone(),
+            params..regs,
+            any::<bool>(),
+            0..params.max(1),
+            any::<bool>()
+        )
+            .prop_map(|(or, dst, tmp, value, param, swap)| GenInstr::BoolBeside {
+                or,
+                dst,
+                tmp,
+                value,
+                param,
+                swap,
+            }),
     ]
 }
 
@@ -103,7 +132,10 @@ pub fn gen_term(regs: u16) -> impl Strategy<Value = GenTerm> {
 pub fn gen_function() -> impl Strategy<Value = GenFunction> {
     (1u16..6, 0u16..3).prop_flat_map(|(extra_regs, params)| {
         let regs = params + extra_regs;
-        let block = (prop::collection::vec(gen_instr(regs), 0..8), gen_term(regs));
+        let block = (
+            prop::collection::vec(gen_instr(params, regs), 0..8),
+            gen_term(regs),
+        );
         prop::collection::vec(block, 1..5).prop_map(move |blocks| GenFunction {
             params,
             regs,
@@ -283,5 +315,27 @@ fn emit(gi: &GenInstr, out: &mut Vec<Instr>) {
                 value: Reg(value),
             },
         ]),
+        GenInstr::BoolBeside {
+            or,
+            dst,
+            tmp,
+            value,
+            param,
+            swap,
+        } => {
+            let (lhs, rhs) = if swap { (param, tmp) } else { (tmp, param) };
+            out.extend([
+                Instr::Const {
+                    dst: Reg(tmp),
+                    value: Value::Bool(value),
+                },
+                Instr::Bin {
+                    op: if or { BinOp::Or } else { BinOp::And },
+                    dst: Reg(dst),
+                    lhs: Reg(lhs),
+                    rhs: Reg(rhs),
+                },
+            ]);
+        }
     }
 }

@@ -462,7 +462,7 @@ pub fn prepare(
     match chains {
         Chains::Generic => None,
         Chains::Static(opt) => {
-            rt.replace_module(opt.module.clone());
+            rt.edit_module(|module, _| *module = opt.module.clone());
             opt.install_chains(rt);
             None
         }

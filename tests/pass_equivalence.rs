@@ -6,10 +6,11 @@ mod common;
 
 use common::{build_module, gen_function, GenFunction, GenInstr, GenTerm, GEN_GLOBALS};
 use pdo_ir::interp::{call, BasicEnv};
-use pdo_ir::{EventId, FuncId, GlobalId, Instr, Module, NativeId, RaiseMode, Value};
-use pdo_passes::{Pass, PassManager, RedundantLoadElim};
+use pdo_ir::{BinOp, EventId, FuncId, GlobalId, Instr, Module, NativeId, RaiseMode, Reg, Value};
+use pdo_passes::{locks, PassManager};
 use proptest::prelude::*;
 use proptest::test_runner::{run, TestRng};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// What one run shows: the result (errors reduced to their display
@@ -45,10 +46,23 @@ fn observe(m: &Module, args: &[Value]) -> Observed {
     (r, globals, env.raised, calls)
 }
 
-/// The property's body for one function and its integer arguments:
-/// the standard pipeline's output verifies, is a fixed point, and
+/// Up to three arguments, each an integer or a boolean: a parameter of
+/// either type meets every instruction, so a rewrite that drops a type
+/// fault the passes did not prove away shows.
+fn gen_args() -> impl Strategy<Value = Vec<Value>> {
+    prop::collection::vec(
+        prop_oneof![
+            (-10i64..10).prop_map(Value::Int),
+            any::<bool>().prop_map(Value::Bool),
+        ],
+        0..3,
+    )
+}
+
+/// The property's body for one function and its arguments (a missing one
+/// is `1`): the standard pipeline's output verifies, is a fixed point, and
 /// behaves as the original does.
-fn check(f: &GenFunction, arg_vals: &[i64]) -> Result<(), TestCaseError> {
+fn check(f: &GenFunction, arg_vals: &[Value]) -> Result<(), TestCaseError> {
     let original = build_module(f);
     pdo_ir::verify_module(&original).expect("generated module verifies");
 
@@ -66,12 +80,20 @@ fn check(f: &GenFunction, arg_vals: &[i64]) -> Result<(), TestCaseError> {
         "a second run changed the module: {second:?}"
     );
 
-    let args: Vec<Value> = (0..f.params)
-        .map(|i| Value::Int(arg_vals.get(usize::from(i)).copied().unwrap_or(1)))
-        .collect();
+    let args = args_for(f, arg_vals);
+    same_behaviour(&observe(&original, &args), &observe(&optimized, &args))
+}
 
-    let before = observe(&original, &args);
-    let after = observe(&optimized, &args);
+/// `f`'s arguments from the drawn ones, `1` for each one missing.
+fn args_for(f: &GenFunction, arg_vals: &[Value]) -> Vec<Value> {
+    (0..usize::from(f.params))
+        .map(|i| arg_vals.get(i).cloned().unwrap_or(Value::Int(1)))
+        .collect()
+}
+
+/// Two runs show the same behaviour: globals, raised events, native calls
+/// and result, where a fault matches any fault.
+fn same_behaviour(before: &Observed, after: &Observed) -> Result<(), TestCaseError> {
     prop_assert_eq!(&before.1, &after.1, "globals diverged");
     prop_assert_eq!(&before.2, &after.2, "raised events diverged");
     prop_assert_eq!(&before.3, &after.3, "native calls diverged");
@@ -112,7 +134,7 @@ fn or_identity_keeps_its_type_fault() {
             GenTerm::Ret(None),
         )],
     };
-    check(&f, &[4, -4]).unwrap();
+    check(&f, &[Value::Int(4), Value::Int(-4)]).unwrap();
 }
 
 /// Loads that read their global before anything else in their block does:
@@ -142,27 +164,93 @@ fn upward_exposed_loads(m: &Module) -> usize {
 /// dozen that do.
 const CASES: u32 = 2048;
 
+/// Runs `count` on each case `standard_pipeline_preserves_behaviour`
+/// draws by default, and returns how many it counted.
+fn count_default_cases(mut count: impl FnMut(&GenFunction, &[Value]) -> bool) -> usize {
+    let strategy = (gen_function(), gen_args());
+    let mut counted = 0;
+    run(
+        &ProptestConfig::with_cases(CASES),
+        "standard_pipeline_preserves_behaviour",
+        |rng: &mut TestRng| {
+            let (f, arg_vals) = strategy.generate(rng);
+            counted += usize::from(count(&f, &arg_vals));
+            Ok(())
+        },
+    );
+    counted
+}
+
 /// The generator keeps exercising the CFG-wide forwarding: among the cases
 /// `standard_pipeline_preserves_behaviour` draws by default, load
 /// forwarding on its own takes a load over a block edge in at least 10.
 #[test]
 fn default_cases_forward_loads_across_block_edges() {
-    let strategy = (gen_function(), prop::collection::vec(-10i64..10, 0..3));
-    let mut forwarded = 0;
-    run(
-        &ProptestConfig::with_cases(CASES),
-        "standard_pipeline_preserves_behaviour",
-        |rng: &mut TestRng| {
-            let (f, _) = strategy.generate(rng);
-            let mut m = build_module(&f);
-            let before = upward_exposed_loads(&m);
-            RedundantLoadElim.run(&mut m);
-            forwarded += usize::from(upward_exposed_loads(&m) < before);
-            Ok(())
-        },
-    );
+    let forwarded = count_default_cases(|f, _| {
+        let mut m = build_module(f);
+        let before = upward_exposed_loads(&m);
+        locks::forward_function(&mut m.functions[0]);
+        upward_exposed_loads(&m) < before
+    });
     println!("{forwarded} of {CASES} default cases forward a load across a block edge");
     assert!(forwarded >= 10, "only {forwarded} of {CASES}");
+}
+
+/// `m` with each `and true, x` / `or false, x` (either operand order)
+/// whose constant is a `const` of the same block turned into `mov x`,
+/// whatever `x`'s type: constant folding's identity rule without its type
+/// gate, within a block.
+fn ungated_identities(m: &Module) -> Module {
+    let mut m = m.clone();
+    for block in &mut m.functions[0].blocks {
+        let mut konst: HashMap<Reg, Value> = HashMap::new();
+        for instr in &mut block.instrs {
+            if let Instr::Bin { op, dst, lhs, rhs } = *instr {
+                let identity = match op {
+                    BinOp::And => Some(Value::Bool(true)),
+                    BinOp::Or => Some(Value::Bool(false)),
+                    _ => None,
+                };
+                let is_identity = |r: Reg| identity.is_some() && konst.get(&r) == identity.as_ref();
+                let var = if is_identity(lhs) {
+                    Some(rhs)
+                } else if is_identity(rhs) {
+                    Some(lhs)
+                } else {
+                    None
+                };
+                if let Some(src) = var {
+                    *instr = Instr::Mov { dst, src };
+                }
+            }
+            match instr {
+                Instr::Const { dst, value } => {
+                    konst.insert(*dst, value.clone());
+                }
+                other => {
+                    if let Some(d) = other.def() {
+                        konst.remove(&d);
+                    }
+                }
+            }
+        }
+    }
+    m
+}
+
+/// The generator keeps the identity type gate honest (DESIGN.md §8.2):
+/// among the cases `standard_pipeline_preserves_behaviour` draws by
+/// default, dropping the gate changes what at least 10 of them do.
+#[test]
+fn default_cases_fault_on_an_identity_of_the_wrong_type() {
+    let exposed = count_default_cases(|f, arg_vals| {
+        let original = build_module(f);
+        let args = args_for(f, arg_vals);
+        let before = observe(&original, &args);
+        same_behaviour(&before, &observe(&ungated_identities(&original), &args)).is_err()
+    });
+    println!("{exposed} of {CASES} default cases behave otherwise without the identity type gate");
+    assert!(exposed >= 10, "only {exposed} of {CASES}");
 }
 
 proptest! {
@@ -171,7 +259,7 @@ proptest! {
     #[test]
     fn standard_pipeline_preserves_behaviour(
         f in gen_function(),
-        arg_vals in prop::collection::vec(-10i64..10, 0..3),
+        arg_vals in gen_args(),
     ) {
         check(&f, &arg_vals)?;
     }
