@@ -205,22 +205,18 @@ fn ungated_identities(m: &Module) -> Module {
     for block in &mut m.functions[0].blocks {
         let mut konst: HashMap<Reg, Value> = HashMap::new();
         for instr in &mut block.instrs {
-            if let Instr::Bin { op, dst, lhs, rhs } = *instr {
-                let identity = match op {
-                    BinOp::And => Some(Value::Bool(true)),
-                    BinOp::Or => Some(Value::Bool(false)),
-                    _ => None,
-                };
-                let is_identity = |r: Reg| identity.is_some() && konst.get(&r) == identity.as_ref();
-                let var = if is_identity(lhs) {
-                    Some(rhs)
-                } else if is_identity(rhs) {
-                    Some(lhs)
-                } else {
-                    None
-                };
-                if let Some(src) = var {
-                    *instr = Instr::Mov { dst, src };
+            if let Instr::Bin {
+                op: op @ (BinOp::And | BinOp::Or),
+                dst,
+                lhs,
+                rhs,
+            } = *instr
+            {
+                let identity = Value::Bool(op == BinOp::And);
+                if konst.get(&lhs) == Some(&identity) {
+                    *instr = Instr::Mov { dst, src: rhs };
+                } else if konst.get(&rhs) == Some(&identity) {
+                    *instr = Instr::Mov { dst, src: lhs };
                 }
             }
             match instr {
