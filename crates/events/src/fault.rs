@@ -33,9 +33,11 @@
 //! Super-handlers compiled with fuel-boundary markers
 //! (`OptimizeOptions::fuel_boundaries` in the `pdo` crate) charge at the
 //! same program points, so exhaustion trips identically in original and
-//! optimized runs and the kind is equivalence-safe *for such builds* (see
-//! [`FaultKind::is_equivalence_safe_with_fuel_boundaries`]). Against chains
-//! compiled without markers it remains best-effort.
+//! optimized runs and the kind is equivalence-safe *for such builds*. Against
+//! chains compiled without markers it remains best-effort. So when every
+//! installed chain was compiled with the markers, every kind but
+//! [`FaultKind::HandlerTrap`] has the same effect in original and optimized
+//! runs.
 
 use pdo_ir::{EventId, Value};
 use std::collections::BTreeMap;
@@ -120,16 +122,6 @@ impl FaultKind {
             FaultKind::DelayTimed { .. } => "delay_timed",
             FaultKind::HandlerTrap => "handler_trap",
         }
-    }
-
-    /// True for kinds whose effect is identical in original and optimized
-    /// runs when every installed chain was compiled with fuel-boundary
-    /// markers (`OptimizeOptions::fuel_boundaries`): every kind but
-    /// [`FaultKind::HandlerTrap`]. [`FaultKind::ExhaustFuel`] is safe only
-    /// because the markers charge the boundary budget at exactly the
-    /// pre-merge handler boundaries.
-    pub fn is_equivalence_safe_with_fuel_boundaries(self) -> bool {
-        !matches!(self, FaultKind::HandlerTrap)
     }
 }
 

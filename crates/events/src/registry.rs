@@ -39,7 +39,7 @@ struct EventEntry {
 /// Only the runtime mutates a registry, and it binds declared events only
 /// (`Runtime::bind` and `__pdo_bind` both refuse other ids), so the dense
 /// copy never grows past the module's event count.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Registry {
     entries: HashMap<EventId, EventEntry>,
     /// `entries[e].version` for every event up to the highest one ever
@@ -49,8 +49,11 @@ pub struct Registry {
 
 impl Registry {
     /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
+    pub(crate) fn new() -> Self {
+        Registry {
+            entries: HashMap::new(),
+            versions: Vec::new(),
+        }
     }
 
     /// Bumps `entry`'s binding version — the one step every mutation ends

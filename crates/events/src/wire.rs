@@ -361,11 +361,6 @@ impl<T> SequencedReceiver<T> {
         self.duplicates
     }
 
-    /// The next in-order sequence number the receiver is waiting for.
-    pub fn next_expected(&self) -> i64 {
-        self.next
-    }
-
     /// Out-of-order frames buffered but not yet released.
     pub fn buffered(&self) -> usize {
         self.buffer.len()
@@ -584,7 +579,10 @@ mod tests {
         r.accept(3, "c-again");
         assert_eq!(r.delivered().len(), 3);
         assert_eq!(r.duplicates(), 3);
-        assert_eq!(r.next_expected(), 4);
+        assert_eq!(
+            r.delivered().iter().map(|(s, _)| *s).collect::<Vec<_>>(),
+            [1, 2, 3]
+        );
     }
 
     #[test]

@@ -392,17 +392,23 @@ fn run<E: Env + ?Sized, const PROFILE: bool>(
                     regs[dst.index()] =
                         run::<E, PROFILE>(module, env, callee, callee_frame, depth + 1)?;
                 }
-                Instr::LockedFoldImm { op, global, imm } => {
-                    locked_fold_imm(env, *op, *global, imm)?;
-                }
+                Instr::LockedFoldImm { op, global, imm } => fused(env, |env, m| {
+                    locked(env, m, *global, |env, m| {
+                        fold(env, m, *op, *global, imm, true)
+                    })
+                })?,
                 Instr::GlobalFoldImm { op, global, imm } => {
-                    global_fold_imm(env, *op, *global, imm)?;
+                    fused(env, |env, m| fold(env, m, *op, *global, imm, true))?;
                 }
                 Instr::GlobalFold { op, global, src } => {
-                    global_fold(env, *op, *global, &regs[src.index()])?;
+                    let rhs = &regs[src.index()];
+                    fused(env, |env, m| fold(env, m, *op, *global, rhs, false))?;
                 }
                 Instr::LockedStore { global, src } => {
-                    locked_store(env, *global, &regs[src.index()])?;
+                    let src = &regs[src.index()];
+                    fused(env, |env, m| {
+                        locked(env, m, *global, |env, _| store(env, *global, src))
+                    })?;
                 }
                 Instr::CallNative { .. }
                 | Instr::Raise { .. }
@@ -661,262 +667,134 @@ fn bytes_native_or_raise<E: Env + ?Sized>(
     Ok(())
 }
 
-// Fused fast-path handlers. Each constituent of a superinstruction is
-// charged as if it executed individually, so fuel exhaustion and faults
-// interleave with effects exactly as before fusion (e.g. a mid-sequence
-// OutOfFuel in `LockedFoldImm` leaves the lock held, just as the unfused
-// program would). The first constituent's charge is paid by the dispatch
-// loop before the arm is entered.
-//
-// The hot path pays the remaining constituents' charges in ONE batch,
-// which is observationally exact as long as fuel cannot run out in the
-// middle of the sequence: if a non-fuel fault fires mid-sequence, the cold
-// refund path returns the charges of the constituents that never executed,
-// restoring precisely the cost/fuel state the unfused sequence would show
-// at that fault point. When fuel IS low enough to exhaust mid-sequence,
-// the handlers fall back to a per-constituent replay that reproduces the
-// exact exhaustion point and partial effects.
-
-/// Pays `n` constituents' charges at once. Returns `false` (paying
-/// nothing) when fuel could run out mid-sequence, in which case the caller
-/// must replay charges per-constituent.
+/// Runs one of the four fused global forms (`lfold.i`, `gfold.i`, `gfold`,
+/// `lstore`): `body` is its constituents after the first, which the loop's
+/// `charge` paid for. `body` runs them in program order and starts each
+/// only if the fuel read on entering here allows it ([`Meter::step`]), so
+/// exhaustion and faults land on the same constituent, with the same
+/// partial effects, as in the unfused sequence (a budget that dies inside
+/// `lfold.i` leaves the lock held, as the unfused program would). The
+/// [`Meter`] counts them in a local, and they are charged in one add on
+/// every exit.
 #[inline]
-fn try_batch_charge<E: Env + ?Sized>(env: &mut E, n: u64) -> bool {
-    if let Some(fuel) = env.fuel() {
-        if *fuel < n {
-            return false;
-        }
-        *fuel -= n;
+fn fused<E: Env + ?Sized>(
+    env: &mut E,
+    body: impl FnOnce(&mut E, &mut Meter) -> Result<(), ExecError>,
+) -> Result<(), ExecError> {
+    let budget = env.fuel().map_or(u64::MAX, |fuel| *fuel);
+    let m = &mut Meter { started: 0, budget };
+    // Settled on each exit apart: a result held across the settling would
+    // be built on the stack and copied out.
+    if let Err(e) = body(env, m) {
+        m.settle(env);
+        return Err(e);
     }
-    env.cost().instrs += n;
-    true
+    m.settle(env);
+    Ok(())
 }
 
-/// Returns the charges of the `n` constituents that never executed after a
-/// mid-sequence fault on the batched fast path.
-#[cold]
-#[inline(never)]
-fn refund_charges<E: Env + ?Sized>(env: &mut E, n: u64) {
-    env.cost().instrs -= n;
-    if let Some(fuel) = env.fuel() {
-        *fuel += n;
+/// The constituents a superinstruction has started after its first,
+/// counted against the fuel left on entering it (`u64::MAX` for none).
+struct Meter {
+    started: u64,
+    budget: u64,
+}
+
+impl Meter {
+    /// Starts the next constituent, or refuses it for fuel: a refused one
+    /// still counts one instruction and takes no fuel, as [`charge`] does.
+    #[inline(always)]
+    fn step(&mut self) -> Result<(), ExecError> {
+        self.started += 1;
+        if self.started > self.budget {
+            return Err(out_of_fuel());
+        }
+        Ok(())
     }
+
+    /// True when the next [`Meter::step`] will be refused.
+    #[inline(always)]
+    fn exhausted(&self) -> bool {
+        self.started >= self.budget
+    }
+
+    /// Charges the started constituents to `cost.instrs` and the fuel.
+    #[inline(always)]
+    fn settle<E: Env + ?Sized>(&self, env: &mut E) {
+        env.cost().instrs += self.started;
+        if let Some(fuel) = env.fuel() {
+            *fuel = fuel.saturating_sub(self.started);
+        }
+    }
+}
+
+/// `Lock`, `body`, `Unlock`: the bracket of `lfold.i` and `lstore`. The
+/// `Lock` is the first constituent; `body` is metered from its own first.
+#[inline(always)]
+fn locked<E: Env + ?Sized>(
+    env: &mut E,
+    meter: &mut Meter,
+    global: GlobalId,
+    body: impl FnOnce(&mut E, &mut Meter) -> Result<(), ExecError>,
+) -> Result<(), ExecError> {
+    env.cost().lock_ops += 1;
+    env.lock(global)?;
+    meter.step()?;
+    body(env, meter)?;
+    meter.step()?; // Unlock
+    env.cost().lock_ops += 1;
+    env.unlock(global)
 }
 
 /// `acc = acc <op> rhs`, in place.
-#[inline]
-fn fold_into(op: BinOp, acc: &mut Value, rhs: &Value) -> Result<(), EvalError> {
+#[inline(always)]
+fn fold_into(op: BinOp, acc: &mut Value, rhs: &Value) -> Result<(), ExecError> {
     let done = match (&*acc, rhs) {
         (&Value::Int(a), &Value::Int(b)) => op.eval_ints_into(a, b, acc),
         _ => false,
     };
     if !done {
-        *acc = op.eval(acc, rhs)?;
+        *acc = eval_bin(op, acc, rhs)?;
     }
     Ok(())
 }
 
-/// The `LoadGlobal`..`StoreGlobal` core the three fold forms share, on the
-/// batched path: `globals[global] = globals[global] <op> rhs`, the cell
-/// updated where it sits. A missing global faults at the `LoadGlobal` and
-/// refunds the `after_load` constituents behind it; an eval fault stops at
-/// the `Bin` and refunds the `after_bin` ones behind that. Once the cell is
-/// in hand the `StoreGlobal` cannot fail.
-#[inline]
-fn fold_global<E: Env + ?Sized>(
+/// `LoadGlobal`, `Const` (when `imm`), `Bin`, `StoreGlobal` after a started
+/// `LoadGlobal`: `global = global <op> rhs`, the cell updated where it sits
+/// once the `StoreGlobal` is known to start. A budget that dies between the
+/// `Bin` and the `StoreGlobal` evaluates without writing.
+#[inline(always)]
+fn fold<E: Env + ?Sized>(
     env: &mut E,
+    meter: &mut Meter,
     op: BinOp,
     global: GlobalId,
     rhs: &Value,
-    after_load: u64,
-    after_bin: u64,
+    imm: bool,
 ) -> Result<(), ExecError> {
     let Some(cell) = env.global_slot_mut(global) else {
-        refund_charges(env, after_load);
         return Err(global_out_of_range(global));
     };
-    if let Err(e) = fold_into(op, cell, rhs) {
-        refund_charges(env, after_bin);
-        return Err(e.into());
+    if imm {
+        meter.step()?; // Const
     }
+    meter.step()?; // Bin
+    if meter.exhausted() {
+        eval_bin(op, cell, rhs)?;
+    } else {
+        fold_into(op, cell, rhs)?;
+    }
+    meter.step() // StoreGlobal
+}
+
+/// `StoreGlobal`: `global = src`.
+#[inline]
+fn store<E: Env + ?Sized>(env: &mut E, global: GlobalId, src: &Value) -> Result<(), ExecError> {
+    let Some(cell) = env.global_slot_mut(global) else {
+        return Err(global_out_of_range(global));
+    };
+    cell.clone_from(src);
     Ok(())
-}
-
-/// A `LoadGlobal` of the per-constituent replays: the value, by clone.
-fn load_global<E: Env + ?Sized>(env: &mut E, global: GlobalId) -> Result<Value, ExecError> {
-    match env.global_slot(global) {
-        Some(cell) => Ok(cell.clone()),
-        None => Err(global_out_of_range(global)),
-    }
-}
-
-/// A `StoreGlobal` of the per-constituent replays.
-fn store_global<E: Env + ?Sized>(
-    env: &mut E,
-    global: GlobalId,
-    value: Value,
-) -> Result<(), ExecError> {
-    match env.global_slot_mut(global) {
-        Some(cell) => {
-            *cell = value;
-            Ok(())
-        }
-        None => Err(global_out_of_range(global)),
-    }
-}
-
-/// Fused `Lock`+`LoadGlobal`+`Const`+`Bin`+`StoreGlobal`+`Unlock`: the
-/// locked counter-bump pattern that dominates the video/SecComm inner loops.
-#[inline]
-fn locked_fold_imm<E: Env + ?Sized>(
-    env: &mut E,
-    op: BinOp,
-    global: GlobalId,
-    imm: &Value,
-) -> Result<(), ExecError> {
-    if !try_batch_charge(env, 5) {
-        return locked_fold_imm_exact(env, op, global, imm);
-    }
-    env.cost().lock_ops += 1;
-    if let Err(e) = env.lock(global) {
-        refund_charges(env, 5); // Load..Unlock never ran
-        return Err(e);
-    }
-    // Behind the Load: Const, Bin, Store, Unlock; behind the Bin: Store,
-    // Unlock.
-    fold_global(env, op, global, imm, 4, 2)?;
-    env.cost().lock_ops += 1;
-    env.unlock(global)
-}
-
-/// Exact per-constituent replay of [`locked_fold_imm`], used when fuel may
-/// exhaust mid-sequence.
-#[cold]
-#[inline(never)]
-fn locked_fold_imm_exact<E: Env + ?Sized>(
-    env: &mut E,
-    op: BinOp,
-    global: GlobalId,
-    imm: &Value,
-) -> Result<(), ExecError> {
-    env.cost().lock_ops += 1; // Lock (pre-charged by the loop)
-    env.lock(global)?;
-    charge(env)?; // Load
-    let lhs = load_global(env, global)?;
-    charge(env)?; // Const
-    charge(env)?; // Bin
-    let v = op.eval(&lhs, imm)?;
-    charge(env)?; // Store
-    store_global(env, global, v)?;
-    charge(env)?; // Unlock
-    env.cost().lock_ops += 1;
-    env.unlock(global)
-}
-
-/// Fused `LoadGlobal`+`Const`+`Bin`+`StoreGlobal` read-modify-write.
-#[inline]
-fn global_fold_imm<E: Env + ?Sized>(
-    env: &mut E,
-    op: BinOp,
-    global: GlobalId,
-    imm: &Value,
-) -> Result<(), ExecError> {
-    if !try_batch_charge(env, 3) {
-        return global_fold_imm_exact(env, op, global, imm);
-    }
-    // Behind the Load: Const, Bin, Store; behind the Bin: Store.
-    fold_global(env, op, global, imm, 3, 1)
-}
-
-/// Exact per-constituent replay of [`global_fold_imm`].
-#[cold]
-#[inline(never)]
-fn global_fold_imm_exact<E: Env + ?Sized>(
-    env: &mut E,
-    op: BinOp,
-    global: GlobalId,
-    imm: &Value,
-) -> Result<(), ExecError> {
-    let lhs = load_global(env, global)?; // Load (pre-charged)
-    charge(env)?; // Const
-    charge(env)?; // Bin
-    let v = op.eval(&lhs, imm)?;
-    charge(env)?; // Store
-    store_global(env, global, v)
-}
-
-/// Fused `LoadGlobal`+`Bin`+`StoreGlobal` with a register operand.
-#[inline]
-fn global_fold<E: Env + ?Sized>(
-    env: &mut E,
-    op: BinOp,
-    global: GlobalId,
-    rhs: &Value,
-) -> Result<(), ExecError> {
-    if !try_batch_charge(env, 2) {
-        return global_fold_exact(env, op, global, rhs);
-    }
-    // Behind the Load: Bin, Store; behind the Bin: Store.
-    fold_global(env, op, global, rhs, 2, 1)
-}
-
-/// Exact per-constituent replay of [`global_fold`].
-#[cold]
-#[inline(never)]
-fn global_fold_exact<E: Env + ?Sized>(
-    env: &mut E,
-    op: BinOp,
-    global: GlobalId,
-    rhs: &Value,
-) -> Result<(), ExecError> {
-    let lhs = load_global(env, global)?; // Load (pre-charged)
-    charge(env)?; // Bin
-    let v = op.eval(&lhs, rhs)?;
-    charge(env)?; // Store
-    store_global(env, global, v)
-}
-
-/// Fused `Lock`+`StoreGlobal`+`Unlock` single-store critical section.
-#[inline]
-fn locked_store<E: Env + ?Sized>(
-    env: &mut E,
-    global: GlobalId,
-    src: &Value,
-) -> Result<(), ExecError> {
-    if !try_batch_charge(env, 2) {
-        return locked_store_exact(env, global, src);
-    }
-    env.cost().lock_ops += 1;
-    if let Err(e) = env.lock(global) {
-        refund_charges(env, 2); // Store, Unlock never ran
-        return Err(e);
-    }
-    match env.global_slot_mut(global) {
-        Some(cell) => cell.clone_from(src),
-        None => {
-            refund_charges(env, 1); // Unlock never ran
-            return Err(global_out_of_range(global));
-        }
-    }
-    env.cost().lock_ops += 1;
-    env.unlock(global)
-}
-
-/// Exact per-constituent replay of [`locked_store`].
-#[cold]
-#[inline(never)]
-fn locked_store_exact<E: Env + ?Sized>(
-    env: &mut E,
-    global: GlobalId,
-    src: &Value,
-) -> Result<(), ExecError> {
-    env.cost().lock_ops += 1; // Lock (pre-charged)
-    env.lock(global)?;
-    charge(env)?; // Store
-    store_global(env, global, src.clone())?;
-    charge(env)?; // Unlock
-    env.cost().lock_ops += 1;
-    env.unlock(global)
 }
 
 /// A boxed native implementation.
@@ -2223,92 +2101,135 @@ mod tests {
 
     #[test]
     fn fused_faults_and_fuel_match_the_unfused_sequence() {
-        // Each fold form beside the sequence it replaces, over a global that
-        // takes the operator (`Int`), one that faults the `Bin` (`Bytes`)
-        // and one that is not there, at every fuel level: same error, same
-        // charges, same fuel left, same global, same lock depth.
-        type Fused = fn(GlobalId) -> Instr;
-        type Unfused = fn(&mut FunctionBuilder, GlobalId);
-        let forms: [(&str, Fused, Unfused); 4] = [
+        // Each fused form beside the sequence it replaces, over a global that
+        // takes the operator (`Int`), one that faults the `Bin` (`Bytes`),
+        // one that is not there and an `Int` divided by zero, at every fuel
+        // level and none, profiling off and on: same error, same charges,
+        // same fuel left, same global, same lock depth.
+        type Fused = fn(GlobalId, BinOp, i64) -> Vec<Instr>;
+        type Unfused = fn(&mut FunctionBuilder, GlobalId, BinOp, i64);
+        let forms: [(&str, Fused, Unfused); 5] = [
             (
                 "lfold.i",
-                |global| Instr::LockedFoldImm {
-                    op: BinOp::Add,
-                    global,
-                    imm: Value::Int(3),
+                |global, op, k| {
+                    vec![Instr::LockedFoldImm {
+                        op,
+                        global,
+                        imm: Value::Int(k),
+                    }]
                 },
-                |b, g| {
+                |b, g, op, k| {
                     b.lock(g);
                     let v = b.load_global(g);
-                    let k = b.const_int(3);
-                    let s = b.bin(BinOp::Add, v, k);
+                    let k = b.const_int(k);
+                    let s = b.bin(op, v, k);
                     b.store_global(g, s);
                     b.unlock(g);
                 },
             ),
             (
                 "gfold.i",
-                |global| Instr::GlobalFoldImm {
-                    op: BinOp::Add,
-                    global,
-                    imm: Value::Int(3),
+                |global, op, k| {
+                    vec![Instr::GlobalFoldImm {
+                        op,
+                        global,
+                        imm: Value::Int(k),
+                    }]
                 },
-                |b, g| {
+                |b, g, op, k| {
                     let v = b.load_global(g);
-                    let k = b.const_int(3);
-                    let s = b.bin(BinOp::Add, v, k);
+                    let k = b.const_int(k);
+                    let s = b.bin(op, v, k);
                     b.store_global(g, s);
                 },
             ),
             (
                 "gfold",
-                |global| Instr::GlobalFold {
-                    op: BinOp::Add,
-                    global,
-                    src: Reg(0),
+                |global, op, _| {
+                    vec![Instr::GlobalFold {
+                        op,
+                        global,
+                        src: Reg(0),
+                    }]
                 },
-                |b, g| {
+                |b, g, op, _| {
                     let v = b.load_global(g);
-                    let s = b.bin(BinOp::Add, v, b.param(0));
+                    let s = b.bin(op, v, b.param(0));
                     b.store_global(g, s);
                 },
             ),
             (
                 "lstore",
-                |global| Instr::LockedStore {
-                    global,
-                    src: Reg(0),
+                |global, _, _| {
+                    vec![Instr::LockedStore {
+                        global,
+                        src: Reg(0),
+                    }]
                 },
-                |b, g| {
+                |b, g, _, _| {
                     b.lock(g);
                     b.store_global(g, b.param(0));
                     b.unlock(g);
                 },
             ),
+            (
+                "bin.i",
+                |global, op, k| {
+                    vec![
+                        Instr::BinImm {
+                            op,
+                            dst: Reg(2),
+                            lhs: Reg(0),
+                            imm: Value::Int(k),
+                        },
+                        Instr::StoreGlobal {
+                            global,
+                            src: Reg(2),
+                        },
+                    ]
+                },
+                |b, g, op, k| {
+                    let k = b.const_int(k);
+                    let s = b.bin(op, b.param(0), k);
+                    b.store_global(g, s);
+                },
+            ),
+        ];
+        // (global's value, global missing, operator, immediate, argument)
+        let inputs = [
+            (Value::Int(1), false, BinOp::Add, 3, 2),
+            (Value::bytes([1u8]), false, BinOp::Add, 3, 2),
+            (Value::Int(1), true, BinOp::Add, 3, 2),
+            (Value::Int(1), false, BinOp::Div, 0, 0),
         ];
         for (name, fused, unfused) in forms {
-            for (init, missing) in [
-                (Value::Int(1), false),
-                (Value::bytes([1u8]), false),
-                (Value::Int(1), true),
-            ] {
+            for (init, missing, op, k, arg) in inputs.clone() {
                 let mut plain = Module::new();
                 let declared = plain.add_global("g", init.clone());
                 let g = if missing { G(7) } else { declared };
                 let mut b = FunctionBuilder::new("f", 1);
-                unfused(&mut b, g);
+                unfused(&mut b, g, op, k);
                 b.ret(None);
                 let f = plain.add_function(b.finish());
                 let mut twin = plain.clone();
-                twin.functions[f.index()].blocks[0].instrs = vec![fused(g)];
-                for fuel in 0..9u64 {
-                    let run = |m: &Module| {
-                        let mut env = BasicEnv::new(m);
-                        env.fuel = Some(fuel);
-                        let r = call(m, &mut env, f, &[Value::Int(2)]);
-                        (r, env.cost, env.fuel, env.globals, env.lock_depths)
-                    };
-                    assert_eq!(run(&plain), run(&twin), "{name} over {init}, fuel {fuel}");
+                twin.functions[f.index()].blocks[0].instrs = fused(g, op, k);
+                for fuel in std::iter::once(None).chain((0..9u64).map(Some)) {
+                    for profiling in [false, true] {
+                        let run = |m: &Module| {
+                            let mut env = BasicEnv::new(m);
+                            env.fuel = fuel;
+                            if profiling {
+                                env.enable_profiling();
+                            }
+                            let r = call(m, &mut env, f, &[Value::Int(arg)]);
+                            (r, env.cost, env.fuel, env.globals, env.lock_depths)
+                        };
+                        assert_eq!(
+                            run(&plain),
+                            run(&twin),
+                            "{name} over {init} {op:?} {k}, fuel {fuel:?}, profiling {profiling}"
+                        );
+                    }
                 }
             }
         }

@@ -482,14 +482,6 @@ impl TraceStore {
         let rings = self.shared.rings.borrow();
         rings.traffic_recorded + rings.rare_recorded
     }
-
-    /// Retained spans belonging to `trace`, oldest first.
-    pub fn for_trace(&self, trace: TraceId) -> Vec<Span> {
-        self.spans()
-            .into_iter()
-            .filter(|s| s.trace == trace)
-            .collect()
-    }
 }
 
 fn json_escape(s: &str) -> String {
@@ -1091,7 +1083,12 @@ mod tests {
                 },
             )
             .unwrap();
-        let json = export_chrome(&store.for_trace(s.trace));
+        let spans: Vec<Span> = store
+            .spans()
+            .into_iter()
+            .filter(|span| span.trace == s.trace)
+            .collect();
+        let json = export_chrome(&spans);
         assert!(json.contains("quote=\\\" slash=\\\\ nl=\\n"));
     }
 

@@ -244,7 +244,9 @@ fn try_global_fold(block: &Block, i: usize, live_out: &RegSet) -> Option<Match> 
     // The loaded value must be exactly one operand; the other (the fused
     // register operand) must be a different register, since after fusion it
     // is read from the register file while the load never lands in `v`.
-    let s = bin_with_const(*op, *lhs, *rhs, *v)?;
+    // The fused form computes `global <op> src`, so the loaded value goes
+    // in `lhs` position: the mirror of `bin_with_const`'s constant.
+    let s = bin_with_const(*op, *rhs, *lhs, *v)?;
     let end = i + 2;
     for r in [*v, *d] {
         if !dead_after(block, live_out, end, r) {
@@ -515,6 +517,25 @@ mod tests {
         let mut m = parse_module(text).unwrap();
         assert!(fuse_module(&mut m, None, 0).is_empty());
         assert_eq!(exec(&m, "f", &[]).1[0], Value::Int(6));
+    }
+
+    #[test]
+    fn register_fold_keeps_the_operand_order() {
+        // `gfold sub $g, r0` is `g - r0`: `sub r1, r0` fuses to it, while
+        // `sub r0, r1` (`r0 - g`) once did too and must stay unfused.
+        for (bin, fuses, after) in [("sub r1, r0", true, 7), ("sub r0, r1", false, -7)] {
+            let text = format!(
+                "global g = int 10\nfunc @f(1) {{\nb0:\n  r1 = load $g\n  \
+                 r2 = {bin}\n  store $g, r2\n  ret\n}}\n"
+            );
+            let mut m = parse_module(&text).unwrap();
+            assert_eq!(!fuse_module(&mut m, None, 0).is_empty(), fuses, "{bin}");
+            assert_eq!(
+                exec(&m, "f", &[Value::Int(3)]).1[0],
+                Value::Int(after),
+                "{bin}"
+            );
+        }
     }
 
     #[test]

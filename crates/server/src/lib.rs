@@ -550,20 +550,6 @@ impl Server {
         result
     }
 
-    /// Raises `event` synchronously on session `id` (dispatches now).
-    ///
-    /// # Errors
-    ///
-    /// As [`Server::raise`].
-    pub fn raise_sync(
-        &mut self,
-        id: SessionId,
-        event: EventId,
-        args: &[Value],
-    ) -> Result<(), ServerError> {
-        self.raise(id, event, RaiseMode::Sync, args)
-    }
-
     /// Submits `event` to session `id`'s timer queue, due `delay_ns` from
     /// the session's current virtual time (the timed-raise convention puts
     /// the delay in `args[0]`; this prepends it).
@@ -1170,7 +1156,7 @@ mod tests {
         assert!(!server.close_session(ids[0]), "already closed");
         assert_eq!(server.sessions().len(), 8);
         assert!(matches!(
-            server.raise_sync(ids[0], a, &[]),
+            server.raise(ids[0], a, RaiseMode::Sync, &[]),
             Err(ServerError::UnknownSession(_))
         ));
     }
@@ -1285,7 +1271,7 @@ mod tests {
         let sid = server
             .open_session(m.clone(), RuntimeConfig::default(), &bindings(&m, a, b))
             .unwrap();
-        server.raise_sync(sid, a, &[]).unwrap();
+        server.raise(sid, a, RaiseMode::Sync, &[]).unwrap();
         let mut seen: Vec<Value> = Vec::new();
         server
             .with_runtime(sid, |rt| {
@@ -1338,7 +1324,7 @@ mod tests {
         // Quiesced: no new sessions, no new work — typed refusals.
         assert!(!server.is_admitting());
         assert!(matches!(
-            server.raise_sync(s1, a, &[]),
+            server.raise(s1, a, RaiseMode::Sync, &[]),
             Err(ServerError::Quiesced)
         ));
         assert!(matches!(
@@ -1350,7 +1336,7 @@ mod tests {
             Err(ServerError::Quiesced)
         ));
         server.resume_admission();
-        server.raise_sync(s1, a, &[]).unwrap();
+        server.raise(s1, a, RaiseMode::Sync, &[]).unwrap();
     }
 
     /// A delay past `i64::MAX` is refused, not wrapped negative, and a

@@ -143,7 +143,7 @@ fn snapshot_restore_resumes_every_session_kind() {
             .unwrap(),
         acc_before
     );
-    revived.raise_sync(plain, a, &[]).unwrap();
+    revived.raise(plain, a, RaiseMode::Sync, &[]).unwrap();
     let Value::Int(n0) = acc_before else {
         panic!("int accumulator")
     };
@@ -274,7 +274,7 @@ fn quiesce_drains_before_save_and_restore_resumes() {
     // The quiesced server refuses new work with a typed error — on every
     // entry point.
     assert!(matches!(
-        server.raise_sync(id, a, &[]),
+        server.raise(id, a, RaiseMode::Sync, &[]),
         Err(ServerError::Quiesced)
     ));
     assert!(matches!(
@@ -311,7 +311,7 @@ fn quiesce_drains_before_save_and_restore_resumes() {
         Value::Int(25 * 3 + 4 * 3),
         "armed timers carried by the image fire after restore"
     );
-    revived.raise_sync(id, a, &[]).unwrap();
+    revived.raise(id, a, RaiseMode::Sync, &[]).unwrap();
     assert_eq!(
         revived
             .with_runtime(id, move |rt| rt.global(ga).clone())
@@ -323,7 +323,7 @@ fn quiesce_drains_before_save_and_restore_resumes() {
     // And the original recovers too once admission resumes.
     server.resume_admission();
     assert!(server.is_admitting());
-    server.raise_sync(id, a, &[]).unwrap();
+    server.raise(id, a, RaiseMode::Sync, &[]).unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -360,14 +360,14 @@ fn reserved_bind_of_an_unknown_id_traps_and_the_image_restores() {
         .open_session(m, RuntimeConfig::default(), &binds)
         .unwrap();
     for (trigger, _) in binders {
-        match server.raise_sync(id, trigger, &[]) {
+        match server.raise(id, trigger, RaiseMode::Sync, &[]) {
             Err(ServerError::Runtime(at, RuntimeError::Exec(ExecError::Native(_)))) => {
                 assert_eq!(at, id)
             }
             other => panic!("a bind of an unknown id must trap, got {other:?}"),
         }
     }
-    server.raise_sync(id, a, &[]).unwrap();
+    server.raise(id, a, RaiseMode::Sync, &[]).unwrap();
     let bytes = server.snapshot_to_bytes();
     assert_eq!(
         Server::new(config()).restore_from_bytes(&bytes).unwrap(),
@@ -386,7 +386,7 @@ fn corrupt_images_yield_typed_errors() {
     let id = server
         .open_session(m.clone(), RuntimeConfig::default(), &binds)
         .unwrap();
-    server.raise_sync(id, a, &[]).unwrap();
+    server.raise(id, a, RaiseMode::Sync, &[]).unwrap();
     let bytes = server.snapshot_to_bytes();
 
     // Every truncation, a flipped bit in every byte, and a trailing byte

@@ -118,7 +118,7 @@ fn drive(case: &Case) -> Observed {
             phase_end = phase_end.max(deadline + burst * case.spacing + 1);
         }
         let probe = sids[case.probe % sids.len()];
-        server.raise_sync(probe, a, &[]).unwrap();
+        server.raise(probe, a, RaiseMode::Sync, &[]).unwrap();
         server.raise(probe, b, RaiseMode::Async, &[]).unwrap();
         deadline = phase_end;
         server.run_until(deadline).unwrap();

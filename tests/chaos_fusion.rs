@@ -6,7 +6,7 @@
 //! rewrites — the locked counter bump (`lfold.i`), the immediate checksum
 //! fold (`gfold.i`), the register-operand fold (`gfold`), the single-store
 //! critical section (`lstore`), and const-fed arithmetic (`bin.i`) — so
-//! the sweep exercises all five superinstructions' charge-replay paths.
+//! the sweep exercises all five superinstructions' metered constituents.
 //! For any seeded plan of equivalence-safe faults (dispatch traps,
 //! argument corruption, dropped/delayed timers, fuel exhaustion) over
 //! `Tick`, its subsumable child `Digest` and `Flush`, and either
@@ -17,8 +17,8 @@
 //! executed individually, so a budget that dies in the middle of a fused
 //! sequence must abort at the same constituent with the same partial
 //! effects (e.g. the lock still held) as the unfused run. Argument
-//! corruption drives mid-sequence eval faults through the batched-charge
-//! refund path the same way.
+//! corruption drives mid-sequence eval faults through the same body, which
+//! charges only the constituents it started.
 //!
 //! A second test covers the chains `pdo::optimize` builds: it fuses every
 //! super-handler it finishes, with all five patterns on this workload, and

@@ -51,7 +51,30 @@ pub enum GenInstr {
         param: u16,
         swap: bool,
     },
+    /// One of the five fusable sequences ([`FOLD_SHAPES`]) over its own
+    /// temporaries `t0..t2`, `swap` trading the `bin`'s operands:
+    /// `lock g; t0 = load g; t1 = const imm; t2 = op t0, t1; store g, t2;
+    /// unlock g`, the same without the lock, `t0 = load g; t2 = op t0, reg;
+    /// store g, t2`, `lock g; store g, reg; unlock g` and `t1 = const imm;
+    /// reg = op reg, t1`.
+    Fold {
+        shape: usize,
+        op: usize,
+        global: u16,
+        imm: i64,
+        reg: u16,
+        swap: bool,
+    },
 }
+
+/// The sequences `fuse` rewrites, in the order of [`GenInstr::Fold`]'s
+/// `shape`.
+pub const FOLD_SHAPES: [&str; 5] = ["lfold.i", "gfold.i", "gfold", "lstore", "bin.i"];
+
+/// Temporaries of [`GenInstr::Fold`], past the generated registers and the
+/// trip counter's two: no other template reads them, so every one is dead
+/// after its sequence and the sequence can fuse.
+const FOLD_TEMPS: u16 = 3;
 
 /// A generated terminator template.
 #[derive(Debug, Clone)]
@@ -117,6 +140,22 @@ pub fn gen_instr(params: u16, regs: u16) -> impl Strategy<Value = GenInstr> {
                 param,
                 swap,
             }),
+        (
+            0..FOLD_SHAPES.len(),
+            0..BinOp::ALL.len(),
+            0..GEN_GLOBALS,
+            -4i64..5,
+            r.clone(),
+            any::<bool>()
+        )
+            .prop_map(|(shape, op, global, imm, reg, swap)| GenInstr::Fold {
+                shape,
+                op,
+                global,
+                imm,
+                reg,
+                swap,
+            }),
     ]
 }
 
@@ -162,7 +201,12 @@ pub fn build_module(f: &GenFunction) -> Module {
         .iter()
         .enumerate()
         .any(|(i, (_, t))| i > 0 && matches!(t, GenTerm::Back(..)));
-    // Two registers past the generated ones: the trip counter and its test.
+    let folds = f
+        .blocks
+        .iter()
+        .any(|(instrs, _)| instrs.iter().any(|gi| matches!(gi, GenInstr::Fold { .. })));
+    // Two registers past the generated ones: the trip counter and its test;
+    // then the fold temporaries.
     let (trips, more) = (Reg(f.regs), Reg(f.regs + 1));
     let blocks: Vec<Block> = f
         .blocks
@@ -177,7 +221,7 @@ pub fn build_module(f: &GenFunction) -> Module {
                 });
             }
             for gi in gen_instrs {
-                emit(gi, &mut instrs);
+                emit(gi, f.regs + 2, &mut instrs);
             }
             let fwd = |off: u16| -> Option<BlockId> {
                 let t = i + 1 + usize::from(off);
@@ -241,14 +285,20 @@ pub fn build_module(f: &GenFunction) -> Module {
     m.add_function(Function {
         name: "gen".into(),
         params: f.params,
-        reg_count: f.regs + if loops { 2 } else { 0 },
+        reg_count: f.regs
+            + match (loops, folds) {
+                (_, true) => 2 + FOLD_TEMPS,
+                (true, false) => 2,
+                (false, false) => 0,
+            },
         blocks,
     });
     m
 }
 
-/// Appends the instructions `gi` stands for.
-fn emit(gi: &GenInstr, out: &mut Vec<Instr>) {
+/// Appends the instructions `gi` stands for; a fold's temporaries start
+/// at register `temps`.
+fn emit(gi: &GenInstr, temps: u16, out: &mut Vec<Instr>) {
     let global = |g: u16| GlobalId(u32::from(g));
     match *gi {
         GenInstr::ConstInt(d, v) => out.push(Instr::Const {
@@ -336,6 +386,35 @@ fn emit(gi: &GenInstr, out: &mut Vec<Instr>) {
                     rhs: Reg(rhs),
                 },
             ]);
+        }
+        GenInstr::Fold {
+            shape,
+            op,
+            global: g,
+            imm,
+            reg,
+            swap,
+        } => {
+            let (g, op, reg) = (global(g), BinOp::ALL[op], Reg(reg));
+            let [t0, t1, t2] = [0, 1, 2].map(|i| Reg(temps + i));
+            let bin = |dst, lhs, rhs| {
+                let (lhs, rhs) = if swap { (rhs, lhs) } else { (lhs, rhs) };
+                Instr::Bin { op, dst, lhs, rhs }
+            };
+            let konst = Instr::Const {
+                dst: t1,
+                value: Value::Int(imm),
+            };
+            let load = Instr::LoadGlobal { dst: t0, global: g };
+            let store = |src| Instr::StoreGlobal { global: g, src };
+            let (lock, unlock) = (Instr::Lock { global: g }, Instr::Unlock { global: g });
+            match FOLD_SHAPES[shape] {
+                "lfold.i" => out.extend([lock, load, konst, bin(t2, t0, t1), store(t2), unlock]),
+                "gfold.i" => out.extend([load, konst, bin(t2, t0, t1), store(t2)]),
+                "gfold" => out.extend([load, bin(t2, t0, reg), store(t2)]),
+                "lstore" => out.extend([lock, store(reg), unlock]),
+                _ => out.extend([konst, bin(reg, reg, t1)]),
+            }
         }
     }
 }
