@@ -301,7 +301,8 @@ fn enter(
 /// [`BinOp::eval_ints_into`]: the payload alone when the tag already
 /// matches. Only the byte operations, `callnative` and `raise` run out of
 /// line ([`bytes_native_or_raise`]), which keeps their argument buffers out
-/// of this frame — the one direct calls recurse through.
+/// of this frame — the one direct calls recurse through — and so does
+/// `lstore` ([`locked_store`]).
 ///
 /// `PROFILE` is the loop's only mode: [`call`] picks the instance once per
 /// activation, so the recording instance pays for recording and the other
@@ -405,10 +406,7 @@ fn run<E: Env + ?Sized, const PROFILE: bool>(
                     fused(env, |env, m| fold(env, m, *op, *global, rhs, false))?;
                 }
                 Instr::LockedStore { global, src } => {
-                    let src = &regs[src.index()];
-                    fused(env, |env, m| {
-                        locked(env, m, *global, |env, _| store(env, *global, src))
-                    })?;
+                    locked_store(env, *global, &regs[src.index()])?;
                 }
                 Instr::CallNative { .. }
                 | Instr::Raise { .. }
@@ -670,7 +668,7 @@ fn bytes_native_or_raise<E: Env + ?Sized>(
 /// Runs one of the four fused global forms (`lfold.i`, `gfold.i`, `gfold`,
 /// `lstore`): `body` is its constituents after the first, which the loop's
 /// `charge` paid for. `body` runs them in program order and starts each
-/// only if the fuel read on entering here allows it ([`Meter::step`]), so
+/// only if the fuel read on entering here allows it ([`Meter::admit`]), so
 /// exhaustion and faults land on the same constituent, with the same
 /// partial effects, as in the unfused sequence (a budget that dies inside
 /// `lfold.i` leaves the lock held, as the unfused program would). The
@@ -704,7 +702,7 @@ impl Meter {
     /// Starts the next constituent, or refuses it for fuel: a refused one
     /// still counts one instruction and takes no fuel, as [`charge`] does.
     #[inline(always)]
-    fn step(&mut self) -> Result<(), ExecError> {
+    fn admit(&mut self) -> Result<(), ExecError> {
         self.started += 1;
         if self.started > self.budget {
             return Err(out_of_fuel());
@@ -712,7 +710,7 @@ impl Meter {
         Ok(())
     }
 
-    /// True when the next [`Meter::step`] will be refused.
+    /// True when the next [`Meter::admit`] will be refused.
     #[inline(always)]
     fn exhausted(&self) -> bool {
         self.started >= self.budget
@@ -739,24 +737,11 @@ fn locked<E: Env + ?Sized>(
 ) -> Result<(), ExecError> {
     env.cost().lock_ops += 1;
     env.lock(global)?;
-    meter.step()?;
+    meter.admit()?;
     body(env, meter)?;
-    meter.step()?; // Unlock
+    meter.admit()?; // Unlock
     env.cost().lock_ops += 1;
     env.unlock(global)
-}
-
-/// `acc = acc <op> rhs`, in place.
-#[inline(always)]
-fn fold_into(op: BinOp, acc: &mut Value, rhs: &Value) -> Result<(), ExecError> {
-    let done = match (&*acc, rhs) {
-        (&Value::Int(a), &Value::Int(b)) => op.eval_ints_into(a, b, acc),
-        _ => false,
-    };
-    if !done {
-        *acc = eval_bin(op, acc, rhs)?;
-    }
-    Ok(())
 }
 
 /// `LoadGlobal`, `Const` (when `imm`), `Bin`, `StoreGlobal` after a started
@@ -776,25 +761,42 @@ fn fold<E: Env + ?Sized>(
         return Err(global_out_of_range(global));
     };
     if imm {
-        meter.step()?; // Const
+        meter.admit()?; // Const
     }
-    meter.step()?; // Bin
+    meter.admit()?; // Bin
     if meter.exhausted() {
         eval_bin(op, cell, rhs)?;
     } else {
-        fold_into(op, cell, rhs)?;
+        let done = match (&*cell, rhs) {
+            (&Value::Int(a), &Value::Int(b)) => op.eval_ints_into(a, b, cell),
+            _ => false,
+        };
+        if !done {
+            *cell = eval_bin(op, cell, rhs)?;
+        }
     }
-    meter.step() // StoreGlobal
+    meter.admit() // StoreGlobal
 }
 
-/// `StoreGlobal`: `global = src`.
-#[inline]
-fn store<E: Env + ?Sized>(env: &mut E, global: GlobalId, src: &Value) -> Result<(), ExecError> {
-    let Some(cell) = env.global_slot_mut(global) else {
-        return Err(global_out_of_range(global));
-    };
-    cell.clone_from(src);
-    Ok(())
+/// `lstore`: `Lock`, `StoreGlobal`, `Unlock`. Out of line: inlined, its
+/// bracket shifted [`run`]'s layout so that `interp_gate`'s
+/// `bin_add_over_mov` row crossed its gate in about one run of six
+/// (EXPERIMENTS.md "One path per superinstruction").
+#[inline(never)]
+fn locked_store<E: Env + ?Sized>(
+    env: &mut E,
+    global: GlobalId,
+    src: &Value,
+) -> Result<(), ExecError> {
+    fused(env, |env, m| {
+        locked(env, m, global, |env, _| {
+            let Some(cell) = env.global_slot_mut(global) else {
+                return Err(global_out_of_range(global));
+            };
+            cell.clone_from(src);
+            Ok(())
+        })
+    })
 }
 
 /// A boxed native implementation.

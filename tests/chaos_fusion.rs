@@ -6,7 +6,7 @@
 //! rewrites — the locked counter bump (`lfold.i`), the immediate checksum
 //! fold (`gfold.i`), the register-operand fold (`gfold`), the single-store
 //! critical section (`lstore`), and const-fed arithmetic (`bin.i`) — so
-//! the sweep exercises all five superinstructions' metered constituents.
+//! the sweep exercises the constituents of all five superinstructions.
 //! For any seeded plan of equivalence-safe faults (dispatch traps,
 //! argument corruption, dropped/delayed timers, fuel exhaustion) over
 //! `Tick`, its subsumable child `Digest` and `Flush`, and either
