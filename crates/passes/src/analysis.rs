@@ -1,25 +1,26 @@
-//! Dataflow analyses shared by the passes: liveness, reachability, and the
-//! constant lattice.
+//! Dataflow analyses shared by the passes: backward liveness,
+//! reachability, one forward solver ([`forward`]), and the value facts it
+//! computes for constant folding and dead-code elimination ([`Fact`]).
 
-use pdo_ir::{Function, Instr, Reg, Terminator, Value};
+use pdo_ir::{BinOp, Function, Instr, Reg, Terminator, UnOp, Value};
 use std::collections::VecDeque;
 
 /// A bit set over registers of one function.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RegSet {
+pub(crate) struct RegSet {
     bits: Vec<u64>,
 }
 
 impl RegSet {
     /// An empty set sized for `reg_count` registers.
-    pub fn new(reg_count: u16) -> Self {
+    pub(crate) fn new(reg_count: u16) -> Self {
         RegSet {
             bits: vec![0; usize::from(reg_count).div_ceil(64)],
         }
     }
 
     /// Inserts `r`; returns `true` if it was newly inserted.
-    pub fn insert(&mut self, r: Reg) -> bool {
+    pub(crate) fn insert(&mut self, r: Reg) -> bool {
         let (w, b) = (r.index() / 64, r.index() % 64);
         let had = self.bits[w] & (1 << b) != 0;
         self.bits[w] |= 1 << b;
@@ -27,19 +28,19 @@ impl RegSet {
     }
 
     /// Removes `r`.
-    pub fn remove(&mut self, r: Reg) {
+    pub(crate) fn remove(&mut self, r: Reg) {
         let (w, b) = (r.index() / 64, r.index() % 64);
         self.bits[w] &= !(1 << b);
     }
 
     /// Membership test.
-    pub fn contains(&self, r: Reg) -> bool {
+    pub(crate) fn contains(&self, r: Reg) -> bool {
         let (w, b) = (r.index() / 64, r.index() % 64);
         self.bits.get(w).is_some_and(|word| word & (1 << b) != 0)
     }
 
     /// Unions `other` into `self`; returns `true` if `self` grew.
-    pub fn union_with(&mut self, other: &RegSet) -> bool {
+    pub(crate) fn union_with(&mut self, other: &RegSet) -> bool {
         let mut grew = false;
         for (a, b) in self.bits.iter_mut().zip(&other.bits) {
             let before = *a;
@@ -48,15 +49,6 @@ impl RegSet {
         }
         grew
     }
-}
-
-/// Per-block liveness sets.
-#[derive(Debug, Clone)]
-pub struct Liveness {
-    /// Registers live on entry to each block.
-    pub live_in: Vec<RegSet>,
-    /// Registers live on exit from each block.
-    pub live_out: Vec<RegSet>,
 }
 
 /// Registers used by a terminator.
@@ -68,8 +60,9 @@ fn term_uses(t: &Terminator, mut f: impl FnMut(Reg)) {
     }
 }
 
-/// Computes backward liveness for `f` with a standard worklist algorithm.
-pub fn liveness(f: &Function) -> Liveness {
+/// Computes backward liveness for `f` with a standard worklist algorithm:
+/// the registers live on exit from each block.
+pub(crate) fn liveness(f: &Function) -> Vec<RegSet> {
     let n = f.blocks.len();
     let mut live_in = vec![RegSet::new(f.reg_count); n];
     let mut live_out = vec![RegSet::new(f.reg_count); n];
@@ -108,11 +101,11 @@ pub fn liveness(f: &Function) -> Liveness {
             }
         }
     }
-    Liveness { live_in, live_out }
+    live_out
 }
 
 /// Returns which blocks are reachable from the entry.
-pub fn reachable_blocks(f: &Function) -> Vec<bool> {
+pub(crate) fn reachable_blocks(f: &Function) -> Vec<bool> {
     let mut seen = vec![false; f.blocks.len()];
     let mut stack = vec![0usize];
     while let Some(b) = stack.pop() {
@@ -129,118 +122,224 @@ pub fn reachable_blocks(f: &Function) -> Vec<bool> {
     seen
 }
 
-/// The constant-propagation lattice for one register.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Lattice {
-    /// Not yet observed (top).
-    Top,
-    /// Known constant.
-    Const(Value),
-    /// Varies (bottom).
-    Bottom,
-}
-
-impl Lattice {
-    /// Lattice meet.
-    pub fn meet(&self, other: &Lattice) -> Lattice {
-        match (self, other) {
-            (Lattice::Top, x) | (x, Lattice::Top) => x.clone(),
-            (Lattice::Const(a), Lattice::Const(b)) if a == b => Lattice::Const(a.clone()),
-            _ => Lattice::Bottom,
+/// Solves a forward dataflow problem over `f`'s CFG and returns each
+/// block's entry state: `entry` at the entry block, and at every other
+/// block a path reaches, the `meet` of its reached predecessors' exit
+/// states, an exit state being its block's entry state stepped by `step`
+/// through the block's instructions. A block no path reaches has no state
+/// (`None`), so a state never needs a "not yet observed" element.
+///
+/// `meet(into, from)` merges `from` into `into` and says whether `into`
+/// changed. Blocks are visited in index order, sweep after sweep, each
+/// only when its entry state changed since its last visit, until none
+/// does. That is a round-robin order: load forwarding's load step is not
+/// monotone, so its result may depend on the order ([`crate::locks`]).
+pub(crate) fn forward<S: Clone>(
+    f: &Function,
+    entry: S,
+    mut meet: impl FnMut(&mut S, &S) -> bool,
+    mut step: impl FnMut(&mut S, &Instr),
+) -> Vec<Option<S>> {
+    let n = f.blocks.len();
+    let mut cur = entry.clone();
+    let mut states = vec![None; n];
+    states[0] = Some(entry);
+    let mut changed = vec![false; n];
+    changed[0] = true;
+    while changed.contains(&true) {
+        for b in 0..n {
+            if !std::mem::take(&mut changed[b]) {
+                continue;
+            }
+            cur.clone_from(states[b].as_ref().expect("a changed block has a state"));
+            for instr in &f.blocks[b].instrs {
+                step(&mut cur, instr);
+            }
+            f.blocks[b].term.for_each_successor(|s| {
+                changed[s.index()] |= match &mut states[s.index()] {
+                    Some(state) => meet(state, &cur),
+                    unreached => {
+                        *unreached = Some(cur.clone());
+                        true
+                    }
+                };
+            });
         }
     }
+    states
+}
 
-    /// The constant, if known.
-    pub fn as_const(&self) -> Option<&Value> {
+/// A runtime type tag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Tag {
+    /// The unit value.
+    Unit,
+    /// 64-bit integer.
+    Int,
+    /// Boolean.
+    Bool,
+    /// Byte buffer.
+    Bytes,
+    /// String.
+    Str,
+}
+
+impl Tag {
+    /// The tag of a concrete value.
+    fn of(v: &Value) -> Tag {
+        match v {
+            Value::Unit => Tag::Unit,
+            Value::Int(_) => Tag::Int,
+            Value::Bool(_) => Tag::Bool,
+            Value::Bytes(_) => Tag::Bytes,
+            Value::Str(_) => Tag::Str,
+        }
+    }
+}
+
+/// What is known of one register's value at a program point, on the path
+/// where nothing before it faulted.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Fact {
+    /// Exactly this value.
+    Const(Value),
+    /// Some value of this tag.
+    Ty(Tag),
+    /// Any value.
+    Unknown,
+}
+
+impl Fact {
+    /// The value, if known.
+    pub(crate) fn as_const(&self) -> Option<&Value> {
         match self {
-            Lattice::Const(v) => Some(v),
+            Fact::Const(v) => Some(v),
             _ => None,
         }
     }
-}
 
-/// Abstract state: one lattice element per register.
-pub type ConstState = Vec<Lattice>;
-
-/// Meets `other` into `state`; returns `true` if `state` changed.
-pub fn meet_states(state: &mut ConstState, other: &ConstState) -> bool {
-    let mut changed = false;
-    for (a, b) in state.iter_mut().zip(other) {
-        let m = a.meet(b);
-        if m != *a {
-            *a = m;
-            changed = true;
+    /// The tag, if known: a constant's is its value's.
+    pub(crate) fn tag(&self) -> Option<Tag> {
+        match self {
+            Fact::Const(v) => Some(Tag::of(v)),
+            Fact::Ty(t) => Some(*t),
+            Fact::Unknown => None,
         }
     }
-    changed
 }
 
-/// Applies one instruction's effect to the abstract constant state.
-pub fn const_transfer(state: &mut ConstState, instr: &Instr) {
-    match instr {
-        Instr::Const { dst, value } => state[dst.index()] = Lattice::Const(value.clone()),
-        Instr::Mov { dst, src } => state[dst.index()] = state[src.index()].clone(),
-        Instr::Bin { op, dst, lhs, rhs } => {
-            state[dst.index()] =
-                match (state[lhs.index()].as_const(), state[rhs.index()].as_const()) {
-                    (Some(a), Some(b)) => match op.eval(a, b) {
-                        Ok(v) => Lattice::Const(v),
-                        Err(_) => Lattice::Bottom,
-                    },
-                    _ => Lattice::Bottom,
+/// The value facts at each block's entry, one per register, by
+/// [`forward`]. Registers hold [`Value::Unit`] before their first write, so
+/// every register but a parameter enters the function as `Const(Unit)`;
+/// parameters are `Unknown`. At a join, equal facts stay, two facts of one
+/// tag keep the tag, and anything else is `Unknown`. A block no path
+/// reaches knows nothing: every fact in it is `Unknown`.
+pub(crate) fn value_facts(f: &Function) -> Vec<Vec<Fact>> {
+    let entry: Vec<Fact> = (0..f.reg_count)
+        .map(|r| {
+            if r < f.params {
+                Fact::Unknown
+            } else {
+                Fact::Const(Value::Unit)
+            }
+        })
+        .collect();
+    let meet = |into: &mut Vec<Fact>, from: &Vec<Fact>| {
+        let mut changed = false;
+        for (a, b) in into.iter_mut().zip(from) {
+            if a != b {
+                let met = match (a.tag(), b.tag()) {
+                    (Some(x), Some(y)) if x == y => Fact::Ty(x),
+                    _ => Fact::Unknown,
                 };
-        }
-        Instr::Un { op, dst, src } => {
-            state[dst.index()] = match state[src.index()].as_const() {
-                Some(v) => match op.eval(v) {
-                    Ok(r) => Lattice::Const(r),
-                    Err(_) => Lattice::Bottom,
-                },
-                None => Lattice::Bottom,
-            };
-        }
-        // BytesSet mutates the buffer held in its `bytes` register without
-        // redefining it; a previously-known constant no longer describes it.
-        Instr::BytesSet { bytes, .. } => state[bytes.index()] = Lattice::Bottom,
-        other => {
-            if let Some(d) = other.def() {
-                state[d.index()] = Lattice::Bottom;
+                changed |= met != *a;
+                *a = met;
             }
         }
+        changed
+    };
+    forward(f, entry, meet, |facts, instr| step(facts, instr))
+        .into_iter()
+        .map(|s| s.unwrap_or_else(|| vec![Fact::Unknown; usize::from(f.reg_count)]))
+        .collect()
+}
+
+/// Steps the value facts over one instruction. A `bin` or `un` of
+/// constants that evaluates is a constant; any other gets its operator's
+/// result tag, the tag its result has whenever it does not fault.
+pub(crate) fn step(facts: &mut [Fact], instr: &Instr) {
+    let fact = match instr {
+        Instr::Const { value, .. } => Fact::Const(value.clone()),
+        Instr::Mov { src, .. } => facts[src.index()].clone(),
+        Instr::Bin { op, lhs, rhs, .. } => {
+            let (a, b) = (&facts[lhs.index()], &facts[rhs.index()]);
+            let folded = match (a.as_const(), b.as_const()) {
+                (Some(a), Some(b)) => op.eval(a, b).ok(),
+                _ => None,
+            };
+            folded.map_or(Fact::Ty(bin_tag(*op)), Fact::Const)
+        }
+        Instr::Un { op, src, .. } => {
+            let folded = facts[src.index()].as_const().and_then(|v| op.eval(v).ok());
+            folded.map_or(Fact::Ty(un_tag(*op)), Fact::Const)
+        }
+        Instr::BytesNew { .. } | Instr::BytesConcat { .. } | Instr::BytesSlice { .. } => {
+            Fact::Ty(Tag::Bytes)
+        }
+        Instr::BytesLen { .. } | Instr::BytesGet { .. } => Fact::Ty(Tag::Int),
+        // `bset` mutates the buffer its register holds without redefining
+        // the register: the tag stays, the constant no longer describes it.
+        Instr::BytesSet { bytes, .. } => {
+            let held = &mut facts[bytes.index()];
+            *held = held.tag().map_or(Fact::Unknown, Fact::Ty);
+            return;
+        }
+        // Loads, calls and natives: unknown.
+        _ => Fact::Unknown,
+    };
+    if let Some(d) = instr.def() {
+        facts[d.index()] = fact;
     }
 }
 
-/// Computes block-entry constant states for `f` (worklist to fixpoint).
-///
-/// Registers hold [`Value::Unit`] before their first write, so at the entry
-/// block every non-parameter register starts as `Const(Unit)` while
-/// parameters start as `Bottom`.
-pub fn const_states(f: &Function) -> Vec<ConstState> {
-    let n = f.blocks.len();
-    let top: ConstState = vec![Lattice::Top; usize::from(f.reg_count)];
-    let mut in_states = vec![top; n];
-
-    for (r, slot) in in_states[0].iter_mut().enumerate() {
-        *slot = if r < usize::from(f.params) {
-            Lattice::Bottom
-        } else {
-            Lattice::Const(Value::Unit)
-        };
+/// The tag of what `op` yields when it does not fault.
+fn bin_tag(op: BinOp) -> Tag {
+    use BinOp as B;
+    match op {
+        B::Eq | B::Ne | B::And | B::Or | B::Lt | B::Le | B::Gt | B::Ge => Tag::Bool,
+        _ => Tag::Int,
     }
+}
 
-    let mut work: VecDeque<usize> = VecDeque::from([0]);
-    while let Some(b) = work.pop_front() {
-        let mut state = in_states[b].clone();
-        for instr in &f.blocks[b].instrs {
-            const_transfer(&mut state, instr);
-        }
-        f.blocks[b].term.for_each_successor(|s| {
-            if meet_states(&mut in_states[s.index()], &state) && !work.contains(&s.index()) {
-                work.push_back(s.index());
-            }
-        });
+/// The tag of what `op` yields when it does not fault.
+fn un_tag(op: UnOp) -> Tag {
+    match op {
+        UnOp::Neg | UnOp::BNot => Tag::Int,
+        UnOp::Not => Tag::Bool,
     }
-    in_states
+}
+
+/// True when executing `instr` can never fault given the value facts
+/// before it. Instructions that *can* fault must be preserved by dead-code
+/// elimination even when their result is unused, so optimized code faults
+/// exactly when the original would.
+pub(crate) fn cannot_fault(instr: &Instr, facts: &[Fact]) -> bool {
+    use BinOp as B;
+    let tag = |r: Reg| facts[r.index()].tag();
+    match instr {
+        Instr::Const { .. } | Instr::Mov { .. } => true,
+        Instr::Bin { op, lhs, rhs, .. } => match op {
+            B::Eq | B::Ne => true,
+            B::Div | B::Rem => false, // divide by zero
+            B::And | B::Or => tag(*lhs) == Some(Tag::Bool) && tag(*rhs) == Some(Tag::Bool),
+            _ => tag(*lhs) == Some(Tag::Int) && tag(*rhs) == Some(Tag::Int),
+        },
+        Instr::Un { op, src, .. } => tag(*src) == Some(un_tag(*op)),
+        Instr::BytesLen { bytes, .. } => tag(*bytes) == Some(Tag::Bytes),
+        // Everything else either has side effects or can fault (indexing,
+        // allocation with a negative size, calls, raises, globals range).
+        _ => false,
+    }
 }
 
 #[cfg(test)]
@@ -263,18 +362,20 @@ mod tests {
         let m = parse_module(
             "func @f(1) {\n\
              b0:\n\
+               jump b1\n\
+             b1:\n\
                r1 = const int 1\n\
                r2 = add r0, r1\n\
                ret r2\n\
              }\n",
         )
         .unwrap();
-        let lv = liveness(&m.functions[0]);
-        // Nothing is live out of the only block.
-        assert!(!lv.live_out[0].contains(Reg(2)));
-        // The parameter is live in.
-        assert!(lv.live_in[0].contains(Reg(0)));
-        assert!(!lv.live_in[0].contains(Reg(1)));
+        let live_out = liveness(&m.functions[0]);
+        // The parameter is live into b1; what b1 defines is not.
+        assert!(live_out[0].contains(Reg(0)));
+        assert!(!live_out[0].contains(Reg(1)));
+        // Nothing is live out of the returning block.
+        assert!(!live_out[1].contains(Reg(2)));
     }
 
     #[test]
@@ -291,11 +392,10 @@ mod tests {
              }\n",
         )
         .unwrap();
-        let lv = liveness(&m.functions[0]);
-        assert!(lv.live_out[0].contains(Reg(0)));
-        assert!(lv.live_out[0].contains(Reg(1)));
-        assert!(lv.live_in[1].contains(Reg(0)));
-        assert!(!lv.live_in[1].contains(Reg(1)));
+        let live_out = liveness(&m.functions[0]);
+        assert!(live_out[0].contains(Reg(0)));
+        assert!(live_out[0].contains(Reg(1)));
+        assert!(!live_out[0].contains(Reg(2)));
     }
 
     #[test]
@@ -318,12 +418,12 @@ mod tests {
              }\n",
         )
         .unwrap();
-        let lv = liveness(&m.functions[0]);
-        // r1 is live around the loop.
-        assert!(lv.live_in[1].contains(Reg(1)));
-        assert!(lv.live_out[2].contains(Reg(1)));
-        // r0 (the bound) is live into the loop header.
-        assert!(lv.live_in[1].contains(Reg(0)));
+        let live_out = liveness(&m.functions[0]);
+        // r1 is live around the loop, and r0 (the bound) into its header.
+        assert!(live_out[0].contains(Reg(1)));
+        assert!(live_out[2].contains(Reg(1)));
+        assert!(live_out[0].contains(Reg(0)));
+        assert!(!live_out[2].contains(Reg(4)));
     }
 
     #[test]
@@ -343,73 +443,91 @@ mod tests {
         assert_eq!(r, vec![true, false, true]);
     }
 
-    #[test]
-    fn lattice_meet() {
-        let c1 = Lattice::Const(Value::Int(1));
-        let c2 = Lattice::Const(Value::Int(2));
-        assert_eq!(Lattice::Top.meet(&c1), c1);
-        assert_eq!(c1.meet(&c1), c1);
-        assert_eq!(c1.meet(&c2), Lattice::Bottom);
-        assert_eq!(Lattice::Bottom.meet(&c1), Lattice::Bottom);
+    /// The value facts at the entry of `text`'s block `b`.
+    fn facts_at(text: &str, b: usize) -> Vec<Fact> {
+        let m = parse_module(text).unwrap();
+        value_facts(&m.functions[0]).swap_remove(b)
     }
 
     #[test]
-    fn const_states_entry_initialization() {
-        let m = parse_module(
+    fn value_facts_entry_initialization() {
+        let facts = facts_at(
             "func @f(1) {\n\
              b0:\n\
                r1 = const int 5\n\
                ret r1\n\
              }\n",
-        )
-        .unwrap();
-        let states = const_states(&m.functions[0]);
-        assert_eq!(states[0][0], Lattice::Bottom); // param
-        assert_eq!(states[0][1], Lattice::Const(Value::Unit)); // uninit reg
+            0,
+        );
+        assert_eq!(facts[0], Fact::Unknown); // param
+        assert_eq!(facts[1], Fact::Const(Value::Unit)); // uninit reg
     }
 
-    #[test]
-    fn const_states_merge_conflicting() {
-        let m = parse_module(
-            "func @f(1) {\n\
+    /// A diamond whose arms set `r2` to `then` and `else`.
+    fn join_of(then: &str, other: &str) -> Fact {
+        let text = format!(
+            "func @f(1) {{\n\
              b0:\n\
                r1 = const bool true\n\
                br r1, b1, b2\n\
              b1:\n\
-               r2 = const int 1\n\
+               r2 = const {then}\n\
                jump b3\n\
              b2:\n\
-               r2 = const int 2\n\
+               r2 = const {other}\n\
                jump b3\n\
              b3:\n\
                ret r2\n\
-             }\n",
-        )
-        .unwrap();
-        let states = const_states(&m.functions[0]);
-        assert_eq!(states[3][2], Lattice::Bottom);
+             }}\n"
+        );
+        facts_at(&text, 3).swap_remove(2)
     }
 
     #[test]
-    fn const_states_merge_agreeing() {
+    fn join_keeps_equal_constants_and_a_shared_tag() {
+        assert_eq!(join_of("int 7", "int 7"), Fact::Const(Value::Int(7)));
+        assert_eq!(join_of("int 1", "int 2"), Fact::Ty(Tag::Int));
+        assert_eq!(join_of("int 1", "bool true"), Fact::Unknown);
+        assert_eq!(join_of("bool true", "int 1"), Fact::Unknown);
+    }
+
+    #[test]
+    fn a_faulting_fold_gets_its_operator_tag() {
         let m = parse_module(
-            "func @f(1) {\n\
+            "func @f(0) {\n\
              b0:\n\
-               r1 = const bool true\n\
-               br r1, b1, b2\n\
-             b1:\n\
-               r2 = const int 7\n\
-               jump b3\n\
-             b2:\n\
-               r2 = const int 7\n\
-               jump b3\n\
-             b3:\n\
+               r0 = const int 1\n\
+               r1 = const int 0\n\
+               r2 = div r0, r1\n\
+               r3 = lt r0, r1\n\
                ret r2\n\
              }\n",
         )
         .unwrap();
-        let states = const_states(&m.functions[0]);
-        assert_eq!(states[3][2], Lattice::Const(Value::Int(7)));
+        let f = &m.functions[0];
+        let mut facts = value_facts(f).swap_remove(0);
+        for i in &f.blocks[0].instrs {
+            step(&mut facts, i);
+        }
+        assert_eq!(facts[2], Fact::Ty(Tag::Int));
+        assert_eq!(facts[3], Fact::Const(Value::Bool(false)));
+    }
+
+    #[test]
+    fn an_unreached_block_has_no_state() {
+        let m = parse_module(
+            "func @f(0) {\n\
+             b0:\n\
+               jump b2\n\
+             b1:\n\
+               ret\n\
+             b2:\n\
+               ret\n\
+             }\n",
+        )
+        .unwrap();
+        let states = forward(&m.functions[0], (), |_, _| false, |_, _| {});
+        assert_eq!(states, vec![Some(()), None, Some(())]);
     }
 
     #[test]
@@ -426,175 +544,10 @@ mod tests {
         )
         .unwrap();
         let f = &m.functions[0];
-        let mut state = const_states(f)[0].clone();
+        let mut facts = value_facts(f).swap_remove(0);
         for i in &f.blocks[0].instrs {
-            const_transfer(&mut state, i);
+            step(&mut facts, i);
         }
-        assert_eq!(state[0], Lattice::Bottom);
+        assert_eq!(facts[0], Fact::Ty(Tag::Bytes));
     }
-}
-
-/// A runtime type tag for the type lattice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Tag {
-    /// The unit value.
-    Unit,
-    /// 64-bit integer.
-    Int,
-    /// Boolean.
-    Bool,
-    /// Byte buffer.
-    Bytes,
-    /// String.
-    Str,
-}
-
-impl Tag {
-    /// The tag of a concrete value.
-    pub fn of(v: &Value) -> Tag {
-        match v {
-            Value::Unit => Tag::Unit,
-            Value::Int(_) => Tag::Int,
-            Value::Bool(_) => Tag::Bool,
-            Value::Bytes(_) => Tag::Bytes,
-            Value::Str(_) => Tag::Str,
-        }
-    }
-}
-
-/// The type lattice for one register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TyLattice {
-    /// Not yet observed.
-    Top,
-    /// Known type.
-    Ty(Tag),
-    /// Varies / unknown.
-    Bottom,
-}
-
-impl TyLattice {
-    /// Lattice meet.
-    pub fn meet(self, other: TyLattice) -> TyLattice {
-        match (self, other) {
-            (TyLattice::Top, x) | (x, TyLattice::Top) => x,
-            (TyLattice::Ty(a), TyLattice::Ty(b)) if a == b => TyLattice::Ty(a),
-            _ => TyLattice::Bottom,
-        }
-    }
-
-    /// The known tag, if any.
-    pub fn tag(self) -> Option<Tag> {
-        match self {
-            TyLattice::Ty(t) => Some(t),
-            _ => None,
-        }
-    }
-}
-
-/// Per-register type state.
-pub type TyState = Vec<TyLattice>;
-
-fn ty_transfer(state: &mut TyState, instr: &Instr) {
-    use pdo_ir::BinOp as B;
-    use pdo_ir::UnOp as U;
-    let get = |state: &TyState, r: Reg| state[r.index()];
-    let result = match instr {
-        Instr::Const { value, .. } => Some(TyLattice::Ty(Tag::of(value))),
-        Instr::Mov { src, .. } => Some(get(state, *src)),
-        // The state describes values on the non-faulting continuation: if a
-        // `mul` completes at all, its result is an Int, so the result type
-        // is determined by the operator alone.
-        Instr::Bin { op, .. } => {
-            let out = match op {
-                B::Eq | B::Ne | B::And | B::Or | B::Lt | B::Le | B::Gt | B::Ge => Tag::Bool,
-                _ => Tag::Int,
-            };
-            Some(TyLattice::Ty(out))
-        }
-        Instr::Un { op, .. } => {
-            let out = match op {
-                U::Neg | U::BNot => Tag::Int,
-                U::Not => Tag::Bool,
-            };
-            Some(TyLattice::Ty(out))
-        }
-        Instr::BytesNew { .. } | Instr::BytesConcat { .. } | Instr::BytesSlice { .. } => {
-            Some(TyLattice::Ty(Tag::Bytes))
-        }
-        Instr::BytesLen { .. } | Instr::BytesGet { .. } => Some(TyLattice::Ty(Tag::Int)),
-        _ => Some(TyLattice::Bottom), // loads, calls, natives: unknown
-    };
-    if let (Some(d), Some(r)) = (instr.def(), result) {
-        state[d.index()] = r;
-    }
-}
-
-/// Computes block-entry type states (worklist to fixpoint). Registers hold
-/// `Unit` before their first write, so non-parameter registers start as
-/// `Ty(Unit)` at the entry; parameters are `Bottom`.
-pub fn type_states(f: &Function) -> Vec<TyState> {
-    let n = f.blocks.len();
-    let top: TyState = vec![TyLattice::Top; usize::from(f.reg_count)];
-    let mut in_states = vec![top; n];
-    for (r, slot) in in_states[0].iter_mut().enumerate() {
-        *slot = if r < usize::from(f.params) {
-            TyLattice::Bottom
-        } else {
-            TyLattice::Ty(Tag::Unit)
-        };
-    }
-    let mut work: VecDeque<usize> = VecDeque::from([0]);
-    while let Some(b) = work.pop_front() {
-        let mut state = in_states[b].clone();
-        for instr in &f.blocks[b].instrs {
-            ty_transfer(&mut state, instr);
-        }
-        f.blocks[b].term.for_each_successor(|s| {
-            let mut changed = false;
-            for (cur, new) in in_states[s.index()].iter_mut().zip(&state) {
-                let m = cur.meet(*new);
-                if m != *cur {
-                    *cur = m;
-                    changed = true;
-                }
-            }
-            if changed && !work.contains(&s.index()) {
-                work.push_back(s.index());
-            }
-        });
-    }
-    in_states
-}
-
-/// True when executing `instr` can never fault given the type state before
-/// it. Instructions that *can* fault must be preserved by dead-code
-/// elimination even when their result is unused, so optimized code faults
-/// exactly when the original would.
-pub fn cannot_fault(instr: &Instr, state: &TyState) -> bool {
-    use pdo_ir::BinOp as B;
-    use pdo_ir::UnOp as U;
-    let tag = |r: Reg| state[r.index()].tag();
-    match instr {
-        Instr::Const { .. } | Instr::Mov { .. } => true,
-        Instr::Bin { op, lhs, rhs, .. } => match op {
-            B::Eq | B::Ne => true,
-            B::Div | B::Rem => false, // divide by zero
-            B::And | B::Or => tag(*lhs) == Some(Tag::Bool) && tag(*rhs) == Some(Tag::Bool),
-            _ => tag(*lhs) == Some(Tag::Int) && tag(*rhs) == Some(Tag::Int),
-        },
-        Instr::Un { op, src, .. } => match op {
-            U::Neg | U::BNot => tag(*src) == Some(Tag::Int),
-            U::Not => tag(*src) == Some(Tag::Bool),
-        },
-        Instr::BytesLen { bytes, .. } => tag(*bytes) == Some(Tag::Bytes),
-        // Everything else either has side effects or can fault (indexing,
-        // allocation with a negative size, calls, raises, globals range).
-        _ => false,
-    }
-}
-
-/// Applies `ty_transfer` for external callers stepping through a block.
-pub fn type_step(state: &mut TyState, instr: &Instr) {
-    ty_transfer(state, instr);
 }

@@ -1,10 +1,11 @@
 //! Constant propagation and folding.
 //!
-//! Uses the interprocedurally-local (per-function, whole-CFG) constant
-//! analysis from [`crate::analysis`]. Foldable pure instructions are
-//! replaced with `const`; algebraic identities with one constant operand
-//! are simplified; branches on constant conditions become jumps (enabling
-//! [`crate::cleanup`] to drop the dead arm).
+//! Uses the per-function, whole-CFG value facts of the crate's one
+//! forward dataflow: a constant, a type tag or nothing known per register.
+//! Foldable pure instructions are replaced with `const`; algebraic
+//! identities with one constant operand are simplified; branches on
+//! constant conditions become jumps (enabling [`crate::cleanup`] to drop
+//! the dead arm).
 //!
 //! One canonical form for repeated constants, shared with [`crate::cse`]:
 //! the first `const v` of a block materialises, later equal ones are `mov`s
@@ -14,20 +15,15 @@
 //! the pipeline would never reach its fixed point. A `mov` of a constant
 //! that arrives from another block still folds.
 
-use crate::analysis::{
-    const_states, const_transfer, type_states, type_step, ConstState, RegSet, Tag, TyState,
-};
+use crate::analysis::{step, value_facts, Fact, RegSet, Tag};
 use pdo_ir::{BinOp, Function, Instr, Terminator, Value};
 
 /// Folds constants, identities and constant branches in `f`. Returns
 /// `true` if `f` changed.
 pub fn fold_function(f: &mut Function) -> bool {
-    let in_states = const_states(f);
-    let ty_in = type_states(f);
+    let entry = value_facts(f);
     let mut changed = false;
-    for (b, block) in f.blocks.iter_mut().enumerate() {
-        let mut state: ConstState = in_states[b].clone();
-        let mut tys: TyState = ty_in[b].clone();
+    for (block, mut facts) in f.blocks.iter_mut().zip(entry) {
         // Registers holding what a `const` of this block put there: not
         // redefined and not `bset` since (the condition under which CSE
         // offers the register for an equal later `const`).
@@ -36,13 +32,12 @@ pub fn fold_function(f: &mut Function) -> bool {
             let canonical_mov =
                 matches!(instr, Instr::Mov { src, .. } if materialised.contains(*src));
             if !canonical_mov {
-                if let Some(replacement) = simplify(instr, &state, &tys) {
+                if let Some(replacement) = simplify(instr, &facts) {
                     *instr = replacement;
                     changed = true;
                 }
             }
-            const_transfer(&mut state, instr);
-            type_step(&mut tys, instr);
+            step(&mut facts, instr);
             match instr {
                 Instr::Const { dst, .. } => {
                     materialised.insert(*dst);
@@ -61,7 +56,7 @@ pub fn fold_function(f: &mut Function) -> bool {
             else_blk,
         } = block.term
         {
-            if let Some(Value::Bool(c)) = state[cond.index()].as_const() {
+            if let Some(Value::Bool(c)) = facts[cond.index()].as_const() {
                 block.term = Terminator::Jump(if *c { then_blk } else { else_blk });
                 changed = true;
             }
@@ -70,11 +65,11 @@ pub fn fold_function(f: &mut Function) -> bool {
     changed
 }
 
-/// Computes a simpler replacement for `instr` given the abstract constant
-/// `state` and type state `tys`, or `None` if it cannot be improved.
-fn simplify(instr: &Instr, state: &ConstState, tys: &TyState) -> Option<Instr> {
-    let konst = |r: pdo_ir::Reg| state[r.index()].as_const();
-    let tag = |r: pdo_ir::Reg| tys[r.index()].tag();
+/// Computes a simpler replacement for `instr` given the value `facts`
+/// before it, or `None` if it cannot be improved.
+fn simplify(instr: &Instr, facts: &[Fact]) -> Option<Instr> {
+    let konst = |r: pdo_ir::Reg| facts[r.index()].as_const();
+    let tag = |r: pdo_ir::Reg| facts[r.index()].tag();
     match instr {
         Instr::Bin { op, dst, lhs, rhs } => {
             // Full fold when both operands are known.

@@ -5,31 +5,29 @@
 //! mutation, and *potentially faulting* operations all count as effects, so
 //! optimized code faults exactly when the original would).
 
-use crate::analysis::{cannot_fault, liveness, type_states, type_step};
+use crate::analysis::{cannot_fault, liveness, step, value_facts};
 use pdo_ir::{Function, Terminator};
 
 /// Deletes `f`'s dead instructions that cannot fault. Returns `true` if `f`
 /// changed.
 pub fn dce_function(f: &mut Function) -> bool {
-    let lv = liveness(f);
-    let ty_in = type_states(f);
+    let live_out = liveness(f);
+    let entry = value_facts(f);
     let mut changed = false;
-    for (b, block) in f.blocks.iter_mut().enumerate() {
+    for ((block, mut facts), mut live) in f.blocks.iter_mut().zip(entry).zip(live_out) {
         // Forward pass: which instructions may go if their result is dead
-        // — no side effect, and proven unable to fault by the type state
+        // — no side effect, and proven unable to fault by the value facts
         // before them.
-        let mut ty = ty_in[b].clone();
         let removable: Vec<bool> = block
             .instrs
             .iter()
             .map(|instr| {
-                let removable = !instr.has_side_effect() && cannot_fault(instr, &ty);
-                type_step(&mut ty, instr);
+                let removable = !instr.has_side_effect() && cannot_fault(instr, &facts);
+                step(&mut facts, instr);
                 removable
             })
             .collect();
 
-        let mut live = lv.live_out[b].clone();
         match &block.term {
             Terminator::Branch { cond, .. } => {
                 live.insert(*cond);

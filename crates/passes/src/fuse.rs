@@ -63,7 +63,7 @@ pub fn fuse_function(f: &mut Function, func: FuncId, out: &mut Vec<FusionRecord>
     let live = liveness(f);
     let mut changed = false;
     for (b_idx, block) in f.blocks.iter_mut().enumerate() {
-        let live_out = &live.live_out[b_idx];
+        let live_out = &live[b_idx];
         let mut i = 0;
         while i < block.instrs.len() {
             // Longest pattern first, so a locked read-modify-write becomes

@@ -21,6 +21,13 @@
 //!   whole CFG, through natives, deferred raises and lock operations (the
 //!   paper's "redundant initializations and code fragments").
 //!
+//! The passes share two dataflow solvers over a function's CFG: backward
+//! liveness (`dce`, `fuse`), and one forward solver on which two analyses
+//! run. One is the value facts — per register a constant, a type tag or
+//! nothing known — that `constfold` folds with and `dce` proves an
+//! instruction unable to fault with; the other is the globals held in
+//! registers that load forwarding reads.
+//!
 //! Each pass rewrites one function and says whether it changed it. One
 //! driver runs them, [`optimize_single_function`]: the pipeline in its one
 //! order, on one function, to a fixed point, verifying the module after
@@ -54,7 +61,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod analysis;
+mod analysis;
 pub mod cleanup;
 pub mod constfold;
 pub mod copyprop;

@@ -15,6 +15,7 @@
 //! can it read, write or lock? The answer states what the runtime already
 //! guarantees, not what an arbitrary CFG node might do.
 
+use crate::analysis::forward;
 use pdo_ir::{Function, GlobalId, Instr, RaiseMode, Reg};
 
 /// The globals one instruction may read, write or lock.
@@ -155,12 +156,12 @@ enum Rewrite {
 /// `store g, r` that would write back the value `g` already holds is
 /// deleted.
 ///
-/// A forward dataflow: a block's entry state is the meet of its visited
-/// predecessors' exit states, where `g → r` survives only if every one of
-/// them holds the same `r`. The entry block starts empty; predecessors not
-/// yet visited are ignored (the optimistic start), so loops converge. What
-/// forgets `g → r`: a redefinition of `r`, a `bset` on `r`, a fold of `g`,
-/// and anything that `touches` every global.
+/// A forward dataflow on the crate's one solver (`analysis::forward`): a
+/// block's entry state is the meet of its reached predecessors' exit
+/// states, where `g → r` survives only if every one of them holds the same
+/// `r`. The entry block starts empty. What forgets `g → r`: a redefinition
+/// of `r`, a `bset` on `r`, a fold of `g`, and anything that `touches`
+/// every global.
 ///
 /// The pass only turns loads into `mov`s and deletes stores of the value
 /// `g` already holds, so global state at every instruction boundary — and
@@ -186,54 +187,27 @@ pub fn forward_function(f: &mut Function) -> bool {
     }
     slots.sort_unstable();
     slots.dedup();
-    let (n, w) = (f.blocks.len(), slots.len());
-
-    // Row `b` is block `b`'s entry state; the last row is the state carried
-    // through the block being walked.
-    let mut held: Vec<Option<Reg>> = vec![None; (n + 1) * w];
-    let mut visited = vec![false; n];
-    visited[0] = true;
-    let mut moved = true;
-    while moved {
-        moved = false;
-        for b in 0..n {
-            if !visited[b] {
-                continue;
+    let forgets = |entry: &mut Vec<Option<Reg>>, exit: &Vec<Option<Reg>>| {
+        let mut changed = false;
+        for (e, x) in entry.iter_mut().zip(exit) {
+            if e.is_some() && e != x {
+                *e = None;
+                changed = true;
             }
-            let (entries, cur) = held.split_at_mut(n * w);
-            cur.copy_from_slice(&entries[b * w..][..w]);
-            for instr in &f.blocks[b].instrs {
-                transfer(cur, &slots, instr);
-            }
-            f.blocks[b].term.for_each_successor(|s| {
-                let entry = &mut entries[s.index() * w..][..w];
-                if !visited[s.index()] {
-                    visited[s.index()] = true;
-                    entry.copy_from_slice(cur);
-                    moved = true;
-                    return;
-                }
-                for (e, c) in entry.iter_mut().zip(cur.iter()) {
-                    if e.is_some() && e != c {
-                        *e = None;
-                        moved = true;
-                    }
-                }
-            });
         }
-    }
+        changed
+    };
+    let entry = forward(f, vec![None; slots.len()], forgets, |held, instr| {
+        transfer(held, &slots, instr);
+    });
 
     let mut changed = false;
     let mut dead = Vec::new();
-    for (b, block) in f.blocks.iter_mut().enumerate() {
-        let (entries, cur) = held.split_at_mut(n * w);
-        if visited[b] {
-            cur.copy_from_slice(&entries[b * w..][..w]);
-        } else {
-            cur.fill(None);
-        }
+    for (block, held) in f.blocks.iter_mut().zip(entry) {
+        // A block no path reaches holds nothing.
+        let mut held = held.unwrap_or_else(|| vec![None; slots.len()]);
         for (idx, instr) in block.instrs.iter_mut().enumerate() {
-            match transfer(cur, &slots, instr) {
+            match transfer(&mut held, &slots, instr) {
                 Rewrite::Keep => {}
                 Rewrite::Forward(src) => {
                     let dst = instr.def().expect("a forwarded load defines a register");

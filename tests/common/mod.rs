@@ -65,16 +65,55 @@ pub enum GenInstr {
         reg: u16,
         swap: bool,
     },
+    /// `dst = const bytes` of `len` zero bytes.
+    ConstBytes(u16, usize),
+    /// A diamond over the temporaries `t0..t2`: `t2 = eq a, b` (`ne` when
+    /// `ne`) on two parameters (or on `r0`) and `br t2`, two arms that
+    /// define the same temporaries differently ([`Arms`]; `swap` trades
+    /// the arms), and a join that uses them. The diamond splits its block:
+    /// what follows it in the block runs in the join.
+    Diamond {
+        a: u16,
+        b: u16,
+        ne: bool,
+        arms: Arms,
+        swap: bool,
+    },
+}
+
+/// What a [`GenInstr::Diamond`]'s arms define and its join reads.
+#[derive(Debug, Clone)]
+pub enum Arms {
+    /// The arms set `t0` to one value each; the join computes
+    /// `t2 = op t0, t1` after `t1 = const` the identity of `op` (`unit_of`;
+    /// operands swapped when `swap`), then stores `t2` to `global` when
+    /// `result`, else stores `t0` there and leaves `t2` dead. Either store
+    /// shows whether the join ran past `op`.
+    Consts {
+        values: [Value; 2],
+        op: usize,
+        swap: bool,
+        global: u16,
+        result: bool,
+    },
+    /// The arms load `global` into `t0` and `t1`; the join loads it into
+    /// `t2` and stores that to `to`.
+    Loads { global: u16, to: u16 },
+    /// `t0 = const bytes 00000000` before the branch; the first arm sets
+    /// its byte `index` to `value`, the second leaves it; the join stores
+    /// to `global` whether `t0` still equals `const bytes 00000000`.
+    Set { index: i64, value: i64, global: u16 },
 }
 
 /// The sequences `fuse` rewrites, in the order of [`GenInstr::Fold`]'s
 /// `shape`.
 pub const FOLD_SHAPES: [&str; 5] = ["lfold.i", "gfold.i", "gfold", "lstore", "bin.i"];
 
-/// Temporaries of [`GenInstr::Fold`], past the generated registers and the
-/// trip counter's two: no other template reads them, so every one is dead
-/// after its sequence and the sequence can fuse.
-const FOLD_TEMPS: u16 = 3;
+/// Temporaries of [`GenInstr::Fold`] and [`GenInstr::Diamond`], past the
+/// generated registers and the trip counter's two: each template writes
+/// them before it reads them and no other template reads them, so every
+/// one is dead after its sequence and a fold can fuse.
+const TEMPS: u16 = 3;
 
 /// A generated terminator template.
 #[derive(Debug, Clone)]
@@ -156,7 +195,63 @@ pub fn gen_instr(params: u16, regs: u16) -> impl Strategy<Value = GenInstr> {
                 reg,
                 swap,
             }),
+        (r.clone(), 0usize..5).prop_map(|(d, len)| GenInstr::ConstBytes(d, len)),
+        gen_diamond(params, consts()),
+        gen_diamond(params, loads()),
+        gen_diamond(params, set()),
     ]
+}
+
+/// A small integer or a boolean.
+fn gen_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        (-1i64..3).prop_map(Value::Int),
+        any::<bool>().prop_map(Value::Bool),
+    ]
+}
+
+/// A [`GenInstr::Diamond`] whose arms `arms` draws.
+fn gen_diamond(params: u16, arms: impl Strategy<Value = Arms>) -> impl Strategy<Value = GenInstr> {
+    let p = 0..params.max(1);
+    (p.clone(), p, any::<bool>(), arms, any::<bool>()).prop_map(|(a, b, ne, arms, swap)| {
+        GenInstr::Diamond {
+            a,
+            b,
+            ne,
+            arms,
+            swap,
+        }
+    })
+}
+
+fn consts() -> impl Strategy<Value = Arms> {
+    (
+        gen_value(),
+        gen_value(),
+        0..BinOp::ALL.len(),
+        any::<bool>(),
+        0..GEN_GLOBALS,
+        any::<bool>(),
+    )
+        .prop_map(|(a, b, op, swap, global, result)| Arms::Consts {
+            values: [a, b],
+            op,
+            swap,
+            global,
+            result,
+        })
+}
+
+fn loads() -> impl Strategy<Value = Arms> {
+    (0..GEN_GLOBALS, 0..GEN_GLOBALS).prop_map(|(global, to)| Arms::Loads { global, to })
+}
+
+fn set() -> impl Strategy<Value = Arms> {
+    (0i64..4, 1i64..256, 0..GEN_GLOBALS).prop_map(|(index, value, global)| Arms::Set {
+        index,
+        value,
+        global,
+    })
 }
 
 pub fn gen_term(regs: u16) -> impl Strategy<Value = GenTerm> {
@@ -186,7 +281,8 @@ pub fn gen_function() -> impl Strategy<Value = GenFunction> {
 /// Materializes a generated function into a module with `GEN_GLOBALS`
 /// globals, one event `e0` and one native `n0`. Forward edges cannot
 /// cycle, and every backward branch first counts down one trip counter
-/// shared by the whole function, so execution terminates.
+/// shared by the whole function, so execution terminates. A generated
+/// block becomes one IR block, and three more for each diamond in it.
 pub fn build_module(f: &GenFunction) -> Module {
     let mut m = Module::new();
     for g in 0..GEN_GLOBALS - 1 {
@@ -201,19 +297,34 @@ pub fn build_module(f: &GenFunction) -> Module {
         .iter()
         .enumerate()
         .any(|(i, (_, t))| i > 0 && matches!(t, GenTerm::Back(..)));
-    let folds = f
+    let temps = f.blocks.iter().any(|(instrs, _)| {
+        instrs
+            .iter()
+            .any(|gi| matches!(gi, GenInstr::Fold { .. } | GenInstr::Diamond { .. }))
+    });
+    // The IR block each generated block starts at.
+    let starts: Vec<BlockId> = f
         .blocks
         .iter()
-        .any(|(instrs, _)| instrs.iter().any(|gi| matches!(gi, GenInstr::Fold { .. })));
+        .scan(0, |next, (instrs, _)| {
+            let start = *next;
+            let diamonds = instrs
+                .iter()
+                .filter(|gi| matches!(gi, GenInstr::Diamond { .. }))
+                .count();
+            *next += 1 + 3 * diamonds;
+            Some(BlockId::from_index(start))
+        })
+        .collect();
     // Two registers past the generated ones: the trip counter and its test;
-    // then the fold temporaries.
+    // then the template temporaries.
     let (trips, more) = (Reg(f.regs), Reg(f.regs + 1));
     let blocks: Vec<Block> = f
         .blocks
         .iter()
         .enumerate()
-        .map(|(i, (gen_instrs, term))| {
-            let mut instrs = Vec::new();
+        .flat_map(|(i, (gen_instrs, term))| {
+            let (mut out, mut instrs) = (Vec::new(), Vec::new());
             if i == 0 && loops {
                 instrs.push(Instr::Const {
                     dst: trips,
@@ -221,11 +332,53 @@ pub fn build_module(f: &GenFunction) -> Module {
                 });
             }
             for gi in gen_instrs {
-                emit(gi, f.regs + 2, &mut instrs);
+                let GenInstr::Diamond {
+                    a,
+                    b,
+                    ne,
+                    arms,
+                    swap,
+                } = gi
+                else {
+                    emit(gi, f.regs + 2, &mut instrs);
+                    continue;
+                };
+                let here = starts[i].index() + out.len();
+                let [before, mut then, mut otherwise, join] = diamond(arms, f.regs + 2);
+                if *swap {
+                    std::mem::swap(&mut then, &mut otherwise);
+                }
+                let cond = Reg(f.regs + 2 + 2); // t2
+                instrs.extend(before);
+                instrs.push(Instr::Bin {
+                    op: if *ne { BinOp::Ne } else { BinOp::Eq },
+                    dst: cond,
+                    lhs: Reg(*a),
+                    rhs: Reg(*b),
+                });
+                let to_join = Terminator::Jump(BlockId::from_index(here + 3));
+                out.extend([
+                    Block {
+                        instrs: std::mem::replace(&mut instrs, join),
+                        term: Terminator::Branch {
+                            cond,
+                            then_blk: BlockId::from_index(here + 1),
+                            else_blk: BlockId::from_index(here + 2),
+                        },
+                    },
+                    Block {
+                        instrs: then,
+                        term: to_join.clone(),
+                    },
+                    Block {
+                        instrs: otherwise,
+                        term: to_join,
+                    },
+                ]);
             }
             let fwd = |off: u16| -> Option<BlockId> {
                 let t = i + 1 + usize::from(off);
-                (t < n_blocks).then(|| BlockId::from_index(t))
+                (t < n_blocks).then(|| starts[t])
             };
             let term = match *term {
                 GenTerm::Ret(r) => Terminator::Ret(r.map(Reg)),
@@ -269,9 +422,7 @@ pub fn build_module(f: &GenFunction) -> Module {
                         ]);
                         Terminator::Branch {
                             cond: more,
-                            then_blk: BlockId::from_index(
-                                i.saturating_sub(usize::from(back)).max(1),
-                            ),
+                            then_blk: starts[i.saturating_sub(usize::from(back)).max(1)],
                             else_blk: e,
                         }
                     }
@@ -279,21 +430,119 @@ pub fn build_module(f: &GenFunction) -> Module {
                     None => Terminator::Ret(None),
                 },
             };
-            Block { instrs, term }
+            out.push(Block { instrs, term });
+            out
         })
         .collect();
     m.add_function(Function {
         name: "gen".into(),
         params: f.params,
         reg_count: f.regs
-            + match (loops, folds) {
-                (_, true) => 2 + FOLD_TEMPS,
+            + match (loops, temps) {
+                (_, true) => 2 + TEMPS,
                 (true, false) => 2,
                 (false, false) => 0,
             },
         blocks,
     });
     m
+}
+
+/// The operand that leaves the other one unchanged under `op`, where there
+/// is one: `and true`, `or false`, `mul 1`, `div 1`, else `0`.
+fn unit_of(op: BinOp) -> Value {
+    match op {
+        BinOp::And => Value::Bool(true),
+        BinOp::Or => Value::Bool(false),
+        BinOp::Mul | BinOp::Div => Value::Int(1),
+        _ => Value::Int(0),
+    }
+}
+
+/// The instructions of a diamond whose temporaries start at register
+/// `temps`: before its branch, in its first and second arm, and at the
+/// head of its join.
+fn diamond(arms: &Arms, temps: u16) -> [Vec<Instr>; 4] {
+    let [t0, t1, t2] = [0, 1, 2].map(|i| Reg(temps + i));
+    let global = |g: u16| GlobalId(u32::from(g));
+    let konst = |dst, value| Instr::Const { dst, value };
+    let zeros = || Value::bytes(vec![0; 4]);
+    match arms {
+        Arms::Consts {
+            values: [a, b],
+            op,
+            swap,
+            global: g,
+            result,
+        } => {
+            let (lhs, rhs) = if *swap { (t1, t0) } else { (t0, t1) };
+            let op = BinOp::ALL[*op];
+            let join = vec![
+                konst(t1, unit_of(op)),
+                Instr::Bin {
+                    op,
+                    dst: t2,
+                    lhs,
+                    rhs,
+                },
+                Instr::StoreGlobal {
+                    global: global(*g),
+                    src: if *result { t2 } else { t0 },
+                },
+            ];
+            [
+                vec![],
+                vec![konst(t0, a.clone())],
+                vec![konst(t0, b.clone())],
+                join,
+            ]
+        }
+        Arms::Loads { global: g, to } => {
+            let load = |dst| Instr::LoadGlobal {
+                dst,
+                global: global(*g),
+            };
+            let store = Instr::StoreGlobal {
+                global: global(*to),
+                src: t2,
+            };
+            [
+                vec![],
+                vec![load(t0)],
+                vec![load(t1)],
+                vec![load(t2), store],
+            ]
+        }
+        Arms::Set {
+            index,
+            value,
+            global: g,
+        } => {
+            let set = vec![
+                konst(t1, Value::Int(*index)),
+                konst(t2, Value::Int(*value)),
+                Instr::BytesSet {
+                    bytes: t0,
+                    index: t1,
+                    value: t2,
+                },
+            ];
+            let join = vec![
+                konst(t1, zeros()),
+                Instr::Bin {
+                    op: BinOp::Eq,
+                    dst: t2,
+                    lhs: t0,
+                    rhs: t1,
+                },
+                Instr::StoreGlobal {
+                    global: global(*g),
+                    src: t2,
+                },
+            ];
+            [vec![konst(t0, zeros())], set, vec![], join]
+        }
+    }
 }
 
 /// Appends the instructions `gi` stands for; a fold's temporaries start
@@ -308,6 +557,10 @@ fn emit(gi: &GenInstr, temps: u16, out: &mut Vec<Instr>) {
         GenInstr::ConstBool(d, v) => out.push(Instr::Const {
             dst: Reg(d),
             value: Value::Bool(v),
+        }),
+        GenInstr::ConstBytes(d, len) => out.push(Instr::Const {
+            dst: Reg(d),
+            value: Value::bytes(vec![0; len]),
         }),
         GenInstr::Mov(d, s) => out.push(Instr::Mov {
             dst: Reg(d),
@@ -416,5 +669,6 @@ fn emit(gi: &GenInstr, temps: u16, out: &mut Vec<Instr>) {
                 _ => out.extend([konst, bin(reg, reg, t1)]),
             }
         }
+        GenInstr::Diamond { .. } => unreachable!("`build_module` splits the block at a diamond"),
     }
 }

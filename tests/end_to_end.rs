@@ -5,14 +5,17 @@ use pdo::{optimize, OptimizeOptions};
 use pdo_cactus::EventProgram;
 use pdo_ctp::{ctp_program, CtpEndpoint, CtpParams, VideoPlayer};
 use pdo_events::TraceConfig;
+use pdo_ir::display::print_module;
 use pdo_profile::Profile;
 use pdo_seccomm::{seccomm_protocol, Endpoint, Keys, CONFIG_FULL, CONFIG_PAPER};
 use pdo_xwin::{x_client_program, XClient};
 
 /// `optimize` left every super-handler at a fixed point of the pipeline it
 /// ran on it (each ran until nothing changed, none to the iteration cap):
-/// the same pipeline over its output finds nothing to do.
-fn assert_super_handlers_are_fixed_points(opt: &pdo::Optimization) {
+/// the same pipeline over its output finds nothing to do. And its output
+/// is what it was when `tests/fixtures/<fixture>` was printed from it: a
+/// pass change that alters any optimized program replaces the fixture.
+fn assert_super_handlers_are_fixed_points(opt: &pdo::Optimization, fixture: &str) {
     let mut again = opt.module.clone();
     for built in &opt.report.events {
         // 4096 is `optimize`'s own inline ceiling.
@@ -24,6 +27,18 @@ fn assert_super_handlers_are_fixed_points(opt: &pdo::Optimization) {
         );
     }
     assert_eq!(again, opt.module);
+
+    let path = format!("{}/tests/fixtures/{fixture}", env!("CARGO_MANIFEST_DIR"));
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let printed = print_module(&opt.module);
+    let (mut want, mut got) = (expected.lines(), printed.lines());
+    for line in 1.. {
+        let (w, g) = (want.next(), got.next());
+        assert_eq!(g, w, "{fixture}, line {line}: the optimized module differs");
+        if w.is_none() {
+            break;
+        }
+    }
 }
 
 #[test]
@@ -49,7 +64,7 @@ fn seccomm_full_config_roundtrips_after_optimization() {
         &profile,
         &OptimizeOptions::new(30),
     );
-    assert_super_handlers_are_fixed_points(&opt);
+    assert_super_handlers_are_fixed_points(&opt, "optimized_seccomm.pdo");
     let opt_program = program.with_module(opt.module.clone());
 
     let mut orig = Endpoint::new(&program, &keys).expect("orig");
@@ -110,7 +125,7 @@ fn video_player_wire_identical_and_faster_in_abstract_cost() {
         &OptimizeOptions::new(90),
     );
     assert!(opt.report.events.len() >= 4, "{}", opt.report);
-    assert_super_handlers_are_fixed_points(&opt);
+    assert_super_handlers_are_fixed_points(&opt, "optimized_ctp_video.pdo");
     let opt_program = program.with_module(opt.module.clone());
 
     let run = |prog: &EventProgram, install: bool| {
@@ -156,7 +171,7 @@ fn xclient_per_event_guards_keep_other_segments_fast() {
         &profile,
         &opts,
     );
-    assert_super_handlers_are_fixed_points(&opt);
+    assert_super_handlers_are_fixed_points(&opt, "optimized_xclient.pdo");
     let opt_program = program.with_module(opt.module.clone());
 
     let mut fast = XClient::new(&opt_program).expect("fast client");
