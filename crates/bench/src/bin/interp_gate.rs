@@ -2,17 +2,17 @@
 //! hot inner loops, and that counting executed and fused instructions is
 //! near-free on the dispatch path.
 //!
-//! Three handler bodies model the paper's workload inner loops:
+//! Two handler bodies time the two superinstructions in the shapes that
+//! run (EXPERIMENTS.md "Two superinstructions"):
 //!
-//! * `video`  — a run of locked frame-counter bumps
-//!   (`lock; load; const; add; store; unlock`), the shape the video
-//!   player's timer handler executes per frame; fuses to `lfold.i`.
-//! * `seccomm` — a run of checksum folds over a global
-//!   (`load; const; xor; store`), the SecComm packet-digest shape; fuses
-//!   to `gfold.i`.
-//! * `x`      — a const-heavy register expression chain
-//!   (`const; add` pairs), the X-client coordinate-arithmetic shape;
-//!   fuses to `bin.i`.
+//! * `locked_gfold` — a run of locked counter bumps by a live register
+//!   (`lock; load; add; store; unlock`), the shape of the 16 `gfold` sites
+//!   in the optimized video program; its read-modify-write fuses to
+//!   `gfold` inside the lock.
+//! * `x` — a const-heavy register expression chain (`const; add` pairs),
+//!   the X-client coordinate-arithmetic shape; fuses to `bin.i`, which
+//!   carries a third or more of the instructions executed on the
+//!   `bin`-heavy benchmark workloads.
 //!
 //! Each body is timed unfused and after `pdo_passes::fuse` rewrote it, in
 //! interleaved rounds so machine drift hits both sides equally. The
@@ -22,7 +22,7 @@
 //! check times a full generic-dispatch runtime with the interpreter's
 //! instruction counters on vs off and fails if counting costs more than
 //! [`OVERHEAD_GATE`] (5%). A third counts heap allocations per call beside
-//! every timing: none of the three bodies builds a byte buffer, so the
+//! every timing: neither body builds a byte buffer, so the
 //! interpreter must run them, fused and unfused, without allocating at all.
 //!
 //! Beside the gates sits the ledger the next interpreter change reads:
@@ -78,34 +78,19 @@ const RATIO_GATES: [(&str, &str, f64); 3] = [
     ("mov", "terminator", 1.5),
 ];
 
-/// The video player's timer tick: `REPS` locked frame-counter bumps.
-fn video_module() -> Module {
+/// The optimized video program's counter bumps: `REPS` locked
+/// `g = g + k`, with `k` one register live across all of them.
+fn locked_gfold_module() -> Module {
     let mut m = Module::new();
-    let g = m.add_global("frames", Value::Int(0));
-    let mut b = FunctionBuilder::new("video_tick", 0);
+    let g = m.add_global("sent", Value::Int(0));
+    let mut b = FunctionBuilder::new("locked_gfold", 0);
+    let k = b.const_int(1);
     for _ in 0..REPS {
         b.lock(g);
         let v = b.load_global(g);
-        let k = b.const_int(1);
         let s = b.bin(BinOp::Add, v, k);
         b.store_global(g, s);
         b.unlock(g);
-    }
-    b.ret(None);
-    m.add_function(b.finish());
-    m
-}
-
-/// The SecComm packet digest: `REPS` checksum folds over a global.
-fn seccomm_module() -> Module {
-    let mut m = Module::new();
-    let g = m.add_global("digest", Value::Int(0x5EED));
-    let mut b = FunctionBuilder::new("seccomm_digest", 0);
-    for i in 0..REPS {
-        let v = b.load_global(g);
-        let k = b.const_int(0x9E37_79B9 ^ i as i64);
-        let s = b.bin(BinOp::Xor, v, k);
-        b.store_global(g, s);
     }
     b.ret(None);
     m.add_function(b.finish());
@@ -281,14 +266,6 @@ fn opcode_ledger() -> Vec<LedgerRow> {
             vec![Instr::Lock { global: g }, Instr::Unlock { global: g }],
         ),
         (
-            "lfold_imm",
-            vec![Instr::LockedFoldImm {
-                op: BinOp::Add,
-                global: g,
-                imm: Value::Int(1),
-            }],
-        ),
-        (
             "callnative_nop",
             vec![Instr::CallNative {
                 dst: r2,
@@ -375,11 +352,7 @@ fn main() {
     let mut workloads_json = Vec::new();
     let mut best = ("", 0.0f64);
     let mut allocs_sum = 0.0f64;
-    for (name, module) in [
-        ("video", video_module()),
-        ("seccomm", seccomm_module()),
-        ("x", x_module()),
-    ] {
+    for (name, module) in [("locked_gfold", locked_gfold_module()), ("x", x_module())] {
         let fused = fused_twin(&module, name);
         let sides = kernel_rounds(&module, &fused);
         let (unfused_side, fused_side) = (&sides[0], &sides[1]);

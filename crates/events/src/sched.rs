@@ -247,11 +247,6 @@ impl Scheduler {
         Self::default()
     }
 
-    /// Enqueues an asynchronous event.
-    pub fn push_async(&mut self, event: EventId, args: Vec<Value>) {
-        self.push_async_traced(event, args, None);
-    }
-
     /// Enqueues an asynchronous event carrying a causal-trace context.
     pub fn push_async_traced(
         &mut self,
@@ -334,11 +329,6 @@ impl Scheduler {
         self.timers.as_ref()?.next_deadline()
     }
 
-    /// True when no work is queued or scheduled.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty() && self.timer_len() == 0
-    }
-
     /// Queued (async) event count.
     pub fn queued_len(&self) -> usize {
         self.queue.len()
@@ -374,8 +364,8 @@ mod tests {
     #[test]
     fn async_queue_is_fifo() {
         let mut s = Scheduler::new();
-        s.push_async(EventId(1), vec![]);
-        s.push_async(EventId(2), vec![]);
+        s.push_async_traced(EventId(1), vec![], None);
+        s.push_async_traced(EventId(2), vec![], None);
         assert_eq!(s.pop_async().unwrap().event, EventId(1));
         assert_eq!(s.pop_async().unwrap().event, EventId(2));
         assert!(s.pop_async().is_none());
@@ -417,20 +407,21 @@ mod tests {
     #[test]
     fn idle_reflects_both_queues() {
         let mut s = Scheduler::new();
-        assert!(s.is_idle());
-        s.push_async(EventId(0), vec![]);
-        assert!(!s.is_idle());
+        let idle = |s: &Scheduler| s.queued_len() == 0 && s.timer_len() == 0;
+        assert!(idle(&s));
+        s.push_async_traced(EventId(0), vec![], None);
+        assert!(!idle(&s));
         s.pop_async();
-        assert!(s.is_idle());
+        assert!(idle(&s));
         s.push_timed(0, 5, EventId(0), vec![]);
-        assert!(!s.is_idle());
+        assert!(!idle(&s));
     }
 
     #[test]
     fn a_decoded_scheduler_keeps_order_and_tiebreak() {
         let mut s = Scheduler::new();
-        s.push_async(EventId(7), vec![Value::Int(1)]);
-        s.push_async(EventId(8), vec![]);
+        s.push_async_traced(EventId(7), vec![Value::Int(1)], None);
+        s.push_async_traced(EventId(8), vec![], None);
         s.push_timed(0, 100, EventId(1), vec![]);
         s.push_timed(0, 100, EventId(2), vec![]);
         s.push_timed(0, 50, EventId(3), vec![]);
@@ -465,8 +456,8 @@ mod tests {
     #[test]
     fn codec_survives_the_hostile_sweep_and_drops_trace_riders() {
         let mut s = Scheduler::new();
-        s.push_async(EventId(1), vec![Value::Int(5), Value::str("x")]);
-        s.push_async(EventId(2), vec![]);
+        s.push_async_traced(EventId(1), vec![Value::Int(5), Value::str("x")], None);
+        s.push_async_traced(EventId(2), vec![], None);
         s.push_timed(10, 90, EventId(3), vec![Value::bytes(vec![1, 2])]);
         s.push_timed(10, 20, EventId(4), vec![Value::Unit, Value::Bool(true)]);
         pdo_snap::hostile::check(&s);
@@ -657,7 +648,7 @@ mod tests {
         // Peek after every step.
         prop_assert_eq!(s.timer_len(), r.timers.len());
         prop_assert_eq!(s.next_deadline(), r.timers.first().map(|t| t.deadline_ns));
-        prop_assert_eq!(s.is_idle(), r.timers.is_empty());
+        prop_assert_eq!(s.queued_len() + s.timer_len() == 0, r.timers.is_empty());
         Ok(())
     }
 

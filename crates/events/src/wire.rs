@@ -272,11 +272,6 @@ impl<T: Clone> FaultyWire<T> {
             land(arrivals, item, copies);
         }
     }
-
-    /// Whether a frame is currently parked by the reordering stage.
-    pub fn has_held(&self) -> bool {
-        self.held.is_some()
-    }
 }
 
 /// Appends one arrival in the first free slot.
@@ -448,7 +443,7 @@ mod tests {
         });
         let t1 = w.transmit(1, no_corrupt);
         assert!(t1.held && items(&t1.arrivals).is_empty() && t1.ok());
-        assert!(w.has_held());
+        assert!(w.held.is_some());
         let t2 = w.transmit(2, no_corrupt);
         assert_eq!(
             items(&t2.arrivals),
@@ -476,7 +471,10 @@ mod tests {
             i += 1;
             let t = w.transmit(i, no_corrupt);
             if t.dropped {
-                assert!(!w.has_held(), "a drop releases whatever reordering parked");
+                assert!(
+                    w.held.is_none(),
+                    "a drop releases whatever reordering parked"
+                );
                 break;
             }
             assert!(i < 1000, "seed 42 at 500 permille must drop eventually");
@@ -526,7 +524,7 @@ mod tests {
         let mut rebuilt = through_codec(&live);
         let mut parked_at_rebuild = 0;
         for i in 77..200 {
-            if live.has_held() {
+            if live.held.is_some() {
                 rebuilt = through_codec(&live);
                 parked_at_rebuild += 1;
             }

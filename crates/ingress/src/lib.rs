@@ -258,11 +258,6 @@ impl Ingress {
         self.tcp_addr
     }
 
-    /// The bound Unix-socket path.
-    pub fn unix_path(&self) -> Option<&PathBuf> {
-        self.unix_path.as_ref()
-    }
-
     /// One sweep: accepts, reads every connection, admits up to
     /// `max_inflight` decoded commands (the rest wait for the next sweep,
     /// or get typed `Shed` replies if they already waited), runs them on

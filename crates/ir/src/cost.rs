@@ -211,10 +211,10 @@ mod tests {
             lhs,
             imm: crate::Value::Int(1),
         });
-        p.record(&Instr::LockedFoldImm {
+        p.record(&Instr::GlobalFold {
             op: crate::BinOp::Add,
             global: crate::GlobalId(0),
-            imm: crate::Value::Int(1),
+            src: lhs,
         });
         assert_eq!(p.total(), 3);
         assert_eq!(p.fused_total(), 2);

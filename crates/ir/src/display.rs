@@ -120,19 +120,6 @@ fn instr_text(i: &Instr, sym: &Symbols<'_>) -> String {
         Instr::GlobalFold { op, global, src } => {
             format!("gfold {} {}, {src}", op.mnemonic(), sym.global(*global))
         }
-        Instr::GlobalFoldImm { op, global, imm } => format!(
-            "gfold.i {} {}, {}",
-            op.mnemonic(),
-            sym.global(*global),
-            value_text(imm)
-        ),
-        Instr::LockedStore { global, src } => format!("lstore {}, {src}", sym.global(*global)),
-        Instr::LockedFoldImm { op, global, imm } => format!(
-            "lfold.i {} {}, {}",
-            op.mnemonic(),
-            sym.global(*global),
-            value_text(imm)
-        ),
     }
 }
 

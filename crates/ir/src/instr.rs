@@ -360,26 +360,6 @@ pub enum Instr {
         global: GlobalId,
         src: Reg,
     },
-    /// Superinstruction: `globals[global] = globals[global] <op> imm` — a
-    /// fused `LoadGlobal`+`Const`+`Bin`+`StoreGlobal` with an immediate.
-    GlobalFoldImm {
-        op: BinOp,
-        global: GlobalId,
-        imm: Value,
-    },
-    /// Superinstruction: `lock global; globals[global] = src; unlock global`
-    /// — a fused single-store critical section.
-    LockedStore { global: GlobalId, src: Reg },
-    /// Superinstruction: the full locked counter-bump pattern
-    /// `lock g; v = load g; c = const imm; d = v <op> c; store g, d;
-    /// unlock g` collapsed into one locked read-modify-write with an
-    /// immediate operand. This is the hottest sequence in the video and
-    /// SecComm inner loops.
-    LockedFoldImm {
-        op: BinOp,
-        global: GlobalId,
-        imm: Value,
-    },
 }
 
 impl Instr {
@@ -404,10 +384,7 @@ impl Instr {
             | Instr::Unlock { .. }
             | Instr::Raise { .. }
             | Instr::BytesSet { .. }
-            | Instr::GlobalFold { .. }
-            | Instr::GlobalFoldImm { .. }
-            | Instr::LockedStore { .. }
-            | Instr::LockedFoldImm { .. } => None,
+            | Instr::GlobalFold { .. } => None,
         }
     }
 
@@ -417,18 +394,14 @@ impl Instr {
             Instr::Const { .. }
             | Instr::LoadGlobal { .. }
             | Instr::Lock { .. }
-            | Instr::Unlock { .. }
-            | Instr::GlobalFoldImm { .. }
-            | Instr::LockedFoldImm { .. } => {}
+            | Instr::Unlock { .. } => {}
             Instr::Mov { src, .. } | Instr::Un { src, .. } => f(*src),
             Instr::Bin { lhs, rhs, .. } | Instr::BytesConcat { lhs, rhs, .. } => {
                 f(*lhs);
                 f(*rhs);
             }
             Instr::BinImm { lhs, .. } => f(*lhs),
-            Instr::StoreGlobal { src, .. }
-            | Instr::GlobalFold { src, .. }
-            | Instr::LockedStore { src, .. } => f(*src),
+            Instr::StoreGlobal { src, .. } | Instr::GlobalFold { src, .. } => f(*src),
             Instr::Call { args, .. }
             | Instr::CallNative { args, .. }
             | Instr::Raise { args, .. } => {
@@ -467,18 +440,14 @@ impl Instr {
             Instr::Const { .. }
             | Instr::LoadGlobal { .. }
             | Instr::Lock { .. }
-            | Instr::Unlock { .. }
-            | Instr::GlobalFoldImm { .. }
-            | Instr::LockedFoldImm { .. } => {}
+            | Instr::Unlock { .. } => {}
             Instr::Mov { src, .. } | Instr::Un { src, .. } => *src = f(*src),
             Instr::Bin { lhs, rhs, .. } | Instr::BytesConcat { lhs, rhs, .. } => {
                 *lhs = f(*lhs);
                 *rhs = f(*rhs);
             }
             Instr::BinImm { lhs, .. } => *lhs = f(*lhs),
-            Instr::StoreGlobal { src, .. }
-            | Instr::GlobalFold { src, .. }
-            | Instr::LockedStore { src, .. } => *src = f(*src),
+            Instr::StoreGlobal { src, .. } | Instr::GlobalFold { src, .. } => *src = f(*src),
             Instr::Call { args, .. }
             | Instr::CallNative { args, .. }
             | Instr::Raise { args, .. } => {
@@ -532,10 +501,7 @@ impl Instr {
             | Instr::Unlock { .. }
             | Instr::Raise { .. }
             | Instr::BytesSet { .. }
-            | Instr::GlobalFold { .. }
-            | Instr::GlobalFoldImm { .. }
-            | Instr::LockedStore { .. }
-            | Instr::LockedFoldImm { .. } => {}
+            | Instr::GlobalFold { .. } => {}
         }
     }
 
@@ -557,12 +523,9 @@ impl Instr {
                 matches!(op, BinOp::Div | BinOp::Rem)
             }
             Instr::BytesGet { .. } | Instr::BytesSlice { .. } | Instr::BytesNew { .. } => true,
-            // Fused forms that write globals or touch locks are effectful
-            // regardless of operator.
-            Instr::GlobalFold { .. }
-            | Instr::GlobalFoldImm { .. }
-            | Instr::LockedStore { .. }
-            | Instr::LockedFoldImm { .. } => true,
+            // A fused form that writes a global is effectful regardless of
+            // operator.
+            Instr::GlobalFold { .. } => true,
             _ => false,
         }
     }
@@ -580,11 +543,8 @@ impl Instr {
     #[inline]
     pub fn charge_units(&self) -> u64 {
         match self {
-            Instr::BinImm { .. } => 2,        // const + bin
-            Instr::GlobalFold { .. } => 3,    // load + bin + store
-            Instr::GlobalFoldImm { .. } => 4, // load + const + bin + store
-            Instr::LockedStore { .. } => 3,   // lock + store + unlock
-            Instr::LockedFoldImm { .. } => 6, // lock + load + const + bin + store + unlock
+            Instr::BinImm { .. } => 2,     // const + bin
+            Instr::GlobalFold { .. } => 3, // load + bin + store
             _ => 1,
         }
     }

@@ -301,8 +301,7 @@ fn enter(
 /// [`BinOp::eval_ints_into`]: the payload alone when the tag already
 /// matches. Only the byte operations, `callnative` and `raise` run out of
 /// line ([`bytes_native_or_raise`]), which keeps their argument buffers out
-/// of this frame — the one direct calls recurse through — and so does
-/// `lstore` ([`locked_store`]).
+/// of this frame, the one direct calls recurse through.
 ///
 /// `PROFILE` is the loop's only mode: [`call`] picks the instance once per
 /// activation, so the recording instance pays for recording and the other
@@ -393,20 +392,9 @@ fn run<E: Env + ?Sized, const PROFILE: bool>(
                     regs[dst.index()] =
                         run::<E, PROFILE>(module, env, callee, callee_frame, depth + 1)?;
                 }
-                Instr::LockedFoldImm { op, global, imm } => fused(env, |env, m| {
-                    locked(env, m, *global, |env, m| {
-                        fold(env, m, *op, *global, imm, true)
-                    })
-                })?,
-                Instr::GlobalFoldImm { op, global, imm } => {
-                    fused(env, |env, m| fold(env, m, *op, *global, imm, true))?;
-                }
                 Instr::GlobalFold { op, global, src } => {
                     let rhs = &regs[src.index()];
-                    fused(env, |env, m| fold(env, m, *op, *global, rhs, false))?;
-                }
-                Instr::LockedStore { global, src } => {
-                    locked_store(env, *global, &regs[src.index()])?;
+                    fused(env, |env, m| fold(env, m, *op, *global, rhs))?;
                 }
                 Instr::CallNative { .. }
                 | Instr::Raise { .. }
@@ -665,15 +653,13 @@ fn bytes_native_or_raise<E: Env + ?Sized>(
     Ok(())
 }
 
-/// Runs one of the four fused global forms (`lfold.i`, `gfold.i`, `gfold`,
-/// `lstore`): `body` is its constituents after the first, which the loop's
-/// `charge` paid for. `body` runs them in program order and starts each
-/// only if the fuel read on entering here allows it ([`Meter::admit`]), so
-/// exhaustion and faults land on the same constituent, with the same
-/// partial effects, as in the unfused sequence (a budget that dies inside
-/// `lfold.i` leaves the lock held, as the unfused program would). The
-/// [`Meter`] counts them in a local, and they are charged in one add on
-/// every exit.
+/// Runs the fused global form `gfold`: `body` is its constituents after
+/// the first, which the loop's `charge` paid for. `body` runs them in
+/// program order and starts each only if the fuel read on entering here
+/// allows it ([`Meter::admit`]), so exhaustion and faults land on the same
+/// constituent, with the same partial effects, as in the unfused sequence.
+/// The [`Meter`] counts them in a local, and they are charged in one add
+/// on every exit.
 #[inline]
 fn fused<E: Env + ?Sized>(
     env: &mut E,
@@ -726,28 +712,10 @@ impl Meter {
     }
 }
 
-/// `Lock`, `body`, `Unlock`: the bracket of `lfold.i` and `lstore`. The
-/// `Lock` is the first constituent; `body` is metered from its own first.
-#[inline(always)]
-fn locked<E: Env + ?Sized>(
-    env: &mut E,
-    meter: &mut Meter,
-    global: GlobalId,
-    body: impl FnOnce(&mut E, &mut Meter) -> Result<(), ExecError>,
-) -> Result<(), ExecError> {
-    env.cost().lock_ops += 1;
-    env.lock(global)?;
-    meter.admit()?;
-    body(env, meter)?;
-    meter.admit()?; // Unlock
-    env.cost().lock_ops += 1;
-    env.unlock(global)
-}
-
-/// `LoadGlobal`, `Const` (when `imm`), `Bin`, `StoreGlobal` after a started
-/// `LoadGlobal`: `global = global <op> rhs`, the cell updated where it sits
-/// once the `StoreGlobal` is known to start. A budget that dies between the
-/// `Bin` and the `StoreGlobal` evaluates without writing.
+/// `Bin`, `StoreGlobal` after a started `LoadGlobal`: `global = global
+/// <op> rhs`, the cell updated where it sits once the `StoreGlobal` is
+/// known to start. A budget that dies between the `Bin` and the
+/// `StoreGlobal` evaluates without writing.
 #[inline(always)]
 fn fold<E: Env + ?Sized>(
     env: &mut E,
@@ -755,14 +723,10 @@ fn fold<E: Env + ?Sized>(
     op: BinOp,
     global: GlobalId,
     rhs: &Value,
-    imm: bool,
 ) -> Result<(), ExecError> {
     let Some(cell) = env.global_slot_mut(global) else {
         return Err(global_out_of_range(global));
     };
-    if imm {
-        meter.admit()?; // Const
-    }
     meter.admit()?; // Bin
     if meter.exhausted() {
         eval_bin(op, cell, rhs)?;
@@ -776,27 +740,6 @@ fn fold<E: Env + ?Sized>(
         }
     }
     meter.admit() // StoreGlobal
-}
-
-/// `lstore`: `Lock`, `StoreGlobal`, `Unlock`. Out of line: inlined, its
-/// bracket shifted [`run`]'s layout so that `interp_gate`'s
-/// `bin_add_over_mov` row crossed its gate in about one run of six
-/// (EXPERIMENTS.md "One path per superinstruction").
-#[inline(never)]
-fn locked_store<E: Env + ?Sized>(
-    env: &mut E,
-    global: GlobalId,
-    src: &Value,
-) -> Result<(), ExecError> {
-    fused(env, |env, m| {
-        locked(env, m, global, |env, _| {
-            let Some(cell) = env.global_slot_mut(global) else {
-                return Err(global_out_of_range(global));
-            };
-            cell.clone_from(src);
-            Ok(())
-        })
-    })
 }
 
 /// A boxed native implementation.
@@ -1476,53 +1419,59 @@ mod tests {
 
     use crate::ids::{GlobalId as G, Reg};
 
-    /// The unfused locked counter bump and its module-level twin with every
-    /// body replaced by one `LockedFoldImm`.
+    /// The unfused locked bump `acc += r0` and its twin with the
+    /// read-modify-write inside the lock replaced by one `GlobalFold`.
     fn bump_modules() -> (Module, Module, FuncId) {
         let mut m = Module::new();
         let g = m.add_global("acc", Value::Int(0));
-        let mut b = FunctionBuilder::new("bump", 0);
+        let mut b = FunctionBuilder::new("bump", 1);
         b.lock(g);
         let v = b.load_global(g);
-        let k = b.const_int(3);
-        let s = b.bin(BinOp::Add, v, k);
+        let s = b.bin(BinOp::Add, v, b.param(0));
         b.store_global(g, s);
         b.unlock(g);
         b.ret(None);
         let f = m.add_function(b.finish());
 
         let mut fused = m.clone();
-        fused.functions[f.index()].blocks[0].instrs = vec![Instr::LockedFoldImm {
-            op: BinOp::Add,
-            global: g,
-            imm: Value::Int(3),
-        }];
+        fused.functions[f.index()].blocks[0].instrs = vec![
+            Instr::Lock { global: g },
+            Instr::GlobalFold {
+                op: BinOp::Add,
+                global: g,
+                src: Reg(0),
+            },
+            Instr::Unlock { global: g },
+        ];
         (m, fused, f)
     }
 
     #[test]
     fn fused_cost_equals_sum_of_constituents() {
-        // Satellite: fuel/budget semantics are unchanged by fusion. The
-        // fused run must charge exactly the same instrs and lock_ops as the
-        // six-instruction sequence it replaces.
+        // Fuel and budget semantics are unchanged by fusion. The fused run
+        // must charge exactly the same instrs and lock_ops as the
+        // five-instruction sequence it replaces.
         let (plain, fused, f) = bump_modules();
         let mut e1 = BasicEnv::new(&plain);
-        call(&plain, &mut e1, f, &[]).unwrap();
+        call(&plain, &mut e1, f, &[Value::Int(3)]).unwrap();
         let mut e2 = BasicEnv::new(&fused);
-        call(&fused, &mut e2, f, &[]).unwrap();
+        call(&fused, &mut e2, f, &[Value::Int(3)]).unwrap();
         assert_eq!(e1.cost, e2.cost);
-        assert_eq!(e1.cost.instrs, 7); // 6 instrs + terminator
+        assert_eq!(e1.cost.instrs, 6); // 5 instrs + terminator
         assert_eq!(e1.cost.lock_ops, 2);
         assert_eq!(e1.global(G(0)), e2.global(G(0)));
-        assert_eq!(
-            Instr::LockedFoldImm {
-                op: BinOp::Add,
-                global: G(0),
-                imm: Value::Int(3)
-            }
-            .charge_units(),
-            6
-        );
+        let gfold = Instr::GlobalFold {
+            op: BinOp::Add,
+            global: G(0),
+            src: Reg(0),
+        };
+        let bin_imm = Instr::BinImm {
+            op: BinOp::Add,
+            dst: Reg(1),
+            lhs: Reg(0),
+            imm: Value::Int(3),
+        };
+        assert_eq!((gfold.charge_units(), bin_imm.charge_units()), (3, 2));
     }
 
     #[test]
@@ -1533,10 +1482,10 @@ mod tests {
         for fuel in 0..10u64 {
             let mut e1 = BasicEnv::new(&plain);
             e1.fuel = Some(fuel);
-            let r1 = call(&plain, &mut e1, f, &[]);
+            let r1 = call(&plain, &mut e1, f, &[Value::Int(3)]);
             let mut e2 = BasicEnv::new(&fused);
             e2.fuel = Some(fuel);
-            let r2 = call(&fused, &mut e2, f, &[]);
+            let r2 = call(&fused, &mut e2, f, &[Value::Int(3)]);
             assert_eq!(r1, r2, "fuel={fuel}");
             assert_eq!(e1.cost, e2.cost, "fuel={fuel}");
             assert_eq!(e1.global(G(0)), e2.global(G(0)), "fuel={fuel}");
@@ -1581,36 +1530,25 @@ mod tests {
     }
 
     #[test]
-    fn global_fold_variants_semantics() {
+    fn global_fold_semantics() {
         let mut m = Module::new();
         let g = m.add_global("acc", Value::Int(10));
         let mut b = FunctionBuilder::new("f", 1);
         b.ret(None);
         let f = m.add_function(b.finish());
-        m.functions[f.index()].blocks[0].instrs = vec![
-            Instr::GlobalFold {
-                op: BinOp::Add,
-                global: g,
-                src: Reg(0),
-            },
-            Instr::GlobalFoldImm {
-                op: BinOp::Mul,
-                global: g,
-                imm: Value::Int(31),
-            },
-            Instr::LockedStore {
-                global: g,
-                src: Reg(0),
-            },
-        ];
+        let fold = |op| Instr::GlobalFold {
+            op,
+            global: g,
+            src: Reg(0),
+        };
+        m.functions[f.index()].blocks[0].instrs = vec![fold(BinOp::Add), fold(BinOp::Mul)];
         let mut env = BasicEnv::new(&m);
         call(&m, &mut env, f, &[Value::Int(5)]).unwrap();
-        // GlobalFold: 10+5=15; GlobalFoldImm: 15*31=465; LockedStore: 5.
-        assert_eq!(env.global(g), &Value::Int(5));
-        assert!(env.locks_balanced());
-        assert_eq!(env.cost.lock_ops, 2);
-        // 3 + 4 + 3 constituent charges + terminator.
-        assert_eq!(env.cost.instrs, 11);
+        // 10 + 5 = 15, then 15 * 5 = 75.
+        assert_eq!(env.global(g), &Value::Int(75));
+        assert_eq!(env.cost.lock_ops, 0);
+        // 3 + 3 constituent charges + terminator.
+        assert_eq!(env.cost.instrs, 7);
     }
 
     #[test]
@@ -1618,16 +1556,16 @@ mod tests {
         let (plain, fused, f) = bump_modules();
         let mut env = BasicEnv::new(&plain);
         env.enable_profiling();
-        call(&plain, &mut env, f, &[]).unwrap();
+        call(&plain, &mut env, f, &[Value::Int(3)]).unwrap();
         let p = env.profile.as_ref().unwrap();
-        assert_eq!(p.total(), 6);
+        assert_eq!(p.total(), 5);
         assert_eq!(p.fused_total(), 0);
 
         let mut env = BasicEnv::new(&fused);
         env.enable_profiling();
-        call(&fused, &mut env, f, &[]).unwrap();
+        call(&fused, &mut env, f, &[Value::Int(3)]).unwrap();
         let p = env.profile.as_ref().unwrap();
-        assert_eq!(p.total(), 1);
+        assert_eq!(p.total(), 3);
         assert_eq!(p.fused_total(), 1);
     }
 
@@ -1876,6 +1814,9 @@ mod tests {
 
     /// A module whose `all(p, d)` executes every opcode — each
     /// superinstruction included — across three blocks, then divides by `d`.
+    /// Its tail runs, unfused, the three sequences whose fused forms are
+    /// gone (`acc *= 3`, a locked store of `buf`, a locked `acc += 1`):
+    /// each charges what its fused form did, so the counts below stand.
     /// Natives: `id` (slot 0) returns its argument.
     fn every_opcode_module() -> (Module, FuncId) {
         use crate::instr::UnOp;
@@ -1924,20 +1865,19 @@ mod tests {
             global: acc,
             src: t,
         });
-        b.push(Instr::GlobalFoldImm {
-            op: BinOp::Mul,
-            global: acc,
-            imm: Value::Int(3),
-        });
-        b.push(Instr::LockedStore {
-            global: buf,
-            src: sl,
-        });
-        b.push(Instr::LockedFoldImm {
-            op: BinOp::Add,
-            global: acc,
-            imm: Value::Int(1),
-        });
+        let v = b.load_global(acc);
+        let three = b.const_int(3);
+        let s = b.bin(BinOp::Mul, v, three);
+        b.store_global(acc, s);
+        b.lock(buf);
+        b.store_global(buf, sl);
+        b.unlock(buf);
+        b.lock(acc);
+        let v = b.load_global(acc);
+        let one = b.const_int(1);
+        let s = b.bin(BinOp::Add, v, one);
+        b.store_global(acc, s);
+        b.unlock(acc);
         let cmp = b.bin(BinOp::Lt, c, t);
         b.branch(cmp, taken, join);
         b.switch_to(taken);
@@ -2007,7 +1947,9 @@ mod tests {
     fn profile_mode_is_fixed_per_activation_and_counts_match() {
         // Expected counts were captured from the parent commit (227e3c7,
         // `step` still the catch-all), before the loop was touched: 29
-        // instructions, `inner`'s two included, five of them fused.
+        // instructions, `inner`'s two included, five of them fused. The
+        // three sequences since run unfused add 13 - 3 instructions and
+        // take 3 from the fused, at the same cost.
         let (m, all) = every_opcode_module();
         let args = [Value::Int(2), Value::Int(1)];
         let mut env = every_opcode_env(&m);
@@ -2015,7 +1957,7 @@ mod tests {
         assert_eq!(call(&m, &mut env, all, &args), Ok(Value::Int(11)));
         assert_eq!(env.cost.instrs, 46);
         let p = env.profile.as_ref().unwrap();
-        assert_eq!((p.total(), p.fused_total()), (29, 5));
+        assert_eq!((p.total(), p.fused_total()), (29 + 10, 5 - 3));
 
         // Profiling off runs the same program to the same result and cost.
         let mut off = every_opcode_env(&m);
@@ -2110,41 +2052,7 @@ mod tests {
         // same fuel left, same global, same lock depth.
         type Fused = fn(GlobalId, BinOp, i64) -> Vec<Instr>;
         type Unfused = fn(&mut FunctionBuilder, GlobalId, BinOp, i64);
-        let forms: [(&str, Fused, Unfused); 5] = [
-            (
-                "lfold.i",
-                |global, op, k| {
-                    vec![Instr::LockedFoldImm {
-                        op,
-                        global,
-                        imm: Value::Int(k),
-                    }]
-                },
-                |b, g, op, k| {
-                    b.lock(g);
-                    let v = b.load_global(g);
-                    let k = b.const_int(k);
-                    let s = b.bin(op, v, k);
-                    b.store_global(g, s);
-                    b.unlock(g);
-                },
-            ),
-            (
-                "gfold.i",
-                |global, op, k| {
-                    vec![Instr::GlobalFoldImm {
-                        op,
-                        global,
-                        imm: Value::Int(k),
-                    }]
-                },
-                |b, g, op, k| {
-                    let v = b.load_global(g);
-                    let k = b.const_int(k);
-                    let s = b.bin(op, v, k);
-                    b.store_global(g, s);
-                },
-            ),
+        let forms: [(&str, Fused, Unfused); 3] = [
             (
                 "gfold",
                 |global, op, _| {
@@ -2161,16 +2069,23 @@ mod tests {
                 },
             ),
             (
-                "lstore",
-                |global, _, _| {
-                    vec![Instr::LockedStore {
-                        global,
-                        src: Reg(0),
-                    }]
+                "locked gfold",
+                |global, op, _| {
+                    vec![
+                        Instr::Lock { global },
+                        Instr::GlobalFold {
+                            op,
+                            global,
+                            src: Reg(0),
+                        },
+                        Instr::Unlock { global },
+                    ]
                 },
-                |b, g, _, _| {
+                |b, g, op, _| {
                     b.lock(g);
-                    b.store_global(g, b.param(0));
+                    let v = b.load_global(g);
+                    let s = b.bin(op, v, b.param(0));
+                    b.store_global(g, s);
                     b.unlock(g);
                 },
             ),

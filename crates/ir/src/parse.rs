@@ -297,20 +297,16 @@ fn parse_bin_op(tok: &str, ln: usize) -> Result<BinOp, ParseError> {
         })
 }
 
-/// Splits `<op> $g, <tail>` — the shared shape of the `gfold`/`lfold`
-/// superinstruction forms (the tail is a register or a value literal, which
-/// may itself contain no comma before the first one).
-fn split_fold(rest: &str, ln: usize, form: &str) -> Result<(BinOp, String, String), ParseError> {
-    let (op_tok, rest) = rest.split_once(' ').ok_or_else(|| ParseError {
+/// Splits `<op> $g, <src>`, the operands of the `gfold` superinstruction.
+fn split_fold(rest: &str, ln: usize) -> Result<(BinOp, &str, &str), ParseError> {
+    let malformed = || ParseError {
         line: ln,
-        message: format!("`{form}` needs `<op> $global, <operand>`"),
-    })?;
+        message: "`gfold` needs `<op> $global, <operand>`".into(),
+    };
+    let (op_tok, rest) = rest.split_once(' ').ok_or_else(malformed)?;
     let op = parse_bin_op(op_tok.trim(), ln)?;
-    let (g_tok, tail) = rest.split_once(',').ok_or_else(|| ParseError {
-        line: ln,
-        message: format!("`{form}` needs `<op> $global, <operand>`"),
-    })?;
-    Ok((op, g_tok.trim().to_string(), tail.trim().to_string()))
+    let (g_tok, tail) = rest.split_once(',').ok_or_else(malformed)?;
+    Ok((op, g_tok.trim(), tail.trim()))
 }
 
 #[allow(clippy::too_many_lines)]
@@ -480,43 +476,13 @@ fn parse_function_body(
             continue;
         }
 
-        // Superinstructions (effect-only forms). `gfold.i` must be checked
-        // before `gfold`; the prefixes are otherwise unambiguous.
-        if let Some(rest) = line.strip_prefix("gfold.i ") {
-            let (op, g, tail) = split_fold(rest, ln, "gfold.i")?;
-            instrs.push(Instr::GlobalFoldImm {
-                op,
-                global: ctx.resolve_global(&g, ln)?,
-                imm: parse_value(&tail, ln)?,
-            });
-            continue;
-        }
+        // The effect-only superinstruction.
         if let Some(rest) = line.strip_prefix("gfold ") {
-            let (op, g, tail) = split_fold(rest, ln, "gfold")?;
+            let (op, g, src) = split_fold(rest, ln)?;
             instrs.push(Instr::GlobalFold {
                 op,
-                global: ctx.resolve_global(&g, ln)?,
-                src: track(parse_reg(&tail, ln)?, &mut max_reg),
-            });
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("lfold.i ") {
-            let (op, g, tail) = split_fold(rest, ln, "lfold.i")?;
-            instrs.push(Instr::LockedFoldImm {
-                op,
-                global: ctx.resolve_global(&g, ln)?,
-                imm: parse_value(&tail, ln)?,
-            });
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("lstore ") {
-            let parts: Vec<&str> = rest.split(',').map(str::trim).collect();
-            if parts.len() != 2 {
-                return err(ln, "lstore needs `$global, reg`");
-            }
-            instrs.push(Instr::LockedStore {
-                global: ctx.resolve_global(parts[0], ln)?,
-                src: track(parse_reg(parts[1], ln)?, &mut max_reg),
+                global: ctx.resolve_global(g, ln)?,
+                src: track(parse_reg(src, ln)?, &mut max_reg),
             });
             continue;
         }
@@ -800,25 +766,21 @@ mod tests {
 
     #[test]
     fn superinstructions_roundtrip() {
-        // Every fused form, each with a distinct operator and operand shape.
+        // Both fused forms, with distinct operators and operand shapes.
         let text = "global acc = int 0\n\
                     func @f(1) {\n\
                     b0:\n\
                       r1 = add.i r0, int 5\n\
                       r2 = mul.i r1, int -3\n\
                       gfold add $acc, r2\n\
-                      gfold.i mul $acc, int 31\n\
-                      lstore $acc, r1\n\
-                      lfold.i add $acc, int 1\n\
+                      gfold xor $acc, r1\n\
                       ret\n\
                     }\n";
         let m1 = parse_module(text).unwrap();
         let f = &m1.functions[0];
         assert!(matches!(f.blocks[0].instrs[0], Instr::BinImm { .. }));
         assert!(matches!(f.blocks[0].instrs[2], Instr::GlobalFold { .. }));
-        assert!(matches!(f.blocks[0].instrs[3], Instr::GlobalFoldImm { .. }));
-        assert!(matches!(f.blocks[0].instrs[4], Instr::LockedStore { .. }));
-        assert!(matches!(f.blocks[0].instrs[5], Instr::LockedFoldImm { .. }));
+        assert!(matches!(f.blocks[0].instrs[3], Instr::GlobalFold { .. }));
         let printed = print_module(&m1);
         let m2 = parse_module(&printed).unwrap();
         assert_eq!(m1, m2, "printed form was:\n{printed}");
@@ -834,7 +796,7 @@ mod tests {
                       r2 = ne.i r0, bytes ab01\n\
                       r3 = eq.i r0, str \"x\"\n\
                       r4 = eq.i r0, unit\n\
-                      lfold.i xor $g, int 255\n\
+                      r5 = xor.i r0, int 255\n\
                       ret\n\
                     }\n";
         let m1 = parse_module(text).unwrap();
@@ -850,13 +812,25 @@ mod tests {
                 .unwrap_err();
         assert!(e.message.contains("bogus"), "{e}");
         // Missing comma.
-        let e = parse_module("global g = int 0\nfunc @f(0) {\nb0:\n  lfold.i add $g\n  ret\n}\n")
+        let e = parse_module("global g = int 0\nfunc @f(0) {\nb0:\n  gfold add $g\n  ret\n}\n")
             .unwrap_err();
-        assert!(e.message.contains("lfold.i"), "{e}");
+        assert!(e.message.contains("gfold"), "{e}");
         // `.i` suffix on a non-binop mnemonic.
         let e =
             parse_module("func @f(0) {\nb0:\n  r0 = bogus.i r0, int 1\n  ret\n}\n").unwrap_err();
         assert!(e.message.contains("bogus"), "{e}");
+        // `lfold.i`, `gfold.i` and `lstore` are no longer instructions: a
+        // module that spells one is refused at its line, never misread.
+        for form in [
+            "lfold.i add $g, int 1",
+            "gfold.i mul $g, int 31",
+            "lstore $g, r0",
+        ] {
+            let text = format!("global g = int 0\nfunc @f(1) {{\nb0:\n  {form}\n  ret\n}}\n");
+            let e = parse_module(&text).unwrap_err();
+            assert_eq!(e.line, 4, "{form}: {e}");
+            assert!(e.message.contains(form), "{form}: {e}");
+        }
     }
 
     #[test]

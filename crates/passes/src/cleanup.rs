@@ -1,5 +1,5 @@
-//! CFG simplification: unreachable-block removal, jump threading,
-//! same-target branch folding, and straight-line block merging.
+//! CFG simplification: unreachable-block removal, jump threading and
+//! straight-line block merging.
 
 use crate::analysis::reachable_blocks;
 use pdo_ir::{BlockId, Function, Terminator};
@@ -21,10 +21,6 @@ pub fn cleanup_function(f: &mut Function) -> bool {
     }
     changed
 }
-
-// Note: `br c, bX, bX` is deliberately *not* folded to `jump bX` — `br`
-// faults on a non-bool condition while `jump` cannot, so the fold would
-// erase a fault. Branch-to-same-target is rare enough not to matter.
 
 /// Rewrites edges that target a block containing only `jump bN` to point at
 /// `bN` directly.

@@ -5,7 +5,8 @@
 //! Foldable pure instructions are replaced with `const`; algebraic
 //! identities with one constant operand are simplified; branches on
 //! constant conditions become jumps (enabling [`crate::cleanup`] to drop
-//! the dead arm).
+//! the dead arm), and so does a branch on a proven bool whose two arms are
+//! one block.
 //!
 //! One canonical form for repeated constants, shared with [`crate::cse`]:
 //! the first `const v` of a block materialises, later equal ones are `mov`s
@@ -56,8 +57,17 @@ pub fn fold_function(f: &mut Function) -> bool {
             else_blk,
         } = block.term
         {
-            if let Some(Value::Bool(c)) = facts[cond.index()].as_const() {
-                block.term = Terminator::Jump(if *c { then_blk } else { else_blk });
+            let fact = &facts[cond.index()];
+            let target = match fact.as_const() {
+                Some(Value::Bool(c)) => Some(if *c { then_blk } else { else_blk }),
+                // `br c, bX, bX` goes to `bX` whatever `c` holds, but faults
+                // on a non-bool `c` where `jump` cannot: folded only when
+                // `c` is proven a bool, so no fault is erased.
+                _ if then_blk == else_blk && fact.tag() == Some(Tag::Bool) => Some(then_blk),
+                _ => None,
+            };
+            if let Some(t) = target {
+                block.term = Terminator::Jump(t);
                 changed = true;
             }
         }
@@ -308,6 +318,40 @@ mod tests {
             m.functions[0].blocks[0].term,
             Terminator::Jump(pdo_ir::BlockId(1))
         );
+    }
+
+    #[test]
+    fn same_target_branch_on_a_proven_bool_becomes_jump() {
+        let text = "func @f(2) {\n\
+             b0:\n\
+               r2 = eq r0, r1\n\
+               br r2, b1, b1\n\
+             b1:\n\
+               ret r0\n\
+             }\n";
+        let m = fold(text);
+        assert_eq!(
+            m.functions[0].blocks[0].term,
+            Terminator::Jump(pdo_ir::BlockId(1))
+        );
+        // The `eq` feeding it is dead now, and the pipeline drops it.
+        let mut m = parse_module(text).unwrap();
+        crate::PassManager::standard().run(&mut m);
+        let instrs: usize = m.functions[0].blocks.iter().map(|b| b.instrs.len()).sum();
+        assert_eq!(instrs, 0, "{:?}", m.functions[0]);
+
+        // On a parameter nothing is proven: the branch stays, and faults
+        // on an int as it did.
+        let m = fold("func @f(1) {\nb0:\n  br r0, b1, b1\nb1:\n  ret\n}\n");
+        assert!(matches!(
+            m.functions[0].blocks[0].term,
+            Terminator::Branch { .. }
+        ));
+        let mut env = BasicEnv::new(&m);
+        assert!(matches!(
+            call(&m, &mut env, FuncId(0), &[Value::Int(3)]),
+            Err(pdo_ir::interp::ExecError::BranchOnNonBool(_))
+        ));
     }
 
     #[test]

@@ -1,13 +1,16 @@
 //! Superinstruction fusion.
 //!
-//! Rewrites straight-line sequences into the fused [`Instr`]
+//! Rewrites straight-line sequences into the two fused [`Instr`]
 //! superinstruction forms the interpreter dispatches in one `match` arm:
 //!
-//! * `Const`+`Bin`                                  → [`Instr::BinImm`]
-//! * `LoadGlobal`+`Bin`+`StoreGlobal`               → [`Instr::GlobalFold`]
-//! * `LoadGlobal`+`Const`+`Bin`+`StoreGlobal`       → [`Instr::GlobalFoldImm`]
-//! * `Lock`+`StoreGlobal`+`Unlock`                  → [`Instr::LockedStore`]
-//! * `Lock`+…locked read-modify-write…+`Unlock`     → [`Instr::LockedFoldImm`]
+//! * `Const`+`Bin`                    → [`Instr::BinImm`] (`bin.i`)
+//! * `LoadGlobal`+`Bin`+`StoreGlobal` → [`Instr::GlobalFold`] (`gfold`)
+//!
+//! These are the two that pay (EXPERIMENTS.md "Two superinstructions"):
+//! `bin.i` carries a third or more of the instructions executed on the
+//! `bin`-heavy workloads, and a locked `gfold` runs about 1.8x faster than
+//! its constituents. Any other sequence runs as its plain instructions; a
+//! `Const`+`Bin` inside it still fuses to `bin.i`.
 //!
 //! Fusion is observationally invisible: the interpreter charges a fused
 //! instruction exactly its constituents' costs at the points they would have
@@ -17,8 +20,8 @@
 //! can still be observed.
 //!
 //! `pdo::optimize` is the one product caller: it fuses every super-handler
-//! it has finished building, unconditionally. The patterns are fixed; no
-//! profile decides which sequences fuse.
+//! it has finished building, unconditionally. The two patterns are fixed;
+//! no profile decides which sequences fuse.
 
 use crate::analysis::{liveness, RegSet};
 use pdo_ir::cost::OpcodeProfile;
@@ -29,7 +32,7 @@ use pdo_ir::{BinOp, Block, FuncId, Function, Instr, Module, Reg, Terminator};
 pub struct FusionRecord {
     /// Function that was rewritten.
     pub func: FuncId,
-    /// The fused mnemonic (e.g. `"lfold.i"`).
+    /// The fused mnemonic (`"bin.i"` or `"gfold"`).
     pub pattern: &'static str,
     /// Number of sites rewritten to this pattern in this function.
     pub sites: u64,
@@ -66,13 +69,8 @@ pub fn fuse_function(f: &mut Function, func: FuncId, out: &mut Vec<FusionRecord>
         let live_out = &live[b_idx];
         let mut i = 0;
         while i < block.instrs.len() {
-            // Longest pattern first, so a locked read-modify-write becomes
-            // one instruction rather than a partial inner fusion.
-            let fused = try_locked_fold_imm(block, i, live_out)
-                .or_else(|| try_global_fold_imm(block, i, live_out))
-                .or_else(|| try_global_fold(block, i, live_out))
-                .or_else(|| try_locked_store(block, i))
-                .or_else(|| try_bin_imm(block, i, live_out));
+            let fused =
+                try_global_fold(block, i, live_out).or_else(|| try_bin_imm(block, i, live_out));
             if let Some((instr, width, pattern)) = fused {
                 block.instrs.splice(i..i + width, [instr]);
                 note(out, func, pattern);
@@ -165,69 +163,6 @@ fn bin_with_const(op: BinOp, lhs: Reg, rhs: Reg, c: Reg) -> Option<Reg> {
 
 type Match = (Instr, usize, &'static str);
 
-fn try_locked_fold_imm(block: &Block, i: usize, live_out: &RegSet) -> Option<Match> {
-    let [Instr::Lock { global: g0 }, Instr::LoadGlobal { dst: v, global: g1 }, Instr::Const { dst: c, value }, Instr::Bin {
-        op,
-        dst: d,
-        lhs,
-        rhs,
-    }, Instr::StoreGlobal { global: g2, src }, Instr::Unlock { global: g3 }] =
-        block.instrs.get(i..i + 6)?
-    else {
-        return None;
-    };
-    if g0 != g1 || g0 != g2 || g0 != g3 || src != d || v == c {
-        return None;
-    }
-    bin_with_const(*op, *lhs, *rhs, *c).filter(|loaded| loaded == v)?;
-    let end = i + 5;
-    for r in [*v, *c, *d] {
-        if !dead_after(block, live_out, end, r) {
-            return None;
-        }
-    }
-    Some((
-        Instr::LockedFoldImm {
-            op: *op,
-            global: *g0,
-            imm: value.clone(),
-        },
-        6,
-        "lfold.i",
-    ))
-}
-
-fn try_global_fold_imm(block: &Block, i: usize, live_out: &RegSet) -> Option<Match> {
-    let [Instr::LoadGlobal { dst: v, global: g1 }, Instr::Const { dst: c, value }, Instr::Bin {
-        op,
-        dst: d,
-        lhs,
-        rhs,
-    }, Instr::StoreGlobal { global: g2, src }] = block.instrs.get(i..i + 4)?
-    else {
-        return None;
-    };
-    if g1 != g2 || src != d || v == c {
-        return None;
-    }
-    bin_with_const(*op, *lhs, *rhs, *c).filter(|loaded| loaded == v)?;
-    let end = i + 3;
-    for r in [*v, *c, *d] {
-        if !dead_after(block, live_out, end, r) {
-            return None;
-        }
-    }
-    Some((
-        Instr::GlobalFoldImm {
-            op: *op,
-            global: *g1,
-            imm: value.clone(),
-        },
-        4,
-        "gfold.i",
-    ))
-}
-
 fn try_global_fold(block: &Block, i: usize, live_out: &RegSet) -> Option<Match> {
     let [Instr::LoadGlobal { dst: v, global: g1 }, Instr::Bin {
         op,
@@ -261,25 +196,6 @@ fn try_global_fold(block: &Block, i: usize, live_out: &RegSet) -> Option<Match> 
         },
         3,
         "gfold",
-    ))
-}
-
-fn try_locked_store(block: &Block, i: usize) -> Option<Match> {
-    let [Instr::Lock { global: g0 }, Instr::StoreGlobal { global: g1, src }, Instr::Unlock { global: g2 }] =
-        block.instrs.get(i..i + 3)?
-    else {
-        return None;
-    };
-    if g0 != g1 || g0 != g2 {
-        return None;
-    }
-    Some((
-        Instr::LockedStore {
-            global: *g0,
-            src: *src,
-        },
-        3,
-        "lstore",
     ))
 }
 
@@ -328,91 +244,113 @@ mod tests {
         (r, globals, env.cost)
     }
 
+    /// The video fixture's shape: a locked `acc += r0`.
     const BUMP: &str = "global acc = int 0\n\
-         func @bump(0) {\n\
+         func @bump(1) {\n\
          b0:\n\
            lock $acc\n\
-           r0 = load $acc\n\
-           r1 = const int 3\n\
-           r2 = add r0, r1\n\
+           r1 = load $acc\n\
+           r2 = add r1, r0\n\
            store $acc, r2\n\
            unlock $acc\n\
            ret\n\
          }\n";
 
     #[test]
-    fn fuses_locked_bump_to_single_instruction() {
+    fn fuses_locked_bump_to_a_global_fold() {
         let mut m = parse_module(BUMP).unwrap();
-        let before = exec(&m, "bump", &[]);
+        let before = exec(&m, "bump", &[Value::Int(3)]);
         let records = fuse_module(&mut m, None, 0);
         verify_module(&m).unwrap();
+        let g = GlobalId(0);
         assert_eq!(
             m.functions[0].blocks[0].instrs,
-            vec![Instr::LockedFoldImm {
-                op: BinOp::Add,
-                global: GlobalId(0),
-                imm: Value::Int(3),
-            }]
+            vec![
+                Instr::Lock { global: g },
+                Instr::GlobalFold {
+                    op: BinOp::Add,
+                    global: g,
+                    src: Reg(0),
+                },
+                Instr::Unlock { global: g },
+            ]
         );
-        let after = exec(&m, "bump", &[]);
+        let after = exec(&m, "bump", &[Value::Int(3)]);
         // Same observable state AND same abstract cost.
         assert_eq!(before.1, after.1);
         assert_eq!(before.2, after.2);
         assert_eq!(records.len(), 1);
-        assert_eq!(records[0].pattern, "lfold.i");
+        assert_eq!(records[0].pattern, "gfold");
         assert_eq!(records[0].sites, 1);
+    }
+
+    #[test]
+    fn immediate_fold_fuses_only_its_const_bin() {
+        // `g = g + 3` has no fused form of its own: the `Const`+`Bin` in it
+        // becomes `bin.i`, and the load and store stay.
+        let text = "global acc = int 1\n\
+             func @f(0) {\n\
+             b0:\n\
+               lock $acc\n\
+               r0 = load $acc\n\
+               r1 = const int 3\n\
+               r2 = add r0, r1\n\
+               store $acc, r2\n\
+               unlock $acc\n\
+               ret\n\
+             }\n";
+        let mut m = parse_module(text).unwrap();
+        let before = exec(&m, "f", &[]);
+        let records = fuse_module(&mut m, None, 0);
+        assert_eq!(records.len(), 1, "{records:?}");
+        assert_eq!((records[0].pattern, records[0].sites), ("bin.i", 1));
+        assert_eq!(
+            m.functions[0].blocks[0].instrs[2],
+            Instr::BinImm {
+                op: BinOp::Add,
+                dst: Reg(2),
+                lhs: Reg(0),
+                imm: Value::Int(3),
+            }
+        );
+        assert_eq!(m.functions[0].blocks[0].instrs.len(), 5);
+        assert_eq!(exec(&m, "f", &[]), before);
     }
 
     #[test]
     fn live_result_blocks_fusion() {
         // r2 escapes through `ret`, so the store sequence must stay unfused.
-        let text = "global acc = int 0\n\
-             func @f(0) {\n\
+        let text = "global acc = int 1\n\
+             func @f(1) {\n\
              b0:\n\
-               r0 = load $acc\n\
-               r1 = const int 3\n\
-               r2 = add r0, r1\n\
+               r1 = load $acc\n\
+               r2 = add r1, r0\n\
                store $acc, r2\n\
                ret r2\n\
              }\n";
         let mut m = parse_module(text).unwrap();
-        let records = fuse_module(&mut m, None, 0);
-        // The Const+Bin prefix may still fuse to bin.i (r1 is dead), but the
-        // 4-wide gfold.i must not fire.
-        assert!(
-            records.iter().all(|r| r.pattern != "gfold.i"),
-            "{records:?}"
-        );
-        assert!(m.functions[0].blocks[0]
-            .instrs
-            .iter()
-            .any(|i| matches!(i, Instr::StoreGlobal { .. })));
+        assert!(fuse_module(&mut m, None, 0).is_empty());
         verify_module(&m).unwrap();
-        assert_eq!(exec(&m, "f", &[]).0, Value::Int(3));
+        assert_eq!(exec(&m, "f", &[Value::Int(2)]).0, Value::Int(3));
     }
 
     #[test]
     fn live_out_blocks_fusion_across_blocks() {
-        // r0 (the loaded value) is consumed in b1, so it is live out of b0.
+        // r1 (the loaded value) is consumed in b1, so it is live out of b0.
         let text = "global acc = int 1\n\
-             func @f(0) {\n\
+             func @f(1) {\n\
              b0:\n\
-               r0 = load $acc\n\
-               r1 = const int 3\n\
-               r2 = add r0, r1\n\
+               r1 = load $acc\n\
+               r2 = add r1, r0\n\
                store $acc, r2\n\
                jump b1\n\
              b1:\n\
-               ret r0\n\
+               ret r1\n\
              }\n";
         let mut m = parse_module(text).unwrap();
-        let records = fuse_module(&mut m, None, 0);
-        assert!(
-            records.iter().all(|r| r.pattern != "gfold.i"),
-            "{records:?}"
-        );
+        assert!(fuse_module(&mut m, None, 0).is_empty());
         verify_module(&m).unwrap();
-        assert_eq!(exec(&m, "f", &[]).0, Value::Int(1));
+        assert_eq!(exec(&m, "f", &[Value::Int(2)]).0, Value::Int(1));
     }
 
     #[test]
@@ -452,7 +390,9 @@ mod tests {
     }
 
     #[test]
-    fn locked_store_fuses() {
+    fn one_store_critical_section_runs_unfused() {
+        // A one-store critical section has no fused form: fused, it ran
+        // about as fast as its three instructions.
         let text = "global g = int 0\n\
              func @f(1) {\n\
              b0:\n\
@@ -462,18 +402,9 @@ mod tests {
                ret\n\
              }\n";
         let mut m = parse_module(text).unwrap();
-        let before = exec(&m, "f", &[Value::Int(9)]);
-        let records = fuse_module(&mut m, None, 0);
-        assert_eq!(records[0].pattern, "lstore");
-        assert_eq!(
-            m.functions[0].blocks[0].instrs,
-            vec![Instr::LockedStore {
-                global: GlobalId(0),
-                src: Reg(0),
-            }]
-        );
-        let after = exec(&m, "f", &[Value::Int(9)]);
-        assert_eq!(before, after);
+        let before = m.clone();
+        assert!(fuse_module(&mut m, None, 0).is_empty());
+        assert_eq!(m, before);
     }
 
     #[test]
@@ -554,9 +485,9 @@ mod tests {
         let mut m = parse_module(BUMP).unwrap();
         assert_eq!(m.functions[0].reg_count, 3);
         fuse_module(&mut m, None, 0);
-        // The fused body (`lfold.i`) touches no registers at all, so the
-        // interpreter's per-call frame shrinks to nothing.
-        assert_eq!(m.functions[0].reg_count, 0);
+        // The fused body touches only its parameter, so the interpreter's
+        // per-call frame shrinks to that one register.
+        assert_eq!(m.functions[0].reg_count, 1);
         assert_eq!(pdo_ir::verify_module(&m), Ok(()));
     }
 
@@ -565,12 +496,12 @@ mod tests {
         let text = "global g = int 0\n\
              func @f(1) {\n\
              b0:\n\
-               lock $g\n\
-               store $g, r0\n\
-               unlock $g\n\
-               lock $g\n\
-               store $g, r0\n\
-               unlock $g\n\
+               r1 = load $g\n\
+               r2 = add r1, r0\n\
+               store $g, r2\n\
+               r1 = load $g\n\
+               r2 = xor r1, r0\n\
+               store $g, r2\n\
                ret\n\
              }\n";
         let mut m = parse_module(text).unwrap();
@@ -581,8 +512,8 @@ mod tests {
 
     #[test]
     fn is_fused_marks_exactly_what_fusion_emits() {
-        // One source per pattern, two the pass refuses, and every plain
-        // instruction form.
+        // The sources of both patterns, the sequences whose fused forms
+        // are gone, two the pass refuses, and every plain instruction form.
         let sources = [
             BUMP,
             "global g = int 0\n\
@@ -624,6 +555,6 @@ mod tests {
             );
             patterns.extend(records.iter().map(|r| r.pattern));
         }
-        assert_eq!(patterns.len(), 5, "{patterns:?}");
+        assert_eq!(patterns.len(), 2, "{patterns:?}");
     }
 }

@@ -59,10 +59,7 @@ fn touches(instr: &Instr) -> Touches {
         | Instr::StoreGlobal { global, .. }
         | Instr::Lock { global }
         | Instr::Unlock { global }
-        | Instr::GlobalFold { global, .. }
-        | Instr::GlobalFoldImm { global, .. }
-        | Instr::LockedStore { global, .. }
-        | Instr::LockedFoldImm { global, .. } => Touches::Global(*global),
+        | Instr::GlobalFold { global, .. } => Touches::Global(*global),
         Instr::Call { .. }
         | Instr::Raise {
             mode: RaiseMode::Sync,
@@ -110,11 +107,9 @@ fn find_pair(instrs: &[Instr]) -> Option<(usize, usize)> {
             match candidate {
                 Instr::Lock { global: g2 } if g2 == global => return Some((i, j)),
                 // Anything that could observe or contend the lock ends the
-                // window. Fused locked forms contain a lock/unlock pair.
+                // window.
                 Instr::Lock { .. }
                 | Instr::Unlock { .. }
-                | Instr::LockedStore { .. }
-                | Instr::LockedFoldImm { .. }
                 | Instr::Call { .. }
                 | Instr::CallNative { .. }
                 | Instr::Raise { .. } => break,
@@ -151,8 +146,8 @@ enum Rewrite {
 }
 
 /// Forwards globals held in registers across the whole CFG: a `load g`
-/// whose value is already in a register (from an earlier `load g`,
-/// `store g` or `lstore g` on every path to it) becomes a `mov`; a
+/// whose value is already in a register (from an earlier `load g` or
+/// `store g` on every path to it) becomes a `mov`; a
 /// `store g, r` that would write back the value `g` already holds is
 /// deleted.
 ///
@@ -176,9 +171,7 @@ pub fn forward_function(f: &mut Function) -> bool {
         .iter()
         .flat_map(|b| &b.instrs)
         .filter_map(|i| match i {
-            Instr::LoadGlobal { global, .. }
-            | Instr::StoreGlobal { global, .. }
-            | Instr::LockedStore { global, .. } => Some(*global),
+            Instr::LoadGlobal { global, .. } | Instr::StoreGlobal { global, .. } => Some(*global),
             _ => None,
         })
         .collect();
@@ -258,14 +251,8 @@ fn transfer(held: &mut [Option<Reg>], slots: &[GlobalId], instr: &Instr) -> Rewr
             }
             held[s] = Some(*src);
         }
-        Instr::LockedStore { global, src } => {
-            let s = slot(global).expect("every stored global has a slot");
-            held[s] = Some(*src);
-        }
-        // Fused folds write their global with a value held in no register.
-        Instr::GlobalFold { global, .. }
-        | Instr::GlobalFoldImm { global, .. }
-        | Instr::LockedFoldImm { global, .. } => {
+        // A fused fold writes its global with a value held in no register.
+        Instr::GlobalFold { global, .. } => {
             if let Some(s) = slot(global) {
                 held[s] = None;
             }
@@ -562,8 +549,8 @@ mod tests {
     }
 
     #[test]
-    fn locked_store_records_its_value() {
-        let body = "b0:\nlstore $g, r0\njump b1\nb1:\nr2 = load $g\nret r2";
+    fn store_inside_a_lock_records_its_value() {
+        let body = "b0:\nlock $g\nstore $g, r0\nunlock $g\njump b1\nb1:\nr2 = load $g\nret r2";
         assert_eq!(loads_after_forwarding(body), 0);
     }
 
@@ -644,8 +631,7 @@ mod tests {
         for inside in [
             "r1 = load $g",
             "store $g, r0",
-            "gfold.i add $g, int 1",
-            "lstore $g, r0",
+            "gfold add $g, r0",
             "r1 = call @k()",
             "raise sync %E()",
         ] {

@@ -303,11 +303,12 @@ mod tests {
         ];
         let mut b = ProfileBuilder::new();
         b.observe(&ProfileTally::replay(&records), &merged_into_f9(true));
-        assert_eq!(
-            b.handler_graph()
-                .nested_count(EventId(0), FuncId(1), EventId(5)),
-            1
-        );
+        let key = NestedRaise {
+            parent_event: EventId(0),
+            handler: FuncId(1),
+            child_event: EventId(5),
+        };
+        assert_eq!(b.handler_graph().nested.get(&key), Some(&1));
         assert_eq!(
             b.handler_graph().stable_sequence(EventId(5)),
             Some(&[FuncId(6)][..])
@@ -398,11 +399,12 @@ mod tests {
             .collect();
         b.observe(&ProfileTally::replay(&records), &SuperHandlers::none());
         assert!(b.event_graph().edges[&(EventId(0), EventId(1))].weight >= 39);
-        assert_eq!(
-            b.handler_graph()
-                .nested_count(EventId(0), FuncId(7), EventId(1)),
-            40
-        );
+        let key = NestedRaise {
+            parent_event: EventId(0),
+            handler: FuncId(7),
+            child_event: EventId(1),
+        };
+        assert_eq!(b.handler_graph().nested.get(&key), Some(&40));
         for _ in 0..7 {
             b.end_epoch();
         }

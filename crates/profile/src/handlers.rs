@@ -201,19 +201,6 @@ impl HandlerGraph {
             _ => None,
         }
     }
-
-    /// How many times `handler` (running for `parent`) synchronously raised
-    /// `child`.
-    pub fn nested_count(&self, parent: EventId, handler: FuncId, child: EventId) -> u64 {
-        self.nested
-            .get(&NestedRaise {
-                parent_event: parent,
-                handler,
-                child_event: child,
-            })
-            .copied()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -308,9 +295,13 @@ mod tests {
             ],
         };
         let g = HandlerGraph::from_trace(&t);
-        assert_eq!(g.nested_count(EventId(0), FuncId(10), EventId(1)), 1);
+        let key = NestedRaise {
+            parent_event: EventId(0),
+            handler: FuncId(10),
+            child_event: EventId(1),
+        };
         // The inner handler raised nothing.
-        assert_eq!(g.nested.len(), 1);
+        assert_eq!(g.nested, BTreeMap::from([(key, 1)]));
     }
 
     #[test]
@@ -348,8 +339,13 @@ mod tests {
             ],
         };
         let g = HandlerGraph::from_trace(&t);
-        assert_eq!(g.nested_count(EventId(1), FuncId(20), EventId(2)), 1);
-        assert_eq!(g.nested_count(EventId(0), FuncId(10), EventId(2)), 0);
+        let innermost = NestedRaise {
+            parent_event: EventId(1),
+            handler: FuncId(20),
+            child_event: EventId(2),
+        };
+        // Only the innermost handler is credited, not handler 10 of event 0.
+        assert_eq!(g.nested, BTreeMap::from([(innermost, 1)]));
     }
 
     #[test]

@@ -627,21 +627,61 @@ mod tests {
         assert!(fresh > last, "the allocator resumes past the image");
     }
 
-    /// More globals than the module declares is an error, not an
-    /// out-of-bounds `set_global`; and a restore is all or nothing: the
-    /// good session before the bad one is not opened either, and the id
-    /// allocator is left where it was.
+    /// A second session that cannot be built is an error, not a panic:
+    /// more globals than its module declares (not an out-of-bounds
+    /// `set_global`), or module text that does not parse, such as an
+    /// `lstore` (a superinstruction since deleted, so an image holding one
+    /// no longer decodes). A restore is all or nothing: the good session
+    /// before the bad one is not opened either, and the id allocator is
+    /// left where it was.
     #[test]
     fn globals_longer_than_the_module_table_are_malformed() {
         let mut image = fleet_image();
         let (_, second) = image.sessions.iter_mut().nth(1).unwrap();
         second.globals.push(Value::Int(7));
-        let mut server = Server::new(ServerConfig::default());
-        assert!(is_malformed_restore(restore(&mut server, &image)));
-        assert!(server.sessions().is_empty(), "nothing was opened");
-        let fresh = server
-            .open_session(Module::new(), RuntimeConfig::default(), &[])
-            .unwrap();
-        assert_eq!(fresh, SessionId(1), "the id allocator is untouched");
+        let long_globals = encode(&image);
+
+        let image = fleet_image();
+        let (&target, s) = image.sessions.iter().nth(1).unwrap();
+        // The image with `target`'s module written as `text`.
+        let with_text = |text: &str| {
+            let mut w = SnapWriter::new();
+            image.next_id.put(&mut w);
+            w.len_prefix(image.sessions.len());
+            for (id, s) in &image.sessions {
+                id.put(&mut w);
+                if *id != target {
+                    s.put(&mut w);
+                    continue;
+                }
+                w.str(text);
+                s.config.put(&mut w);
+                s.bindings.put(&mut w);
+                s.globals.put(&mut w);
+                s.clock_ns.put(&mut w);
+                s.sched.put(&mut w);
+                s.injector.put(&mut w);
+                s.engine.put(&mut w);
+                s.kind.put(&mut w);
+            }
+            w.finish()
+        };
+        let printed = pdo_ir::display::print_module(&s.module);
+        assert_eq!(
+            with_text(&printed),
+            encode(&image),
+            "the layout is the real one"
+        );
+        let retired_form = with_text(&printed.replacen("\n  ret", "\n  lstore $x, r0\n  ret", 1));
+
+        for bytes in [long_globals, retired_form] {
+            let mut server = Server::new(ServerConfig::default());
+            assert!(is_malformed_restore(server.restore_from_bytes(&bytes)));
+            assert!(server.sessions().is_empty(), "nothing was opened");
+            let fresh = server
+                .open_session(Module::new(), RuntimeConfig::default(), &[])
+                .unwrap();
+            assert_eq!(fresh, SessionId(1), "the id allocator is untouched");
+        }
     }
 }

@@ -46,9 +46,12 @@ fn optimized(program: &EventProgram, subsume: bool) -> Optimization {
         ..OptimizeOptions::new(30)
     };
     let opt = oracle::optimized(&program.module, ep.runtime_mut(), opts);
+    // Its chains hold no superinstruction: the one form they fused, a
+    // single-store critical section, runs unfused (`chaos_fusion` covers
+    // the two forms that remain).
     assert!(
-        !opt.report.fused.is_empty(),
-        "the static chains run fused code"
+        !opt.report.events.is_empty(),
+        "optimize builds static chains"
     );
     opt
 }

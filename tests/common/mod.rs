@@ -51,7 +51,7 @@ pub enum GenInstr {
         param: u16,
         swap: bool,
     },
-    /// One of the five fusable sequences ([`FOLD_SHAPES`]) over its own
+    /// One of five read-modify-write sequences ([`FOLD_SHAPES`]) over its own
     /// temporaries `t0..t2`, `swap` trading the `bin`'s operands:
     /// `lock g; t0 = load g; t1 = const imm; t2 = op t0, t1; store g, t2;
     /// unlock g`, the same without the lock, `t0 = load g; t2 = op t0, reg;
@@ -105,9 +105,16 @@ pub enum Arms {
     Set { index: i64, value: i64, global: u16 },
 }
 
-/// The sequences `fuse` rewrites, in the order of [`GenInstr::Fold`]'s
-/// `shape`.
-pub const FOLD_SHAPES: [&str; 5] = ["lfold.i", "gfold.i", "gfold", "lstore", "bin.i"];
+/// The input sequences of [`GenInstr::Fold`], in the order of its `shape`.
+/// `fuse` rewrites the register fold to `gfold` and every `const` beside a
+/// `bin` to `bin.i`; the other sequences keep their loads, stores and locks.
+pub const FOLD_SHAPES: [&str; 5] = [
+    "locked imm fold",
+    "imm fold",
+    "reg fold",
+    "locked store",
+    "const bin",
+];
 
 /// Temporaries of [`GenInstr::Fold`] and [`GenInstr::Diamond`], past the
 /// generated registers and the trip counter's two: each template writes
@@ -662,10 +669,12 @@ fn emit(gi: &GenInstr, temps: u16, out: &mut Vec<Instr>) {
             let store = |src| Instr::StoreGlobal { global: g, src };
             let (lock, unlock) = (Instr::Lock { global: g }, Instr::Unlock { global: g });
             match FOLD_SHAPES[shape] {
-                "lfold.i" => out.extend([lock, load, konst, bin(t2, t0, t1), store(t2), unlock]),
-                "gfold.i" => out.extend([load, konst, bin(t2, t0, t1), store(t2)]),
-                "gfold" => out.extend([load, bin(t2, t0, reg), store(t2)]),
-                "lstore" => out.extend([lock, store(reg), unlock]),
+                "locked imm fold" => {
+                    out.extend([lock, load, konst, bin(t2, t0, t1), store(t2), unlock]);
+                }
+                "imm fold" => out.extend([load, konst, bin(t2, t0, t1), store(t2)]),
+                "reg fold" => out.extend([load, bin(t2, t0, reg), store(t2)]),
+                "locked store" => out.extend([lock, store(reg), unlock]),
                 _ => out.extend([konst, bin(reg, reg, t1)]),
             }
         }

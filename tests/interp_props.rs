@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::{build_module, gen_function, GenFunction, FOLD_SHAPES, GEN_GLOBALS};
+use common::{build_module, gen_function, GenFunction, GEN_GLOBALS};
 use pdo_ir::display::print_module;
 use pdo_ir::interp::{call, BasicEnv, ExecError};
 use pdo_ir::parse::parse_module;
@@ -61,25 +61,28 @@ fn fused_pair(f: &GenFunction) -> (Module, Module, Vec<FusionRecord>) {
 /// Cases `fusion_is_invisible_under_every_fuel_budget` draws by default.
 const FUSION_CASES: u32 = 256;
 
+/// The patterns `fuse` rewrites: the two superinstructions.
+const PATTERNS: [&str; 2] = ["gfold", "bin.i"];
+
 /// The generator keeps every superinstruction under the fusion property:
 /// among the cases it draws by default, each pattern fuses in at least 10.
 #[test]
 fn default_cases_fuse_every_pattern() {
     let strategy = (gen_function(), -10i64..10);
-    let mut fused = [0usize; FOLD_SHAPES.len()];
+    let mut fused = [0usize; PATTERNS.len()];
     run(
         &ProptestConfig::with_cases(FUSION_CASES),
         "fusion_is_invisible_under_every_fuel_budget",
         |rng: &mut TestRng| {
             let (f, _) = strategy.generate(rng);
             for r in fused_pair(&f).2 {
-                let shape = FOLD_SHAPES.iter().position(|p| *p == r.pattern).unwrap();
-                fused[shape] += 1;
+                let pattern = PATTERNS.iter().position(|p| *p == r.pattern).unwrap();
+                fused[pattern] += 1;
             }
             Ok(())
         },
     );
-    for (pattern, cases) in FOLD_SHAPES.iter().zip(fused) {
+    for (pattern, cases) in PATTERNS.iter().zip(fused) {
         println!("{pattern} fuses in {cases} of {FUSION_CASES} default cases");
         assert!(
             cases >= 10,

@@ -144,9 +144,7 @@ fn upward_exposed_loads(m: &Module) -> usize {
     for block in &m.functions[0].blocks {
         let mut seen = Vec::new();
         for instr in &block.instrs {
-            let (Instr::LoadGlobal { global, .. }
-            | Instr::StoreGlobal { global, .. }
-            | Instr::LockedStore { global, .. }) = instr
+            let (Instr::LoadGlobal { global, .. } | Instr::StoreGlobal { global, .. }) = instr
             else {
                 continue;
             };
