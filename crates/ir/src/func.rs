@@ -61,19 +61,6 @@ impl Function {
             .expect("register count overflow");
         r
     }
-
-    /// Computes the predecessor lists of every block.
-    pub fn predecessors(&self) -> Vec<Vec<BlockId>> {
-        let mut preds = vec![Vec::new(); self.blocks.len()];
-        for (bid, block) in self.iter_blocks() {
-            block.term.for_each_successor(|s| {
-                if s.index() < preds.len() {
-                    preds[s.index()].push(bid);
-                }
-            });
-        }
-        preds
-    }
 }
 
 /// A declared event. Bindings live in the runtime; the IR only knows names.
@@ -250,28 +237,6 @@ mod tests {
         m.add_function(f.clone());
         m.add_function(f);
         assert_eq!(m.instr_count(), 4);
-    }
-
-    #[test]
-    fn predecessors_computed() {
-        let f = Function {
-            name: "f".into(),
-            params: 0,
-            reg_count: 1,
-            blocks: vec![
-                Block::new(Terminator::Branch {
-                    cond: Reg(0),
-                    then_blk: BlockId(1),
-                    else_blk: BlockId(2),
-                }),
-                Block::new(Terminator::Jump(BlockId(2))),
-                Block::new(Terminator::Ret(None)),
-            ],
-        };
-        let preds = f.predecessors();
-        assert!(preds[0].is_empty());
-        assert_eq!(preds[1], vec![BlockId(0)]);
-        assert_eq!(preds[2], vec![BlockId(0), BlockId(1)]);
     }
 
     #[test]

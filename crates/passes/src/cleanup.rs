@@ -2,11 +2,11 @@
 //! straight-line block merging.
 
 use crate::analysis::reachable_blocks;
-use pdo_ir::{BlockId, Function, Terminator};
+use pdo_ir::{Block, BlockId, Function, Terminator};
 
 /// Simplifies `f`'s CFG until no sub-step finds more to do. Returns `true`
 /// if `f` changed.
-pub fn cleanup_function(f: &mut Function) -> bool {
+pub(crate) fn cleanup_function(f: &mut Function) -> bool {
     let mut changed = false;
     // Iterate locally: each sub-step can expose more work for the others.
     loop {
@@ -57,33 +57,45 @@ fn thread_trivial_jumps(f: &mut Function) -> bool {
     changed
 }
 
+/// How many edges enter each block (a branch with both arms to one block
+/// counts twice).
+fn predecessor_counts(f: &Function) -> Vec<u32> {
+    let mut counts = vec![0; f.blocks.len()];
+    for block in &f.blocks {
+        block.term.for_each_successor(|s| {
+            if let Some(c) = counts.get_mut(s.index()) {
+                *c += 1;
+            }
+        });
+    }
+    counts
+}
+
 /// Merges `a -> jump b` into a single block when `b` has exactly one
-/// predecessor and is not the entry block.
+/// predecessor and is not the entry block, every such chain in one sweep.
+///
+/// The predecessor counts are taken once and stay exact across merges: `a`
+/// takes over `b`'s out-edges, so no other block's count moves, and `b`,
+/// left in place as an empty `ret` (unreachable, collected by
+/// `drop_unreachable`, so other blocks' ids stay stable within this step),
+/// has no predecessor left. A chain is absorbed by its head whatever order
+/// its links are merged in.
 fn merge_single_pred_chains(f: &mut Function) -> bool {
-    let preds = f.predecessors();
+    let mut preds = predecessor_counts(f);
     let mut changed = false;
     for a in 0..f.blocks.len() {
-        let target = match f.blocks[a].term {
-            Terminator::Jump(t) if t.index() != 0 && t.index() != a => t,
-            _ => continue,
-        };
-        if preds[target.index()].len() != 1 {
-            continue;
+        while let Terminator::Jump(t) = f.blocks[a].term {
+            let t = t.index();
+            if t == 0 || t == a || preds[t] != 1 {
+                break;
+            }
+            let spliced = std::mem::replace(&mut f.blocks[t], Block::new(Terminator::Ret(None)));
+            preds[t] = 0;
+            let a_block = &mut f.blocks[a];
+            a_block.instrs.extend(spliced.instrs);
+            a_block.term = spliced.term;
+            changed = true;
         }
-        // Splice target's body into a. Leave target in place (it becomes
-        // unreachable and is collected by drop_unreachable) so ids of other
-        // blocks stay stable within this step.
-        let spliced = std::mem::replace(
-            &mut f.blocks[target.index()],
-            pdo_ir::Block::new(Terminator::Ret(None)),
-        );
-        let a_block = &mut f.blocks[a];
-        a_block.instrs.extend(spliced.instrs);
-        a_block.term = spliced.term;
-        changed = true;
-        // Recompute preds only on the next outer iteration: merging may
-        // cascade, but a stale preds table could merge a block twice.
-        break;
     }
     changed
 }
@@ -129,6 +141,25 @@ mod tests {
         }
         pdo_ir::verify_module(&m).unwrap();
         m
+    }
+
+    #[test]
+    fn predecessors_computed() {
+        let f = pdo_ir::Function {
+            name: "f".into(),
+            params: 0,
+            reg_count: 1,
+            blocks: vec![
+                Block::new(Terminator::Branch {
+                    cond: pdo_ir::Reg(0),
+                    then_blk: BlockId(1),
+                    else_blk: BlockId(2),
+                }),
+                Block::new(Terminator::Jump(BlockId(2))),
+                Block::new(Terminator::Ret(None)),
+            ],
+        };
+        assert_eq!(predecessor_counts(&f), [0, 1, 2]);
     }
 
     #[test]

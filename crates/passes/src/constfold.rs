@@ -16,37 +16,38 @@
 //! the pipeline would never reach its fixed point. A `mov` of a constant
 //! that arrives from another block still folds.
 
-use crate::analysis::{step, value_facts, Fact, RegSet, Tag};
-use pdo_ir::{BinOp, Function, Instr, Terminator, Value};
+use crate::analysis::{value_facts, Fact, Pool, RegSets, Tag};
+use pdo_ir::{BinOp, Function, Instr, Reg, Terminator, Value};
 
 /// Folds constants, identities and constant branches in `f`. Returns
 /// `true` if `f` changed.
-pub fn fold_function(f: &mut Function) -> bool {
-    let entry = value_facts(f);
+pub(crate) fn fold_function(f: &mut Function) -> bool {
+    let (pool, entry) = value_facts(f);
+    let mut facts = vec![Fact::Unknown; usize::from(f.reg_count)];
+    // Registers holding what a `const` of the block at hand put there: not
+    // redefined and not `bset` since (the condition under which CSE offers
+    // the register for an equal later `const`).
+    let mut materialised = RegSets::new(1, f.reg_count);
     let mut changed = false;
-    for (block, mut facts) in f.blocks.iter_mut().zip(entry) {
-        // Registers holding what a `const` of this block put there: not
-        // redefined and not `bset` since (the condition under which CSE
-        // offers the register for an equal later `const`).
-        let mut materialised = RegSet::new(f.reg_count);
+    for (b, block) in f.blocks.iter_mut().enumerate() {
+        facts.copy_from_slice(entry.entry(b));
+        materialised.clear(0);
         for instr in &mut block.instrs {
             let canonical_mov =
-                matches!(instr, Instr::Mov { src, .. } if materialised.contains(*src));
+                matches!(instr, Instr::Mov { src, .. } if materialised.contains(0, *src));
             if !canonical_mov {
-                if let Some(replacement) = simplify(instr, &facts) {
+                if let Some(replacement) = simplify(instr, &facts, &pool) {
                     *instr = replacement;
                     changed = true;
                 }
             }
-            step(&mut facts, instr);
+            pool.step(&mut facts, instr);
             match instr {
-                Instr::Const { dst, .. } => {
-                    materialised.insert(*dst);
-                }
-                Instr::BytesSet { bytes, .. } => materialised.remove(*bytes),
+                Instr::Const { dst, .. } => materialised.insert(0, *dst),
+                Instr::BytesSet { bytes, .. } => materialised.remove(0, *bytes),
                 other => {
                     if let Some(d) = other.def() {
-                        materialised.remove(d);
+                        materialised.remove(0, d);
                     }
                 }
             }
@@ -57,9 +58,9 @@ pub fn fold_function(f: &mut Function) -> bool {
             else_blk,
         } = block.term
         {
-            let fact = &facts[cond.index()];
-            let target = match fact.as_const() {
-                Some(Value::Bool(c)) => Some(if *c { then_blk } else { else_blk }),
+            let fact = facts[cond.index()];
+            let target = match fact {
+                Fact::Bool(c) => Some(if c { then_blk } else { else_blk }),
                 // `br c, bX, bX` goes to `bX` whatever `c` holds, but faults
                 // on a non-bool `c` where `jump` cannot: folded only when
                 // `c` is proven a bool, so no fault is erased.
@@ -76,21 +77,18 @@ pub fn fold_function(f: &mut Function) -> bool {
 }
 
 /// Computes a simpler replacement for `instr` given the value `facts`
-/// before it, or `None` if it cannot be improved.
-fn simplify(instr: &Instr, facts: &[Fact]) -> Option<Instr> {
-    let konst = |r: pdo_ir::Reg| facts[r.index()].as_const();
-    let tag = |r: pdo_ir::Reg| facts[r.index()].tag();
+/// before it (whose constants `pool` holds), or `None` if it cannot be
+/// improved.
+fn simplify(instr: &Instr, facts: &[Fact], pool: &Pool) -> Option<Instr> {
+    let konst = |r: Reg| pool.value(facts[r.index()]);
+    let tag = |r: Reg| facts[r.index()].tag();
     match instr {
         Instr::Bin { op, dst, lhs, rhs } => {
             // Full fold when both operands are known.
             if let (Some(a), Some(b)) = (konst(*lhs), konst(*rhs)) {
-                if let Ok(v) = op.eval(a, b) {
-                    return Some(Instr::Const {
-                        dst: *dst,
-                        value: v,
-                    });
-                }
-                return None; // would fault; leave it to fault at runtime
+                // A fold that would fault is left to fault at runtime.
+                let value = op.eval(&a, &b).ok()?;
+                return Some(Instr::Const { dst: *dst, value });
             }
             // Identity simplification with one known operand. The variable
             // operand's *type* must be proven, otherwise the rewrite would
@@ -132,7 +130,7 @@ fn simplify(instr: &Instr, facts: &[Fact]) -> Option<Instr> {
         }
         Instr::Un { op, dst, src } => {
             let v = konst(*src)?;
-            match op.eval(v) {
+            match op.eval(&v) {
                 Ok(folded) => Some(Instr::Const {
                     dst: *dst,
                     value: folded,
@@ -140,13 +138,10 @@ fn simplify(instr: &Instr, facts: &[Fact]) -> Option<Instr> {
                 Err(_) => None,
             }
         }
-        Instr::Mov { dst, src } => {
-            let v = konst(*src)?;
-            Some(Instr::Const {
-                dst: *dst,
-                value: v.clone(),
-            })
-        }
+        Instr::Mov { dst, src } => Some(Instr::Const {
+            dst: *dst,
+            value: konst(*src)?,
+        }),
         Instr::BytesLen { dst, bytes } => {
             let v = konst(*bytes)?;
             let b = v.as_bytes()?;

@@ -9,7 +9,7 @@ use pdo_ir::{Function, Instr, Reg, Terminator};
 
 /// Propagates copies within each of `f`'s blocks. Returns `true` if `f`
 /// changed.
-pub fn propagate_function(f: &mut Function) -> bool {
+pub(crate) fn propagate_function(f: &mut Function) -> bool {
     let mut changed = false;
     // copy_of[d] = Some(s) means registers d and s currently hold the same
     // value and s is the preferred (older) name; `copies` lists the d that

@@ -69,11 +69,13 @@ impl ExprKey {
 
 /// Eliminates common subexpressions within each of `f`'s blocks. Returns
 /// `true` if `f` changed.
-pub fn cse_function(f: &mut Function) -> bool {
+pub(crate) fn cse_function(f: &mut Function) -> bool {
     let mut changed = false;
+    // Available expressions of the block at hand: key -> register holding
+    // its value. One table for the function, emptied per block.
+    let mut avail: HashMap<ExprKey, Reg> = HashMap::new();
     for block in &mut f.blocks {
-        // Available expressions: key -> register holding its value.
-        let mut avail: HashMap<ExprKey, Reg> = HashMap::new();
+        avail.clear();
 
         for instr in &mut block.instrs {
             // Invalidate expressions whose inputs a `bset` mutates in place.

@@ -3,63 +3,61 @@
 //! An instruction is removed when its destination is dead at that point and
 //! the instruction has no side effect (stores, locks, calls, raises, buffer
 //! mutation, and *potentially faulting* operations all count as effects, so
-//! optimized code faults exactly when the original would).
+//! optimized code faults exactly when the original would). Whether an
+//! instruction can fault is read off the type tags of its operands alone
+//! (`analysis::tag_facts`): no constant is computed.
 
-use crate::analysis::{cannot_fault, liveness, step, value_facts};
+use crate::analysis::{cannot_fault, liveness, step_tags, tag_facts};
 use pdo_ir::{Function, Terminator};
 
 /// Deletes `f`'s dead instructions that cannot fault. Returns `true` if `f`
 /// changed.
-pub fn dce_function(f: &mut Function) -> bool {
-    let live_out = liveness(f);
-    let entry = value_facts(f);
+pub(crate) fn dce_function(f: &mut Function) -> bool {
+    let mut live = liveness(f);
+    let entry = tag_facts(f);
+    let mut tags = vec![None; usize::from(f.reg_count)];
+    // Per instruction of the block at hand: whether it may go. After the
+    // backward walk, whether it goes.
+    let mut removable = Vec::new();
     let mut changed = false;
-    for ((block, mut facts), mut live) in f.blocks.iter_mut().zip(entry).zip(live_out) {
+    for (b, block) in f.blocks.iter_mut().enumerate() {
         // Forward pass: which instructions may go if their result is dead
-        // — no side effect, and proven unable to fault by the value facts
+        // — no side effect, and proven unable to fault by the type tags
         // before them.
-        let removable: Vec<bool> = block
-            .instrs
-            .iter()
-            .map(|instr| {
-                let removable = !instr.has_side_effect() && cannot_fault(instr, &facts);
-                step(&mut facts, instr);
-                removable
-            })
-            .collect();
+        tags.copy_from_slice(entry.entry(b));
+        removable.clear();
+        removable.extend(block.instrs.iter().map(|instr| {
+            let removable = !instr.has_side_effect() && cannot_fault(instr, &tags);
+            step_tags(&mut tags, instr);
+            removable
+        }));
 
+        // Row `b` of `live` is this block's live-out set, walked back
+        // through the block in place.
         match &block.term {
-            Terminator::Branch { cond, .. } => {
-                live.insert(*cond);
-            }
-            Terminator::Ret(Some(r)) => {
-                live.insert(*r);
-            }
+            Terminator::Branch { cond, .. } => live.insert(b, *cond),
+            Terminator::Ret(Some(r)) => live.insert(b, *r),
             _ => {}
         }
         // Walk backwards, retaining live, effectful, or possibly-faulting
         // instructions.
-        let mut keep = vec![true; block.instrs.len()];
         for (i, instr) in block.instrs.iter().enumerate().rev() {
-            let dead = match instr.def() {
-                Some(d) => !live.contains(d),
-                None => false,
-            };
+            let dead = instr.def().is_some_and(|d| !live.contains(b, d));
             if dead && removable[i] {
-                keep[i] = false;
                 changed = true;
                 continue;
             }
+            removable[i] = false;
             if let Some(d) = instr.def() {
-                live.remove(d);
+                live.remove(b, d);
             }
-            instr.for_each_use(|r| {
-                live.insert(r);
-            });
+            instr.for_each_use(|r| live.insert(b, r));
         }
-        if keep.iter().any(|k| !k) {
-            let mut it = keep.iter();
-            block.instrs.retain(|_| *it.next().expect("keep mask"));
+        if removable.contains(&true) {
+            let mut goes = removable.iter();
+            block
+                .instrs
+                .retain(|_| !*goes.next().expect("one mark per instruction"));
         }
     }
     changed

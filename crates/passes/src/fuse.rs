@@ -23,7 +23,7 @@
 //! it has finished building, unconditionally. The two patterns are fixed;
 //! no profile decides which sequences fuse.
 
-use crate::analysis::{liveness, RegSet};
+use crate::analysis::{liveness, RegSets};
 use pdo_ir::cost::OpcodeProfile;
 use pdo_ir::{BinOp, Block, FuncId, Function, Instr, Module, Reg, Terminator};
 
@@ -61,12 +61,13 @@ pub fn fuse_module(
 /// Fuses one function, appending aggregated records to `out`. Returns
 /// `true` if the function changed.
 pub fn fuse_function(f: &mut Function, func: FuncId, out: &mut Vec<FusionRecord>) -> bool {
-    // `live_out` is stable across intra-block rewrites (it derives from
-    // successor blocks' uses), so one liveness solve serves the whole scan.
+    // A block's live-out set is stable across intra-block rewrites (it
+    // derives from successor blocks' uses), so one liveness solve serves
+    // the whole scan.
     let live = liveness(f);
     let mut changed = false;
-    for (b_idx, block) in f.blocks.iter_mut().enumerate() {
-        let live_out = &live[b_idx];
+    for (b, block) in f.blocks.iter_mut().enumerate() {
+        let live_out = LiveOut { live: &live, b };
         let mut i = 0;
         while i < block.instrs.len() {
             let fused =
@@ -126,10 +127,17 @@ fn note(out: &mut Vec<FusionRecord>, func: FuncId, pattern: &'static str) {
     }
 }
 
+/// The live-out set of block `b`: row `b` of the function's liveness.
+#[derive(Clone, Copy)]
+struct LiveOut<'a> {
+    live: &'a RegSets,
+    b: usize,
+}
+
 /// True when `r` cannot be observed after instruction `end` of `block`: no
 /// later instruction or the terminator reads it before a redefinition, and
 /// it is not live out of the block.
-fn dead_after(block: &Block, live_out: &RegSet, end: usize, r: Reg) -> bool {
+fn dead_after(block: &Block, live_out: LiveOut, end: usize, r: Reg) -> bool {
     for instr in &block.instrs[end + 1..] {
         let mut used = false;
         instr.for_each_use(|u| used |= u == r);
@@ -145,7 +153,7 @@ fn dead_after(block: &Block, live_out: &RegSet, end: usize, r: Reg) -> bool {
         Terminator::Branch { cond, .. } if *cond == r => return false,
         _ => {}
     }
-    !live_out.contains(r)
+    !live_out.live.contains(live_out.b, r)
 }
 
 /// Matches `dst = lhs <op> rhs` against a constant in `c`: returns the
@@ -163,7 +171,7 @@ fn bin_with_const(op: BinOp, lhs: Reg, rhs: Reg, c: Reg) -> Option<Reg> {
 
 type Match = (Instr, usize, &'static str);
 
-fn try_global_fold(block: &Block, i: usize, live_out: &RegSet) -> Option<Match> {
+fn try_global_fold(block: &Block, i: usize, live_out: LiveOut) -> Option<Match> {
     let [Instr::LoadGlobal { dst: v, global: g1 }, Instr::Bin {
         op,
         dst: d,
@@ -199,7 +207,7 @@ fn try_global_fold(block: &Block, i: usize, live_out: &RegSet) -> Option<Match> 
     ))
 }
 
-fn try_bin_imm(block: &Block, i: usize, live_out: &RegSet) -> Option<Match> {
+fn try_bin_imm(block: &Block, i: usize, live_out: LiveOut) -> Option<Match> {
     let [Instr::Const { dst: c, value }, Instr::Bin {
         op,
         dst: d,

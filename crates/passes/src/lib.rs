@@ -5,13 +5,13 @@
 //! super-handlers produced by its graph optimizations (§3.2.2). This crate
 //! provides those passes over the `pdo-ir` representation:
 //!
-//! * [`constfold::fold_function`] — constant propagation/folding plus
-//!   algebraic identity simplification and branch folding,
-//! * [`copyprop::propagate_function`] — copy propagation,
-//! * [`cse::cse_function`] — local common-subexpression elimination,
-//! * [`dce::dce_function`] — liveness-based dead-code elimination,
-//! * [`cleanup::cleanup_function`] — CFG simplification (unreachable
-//!   blocks, jump threading, block merging),
+//! * `constfold` — constant propagation/folding plus algebraic identity
+//!   simplification and branch folding,
+//! * `copyprop` — copy propagation,
+//! * `cse` — local common-subexpression elimination,
+//! * `dce` — liveness-based dead-code elimination,
+//! * `cleanup` — CFG simplification (unreachable blocks, jump threading,
+//!   block merging),
 //! * [`inline::inline_into`] — function inlining (used to inline direct
 //!   handler calls into super-handlers),
 //! * [`locks::coalesce_function`] — elimination of redundant unlock/lock
@@ -21,12 +21,16 @@
 //!   whole CFG, through natives, deferred raises and lock operations (the
 //!   paper's "redundant initializations and code fragments").
 //!
+//! The first five are private: only the pipeline below runs them.
+//!
 //! The passes share two dataflow solvers over a function's CFG: backward
-//! liveness (`dce`, `fuse`), and one forward solver on which two analyses
-//! run. One is the value facts — per register a constant, a type tag or
-//! nothing known — that `constfold` folds with and `dce` proves an
-//! instruction unable to fault with; the other is the globals held in
-//! registers that load forwarding reads.
+//! liveness (`dce`, `fuse`), and one forward solver on which three analyses
+//! run: the value facts — per register a constant, a type tag or nothing
+//! known — that `constfold` folds with; their type tags alone, which `dce`
+//! proves an instruction unable to fault with; and the globals held in
+//! registers that load forwarding reads. Each solve allocates a fixed
+//! handful of blocks, not one per block: every block's state is a row of
+//! one table of `Copy` cells, and liveness is one bit table.
 //!
 //! Each pass rewrites one function and says whether it changed it. One
 //! driver runs them, [`optimize_single_function`]: the pipeline in its one
@@ -34,7 +38,7 @@
 //! every changing iteration in debug builds. The optimizer runs it on each
 //! super-handler it builds; [`PassManager::standard`] runs it on every
 //! function of a module. The fixed point exists because passes agree on
-//! canonical forms (see [`constfold`] for repeated constants); debug builds
+//! canonical forms (see `constfold` for repeated constants); debug builds
 //! also panic when an iteration ends in a state an earlier one ended in,
 //! so two passes undoing each other fail a test instead of spinning to the
 //! iteration cap.
@@ -62,11 +66,11 @@
 //! ```
 
 mod analysis;
-pub mod cleanup;
-pub mod constfold;
-pub mod copyprop;
-pub mod cse;
-pub mod dce;
+mod cleanup;
+mod constfold;
+mod copyprop;
+mod cse;
+mod dce;
 pub mod fuse;
 pub mod inline;
 pub mod locks;

@@ -180,25 +180,19 @@ pub fn forward_function(f: &mut Function) -> bool {
     }
     slots.sort_unstable();
     slots.dedup();
-    let forgets = |entry: &mut Vec<Option<Reg>>, exit: &Vec<Option<Reg>>| {
-        let mut changed = false;
-        for (e, x) in entry.iter_mut().zip(exit) {
-            if e.is_some() && e != x {
-                *e = None;
-                changed = true;
-            }
-        }
-        changed
-    };
-    let entry = forward(f, vec![None; slots.len()], forgets, |held, instr| {
+    // A global held in one register at an exit and another (or none) at
+    // the entry is held in none.
+    let forgets = |e: &mut Option<Reg>, x| *e != x && e.take().is_some();
+    // A block no path reaches holds nothing.
+    let entry = forward(f, vec![None; slots.len()], None, forgets, |held, instr| {
         transfer(held, &slots, instr);
     });
 
     let mut changed = false;
+    let mut held = vec![None; slots.len()];
     let mut dead = Vec::new();
-    for (block, held) in f.blocks.iter_mut().zip(entry) {
-        // A block no path reaches holds nothing.
-        let mut held = held.unwrap_or_else(|| vec![None; slots.len()]);
+    for (b, block) in f.blocks.iter_mut().enumerate() {
+        held.copy_from_slice(entry.entry(b));
         for (idx, instr) in block.instrs.iter_mut().enumerate() {
             match transfer(&mut held, &slots, instr) {
                 Rewrite::Keep => {}
