@@ -43,57 +43,44 @@ fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ParseError> {
 /// Returns a [`ParseError`] describing the first syntactic or resolution
 /// problem encountered.
 pub fn parse_module(text: &str) -> Result<Module, ParseError> {
-    let lines: Vec<(usize, &str)> = text
-        .lines()
-        .enumerate()
-        .map(|(i, l)| (i + 1, strip_comment(l).trim()))
-        .filter(|(_, l)| !l.is_empty())
-        .collect();
-
     // Pass 1: collect declarations and function names.
     let mut module = Module::new();
-    let mut func_names: HashMap<String, FuncId> = HashMap::new();
-    {
-        let mut next_func = 0usize;
-        for &(ln, line) in &lines {
-            if let Some(rest) = line.strip_prefix("func @") {
-                let name = rest
-                    .split('(')
-                    .next()
-                    .ok_or_else(|| ParseError {
-                        line: ln,
-                        message: "malformed func header".into(),
-                    })?
-                    .trim();
-                if func_names
-                    .insert(name.to_string(), FuncId::from_index(next_func))
-                    .is_some()
-                {
-                    return err(ln, format!("duplicate function `{name}`"));
-                }
-                next_func += 1;
-            } else if let Some(rest) = line.strip_prefix("event ") {
-                module.add_event(rest.trim());
-            } else if let Some(rest) = line.strip_prefix("global ") {
-                let (name, init) = rest.split_once('=').ok_or_else(|| ParseError {
+    let mut func_names: HashMap<&str, FuncId> = HashMap::new();
+    for (ln, line) in lines(text) {
+        if let Some(rest) = line.strip_prefix("func @") {
+            let name = rest
+                .split('(')
+                .next()
+                .ok_or_else(|| ParseError {
                     line: ln,
-                    message: "global needs `= <value>`".into(),
-                })?;
-                let value = parse_value(init.trim(), ln)?;
-                module.add_global(name.trim(), value);
-            } else if let Some(rest) = line.strip_prefix("native ") {
-                module.add_native(rest.trim());
+                    message: "malformed func header".into(),
+                })?
+                .trim();
+            let id = FuncId::from_index(func_names.len());
+            if func_names.insert(name, id).is_some() {
+                return err(ln, format!("duplicate function `{name}`"));
             }
+        } else if let Some(rest) = line.strip_prefix("event ") {
+            module.add_event(rest.trim());
+        } else if let Some(rest) = line.strip_prefix("global ") {
+            let (name, init) = rest.split_once('=').ok_or_else(|| ParseError {
+                line: ln,
+                message: "global needs `= <value>`".into(),
+            })?;
+            let value = parse_value(init.trim(), ln)?;
+            module.add_global(name.trim(), value);
+        } else if let Some(rest) = line.strip_prefix("native ") {
+            module.add_native(rest.trim());
         }
     }
 
     // Pass 2: parse function bodies.
-    let mut i = 0;
-    while i < lines.len() {
-        let (ln, line) = lines[i];
+    module.functions.reserve_exact(func_names.len());
+    let mut staging = Staging::default();
+    let mut lines = lines(text);
+    while let Some((ln, line)) = lines.next() {
         if line.starts_with("event ") || line.starts_with("global ") || line.starts_with("native ")
         {
-            i += 1;
             continue;
         }
         if let Some(rest) = line.strip_prefix("func @") {
@@ -102,10 +89,13 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
                 message: "func header missing `(`".into(),
             })?;
             let name = rest[..open].trim().to_string();
-            let close = rest.find(')').ok_or_else(|| ParseError {
-                line: ln,
-                message: "func header missing `)`".into(),
-            })?;
+            let close = rest[open..]
+                .find(')')
+                .map(|at| open + at)
+                .ok_or_else(|| ParseError {
+                    line: ln,
+                    message: "func header missing `)`".into(),
+                })?;
             let params: u16 = rest[open + 1..close]
                 .trim()
                 .parse()
@@ -116,15 +106,26 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
             if !rest[close + 1..].trim().starts_with('{') {
                 return err(ln, "func header missing `{`");
             }
-            let (func, consumed) =
-                parse_function_body(&lines[i + 1..], name, params, &module, &func_names)?;
+            let ctx = FuncCtx {
+                module: &module,
+                funcs: &func_names,
+            };
+            let func = parse_function_body(&mut lines, &mut staging, name, params, &ctx)?;
             module.add_function(func);
-            i += consumed + 1;
         } else {
             return err(ln, format!("unexpected top-level line: `{line}`"));
         }
     }
     Ok(module)
+}
+
+/// The lines of `text` that hold something, comments stripped and
+/// trimmed, each with its 1-based line number.
+fn lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    text.lines()
+        .enumerate()
+        .map(|(i, l)| (i + 1, strip_comment(l).trim()))
+        .filter(|(_, l)| !l.is_empty())
 }
 
 fn strip_comment(l: &str) -> &str {
@@ -181,6 +182,9 @@ fn parse_value(text: &str, ln: usize) -> Result<Value, ParseError> {
             // Minimal unescaping: the printer only emits Rust debug escapes
             // for quotes and backslashes in our symbol-free strings.
             let inner = &rest[1..rest.len() - 1];
+            if !inner.contains('\\') {
+                return Ok(Value::str(inner));
+            }
             let unescaped = inner.replace("\\\"", "\"").replace("\\\\", "\\");
             return Ok(Value::str(unescaped));
         }
@@ -191,7 +195,7 @@ fn parse_value(text: &str, ln: usize) -> Result<Value, ParseError> {
 
 struct FuncCtx<'m> {
     module: &'m Module,
-    funcs: &'m HashMap<String, FuncId>,
+    funcs: &'m HashMap<&'m str, FuncId>,
 }
 
 impl FuncCtx<'_> {
@@ -262,28 +266,44 @@ fn parse_block_id(tok: &str, ln: usize) -> Result<BlockId, ParseError> {
     })
 }
 
-/// Splits `name(r1, r2)` into (`name`, ["r1","r2"]).
-fn parse_call_syntax(text: &str, ln: usize) -> Result<(&str, Vec<&str>), ParseError> {
+/// Splits `name(r1, r2)` into (`name`, `r1, r2`).
+fn parse_call_syntax(text: &str, ln: usize) -> Result<(&str, &str), ParseError> {
     let open = text.find('(').ok_or_else(|| ParseError {
         line: ln,
         message: "missing `(`".into(),
     })?;
-    let close = text.rfind(')').ok_or_else(|| ParseError {
-        line: ln,
-        message: "missing `)`".into(),
-    })?;
-    let callee = text[..open].trim();
-    let inner = text[open + 1..close].trim();
-    let args = if inner.is_empty() {
-        Vec::new()
-    } else {
-        inner.split(',').map(str::trim).collect()
-    };
-    Ok((callee, args))
+    let close = text
+        .rfind(')')
+        .filter(|&close| close > open)
+        .ok_or_else(|| ParseError {
+            line: ln,
+            message: "missing `)`".into(),
+        })?;
+    Ok((text[..open].trim(), text[open + 1..close].trim()))
 }
 
-fn parse_arg_regs(args: &[&str], ln: usize) -> Result<Vec<Reg>, ParseError> {
-    args.iter().map(|a| parse_reg(a, ln)).collect()
+/// The registers of a call's argument list `r1, r2`, in a vector of
+/// exactly their number.
+fn parse_arg_regs(list: &str, ln: usize) -> Result<Vec<Reg>, ParseError> {
+    if list.is_empty() {
+        return Ok(Vec::new());
+    }
+    let mut regs = Vec::with_capacity(list.matches(',').count() + 1);
+    for arg in list.split(',') {
+        regs.push(parse_reg(arg.trim(), ln)?);
+    }
+    Ok(regs)
+}
+
+/// The `N` comma-separated operands of `text`, trimmed, or `None` when it
+/// holds another number of them.
+fn split_operands<const N: usize>(text: &str) -> Option<[&str; N]> {
+    let mut parts = text.split(',').map(str::trim);
+    let mut out = [""; N];
+    for slot in &mut out {
+        *slot = parts.next()?;
+    }
+    parts.next().is_none().then_some(out)
 }
 
 fn parse_bin_op(tok: &str, ln: usize) -> Result<BinOp, ParseError> {
@@ -295,6 +315,24 @@ fn parse_bin_op(tok: &str, ln: usize) -> Result<BinOp, ParseError> {
             line: ln,
             message: format!("unknown operator `{tok}`"),
         })
+}
+
+/// The `N` operands of a `dst = <op> <rest>` form, or the error saying
+/// how many `op` needs.
+fn operands<'t, const N: usize>(
+    op: &str,
+    rest: &'t str,
+    ln: usize,
+) -> Result<[&'t str; N], ParseError> {
+    let found = if rest.is_empty() {
+        None
+    } else {
+        split_operands(rest)
+    };
+    found.ok_or_else(|| ParseError {
+        line: ln,
+        message: format!("`{op}` needs {N} operand(s)"),
+    })
 }
 
 /// Splits `<op> $g, <src>`, the operands of the `gfold` superinstruction.
@@ -309,77 +347,100 @@ fn split_fold(rest: &str, ln: usize) -> Result<(BinOp, &str, &str), ParseError> 
     Ok((op, g_tok.trim(), tail.trim()))
 }
 
+/// Where a function's blocks and the current block's instructions are
+/// gathered while they are parsed. One pair serves every function of a
+/// module, so each finished block and function is copied out into a
+/// vector of exactly its length, as a clone would allocate it.
+#[derive(Default)]
+struct Staging {
+    blocks: Vec<Block>,
+    instrs: Vec<Instr>,
+}
+
+/// Moves `staged`'s items into a vector of exactly their number, leaving
+/// `staged` empty with its capacity kept.
+fn take_exact<T>(staged: &mut Vec<T>) -> Vec<T> {
+    let mut out = Vec::with_capacity(staged.len());
+    out.append(staged);
+    out
+}
+
+/// Parses a function body from the line after its header through its
+/// closing `}`, leaving `lines` after it.
 #[allow(clippy::too_many_lines)]
-fn parse_function_body(
-    lines: &[(usize, &str)],
+fn parse_function_body<'t>(
+    lines: &mut impl Iterator<Item = (usize, &'t str)>,
+    staging: &mut Staging,
     name: String,
     params: u16,
-    module: &Module,
-    funcs: &HashMap<String, FuncId>,
-) -> Result<(Function, usize), ParseError> {
-    let ctx = FuncCtx { module, funcs };
-    let mut blocks: Vec<Block> = Vec::new();
-    let mut block_ids: Vec<BlockId> = Vec::new();
-    let mut current: Option<(BlockId, Vec<Instr>, Option<Terminator>)> = None;
+    ctx: &FuncCtx<'_>,
+) -> Result<Function, ParseError> {
+    let Staging { blocks, instrs } = staging;
+    blocks.clear();
+    instrs.clear();
+    // The open block's id and terminator.
+    let mut current: Option<(BlockId, Option<Terminator>)> = None;
+    // The first block declared out of order and its position, reported at
+    // the closing `}`.
+    let mut misplaced: Option<(BlockId, usize)> = None;
     let mut max_reg: i64 = i64::from(params) - 1;
-    let mut consumed;
+    let mut last_ln = 0;
 
     let track = |r: Reg, max_reg: &mut i64| {
         *max_reg = (*max_reg).max(i64::from(r.0));
         r
     };
-
-    for (idx, &(ln, line)) in lines.iter().enumerate() {
-        consumed = idx + 1;
-        if line == "}" {
-            if let Some((bid, instrs, term)) = current.take() {
-                block_ids.push(bid);
-                blocks.push(Block {
-                    instrs,
-                    term: term.ok_or_else(|| ParseError {
-                        line: ln,
-                        message: format!("block {bid} missing terminator"),
-                    })?,
-                });
+    let mut close_block = |current: &mut Option<(BlockId, Option<Terminator>)>,
+                           blocks: &mut Vec<Block>,
+                           instrs: &mut Vec<Instr>,
+                           ln: usize|
+     -> Result<(), ParseError> {
+        if let Some((bid, term)) = current.take() {
+            if bid.index() != blocks.len() && misplaced.is_none() {
+                misplaced = Some((bid, blocks.len()));
             }
+            let term = term.ok_or_else(|| ParseError {
+                line: ln,
+                message: format!("block {bid} missing terminator"),
+            })?;
+            blocks.push(Block {
+                instrs: take_exact(instrs),
+                term,
+            });
+        }
+        Ok(())
+    };
+
+    for (ln, line) in lines {
+        last_ln = ln;
+        if line == "}" {
+            close_block(&mut current, blocks, instrs, ln)?;
             if blocks.is_empty() {
                 return err(ln, "function has no blocks");
             }
-            // Verify blocks were declared densely in order b0, b1, ...
-            for (i, bid) in block_ids.iter().enumerate() {
-                if bid.index() != i {
-                    return err(
-                        ln,
-                        format!("blocks must be declared in order; found {bid} at position {i}"),
-                    );
-                }
+            // Blocks must be declared densely in order b0, b1, ...
+            if let Some((bid, i)) = misplaced {
+                return err(
+                    ln,
+                    format!("blocks must be declared in order; found {bid} at position {i}"),
+                );
             }
-            let f = Function {
+            return Ok(Function {
                 name,
                 params,
                 reg_count: u16::try_from(max_reg + 1).map_err(|_| ParseError {
                     line: ln,
                     message: "too many registers".into(),
                 })?,
-                blocks,
-            };
-            return Ok((f, consumed));
+                blocks: take_exact(blocks),
+            });
         }
         if let Some(label) = line.strip_suffix(':') {
-            if let Some((bid, instrs, term)) = current.take() {
-                block_ids.push(bid);
-                blocks.push(Block {
-                    instrs,
-                    term: term.ok_or_else(|| ParseError {
-                        line: ln,
-                        message: format!("block {bid} missing terminator"),
-                    })?,
-                });
-            }
-            current = Some((parse_block_id(label.trim(), ln)?, Vec::new(), None));
+            close_block(&mut current, blocks, instrs, ln)?;
+            current = Some((parse_block_id(label.trim(), ln)?, None));
             continue;
         }
-        let (_, instrs, term) = current.as_mut().ok_or_else(|| ParseError {
+        let (_, term) = current.as_mut().ok_or_else(|| ParseError {
             line: ln,
             message: "instruction outside a block".into(),
         })?;
@@ -404,27 +465,25 @@ fn parse_function_body(
             continue;
         }
         if let Some(rest) = line.strip_prefix("br ") {
-            let parts: Vec<&str> = rest.split(',').map(str::trim).collect();
-            if parts.len() != 3 {
+            let Some([cond, then_blk, else_blk]) = split_operands(rest) else {
                 return err(ln, "br needs `cond, then, else`");
-            }
+            };
             *term = Some(Terminator::Branch {
-                cond: track(parse_reg(parts[0], ln)?, &mut max_reg),
-                then_blk: parse_block_id(parts[1], ln)?,
-                else_blk: parse_block_id(parts[2], ln)?,
+                cond: track(parse_reg(cond, ln)?, &mut max_reg),
+                then_blk: parse_block_id(then_blk, ln)?,
+                else_blk: parse_block_id(else_blk, ln)?,
             });
             continue;
         }
 
         // Effect-only instructions.
         if let Some(rest) = line.strip_prefix("store ") {
-            let parts: Vec<&str> = rest.split(',').map(str::trim).collect();
-            if parts.len() != 2 {
+            let Some([global, src]) = split_operands(rest) else {
                 return err(ln, "store needs `$global, reg`");
-            }
+            };
             instrs.push(Instr::StoreGlobal {
-                global: ctx.resolve_global(parts[0], ln)?,
-                src: track(parse_reg(parts[1], ln)?, &mut max_reg),
+                global: ctx.resolve_global(global, ln)?,
+                src: track(parse_reg(src, ln)?, &mut max_reg),
             });
             continue;
         }
@@ -452,7 +511,7 @@ fn parse_function_body(
                 other => return err(ln, format!("bad raise mode `{other}`")),
             };
             let (callee, args) = parse_call_syntax(call, ln)?;
-            let args = parse_arg_regs(&args, ln)?;
+            let args = parse_arg_regs(args, ln)?;
             for &a in &args {
                 track(a, &mut max_reg);
             }
@@ -464,14 +523,13 @@ fn parse_function_body(
             continue;
         }
         if let Some(rest) = line.strip_prefix("bset ") {
-            let parts: Vec<&str> = rest.split(',').map(str::trim).collect();
-            if parts.len() != 3 {
+            let Some([bytes, index, value]) = split_operands(rest) else {
                 return err(ln, "bset needs `bytes, index, value`");
-            }
+            };
             instrs.push(Instr::BytesSet {
-                bytes: track(parse_reg(parts[0], ln)?, &mut max_reg),
-                index: track(parse_reg(parts[1], ln)?, &mut max_reg),
-                value: track(parse_reg(parts[2], ln)?, &mut max_reg),
+                bytes: track(parse_reg(bytes, ln)?, &mut max_reg),
+                index: track(parse_reg(index, ln)?, &mut max_reg),
+                value: track(parse_reg(value, ln)?, &mut max_reg),
             });
             continue;
         }
@@ -497,20 +555,6 @@ fn parse_function_body(
         let (op, rest) = rhs
             .split_once(' ')
             .map_or((rhs, ""), |(op, rest)| (op, rest.trim()));
-        // `call`/`native` parse their own argument syntax below.
-        let operands: Vec<&str> = if rest.is_empty() || matches!(op, "call" | "native") {
-            Vec::new()
-        } else {
-            rest.split(',').map(str::trim).collect()
-        };
-
-        let need = |n: usize| -> Result<(), ParseError> {
-            if operands.len() == n {
-                Ok(())
-            } else {
-                err(ln, format!("`{op}` needs {n} operand(s)"))
-            }
-        };
 
         let instr = match op {
             "const" => Instr::Const {
@@ -518,22 +562,22 @@ fn parse_function_body(
                 value: parse_value(rest, ln)?,
             },
             "mov" => {
-                need(1)?;
+                let [src] = operands(op, rest, ln)?;
                 Instr::Mov {
                     dst,
-                    src: track(parse_reg(operands[0], ln)?, &mut max_reg),
+                    src: track(parse_reg(src, ln)?, &mut max_reg),
                 }
             }
             "load" => {
-                need(1)?;
+                let [global] = operands(op, rest, ln)?;
                 Instr::LoadGlobal {
                     dst,
-                    global: ctx.resolve_global(operands[0], ln)?,
+                    global: ctx.resolve_global(global, ln)?,
                 }
             }
             "call" => {
                 let (callee, args) = parse_call_syntax(rest, ln)?;
-                let args = parse_arg_regs(&args, ln)?;
+                let args = parse_arg_regs(args, ln)?;
                 for &a in &args {
                     track(a, &mut max_reg);
                 }
@@ -545,7 +589,7 @@ fn parse_function_body(
             }
             "native" => {
                 let (callee, args) = parse_call_syntax(rest, ln)?;
-                let args = parse_arg_regs(&args, ln)?;
+                let args = parse_arg_regs(args, ln)?;
                 for &a in &args {
                     track(a, &mut max_reg);
                 }
@@ -556,42 +600,42 @@ fn parse_function_body(
                 }
             }
             "bnew" => {
-                need(1)?;
+                let [len] = operands(op, rest, ln)?;
                 Instr::BytesNew {
                     dst,
-                    len: track(parse_reg(operands[0], ln)?, &mut max_reg),
+                    len: track(parse_reg(len, ln)?, &mut max_reg),
                 }
             }
             "blen" => {
-                need(1)?;
+                let [bytes] = operands(op, rest, ln)?;
                 Instr::BytesLen {
                     dst,
-                    bytes: track(parse_reg(operands[0], ln)?, &mut max_reg),
+                    bytes: track(parse_reg(bytes, ln)?, &mut max_reg),
                 }
             }
             "bget" => {
-                need(2)?;
+                let [bytes, index] = operands(op, rest, ln)?;
                 Instr::BytesGet {
                     dst,
-                    bytes: track(parse_reg(operands[0], ln)?, &mut max_reg),
-                    index: track(parse_reg(operands[1], ln)?, &mut max_reg),
+                    bytes: track(parse_reg(bytes, ln)?, &mut max_reg),
+                    index: track(parse_reg(index, ln)?, &mut max_reg),
                 }
             }
             "bcat" => {
-                need(2)?;
+                let [lhs, rhs] = operands(op, rest, ln)?;
                 Instr::BytesConcat {
                     dst,
-                    lhs: track(parse_reg(operands[0], ln)?, &mut max_reg),
-                    rhs: track(parse_reg(operands[1], ln)?, &mut max_reg),
+                    lhs: track(parse_reg(lhs, ln)?, &mut max_reg),
+                    rhs: track(parse_reg(rhs, ln)?, &mut max_reg),
                 }
             }
             "bslice" => {
-                need(3)?;
+                let [bytes, start, end] = operands(op, rest, ln)?;
                 Instr::BytesSlice {
                     dst,
-                    bytes: track(parse_reg(operands[0], ln)?, &mut max_reg),
-                    start: track(parse_reg(operands[1], ln)?, &mut max_reg),
-                    end: track(parse_reg(operands[2], ln)?, &mut max_reg),
+                    bytes: track(parse_reg(bytes, ln)?, &mut max_reg),
+                    start: track(parse_reg(start, ln)?, &mut max_reg),
+                    end: track(parse_reg(end, ln)?, &mut max_reg),
                 }
             }
             mnemonic => {
@@ -611,19 +655,19 @@ fn parse_function_body(
                         imm: parse_value(imm_tok.trim(), ln)?,
                     }
                 } else if let Some(bin) = BinOp::ALL.iter().find(|o| o.mnemonic() == mnemonic) {
-                    need(2)?;
+                    let [lhs, rhs] = operands(op, rest, ln)?;
                     Instr::Bin {
                         op: *bin,
                         dst,
-                        lhs: track(parse_reg(operands[0], ln)?, &mut max_reg),
-                        rhs: track(parse_reg(operands[1], ln)?, &mut max_reg),
+                        lhs: track(parse_reg(lhs, ln)?, &mut max_reg),
+                        rhs: track(parse_reg(rhs, ln)?, &mut max_reg),
                     }
                 } else if let Some(un) = UnOp::ALL.iter().find(|o| o.mnemonic() == mnemonic) {
-                    need(1)?;
+                    let [src] = operands(op, rest, ln)?;
                     Instr::Un {
                         op: *un,
                         dst,
-                        src: track(parse_reg(operands[0], ln)?, &mut max_reg),
+                        src: track(parse_reg(src, ln)?, &mut max_reg),
                     }
                 } else {
                     return err(ln, format!("unknown mnemonic `{mnemonic}`"));
@@ -632,10 +676,7 @@ fn parse_function_body(
         };
         instrs.push(instr);
     }
-    err(
-        lines.last().map(|&(ln, _)| ln).unwrap_or(0),
-        "unterminated function body (missing `}`)",
-    )
+    err(last_ln, "unterminated function body (missing `}`)")
 }
 
 #[cfg(test)]
@@ -756,6 +797,15 @@ mod tests {
     fn missing_terminator_rejected() {
         let e = parse_module("func @f(0) {\nb0:\n  r0 = const int 1\n}\n").unwrap_err();
         assert!(e.message.contains("terminator"), "{e}");
+    }
+
+    /// A `)` before the `(` is a missing `)`, not a slice out of order.
+    #[test]
+    fn close_paren_before_open_is_an_error() {
+        let e = parse_module("func @f)(0 {\nb0:\n  ret\n}\n").unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (1, "func header missing `)`"));
+        let e = parse_module("func @f(0) {\nb0:\n  r0 = call @f)(\n  ret\n}\n").unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (3, "missing `)`"));
     }
 
     #[test]

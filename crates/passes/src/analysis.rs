@@ -127,10 +127,14 @@ pub(crate) fn liveness(f: &Function) -> RegSets {
     sets
 }
 
-/// Returns which blocks are reachable from the entry.
-pub(crate) fn reachable_blocks(f: &Function) -> Vec<bool> {
-    let mut seen = vec![false; f.blocks.len()];
-    let mut stack = vec![0usize];
+/// Sets `seen[b]` to whether block `b` is reachable from the entry, with
+/// `stack` as the work list. Both are overwritten, so a caller that asks
+/// repeatedly keeps their blocks.
+pub(crate) fn reachable_blocks(f: &Function, seen: &mut Vec<bool>, stack: &mut Vec<usize>) {
+    seen.clear();
+    seen.resize(f.blocks.len(), false);
+    stack.clear();
+    stack.push(0);
     while let Some(b) = stack.pop() {
         if seen[b] {
             continue;
@@ -142,7 +146,6 @@ pub(crate) fn reachable_blocks(f: &Function) -> Vec<bool> {
             }
         });
     }
-    seen
 }
 
 /// Every block's entry state from one [`forward`] solve: `width` cells per
@@ -813,8 +816,9 @@ mod tests {
     #[test]
     fn reachability() {
         let m = parse_module(UNREACHED).unwrap();
-        let r = reachable_blocks(&m.functions[0]);
-        assert_eq!(r, vec![true, false, true]);
+        let (mut seen, mut stack) = (vec![true; 5], vec![4]);
+        reachable_blocks(&m.functions[0], &mut seen, &mut stack);
+        assert_eq!(seen, [true, false, true]);
     }
 
     /// The value facts at the entry of `text`'s block `b`, in the

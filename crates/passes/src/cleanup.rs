@@ -7,13 +7,14 @@ use pdo_ir::{Block, BlockId, Function, Terminator};
 /// Simplifies `f`'s CFG until no sub-step finds more to do. Returns `true`
 /// if `f` changed.
 pub(crate) fn cleanup_function(f: &mut Function) -> bool {
+    let mut tables = Tables::default();
     let mut changed = false;
     // Iterate locally: each sub-step can expose more work for the others.
     loop {
         let mut step_changed = false;
-        step_changed |= thread_trivial_jumps(f);
-        step_changed |= merge_single_pred_chains(f);
-        step_changed |= drop_unreachable(f);
+        step_changed |= thread_trivial_jumps(f, &mut tables.trivial);
+        step_changed |= merge_single_pred_chains(f, &mut tables.preds);
+        step_changed |= drop_unreachable(f, &mut tables);
         if !step_changed {
             break;
         }
@@ -22,18 +23,34 @@ pub(crate) fn cleanup_function(f: &mut Function) -> bool {
     changed
 }
 
+/// The per-block tables the sub-steps fill on every round of
+/// [`cleanup_function`]: allocated in its first round, overwritten after.
+#[derive(Default)]
+struct Tables {
+    /// `trivial[b]`: where block `b` jumps, if it is empty and ends in a jump.
+    trivial: Vec<Option<BlockId>>,
+    /// Edges entering each block.
+    preds: Vec<u32>,
+    /// Whether each block is reachable from the entry.
+    reach: Vec<bool>,
+    /// The reachability walk's work list.
+    stack: Vec<usize>,
+    /// Each kept block's new id.
+    remap: Vec<BlockId>,
+}
+
 /// Rewrites edges that target a block containing only `jump bN` to point at
 /// `bN` directly.
-fn thread_trivial_jumps(f: &mut Function) -> bool {
-    // trivial[b] = Some(target) if block b is empty and ends in jump.
-    let trivial: Vec<Option<BlockId>> = f
-        .blocks
-        .iter()
-        .map(|b| match (&b.instrs.is_empty(), &b.term) {
-            (true, Terminator::Jump(t)) => Some(*t),
-            _ => None,
-        })
-        .collect();
+fn thread_trivial_jumps(f: &mut Function, trivial: &mut Vec<Option<BlockId>>) -> bool {
+    trivial.clear();
+    trivial.extend(
+        f.blocks
+            .iter()
+            .map(|b| match (&b.instrs.is_empty(), &b.term) {
+                (true, Terminator::Jump(t)) => Some(*t),
+                _ => None,
+            }),
+    );
 
     let resolve = |mut b: BlockId| -> BlockId {
         // Bound chain chasing to the block count to tolerate jump cycles.
@@ -57,10 +74,11 @@ fn thread_trivial_jumps(f: &mut Function) -> bool {
     changed
 }
 
-/// How many edges enter each block (a branch with both arms to one block
-/// counts twice).
-fn predecessor_counts(f: &Function) -> Vec<u32> {
-    let mut counts = vec![0; f.blocks.len()];
+/// Sets `counts[b]` to how many edges enter block `b` (a branch with both
+/// arms to one block counts twice).
+fn predecessor_counts(f: &Function, counts: &mut Vec<u32>) {
+    counts.clear();
+    counts.resize(f.blocks.len(), 0);
     for block in &f.blocks {
         block.term.for_each_successor(|s| {
             if let Some(c) = counts.get_mut(s.index()) {
@@ -68,7 +86,6 @@ fn predecessor_counts(f: &Function) -> Vec<u32> {
             }
         });
     }
-    counts
 }
 
 /// Merges `a -> jump b` into a single block when `b` has exactly one
@@ -80,8 +97,8 @@ fn predecessor_counts(f: &Function) -> Vec<u32> {
 /// `drop_unreachable`, so other blocks' ids stay stable within this step),
 /// has no predecessor left. A chain is absorbed by its head whatever order
 /// its links are merged in.
-fn merge_single_pred_chains(f: &mut Function) -> bool {
-    let mut preds = predecessor_counts(f);
+fn merge_single_pred_chains(f: &mut Function, preds: &mut Vec<u32>) -> bool {
+    predecessor_counts(f, preds);
     let mut changed = false;
     for a in 0..f.blocks.len() {
         while let Terminator::Jump(t) = f.blocks[a].term {
@@ -101,13 +118,20 @@ fn merge_single_pred_chains(f: &mut Function) -> bool {
 }
 
 /// Removes unreachable blocks, compacting ids.
-fn drop_unreachable(f: &mut Function) -> bool {
-    let reach = reachable_blocks(f);
+fn drop_unreachable(f: &mut Function, tables: &mut Tables) -> bool {
+    let Tables {
+        reach,
+        stack,
+        remap,
+        ..
+    } = tables;
+    reachable_blocks(f, reach, stack);
     if reach.iter().all(|&r| r) {
         return false;
     }
     // Build the id remapping.
-    let mut remap = vec![BlockId(0); f.blocks.len()];
+    remap.clear();
+    remap.resize(f.blocks.len(), BlockId(0));
     let mut next = 0u32;
     for (i, &r) in reach.iter().enumerate() {
         if r {
@@ -159,7 +183,9 @@ mod tests {
                 Block::new(Terminator::Ret(None)),
             ],
         };
-        assert_eq!(predecessor_counts(&f), [0, 1, 2]);
+        let mut counts = vec![9; 7];
+        predecessor_counts(&f, &mut counts);
+        assert_eq!(counts, [0, 1, 2]);
     }
 
     #[test]

@@ -16,16 +16,11 @@ use pdo_ir::{Block, BlockId, Function, Instr, Module, Reg, Terminator, Value};
 /// recursive.
 pub fn inline_into(module: &mut Module, caller_idx: usize, threshold: usize) -> bool {
     let mut changed = false;
-    // One site at a time: the callee is cloned out first, keeping the
-    // borrow structure simple; iteration reaches a fixed point because
-    // recursion is refused.
-    loop {
-        let site = find_site(module, caller_idx, threshold);
-        let Some((block, pos, callee_id)) = site else {
-            break;
-        };
-        let callee = module.functions[callee_id].clone();
-        inline_site(&mut module.functions[caller_idx], block, pos, &callee);
+    // One site at a time, the callee (never the caller) spliced from where
+    // it lies; iteration reaches a fixed point because recursion is refused.
+    while let Some((block, pos, callee_idx)) = find_site(module, caller_idx, threshold) {
+        let (caller, callee) = caller_and_callee(&mut module.functions, caller_idx, callee_idx);
+        inline_site(caller, block, pos, callee);
         changed = true;
     }
     changed
@@ -72,6 +67,22 @@ fn find_site(
     None
 }
 
+/// The caller to splice into and the callee to splice from: two distinct
+/// functions of one module, borrowed apart.
+fn caller_and_callee(
+    functions: &mut [Function],
+    caller_idx: usize,
+    callee_idx: usize,
+) -> (&mut Function, &Function) {
+    if caller_idx < callee_idx {
+        let (lo, hi) = functions.split_at_mut(callee_idx);
+        (&mut lo[caller_idx], &hi[0])
+    } else {
+        let (lo, hi) = functions.split_at_mut(caller_idx);
+        (&mut hi[0], &lo[callee_idx])
+    }
+}
+
 fn calls_function(f: &Function, target: usize) -> bool {
     f.blocks.iter().any(|b| {
         b.instrs
@@ -83,18 +94,16 @@ fn calls_function(f: &Function, target: usize) -> bool {
 /// Splices `callee` into `caller` at `caller.blocks[block].instrs[pos]`,
 /// which must be a `Call` instruction.
 fn inline_site(caller: &mut Function, block: usize, pos: usize, callee: &Function) {
-    let call_instr = caller.blocks[block].instrs[pos].clone();
-    let Instr::Call { dst, args, .. } = call_instr else {
-        panic!("inline_site called on a non-call instruction");
-    };
-
     let reg_offset = caller.reg_count;
     let block_offset = caller.blocks.len() as u32 + 1; // +1 for continuation
     caller.reg_count += callee.reg_count;
 
-    // Split the caller block: tail moves to a continuation block.
+    // Split the caller block: tail moves to a continuation block, and the
+    // call itself comes off the end.
     let tail: Vec<Instr> = caller.blocks[block].instrs.split_off(pos + 1);
-    caller.blocks[block].instrs.pop(); // remove the call itself
+    let Some(Instr::Call { dst, args, .. }) = caller.blocks[block].instrs.pop() else {
+        panic!("inline_site called on a non-call instruction");
+    };
     let cont_term = std::mem::replace(
         &mut caller.blocks[block].term,
         Terminator::Jump(BlockId(block_offset)),

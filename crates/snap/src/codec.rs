@@ -226,18 +226,23 @@ impl<K: Codec + Ord, V: Codec> Codec for BTreeMap<K, V> {
         let mut map = BTreeMap::new();
         for _ in 0..r.take_len()? {
             let key = K::take(r)?;
-            // Canonical order: an image with a repeated or out-of-order
-            // key would decode (last wins) to a state that re-encodes
-            // differently, so it is not an image this format produces.
-            if map.last_key_value().is_some_and(|(last, _)| *last >= key) {
-                return Err(SnapshotError::Malformed(
-                    "map keys are not strictly increasing".into(),
-                ));
-            }
+            check_increasing(map.last_key_value().map(|(last, _)| last), &key)?;
             map.insert(key, V::take(r)?);
         }
         Ok(map)
     }
+}
+
+/// Canonical order: an image with a repeated or out-of-order map key would
+/// decode (last wins) to a state that re-encodes differently, so it is not
+/// an image this format produces.
+fn check_increasing<K: Ord>(last: Option<&K>, key: &K) -> Result<(), SnapshotError> {
+    if last.is_some_and(|last| last >= key) {
+        return Err(SnapshotError::Malformed(
+            "map keys are not strictly increasing".into(),
+        ));
+    }
+    Ok(())
 }
 
 /// The bytes of the equal [`BTreeMap`]: entries are written in key order
@@ -253,7 +258,22 @@ impl<K: Codec + Ord + Hash, V: Codec> Codec for HashMap<K, V> {
         }
     }
     fn take(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(BTreeMap::take(r)?.into_iter().collect())
+        let n = r.take_len()?;
+        let mut map = HashMap::with_capacity(n);
+        // The entry last decoded is held back until the next key has been
+        // checked against it, so the map is filled in place and no key is
+        // cloned.
+        let mut held: Option<(K, V)> = None;
+        for _ in 0..n {
+            let key = K::take(r)?;
+            check_increasing(held.as_ref().map(|(last, _)| last), &key)?;
+            let value = V::take(r)?;
+            if let Some((k, v)) = held.replace((key, value)) {
+                map.insert(k, v);
+            }
+        }
+        map.extend(held);
+        Ok(map)
     }
 }
 

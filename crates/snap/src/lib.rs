@@ -36,7 +36,7 @@ pub mod hostile;
 
 pub use codec::{Codec, Tag, Via};
 
-use pdo_ir::{display::print_module, parse::parse_module, Module, Value};
+use pdo_ir::{display::write_module, parse::parse_module, Module, Value};
 use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 use std::fs;
@@ -202,6 +202,9 @@ pub struct SnapWriter {
     /// address of its allocation. The entry holds the `Arc`, so the
     /// address cannot be reused while the frame is being written.
     modules: HashMap<usize, (Arc<Module>, Range<usize>)>,
+    /// The IR text of the module being written: one string that every
+    /// module of the frame is printed into before it is appended.
+    text: String,
 }
 
 impl Default for SnapWriter {
@@ -226,6 +229,7 @@ impl SnapWriter {
         SnapWriter {
             buf,
             modules: HashMap::new(),
+            text: String::new(),
         }
     }
 
@@ -282,7 +286,11 @@ impl SnapWriter {
     /// Appends a whole [`Module`] as its IR text (which parses back to an
     /// identical module).
     pub fn module(&mut self, m: &Module) {
-        self.str(&print_module(m));
+        let mut text = std::mem::take(&mut self.text);
+        text.clear();
+        write_module(&mut text, m).expect("writing to a String cannot fail");
+        self.str(&text);
+        self.text = text;
     }
 
     /// Appends a shared module: printed the first time this allocation is
@@ -704,6 +712,7 @@ pub fn read(path: &Path) -> Result<Vec<u8>, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdo_ir::display::print_module;
     use pdo_ir::{EventId, FuncId, FunctionBuilder, RaiseMode};
     use std::collections::BTreeMap;
 
@@ -794,6 +803,30 @@ mod tests {
         let mut r = SnapReader::new(&frame).unwrap();
         assert_eq!(r.take_module().unwrap(), m);
         r.finish().unwrap();
+    }
+
+    /// A module travels as exactly `print_module`'s bytes, and the writer's
+    /// one text buffer carries nothing from a module into the next: the
+    /// committed `optimize` outputs (`tests/fixtures/optimized_*.pdo` at the
+    /// workspace root), longest first, in one frame.
+    #[test]
+    fn module_text_in_a_frame_is_print_module_byte_for_byte() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures");
+        let modules: Vec<Module> = ["ctp_video", "xclient", "seccomm"]
+            .iter()
+            .map(|name| {
+                let text = fs::read_to_string(format!("{dir}/optimized_{name}.pdo")).unwrap();
+                parse_module(&text).unwrap()
+            })
+            .collect();
+        let mut payload = SnapWriter::new();
+        payload.len_prefix(modules.len());
+        for m in &modules {
+            let text = print_module(m);
+            assert_eq!(encode(m)[HEADER_LEN + 8..][..text.len()], *text.as_bytes());
+            payload.str(&text);
+        }
+        assert_eq!(encode(&modules), payload.finish());
     }
 
     fn counter_module(step: i64) -> Module {
@@ -1074,6 +1107,10 @@ mod tests {
             })
         };
         assert_eq!(hash_map_of(&[1, 2, 5]).unwrap().len(), 3);
+        // A hash map decodes in place, holding the last entry back for the
+        // check: a bad key is refused first, in the middle and last.
+        assert!(is_malformed(hash_map_of(&[2, 2, 5])));
+        assert!(is_malformed(hash_map_of(&[2, 1, 5])));
         assert!(is_malformed(hash_map_of(&[1, 2, 2])));
         assert!(is_malformed(hash_map_of(&[1, 5, 2])));
     }
@@ -1087,7 +1124,9 @@ mod tests {
         let hashed: HashMap<i64, Vec<u8>> = sorted.clone().into_iter().collect();
         assert_eq!(encode(&hashed), encode(&sorted));
         hostile::check(&hashed);
-        hostile::check(&HashMap::<u64, u64>::new());
+        for n in 0..3 {
+            hostile::check(&(0..n).map(|k| (k, k)).collect::<HashMap<u64, u64>>());
+        }
     }
 
     #[test]
