@@ -107,7 +107,7 @@ pdo_snap::codec_enum!(FaultKind {
 impl FaultKind {
     /// True for kinds that target the timed-raise counter rather than the
     /// dispatch counter.
-    pub fn is_timed(self) -> bool {
+    pub(crate) fn is_timed(self) -> bool {
         matches!(self, FaultKind::DropTimed | FaultKind::DelayTimed { .. })
     }
 
@@ -147,7 +147,7 @@ pub const EXHAUST_FUEL_BUDGET: u64 = 2;
 /// Deterministically corrupts a value (used by [`FaultKind::CorruptArg`]).
 /// The transform is pure, so both the original and the optimized run of a
 /// program observe the same corrupted argument.
-pub fn corrupt_value(v: &Value) -> Value {
+pub(crate) fn corrupt_value(v: &Value) -> Value {
     match v {
         Value::Unit => Value::Int(-1),
         Value::Int(n) => Value::Int(!n),

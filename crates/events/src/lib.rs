@@ -61,7 +61,7 @@ pub mod tally;
 pub mod trace;
 pub mod wire;
 
-pub use fault::{corrupt_value, FaultInjector, FaultKind, FaultPolicy, FaultSpec};
+pub use fault::{FaultInjector, FaultKind, FaultPolicy, FaultSpec};
 pub use registry::{Binding, Registry};
 pub use runtime::{EpochHook, Runtime, RuntimeConfig, RuntimeError, RuntimeStats};
 pub use sched::{Pending, QueuedTrace, Scheduler, TimerEntry, VirtualClock};

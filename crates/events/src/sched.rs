@@ -48,12 +48,12 @@ impl VirtualClock {
     }
 
     /// Advances to `t` (saturating: never moves backwards).
-    pub fn advance_to(&mut self, t: u64) {
+    pub(crate) fn advance_to(&mut self, t: u64) {
         self.now_ns = self.now_ns.max(t);
     }
 
     /// Advances by `delta` nanoseconds.
-    pub fn advance_by(&mut self, delta: u64) {
+    pub(crate) fn advance_by(&mut self, delta: u64) {
         self.now_ns = self.now_ns.saturating_add(delta);
     }
 }
@@ -248,7 +248,7 @@ impl Scheduler {
     }
 
     /// Enqueues an asynchronous event carrying a causal-trace context.
-    pub fn push_async_traced(
+    pub(crate) fn push_async_traced(
         &mut self,
         event: EventId,
         args: Vec<Value>,
@@ -263,7 +263,7 @@ impl Scheduler {
     }
 
     /// Schedules a timed event carrying a causal-trace context.
-    pub fn push_timed_traced(
+    pub(crate) fn push_timed_traced(
         &mut self,
         now_ns: u64,
         delay_ns: u64,
@@ -308,14 +308,14 @@ impl Scheduler {
     /// Removes every scheduled timer for `event` (Cactus's "canceling a
     /// delayed event"). Returns how many were cancelled; the survivors
     /// keep their order.
-    pub fn cancel_timers(&mut self, event: EventId) -> usize {
+    pub(crate) fn cancel_timers(&mut self, event: EventId) -> usize {
         self.timers
             .as_mut()
             .map_or(0, |timers| timers.cancel(event))
     }
 
     /// Next queued asynchronous event, if any.
-    pub fn pop_async(&mut self) -> Option<Pending> {
+    pub(crate) fn pop_async(&mut self) -> Option<Pending> {
         self.queue.pop_front()
     }
 

@@ -10,12 +10,13 @@
 //!   replies. Corrupt input is always a typed [`IngressError`], never a
 //!   panic, and the error's classification decides whether the
 //!   connection survives.
-//! - **One sweep** (module `net`, [`Ingress::drive`]): on the thread that
-//!   owns the `!Send` [`Server`], accept TCP and Unix-socket
-//!   connections, read each, reassemble and decode frames, admit, run
-//!   the admitted commands in arrival order, and write the replies back.
-//!   There is no other thread and no queue between reading a command
-//!   and running it.
+//! - **One sweep** ([`Ingress::drive`]): on the thread that owns the
+//!   `!Send` [`Server`], the socket shell (the TCP and Unix listeners)
+//!   hands each new connection to the connection machine (module `net`),
+//!   which sees only `Read + Write` streams: it reads, reassembles and
+//!   decodes frames and admits; the admitted commands run in arrival
+//!   order, and it writes the replies back. No other thread or queue sits
+//!   between reading a command and running it.
 //! - **Admission control**: one bound, `max_inflight` commands per
 //!   sweep. A request past it waits in its connection's buffer for the
 //!   next sweep; one that finds that batch full too, or any request
@@ -42,7 +43,8 @@ use pdo_server::{Server, ServerError, SessionId};
 use pdo_snap::SnapshotError;
 use std::collections::BTreeSet;
 use std::fmt;
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpListener};
+use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -50,7 +52,7 @@ pub mod client;
 mod net;
 pub mod proto;
 
-use net::{CloseReason, Net, Work};
+use net::{CloseReason, Net, Stream, Work};
 
 pub use client::Client;
 pub use proto::{
@@ -165,11 +167,13 @@ impl Default for IngressConfig {
     }
 }
 
-/// The network front door: the listeners and connections, the batch one
-/// sweep admits, and the canonical protocol programs used to satisfy
-/// `Open{Ctp}` / `Open{SecComm}`.
+/// The network front door: the socket shell around the connection
+/// machine, the batch one sweep admits, and the canonical protocol
+/// programs used to satisfy `Open{Ctp}` / `Open{SecComm}`.
 pub struct Ingress {
     cfg: IngressConfig,
+    tcp: Option<TcpListener>,
+    unix: Option<UnixListener>,
     net: Net,
     /// This sweep's admitted commands in arrival order; the run empties
     /// it and the next sweep reuses it.
@@ -178,8 +182,6 @@ pub struct Ingress {
     inflight: usize,
     /// Wall-clock admission→reply latency.
     latency: Histogram,
-    tcp_addr: Option<SocketAddr>,
-    unix_path: Option<PathBuf>,
     ctp_program: EventProgram,
     sec_program: EventProgram,
     keys: Keys,
@@ -202,18 +204,11 @@ impl Ingress {
     ///
     /// [`IngressError::Io`] when a listener fails to bind.
     pub fn bind(cfg: IngressConfig, _shards: usize) -> Result<Ingress, IngressError> {
-        let tcp = match &cfg.tcp {
-            Some(addr) => Some(std::net::TcpListener::bind(addr.as_str())?),
-            None => None,
-        };
-        let tcp_addr = match &tcp {
-            Some(l) => Some(l.local_addr()?),
-            None => None,
-        };
+        let tcp = cfg.tcp.as_deref().map(TcpListener::bind).transpose()?;
         let unix = match &cfg.unix {
             Some(path) => {
                 let _ = std::fs::remove_file(path);
-                Some(std::os::unix::net::UnixListener::bind(path)?)
+                Some(UnixListener::bind(path)?)
             }
             None => None,
         };
@@ -229,13 +224,13 @@ impl Ingress {
             .expect("CONFIG_FULL is a valid static protocol configuration");
 
         Ok(Ingress {
-            net: Net::new(tcp, unix, &cfg),
+            net: Net::new(&cfg),
+            tcp,
+            unix,
             batch: Vec::with_capacity(cfg.max_inflight.max(1)),
             inflight: 0,
             latency: Histogram::new(),
-            unix_path: cfg.unix.clone(),
             cfg,
-            tcp_addr,
             ctp_program: ctp_program(),
             sec_program,
             keys: Keys::default(),
@@ -253,9 +248,9 @@ impl Ingress {
     }
 
     /// The bound TCP address (with the kernel-assigned port when the
-    /// config asked for port 0).
+    /// config asked for port 0); `None` without a TCP listener.
     pub fn tcp_addr(&self) -> Option<SocketAddr> {
-        self.tcp_addr
+        self.tcp.as_ref()?.local_addr().ok()
     }
 
     /// One sweep: accepts, reads every connection, admits up to
@@ -270,7 +265,7 @@ impl Ingress {
     /// None: per-command failures become typed `Error` replies to the
     /// issuing client.
     pub fn drive(&mut self, server: &mut Server) -> Result<usize, ServerError> {
-        self.net.accept();
+        self.accept();
         self.net.read(&mut self.batch);
         let mut batch = std::mem::take(&mut self.batch);
         let n = batch.len();
@@ -286,6 +281,25 @@ impl Ingress {
         self.net.flush();
         self.since_epoch += n as u64;
         Ok(n)
+    }
+
+    /// The socket shell's part of a sweep: accepts at most 64 connections,
+    /// so a connect storm cannot starve the live ones, for the machine.
+    fn accept(&mut self) {
+        for _ in 0..64 {
+            let sock: Box<dyn Stream> =
+                if let Some(Ok((s, _))) = self.tcp.as_ref().map(TcpListener::accept) {
+                    let _ = s.set_nodelay(true);
+                    let _ = s.set_nonblocking(true);
+                    Box::new(s)
+                } else if let Some(Ok((s, _))) = self.unix.as_ref().map(UnixListener::accept) {
+                    let _ = s.set_nonblocking(true);
+                    Box::new(s)
+                } else {
+                    return;
+                };
+            self.net.open(sock);
+        }
     }
 
     fn execute(&mut self, server: &mut Server, conn: u64, request: &Request) -> Reply {
@@ -532,7 +546,8 @@ impl Ingress {
 
     /// Live connection count.
     pub fn connections(&self) -> u64 {
-        self.net.connections() as u64
+        let c = &self.net.counters;
+        c.connections_opened - c.connections_closed.iter().sum::<u64>()
     }
 
     /// Scrapes every ingress counter, gauge, and histogram into one
@@ -619,8 +634,10 @@ impl Ingress {
     /// socket file. Called by `Drop` as well; explicit callers get to
     /// sequence it (e.g. after [`Ingress::quiesce`]).
     pub fn shutdown(&mut self) {
+        self.tcp = None;
+        self.unix = None;
         self.net.shutdown();
-        if let Some(path) = &self.unix_path {
+        if let Some(path) = &self.cfg.unix {
             let _ = std::fs::remove_file(path);
         }
     }

@@ -366,7 +366,7 @@ pub fn decode_reply(frame: &[u8]) -> Result<(u64, Reply), IngressError> {
 /// Best-effort extraction of the `req_id` from a frame whose payload
 /// failed to decode, so the typed error reply can still be matched by
 /// the client. `None` when even the id is unreadable.
-pub fn frame_req_id(frame: &[u8]) -> Option<u64> {
+pub(crate) fn frame_req_id(frame: &[u8]) -> Option<u64> {
     let mut r = SnapReader::framed(frame, &WIRE_MAGIC, WIRE_VERSION).ok()?;
     r.take_u64().ok()
 }

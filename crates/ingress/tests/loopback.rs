@@ -1,19 +1,26 @@
 //! Live loopback tests: a real `Server` behind a real `Ingress`, spoken
-//! to over actual TCP and Unix sockets by client threads.
+//! to over actual TCP and Unix sockets, for what only real sockets show:
+//! the listeners, a real stream's close and shutdown, and the glue from
+//! `Ingress` to the server. The admission decisions (admit, defer, shed,
+//! rotate, close a slow peer, quiesce) are the connection machine's unit
+//! tests in `src/net.rs`, which count them exactly over scripted streams.
 //!
 //! The ingress (`Ingress::drive`/`serve`) runs on the test's main
 //! thread — the `!Send` server never moves — while clients run on
-//! spawned threads and coordinate through channels. Every test ends by
-//! asserting the server still serves: the acceptance bar is that nothing
-//! a client does (flooding, corruption, disconnecting) wedges the engine.
+//! spawned threads, or on the same thread between sweeps. Nothing a
+//! client does (corruption, disconnecting) may wedge the engine.
 
 use pdo_ingress::proto;
-use pdo_ingress::{Client, ErrorCode, Ingress, IngressConfig, OpenKind, Reply, Request, WireMode};
+use pdo_ingress::{
+    Client, ErrorCode, FrameBuffer, Ingress, IngressConfig, OpenKind, Reply, Request, WireMode,
+    MAX_FRAME_LEN,
+};
 use pdo_ir::{BinOp, EventId, FuncId, FunctionBuilder, Module, Value};
 use pdo_server::{Server, ServerConfig};
 use pdo_snap::SnapWriter;
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -146,146 +153,6 @@ fn unix_socket_serves_protocol_sessions() {
     assert!(!path.exists(), "socket file removed on shutdown");
 }
 
-/// With a batch of one and a paused engine, a pipelined burst is shed — with
-/// typed replies carrying a retry hint, not dropped connections or
-/// unbounded queues — and the session keeps working afterwards.
-#[test]
-fn over_capacity_burst_is_shed_with_typed_replies() {
-    const BURST: usize = 200;
-    let mut server = Server::new(ServerConfig::default());
-    let cfg = IngressConfig {
-        max_inflight: 1,
-        ..IngressConfig::default()
-    };
-    let mut ingress = Ingress::bind(cfg, 1).unwrap();
-    let addr = ingress.tcp_addr().unwrap();
-
-    let paused = Arc::new(AtomicBool::new(false));
-    let stop = Arc::new(AtomicBool::new(false));
-    let (burst_sent_tx, burst_sent_rx) = mpsc::channel::<()>();
-
-    let c_paused = Arc::clone(&paused);
-    let c_stop = Arc::clone(&stop);
-    let client = std::thread::spawn(move || {
-        let (m, e, binds) = counter_module();
-        let mut c = Client::connect_tcp(addr).unwrap();
-        let session = c.open(plain_open(&m, &binds)).unwrap();
-
-        // Pause the engine, then pipeline a burst far over capacity.
-        c_paused.store(true, Ordering::SeqCst);
-        for i in 0..BURST {
-            let frame = proto::encode_request(
-                1000 + i as u64,
-                &Request::Raise {
-                    session,
-                    event: e.0,
-                    mode: WireMode::Sync,
-                    args: vec![],
-                },
-            );
-            c.send_raw(&frame).unwrap();
-        }
-        burst_sent_tx.send(()).unwrap();
-
-        // Every request gets exactly one reply: Done or a typed Shed.
-        let (mut done, mut shed) = (0usize, 0usize);
-        for _ in 0..BURST {
-            match c.recv_reply().unwrap().1 {
-                Reply::Done => done += 1,
-                Reply::Shed { retry_after_ns } => {
-                    assert!(retry_after_ns > 0, "shed carries a retry hint");
-                    shed += 1;
-                }
-                other => panic!("expected Done or Shed, got {other:?}"),
-            }
-        }
-        assert_eq!(done + shed, BURST);
-        assert!(shed > 0, "burst over capacity must shed");
-        assert!(done >= 1, "admitted work still completes");
-
-        // The connection and session survive the storm.
-        let stats = c.query(session).unwrap();
-        assert_eq!(stats.session, session);
-        c_stop.store(true, Ordering::SeqCst);
-        (done, shed)
-    });
-
-    // Engine: run the open, pause through the burst, then drain.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while !stop.load(Ordering::SeqCst) {
-        assert!(Instant::now() < deadline, "engine loop timed out");
-        if paused.load(Ordering::SeqCst) {
-            // Hold the engine until the whole burst is on the socket, so
-            // one sweep reads it and admission control alone decides.
-            burst_sent_rx.recv().unwrap();
-            std::thread::sleep(Duration::from_millis(100));
-            paused.store(false, Ordering::SeqCst);
-        }
-        ingress.drive(&mut server).unwrap();
-        std::thread::sleep(Duration::from_micros(100));
-    }
-    let (done, shed) = client.join().unwrap();
-
-    assert_eq!(ingress.shed_total(), shed as u64);
-    // Admitted = the open, every burst request that came back Done, and
-    // the final query.
-    assert_eq!(ingress.admitted_total() as usize, done + 2);
-    // One bound: every shed of the burst found the batch full.
-    let metrics = ingress.metrics();
-    let shed_by = |reason| metrics.counter_value("pdo_ingress_shed_total", &[("reason", reason)]);
-    assert_eq!(shed_by("permits"), Some(shed as u64));
-    assert_eq!(shed_by("quiesced"), Some(0));
-}
-
-/// Two connections that each pipeline a burst past a small batch both
-/// get commands admitted: each sweep starts just past the last
-/// connection it admitted from, so a full batch is not always taken by
-/// the connection accepted first.
-#[test]
-fn a_full_batch_rotates_across_connections() {
-    const BURST: u64 = 64;
-    let mut server = Server::new(ServerConfig::default());
-    let cfg = IngressConfig {
-        max_inflight: 4,
-        ..IngressConfig::default()
-    };
-    let mut ingress = Ingress::bind(cfg, 1).unwrap();
-    let addr = ingress.tcp_addr().unwrap();
-
-    // `Close` of an unknown session needs no setup and is admitted like
-    // any other command: it replies `Closed`, or `Shed` when refused.
-    let mut conns = [
-        Client::connect_tcp(addr).unwrap(),
-        Client::connect_tcp(addr).unwrap(),
-    ];
-    for c in &mut conns {
-        for i in 0..BURST {
-            let frame = proto::encode_request(i, &Request::Close { session: 1 << 40 });
-            c.send_raw(&frame).unwrap();
-        }
-    }
-    // Let both bursts land before the first sweep reads them.
-    std::thread::sleep(Duration::from_millis(50));
-
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while ingress.admitted_total() + ingress.shed_total() < 2 * BURST {
-        assert!(Instant::now() < deadline, "engine loop timed out");
-        ingress.drive(&mut server).unwrap();
-    }
-    for (k, c) in conns.iter_mut().enumerate() {
-        let mut admitted = 0;
-        for _ in 0..BURST {
-            match c.recv_reply().unwrap().1 {
-                Reply::Closed { existed: false } => admitted += 1,
-                Reply::Shed { .. } => {}
-                other => panic!("expected Closed or Shed, got {other:?}"),
-            }
-        }
-        assert!(admitted > 0, "connection {k} had every command shed");
-    }
-    assert!(ingress.shed_total() > 0, "the bursts overflow the batch");
-}
-
 /// Corruption policy end to end: a checksum-valid frame with a bad body
 /// gets a typed error and the connection lives; a stream-level corruption
 /// kills that connection only — the server keeps serving everyone else.
@@ -351,49 +218,28 @@ fn corrupt_frames_never_wedge_the_server() {
     );
 }
 
-/// A consumer that pipelines requests past `max_outbuf` of replies without
-/// reading any is closed with reason `slow`, while another connection is
-/// served before and after.
+/// Drives `ingress` until `done` holds, for at most 30 s.
+fn drive_until(ingress: &mut Ingress, server: &mut Server, done: impl Fn(&Ingress) -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !done(ingress) {
+        assert!(Instant::now() < deadline, "engine loop timed out");
+        ingress.drive(server).unwrap();
+    }
+}
+
+/// A TCP peer that sends three requests and then shuts down its write
+/// half gets all three replies, and then the ingress closes the
+/// connection as `eof`.
 #[test]
-fn slow_consumer_is_closed_while_others_are_served() {
-    // Metrics scrapes reply with kilobytes each: 2 000 of them are far
-    // more than the Unix socket's buffer plus `max_outbuf`.
-    const SCRAPES: usize = 2_000;
-    let path = std::env::temp_dir().join(format!("pdo-ingress-slow-{}.sock", std::process::id()));
+fn a_half_closed_tcp_peer_gets_every_reply() {
     let mut server = Server::new(ServerConfig::default());
-    let cfg = IngressConfig {
-        unix: Some(path.clone()),
-        max_outbuf: 64 << 10,
-        ..IngressConfig::default()
-    };
-    let mut ingress = Ingress::bind(cfg, 1).unwrap();
-    let addr = ingress.tcp_addr().unwrap();
-    let done = Arc::new(AtomicBool::new(false));
-    let (closed_tx, closed_rx) = mpsc::channel::<()>();
-
-    let c_done = Arc::clone(&done);
-    let client = std::thread::spawn(move || {
-        let (m, e, binds) = counter_module();
-        let mut served = Client::connect_tcp(addr).unwrap();
-        let session = served.open(plain_open(&m, &binds)).unwrap();
-
-        // Pipeline the scrapes and never read a reply. Once the ingress
-        // cuts the connection, the remaining writes fail.
-        let mut slow = Client::connect_unix(&path).unwrap();
-        let scrape = proto::encode_request(1, &Request::MetricsScrape);
-        for _ in 0..SCRAPES {
-            if slow.send_raw(&scrape).is_err() {
-                break;
-            }
-        }
-        closed_rx
-            .recv_timeout(Duration::from_secs(30))
-            .expect("the slow consumer was never closed");
-
-        let reply = served.raise(session, e.0, WireMode::Sync, vec![]).unwrap();
-        assert_eq!(reply, Reply::Done, "the other connection is still served");
-        c_done.store(true, Ordering::SeqCst);
-    });
+    let mut ingress = Ingress::bind(IngressConfig::default(), 1).unwrap();
+    let mut sock = TcpStream::connect(ingress.tcp_addr().unwrap()).unwrap();
+    for id in 0..3 {
+        let frame = proto::encode_request(id, &Request::Close { session: 1 << 40 });
+        sock.write_all(&frame).unwrap();
+    }
+    sock.shutdown(Shutdown::Write).unwrap();
 
     let closed = |ingress: &Ingress, reason| {
         ingress.metrics().counter_value(
@@ -401,87 +247,81 @@ fn slow_consumer_is_closed_while_others_are_served() {
             &[("reason", reason)],
         )
     };
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let mut told = false;
-    while !done.load(Ordering::SeqCst) {
-        assert!(Instant::now() < deadline, "engine loop timed out");
-        ingress.drive(&mut server).unwrap();
-        if !told && closed(&ingress, "slow") == Some(1) {
-            closed_tx.send(()).unwrap();
-            told = true;
-        }
-        std::thread::sleep(Duration::from_micros(50));
+    drive_until(&mut ingress, &mut server, |i| closed(i, "eof") == Some(1));
+    let mut bytes = Vec::new();
+    sock.read_to_end(&mut bytes).unwrap();
+    let mut replies = FrameBuffer::new();
+    replies.extend(&bytes);
+    for id in 0..3 {
+        let frame = replies.next_frame(MAX_FRAME_LEN).unwrap().expect("a reply");
+        let reply = proto::decode_reply(frame).unwrap();
+        assert_eq!(reply, (id, Reply::Closed { existed: false }));
     }
-    client.join().unwrap();
-    assert_eq!(closed(&ingress, "slow"), Some(1));
+    assert!(replies.is_empty(), "three replies and nothing else");
+    assert_eq!(ingress.admitted_total(), 3);
+    assert_eq!(ingress.connections(), 0);
     assert_eq!(closed(&ingress, "io"), Some(0));
 }
 
-/// Quiesce over the wire: in-flight work drains, later requests shed
-/// with reason `quiesced`, and admission resumes cleanly.
+/// Sends one request on `client` and drives the ingress until it is
+/// answered; returns the reply.
+fn call(ingress: &mut Ingress, server: &mut Server, client: &mut Client, req: Request) -> Reply {
+    let answered = ingress.replied_total() + ingress.shed_total();
+    client.send_raw(&proto::encode_request(7, &req)).unwrap();
+    drive_until(ingress, server, |i| {
+        i.replied_total() + i.shed_total() > answered
+    });
+    let (id, reply) = client.recv_reply().unwrap();
+    assert_eq!(id, 7);
+    reply
+}
+
+/// `Ingress::quiesce` quiesces the server too, so its queued raises run,
+/// and a quiesced ingress sheds over the wire; `resume_admission` reopens
+/// both.
 #[test]
-fn quiesce_drains_then_sheds_then_resumes() {
+fn quiesce_reaches_the_server_and_resume_reopens_it() {
     let mut server = Server::new(ServerConfig::default());
     let mut ingress = Ingress::bind(IngressConfig::default(), 1).unwrap();
-    let addr = ingress.tcp_addr().unwrap();
-
-    let (to_client_tx, to_client_rx) = mpsc::channel::<&'static str>();
-    let (to_main_tx, to_main_rx) = mpsc::channel::<&'static str>();
-
-    let client = std::thread::spawn(move || {
-        let (m, e, binds) = counter_module();
-        let mut c = Client::connect_tcp(addr).unwrap();
-        let session = c.open(plain_open(&m, &binds)).unwrap();
-        for _ in 0..20 {
-            assert_eq!(
-                c.raise(session, e.0, WireMode::Async, vec![]).unwrap(),
-                Reply::Done
-            );
-        }
-        to_main_tx.send("loaded").unwrap();
-
-        assert_eq!(to_client_rx.recv().unwrap(), "quiesced");
-        // Blocking helper surfaces the Shed reply as an unexpected
-        // reply error; the raw request path shows it directly.
-        let e = c.query(session).unwrap_err();
-        assert!(e.to_string().contains("Shed"), "got {e}");
-        to_main_tx.send("saw-shed").unwrap();
-
-        assert_eq!(to_client_rx.recv().unwrap(), "resumed");
-        let stats = c.query(session).unwrap();
-        assert_eq!(stats.queued, 0, "async FIFO drained by quiesce");
-        assert!(stats.dispatched >= 20, "queued raises all dispatched");
-        to_main_tx.send("done").unwrap();
-    });
-
-    // Engine: serve the load, quiesce, verify shed, resume.
-    fn pump(
-        ingress: &mut Ingress,
-        server: &mut Server,
-        until: &mpsc::Receiver<&'static str>,
-    ) -> &'static str {
-        loop {
-            ingress.drive(server).unwrap();
-            if let Ok(msg) = until.try_recv() {
-                return msg;
-            }
-            std::thread::sleep(Duration::from_micros(100));
-        }
+    let mut c = Client::connect_tcp(ingress.tcp_addr().unwrap()).unwrap();
+    let (m, e, binds) = counter_module();
+    let session = match call(
+        &mut ingress,
+        &mut server,
+        &mut c,
+        Request::Open(plain_open(&m, &binds)),
+    ) {
+        Reply::Opened { session } => session,
+        other => panic!("expected Opened, got {other:?}"),
+    };
+    let raise = Request::Raise {
+        session,
+        event: e.0,
+        mode: WireMode::Async,
+        args: vec![],
+    };
+    for _ in 0..3 {
+        assert_eq!(
+            call(&mut ingress, &mut server, &mut c, raise.clone()),
+            Reply::Done
+        );
     }
-    assert_eq!(pump(&mut ingress, &mut server, &to_main_rx), "loaded");
 
     ingress.quiesce(&mut server).unwrap();
     assert!(!server.is_admitting());
     assert!(!ingress.is_admitting());
-    to_client_tx.send("quiesced").unwrap();
-    assert_eq!(pump(&mut ingress, &mut server, &to_main_rx), "saw-shed");
-    assert!(
-        ingress.shed_total() >= 1,
-        "post-quiesce request was shed, not queued"
-    );
+    let query = Request::Query { session };
+    let retry_after_ns = IngressConfig::default().retry_after_ns;
+    let shed = call(&mut ingress, &mut server, &mut c, query.clone());
+    assert_eq!(shed, Reply::Shed { retry_after_ns });
 
     ingress.resume_admission(&mut server);
-    to_client_tx.send("resumed").unwrap();
-    assert_eq!(pump(&mut ingress, &mut server, &to_main_rx), "done");
-    client.join().unwrap();
+    assert!(server.is_admitting());
+    match call(&mut ingress, &mut server, &mut c, query) {
+        Reply::Stats(stats) => {
+            assert_eq!(stats.queued, 0, "quiesce ran the queued raises");
+            assert_eq!(stats.dispatched, 3);
+        }
+        other => panic!("expected Stats, got {other:?}"),
+    }
 }
