@@ -253,7 +253,7 @@ impl Net {
     /// closed since its command was admitted is dropped.
     pub(crate) fn reply(&mut self, conn: u64, req_id: u64, reply: &Reply) {
         if let Some(c) = self.conns.get_mut(&conn) {
-            c.out.extend_from_slice(&proto::encode_reply(req_id, reply));
+            proto::append_reply(&mut c.out, req_id, reply);
         }
         self.counters.replied += 1;
     }
@@ -359,8 +359,7 @@ impl Admission {
                     (proto::frame_req_id(frame).unwrap_or(0), reply)
                 }
             };
-            conn.out
-                .extend_from_slice(&proto::encode_reply(req_id, &reply));
+            proto::append_reply(&mut conn.out, req_id, &reply);
         }
     }
 }

@@ -141,8 +141,9 @@ codec_enum!(Request {
 /// Raise arguments in the marshal layout: one count, the tag vector,
 /// then the value bodies. Hand-written because that tags-then-bodies
 /// shape is the point: a field table would interleave each tag with its
-/// body. The count and the tags read as one `Vec<Tag>`, then each body
-/// is read by its tag.
+/// body. The tags are read from a reader lent over their bytes, each
+/// body by its tag from the payload after them, so decoding keeps no
+/// tag vector.
 #[derive(Debug, Clone, PartialEq)]
 struct WireArgs(Vec<Value>);
 
@@ -158,9 +159,13 @@ impl Codec for WireArgs {
     }
 
     fn take(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let tags = Vec::<Tag>::take(r)?;
-        let values: Result<_, _> = tags.iter().map(|t| t.take_body(r)).collect();
-        Ok(WireArgs(values?))
+        let n = r.take_len()?;
+        let mut tags = r.take_reader(n)?;
+        let mut values = Vec::with_capacity(n);
+        for _ in 0..n {
+            values.push(Tag::take(&mut tags)?.take_body(r)?);
+        }
+        Ok(WireArgs(values))
     }
 }
 
@@ -315,9 +320,8 @@ codec_enum!(Reply {
     8 => Trace { body },
 });
 
-/// One frame: `req_id`, then the command or reply body.
-fn encode<T: Codec>(req_id: u64, body: &T) -> Vec<u8> {
-    let mut w = SnapWriter::new();
+/// Finishes `w`'s frame: `req_id`, then the command or reply body.
+fn encode<T: Codec>(mut w: SnapWriter, req_id: u64, body: &T) -> Vec<u8> {
     w.u64(req_id);
     body.put(&mut w);
     w.finish_frame(&WIRE_MAGIC, WIRE_VERSION)
@@ -332,7 +336,7 @@ fn decode<T: Codec>(frame: &[u8]) -> Result<(u64, T), IngressError> {
 
 /// Encodes one request under `req_id` into a complete wire frame.
 pub fn encode_request(req_id: u64, req: &Request) -> Vec<u8> {
-    encode(req_id, req)
+    encode(SnapWriter::new(), req_id, req)
 }
 
 /// Decodes a complete request frame into `(req_id, request)`.
@@ -351,7 +355,14 @@ pub fn decode_request(frame: &[u8]) -> Result<(u64, Request), IngressError> {
 
 /// Encodes one reply under `req_id` into a complete wire frame.
 pub fn encode_reply(req_id: u64, reply: &Reply) -> Vec<u8> {
-    encode(req_id, reply)
+    encode(SnapWriter::new(), req_id, reply)
+}
+
+/// Appends the frame of one reply under `req_id` to `out`, after the
+/// bytes already in it: a connection's reply buffer takes each reply
+/// without a buffer of its own.
+pub(crate) fn append_reply(out: &mut Vec<u8>, req_id: u64, reply: &Reply) {
+    *out = encode(SnapWriter::appending(std::mem::take(out)), req_id, reply);
 }
 
 /// Decodes a complete reply frame into `(req_id, reply)`.
@@ -648,8 +659,9 @@ mod tests {
         w.str("s");
         assert_eq!(w.finish(), pdo_snap::encode(&args));
 
-        // Past the eight inline tags the decoder spills, with the same
-        // bytes either way.
+        // A longer list round-trips and survives the sweep too: each of
+        // its eleven tags is read from the tag run, each body from after
+        // the run.
         hostile::check(&WireArgs((0..11).map(Value::Int).collect()));
     }
 

@@ -195,9 +195,12 @@ const HEADER_LEN: usize = MAGIC.len() + 4 + 8;
 /// Builds a snapshot payload and frames it.
 #[derive(Debug)]
 pub struct SnapWriter {
-    /// The frame under construction: [`HEADER_LEN`] reserved bytes that
+    /// The bytes the caller handed over, untouched, then the frame under
+    /// construction: [`HEADER_LEN`] reserved bytes that
     /// [`SnapWriter::finish_frame`] fills in, then the payload.
     buf: Vec<u8>,
+    /// Where the frame starts in `buf`.
+    start: usize,
     /// Where each shared module written so far was first encoded, by the
     /// address of its allocation. The entry holds the `Arc`, so the
     /// address cannot be reused while the frame is being written.
@@ -215,7 +218,7 @@ impl Default for SnapWriter {
 
 impl SnapWriter {
     /// An empty writer. It starts with one 64-byte block, which holds a
-    /// whole wire request or reply that carries no bulk argument.
+    /// whole wire request that carries no bulk argument.
     pub fn new() -> SnapWriter {
         SnapWriter::with_capacity(64 - HEADER_LEN - 8)
     }
@@ -224,10 +227,19 @@ impl SnapWriter {
     /// frame around it), for callers that know roughly how large the frame
     /// will be — a server's previous image, say.
     pub fn with_capacity(payload_bytes: usize) -> SnapWriter {
-        let mut buf = Vec::with_capacity(HEADER_LEN + payload_bytes + 8);
-        buf.resize(HEADER_LEN, 0);
+        SnapWriter::appending(Vec::with_capacity(HEADER_LEN + payload_bytes + 8))
+    }
+
+    /// A writer whose frame goes after the bytes already in `out`, which
+    /// [`SnapWriter::finish_frame`] hands back with the frame appended:
+    /// a connection's reply buffer, say, which then takes each reply
+    /// without a buffer of its own.
+    pub fn appending(mut out: Vec<u8>) -> SnapWriter {
+        let start = out.len();
+        out.resize(start + HEADER_LEN, 0);
         SnapWriter {
-            buf,
+            buf: out,
+            start,
             modules: HashMap::new(),
             text: String::new(),
         }
@@ -310,7 +322,7 @@ impl SnapWriter {
 
     /// Payload bytes written so far.
     pub fn len(&self) -> usize {
-        self.buf.len() - HEADER_LEN
+        self.buf.len() - self.start - HEADER_LEN
     }
 
     /// True if nothing has been written.
@@ -318,7 +330,9 @@ impl SnapWriter {
         self.len() == 0
     }
 
-    /// Frames the payload: magic, version, length, payload, checksum.
+    /// Frames the payload: magic, version, length, payload, checksum,
+    /// after whatever bytes the writer was given (see
+    /// [`SnapWriter::appending`]).
     pub fn finish(self) -> Vec<u8> {
         self.finish_frame(&MAGIC, VERSION)
     }
@@ -330,13 +344,17 @@ impl SnapWriter {
     pub fn finish_frame(self, magic: &[u8; 8], version: u32) -> Vec<u8> {
         let payload_len = self.len() as u64;
         let mut out = self.buf;
-        out[..8].copy_from_slice(magic);
-        out[8..12].copy_from_slice(&version.to_le_bytes());
-        out[12..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
-        let sum = xxh64(&out);
-        // Exactly: a buffer a bulk field grew to fit must not double for
-        // the last eight bytes.
-        out.reserve_exact(8);
+        let frame = &mut out[self.start..];
+        frame[..8].copy_from_slice(magic);
+        frame[8..12].copy_from_slice(&version.to_le_bytes());
+        frame[12..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
+        let sum = xxh64(frame);
+        // A frame alone in its buffer reserves exactly: a buffer a bulk
+        // field grew to fit must not double for the last eight bytes. A
+        // frame appended to other bytes lets its buffer grow amortized.
+        if self.start == 0 {
+            out.reserve_exact(8);
+        }
         out.extend_from_slice(&sum.to_le_bytes());
         out
     }
@@ -544,6 +562,21 @@ impl<'a> SnapReader<'a> {
                 self.remaining()
             ))),
         }
+    }
+
+    /// Lends the next `n` payload bytes as a reader of their own and
+    /// moves past them, for layouts that keep one run of fields apart
+    /// from the fields it describes (the marshal layout's tags, say).
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Truncated`] if fewer than `n` bytes remain.
+    pub fn take_reader(&mut self, n: usize) -> Result<SnapReader<'a>, SnapshotError> {
+        Ok(SnapReader {
+            payload: self.take(n)?,
+            pos: 0,
+            modules: HashMap::new(),
+        })
     }
 
     /// Reads a length-prefixed byte string.
@@ -921,6 +954,71 @@ mod tests {
         let frame = w.finish();
         assert_eq!(frame, small.finish());
         assert_eq!(frame.len(), HEADER_LEN + 15 + 8);
+    }
+
+    /// A frame appended after other bytes leaves them alone and is the
+    /// same frame a writer of its own builds, shared modules included.
+    #[test]
+    fn appended_frames_are_the_frames_alone_back_to_back() {
+        let module = Arc::new(counter_module(3));
+        let write = |w: &mut SnapWriter| {
+            w.u64(9);
+            w.len_prefix(2);
+            w.shared_module(&module);
+            w.shared_module(&module);
+        };
+        let mut alone = SnapWriter::new();
+        write(&mut alone);
+        let alone = alone.finish();
+
+        let mut out = b"earlier".to_vec();
+        for k in 1..=2 {
+            let mut w = SnapWriter::appending(out);
+            write(&mut w);
+            assert_eq!(w.len(), alone.len() - HEADER_LEN - 8);
+            out = w.finish();
+            assert_eq!(out.len(), 7 + k * alone.len());
+        }
+        assert_eq!(&out[..7], b"earlier");
+        assert_eq!(out[7..], [&alone[..], &alone[..]].concat());
+        let mut r = SnapReader::new(&out[7 + alone.len()..]).unwrap();
+        assert_eq!(r.take_u64().unwrap(), 9);
+        let decoded = Vec::<Arc<Module>>::take(&mut r).unwrap();
+        assert!(Arc::ptr_eq(&decoded[0], &decoded[1]));
+        assert_eq!(*decoded[0], *module);
+        r.finish().unwrap();
+    }
+
+    /// A lent reader sees exactly its `n` bytes, and its lender has moved
+    /// past them.
+    #[test]
+    fn take_reader_lends_the_next_bytes_and_moves_past_them() {
+        let mut w = SnapWriter::new();
+        w.u8(1);
+        w.u8(2);
+        w.u32(7);
+        let frame = w.finish();
+        let mut r = SnapReader::new(&frame).unwrap();
+        let mut head = r.take_reader(2).unwrap();
+        assert_eq!(r.take_u32().unwrap(), 7);
+        assert_eq!(head.take_u8().unwrap(), 1);
+        assert_eq!(head.take_u8().unwrap(), 2);
+        assert!(matches!(
+            head.take_u8(),
+            Err(SnapshotError::Truncated {
+                needed: 1,
+                available: 0
+            })
+        ));
+        head.finish().unwrap();
+        assert!(matches!(
+            r.take_reader(1),
+            Err(SnapshotError::Truncated {
+                needed: 1,
+                available: 0
+            })
+        ));
+        r.finish().unwrap();
     }
 
     /// A value touching every built-in impl, and local types through both

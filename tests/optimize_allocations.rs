@@ -1,6 +1,7 @@
 //! The allocation budget of `pdo::optimize`: the CTP video program,
 //! profiled over the benchmark's 391-frame session and optimized at the
-//! paper's T = 300, counted by this binary's own allocator.
+//! paper's T = 300, counted by the shared counting allocator
+//! (`common/counting.rs`).
 //!
 //! The count depends only on the code, not on the host or the clock, so
 //! the gate is exact: the budget is the count when it was set plus about
@@ -9,54 +10,13 @@
 //! catch oscillation, and verifies it after every changing iteration), so
 //! each profile has its own budget.
 
+#[path = "common/counting.rs"]
+mod counting;
+
 use pdo::{optimize, OptimizeOptions};
 use pdo_ctp::{ctp_program, CtpEndpoint, CtpParams, VideoPlayer};
 use pdo_events::TraceConfig;
 use pdo_profile::Profile;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-
-/// Counts the allocations of the thread that set `COUNTING`.
-struct Counting;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    // Const-initialised and destructor-free, so reading it from inside the
-    // allocator can neither allocate nor observe a torn-down key.
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-}
-
-fn note() {
-    if COUNTING.try_with(Cell::get).unwrap_or(false) {
-        ALLOCS.fetch_add(1, Relaxed);
-    }
-}
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 /// Allocations one `optimize` of the video profile may make: 2 301 in a
 /// release build and 17 826 in a debug build when this was set (2 709 and
@@ -86,16 +46,14 @@ fn optimize_stays_within_its_allocation_budget() {
     let profile = Profile::from_trace(&endpoint.runtime_mut().take_trace(), 300);
     let opts = OptimizeOptions::new(300);
 
-    COUNTING.with(|c| c.set(true));
-    let before = ALLOCS.load(Relaxed);
-    let opt = optimize(
-        &program.module,
-        endpoint.runtime().registry(),
-        &profile,
-        &opts,
-    );
-    let allocs = ALLOCS.load(Relaxed) - before;
-    COUNTING.with(|c| c.set(false));
+    let (opt, allocs) = counting::count(|| {
+        optimize(
+            &program.module,
+            endpoint.runtime().registry(),
+            &profile,
+            &opts,
+        )
+    });
 
     assert!(!opt.chains.is_empty(), "the video profile yields a chain");
     println!("optimize allocated {allocs} times (budget {BUDGET})");
